@@ -17,6 +17,7 @@ let make_tests () =
   let witness = Rsa_acc.mem_witness params primes x in
   let pk, _sk = Rsa_tdp.keygen ~bits:512 ~rng () in
   let trapdoor = Rsa_tdp.random_element ~rng pk in
+  let prime272 = Prime_rep.to_prime "bechamel-272" in
   let ct = Sore.encrypt ~rng sore_key ~width:16 12345 in
   let tk = Sore.token ~rng sore_key ~width:16 30000 Bitvec.Gt in
   let counter = ref 0 in
@@ -32,6 +33,13 @@ let make_tests () =
     (* Fig. 3b / 7b: ADS building blocks. *)
     Test.make ~name:"fig3b/h-prime-uncached"
       (Staged.stage (fun () -> ignore (Prime_rep.to_prime (Printf.sprintf "fresh-%d" (fresh ())))));
+    (* The primality test inside every H_prime walk, on the prime it
+       ends on: one base-2 Miller-Rabin round against the full
+       Baillie–PSW test that confirms the walk's prime. *)
+    Test.make ~name:"numtheory/mr-base2-272"
+      (Staged.stage (fun () -> ignore (Primality.miller_rabin_base prime272 ~base:Bigint.two)));
+    Test.make ~name:"numtheory/bpsw-272"
+      (Staged.stage (fun () -> ignore (Primality.baillie_psw prime272)));
     Test.make ~name:"fig3b/accumulator-add"
       (Staged.stage (fun () -> ignore (Rsa_acc.add params ac x)));
     (* Fig. 5: search-side primitives. *)
@@ -72,6 +80,13 @@ let make_tests () =
     Test.make ~name:"obs/trace-unsampled"
       (Staged.stage (fun () -> Trace.root "bench.trace-noop" (fun () -> ()))) ]
 
+(* Baillie–PSW measures ~3 base-2 rounds on the bench prime (its
+   Selfridge D is 5, as for half of all primes) and ~4 where Q^k needs
+   squarings of its own; the 13-base battery it replaced measured ~9.7.
+   A ratio within one run, because absolute timings drift by a third
+   between runs on a shared host. *)
+let bpsw_round_budget = 5.
+
 let run () =
   Bench_common.header "Bechamel micro-benchmarks (ns/op, OLS on monotonic clock)";
   (* Earlier targets in the same run (the load driver especially) leave
@@ -89,13 +104,13 @@ let run () =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   Bench_common.row_header [ "benchmark"; "ns/op"; "r^2" ];
+  let estimate name =
+    Option.bind (Hashtbl.find_opt results name) (fun r ->
+        match Analyze.OLS.estimates r with Some [ e ] -> Some e | Some _ | None -> None)
+  in
   List.iter
     (fun (name, result) ->
-      let est =
-        match Analyze.OLS.estimates result with
-        | Some [ e ] -> Some e
-        | Some _ | None -> None
-      in
+      let est = estimate name in
       let r2 = Analyze.OLS.r_square result in
       Printf.printf "%-28s %12s  %8s\n" name
         (match est with Some e -> Printf.sprintf "%.0f" e | None -> "-")
@@ -115,4 +130,13 @@ let run () =
         failwith
           (Printf.sprintf "unsampled trace root overhead %.0f ns exceeds the 150 ns budget" e)
       | _ -> ())
-    rows
+    rows;
+  match (estimate "slicer/numtheory/bpsw-272", estimate "slicer/numtheory/mr-base2-272") with
+  | Some bpsw, Some mr ->
+    let ratio = bpsw /. mr in
+    Printf.printf "bpsw-272 / mr-base2-272 = %.2f (budget %.1f)\n" ratio bpsw_round_budget;
+    if ratio > bpsw_round_budget then
+      failwith
+        (Printf.sprintf "Baillie-PSW costs %.2f base-2 rounds, over the %.1f budget" ratio
+           bpsw_round_budget)
+  | _ -> failwith "primality rows missing from the Bechamel results"

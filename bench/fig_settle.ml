@@ -1,10 +1,11 @@
 (* Settlement gas vs batch size (the PR-10 fairness story): the legacy
    eager path pays an Algorithm-5 re-verification (h_prime dominated,
-   ~55k gas per claim) inside every submitResult, while the optimistic
-   path posts one commitBatch Merkle root per batch and settles the
-   whole batch with one finalize after the dispute window — so the
-   recurring settlement gas per query should fall roughly linearly
-   with the batch size.
+   ~35k gas per claim with the Baillie–PSW walk) inside every
+   submitResult, while the optimistic path posts one commitBatch Merkle
+   root per batch and settles the whole batch with one finalize (one
+   payout transfer) after the dispute window — so the recurring
+   settlement gas per query should fall roughly linearly with the
+   batch size.
 
    Queries are width-8 range searches (multi-token, so the eager
    verification costs several h_prime evaluations per settlement — the

@@ -31,7 +31,8 @@ let cache_stats () =
 (* The candidate walk sieves incrementally: the residue of [base] modulo
    each small prime is computed once with bigint division, after which
    every candidate [base + j] is screened with native-int arithmetic
-   only. Survivors get the deterministic Miller-Rabin battery. *)
+   only. Survivors get the deterministic Baillie–PSW test, whose two
+   halves share one Montgomery context per survivor. *)
 let prime_walk s =
   let digest = Sha256.digest (Bytesutil.concat [ "h-prime"; s ]) in
   (* high = digest with the top bit forced so every representative has
@@ -54,9 +55,10 @@ let prime_walk s =
   in
   let rec walk j =
     if j >= 1 lsl counter_bits then failwith "Prime_rep.to_prime: no prime in interval"
-    else if survives_sieve j && Primegen.miller_rabin_det (Bigint.add_int base j) then
-      Bigint.add_int base j
-    else walk (j + 2)
+    else if not (survives_sieve j) then walk (j + 2)
+    else
+      let candidate = Bigint.add_int base j in
+      if Primality.baillie_psw candidate then candidate else walk (j + 2)
   in
   walk 1 (* odd offsets only *)
 

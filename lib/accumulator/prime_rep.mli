@@ -3,7 +3,9 @@
 
     Construction: the SHA-256 digest of the input forms the high 256 bits
     of the candidate and a 16-bit counter the low bits; the counter is
-    walked upward until a (deterministic Miller-Rabin) prime appears.
+    walked upward until a prime appears: candidates with a factor below
+    8192 are sieved out, and survivors get the deterministic Baillie–PSW
+    test ({!Primality.baillie_psw}).
     Distinct digests occupy disjoint candidate intervals, so collision
     resistance reduces to that of SHA-256. *)
 
@@ -15,8 +17,7 @@ val to_prime : string -> Bigint.t
     [s]. All honest parties (owner, cloud, contract) compute the same
     prime for the same token-and-hash string. Results are memoized in a
     bounded, mutex-guarded process-wide table, so Build/Insert/Search/
-    Verify evaluating the same [token‖hash] pay the Miller-Rabin walk
-    once.
+    Verify evaluating the same [token‖hash] pay the prime walk once.
     @raise Failure in the cryptographically negligible event that no
     prime lies in the candidate interval. *)
 

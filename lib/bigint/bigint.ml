@@ -622,189 +622,301 @@ module Mont = struct
 
   let modulus c = c.ctx_modulus
 
+  (* Allocation-free kernels. Operands live in fixed (k+1)-limb buffers
+     holding values < m (top limb zero between operations); products and
+     REDC run in one shared (2k+2)-limb scratch buffer [t]. A destination
+     may alias a source: products accumulate in [t] alone, and [dst] is
+     written only by the final reduction. *)
+
+  let scratch c = Array.make ((2 * c.k) + 2) 0
+
+  let pad c mag =
+    let buf = Array.make (c.k + 1) 0 in
+    Array.blit mag 0 buf 0 (Array.length mag);
+    buf
+
+  (* dst <- a + m over k+1 limbs, dropping any carry out of the top
+     limb: completes a wrapped-around subtraction, or makes an odd
+     value even for halving (a + m < 2m fits). *)
+  let add_m_into c dst a =
+    let mmag = c.mmag and k = c.k in
+    let carry = ref 0 in
+    for i = 0 to k do
+      let s = a.(i) + (if i < k then mmag.(i) else 0) + !carry in
+      dst.(i) <- s land mask;
+      carry := s lsr limb_bits
+    done
+
+  (* dst < 2m: one conditional subtraction normalises it below m. *)
+  let reduce_once c dst =
+    let mmag = c.mmag and k = c.k in
+    let i = ref (k - 1) in
+    while !i >= 0 && dst.(!i) = mmag.(!i) do
+      decr i
+    done;
+    if dst.(k) <> 0 || !i < 0 || dst.(!i) > mmag.(!i) then begin
+      let borrow = ref 0 in
+      for i = 0 to k - 1 do
+        let d = dst.(i) - mmag.(i) - !borrow in
+        dst.(i) <- d land mask;
+        borrow := (d asr limb_bits) land 1
+      done;
+      dst.(k) <- dst.(k) - !borrow
+    end
+
+  (* REDC t in place, write the (< m) result into dst (k+1 limbs). *)
+  let redc_into c t dst =
+    let mmag = c.mmag and k = c.k and m0' = c.m0' in
+    for i = 0 to k - 1 do
+      let u = (t.(i) * m0') land mask in
+      if u <> 0 then begin
+        let carry = ref 0 in
+        for j = 0 to k - 1 do
+          let p = (u * mmag.(j)) + t.(i + j) + !carry in
+          t.(i + j) <- p land mask;
+          carry := p lsr limb_bits
+        done;
+        let j = ref (i + k) in
+        while !carry <> 0 do
+          let s2 = t.(!j) + !carry in
+          t.(!j) <- s2 land mask;
+          carry := s2 lsr limb_bits;
+          incr j
+        done
+      end
+    done;
+    Array.blit t k dst 0 (k + 1);
+    reduce_once c dst
+
+  let mul_into c t dst a bm =
+    let k = c.k in
+    Array.fill t 0 ((2 * k) + 2) 0;
+    for i = 0 to k do
+      let ai = a.(i) in
+      if ai <> 0 then begin
+        let carry = ref 0 in
+        for j = 0 to k do
+          let p = (ai * bm.(j)) + t.(i + j) + !carry in
+          t.(i + j) <- p land mask;
+          carry := p lsr limb_bits
+        done;
+        (* i + k + 1 <= 2k + 1: inside the scratch buffer. *)
+        if !carry <> 0 then t.(i + k + 1) <- t.(i + k + 1) + !carry
+      end
+    done;
+    redc_into c t dst
+
+  (* Dedicated squaring: each cross product a_i·a_j (i < j) is
+     accumulated once and the whole buffer doubled afterwards — doubling
+     p in place could overflow 63-bit ints at 31-bit limbs, the separate
+     pass cannot. Halves the product-phase multiplies; squarings are
+     ~80% of a big-exponent ladder. *)
+  let sqr_into c t dst a =
+    let k = c.k in
+    Array.fill t 0 ((2 * k) + 2) 0;
+    for i = 0 to k do
+      let ai = a.(i) in
+      if ai <> 0 then begin
+        let carry = ref 0 in
+        for j = i + 1 to k do
+          let p = (ai * a.(j)) + t.(i + j) + !carry in
+          t.(i + j) <- p land mask;
+          carry := p lsr limb_bits
+        done;
+        if !carry <> 0 then t.(i + k + 1) <- t.(i + k + 1) + !carry
+      end
+    done;
+    let carry = ref 0 in
+    for idx = 0 to (2 * k) + 1 do
+      let v = (t.(idx) lsl 1) + !carry in
+      t.(idx) <- v land mask;
+      carry := v lsr limb_bits
+    done;
+    let carry = ref 0 in
+    for i = 0 to k do
+      let p = a.(i) * a.(i) in
+      let s = t.(2 * i) + (p land mask) + !carry in
+      t.(2 * i) <- s land mask;
+      let s2 = t.((2 * i) + 1) + (p lsr limb_bits) + (s lsr limb_bits) in
+      t.((2 * i) + 1) <- s2 land mask;
+      carry := s2 lsr limb_bits
+    done;
+    redc_into c t dst
+
+  (* dst <- a + b mod m. *)
+  let add_into c dst a b =
+    let carry = ref 0 in
+    for i = 0 to c.k do
+      let s = a.(i) + b.(i) + !carry in
+      dst.(i) <- s land mask;
+      carry := s lsr limb_bits
+    done;
+    reduce_once c dst
+
+  (* dst <- a - b mod m. Limb differences lie in [-2^31, 2^31), so the
+     low 31 bits and the sign bit give the digit and the borrow. *)
+  let sub_into c dst a b =
+    let borrow = ref 0 in
+    for i = 0 to c.k do
+      let d = a.(i) - b.(i) - !borrow in
+      dst.(i) <- d land mask;
+      borrow := (d asr limb_bits) land 1
+    done;
+    if !borrow <> 0 then add_m_into c dst dst
+
+  (* dst <- a / 2 mod m: an odd value becomes even by adding m. *)
+  let half_into c dst a =
+    let k = c.k in
+    if a.(0) land 1 = 1 then add_m_into c dst a else if dst != a then Array.blit a 0 dst 0 (k + 1);
+    for i = 0 to k - 1 do
+      dst.(i) <- (dst.(i) lsr 1) lor ((dst.(i + 1) land 1) lsl (limb_bits - 1))
+    done;
+    dst.(k) <- dst.(k) lsr 1
+
+  (* Into Montgomery form by one multiplication against the cached R²:
+     REDC(x · R²) = x·R mod m — no general division beyond [erem]. *)
+  let to_mont c t x =
+    let dst = Array.make (c.k + 1) 0 in
+    mul_into c t dst (pad c (erem x c.ctx_modulus).mag) (pad c c.r2);
+    dst
+
+  (* Out of Montgomery form: REDC(x · 1). *)
+  let of_mont c t x =
+    Array.fill t 0 ((2 * c.k) + 2) 0;
+    Array.blit x 0 t 0 (c.k + 1);
+    let dst = Array.make (c.k + 1) 0 in
+    redc_into c t dst;
+    make 1 dst
+
   let pow c b e =
     if sign e < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
     if is_zero e then erem one c.ctx_modulus
     else begin
-    (* Allocation-free Montgomery ladder: operands live in fixed (k+1)-limb
-       buffers (top limb zero between operations since values stay < m),
-       products and REDC run in one shared scratch buffer. *)
-    let { mmag; k; m0'; _ } = c in
-    let t = Array.make ((2 * k) + 2) 0 in
-    (* REDC t in place, write the (< m) result into dst (k+1 limbs). *)
-    let redc_into dst =
-      for i = 0 to k - 1 do
-        let u = (t.(i) * m0') land mask in
-        if u <> 0 then begin
-          let carry = ref 0 in
-          for j = 0 to k - 1 do
-            let p = (u * mmag.(j)) + t.(i + j) + !carry in
-            t.(i + j) <- p land mask;
-            carry := p lsr limb_bits
-          done;
-          let j = ref (i + k) in
-          while !carry <> 0 do
-            let s2 = t.(!j) + !carry in
-            t.(!j) <- s2 land mask;
-            carry := s2 lsr limb_bits;
-            incr j
+      let t = scratch c in
+      let b_mont = to_mont c t b in
+      if Array.for_all (fun l -> l = 0) b_mont then zero
+      else begin
+        let acc = pad c c.r1 in
+        let bits = num_bits e in
+        (* Sliding-window: precompute the odd powers b^1, b^3, …,
+           b^(2^w - 1) in Montgomery form, then consume the exponent in
+           windows that end on a set bit — bits/(w+1) multiplies instead
+           of bits/2, with the squaring count unchanged. *)
+        let w =
+          if bits <= 32 then 1
+          else if bits <= 160 then 3
+          else if bits <= 768 then 4
+          else if bits <= 3072 then 5
+          else if bits <= 12288 then 6
+          else 7
+        in
+        let tbl = Array.make (1 lsl (w - 1)) [||] in
+        tbl.(0) <- b_mont;
+        if w > 1 then begin
+          let bsq = Array.make (c.k + 1) 0 in
+          sqr_into c t bsq tbl.(0);
+          for i = 1 to Array.length tbl - 1 do
+            let d = Array.make (c.k + 1) 0 in
+            mul_into c t d tbl.(i - 1) bsq;
+            tbl.(i) <- d
           done
-        end
-      done;
-      Array.blit t k dst 0 (k + 1);
-      (* Result is < 2m: one conditional subtraction normalises it. *)
-      let ge =
-        dst.(k) <> 0
-        ||
-        let rec cmp i = if i < 0 then true else if dst.(i) <> mmag.(i) then dst.(i) > mmag.(i) else cmp (i - 1) in
-        cmp (k - 1)
-      in
-      if ge then begin
-        let borrow = ref 0 in
-        for i = 0 to k - 1 do
-          let d = dst.(i) - mmag.(i) - !borrow in
-          if d < 0 then begin
-            dst.(i) <- d + base;
-            borrow := 1
+        end;
+        let i = ref (bits - 1) in
+        while !i >= 0 do
+          if not (testbit e !i) then begin
+            sqr_into c t acc acc;
+            decr i
           end
           else begin
-            dst.(i) <- d;
-            borrow := 0
+            (* Largest window [j, i] of width <= w whose low bit is set. *)
+            let j = ref (Stdlib.max 0 (!i - w + 1)) in
+            while not (testbit e !j) do
+              incr j
+            done;
+            for _ = 1 to !i - !j + 1 do
+              sqr_into c t acc acc
+            done;
+            let v = ref 0 in
+            for bi = !i downto !j do
+              v := (!v lsl 1) lor (if testbit e bi then 1 else 0)
+            done;
+            mul_into c t acc acc tbl.(!v lsr 1);
+            i := !j - 1
           end
         done;
-        dst.(k) <- dst.(k) - !borrow
+        of_mont c t acc
       end
-    in
-    let mont_mul_into dst a bm =
-      Array.fill t 0 ((2 * k) + 2) 0;
-      for i = 0 to k do
-        let ai = a.(i) in
-        if ai <> 0 then begin
-          let carry = ref 0 in
-          for j = 0 to k do
-            let p = (ai * bm.(j)) + t.(i + j) + !carry in
-            t.(i + j) <- p land mask;
-            carry := p lsr limb_bits
-          done;
-          (* i + k + 1 <= 2k + 1: inside the scratch buffer. *)
-          if !carry <> 0 then t.(i + k + 1) <- t.(i + k + 1) + !carry
-        end
-      done;
-      redc_into dst
-    in
-    (* Dedicated squaring: each cross product a_i·a_j (i < j) is
-       accumulated once and the whole buffer doubled afterwards —
-       doubling p in place could overflow 63-bit ints at 31-bit limbs,
-       the separate pass cannot. Halves the product-phase multiplies;
-       squarings are ~80% of a big-exponent ladder. *)
-    let mont_sqr_into dst a =
-      Array.fill t 0 ((2 * k) + 2) 0;
-      for i = 0 to k do
-        let ai = a.(i) in
-        if ai <> 0 then begin
-          let carry = ref 0 in
-          for j = i + 1 to k do
-            let p = (ai * a.(j)) + t.(i + j) + !carry in
-            t.(i + j) <- p land mask;
-            carry := p lsr limb_bits
-          done;
-          if !carry <> 0 then t.(i + k + 1) <- t.(i + k + 1) + !carry
-        end
-      done;
-      let carry = ref 0 in
-      for idx = 0 to (2 * k) + 1 do
-        let v = (t.(idx) lsl 1) + !carry in
-        t.(idx) <- v land mask;
-        carry := v lsr limb_bits
-      done;
-      let carry = ref 0 in
-      for i = 0 to k do
-        let p = a.(i) * a.(i) in
-        let s = t.(2 * i) + (p land mask) + !carry in
-        t.(2 * i) <- s land mask;
-        let s2 = t.((2 * i) + 1) + (p lsr limb_bits) + (s lsr limb_bits) in
-        t.((2 * i) + 1) <- s2 land mask;
-        carry := s2 lsr limb_bits
-      done;
-      redc_into dst
-    in
-    let to_buf mag =
-      let buf = Array.make (k + 1) 0 in
-      Array.blit mag 0 buf 0 (Array.length mag);
-      buf
-    in
-    (* Into Montgomery form by one multiplication against the cached R²:
-       REDC(b · R²) = b·R mod m — no general division on this path. *)
-    let b_mont = Array.make (k + 1) 0 in
-    mont_mul_into b_mont (to_buf (erem b c.ctx_modulus).mag) (to_buf c.r2);
-    if Array.for_all (fun l -> l = 0) b_mont then zero
-    else begin
-      let acc = ref (to_buf c.r1) and tmp = ref (Array.make (k + 1) 0) in
-      let bits = num_bits e in
-      (* Sliding-window: precompute the odd powers b^1, b^3, …,
-         b^(2^w - 1) in Montgomery form, then consume the exponent in
-         windows that end on a set bit — bits/(w+1) multiplies instead
-         of bits/2, with the squaring count unchanged. *)
-      let w =
-        if bits <= 32 then 1
-        else if bits <= 160 then 3
-        else if bits <= 768 then 4
-        else if bits <= 3072 then 5
-        else if bits <= 12288 then 6
-        else 7
-      in
-      let tbl = Array.make (1 lsl (w - 1)) [||] in
-      tbl.(0) <- b_mont;
-      if w > 1 then begin
-        let bsq = Array.make (k + 1) 0 in
-        mont_sqr_into bsq tbl.(0);
-        for i = 1 to Array.length tbl - 1 do
-          let d = Array.make (k + 1) 0 in
-          mont_mul_into d tbl.(i - 1) bsq;
-          tbl.(i) <- d
-        done
-      end;
-      let advance src =
-        mont_mul_into !tmp !acc src;
-        let swap = !acc in
-        acc := !tmp;
-        tmp := swap
-      in
-      let advance_sq () =
-        mont_sqr_into !tmp !acc;
-        let swap = !acc in
-        acc := !tmp;
-        tmp := swap
-      in
-      let i = ref (bits - 1) in
-      while !i >= 0 do
-        if not (testbit e !i) then begin
-          advance_sq ();
-          decr i
-        end
-        else begin
-          (* Largest window [j, i] of width <= w whose low bit is set. *)
-          let j = ref (Stdlib.max 0 (!i - w + 1)) in
-          while not (testbit e !j) do
-            incr j
-          done;
-          for _ = 1 to !i - !j + 1 do
-            advance_sq ()
-          done;
-          let v = ref 0 in
-          for bi = !i downto !j do
-            v := (!v lsl 1) lor (if testbit e bi then 1 else 0)
-          done;
-          advance tbl.(!v lsr 1);
-          i := !j - 1
-        end
-      done;
-      (* Convert out of Montgomery form: REDC(acc * 1). *)
-      Array.fill t 0 ((2 * k) + 2) 0;
-      Array.blit !acc 0 t 0 (k + 1);
-      redc_into !tmp;
-      make 1 (nat_normalize (Array.copy !tmp))
     end
+
+  (* x <- -x mod m, in place. *)
+  let negate c x =
+    if Array.exists (fun l -> l <> 0) x then begin
+      let borrow = ref 0 in
+      for i = 0 to c.k do
+        let d = (if i < c.k then c.mmag.(i) else 0) - x.(i) - !borrow in
+        x.(i) <- d land mask;
+        borrow := (d asr limb_bits) land 1
+      done
+    end
+
+  (* dst <- a·s mod m for a small signed s, by double-and-add over |s|:
+     a few modular additions where a full product would pay a
+     multiply-and-reduce. Scaling a Montgomery form X·R by a plain s
+     gives (X·s)·R, so s needs no conversion. [dst] must not alias [a]. *)
+  let mul_small_into c dst a s =
+    let n = Stdlib.abs s in
+    if n = 0 then Array.fill dst 0 (c.k + 1) 0
+    else begin
+      Array.blit a 0 dst 0 (c.k + 1);
+      let top = ref 0 in
+      while n lsr (!top + 1) <> 0 do
+        incr top
+      done;
+      for i = !top - 1 downto 0 do
+        add_into c dst dst dst;
+        if (n lsr i) land 1 = 1 then add_into c dst dst a
+      done;
+      if s < 0 then negate c dst
+    end
+
+  (* Lucas sequences with P = 1 (Selfridge's parameters), D = 1 - 4Q,
+     by the binary doubling ladder from U_1 = 1, V_1 = P, Q^1 = Q:
+
+       U_2j = U_j·V_j        V_2j = V_j² - 2Q^j        Q^2j = (Q^j)²
+       U_2j+1 = (U_2j + V_2j)/2    V_2j+1 = (D·U_2j + V_2j)/2    Q^2j+1 = Q^2j·Q
+
+     — three full-size products per exponent bit, all in the Montgomery
+     domain on [pow]'s kernels; the set-bit steps scale by the small
+     constants D and Q with modular additions. *)
+  let lucas c ~q e =
+    if sign e < 0 then invalid_arg "Bigint.Mont.lucas: negative index";
+    if is_zero e then (zero, erem two c.ctx_modulus, erem one c.ctx_modulus)
+    else begin
+      let t = scratch c in
+      let d = 1 - (4 * q) in
+      let one_m = pad c c.r1 in
+      let u = Array.copy one_m and v = Array.copy one_m and qk = to_mont c t (of_int q) in
+      let w = Array.make (c.k + 1) 0 in
+      for i = num_bits e - 2 downto 0 do
+        mul_into c t u u v;
+        sqr_into c t v v;
+        sub_into c v v qk;
+        sub_into c v v qk;
+        (* Q = -1 (D = 5, half of all primes): Q^j stays ±1, and
+           squaring it is a copy. *)
+        if Stdlib.abs q = 1 then Array.blit one_m 0 qk 0 (c.k + 1) else sqr_into c t qk qk;
+        if testbit e i then begin
+          mul_small_into c w u d;
+          add_into c w w v;
+          half_into c w w;
+          add_into c u u v;
+          half_into c u u;
+          Array.blit w 0 v 0 (c.k + 1);
+          mul_small_into c w qk q;
+          Array.blit w 0 qk 0 (c.k + 1)
+        end
+      done;
+      (of_mont c t u, of_mont c t v, of_mont c t qk)
     end
 end
 
@@ -831,92 +943,16 @@ let mod_pow b e m =
    would pay the setup division and the two domain conversions every
    [w] bits, roughly doubling the per-bit cost of the chain. *)
 let mont_square_chain x w count m =
-  let mmag = (abs m).mag in
-  let k = Array.length mmag in
-  let m0' = (base - limb_inv mmag.(0)) land mask in
-  let t = Array.make ((2 * k) + 2) 0 in
-  let redc_into dst =
-    for i = 0 to k - 1 do
-      let u = (t.(i) * m0') land mask in
-      if u <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to k - 1 do
-          let p = (u * mmag.(j)) + t.(i + j) + !carry in
-          t.(i + j) <- p land mask;
-          carry := p lsr limb_bits
-        done;
-        let j = ref (i + k) in
-        while !carry <> 0 do
-          let s2 = t.(!j) + !carry in
-          t.(!j) <- s2 land mask;
-          carry := s2 lsr limb_bits;
-          incr j
-        done
-      end
-    done;
-    Array.blit t k dst 0 (k + 1);
-    let ge =
-      dst.(k) <> 0
-      ||
-      let rec cmp i = if i < 0 then true else if dst.(i) <> mmag.(i) then dst.(i) > mmag.(i) else cmp (i - 1) in
-      cmp (k - 1)
-    in
-    if ge then begin
-      let borrow = ref 0 in
-      for i = 0 to k - 1 do
-        let d = dst.(i) - mmag.(i) - !borrow in
-        if d < 0 then begin
-          dst.(i) <- d + base;
-          borrow := 1
-        end
-        else begin
-          dst.(i) <- d;
-          borrow := 0
-        end
+  let c = Mont.create m in
+  let t = Mont.scratch c in
+  let acc = Mont.to_mont c t x in
+  Array.init count (fun _ ->
+      for _ = 1 to w do
+        Mont.sqr_into c t acc acc
       done;
-      dst.(k) <- dst.(k) - !borrow
-    end
-  in
-  let mont_mul_into dst a bm =
-    Array.fill t 0 ((2 * k) + 2) 0;
-    for i = 0 to k do
-      let ai = a.(i) in
-      if ai <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to k do
-          let p = (ai * bm.(j)) + t.(i + j) + !carry in
-          t.(i + j) <- p land mask;
-          carry := p lsr limb_bits
-        done;
-        if !carry <> 0 then t.(i + k + 1) <- t.(i + k + 1) + !carry
-      end
-    done;
-    redc_into dst
-  in
-  let xm = (erem (shift_left (erem x m) (k * limb_bits)) m).mag in
-  let to_buf mag =
-    let buf = Array.make (k + 1) 0 in
-    Array.blit mag 0 buf 0 (Array.length mag);
-    buf
-  in
-  let acc = ref (to_buf xm) and tmp = ref (Array.make (k + 1) 0) in
-  let conv = Array.make (k + 1) 0 in
-  let out = Array.make count zero in
-  for i = 0 to count - 1 do
-    for _ = 1 to w do
-      mont_mul_into !tmp !acc !acc;
-      let s = !acc in
-      acc := !tmp;
-      tmp := s
-    done;
-    (* Out of Montgomery form: REDC(acc · 1) — one half-pass, the only
-       per-anchor overhead beyond the [w] squarings themselves. *)
-    Array.fill t 0 ((2 * k) + 2) 0;
-    Array.blit !acc 0 t 0 (k + 1);
-    redc_into conv;
-    out.(i) <- make 1 (nat_normalize (Array.copy conv))
-  done;
-  out
+      (* Out of Montgomery form — one half-pass, the only per-anchor
+         overhead beyond the [w] squarings themselves. *)
+      Mont.of_mont c t acc)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-base exponentiation.                                          *)

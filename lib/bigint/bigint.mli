@@ -135,6 +135,15 @@ module Mont : sig
   val pow : ctx -> t -> t -> t
   (** [pow c b e] is exactly [mod_pow b e (modulus c)] for [e >= 0].
       @raise Invalid_argument on a negative exponent. *)
+
+  val lucas : ctx -> q:int -> t -> t * t * t
+  (** [lucas c ~q e] is [(U_e, V_e, Q^e)] modulo [modulus c] for the
+      Lucas sequences with [P = 1] and the given [Q] ([U_0 = 0],
+      [U_1 = 1], [V_0 = 2], [V_1 = 1], [X_(j+1) = X_j - Q·X_(j-1)]), by a
+      doubling ladder over the bits of [e] on the same allocation-free
+      Montgomery buffers as {!pow}: the strong Lucas half of the
+      Baillie–PSW primality test.
+      @raise Invalid_argument on a negative index. *)
 end
 
 val gcd : t -> t -> t

@@ -37,10 +37,23 @@ let modexp ~base_len ~exp ~mod_len =
    ln(2^272) ~ 189, i.e. ~94 odd candidates. Trial division by the small
    prime table is modeled as one mulmod batch per candidate; roughly one
    candidate in ten survives to a base-2 Miller-Rabin modexp, and the
-   found prime pays the 13 deterministic confirmation rounds. *)
+   found prime is confirmed by the strong Lucas half of Baillie–PSW.
+
+   Pricing the Lucas ladder in modexp-equivalents: EIP-2565 charges one
+   [mult_complexity] per exponent bit, so one modexp-equivalent is one
+   full-size (272-bit) product per bit of a 272-bit exponent. The ladder
+   runs over d = (n+1)/2^s and pays, per bit, U·V, V² and (Q^k)², plus
+   D·U and Q^k·Q on the half of the bits that are set, priced at full
+   size although D and Q are small: 3 + 2·(1/2) = 4 products per bit.
+   The ~270-bit ladder sits under the 271 iterations the price counts,
+   which covers the s - 1 trailing V doublings (E[s] = 2); the Jacobi
+   steps of the D search are native-int. So 4 modexp-equivalents round
+   the whole Lucas test up. *)
+let lucas_modexps = 4
+
 let h_prime ~input_len =
   let candidates = 94 in
   let trial_division = candidates * 5 * mulmod in
   let survivors = 1 + (candidates / 10) in
   let mr_round = modexp ~base_len:34 ~exp:(Bigint.shift_left Bigint.one 271) ~mod_len:34 in
-  hash input_len + trial_division + ((survivors + 13) * mr_round)
+  hash input_len + trial_division + ((survivors + lucas_modexps) * mr_round)

@@ -62,6 +62,6 @@ val modexp : base_len:int -> exp:Bigint.t -> mod_len:int -> int
 val h_prime : input_len:int -> int
 (** Modeled cost of reproducing a prime representative on-chain: one
     hash of the input plus the expected candidate walk (trial divisions
-    as mulmod batches, surviving candidates as 272-bit modexp rounds,
-    and the deterministic confirmation rounds). Documented in
-    DESIGN.md §5. *)
+    as mulmod batches, surviving candidates as 272-bit base-2 modexp
+    rounds, and the found prime's strong Lucas test priced at 4
+    modexp-equivalents). Documented in DESIGN.md §5. *)

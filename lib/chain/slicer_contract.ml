@@ -461,7 +461,8 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
     | _ -> Error "dispute: expected [batch_id; index; leaf; proof; claims; batch_witness]"
   in
   (* finalize: after the dispute cutoff an undisputed batch settles
-     wholesale — every member escrow pays out to the committing cloud. *)
+     wholesale — the member escrows, summed, pay out to the committing
+     cloud in one transfer. *)
   let finalize ctx args =
     match args with
     | [ batch_id ] ->
@@ -481,15 +482,15 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
         Option.to_result ~none:"missing requests"
           (Option.bind (Vm.sload ctx (bkey_requests batch_id)) Bytesutil.split)
       in
-      let rec payout total = function
+      let rec tally total = function
         | [] -> Ok total
         | id :: rest ->
           let* amount = Option.to_result ~none:"missing amount" (int_at ctx (key_amount id)) in
-          let* () = Vm.send ctx ~to_:cloud amount in
           Vm.sstore ctx (key_status id) "paid";
-          payout (total + amount) rest
+          tally (total + amount) rest
       in
-      let* total = payout 0 members in
+      let* total = tally 0 members in
+      let* () = Vm.send ctx ~to_:cloud total in
       Vm.sstore ctx (bkey_status batch_id) "final";
       Vm.emit ctx (Bytesutil.concat [ "BatchFinalized"; batch_id; string_of_int total ]);
       Ok [ "finalized"; string_of_int total ]

@@ -546,7 +546,7 @@ let traced_as = function
   | Net.Wire.Search _ -> Some "router.search"
   | Net.Wire.Build _ -> Some "router.build"
   | Net.Wire.Insert _ -> Some "router.insert"
-  | Net.Wire.Dispute _ -> Some "router.search"
+  | Net.Wire.Dispute _ -> Some "router.dispute"
   | Net.Wire.Hello _ | Net.Wire.Ping | Net.Wire.Stats | Net.Wire.Traces
   | Net.Wire.Receipt _ -> None
 

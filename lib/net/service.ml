@@ -860,7 +860,7 @@ let traced_as = function
   | Wire.Search _ -> Some "service.search"
   | Wire.Build _ -> Some "service.build"
   | Wire.Insert _ -> Some "service.insert"
-  | Wire.Dispute _ -> Some "service.search"
+  | Wire.Dispute _ -> Some "service.dispute"
   | Wire.Hello _ | Wire.Ping | Wire.Stats | Wire.Traces | Wire.Receipt _ -> None
 
 let handle_inner t req =

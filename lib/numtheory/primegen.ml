@@ -1,14 +1,3 @@
-(* Deterministic bases: exact below 3.3e24 (Sorenson & Webster), and a
-   2^-80-class heuristic beyond. All parties computing prime
-   representatives must agree, hence no randomized bases here. *)
-let det_bases = List.map Bigint.of_int [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41 ]
-
-let miller_rabin_det n =
-  List.for_all
-    (fun base ->
-      Bigint.compare base (Bigint.pred n) >= 0 || Primality.miller_rabin_base n ~base)
-    det_bases
-
 let is_prime_det n =
   if Bigint.compare n Bigint.two < 0 then false
   else begin
@@ -27,7 +16,7 @@ let is_prime_det n =
         in
         trial 0
       end
-      && miller_rabin_det n
+      && Primality.baillie_psw n
   end
 
 let next_prime n =

@@ -2,17 +2,11 @@
     RSA modulus generation for the accumulator and trapdoor permutation. *)
 
 val is_prime_det : Bigint.t -> bool
-(** Deterministic Miller-Rabin with the first 13 prime bases. Proven
-    exact below 3.3e24; used where all parties must agree on a verdict
-    (prime representatives), where negligible heuristic error above the
-    proven bound is acceptable. *)
-
-val miller_rabin_det : Bigint.t -> bool
-(** The Miller-Rabin rounds of {!is_prime_det} alone, without the
-    small-prime trial division. For callers (prime representatives)
-    that already sieved their candidates incrementally. The input must
-    be odd and coprime to the small-prime table for the verdict to be
-    meaningful. *)
+(** Deterministic primality: the sieve below its 8192 bound, otherwise
+    small-prime trial division then {!Primality.baillie_psw}. Used
+    where all parties must agree on a verdict without shared
+    randomness; no composite passes below 2^64, and none is known
+    above. *)
 
 val next_prime : Bigint.t -> Bigint.t
 (** Smallest prime [>= n] (by {!is_prime_det}), via an odd-candidate walk

@@ -69,6 +69,18 @@ let test_prime_rep_distinct () =
   Alcotest.(check bool) "distinct inputs distinct primes" false
     (Bigint.equal (Prime_rep.to_prime "input-a") (Prime_rep.to_prime "input-b"))
 
+(* Every party re-derives H_prime, so a change to the primality test
+   must not move a single representative: 512 inputs pinned by digest,
+   and the first one in full. *)
+let test_prime_rep_golden () =
+  let primes = List.init 512 (fun i -> Prime_rep.to_prime (Printf.sprintf "golden-%d" i)) in
+  Alcotest.(check string) "golden-0"
+    "9aa0299dd1580b2043d4072fb034f19ab1352f8e28efdc8598efdc552c4c35130097"
+    (Bigint.to_hex (List.hd primes));
+  Alcotest.(check string) "sha256 over golden-0 .. golden-511"
+    "bc8d7eaa0f21c6cf70feb913dbf79d7b42097747fa910b98ca5d0ef0379a9c88"
+    (Bytesutil.to_hex (Sha256.digest (String.concat "" (List.map (Bigint.to_bytes_be ~len:34) primes))))
+
 (* --- RSA accumulator --------------------------------------------------- *)
 
 let primes_of n seed =
@@ -461,7 +473,8 @@ let () =
       ( "prime_rep",
         [ Alcotest.test_case "prime" `Quick test_prime_rep_prime;
           Alcotest.test_case "deterministic" `Quick test_prime_rep_deterministic;
-          Alcotest.test_case "distinct" `Quick test_prime_rep_distinct ] );
+          Alcotest.test_case "distinct" `Quick test_prime_rep_distinct;
+          Alcotest.test_case "512-input golden" `Quick test_prime_rep_golden ] );
       ( "rsa_acc",
         [ Alcotest.test_case "member verifies" `Quick test_acc_member_verifies;
           Alcotest.test_case "non-member fails" `Quick test_acc_nonmember_fails;

@@ -277,6 +277,23 @@ let props =
       (triple (gen_big ~bits:30_000 ()) (gen_big ~bits:30_000 ()) (gen_big ~bits:30_000 ()))
       (fun (a, b, c) ->
         Bigint.equal (Bigint.mul a (Bigint.add b c)) (Bigint.add (Bigint.mul a b) (Bigint.mul a c)));
+    prop "lucas ladder matches the recurrence" ~count:100
+      (triple (gen_big_pos ~bits:256 ())
+         QCheck2.Gen.(oneof [ int_range (-50) 50; oneofl [ -1; 1 ] ])
+         (QCheck2.Gen.int_range 0 300))
+      (fun (m0, q, e) ->
+        (* Odd modulus > 1. The reference steps X_(j+1) = X_j - Q·X_(j-1)
+           (P = 1) one index at a time on division-based arithmetic. *)
+        let m = Bigint.add (Bigint.mul_int m0 2) (Bigint.of_int 3) in
+        let step x0 x1 = Bigint.erem (Bigint.sub x1 (Bigint.mul_int x0 q)) m in
+        let rec walk j u0 u1 v0 v1 =
+          if j = e then (u0, v0) else walk (j + 1) u1 (step u0 u1) v1 (step v0 v1)
+        in
+        let u, v = walk 0 Bigint.zero Bigint.one Bigint.two Bigint.one in
+        let u', v', qk = Bigint.Mont.lucas (Bigint.Mont.create m) ~q (bi e) in
+        Bigint.equal (Bigint.erem u m) u'
+        && Bigint.equal (Bigint.erem v m) v'
+        && Bigint.equal (Bigint.mod_pow (bi q) (bi e) m) qk);
     prop "fixed_base pow matches mod_pow" ~count:30
       (triple (gen_big_pos ~bits:256 ()) (gen_big_pos ~bits:2048 ()) (gen_big_pos ~bits:256 ()))
       (fun (b, e, m0) ->

@@ -428,13 +428,12 @@ let test_decode_claims_malformed () =
 (* A two-request batch against the standard scenario: both requests
    escrowed, receipts committed under one Merkle root. Returns
    everything a lifecycle test needs to finalize or dispute it. *)
-let committed_batch ?(deposit = 50_000) ?(payment = 400) () =
+let committed_batch ?(deposit = 50_000) ?(payment = 400) ?(requests = [ "ba-1"; "ba-2" ]) () =
   let ledger, contract, _, token, results, witness = deployed () in
   let dr = Slicer_contract.post_deposit ledger ~cloud:bob ~contract ~amount:deposit in
   (match dr.Vm.r_output with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "deposit failed: %s" e);
-  let requests = [ "ba-1"; "ba-2" ] in
   List.iter
     (fun id ->
       match
@@ -494,6 +493,27 @@ let test_batch_commit_and_finalize () =
   (* Wholesale settlement is once-only. *)
   let again = Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id:"batch-0" in
   Alcotest.(check bool) "double finalize reverts" true (Result.is_error again.Vm.r_output)
+
+let test_batch_finalize_single_payout () =
+  (* A member adds one escrow read and one status write to finalize;
+     the payout is one transfer for the whole batch, whatever its size.
+     Equal-width totals keep the event bytes equal too. *)
+  let finalize_gas requests =
+    let ledger, contract, _, _, _ = committed_batch ~payment:1000 ~requests () in
+    advance_blocks ledger 4;
+    let fr = Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id:"batch-0" in
+    (match fr.Vm.r_output with
+     | Ok [ "finalized"; total ] ->
+       Alcotest.(check string) "payout total" (string_of_int (1000 * List.length requests)) total
+     | Ok o -> Alcotest.failf "unexpected finalize output [%s]" (String.concat ";" o)
+     | Error e -> Alcotest.failf "finalize failed: %s" e);
+    fr.Vm.r_gas_used
+  in
+  let one = finalize_gas [ "ba-1" ] in
+  let three = finalize_gas [ "ba-1"; "ba-2"; "ba-3" ] in
+  Alcotest.(check int) "two more members: two sloads and two status writes, no transfer"
+    (2 * (Gas.sload + Gas.sstore_reset))
+    (three - one)
 
 let test_batch_requires_deposit_and_escrow () =
   let ledger, contract, _, token, results, witness = deployed () in
@@ -692,6 +712,8 @@ let () =
           Alcotest.test_case "gas regime (Table II shape)" `Quick test_gas_regime ] );
       ( "settle_batch",
         [ Alcotest.test_case "commit and finalize" `Quick test_batch_commit_and_finalize;
+          Alcotest.test_case "finalize pays once per batch" `Quick
+            test_batch_finalize_single_payout;
           Alcotest.test_case "deposit and escrow required" `Quick
             test_batch_requires_deposit_and_escrow;
           Alcotest.test_case "double commit refused" `Quick test_batch_double_commit_refused;

@@ -1674,7 +1674,22 @@ let test_batched_dispute_slashes_over_the_wire () =
    | Error e -> Alcotest.failf "search 2: %s" (Net.Client.error_to_string e));
   let rid2 = rid_exn c in
   let user_before = bal (Net.Client.user_address c) in
-  (match Net.Client.dispute c ~request_id:rid2 with
+  (* Record every trace (a 0 ms slow threshold) for the dispute alone:
+     its on-chain Algorithm-5 run must root a trace of its own, not be
+     filed under the search label. *)
+  ignore (Trace.drain () : Trace.span list);
+  Trace.set_slow_ms (Some 0.);
+  let verdict =
+    Fun.protect ~finally:(fun () -> Trace.set_slow_ms None) (fun () ->
+        Net.Client.dispute c ~request_id:rid2)
+  in
+  let roots =
+    List.concat_map
+      (fun tr -> List.map (fun n -> n.Trace.Tree.n_span.Trace.sp_name) tr.Trace.Tree.t_roots)
+      (Trace.Tree.assemble (Trace.drain ()))
+  in
+  Alcotest.(check (list string)) "the dispute's root span" [ "service.dispute" ] roots;
+  (match verdict with
    | Ok (slashed, receipt) ->
      Alcotest.(check bool) "dispute slashed the cloud" true slashed;
      (match receipt.Vm.r_output with

@@ -57,6 +57,98 @@ let test_det_matches_sieve () =
       Alcotest.failf "disagreement at %d" n
   done
 
+(* --- Baillie–PSW ---------------------------------------------------------- *)
+
+let psi13 = "3317044064679887385961981" (* = 1287836182261 × 2575672364521 *)
+
+(* Strong pseudoprimes to base 2: the Lucas half must reject them. *)
+let base2_pseudoprimes =
+  [ "2047"; "3277"; "4033"; "3215031751"; "3825123056546413051"; "318665857834031151167461" ]
+
+(* Strong Lucas pseudoprimes (Selfridge parameters): the base-2 half must
+   reject them. *)
+let lucas_pseudoprimes = [ 5459; 5777; 10877; 16109; 18971 ]
+
+let first_13_bases = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41 ]
+
+let strong_to_base n b = Primality.miller_rabin_base n ~base:(bi b)
+
+(* The strong Lucas half on its own, from the public pieces: Selfridge's
+   D by the Jacobi symbol, then the ladder. *)
+let strong_lucas n =
+  let rec find d = if Primality.jacobi d n = -1 then d else find (if d > 0 then -(d + 2) else 2 - d) in
+  let d = find 5 in
+  let rec split k s = if Bigint.is_even k then split (Bigint.shift_right k 1) (s + 1) else (k, s) in
+  let k, s = split (Bigint.succ n) 0 in
+  let q = (1 - d) / 4 in
+  let u, v, qk = Bigint.Mont.lucas (Bigint.Mont.create n) ~q k in
+  let rec doubling v qk r =
+    Bigint.is_zero v
+    || r < s - 1
+       && doubling (Bigint.erem (Bigint.sub (Bigint.mul v v) (Bigint.mul_int qk 2)) n)
+            (Bigint.erem (Bigint.mul qk qk) n) (r + 1)
+  in
+  Bigint.is_zero u || doubling v qk 0
+
+let test_bpsw_psi13 () =
+  let n = Bigint.of_string psi13 in
+  Alcotest.(check bool) "psi13 = 1287836182261 * 2575672364521" true
+    (Bigint.equal n (Bigint.mul (Bigint.of_string "1287836182261") (Bigint.of_string "2575672364521")));
+  Alcotest.(check bool) "psi13 fools all 13 first-prime Miller-Rabin bases" true
+    (List.for_all (strong_to_base n) first_13_bases);
+  Alcotest.(check bool) "baillie_psw rejects psi13" false (Primality.baillie_psw n);
+  Alcotest.(check bool) "is_prime_det rejects psi13" false (Primegen.is_prime_det n)
+
+let test_bpsw_pseudoprimes () =
+  List.iter
+    (fun s ->
+      let n = Bigint.of_string s in
+      Alcotest.(check bool) (s ^ " is a strong pseudoprime to base 2") true (strong_to_base n 2);
+      Alcotest.(check bool) (s ^ " rejected") false (Primality.baillie_psw n))
+    base2_pseudoprimes;
+  List.iter
+    (fun v ->
+      let n = bi v in
+      Alcotest.(check bool) (Printf.sprintf "%d is a strong Lucas pseudoprime" v) true (strong_lucas n);
+      Alcotest.(check bool) (Printf.sprintf "%d rejected" v) false (Primality.baillie_psw n))
+    lucas_pseudoprimes
+
+let test_bpsw_squares () =
+  (* No D with (D/n) = -1 exists for a square: without the guard the
+     Selfridge search would never end. 1093² and 3511² are also strong
+     pseudoprimes to base 2, so only the guard stands between them and
+     a wrong verdict. *)
+  let f65537 = Bigint.mul (bi 65537) (bi 65537) in
+  Alcotest.(check bool) "65537^2 is a square" true (Primality.is_square f65537);
+  Alcotest.(check bool) "65537^2 rejected" false (Primality.baillie_psw f65537);
+  Alcotest.(check bool) "65537^2 rejected by is_prime_det" false (Primegen.is_prime_det f65537);
+  List.iter
+    (fun p ->
+      let n = Bigint.mul (bi p) (bi p) in
+      Alcotest.(check bool) (Printf.sprintf "%d^2 strong to base 2" p) true (strong_to_base n 2);
+      Alcotest.(check bool) (Printf.sprintf "%d^2 rejected" p) false (Primality.baillie_psw n))
+    [ 1093; 3511 ];
+  Alcotest.(check bool) "65537^2 + 2 is not a square" false
+    (Primality.is_square (Bigint.add f65537 Bigint.two))
+
+let test_bpsw_matches_sieve () =
+  for n = 0 to 8191 do
+    if Primality.baillie_psw (bi n) <> Sieve.is_small_prime n then
+      Alcotest.failf "baillie_psw disagrees with the sieve at %d" n
+  done
+
+let test_jacobi () =
+  (* Euler's criterion on odd primes: (d/p) = d^((p-1)/2) mod p. *)
+  List.iter
+    (fun p ->
+      List.iter
+        (fun d ->
+          let e = Bigint.mod_pow (bi d) (bi ((p - 1) / 2)) (bi p) in
+          let expected = if Bigint.is_zero e then 0 else if Bigint.equal e Bigint.one then 1 else -1 in
+          Alcotest.(check int) (Printf.sprintf "(%d/%d)" d p) expected (Primality.jacobi d (bi p)))
+        [ 5; -7; 9; -11; 13; -15; 17; -1; 1; 3; -3 ])
+    [ 3; 5; 7; 11; 13; 8191; 104729 ]
+
 let test_next_prime () =
   let check n expected =
     Alcotest.(check string) (Printf.sprintf "next_prime %d" n) (string_of_int expected)
@@ -112,6 +204,12 @@ let props =
         let p = Bigint.to_int_exn (Primegen.next_prime (bi n)) in
         let rec sieve_next m = if m >= 8192 then p else if Sieve.is_small_prime m then m else sieve_next (m + 1) in
         p = sieve_next n);
+    prop "baillie_psw agrees with trial division below 2^32" ~count:1000
+      (QCheck2.Gen.int_range 0 ((1 lsl 31) - 1))
+      (fun h ->
+        let n = (2 * h) + 1 in
+        let rec trial d = d * d > n || (n mod d <> 0 && trial (d + 2)) in
+        Primality.baillie_psw (bi n) = (n > 2 && trial 3));
     prop "fermat holds for generated primes" ~count:10 (QCheck2.Gen.int_range 20 80) (fun bits ->
         let r = Drbg.create ~seed:(string_of_int bits) in
         let p = Primegen.random_prime ~rng:r ~bits in
@@ -127,6 +225,12 @@ let () =
         [ Alcotest.test_case "probable prime" `Quick test_probable_prime;
           Alcotest.test_case "deterministic" `Quick test_is_prime_det;
           Alcotest.test_case "matches sieve" `Quick test_det_matches_sieve ] );
+      ( "baillie_psw",
+        [ Alcotest.test_case "psi13 rejected" `Quick test_bpsw_psi13;
+          Alcotest.test_case "base-2 and Lucas pseudoprimes" `Quick test_bpsw_pseudoprimes;
+          Alcotest.test_case "squares terminate" `Quick test_bpsw_squares;
+          Alcotest.test_case "matches sieve below 8192" `Quick test_bpsw_matches_sieve;
+          Alcotest.test_case "jacobi symbol" `Quick test_jacobi ] );
       ( "primegen",
         [ Alcotest.test_case "next_prime" `Quick test_next_prime;
           Alcotest.test_case "random prime" `Quick test_random_prime;
