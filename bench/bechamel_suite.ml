@@ -5,6 +5,12 @@
 open Bechamel
 open Toolkit
 
+(* A fixed 272-bit prime representative (Selfridge D = 5, as for half
+   of all primes) for the primality rows and their guard. *)
+let bench_prime () = Prime_rep.to_prime "bechamel-272"
+
+let mr_base2 p = Primality.miller_rabin_base p ~base:Bigint.two
+
 let make_tests () =
   let rng = Drbg.create ~seed:"bechamel" in
   let sore_key = Sore.keygen ~rng in
@@ -17,7 +23,7 @@ let make_tests () =
   let witness = Rsa_acc.mem_witness params primes x in
   let pk, _sk = Rsa_tdp.keygen ~bits:512 ~rng () in
   let trapdoor = Rsa_tdp.random_element ~rng pk in
-  let prime272 = Prime_rep.to_prime "bechamel-272" in
+  let prime272 = bench_prime () in
   let ct = Sore.encrypt ~rng sore_key ~width:16 12345 in
   let tk = Sore.token ~rng sore_key ~width:16 30000 Bitvec.Gt in
   let counter = ref 0 in
@@ -37,7 +43,7 @@ let make_tests () =
        ends on: one base-2 Miller-Rabin round against the full
        Baillie–PSW test that confirms the walk's prime. *)
     Test.make ~name:"numtheory/mr-base2-272"
-      (Staged.stage (fun () -> ignore (Primality.miller_rabin_base prime272 ~base:Bigint.two)));
+      (Staged.stage (fun () -> ignore (mr_base2 prime272)));
     Test.make ~name:"numtheory/bpsw-272"
       (Staged.stage (fun () -> ignore (Primality.baillie_psw prime272)));
     Test.make ~name:"fig3b/accumulator-add"
@@ -80,12 +86,32 @@ let make_tests () =
     Test.make ~name:"obs/trace-unsampled"
       (Staged.stage (fun () -> Trace.root "bench.trace-noop" (fun () -> ()))) ]
 
-(* Baillie–PSW measures ~3 base-2 rounds on the bench prime (its
-   Selfridge D is 5, as for half of all primes) and ~4 where Q^k needs
-   squarings of its own; the 13-base battery it replaced measured ~9.7.
-   A ratio within one run, because absolute timings drift by a third
-   between runs on a shared host. *)
+(* Baillie–PSW reads ~3 base-2 rounds on the bench prime and ~4 where
+   Q^k needs squarings of its own; the 13-base battery it replaced read
+   ~9.7. The guard is a ratio within one run, since absolute timings
+   drift by a third between runs on a shared host, and it times the two
+   tests itself in alternating batches, best against best: Bechamel
+   fits each row in its own window, and with the smoke rules running
+   two at a time the ratio of the two estimates read 5.2 (r^2 down to
+   0.14) on code that reads ~3 uncontended. Contention only adds time,
+   so the best batches stay comparable. *)
 let bpsw_round_budget = 5.
+
+let bpsw_rounds () =
+  let p = bench_prime () in
+  let batch f =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to 10 do
+      ignore (Sys.opaque_identity (f p))
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  let best_mr = ref infinity and best_bpsw = ref infinity in
+  for _ = 1 to 20 do
+    best_mr := Float.min !best_mr (batch mr_base2);
+    best_bpsw := Float.min !best_bpsw (batch Primality.baillie_psw)
+  done;
+  !best_bpsw /. !best_mr
 
 let run () =
   Bench_common.header "Bechamel micro-benchmarks (ns/op, OLS on monotonic clock)";
@@ -103,14 +129,21 @@ let run () =
     Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
+  let rounds = bpsw_rounds () in
+  Printf.printf "bpsw-272 / mr-base2-272 = %.2f (best of 20 alternating batches; budget %.1f)\n"
+    rounds bpsw_round_budget;
+  if rounds > bpsw_round_budget then
+    failwith
+      (Printf.sprintf "Baillie-PSW costs %.2f base-2 rounds, over the %.1f budget" rounds
+         bpsw_round_budget);
   Bench_common.row_header [ "benchmark"; "ns/op"; "r^2" ];
-  let estimate name =
-    Option.bind (Hashtbl.find_opt results name) (fun r ->
-        match Analyze.OLS.estimates r with Some [ e ] -> Some e | Some _ | None -> None)
-  in
   List.iter
     (fun (name, result) ->
-      let est = estimate name in
+      let est =
+        match Analyze.OLS.estimates result with
+        | Some [ e ] -> Some e
+        | Some _ | None -> None
+      in
       let r2 = Analyze.OLS.r_square result in
       Printf.printf "%-28s %12s  %8s\n" name
         (match est with Some e -> Printf.sprintf "%.0f" e | None -> "-")
@@ -130,13 +163,4 @@ let run () =
         failwith
           (Printf.sprintf "unsampled trace root overhead %.0f ns exceeds the 150 ns budget" e)
       | _ -> ())
-    rows;
-  match (estimate "slicer/numtheory/bpsw-272", estimate "slicer/numtheory/mr-base2-272") with
-  | Some bpsw, Some mr ->
-    let ratio = bpsw /. mr in
-    Printf.printf "bpsw-272 / mr-base2-272 = %.2f (budget %.1f)\n" ratio bpsw_round_budget;
-    if ratio > bpsw_round_budget then
-      failwith
-        (Printf.sprintf "Baillie-PSW costs %.2f base-2 rounds, over the %.1f budget" ratio
-           bpsw_round_budget)
-  | _ -> failwith "primality rows missing from the Bechamel results"
+    rows
