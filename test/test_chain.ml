@@ -425,9 +425,10 @@ let test_decode_claims_malformed () =
 
 (* --- batched optimistic settlement -------------------------------------- *)
 
-(* A two-request batch against the standard scenario: both requests
-   escrowed, receipts committed under one Merkle root. Returns
-   everything a lifecycle test needs to finalize or dispute it. *)
+(* A batch of [requests] (two by default) against the standard
+   scenario: every request escrowed, receipts committed under one
+   Merkle root. Returns everything a lifecycle test needs to finalize
+   or dispute it. *)
 let committed_batch ?(deposit = 50_000) ?(payment = 400) ?(requests = [ "ba-1"; "ba-2" ]) () =
   let ledger, contract, _, token, results, witness = deployed () in
   let dr = Slicer_contract.post_deposit ledger ~cloud:bob ~contract ~amount:deposit in
