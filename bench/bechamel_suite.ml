@@ -11,6 +11,19 @@ let bench_prime () = Prime_rep.to_prime "bechamel-272"
 
 let mr_base2 p = Primality.miller_rabin_base p ~base:Bigint.two
 
+(* Fixed 512-bit operands for the kernel rows and their guard: an odd
+   modulus of the accumulator's size, a base and two factors below it,
+   and a 1024-bit exponent. *)
+let kernel_operands () =
+  let rng = Drbg.create ~seed:"bechamel-kernel" in
+  let exact bits =
+    let top = Bigint.shift_left Bigint.one (bits - 1) in
+    Bigint.add top (Drbg.uniform_bigint rng top)
+  in
+  let m = Bigint.add (Bigint.shift_left (exact 511) 1) Bigint.one in
+  let below () = Drbg.uniform_bigint rng m in
+  (m, below (), exact 1024, below (), below ())
+
 let make_tests () =
   let rng = Drbg.create ~seed:"bechamel" in
   let sore_key = Sore.keygen ~rng in
@@ -24,6 +37,8 @@ let make_tests () =
   let pk, _sk = Rsa_tdp.keygen ~bits:512 ~rng () in
   let trapdoor = Rsa_tdp.random_element ~rng pk in
   let prime272 = bench_prime () in
+  let km, kb, ke, kx, ky = kernel_operands () in
+  let kctx = Bigint.Mont.create km in
   let ct = Sore.encrypt ~rng sore_key ~width:16 12345 in
   let tk = Sore.token ~rng sore_key ~width:16 30000 Bitvec.Gt in
   let counter = ref 0 in
@@ -46,6 +61,12 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (mr_base2 prime272)));
     Test.make ~name:"numtheory/bpsw-272"
       (Staged.stage (fun () -> ignore (Primality.baillie_psw prime272)));
+    (* The Montgomery kernel under every exponentiation, against the
+       division-based product it replaced on the ladders. *)
+    Test.make ~name:"bigint/mont-ladder-512"
+      (Staged.stage (fun () -> ignore (Bigint.Mont.pow kctx kb ke)));
+    Test.make ~name:"bigint/mod-mul-512"
+      (Staged.stage (fun () -> ignore (Bigint.mod_mul kx ky km)));
     Test.make ~name:"fig3b/accumulator-add"
       (Staged.stage (fun () -> ignore (Rsa_acc.add params ac x)));
     (* Fig. 5: search-side primitives. *)
@@ -86,32 +107,59 @@ let make_tests () =
     Test.make ~name:"obs/trace-unsampled"
       (Staged.stage (fun () -> Trace.root "bench.trace-noop" (fun () -> ()))) ]
 
+(* Best-of-20 times of two workloads run in alternating batches. The
+   guards below compare two costs within one run, since absolute
+   timings drift by a third between runs on a shared host; contention
+   only adds time, so the best batches stay comparable where Bechamel's
+   separate per-row windows do not (with the smoke rules running two at
+   a time, the ratio of two row estimates read 5.2, r^2 down to 0.14, on
+   code that reads ~3 uncontended). *)
+let best_alternating f g =
+  let time h =
+    let t0 = Unix.gettimeofday () in
+    h ();
+    Unix.gettimeofday () -. t0
+  in
+  let best_f = ref infinity and best_g = ref infinity in
+  for _ = 1 to 20 do
+    best_f := Float.min !best_f (time f);
+    best_g := Float.min !best_g (time g)
+  done;
+  (!best_f, !best_g)
+
+let repeat n f x () =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f x))
+  done
+
 (* Baillie–PSW reads ~3 base-2 rounds on the bench prime and ~4 where
    Q^k needs squarings of its own; the 13-base battery it replaced read
-   ~9.7. The guard is a ratio within one run, since absolute timings
-   drift by a third between runs on a shared host, and it times the two
-   tests itself in alternating batches, best against best: Bechamel
-   fits each row in its own window, and with the smoke rules running
-   two at a time the ratio of the two estimates read 5.2 (r^2 down to
-   0.14) on code that reads ~3 uncontended. Contention only adds time,
-   so the best batches stay comparable. *)
+   ~9.7. *)
 let bpsw_round_budget = 5.
 
 let bpsw_rounds () =
   let p = bench_prime () in
-  let batch f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to 10 do
-      ignore (Sys.opaque_identity (f p))
-    done;
-    Unix.gettimeofday () -. t0
+  let mr, bpsw = best_alternating (repeat 10 mr_base2 p) (repeat 10 Primality.baillie_psw p) in
+  bpsw /. mr
+
+(* One 512-bit division-based [Bigint.mod_mul] priced in bits of a
+   512-bit Montgomery ladder (a 1024-bit exponent's [Mont.pow] over its
+   bit count): the kernel must keep a ladder bit, a squaring plus a
+   fifth of a multiply, well under one division-based product. The C
+   kernel reads 6-7; the OCaml kernel over 31-bit limbs it replaced read
+   1.3-1.5. *)
+let ladder_bit_floor = 5.
+
+let mod_mul_ladder_bits () =
+  let m, b, e, x, y = kernel_operands () in
+  let c = Bigint.Mont.create m in
+  let ladders = 2 and muls = 512 in
+  let ladder, mul =
+    best_alternating
+      (repeat ladders (Bigint.Mont.pow c b) e)
+      (repeat muls (Bigint.mod_mul x y) m)
   in
-  let best_mr = ref infinity and best_bpsw = ref infinity in
-  for _ = 1 to 20 do
-    best_mr := Float.min !best_mr (batch mr_base2);
-    best_bpsw := Float.min !best_bpsw (batch Primality.baillie_psw)
-  done;
-  !best_bpsw /. !best_mr
+  mul /. float_of_int muls /. (ladder /. float_of_int (ladders * Bigint.num_bits e))
 
 let run () =
   Bench_common.header "Bechamel micro-benchmarks (ns/op, OLS on monotonic clock)";
@@ -136,6 +184,14 @@ let run () =
     failwith
       (Printf.sprintf "Baillie-PSW costs %.2f base-2 rounds, over the %.1f budget" rounds
          bpsw_round_budget);
+  let bits = mod_mul_ladder_bits () in
+  Printf.printf
+    "mod-mul-512 / mont-ladder-512 bit = %.2f (best of 20 alternating batches; floor %.1f)\n"
+    bits ladder_bit_floor;
+  if bits < ladder_bit_floor then
+    failwith
+      (Printf.sprintf "a 512-bit mod_mul costs %.2f Montgomery ladder bits, under the %.1f floor"
+         bits ladder_bit_floor);
   Bench_common.row_header [ "benchmark"; "ns/op"; "r^2" ];
   List.iter
     (fun (name, result) ->

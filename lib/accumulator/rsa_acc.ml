@@ -51,7 +51,7 @@ let fixed_of params =
   Mutex.unlock fixed_lock;
   fb
 
-(* Per-modulus Montgomery contexts (limb inverse, R mod m, R² mod m),
+(* Per-modulus Montgomery contexts (word inverse, R mod m, R² mod m),
    shared process-wide: every exponentiation with a varying base —
    incremental adds, witness-tree refreshes, contract-side verification
    — reuses one immutable context instead of re-deriving the state per

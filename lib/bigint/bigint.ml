@@ -582,56 +582,63 @@ let mod_inv a m =
 
 (* --- Montgomery exponentiation (odd modulus) ----------------------- *)
 
-(* Inverse of an odd limb modulo 2^31 by Newton iteration. *)
-let limb_inv n0 =
-  let x = ref n0 in
-  for _ = 1 to 5 do
-    x := (!x * (2 - (n0 * !x))) land mask
-  done;
-  !x land mask
-
 (* Precomputed per-modulus Montgomery state. Everything [mod_pow]
-   re-derives on every call — the limb inverse, [R mod m], and the
-   conversion of the base into Montgomery form by a general division —
-   is either stored here or replaced by one Montgomery multiplication
-   against [R² mod m]. A context is immutable after [create], so one
-   context per modulus serves any number of domains concurrently. *)
+   re-derives on every call — the kernel's word inverse, [R mod m], and
+   the conversion of the base into Montgomery form by a general
+   division — is either stored here or replaced by one Montgomery
+   multiplication against [R² mod m]. A context is immutable after
+   [create], so one context per modulus serves any number of domains
+   concurrently. *)
 module Mont = struct
   type ctx = {
     ctx_modulus : t;
     mmag : int array;
     k : int;
-    m0' : int;
-    r1 : int array;  (* R mod m, R = 2^(k·limb_bits) *)
-    r2 : int array;  (* R² mod m: one mont_mul against it converts into the domain *)
+    words : Bytes.t;  (* the kernel's copy: m in n 64-bit words, then -m^(-1) mod 2^64 *)
+    r1 : int array;  (* R mod m, R = 2^(64·n), n = ⌈bits(m)/64⌉ *)
+    r2 : int array;  (* R² mod m: one kernel product against it converts into the domain *)
   }
+
+  (* A residue in Montgomery form: a (k+1)-limb buffer holding a value
+     below m, top limb zero between operations (the spare limb holds the
+     a + m < 2m of [add_m_into]). *)
+  type elt = int array
+
+  (* The C kernel (mont_stubs.c). [kernel_mul words dst a b] sets
+     dst <- a·b·R^(-1) mod m and [kernel_sqr words dst a] sets
+     dst <- a²·R^(-1) mod m, for operands below m given as limb arrays
+     of any length; every limb of [dst] is written, and [dst] may alias
+     an operand. *)
+  external setup : int array -> Bytes.t -> unit = "slicer_mont_setup" [@@noalloc]
+
+  external kernel_mul : Bytes.t -> int array -> int array -> int array -> unit
+    = "slicer_mont_mul"
+  [@@noalloc]
+
+  external kernel_sqr : Bytes.t -> int array -> int array -> unit = "slicer_mont_sqr"
+  [@@noalloc]
 
   let create m =
     if compare m two < 0 then invalid_arg "Bigint.Mont.create: modulus <= 1";
     if is_even m then invalid_arg "Bigint.Mont.create: even modulus";
-    let m = abs m in
-    let mmag = m.mag in
-    let k = Array.length mmag in
-    let r = shift_left one (k * limb_bits) in
+    let n = (num_bits m + 63) / 64 in
+    let words = Bytes.create (8 * (n + 1)) in
+    setup m.mag words;
+    let r = shift_left one (64 * n) in
     { ctx_modulus = m;
-      mmag;
-      k;
-      m0' = (base - limb_inv mmag.(0)) land mask;
+      mmag = m.mag;
+      k = Array.length m.mag;
+      words;
       r1 = (erem r m).mag;
       r2 = (erem (mul r r) m).mag }
 
   let modulus c = c.ctx_modulus
-
-  (* Allocation-free kernels. Operands live in fixed (k+1)-limb buffers
-     holding values < m (top limb zero between operations); products and
-     REDC run in one shared (2k+2)-limb scratch buffer [t]. A destination
-     may alias a source: products accumulate in [t] alone, and [dst] is
-     written only by the final reduction. *)
-
-  let scratch c = Array.make ((2 * c.k) + 2) 0
+  let mul_into c dst a b = kernel_mul c.words dst a b
+  let sqr_into c dst a = kernel_sqr c.words dst a
+  let buffer c = Array.make (c.k + 1) 0
 
   let pad c mag =
-    let buf = Array.make (c.k + 1) 0 in
+    let buf = buffer c in
     Array.blit mag 0 buf 0 (Array.length mag);
     buf
 
@@ -664,85 +671,6 @@ module Mont = struct
       dst.(k) <- dst.(k) - !borrow
     end
 
-  (* REDC t in place, write the (< m) result into dst (k+1 limbs). *)
-  let redc_into c t dst =
-    let mmag = c.mmag and k = c.k and m0' = c.m0' in
-    for i = 0 to k - 1 do
-      let u = (t.(i) * m0') land mask in
-      if u <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to k - 1 do
-          let p = (u * mmag.(j)) + t.(i + j) + !carry in
-          t.(i + j) <- p land mask;
-          carry := p lsr limb_bits
-        done;
-        let j = ref (i + k) in
-        while !carry <> 0 do
-          let s2 = t.(!j) + !carry in
-          t.(!j) <- s2 land mask;
-          carry := s2 lsr limb_bits;
-          incr j
-        done
-      end
-    done;
-    Array.blit t k dst 0 (k + 1);
-    reduce_once c dst
-
-  let mul_into c t dst a bm =
-    let k = c.k in
-    Array.fill t 0 ((2 * k) + 2) 0;
-    for i = 0 to k do
-      let ai = a.(i) in
-      if ai <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to k do
-          let p = (ai * bm.(j)) + t.(i + j) + !carry in
-          t.(i + j) <- p land mask;
-          carry := p lsr limb_bits
-        done;
-        (* i + k + 1 <= 2k + 1: inside the scratch buffer. *)
-        if !carry <> 0 then t.(i + k + 1) <- t.(i + k + 1) + !carry
-      end
-    done;
-    redc_into c t dst
-
-  (* Dedicated squaring: each cross product a_i·a_j (i < j) is
-     accumulated once and the whole buffer doubled afterwards — doubling
-     p in place could overflow 63-bit ints at 31-bit limbs, the separate
-     pass cannot. Halves the product-phase multiplies; squarings are
-     ~80% of a big-exponent ladder. *)
-  let sqr_into c t dst a =
-    let k = c.k in
-    Array.fill t 0 ((2 * k) + 2) 0;
-    for i = 0 to k do
-      let ai = a.(i) in
-      if ai <> 0 then begin
-        let carry = ref 0 in
-        for j = i + 1 to k do
-          let p = (ai * a.(j)) + t.(i + j) + !carry in
-          t.(i + j) <- p land mask;
-          carry := p lsr limb_bits
-        done;
-        if !carry <> 0 then t.(i + k + 1) <- t.(i + k + 1) + !carry
-      end
-    done;
-    let carry = ref 0 in
-    for idx = 0 to (2 * k) + 1 do
-      let v = (t.(idx) lsl 1) + !carry in
-      t.(idx) <- v land mask;
-      carry := v lsr limb_bits
-    done;
-    let carry = ref 0 in
-    for i = 0 to k do
-      let p = a.(i) * a.(i) in
-      let s = t.(2 * i) + (p land mask) + !carry in
-      t.(2 * i) <- s land mask;
-      let s2 = t.((2 * i) + 1) + (p lsr limb_bits) + (s lsr limb_bits) in
-      t.((2 * i) + 1) <- s2 land mask;
-      carry := s2 lsr limb_bits
-    done;
-    redc_into c t dst
-
   (* dst <- a + b mod m. *)
   let add_into c dst a b =
     let carry = ref 0 in
@@ -773,28 +701,29 @@ module Mont = struct
     done;
     dst.(k) <- dst.(k) lsr 1
 
-  (* Into Montgomery form by one multiplication against the cached R²:
-     REDC(x · R²) = x·R mod m — no general division beyond [erem]. *)
-  let to_mont c t x =
-    let dst = Array.make (c.k + 1) 0 in
-    mul_into c t dst (pad c (erem x c.ctx_modulus).mag) (pad c c.r2);
+  (* Into Montgomery form by one kernel product against the cached R²:
+     (x mod m)·R²·R^(-1) = x·R mod m. *)
+  let to_mont c x =
+    let dst = buffer c in
+    mul_into c dst (erem x c.ctx_modulus).mag c.r2;
     dst
 
-  (* Out of Montgomery form: REDC(x · 1). *)
-  let of_mont c t x =
-    Array.fill t 0 ((2 * c.k) + 2) 0;
-    Array.blit x 0 t 0 (c.k + 1);
-    let dst = Array.make (c.k + 1) 0 in
-    redc_into c t dst;
+  let one_limb = [| 1 |]
+
+  (* Out of Montgomery form: a kernel product with 1. Accepts any limb
+     array below m, so callers holding Montgomery forms as plain values
+     ([Fixed_base]) pass their magnitudes as they are. *)
+  let of_mont c x =
+    let dst = Array.make c.k 0 in
+    mul_into c dst x one_limb;
     make 1 dst
 
-  let pow c b e =
+  let pow_mont c b e =
     if sign e < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
-    if is_zero e then erem one c.ctx_modulus
+    if is_zero e then pad c c.r1
     else begin
-      let t = scratch c in
-      let b_mont = to_mont c t b in
-      if Array.for_all (fun l -> l = 0) b_mont then zero
+      let b_mont = to_mont c b in
+      if Array.for_all (fun l -> l = 0) b_mont then b_mont
       else begin
         let acc = pad c c.r1 in
         let bits = num_bits e in
@@ -813,18 +742,18 @@ module Mont = struct
         let tbl = Array.make (1 lsl (w - 1)) [||] in
         tbl.(0) <- b_mont;
         if w > 1 then begin
-          let bsq = Array.make (c.k + 1) 0 in
-          sqr_into c t bsq tbl.(0);
+          let bsq = buffer c in
+          sqr_into c bsq tbl.(0);
           for i = 1 to Array.length tbl - 1 do
-            let d = Array.make (c.k + 1) 0 in
-            mul_into c t d tbl.(i - 1) bsq;
+            let d = buffer c in
+            mul_into c d tbl.(i - 1) bsq;
             tbl.(i) <- d
           done
         end;
         let i = ref (bits - 1) in
         while !i >= 0 do
           if not (testbit e !i) then begin
-            sqr_into c t acc acc;
+            sqr_into c acc acc;
             decr i
           end
           else begin
@@ -834,19 +763,38 @@ module Mont = struct
               incr j
             done;
             for _ = 1 to !i - !j + 1 do
-              sqr_into c t acc acc
+              sqr_into c acc acc
             done;
             let v = ref 0 in
             for bi = !i downto !j do
               v := (!v lsl 1) lor (if testbit e bi then 1 else 0)
             done;
-            mul_into c t acc acc tbl.(!v lsr 1);
+            mul_into c acc acc tbl.(!v lsr 1);
             i := !j - 1
           end
         done;
-        of_mont c t acc
+        acc
       end
     end
+
+  let pow c b e = of_mont c (pow_mont c b e)
+
+  let sqr c a =
+    let dst = buffer c in
+    sqr_into c dst a;
+    dst
+
+  let add c a b =
+    let dst = buffer c in
+    add_into c dst a b;
+    dst
+
+  let sub c a b =
+    let dst = buffer c in
+    sub_into c dst a b;
+    dst
+
+  let equal (a : elt) b = a = b
 
   (* x <- -x mod m, in place. *)
   let negate c x =
@@ -886,25 +834,24 @@ module Mont = struct
        U_2j+1 = (U_2j + V_2j)/2    V_2j+1 = (D·U_2j + V_2j)/2    Q^2j+1 = Q^2j·Q
 
      — three full-size products per exponent bit, all in the Montgomery
-     domain on [pow]'s kernels; the set-bit steps scale by the small
+     domain on [pow]'s kernel; the set-bit steps scale by the small
      constants D and Q with modular additions. *)
   let lucas c ~q e =
     if sign e < 0 then invalid_arg "Bigint.Mont.lucas: negative index";
-    if is_zero e then (zero, erem two c.ctx_modulus, erem one c.ctx_modulus)
+    if is_zero e then (to_mont c zero, to_mont c two, pad c c.r1)
     else begin
-      let t = scratch c in
       let d = 1 - (4 * q) in
       let one_m = pad c c.r1 in
-      let u = Array.copy one_m and v = Array.copy one_m and qk = to_mont c t (of_int q) in
-      let w = Array.make (c.k + 1) 0 in
+      let u = Array.copy one_m and v = Array.copy one_m and qk = to_mont c (of_int q) in
+      let w = buffer c in
       for i = num_bits e - 2 downto 0 do
-        mul_into c t u u v;
-        sqr_into c t v v;
+        mul_into c u u v;
+        sqr_into c v v;
         sub_into c v v qk;
         sub_into c v v qk;
         (* Q = -1 (D = 5, half of all primes): Q^j stays ±1, and
            squaring it is a copy. *)
-        if Stdlib.abs q = 1 then Array.blit one_m 0 qk 0 (c.k + 1) else sqr_into c t qk qk;
+        if Stdlib.abs q = 1 then Array.blit one_m 0 qk 0 (c.k + 1) else sqr_into c qk qk;
         if testbit e i then begin
           mul_small_into c w u d;
           add_into c w w v;
@@ -916,7 +863,7 @@ module Mont = struct
           Array.blit w 0 qk 0 (c.k + 1)
         end
       done;
-      (of_mont c t u, of_mont c t v, of_mont c t qk)
+      (u, v, qk)
     end
 end
 
@@ -936,23 +883,6 @@ let mod_pow b e m =
     !acc
   end
   else Mont.pow (Mont.create m) b e
-
-(* Repeated squaring for anchor-chain extension: for odd [m], returns
-   [| x^(2^w); x^(2^(2w)); ...; x^(2^(count*w)) |] mod m with ONE
-   Montgomery setup for the whole batch. Calling [mod_pow] per step
-   would pay the setup division and the two domain conversions every
-   [w] bits, roughly doubling the per-bit cost of the chain. *)
-let mont_square_chain x w count m =
-  let c = Mont.create m in
-  let t = Mont.scratch c in
-  let acc = Mont.to_mont c t x in
-  Array.init count (fun _ ->
-      for _ = 1 to w do
-        Mont.sqr_into c t acc acc
-      done;
-      (* Out of Montgomery form — one half-pass, the only per-anchor
-         overhead beyond the [w] squarings themselves. *)
-      Mont.of_mont c t acc)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-base exponentiation.                                          *)
@@ -982,6 +912,7 @@ module Fixed_base = struct
   type powers = {
     fb_modulus : t;
     fb_base : t;
+    fb_mont : Mont.ctx option; (* odd modulus: the anchors' Montgomery context *)
     fb_chunk : int; (* segment granularity in exponent bits *)
     fb_seg_digits : int; (* = fb_chunk / window *)
     fb_lock : Mutex.t;
@@ -989,17 +920,52 @@ module Fixed_base = struct
     mutable fb_count : int;
   }
 
+  (* The anchors' arithmetic. Over an odd modulus the anchors, buckets
+     and segment products all stay in Montgomery form and multiply on
+     the kernel, leaving the domain once per [pow]; an even modulus
+     multiplies plain residues by division. *)
+  let enter fb x =
+    match fb.fb_mont with
+    | Some c -> make 1 (Mont.to_mont c x)
+    | None -> erem x fb.fb_modulus
+
+  let leave fb x = match fb.fb_mont with Some c -> Mont.of_mont c x.mag | None -> x
+
+  let mul fb a b =
+    match fb.fb_mont with
+    | Some c ->
+      let dst = Array.make c.Mont.k 0 in
+      Mont.mul_into c dst a.mag b.mag;
+      make 1 dst
+    | None -> mod_mul a b fb.fb_modulus
+
+  (* anchor^(2^window), in the anchors' form. *)
+  let next_anchor fb a =
+    match fb.fb_mont with
+    | Some c ->
+      let acc = Array.make c.Mont.k 0 in
+      Mont.sqr_into c acc a.mag;
+      for _ = 2 to window do
+        Mont.sqr_into c acc acc
+      done;
+      make 1 acc
+    | None -> mod_pow a (shift_left one window) fb.fb_modulus
+
   let create ?(chunk_bits = 32768) ~modulus base =
     if chunk_bits < window then invalid_arg "Bigint.Fixed_base.create: chunk_bits < 8";
     if compare modulus two < 0 then invalid_arg "Bigint.Fixed_base.create: modulus <= 1";
-    let b0 = erem base modulus in
-    { fb_modulus = modulus;
-      fb_base = b0;
-      fb_chunk = chunk_bits;
-      fb_seg_digits = Stdlib.max 1 (chunk_bits / window);
-      fb_lock = Mutex.create ();
-      fb_anchors = Array.make 8 b0;
-      fb_count = 1 }
+    let fb =
+      { fb_modulus = modulus;
+        fb_base = erem base modulus;
+        fb_mont = (if is_odd modulus then Some (Mont.create modulus) else None);
+        fb_chunk = chunk_bits;
+        fb_seg_digits = Stdlib.max 1 (chunk_bits / window);
+        fb_lock = Mutex.create ();
+        fb_anchors = [||];
+        fb_count = 1 }
+    in
+    fb.fb_anchors <- Array.make 8 (enter fb fb.fb_base);
+    fb
 
   let base fb = fb.fb_base
   let modulus fb = fb.fb_modulus
@@ -1027,17 +993,9 @@ module Fixed_base = struct
             Array.blit fb.fb_anchors 0 bigger 0 fb.fb_count;
             fb.fb_anchors <- bigger
           end;
-          let need = k + 1 - fb.fb_count in
-          if is_odd fb.fb_modulus then begin
-            let sq = mont_square_chain fb.fb_anchors.(fb.fb_count - 1) window need fb.fb_modulus in
-            Array.blit sq 0 fb.fb_anchors fb.fb_count need
-          end
-          else begin
-            let step = shift_left one window in
-            for j = fb.fb_count to k do
-              fb.fb_anchors.(j) <- mod_pow fb.fb_anchors.(j - 1) step fb.fb_modulus
-            done
-          end;
+          for j = fb.fb_count to k do
+            fb.fb_anchors.(j) <- next_anchor fb fb.fb_anchors.(j - 1)
+          done;
           fb.fb_count <- k + 1
         end;
         Array.sub fb.fb_anchors 0 (k + 1)
@@ -1051,7 +1009,6 @@ module Fixed_base = struct
   (* BGMW aggregation of one digit segment [lo, hi): bucket the anchors
      by digit value, then Π_{d} c_d^d via the telescoping double fold. *)
   let segment fb (digits : string) anchors lo hi =
-    let m = fb.fb_modulus in
     let buckets = Array.make 256 None in
     for i = lo to hi - 1 do
       let d = Char.code digits.[i] in
@@ -1059,24 +1016,22 @@ module Fixed_base = struct
         buckets.(d) <-
           (match buckets.(d) with
            | None -> Some anchors.(i)
-           | Some c -> Some (mod_mul c anchors.(i) m))
+           | Some c -> Some (mul fb c anchors.(i)))
     done;
     let acc = ref None and running = ref None in
     for d = 255 downto 1 do
       (match buckets.(d) with
        | None -> ()
-       | Some c ->
-         running := Some (match !running with None -> c | Some r -> mod_mul r c m));
+       | Some c -> running := Some (match !running with None -> c | Some r -> mul fb r c));
       match !running with
       | None -> ()
-      | Some r -> acc := Some (match !acc with None -> r | Some a -> mod_mul a r m)
+      | Some r -> acc := Some (match !acc with None -> r | Some a -> mul fb a r)
     done;
     !acc
 
   let pow ?run fb e =
     if sign e < 0 then invalid_arg "Bigint.Fixed_base.pow: negative exponent";
-    let one_m = erem one fb.fb_modulus in
-    if is_zero e then one_m
+    if is_zero e then erem one fb.fb_modulus
     else begin
       (* Little-endian byte digits of the exponent. *)
       let be = to_bytes_be e in
@@ -1084,6 +1039,7 @@ module Fixed_base = struct
       let digits = String.init nd (fun i -> be.[nd - 1 - i]) in
       let anchors = anchors_through fb (nd - 1) in
       let nseg = (nd + fb.fb_seg_digits - 1) / fb.fb_seg_digits in
+      let unit = enter fb one in
       let thunks =
         Array.init nseg (fun s ->
             fun () ->
@@ -1091,7 +1047,7 @@ module Fixed_base = struct
               let hi = Stdlib.min nd (lo + fb.fb_seg_digits) in
               match segment fb digits anchors lo hi with
               | Some v -> v
-              | None -> one)
+              | None -> unit)
       in
       let parts =
         match run with
@@ -1099,6 +1055,6 @@ module Fixed_base = struct
         | None -> Array.map (fun f -> f ()) thunks
       in
       (* Deterministic combine order: ascending segment index. *)
-      Array.fold_left (fun acc p -> mod_mul acc p fb.fb_modulus) one_m parts
+      leave fb (Array.fold_left (mul fb) unit parts)
     end
 end

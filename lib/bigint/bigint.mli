@@ -4,8 +4,8 @@
     substrate in this repository (RSA accumulator, trapdoor permutation,
     multiset hash over a prime field, primality testing) rests on this
     module. Magnitudes are little-endian arrays of 31-bit limbs; division
-    is Knuth's Algorithm D; modular exponentiation uses Montgomery
-    multiplication for odd moduli. *)
+    is Knuth's Algorithm D; modular exponentiation for odd moduli runs
+    on a C Montgomery kernel over 64-bit words ({!Mont}). *)
 
 type t
 (** An immutable arbitrary-precision integer. *)
@@ -119,11 +119,13 @@ val mod_pow : t -> t -> t -> t
 (** Precomputed per-modulus Montgomery state for repeated
     exponentiation with {e varying} bases modulo one odd modulus
     (complementing {!Fixed_base}, which fixes the base). [create]
-    derives once what {!mod_pow} re-derives per call — the limb
-    inverse, [R mod m] and [R² mod m] — and converts bases into the
-    Montgomery domain with one multiplication instead of a general
-    division. A context is immutable after [create] and safe to share
-    across domains. *)
+    derives once what {!mod_pow} re-derives per call — the word inverse,
+    [R mod m] and [R² mod m] — and converts bases into the Montgomery
+    domain with one multiplication instead of a general division. Every
+    product runs on one C kernel ([mont_stubs.c]): a fused multiply-reduce
+    and a square-reduce over [n = ⌈bits(m)/64⌉] 64-bit words, so
+    [R = 2^(64n)]. A context is immutable after [create] and safe to
+    share across domains. *)
 module Mont : sig
   type ctx
 
@@ -136,12 +138,32 @@ module Mont : sig
   (** [pow c b e] is exactly [mod_pow b e (modulus c)] for [e >= 0].
       @raise Invalid_argument on a negative exponent. *)
 
-  val lucas : ctx -> q:int -> t -> t * t * t
-  (** [lucas c ~q e] is [(U_e, V_e, Q^e)] modulo [modulus c] for the
-      Lucas sequences with [P = 1] and the given [Q] ([U_0 = 0],
-      [U_1 = 1], [V_0 = 2], [V_1 = 1], [X_(j+1) = X_j - Q·X_(j-1)]), by a
-      doubling ladder over the bits of [e] on the same allocation-free
-      Montgomery buffers as {!pow}: the strong Lucas half of the
+  (** {2 The Montgomery domain}
+
+      A residue [x] held as [x·R mod m], for callers that chain several
+      products before they compare: squarings and additions stay in the
+      domain, and equality there is equality of the residues. *)
+
+  type elt
+
+  val to_mont : ctx -> t -> elt
+  val of_mont : ctx -> elt -> t
+
+  val pow_mont : ctx -> t -> t -> elt
+  (** [pow_mont c b e] is [to_mont c (pow c b e)], without leaving the
+      domain. *)
+
+  val sqr : ctx -> elt -> elt
+  val add : ctx -> elt -> elt -> elt
+  val sub : ctx -> elt -> elt -> elt
+  val equal : elt -> elt -> bool
+
+  val lucas : ctx -> q:int -> t -> elt * elt * elt
+  (** [lucas c ~q e] is [(U_e, V_e, Q^e)] modulo [modulus c], in the
+      Montgomery domain, for the Lucas sequences with [P = 1] and the
+      given [Q] ([U_0 = 0], [U_1 = 1], [V_0 = 2], [V_1 = 1],
+      [X_(j+1) = X_j - Q·X_(j-1)]), by a doubling ladder over the bits
+      of [e] on the same kernel as {!pow}: the strong Lucas half of the
       Baillie–PSW primality test.
       @raise Invalid_argument on a negative index. *)
 end

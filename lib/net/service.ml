@@ -161,15 +161,12 @@ let cached_reply t ~client ~request_id =
 (* WAL event taxonomy. Payloads are the raw [Wire] request bytes
    (except Register, which carries just the client name): the service
    is deterministic, so replaying the requests that took effect — in
-   lock order — reproduces the state, idempotency cache included.
-   [tag_delete] is reserved but unreachable: Dual-instance deletion
-   exists in lib/core yet has no Wire message (see DESIGN.md §8) —
-   the tag names the slot without pretending the path exists. *)
+   lock order — reproduces the state, idempotency cache included. *)
 let tag_register = 1
 let tag_build = 2
 let tag_insert = 3
 let tag_search = 4
-let tag_delete = 5
+(* Tag 5 is retired: it was reserved for a Delete that has no Wire message. *)
 (* Wall-clock settlement events. Size-triggered flushes and the
    finalizes that follow deterministic points are *not* journaled —
    they replay as a consequence of the search events themselves. Only
@@ -181,8 +178,6 @@ let tag_delete = 5
 let tag_flush = 6
 let tag_finalize = 7
 let tag_dispute = 8
-
-let _ = tag_delete
 
 (* Journal one effectful event. Only called on the fresh-effect paths
    — never on a cache replay, or recovery would apply the effect
@@ -732,44 +727,49 @@ type recovery_stats = {
 
 let recover ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard cfg =
   Obs.span "store.recover" (fun () ->
-      let store, rc = Store.open_ cfg in
-      let fail msg =
-        Store.close store;
-        Error msg
-      in
-      let base =
-        match rc.Store.rc_snapshot with
-        | None ->
-          Some
-            (create ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard ())
-        | Some (_seq, payload) ->
-          decode_snapshot ?max_cached_replies ?faucet ?witness_index ?settle ?instance
-            ?shard payload
-      in
-      match base with
-      | None -> fail "snapshot failed to decode (codec mismatch)"
-      | Some t ->
-        let rec replay = function
-          | [] -> Ok ()
-          | ev :: rest -> (
-            match apply_event t ev with Ok () -> replay rest | Error _ as e -> e)
+      match Store.open_ cfg with
+      | exception Store.Locked dir ->
+        Error
+          (Printf.sprintf "state dir %s is in use by another live process (%s is locked)" dir
+             (Filename.concat dir "LOCK"))
+      | store, rc ->
+        let fail msg =
+          Store.close store;
+          Error msg
         in
-        (match replay rc.Store.rc_events with
-         | Error e -> fail ("WAL replay failed: " ^ e)
-         | Ok () ->
-           (match verify_recovered t with
-            | Error e -> fail e
-            | Ok () ->
-              attach_store t store;
-              Log.info (fun m ->
-                  m "recovered: snapshot=%b, %d events replayed, dropped_tail=%b, generation %d"
-                    (rc.Store.rc_snapshot <> None)
-                    (List.length rc.Store.rc_events) rc.Store.rc_dropped_tail (generation t));
-              Ok
-                ( t,
-                  { rs_snapshot = rc.Store.rc_snapshot <> None;
-                    rs_replayed = List.length rc.Store.rc_events;
-                    rs_dropped_tail = rc.Store.rc_dropped_tail } ))))
+        let base =
+          match rc.Store.rc_snapshot with
+          | None ->
+            Some
+              (create ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard ())
+          | Some (_seq, payload) ->
+            decode_snapshot ?max_cached_replies ?faucet ?witness_index ?settle ?instance
+              ?shard payload
+        in
+        match base with
+        | None -> fail "snapshot failed to decode (codec mismatch)"
+        | Some t ->
+          let rec replay = function
+            | [] -> Ok ()
+            | ev :: rest -> (
+              match apply_event t ev with Ok () -> replay rest | Error _ as e -> e)
+          in
+          (match replay rc.Store.rc_events with
+           | Error e -> fail ("WAL replay failed: " ^ e)
+           | Ok () ->
+             (match verify_recovered t with
+              | Error e -> fail e
+              | Ok () ->
+                attach_store t store;
+                Log.info (fun m ->
+                    m "recovered: snapshot=%b, %d events replayed, dropped_tail=%b, generation %d"
+                      (rc.Store.rc_snapshot <> None)
+                      (List.length rc.Store.rc_events) rc.Store.rc_dropped_tail (generation t));
+                Ok
+                  ( t,
+                    { rs_snapshot = rc.Store.rc_snapshot <> None;
+                      rs_replayed = List.length rc.Store.rc_events;
+                      rs_dropped_tail = rc.Store.rc_dropped_tail } ))))
 
 let effectful = function
   | Wire.Search _ | Wire.Build _ | Wire.Insert _ | Wire.Hello _ | Wire.Dispute _ -> true

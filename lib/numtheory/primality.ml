@@ -6,23 +6,16 @@ let decompose m =
   go m 0
 
 (* Strong probable-prime test to [base], in a Montgomery context whose
-   odd modulus is the candidate. *)
+   odd modulus is the candidate. The trailing squarings stay in the
+   domain and compare against the Montgomery forms of 1 and n - 1. *)
 let strong_test ctx ~base =
-  let n = Bigint.Mont.modulus ctx in
-  let n_minus_1 = Bigint.pred n in
+  let module M = Bigint.Mont in
+  let n_minus_1 = Bigint.pred (M.modulus ctx) in
   let d, s = decompose n_minus_1 in
-  let x = Bigint.Mont.pow ctx base d in
-  if Bigint.equal x Bigint.one || Bigint.equal x n_minus_1 then true
-  else begin
-    let rec squares x i =
-      if i >= s - 1 then false
-      else begin
-        let x = Bigint.mod_mul x x n in
-        if Bigint.equal x n_minus_1 then true else squares x (i + 1)
-      end
-    in
-    squares x 0
-  end
+  let minus_one = M.to_mont ctx n_minus_1 in
+  let rec squares x i = M.equal x minus_one || (i < s - 1 && squares (M.sqr ctx x) (i + 1)) in
+  let x = M.pow_mont ctx base d in
+  M.equal x (M.to_mont ctx Bigint.one) || squares x 0
 
 let miller_rabin_base n ~base = strong_test (Bigint.Mont.create n) ~base
 
@@ -130,19 +123,18 @@ let selfridge_d n =
   go 5 0
 
 (* Strong Lucas probable-prime test with P = 1, Q: writing n + 1 = 2^s·d
-   with d odd, n passes when U_d = 0 or V_(d·2^r) = 0 for some r < s. *)
+   with d odd, n passes when U_d = 0 or V_(d·2^r) = 0 for some r < s.
+   The doublings V_2j = V_j² - 2Q^j stay in the Montgomery domain. *)
 let strong_lucas ctx ~q =
-  let n = Bigint.Mont.modulus ctx in
-  let d, s = decompose (Bigint.succ n) in
-  let u, v, qk = Bigint.Mont.lucas ctx ~q d in
+  let module M = Bigint.Mont in
+  let d, s = decompose (Bigint.succ (M.modulus ctx)) in
+  let u, v, qk = M.lucas ctx ~q d in
+  let zero = M.to_mont ctx Bigint.zero in
   let rec doublings v qk r =
-    Bigint.is_zero v
-    || r < s - 1
-       && doublings
-            (Bigint.mod_sub (Bigint.mod_mul v v n) (Bigint.mod_add qk qk n) n)
-            (Bigint.mod_mul qk qk n) (r + 1)
+    M.equal v zero
+    || r < s - 1 && doublings (M.sub ctx (M.sqr ctx v) (M.add ctx qk qk)) (M.sqr ctx qk) (r + 1)
   in
-  Bigint.is_zero u || doublings v qk 0
+  M.equal u zero || doublings v qk 0
 
 let baillie_psw n =
   if Bigint.compare n Bigint.two <= 0 then Bigint.equal n Bigint.two

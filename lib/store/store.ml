@@ -8,8 +8,11 @@ type recovery = {
   rc_dropped_tail : bool;
 }
 
+exception Locked of string
+
 type t = {
   cfg : config;
+  lock : Unix.file_descr;
   wal : Wal.t;
   mutable last : int; (* highest seq materialized or appended *)
   mutable empty : bool;
@@ -50,8 +53,21 @@ let contiguous_tail ~base events =
   let kept, cut = take (base + 1) [] (skip events) in
   (kept, cut)
 
+(* One live store per directory: an exclusive lockf(3) lock on
+   <dir>/LOCK, held until [close] or process exit. POSIX record locks
+   belong to the process, so a second opener in another process is
+   refused while a reopen within this one (a restart in a test) is not. *)
+let lock_dir dir =
+  let fd = Unix.openfile (Filename.concat dir "LOCK") [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
+  match Unix.lockf fd Unix.F_TLOCK 0 with
+  | () -> fd
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
+    Unix.close fd;
+    raise (Locked dir)
+
 let open_ cfg =
   mkdir_p cfg.dir;
+  let lock = lock_dir cfg.dir in
   let wal, events, torn =
     Wal.open_ ~path:(Filename.concat cfg.dir "wal.log") ~fsync:cfg.fsync
   in
@@ -68,7 +84,7 @@ let open_ cfg =
   if dropped then Obs.Counter.incr torn_c;
   Obs.Gauge.set wal_size_g (Wal.size wal);
   let t =
-    { cfg; wal; last; empty = rc_snapshot = None && rc_events = [] }
+    { cfg; lock; wal; last; empty = rc_snapshot = None && rc_events = [] }
   in
   (t, { rc_snapshot; rc_events; rc_dropped_tail = dropped })
 
@@ -105,4 +121,6 @@ let last_seq t = t.last
 let wal_bytes t = Wal.size t.wal
 let should_snapshot t = Wal.size t.wal >= t.cfg.snapshot_bytes
 let is_empty t = t.empty
-let close t = Wal.close t.wal
+let close t =
+  Wal.close t.wal;
+  Unix.close t.lock

@@ -41,7 +41,16 @@ type recovery = {
 
 type t
 
+exception Locked of string
+(** Raised by {!open_} with the state directory when another process
+    holds it open. *)
+
 val open_ : config -> t * recovery
+(** Takes an exclusive lock on [<dir>/LOCK] for the life of the store:
+    two live stores in two processes on one directory would truncate
+    each other's WAL tail at recovery. @raise Locked when another
+    process holds the lock. *)
+
 val append : t -> tag:int -> string -> int
 val sync : t -> unit
 

@@ -175,6 +175,47 @@ let test_gcd () =
 let pair g1 g2 = QCheck2.Gen.pair g1 g2
 let triple g1 g2 g3 = QCheck2.Gen.triple g1 g2 g3
 
+(* Odd moduli for the Montgomery kernel, which packs 31-bit limbs into
+   64-bit words: every bit length 31j, 64j and 64j + 1 up to
+   [kernel_max_bits] is a packing boundary, and 2 bits is the smallest
+   modulus, 3. *)
+let kernel_max_bits = 2112
+
+let boundary_bits =
+  (2 :: List.init (kernel_max_bits / 31) (fun j -> 31 * (j + 1)))
+  @ List.init (kernel_max_bits / 64) (fun j -> 64 * (j + 1))
+  @ List.init (kernel_max_bits / 64) (fun j -> (64 * (j + 1)) + 1)
+  |> List.filter (fun b -> b <= kernel_max_bits)
+  |> List.sort_uniq compare |> Array.of_list
+
+(* Run [2 * boundary_cases] cases to cover every boundary. *)
+let boundary_cases = Array.length boundary_bits
+
+(* An odd modulus of 2 to [kernel_max_bits] bits. Even-numbered cases
+   step through [boundary_bits] in order, so every run of
+   [2 * boundary_cases] cases covers all of them; odd-numbered cases
+   take a random length. Each property builds its own generator. *)
+let gen_kernel_modulus () =
+  let case = ref 0 in
+  let open QCheck2.Gen in
+  let* random_bits = int_range 2 kernel_max_bits in
+  let* bytes = string_size ~gen:char (return (kernel_max_bits / 8)) in
+  let i = !case in
+  incr case;
+  let bits = if i land 1 = 0 then boundary_bits.(i / 2 mod boundary_cases) else random_bits in
+  (* 2^(bits-1) + 2r + 1 with r < 2^(bits-2): odd, exactly [bits] bits. *)
+  let r = Bigint.erem (Bigint.of_bytes_be bytes) (Bigint.shift_left Bigint.one (bits - 2)) in
+  return
+    (Bigint.add (Bigint.shift_left Bigint.one (bits - 1)) (Bigint.add (Bigint.mul_int r 2) Bigint.one))
+
+(* A modulus with a base: 0, 1, m - 1, or random up to [kernel_max_bits]
+   bits (often above m). *)
+let gen_kernel_case () =
+  let open QCheck2.Gen in
+  let* m = gen_kernel_modulus () in
+  let* b = oneof [ return Bigint.zero; return Bigint.one; return (Bigint.pred m); gen_big_pos ~bits:kernel_max_bits () ] in
+  return (m, b)
+
 let props =
   [ prop "int add matches" (pair gen_small gen_small) (fun (a, b) ->
         Bigint.equal (Bigint.add (bi a) (bi b)) (bi (a + b)));
@@ -218,13 +259,12 @@ let props =
         let m = if Bigint.equal m Bigint.one then Bigint.two else m in
         let naive = Bigint.erem (Bigint.pow b e) m in
         Bigint.equal naive (Bigint.mod_pow b (bi e) m));
-    prop "montgomery matches division-based ladder" ~count:60
-      (triple (gen_big_pos ~bits:256 ()) (gen_big_pos ~bits:96 ()) (gen_big_pos ~bits:256 ()))
-      (fun (b, e, m0) ->
+    prop "montgomery matches division-based ladder" ~count:(2 * boundary_cases)
+      (pair (gen_kernel_case ()) (gen_big_pos ~bits:96 ()))
+      (fun ((m, b), e) ->
         (* Reference ladder built on erem (Knuth division), fully
            independent of the Montgomery code path. *)
-        let m = Bigint.add (Bigint.mul_int m0 2) (Bigint.of_int 3) in
-        let reference =
+        let reference e =
           let bits = Bigint.num_bits e in
           let acc = ref Bigint.one in
           for i = bits - 1 downto 0 do
@@ -233,7 +273,12 @@ let props =
           done;
           !acc
         in
-        Bigint.equal reference (Bigint.mod_pow b e m));
+        (* Exponents 2 and 3: a lone square, and a square and a multiply. *)
+        let c = Bigint.Mont.create m in
+        Bigint.equal (reference e) (Bigint.mod_pow b e m)
+        && List.for_all
+             (fun e -> Bigint.equal (reference (bi e)) (Bigint.Mont.pow c b (bi e)))
+             [ 2; 3 ]);
     prop "mod_pow odd modulus homomorphism" ~count:60
       (triple (gen_big_pos ~bits:256 ()) (pair (gen_big_pos ~bits:64 ()) (gen_big_pos ~bits:64 ())) (gen_big_pos ~bits:256 ()))
       (fun (b, (e1, e2), m0) ->
@@ -277,29 +322,28 @@ let props =
       (triple (gen_big ~bits:30_000 ()) (gen_big ~bits:30_000 ()) (gen_big ~bits:30_000 ()))
       (fun (a, b, c) ->
         Bigint.equal (Bigint.mul a (Bigint.add b c)) (Bigint.add (Bigint.mul a b) (Bigint.mul a c)));
-    prop "lucas ladder matches the recurrence" ~count:100
-      (triple (gen_big_pos ~bits:256 ())
+    prop "lucas ladder matches the recurrence" ~count:(2 * boundary_cases)
+      (triple (gen_kernel_modulus ())
          QCheck2.Gen.(oneof [ int_range (-50) 50; oneofl [ -1; 1 ] ])
          (QCheck2.Gen.int_range 0 300))
-      (fun (m0, q, e) ->
-        (* Odd modulus > 1. The reference steps X_(j+1) = X_j - Q·X_(j-1)
-           (P = 1) one index at a time on division-based arithmetic. *)
-        let m = Bigint.add (Bigint.mul_int m0 2) (Bigint.of_int 3) in
+      (fun (m, q, e) ->
+        (* The reference steps X_(j+1) = X_j - Q·X_(j-1) (P = 1) one
+           index at a time on division-based arithmetic. *)
         let step x0 x1 = Bigint.erem (Bigint.sub x1 (Bigint.mul_int x0 q)) m in
         let rec walk j u0 u1 v0 v1 =
           if j = e then (u0, v0) else walk (j + 1) u1 (step u0 u1) v1 (step v0 v1)
         in
         let u, v = walk 0 Bigint.zero Bigint.one Bigint.two Bigint.one in
-        let u', v', qk = Bigint.Mont.lucas (Bigint.Mont.create m) ~q (bi e) in
-        Bigint.equal (Bigint.erem u m) u'
-        && Bigint.equal (Bigint.erem v m) v'
-        && Bigint.equal (Bigint.mod_pow (bi q) (bi e) m) qk);
-    prop "fixed_base pow matches mod_pow" ~count:30
-      (triple (gen_big_pos ~bits:256 ()) (gen_big_pos ~bits:2048 ()) (gen_big_pos ~bits:256 ()))
-      (fun (b, e, m0) ->
-        (* Odd modulus > 1; a small chunk makes the exponent span many
-           anchors so the split/recombine is actually exercised. *)
-        let m = Bigint.add (Bigint.mul_int m0 2) (Bigint.of_int 3) in
+        let c = Bigint.Mont.create m in
+        let u', v', qk = Bigint.Mont.lucas c ~q (bi e) in
+        Bigint.equal (Bigint.erem u m) (Bigint.Mont.of_mont c u')
+        && Bigint.equal (Bigint.erem v m) (Bigint.Mont.of_mont c v')
+        && Bigint.equal (Bigint.mod_pow (bi q) (bi e) m) (Bigint.Mont.of_mont c qk));
+    prop "fixed_base pow matches mod_pow" ~count:(2 * boundary_cases)
+      (pair (gen_kernel_case ()) (gen_big_pos ~bits:2048 ()))
+      (fun ((m, b), e) ->
+        (* A small chunk makes the exponent span many anchors so the
+           split/recombine is actually exercised. *)
         let fb = Bigint.Fixed_base.create ~chunk_bits:96 ~modulus:m b in
         Bigint.equal (Bigint.Fixed_base.pow fb e) (Bigint.mod_pow b e m)
         && Bigint.equal (Bigint.Fixed_base.pow fb Bigint.zero) (Bigint.erem Bigint.one m)

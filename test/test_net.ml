@@ -1447,6 +1447,57 @@ let raw_request fd req =
      | Some resp -> resp
      | None -> Alcotest.fail "raw response did not decode")
 
+(* Two servers on one state directory: the second's recovery would
+   truncate the WAL tail the first is appending to, so it must exit
+   non-zero with an error naming the directory, and the first must keep
+   serving. *)
+let test_second_server_refused_on_live_state_dir () =
+  match server_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let dir = fresh_state_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let pid, out_fd, port = spawn_server ~exe ~dir () in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+        try Unix.close out_fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    let err_r, err_w = Unix.pipe () in
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let argv =
+      [| exe; "--records"; "0"; "--port"; "0"; "--state-dir"; dir; "--log-level"; "quiet";
+         "--metrics-interval"; "0" |]
+    in
+    let pid2 = Unix.create_process exe argv null null err_w in
+    Unix.close err_w;
+    Unix.close null;
+    let deadline = Unix.gettimeofday () +. 30. in
+    let rec reap () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid2 with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        Thread.delay 0.05;
+        reap ()
+      | 0, _ ->
+        Unix.kill pid2 Sys.sigkill;
+        ignore (Unix.waitpid [] pid2);
+        Alcotest.fail "a second server on a live state dir kept running"
+      | _, status -> status
+    in
+    let status = reap () in
+    let ic = Unix.in_channel_of_descr err_r in
+    let err = In_channel.input_all ic in
+    close_in ic;
+    Alcotest.(check bool) "second server exits non-zero" true (status <> Unix.WEXITED 0);
+    let expected = Printf.sprintf "state dir %s is in use by another live process" dir in
+    if not (contains err expected) then Alcotest.failf "stderr %S lacks %S" err expected;
+    let fd = raw_connect port in
+    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+    match raw_request fd Wire.Ping with
+    | Wire.Pong -> ()
+    | _ -> Alcotest.fail "the first server stopped answering"
+
 let test_sigkill_mid_load_recovers () =
   match server_exe () with
   | None -> Alcotest.skip ()
@@ -1866,7 +1917,9 @@ let () =
           Alcotest.test_case "witness index survives a restart" `Quick
             test_witness_index_survives_restart;
           Alcotest.test_case "SIGKILL mid-load, recover, serve again" `Quick
-            test_sigkill_mid_load_recovers ] );
+            test_sigkill_mid_load_recovers;
+          Alcotest.test_case "second server on a live state dir is refused" `Quick
+            test_second_server_refused_on_live_state_dir ] );
       ( "settlement",
         [ Alcotest.test_case "batched settlement over the wire" `Quick
             test_batched_settlement_over_the_wire;

@@ -81,7 +81,9 @@ let strong_lucas n =
   let rec split k s = if Bigint.is_even k then split (Bigint.shift_right k 1) (s + 1) else (k, s) in
   let k, s = split (Bigint.succ n) 0 in
   let q = (1 - d) / 4 in
-  let u, v, qk = Bigint.Mont.lucas (Bigint.Mont.create n) ~q k in
+  let ctx = Bigint.Mont.create n in
+  let u, v, qk = Bigint.Mont.lucas ctx ~q k in
+  let u, v, qk = (Bigint.Mont.of_mont ctx u, Bigint.Mont.of_mont ctx v, Bigint.Mont.of_mont ctx qk) in
   let rec doubling v qk r =
     Bigint.is_zero v
     || r < s - 1
