@@ -195,7 +195,7 @@ let forward_ablation () =
         ignore
           (Owner.insert sys.Bench_common.bs_owner
              [ Slicer_types.record_of_value (Printf.sprintf "hot-%d-%d" updates k) hot ]
-           |> fun sh -> Cloud.install sys.Bench_common.bs_cloud sh)
+           |> Bench_common.install sys.Bench_common.bs_cloud)
       done;
       User.update_state sys.Bench_common.bs_user (Owner.export_trapdoor_state sys.Bench_common.bs_owner);
       let tokens =

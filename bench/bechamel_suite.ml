@@ -24,6 +24,11 @@ let kernel_operands () =
   let below () = Drbg.uniform_bigint rng m in
   (m, below (), exact 1024, below (), below ())
 
+(* perfbench's Build holds 754 keywords (1000 records, width 8), so the
+   witness tree's spine multiplies 754 272-bit primes. *)
+let spine_primes () =
+  Array.init 754 (fun i -> Prime_rep.to_prime (Printf.sprintf "bechamel-spine-%d" i))
+
 let make_tests () =
   let rng = Drbg.create ~seed:"bechamel" in
   let sore_key = Sore.keygen ~rng in
@@ -39,6 +44,7 @@ let make_tests () =
   let prime272 = bench_prime () in
   let km, kb, ke, kx, ky = kernel_operands () in
   let kctx = Bigint.Mont.create km in
+  let spine = spine_primes () in
   let ct = Sore.encrypt ~rng sore_key ~width:16 12345 in
   let tk = Sore.token ~rng sore_key ~width:16 30000 Bitvec.Gt in
   let counter = ref 0 in
@@ -67,6 +73,11 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (Bigint.Mont.pow kctx kb ke)));
     Test.make ~name:"bigint/mod-mul-512"
       (Staged.stage (fun () -> ignore (Bigint.mod_mul kx ky km)));
+    (* The balanced product tree over perfbench's primes: the products
+       above 32 limbs run on the C product kernel. *)
+    Test.make ~name:"bigint/product-754"
+      (Staged.stage (fun () ->
+           ignore (Parallel.Pool.reduce (Parallel.pool ()) Bigint.mul Bigint.one spine)));
     Test.make ~name:"fig3b/accumulator-add"
       (Staged.stage (fun () -> ignore (Rsa_acc.add params ac x)));
     (* Fig. 5: search-side primitives. *)
@@ -84,8 +95,8 @@ let make_tests () =
     Test.make ~name:"table2/mset-hash-64"
       (Staged.stage
          (fun () -> ignore (Mset_hash.of_list (List.init 64 (fun i -> string_of_int i)))));
-    (* Observability overhead: the acceptance budget is < 1us per span
-       (it is really ~2 clock reads + 1 histogram record). *)
+    (* Observability overhead (a span is ~2 clock reads + 1 histogram
+       record); the budgets are guarded by [overhead_guard] below. *)
     Test.make ~name:"obs/counter-add"
       (Staged.stage
          (let c = Obs.counter "slicer_bench_obs_counter_total" in
@@ -102,8 +113,7 @@ let make_tests () =
            Obs.span "bench.noop-off" (fun () -> ());
            Obs.set_enabled true));
     (* Tracing off (rate 0, no slow threshold) must cost a few loads
-       and a branch on every request — the acceptance budget is
-       < 150 ns for an unsampled root. *)
+       and a branch on every request. *)
     Test.make ~name:"obs/trace-unsampled"
       (Staged.stage (fun () -> Trace.root "bench.trace-noop" (fun () -> ()))) ]
 
@@ -161,6 +171,30 @@ let mod_mul_ladder_bits () =
   in
   mul /. float_of_int muls /. (ladder /. float_of_int (ladders * Bigint.num_bits e))
 
+(* The instrumentation budgets: an Obs span must stay under 1 us or the
+   hot-path record claim in DESIGN.md is void, and an unsampled trace
+   root (tracing off) under 150 ns. Each is timed as its cost over an
+   empty closure, 1000 calls per batch, best batch against best batch:
+   as Bechamel rows, calls this cheap were OLS fits with negative r^2
+   that measured the harness, not the instrument. *)
+let span_budget_ns = 1000.
+let trace_budget_ns = 150.
+
+let overhead_ns f =
+  let calls = 1000 in
+  let reference, measured =
+    best_alternating (repeat calls (fun () -> ()) ()) (repeat calls f ())
+  in
+  (measured -. reference) /. float_of_int calls *. 1e9
+
+let overhead_guard name f budget =
+  let ns = overhead_ns f in
+  Printf.printf
+    "%s - empty closure = %.0f ns (best of 20 alternating batches of 1000 calls; budget %.0f ns)\n"
+    name ns budget;
+  if ns > budget then
+    failwith (Printf.sprintf "%s overhead %.0f ns exceeds the %.0f ns budget" name ns budget)
+
 let run () =
   Bench_common.header "Bechamel micro-benchmarks (ns/op, OLS on monotonic clock)";
   (* Earlier targets in the same run (the load driver especially) leave
@@ -192,6 +226,10 @@ let run () =
     failwith
       (Printf.sprintf "a 512-bit mod_mul costs %.2f Montgomery ladder bits, under the %.1f floor"
          bits ladder_bit_floor);
+  overhead_guard "obs/span" (fun () -> Obs.span "bench.noop" (fun () -> ())) span_budget_ns;
+  overhead_guard "obs/trace-unsampled"
+    (fun () -> Trace.root "bench.trace-noop" (fun () -> ()))
+    trace_budget_ns;
   Bench_common.row_header [ "benchmark"; "ns/op"; "r^2" ];
   List.iter
     (fun (name, result) ->
@@ -204,19 +242,10 @@ let run () =
       Printf.printf "%-28s %12s  %8s\n" name
         (match est with Some e -> Printf.sprintf "%.0f" e | None -> "-")
         (match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "-");
-      (match est with
-       | Some e ->
-         Bench_common.json_row ~figure:"micro" ~series:name
-           [ ("ns_per_op", Bench_common.J_float e);
-             ("r_square", Bench_common.J_float (Option.value ~default:Float.nan r2)) ]
-       | None -> ());
-      (* The instrumentation-overhead budget: a span must stay under
-         1 us or the hot-path record claim in DESIGN.md is void. *)
       match est with
-      | Some e when name = "slicer/obs/span" && e > 1000. ->
-        failwith (Printf.sprintf "obs span overhead %.0f ns exceeds the 1 us budget" e)
-      | Some e when name = "slicer/obs/trace-unsampled" && e > 150. ->
-        failwith
-          (Printf.sprintf "unsampled trace root overhead %.0f ns exceeds the 150 ns budget" e)
-      | _ -> ())
+      | Some e ->
+        Bench_common.json_row ~figure:"micro" ~series:name
+          [ ("ns_per_op", Bench_common.J_float e);
+            ("r_square", Bench_common.J_float (Option.value ~default:Float.nan r2)) ]
+      | None -> ())
     rows

@@ -206,6 +206,10 @@ type bench_system = {
    same builds instead of reconstructing them. *)
 let system_cache : (int * int, bench_system) Hashtbl.t = Hashtbl.create 16
 
+let install cloud (sh : Owner.shipment) =
+  Cloud.install cloud ~entries:(Owner.shipment_entries sh) ~primes:(Owner.shipment_primes sh)
+    ~ac:sh.Owner.sh_ac
+
 let build_system_uncached ~width ~size =
   let rng = Drbg.create ~seed:(Printf.sprintf "bench-%d-%d" width size) in
   let keys = Keys.generate ~tdp_bits:512 ~rng () in
@@ -214,7 +218,7 @@ let build_system_uncached ~width ~size =
   let records = Gen.uniform_records ~rng ~width size in
   let shipment = Owner.build owner records in
   let cloud = Cloud.create ~acc_params ~tdp_public:keys.Keys.tdp_public () in
-  Cloud.install cloud shipment;
+  install cloud shipment;
   let user = User.create ~keys:(Keys.for_user keys) ~width (Owner.export_trapdoor_state owner) in
   { bs_owner = owner; bs_cloud = cloud; bs_user = user; bs_rng = rng; bs_records = records; bs_width = width }
 

@@ -26,7 +26,7 @@ let run (scale : Bench_common.scale) =
           let t = Owner.last_timings sys.Bench_common.bs_owner in
           (* Ship to the cloud so the reported index bytes cover
              preload + batch — the storage row paired with the times. *)
-          Cloud.install sys.Bench_common.bs_cloud shipment;
+          Bench_common.install sys.Bench_common.bs_cloud shipment;
           Bench_common.json_row ~figure:"fig7" ~series:"insert"
             [ ("records", Bench_common.J_int batch);
               ("bits", Bench_common.J_int width);
@@ -34,10 +34,10 @@ let run (scale : Bench_common.scale) =
               ("ads_seconds", Bench_common.J_float t.Owner.ads_seconds);
               ("index_bytes", Bench_common.J_int (Cloud.index_bytes sys.Bench_common.bs_cloud));
               ("index_entries", Bench_common.J_int (Cloud.index_entries sys.Bench_common.bs_cloud));
-              ("new_primes", Bench_common.J_int (List.length shipment.Owner.sh_primes)) ];
+              ("new_primes", Bench_common.J_int (List.length shipment.Owner.sh_groups)) ];
           Bench_common.row (string_of_int batch)
             [ Bench_common.seconds t.Owner.index_seconds;
               Bench_common.seconds t.Owner.ads_seconds;
-              string_of_int (List.length shipment.Owner.sh_primes) ])
+              string_of_int (List.length shipment.Owner.sh_groups) ])
         scale.Bench_common.insert_batches)
     scale.Bench_common.widths

@@ -26,8 +26,8 @@ let default_params =
    an in-order loop and results are identical either way. *)
 let run_chunks thunks = Parallel.Pool.run_all (Parallel.pool ()) thunks
 
-(* Π xs by a balanced product tree (Pool.reduce): with Karatsuba
-   multiplication underneath this is O(M(B) log n) for B total exponent
+(* Π xs by a balanced product tree (Pool.reduce): with the Karatsuba
+   product kernel underneath this is O(M(B) log n) for B total exponent
    bits, versus O(B²/n) for the naive left fold. *)
 let product xs = Parallel.Pool.reduce (Parallel.pool ()) Bigint.mul Bigint.one (Array.of_list xs)
 

@@ -11,7 +11,7 @@
     Let [n] be the set size, [b] the prime-representative bit width
     (272) and [B = n·b] the total exponent bits. All generation-side
     operations are batched: prime exponents are combined by a balanced
-    {e product tree} (Karatsuba multiplication underneath) and the
+    {e product tree} (the C Karatsuba product kernel underneath) and the
     single resulting exponent is applied in one exponentiation. When the
     process-wide pool is parallel ([--domains N] > 1), it goes through
     the {e fixed-base} anchor chain of [g] ({!Bigint.Fixed_base}), whose

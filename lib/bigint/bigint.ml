@@ -88,34 +88,20 @@ let nat_mul_school a b =
     nat_normalize r
   end
 
-(* Karatsuba above this limb count: the accumulator's product trees
-   multiply multi-megabit prime products, where schoolbook O(n²) costs
-   more than the modular exponentiation it feeds. *)
-let karatsuba_threshold = 32
+(* Below this many limbs on either side a product stays in the OCaml
+   schoolbook above; larger ones run on the C kernel (mul_stubs.c) over
+   64-bit words, schoolbook or Karatsuba, with its temporaries on the C
+   heap. The accumulator's product trees multiply multi-megabit prime
+   products, where an OCaml recursion's temporaries would be most of
+   the process's garbage. *)
+let kernel_limbs = 32
 
-let nat_low a k = nat_normalize (Array.sub a 0 (Stdlib.min k (Array.length a)))
+external nat_mul_kernel : int array -> int array -> int array = "slicer_nat_mul"
+external karatsuba_words : unit -> int = "slicer_karatsuba_words" [@@noalloc]
 
-let nat_high a k =
-  let la = Array.length a in
-  if la <= k then [||] else Array.sub a k (la - k)
-
-let nat_shift_limbs a k = if nat_is_zero a then a else Array.append (Array.make k 0) a
-
-let rec nat_mul a b =
-  let la = Array.length a and lb = Array.length b in
-  if la < karatsuba_threshold || lb < karatsuba_threshold then nat_mul_school a b
-  else begin
-    (* z1 = (a0+a1)(b0+b1) - z0 - z2 = a0*b1 + a1*b0 >= 0, so the two
-       nat_subs never borrow past zero. *)
-    let m = (Stdlib.max la lb + 1) / 2 in
-    let a0 = nat_low a m and a1 = nat_high a m in
-    let b0 = nat_low b m and b1 = nat_high b m in
-    let z0 = nat_mul a0 b0 in
-    let z2 = nat_mul a1 b1 in
-    let t = nat_mul (nat_add a0 a1) (nat_add b0 b1) in
-    let z1 = nat_sub (nat_sub t z0) z2 in
-    nat_add (nat_add (nat_shift_limbs z2 (2 * m)) (nat_shift_limbs z1 m)) z0
-  end
+let nat_mul a b =
+  if Array.length a < kernel_limbs || Array.length b < kernel_limbs then nat_mul_school a b
+  else nat_mul_kernel a b
 
 (* m must satisfy 0 <= m < base. *)
 let nat_mul_small a m =
@@ -502,10 +488,34 @@ let to_hex x =
     String.sub s !i (String.length s - !i)
   end
 
+(* Bytes straight into limbs, least significant first (O(n)); folding
+   acc·256 + byte would copy the growing magnitude once per byte. *)
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add_int (mul_int !acc 256) (Char.code c)) s;
-  !acc
+  let n = String.length s in
+  let first = ref 0 in
+  while !first < n && s.[!first] = '\000' do
+    incr first
+  done;
+  if !first = n then zero
+  else begin
+    let rec width v = if v = 0 then 0 else 1 + width (v lsr 1) in
+    let bits = (8 * (n - !first - 1)) + width (Char.code s.[!first]) in
+    let mag = Array.make ((bits + limb_bits - 1) / limb_bits) 0 in
+    let acc = ref 0 and accbits = ref 0 and j = ref 0 in
+    for i = n - 1 downto !first do
+      acc := !acc lor (Char.code (String.unsafe_get s i) lsl !accbits);
+      accbits := !accbits + 8;
+      if !accbits >= limb_bits then begin
+        mag.(!j) <- !acc land mask;
+        incr j;
+        acc := !acc lsr limb_bits;
+        accbits := !accbits - limb_bits
+      end
+    done;
+    (* The top byte's leading zero bits may leave nothing to flush. *)
+    if !j < Array.length mag then mag.(!j) <- !acc;
+    { sign = 1; mag }
+  end
 
 let to_bytes_be ?len x =
   let nbytes = Stdlib.max 1 ((num_bits x + 7) / 8) in
@@ -543,6 +553,14 @@ let to_bytes_be ?len x =
   Bytes.to_string b
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
+
+let mul_schoolbook a b =
+  if is_zero a || is_zero b then zero else make (a.sign * b.sign) (nat_mul_school a.mag b.mag)
+
+let mul_kernel a b =
+  if is_zero a || is_zero b then zero else make (a.sign * b.sign) (nat_mul_kernel a.mag b.mag)
+
+let karatsuba_words = karatsuba_words ()
 
 (* ------------------------------------------------------------------ *)
 (* Modular arithmetic.                                                 *)

@@ -4,8 +4,9 @@
     substrate in this repository (RSA accumulator, trapdoor permutation,
     multiset hash over a prime field, primality testing) rests on this
     module. Magnitudes are little-endian arrays of 31-bit limbs; division
-    is Knuth's Algorithm D; modular exponentiation for odd moduli runs
-    on a C Montgomery kernel over 64-bit words ({!Mont}). *)
+    is Knuth's Algorithm D; large products and modular exponentiation
+    for odd moduli run on C kernels over 64-bit words ({!mul_kernel},
+    {!Mont}). *)
 
 type t
 (** An immutable arbitrary-precision integer. *)
@@ -42,7 +43,8 @@ val to_hex : t -> string
 (** Lowercase hexadecimal rendering of the absolute value. *)
 
 val of_bytes_be : string -> t
-(** Interprets a byte string as an unsigned big-endian integer. *)
+(** Interprets a byte string as an unsigned big-endian integer, in time
+    linear in its length. *)
 
 val to_bytes_be : ?len:int -> t -> string
 (** Big-endian byte rendering of the absolute value. With [~len] the
@@ -50,6 +52,25 @@ val to_bytes_be : ?len:int -> t -> string
     @raise Invalid_argument if the value needs more than [len] bytes. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Product kernel}
+
+    {!mul} multiplies operands of fewer than 32 limbs in an OCaml
+    schoolbook loop. Larger ones run on a C kernel ([mul_stubs.c]) over
+    64-bit words: schoolbook below {!karatsuba_words} words, Karatsuba
+    above, with every temporary in one C-heap buffer, so a product puts
+    only its result on the OCaml heap. The two entry points below pin
+    each path for tests and benchmarks; both equal {!mul}. *)
+
+val mul_schoolbook : t -> t -> t
+(** The OCaml schoolbook, at any size: the reference the kernel is
+    tested against. *)
+
+val mul_kernel : t -> t -> t
+(** The C kernel, at any size. *)
+
+val karatsuba_words : int
+(** The kernel's Karatsuba threshold, in 64-bit words. *)
 
 (** {1 Comparison} *)
 

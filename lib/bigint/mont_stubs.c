@@ -14,54 +14,8 @@
    slicer_mont_setup: the modulus words, then -m^(-1) mod 2^64. */
 
 #include <caml/mlvalues.h>
-#include <stdint.h>
 #include <string.h>
-
-typedef uint64_t word;
-typedef unsigned __int128 dword;
-
-#define LIMB_BITS 31
-#define LIMB_MASK ((word)0x7fffffff)
-
-/* Limbs of [v] into n words. Bits past 64n are zero for every residue
-   below m, so any that remain are dropped. */
-static void pack(value v, word *w, mlsize_t n)
-{
-  mlsize_t len = Wosize_val(v), i, j = 0;
-  word acc = 0;
-  int bits = 0;
-  for (i = 0; i < len; i++) {
-    word l = (word)Long_val(Field(v, i));
-    acc |= l << bits;
-    bits += LIMB_BITS;
-    if (bits >= 64) {
-      if (j < n) w[j++] = acc;
-      bits -= 64;
-      acc = l >> (LIMB_BITS - bits);
-    }
-  }
-  while (j < n) {
-    w[j++] = acc;
-    acc = 0;
-  }
-}
-
-/* n words into every limb of [v]; immediate values need no
-   caml_modify. */
-static void unpack(const word *w, mlsize_t n, value v)
-{
-  mlsize_t len = Wosize_val(v), i;
-  for (i = 0; i < len; i++) {
-    mlsize_t bit = i * LIMB_BITS, idx = bit / 64;
-    unsigned off = bit % 64;
-    word l = 0;
-    if (idx < n) {
-      l = w[idx] >> off;
-      if (off > 64 - LIMB_BITS && idx + 1 < n) l |= w[idx + 1] << (64 - off);
-    }
-    Field(v, i) = Val_long(l & LIMB_MASK);
-  }
-}
+#include "limbs.h"
 
 /* r <- t - m when the (n+1)-word value top:t is at least m, else t.
    Every caller's t is below 2m. */

@@ -346,27 +346,24 @@ let do_build t ~client ~request_id ~width ~payment ~acc ~tdp_n ~tdp_e ~user_k ~u
     ~shipment ~trapdoor =
   let n = Topology.shards t.topo in
   let base = Array.make n acc.Rsa_acc.generator in
-  match Split.shipment ~params:acc ~base_acs:base shipment with
-  | Error e -> refused Net.Wire.Bad_request e
-  | Ok subs ->
-    let targets =
-      List.init n (fun i ->
-          ( i,
-            Net.Wire.Build
-              { client; request_id = sub_id request_id i; width; payment; acc; tdp_n;
-                tdp_e; user_k; user_k_r; shipment = subs.(i);
-                trapdoor; trace = None } ))
-    in
-    (match all_ok t (fan t targets) with
+  let subs = Split.shipment ~params:acc ~base_acs:base shipment in
+  let targets =
+    List.init n (fun i ->
+        ( i,
+          Net.Wire.Build
+            { client; request_id = sub_id request_id i; width; payment; acc; tdp_n; tdp_e;
+              user_k; user_k_r; shipment = subs.(i); trapdoor; trace = None } ))
+  in
+  match all_ok t (fan t targets) with
+  | Error resp -> resp
+  | Ok resps ->
+    (match accepted_max resps with
      | Error resp -> resp
-     | Ok resps ->
-       (match accepted_max resps with
-        | Error resp -> resp
-        | Ok generation ->
-          Log.info (fun m ->
-              m "build split across %d shards (%d entries)" n
-                (List.length shipment.Owner.sh_entries));
-          Net.Wire.Accepted { generation }))
+     | Ok generation ->
+       Log.info (fun m ->
+           m "build split across %d shards (%d entries)" n
+             (List.length (Owner.shipment_entries shipment)));
+       Net.Wire.Accepted { generation })
 
 let do_insert t ~client ~request_id ~shipment ~trapdoor =
   (* Each shard's new Ac_i folds onto its *live* accumulation value, so
@@ -384,22 +381,20 @@ let do_insert t ~client ~request_id ~shipment ~trapdoor =
       | [] -> assert false
     in
     let base = Array.of_list (List.map (fun p -> p.Net.Wire.pv_ac) provisions) in
-    (match Split.shipment ~params ~base_acs:base shipment with
-     | Error e -> refused Net.Wire.Bad_request e
-     | Ok subs ->
-       let targets =
-         List.init (Array.length base) (fun i ->
-             ( i,
-               Net.Wire.Insert
-                 { client; request_id = sub_id request_id i; shipment = subs.(i); trapdoor;
-                   trace = None } ))
-       in
-       (match all_ok t (fan t targets) with
+    let subs = Split.shipment ~params ~base_acs:base shipment in
+    let targets =
+      List.init (Array.length base) (fun i ->
+          ( i,
+            Net.Wire.Insert
+              { client; request_id = sub_id request_id i; shipment = subs.(i); trapdoor;
+                trace = None } ))
+    in
+    (match all_ok t (fan t targets) with
+     | Error resp -> resp
+     | Ok resps ->
+       (match accepted_max resps with
         | Error resp -> resp
-        | Ok resps ->
-          (match accepted_max resps with
-           | Error resp -> resp
-           | Ok generation -> Net.Wire.Accepted { generation })))
+        | Ok generation -> Net.Wire.Accepted { generation }))
 
 (* --- Receipt / Dispute: settlement finality across shards ---------------- *)
 
@@ -483,6 +478,7 @@ let do_stats t =
                Printf.sprintf "{\"error\":\"shard %d unreachable\"}" i ))
          results)
   in
+  Obs.sample_memory ();
   let own_json = Obs.Export.to_json () and own_text = Obs.Export.to_prometheus () in
   Net.Wire.Stats_reply
     { st_json =
@@ -516,10 +512,10 @@ let dispatch t req =
   | Net.Wire.Ping -> Net.Wire.Pong
   | Net.Wire.Stats -> do_stats t
   | Net.Wire.Traces -> do_traces t
-  | Net.Wire.Hello { proto; _ } when not (Net.Wire.proto_accepted proto) ->
+  | Net.Wire.Hello { proto; _ } when proto <> Net.Wire.proto_version ->
     refused Net.Wire.Version_mismatch
-      (Printf.sprintf "client speaks protocol revision %d, this router speaks %d..%d" proto
-         Net.Wire.min_proto_version Net.Wire.proto_version)
+      (Printf.sprintf "client speaks protocol revision %d, this router speaks %d" proto
+         Net.Wire.proto_version)
   | Net.Wire.Hello { client; _ } -> do_hello t ~client
   | Net.Wire.Search { client; request_id; batched; tokens; _ } ->
     do_search t ~client ~request_id ~batched ~tokens

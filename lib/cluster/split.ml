@@ -1,27 +1,22 @@
 let shipment ~params ~base_acs (sh : Owner.shipment) =
   let shards = Array.length base_acs in
   if shards < 1 then invalid_arg "Split.shipment: base_acs must be non-empty";
-  if sh.Owner.sh_groups = [] && sh.Owner.sh_entries <> [] then
-    Error "shipment carries entries but no per-keyword groups; cannot split by shard key"
-  else begin
-    (* Collect each shard's groups in shipment order, so per-shard
-       flat views keep the owner's keyword order. *)
-    let buckets = Array.make shards [] in
-    List.iter
-      (fun g ->
-        let s = Shard_key.of_group ~shards g in
-        buckets.(s) <- g :: buckets.(s))
-      sh.Owner.sh_groups;
-    Ok
-      (Array.mapi
-         (fun i bucket ->
-           let groups = List.rev bucket in
-           let entries = List.concat_map (fun g -> g.Owner.kg_entries) groups in
-           let primes = List.map (fun g -> g.Owner.kg_prime) groups in
-           (* Ac_i' = Ac_i ^ (prod primes_i): shard i's accumulator is
-              lifted only by its own keywords' primes. An empty slice
-              leaves Ac_i unchanged (empty product). *)
-           let ac = Rsa_acc.add_batch params base_acs.(i) primes in
-           { Owner.sh_entries = entries; sh_primes = primes; sh_ac = ac; sh_groups = groups })
-         buckets)
-  end
+  (* Collect each shard's groups in shipment order, so each per-shard
+     shipment keeps the owner's keyword order. *)
+  let buckets = Array.make shards [] in
+  List.iter
+    (fun g ->
+      let s = Shard_key.of_group ~shards g in
+      buckets.(s) <- g :: buckets.(s))
+    sh.Owner.sh_groups;
+  Array.mapi
+    (fun i bucket ->
+      let groups = List.rev bucket in
+      (* Ac_i' = Ac_i ^ (prod primes_i): shard i's accumulator is lifted
+         only by its own keywords' primes. An empty slice leaves Ac_i
+         unchanged (empty product). *)
+      let ac =
+        Rsa_acc.add_batch params base_acs.(i) (List.map (fun g -> g.Owner.kg_prime) groups)
+      in
+      { Owner.sh_groups = groups; sh_ac = ac })
+    buckets

@@ -1,6 +1,6 @@
 (** Splitting owner shipments across shards.
 
-    A grouped {!Owner.shipment} partitions cleanly: each keyword group
+    An {!Owner.shipment} partitions cleanly: each keyword group
     (entries + prime) goes to {!Shard_key.of_group}'s shard, and shard
     [i]'s new accumulation value is its {e own} base [Ac_i] lifted by
     its own primes — per-shard accumulators never see another shard's
@@ -11,12 +11,10 @@ val shipment :
   params:Rsa_acc.params ->
   base_acs:Bigint.t array ->
   Owner.shipment ->
-  (Owner.shipment array, string) result
+  Owner.shipment array
 (** [shipment ~params ~base_acs sh] splits [sh] into
     [Array.length base_acs] per-shard shipments. [base_acs.(i)] is
     shard [i]'s current accumulation value — the params' generator for
     a Build, the shard's live on-chain [Ac_i] for an Insert. Every
-    shard gets a shipment (possibly with no entries: its [Ac_i] is then
-    unchanged), so Build/Insert fan-outs keep all generations aligned.
-    [Error] when [sh] carries entries but no per-keyword groups (a
-    pre-cluster archive shipment cannot be split faithfully). *)
+    shard gets a shipment (possibly with no groups: its [Ac_i] is then
+    unchanged), so Build/Insert fan-outs keep all generations aligned. *)

@@ -75,28 +75,28 @@ let windex_of t =
       Some wt
     end
 
-let install t (sh : Owner.shipment) =
+let install t ~entries ~primes ~ac =
   Hashtbl.reset t.claim_cache;
   Hashtbl.reset t.batch_cache;
   t.prev_primes <- t.primes;
-  t.last_shipment <- Hashtbl.create (List.length sh.Owner.sh_entries);
+  t.last_shipment <- Hashtbl.create (List.length entries);
   List.iter
     (fun (l, d) ->
       Enc_index.put t.index ~l ~d;
       Hashtbl.replace t.last_shipment l ())
-    sh.Owner.sh_entries;
-  t.primes <- t.primes @ sh.Owner.sh_primes;
-  t.ac <- sh.Owner.sh_ac;
+    entries;
+  t.primes <- t.primes @ primes;
+  t.ac <- ac;
   t.witness_cache <- None;
   (* Insert extends the long-lived structures instead of discarding
      them: the shared product gains one multiply, the witness index
      recomputes only its O(log n) spine. Warm witnesses survive and
      are lazily re-based on the next lookup. *)
   (match t.acc_ctx with
-   | Some c -> t.acc_ctx <- Some (Rsa_acc.ctx_extend c sh.Owner.sh_primes)
+   | Some c -> t.acc_ctx <- Some (Rsa_acc.ctx_extend c primes)
    | None -> ());
   match t.windex with
-  | Some wt -> Witness_tree.append wt sh.Owner.sh_primes
+  | Some wt -> Witness_tree.append wt primes
   | None -> ignore (windex_of t)
 
 let set_behavior t m =
@@ -108,8 +108,8 @@ let set_behavior t m =
 let behavior t = t.mode
 
 (* Snapshot export: the merged view of every shipment installed so
-   far. [install]ing these as one synthetic shipment on a fresh cloud
-   reproduces the same index/primes/ac (snapshot-only granularity:
+   far. [install]ing these on a fresh cloud reproduces the same
+   index/primes/ac (snapshot-only granularity:
    Stale_results' one-shipment lookback resets, which only affects the
    misbehaviour demo, never honest state). *)
 let entries t =

@@ -27,10 +27,13 @@ val create :
     lookup instead of a full-size exponentiation. [false] falls back to
     the shared-product context for every VO. *)
 
-val install : t -> Owner.shipment -> unit
-(** Apply a Build/Insert shipment: add index entries and primes, adopt
-    the new [Ac]. [Stale_results] mode answers from the state before
-    the most recent shipment. *)
+val install :
+  t -> entries:(string * string) list -> primes:Bigint.t list -> ac:Bigint.t -> unit
+(** Add index entries and primes and adopt the new [Ac]: a Build/Insert
+    shipment's {!Owner.shipment_entries}, {!Owner.shipment_primes} and
+    [sh_ac], or a snapshot's merged view ({!entries}, {!primes},
+    {!current_ac}). [Stale_results] mode answers from the state before
+    the most recent install. *)
 
 val set_behavior : t -> misbehavior -> unit
 val behavior : t -> misbehavior
@@ -38,8 +41,8 @@ val behavior : t -> misbehavior
 (** {2 Snapshot export}
 
     The merged view of every shipment installed so far — feeding these
-    back through {!install} as one synthetic shipment on a fresh cloud
-    reproduces the same index, prime multiset and [Ac]. *)
+    back through {!install} on a fresh cloud reproduces the same index,
+    prime multiset and [Ac]. *)
 
 val entries : t -> (string * string) list
 (** All index entries [(l, d)], deterministically sorted. *)

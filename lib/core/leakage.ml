@@ -7,16 +7,17 @@ type build_leakage = {
 }
 
 let of_shipment (sh : Owner.shipment) =
+  let entries = Owner.shipment_entries sh and primes = Owner.shipment_primes sh in
   let position_bits, payload_bits =
-    match sh.Owner.sh_entries with
+    match entries with
     | (l, d) :: _ -> (8 * String.length l, 8 * String.length d)
     | [] -> (0, 0)
   in
-  let prime_bits = match sh.Owner.sh_primes with x :: _ -> Bigint.num_bits x | [] -> 0 in
-  { bl_entry_count = List.length sh.Owner.sh_entries;
+  let prime_bits = match primes with x :: _ -> Bigint.num_bits x | [] -> 0 in
+  { bl_entry_count = List.length entries;
     bl_position_bits = position_bits;
     bl_payload_bits = payload_bits;
-    bl_prime_count = List.length sh.Owner.sh_primes;
+    bl_prime_count = List.length primes;
     bl_prime_bits = prime_bits }
 
 let equal_build a b = a = b

@@ -25,11 +25,12 @@ type keyword_group = {
 }
 
 type shipment = {
-  sh_entries : (string * string) list;
-  sh_primes : Bigint.t list;
-  sh_ac : Bigint.t;
   sh_groups : keyword_group list;
+  sh_ac : Bigint.t;
 }
+
+let shipment_entries sh = List.concat_map (fun g -> g.kg_entries) sh.sh_groups
+let shipment_primes sh = List.map (fun g -> g.kg_prime) sh.sh_groups
 
 let create ?(width = 16) ~rng ~acc_params ~keys () =
   { o_width = width;
@@ -185,10 +186,9 @@ let add_records t records =
   (* Phase 3: per-entry (l, d) derivation and set-hash folds, sharded by
      keyword across the pool. *)
   let results = Obs.span "core.derive" (fun () -> Parallel.Pool.map pool run_job jobs) in
-  let entries = ref [] and prime_inputs = ref [] in
+  let prime_inputs = ref [] in
   Array.iter
-    (fun (job_entries, h, tk, prime_input) ->
-      Array.iter (fun e -> entries := e :: !entries) job_entries;
+    (fun (_, h, tk, prime_input) ->
       Hashtbl.replace t.set_hashes tk h;
       prime_inputs := prime_input :: !prime_inputs)
     results;
@@ -208,8 +208,7 @@ let add_records t records =
   (* Per-keyword groups, aligned with [results]/[gpairs]/[new_primes]:
      each keyword's entries and prime travel together so a router can
      split the shipment by shard key (a prefix of the keyword's G1 key)
-     without re-deriving anything. The flat views above are exactly the
-     concatenation of the groups. *)
+     without re-deriving anything. *)
   let prime_arr = Array.of_list new_primes in
   let groups =
     Array.to_list
@@ -220,7 +219,7 @@ let add_records t records =
              kg_prime = prime_arr.(i) })
          results)
   in
-  { sh_entries = List.rev !entries; sh_primes = new_primes; sh_ac = t.ac; sh_groups = groups }
+  { sh_groups = groups; sh_ac = t.ac }
 
 let build t records =
   if t.built then invalid_arg "Owner.build: already built (use insert)";

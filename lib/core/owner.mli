@@ -5,8 +5,8 @@
     trapdoor and generation count) and the set-hash state [S] (token →
     multiset hash of every encrypted result under that keyword so far).
     Each Build/Insert produces a shipment of fresh index entries and
-    prime representatives for the cloud plus the new accumulation value
-    for the blockchain. *)
+    prime representatives for the cloud, grouped by keyword, plus the
+    new accumulation value for the blockchain. *)
 
 type t
 
@@ -25,14 +25,19 @@ type keyword_group = {
     for the keyword, so tokens route to the same shard as the data. *)
 
 type shipment = {
-  sh_entries : (string * string) list; (** new [(l, d)] index entries *)
-  sh_primes : Bigint.t list;           (** new prime representatives [X⁺] *)
+  sh_groups : keyword_group list;      (** the new entries and primes, one group per keyword *)
   sh_ac : Bigint.t;                    (** accumulation value after the update *)
-  sh_groups : keyword_group list;
-  (** per-keyword breakdown; [sh_entries]/[sh_primes] are the
-      concatenation of the groups in keyword order. Empty only for
-      shipments decoded from pre-cluster archives. *)
 }
+(** A Build/Insert shipment. Each index entry and each new prime
+    representative appears exactly once, inside its keyword's group;
+    the flat views below are derived from the groups, never stored, and
+    neither the wire nor the WAL carries them. *)
+
+val shipment_entries : shipment -> (string * string) list
+(** The new [(l, d)] index entries: the groups' entries in keyword order. *)
+
+val shipment_primes : shipment -> Bigint.t list
+(** The new prime representatives [X⁺]: one per group, in keyword order. *)
 
 val create :
   ?width:int -> rng:Drbg.t -> acc_params:Rsa_acc.params -> keys:Keys.master -> unit -> t

@@ -36,10 +36,11 @@ let records_of_bytes s =
 
 (* --- shipments ----------------------------------------------------------- *)
 
-(* Three-piece form [entries; primes; ac] is the pre-cluster archive
-   shape and still decodes (with no groups). Grouped shipments append a
-   fourth piece holding the per-keyword breakdown so a router replaying
-   a WAL can still split by shard key. *)
+(* A shipment is two pieces, [ac; groups], and each group carries its
+   G1 key, its prime and its entries: every entry is encoded once. The
+   older three- and four-piece forms (a flat entry list and prime list,
+   then optionally the same entries again as groups) are malformed
+   here. *)
 let entries_to_blob entries =
   Bytesutil.concat (List.concat_map (fun (l, d) -> [ l; d ]) entries)
 
@@ -65,43 +66,23 @@ let group_of_bytes s =
   | _ -> None
 
 let shipment_to_bytes (sh : Owner.shipment) =
-  let base =
-    [ entries_to_blob sh.Owner.sh_entries;
-      Bytesutil.concat (List.map Bigint.to_bytes_be sh.Owner.sh_primes);
-      Bigint.to_bytes_be sh.Owner.sh_ac ]
-  in
-  match sh.Owner.sh_groups with
-  | [] -> Bytesutil.concat base
-  | groups -> Bytesutil.concat (base @ [ Bytesutil.concat (List.map group_to_bytes groups) ])
+  Bytesutil.concat
+    [ Bigint.to_bytes_be sh.Owner.sh_ac;
+      Bytesutil.concat (List.map group_to_bytes sh.Owner.sh_groups) ]
 
 let shipment_of_bytes s =
   let* pieces = Bytesutil.split s in
-  let decode entries_blob primes_blob ac groups_blob =
-    let* sh_entries = entries_of_blob entries_blob in
-    let* prime_pieces = Bytesutil.split primes_blob in
-    let* sh_groups =
-      match groups_blob with
-      | None -> Some []
-      | Some blob ->
-        let* group_pieces = Bytesutil.split blob in
-        let rec go acc = function
-          | [] -> Some (List.rev acc)
-          | p :: rest ->
-            let* g = group_of_bytes p in
-            go (g :: acc) rest
-        in
-        go [] group_pieces
-    in
-    Some
-      { Owner.sh_entries;
-        sh_primes = List.map Bigint.of_bytes_be prime_pieces;
-        sh_ac = Bigint.of_bytes_be ac;
-        sh_groups }
-  in
   match pieces with
-  | [ entries_blob; primes_blob; ac ] -> decode entries_blob primes_blob ac None
-  | [ entries_blob; primes_blob; ac; groups_blob ] ->
-    decode entries_blob primes_blob ac (Some groups_blob)
+  | [ ac; groups_blob ] ->
+    let* group_pieces = Bytesutil.split groups_blob in
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | p :: rest ->
+        let* g = group_of_bytes p in
+        go (g :: acc) rest
+    in
+    let* sh_groups = go [] group_pieces in
+    Some { Owner.sh_groups; sh_ac = Bigint.of_bytes_be ac }
   | _ -> None
 
 (* --- trapdoor state -------------------------------------------------------- *)

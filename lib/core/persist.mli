@@ -9,7 +9,15 @@ val records_to_bytes : Slicer_types.record list -> string
 val records_of_bytes : string -> Slicer_types.record list option
 
 val shipment_to_bytes : Owner.shipment -> string
+(** Two pieces: [Ac], then the keyword groups ({!group_to_bytes}), so
+    each index entry is encoded once. *)
+
 val shipment_of_bytes : string -> Owner.shipment option
+(** [None] for anything but the two-piece form, including the older
+    shipment forms that carried a flat entry list. *)
+
+val group_to_bytes : Owner.keyword_group -> string
+(** One keyword group: its G1 key, its prime and its entries. *)
 
 val trapdoor_state_to_bytes : Owner.trapdoor_state -> string
 val trapdoor_state_of_bytes : string -> Owner.trapdoor_state option

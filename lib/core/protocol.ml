@@ -30,7 +30,8 @@ let setup ?(width = 16) ?(tdp_bits = 512) ?(acc_bits = 512) ?(payment = 1000)
   let owner = Owner.create ~width ~rng ~acc_params ~keys () in
   let shipment = Owner.build owner records in
   let cloud = Cloud.create ~witness_index ~acc_params ~tdp_public:keys.Keys.tdp_public () in
-  Cloud.install cloud shipment;
+  Cloud.install cloud ~entries:(Owner.shipment_entries shipment)
+    ~primes:(Owner.shipment_primes shipment) ~ac:shipment.Owner.sh_ac;
   let user = User.create ~keys:(Keys.for_user keys) ~width (Owner.export_trapdoor_state owner) in
   let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
   let owner_addr = Vm.address_of_name (seed ^ ":owner") in
@@ -66,8 +67,8 @@ let insert t records =
     Log.info (fun m ->
         m "insert: %d records, %d new index entries, %d new primes, updateAc gas %d"
           (List.length records)
-          (List.length shipment.Owner.sh_entries)
-          (List.length shipment.Owner.sh_primes)
+          (List.length (Owner.shipment_entries shipment))
+          (List.length shipment.Owner.sh_groups)
           receipt.Vm.r_gas_used)
   | Error e -> failwith ("Protocol.insert: on-chain Ac update failed: " ^ e)
 

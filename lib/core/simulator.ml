@@ -4,17 +4,21 @@ let random_prime_of_bits ~rng bits =
 
 let simulate_build ~rng (leak : Leakage.build_leakage) =
   let bytes_of_bits b = (b + 7) / 8 in
-  let entries =
-    List.init leak.Leakage.bl_entry_count (fun _ ->
-        ( Drbg.generate rng (bytes_of_bits leak.Leakage.bl_position_bits),
-          Drbg.generate rng (bytes_of_bits leak.Leakage.bl_payload_bits) ))
+  let entry () =
+    ( Drbg.generate rng (bytes_of_bits leak.Leakage.bl_position_bits),
+      Drbg.generate rng (bytes_of_bits leak.Leakage.bl_payload_bits) )
   in
-  let primes =
-    List.init leak.Leakage.bl_prime_count (fun _ ->
-        random_prime_of_bits ~rng leak.Leakage.bl_prime_bits)
+  (* One group per prime, with the p entries dealt out as evenly as the
+     q groups allow; a group's G1 key is a 128-bit PRF output. *)
+  let p = leak.Leakage.bl_entry_count and q = leak.Leakage.bl_prime_count in
+  let groups =
+    List.init q (fun i ->
+        let kg_g1 = Drbg.generate rng 16 in
+        let kg_entries = List.init ((((i + 1) * p) / q) - ((i * p) / q)) (fun _ -> entry ()) in
+        { Owner.kg_g1; kg_entries; kg_prime = random_prime_of_bits ~rng leak.Leakage.bl_prime_bits })
   in
   let ac = Bigint.succ (Drbg.bits rng 511) in
-  { Owner.sh_entries = entries; sh_primes = primes; sh_ac = ac; sh_groups = [] }
+  { Owner.sh_groups = groups; sh_ac = ac }
 
 let simulate_search ~rng (leak : Leakage.search_leakage) =
   let result_bytes = (leak.Leakage.sl_result_bits + 7) / 8 in

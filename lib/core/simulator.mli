@@ -12,9 +12,10 @@
     theorem assumes). *)
 
 val simulate_build : rng:Drbg.t -> Leakage.build_leakage -> Owner.shipment
-(** A fake shipment with [p] random (l, d) pairs of the leaked widths
-    and [q] random primes of the leaked width — what [S] sends the
-    adversary in the Ideal game's build phase. *)
+(** A fake shipment of [q] groups, each with a random prime of the
+    leaked width, holding [p] random (l, d) pairs of the leaked widths
+    between them — what [S] sends the adversary in the Ideal game's
+    build phase. *)
 
 val simulate_search :
   rng:Drbg.t -> Leakage.search_leakage -> Slicer_types.search_token list * Slicer_contract.claim list

@@ -116,7 +116,8 @@ let onchain_ac t = Slicer_contract.stored_ac t.s_ledger ~contract:t.s_contract
 
 let install t ~owner (sh : Owner.shipment) =
   Obs.span "chain.install" @@ fun () ->
-  Cloud.install t.s_cloud sh;
+  Cloud.install t.s_cloud ~entries:(Owner.shipment_entries sh)
+    ~primes:(Owner.shipment_primes sh) ~ac:sh.Owner.sh_ac;
   let receipt =
     Slicer_contract.update_ac t.s_ledger ~owner ~contract:t.s_contract sh.Owner.sh_ac
   in

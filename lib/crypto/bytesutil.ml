@@ -33,14 +33,19 @@ let be32 n =
 let be64 n =
   String.init 8 (fun i -> Char.chr ((n lsr ((7 - i) * 8)) land 0xff))
 
+(* Written once into an exact-size buffer: a growing Buffer would copy
+   a large frame (a Build shipment) at every doubling. *)
 let concat pieces =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (be32 (String.length p));
-      Buffer.add_string buf p)
-    pieces;
-  Buffer.contents buf
+  let b = Bytes.create (List.fold_left (fun n p -> n + 4 + String.length p) 0 pieces) in
+  ignore
+    (List.fold_left
+       (fun off p ->
+         let n = String.length p in
+         Bytes.set_int32_be b off (Int32.of_int n);
+         Bytes.blit_string p 0 b (off + 4) n;
+         off + 4 + n)
+       0 pieces);
+  Bytes.unsafe_to_string b
 
 let split s =
   let len = String.length s in

@@ -70,11 +70,6 @@ type t = {
   mutable gen : int;
   mutable counter : int;
   mutable ever_connected : bool;
-  (* Negotiated protocol revision: starts at ours, downgraded by
-     [hello] when the server refuses it. Trace contexts only ride on
-     revision-3 frames — a revision-2 peer must see byte-identical
-     revision-2 encodings. *)
-  mutable proto : int;
   (* Dispute evidence for recent deferred settlements: request id →
      per-shard (shard, claims bytes, batch witness). A dispute replays
      exactly the claims the cloud served, so the client keeps them for
@@ -217,27 +212,16 @@ let apply_provision t (p : Wire.provision) =
   t.gen <- p.Wire.pv_generation
 
 let hello t =
-  let rec go proto =
-    match rpc t (Wire.Hello { client = t.cname; proto }) with
-    | Ok (Wire.Welcome p) ->
-      t.proto <- proto;
-      apply_provision t p;
-      Ok ()
-    | Error (Refused (Wire.Version_mismatch, _)) when proto > Wire.min_proto_version ->
-      (* An older server refused our revision: walk down to the oldest
-         one we still speak. Landing on 2 disables trace stamping. *)
-      go (proto - 1)
-    | Ok _ -> Error (Bad_reply "expected a welcome")
-    | Error e -> Error e
-  in
-  go Wire.proto_version
-
-let proto t = t.proto
+  match rpc t (Wire.Hello { client = t.cname; proto = Wire.proto_version }) with
+  | Ok (Wire.Welcome p) ->
+    apply_provision t p;
+    Ok ()
+  | Ok _ -> Error (Bad_reply "expected a welcome")
+  | Error e -> Error e
 
 (* Stamp the calling thread's trace context (if any) onto an outgoing
-   effectful request — but never toward a peer that negotiated < 3. *)
-let stamp t req =
-  if t.proto >= 3 then Wire.with_trace (Trace.current ()) req else req
+   effectful request. *)
+let stamp req = Wire.with_trace (Trace.current ()) req
 
 let connect ?(config = default_config) ?name ?(provision = true) endpoint =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -254,7 +238,6 @@ let connect ?(config = default_config) ?name ?(provision = true) endpoint =
       gen = 0;
       counter = 0;
       ever_connected = false;
-      proto = Wire.proto_version;
       recent = Hashtbl.create 64;
       recent_order = Queue.create ();
       max_recent = 256;
@@ -435,7 +418,7 @@ let search ?(batched = false) t query =
   t.last_request <- Some request_id;
   match
     rpc t
-      (stamp t (Wire.Search { client = t.cname; request_id; batched; tokens; trace = None }))
+      (stamp (Wire.Search { client = t.cname; request_id; batched; tokens; trace = None }))
   with
   | Ok (Wire.Found r) when r.Wire.sr_request_id = request_id ->
     Ok (outcome_of_reply t prov ~request_id ~token_count:(List.length tokens) r)
@@ -448,7 +431,7 @@ let build t ~width ~payment ~acc ~tdp_public ~user_keys ~shipment ~trapdoor =
   let request_id = fresh_request_id t in
   match
     rpc t
-      (stamp t
+      (stamp
          (Wire.Build
             { client = t.cname; request_id; width; payment; acc;
               tdp_n = tdp_public.Rsa_tdp.pn; tdp_e = tdp_public.Rsa_tdp.e;
@@ -465,7 +448,7 @@ let insert t ~shipment ~trapdoor =
   let request_id = fresh_request_id t in
   match
     rpc t
-      (stamp t (Wire.Insert { client = t.cname; request_id; shipment; trapdoor; trace = None }))
+      (stamp (Wire.Insert { client = t.cname; request_id; shipment; trapdoor; trace = None }))
   with
   | Ok (Wire.Accepted { generation }) ->
     t.gen <- generation;

@@ -82,11 +82,6 @@ val traces : t -> (Trace.span list, error) result
     a router, the reply also covers every shard. Admin path: works
     without provisioning and before a Build. *)
 
-val proto : t -> int
-(** The negotiated protocol revision: {!Wire.proto_version} unless the
-    server refused it during [Hello] and the client walked down to an
-    older one. Below 3, outgoing requests never carry trace contexts. *)
-
 val search :
   ?batched:bool -> t -> Slicer_types.query -> (Protocol.search_outcome, error) result
 (** One verified search round trip. [so_verified] requires {e both} the

@@ -189,6 +189,12 @@ let journal t ~tag payload =
   | None -> ()
   | Some store -> ignore (Store.append store ~tag payload)
 
+(* A request is encoded only when there is a store to write it to. *)
+let journal_request t ~tag req =
+  match t.store with
+  | None -> ()
+  | Some store -> ignore (Store.append store ~tag (Wire.encode_request req))
+
 let user_address t b client =
   match Hashtbl.find_opt t.users client with
   | Some addr -> addr
@@ -304,7 +310,7 @@ let do_search t b ~req ~client ~request_id ~batched tokens =
                 sr_parts = [];
                 sr_settle = settle_info }
           in
-          journal t ~tag:tag_search (Wire.encode_request req);
+          journal_request t ~tag:tag_search req;
           cache_reply t (reply_key ~client ~request_id) reply;
           reply))
 
@@ -325,7 +331,8 @@ let do_build t req =
      | None ->
        let tdp_public = Rsa_tdp.public_of_parts ~n:tdp_n ~e:tdp_e in
        let cloud = Cloud.create ~witness_index:t.witness_index ~acc_params:acc ~tdp_public () in
-       Cloud.install cloud shipment;
+       Cloud.install cloud ~entries:(Owner.shipment_entries shipment)
+         ~primes:(Owner.shipment_primes shipment) ~ac:shipment.Owner.sh_ac;
        let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
        let owner_addr = Vm.address_of_name "slicer-net:owner" in
        let cloud_addr = Vm.address_of_name "slicer-net:cloud" in
@@ -359,9 +366,9 @@ let do_build t req =
            | None -> ());
           Log.info (fun m ->
               m "built from wire shipment: %d index entries, deploy gas %d"
-                (List.length shipment.Owner.sh_entries) receipt.Vm.r_gas_used);
+                (List.length (Owner.shipment_entries shipment)) receipt.Vm.r_gas_used);
           let reply = Wire.Accepted { generation = 1 } in
-          journal t ~tag:tag_build (Wire.encode_request req);
+          journal_request t ~tag:tag_build req;
           cache_reply t (reply_key ~client ~request_id) reply;
           reply))
   | _ -> assert false
@@ -396,7 +403,7 @@ let do_dispute t b ~req ~client ~request_id ~claims_blob ~batch_witness =
        (* Journaled like a search: the chain transaction happened, so
           recovery must replay it. A refused dispute above is never
           journaled — replay cannot hit the determinism check. *)
-       journal t ~tag:tag_dispute (Wire.encode_request req);
+       journal_request t ~tag:tag_dispute req;
        Wire.Disputed { dp_slashed; dp_receipt })
 
 let handle_locked t req =
@@ -405,20 +412,20 @@ let handle_locked t req =
   | (Wire.Stats, _) ->
     (* Read-only, served even pre-Build: the registry snapshot covers
        the whole process, not just this service's database. *)
+    Obs.sample_memory ();
     Wire.Stats_reply
       { st_json = Obs.Export.to_json (); st_text = Obs.Export.to_prometheus () }
   | (Wire.Traces, _) ->
     (* Admin drain, like Stats: whole completed span trees only, so a
        scraper never sees a half-built trace. *)
     Wire.Traces_reply { tr_spans = Trace.drain () }
-  | (Wire.Hello { proto; _ }, _) when not (Wire.proto_accepted proto) ->
-    (* Loud handshake failure for cross-version peers: a revision-1
-       client must not receive replies it would mis-frame (sharded
-       Found parts, topology Welcome tails). Revision 2 is accepted —
-       its frames are a strict subset of revision 3's. *)
+  | (Wire.Hello { proto; _ }, _) when proto <> Wire.proto_version ->
+    (* Loud handshake failure for a peer of another revision: it would
+       mis-frame replies, and its Build/Insert shipments would not
+       decode. *)
     refused Wire.Version_mismatch
-      (Printf.sprintf "client speaks protocol revision %d, this server speaks %d..%d" proto
-         Wire.min_proto_version Wire.proto_version)
+      (Printf.sprintf "client speaks protocol revision %d, this server speaks %d" proto
+         Wire.proto_version)
   | (Wire.Build _, _) -> do_build t req
   | (_, None) -> refused Wire.Not_ready "no database: awaiting the owner's Build shipment"
   | (Wire.Hello { client; _ }, Some b) -> provision t b client
@@ -452,9 +459,9 @@ let handle_locked t req =
           b.b_generation <- b.b_generation + 1;
           Log.info (fun m ->
               m "insert shipment applied: %d entries, generation %d, gas %d"
-                (List.length shipment.Owner.sh_entries) b.b_generation receipt.Vm.r_gas_used);
+                (List.length (Owner.shipment_entries shipment)) b.b_generation receipt.Vm.r_gas_used);
           let reply = Wire.Accepted { generation = b.b_generation } in
-          journal t ~tag:tag_insert (Wire.encode_request req);
+          journal_request t ~tag:tag_insert req;
           cache_reply t (reply_key ~client ~request_id) reply;
           reply))
 
@@ -582,7 +589,7 @@ let decode_snapshot ?max_cached_replies ?faucet ?witness_index ?settle ?instance
     let* () = if validators = [] then None else Some () in
     let* trapdoor = Persist.trapdoor_state_of_bytes trapdoor in
     let* entry_flat = Bytesutil.split entries in
-    let* sh_entries = pairs_of entry_flat in
+    let* entries = pairs_of entry_flat in
     let* prime_flat = Bytesutil.split primes in
     let* account_flat = Bytesutil.split accounts in
     let* accounts = account_triples account_flat in
@@ -612,11 +619,9 @@ let decode_snapshot ?max_cached_replies ?faucet ?witness_index ?settle ?instance
         ~witness_index:(Option.value witness_index ~default:true)
         ~acc_params ~tdp_public ()
     in
-    Cloud.install cloud
-      { Owner.sh_entries;
-        sh_primes = List.map Bigint.of_bytes_be prime_flat;
-        sh_ac = Bigint.of_bytes_be ac;
-        sh_groups = [] };
+    Cloud.install cloud ~entries
+      ~primes:(List.map Bigint.of_bytes_be prime_flat)
+      ~ac:(Bigint.of_bytes_be ac);
     (* Graft the snapshotted warm witnesses onto the rebuilt index. *)
     if String.length windex_blob > 0 then ignore (Cloud.restore_witness_index cloud windex_blob);
     let ledger = Ledger.create ~validators in

@@ -3,22 +3,12 @@ let ( let* ) = Option.bind
 let request_tag = 0x01
 let response_tag = 0x02
 
-(* Protocol feature revision, negotiated in Hello. Revision 1 is the
-   pre-cluster protocol (no proto field on the wire); revision 2 adds
-   cluster topology to Welcome and per-shard parts to Found; revision 3
-   adds an optional trace-context piece to Search/Build/Insert (absent
-   ⇒ byte-identical to revision 2) and the Traces admin drain. Servers
-   accept any revision in [min_proto_version, proto_version] and refuse
-   older Hellos with [Version_mismatch] so pre-cluster clients fail
-   loudly instead of mis-framing sharded replies; a revision-3 client
-   that is itself refused downgrades to 2 and simply stops attaching
-   trace contexts. Revision 4 adds batched optimistic settlement: an
-   optional settlement piece on Found (absent ⇒ byte-identical to
-   revision 3), the Receipt finality poll and the Dispute request. *)
-let proto_version = 4
-let min_proto_version = 2
-
-let proto_accepted proto = proto >= min_proto_version && proto <= proto_version
+(* The one protocol revision this build speaks, checked in Hello. Peers
+   of any other revision are refused there with [Version_mismatch];
+   nothing is negotiated down. Revision 5 ships a Build/Insert
+   shipment as keyword groups only, so a revision-4 peer's payloads
+   would not decode. *)
+let proto_version = 5
 
 type request =
   | Hello of { client : string; proto : int }
@@ -146,10 +136,9 @@ let opt_bigint_of_bytes s =
 
 (* --- trace context ----------------------------------------------------- *)
 
-(* The optional trailing piece a revision-3 peer may append to
-   Search/Build/Insert. With [trace = None] nothing is appended, so the
-   encoding is byte-identical to revision 2 — journaled bytes, cached
-   idempotency keys and old peers all keep working. *)
+(* The optional trailing piece of a Search/Build/Insert. With
+   [trace = None] nothing is appended, so the bytes of an untraced
+   request, journaled ones included, do not depend on tracing. *)
 
 let trace_to_bytes (w : Trace.wire_ctx) =
   Bytesutil.concat [ Trace.id_to_string w.Trace.w_trace; string_of_int w.Trace.w_parent ]
@@ -229,7 +218,7 @@ let spans_of_bytes blob =
   in
   go [] pieces
 
-(* --- settlement info (revision 4) -------------------------------------- *)
+(* --- settlement info ----------------------------------------------------- *)
 
 (* The optional Found piece carrying a deferred receipt's coordinates:
    the open batch it joined and its leaf index, plus — once the batch
@@ -279,9 +268,7 @@ let with_trace_piece base = function
   | Some w -> Bytesutil.concat (base @ [ trace_to_bytes w ])
 
 let encode_request = function
-  | Hello { client; proto } ->
-    if proto = 1 then Bytesutil.concat [ "hello"; client ]
-    else Bytesutil.concat [ "hello"; client; string_of_int proto ]
+  | Hello { client; proto } -> Bytesutil.concat [ "hello"; client; string_of_int proto ]
   | Search { client; request_id; batched; tokens; trace } ->
     with_trace_piece
       [ "search"; client; request_id; bool_tag batched; Persist.tokens_to_bytes tokens ]
@@ -336,10 +323,6 @@ let decode_insert ~trace client request_id shipment_blob trapdoor_blob =
 let decode_request s =
   let* pieces = Bytesutil.split s in
   match pieces with
-  (* A bare two-piece hello is what revision-1 clients emit: decode it
-     as [proto = 1] so the service can refuse it by name rather than
-     dropping it as unparseable. *)
-  | [ "hello"; client ] -> Some (Hello { client; proto = 1 })
   | [ "hello"; client; proto ] ->
     let* proto = nat_of_string proto in
     Some (Hello { client; proto })
@@ -461,13 +444,14 @@ let encode_response = function
   | Refused { code; detail } ->
     Bytesutil.concat [ "refused"; err_code_to_string code; detail ]
 
-let decode_welcome ~shards pieces =
+let decode_welcome pieces =
   match pieces with
   | [ width; payment; generation; modulus; generator; tdp_n; tdp_e;
-      u_k; u_k_r; trapdoor_blob; user_addr; ac ] ->
+      u_k; u_k_r; trapdoor_blob; pv_user_addr; ac; shards; pv_instance ] ->
     let* pv_width = nat_of_string width in
     let* pv_payment = nat_of_string payment in
     let* pv_generation = nat_of_string generation in
+    let* pv_shards = nat_of_string shards in
     let* pv_trapdoor = Persist.trapdoor_state_of_bytes trapdoor_blob in
     let* u_tdp_public =
       match
@@ -476,14 +460,13 @@ let decode_welcome ~shards pieces =
       | pk -> Some pk
       | exception Invalid_argument _ -> None
     in
-    let pv_shards, pv_instance = shards in
     Some
       (Welcome
          { pv_width; pv_payment; pv_generation;
            pv_acc = { Rsa_acc.modulus = Bigint.of_bytes_be modulus;
                       generator = Bigint.of_bytes_be generator };
            pv_user_keys = { Keys.u_k; u_k_r; u_tdp_public };
-           pv_trapdoor; pv_user_addr = user_addr; pv_ac = Bigint.of_bytes_be ac;
+           pv_trapdoor; pv_user_addr; pv_ac = Bigint.of_bytes_be ac;
            pv_shards; pv_instance })
   | _ -> None
 
@@ -503,16 +486,7 @@ let decode_found ?settle ~parts pieces =
 let decode_response s =
   let* pieces = Bytesutil.split s in
   match pieces with
-  (* Revision-1 Welcome (no topology tail) still decodes: one shard,
-     anonymous instance. *)
-  | "welcome" :: ([ _; _; _; _; _; _; _; _; _; _; _; _ ] as rest) ->
-    decode_welcome ~shards:(1, "") rest
-  | "welcome" :: width :: payment :: generation :: modulus :: generator :: tdp_n :: tdp_e
-    :: u_k :: u_k_r :: trapdoor_blob :: user_addr :: ac :: [ shards; instance ] ->
-    let* pv_shards = nat_of_string shards in
-    decode_welcome ~shards:(pv_shards, instance)
-      [ width; payment; generation; modulus; generator; tdp_n; tdp_e;
-        u_k; u_k_r; trapdoor_blob; user_addr; ac ]
+  | "welcome" :: rest -> decode_welcome rest
   | [ "found"; sr_request_id; generation; claims_blob; witness_blob; receipt_blob; ac ] ->
     decode_found ~parts:[]
       [ sr_request_id; generation; claims_blob; witness_blob; receipt_blob; ac ]

@@ -8,33 +8,18 @@ val request_tag : int
 val response_tag : int
 
 val proto_version : int
-(** The protocol feature revision this build speaks (4). Revision 4
-    adds batched optimistic settlement: an optional settlement piece on
-    Found (absent, the bytes are identical to revision 3), the
-    {!request-Receipt} finality poll, and the {!request-Dispute}
-    challenge. Revision 1 is
-    Revision 1 is
-    the pre-cluster protocol: its Hello carries no proto field and its
-    Found replies can never carry per-shard parts. Revision 3 adds an
-    optional trace-context piece to Search/Build/Insert — absent, the
-    bytes are identical to revision 2 — plus the {!Traces} admin drain.
-    A server accepts any revision in [{!min_proto_version},
-    {!proto_version}] and refuses older Hellos with
-    [Refused Version_mismatch], so pre-cluster clients fail loudly at
-    the handshake instead of mis-framing later replies. *)
-
-val min_proto_version : int
-(** Oldest revision a server still accepts (2). *)
-
-val proto_accepted : int -> bool
-(** Whether a Hello's revision falls in the accepted window. *)
+(** The one protocol revision this build speaks (5). A Hello naming any
+    other revision is refused with [Refused Version_mismatch], so a
+    peer built before revision 5 fails loudly at the handshake; its
+    Build/Insert payloads (a shipment with a flat entry list) would not
+    decode. Revision 5 ships a Build/Insert shipment as keyword groups
+    only ({!Persist.shipment_to_bytes}). *)
 
 type request =
   | Hello of { client : string; proto : int }
       (** Register and provision: the owner → user authorization channel
           (keys, trapdoor state) plus a funded chain address. [proto] is
-          the client's {!proto_version}; legacy two-piece hellos decode
-          as [proto = 1]. *)
+          the client's {!proto_version}. *)
   | Search of { client : string; request_id : string; batched : bool;
                 tokens : Slicer_types.search_token list;
                 trace : Trace.wire_ctx option }
@@ -64,12 +49,12 @@ type request =
           lost reply must {e not} re-append the shipment's primes or bump
           the generation a second time. *)
   | Receipt of { client : string; request_id : string }
-      (** Poll the settlement status of a deferred receipt (revision 4).
+      (** Poll the settlement status of a deferred receipt.
           Read-only: served from the batch manager's view, no chain
           transaction. *)
   | Dispute of { client : string; request_id : string; shard : int;
                  claims_blob : string; batch_witness : Bigint.t option }
-      (** Challenge a committed batch leaf (revision 4): the client
+      (** Challenge a committed batch leaf: the client
           replays the claims bytes it received ([claims_blob], a
           {!Slicer_contract.encode_claims} blob) and the shared VO if
           the search was batched, and the server relays an on-chain

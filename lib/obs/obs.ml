@@ -362,6 +362,37 @@ let span name f =
       raise exn
   end
 
+(* --- process memory ------------------------------------------------------- *)
+
+external page_size : unit -> int = "slicer_page_size" [@@noalloc]
+
+(* Resident pages: the second field of /proc/self/statm. *)
+let resident_pages () =
+  match open_in "/proc/self/statm" with
+  | exception Sys_error _ -> None
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        match String.split_on_char ' ' (input_line ic) with
+        | _ :: resident :: _ -> int_of_string_opt resident
+        | _ -> None
+        | exception End_of_file -> None)
+
+(* The gauges are registered by the first sample, so a process that
+   never sampled exports none of them, and a host without procfs no
+   resident-memory series rather than a zero. *)
+let sample_memory () =
+  let set name help v = Gauge.set (gauge ~help name) v in
+  let st = Gc.quick_stat () and word = Sys.word_size / 8 in
+  set "slicer_ocaml_major_heap_bytes" "OCaml major heap size, bytes" (st.Gc.heap_words * word);
+  set "slicer_ocaml_major_heap_top_bytes" "OCaml major heap high-water mark, bytes"
+    (st.Gc.top_heap_words * word);
+  match resident_pages () with
+  | Some pages ->
+    set "slicer_process_resident_bytes" "process resident set size, bytes" (pages * page_size ())
+  | None -> ()
+
 (* --- exposition -------------------------------------------------------- *)
 
 module Export = struct

@@ -182,6 +182,16 @@ val trace_enter : (string -> int) ref
 val trace_exit : (unit -> unit) ref
 (** Closes the innermost open span on the calling thread. *)
 
+val sample_memory : unit -> unit
+(** Set the process memory gauges in the default registry:
+    [slicer_process_resident_bytes], from [/proc/self/statm] (never
+    registered where that file cannot be read), and
+    [slicer_ocaml_major_heap_bytes] / [slicer_ocaml_major_heap_top_bytes],
+    the OCaml major heap's current size and high-water mark. Each gauge
+    is registered by the first call that sets it. The Stats handlers
+    call it just before they export, so a scrape reads the footprint at
+    that moment. *)
+
 module Export : sig
   val to_prometheus : ?registry:Registry.t -> unit -> string
   (** Prometheus text exposition: entries sorted by name; histograms as

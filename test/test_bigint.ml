@@ -216,6 +216,120 @@ let gen_kernel_case () =
   let* b = oneof [ return Bigint.zero; return Bigint.one; return (Bigint.pred m); gen_big_pos ~bits:kernel_max_bits () ] in
   return (m, b)
 
+(* --- product kernel ---------------------------------------------------- *)
+
+(* A magnitude from little-endian 31-bit limbs, packed into big-endian
+   bytes. *)
+let of_limbs limbs =
+  let nbytes = ((31 * Array.length limbs) + 7) / 8 in
+  let b = Bytes.make nbytes '\000' in
+  let acc = ref 0 and accbits = ref 0 and pos = ref (nbytes - 1) in
+  Array.iter
+    (fun l ->
+      acc := !acc lor (l lsl !accbits);
+      accbits := !accbits + 31;
+      while !accbits >= 8 do
+        Bytes.set b !pos (Char.chr (!acc land 0xff));
+        acc := !acc lsr 8;
+        accbits := !accbits - 8;
+        decr pos
+      done)
+    limbs;
+  if !accbits > 0 then Bytes.set b !pos (Char.chr !acc);
+  Bigint.of_bytes_be (Bytes.to_string b)
+
+let max_limb = (1 lsl 31) - 1
+let product_max_limbs = 5000
+
+(* Operand bit lengths that sit on a packing or kernel boundary: every
+   31j (a full top limb) and 64k, 64k + 1 (a full top word, one bit
+   into the next) up to 80 words, and the Karatsuba threshold's word
+   count ±1 at the top level and one level down (2T ± 1 words split
+   into halves of about T). *)
+let product_boundary_bits =
+  let t = Bigint.karatsuba_words in
+  List.init 165 (fun j -> 31 * (j + 1))
+  @ List.concat (List.init 80 (fun k -> [ 64 * (k + 1); (64 * (k + 1)) + 1 ]))
+  @ List.concat_map
+      (fun w -> [ (64 * w) - 1; 64 * w; (64 * w) + 1 ])
+      [ t - 1; t; t + 1; (2 * t) - 1; 2 * t; (2 * t) + 1 ]
+  |> List.sort_uniq compare |> Array.of_list
+
+let product_boundary_cases = Array.length product_boundary_bits
+
+(* An operand of exactly [bits] bits whose limbs are random, all ones,
+   about half zero, or all zero below the top limb. *)
+let gen_operand bits =
+  let open QCheck2.Gen in
+  let n = (bits + 30) / 31 in
+  let top_bits = bits - (31 * (n - 1)) in
+  let* fill = int_range 0 3 in
+  let* randoms = array_size (return n) (int_range 0 max_limb) in
+  let* zeros = array_size (return n) bool in
+  let limbs =
+    Array.mapi
+      (fun i r ->
+        match fill with
+        | 0 -> r
+        | 1 -> max_limb
+        | 2 -> if zeros.(i) then 0 else r
+        | _ -> if i = n - 1 then 1 else 0)
+      randoms
+  in
+  (* Exactly [top_bits] bits in the top limb: its top bit set. *)
+  let top = limbs.(n - 1) land ((1 lsl top_bits) - 1) in
+  limbs.(n - 1) <- top lor (1 lsl (top_bits - 1));
+  return (of_limbs limbs)
+
+(* A bit length up to [product_max_limbs] limbs, log-uniform: every
+   size class turns up, and the quadratic reference stays affordable. *)
+let gen_length =
+  QCheck2.Gen.map
+    (fun e -> Stdlib.max 1 (int_of_float (2. ** e)))
+    (QCheck2.Gen.float_range 0. (Float.log2 (float_of_int (31 * product_max_limbs))))
+
+(* Even-numbered cases multiply a boundary-length operand by a second
+   one of the same length (balanced) or of a random length (unbalanced);
+   odd-numbered cases take both lengths at random. *)
+let gen_product () =
+  let case = ref 0 in
+  let open QCheck2.Gen in
+  let* balanced = bool in
+  let* r1 = gen_length in
+  let* r2 = gen_length in
+  let i = !case in
+  incr case;
+  let b1, b2 =
+    if i land 1 = 1 then (r1, r2)
+    else
+      let b = product_boundary_bits.(i / 2 mod product_boundary_cases) in
+      (b, if balanced then b else r2)
+  in
+  pair (gen_operand b1) (gen_operand b2)
+
+let test_product_kernel_extremes () =
+  let ones n = of_limbs (Array.make n max_limb) in
+  List.iter
+    (fun (la, lb) ->
+      let a = ones la and b = ones lb in
+      Alcotest.(check bool) (Printf.sprintf "all-ones %d x %d limbs" la lb) true
+        (Bigint.equal (Bigint.mul_schoolbook a b) (Bigint.mul_kernel a b)))
+    [ (1, 1); (1, product_max_limbs); (product_max_limbs, product_max_limbs) ];
+  check_eq "zero" Bigint.zero (Bigint.mul_kernel Bigint.zero (ones 40));
+  check_eq "signs" (Bigint.neg (Bigint.mul_schoolbook (ones 70) (ones 90)))
+    (Bigint.mul_kernel (Bigint.neg (ones 70)) (ones 90))
+
+(* The byte fold [of_bytes_be] replaced: one multiply-add per byte. *)
+let of_bytes_fold s =
+  String.fold_left (fun acc c -> Bigint.add_int (Bigint.mul_int acc 256) (Char.code c)) Bigint.zero s
+
+(* 0–600 bytes, often behind a run of leading zero bytes. *)
+let gen_bytes =
+  let open QCheck2.Gen in
+  let* zeros = oneof [ return 0; int_range 1 40 ] in
+  let* body = string_size ~gen:char (int_range 0 (600 - zeros)) in
+  return (String.make zeros '\000' ^ body)
+
 let props =
   [ prop "int add matches" (pair gen_small gen_small) (fun (a, b) ->
         Bigint.equal (Bigint.add (bi a) (bi b)) (bi (a + b)));
@@ -322,6 +436,17 @@ let props =
       (triple (gen_big ~bits:30_000 ()) (gen_big ~bits:30_000 ()) (gen_big ~bits:30_000 ()))
       (fun (a, b, c) ->
         Bigint.equal (Bigint.mul a (Bigint.add b c)) (Bigint.add (Bigint.mul a b) (Bigint.mul a c)));
+    prop "product kernel matches the schoolbook" ~count:(2 * product_boundary_cases)
+      (gen_product ())
+      (fun (a, b) ->
+        let expected = Bigint.mul_schoolbook a b in
+        Bigint.equal expected (Bigint.mul_kernel a b) && Bigint.equal expected (Bigint.mul a b));
+    prop "of_bytes_be round-trips with to_bytes_be" ~count:500 gen_bytes (fun s ->
+        let x = Bigint.of_bytes_be s in
+        if s = "" then Bigint.is_zero x
+        else String.equal s (Bigint.to_bytes_be ~len:(String.length s) x));
+    prop "of_bytes_be agrees with the byte fold" ~count:300 gen_bytes (fun s ->
+        Bigint.equal (of_bytes_fold s) (Bigint.of_bytes_be s));
     prop "lucas ladder matches the recurrence" ~count:(2 * boundary_cases)
       (triple (gen_kernel_modulus ())
          QCheck2.Gen.(oneof [ int_range (-50) 50; oneofl [ -1; 1 ] ])
@@ -368,5 +493,6 @@ let () =
           Alcotest.test_case "knuth add-back" `Quick test_knuth_add_back;
           Alcotest.test_case "error paths" `Quick test_error_paths;
           Alcotest.test_case "mod_pow edge bases" `Quick test_mod_pow_zero_base;
-          Alcotest.test_case "gcd" `Quick test_gcd ] );
+          Alcotest.test_case "gcd" `Quick test_gcd;
+          Alcotest.test_case "product kernel extremes" `Quick test_product_kernel_extremes ] );
       ("properties", props) ]

@@ -168,74 +168,80 @@ let test_split_invariants () =
   let _, _, params, _, shipment = Lazy.force shared in
   let k = 3 in
   let bases = Array.make k params.Rsa_acc.generator in
-  match Cluster.Split.shipment ~params ~base_acs:bases shipment with
-  | Error e -> Alcotest.failf "split: %s" e
-  | Ok parts ->
-    Alcotest.(check int) "one shipment per shard" k (Array.length parts);
-    Array.iteri
-      (fun i (part : Owner.shipment) ->
-        List.iter
-          (fun g ->
-            Alcotest.(check int) "group routed to its own shard" i
-              (Cluster.Shard_key.of_group ~shards:k g))
-          part.Owner.sh_groups;
-        Alcotest.(check (list (pair string string)))
-          "per-shard entries are the concatenation of its groups"
-          (List.concat_map (fun g -> g.Owner.kg_entries) part.Owner.sh_groups)
-          part.Owner.sh_entries;
-        Alcotest.(check (list string))
-          "per-shard primes are its groups' primes, in order"
-          (List.map (fun g -> Bigint.to_string g.Owner.kg_prime) part.Owner.sh_groups)
-          (List.map Bigint.to_string part.Owner.sh_primes);
-        (* Ac_i = g ^ (prod of this shard's primes): never another
-           shard's — what keeps Algorithm-5 checks per-shard. *)
-        Alcotest.(check bool) "per-shard accumulator lifts only its own primes" true
-          (Bigint.equal part.Owner.sh_ac
-             (Rsa_acc.add_batch params params.Rsa_acc.generator part.Owner.sh_primes)))
-      parts;
-    let flat f = Array.to_list parts |> List.concat_map f in
-    Alcotest.(check (list (pair string string))) "no entry lost or duplicated"
-      (sorted_entries shipment.Owner.sh_entries)
-      (sorted_entries (flat (fun p -> p.Owner.sh_entries)));
-    Alcotest.(check (list string)) "no prime lost or duplicated"
-      (prime_strings shipment.Owner.sh_primes)
-      (prime_strings (flat (fun p -> p.Owner.sh_primes)))
+  let parts = Cluster.Split.shipment ~params ~base_acs:bases shipment in
+  Alcotest.(check int) "one shipment per shard" k (Array.length parts);
+  Array.iteri
+    (fun i (part : Owner.shipment) ->
+      List.iter
+        (fun g ->
+          Alcotest.(check int) "group routed to its own shard" i
+            (Cluster.Shard_key.of_group ~shards:k g))
+        part.Owner.sh_groups;
+      Alcotest.(check (list string))
+        "per-shard groups are the owner's groups for that shard, in keyword order"
+        (List.filter_map
+           (fun g ->
+             if Cluster.Shard_key.of_group ~shards:k g = i then Some g.Owner.kg_g1 else None)
+           shipment.Owner.sh_groups)
+        (List.map (fun g -> g.Owner.kg_g1) part.Owner.sh_groups);
+      (* Ac_i = g ^ (prod of this shard's primes): never another
+         shard's — what keeps Algorithm-5 checks per-shard. *)
+      Alcotest.(check bool) "per-shard accumulator lifts only its own primes" true
+        (Bigint.equal part.Owner.sh_ac
+           (Rsa_acc.add_batch params params.Rsa_acc.generator (Owner.shipment_primes part))))
+    parts;
+  let flat f = Array.to_list parts |> List.concat_map f in
+  Alcotest.(check (list (pair string string))) "no entry lost or duplicated"
+    (sorted_entries (Owner.shipment_entries shipment))
+    (sorted_entries (flat Owner.shipment_entries));
+  Alcotest.(check (list string)) "no prime lost or duplicated"
+    (prime_strings (Owner.shipment_primes shipment))
+    (prime_strings (flat Owner.shipment_primes))
 
 let test_split_degenerate_and_archive () =
   let _, _, params, _, shipment = Lazy.force shared in
   (* A 1-shard split is the identity: same entries in order, and the
      accumulation value the owner computed. *)
   (match Cluster.Split.shipment ~params ~base_acs:[| params.Rsa_acc.generator |] shipment with
-   | Error e -> Alcotest.failf "1-shard split: %s" e
-   | Ok [| only |] ->
+   | [| only |] ->
      Alcotest.(check (list (pair string string))) "identity on entries"
-       shipment.Owner.sh_entries only.Owner.sh_entries;
+       (Owner.shipment_entries shipment) (Owner.shipment_entries only);
+     Alcotest.(check (list string)) "identity on the groups"
+       (List.map (fun g -> g.Owner.kg_g1) shipment.Owner.sh_groups)
+       (List.map (fun g -> g.Owner.kg_g1) only.Owner.sh_groups);
      Alcotest.(check bool) "identity on the accumulator" true
        (Bigint.equal shipment.Owner.sh_ac only.Owner.sh_ac)
-   | Ok parts -> Alcotest.failf "1-shard split produced %d parts" (Array.length parts));
-  (* Pre-cluster archive shipments carry no groups and cannot be split
-     faithfully — that must be a structured error, not a guess. *)
-  (match
-     Cluster.Split.shipment ~params
-       ~base_acs:(Array.make 2 params.Rsa_acc.generator)
-       { shipment with Owner.sh_groups = [] }
-   with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "groupless shipment with entries was split");
+   | parts -> Alcotest.failf "1-shard split produced %d parts" (Array.length parts));
+  (* Pre-cluster archive shipments ([entries; primes; ac], no groups)
+     and the later flat-plus-groups form cannot be split faithfully:
+     they are refused as malformed before anything could split them. *)
+  let entries_blob =
+    Bytesutil.concat
+      (List.concat_map (fun (l, d) -> [ l; d ]) (Owner.shipment_entries shipment))
+  in
+  let primes_blob =
+    Bytesutil.concat (List.map Bigint.to_bytes_be (Owner.shipment_primes shipment))
+  in
+  let ac = Bigint.to_bytes_be shipment.Owner.sh_ac in
+  let groups_blob =
+    Bytesutil.concat (List.map Persist.group_to_bytes shipment.Owner.sh_groups)
+  in
+  Alcotest.(check bool) "three-piece archive shipment refused" true
+    (Persist.shipment_of_bytes (Bytesutil.concat [ entries_blob; primes_blob; ac ]) = None);
+  Alcotest.(check bool) "flat-plus-groups shipment refused" true
+    (Persist.shipment_of_bytes
+       (Bytesutil.concat [ entries_blob; primes_blob; ac; groups_blob ])
+     = None);
   (* ... while a genuinely empty shipment splits into empty slices with
      every shard's accumulator untouched. *)
-  let empty =
-    { Owner.sh_entries = []; sh_primes = []; sh_ac = shipment.Owner.sh_ac; sh_groups = [] }
-  in
+  let empty = { Owner.sh_groups = []; sh_ac = shipment.Owner.sh_ac } in
   let bases = [| shipment.Owner.sh_ac; params.Rsa_acc.generator |] in
-  match Cluster.Split.shipment ~params ~base_acs:bases empty with
-  | Error e -> Alcotest.failf "empty split: %s" e
-  | Ok parts ->
-    Array.iteri
-      (fun i (p : Owner.shipment) ->
-        Alcotest.(check bool) "empty slice leaves Ac_i unchanged" true
-          (Bigint.equal bases.(i) p.Owner.sh_ac))
-      parts
+  Array.iteri
+    (fun i (p : Owner.shipment) ->
+      Alcotest.(check bool) "empty slice carries no groups" true (p.Owner.sh_groups = []);
+      Alcotest.(check bool) "empty slice leaves Ac_i unchanged" true
+        (Bigint.equal bases.(i) p.Owner.sh_ac))
+    (Cluster.Split.shipment ~params ~base_acs:bases empty)
 
 (* --- topology -------------------------------------------------------------- *)
 
@@ -398,9 +404,12 @@ let test_cluster_end_to_end () =
          Alcotest.(check string) "welcome names the router" "router-test" p.Wire.pv_instance
        | Ok _ -> Alcotest.fail "hello through the router did not provision"
        | Error e -> Alcotest.failf "hello: %s" (Net.Client.error_to_string e));
-      (match Cluster.Router.handle router (Wire.Hello { client = "old"; proto = 1 }) with
-       | Wire.Refused { code = Wire.Version_mismatch; _ } -> ()
-       | _ -> Alcotest.fail "protocol 1 hello not refused as a version mismatch");
+      List.iter
+        (fun proto ->
+          match Cluster.Router.handle router (Wire.Hello { client = "old"; proto }) with
+          | Wire.Refused { code = Wire.Version_mismatch; _ } -> ()
+          | _ -> Alcotest.failf "protocol %d hello not refused as a version mismatch" proto)
+        [ 1; Wire.proto_version - 1 ];
       (* Merged stats name the router and its shard sections. *)
       (match Cluster.Router.handle router Wire.Stats with
        | Wire.Stats_reply { st_json; _ } ->

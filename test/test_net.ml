@@ -215,8 +215,10 @@ let check_request_roundtrip (req : Wire.request) =
        Alcotest.(check string) "user k" a.user_k b.user_k;
        Alcotest.(check bool) "shipment ac" true
          (Bigint.equal a.shipment.Owner.sh_ac b.shipment.Owner.sh_ac);
-       Alcotest.(check int) "shipment entries" (List.length a.shipment.Owner.sh_entries)
-         (List.length b.shipment.Owner.sh_entries);
+       Alcotest.(check int) "shipment entries" (List.length (Owner.shipment_entries a.shipment))
+         (List.length (Owner.shipment_entries b.shipment));
+       Alcotest.(check string) "shipment bytes" (Persist.shipment_to_bytes a.shipment)
+         (Persist.shipment_to_bytes b.shipment);
        Alcotest.(check bool) "trapdoor state" true
          (trapdoor_list a.trapdoor = trapdoor_list b.trapdoor)
      | Wire.Insert a, Wire.Insert b ->
@@ -694,6 +696,79 @@ let test_malformed_frames_get_structured_errors () =
       | Ok _ -> Alcotest.fail "server kept an unsyncable stream open"
       | Error e -> Alcotest.failf "expected close, got %s" (Net.Frame.error_to_string e))
 
+(* The revision-4 shipment form: a flat entry list and prime list, then
+   the same entries again inside the keyword groups. *)
+let revision4_shipment_bytes (sh : Owner.shipment) =
+  Bytesutil.concat
+    [ Bytesutil.concat
+        (List.concat_map (fun (l, d) -> [ l; d ]) (Owner.shipment_entries sh));
+      Bytesutil.concat (List.map Bigint.to_bytes_be (Owner.shipment_primes sh));
+      Bigint.to_bytes_be sh.Owner.sh_ac;
+      Bytesutil.concat (List.map Persist.group_to_bytes sh.Owner.sh_groups) ]
+
+(* A peer from before revision 5 fails at the handshake with a
+   structured refusal, and its Build/Insert bytes are refused as
+   malformed rather than decoded. *)
+let test_older_revisions_refused () =
+  ignore (Lazy.force server);
+  List.iter
+    (fun proto ->
+      match Net.Service.handle (Lazy.force service) (Wire.Hello { client = "old-peer"; proto }) with
+      | Wire.Refused { code = Wire.Version_mismatch; _ } -> ()
+      | _ -> Alcotest.failf "revision %d hello not refused as a version mismatch" proto)
+    [ 1; Wire.proto_version - 1; Wire.proto_version + 1 ];
+  let old_form req =
+    match req with
+    | Wire.Build { shipment; _ } | Wire.Insert { shipment; _ } ->
+      let current = Persist.shipment_to_bytes shipment in
+      (match Bytesutil.split (Wire.encode_request req) with
+       | Some pieces ->
+         Bytesutil.concat
+           (List.map
+              (fun p -> if String.equal p current then revision4_shipment_bytes shipment else p)
+              pieces)
+       | None -> Alcotest.fail "request bytes did not split")
+    | _ -> Alcotest.fail "not a shipment request"
+  in
+  let shipment_requests =
+    List.filter
+      (function Wire.Build _ | Wire.Insert _ -> true | _ -> false)
+      (Lazy.force sample_requests)
+  in
+  Alcotest.(check int) "a Build and an Insert" 2 (List.length shipment_requests);
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (match endpoint () with
+   | Net.Server.Tcp (h, p) -> Unix.connect fd (Unix.ADDR_INET (Net.Server.resolve_host h, p))
+   | Net.Server.Unix_socket p -> Unix.connect fd (Unix.ADDR_UNIX p));
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let exchange payload =
+        Net.Frame.write fd ~tag:Wire.request_tag payload;
+        match Net.Frame.read ~timeout:5. fd with
+        | Ok { Net.Frame.payload; _ } -> Wire.decode_response payload
+        | Error e -> Alcotest.failf "no reply: %s" (Net.Frame.error_to_string e)
+      in
+      (match
+         exchange
+           (Wire.encode_request (Wire.Hello { client = "old-peer"; proto = Wire.proto_version - 1 }))
+       with
+       | Some (Wire.Refused { code = Wire.Version_mismatch; detail }) ->
+         Alcotest.(check string) "the refusal names both revisions"
+           (Printf.sprintf "client speaks protocol revision %d, this server speaks %d"
+              (Wire.proto_version - 1) Wire.proto_version)
+           detail
+       | _ -> Alcotest.fail "revision-4 hello over the wire not refused");
+      List.iter
+        (fun req ->
+          let bytes = old_form req in
+          Alcotest.(check bool) "old-form payload does not decode" true
+            (Wire.decode_request bytes = None);
+          match exchange bytes with
+          | Some (Wire.Refused { code = Wire.Bad_request; _ }) -> ()
+          | _ -> Alcotest.fail "old-form shipment not refused as malformed")
+        shipment_requests)
+
 let test_busy_refusal_exhausts () =
   (* A zero-capacity server refuses every request with Busy; the client
      retries with backoff and finally reports exhaustion. *)
@@ -876,6 +951,60 @@ let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
+
+(* After a Build over the wire, a Stats scrape reports the server's
+   footprint: its resident set (where procfs exists) and the OCaml
+   major heap's size and high-water mark. *)
+let test_stats_memory_gauges () =
+  let svc = Net.Service.create () in
+  let srv = Net.Server.start (Net.Service.handle svc) in
+  Fun.protect
+    ~finally:(fun () -> Net.Server.stop srv)
+    (fun () ->
+      let rng = Drbg.create ~seed:"gauge-owner" in
+      let keys = Keys.generate ~tdp_bits:512 ~rng () in
+      let acc_params = Rsa_acc.setup ~rng ~bits:512 () in
+      let owner = Owner.create ~width ~rng ~acc_params ~keys () in
+      let shipment = Owner.build owner (Gen.uniform_records ~rng ~width 15) in
+      match Net.Client.connect ~name:"gauge-owner" ~provision:false (Net.Server.endpoint srv) with
+      | Error e -> Alcotest.failf "connect: %s" (Net.Client.error_to_string e)
+      | Ok oc ->
+        Fun.protect
+          ~finally:(fun () -> Net.Client.close oc)
+          (fun () ->
+            (match
+               Net.Client.build oc ~width ~payment:500 ~acc:acc_params
+                 ~tdp_public:keys.Keys.tdp_public ~user_keys:(Keys.for_user keys) ~shipment
+                 ~trapdoor:(Owner.export_trapdoor_state owner)
+             with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "build: %s" (Net.Client.error_to_string e));
+            match Net.Client.stats oc with
+            | Error e -> Alcotest.failf "stats: %s" (Net.Client.error_to_string e)
+            | Ok (st_json, st_text) ->
+              let gauge name =
+                String.split_on_char '\n' st_text
+                |> List.find_map (fun line ->
+                       match String.split_on_char ' ' line with
+                       | [ n; x ] when n = name -> int_of_string_opt x
+                       | _ -> None)
+              in
+              let heap = gauge "slicer_ocaml_major_heap_bytes"
+              and top = gauge "slicer_ocaml_major_heap_top_bytes"
+              and rss = gauge "slicer_process_resident_bytes" in
+              (match (heap, top) with
+               | Some h, Some t ->
+                 Alcotest.(check bool) "major heap is non-empty" true (h > 0);
+                 Alcotest.(check bool) "high-water mark covers the heap" true (t >= h)
+               | _ -> Alcotest.fail "major heap gauges missing");
+              if Sys.file_exists "/proc/self/statm" then begin
+                match rss with
+                | Some r -> Alcotest.(check bool) "resident set is non-empty" true (r > 0)
+                | None -> Alcotest.fail "resident-set gauge missing"
+              end
+              else Alcotest.(check bool) "no resident-set gauge without procfs" true (rss = None);
+              Alcotest.(check bool) "json carries the heap gauge" true
+                (contains st_json "slicer_ocaml_major_heap_bytes")))
 
 let test_stats_over_the_wire () =
   (* The admin endpoint end to end: an unprovisioned client scrapes the
@@ -1891,12 +2020,15 @@ let () =
             test_tampering_server_refused_payment;
           Alcotest.test_case "malformed frames get structured errors" `Quick
             test_malformed_frames_get_structured_errors;
+          Alcotest.test_case "older revisions refused at hello and shipment" `Quick
+            test_older_revisions_refused;
           Alcotest.test_case "busy refusal exhausts retries" `Quick test_busy_refusal_exhausts;
           Alcotest.test_case "kill and restart mid-load" `Quick test_kill_restart_mid_load;
           Alcotest.test_case "build and insert over the wire" `Quick
             test_build_and_insert_over_the_wire;
           Alcotest.test_case "read timeout kicks idlers" `Quick test_read_timeout_kicks_idlers;
-          Alcotest.test_case "stats over the wire" `Quick test_stats_over_the_wire ] );
+          Alcotest.test_case "stats over the wire" `Quick test_stats_over_the_wire;
+          Alcotest.test_case "memory gauges after a build" `Quick test_stats_memory_gauges ] );
       ( "event loop",
         [ Alcotest.test_case "decoder: byte-at-a-time" `Quick test_decoder_byte_at_a_time;
           Alcotest.test_case "decoder: zero-copy parsing" `Quick test_decoder_zero_copy;

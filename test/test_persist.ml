@@ -44,15 +44,49 @@ let owner_shipment () =
 
 let test_shipment_roundtrip () =
   let _, shipment = owner_shipment () in
-  match Persist.shipment_of_bytes (Persist.shipment_to_bytes shipment) with
+  let bytes = Persist.shipment_to_bytes shipment in
+  match Persist.shipment_of_bytes bytes with
   | None -> Alcotest.fail "roundtrip failed"
   | Some back ->
-    Alcotest.(check bool) "entries" true (back.Owner.sh_entries = shipment.Owner.sh_entries);
-    Alcotest.(check int) "primes" (List.length shipment.Owner.sh_primes) (List.length back.Owner.sh_primes);
+    Alcotest.(check int) "groups" (List.length shipment.Owner.sh_groups)
+      (List.length back.Owner.sh_groups);
     List.iter2
-      (fun a b -> Alcotest.(check bool) "prime" true (Bigint.equal a b))
-      shipment.Owner.sh_primes back.Owner.sh_primes;
-    Alcotest.(check bool) "ac" true (Bigint.equal shipment.Owner.sh_ac back.Owner.sh_ac)
+      (fun (a : Owner.keyword_group) (b : Owner.keyword_group) ->
+        Alcotest.(check string) "group key" a.Owner.kg_g1 b.Owner.kg_g1;
+        Alcotest.(check bool) "group entries" true (a.Owner.kg_entries = b.Owner.kg_entries);
+        Alcotest.(check bool) "group prime" true (Bigint.equal a.Owner.kg_prime b.Owner.kg_prime))
+      shipment.Owner.sh_groups back.Owner.sh_groups;
+    Alcotest.(check bool) "ac" true (Bigint.equal shipment.Owner.sh_ac back.Owner.sh_ac);
+    Alcotest.(check string) "re-encodes to the same bytes" bytes (Persist.shipment_to_bytes back)
+
+(* Occurrences of [needle] in [hay]. *)
+let occurrences ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let count = ref 0 in
+  for i = 0 to h - n do
+    if String.sub hay i n = needle then incr count
+  done;
+  !count
+
+(* The Build shipment carries each index entry once, inside its group:
+   the encoding is exactly Ac plus the group encodings (4-byte length
+   prefixes aside), and every entry's position and payload occur once. *)
+let test_shipment_encodes_each_entry_once () =
+  let _, shipment = owner_shipment () in
+  let bytes = Persist.shipment_to_bytes shipment in
+  let framed s = 4 + String.length s in
+  let groups = List.map Persist.group_to_bytes shipment.Owner.sh_groups in
+  Alcotest.(check int) "size is Ac plus the group encodings"
+    (framed (Bigint.to_bytes_be shipment.Owner.sh_ac)
+     + 4 + List.fold_left (fun n g -> n + framed g) 0 groups)
+    (String.length bytes);
+  let entries = Owner.shipment_entries shipment in
+  Alcotest.(check bool) "the shipment has entries" true (List.length entries > 50);
+  List.iter
+    (fun (l, d) ->
+      Alcotest.(check int) "position occurs once" 1 (occurrences ~needle:l bytes);
+      Alcotest.(check int) "payload occurs once" 1 (occurrences ~needle:d bytes))
+    entries
 
 let test_shipment_feeds_cloud () =
   (* A shipment that crossed the wire must drive a cloud identically. *)
@@ -63,9 +97,13 @@ let test_shipment_feeds_cloud () =
   | Some shipped ->
     let keys = Owner.keys owner in
     let cloud = Cloud.create ~acc_params:(Owner.acc_params owner) ~tdp_public:keys.Keys.tdp_public () in
-    Cloud.install cloud shipped;
-    Alcotest.(check int) "entry count" (List.length shipment.Owner.sh_entries) (Cloud.index_entries cloud);
-    Alcotest.(check int) "prime count" (List.length shipment.Owner.sh_primes) (Cloud.prime_count cloud)
+    Cloud.install cloud ~entries:(Owner.shipment_entries shipped)
+      ~primes:(Owner.shipment_primes shipped) ~ac:shipped.Owner.sh_ac;
+    Alcotest.(check int) "entry count" (List.length (Owner.shipment_entries shipment))
+      (Cloud.index_entries cloud);
+    Alcotest.(check int) "prime count" (List.length shipment.Owner.sh_groups)
+      (Cloud.prime_count cloud);
+    Alcotest.(check bool) "ac" true (Bigint.equal shipment.Owner.sh_ac (Cloud.current_ac cloud))
 
 let test_trapdoor_state_roundtrip () =
   let owner, _ = owner_shipment () in
@@ -151,6 +189,8 @@ let () =
         [ Alcotest.test_case "records roundtrip" `Quick test_record_roundtrip;
           Alcotest.test_case "records malformed" `Quick test_records_malformed;
           Alcotest.test_case "shipment roundtrip" `Quick test_shipment_roundtrip;
+          Alcotest.test_case "shipment encodes each entry once" `Quick
+            test_shipment_encodes_each_entry_once;
           Alcotest.test_case "shipment feeds a cloud" `Quick test_shipment_feeds_cloud;
           Alcotest.test_case "trapdoor state roundtrip" `Quick test_trapdoor_state_roundtrip;
           Alcotest.test_case "token bytes roundtrip" `Quick test_token_bytes_roundtrip;

@@ -1,7 +1,8 @@
 (* Distributed tracing, bottom-up: root/child semantics and the
    publication gates (sampling, slow threshold, remote adoption), ring
-   drain accounting under domain parallelism, the revision-3 wire codec
-   (an absent trace piece must be byte-identical to revision 2), tree
+   drain accounting under domain parallelism, the wire codec's trace
+   piece (an untraced request must carry none: the bytes without a
+   trace context are pinned), tree
    assembly with its render/Chrome exports, histogram exemplars, and
    the merged stats JSON the CLI prints for repeated --addr. *)
 
@@ -270,9 +271,9 @@ let test_v2_byte_identity () =
     Bytesutil.concat
       [ "search"; "alice"; "req-1"; "1"; Persist.tokens_to_bytes tokens ]
   in
-  Alcotest.(check string) "trace-less Search is the revision-2 bytes" legacy
+  Alcotest.(check string) "trace-less Search carries no trace piece" legacy
     (Wire.encode_request req);
-  Alcotest.(check bool) "revision-2 bytes decode with no trace" true
+  Alcotest.(check bool) "trace-less bytes decode with no trace" true
     (Wire.decode_request legacy = Some req);
   let ctx = { Trace.w_trace = 0xdeadbeefL; w_parent = 42 } in
   let stamped = Wire.with_trace (Some ctx) req in
