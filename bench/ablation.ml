@@ -13,8 +13,9 @@
       verification O(1) storage); Merkle proofs are logarithmic and
       reveal the leaf position.
 
-   C. Per-query witness generation vs precomputed witnesses — the
-      cloud-side trade the paper leaves implicit in Fig. 5b/5d. *)
+   C. Per-query vs precomputed witness generation is measured by the
+      witness figure ([bench/main.exe witness]): its cold, warm and
+      warm_all columns. *)
 
 let ops_per_sec f =
   let t0 = Unix.gettimeofday () in
@@ -92,32 +93,6 @@ let ads_ablation () =
   Printf.printf
     "\n(accumulator: constant 64B witnesses, position-free, modexp verify;\n\
     \ Merkle: log-size proofs, position-revealing, hash verify - the paper's Section III trade)\n"
-
-let witness_ablation () =
-  Bench_common.header "Ablation C - per-query vs precomputed witness generation";
-  let width = 8 in
-  Bench_common.row_header [ "records"; "VO/query"; "VO cached"; "precompute" ];
-  List.iter
-    (fun size ->
-      let sys = Bench_common.build_system ~width ~size in
-      let query () =
-        let v = Drbg.uniform_int sys.Bench_common.bs_rng (1 lsl width) in
-        User.gen_tokens ~rng:sys.Bench_common.bs_rng sys.Bench_common.bs_user
-          (Slicer_types.query v Slicer_types.Eq)
-      in
-      let tokens = query () in
-      let _, t_fresh = Bench_common.time (fun () -> Cloud.search_instrumented sys.Bench_common.bs_cloud tokens) in
-      ignore t_fresh;
-      let _, per_query =
-        Bench_common.time (fun () -> snd (Cloud.search_instrumented sys.Bench_common.bs_cloud tokens))
-      in
-      let (), precompute = Bench_common.time (fun () -> Cloud.precompute_witnesses sys.Bench_common.bs_cloud) in
-      let _, cached =
-        Bench_common.time (fun () -> snd (Cloud.search_instrumented sys.Bench_common.bs_cloud tokens))
-      in
-      Bench_common.row (string_of_int size)
-        [ Bench_common.seconds per_query; Bench_common.seconds cached; Bench_common.seconds precompute ])
-    [ 250; 1000 ]
 
 let batched_ablation () =
   Bench_common.header "Ablation D - per-claim vs batched on-chain settlement (order search)";
@@ -205,21 +180,22 @@ let forward_ablation () =
       let generations =
         match tokens with t :: _ -> t.Slicer_types.st_updates | [] -> 0
       in
-      let claims, t = Cloud.search_instrumented sys.Bench_common.bs_cloud tokens in
-      let nresults =
-        List.fold_left (fun n (c : Slicer_contract.claim) -> n + List.length c.Slicer_contract.results) 0 claims
-      in
-      Bench_common.row (string_of_int updates)
-        [ string_of_int generations;
-          Bench_common.seconds t.Cloud.result_seconds;
-          Bench_common.seconds t.Cloud.vo_seconds;
-          string_of_int nresults ])
+      match Bench_common.timed_search sys.Bench_common.bs_cloud tokens with
+      | None -> failwith "ablation F: a fresh cloud answered from its claim cache"
+      | Some (claims, result_s, vo_s) ->
+        let nresults =
+          List.fold_left (fun n (c : Slicer_contract.claim) -> n + List.length c.Slicer_contract.results) 0 claims
+        in
+        Bench_common.row (string_of_int updates)
+          [ string_of_int generations;
+            Bench_common.seconds result_s;
+            Bench_common.seconds vo_s;
+            string_of_int nresults ])
     [ 0; 8; 32; 128 ]
 
 let run () =
   ore_ablation ();
   ads_ablation ();
-  witness_ablation ();
   batched_ablation ();
   servedb_ablation ();
   forward_ablation ()

@@ -234,3 +234,23 @@ let build_system ~width ~size =
 let average_queries ~n f =
   let rec go i acc = if i >= n then acc /. float_of_int n else go (i + 1) (acc +. f i) in
   go 0 0.
+
+(* Seconds recorded so far under a span name (0 before its first use). *)
+let span_seconds name =
+  match Obs.find_span_histogram name with
+  | None -> 0.
+  | Some h -> float_of_int (Obs.Histogram.snapshot h).Obs.Histogram.sn_sum /. 1e9
+
+(* One [Cloud.search] with the split Fig. 5 reports, read from its span
+   histograms: result generation is [cloud.collect] (index traversal and
+   unmasking), VO generation the rest of [cloud.search] (multiset hash,
+   prime representative and witness). [None] when the claim cache
+   answered some token: that time is a memo lookup, not Algorithm 4. *)
+let timed_search cloud tokens =
+  let hits () = Obs.counter_value "slicer_cloud_claim_cache_hits_total" in
+  let hits0 = hits () in
+  let collect0 = span_seconds "cloud.collect" and search0 = span_seconds "cloud.search" in
+  let claims = Cloud.search cloud tokens in
+  let result_s = span_seconds "cloud.collect" -. collect0 in
+  let vo_s = span_seconds "cloud.search" -. search0 -. result_s in
+  if hits () > hits0 then None else Some (claims, result_s, vo_s)

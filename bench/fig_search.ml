@@ -3,8 +3,9 @@
 
    Per width and record count, random equality and order queries are
    executed against the cloud; we report the result-generation and
-   VO-generation time split (Fig. 5a-d) and the produced overhead:
-   token count, encrypted-result bytes and VO bytes (Fig. 6a-d).
+   VO-generation time split (Fig. 5a-d, read from the [cloud.collect]
+   and [cloud.search] spans) and the produced overhead: token count,
+   encrypted-result bytes and VO bytes (Fig. 6a-d).
 
    Paper shapes: equality result generation grows faster at 8 bits
    (denser matches); order VO generation grows with both records and
@@ -14,8 +15,9 @@ let measure sys ~cond ~queries =
   let open Bench_common in
   let width = sys.bs_width in
   let totals = ref (0., 0., 0, 0, 0) in
+  let measured = ref 0 in
   let record_values = Array.of_list (List.filter_map (fun r -> List.assoc_opt "" r.Slicer_types.fields) sys.bs_records) in
-  for _ = 0 to queries - 1 do
+  let draw () =
     (* Equality queries sample values that exist (the paper's equality
        figures measure non-empty result generation); order queries draw
        uniform pivots. *)
@@ -25,31 +27,40 @@ let measure sys ~cond ~queries =
         record_values.(Drbg.uniform_int sys.bs_rng (Array.length record_values))
       | _ -> Drbg.uniform_int sys.bs_rng (1 lsl width)
     in
-    let q = Slicer_types.query v cond in
-    let tokens = User.gen_tokens ~rng:sys.bs_rng sys.bs_user q in
-    let claims, t = Cloud.search_instrumented sys.bs_cloud tokens in
-    let result_bytes =
-      List.fold_left
-        (fun n (c : Slicer_contract.claim) ->
-          n + List.fold_left (fun m r -> m + String.length r) 0 c.Slicer_contract.results)
-        0 claims
-    in
-    let vo_bytes =
-      List.fold_left
-        (fun n (c : Slicer_contract.claim) ->
-          n + String.length (Bigint.to_bytes_be c.Slicer_contract.witness))
-        0 claims
-    in
-    let rt, vt, tk, rb, vb = !totals in
-    totals :=
-      ( rt +. t.Cloud.result_seconds,
-        vt +. t.Cloud.vo_seconds,
-        tk + List.length tokens,
-        rb + result_bytes,
-        vb + vo_bytes )
+    User.gen_tokens ~rng:sys.bs_rng sys.bs_user (Slicer_types.query v cond)
+  in
+  (* A query the claim cache answered, even in part, is redrawn, so
+     every point times Algorithm 4 rather than a memo lookup. *)
+  let rec fresh_search attempts =
+    if attempts = 0 then None
+    else
+      let tokens = draw () in
+      match timed_search sys.bs_cloud tokens with
+      | Some (claims, rt, vt) -> Some (tokens, claims, rt, vt)
+      | None -> fresh_search (attempts - 1)
+  in
+  for _ = 0 to queries - 1 do
+    match fresh_search 64 with
+    | None -> ()
+    | Some (tokens, claims, rt', vt') ->
+      let result_bytes =
+        List.fold_left
+          (fun n (c : Slicer_contract.claim) ->
+            n + List.fold_left (fun m r -> m + String.length r) 0 c.Slicer_contract.results)
+          0 claims
+      in
+      let vo_bytes =
+        List.fold_left
+          (fun n (c : Slicer_contract.claim) ->
+            n + String.length (Bigint.to_bytes_be c.Slicer_contract.witness))
+          0 claims
+      in
+      let rt, vt, tk, rb, vb = !totals in
+      incr measured;
+      totals := (rt +. rt', vt +. vt', tk + List.length tokens, rb + result_bytes, vb + vo_bytes)
   done;
   let rt, vt, tk, rb, vb = !totals in
-  let f = float_of_int queries in
+  let f = float_of_int (max 1 !measured) in
   ( rt /. f,
     vt /. f,
     float_of_int tk /. f,

@@ -1,7 +1,6 @@
-(* Witness-index benchmarks (the PR-6 perf story): cold vs warm VO
-   latency against the from-scratch recompute path, the insert-time
-   maintenance cost of keeping the index alive versus rebuilding the
-   shared product, and index memory against record count.
+(* Witness-index benchmarks: cold vs warm VO latency against the
+   from-scratch recompute path, the insert-time maintenance cost of
+   keeping the index alive, and index memory against record count.
 
    The warm-path p99 guard at the end is the smoke alias's regression
    tripwire: a warm witness is a mutex-guarded table lookup, so a p99
@@ -42,12 +41,11 @@ let latency_point ~queries n =
     average_queries ~n:(Array.length samples) (fun i ->
         snd (time (fun () -> ignore (Witness_tree.witness wt samples.(i)))))
   in
-  (* The recompute path every query used to pay: exact division off the
-     shared product plus one fixed-base exponentiation. *)
-  let ctx = Rsa_acc.context params xs in
+  (* The from-scratch path: the set's product, one exact division and
+     one fixed-base exponentiation per query. *)
   let recompute_s =
     average_queries ~n:(Array.length samples) (fun i ->
-        snd (time (fun () -> ignore (Rsa_acc.ctx_witness ctx samples.(i)))))
+        snd (time (fun () -> ignore (Rsa_acc.mem_witness params xs samples.(i)))))
   in
   let (), warm_all_s = time (fun () -> Witness_tree.warm_all wt) in
   (* Warm: steady-state per-query latency over many lookups. *)
@@ -91,27 +89,21 @@ let insert_point ~preload batch =
   Witness_tree.warm_all wt;
   (* The maintained path: O(log n) spine products, no exponentiation. *)
   let (), append_s = time (fun () -> Witness_tree.append wt fresh) in
-  (* What the pre-index server did on Insert: drop the shared product
-     and rebuild it from scratch on the next query. *)
-  let (), rebuild_s = time (fun () -> ignore (Rsa_acc.context params (base @ fresh))) in
   (* And the lazy re-basing the first post-insert query pays per leaf. *)
   let x = List.hd base in
   let refresh_s = snd (time (fun () -> ignore (Witness_tree.witness wt x))) in
   row (string_of_int batch)
-    [ Printf.sprintf "%.2fms" (append_s *. 1000.);
-      Printf.sprintf "%.2fms" (rebuild_s *. 1000.);
-      Printf.sprintf "%.2fms" (refresh_s *. 1000.) ];
+    [ Printf.sprintf "%.2fms" (append_s *. 1000.); Printf.sprintf "%.2fms" (refresh_s *. 1000.) ];
   json_row ~figure:"witness" ~series:"insert"
     [ ("preload", J_int preload);
       ("batch", J_int batch);
       ("append_ms", J_float (append_s *. 1000.));
-      ("ctx_rebuild_ms", J_float (rebuild_s *. 1000.));
       ("refresh_ms", J_float (refresh_s *. 1000.)) ]
 
 let run scale =
   header "Witness index - cold vs warm VO generation";
   Printf.printf
-    "(recompute = per-query division + exponentiation; warm = maintained index lookup)\n";
+    "(recompute = per-query product, division and exponentiation; warm = maintained index lookup)\n";
   let queries =
     if scale.label = full_scale.label then 2000
     else if scale.sizes = smoke_scale.sizes then 500
@@ -122,9 +114,8 @@ let run scale =
     List.fold_left (fun acc n -> Float.max acc (latency_point ~queries n)) 0. scale.sizes
   in
   header "Witness index - insert-time maintenance";
-  Printf.printf "(preload %d records; append = spine recompute, vs product rebuild)\n"
-    scale.insert_preload;
-  row_header [ "batch"; "append"; "rebuild"; "refresh" ];
+  Printf.printf "(preload %d records; append = spine recompute)\n" scale.insert_preload;
+  row_header [ "batch"; "append"; "refresh" ];
   List.iter (insert_point ~preload:scale.insert_preload) scale.insert_batches;
   (* The guard: warm witnesses must stay lookup-fast. *)
   if worst_p99 > warm_guard_s then

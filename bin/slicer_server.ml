@@ -122,13 +122,6 @@ let no_metrics_arg =
   let doc = "Disable metrics recording (spans and counters become no-ops)." in
   Arg.(value & flag & info [ "no-metrics" ] ~doc)
 
-let no_witness_index_arg =
-  let doc = "Disable the persistent witness index (escape hatch): every \
-             verification object is recomputed from the shared product \
-             context instead of served from the maintained tree. Values \
-             are identical either way; only latency changes." in
-  Arg.(value & flag & info [ "no-witness-index" ] ~doc)
-
 let instance_arg =
   let doc = "Instance name echoed in Welcome frames and metrics (e.g. \
              $(b,shard-0)). Defaults to $(b,shard-ID) when --shard-count \
@@ -194,24 +187,23 @@ let log_snapshot () =
         (Obs.counter_value "slicer_net_bytes_out_total")
         (Obs.counter_value "slicer_chain_gas_total"))
 
-let self_seed ~seed ~records ~width ~payment ~witness_index ?settle ~instance ~shard () =
+let self_seed ~seed ~records ~width ~payment ?settle ~instance ~shard () =
   Printf.printf "self-seeding %d records (width %d, seed %S)...\n%!" records width seed;
   let rng = Drbg.create ~seed:(seed ^ ":data") in
   let db = Gen.uniform_records ~rng ~width records in
-  let system = Protocol.setup ~width ~payment ~witness_index ~seed db in
+  let system = Protocol.setup ~width ~payment ~seed db in
   Cloud.precompute_witnesses (Protocol.cloud system);
-  Net.Service.of_protocol ~witness_index ?settle ~instance ~shard system
+  Net.Service.of_protocol ?settle ~instance ~shard system
 
 let run host port socket seed records width payment domains read_timeout max_inflight
     max_conns workers verbose
     log_level state_dir snapshot_bytes no_fsync metrics_dump metrics_interval no_metrics
-    no_witness_index instance shard_id shard_count trace_sample trace_slow_ms
+    instance shard_id shard_count trace_sample trace_slow_ms
     settle_batch settle_window_ms settle_dispute_window =
   setup_logs log_level verbose;
   Obs.set_enabled (not no_metrics);
   Trace.set_sample_rate trace_sample;
   Trace.set_slow_ms trace_slow_ms;
-  let witness_index = not no_witness_index in
   if domains < 1 then `Error (false, "--domains must be >= 1")
   else if records < 0 then `Error (false, "--records must be >= 0")
   else if max_conns < 1 then `Error (false, "--max-conns must be >= 1")
@@ -246,15 +238,14 @@ let run host port socket seed records width payment domains read_timeout max_inf
       | None ->
         if records = 0 then begin
           Printf.printf "starting empty: awaiting an owner Build shipment\n%!";
-          Ok (Net.Service.create ~witness_index ?settle ~instance ~shard ())
+          Ok (Net.Service.create ?settle ~instance ~shard ())
         end
         else
           Ok
-            (self_seed ~seed ~records ~width ~payment ~witness_index ?settle ~instance
-               ~shard ())
+            (self_seed ~seed ~records ~width ~payment ?settle ~instance ~shard ())
       | Some dir ->
         let cfg = { Store.dir; fsync = not no_fsync; snapshot_bytes } in
-        (match Net.Service.recover ~witness_index ?settle ~instance ~shard cfg with
+        (match Net.Service.recover ?settle ~instance ~shard cfg with
          | Error e -> Error (Printf.sprintf "recovery from %s failed: %s" dir e)
          | Ok (svc, stats) ->
            if Net.Service.built svc then begin
@@ -273,10 +264,7 @@ let run host port socket seed records width payment domains read_timeout max_inf
              (* Fresh state dir + --records: seed once, then hand the
                 store to the seeded service, whose attach checkpoint
                 makes the seed durable. *)
-             let seeded =
-               self_seed ~seed ~records ~width ~payment ~witness_index ?settle ~instance
-                 ~shard ()
-             in
+             let seeded = self_seed ~seed ~records ~width ~payment ?settle ~instance ~shard () in
              (match Net.Service.store svc with
               | Some store -> Net.Service.attach_store seeded store
               | None -> ());
@@ -340,7 +328,7 @@ let cmd =
        $ payment_arg $ domains_arg $ read_timeout_arg $ max_inflight_arg
        $ max_conns_arg $ workers_arg $ verbose_arg
        $ log_level_arg $ state_dir_arg $ snapshot_bytes_arg $ no_fsync_arg
-       $ metrics_dump_arg $ metrics_interval_arg $ no_metrics_arg $ no_witness_index_arg
+       $ metrics_dump_arg $ metrics_interval_arg $ no_metrics_arg
        $ instance_arg $ shard_id_arg $ shard_count_arg $ trace_sample_arg
        $ trace_slow_ms_arg $ settle_batch_arg $ settle_window_ms_arg
        $ settle_dispute_window_arg))

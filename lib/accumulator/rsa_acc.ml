@@ -83,8 +83,8 @@ let pow_mod params b e =
    direct exponentiation — so one-shot callers ([accumulate],
    [non_mem_witness]) only use it when it is already built or a parallel
    pool can recoup the investment; otherwise they take the plain
-   sliding-window ladder. Reuse-heavy callers ([ctx_*], [all_witnesses])
-   call [g_pow_cached], which always invests: every subsequent witness
+   sliding-window ladder. Reuse-heavy callers ([all_witnesses], the
+   witness index) call [g_pow_cached], which always invests: every subsequent witness
    then costs ~bits/8 multiplies instead of [bits] squarings. The value
    is identical on every path. *)
 let g_pow_cached params e = Bigint.Fixed_base.pow ~run:run_chunks (fixed_of params) e
@@ -245,53 +245,6 @@ let batch_witness params xs subset =
   Obs.span "acc.witness" (fun () -> g_pow params remaining)
 
 let verify_mem_batch params ~ac ~xs ~witness = verify_memoized params ~ac ~xs ~witness
-
-(* --- shared-product context (the cloud's per-query hot path) ----------- *)
-
-type ctx = { ctx_params : params; ctx_product : Bigint.t; ctx_count : int }
-
-let context params xs =
-  { ctx_params = params; ctx_product = product xs; ctx_count = List.length xs }
-
-(* Appending to the accumulated multiset multiplies the shared product
-   by the new primes' product — O(M(B)) bigint work, no exponentiation —
-   so a long-lived ctx survives Insert instead of being rebuilt from
-   scratch on the next query. *)
-let ctx_extend c xs =
-  match xs with
-  | [] -> c
-  | _ ->
-    { c with
-      ctx_product = Bigint.mul c.ctx_product (product xs);
-      ctx_count = c.ctx_count + List.length xs }
-
-(* A ctx is a repeat customer: more queries over the same set are
-   coming, so it always invests in the fixed-base chain. Batched chain
-   extension costs barely more than one ladder even cold, and every
-   witness after it is ~bits/8 multiplies instead of [bits] squarings. *)
-let ctx_pow c e = g_pow_cached c.ctx_params e
-
-let ctx_params c = c.ctx_params
-let ctx_count c = c.ctx_count
-
-let ctx_ac c =
-  if c.ctx_count = 0 then c.ctx_params.generator else ctx_pow c c.ctx_product
-
-let ctx_witness c x =
-  let q, r = Bigint.divmod c.ctx_product x in
-  if not (Bigint.is_zero r) then invalid_arg "Rsa_acc.ctx_witness: element not in set";
-  Obs.span "acc.witness" (fun () -> ctx_pow c q)
-
-let ctx_batch_witness c subset =
-  let remaining =
-    List.fold_left
-      (fun p x ->
-        let q, r = Bigint.divmod p x in
-        if not (Bigint.is_zero r) then invalid_arg "Rsa_acc.batch_witness: element not in set";
-        q)
-      c.ctx_product subset
-  in
-  Obs.span "acc.witness" (fun () -> ctx_pow c remaining)
 
 (* --- non-membership (universal accumulator, LLX '07) ------------------- *)
 

@@ -23,10 +23,9 @@
     - {!accumulate}: one product tree + one [B]-bit fixed-base
       exponentiation — [B] modular squarings total, spread over the
       pool, instead of [n] separate [mod_pow] calls.
-    - {!mem_witness}: one exact division of the cached-able product plus
-      a [(B - b)]-bit fixed-base exponentiation — {e not} [n-1]
-      exponentiations. Via {!context} the product is computed once and
-      shared across every witness for the same set.
+    - {!mem_witness}: one exact division of the product plus a
+      [(B - b)]-bit fixed-base exponentiation — {e not} [n-1]
+      exponentiations.
     - {!all_witnesses}: root splitting over the product tree —
       [O(B log n)] squaring work, with the two halves of every split
       running on separate domains.
@@ -71,8 +70,8 @@ val mem_witness : params -> Bigint.t list -> Bigint.t -> Bigint.t
     [accumulate params xs]. [x] must occur in [xs]; exactly one
     occurrence is excluded (computed as the exact division [Π xs / x] of
     the product tree followed by one fixed-base exponentiation — see the
-    cost model above). For a set queried repeatedly, build a {!context}
-    once instead.
+    cost model above). For a set queried repeatedly, keep a
+    {!Witness_tree} instead.
     @raise Invalid_argument when [x] does not occur. *)
 
 val all_witnesses : params -> Bigint.t list -> (Bigint.t * Bigint.t) list
@@ -102,32 +101,7 @@ val verify_mem_batch : params -> ac:Bigint.t -> xs:Bigint.t list -> witness:Bigi
     same shape the metered contract charges). The empty list verifies
     iff [witness = ac]. *)
 
-(** {1 Shared-product context}
-
-    The cloud answers many queries against one prime set: a [ctx]
-    computes the product tree once, after which each witness is an
-    exact division plus one exponentiation. This is what turns
-    per-query VO generation from [O(n)] exponentiations into
-    effectively one. Each ctx exponentiation goes through the shared
-    fixed-base anchor chain: extension (batched Montgomery squarings)
-    costs barely more than one plain ladder even when cold, and every
-    later witness over the same parameters drops to ~[bits/8]
-    multiplies. Values are identical on every path. Invalidate
-    (rebuild) the context whenever the prime set changes. Elements are assumed to be
-    {!Prime_rep} primes, for which divisibility of the product is
-    exactly multiset membership. *)
-
-type ctx
-
-val context : params -> Bigint.t list -> ctx
-(** Builds the shared product ([O(M(B) log n)] bigint work, no
-    exponentiations). *)
-
-val ctx_extend : ctx -> Bigint.t list -> ctx
-(** [ctx_extend c xs] is the context for the multiset extended by [xs]:
-    one product-tree multiply, no exponentiations — so Insert extends a
-    long-lived context instead of forcing a from-scratch rebuild on the
-    next query. Equivalent to [context params (old_set @ xs)]. *)
+(** {1 Exponentiation over the parameters} *)
 
 val pow_mod : params -> Bigint.t -> Bigint.t -> Bigint.t
 (** [pow_mod params b e = Bigint.mod_pow b e params.modulus], routed
@@ -138,24 +112,8 @@ val pow_mod : params -> Bigint.t -> Bigint.t -> Bigint.t
 val g_pow_cached : params -> Bigint.t -> Bigint.t
 (** [g^e mod n] through the process-wide fixed-base anchor chain of the
     generator (always invests in the chain — see the cost model above).
-    This is the exponentiation reuse-heavy callers ({!ctx_witness},
-    {!all_witnesses}, the witness index) sit on. *)
-
-val ctx_params : ctx -> params
-val ctx_count : ctx -> int
-
-val ctx_ac : ctx -> Bigint.t
-(** [accumulate] of the context's set. *)
-
-val ctx_witness : ctx -> Bigint.t -> Bigint.t
-(** As {!mem_witness} against the context's set.
-    @raise Invalid_argument when the element does not divide the
-    product (i.e. is not a member). *)
-
-val ctx_batch_witness : ctx -> Bigint.t list -> Bigint.t
-(** As {!batch_witness} against the context's set.
-    @raise Invalid_argument when some element does not occur (with its
-    multiplicity). *)
+    This is the exponentiation reuse-heavy callers ({!all_witnesses},
+    the witness index) sit on. *)
 
 (** {1 Non-membership (universal accumulator)}
 

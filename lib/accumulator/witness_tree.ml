@@ -22,7 +22,7 @@
      its (recursively refreshed) parent: [parent_base ^ sibling_product],
      the same root-splitting identity [all_witnesses] uses — so a cold
      single witness costs the same O(B) squarings a from-scratch
-     [ctx_witness] would, and everything after it is warm.
+     [mem_witness] would, and everything after it is warm.
 
    Values are position-independent: a leaf's witness is
    [g^(Π multiset \ x)] no matter how the tree is shaped, so incremental

@@ -16,8 +16,8 @@
     step from their (recursively refreshed) parent.
 
     Every value served is identical — byte for byte — to what the
-    from-scratch paths ({!Rsa_acc.ctx_witness},
-    {!Rsa_acc.ctx_batch_witness}, {!Rsa_acc.all_witnesses}) compute, at
+    from-scratch paths ({!Rsa_acc.mem_witness},
+    {!Rsa_acc.batch_witness}, {!Rsa_acc.all_witnesses}) compute, at
     every pool size. Operations are mutex-guarded; internal pool
     fan-out writes disjoint slots only. *)
 
@@ -37,7 +37,7 @@ val append : t -> Bigint.t list -> unit
 val witness : t -> Bigint.t -> Bigint.t option
 (** Membership witness for a prime, or [None] when it was never
     appended. Warm: a lookup. Stale: one delta exponentiation.
-    Cold: one root-split descent (the [ctx_witness] cost), after which
+    Cold: one root-split descent (the [mem_witness] cost), after which
     the whole path stays warm. *)
 
 val ac : t -> Bigint.t
@@ -52,7 +52,7 @@ val batch_witness : t -> Bigint.t list -> Bigint.t
     root product (multiset semantics preserved). The empty subset
     yields {!ac}.
     @raise Invalid_argument when some element is not a member (same
-    contract as {!Rsa_acc.ctx_batch_witness}). *)
+    contract as {!Rsa_acc.batch_witness}). *)
 
 val warm_all : t -> unit
 (** Compute every base in one pool-parallel root-splitting descent over

@@ -19,13 +19,11 @@ type misbehavior =
   | Forge_witness   (** return a perturbed verification object *)
   | Stale_results   (** answer from a pre-insert snapshot of the index *)
 
-val create :
-  ?witness_index:bool -> acc_params:Rsa_acc.params -> tdp_public:Rsa_tdp.public -> unit -> t
-(** [~witness_index] (default [true]) maintains a persistent
+val create : acc_params:Rsa_acc.params -> tdp_public:Rsa_tdp.public -> unit -> t
+(** An empty cloud. Every verification object comes from a persistent
     {!Witness_tree} over the accumulated primes: Insert only recomputes
     the O(log n) product spine, and a warm witness query is a table
-    lookup instead of a full-size exponentiation. [false] falls back to
-    the shared-product context for every VO. *)
+    lookup instead of a full-size exponentiation. *)
 
 val install :
   t -> entries:(string * string) list -> primes:Bigint.t list -> ac:Bigint.t -> unit
@@ -53,36 +51,26 @@ val primes : t -> Bigint.t list
 val current_ac : t -> Bigint.t
 (** The accumulation value the cloud currently answers under. *)
 
-val search_one : t -> Slicer_types.search_token -> Slicer_contract.claim
-(** Algorithm 4 for a single token (with any configured misbehaviour
-    applied). *)
-
 val search : t -> Slicer_types.search_token list -> Slicer_contract.claim list
+(** Algorithm 4, one claim per token, with any configured misbehaviour
+    applied. Each claim's results are timed as the [cloud.collect]
+    span inside the whole search's [cloud.search] span, so the paper's
+    Fig. 5 split reads off the two histograms: result generation is
+    [cloud.collect], VO generation the rest. An honest cloud answers a
+    repeated token from its claim cache. *)
 
 val search_batched :
   t -> Slicer_types.search_token list -> Slicer_contract.claim list * Bigint.t
 (** Like {!search}, but all claims share one batched membership witness
-    ([Rsa_acc.batch_witness]): one accumulator pass and a single
-    64-byte object for a whole order search, instead of one per slice.
-    The per-claim [witness] fields are placeholders; the second
-    component is the batch object for
-    [Slicer_contract.submit_result_batched]. *)
-
-type search_timings = { result_seconds : float; vo_seconds : float }
-
-val search_instrumented :
-  t -> Slicer_types.search_token list -> Slicer_contract.claim list * search_timings
-(** {!search} with the wall-clock split the paper's Fig. 5 reports:
-    result generation (index traversal and unmasking) versus
-    verification-object generation (multiset hash, prime representative
-    and RSA witness). *)
+    ([Rsa_acc.batch_witness]): a single 64-byte object for a whole
+    order search, instead of one per slice. The per-claim [witness]
+    fields are placeholders; the second component is the batch object
+    for [Slicer_contract.submit_result_batched]. *)
 
 val precompute_witnesses : t -> unit
-(** Warm every witness at once: with the index enabled this is
-    [Witness_tree.warm_all] (and the warmth {e survives} later
-    {!install}s — only the stale leaves are lazily re-based); without
-    it, the legacy one-shot table from [Rsa_acc.all_witnesses],
-    invalidated by the next {!install}. *)
+(** Warm every witness at once ([Witness_tree.warm_all]). The warmth
+    survives later {!install}s: only the stale leaves are lazily
+    re-based. *)
 
 val warm_tokens : t -> Slicer_types.search_token list -> unit
 (** Speculative warmer driven from the query stream: batch-derive (and
@@ -93,21 +81,17 @@ val warm_tokens : t -> Slicer_types.search_token list -> unit
 
 (** {2 Witness-index introspection and snapshotting} *)
 
-val witness_index_stats : t -> Witness_tree.stats option
-(** [None] when the index is disabled (or not yet built). *)
-
-val witness_index_bytes : t -> int
-(** Approximate heap footprint of the maintained index (0 if disabled). *)
+val witness_index_stats : t -> Witness_tree.stats
 
 val export_witness_index : t -> string
 (** Compact serialized warm state (leaf witnesses + generation stamps)
-    for the service snapshot; [""] when the index is disabled. *)
+    for the service snapshot. *)
 
 val restore_witness_index : t -> string -> int option
 (** Graft an exported blob onto the index rebuilt by {!install} replay:
     restored leaves serve identical witnesses without recomputation.
-    Returns the number of leaves absorbed; [None] for an empty/foreign
-    blob or when the index is disabled. *)
+    Returns the number of leaves absorbed; [None] for an empty or
+    foreign blob. *)
 
 val index_entries : t -> int
 val index_bytes : t -> int

@@ -22,14 +22,13 @@ type search_outcome = {
   so_gas_used : int;
 }
 
-let setup ?(width = 16) ?(tdp_bits = 512) ?(acc_bits = 512) ?(payment = 1000)
-    ?(witness_index = true) ~seed records =
+let setup ?(width = 16) ?(tdp_bits = 512) ?(acc_bits = 512) ?(payment = 1000) ~seed records =
   let rng = Drbg.create ~seed in
   let keys = Keys.generate ~tdp_bits ~rng () in
   let acc_params = Rsa_acc.setup ~rng ~bits:acc_bits () in
   let owner = Owner.create ~width ~rng ~acc_params ~keys () in
   let shipment = Owner.build owner records in
-  let cloud = Cloud.create ~witness_index ~acc_params ~tdp_public:keys.Keys.tdp_public () in
+  let cloud = Cloud.create ~acc_params ~tdp_public:keys.Keys.tdp_public () in
   Cloud.install cloud ~entries:(Owner.shipment_entries shipment)
     ~primes:(Owner.shipment_primes shipment) ~ac:shipment.Owner.sh_ac;
   let user = User.create ~keys:(Keys.for_user keys) ~width (Owner.export_trapdoor_state owner) in

@@ -24,14 +24,12 @@ val setup :
   ?tdp_bits:int ->
   ?acc_bits:int ->
   ?payment:int ->
-  ?witness_index:bool ->
   seed:string ->
   Slicer_types.record list ->
   t
 (** Builds the whole system over the initial database. [seed] makes the
     run reproducible. [payment] is the per-search fee (default 1000
-    wei). Defaults: [width] 16, [tdp_bits] 512, [acc_bits] 512.
-    [witness_index] (default [true]) is passed to {!Cloud.create}. *)
+    wei). Defaults: [width] 16, [tdp_bits] 512, [acc_bits] 512. *)
 
 val insert : t -> Slicer_types.record list -> unit
 (** Forward-secure insertion: updates cloud index, prime list, on-chain

@@ -46,9 +46,6 @@ type t = {
      mutation order — and group-commit synced before the reply leaves
      [handle]. [None] (the default) = the pre-PR-5 in-memory service. *)
   mutable store : Store.t option;
-  (* Whether Build creates the cloud with the persistent witness index
-     (the [--no-witness-index] server escape hatch sets this false). *)
-  witness_index : bool;
   (* Batched optimistic settlement: [Some cfg] switches settlement to
      deferred receipts batched under one Merkle commitment per
      [sb_size] receipts (or [sb_window_ms] of wall clock). Enabled on
@@ -69,8 +66,8 @@ type t = {
   mutable warm_again : bool;
 }
 
-let create ?(max_cached_replies = 8192) ?(faucet = 100_000_000) ?(witness_index = true)
-    ?settle ?(instance = "") ?(shard = (0, 1)) () =
+let create ?(max_cached_replies = 8192) ?(faucet = 100_000_000) ?settle ?(instance = "")
+    ?(shard = (0, 1)) () =
   { lock = Mutex.create ();
     state = None;
     users = Hashtbl.create 64;
@@ -80,7 +77,6 @@ let create ?(max_cached_replies = 8192) ?(faucet = 100_000_000) ?(witness_index 
     faucet;
     settled = 0;
     store = None;
-    witness_index;
     settle;
     instance;
     shard;
@@ -112,8 +108,8 @@ let maybe_enable_batching ?state t (b : built) =
       | Error e -> Log.err (fun m -> m "enabling batched settlement failed: %s" e)
     end
 
-let of_protocol ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard p =
-  let t = create ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard () in
+let of_protocol ?max_cached_replies ?faucet ?settle ?instance ?shard p =
+  let t = create ?max_cached_replies ?faucet ?settle ?instance ?shard () in
   let owner = Protocol.owner p in
   let b =
     { b_station = Protocol.station p;
@@ -330,7 +326,7 @@ let do_build t req =
      | Some _ -> refused Wire.Already_built "the service already holds a database"
      | None ->
        let tdp_public = Rsa_tdp.public_of_parts ~n:tdp_n ~e:tdp_e in
-       let cloud = Cloud.create ~witness_index:t.witness_index ~acc_params:acc ~tdp_public () in
+       let cloud = Cloud.create ~acc_params:acc ~tdp_public () in
        Cloud.install cloud ~entries:(Owner.shipment_entries shipment)
          ~primes:(Owner.shipment_primes shipment) ~ac:shipment.Owner.sh_ac;
        let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
@@ -469,12 +465,10 @@ let handle_locked t req =
 
 let ( let* ) = Option.bind
 
+(* One layout is decoded: older built snapshots (v1 without the
+   witness and settle pieces, v2 without the settle piece) are refused
+   as a codec mismatch. *)
 let snap_magic_built = "slicer-service-built-v3"
-(* Older snapshots decode too: v2 (pre batched settlement) has no
-   trailing settle blob, v1 (pre witness-index) neither blob — the
-   missing state rebuilds cold (and batching starts a fresh batch). *)
-let snap_magic_built_v2 = "slicer-service-built-v2"
-let snap_magic_built_v1 = "slicer-service-built-v1"
 let snap_magic_empty = "slicer-service-empty-v1"
 
 (* The snapshot is the *materialized* behavioral state, not chain
@@ -537,7 +531,7 @@ let encode_snapshot t =
         (* Warm witness state: leaf witnesses + generation stamps. The
            products rebuild from [primes] above; grafting this back
            means a restarted server serves witnesses without a single
-           recomputation. Empty when the index is disabled. *)
+           recomputation. *)
         Cloud.export_witness_index cloud;
         (* Pending settlement batches (open tail + committed-not-final),
            so a SIGKILL between commit and finalize recovers the batch
@@ -562,25 +556,15 @@ let rec account_triples = function
     Some ((a, bal, n) :: tail)
   | _ -> None
 
-let decode_snapshot ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard
-    bytes =
+let decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard bytes =
   let* pieces = Bytesutil.split bytes in
   match pieces with
   | [ m ] when String.equal m snap_magic_empty ->
-    Some (create ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard ())
-  | m :: width :: payment :: generation :: settled :: modulus :: gen :: pn :: e :: u_k
-    :: u_k_r :: owner_addr :: contract :: cloud_addr :: validators :: trapdoor :: entries
-    :: primes :: ac :: accounts :: storage :: users :: replies :: tail
-    when String.equal m snap_magic_built
-         || String.equal m snap_magic_built_v2
-         || String.equal m snap_magic_built_v1 ->
-    let* windex_blob, settle_blob =
-      match tail with
-      | [ w; sb ] when String.equal m snap_magic_built -> Some (w, sb)
-      | [ w ] when String.equal m snap_magic_built_v2 -> Some (w, "")
-      | [] when String.equal m snap_magic_built_v1 -> Some ("", "")
-      | _ -> None
-    in
+    Some (create ?max_cached_replies ?faucet ?settle ?instance ?shard ())
+  | [ m; width; payment; generation; settled; modulus; gen; pn; e; u_k; u_k_r; owner_addr;
+      contract; cloud_addr; validators; trapdoor; entries; primes; ac; accounts; storage;
+      users; replies; windex_blob; settle_blob ]
+    when String.equal m snap_magic_built ->
     let* width = int_of_string_opt width in
     let* payment = int_of_string_opt payment in
     let* generation = int_of_string_opt generation in
@@ -614,16 +598,12 @@ let decode_snapshot ?max_cached_replies ?faucet ?witness_index ?settle ?instance
     let tdp_public =
       Rsa_tdp.public_of_parts ~n:(Bigint.of_bytes_be pn) ~e:(Bigint.of_bytes_be e)
     in
-    let cloud =
-      Cloud.create
-        ~witness_index:(Option.value witness_index ~default:true)
-        ~acc_params ~tdp_public ()
-    in
+    let cloud = Cloud.create ~acc_params ~tdp_public () in
     Cloud.install cloud ~entries
       ~primes:(List.map Bigint.of_bytes_be prime_flat)
       ~ac:(Bigint.of_bytes_be ac);
     (* Graft the snapshotted warm witnesses onto the rebuilt index. *)
-    if String.length windex_blob > 0 then ignore (Cloud.restore_witness_index cloud windex_blob);
+    ignore (Cloud.restore_witness_index cloud windex_blob);
     let ledger = Ledger.create ~validators in
     let vmst = Ledger.state ledger in
     List.iter
@@ -632,7 +612,7 @@ let decode_snapshot ?max_cached_replies ?faucet ?witness_index ?settle ?instance
     Slicer_contract.restore ledger ~contract ~modulus:acc_params.Rsa_acc.modulus
       ~generator:acc_params.Rsa_acc.generator;
     Vm.restore_storage vmst contract storage;
-    let t = create ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard () in
+    let t = create ?max_cached_replies ?faucet ?settle ?instance ?shard () in
     let b =
       { b_station = Station.create ~cloud ~ledger ~contract ~cloud_addr;
         b_acc = acc_params;
@@ -730,7 +710,7 @@ type recovery_stats = {
   rs_dropped_tail : bool;
 }
 
-let recover ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard cfg =
+let recover ?max_cached_replies ?faucet ?settle ?instance ?shard cfg =
   Obs.span "store.recover" (fun () ->
       match Store.open_ cfg with
       | exception Store.Locked dir ->
@@ -744,12 +724,9 @@ let recover ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard 
         in
         let base =
           match rc.Store.rc_snapshot with
-          | None ->
-            Some
-              (create ?max_cached_replies ?faucet ?witness_index ?settle ?instance ?shard ())
+          | None -> Some (create ?max_cached_replies ?faucet ?settle ?instance ?shard ())
           | Some (_seq, payload) ->
-            decode_snapshot ?max_cached_replies ?faucet ?witness_index ?settle ?instance
-              ?shard payload
+            decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard payload
         in
         match base with
         | None -> fail "snapshot failed to decode (codec mismatch)"
@@ -805,8 +782,8 @@ let maybe_persist t req =
    warm index instead of paying cold exponentiations inline. One warmer
    runs at a time; shipments landing mid-warm set [warm_again] and the
    same thread loops, so bursts coalesce into at most one trailing pass.
-   Gated on [witness_index]: the legacy per-search witness cache is not
-   safe to touch off the service lock. *)
+   The witness tree takes its own lock, so the warm runs off the
+   service lock. *)
 let rec warm_pass t =
   let cloud =
     Mutex.lock t.lock;
@@ -841,23 +818,21 @@ let rec warm_pass t =
   if again then warm_pass t
 
 let schedule_warm t =
-  if t.witness_index then begin
-    Mutex.lock t.warm_lock;
-    let spawn =
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.warm_lock)
-        (fun () ->
-          if t.warm_running then begin
-            t.warm_again <- true;
-            false
-          end
-          else begin
-            t.warm_running <- true;
-            true
-          end)
-    in
-    if spawn then ignore (Thread.create warm_pass t)
-  end
+  Mutex.lock t.warm_lock;
+  let spawn =
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.warm_lock)
+      (fun () ->
+        if t.warm_running then begin
+          t.warm_again <- true;
+          false
+        end
+        else begin
+          t.warm_running <- true;
+          true
+        end)
+  in
+  if spawn then ignore (Thread.create warm_pass t)
 
 (* Span taxonomy name for the requests worth tracing; admin and
    handshake frames stay untraced. *)

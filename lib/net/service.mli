@@ -17,14 +17,11 @@ val log_src : Logs.src
 type t
 
 val create :
-  ?max_cached_replies:int -> ?faucet:int -> ?witness_index:bool ->
-  ?settle:Settle_batch.config -> ?instance:string -> ?shard:int * int -> unit -> t
+  ?max_cached_replies:int -> ?faucet:int -> ?settle:Settle_batch.config ->
+  ?instance:string -> ?shard:int * int -> unit -> t
 (** An empty service awaiting a [Wire.Build] shipment from the data
     owner. [faucet] is the balance granted to each newly registered
-    user (default 100,000,000 wei). [witness_index] (default [true])
-    controls whether Build creates the cloud with the persistent
-    witness index ({!Cloud.create}); [false] is the
-    [--no-witness-index] escape hatch. [settle] switches settlement to
+    user (default 100,000,000 wei). [settle] switches settlement to
     the optimistic batched mode as soon as a database exists (see
     {!section-settlement}). [instance] (default [""]) names
     this process in Welcome frames; [shard = (i, n)] (default [(0, 1)])
@@ -32,8 +29,8 @@ val create :
     at Build and echoed as [pv_shards] so clients know the topology. *)
 
 val of_protocol :
-  ?max_cached_replies:int -> ?faucet:int -> ?witness_index:bool ->
-  ?settle:Settle_batch.config -> ?instance:string -> ?shard:int * int -> Protocol.t -> t
+  ?max_cached_replies:int -> ?faucet:int -> ?settle:Settle_batch.config ->
+  ?instance:string -> ?shard:int * int -> Protocol.t -> t
 (** Serve an in-process system (e.g. one the server built from
     [--records N] at startup): the service drives the {e same} station,
     so wire searches and [Protocol.search] settle identically. *)
@@ -102,12 +99,13 @@ type recovery_stats = {
 }
 
 val recover :
-  ?max_cached_replies:int -> ?faucet:int -> ?witness_index:bool ->
-  ?settle:Settle_batch.config -> ?instance:string -> ?shard:int * int -> Store.config ->
+  ?max_cached_replies:int -> ?faucet:int -> ?settle:Settle_batch.config ->
+  ?instance:string -> ?shard:int * int -> Store.config ->
   (t * recovery_stats, string) result
 (** Open (or create) the durable state at [cfg.dir], rebuild the
     service from the newest valid snapshot plus the contiguous WAL
     tail, verify the recovered prime multiset re-accumulates to both
     the cloud's and the on-chain [Ac], re-anchor on a fresh checkpoint
-    and attach the store. [Error] — and no serving — when replay or
-    the accumulator check fails. *)
+    and attach the store. [Error] — and no serving — when the snapshot
+    does not decode (a layout other than [slicer-service-built-v3] is
+    a codec mismatch), or replay or the accumulator check fails. *)

@@ -244,10 +244,9 @@ let test_wt_batch_witness () =
   let xs = primes_of 8 "wt-batch" in
   let wt = Witness_tree.create small_params in
   Witness_tree.append wt xs;
-  let ctx = Rsa_acc.context small_params xs in
   let subset = [ List.nth xs 1; List.nth xs 4; List.nth xs 6 ] in
-  Alcotest.(check bool) "batch = ctx_batch_witness" true
-    (Bigint.equal (Witness_tree.batch_witness wt subset) (Rsa_acc.ctx_batch_witness ctx subset));
+  Alcotest.(check bool) "batch = batch_witness" true
+    (Bigint.equal (Witness_tree.batch_witness wt subset) (Rsa_acc.batch_witness small_params xs subset));
   Alcotest.(check bool) "singleton = mem_witness" true
     (Bigint.equal (Witness_tree.batch_witness wt [ List.hd xs ]) (Rsa_acc.mem_witness small_params xs (List.hd xs)));
   Alcotest.(check bool) "empty subset = Ac" true
@@ -257,15 +256,17 @@ let test_wt_batch_witness () =
   Alcotest.check_raises "missing element" (Invalid_argument "Rsa_acc.batch_witness: element not in set")
     (fun () -> ignore (Witness_tree.batch_witness wt [ Prime_rep.to_prime "wt-batch-outsider" ]));
   (* Duplicates: both in the multiset and in the subset (the division
-     fallback path), mirroring ctx_batch_witness's multiset semantics. *)
+     fallback path), mirroring batch_witness's multiset semantics. *)
   let dup = List.hd xs in
+  let multiset = xs @ [ dup ] in
   let wt2 = Witness_tree.create small_params in
-  Witness_tree.append wt2 (xs @ [ dup ]);
-  let ctx2 = Rsa_acc.context small_params (xs @ [ dup ]) in
-  Alcotest.(check bool) "duplicate subset = ctx" true
-    (Bigint.equal (Witness_tree.batch_witness wt2 [ dup; dup ]) (Rsa_acc.ctx_batch_witness ctx2 [ dup; dup ]));
-  Alcotest.(check bool) "subset over multiset = ctx" true
-    (Bigint.equal (Witness_tree.batch_witness wt2 subset) (Rsa_acc.ctx_batch_witness ctx2 subset))
+  Witness_tree.append wt2 multiset;
+  Alcotest.(check bool) "duplicate subset = batch_witness" true
+    (Bigint.equal (Witness_tree.batch_witness wt2 [ dup; dup ])
+       (Rsa_acc.batch_witness small_params multiset [ dup; dup ]));
+  Alcotest.(check bool) "subset over multiset = batch_witness" true
+    (Bigint.equal (Witness_tree.batch_witness wt2 subset)
+       (Rsa_acc.batch_witness small_params multiset subset))
 
 let test_wt_export_absorb () =
   let batches = [ primes_of 6 "wt-snap"; primes_of 3 "wt-snap2" ] in

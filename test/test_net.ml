@@ -1428,7 +1428,7 @@ let test_service_survives_restart () =
     Option.iter Store.close (Net.Service.store svc2)
 
 let test_witness_index_survives_restart () =
-  (* The v2 snapshot carries the warm witness state: a restored service
+  (* The snapshot carries the warm witness state: a restored service
      serves byte-identical VOs with its index already warm — zero cold
      recomputation, even for leaves that went stale across an Insert. *)
   let dir = fresh_state_dir () in
@@ -1503,12 +1503,9 @@ let test_witness_index_survives_restart () =
       | Some st -> Station.cloud st
       | None -> Alcotest.fail "recovered service has no station"
     in
-    (match Cloud.witness_index_stats cloud with
-     | None -> Alcotest.fail "recovered cloud has no witness index"
-     | Some ws ->
-       Alcotest.(check bool) "restored leaves are cached" true
-         (ws.Witness_tree.ws_cached > 0);
-       Alcotest.(check int) "no cold work at restore" 0 ws.Witness_tree.ws_cold);
+    let ws = Cloud.witness_index_stats cloud in
+    Alcotest.(check bool) "restored leaves are cached" true (ws.Witness_tree.ws_cached > 0);
+    Alcotest.(check int) "no cold work at restore" 0 ws.Witness_tree.ws_cold;
     let after =
       witnesses_of
         (Net.Service.handle svc3
@@ -1516,11 +1513,77 @@ let test_witness_index_survives_restart () =
               { client = "windex-user"; request_id = "wi#3"; batched = false; tokens; trace = None }))
     in
     Alcotest.(check (list string)) "restored index serves identical witnesses" before after;
-    (match Cloud.witness_index_stats cloud with
-     | Some ws ->
-       Alcotest.(check int) "served without full recomputation" 0 ws.Witness_tree.ws_cold
-     | None -> Alcotest.fail "witness index vanished");
+    Alcotest.(check int) "served without full recomputation" 0
+      (Cloud.witness_index_stats cloud).Witness_tree.ws_cold;
     Option.iter Store.close (Net.Service.store svc3)
+
+let test_old_snapshot_layouts_refused () =
+  (* One snapshot layout decodes. The two older ones, rebuilt from a
+     real v3 snapshot (v2 had no settle piece, v1 no witness piece
+     either), are refused as a codec mismatch, while the v3 original
+     written the same way recovers. *)
+  let dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+  let _rng, keys, acc_params, owner, _records, shipment = durable_owner "old-snap-owner" in
+  let recover cfg =
+    match Net.Service.recover cfg with
+    | Ok (svc, _) -> Option.iter Store.close (Net.Service.store svc)
+    | Error e -> Alcotest.failf "recover: %s" e
+  in
+  (match Net.Service.recover cfg with
+   | Error e -> Alcotest.failf "initial recover: %s" e
+   | Ok (svc, _) ->
+     (match
+        Net.Service.handle svc
+          (Wire.Build
+             { client = "old-snap-owner"; request_id = "os#b"; width; payment = 500;
+               acc = acc_params; tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn;
+               tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+               user_k = (Keys.for_user keys).Keys.u_k;
+               user_k_r = (Keys.for_user keys).Keys.u_k_r; shipment;
+               trapdoor = Owner.export_trapdoor_state owner; trace = None })
+      with
+      | Wire.Accepted _ -> ()
+      | _ -> Alcotest.fail "build refused");
+     Option.iter Store.close (Net.Service.store svc));
+  (* Recovery re-anchors on a checkpoint of the built state. *)
+  recover cfg;
+  let v3 =
+    let store, rc = Store.open_ cfg in
+    Store.close store;
+    match rc.Store.rc_snapshot with
+    | Some (_, payload) -> payload
+    | None -> Alcotest.fail "no snapshot after recovery"
+  in
+  let pieces =
+    match Bytesutil.split v3 with Some p -> p | None -> Alcotest.fail "v3 snapshot does not split"
+  in
+  let n = List.length pieces in
+  let state = List.filteri (fun i _ -> i > 0 && i < n - 2) pieces in
+  let witness = List.nth pieces (n - 2) in
+  let in_fresh_dir payload f =
+    let old_dir = fresh_state_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf old_dir) @@ fun () ->
+    let old_cfg = { cfg with Store.dir = old_dir } in
+    let store, _ = Store.open_ old_cfg in
+    Store.checkpoint store payload;
+    Store.close store;
+    f old_cfg
+  in
+  in_fresh_dir v3 recover;
+  List.iter
+    (fun (magic, payload) ->
+      in_fresh_dir payload @@ fun old_cfg ->
+      match Net.Service.recover old_cfg with
+      | Error e ->
+        Alcotest.(check string) (magic ^ " refused") "snapshot failed to decode (codec mismatch)" e
+      | Ok (svc, _) ->
+        Option.iter Store.close (Net.Service.store svc);
+        Alcotest.failf "%s snapshot was decoded" magic)
+    [ ("slicer-service-built-v2",
+       Bytesutil.concat (("slicer-service-built-v2" :: state) @ [ witness ]));
+      ("slicer-service-built-v1", Bytesutil.concat ("slicer-service-built-v1" :: state)) ]
 
 (* The real thing: a separate slicer-server process, killed with
    SIGKILL mid-load, recovered from its state directory. *)
@@ -2048,6 +2111,8 @@ let () =
         [ Alcotest.test_case "state survives a restart" `Quick test_service_survives_restart;
           Alcotest.test_case "witness index survives a restart" `Quick
             test_witness_index_survives_restart;
+          Alcotest.test_case "old snapshot layouts are refused" `Quick
+            test_old_snapshot_layouts_refused;
           Alcotest.test_case "SIGKILL mid-load, recover, serve again" `Quick
             test_sigkill_mid_load_recovers;
           Alcotest.test_case "second server on a live state dir is refused" `Quick

@@ -304,30 +304,40 @@ let test_batched_rejects_tampering () =
   let out3 = Protocol.search_batched s (q 32 Slicer_types.Lt) in
   Alcotest.(check bool) "honest batch paid" true out3.Protocol.so_verified
 
-let test_no_witness_index_agrees () =
-  (* The [--no-witness-index] escape hatch: two systems from one seed,
-     index on and off, must settle the same results with the same VO
-     size — the index is a cache, never a semantic change. And the
-     threat model must survive the cache: misbehaviour is still caught
-     with the index on. *)
+let test_witnesses_match_reference () =
+  (* The witness tree is the cloud's one witness path: every VO it
+     serves must equal the from-scratch reference over the cloud's own
+     prime list, per claim and batched. And the threat model must
+     survive it: misbehaviour is still caught. *)
   let records = List.filteri (fun i _ -> i < 25) db in
-  let on = Protocol.setup ~width ~seed:"windex-onoff" records in
-  let off = Protocol.setup ~width ~witness_index:false ~seed:"windex-onoff" records in
+  let s = Protocol.setup ~width ~seed:"windex-reference" records in
+  let cloud = Protocol.cloud s in
+  let params = Owner.acc_params (Protocol.owner s) in
   let query = q 30 Slicer_types.Lt in
-  let a = Protocol.search on query and b = Protocol.search off query in
-  Alcotest.(check bool) "both verified" true (a.Protocol.so_verified && b.Protocol.so_verified);
-  check_ids "same ids" a.Protocol.so_ids b.Protocol.so_ids;
-  Alcotest.(check int) "same VO bytes" a.Protocol.so_vo_bytes b.Protocol.so_vo_bytes;
-  let ab = Protocol.search_batched on query and bb = Protocol.search_batched off query in
-  Alcotest.(check bool) "batched both verified" true
-    (ab.Protocol.so_verified && bb.Protocol.so_verified);
-  check_ids "batched same ids" ab.Protocol.so_ids bb.Protocol.so_ids;
-  Protocol.set_cloud_behavior on Cloud.Forge_witness;
-  Alcotest.(check bool) "forged witness refunded with index on" false
-    (Protocol.search on query).Protocol.so_verified;
-  Protocol.set_cloud_behavior on Cloud.Drop_result;
-  Alcotest.(check bool) "dropped result refunded with index on" false
-    (Protocol.search on query).Protocol.so_verified
+  let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
+  let prime_of (c : Slicer_contract.claim) =
+    let h = Mset_hash.of_list c.Slicer_contract.results in
+    Prime_rep.to_prime (Bytesutil.concat [ c.Slicer_contract.token_bytes; Mset_hash.to_bytes h ])
+  in
+  let claims = Cloud.search cloud tokens in
+  Alcotest.(check bool) "some claims" true (claims <> []);
+  List.iter
+    (fun (c : Slicer_contract.claim) ->
+      Alcotest.(check bool) "witness = mem_witness" true
+        (Bigint.equal c.Slicer_contract.witness
+           (Rsa_acc.mem_witness params (Cloud.primes cloud) (prime_of c))))
+    claims;
+  let batched, witness = Cloud.search_batched cloud tokens in
+  Alcotest.(check bool) "batch witness = batch_witness" true
+    (Bigint.equal witness
+       (Rsa_acc.batch_witness params (Cloud.primes cloud) (List.map prime_of batched)));
+  Alcotest.(check bool) "honest search verified" true (Protocol.search s query).Protocol.so_verified;
+  Protocol.set_cloud_behavior s Cloud.Forge_witness;
+  Alcotest.(check bool) "forged witness refunded" false
+    (Protocol.search s query).Protocol.so_verified;
+  Protocol.set_cloud_behavior s Cloud.Drop_result;
+  Alcotest.(check bool) "dropped result refunded" false
+    (Protocol.search s query).Protocol.so_verified
 
 let test_search_conj () =
   let rng = Drbg.create ~seed:"conj" in
@@ -608,7 +618,7 @@ let () =
       ( "extensions",
         [ Alcotest.test_case "batched settlement agrees" `Quick test_batched_search_agrees;
           Alcotest.test_case "batched rejects tampering" `Quick test_batched_rejects_tampering;
-          Alcotest.test_case "witness index on/off agree" `Quick test_no_witness_index_agrees;
+          Alcotest.test_case "witnesses match the reference" `Quick test_witnesses_match_reference;
           Alcotest.test_case "interval search" `Quick test_search_between;
           Alcotest.test_case "conjunctive search" `Quick test_search_conj;
           Alcotest.test_case "insert leakage is shape-only" `Quick test_leakage_shape_only;
