@@ -24,6 +24,16 @@ let kernel_operands () =
   let below () = Drbg.uniform_bigint rng m in
   (m, below (), exact 1024, below (), below ())
 
+(* Two 40,000-bit exponents for the pair row and its guard: a
+   witness-tree node near the root of perfbench's 754-prime Build raises
+   its base to two sibling products of about this size. *)
+let pair_exponents () =
+  let rng = Drbg.create ~seed:"bechamel-pair" in
+  let top = Bigint.shift_left Bigint.one 39_999 in
+  let exact () = Bigint.add top (Drbg.uniform_bigint rng top) in
+  let e1 = exact () in
+  (e1, exact ())
+
 (* perfbench's Build holds 754 keywords (1000 records, width 8), so the
    witness tree's spine multiplies 754 272-bit primes. *)
 let spine_primes () =
@@ -44,6 +54,7 @@ let make_tests () =
   let prime272 = bench_prime () in
   let km, kb, ke, kx, ky = kernel_operands () in
   let kctx = Bigint.Mont.create km in
+  let pe1, pe2 = pair_exponents () in
   let spine = spine_primes () in
   let ct = Sore.encrypt ~rng sore_key ~width:16 12345 in
   let tk = Sore.token ~rng sore_key ~width:16 30000 Bitvec.Gt in
@@ -73,6 +84,10 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (Bigint.Mont.pow kctx kb ke)));
     Test.make ~name:"bigint/mod-mul-512"
       (Staged.stage (fun () -> ignore (Bigint.mod_mul kx ky km)));
+    (* One shared-squaring pair, as the witness warm raises a node's
+       base to both children's sibling products. *)
+    Test.make ~name:"bigint/mont-pow2-512"
+      (Staged.stage (fun () -> ignore (Bigint.Mont.pow2 kctx kb pe1 pe2)));
     (* The balanced product tree over perfbench's primes: the products
        above 32 limbs run on the C product kernel. *)
     Test.make ~name:"bigint/product-754"
@@ -171,6 +186,23 @@ let mod_mul_ladder_bits () =
   in
   mul /. float_of_int muls /. (ladder /. float_of_int (ladders * Bigint.num_bits e))
 
+(* One [Mont.pow2] pair of 40,000-bit exponents over a 512-bit modulus
+   priced in two [Mont.pow] ladders on the same exponents: sharing one
+   squaring chain must keep the pair at most 0.7 of the ladders. The
+   kernel reads about 0.4; a pair computed as two ladders reads 1. *)
+let pair_budget = 0.7
+
+let pair_over_ladders () =
+  let m, b, _, _, _ = kernel_operands () in
+  let e1, e2 = pair_exponents () in
+  let c = Bigint.Mont.create m in
+  let pair, ladders =
+    best_alternating
+      (repeat 1 (fun () -> Bigint.Mont.pow2 c b e1 e2) ())
+      (repeat 1 (fun () -> (Bigint.Mont.pow c b e1, Bigint.Mont.pow c b e2)) ())
+  in
+  pair /. ladders
+
 (* The instrumentation budgets: an Obs span must stay under 1 us or the
    hot-path record claim in DESIGN.md is void, and an unsampled trace
    root (tracing off) under 150 ns. Each is timed as its cost over an
@@ -226,6 +258,14 @@ let run () =
     failwith
       (Printf.sprintf "a 512-bit mod_mul costs %.2f Montgomery ladder bits, under the %.1f floor"
          bits ladder_bit_floor);
+  let pair = pair_over_ladders () in
+  Printf.printf
+    "mont-pow2-512 / two mont-ladder-512 = %.2f (best of 20 alternating batches; budget %.1f)\n"
+    pair pair_budget;
+  if pair > pair_budget then
+    failwith
+      (Printf.sprintf "a 512-bit pair exponentiation costs %.2f of two ladders, over the %.1f budget"
+         pair pair_budget);
   overhead_guard "obs/span" (fun () -> Obs.span "bench.noop" (fun () -> ())) span_budget_ns;
   overhead_guard "obs/trace-unsampled"
     (fun () -> Trace.root "bench.trace-noop" (fun () -> ()))

@@ -79,16 +79,17 @@ let pow_mod params b e =
   if Bigint.is_even params.modulus then Bigint.mod_pow b e params.modulus
   else Bigint.Mont.pow (mont_of params) b e
 
-(* The anchor chain costs one squaring per bit of coverage — a full
-   direct exponentiation — so one-shot callers ([accumulate],
-   [non_mem_witness]) only use it when it is already built or a parallel
-   pool can recoup the investment; otherwise they take the plain
-   sliding-window ladder. Reuse-heavy callers ([all_witnesses], the
-   witness index) call [g_pow_cached], which always invests: every subsequent witness
-   then costs ~bits/8 multiplies instead of [bits] squarings. The value
-   is identical on every path. *)
-let g_pow_cached params e = Bigint.Fixed_base.pow ~run:run_chunks (fixed_of params) e
+(* [(b^e1, b^e2)] from one squaring chain shared by both exponents. *)
+let pow_mod2 params b e1 e2 =
+  if Bigint.is_even params.modulus then
+    (Bigint.mod_pow b e1 params.modulus, Bigint.mod_pow b e2 params.modulus)
+  else Bigint.Mont.pow2 (mont_of params) b e1 e2
 
+(* The anchor chain costs one squaring per bit of coverage — a full
+   direct exponentiation — so [g_pow] only uses it when it is already
+   built or a parallel pool can recoup the investment; otherwise it
+   takes the plain sliding-window ladder. The value is identical on
+   either path. *)
 let g_pow params e =
   let fb = fixed_of params in
   if Parallel.Pool.size (Parallel.pool ()) > 1 || Bigint.Fixed_base.ready fb e then
@@ -177,10 +178,8 @@ let all_witnesses params xs =
     (match build_tree pool arr with
      | Pleaf (_, i) -> out.(i) <- params.generator
      | Pnode (_, l, r) ->
-       (* The root's two bases come off the fixed-base chain of g, whose
-          digit segments are themselves pool-parallel. *)
-       let bl = g_pow_cached params (tree_product r) in
-       let br = g_pow_cached params (tree_product l) in
+       let bl = g_pow params (tree_product r) in
+       let br = g_pow params (tree_product l) in
        let depth = spawn_depth pool in
        ignore
          (Parallel.Pool.both pool

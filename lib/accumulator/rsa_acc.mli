@@ -109,11 +109,11 @@ val pow_mod : params -> Bigint.t -> Bigint.t -> Bigint.t
     repeated exponentiations stop re-deriving Montgomery state. Safe
     across domains; values are identical to [mod_pow]. *)
 
-val g_pow_cached : params -> Bigint.t -> Bigint.t
-(** [g^e mod n] through the process-wide fixed-base anchor chain of the
-    generator (always invests in the chain — see the cost model above).
-    This is the exponentiation reuse-heavy callers ({!all_witnesses},
-    the witness index) sit on. *)
+val pow_mod2 : params -> Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t * Bigint.t
+(** [pow_mod2 params b e1 e2 = (pow_mod params b e1, pow_mod params b e2)],
+    computed by {!Bigint.Mont.pow2} from one squaring chain shared by
+    both exponents (two [mod_pow] calls over an even modulus). The
+    witness index derives a node's two child bases with one call. *)
 
 (** {1 Non-membership (universal accumulator)}
 

@@ -234,18 +234,8 @@ let rec fresh_base t i =
       t.n_cold <- t.n_cold + 1;
       Obs.Counter.incr c_cold;
       let sibling = t.prod.(i lxor 1) in
-      let b =
-        if i lsr 1 = 1 then
-          (* Parent is the root (base [g]): the fixed-base anchor chain
-             of [g] beats a plain ladder for this large exponent. *)
-          if Bigint.equal sibling Bigint.one then t.wt_params.Rsa_acc.generator
-          else Rsa_acc.g_pow_cached t.wt_params sibling
-        else begin
-          let pb = fresh_base t (i lsr 1) in
-          if Bigint.equal sibling Bigint.one then pb
-          else Rsa_acc.pow_mod t.wt_params pb sibling
-        end
-      in
+      let pb = fresh_base t (i lsr 1) in
+      let b = if Bigint.equal sibling Bigint.one then pb else Rsa_acc.pow_mod t.wt_params pb sibling in
       t.base.(i) <- Some b;
       t.bgen.(i) <- t.count;
       b
@@ -266,7 +256,7 @@ let ac_locked t =
     match t.cached_ac with
     | Some (v, gen) when gen = t.count -> v
     | _ ->
-      let v = Rsa_acc.g_pow_cached t.wt_params t.prod.(1) in
+      let v = Rsa_acc.pow_mod t.wt_params t.wt_params.Rsa_acc.generator t.prod.(1) in
       t.cached_ac <- Some (v, t.count);
       v
 
@@ -327,7 +317,7 @@ let batch_witness_locked t subset =
             q)
           t.prod.(1) subset
       in
-      Rsa_acc.g_pow_cached t.wt_params remaining
+      Rsa_acc.pow_mod t.wt_params t.wt_params.Rsa_acc.generator remaining
     in
     let seen = Hashtbl.create (List.length resolved) in
     let distinct =
@@ -364,11 +354,14 @@ let batch_witness t subset = with_lock t (fun () -> batch_witness_locked t subse
 
 (* --- bulk warm-up ------------------------------------------------------- *)
 
-(* Compute every base in one pool-parallel root-splitting descent over
-   the maintained products — the persistent-index version of
-   [Rsa_acc.all_witnesses]. Subtrees are disjoint writes; the shape is
-   fixed by the leaf count, so results are identical at every pool
-   size. *)
+(* Compute every base in one pool-parallel root-splitting descent from
+   the root's base [g] over the maintained products — the
+   persistent-index version of [Rsa_acc.all_witnesses]. A node whose two
+   children are both in use derives their bases with one pair
+   exponentiation, [(b^prod(right), b^prod(left))], which shares one
+   squaring chain between the two exponents; a node with one child in
+   use pays one ladder. Subtrees are disjoint writes; the shape is fixed
+   by the leaf count, so results are identical at every pool size. *)
 let warm_all t =
   with_lock t (fun () ->
       if t.count > 0 then begin
@@ -378,6 +371,9 @@ let warm_all t =
           log2up (Parallel.Pool.size pool) + 2
         in
         let gen = t.count in
+        let params = t.wt_params in
+        let in_use i = fst (node_range t i) < t.count in
+        let trivial p = Bigint.equal p Bigint.one in
         let set i b =
           if t.base.(i) = None then begin
             t.n_cold <- t.n_cold + 1;
@@ -390,18 +386,16 @@ let warm_all t =
           set i b;
           if i < t.cap then begin
             let l = 2 * i and r = (2 * i) + 1 in
-            let llo, _ = node_range t l in
-            let rlo, _ = node_range t r in
-            let bl () =
-              if Bigint.equal t.prod.(r) Bigint.one then b
-              else Rsa_acc.pow_mod t.wt_params b t.prod.(r)
+            let pl = t.prod.(l) and pr = t.prod.(r) in
+            let use_l = in_use l and use_r = in_use r in
+            (* Each child's base is [b] to its sibling's product. *)
+            let one_child sibling = if trivial sibling then b else Rsa_acc.pow_mod params b sibling in
+            let bl, br =
+              if use_l && use_r && not (trivial pl || trivial pr) then Rsa_acc.pow_mod2 params b pr pl
+              else ((if use_l then one_child pr else b), if use_r then one_child pl else b)
             in
-            let br () =
-              if Bigint.equal t.prod.(l) Bigint.one then b
-              else Rsa_acc.pow_mod t.wt_params b t.prod.(l)
-            in
-            let go_l () = if llo < t.count then descend l (bl ()) (depth - 1) in
-            let go_r () = if rlo < t.count then descend r (br ()) (depth - 1) in
+            let go_l () = if use_l then descend l bl (depth - 1) in
+            let go_r () = if use_r then descend r br (depth - 1) in
             if depth > 0 then ignore (Parallel.Pool.both pool go_l go_r)
             else begin
               go_l ();
@@ -409,25 +403,7 @@ let warm_all t =
             end
           end
         in
-        (* The root's children come off the fixed-base chain of [g]. *)
-        set 1 t.wt_params.Rsa_acc.generator;
-        if t.cap = 1 then ()
-        else begin
-          let bl () =
-            if Bigint.equal t.prod.(3) Bigint.one then t.wt_params.Rsa_acc.generator
-            else Rsa_acc.g_pow_cached t.wt_params t.prod.(3)
-          in
-          let br () =
-            if Bigint.equal t.prod.(2) Bigint.one then t.wt_params.Rsa_acc.generator
-            else Rsa_acc.g_pow_cached t.wt_params t.prod.(2)
-          in
-          let llo, _ = node_range t 2 in
-          let rlo, _ = node_range t 3 in
-          ignore
-            (Parallel.Pool.both pool
-               (fun () -> if llo < t.count then descend 2 (bl ()) (spawn_depth - 1))
-               (fun () -> if rlo < t.count then descend 3 (br ()) (spawn_depth - 1)))
-        end
+        descend 1 params.Rsa_acc.generator spawn_depth
       end)
 
 (* --- introspection ------------------------------------------------------ *)

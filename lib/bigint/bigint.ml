@@ -797,6 +797,21 @@ module Mont = struct
 
   let pow c b e = of_mont c (pow_mont c b e)
 
+  (* [pow_pair words d1 d2 b e1 e2] sets d1 <- b^e1 and d2 <- b^e2 out of
+     the domain, for a Montgomery-form base [b] and exponent magnitudes,
+     from one squaring chain shared by both exponents (mont_stubs.c).
+     False when the kernel cannot allocate its buckets. *)
+  external pow_pair :
+    Bytes.t -> int array -> int array -> int array -> int array -> int array -> bool
+    = "slicer_mont_pow2_byte" "slicer_mont_pow2"
+  [@@noalloc]
+
+  let pow2 c b e1 e2 =
+    if sign e1 < 0 || sign e2 < 0 then invalid_arg "Bigint.Mont.pow2: negative exponent";
+    let d1 = Array.make c.k 0 and d2 = Array.make c.k 0 in
+    if not (pow_pair c.words d1 d2 (to_mont c b) e1.mag e2.mag) then raise Out_of_memory;
+    (make 1 d1, make 1 d2)
+
   let sqr c a =
     let dst = buffer c in
     sqr_into c dst a;

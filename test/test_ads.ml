@@ -240,6 +240,54 @@ let test_wt_warm_all () =
   Alcotest.(check int) "queries were hits" (List.length xs) (stats'.Witness_tree.ws_hits - stats.Witness_tree.ws_hits);
   Alcotest.(check int) "no refresh after warm" stats.Witness_tree.ws_refreshes stats'.Witness_tree.ws_refreshes
 
+(* 337 primes over a 512-bit modulus: the root's children then hold 256
+   and 81 leaves (about 70,000 and 22,000 exponent bits), so the warm's
+   pair exponentiations reach the widest digit windows. *)
+let wide = lazy (Rsa_acc.setup ~rng:(Drbg.create ~seed:"acc-params-512") ~bits:512 ())
+let wide_first = lazy (primes_of 300 "wt-wide")
+let wide_more = lazy (primes_of 37 "wt-wide-more")
+
+let wide_reference =
+  lazy (Rsa_acc.all_witnesses (Lazy.force wide) (Lazy.force wide_first @ Lazy.force wide_more))
+
+let check_warm_leaves wt reference =
+  let stats = Witness_tree.stats wt in
+  Alcotest.(check int) "every leaf fresh" (List.length reference) stats.Witness_tree.ws_fresh;
+  List.iter
+    (fun (x, w) ->
+      match Witness_tree.witness wt x with
+      | None -> Alcotest.fail "missing after warm_all"
+      | Some w' -> Alcotest.(check bool) "warm witness = all_witnesses" true (Bigint.equal w w'))
+    reference
+
+let test_wt_warm_all_wide () =
+  let params = Lazy.force wide in
+  let first = Lazy.force wide_first in
+  let wt = Witness_tree.create params in
+  Witness_tree.append wt first;
+  Witness_tree.warm_all wt;
+  check_warm_leaves wt (Rsa_acc.all_witnesses params first);
+  Witness_tree.append wt (Lazy.force wide_more);
+  Witness_tree.warm_all wt;
+  check_warm_leaves wt (Lazy.force wide_reference)
+
+(* Without a warm, a leaf's first lookup descends cold from the root's
+   base [g]: one leaf under each of the root's children. *)
+let test_wt_cold_from_root () =
+  let params = Lazy.force wide in
+  let reference = Array.of_list (Lazy.force wide_reference) in
+  let wt = Witness_tree.create params in
+  Witness_tree.append wt (Array.to_list (Array.map fst reference));
+  List.iter
+    (fun p ->
+      let x, w = reference.(p) in
+      let cold = (Witness_tree.stats wt).Witness_tree.ws_cold in
+      (match Witness_tree.witness wt x with
+       | None -> Alcotest.fail "member prime missing from index"
+       | Some w' -> Alcotest.(check bool) (Printf.sprintf "cold leaf %d = all_witnesses" p) true (Bigint.equal w w'));
+      Alcotest.(check bool) "computed cold" true ((Witness_tree.stats wt).Witness_tree.ws_cold > cold))
+    [ 0; 300 ]
+
 let test_wt_batch_witness () =
   let xs = primes_of 8 "wt-batch" in
   let wt = Witness_tree.create small_params in
@@ -489,6 +537,8 @@ let () =
       ( "witness_tree",
         [ Alcotest.test_case "matches rebuild" `Quick test_wt_matches_rebuild;
           Alcotest.test_case "warm_all" `Quick test_wt_warm_all;
+          Alcotest.test_case "warm_all at wide windows" `Quick test_wt_warm_all_wide;
+          Alcotest.test_case "cold lookups from the root" `Quick test_wt_cold_from_root;
           Alcotest.test_case "batch witness" `Quick test_wt_batch_witness;
           Alcotest.test_case "export/absorb" `Quick test_wt_export_absorb ] );
       ( "merkle",

@@ -191,6 +191,15 @@ let boundary_bits =
 (* Run [2 * boundary_cases] cases to cover every boundary. *)
 let boundary_cases = Array.length boundary_bits
 
+(* An odd modulus of exactly [bits] >= 2 bits: 2^(bits-1) + 2r + 1 with
+   r < 2^(bits-2). *)
+let gen_odd_modulus bits =
+  QCheck2.Gen.map
+    (fun bytes ->
+      let r = Bigint.erem (Bigint.of_bytes_be bytes) (Bigint.shift_left Bigint.one (bits - 2)) in
+      Bigint.add (Bigint.shift_left Bigint.one (bits - 1)) (Bigint.add (Bigint.mul_int r 2) Bigint.one))
+    (QCheck2.Gen.string_size ~gen:QCheck2.Gen.char (QCheck2.Gen.return (kernel_max_bits / 8)))
+
 (* An odd modulus of 2 to [kernel_max_bits] bits. Even-numbered cases
    step through [boundary_bits] in order, so every run of
    [2 * boundary_cases] cases covers all of them; odd-numbered cases
@@ -199,22 +208,95 @@ let gen_kernel_modulus () =
   let case = ref 0 in
   let open QCheck2.Gen in
   let* random_bits = int_range 2 kernel_max_bits in
-  let* bytes = string_size ~gen:char (return (kernel_max_bits / 8)) in
   let i = !case in
   incr case;
-  let bits = if i land 1 = 0 then boundary_bits.(i / 2 mod boundary_cases) else random_bits in
-  (* 2^(bits-1) + 2r + 1 with r < 2^(bits-2): odd, exactly [bits] bits. *)
-  let r = Bigint.erem (Bigint.of_bytes_be bytes) (Bigint.shift_left Bigint.one (bits - 2)) in
-  return
-    (Bigint.add (Bigint.shift_left Bigint.one (bits - 1)) (Bigint.add (Bigint.mul_int r 2) Bigint.one))
+  gen_odd_modulus (if i land 1 = 0 then boundary_bits.(i / 2 mod boundary_cases) else random_bits)
 
-(* A modulus with a base: 0, 1, m - 1, or random up to [kernel_max_bits]
-   bits (often above m). *)
+(* A base for modulus [m]: 0, 1, m - 1, or random up to
+   [kernel_max_bits] bits (often above m). *)
+let gen_kernel_base m =
+  QCheck2.Gen.oneof
+    [ QCheck2.Gen.return Bigint.zero;
+      QCheck2.Gen.return Bigint.one;
+      QCheck2.Gen.return (Bigint.pred m);
+      gen_big_pos ~bits:kernel_max_bits () ]
+
 let gen_kernel_case () =
   let open QCheck2.Gen in
   let* m = gen_kernel_modulus () in
-  let* b = oneof [ return Bigint.zero; return Bigint.one; return (Bigint.pred m); gen_big_pos ~bits:kernel_max_bits () ] in
+  let* b = gen_kernel_base m in
   return (m, b)
+
+(* Reference ladder built on erem (Knuth division), fully independent
+   of the Montgomery code path. *)
+let division_pow b e m =
+  let acc = ref Bigint.one in
+  for i = Bigint.num_bits e - 1 downto 0 do
+    acc := Bigint.mod_mul !acc !acc m;
+    if Bigint.testbit e i then acc := Bigint.mod_mul !acc b m
+  done;
+  !acc
+
+(* --- pair exponentiation ---------------------------------------------- *)
+
+(* [Mont.pow2] picks its digit width from the longer exponent: 2 bits up
+   to 64, then one more above each of 64, 200, 600, 1600, 4000, 10k, 25k
+   and 60k bits. These lengths sit on and either side of every
+   threshold, plus zero and the widest window's 70,000 bits. *)
+let pow2_lengths =
+  0 :: 70_000
+  :: List.concat_map (fun t -> [ t - 1; t; t + 1 ]) [ 64; 200; 600; 1600; 4000; 10_000; 25_000; 60_000 ]
+  |> Array.of_list
+
+(* The reference ladder costs about bits(m)² per exponent bit, so a
+   case keeps bits(m)² · (|e1| + |e2|) within this budget: the longest
+   exponents meet moduli of a few dozen bits, and 2112-bit moduli meet
+   exponents of a few dozen bits. *)
+let pow2_budget = 140_000 * 40 * 40
+
+(* An exponent of exactly [bits] bits (zero for 0). *)
+let gen_exponent bits =
+  if bits = 0 then QCheck2.Gen.return Bigint.zero
+  else
+    QCheck2.Gen.map
+      (fun bytes ->
+        let top = Bigint.shift_left Bigint.one (bits - 1) in
+        Bigint.add top (Bigint.erem (Bigint.of_bytes_be bytes) top))
+      (QCheck2.Gen.string_size ~gen:QCheck2.Gen.char (QCheck2.Gen.return ((bits + 7) / 8)))
+
+(* Even-numbered cases step through [boundary_bits] for the modulus and
+   draw the longer exponent's length up to what the budget allows;
+   odd-numbered cases step through [pow2_lengths] for it and draw the
+   modulus length up to what the budget allows. The other exponent has
+   the same length, a random shorter one, or is zero, on either side. *)
+let gen_pow2_case () =
+  let case = ref 0 in
+  let open QCheck2.Gen in
+  let* u = float_range 0. 1. in
+  let* shape = int_range 0 2 in
+  let* v = float_range 0. 1. in
+  let* swap = bool in
+  let i = !case in
+  incr case;
+  let other len = match shape with 0 -> len | 1 -> int_of_float (v *. float_of_int len) | _ -> 0 in
+  let mbits, len =
+    if i land 1 = 0 then begin
+      let mbits = boundary_bits.(i / 2 mod boundary_cases) in
+      let cap = Stdlib.min 70_000 (pow2_budget / (mbits * mbits) / 2) in
+      (* Log-uniform in [0, cap]. *)
+      (mbits, int_of_float (float_of_int (cap + 1) ** u) - 1)
+    end
+    else begin
+      let len = pow2_lengths.(i / 2 mod Array.length pow2_lengths) in
+      let cap = Float.to_int (sqrt (float_of_int (pow2_budget / Stdlib.max 1 (len + other len)))) in
+      (2 + int_of_float (u *. float_of_int (Stdlib.min kernel_max_bits cap - 2)), len)
+    end
+  in
+  let* m = gen_odd_modulus mbits in
+  let* b = gen_kernel_base m in
+  let* e1 = gen_exponent len in
+  let* e2 = gen_exponent (other len) in
+  return (m, b, if swap then (e2, e1) else (e1, e2))
 
 (* --- product kernel ---------------------------------------------------- *)
 
@@ -376,23 +458,17 @@ let props =
     prop "montgomery matches division-based ladder" ~count:(2 * boundary_cases)
       (pair (gen_kernel_case ()) (gen_big_pos ~bits:96 ()))
       (fun ((m, b), e) ->
-        (* Reference ladder built on erem (Knuth division), fully
-           independent of the Montgomery code path. *)
-        let reference e =
-          let bits = Bigint.num_bits e in
-          let acc = ref Bigint.one in
-          for i = bits - 1 downto 0 do
-            acc := Bigint.mod_mul !acc !acc m;
-            if Bigint.testbit e i then acc := Bigint.mod_mul !acc b m
-          done;
-          !acc
-        in
         (* Exponents 2 and 3: a lone square, and a square and a multiply. *)
         let c = Bigint.Mont.create m in
-        Bigint.equal (reference e) (Bigint.mod_pow b e m)
+        Bigint.equal (division_pow b e m) (Bigint.mod_pow b e m)
         && List.for_all
-             (fun e -> Bigint.equal (reference (bi e)) (Bigint.Mont.pow c b (bi e)))
+             (fun e -> Bigint.equal (division_pow b (bi e) m) (Bigint.Mont.pow c b (bi e)))
              [ 2; 3 ]);
+    prop "pair exponentiation matches division-based ladder" ~count:(2 * boundary_cases)
+      (gen_pow2_case ())
+      (fun (m, b, (e1, e2)) ->
+        let r1, r2 = Bigint.Mont.pow2 (Bigint.Mont.create m) b e1 e2 in
+        Bigint.equal (division_pow b e1 m) r1 && Bigint.equal (division_pow b e2 m) r2);
     prop "mod_pow odd modulus homomorphism" ~count:60
       (triple (gen_big_pos ~bits:256 ()) (pair (gen_big_pos ~bits:64 ()) (gen_big_pos ~bits:64 ())) (gen_big_pos ~bits:256 ()))
       (fun (b, (e1, e2), m0) ->
