@@ -359,9 +359,10 @@ let batch_witness t subset = with_lock t (fun () -> batch_witness_locked t subse
    persistent-index version of [Rsa_acc.all_witnesses]. A node whose two
    children are both in use derives their bases with one pair
    exponentiation, [(b^prod(right), b^prod(left))], which shares one
-   squaring chain between the two exponents; a node with one child in
-   use pays one ladder. Subtrees are disjoint writes; the shape is fixed
-   by the leaf count, so results are identical at every pool size. *)
+   squaring chain between the two exponents; a node with only its left
+   child in use passes its base through. Subtrees are disjoint writes;
+   the shape is fixed by the leaf count, so results are identical at
+   every pool size. *)
 let warm_all t =
   with_lock t (fun () ->
       if t.count > 0 then begin
@@ -372,8 +373,6 @@ let warm_all t =
         in
         let gen = t.count in
         let params = t.wt_params in
-        let in_use i = fst (node_range t i) < t.count in
-        let trivial p = Bigint.equal p Bigint.one in
         let set i b =
           if t.base.(i) = None then begin
             t.n_cold <- t.n_cold + 1;
@@ -386,15 +385,13 @@ let warm_all t =
           set i b;
           if i < t.cap then begin
             let l = 2 * i and r = (2 * i) + 1 in
-            let pl = t.prod.(l) and pr = t.prod.(r) in
-            let use_l = in_use l and use_r = in_use r in
-            (* Each child's base is [b] to its sibling's product. *)
-            let one_child sibling = if trivial sibling then b else Rsa_acc.pow_mod params b sibling in
-            let bl, br =
-              if use_l && use_r && not (trivial pl || trivial pr) then Rsa_acc.pow_mod2 params b pr pl
-              else ((if use_l then one_child pr else b), if use_r then one_child pl else b)
-            in
-            let go_l () = if use_l then descend l bl (depth - 1) in
+            (* Each child's base is [b] to its sibling's product. The
+               left child is in use whenever its parent is; an unused
+               right child's product is one, so the left child then
+               takes [b] as it is. *)
+            let use_r = fst (node_range t r) < t.count in
+            let bl, br = if use_r then Rsa_acc.pow_mod2 params b t.prod.(r) t.prod.(l) else (b, b) in
+            let go_l () = descend l bl (depth - 1) in
             let go_r () = if use_r then descend r br (depth - 1) in
             if depth > 0 then ignore (Parallel.Pool.both pool go_l go_r)
             else begin

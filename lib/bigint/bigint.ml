@@ -797,19 +797,67 @@ module Mont = struct
 
   let pow c b e = of_mont c (pow_mont c b e)
 
-  (* [pow_pair words d1 d2 b e1 e2] sets d1 <- b^e1 and d2 <- b^e2 out of
-     the domain, for a Montgomery-form base [b] and exponent magnitudes,
-     from one squaring chain shared by both exponents (mont_stubs.c).
-     False when the kernel cannot allocate its buckets. *)
-  external pow_pair :
-    Bytes.t -> int array -> int array -> int array -> int array -> int array -> bool
-    = "slicer_mont_pow2_byte" "slicer_mont_pow2"
+  (* The pair kernel (mont_stubs.c), over a state byte string [st] of
+     B, 2·2^w buckets and their flags: [pair_start words st b w] sets B
+     to the Montgomery-form base [b] and empties the buckets,
+     [pair_digits words st e1 e2 w i j] buckets digits [i, j) of both
+     exponent magnitudes, advancing B by w squarings before each digit
+     after the first, and [pair_fold words st w s dst] folds the bucket
+     set of exponent [s] (0 or 1) out of the domain into [dst]. *)
+  external pair_start : Bytes.t -> Bytes.t -> int array -> int -> unit = "slicer_mont_pow2_start"
   [@@noalloc]
+
+  external pair_digits : Bytes.t -> Bytes.t -> int array -> int array -> int -> int -> int -> unit
+    = "slicer_mont_pow2_digits_byte" "slicer_mont_pow2_digits"
+  [@@noalloc]
+
+  external pair_fold : Bytes.t -> Bytes.t -> int -> int -> int array -> unit
+    = "slicer_mont_pow2_fold"
+  [@@noalloc]
+
+  (* Digit width for a pair whose longer exponent has [bits] bits: the w
+     minimising the 2·bits/w digit products plus the 2^(w+2) of folding
+     both bucket sets, which moves to w + 1 above w(w+1)·2^(w+1) bits;
+     at most 10. *)
+  let pair_window bits =
+    let rec go w = if w < 10 && bits > (w * (w + 1)) lsl (w + 1) then go (w + 1) else w in
+    go 2
+
+  (* Exponent bits per [pair_digits] call: a few hundred squarings, so
+     no call holds the runtime for long. *)
+  let pair_slice_bits = 256
+
+  (* Each domain keeps its largest pair state for the next pair, so a
+     witness warm's hundreds of pairs leave no megabytes of large
+     strings to the major collector. A pair takes the spare by an atomic
+     exchange and puts its own state back when done: two systhreads of
+     one domain never share a state, and a pair that finds the spare
+     taken or too small allocates its own. *)
+  let spare_state = Domain.DLS.new_key (fun () -> Atomic.make Bytes.empty)
 
   let pow2 c b e1 e2 =
     if sign e1 < 0 || sign e2 < 0 then invalid_arg "Bigint.Mont.pow2: negative exponent";
+    let bits = Stdlib.max (num_bits e1) (num_bits e2) in
+    let w = pair_window bits in
+    let n = (Bytes.length c.words / 8) - 1 and nb = 1 lsl w in
+    let size = (8 * n * (1 + (2 * nb))) + (2 * nb) in
+    let spare = Domain.DLS.get spare_state in
+    let st =
+      let s = Atomic.exchange spare Bytes.empty in
+      if Bytes.length s >= size then s else Bytes.create size
+    in
+    pair_start c.words st (to_mont c b) w;
+    let digits = (bits + w - 1) / w and step = pair_slice_bits / w in
+    let i = ref 0 in
+    while !i < digits do
+      let j = Stdlib.min digits (!i + step) in
+      pair_digits c.words st e1.mag e2.mag w !i j;
+      i := j
+    done;
     let d1 = Array.make c.k 0 and d2 = Array.make c.k 0 in
-    if not (pow_pair c.words d1 d2 (to_mont c b) e1.mag e2.mag) then raise Out_of_memory;
+    pair_fold c.words st w 0 d1;
+    pair_fold c.words st w 1 d2;
+    Atomic.set spare st;
     (make 1 d1, make 1 d2)
 
   let sqr c a =

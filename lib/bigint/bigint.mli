@@ -145,8 +145,8 @@ val mod_pow : t -> t -> t -> t
     domain with one multiplication instead of a general division. Every
     product runs on one C kernel ([mont_stubs.c]): a fused multiply-reduce
     and a square-reduce over [n = ⌈bits(m)/64⌉] 64-bit words, so
-    [R = 2^(64n)]; {!pow2} runs a whole pair exponentiation in one
-    kernel call. A context is immutable after [create] and safe to
+    [R = 2^(64n)]; {!pow2} runs a pair exponentiation's chain and folds
+    in the kernel too. A context is immutable after [create] and safe to
     share across domains. *)
 module Mont : sig
   type ctx
@@ -161,13 +161,16 @@ module Mont : sig
       @raise Invalid_argument on a negative exponent. *)
 
   val pow2 : ctx -> t -> t -> t -> t * t
-  (** [pow2 c b e1 e2] is [(pow c b e1, pow c b e2)], computed in one
-      kernel call from one squaring chain [b^(2^(w·i))] shared by both
-      exponents, with each exponent's [w]-bit digits bucketed and folded
+  (** [pow2 c b e1 e2] is [(pow c b e1, pow c b e2)], computed from one
+      squaring chain [b^(2^(w·i))] shared by both exponents, with each
+      exponent's [w]-bit digits bucketed and folded
       (Brickell–Gordon–McCurley–Wilson digits, Yao's running product):
       about [max(|e1|, |e2|)] squarings plus [(|e1| + |e2|)/w + 2^(w+2)]
       products, against [|e1| + |e2|] squarings for two ladders. [w]
-      grows with the longer exponent, from 2 bits up to 10 above 60,000.
+      minimises that count for the longer exponent: 2 bits up to 48,
+      one more above each [w(w+1)·2^(w+1)] bits, 10 above 92,160. The
+      chain runs in kernel calls of a few hundred squarings each, so a
+      long pair never holds the runtime for long.
       @raise Invalid_argument on a negative exponent. *)
 
   (** {2 The Montgomery domain}

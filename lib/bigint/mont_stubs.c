@@ -5,17 +5,15 @@
    n = ceil(bits(m) / 64) 64-bit words on the stack, runs one fused
    multiply-reduce over unsigned __int128 products with R = 2^(64n), and
    unpacks the result into the destination array's limbs. Nothing is
-   allocated on the OCaml heap (a call takes about 4n words of C stack;
-   the pair exponentiation also mallocs its buckets and frees them
-   before it returns) and no state outlives a call, so the entry points
-   are [@@noalloc] and safe to run on several domains at once against
-   one shared context.
+   allocated on the OCaml heap (a call takes about 4n words of C stack)
+   and no state outlives a call except in a byte string its caller owns
+   (the pair exponentiation's), so the entry points are [@@noalloc] and
+   safe to run on several domains at once against one shared context.
 
    The context is a byte string of n + 1 words written once by
    slicer_mont_setup: the modulus words, then -m^(-1) mod 2^64. */
 
 #include <caml/mlvalues.h>
-#include <stdlib.h>
 #include <string.h>
 #include "limbs.h"
 
@@ -168,17 +166,6 @@ value slicer_mont_sqr(value ctx, value dst, value va)
   return Val_unit;
 }
 
-/* Bit length of a magnitude's limb array. */
-static mlsize_t limb_bits(value e)
-{
-  mlsize_t len = Wosize_val(e);
-  word top;
-  while (len > 0 && Long_val(Field(e, len - 1)) == 0) len--;
-  if (len == 0) return 0;
-  top = (word)Long_val(Field(e, len - 1));
-  return (len - 1) * LIMB_BITS + (64 - __builtin_clzll(top));
-}
-
 /* The w bits of [e] from bit [pos] up; w is at most 10, so a digit
    spans at most two limbs. */
 static unsigned limb_digit(value e, mlsize_t pos, unsigned w)
@@ -192,94 +179,101 @@ static unsigned limb_digit(value e, mlsize_t pos, unsigned w)
   return (unsigned)(v & (((word)1 << w) - 1));
 }
 
-/* Window for a pair whose longer exponent has [bits] bits: about the w
-   that minimises the (|e1| + |e2|)/w digit products plus the 2^(w+2)
-   of folding both bucket sets, for exponents of similar length. */
-static unsigned pow2_window(mlsize_t bits)
+/* The pair exponentiation (b^e1, b^e2) of Bigint.Mont.pow2 grows one
+   squaring chain B_i = b^(2^(w·i)) shared by both exponents: each
+   exponent's w-bit digit i multiplies B_i into that exponent's bucket
+   for the digit value, and each bucket set folds to Π_d bucket_d^d
+   (Brickell–Gordon–McCurley–Wilson digits, Yao's fold). About
+   max(|e1|, |e2|) squarings plus (|e1| + |e2|)/w + 2^(w+2) products,
+   against |e1| + |e2| squarings for two ladders.
+
+   OCaml drives it in calls of a bounded length, so that every return
+   is a safepoint: a start, slices of digits, and one fold per exponent.
+   The state lives in one OCaml byte string per pair, which no call
+   keeps a pointer into: the chain's current power B (n words), then
+   2·2^w buckets of n words (the first exponent's set, then the
+   second's), then 2·2^w presence flags. */
+
+static unsigned char *pow2_flags(word *st, unsigned nb, mlsize_t n)
 {
-  static const mlsize_t limit[] = { 64, 200, 600, 1600, 4000, 10000, 25000, 60000 };
-  unsigned w = 2, i;
-  for (i = 0; i < sizeof limit / sizeof limit[0] && bits > limit[i]; i++) w++;
-  return w;
+  return (unsigned char *)(st + n + 2 * (size_t)nb * n);
 }
 
-/* Running-product fold of one bucket set into r (Yao): scanning d from
-   2^w - 1 down, [run] holds the product of buckets >= d and r gathers
-   one factor of [run] per d, so bucket d is raised to d. Returns 0
-   when every bucket is empty (a zero exponent). */
-static int fold_buckets(word *r, word *run, const word *bucket, const unsigned char *has,
-                        unsigned nb, const word *m, word minv, mlsize_t n)
+/* B <- the Montgomery-form base [vb]; every bucket empty. */
+value slicer_mont_pow2_start(value ctx, value vst, value vb, value vw)
 {
-  int have_run = 0, have_r = 0;
-  unsigned d;
-  for (d = nb - 1; d >= 1; d--) {
-    if (has[d]) {
-      if (have_run) mont_mul(run, run, bucket + d * n, m, minv, n);
-      else memcpy(run, bucket + d * n, n * sizeof(word));
-      have_run = 1;
-    }
-    if (have_run) {
-      if (have_r) mont_mul(r, r, run, m, minv, n);
-      else memcpy(r, run, n * sizeof(word));
-      have_r = 1;
-    }
-  }
-  return have_r;
+  mlsize_t n = ctx_words(ctx);
+  unsigned nb = 1u << Long_val(vw);
+  word *st = (word *)Bytes_val(vst);
+  pack(vb, st, n);
+  memset(pow2_flags(st, nb, n), 0, 2 * (size_t)nb);
+  return Val_unit;
 }
 
-/* (b^e1, b^e2) from one squaring chain B_i = b^(2^(w·i)) shared by both
-   exponents: each exponent's w-bit digit i multiplies B_i into that
-   exponent's bucket for the digit value, and each bucket set folds to
-   Π_d bucket_d^d (Brickell–Gordon–McCurley–Wilson digits, Yao's fold).
-   About max(|e1|, |e2|) squarings plus (|e1| + |e2|)/w + 2^(w+2)
-   products, against |e1| + |e2| squarings for two ladders. [vb] is the
-   base in Montgomery form; the results leave the domain into [d1] and
-   [d2] (a zero exponent gives 1). Both bucket sets, 2·2^w·n words, sit
-   in one C-heap buffer freed before return; false when it cannot be
-   allocated. */
-value slicer_mont_pow2(value ctx, value d1, value d2, value vb, value ve1, value ve2)
+/* Digits [from, to) of both exponents: before digit i > 0, w squarings
+   advance B to B_i; then each exponent's nonzero digit multiplies B_i
+   into its bucket. */
+value slicer_mont_pow2_digits(value ctx, value vst, value ve1, value ve2, value vw, value vfrom,
+                              value vto)
 {
   const word *m = (const word *)String_val(ctx);
-  mlsize_t n = ctx_words(ctx), bits1 = limb_bits(ve1), bits2 = limb_bits(ve2);
-  mlsize_t bits = bits1 > bits2 ? bits1 : bits2, digits, i;
-  unsigned w = pow2_window(bits), nb = 1u << w, j, s;
-  value ve[2] = { ve1, ve2 }, dst[2] = { d1, d2 };
-  word minv = m[n], b[n], run[n], r[n], one[n];
-  word *bucket;
-  unsigned char *has;
-  bucket = malloc(2 * (size_t)nb * n * sizeof(word) + 2 * (size_t)nb);
-  if (bucket == NULL) return Val_false;
-  has = (unsigned char *)(bucket + 2 * (size_t)nb * n);
-  memset(has, 0, 2 * (size_t)nb);
-  memset(one, 0, sizeof one);
-  one[0] = 1;
-  pack(vb, b, n);
-  digits = (bits + w - 1) / w;
-  for (i = 0; i < digits; i++) {
+  mlsize_t n = ctx_words(ctx), i, to = Long_val(vto);
+  unsigned w = Long_val(vw), nb = 1u << w, j, s;
+  word *b = (word *)Bytes_val(vst), *bucket = b + n;
+  unsigned char *has = pow2_flags(b, nb, n);
+  value ve[2] = { ve1, ve2 };
+  for (i = Long_val(vfrom); i < to; i++) {
+    if (i > 0)
+      for (j = 0; j < w; j++) mont_sqr(b, b, m, m[n], n);
     for (s = 0; s < 2; s++) {
-      unsigned k = s * nb + limb_digit(ve[s], i * w, w);
+      unsigned d = limb_digit(ve[s], i * w, w), k = s * nb + d;
       word *slot = bucket + (size_t)k * n;
-      if (k == s * nb) continue;
-      if (has[k]) mont_mul(slot, slot, b, m, minv, n);
+      if (d == 0) continue;
+      if (has[k]) mont_mul(slot, slot, b, m, m[n], n);
       else memcpy(slot, b, n * sizeof(word));
       has[k] = 1;
     }
-    if (i + 1 < digits)
-      for (j = 0; j < w; j++) mont_sqr(b, b, m, minv, n);
   }
-  for (s = 0; s < 2; s++) {
-    if (fold_buckets(r, run, bucket + (size_t)s * nb * n, has + s * nb, nb, m, minv, n))
-      mont_mul(r, r, one, m, minv, n);
-    else
-      memcpy(r, one, sizeof r);
-    unpack(r, n, dst[s]);
-  }
-  free(bucket);
-  return Val_true;
+  return Val_unit;
 }
 
-value slicer_mont_pow2_byte(value *argv, int argn)
+value slicer_mont_pow2_digits_byte(value *argv, int argn)
 {
   (void)argn;
-  return slicer_mont_pow2(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
+  return slicer_mont_pow2_digits(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
+}
+
+/* Set [vs] (0 for e1, 1 for e2) folded out of the domain into [dst] by
+   Yao's running product: scanning d from 2^w - 1 down, [run] holds the
+   product of buckets >= d and r gathers one factor of [run] per d, so
+   bucket d is raised to d. At most 2^(w+1) products; an empty set (a
+   zero exponent) gives 1. */
+value slicer_mont_pow2_fold(value ctx, value vst, value vw, value vs, value dst)
+{
+  const word *m = (const word *)String_val(ctx);
+  mlsize_t n = ctx_words(ctx);
+  unsigned nb = 1u << Long_val(vw), d;
+  word *st = (word *)Bytes_val(vst);
+  const word *bucket = st + n + (size_t)Long_val(vs) * nb * n;
+  const unsigned char *has = pow2_flags(st, nb, n) + (size_t)Long_val(vs) * nb;
+  word run[n], r[n], one[n];
+  int have_run = 0, have_r = 0;
+  memset(one, 0, sizeof one);
+  one[0] = 1;
+  for (d = nb - 1; d >= 1; d--) {
+    if (has[d]) {
+      if (have_run) mont_mul(run, run, bucket + (size_t)d * n, m, m[n], n);
+      else memcpy(run, bucket + (size_t)d * n, sizeof run);
+      have_run = 1;
+    }
+    if (have_run) {
+      if (have_r) mont_mul(r, r, run, m, m[n], n);
+      else memcpy(r, run, sizeof r);
+      have_r = 1;
+    }
+  }
+  if (have_r) mont_mul(r, r, one, m, m[n], n);
+  else memcpy(r, one, sizeof r);
+  unpack(r, n, dst);
+  return Val_unit;
 }

@@ -242,7 +242,7 @@ let test_wt_warm_all () =
 
 (* 337 primes over a 512-bit modulus: the root's children then hold 256
    and 81 leaves (about 70,000 and 22,000 exponent bits), so the warm's
-   pair exponentiations reach the widest digit windows. *)
+   pair exponentiations reach 9-bit digit windows. *)
 let wide = lazy (Rsa_acc.setup ~rng:(Drbg.create ~seed:"acc-params-512") ~bits:512 ())
 let wide_first = lazy (primes_of 300 "wt-wide")
 let wide_more = lazy (primes_of 37 "wt-wide-more")

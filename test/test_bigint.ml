@@ -239,13 +239,17 @@ let division_pow b e m =
 
 (* --- pair exponentiation ---------------------------------------------- *)
 
-(* [Mont.pow2] picks its digit width from the longer exponent: 2 bits up
-   to 64, then one more above each of 64, 200, 600, 1600, 4000, 10k, 25k
-   and 60k bits. These lengths sit on and either side of every
-   threshold, plus zero and the widest window's 70,000 bits. *)
+(* [Mont.pow2] picks its digit width w from the longer exponent: 2 bits
+   up to 48, then one more above each w(w+1)·2^(w+1) bits for w = 2..9
+   (48, 192, 640, 1920, 5376, 14336, 36864 and 92160). These lengths
+   sit on and either side of every threshold, plus zero and 70,000. *)
 let pow2_lengths =
   0 :: 70_000
-  :: List.concat_map (fun t -> [ t - 1; t; t + 1 ]) [ 64; 200; 600; 1600; 4000; 10_000; 25_000; 60_000 ]
+  :: List.concat_map
+       (fun w ->
+         let t = (w * (w + 1)) lsl (w + 1) in
+         [ t - 1; t; t + 1 ])
+       (List.init 8 (fun i -> i + 2))
   |> Array.of_list
 
 (* The reference ladder costs about bits(m)² per exponent bit, so a
