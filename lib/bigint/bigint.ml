@@ -827,12 +827,12 @@ module Mont = struct
      no call holds the runtime for long. *)
   let pair_slice_bits = 256
 
-  (* Each domain keeps its largest pair state for the next pair, so a
-     witness warm's hundreds of pairs leave no megabytes of large
-     strings to the major collector. A pair takes the spare by an atomic
-     exchange and puts its own state back when done: two systhreads of
-     one domain never share a state, and a pair that finds the spare
-     taken or too small allocates its own. *)
+  (* Each domain keeps one spare pair state, grown when a pair needs a
+     larger one, so a witness warm's hundreds of pairs leave no
+     megabytes of large strings to the major collector. A pair takes
+     the spare by an atomic exchange and puts its own state back when
+     done: two systhreads of one domain never share a state, and a pair
+     that finds the spare taken or too small allocates its own. *)
   let spare_state = Domain.DLS.new_key (fun () -> Atomic.make Bytes.empty)
 
   let pow2 c b e1 e2 =
