@@ -203,6 +203,27 @@ let pair_over_ladders () =
   in
   pair /. ladders
 
+(* One membership check priced in one accumulator add by the same
+   272-bit prime over the same 512-bit modulus: both are one modexp
+   (witness^x against Ac, and Ac^x), so the check must cost at least half
+   an add. Running its modexp the check reads about 1; a cache keyed on
+   the check's inputs answers it with a hash lookup and reads about
+   0.04. *)
+let verify_floor = 0.5
+
+let verify_over_add () =
+  let params = Rsa_acc.setup ~rng:(Drbg.create ~seed:"bechamel-verify") ~bits:512 () in
+  let x = bench_prime () in
+  let witness = params.Rsa_acc.generator in
+  let ac = Rsa_acc.add params witness x in
+  let calls = 10 in
+  let verify, add =
+    best_alternating
+      (repeat calls (fun () -> Rsa_acc.verify_mem params ~ac ~x ~witness) ())
+      (repeat calls (Rsa_acc.add params witness) x)
+  in
+  verify /. add
+
 (* The instrumentation budgets: an Obs span must stay under 1 us or the
    hot-path record claim in DESIGN.md is void, and an unsampled trace
    root (tracing off) under 150 ns. Each is timed as its cost over an
@@ -266,6 +287,16 @@ let run () =
     failwith
       (Printf.sprintf "a 512-bit pair exponentiation costs %.2f of two ladders, over the %.1f budget"
          pair pair_budget);
+  let verify = verify_over_add () in
+  Printf.printf
+    "verify-mem / accumulator-add = %.2f (best of 20 alternating batches; floor %.1f)\n" verify
+    verify_floor;
+  if verify < verify_floor then
+    failwith
+      (Printf.sprintf
+         "a membership check costs %.2f of an accumulator add, under the %.1f floor: it skipped \
+          its modexp"
+         verify verify_floor);
   overhead_guard "obs/span" (fun () -> Obs.span "bench.noop" (fun () -> ())) span_budget_ns;
   overhead_guard "obs/trace-unsampled"
     (fun () -> Trace.root "bench.trace-noop" (fun () -> ()))

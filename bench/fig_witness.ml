@@ -42,7 +42,7 @@ let latency_point ~queries n =
         snd (time (fun () -> ignore (Witness_tree.witness wt samples.(i)))))
   in
   (* The from-scratch path: the set's product, one exact division and
-     one fixed-base exponentiation per query. *)
+     one exponentiation of g per query. *)
   let recompute_s =
     average_queries ~n:(Array.length samples) (fun i ->
         snd (time (fun () -> ignore (Rsa_acc.mem_witness params xs samples.(i)))))

@@ -21,41 +21,16 @@ let default_params =
 
 (* --- the batched/parallel substrate ------------------------------------ *)
 
-(* Every chunked exponentiation fans out on the process-wide pool;
-   sequential (domains=1) is the default, so the fan-out degenerates to
-   an in-order loop and results are identical either way. *)
-let run_chunks thunks = Parallel.Pool.run_all (Parallel.pool ()) thunks
-
 (* Π xs by a balanced product tree (Pool.reduce): with the Karatsuba
    product kernel underneath this is O(M(B) log n) for B total exponent
    bits, versus O(B²/n) for the naive left fold. *)
 let product xs = Parallel.Pool.reduce (Parallel.pool ()) Bigint.mul Bigint.one (Array.of_list xs)
 
-(* Fixed-base anchor chains for (modulus, generator), shared process-wide
-   so every accumulate/witness over the same public parameters reuses the
-   same precomputed squarings. *)
-let fixed_lock = Mutex.create ()
-let fixed_cache : (string, Bigint.Fixed_base.powers) Hashtbl.t = Hashtbl.create 4
-
-let fixed_of params =
-  let key = Bigint.to_hex params.modulus ^ "|" ^ Bigint.to_hex params.generator in
-  Mutex.lock fixed_lock;
-  let fb =
-    match Hashtbl.find_opt fixed_cache key with
-    | Some fb -> fb
-    | None ->
-      let fb = Bigint.Fixed_base.create ~modulus:params.modulus params.generator in
-      Hashtbl.replace fixed_cache key fb;
-      fb
-  in
-  Mutex.unlock fixed_lock;
-  fb
-
 (* Per-modulus Montgomery contexts (word inverse, R mod m, R² mod m),
-   shared process-wide: every exponentiation with a varying base —
-   incremental adds, witness-tree refreshes, contract-side verification
-   — reuses one immutable context instead of re-deriving the state per
-   call. Contexts are safe to share across domains. *)
+   shared process-wide: every exponentiation — of g, incremental adds,
+   witness-tree refreshes, contract-side verification — reuses one
+   immutable context instead of re-deriving the state per call.
+   Contexts are safe to share across domains. *)
 let mont_lock = Mutex.create ()
 let mont_cache : (string, Bigint.Mont.ctx) Hashtbl.t = Hashtbl.create 4
 
@@ -85,23 +60,14 @@ let pow_mod2 params b e1 e2 =
     (Bigint.mod_pow b e1 params.modulus, Bigint.mod_pow b e2 params.modulus)
   else Bigint.Mont.pow2 (mont_of params) b e1 e2
 
-(* The anchor chain costs one squaring per bit of coverage — a full
-   direct exponentiation — so [g_pow] only uses it when it is already
-   built or a parallel pool can recoup the investment; otherwise it
-   takes the plain sliding-window ladder. The value is identical on
-   either path. *)
-let g_pow params e =
-  let fb = fixed_of params in
-  if Parallel.Pool.size (Parallel.pool ()) > 1 || Bigint.Fixed_base.ready fb e then
-    Bigint.Fixed_base.pow ~run:run_chunks fb e
-  else Bigint.mod_pow params.generator e params.modulus
+(* g takes the same sliding-window ladder as every other base. *)
+let g_pow params e = pow_mod params params.generator e
 
 (* --- accumulation ------------------------------------------------------ *)
 
 let accumulate params xs =
   match xs with
   | [] -> params.generator
-  | [ x ] -> Obs.span "acc.fold" (fun () -> Bigint.mod_pow params.generator x params.modulus)
   | _ -> Obs.span "acc.fold" (fun () -> g_pow params (product xs))
 
 let add params ac x = pow_mod params ac x
@@ -109,7 +75,6 @@ let add params ac x = pow_mod params ac x
 let add_batch params ac xs =
   match xs with
   | [] -> ac
-  | [ x ] -> Obs.span "acc.fold" (fun () -> add params ac x)
   | _ -> Obs.span "acc.fold" (fun () -> pow_mod params ac (product xs))
 
 (* --- membership witnesses ---------------------------------------------- *)
@@ -156,9 +121,10 @@ let all_witnesses params xs =
     let pool = Parallel.pool () in
     let out = Array.make n Bigint.zero in
     (* Root splitting: witness(x) = g^(Π xs \ x). Each node's base is g
-       raised to everything outside its range; descending multiplies in
-       the sibling's product. The two halves are independent, so they
-       run on separate domains down to the spawn cutoff. *)
+       raised to everything outside its range, so the root's is g itself;
+       descending multiplies in the sibling's product. The two halves are
+       independent, so they run on separate domains down to the spawn
+       cutoff. *)
     let rec descend base tree depth =
       match tree with
       | Pleaf (_, i) -> out.(i) <- base
@@ -175,57 +141,11 @@ let all_witnesses params xs =
           descend (br ()) r 0
         end
     in
-    (match build_tree pool arr with
-     | Pleaf (_, i) -> out.(i) <- params.generator
-     | Pnode (_, l, r) ->
-       let bl = g_pow params (tree_product r) in
-       let br = g_pow params (tree_product l) in
-       let depth = spawn_depth pool in
-       ignore
-         (Parallel.Pool.both pool
-            (fun () -> descend bl l (depth - 1))
-            (fun () -> descend br r (depth - 1))));
+    descend params.generator (build_tree pool arr) (spawn_depth pool);
     Array.to_list (Array.mapi (fun i w -> (arr.(i), w)) out)
   end
 
-(* Membership verification is a pure function of (modulus, witness,
-   exponents, Ac); verifiers re-check the same claim every time a query
-   repeats, so a bounded process-wide memo turns the steady state into
-   a hash lookup. Misbehaviour cannot alias into a stale entry: any
-   tampered witness, claim prime or accumulator value changes the key. *)
-let verify_limit = 65_536
-let verify_memo : (string, bool) Hashtbl.t = Hashtbl.create 1024
-let verify_lock = Mutex.create ()
-
-let c_verify_hits =
-  Obs.counter ~help:"membership-verification memo hits" "slicer_acc_verify_cache_hits_total"
-
-let c_verify_misses =
-  Obs.counter ~help:"membership-verification memo misses" "slicer_acc_verify_cache_misses_total"
-
-let verify_memoized params ~ac ~xs ~witness =
-  let key =
-    String.concat "|"
-      (Bigint.to_hex params.modulus :: Bigint.to_hex witness :: Bigint.to_hex ac
-      :: List.map Bigint.to_hex xs)
-  in
-  Mutex.lock verify_lock;
-  let cached = Hashtbl.find_opt verify_memo key in
-  Mutex.unlock verify_lock;
-  match cached with
-  | Some v ->
-    Obs.Counter.incr c_verify_hits;
-    v
-  | None ->
-    Obs.Counter.incr c_verify_misses;
-    let lifted = List.fold_left (fun w x -> pow_mod params w x) witness xs in
-    let v = Bigint.equal lifted ac in
-    Mutex.lock verify_lock;
-    if Hashtbl.length verify_memo < verify_limit then Hashtbl.replace verify_memo key v;
-    Mutex.unlock verify_lock;
-    v
-
-let verify_mem params ~ac ~x ~witness = verify_memoized params ~ac ~xs:[ x ] ~witness
+let verify_mem params ~ac ~x ~witness = Bigint.equal (pow_mod params witness x) ac
 
 (* --- batched membership ------------------------------------------------ *)
 
@@ -243,7 +163,10 @@ let batch_witness params xs subset =
   in
   Obs.span "acc.witness" (fun () -> g_pow params remaining)
 
-let verify_mem_batch params ~ac ~xs ~witness = verify_memoized params ~ac ~xs ~witness
+(* Lifting the witness through each exponent in turn is the shape the
+   metered contract charges: one modexp per prime. *)
+let verify_mem_batch params ~ac ~xs ~witness =
+  Bigint.equal (List.fold_left (fun w x -> pow_mod params w x) witness xs) ac
 
 (* --- non-membership (universal accumulator, LLX '07) ------------------- *)
 

@@ -12,26 +12,25 @@
     (272) and [B = n·b] the total exponent bits. All generation-side
     operations are batched: prime exponents are combined by a balanced
     {e product tree} (the C Karatsuba product kernel underneath) and the
-    single resulting exponent is applied in one exponentiation. When the
-    process-wide pool is parallel ([--domains N] > 1), it goes through
-    the {e fixed-base} anchor chain of [g] ({!Bigint.Fixed_base}), whose
-    chunked exponentiations fan out across the domains; sequentially it
-    takes the sliding-window ladder directly (the anchor chain costs a
-    full exponentiation to build, which only concurrency recoups). The
-    value is identical on both paths.
+    single resulting exponent is applied in one sliding-window
+    Montgomery ladder on the modulus's shared {!Bigint.Mont} context —
+    the generator [g] is raised the same way as every other base.
 
-    - {!accumulate}: one product tree + one [B]-bit fixed-base
-      exponentiation — [B] modular squarings total, spread over the
-      pool, instead of [n] separate [mod_pow] calls.
+    - {!accumulate}: one product tree + one [B]-bit exponentiation of
+      [g] — [B] modular squarings, instead of [n] separate [mod_pow]
+      calls.
     - {!mem_witness}: one exact division of the product plus a
-      [(B - b)]-bit fixed-base exponentiation — {e not} [n-1]
+      [(B - b)]-bit exponentiation of [g] — {e not} [n-1]
       exponentiations.
-    - {!all_witnesses}: root splitting over the product tree —
-      [O(B log n)] squaring work, with the two halves of every split
-      running on separate domains.
+    - {!all_witnesses}: root splitting over the product tree from the
+      root's base [g] — [O(B log n)] squaring work, with the two halves
+      of every split running on separate domains.
     - Verification ({!verify_mem}, {!verify_mem_batch},
-      {!verify_non_mem}) is untouched: the contract-side shape and cost
-      are part of the protocol being reproduced.
+      {!verify_non_mem}) always runs its exponentiations, one [b]-bit
+      modexp per claim prime: the contract-side shape and cost are part
+      of the protocol being reproduced (Table II's verification row).
+      Repeated claims are answered by the claim-level memos above this
+      module, never by a cache here.
 
     Results are bit-identical at every pool size: batching only
     regroups exponent arithmetic ([g^x^y = g^(xy)]), and the pool's
@@ -69,7 +68,7 @@ val mem_witness : params -> Bigint.t list -> Bigint.t -> Bigint.t
 (** [mem_witness params xs x] is the witness for [x] against
     [accumulate params xs]. [x] must occur in [xs]; exactly one
     occurrence is excluded (computed as the exact division [Π xs / x] of
-    the product tree followed by one fixed-base exponentiation — see the
+    the product tree followed by one exponentiation of [g] — see the
     cost model above). For a set queried repeatedly, keep a
     {!Witness_tree} instead.
     @raise Invalid_argument when [x] does not occur. *)
@@ -82,7 +81,8 @@ val all_witnesses : params -> Bigint.t list -> (Bigint.t * Bigint.t) list
     domains. Returns [(x, witness)] pairs in input order. *)
 
 val verify_mem : params -> ac:Bigint.t -> x:Bigint.t -> witness:Bigint.t -> bool
-(** The contract-side check [witness^x mod n = ac]. *)
+(** The contract-side check [witness^x mod n = ac]: one modexp on
+    every call. *)
 
 (** {1 Batched membership}
 

@@ -728,9 +728,7 @@ module Mont = struct
 
   let one_limb = [| 1 |]
 
-  (* Out of Montgomery form: a kernel product with 1. Accepts any limb
-     array below m, so callers holding Montgomery forms as plain values
-     ([Fixed_base]) pass their magnitudes as they are. *)
+  (* Out of Montgomery form: a kernel product with 1. *)
   let of_mont c x =
     let dst = Array.make c.k 0 in
     mul_into c dst x one_limb;
@@ -964,178 +962,3 @@ let mod_pow b e m =
     !acc
   end
   else Mont.pow (Mont.create m) b e
-
-(* ------------------------------------------------------------------ *)
-(* Fixed-base exponentiation.                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Fixed_base = struct
-  (* Fixed-base windowed exponentiation (Brickell-Gordon-McCurley-Wilson
-     with 8-bit windows). anchors.(i) = base^(2^(8*i)) mod modulus, so an
-     exponent's byte digits select anchors directly:
-
-       base^e = Π_i anchors.(i)^(digit_i e)
-              = Π_{d=255..1} (Π_{i : digit_i = d} anchors.(i))^d
-
-     The bucket products cost one multiply per nonzero digit, and the
-     outer Π c_d^d telescopes with a running product — ~B/8 + 510
-     multiplies for a B-bit exponent, versus B squarings for a ladder.
-     The anchor chain (B squarings) is computed once per base and
-     amortized over every later call.
-
-     Digits are processed in fixed-size segments of [chunk_bits]; each
-     segment's partial product is an independent task a domain pool can
-     run in parallel, and the combine order (ascending segment) is fixed
-     by the exponent size alone, so results never depend on scheduling. *)
-
-  let window = 8 (* bits per anchor: digits are exponent bytes *)
-
-  type powers = {
-    fb_modulus : t;
-    fb_base : t;
-    fb_mont : Mont.ctx option; (* odd modulus: the anchors' Montgomery context *)
-    fb_chunk : int; (* segment granularity in exponent bits *)
-    fb_seg_digits : int; (* = fb_chunk / window *)
-    fb_lock : Mutex.t;
-    mutable fb_anchors : t array;
-    mutable fb_count : int;
-  }
-
-  (* The anchors' arithmetic. Over an odd modulus the anchors, buckets
-     and segment products all stay in Montgomery form and multiply on
-     the kernel, leaving the domain once per [pow]; an even modulus
-     multiplies plain residues by division. *)
-  let enter fb x =
-    match fb.fb_mont with
-    | Some c -> make 1 (Mont.to_mont c x)
-    | None -> erem x fb.fb_modulus
-
-  let leave fb x = match fb.fb_mont with Some c -> Mont.of_mont c x.mag | None -> x
-
-  let mul fb a b =
-    match fb.fb_mont with
-    | Some c ->
-      let dst = Array.make c.Mont.k 0 in
-      Mont.mul_into c dst a.mag b.mag;
-      make 1 dst
-    | None -> mod_mul a b fb.fb_modulus
-
-  (* anchor^(2^window), in the anchors' form. *)
-  let next_anchor fb a =
-    match fb.fb_mont with
-    | Some c ->
-      let acc = Array.make c.Mont.k 0 in
-      Mont.sqr_into c acc a.mag;
-      for _ = 2 to window do
-        Mont.sqr_into c acc acc
-      done;
-      make 1 acc
-    | None -> mod_pow a (shift_left one window) fb.fb_modulus
-
-  let create ?(chunk_bits = 32768) ~modulus base =
-    if chunk_bits < window then invalid_arg "Bigint.Fixed_base.create: chunk_bits < 8";
-    if compare modulus two < 0 then invalid_arg "Bigint.Fixed_base.create: modulus <= 1";
-    let fb =
-      { fb_modulus = modulus;
-        fb_base = erem base modulus;
-        fb_mont = (if is_odd modulus then Some (Mont.create modulus) else None);
-        fb_chunk = chunk_bits;
-        fb_seg_digits = Stdlib.max 1 (chunk_bits / window);
-        fb_lock = Mutex.create ();
-        fb_anchors = [||];
-        fb_count = 1 }
-    in
-    fb.fb_anchors <- Array.make 8 (enter fb fb.fb_base);
-    fb
-
-  let base fb = fb.fb_base
-  let modulus fb = fb.fb_modulus
-  let chunk_bits fb = fb.fb_chunk
-
-  (* Growing the chain costs one squaring per bit of coverage — as much
-     as a whole direct exponentiation — so callers without reuse or
-     parallelism to recoup the investment check [ready] first. *)
-  let ready fb e =
-    let digits = (num_bits e + window - 1) / window in
-    Mutex.lock fb.fb_lock;
-    let n = fb.fb_count in
-    Mutex.unlock fb.fb_lock;
-    digits <= n
-
-  (* Extend the anchor chain through index k and return an immutable
-     snapshot, so concurrent [pow] calls never observe a resize. *)
-  let anchors_through fb k =
-    Mutex.lock fb.fb_lock;
-    let snapshot =
-      try
-        if k >= fb.fb_count then begin
-          if k >= Array.length fb.fb_anchors then begin
-            let bigger = Array.make (Stdlib.max (k + 1) (2 * Array.length fb.fb_anchors)) zero in
-            Array.blit fb.fb_anchors 0 bigger 0 fb.fb_count;
-            fb.fb_anchors <- bigger
-          end;
-          for j = fb.fb_count to k do
-            fb.fb_anchors.(j) <- next_anchor fb fb.fb_anchors.(j - 1)
-          done;
-          fb.fb_count <- k + 1
-        end;
-        Array.sub fb.fb_anchors 0 (k + 1)
-      with e ->
-        Mutex.unlock fb.fb_lock;
-        raise e
-    in
-    Mutex.unlock fb.fb_lock;
-    snapshot
-
-  (* BGMW aggregation of one digit segment [lo, hi): bucket the anchors
-     by digit value, then Π_{d} c_d^d via the telescoping double fold. *)
-  let segment fb (digits : string) anchors lo hi =
-    let buckets = Array.make 256 None in
-    for i = lo to hi - 1 do
-      let d = Char.code digits.[i] in
-      if d > 0 then
-        buckets.(d) <-
-          (match buckets.(d) with
-           | None -> Some anchors.(i)
-           | Some c -> Some (mul fb c anchors.(i)))
-    done;
-    let acc = ref None and running = ref None in
-    for d = 255 downto 1 do
-      (match buckets.(d) with
-       | None -> ()
-       | Some c -> running := Some (match !running with None -> c | Some r -> mul fb r c));
-      match !running with
-      | None -> ()
-      | Some r -> acc := Some (match !acc with None -> r | Some a -> mul fb a r)
-    done;
-    !acc
-
-  let pow ?run fb e =
-    if sign e < 0 then invalid_arg "Bigint.Fixed_base.pow: negative exponent";
-    if is_zero e then erem one fb.fb_modulus
-    else begin
-      (* Little-endian byte digits of the exponent. *)
-      let be = to_bytes_be e in
-      let nd = String.length be in
-      let digits = String.init nd (fun i -> be.[nd - 1 - i]) in
-      let anchors = anchors_through fb (nd - 1) in
-      let nseg = (nd + fb.fb_seg_digits - 1) / fb.fb_seg_digits in
-      let unit = enter fb one in
-      let thunks =
-        Array.init nseg (fun s ->
-            fun () ->
-              let lo = s * fb.fb_seg_digits in
-              let hi = Stdlib.min nd (lo + fb.fb_seg_digits) in
-              match segment fb digits anchors lo hi with
-              | Some v -> v
-              | None -> unit)
-      in
-      let parts =
-        match run with
-        | Some run -> run thunks
-        | None -> Array.map (fun f -> f ()) thunks
-      in
-      (* Deterministic combine order: ascending segment index. *)
-      leave fb (Array.fold_left (mul fb) unit parts)
-    end
-end

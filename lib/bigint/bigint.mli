@@ -138,8 +138,7 @@ val mod_pow : t -> t -> t -> t
     exponent or modulus [<= 1]. *)
 
 (** Precomputed per-modulus Montgomery state for repeated
-    exponentiation with {e varying} bases modulo one odd modulus
-    (complementing {!Fixed_base}, which fixes the base). [create]
+    exponentiation modulo one odd modulus. [create]
     derives once what {!mod_pow} re-derives per call — the word inverse,
     [R mod m] and [R² mod m] — and converts bases into the Montgomery
     domain with one multiplication instead of a general division. Every
@@ -210,47 +209,3 @@ val egcd : t -> t -> t * t * t
 
 val mod_inv : t -> t -> t option
 (** [mod_inv a m] is the inverse of [a] modulo [m], when it exists. *)
-
-(** {1 Fixed-base exponentiation}
-
-    Repeated exponentiation of one base (the accumulator generator [g],
-    or an accumulation value [Ac]) modulo one modulus, by fixed-base
-    windowing (Brickell-Gordon-McCurley-Wilson, 8-bit windows). A chain
-    of anchors [base^(2^(8·i))] is grown lazily and cached; an
-    exponent's byte digits then select anchors whose bucketed products
-    give the answer in roughly [bits/8] multiplications — versus [bits]
-    squarings for a ladder — once the chain exists. Digit segments are
-    independent tasks a domain pool can run in parallel. Thread-safe;
-    results are exactly [mod_pow base e modulus] regardless of
-    segmentation or the [run] hook. *)
-module Fixed_base : sig
-  type powers
-  (** Cached anchor chain for one (base, modulus) pair. Memory is one
-      group element per 8 exponent bits covered. *)
-
-  val create : ?chunk_bits:int -> modulus:t -> t -> powers
-  (** [create ~modulus base]. [chunk_bits] (default 32768) sets the
-      segment granularity handed to the pool, not the window. The chain
-      extends itself on demand; extension cost is one squaring per bit,
-      paid once and amortized over all later {!pow} calls. *)
-
-  val base : powers -> t
-  val modulus : powers -> t
-  val chunk_bits : powers -> int
-
-  val ready : powers -> t -> bool
-  (** Whether the anchor chain already covers exponent [e], i.e. {!pow}
-      would pay no extension cost. Growing the chain costs one squaring
-      per bit of new coverage — as much as one direct exponentiation —
-      so sequential callers consult this before investing. *)
-
-  val pow : ?run:((unit -> t) array -> t array) -> powers -> t -> t
-  (** [pow fb e] is [mod_pow (base fb) e (modulus fb)] for [e >= 0],
-      computed as independent digit-segment aggregations of
-      [chunk_bits] exponent bits each. [~run] evaluates the segment
-      thunks — pass [Parallel.Pool.run_all pool] to spread them across
-      domains; the default evaluates sequentially. The combine order is
-      fixed (ascending segment index), so the result is identical
-      either way.
-      @raise Invalid_argument on a negative exponent. *)
-end

@@ -6,15 +6,12 @@ type validator = {
 }
 
 type t = {
-  uid : int; (* process-local identity, for off-chain indexer caches *)
   vm_state : Vm.state;
   validators : validator array;
   mutable chain : Block.t list; (* newest first; last element is genesis *)
   mutable mempool : Vm.txn list; (* newest first *)
   receipts : (string, Vm.receipt) Hashtbl.t;
 }
-
-let uid_counter = ref 0
 
 let genesis_parent = Sha256.digest "slicer-genesis"
 
@@ -34,9 +31,7 @@ let create ~validators =
     Block.make ~parent:genesis_parent ~number:0 ~timestamp:0 ~sealer:validators.(0).v_addr
       ~seal:(seal_with validators.(0)) [] []
   in
-  incr uid_counter;
-  { uid = !uid_counter;
-    vm_state = Vm.create_state ();
+  { vm_state = Vm.create_state ();
     validators;
     chain = [ genesis ];
     mempool = [];
@@ -49,14 +44,13 @@ let validator_names t =
 
 let submit t txn = t.mempool <- txn :: t.mempool
 
-let uid t = t.uid
 let head t = List.hd t.chain
 let height t = (head t).Block.header.Block.number
 let blocks t = List.rev t.chain
 
 let blocks_above t ~height =
   (* Walk the newest-first spine only until it drops to [height]:
-     O(new blocks), which is what keeps incremental indexers cheap. *)
+     O(new blocks), not O(chain length). *)
   let rec take acc = function
     | b :: rest when b.Block.header.Block.number > height -> take (b :: acc) rest
     | _ -> acc

@@ -31,11 +31,6 @@ val seal_block : t -> Block.t
 val submit_and_seal : t -> Vm.txn -> Vm.receipt
 (** Convenience: submit one transaction, seal, return its receipt. *)
 
-val uid : t -> int
-(** Process-local identity of this chain instance. Off-chain indexers
-    use it to key incremental per-ledger caches; it has no on-chain
-    meaning and is not stable across restarts. *)
-
 val head : t -> Block.t
 val height : t -> int
 val blocks : t -> Block.t list
@@ -43,8 +38,7 @@ val blocks : t -> Block.t list
 
 val blocks_above : t -> height:int -> Block.t list
 (** Blocks with number strictly greater than [height], oldest first.
-    Costs O(returned blocks), not O(chain length) — the primitive an
-    incremental event indexer tails the chain with. *)
+    Costs O(returned blocks), not O(chain length). *)
 
 val receipt_of : t -> string -> Vm.receipt option
 (** Look up a receipt by transaction hash. *)

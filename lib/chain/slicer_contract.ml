@@ -128,16 +128,44 @@ let witness_digest ~claims ~batch_witness =
 
 let ( let* ) = Result.bind
 
-(* Algorithm 5, one claim: h <- H(er); x <- H_prime(token ‖ h);
-   VerifyMem(x, vo). All arithmetic is charged to the meter as the
-   corresponding EVM precompile / opcode costs. *)
-(* Verdicts are memoized per (params, Ac, claim): a node re-executing
-   the same settlement serves the result from its cache, exactly like a
-   production client re-validating a seen transaction. Gas is what a
-   fresh node would burn — the memo stores the original charge sequence
-   and replays it, so receipts are byte-identical either way. *)
+let claim_input ~token_bytes results =
+  Bytesutil.concat [ token_bytes; Mset_hash.to_bytes (Mset_hash.of_list results) ]
+
+(* Algorithm 5 over claims that one witness covers: per claim
+   h <- H(er) and x <- H_prime(token ‖ h), then VerifyMem by one modexp
+   per prime. Every step is charged as the corresponding EVM precompile
+   / opcode cost, in that order. *)
+let verify_metered ~charge ~params ~ac claims ~witness =
+  let xs =
+    List.map
+      (fun c ->
+        List.iter
+          (fun er -> charge ~label:"mset-hash" (Gas.hash (String.length er) + Gas.mulmod))
+          c.results;
+        let preimage = claim_input ~token_bytes:c.token_bytes c.results in
+        charge ~label:"h-prime" (Gas.h_prime ~input_len:(String.length preimage));
+        Prime_rep.to_prime preimage)
+      claims
+  in
+  let mod_len = (Bigint.num_bits params.Rsa_acc.modulus + 7) / 8 in
+  List.iter (fun x -> charge ~label:"modexp" (Gas.modexp ~base_len:mod_len ~exp:x ~mod_len)) xs;
+  Rsa_acc.verify_mem_batch params ~ac ~xs ~witness
+
+(* Per-claim verdicts are memoized per (params, Ac, claim): a node
+   re-executing the same settlement serves the result from its cache,
+   exactly like a production client re-validating a seen transaction.
+   Gas is what a fresh node would burn — the memo stores the original
+   charge sequence and replays it, so receipts are byte-identical
+   either way. *)
 let verify_memo_limit = 65_536
 let verify_memo : (string, bool * (string * int) list) Hashtbl.t = Hashtbl.create 256
+
+let c_verify_hits =
+  Obs.counter ~help:"contract claim-verification memo hits" "slicer_acc_verify_cache_hits_total"
+
+let c_verify_misses =
+  Obs.counter ~help:"contract claim-verification memo misses"
+    "slicer_acc_verify_cache_misses_total"
 
 let verify_claim ctx ~params ~ac c =
   let meter = ctx.Vm.meter in
@@ -149,25 +177,17 @@ let verify_claim ctx ~params ~ac c =
   in
   match Hashtbl.find_opt verify_memo key with
   | Some (ok, charges) ->
+    Obs.Counter.incr c_verify_hits;
     List.iter (fun (label, amount) -> Gasmeter.charge meter ~label amount) charges;
     ok
   | None ->
+    Obs.Counter.incr c_verify_misses;
     let charges = ref [] in
     let charge ~label amount =
       charges := (label, amount) :: !charges;
       Gasmeter.charge meter ~label amount
     in
-    List.iter
-      (fun er -> charge ~label:"mset-hash" (Gas.hash (String.length er) + Gas.mulmod))
-      c.results;
-    let h = Mset_hash.of_list c.results in
-    let preimage = Bytesutil.concat [ c.token_bytes; Mset_hash.to_bytes h ] in
-    charge ~label:"h-prime" (Gas.h_prime ~input_len:(String.length preimage));
-    let x = Prime_rep.to_prime preimage in
-    let modulus = params.Rsa_acc.modulus in
-    let mod_len = (Bigint.num_bits modulus + 7) / 8 in
-    charge ~label:"modexp" (Gas.modexp ~base_len:mod_len ~exp:x ~mod_len);
-    let ok = Rsa_acc.verify_mem params ~ac ~x ~witness:c.witness in
+    let ok = verify_metered ~charge ~params ~ac [ c ] ~witness:c.witness in
     if Hashtbl.length verify_memo < verify_memo_limit then
       Hashtbl.replace verify_memo key (ok, List.rev !charges);
     ok
@@ -260,26 +280,11 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
       let* user, amount, claims, modulus, ac = load_request ctx request_id claims_blob in
       (* One witness covers every claim: lift it through each claim's
          prime representative and compare against Ac. *)
-      let params = { Rsa_acc.modulus; generator } in
-      let meter = ctx.Vm.meter in
-      let mod_len = (Bigint.num_bits modulus + 7) / 8 in
-      let xs =
-        List.map
-          (fun c ->
-            List.iter
-              (fun er -> Gasmeter.charge meter ~label:"mset-hash" (Gas.hash (String.length er) + Gas.mulmod))
-              c.results;
-            let h = Mset_hash.of_list c.results in
-            let preimage = Bytesutil.concat [ c.token_bytes; Mset_hash.to_bytes h ] in
-            Gasmeter.charge meter ~label:"h-prime" (Gas.h_prime ~input_len:(String.length preimage));
-            Prime_rep.to_prime preimage)
-          claims
+      let ok =
+        verify_metered ~charge:(Gasmeter.charge ctx.Vm.meter)
+          ~params:{ Rsa_acc.modulus; generator } ~ac claims
+          ~witness:(Bigint.of_bytes_be witness_bytes)
       in
-      List.iter
-        (fun x ->
-          Gasmeter.charge meter ~label:"modexp" (Gas.modexp ~base_len:mod_len ~exp:x ~mod_len))
-        xs;
-      let ok = Rsa_acc.verify_mem_batch params ~ac ~xs ~witness:(Bigint.of_bytes_be witness_bytes) in
       settle ctx request_id ~user ~amount ~ok
     | _ -> Error "submitResultBatched: expected [request_id; claims; witness]"
   in
@@ -414,27 +419,7 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
         match bw with
         | None -> List.for_all (verify_claim ctx ~params ~ac) claims
         | Some witness ->
-          let meter = ctx.Vm.meter in
-          let mod_len = (Bigint.num_bits params.Rsa_acc.modulus + 7) / 8 in
-          let xs =
-            List.map
-              (fun c ->
-                List.iter
-                  (fun er ->
-                    Gasmeter.charge meter ~label:"mset-hash"
-                      (Gas.hash (String.length er) + Gas.mulmod))
-                  c.results;
-                let h = Mset_hash.of_list c.results in
-                let preimage = Bytesutil.concat [ c.token_bytes; Mset_hash.to_bytes h ] in
-                Gasmeter.charge meter ~label:"h-prime" (Gas.h_prime ~input_len:(String.length preimage));
-                Prime_rep.to_prime preimage)
-              claims
-          in
-          List.iter
-            (fun x ->
-              Gasmeter.charge meter ~label:"modexp" (Gas.modexp ~base_len:mod_len ~exp:x ~mod_len))
-            xs;
-          Rsa_acc.verify_mem_batch params ~ac ~xs ~witness
+          verify_metered ~charge:(Gasmeter.charge ctx.Vm.meter) ~params ~ac claims ~witness
       in
       if ok then Error "dispute rejected: leaf verifies against Ac"
       else begin
@@ -580,48 +565,15 @@ let stored_shard ledger ~contract =
   | Some i, Some n -> Some (i, n)
   | _ -> None
 
-(* Tokens travel to the cloud through the event log, and an off-chain
-   indexer recovers them — but a real indexer tails the chain rather
-   than replaying it per lookup. Each ledger gets an incremental index
-   of SearchRequested events that only absorbs blocks sealed since its
-   previous call, so a lookup costs amortized O(new blocks) instead of
-   O(chain length). When the bounded table fills, the index resets and
-   rebuilds on the next lookup, so eviction can never turn a stored
-   request into a miss. *)
-type token_index = {
-  mutable ti_height : int; (* highest block number absorbed so far *)
-  ti_tokens : (string, string list) Hashtbl.t; (* request_id -> tokens *)
-}
-
-let token_index_limit = 65_536
-let token_indexes : (int, token_index) Hashtbl.t = Hashtbl.create 4
-let token_indexes_lock = Mutex.create ()
-
-let token_index_for ledger =
-  let uid = Ledger.uid ledger in
-  match Hashtbl.find_opt token_indexes uid with
-  | Some idx -> idx
-  | None ->
-    (* Indexes for dead ledgers linger; cap how many before restarting. *)
-    if Hashtbl.length token_indexes >= 16 then Hashtbl.reset token_indexes;
-    let idx = { ti_height = -1; ti_tokens = Hashtbl.create 256 } in
-    Hashtbl.replace token_indexes uid idx;
-    idx
-
-let absorb_block idx (block : Block.t) =
-  List.iter
-    (fun (r : Vm.receipt) ->
-      List.iter
-        (fun ev ->
-          match Bytesutil.split ev with
-          | Some [ "SearchRequested"; id; blob ] -> (
-            match Bytesutil.split blob with
-            | Some tokens -> Hashtbl.replace idx.ti_tokens id tokens
-            | None -> ())
-          | Some _ | None -> ())
-        r.Vm.r_events)
-    block.Block.receipts;
-  idx.ti_height <- block.Block.header.Block.number
+(* Tokens travel to the cloud through the event log: the escrow
+   transaction's receipt carries them in its SearchRequested event. *)
+let requested_tokens (receipt : Vm.receipt) ~request_id =
+  List.find_map
+    (fun ev ->
+      match Bytesutil.split ev with
+      | Some [ "SearchRequested"; id; blob ] when String.equal id request_id -> Bytesutil.split blob
+      | Some _ | None -> None)
+    receipt.Vm.r_events
 
 (* --- batched-settlement client helpers --------------------------------- *)
 
@@ -662,17 +614,3 @@ let stored_deposit ledger ~contract ~who =
 
 let stored_dispute_window ledger ~contract =
   Option.bind (storage_get ledger ~contract key_window) int_of_string_opt
-
-let stored_tokens ledger ~contract ~request_id =
-  ignore contract;
-  Mutex.lock token_indexes_lock;
-  let idx = token_index_for ledger in
-  if Hashtbl.length idx.ti_tokens >= token_index_limit || Ledger.height ledger < idx.ti_height
-  then begin
-    Hashtbl.reset idx.ti_tokens;
-    idx.ti_height <- -1
-  end;
-  List.iter (absorb_block idx) (Ledger.blocks_above ledger ~height:idx.ti_height);
-  let found = Hashtbl.find_opt idx.ti_tokens request_id in
-  Mutex.unlock token_indexes_lock;
-  found

@@ -31,6 +31,13 @@ type claim = {
 val encode_claims : claim list -> string
 val decode_claims : string -> claim list option
 
+val claim_input : token_bytes:string -> string list -> string
+(** [claim_input ~token_bytes results] is [token ‖ H(results)], the
+    token followed by the multiset hash of its results: the input whose
+    [H_prime] is the claim's prime representative. The cloud, the
+    user-side verifier and the contract all derive claim primes from
+    it. *)
+
 type receipt_leaf = {
   rl_client : string;         (** the registered client name *)
   rl_request : string;        (** the on-chain (composite) request id *)
@@ -152,5 +159,8 @@ val stored_shard : Ledger.t -> contract:Vm.address -> (int * int) option
     storage cells are missing (contracts restored from pre-cluster
     snapshots). *)
 
-val stored_tokens : Ledger.t -> contract:Vm.address -> request_id:string -> string list option
-(** The tokens the cloud retrieves from the chain for a request. *)
+val requested_tokens : Vm.receipt -> request_id:string -> string list option
+(** The tokens that [receipt]'s [SearchRequested] event escrowed for
+    [request_id], in request order — how the cloud retrieves a
+    request's tokens from the [requestSearch] receipt. [None] when the
+    receipt carries no such event for that id. *)

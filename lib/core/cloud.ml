@@ -135,16 +135,12 @@ let delivered_results t st =
   | Inject_result -> honest_results @ [ Sha256.digest "bogus" |> fun d -> String.sub d 0 16 ]
   | Tamper_result -> ( match honest_results with [] -> [] | r :: rest -> flip_bit r :: rest )
 
-let claim_input ~token_bytes results =
-  let h = Mset_hash.of_list results in
-  Bytesutil.concat [ token_bytes; Mset_hash.to_bytes h ]
-
 (* The claim step both searches share: the token's delivered results
    and the prime representative of its claim input. *)
 let claim t st =
   let token_bytes = Slicer_types.token_bytes st in
   let results = delivered_results t st in
-  (token_bytes, results, Prime_rep.to_prime (claim_input ~token_bytes results))
+  (token_bytes, results, Prime_rep.to_prime (Slicer_contract.claim_input ~token_bytes results))
 
 let forged t w = if t.mode = Forge_witness then Bigint.succ w else w
 
@@ -209,7 +205,7 @@ let warm_tokens t sts =
       List.map
         (fun st ->
           let results = collect_results_untimed t st in
-          claim_input ~token_bytes:(Slicer_types.token_bytes st) results)
+          Slicer_contract.claim_input ~token_bytes:(Slicer_types.token_bytes st) results)
         fresh
     in
     List.iter (fun x -> ignore (Witness_tree.witness t.windex x)) (Prime_rep.to_primes inputs)

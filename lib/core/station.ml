@@ -67,11 +67,11 @@ let settle t ~client ~user ~request_id ~payment ~token_blobs ~batched =
   match rr.Vm.r_output with
   | Error e -> Error e
   | Ok _ ->
-    (* The cloud retrieves the tokens from the chain's event log (it
-       never talks to the user directly) and reconstructs their
-       structure. *)
+    (* The cloud reads the tokens from the escrow transaction's
+       SearchRequested event (it never talks to the user directly) and
+       reconstructs their structure. *)
     let tokens =
-      match Slicer_contract.stored_tokens t.s_ledger ~contract:t.s_contract ~request_id with
+      match Slicer_contract.requested_tokens rr ~request_id with
       | Some blobs -> List.filter_map Slicer_types.token_of_bytes blobs
       | None -> []
     in

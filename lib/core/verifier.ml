@@ -19,6 +19,11 @@ let claim_bytes (c : Slicer_contract.claim) =
       Bigint.to_bytes_be c.Slicer_contract.witness;
       Bytesutil.concat c.Slicer_contract.results ]
 
+let claim_prime (c : Slicer_contract.claim) =
+  Prime_rep.to_prime
+    (Slicer_contract.claim_input ~token_bytes:c.Slicer_contract.token_bytes
+       c.Slicer_contract.results)
+
 let verify_claim params ~ac (c : Slicer_contract.claim) =
   let key =
     Sha256.digest
@@ -27,18 +32,10 @@ let verify_claim params ~ac (c : Slicer_contract.claim) =
            claim_bytes c ])
   in
   memoized key @@ fun () ->
-  let h = Mset_hash.of_list c.Slicer_contract.results in
-  let x =
-    Prime_rep.to_prime (Bytesutil.concat [ c.Slicer_contract.token_bytes; Mset_hash.to_bytes h ])
-  in
-  Rsa_acc.verify_mem params ~ac ~x ~witness:c.Slicer_contract.witness
+  Rsa_acc.verify_mem params ~ac ~x:(claim_prime c) ~witness:c.Slicer_contract.witness
 
 let verify_claims params ~ac claims =
   Obs.span "core.verify" (fun () -> List.for_all (verify_claim params ~ac) claims)
-
-let claim_prime (c : Slicer_contract.claim) =
-  let h = Mset_hash.of_list c.Slicer_contract.results in
-  Prime_rep.to_prime (Bytesutil.concat [ c.Slicer_contract.token_bytes; Mset_hash.to_bytes h ])
 
 let verify_claims_batched params ~ac claims ~witness =
   Obs.span "core.verify" @@ fun () ->

@@ -185,8 +185,6 @@ module Pool = struct
       in
       go 0 n (spawn_depth pool)
     end
-
-  let run_all pool thunks = map pool (fun f -> f ()) thunks
 end
 
 (* --- process-wide pool ------------------------------------------------- *)

@@ -46,11 +46,6 @@ module Pool : sig
       The bracketing depends only on [Array.length arr], so for exact
       types (e.g. [Bigint.mul]) the result is identical at every pool
       size. This is the product-tree primitive of the accumulator. *)
-
-  val run_all : t -> (unit -> 'a) array -> 'a array
-  (** [run_all p thunks] evaluates every thunk (potentially in parallel)
-      and returns the results in order — the hook shape
-      [Bigint.Fixed_base.pow] expects for its chunk exponentiations. *)
 end
 
 (** {1 Process-wide pool}

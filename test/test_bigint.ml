@@ -543,16 +543,7 @@ let props =
         let u', v', qk = Bigint.Mont.lucas c ~q (bi e) in
         Bigint.equal (Bigint.erem u m) (Bigint.Mont.of_mont c u')
         && Bigint.equal (Bigint.erem v m) (Bigint.Mont.of_mont c v')
-        && Bigint.equal (Bigint.mod_pow (bi q) (bi e) m) (Bigint.Mont.of_mont c qk));
-    prop "fixed_base pow matches mod_pow" ~count:(2 * boundary_cases)
-      (pair (gen_kernel_case ()) (gen_big_pos ~bits:2048 ()))
-      (fun ((m, b), e) ->
-        (* A small chunk makes the exponent span many anchors so the
-           split/recombine is actually exercised. *)
-        let fb = Bigint.Fixed_base.create ~chunk_bits:96 ~modulus:m b in
-        Bigint.equal (Bigint.Fixed_base.pow fb e) (Bigint.mod_pow b e m)
-        && Bigint.equal (Bigint.Fixed_base.pow fb Bigint.zero) (Bigint.erem Bigint.one m)
-        && Bigint.equal (Bigint.Fixed_base.pow fb Bigint.one) (Bigint.erem b m))
+        && Bigint.equal (Bigint.mod_pow (bi q) (bi e) m) (Bigint.Mont.of_mont c qk))
   ]
 
 let () =

@@ -215,10 +215,19 @@ let test_honest_cloud_gets_paid () =
       ~tokens:[ token ] ~payment:5000
   in
   Alcotest.(check bool) "request ok" true (Result.is_ok rr.Vm.r_output);
-  (* Cloud retrieves tokens from the chain. *)
-  (match Slicer_contract.stored_tokens ledger ~contract ~request_id:"req-1" with
+  (* Cloud retrieves tokens from the escrow receipt's event. *)
+  (match Slicer_contract.requested_tokens rr ~request_id:"req-1" with
    | Some [ t ] -> Alcotest.(check string) "token readable" token t
    | _ -> Alcotest.fail "tokens must be retrievable from events");
+  Alcotest.(check (option (list string))) "another request id" None
+    (Slicer_contract.requested_tokens rr ~request_id:"req-0");
+  let several = [ "token-b"; token; "token-a" ] in
+  let rr_several =
+    Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"req-1b"
+      ~tokens:several ~payment:1000
+  in
+  Alcotest.(check (option (list string))) "tokens in request order" (Some several)
+    (Slicer_contract.requested_tokens rr_several ~request_id:"req-1b");
   let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
   let sr = Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"req-1" claims in
   (match sr.Vm.r_output with
@@ -227,7 +236,14 @@ let test_honest_cloud_gets_paid () =
    | Error e -> Alcotest.failf "submit failed: %s" e);
   Alcotest.(check int) "cloud paid" (cloud_before + 5000) (Vm.balance state bob);
   Alcotest.(check (option string)) "status" (Some "paid")
-    (Slicer_contract.request_status ledger ~contract ~request_id:"req-1")
+    (Slicer_contract.request_status ledger ~contract ~request_id:"req-1");
+  (* Receipts without a SearchRequested event carry no tokens, even when
+     another event names the request. *)
+  Alcotest.(check (option (list string))) "submitResult receipt" None
+    (Slicer_contract.requested_tokens sr ~request_id:"req-1");
+  let ur = Slicer_contract.update_ac ledger ~owner:alice ~contract (Bigint.of_int 5) in
+  Alcotest.(check (option (list string))) "updateAc receipt" None
+    (Slicer_contract.requested_tokens ur ~request_id:"req-1")
 
 let test_tampered_results_refunded () =
   let ledger, contract, _, token, results, witness = deployed () in

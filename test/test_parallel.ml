@@ -61,9 +61,9 @@ let test_both_and_nesting () =
         Array.init 16 (fun i () ->
             Array.fold_left ( + ) 0 (Parallel.Pool.map pool (fun x -> x * i) (Array.init 20 Fun.id)))
       in
-      let got = Parallel.Pool.run_all pool thunks in
+      let got = Parallel.Pool.map pool (fun f -> f ()) thunks in
       Alcotest.(check (array int))
-        (Printf.sprintf "nested run_all, %d domains" d)
+        (Printf.sprintf "nested map, %d domains" d)
         (Array.init 16 (fun i -> 190 * i))
         got)
     domain_counts
