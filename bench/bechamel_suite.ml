@@ -157,9 +157,10 @@ let repeat n f x () =
     ignore (Sys.opaque_identity (f x))
   done
 
-(* Baillie–PSW reads ~3 base-2 rounds on the bench prime and ~4 where
-   Q^k needs squarings of its own; the 13-base battery it replaced read
-   ~9.7. *)
+(* Baillie–PSW reads 3.0-3.3 base-2 rounds on the bench prime (D = 5,
+   so Q^k is a sign) with both halves in C, and read 3.8-4.6 while the
+   Lucas ladder's additions ran in OCaml; the 13-base battery it
+   replaced read ~9.7. *)
 let bpsw_round_budget = 5.
 
 let bpsw_rounds () =
@@ -167,12 +168,39 @@ let bpsw_rounds () =
   let mr, bpsw = best_alternating (repeat 10 mr_base2 p) (repeat 10 Primality.baillie_psw p) in
   bpsw /. mr
 
+(* One uncached H_prime walk priced in base-2 rounds on the bench
+   prime, over 16 inputs whose walk ends at its first sieve survivor:
+   the residues, the sieve and one Baillie-PSW test, where a longer walk
+   adds base-2 rounds that the Baillie-PSW guard above already prices.
+   It reads 5.0-6.3 (5.2-5.5 with both cores busy); with the residues
+   back on 1028 allocating divisions it read 8.1-9.4, and with the
+   sieve skipped (every odd candidate tested) 12.6-17.1. *)
+let walk_round_budget = 7.0
+
+(* The first 16 of h-prime-walk-0, -1, ... whose walk's first sieve
+   survivor is its prime (16 of the first 130), fixed so that a
+   regression cannot change which walks the guard prices. *)
+let walk_inputs =
+  List.map (Printf.sprintf "h-prime-walk-%d")
+    [ 7; 8; 10; 11; 12; 29; 40; 62; 72; 78; 82; 85; 121; 122; 125; 129 ]
+
+let walk_rounds () =
+  let p = bench_prime () in
+  let rounds = 40 in
+  let walks, mr =
+    best_alternating
+      (fun () ->
+        List.iter (fun s -> ignore (Sys.opaque_identity (Prime_rep.to_prime_uncached s))) walk_inputs)
+      (repeat rounds mr_base2 p)
+  in
+  walks /. float_of_int (List.length walk_inputs) /. (mr /. float_of_int rounds)
+
 (* One 512-bit division-based [Bigint.mod_mul] priced in bits of a
    512-bit Montgomery ladder (a 1024-bit exponent's [Mont.pow] over its
    bit count): the kernel must keep a ladder bit, a squaring plus a
-   fifth of a multiply, well under one division-based product. The C
-   kernel reads 6-7; the OCaml kernel over 31-bit limbs it replaced read
-   1.3-1.5. *)
+   fifth of a multiply, well under one division-based product. The
+   ladder in C reads 7.7-9.7; with one OCaml-to-C call per product it
+   read 6-7, and on the OCaml kernel over 31-bit limbs 1.3-1.5. *)
 let ladder_bit_floor = 5.
 
 let mod_mul_ladder_bits () =
@@ -188,8 +216,10 @@ let mod_mul_ladder_bits () =
 
 (* One [Mont.pow2] pair of 40,000-bit exponents over a 512-bit modulus
    priced in two [Mont.pow] ladders on the same exponents: sharing one
-   squaring chain must keep the pair at most 0.7 of the ladders. The
-   kernel reads about 0.4; a pair computed as two ladders reads 1. *)
+   squaring chain must keep the pair at most 0.7 of the ladders. It
+   reads 0.50-0.60 against the ladder in C (about 0.4 when each ladder
+   product was its own OCaml-to-C call); a pair computed as two ladders
+   reads 1. *)
 let pair_budget = 0.7
 
 let pair_over_ladders () =
@@ -271,6 +301,14 @@ let run () =
     failwith
       (Printf.sprintf "Baillie-PSW costs %.2f base-2 rounds, over the %.1f budget" rounds
          bpsw_round_budget);
+  let walk = walk_rounds () in
+  Printf.printf
+    "h-prime-walk / mr-base2-272 = %.1f (best of 20 alternating batches; budget %.1f)\n" walk
+    walk_round_budget;
+  if walk > walk_round_budget then
+    failwith
+      (Printf.sprintf "an H_prime walk costs %.1f base-2 rounds, over the %.1f budget" walk
+         walk_round_budget);
   let bits = mod_mul_ladder_bits () in
   Printf.printf
     "mod-mul-512 / mont-ladder-512 bit = %.2f (best of 20 alternating batches; floor %.1f)\n"

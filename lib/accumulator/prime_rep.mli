@@ -4,8 +4,11 @@
     Construction: the SHA-256 digest of the input forms the high 256 bits
     of the candidate and a 16-bit counter the low bits; the counter is
     walked upward until a prime appears: candidates with a factor below
-    8192 are sieved out, and survivors get the deterministic Baillie–PSW
-    test ({!Primality.baillie_psw}).
+    8192 are sieved out (from the base's residues, taken in one
+    {!Bigint.residues} call, by windows of 256 odd offsets), and
+    survivors get the deterministic Baillie–PSW test
+    ({!Primality.baillie_psw}), about 11.2 a walk, counted in
+    [slicer_acc_prime_tests_total].
     Distinct digests occupy disjoint candidate intervals, so collision
     resistance reduces to that of SHA-256. *)
 
@@ -20,6 +23,10 @@ val to_prime : string -> Bigint.t
     Verify evaluating the same [token‖hash] pay the prime walk once.
     @raise Failure in the cryptographically negligible event that no
     prime lies in the candidate interval. *)
+
+val to_prime_uncached : string -> Bigint.t
+(** The walk behind {!to_prime}, bypassing the memo: what one miss
+    costs. *)
 
 val to_primes : string list -> Bigint.t list
 (** Batch {!to_prime}, preserving order. Uncached inputs are

@@ -601,207 +601,181 @@ let mod_inv a m =
 (* --- Montgomery exponentiation (odd modulus) ----------------------- *)
 
 (* Precomputed per-modulus Montgomery state. Everything [mod_pow]
-   re-derives on every call — the kernel's word inverse, [R mod m], and
-   the conversion of the base into Montgomery form by a general
-   division — is either stored here or replaced by one Montgomery
-   multiplication against [R² mod m]. A context is immutable after
-   [create], so one context per modulus serves any number of domains
-   concurrently. *)
+   re-derives on every call — the kernel's word inverse, [R mod m] and
+   [R² mod m] — is stored here, written by the kernel without a
+   division. A context is immutable after [create], so one context per
+   modulus serves any number of domains concurrently. *)
 module Mont = struct
   type ctx = {
     ctx_modulus : t;
-    mmag : int array;
     k : int;
-    words : Bytes.t;  (* the kernel's copy: m in n 64-bit words, then -m^(-1) mod 2^64 *)
-    r1 : int array;  (* R mod m, R = 2^(64·n), n = ⌈bits(m)/64⌉ *)
-    r2 : int array;  (* R² mod m: one kernel product against it converts into the domain *)
+    words : Bytes.t;
+        (* the kernel's copy (mont_stubs.c): m in n 64-bit words,
+           -m^(-1) mod 2^64, R mod m and R² mod m, R = 2^(64·n),
+           n = ⌈bits(m)/64⌉ *)
   }
 
-  (* A residue in Montgomery form: a (k+1)-limb buffer holding a value
-     below m, top limb zero between operations (the spare limb holds the
-     a + m < 2m of [add_m_into]). *)
-  type elt = int array
-
-  (* The C kernel (mont_stubs.c). [kernel_mul words dst a b] sets
-     dst <- a·b·R^(-1) mod m and [kernel_sqr words dst a] sets
-     dst <- a²·R^(-1) mod m, for operands below m given as limb arrays
-     of any length; every limb of [dst] is written, and [dst] may alias
-     an operand. *)
   external setup : int array -> Bytes.t -> unit = "slicer_mont_setup" [@@noalloc]
-
-  external kernel_mul : Bytes.t -> int array -> int array -> int array -> unit
-    = "slicer_mont_mul"
-  [@@noalloc]
-
-  external kernel_sqr : Bytes.t -> int array -> int array -> unit = "slicer_mont_sqr"
-  [@@noalloc]
 
   let create m =
     if compare m two < 0 then invalid_arg "Bigint.Mont.create: modulus <= 1";
     if is_even m then invalid_arg "Bigint.Mont.create: even modulus";
     let n = (num_bits m + 63) / 64 in
-    let words = Bytes.create (8 * (n + 1)) in
+    let words = Bytes.create (8 * ((3 * n) + 1)) in
     setup m.mag words;
-    let r = shift_left one (64 * n) in
-    { ctx_modulus = m;
-      mmag = m.mag;
-      k = Array.length m.mag;
-      words;
-      r1 = (erem r m).mag;
-      r2 = (erem (mul r r) m).mag }
+    { ctx_modulus = m; k = Array.length m.mag; words }
 
   let modulus c = c.ctx_modulus
-  let mul_into c dst a b = kernel_mul c.words dst a b
-  let sqr_into c dst a = kernel_sqr c.words dst a
-  let buffer c = Array.make (c.k + 1) 0
+  let words c = ((Bytes.length c.words / 8) - 1) / 3
 
-  let pad c mag =
-    let buf = buffer c in
-    Array.blit mag 0 buf 0 (Array.length mag);
-    buf
+  (* Every exponent walk keeps its working values in a state string:
+     the kernel re-reads it on every call and keeps no pointer into it.
+     Each domain keeps one spare state, grown when a walk needs a larger
+     one, so a witness warm's hundreds of pairs leave no megabytes of
+     large strings to the major collector. A walk takes the spare by an
+     atomic exchange and puts its own state back when done: two
+     systhreads of one domain never share a state, and a walk that finds
+     the spare taken or too small allocates its own. *)
+  let spare_state = Domain.DLS.new_key (fun () -> Atomic.make Bytes.empty)
 
-  (* dst <- a + m over k+1 limbs, dropping any carry out of the top
-     limb: completes a wrapped-around subtraction, or makes an odd
-     value even for halving (a + m < 2m fits). *)
-  let add_m_into c dst a =
-    let mmag = c.mmag and k = c.k in
-    let carry = ref 0 in
-    for i = 0 to k do
-      let s = a.(i) + (if i < k then mmag.(i) else 0) + !carry in
-      dst.(i) <- s land mask;
-      carry := s lsr limb_bits
-    done
+  let with_state size f =
+    let spare = Domain.DLS.get spare_state in
+    let st =
+      let s = Atomic.exchange spare Bytes.empty in
+      if Bytes.length s >= size then s else Bytes.create size
+    in
+    let r = f st in
+    Atomic.set spare st;
+    r
 
-  (* dst < 2m: one conditional subtraction normalises it below m. *)
-  let reduce_once c dst =
-    let mmag = c.mmag and k = c.k in
-    let i = ref (k - 1) in
-    while !i >= 0 && dst.(!i) = mmag.(!i) do
-      decr i
-    done;
-    if dst.(k) <> 0 || !i < 0 || dst.(!i) > mmag.(!i) then begin
-      let borrow = ref 0 in
-      for i = 0 to k - 1 do
-        let d = dst.(i) - mmag.(i) - !borrow in
-        dst.(i) <- d land mask;
-        borrow := (d asr limb_bits) land 1
-      done;
-      dst.(k) <- dst.(k) - !borrow
-    end
+  (* [out words st i dst] writes slot [i] of a state (n words each) out
+     of the domain into [dst]. *)
+  external out : Bytes.t -> Bytes.t -> int -> int array -> unit = "slicer_mont_out" [@@noalloc]
 
-  (* dst <- a + b mod m. *)
-  let add_into c dst a b =
-    let carry = ref 0 in
-    for i = 0 to c.k do
-      let s = a.(i) + b.(i) + !carry in
-      dst.(i) <- s land mask;
-      carry := s lsr limb_bits
-    done;
-    reduce_once c dst
-
-  (* dst <- a - b mod m. Limb differences lie in [-2^31, 2^31), so the
-     low 31 bits and the sign bit give the digit and the borrow. *)
-  let sub_into c dst a b =
-    let borrow = ref 0 in
-    for i = 0 to c.k do
-      let d = a.(i) - b.(i) - !borrow in
-      dst.(i) <- d land mask;
-      borrow := (d asr limb_bits) land 1
-    done;
-    if !borrow <> 0 then add_m_into c dst dst
-
-  (* dst <- a / 2 mod m: an odd value becomes even by adding m. *)
-  let half_into c dst a =
-    let k = c.k in
-    if a.(0) land 1 = 1 then add_m_into c dst a else if dst != a then Array.blit a 0 dst 0 (k + 1);
-    for i = 0 to k - 1 do
-      dst.(i) <- (dst.(i) lsr 1) lor ((dst.(i + 1) land 1) lsl (limb_bits - 1))
-    done;
-    dst.(k) <- dst.(k) lsr 1
-
-  (* Into Montgomery form by one kernel product against the cached R²:
-     (x mod m)·R²·R^(-1) = x·R mod m. *)
-  let to_mont c x =
-    let dst = buffer c in
-    mul_into c dst (erem x c.ctx_modulus).mag c.r2;
-    dst
-
-  let one_limb = [| 1 |]
-
-  (* Out of Montgomery form: a kernel product with 1. *)
-  let of_mont c x =
+  let slot c st i =
     let dst = Array.make c.k 0 in
-    mul_into c dst x one_limb;
+    out c.words st i dst;
     make 1 dst
 
-  let pow_mont c b e =
+  (* Exponent bits per kernel call: a few hundred products, so no call
+     holds the runtime for long. *)
+  let slice_bits = 256
+
+  (* [step hi lo] over bits [lo, hi) in slices of [slice_bits], the top
+     first. *)
+  let sliced ~hi ~lo step =
+    let hi = ref hi in
+    while !hi > lo do
+      let l = Stdlib.max lo (!hi - slice_bits) in
+      step !hi l;
+      hi := l
+    done
+
+  (* The ladder kernel: [ladder_start words st b w] sets the accumulator
+     to 1 and tables the odd powers of the base [b] < m up to
+     b^(2^w - 1); [ladder words st e w hi lo] consumes bits [lo, hi) of
+     the exponent magnitude [e] in sliding windows of at most [w] bits.
+     [w = 0] is base 2, doubling where a window would multiply. *)
+  external ladder_start : Bytes.t -> Bytes.t -> int array -> int -> unit
+    = "slicer_mont_ladder_start"
+  [@@noalloc]
+
+  external ladder : Bytes.t -> Bytes.t -> int array -> int -> int -> int -> unit
+    = "slicer_mont_ladder_byte" "slicer_mont_ladder"
+  [@@noalloc]
+
+  (* Window width for a [bits]-bit exponent: bits/(w+1) products
+     against the 2^(w-1) - 1 of the table. *)
+  let ladder_window bits =
+    if bits <= 32 then 1
+    else if bits <= 160 then 3
+    else if bits <= 768 then 4
+    else if bits <= 3072 then 5
+    else if bits <= 12288 then 6
+    else 7
+
+  (* The accumulator, then 2^(w-1) table entries. *)
+  let ladder_size c w = 8 * words c * (1 + if w = 0 then 0 else 1 lsl (w - 1))
+
+  let run_ladder c st b e w ~hi ~lo =
+    ladder_start c.words st b w;
+    sliced ~hi ~lo (fun hi lo -> ladder c.words st e w hi lo)
+
+  let pow c b e =
     if sign e < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
-    if is_zero e then pad c c.r1
-    else begin
-      let b_mont = to_mont c b in
-      if Array.for_all (fun l -> l = 0) b_mont then b_mont
-      else begin
-        let acc = pad c c.r1 in
-        let bits = num_bits e in
-        (* Sliding-window: precompute the odd powers b^1, b^3, …,
-           b^(2^w - 1) in Montgomery form, then consume the exponent in
-           windows that end on a set bit — bits/(w+1) multiplies instead
-           of bits/2, with the squaring count unchanged. *)
-        let w =
-          if bits <= 32 then 1
-          else if bits <= 160 then 3
-          else if bits <= 768 then 4
-          else if bits <= 3072 then 5
-          else if bits <= 12288 then 6
-          else 7
-        in
-        let tbl = Array.make (1 lsl (w - 1)) [||] in
-        tbl.(0) <- b_mont;
-        if w > 1 then begin
-          let bsq = buffer c in
-          sqr_into c bsq tbl.(0);
-          for i = 1 to Array.length tbl - 1 do
-            let d = buffer c in
-            mul_into c d tbl.(i - 1) bsq;
-            tbl.(i) <- d
-          done
-        end;
-        let i = ref (bits - 1) in
-        while !i >= 0 do
-          if not (testbit e !i) then begin
-            sqr_into c acc acc;
-            decr i
-          end
-          else begin
-            (* Largest window [j, i] of width <= w whose low bit is set. *)
-            let j = ref (Stdlib.max 0 (!i - w + 1)) in
-            while not (testbit e !j) do
-              incr j
-            done;
-            for _ = 1 to !i - !j + 1 do
-              sqr_into c acc acc
-            done;
-            let v = ref 0 in
-            for bi = !i downto !j do
-              v := (!v lsl 1) lor (if testbit e bi then 1 else 0)
-            done;
-            mul_into c acc acc tbl.(!v lsr 1);
-            i := !j - 1
-          end
-        done;
-        acc
-      end
-    end
+    let bits = num_bits e in
+    let w = ladder_window bits in
+    with_state (ladder_size c w) (fun st ->
+        run_ladder c st (erem b c.ctx_modulus).mag e.mag w ~hi:bits ~lo:0;
+        slot c st 0)
 
-  let pow c b e = of_mont c (pow_mont c b e)
+  (* [strong_tail words st s]: with the accumulator at b^d, whether
+     b^d = 1 or b^(d·2^r) = -1 for some r < s. *)
+  external strong_tail : Bytes.t -> Bytes.t -> int -> bool = "slicer_mont_strong_tail"
+  [@@noalloc]
 
-  (* The pair kernel (mont_stubs.c), over a state byte string [st] of
-     B, 2·2^w buckets and their flags: [pair_start words st b w] sets B
-     to the Montgomery-form base [b] and empties the buckets,
-     [pair_digits words st e1 e2 w i j] buckets digits [i, j) of both
-     exponent magnitudes, advancing B by w squarings before each digit
-     after the first, and [pair_fold words st w s dst] folds the bucket
-     set of exponent [s] (0 or 1) out of the domain into [dst]. *)
+  let strong_test c ~base =
+    let n = c.ctx_modulus in
+    (* n - 1 = 2^s·d: d is the bits of n from s up, s the lowest set bit
+       of n above bit 0. *)
+    let s = ref 1 in
+    while not (testbit n !s) do
+      incr s
+    done;
+    let bits = num_bits n in
+    let w = if equal base two then 0 else ladder_window (bits - !s) in
+    let b = if w = 0 then [||] else (erem base n).mag in
+    with_state (ladder_size c w) (fun st ->
+        run_ladder c st b n.mag w ~hi:bits ~lo:!s;
+        strong_tail c.words st !s)
+
+  (* The Lucas kernel over a state of V_k, V_(k+1) and Q^k:
+     [lucas_start words st q] sets k = 1, [lucas_ladder words st e q hi
+     lo] doubles through bits [lo, hi) of the index [e], and
+     [lucas_tail words st s] is the strong verdict at k = d for
+     n + 1 = 2^s·d: 1 for U_d = 0, 2 + r for V_(d·2^r) = 0, else 0. *)
+  external lucas_start : Bytes.t -> Bytes.t -> int -> unit = "slicer_mont_lucas_start"
+  [@@noalloc]
+
+  external lucas_ladder : Bytes.t -> Bytes.t -> int array -> int -> int -> int -> unit
+    = "slicer_mont_lucas_byte" "slicer_mont_lucas"
+  [@@noalloc]
+
+  external lucas_tail : Bytes.t -> Bytes.t -> int -> int = "slicer_mont_lucas_tail" [@@noalloc]
+
+  let run_lucas c st ~q e =
+    lucas_start c.words st q;
+    sliced ~hi:(num_bits e - 1) ~lo:0 (fun hi lo -> lucas_ladder c.words st e.mag q hi lo)
+
+  let lucas c ~q e =
+    if sign e < 0 then invalid_arg "Bigint.Mont.lucas: negative index";
+    let m = c.ctx_modulus in
+    if is_zero e then (erem two m, erem one m, erem one m, true)
+    else
+      with_state (8 * 3 * words c) (fun st ->
+          run_lucas c st ~q e;
+          let v = slot c st 0 and v_next = slot c st 1 and qk = slot c st 2 in
+          (v, v_next, qk, lucas_tail c.words st 1 = 1))
+
+  let strong_lucas c ~q =
+    let n = c.ctx_modulus in
+    (* n + 1 = 2^s·d: s counts the trailing ones of n. *)
+    let s = ref 0 in
+    while testbit n !s do
+      incr s
+    done;
+    let d = shift_right (succ n) !s in
+    with_state (8 * 3 * words c) (fun st ->
+        run_lucas c st ~q d;
+        lucas_tail c.words st !s > 0)
+
+  (* The pair kernel (mont_stubs.c), over a state of B, 2·2^w buckets
+     and their flags: [pair_start words st b w] sets B to the base
+     [b] < m in the domain and empties the buckets, [pair_digits words
+     st e1 e2 w i j] buckets digits [i, j) of both exponent magnitudes,
+     advancing B by w squarings before each digit after the first, and
+     [pair_fold words st w s dst] folds the bucket set of exponent [s]
+     (0 or 1) out of the domain into [dst]. *)
   external pair_start : Bytes.t -> Bytes.t -> int array -> int -> unit = "slicer_mont_pow2_start"
   [@@noalloc]
 
@@ -821,130 +795,50 @@ module Mont = struct
     let rec go w = if w < 10 && bits > (w * (w + 1)) lsl (w + 1) then go (w + 1) else w in
     go 2
 
-  (* Exponent bits per [pair_digits] call: a few hundred squarings, so
-     no call holds the runtime for long. *)
-  let pair_slice_bits = 256
-
-  (* Each domain keeps one spare pair state, grown when a pair needs a
-     larger one, so a witness warm's hundreds of pairs leave no
-     megabytes of large strings to the major collector. A pair takes
-     the spare by an atomic exchange and puts its own state back when
-     done: two systhreads of one domain never share a state, and a pair
-     that finds the spare taken or too small allocates its own. *)
-  let spare_state = Domain.DLS.new_key (fun () -> Atomic.make Bytes.empty)
-
   let pow2 c b e1 e2 =
     if sign e1 < 0 || sign e2 < 0 then invalid_arg "Bigint.Mont.pow2: negative exponent";
     let bits = Stdlib.max (num_bits e1) (num_bits e2) in
     let w = pair_window bits in
-    let n = (Bytes.length c.words / 8) - 1 and nb = 1 lsl w in
-    let size = (8 * n * (1 + (2 * nb))) + (2 * nb) in
-    let spare = Domain.DLS.get spare_state in
-    let st =
-      let s = Atomic.exchange spare Bytes.empty in
-      if Bytes.length s >= size then s else Bytes.create size
-    in
-    pair_start c.words st (to_mont c b) w;
-    let digits = (bits + w - 1) / w and step = pair_slice_bits / w in
-    let i = ref 0 in
-    while !i < digits do
-      let j = Stdlib.min digits (!i + step) in
-      pair_digits c.words st e1.mag e2.mag w !i j;
-      i := j
-    done;
-    let d1 = Array.make c.k 0 and d2 = Array.make c.k 0 in
-    pair_fold c.words st w 0 d1;
-    pair_fold c.words st w 1 d2;
-    Atomic.set spare st;
-    (make 1 d1, make 1 d2)
-
-  let sqr c a =
-    let dst = buffer c in
-    sqr_into c dst a;
-    dst
-
-  let add c a b =
-    let dst = buffer c in
-    add_into c dst a b;
-    dst
-
-  let sub c a b =
-    let dst = buffer c in
-    sub_into c dst a b;
-    dst
-
-  let equal (a : elt) b = a = b
-
-  (* x <- -x mod m, in place. *)
-  let negate c x =
-    if Array.exists (fun l -> l <> 0) x then begin
-      let borrow = ref 0 in
-      for i = 0 to c.k do
-        let d = (if i < c.k then c.mmag.(i) else 0) - x.(i) - !borrow in
-        x.(i) <- d land mask;
-        borrow := (d asr limb_bits) land 1
-      done
-    end
-
-  (* dst <- a·s mod m for a small signed s, by double-and-add over |s|:
-     a few modular additions where a full product would pay a
-     multiply-and-reduce. Scaling a Montgomery form X·R by a plain s
-     gives (X·s)·R, so s needs no conversion. [dst] must not alias [a]. *)
-  let mul_small_into c dst a s =
-    let n = Stdlib.abs s in
-    if n = 0 then Array.fill dst 0 (c.k + 1) 0
-    else begin
-      Array.blit a 0 dst 0 (c.k + 1);
-      let top = ref 0 in
-      while n lsr (!top + 1) <> 0 do
-        incr top
-      done;
-      for i = !top - 1 downto 0 do
-        add_into c dst dst dst;
-        if (n lsr i) land 1 = 1 then add_into c dst dst a
-      done;
-      if s < 0 then negate c dst
-    end
-
-  (* Lucas sequences with P = 1 (Selfridge's parameters), D = 1 - 4Q,
-     by the binary doubling ladder from U_1 = 1, V_1 = P, Q^1 = Q:
-
-       U_2j = U_j·V_j        V_2j = V_j² - 2Q^j        Q^2j = (Q^j)²
-       U_2j+1 = (U_2j + V_2j)/2    V_2j+1 = (D·U_2j + V_2j)/2    Q^2j+1 = Q^2j·Q
-
-     — three full-size products per exponent bit, all in the Montgomery
-     domain on [pow]'s kernel; the set-bit steps scale by the small
-     constants D and Q with modular additions. *)
-  let lucas c ~q e =
-    if sign e < 0 then invalid_arg "Bigint.Mont.lucas: negative index";
-    if is_zero e then (to_mont c zero, to_mont c two, pad c c.r1)
-    else begin
-      let d = 1 - (4 * q) in
-      let one_m = pad c c.r1 in
-      let u = Array.copy one_m and v = Array.copy one_m and qk = to_mont c (of_int q) in
-      let w = buffer c in
-      for i = num_bits e - 2 downto 0 do
-        mul_into c u u v;
-        sqr_into c v v;
-        sub_into c v v qk;
-        sub_into c v v qk;
-        (* Q = -1 (D = 5, half of all primes): Q^j stays ±1, and
-           squaring it is a copy. *)
-        if Stdlib.abs q = 1 then Array.blit one_m 0 qk 0 (c.k + 1) else sqr_into c qk qk;
-        if testbit e i then begin
-          mul_small_into c w u d;
-          add_into c w w v;
-          half_into c w w;
-          add_into c u u v;
-          half_into c u u;
-          Array.blit w 0 v 0 (c.k + 1);
-          mul_small_into c w qk q;
-          Array.blit w 0 qk 0 (c.k + 1)
-        end
-      done;
-      (u, v, qk)
-    end
+    let nb = 1 lsl w in
+    let size = (8 * words c * (1 + (2 * nb))) + (2 * nb) in
+    with_state size (fun st ->
+        pair_start c.words st (erem b c.ctx_modulus).mag w;
+        let digits = (bits + w - 1) / w and step = slice_bits / w in
+        let i = ref 0 in
+        while !i < digits do
+          let j = Stdlib.min digits (!i + step) in
+          pair_digits c.words st e1.mag e2.mag w !i j;
+          i := j
+        done;
+        let d1 = Array.make c.k 0 and d2 = Array.make c.k 0 in
+        pair_fold c.words st w 0 d1;
+        pair_fold c.words st w 1 d2;
+        (make 1 d1, make 1 d2))
 end
+
+(* The residue kernels (mont_stubs.c): [residues_into x primes dst] sets
+   dst.(i) to |x| mod primes.(i); [first_divisor_kernel x primes] is the
+   index of the first prime dividing |x|, or the count. *)
+external residues_into : int array -> int array -> int array -> unit = "slicer_residues"
+[@@noalloc]
+
+external first_divisor_kernel : int array -> int array -> int = "slicer_first_divisor"
+[@@noalloc]
+
+let check_divisors name primes =
+  Array.iter
+    (fun p -> if p <= 0 || p >= base then invalid_arg ("Bigint." ^ name ^ ": divisor out of range"))
+    primes
+
+let residues x primes =
+  check_divisors "residues" primes;
+  let dst = Array.make (Array.length primes) 0 in
+  residues_into x.mag primes dst;
+  dst
+
+let first_divisor x primes =
+  check_divisors "first_divisor" primes;
+  first_divisor_kernel x.mag primes
 
 let mod_pow b e m =
   if sign e < 0 then invalid_arg "Bigint.mod_pow: negative exponent";

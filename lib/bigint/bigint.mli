@@ -138,15 +138,17 @@ val mod_pow : t -> t -> t -> t
     exponent or modulus [<= 1]. *)
 
 (** Precomputed per-modulus Montgomery state for repeated
-    exponentiation modulo one odd modulus. [create]
-    derives once what {!mod_pow} re-derives per call — the word inverse,
-    [R mod m] and [R² mod m] — and converts bases into the Montgomery
-    domain with one multiplication instead of a general division. Every
-    product runs on one C kernel ([mont_stubs.c]): a fused multiply-reduce
-    and a square-reduce over [n = ⌈bits(m)/64⌉] 64-bit words, so
-    [R = 2^(64n)]; {!pow2} runs a pair exponentiation's chain and folds
-    in the kernel too. A context is immutable after [create] and safe to
-    share across domains. *)
+    exponentiation modulo one odd modulus. [create] derives once what
+    {!mod_pow} re-derives per call — the word inverse, [R mod m] and
+    [R² mod m] — in one kernel call with no division. Every walk over an
+    exponent runs on one C kernel ([mont_stubs.c]): fused
+    multiply-reduce and square-reduce steps and modular additions over
+    [n = ⌈bits(m)/64⌉] 64-bit words, so [R = 2^(64n)]. Its working
+    values (a ladder's accumulator and window table, a Lucas ladder's
+    terms, a pair's buckets) live in a per-domain state string, and
+    OCaml drives each walk in kernel calls of at most 256 exponent bits,
+    so no call holds the runtime for long. A context is immutable after
+    [create] and safe to share across domains. *)
 module Mont : sig
   type ctx
 
@@ -156,7 +158,9 @@ module Mont : sig
   val modulus : ctx -> t
 
   val pow : ctx -> t -> t -> t
-  (** [pow c b e] is exactly [mod_pow b e (modulus c)] for [e >= 0].
+  (** [pow c b e] is exactly [mod_pow b e (modulus c)] for [e >= 0], by
+      a sliding-window ladder (windows of up to 7 bits over a table of
+      the base's odd powers).
       @raise Invalid_argument on a negative exponent. *)
 
   val pow2 : ctx -> t -> t -> t -> t * t
@@ -167,40 +171,47 @@ module Mont : sig
       about [max(|e1|, |e2|)] squarings plus [(|e1| + |e2|)/w + 2^(w+2)]
       products, against [|e1| + |e2|] squarings for two ladders. [w]
       minimises that count for the longer exponent: 2 bits up to 48,
-      one more above each [w(w+1)·2^(w+1)] bits, 10 above 92,160. The
-      chain runs in kernel calls of a few hundred squarings each, so a
-      long pair never holds the runtime for long.
+      one more above each [w(w+1)·2^(w+1)] bits, 10 above 92,160.
       @raise Invalid_argument on a negative exponent. *)
 
-  (** {2 The Montgomery domain}
+  (** {2 Primality kernels}
 
-      A residue [x] held as [x·R mod m], for callers that chain several
-      products before they compare: squarings and additions stay in the
-      domain, and equality there is equality of the residues. *)
+      The two halves of the Baillie–PSW test, on a context whose odd
+      modulus [n >= 3] is the candidate. *)
 
-  type elt
+  val strong_test : ctx -> base:t -> bool
+  (** Strong probable-prime test of [n] to [base]: writing
+      [n - 1 = 2^s·d] with [d] odd, [n] passes when [base^d ≡ 1] or
+      [base^(d·2^r) ≡ -1] for some [r < s]. Base 2 runs on squarings and
+      modular doublings; any other base on the ladder of {!pow}. *)
 
-  val to_mont : ctx -> t -> elt
-  val of_mont : ctx -> elt -> t
-
-  val pow_mont : ctx -> t -> t -> elt
-  (** [pow_mont c b e] is [to_mont c (pow c b e)], without leaving the
-      domain. *)
-
-  val sqr : ctx -> elt -> elt
-  val add : ctx -> elt -> elt -> elt
-  val sub : ctx -> elt -> elt -> elt
-  val equal : elt -> elt -> bool
-
-  val lucas : ctx -> q:int -> t -> elt * elt * elt
-  (** [lucas c ~q e] is [(U_e, V_e, Q^e)] modulo [modulus c], in the
-      Montgomery domain, for the Lucas sequences with [P = 1] and the
-      given [Q] ([U_0 = 0], [U_1 = 1], [V_0 = 2], [V_1 = 1],
-      [X_(j+1) = X_j - Q·X_(j-1)]), by a doubling ladder over the bits
-      of [e] on the same kernel as {!pow}: the strong Lucas half of the
-      Baillie–PSW primality test.
+  val lucas : ctx -> q:int -> t -> t * t * t * bool
+  (** [lucas c ~q e] is [(V_e, V_(e+1), Q^e, u_zero)] modulo [n] for the
+      Lucas sequences with [P = 1] and the given small [Q]
+      ([V_0 = 2], [V_1 = 1], [V_(j+1) = V_j - Q·V_(j-1)]), by the
+      V-only doubling ladder of {!strong_lucas}: one product and one
+      squaring per index bit, plus a squaring of [Q^j] when [|Q| > 1].
+      [u_zero] is [2·V_(e+1) ≡ V_e], that is [D·U_e ≡ 0] for
+      [D = 1 - 4Q]: [U_e ≡ 0] whenever [D] is prime to [n].
       @raise Invalid_argument on a negative index. *)
+
+  val strong_lucas : ctx -> q:int -> bool
+  (** Strong Lucas probable-prime test with [P = 1], [Q = q], for a
+      [Q] whose [D = 1 - 4Q] has Jacobi symbol [(D/n) = -1]: writing
+      [n + 1 = 2^s·d] with [d] odd, [n] passes when [U_d ≡ 0] or
+      [V_(d·2^r) ≡ 0] for some [r < s]. *)
 end
+
+val residues : t -> int array -> int array
+(** [residues x ps] is [|x| mod p] for each [p] of [ps], in one kernel
+    call with no allocation but the result.
+    @raise Invalid_argument unless every [p] is in [(0, 2^31)]. *)
+
+val first_divisor : t -> int array -> int
+(** [first_divisor x ps] is the index of the first [p] of [ps] that
+    divides [|x|], or [Array.length ps] when none does: trial division
+    in one kernel call.
+    @raise Invalid_argument unless every [p] is in [(0, 2^31)]. *)
 
 val gcd : t -> t -> t
 

@@ -1,17 +1,25 @@
-/* Montgomery multiplication kernel for Bigint.Mont.
+/* Montgomery kernels for Bigint.Mont, and small-prime residues.
 
-   Operands are OCaml int arrays of 31-bit limbs (little-endian) holding
-   residues below an odd modulus m. Each call packs them into
-   n = ceil(bits(m) / 64) 64-bit words on the stack, runs one fused
-   multiply-reduce over unsigned __int128 products with R = 2^(64n), and
-   unpacks the result into the destination array's limbs. Nothing is
-   allocated on the OCaml heap (a call takes about 4n words of C stack)
-   and no state outlives a call except in a byte string its caller owns
-   (the pair exponentiation's), so the entry points are [@@noalloc] and
-   safe to run on several domains at once against one shared context.
+   Operands are OCaml int arrays of 31-bit limbs (little-endian). The
+   kernels pack residues below an odd modulus m into
+   n = ceil(bits(m) / 64) 64-bit words, run fused multiply-reduce and
+   square-reduce steps over unsigned __int128 products with
+   R = 2^(64n), and unpack results into a destination array's limbs.
+   Nothing is allocated on the OCaml heap (a call takes a few n words
+   of C stack) and no pointer into an OCaml block outlives a call, so
+   every entry point is [@@noalloc] and safe to run on several domains
+   at once against one shared context.
 
-   The context is a byte string of n + 1 words written once by
-   slicer_mont_setup: the modulus words, then -m^(-1) mod 2^64. */
+   The context is a byte string of 3n + 1 words written once by
+   slicer_mont_setup: the modulus words, -m^(-1) mod 2^64, R mod m (the
+   Montgomery form of 1) and R^2 mod m (one product with it converts a
+   residue into the domain).
+
+   Every exponent walk (the ladder behind Mont.pow, the strong
+   probable-prime test, the Lucas ladder and the pair exponentiation)
+   keeps its working values in a byte string its caller owns, and OCaml
+   drives it in calls over a bounded range of exponent bits, so that
+   every return is a safepoint. */
 
 #include <caml/mlvalues.h>
 #include <string.h>
@@ -122,48 +130,342 @@ static void mont_sqr(word *r, const word *a, const word *m, word minv, mlsize_t 
   final_sub(r, t + n, hi, m, n);
 }
 
+/* r <- a + b mod m, for a, b < m; r may alias either. */
+static void mod_add(word *r, const word *a, const word *b, const word *m, mlsize_t n)
+{
+  word t[n], c = 0;
+  mlsize_t i;
+  for (i = 0; i < n; i++) {
+    dword s = (dword)a[i] + b[i] + c;
+    t[i] = (word)s;
+    c = (word)(s >> 64);
+  }
+  final_sub(r, t, c, m, n);
+}
+
+/* r <- a - b mod m, for a, b < m; r may alias either. */
+static void mod_sub(word *r, const word *a, const word *b, const word *m, mlsize_t n)
+{
+  word borrow = 0, c = 0;
+  mlsize_t i;
+  for (i = 0; i < n; i++) {
+    dword d = (dword)a[i] - b[i] - borrow;
+    r[i] = (word)d;
+    borrow = (word)(d >> 64) & 1;
+  }
+  if (borrow)
+    for (i = 0; i < n; i++) {
+      dword s = (dword)r[i] + m[i] + c;
+      r[i] = (word)s;
+      c = (word)(s >> 64);
+    }
+}
+
+/* r <- q·a mod m for a small signed q, by doublings and additions from
+   the top bit of |q|: a few modular additions where a product would pay
+   a multiply-reduce. Scaling a Montgomery form gives the Montgomery form
+   of the scaled residue, so q needs no conversion. r may alias a. */
+static void mod_small(word *r, const word *a, intnat q, const word *m, mlsize_t n)
+{
+  uintnat k = q < 0 ? (uintnat)0 - (uintnat)q : (uintnat)q;
+  word x[n], zero[n];
+  int bit;
+  memset(zero, 0, sizeof zero);
+  if (k == 0) {
+    memcpy(r, zero, sizeof zero);
+    return;
+  }
+  memcpy(x, a, sizeof x);
+  memcpy(r, x, sizeof x);
+  for (bit = 62 - __builtin_clzll(k); bit >= 0; bit--) {
+    mod_add(r, r, r, m, n);
+    if ((k >> bit) & 1) mod_add(r, r, x, m, n);
+  }
+  if (q < 0) mod_sub(r, zero, r, m, n);
+}
+
+static inline int equal(const word *a, const word *b, mlsize_t n)
+{
+  return memcmp(a, b, n * sizeof(word)) == 0;
+}
+
+static inline int is_zero(const word *a, mlsize_t n)
+{
+  while (n > 0)
+    if (a[--n] != 0) return 0;
+  return 1;
+}
+
 static inline mlsize_t ctx_words(value ctx)
 {
-  return caml_string_length(ctx) / sizeof(word) - 1;
+  return (caml_string_length(ctx) / sizeof(word) - 1) / 3;
+}
+
+/* The context's Montgomery form of 1 (R mod m), and R^2 mod m. */
+static inline const word *ctx_one(const word *m, mlsize_t n)
+{
+  return m + n + 1;
+}
+
+static inline const word *ctx_r2(const word *m, mlsize_t n)
+{
+  return m + 2 * n + 1;
 }
 
 /* Fills the context from the modulus limbs: the words of m, then
    -m^(-1) mod 2^64 by Newton's iteration (m·m = 1 mod 8 for odd m, and
-   each step doubles the correct low bits: 3, 6, ..., 96). */
+   each step doubles the correct low bits: 3, 6, ..., 96), then R mod m
+   and R^2 mod m by modular doublings and squarings, with no division. */
 value slicer_mont_setup(value vm, value ctx)
 {
   word *w = (word *)Bytes_val(ctx);
-  mlsize_t n = ctx_words(ctx);
-  word x;
-  int i;
+  mlsize_t n = ctx_words(ctx), bits, i;
+  word *one = w + n + 1, *r2 = one + n, x;
+  int j;
   pack(vm, w, n);
   x = w[0];
-  for (i = 0; i < 5; i++) x *= 2 - w[0] * x;
+  for (j = 0; j < 5; j++) x *= 2 - w[0] * x;
   w[n] = (word)0 - x;
+  /* R mod m: 2^(bits - 1) is below the odd, bits-bit m; double it
+     64n - bits + 1 times. */
+  bits = 64 * n - __builtin_clzll(w[n - 1]);
+  memset(one, 0, n * sizeof(word));
+  one[(bits - 1) / 64] = (word)1 << ((bits - 1) % 64);
+  for (i = bits - 1; i < 64 * n; i++) mod_add(one, one, one, w, n);
+  /* R^2 mod m is the Montgomery form of 2^(64n): square-and-double
+     over the bits of 64n from the Montgomery form of 1. */
+  memcpy(r2, one, n * sizeof(word));
+  for (j = 63 - __builtin_clzll(64 * n); j >= 0; j--) {
+    mont_sqr(r2, r2, w, w[n], n);
+    if (((64 * n) >> j) & 1) mod_add(r2, r2, r2, w, n);
+  }
   return Val_unit;
 }
 
-value slicer_mont_mul(value ctx, value dst, value va, value vb)
+/* Slot [vslot] of a walk's state (n words each) out of the domain into
+   the limbs of [dst]: a product with 1. */
+value slicer_mont_out(value ctx, value vst, value vslot, value dst)
 {
   const word *m = (const word *)String_val(ctx);
   mlsize_t n = ctx_words(ctx);
-  word a[n], b[n], r[n];
-  pack(va, a, n);
-  pack(vb, b, n);
-  mont_mul(r, a, b, m, m[n], n);
+  const word *x = (const word *)Bytes_val(vst) + Long_val(vslot) * n;
+  word one[n], r[n];
+  memset(one, 0, sizeof one);
+  one[0] = 1;
+  mont_mul(r, x, one, m, m[n], n);
   unpack(r, n, dst);
   return Val_unit;
 }
 
-value slicer_mont_sqr(value ctx, value dst, value va)
+/* Bit [i] of the limbs of [e]. */
+static inline unsigned limb_bit(value e, mlsize_t i)
+{
+  mlsize_t l = i / LIMB_BITS;
+  return l < Wosize_val(e) && (((word)Long_val(Field(e, l)) >> (i % LIMB_BITS)) & 1);
+}
+
+/* The ladder behind Mont.pow and the strong test: sliding windows of at
+   most w bits that end on a set bit, over the odd powers b, b^3, ...,
+   b^(2^w - 1) of the base, which the state tables after its
+   accumulator (n words each). w = 0 is base 2: a set bit doubles the
+   accumulator, a modular addition in place of a product. */
+
+/* Accumulator <- 1, and the table from the base [vb] < m. */
+value slicer_mont_ladder_start(value ctx, value vst, value vb, value vw)
+{
+  const word *m = (const word *)String_val(ctx);
+  mlsize_t n = ctx_words(ctx), i;
+  unsigned w = Long_val(vw);
+  word *acc = (word *)Bytes_val(vst), *tbl = acc + n;
+  memcpy(acc, ctx_one(m, n), n * sizeof(word));
+  if (w > 0) {
+    word b[n], b2[n];
+    pack(vb, b, n);
+    mont_mul(tbl, b, ctx_r2(m, n), m, m[n], n);
+    mont_sqr(b2, tbl, m, m[n], n);
+    for (i = 1; i < (mlsize_t)1 << (w - 1); i++)
+      mont_mul(tbl + i * n, tbl + (i - 1) * n, b2, m, m[n], n);
+  }
+  return Val_unit;
+}
+
+/* Exponent bits [lo, hi) of [ve], the top first. No window reaches
+   below lo, so calls over consecutive ranges compose. */
+value slicer_mont_ladder(value ctx, value vst, value ve, value vw, value vhi, value vlo)
 {
   const word *m = (const word *)String_val(ctx);
   mlsize_t n = ctx_words(ctx);
-  word a[n], r[n];
-  pack(va, a, n);
-  mont_sqr(r, a, m, m[n], n);
-  unpack(r, n, dst);
+  unsigned w = Long_val(vw);
+  word *acc = (word *)Bytes_val(vst);
+  const word *tbl = acc + n;
+  intnat i = Long_val(vhi) - 1, lo = Long_val(vlo);
+  while (i >= lo) {
+    if (!limb_bit(ve, i) || w == 0) {
+      mont_sqr(acc, acc, m, m[n], n);
+      if (limb_bit(ve, i)) mod_add(acc, acc, acc, m, n);
+      i--;
+    }
+    else {
+      intnat j = i - (intnat)w + 1 > lo ? i - (intnat)w + 1 : lo, k;
+      unsigned v = 0;
+      while (!limb_bit(ve, j)) j++;
+      for (k = i; k >= j; k--) {
+        mont_sqr(acc, acc, m, m[n], n);
+        v = (v << 1) | limb_bit(ve, k);
+      }
+      mont_mul(acc, acc, tbl + (size_t)(v >> 1) * n, m, m[n], n);
+      i = j - 1;
+    }
+  }
   return Val_unit;
+}
+
+value slicer_mont_ladder_byte(value *argv, int argn)
+{
+  (void)argn;
+  return slicer_mont_ladder(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
+}
+
+/* The strong probable-prime test's end, with the accumulator at b^d for
+   n - 1 = 2^s·d (d odd): whether b^d = 1 or b^(d·2^r) = -1 for some
+   r < s. The squarings stop at the first 1, which no later one leaves. */
+value slicer_mont_strong_tail(value ctx, value vst, value vs)
+{
+  const word *m = (const word *)String_val(ctx);
+  mlsize_t n = ctx_words(ctx);
+  const word *one = ctx_one(m, n);
+  word *x = (word *)Bytes_val(vst), minus_one[n], zero[n];
+  intnat r, s = Long_val(vs);
+  memset(zero, 0, sizeof zero);
+  mod_sub(minus_one, zero, one, m, n);
+  if (equal(x, one, n)) return Val_true;
+  for (r = 0; r < s; r++) {
+    if (equal(x, minus_one, n)) return Val_true;
+    if (r + 1 < s) {
+      mont_sqr(x, x, m, m[n], n);
+      if (equal(x, one, n)) return Val_false;
+    }
+  }
+  return Val_false;
+}
+
+/* The strong Lucas test's ladder over an index k, for the Lucas
+   sequences with P = 1 and a small Q. The state holds V_k, V_(k+1) and
+   Q^k in Montgomery form, and each bit of k below its top takes
+
+     0:  V_2k = V_k^2 - 2Q^k,           V_(2k+1) = V_k·V_(k+1) - Q^k,  Q^2k = (Q^k)^2
+     1:  V_(2k+1) = V_k·V_(k+1) - Q^k,  V_(2k+2) = V_(k+1)^2 - 2Q^(k+1),  Q^(2k+1) = (Q^k)^2·Q
+
+   One product and one squaring per bit, plus one squaring for Q^k when
+   |Q| > 1; the scalings by Q are modular additions. When |Q| = 1 (Q = -1
+   for D = 5, half of all primes) Q^k is a sign: Q^2k = 1 and
+   Q^(2k+1) = Q. U_k is never formed: 2V_(k+1) - V_k = D·U_k. */
+
+/* k = 1: V_1 = 1, V_2 = 1 - 2Q, Q^1 = Q. */
+value slicer_mont_lucas_start(value ctx, value vst, value vq)
+{
+  const word *m = (const word *)String_val(ctx);
+  mlsize_t n = ctx_words(ctx);
+  const word *one = ctx_one(m, n);
+  word *v = (word *)Bytes_val(vst), *v1 = v + n, *qk = v1 + n;
+  memcpy(v, one, n * sizeof(word));
+  mod_small(qk, one, Long_val(vq), m, n);
+  mod_sub(v1, one, qk, m, n);
+  mod_sub(v1, v1, qk, m, n);
+  return Val_unit;
+}
+
+/* x <- x - c when [pos], else x + c: subtracting a sign times c. */
+static inline void sub_signed(word *x, const word *c, int pos, const word *m, mlsize_t n)
+{
+  if (pos) mod_sub(x, x, c, m, n);
+  else mod_add(x, x, c, m, n);
+}
+
+/* Index bits [lo, hi) of [ve], the top first. */
+value slicer_mont_lucas(value ctx, value vst, value ve, value vq, value vhi, value vlo)
+{
+  const word *m = (const word *)String_val(ctx);
+  mlsize_t n = ctx_words(ctx);
+  const word *one = ctx_one(m, n);
+  word *v = (word *)Bytes_val(vst), *v1 = v + n, *qk = v1 + n, t[n];
+  intnat q = Long_val(vq), i, lo = Long_val(vlo);
+  if (q == 1 || q == -1) {
+    /* [pos]: Q^k = 1, else -1. */
+    int pos = equal(qk, one, n);
+    word two[n];
+    mod_add(two, one, one, m, n);
+    for (i = Long_val(vhi) - 1; i >= lo; i--) {
+      if (limb_bit(ve, i)) {
+        mont_mul(v, v, v1, m, m[n], n);
+        sub_signed(v, one, pos, m, n);
+        mont_sqr(v1, v1, m, m[n], n);
+        sub_signed(v1, two, pos == (q == 1), m, n);
+        pos = q == 1;
+      }
+      else {
+        mont_mul(v1, v, v1, m, m[n], n);
+        sub_signed(v1, one, pos, m, n);
+        mont_sqr(v, v, m, m[n], n);
+        sub_signed(v, two, pos, m, n);
+        pos = 1;
+      }
+    }
+    mod_small(qk, one, pos ? 1 : -1, m, n);
+  }
+  else
+    for (i = Long_val(vhi) - 1; i >= lo; i--) {
+      if (limb_bit(ve, i)) {
+        mont_mul(v, v, v1, m, m[n], n);
+        mod_sub(v, v, qk, m, n);
+        mod_small(t, qk, q, m, n);
+        mont_sqr(v1, v1, m, m[n], n);
+        mod_sub(v1, v1, t, m, n);
+        mod_sub(v1, v1, t, m, n);
+        mont_sqr(qk, qk, m, m[n], n);
+        mod_small(qk, qk, q, m, n);
+      }
+      else {
+        mont_mul(v1, v, v1, m, m[n], n);
+        mod_sub(v1, v1, qk, m, n);
+        mont_sqr(v, v, m, m[n], n);
+        mod_sub(v, v, qk, m, n);
+        mod_sub(v, v, qk, m, n);
+        mont_sqr(qk, qk, m, m[n], n);
+      }
+    }
+  return Val_unit;
+}
+
+value slicer_mont_lucas_byte(value *argv, int argn)
+{
+  (void)argn;
+  return slicer_mont_lucas(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
+}
+
+/* The strong Lucas verdict, with the state at index d for n + 1 = 2^s·d
+   (d odd): 1 when U_d = 0, 2 + r for the first r < s with
+   V_(d·2^r) = 0, and 0 when neither holds. 2V_(d+1) = V_d is U_d = 0
+   whenever D is prime to n, as (D/n) = -1 makes it. The doublings
+   V_2k = V_k^2 - 2Q^k, Q^2k = (Q^k)^2 stop at the first zero. */
+value slicer_mont_lucas_tail(value ctx, value vst, value vs)
+{
+  const word *m = (const word *)String_val(ctx);
+  mlsize_t n = ctx_words(ctx);
+  word *v = (word *)Bytes_val(vst), *v1 = v + n, *qk = v1 + n, t[n];
+  intnat r, s = Long_val(vs);
+  mod_add(t, v1, v1, m, n);
+  if (equal(t, v, n)) return Val_long(1);
+  for (r = 0; r < s; r++) {
+    if (is_zero(v, n)) return Val_long(2 + r);
+    if (r + 1 < s) {
+      mont_sqr(v, v, m, m[n], n);
+      mod_sub(v, v, qk, m, n);
+      mod_sub(v, v, qk, m, n);
+      mont_sqr(qk, qk, m, m[n], n);
+    }
+  }
+  return Val_long(0);
 }
 
 /* The w bits of [e] from bit [pos] up; w is at most 10, so a digit
@@ -199,13 +501,15 @@ static unsigned char *pow2_flags(word *st, unsigned nb, mlsize_t n)
   return (unsigned char *)(st + n + 2 * (size_t)nb * n);
 }
 
-/* B <- the Montgomery-form base [vb]; every bucket empty. */
+/* B <- the base [vb] < m, into the domain; every bucket empty. */
 value slicer_mont_pow2_start(value ctx, value vst, value vb, value vw)
 {
+  const word *m = (const word *)String_val(ctx);
   mlsize_t n = ctx_words(ctx);
   unsigned nb = 1u << Long_val(vw);
-  word *st = (word *)Bytes_val(vst);
-  pack(vb, st, n);
+  word *st = (word *)Bytes_val(vst), b[n];
+  pack(vb, b, n);
+  mont_mul(st, b, ctx_r2(m, n), m, m[n], n);
   memset(pow2_flags(st, nb, n), 0, 2 * (size_t)nb);
   return Val_unit;
 }
@@ -276,4 +580,64 @@ value slicer_mont_pow2_fold(value ctx, value vst, value vw, value vs, value dst)
   else memcpy(r, one, sizeof r);
   unpack(r, n, dst);
   return Val_unit;
+}
+
+/* |x| mod d for 0 < d < 2^33: Horner's rule over the 31-bit limbs from
+   the top, each step below 2^64. */
+static word residue(value x, word d)
+{
+  mlsize_t i = Wosize_val(x);
+  word r = 0;
+  while (i > 0) {
+    i--;
+    r = ((r << LIMB_BITS) | (word)Long_val(Field(x, i))) % d;
+  }
+  return r;
+}
+
+/* |x| mod primes[i] in order, into dst[i] when [dst] is an array, or up
+   to the first zero when it is unit: the index past the last residue
+   taken. Two neighbours whose product is below 2^33 share one Horner
+   pass modulo the product, which both then reduce: about half the
+   divisions, for every pair of primes below 2^16. */
+static mlsize_t scan_residues(value vx, value vprimes, value dst)
+{
+  mlsize_t i = 0, len = Wosize_val(vprimes), k, take;
+  while (i < len) {
+    word p = Long_val(Field(vprimes, i)), r[2];
+    word q = i + 1 < len ? (word)Long_val(Field(vprimes, i + 1)) : 0;
+    if (q != 0 && p * q < (word)1 << 33) {
+      word rpq = residue(vx, p * q);
+      r[0] = rpq % p;
+      r[1] = rpq % q;
+      take = 2;
+    }
+    else {
+      r[0] = residue(vx, p);
+      take = 1;
+    }
+    for (k = 0; k < take; k++, i++) {
+      if (dst == Val_unit) {
+        if (r[k] == 0) return i;
+      }
+      else
+        Field(dst, i) = Val_long(r[k]);
+    }
+  }
+  return len;
+}
+
+/* dst[i] <- |x| mod primes[i], for every prime: the residues a prime
+   walk's sieve starts from. */
+value slicer_residues(value vx, value vprimes, value dst)
+{
+  scan_residues(vx, vprimes, dst);
+  return Val_unit;
+}
+
+/* The index of the first of [primes] that divides |x|, or their count:
+   trial division. */
+value slicer_first_divisor(value vx, value vprimes)
+{
+  return Val_long(scan_residues(vx, vprimes, Val_unit));
 }

@@ -48,7 +48,13 @@ let modexp ~base_len ~exp ~mod_len =
    The ~270-bit ladder sits under the 271 iterations the price counts,
    which covers the s - 1 trailing V doublings (E[s] = 2); the Jacobi
    steps of the D search are native-int. So 4 modexp-equivalents round
-   the whole Lucas test up. *)
+   the whole Lucas test up.
+
+   This prices the U/V formulation a contract would run on chain. The
+   host's own test (Bigint.Mont.strong_lucas) runs a V-only ladder in C,
+   two or three products per bit, and recovers U_d = 0 from
+   2V_(d+1) = V_d; that speeds the off-chain walk but is not what the
+   chain is charged for, so the price stays. *)
 let lucas_modexps = 4
 
 let h_prime ~input_len =

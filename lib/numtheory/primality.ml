@@ -1,39 +1,13 @@
 let mr_rounds = 16
 
-(* Decompose m = 2^s * d with d odd. *)
-let decompose m =
-  let rec go d s = if Bigint.is_even d then go (Bigint.shift_right d 1) (s + 1) else (d, s) in
-  go m 0
+let miller_rabin_base n ~base = Bigint.Mont.strong_test (Bigint.Mont.create n) ~base
 
-(* Strong probable-prime test to [base], in a Montgomery context whose
-   odd modulus is the candidate. The trailing squarings stay in the
-   domain and compare against the Montgomery forms of 1 and n - 1. *)
-let strong_test ctx ~base =
-  let module M = Bigint.Mont in
-  let n_minus_1 = Bigint.pred (M.modulus ctx) in
-  let d, s = decompose n_minus_1 in
-  let minus_one = M.to_mont ctx n_minus_1 in
-  let rec squares x i = M.equal x minus_one || (i < s - 1 && squares (M.sqr ctx x) (i + 1)) in
-  let x = M.pow_mont ctx base d in
-  M.equal x (M.to_mont ctx Bigint.one) || squares x 0
-
-let miller_rabin_base n ~base = strong_test (Bigint.Mont.create n) ~base
-
+(* [Some verdict] when trial division is conclusive: n is a small prime,
+   or has one as a factor. *)
 let trial_division n =
-  (* Returns [Some verdict] when trial division is conclusive. *)
-  let len = Array.length Sieve.small_primes in
-  let rec go i =
-    if i >= len then None
-    else begin
-      let p = Sieve.small_primes.(i) in
-      match Bigint.to_int_opt n with
-      | Some v when v = p -> Some true
-      | _ ->
-        let _, r = Bigint.divmod_int n p in
-        if r = 0 then Some false else go (i + 1)
-    end
-  in
-  go 0
+  let i = Bigint.first_divisor n Sieve.small_primes in
+  if i = Array.length Sieve.small_primes then None
+  else Some (Bigint.equal n (Bigint.of_int Sieve.small_primes.(i)))
 
 let is_probable_prime ?(rounds = mr_rounds) ~rng n =
   if Bigint.compare n Bigint.two < 0 then false
@@ -122,27 +96,13 @@ let selfridge_d n =
   in
   go 5 0
 
-(* Strong Lucas probable-prime test with P = 1, Q: writing n + 1 = 2^s·d
-   with d odd, n passes when U_d = 0 or V_(d·2^r) = 0 for some r < s.
-   The doublings V_2j = V_j² - 2Q^j stay in the Montgomery domain. *)
-let strong_lucas ctx ~q =
-  let module M = Bigint.Mont in
-  let d, s = decompose (Bigint.succ (M.modulus ctx)) in
-  let u, v, qk = M.lucas ctx ~q d in
-  let zero = M.to_mont ctx Bigint.zero in
-  let rec doublings v qk r =
-    M.equal v zero
-    || r < s - 1 && doublings (M.sub ctx (M.sqr ctx v) (M.add ctx qk qk)) (M.sqr ctx qk) (r + 1)
-  in
-  M.equal u zero || doublings v qk 0
-
 let baillie_psw n =
   if Bigint.compare n Bigint.two <= 0 then Bigint.equal n Bigint.two
   else
     Bigint.is_odd n
     &&
     let ctx = Bigint.Mont.create n in
-    strong_test ctx ~base:Bigint.two
+    Bigint.Mont.strong_test ctx ~base:Bigint.two
     && match selfridge_d n with
        | None -> false
-       | Some d -> strong_lucas ctx ~q:((1 - d) / 4)
+       | Some d -> Bigint.Mont.strong_lucas ctx ~q:((1 - d) / 4)

@@ -5,17 +5,7 @@ let is_prime_det n =
     | Some v when v < 8192 -> Sieve.is_small_prime v
     | _ ->
       Bigint.is_odd n
-      && begin
-        let len = Array.length Sieve.small_primes in
-        let rec trial i =
-          if i >= len then true
-          else begin
-            let _, r = Bigint.divmod_int n Sieve.small_primes.(i) in
-            r <> 0 && trial (i + 1)
-          end
-        in
-        trial 0
-      end
+      && Bigint.first_divisor n Sieve.small_primes = Array.length Sieve.small_primes
       && Primality.baillie_psw n
   end
 

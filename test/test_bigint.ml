@@ -416,6 +416,117 @@ let gen_bytes =
   let* body = string_size ~gen:char (int_range 0 (600 - zeros)) in
   return (String.make zeros '\000' ^ body)
 
+(* --- sliced ladder, strong test and residue kernels ------------------------ *)
+
+(* [Mont.pow] runs its ladder in kernel calls of 256 exponent bits and
+   picks its window width at 32, 160, 768, 3072 and 12288 bits: these
+   exponent lengths sit on and either side of every slice edge up to two
+   slices and of every window threshold. *)
+let ladder_lengths =
+  [ 255; 256; 257; 511; 512; 513 ]
+  @ List.concat_map (fun t -> [ t - 1; t; t + 1 ]) [ 32; 160; 768; 3072; 12288 ]
+  |> Array.of_list
+
+(* The reference ladder costs about bits(m)² per exponent bit: the
+   modulus length is drawn within this budget for the case's exponent. *)
+let ladder_budget = 12_300 * 64 * 64
+
+(* Case i takes exponent length [ladder_lengths.(i mod _)]; the modulus
+   steps through [boundary_bits] when that fits the budget, else a random
+   length that does. *)
+let gen_ladder_case () =
+  let case = ref 0 in
+  let open QCheck2.Gen in
+  let* u = float_range 0. 1. in
+  let i = !case in
+  incr case;
+  let len = ladder_lengths.(i mod Array.length ladder_lengths) in
+  let cap = Stdlib.min kernel_max_bits (Float.to_int (sqrt (float_of_int (ladder_budget / len)))) in
+  let boundary = boundary_bits.(i / Array.length ladder_lengths mod boundary_cases) in
+  let mbits =
+    if boundary <= cap then boundary else 2 + int_of_float (u *. float_of_int (cap - 2))
+  in
+  let* m = gen_odd_modulus mbits in
+  let* b = gen_kernel_base m in
+  let* e = gen_exponent len in
+  return (m, b, e)
+
+(* The strong probable-prime test on division-based arithmetic: n - 1 =
+   2^s·d, then b^d and its squarings against 1 and n - 1. *)
+let division_strong_test n b =
+  let n_minus_1 = Bigint.pred n in
+  let rec split d s = if Bigint.is_even d then split (Bigint.shift_right d 1) (s + 1) else (d, s) in
+  let d, s = split n_minus_1 0 in
+  let x = division_pow (Bigint.erem b n) d n in
+  let rec squares x r =
+    Bigint.equal x n_minus_1 || (r < s - 1 && squares (Bigint.mod_mul x x n) (r + 1))
+  in
+  Bigint.equal x Bigint.one || squares x 0
+
+(* Candidate lengths for the strong test: every 64j - 1, 64j and 64j + 1
+   up to 704 bits (a word boundary on either side), then random lengths
+   of 2 to 700 bits. *)
+let strong_bits =
+  List.concat_map (fun j -> [ (64 * j) - 1; 64 * j; (64 * j) + 1 ]) (List.init 11 (fun j -> j + 1))
+  |> Array.of_list
+
+(* Strong pseudoprimes to base 2, the inputs on which the base-2 test's
+   -1 must turn up after squarings. *)
+let base2_pseudoprimes =
+  List.map Bigint.of_string
+    [ "2047"; "3277"; "4033"; "4681"; "8321"; "3215031751"; "3825123056546413051";
+      "318665857834031151167461" ]
+
+(* Even-numbered cases step through [strong_bits]; odd-numbered ones take
+   a random length or a base-2 strong pseudoprime. The base is 2 (the
+   doubling path) or drawn as keygen's are (the ladder). *)
+let gen_strong_case () =
+  let case = ref 0 in
+  let open QCheck2.Gen in
+  let* random_bits = int_range 2 700 in
+  let* pseudo = oneofl base2_pseudoprimes in
+  let* which = int_range 0 2 in
+  let i = !case in
+  incr case;
+  let* n =
+    if i land 1 = 0 then gen_odd_modulus strong_bits.(i / 2 mod Array.length strong_bits)
+    else if which = 0 then return pseudo
+    else gen_odd_modulus random_bits
+  in
+  let* base =
+    oneof [ return Bigint.two; map (fun b -> Bigint.add Bigint.two b) (gen_big_pos ~bits:704 ()) ]
+  in
+  return (n, base)
+
+(* Lengths for the residue kernel's operand: zero, every limb boundary
+   31j and word boundary 64k, 64k + 1 up to 40 limbs, then random. *)
+let residue_bits =
+  (0 :: List.init 40 (fun j -> 31 * (j + 1)))
+  @ List.concat (List.init 19 (fun k -> [ 64 * (k + 1); (64 * (k + 1)) + 1 ]))
+  |> List.filter (fun b -> b <= 40 * 31)
+  |> List.sort_uniq compare |> Array.of_list
+
+(* A magnitude of exactly [bits] bits (zero for 0) and a divisor list:
+   the small primes below 200, random divisors below 2^31 and the
+   extremes 1 and 2^31 - 1. Every third case's operand is instead a
+   value below 199, smaller than most of the divisors. *)
+let gen_residue_case () =
+  let case = ref 0 in
+  let open QCheck2.Gen in
+  let* random_bits = int_range 0 (40 * 31) in
+  let* small = int_range 0 198 in
+  let* randoms = array_size (int_range 0 16) (int_range 1 max_limb) in
+  let i = !case in
+  incr case;
+  let ps = Array.concat [ Array.of_list (Sieve.primes_below 200); randoms; [| 1; max_limb |] ] in
+  let* x =
+    if i mod 3 = 2 then return (bi small)
+    else
+      gen_exponent
+        (if i land 1 = 0 then residue_bits.(i / 2 mod Array.length residue_bits) else random_bits)
+  in
+  return (x, ps)
+
 let props =
   [ prop "int add matches" (pair gen_small gen_small) (fun (a, b) ->
         Bigint.equal (Bigint.add (bi a) (bi b)) (bi (a + b)));
@@ -536,14 +647,36 @@ let props =
            index at a time on division-based arithmetic. *)
         let step x0 x1 = Bigint.erem (Bigint.sub x1 (Bigint.mul_int x0 q)) m in
         let rec walk j u0 u1 v0 v1 =
-          if j = e then (u0, v0) else walk (j + 1) u1 (step u0 u1) v1 (step v0 v1)
+          if j = e then (u0, v0, v1) else walk (j + 1) u1 (step u0 u1) v1 (step v0 v1)
         in
-        let u, v = walk 0 Bigint.zero Bigint.one Bigint.two Bigint.one in
+        let u, v, v_next = walk 0 Bigint.zero Bigint.one Bigint.two Bigint.one in
         let c = Bigint.Mont.create m in
-        let u', v', qk = Bigint.Mont.lucas c ~q (bi e) in
-        Bigint.equal (Bigint.erem u m) (Bigint.Mont.of_mont c u')
-        && Bigint.equal (Bigint.erem v m) (Bigint.Mont.of_mont c v')
-        && Bigint.equal (Bigint.mod_pow (bi q) (bi e) m) (Bigint.Mont.of_mont c qk))
+        let v', v_next', qk, u_zero = Bigint.Mont.lucas c ~q (bi e) in
+        (* The kernel reads 2V_(e+1) = V_e, which is D·U_e = 0. *)
+        let d = 1 - (4 * q) in
+        Bigint.equal (Bigint.erem v m) v'
+        && Bigint.equal (Bigint.erem v_next m) v_next'
+        && Bigint.equal (Bigint.mod_pow (bi q) (bi e) m) qk
+        && u_zero = Bigint.is_zero (Bigint.erem (Bigint.mul_int u d) m)
+        && ((not (Bigint.equal (Bigint.gcd (bi d) m) Bigint.one))
+           || u_zero = Bigint.is_zero (Bigint.erem u m)));
+    prop "sliced ladder matches division-based ladder" ~count:(4 * Array.length ladder_lengths)
+      (gen_ladder_case ())
+      (fun (m, b, e) ->
+        Bigint.equal (division_pow b e m) (Bigint.Mont.pow (Bigint.Mont.create m) b e));
+    prop "strong-test kernel matches division-based test" ~count:(2 * Array.length strong_bits)
+      (gen_strong_case ())
+      (fun (n, base) ->
+        Bigint.Mont.strong_test (Bigint.Mont.create n) ~base = division_strong_test n base);
+    prop "residue kernel matches divmod_int" ~count:(2 * Array.length residue_bits)
+      (gen_residue_case ())
+      (fun (x, ps) ->
+        let expected = Array.map (fun p -> snd (Bigint.divmod_int x p)) ps in
+        let first =
+          let rec go i = if i < Array.length ps && expected.(i) <> 0 then go (i + 1) else i in
+          go 0
+        in
+        Bigint.residues x ps = expected && Bigint.first_divisor x ps = first)
   ]
 
 let () =

@@ -73,17 +73,47 @@ let first_13_bases = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41 ]
 
 let strong_to_base n b = Primality.miller_rabin_base n ~base:(bi b)
 
-(* The strong Lucas half on its own, from the public pieces: Selfridge's
-   D by the Jacobi symbol, then the ladder. *)
-let strong_lucas n =
+(* U_k, V_k and Q^k modulo an odd n by the U/V doubling ladder on
+   division-based arithmetic (P = 1, D = 1 - 4Q): U_2k = U_k·V_k,
+   V_2k = V_k² - 2Q^k, then on a set bit U_(k+1) = (U_k + V_k)/2 and
+   V_(k+1) = (D·U_k + V_k)/2. *)
+let uv_ladder n ~q k =
+  let d = 1 - (4 * q) in
+  let half x =
+    let x = Bigint.erem x n in
+    Bigint.shift_right (if Bigint.is_even x then x else Bigint.add x n) 1
+  in
+  let rec go i (u, v, qk) =
+    if i < 0 then (u, v, qk)
+    else
+      let u, v, qk =
+        ( Bigint.erem (Bigint.mul u v) n,
+          Bigint.erem (Bigint.sub (Bigint.mul v v) (Bigint.mul_int qk 2)) n,
+          Bigint.erem (Bigint.mul qk qk) n )
+      in
+      go (i - 1)
+        (if Bigint.testbit k i then
+           ( half (Bigint.add u v),
+             half (Bigint.add (Bigint.mul_int u d) v),
+             Bigint.erem (Bigint.mul_int qk q) n )
+         else (u, v, qk))
+  in
+  go (Bigint.num_bits k - 1) (Bigint.zero, Bigint.erem Bigint.two n, Bigint.one)
+
+let selfridge n =
   let rec find d = if Primality.jacobi d n = -1 then d else find (if d > 0 then -(d + 2) else 2 - d) in
-  let d = find 5 in
+  find 5
+
+(* n + 1 = 2^s·k with k odd. *)
+let lucas_index n =
   let rec split k s = if Bigint.is_even k then split (Bigint.shift_right k 1) (s + 1) else (k, s) in
-  let k, s = split (Bigint.succ n) 0 in
-  let q = (1 - d) / 4 in
-  let ctx = Bigint.Mont.create n in
-  let u, v, qk = Bigint.Mont.lucas ctx ~q k in
-  let u, v, qk = (Bigint.Mont.of_mont ctx u, Bigint.Mont.of_mont ctx v, Bigint.Mont.of_mont ctx qk) in
+  split (Bigint.succ n) 0
+
+(* The strong Lucas half on division-based arithmetic: U_k, V_k and Q^k
+   from the U/V ladder, then the doublings V_2j = V_j² - 2Q^j. *)
+let division_strong_lucas n ~q =
+  let k, s = lucas_index n in
+  let u, v, qk = uv_ladder n ~q k in
   let rec doubling v qk r =
     Bigint.is_zero v
     || r < s - 1
@@ -91,6 +121,15 @@ let strong_lucas n =
             (Bigint.erem (Bigint.mul qk qk) n) (r + 1)
   in
   Bigint.is_zero u || doubling v qk 0
+
+(* The strong Lucas half on its own, with Selfridge's D, on the kernel
+   and on the reference. *)
+let strong_lucas n =
+  let q = (1 - selfridge n) / 4 in
+  let kernel = Bigint.Mont.strong_lucas (Bigint.Mont.create n) ~q in
+  if kernel <> division_strong_lucas n ~q then
+    Alcotest.failf "strong Lucas verdicts differ on %s" (Bigint.to_string n);
+  kernel
 
 let test_bpsw_psi13 () =
   let n = Bigint.of_string psi13 in
@@ -197,6 +236,12 @@ let test_rsa_modulus () =
 
 (* --- properties --------------------------------------------------------- *)
 
+(* An odd n of exactly [bits] bits from random bytes. *)
+let odd_of_bits (bits, bytes) =
+  let top = Bigint.shift_left Bigint.one (bits - 1) in
+  let r = Bigint.erem (Bigint.of_bytes_be bytes) top in
+  Bigint.add top (Bigint.add (Bigint.shift_left (Bigint.shift_right r 1) 1) Bigint.one)
+
 let props =
   [ prop "next_prime is prime and >= n" (QCheck2.Gen.int_range 0 1_000_000) (fun n ->
         let p = Primegen.next_prime (bi n) in
@@ -212,6 +257,28 @@ let props =
         let n = (2 * h) + 1 in
         let rec trial d = d * d > n || (n mod d <> 0 && trial (d + 2)) in
         Primality.baillie_psw (bi n) = (n > 2 && trial 3));
+    prop "V-only Lucas kernel matches the U/V ladder" ~count:300
+      QCheck2.Gen.(
+        pair
+          (oneof
+             [ oneofl (List.map bi lucas_pseudoprimes);
+               map odd_of_bits (pair (int_range 3 700) (string_size (return 88))) ])
+          (oneofl [ 5; -7; 9; -11; 13 ]))
+      (fun (n, d) ->
+        (* V_k, V_(k+1), Q^k and the U_k verdict at the strong test's index
+           k, against the U/V ladder; the strong verdict too when
+           (D/n) = -1, as Selfridge's choice makes it. *)
+        let q = (1 - d) / 4 in
+        let k, _ = lucas_index n in
+        let c = Bigint.Mont.create n in
+        let v, v_next, qk, u_zero = Bigint.Mont.lucas c ~q k in
+        let u, v', qk' = uv_ladder n ~q k in
+        let _, v_next', _ = uv_ladder n ~q (Bigint.succ k) in
+        let coprime = Bigint.equal (Bigint.gcd (bi d) n) Bigint.one in
+        Bigint.equal v v' && Bigint.equal v_next v_next' && Bigint.equal qk qk'
+        && ((not coprime) || u_zero = Bigint.is_zero u)
+        && (Primality.jacobi d n <> -1
+           || Bigint.Mont.strong_lucas c ~q = division_strong_lucas n ~q));
     prop "fermat holds for generated primes" ~count:10 (QCheck2.Gen.int_range 20 80) (fun bits ->
         let r = Drbg.create ~seed:(string_of_int bits) in
         let p = Primegen.random_prime ~rng:r ~bits in
