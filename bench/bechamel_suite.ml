@@ -127,6 +127,12 @@ let make_tests () =
            Obs.set_enabled false;
            Obs.span "bench.noop-off" (fun () -> ());
            Obs.set_enabled true));
+    (* What one Stats request costs under the service mutex: both
+       exposition formats over the default registry. No guard. *)
+    Test.make ~name:"obs/scrape"
+      (Staged.stage (fun () ->
+           ignore (Obs.Export.to_json ());
+           ignore (Obs.Export.to_prometheus ())));
     (* Tracing off (rate 0, no slow threshold) must cost a few loads
        and a branch on every request. *)
     Test.make ~name:"obs/trace-unsampled"

@@ -845,7 +845,9 @@ let traced_as = function
 
 let handle_inner t req =
   Obs.Counter.incr c_requests;
-  Mutex.lock t.lock;
+  (* The wait for the service lock is its own span, so a traced
+     request shows how long it queued behind another's handler. *)
+  Obs.span "service.lock_wait" (fun () -> Mutex.lock t.lock);
   let resp =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)

@@ -4,10 +4,13 @@
 
    1. Recording on the hot path must stay O(ns) and allocation-free:
       every instrument is an array of [int Atomic.t] cells sharded by
-      the recording domain's id, so the PR-1 fork-join pool and the
+      the recording domain's id, so the fork-join pool and the
       thread-per-connection server never contend on a cache line.
       Totals are exact — shards are summed at snapshot time, never
-      sampled.
+      sampled. A histogram shard's 912 bucket cells (~22 KB) are
+      allocated on that shard's first record, so an instrument costs
+      only the domains that record into it; counters keep their 16
+      cells eager, since they are small and the most frequent.
 
    2. Histograms are HDR-style log-linear over non-negative ints
       (nanoseconds for latency, raw units for gas): values below 16
@@ -127,10 +130,15 @@ module Histogram = struct
       ((sub + s + 1) lsl (m - sub_bits)) - 1
     end
 
+  (* A shard's cells: one count per bucket, then the shard's sum. *)
+  let sum_cell = n_buckets
+
+  (* The cells of a shard that has not recorded yet. *)
+  let no_cells : int Atomic.t array = [||]
+
   type t = {
     units : units;
-    counts : int Atomic.t array array; (* shard -> bucket *)
-    sums : int Atomic.t array;         (* shard *)
+    shards : int Atomic.t array Atomic.t array; (* shard -> cells, [no_cells] until first write *)
     (* Exemplars: the most recent published trace id per bucket, so a
        p99 bucket in the exposition links to a dumpable trace. Lazily
        allocated — only traced processes pay — and written plainly:
@@ -141,18 +149,29 @@ module Histogram = struct
 
   let create ?(units = Seconds) () =
     { units;
-      counts = Array.init n_shards (fun _ -> Array.init n_buckets (fun _ -> Atomic.make 0));
-      sums = make_cells ();
+      shards = Array.init n_shards (fun _ -> Atomic.make no_cells);
       exemplar_cells = Atomic.make None }
 
   let units t = t.units
 
+  (* A shard's cells, allocated on its first write. Two threads racing
+     on the first write both allocate; the CAS loser drops its array
+     and uses the winner's, so no count lands in a discarded cell. *)
+  let shard_cells t s =
+    let slot = t.shards.(s) in
+    let cells = Atomic.get slot in
+    if cells != no_cells then cells
+    else begin
+      let fresh = Array.init (n_buckets + 1) (fun _ -> Atomic.make 0) in
+      if Atomic.compare_and_set slot no_cells fresh then fresh else Atomic.get slot
+    end
+
   let record t v =
     if !enabled_flag then begin
       let v = if v < 0 then 0 else v in
-      let s = shard () in
-      ignore (Atomic.fetch_and_add t.counts.(s).(bucket_of v) 1);
-      ignore (Atomic.fetch_and_add t.sums.(s) v)
+      let cells = shard_cells t (shard ()) in
+      ignore (Atomic.fetch_and_add cells.(bucket_of v) 1);
+      ignore (Atomic.fetch_and_add cells.(sum_cell) v)
     end
 
   (* Latency entry point: seconds in, nanoseconds recorded. Durations
@@ -160,17 +179,22 @@ module Histogram = struct
   let record_s t seconds = record t (int_of_float ((seconds *. 1e9) +. 0.5))
 
   (* Fold [src]'s cells into [dst]. Snapshot-equivalent to having
-     recorded every [src] observation into [dst] directly. *)
+     recorded every [src] observation into [dst] directly. A [dst]
+     shard gets cells only where the [src] shard has them. *)
   let merge_into ~src ~dst =
     if src.units <> dst.units then invalid_arg "Obs.Histogram.merge_into: unit mismatch";
-    for s = 0 to n_shards - 1 do
-      for b = 0 to n_buckets - 1 do
-        let n = Atomic.get src.counts.(s).(b) in
-        if n <> 0 then ignore (Atomic.fetch_and_add dst.counts.(s).(b) n)
-      done;
-      let v = Atomic.get src.sums.(s) in
-      if v <> 0 then ignore (Atomic.fetch_and_add dst.sums.(s) v)
-    done
+    Array.iteri
+      (fun s slot ->
+        let from = Atomic.get slot in
+        if from != no_cells then begin
+          let into = shard_cells dst s in
+          Array.iteri
+            (fun i c ->
+              let n = Atomic.get c in
+              if n <> 0 then ignore (Atomic.fetch_and_add into.(i) n))
+            from
+        end)
+      src.shards
 
   type snapshot = {
     sn_units : units;
@@ -180,21 +204,22 @@ module Histogram = struct
   }
 
   let snapshot t =
+    let shards =
+      List.filter (fun cells -> cells != no_cells) (List.map Atomic.get (Array.to_list t.shards))
+    in
+    let cell i = List.fold_left (fun acc cells -> acc + Atomic.get cells.(i)) 0 shards in
     let count = ref 0 in
     let buckets = ref [] in
     for b = n_buckets - 1 downto 0 do
-      let n = ref 0 in
-      for s = 0 to n_shards - 1 do
-        n := !n + Atomic.get t.counts.(s).(b)
-      done;
-      if !n <> 0 then begin
-        count := !count + !n;
-        buckets := (bucket_bound b, !n) :: !buckets
+      let n = cell b in
+      if n <> 0 then begin
+        count := !count + n;
+        buckets := (bucket_bound b, n) :: !buckets
       end
     done;
     { sn_units = t.units;
       sn_count = !count;
-      sn_sum = sum_cells t.sums;
+      sn_sum = cell sum_cell;
       sn_buckets = Array.of_list !buckets }
 
   (* Nearest-rank quantile over the bucketed counts; returns the
@@ -401,6 +426,9 @@ module Export = struct
   let fmt_float x =
     if Float.is_nan x then "NaN" else Printf.sprintf "%.9g" x
 
+  (* JSON has no NaN: an empty histogram's quantiles are null. *)
+  let json_float x = if Float.is_nan x then "null" else fmt_float x
+
   let json_escape s =
     let buf = Buffer.create (String.length s + 8) in
     String.iter
@@ -497,7 +525,7 @@ module Export = struct
       (fun i (name, h, sn) ->
         let scale = Histogram.scale sn.Histogram.sn_units in
         if i > 0 then Buffer.add_string buf ",";
-        let q p = fmt_float (Histogram.quantile sn p *. scale) in
+        let q p = json_float (Histogram.quantile sn p *. scale) in
         let buckets =
           String.concat ", "
             (Array.to_list

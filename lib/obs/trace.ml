@@ -8,7 +8,8 @@
    only for the ~1% of requests that trace at all). When the root span
    closes the whole tree moves into the per-domain rings in one pass —
    the rings only ever hold spans of {e completed} trees, so a drain
-   never observes a half-built trace.
+   never observes a half-built trace. A domain's ring (2048 slots) is
+   made on its first publish; a drain skips the rings not made yet.
 
    Rings are single-writer-free: writers claim a slot with
    [fetch_and_add] and store with a plain write (drop-oldest by
@@ -178,15 +179,22 @@ let current_ts () =
 
 (* --- the per-domain completed-span rings -------------------------------- *)
 
-let ring_bits = 11 (* 2048 spans per ring, 16 rings *)
+let ring_bits = 11 (* 2048 spans per ring, up to 16 rings *)
 let ring_cap = 1 lsl ring_bits
 let n_rings = 16
 
 type ring = { r_slots : span option array; r_cursor : int Atomic.t; mutable r_read : int }
 
-let rings =
-  Array.init n_rings (fun _ ->
-      { r_slots = Array.make ring_cap None; r_cursor = Atomic.make 0; r_read = 0 })
+(* [None] until the domain's first publish: a ring is 16 KB. *)
+let rings : ring option Atomic.t array = Array.init n_rings (fun _ -> Atomic.make None)
+
+(* A racing first publish drops its ring for the CAS winner's. *)
+let ring_of slot =
+  match Atomic.get slot with
+  | Some r -> r
+  | None ->
+    let r = { r_slots = Array.make ring_cap None; r_cursor = Atomic.make 0; r_read = 0 } in
+    if Atomic.compare_and_set slot None (Some r) then r else Option.get (Atomic.get slot)
 
 (* Metrics register lazily so merely linking [Trace] leaves the default
    registry (and its golden expositions) untouched. *)
@@ -199,7 +207,7 @@ let c_published =
           "slicer_trace_trees_published_total")
 
 let push_span sp =
-  let r = rings.((Domain.self () :> int) land (n_rings - 1)) in
+  let r = ring_of rings.((Domain.self () :> int) land (n_rings - 1)) in
   let i = Atomic.fetch_and_add r.r_cursor 1 in
   r.r_slots.(i land (ring_cap - 1)) <- Some sp
 
@@ -210,17 +218,20 @@ let drain () =
   let out = ref [] in
   let lost = ref 0 in
   Array.iter
-    (fun r ->
-      let c = Atomic.get r.r_cursor in
-      let unread = c - r.r_read in
-      let take = if unread > ring_cap then ring_cap else unread in
-      for i = c - take to c - 1 do
-        match r.r_slots.(i land (ring_cap - 1)) with
-        | Some sp -> out := sp :: !out
-        | None -> ()
-      done;
-      lost := !lost + (unread - take);
-      r.r_read <- c)
+    (fun slot ->
+      match Atomic.get slot with
+      | None -> ()
+      | Some r ->
+        let c = Atomic.get r.r_cursor in
+        let unread = c - r.r_read in
+        let take = if unread > ring_cap then ring_cap else unread in
+        for i = c - take to c - 1 do
+          match r.r_slots.(i land (ring_cap - 1)) with
+          | Some sp -> out := sp :: !out
+          | None -> ()
+        done;
+        lost := !lost + (unread - take);
+        r.r_read <- c)
     rings;
   Mutex.unlock drain_lock;
   if !lost > 0 then Obs.Counter.add (Lazy.force c_dropped) !lost;

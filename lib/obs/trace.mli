@@ -16,8 +16,9 @@
       (the router's fan-out);
     - finished spans accumulate in the context, and when the root
       completes the whole tree is published into a lock-free,
-      per-domain, drop-oldest ring buffer (overwritten-before-drained
-      spans count into ["slicer_trace_spans_dropped_total"]);
+      per-domain, drop-oldest ring buffer, made on that domain's first
+      publish (overwritten-before-drained spans count into
+      ["slicer_trace_spans_dropped_total"]);
     - a [Wire.Traces] admin RPC drains the rings ({!drain}) and the
       scraper reassembles trees with {!Tree.assemble}.
 

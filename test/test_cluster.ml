@@ -564,7 +564,9 @@ let test_cluster_end_to_end () =
          Alcotest.(check (list string)) "fan-out hit both shards" [ "0"; "1" ]
            (shard_tags "router.shard");
          Alcotest.(check (list string)) "both shards recorded their search phase"
-           [ "0"; "1" ] (shard_tags "service.search")
+           [ "0"; "1" ] (shard_tags "service.search");
+         Alcotest.(check int) "both shards timed their wait for the service lock" 2
+           (List.length (named "service.lock_wait"))
        | l -> Alcotest.failf "expected one assembled trace, got %d trees" (List.length l));
       (* Kill shard 1. A search whose tokens touch it must come back as
          a busy refusal naming the shard — never a half answer. *)

@@ -1927,11 +1927,15 @@ let test_batched_dispute_slashes_over_the_wire () =
         Net.Client.dispute c ~request_id:rid2)
   in
   let roots =
-    List.concat_map
-      (fun tr -> List.map (fun n -> n.Trace.Tree.n_span.Trace.sp_name) tr.Trace.Tree.t_roots)
-      (Trace.Tree.assemble (Trace.drain ()))
+    List.concat_map (fun tr -> tr.Trace.Tree.t_roots) (Trace.Tree.assemble (Trace.drain ()))
   in
-  Alcotest.(check (list string)) "the dispute's root span" [ "service.dispute" ] roots;
+  let name n = n.Trace.Tree.n_span.Trace.sp_name in
+  Alcotest.(check (list string)) "the dispute's root span" [ "service.dispute" ]
+    (List.map name roots);
+  Alcotest.(check bool) "its wait for the service lock nests under it" true
+    (List.exists
+       (fun root -> List.exists (fun n -> name n = "service.lock_wait") root.Trace.Tree.n_children)
+       roots);
   (match verdict with
    | Ok (slashed, receipt) ->
      Alcotest.(check bool) "dispute slashed the cloud" true slashed;

@@ -78,6 +78,9 @@ let golden_registry () =
   Obs.Gauge.set g 7;
   let h = Obs.histogram ~registry:r ~help:"gas" ~units:Obs.Histogram.Raw "slicer_test_gas" in
   List.iter (Obs.Histogram.record h) [ 1; 1; 5; 200 ];
+  (* Registered but never recorded: its JSON quantiles must be null,
+     since JSON has no NaN. *)
+  ignore (Obs.histogram ~registry:r ~help:"idle" "slicer_test_idle_seconds" : Obs.Histogram.t);
   r
 
 let expected_prometheus =
@@ -89,6 +92,11 @@ let expected_prometheus =
    slicer_test_gas_bucket{le=\"+Inf\"} 4\n\
    slicer_test_gas_sum 207\n\
    slicer_test_gas_count 4\n\
+   # HELP slicer_test_idle_seconds idle\n\
+   # TYPE slicer_test_idle_seconds histogram\n\
+   slicer_test_idle_seconds_bucket{le=\"+Inf\"} 0\n\
+   slicer_test_idle_seconds_sum 0\n\
+   slicer_test_idle_seconds_count 0\n\
    # TYPE slicer_test_inflight gauge\n\
    slicer_test_inflight 7\n\
    # HELP slicer_test_requests_total requests served\n\
@@ -101,7 +109,9 @@ let expected_json =
   \  \"gauges\": {\"slicer_test_inflight\": 7},\n\
   \  \"histograms\": {\n\
   \    \"slicer_test_gas\": {\"count\": 4, \"sum\": 207, \"p50\": 1, \"p95\": 207, \
-   \"p99\": 207, \"buckets\": [[1, 2], [5, 1], [207, 1]]}\n\
+   \"p99\": 207, \"buckets\": [[1, 2], [5, 1], [207, 1]]},\n\
+  \    \"slicer_test_idle_seconds\": {\"count\": 0, \"sum\": 0, \"p50\": null, \"p95\": null, \
+   \"p99\": null, \"buckets\": []}\n\
   \  }\n\
    }\n"
 
@@ -134,6 +144,25 @@ let test_parallel_totals_exact () =
   Alcotest.(check int) "histogram sum exact" (n * (n + 1) / 2) sn.Obs.Histogram.sn_sum;
   Alcotest.(check int) "bucket counts sum to the total" n
     (Array.fold_left (fun acc (_, k) -> acc + k) 0 sn.Obs.Histogram.sn_buckets)
+
+(* --- instrument memory -------------------------------------------------- *)
+
+(* A histogram costs only the domains that record into it: ~56 words
+   fresh, and ~2,740 more (912 bucket cells and a sum) for each domain
+   whose first record allocates its shard. *)
+let test_histogram_memory_follows_use () =
+  let r = Obs.Registry.create () in
+  let h = Obs.histogram ~registry:r ~units:Obs.Histogram.Raw "mem_hist" in
+  let at_most what bound =
+    let words = Obj.reachable_words (Obj.repr h) in
+    if words > bound then Alcotest.failf "%s: %d words, over %d" what words bound
+  in
+  at_most "fresh" 512;
+  Obs.Histogram.record h 42;
+  at_most "after a record on this domain" 4096;
+  Domain.join (Domain.spawn (fun () -> Obs.Histogram.record h 43));
+  at_most "after a record from a second domain" 8192;
+  Alcotest.(check int) "both records counted" 2 (Obs.Histogram.snapshot h).Obs.Histogram.sn_count
 
 (* --- spans ------------------------------------------------------------- *)
 
@@ -216,6 +245,9 @@ let () =
       ("export", [ Alcotest.test_case "golden exposition" `Quick test_export_golden ]);
       ( "concurrency",
         [ Alcotest.test_case "4 domains, exact totals" `Quick test_parallel_totals_exact ] );
+      ( "memory",
+        [ Alcotest.test_case "histogram storage follows recording domains" `Quick
+            test_histogram_memory_follows_use ] );
       ( "spans",
         [ Alcotest.test_case "records and returns" `Quick test_span_records;
           Alcotest.test_case "records on raise" `Quick test_span_records_on_raise;
