@@ -26,7 +26,7 @@ let run (scale : Bench_common.scale) =
           let t = Owner.last_timings sys.Bench_common.bs_owner in
           (* Ship to the cloud so the reported index bytes cover
              preload + batch — the storage row paired with the times. *)
-          Bench_common.install sys.Bench_common.bs_cloud shipment;
+          Cloud.install_shipment sys.Bench_common.bs_cloud shipment;
           Bench_common.json_row ~figure:"fig7" ~series:"insert"
             [ ("records", Bench_common.J_int batch);
               ("bits", Bench_common.J_int width);

@@ -362,7 +362,7 @@ let do_build t ~client ~request_id ~width ~payment ~acc ~tdp_n ~tdp_e ~user_k ~u
      | Ok generation ->
        Log.info (fun m ->
            m "build split across %d shards (%d entries)" n
-             (List.length (Owner.shipment_entries shipment)));
+             (Owner.shipment_entry_count shipment));
        Net.Wire.Accepted { generation })
 
 let do_insert t ~client ~request_id ~shipment ~trapdoor =

@@ -13,9 +13,9 @@ type t = {
   mutable primes : Bigint.t list;
   mutable ac : Bigint.t;
   mutable mode : misbehavior;
-  (* Snapshot support for Stale_results: positions added by the most
-     recent shipment, and the prime list before it. *)
-  mutable last_shipment : (string, unit) Hashtbl.t;
+  (* Stale_results answers from the index before the most recent
+     shipment (the arena marks that shipment's slots) and from the
+     prime list before it. *)
   mutable prev_primes : Bigint.t list;
   (* Persistent witness index over [primes]: Insert recomputes only its
      O(log n) product spine, and a warm witness is a table lookup. *)
@@ -24,6 +24,9 @@ type t = {
      instead of an index walk + multiset hash + witness. Reset whenever
      the index state or the behaviour mode changes. *)
   claim_cache : (string, Slicer_contract.claim) Hashtbl.t;
+  (* What this cloud has added to the two size gauges so far. *)
+  index_bytes_shown : int Atomic.t;
+  windex_bytes_shown : int Atomic.t;
 }
 
 let claim_cache_limit = 65_536
@@ -34,6 +37,23 @@ let c_claim_hits =
 let c_claim_misses =
   Obs.counter ~help:"served-claim cache misses" "slicer_cloud_claim_cache_misses_total"
 
+let g_index_bytes =
+  Obs.gauge ~help:"encrypted-index arena bytes (slots and occupancy), all clouds"
+    "slicer_cloud_index_bytes"
+
+let g_windex_bytes =
+  Obs.gauge ~help:"witness-tree bytes (products, bases, stamps), all clouds"
+    "slicer_witness_tree_bytes"
+
+(* Each cloud adds the change since its own last report, so the clouds
+   of one process (in-process shards) sum. The exchange makes reports
+   from the install and the background warm telescope: the gauge ends
+   at the last size read, whichever thread read it. *)
+let report_sizes t =
+  let show gauge shown now = Obs.Gauge.add gauge (now - Atomic.exchange shown now) in
+  show g_index_bytes t.index_bytes_shown (Enc_index.capacity_bytes t.index);
+  show g_windex_bytes t.windex_bytes_shown (Witness_tree.size_bytes t.windex)
+
 let create ~acc_params ~tdp_public () =
   { c_params = acc_params;
     c_tdp = tdp_public;
@@ -41,25 +61,27 @@ let create ~acc_params ~tdp_public () =
     primes = [];
     ac = acc_params.Rsa_acc.generator;
     mode = Honest;
-    last_shipment = Hashtbl.create 1;
     prev_primes = [];
     windex = Witness_tree.create acc_params;
-    claim_cache = Hashtbl.create 256 }
+    claim_cache = Hashtbl.create 256;
+    index_bytes_shown = Atomic.make 0;
+    windex_bytes_shown = Atomic.make 0 }
 
-let install t ~entries ~primes ~ac =
+let install t ~records ~primes ~ac =
   Hashtbl.reset t.claim_cache;
   t.prev_primes <- t.primes;
-  t.last_shipment <- Hashtbl.create (List.length entries);
-  List.iter
-    (fun (l, d) ->
-      Enc_index.put t.index ~l ~d;
-      Hashtbl.replace t.last_shipment l ())
-    entries;
+  Enc_index.install t.index records;
   t.primes <- t.primes @ primes;
   t.ac <- ac;
   (* Only the O(log n) spine is recomputed: warm witnesses survive and
      are lazily re-based on the next lookup. *)
-  Witness_tree.append t.windex primes
+  Witness_tree.append t.windex primes;
+  report_sizes t
+
+let install_shipment t (sh : Owner.shipment) =
+  install t
+    ~records:(List.map (fun g -> g.Owner.kg_entries) sh.Owner.sh_groups)
+    ~primes:(Owner.shipment_primes sh) ~ac:sh.Owner.sh_ac
 
 let set_behavior t m =
   if m <> t.mode then Hashtbl.reset t.claim_cache;
@@ -71,15 +93,14 @@ let behavior t = t.mode
    index/primes/ac (snapshot-only granularity:
    Stale_results' one-shipment lookback resets, which only affects the
    misbehaviour demo, never honest state). *)
-let entries t =
-  let acc = ref [] in
-  Enc_index.iter (fun l d -> acc := (l, d) :: !acc) t.index;
-  List.sort compare !acc
+let sorted_records t = Enc_index.sorted_records t.index
 
 let primes t = t.primes
 let current_ac t = t.ac
 
-let precompute_witnesses t = Witness_tree.warm_all t.windex
+let precompute_witnesses t =
+  Witness_tree.warm_all t.windex;
+  report_sizes t
 
 (* The membership witness for a claim prime. [Stale_results] answers
    against the prime list before the last install, recomputed from
@@ -95,9 +116,9 @@ let c_tokens = Obs.counter ~help:"search tokens served" "slicer_cloud_tokens_tot
 (* Algorithm 4 traversal: walk generations j..0, scanning counters under
    each trapdoor until the first miss. *)
 let collect_results_untimed t (st : Slicer_types.search_token) =
-  let stale = t.mode = Stale_results in
-  let find l =
-    if stale && Hashtbl.mem t.last_shipment l then None else Enc_index.find t.index l
+  let find =
+    if t.mode = Stale_results then Enc_index.find_before_latest t.index
+    else Enc_index.find t.index
   in
   let results = ref [] in
   let trapdoor = ref st.Slicer_types.st_trapdoor in
@@ -212,7 +233,10 @@ let warm_tokens t sts =
 
 let witness_index_stats t = Witness_tree.stats t.windex
 let export_witness_index t = Witness_tree.export t.windex
-let restore_witness_index t blob = Witness_tree.absorb t.windex blob
+let restore_witness_index t blob =
+  let absorbed = Witness_tree.absorb t.windex blob in
+  report_sizes t;
+  absorbed
 
 let index_entries t = Enc_index.entry_count t.index
 let index_bytes t = Enc_index.size_bytes t.index

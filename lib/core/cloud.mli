@@ -25,13 +25,16 @@ val create : acc_params:Rsa_acc.params -> tdp_public:Rsa_tdp.public -> unit -> t
     the O(log n) product spine, and a warm witness query is a table
     lookup instead of a full-size exponentiation. *)
 
-val install :
-  t -> entries:(string * string) list -> primes:Bigint.t list -> ac:Bigint.t -> unit
-(** Add index entries and primes and adopt the new [Ac]: a Build/Insert
-    shipment's {!Owner.shipment_entries}, {!Owner.shipment_primes} and
-    [sh_ac], or a snapshot's merged view ({!entries}, {!primes},
+val install : t -> records:string list -> primes:Bigint.t list -> ac:Bigint.t -> unit
+(** Add index entries and primes and adopt the new [Ac]. [records] are
+    packed 32-byte [l ‖ d] records ({!Enc_index.install}): a shipment's
+    groups' [kg_entries] ({!install_shipment}), or one string for a
+    snapshot's merged view ({!sorted_records}, with {!primes} and
     {!current_ac}). [Stale_results] mode answers from the state before
     the most recent install. *)
+
+val install_shipment : t -> Owner.shipment -> unit
+(** {!install} of a Build/Insert shipment's groups, primes and [sh_ac]. *)
 
 val set_behavior : t -> misbehavior -> unit
 val behavior : t -> misbehavior
@@ -42,8 +45,9 @@ val behavior : t -> misbehavior
     back through {!install} on a fresh cloud reproduces the same index,
     prime multiset and [Ac]. *)
 
-val entries : t -> (string * string) list
-(** All index entries [(l, d)], deterministically sorted. *)
+val sorted_records : t -> string
+(** All index entries as packed [l ‖ d] records, sorted by position
+    ({!Enc_index.sorted_records}). *)
 
 val primes : t -> Bigint.t list
 (** The accumulated prime multiset, in installation order. *)
@@ -70,7 +74,13 @@ val search_batched :
 val precompute_witnesses : t -> unit
 (** Warm every witness at once ([Witness_tree.warm_all]). The warmth
     survives later {!install}s: only the stale leaves are lazily
-    re-based. *)
+    re-based.
+
+    {!install}, this warm and {!restore_witness_index} each bring the
+    gauges [slicer_cloud_index_bytes] ({!Enc_index.capacity_bytes}) and
+    [slicer_witness_tree_bytes] ({!Witness_tree.size_bytes}) up to date
+    by this cloud's change since its last report, so the clouds of one
+    process sum. *)
 
 val warm_tokens : t -> Slicer_types.search_token list -> unit
 (** Speculative warmer driven from the query stream: batch-derive (and

@@ -10,14 +10,36 @@
 
 type t
 
+val label_len : int
+val payload_len : int
+
+val record_len : int
+(** 32: one entry as a packed [l ‖ d] record, the arena's slot layout.
+    A shipment carries its entries in this form
+    ({!Owner.keyword_group}). *)
+
 val create : unit -> t
 
 val put : t -> l:string -> d:string -> unit
-(** @raise Invalid_argument if the position is already occupied — PRF
+(** Adds one entry outside any shipment: {!find_before_latest} sees it.
+    @raise Invalid_argument if the position is already occupied — PRF
     collisions at 128 bits indicate a protocol bug, not bad luck — or
     if [l] or [d] is not exactly 16 bytes. *)
 
+val install : t -> string list -> unit
+(** [install t records] adds one shipment: each string is a run of
+    packed [l ‖ d] records. The arena is resized at most once, for the
+    total count, and each record is copied into its slot with one
+    blit. Its slots are marked as the latest shipment's, replacing the
+    marks of the previous [install]; a resize keeps every mark.
+    @raise Invalid_argument on a string that is not whole records or
+    on an occupied position. *)
+
 val find : t -> string -> string option
+
+val find_before_latest : t -> string -> string option
+(** {!find} on the index as it was before the latest {!install}: a
+    position that install added reads as absent. *)
 
 val entry_count : t -> int
 
@@ -32,3 +54,7 @@ val capacity_bytes : t -> int
 val iter : (string -> string -> unit) -> t -> unit
 (** [iter f t] applies [f l d] to every entry, in arena (i.e. hash)
     order — history-independent by construction. *)
+
+val sorted_records : t -> string
+(** Every entry as packed [l ‖ d] records, sorted by position (byte
+    order): a canonical form, independent of the arena's capacity. *)

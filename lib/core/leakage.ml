@@ -7,14 +7,13 @@ type build_leakage = {
 }
 
 let of_shipment (sh : Owner.shipment) =
-  let entries = Owner.shipment_entries sh and primes = Owner.shipment_primes sh in
+  let entry_count = Owner.shipment_entry_count sh and primes = Owner.shipment_primes sh in
+  (* Every entry is a packed [l ‖ d] record of the index's fixed layout. *)
   let position_bits, payload_bits =
-    match entries with
-    | (l, d) :: _ -> (8 * String.length l, 8 * String.length d)
-    | [] -> (0, 0)
+    if entry_count = 0 then (0, 0) else (8 * Enc_index.label_len, 8 * Enc_index.payload_len)
   in
   let prime_bits = match primes with x :: _ -> Bigint.num_bits x | [] -> 0 in
-  { bl_entry_count = List.length entries;
+  { bl_entry_count = entry_count;
     bl_position_bits = position_bits;
     bl_payload_bits = payload_bits;
     bl_prime_count = List.length primes;

@@ -20,7 +20,7 @@ type timings = { index_seconds : float; ads_seconds : float }
 
 type keyword_group = {
   kg_g1 : string;
-  kg_entries : (string * string) list;
+  kg_entries : string;
   kg_prime : Bigint.t;
 }
 
@@ -29,7 +29,21 @@ type shipment = {
   sh_ac : Bigint.t;
 }
 
-let shipment_entries sh = List.concat_map (fun g -> g.kg_entries) sh.sh_groups
+let record_len = Enc_index.record_len
+
+let group_entry_count g = String.length g.kg_entries / record_len
+
+let shipment_entry_count sh =
+  List.fold_left (fun n g -> n + group_entry_count g) 0 sh.sh_groups
+
+let shipment_entries sh =
+  List.concat_map
+    (fun g ->
+      List.init (group_entry_count g) (fun k ->
+          let off = k * record_len in
+          ( String.sub g.kg_entries off Enc_index.label_len,
+            String.sub g.kg_entries (off + Enc_index.label_len) Enc_index.payload_len )))
+    sh.sh_groups
 let shipment_primes sh = List.map (fun g -> g.kg_prime) sh.sh_groups
 
 let create ?(width = 16) ~rng ~acc_params ~keys () =
@@ -80,20 +94,26 @@ type keyword_job = {
 
 (* Entry derivation for one keyword: the trapdoor chain of counters is
    inherently sequential within the keyword, so keywords are the
-   parallel shards. Pure — safe on any domain. *)
+   parallel shards. Each entry is written straight into the keyword's
+   packed [l ‖ d] records. Pure — safe on any domain. *)
 let run_job job =
   let g1k = Keys.prf_of_key job.kj_g1 and g2k = Keys.prf_of_key job.kj_g2 in
   let h = ref job.kj_h0 in
-  let entries =
-    Array.mapi
-      (fun c enc_id ->
-        let l, mask = Keys.f_pair g1k g2k ~trapdoor:job.kj_trapdoor ~counter:c in
-        h := Mset_hash.add !h enc_id;
-        (l, Bytesutil.xor mask enc_id))
-      job.kj_enc_ids
-  in
+  let records = Bytes.create (Array.length job.kj_enc_ids * record_len) in
+  Array.iteri
+    (fun c enc_id ->
+      let l, mask = Keys.f_pair g1k g2k ~trapdoor:job.kj_trapdoor ~counter:c in
+      h := Mset_hash.add !h enc_id;
+      let off = c * record_len in
+      Bytes.blit_string l 0 records off Enc_index.label_len;
+      for i = 0 to Enc_index.payload_len - 1 do
+        Bytes.set records
+          (off + Enc_index.label_len + i)
+          (Char.unsafe_chr (Char.code mask.[i] lxor Char.code enc_id.[i]))
+      done)
+    job.kj_enc_ids;
   let tk = token_key ~trapdoor:job.kj_trapdoor ~j:job.kj_j ~g1:job.kj_g1 ~g2:job.kj_g2 in
-  (entries, !h, tk, Bytesutil.concat [ tk; Mset_hash.to_bytes !h ])
+  (Bytes.unsafe_to_string records, !h, tk, Bytesutil.concat [ tk; Mset_hash.to_bytes !h ])
 
 (* Core of Algorithms 1 and 2: fold a batch of records into the state,
    returning the shipment for the cloud and chain.
@@ -213,10 +233,8 @@ let add_records t records =
   let groups =
     Array.to_list
       (Array.mapi
-         (fun i (job_entries, _, _, _) ->
-           { kg_g1 = fst gpairs.(i);
-             kg_entries = Array.to_list job_entries;
-             kg_prime = prime_arr.(i) })
+         (fun i (records, _, _, _) ->
+           { kg_g1 = fst gpairs.(i); kg_entries = records; kg_prime = prime_arr.(i) })
          results)
   in
   { sh_groups = groups; sh_ac = t.ac }

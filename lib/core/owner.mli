@@ -15,7 +15,9 @@ type trapdoor_state = (string, string * int) Hashtbl.t
 
 type keyword_group = {
   kg_g1 : string;             (** the keyword's G1 PRF key — the shard key *)
-  kg_entries : (string * string) list; (** this keyword's [(l, d)] entries *)
+  kg_entries : string;
+      (** this keyword's entries as packed 32-byte [l ‖ d] records
+          ({!Enc_index.record_len}), the index arena's slot layout *)
   kg_prime : Bigint.t;        (** this keyword's fresh prime representative *)
 }
 (** One keyword's slice of a shipment. A keyword's whole counter chain
@@ -33,8 +35,12 @@ type shipment = {
     the flat views below are derived from the groups, never stored, and
     neither the wire nor the WAL carries them. *)
 
+val shipment_entry_count : shipment -> int
+(** The number of new index entries, over all groups. *)
+
 val shipment_entries : shipment -> (string * string) list
-(** The new [(l, d)] index entries: the groups' entries in keyword order. *)
+(** The new index entries unpacked into [(l, d)] pairs, in keyword
+    order: an inspection view that copies every entry. *)
 
 val shipment_primes : shipment -> Bigint.t list
 (** The new prime representatives [X⁺]: one per group, in keyword order. *)

@@ -40,50 +40,90 @@ let records_of_bytes s =
    G1 key, its prime and its entries: every entry is encoded once. The
    older three- and four-piece forms (a flat entry list and prime list,
    then optionally the same entries again as groups) are malformed
-   here. *)
-let entries_to_blob entries =
-  Bytesutil.concat (List.concat_map (fun (l, d) -> [ l; d ]) entries)
+   here.
 
-let entries_of_blob blob =
-  let* pieces = Bytesutil.split blob in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | l :: d :: rest -> go ((l, d) :: acc) rest
-    | [ _ ] -> None
-  in
-  go [] pieces
+   Entries travel as the length-prefixed pieces [l1; d1; l2; d2; ...],
+   40 wire bytes per 32-byte [l ‖ d] record; the encoder writes them
+   from the packed records and the decoder packs them back, one blit
+   per piece. *)
+let piece_len = 4 + Enc_index.label_len
 
-let group_to_bytes (g : Owner.keyword_group) =
-  Bytesutil.concat
-    [ g.Owner.kg_g1; Bigint.to_bytes_be g.Owner.kg_prime; entries_to_blob g.Owner.kg_entries ]
+let entries_sized records =
+  let n = String.length records / Enc_index.record_len in
+  { Bytesutil.size = 2 * n * piece_len;
+    write =
+      (fun b off ->
+        for i = 0 to (2 * n) - 1 do
+          let at = off + (i * piece_len) in
+          Bytes.set_int32_be b at (Int32.of_int Enc_index.label_len);
+          Bytes.blit_string records (i * Enc_index.label_len) b (at + 4) Enc_index.label_len
+        done) }
 
-let group_of_bytes s =
-  let* pieces = Bytesutil.split s in
-  match pieces with
-  | [ kg_g1; prime; entries_blob ] ->
-    let* kg_entries = entries_of_blob entries_blob in
-    Some { Owner.kg_g1; kg_entries; kg_prime = Bigint.of_bytes_be prime }
+(* Labels and payloads are both 16 bytes, so piece [i] of the wire form
+   is bytes [16i, 16i + 16) of the packed records. Any other piece
+   length, or an odd piece count, is malformed. *)
+let entries_of_view s ~off ~len =
+  if len mod (2 * piece_len) <> 0 then None
+  else begin
+    let pieces = len / piece_len in
+    let b = Bytes.create (pieces * Enc_index.label_len) in
+    let rec go i =
+      if i = pieces then Some (Bytes.unsafe_to_string b)
+      else begin
+        let at = off + (i * piece_len) in
+        if Bytesutil.get_be32 s at <> Enc_index.label_len then None
+        else begin
+          Bytes.blit_string s (at + 4) b (i * Enc_index.label_len) Enc_index.label_len;
+          go (i + 1)
+        end
+      end
+    in
+    go 0
+  end
+
+let entries_to_bytes records = Bytesutil.sized_to_string (entries_sized records)
+let entries_of_bytes s = entries_of_view s ~off:0 ~len:(String.length s)
+
+let group_sized (g : Owner.keyword_group) =
+  Bytesutil.sized_concat
+    [ Bytesutil.sized_string g.Owner.kg_g1;
+      Bytesutil.sized_string (Bigint.to_bytes_be g.Owner.kg_prime);
+      entries_sized g.Owner.kg_entries ]
+
+let group_to_bytes g = Bytesutil.sized_to_string (group_sized g)
+
+let group_of_view s ~off ~len =
+  match Bytesutil.views s ~off ~len with
+  | Some [ (g1_off, g1_len); (prime_off, prime_len); (entries_off, entries_len) ] ->
+    let* kg_entries = entries_of_view s ~off:entries_off ~len:entries_len in
+    Some
+      { Owner.kg_g1 = String.sub s g1_off g1_len;
+        kg_entries;
+        kg_prime = Bigint.of_bytes_be (String.sub s prime_off prime_len) }
   | _ -> None
 
-let shipment_to_bytes (sh : Owner.shipment) =
-  Bytesutil.concat
-    [ Bigint.to_bytes_be sh.Owner.sh_ac;
-      Bytesutil.concat (List.map group_to_bytes sh.Owner.sh_groups) ]
+let shipment_sized (sh : Owner.shipment) =
+  Bytesutil.sized_concat
+    [ Bytesutil.sized_string (Bigint.to_bytes_be sh.Owner.sh_ac);
+      Bytesutil.sized_concat (List.map group_sized sh.Owner.sh_groups) ]
 
-let shipment_of_bytes s =
-  let* pieces = Bytesutil.split s in
-  match pieces with
-  | [ ac; groups_blob ] ->
-    let* group_pieces = Bytesutil.split groups_blob in
+let shipment_to_bytes sh = Bytesutil.sized_to_string (shipment_sized sh)
+
+let shipment_of_view s ~off ~len =
+  match Bytesutil.views s ~off ~len with
+  | Some [ (ac_off, ac_len); (groups_off, groups_len) ] ->
+    let* group_views = Bytesutil.views s ~off:groups_off ~len:groups_len in
     let rec go acc = function
       | [] -> Some (List.rev acc)
-      | p :: rest ->
-        let* g = group_of_bytes p in
+      | (off, len) :: rest ->
+        let* g = group_of_view s ~off ~len in
         go (g :: acc) rest
     in
-    let* sh_groups = go [] group_pieces in
-    Some { Owner.sh_groups; sh_ac = Bigint.of_bytes_be ac }
+    let* sh_groups = go [] group_views in
+    Some { Owner.sh_groups; sh_ac = Bigint.of_bytes_be (String.sub s ac_off ac_len) }
   | _ -> None
+
+let shipment_of_bytes s = shipment_of_view s ~off:0 ~len:(String.length s)
 
 (* --- trapdoor state -------------------------------------------------------- *)
 

@@ -10,14 +10,35 @@ val records_of_bytes : string -> Slicer_types.record list option
 
 val shipment_to_bytes : Owner.shipment -> string
 (** Two pieces: [Ac], then the keyword groups ({!group_to_bytes}), so
-    each index entry is encoded once. *)
+    each index entry is encoded once. Written into one buffer of the
+    exact size ({!shipment_sized}). *)
+
+val shipment_sized : Owner.shipment -> Bytesutil.sized
+(** The {!shipment_to_bytes} encoding, to be written in place inside a
+    larger message: a Build or Insert request, which the WAL journals
+    as it is. *)
 
 val shipment_of_bytes : string -> Owner.shipment option
 (** [None] for anything but the two-piece form, including the older
-    shipment forms that carried a flat entry list. *)
+    shipment forms that carried a flat entry list, and for any entry
+    piece that is not exactly 16 bytes. *)
+
+val shipment_of_view : string -> off:int -> len:int -> Owner.shipment option
+(** {!shipment_of_bytes} of the bytes [\[off, off + len)] of a string,
+    read in place: each group's entries are packed straight from the
+    string into its 32-byte records, with no intermediate pieces. *)
 
 val group_to_bytes : Owner.keyword_group -> string
 (** One keyword group: its G1 key, its prime and its entries. *)
+
+val entries_to_bytes : string -> string
+(** Packed [l ‖ d] records in their wire form: the {!Bytesutil.concat}
+    of [l1; d1; l2; d2; ...]. A group's entry piece and the service
+    snapshot's entry section are both this form. *)
+
+val entries_of_bytes : string -> string option
+(** Inverse of {!entries_to_bytes}: [None] unless every piece is
+    exactly 16 bytes and the pieces pair up. *)
 
 val trapdoor_state_to_bytes : Owner.trapdoor_state -> string
 val trapdoor_state_of_bytes : string -> Owner.trapdoor_state option

@@ -29,8 +29,7 @@ let setup ?(width = 16) ?(tdp_bits = 512) ?(acc_bits = 512) ?(payment = 1000) ~s
   let owner = Owner.create ~width ~rng ~acc_params ~keys () in
   let shipment = Owner.build owner records in
   let cloud = Cloud.create ~acc_params ~tdp_public:keys.Keys.tdp_public () in
-  Cloud.install cloud ~entries:(Owner.shipment_entries shipment)
-    ~primes:(Owner.shipment_primes shipment) ~ac:shipment.Owner.sh_ac;
+  Cloud.install_shipment cloud shipment;
   let user = User.create ~keys:(Keys.for_user keys) ~width (Owner.export_trapdoor_state owner) in
   let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
   let owner_addr = Vm.address_of_name (seed ^ ":owner") in
@@ -66,7 +65,7 @@ let insert t records =
     Log.info (fun m ->
         m "insert: %d records, %d new index entries, %d new primes, updateAc gas %d"
           (List.length records)
-          (List.length (Owner.shipment_entries shipment))
+          (Owner.shipment_entry_count shipment)
           (List.length shipment.Owner.sh_groups)
           receipt.Vm.r_gas_used)
   | Error e -> failwith ("Protocol.insert: on-chain Ac update failed: " ^ e)

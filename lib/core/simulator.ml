@@ -4,9 +4,10 @@ let random_prime_of_bits ~rng bits =
 
 let simulate_build ~rng (leak : Leakage.build_leakage) =
   let bytes_of_bits b = (b + 7) / 8 in
+  (* One packed [l ‖ d] record per entry. *)
   let entry () =
-    ( Drbg.generate rng (bytes_of_bits leak.Leakage.bl_position_bits),
-      Drbg.generate rng (bytes_of_bits leak.Leakage.bl_payload_bits) )
+    Drbg.generate rng (bytes_of_bits leak.Leakage.bl_position_bits)
+    ^ Drbg.generate rng (bytes_of_bits leak.Leakage.bl_payload_bits)
   in
   (* One group per prime, with the p entries dealt out as evenly as the
      q groups allow; a group's G1 key is a 128-bit PRF output. *)
@@ -14,7 +15,9 @@ let simulate_build ~rng (leak : Leakage.build_leakage) =
   let groups =
     List.init q (fun i ->
         let kg_g1 = Drbg.generate rng 16 in
-        let kg_entries = List.init ((((i + 1) * p) / q) - ((i * p) / q)) (fun _ -> entry ()) in
+        let kg_entries =
+          String.concat "" (List.init ((((i + 1) * p) / q) - ((i * p) / q)) (fun _ -> entry ()))
+        in
         { Owner.kg_g1; kg_entries; kg_prime = random_prime_of_bits ~rng leak.Leakage.bl_prime_bits })
   in
   let ac = Bigint.succ (Drbg.bits rng 511) in

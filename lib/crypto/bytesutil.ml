@@ -47,18 +47,49 @@ let concat pieces =
        0 pieces);
   Bytes.unsafe_to_string b
 
-let split s =
-  let len = String.length s in
-  let read32 i =
-    (Char.code s.[i] lsl 24) lor (Char.code s.[i + 1] lsl 16) lor (Char.code s.[i + 2] lsl 8)
-    lor Char.code s.[i + 3]
-  in
+let get_be32 s i =
+  (Char.code s.[i] lsl 24) lor (Char.code s.[i + 1] lsl 16) lor (Char.code s.[i + 2] lsl 8)
+  lor Char.code s.[i + 3]
+
+(* The one walk over length prefixes: [f] sees each piece's offset and
+   length in [s], in order. *)
+let fold_pieces s ~off ~len f init =
+  let stop = off + len in
   let rec go i acc =
-    if i = len then Some (List.rev acc)
-    else if i + 4 > len then None
+    if i = stop then Some acc
+    else if i + 4 > stop then None
     else begin
-      let n = read32 i in
-      if i + 4 + n > len then None else go (i + 4 + n) (String.sub s (i + 4) n :: acc)
+      let n = get_be32 s i in
+      if i + 4 + n > stop then None else go (i + 4 + n) (f acc (i + 4) n)
     end
   in
-  go 0 []
+  if off < 0 || len < 0 || stop > String.length s then None else go off init
+
+let split s =
+  Option.map List.rev
+    (fold_pieces s ~off:0 ~len:(String.length s) (fun acc o n -> String.sub s o n :: acc) [])
+
+let views s ~off ~len =
+  Option.map List.rev (fold_pieces s ~off ~len (fun acc o n -> (o, n) :: acc) [])
+
+type sized = { size : int; write : Bytes.t -> int -> unit }
+
+let sized_string p =
+  { size = String.length p; write = (fun b off -> Bytes.blit_string p 0 b off (String.length p)) }
+
+let sized_concat pieces =
+  { size = List.fold_left (fun n p -> n + 4 + p.size) 0 pieces;
+    write =
+      (fun b off ->
+        ignore
+          (List.fold_left
+             (fun off p ->
+               Bytes.set_int32_be b off (Int32.of_int p.size);
+               p.write b (off + 4);
+               off + 4 + p.size)
+             off pieces)) }
+
+let sized_to_string p =
+  let b = Bytes.create p.size in
+  p.write b 0;
+  Bytes.unsafe_to_string b

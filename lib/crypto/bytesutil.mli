@@ -27,3 +27,29 @@ val concat : string list -> string
 val split : string -> string list option
 (** Inverse of {!concat}; [None] when the input is not a valid
     encoding. *)
+
+val get_be32 : string -> int -> int
+(** The unsigned 4-byte big-endian integer at an offset: a {!concat}
+    length prefix. *)
+
+val views : string -> off:int -> len:int -> (int * int) list option
+(** {!split} of the bytes [\[off, off + len)] of a string, without
+    copying them: each piece as its offset in the string and its
+    length. [None] when those bytes are not a valid encoding or the
+    range lies outside the string. *)
+
+(** {2 Encodings written in place}
+
+    A nested {!concat} (pieces that are themselves concatenations)
+    copies each inner level into the next. A [sized] encoding knows its
+    length up front and writes itself at an offset, so the whole nest
+    is written once, into one buffer of the exact size. *)
+
+type sized = { size : int; write : Bytes.t -> int -> unit }
+
+val sized_string : string -> sized
+
+val sized_concat : sized list -> sized
+(** The {!concat} encoding of the pieces. *)
+
+val sized_to_string : sized -> string

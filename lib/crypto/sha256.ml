@@ -43,8 +43,14 @@ let copy ctx =
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land word_mask
 
+(* Every compression, whichever entry point: Stats shows how many times
+   a request's bytes were hashed. *)
+let c_compressions =
+  Obs.counter ~help:"SHA-256 block compressions" "slicer_sha256_compressions_total"
+
 (* 64 rounds over the schedule already loaded into ctx.w.(0..15). *)
 let rounds ctx =
+  Obs.Counter.incr c_compressions;
   let w = ctx.w in
   for t = 16 to 63 do
     let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in

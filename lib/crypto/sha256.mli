@@ -6,7 +6,11 @@
     string; only stream boundaries and the padded final block go through
     the context's 64-byte buffer. Contexts are cheap to {!copy}, so a
     partially-absorbed state (e.g. an HMAC key block) can be cloned per
-    message instead of being recomputed. *)
+    message instead of being recomputed.
+
+    Every block compression adds one to the Obs counter
+    [slicer_sha256_compressions_total]: a message of [n] bytes costs
+    [n / 64 + 1] of them, plus one when [n mod 64 >= 56]. *)
 
 type ctx
 (** Streaming hash context (mutable). Not shared between domains; clone

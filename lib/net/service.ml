@@ -327,8 +327,7 @@ let do_build t req =
      | None ->
        let tdp_public = Rsa_tdp.public_of_parts ~n:tdp_n ~e:tdp_e in
        let cloud = Cloud.create ~acc_params:acc ~tdp_public () in
-       Cloud.install cloud ~entries:(Owner.shipment_entries shipment)
-         ~primes:(Owner.shipment_primes shipment) ~ac:shipment.Owner.sh_ac;
+       Cloud.install_shipment cloud shipment;
        let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
        let owner_addr = Vm.address_of_name "slicer-net:owner" in
        let cloud_addr = Vm.address_of_name "slicer-net:cloud" in
@@ -362,7 +361,7 @@ let do_build t req =
            | None -> ());
           Log.info (fun m ->
               m "built from wire shipment: %d index entries, deploy gas %d"
-                (List.length (Owner.shipment_entries shipment)) receipt.Vm.r_gas_used);
+                (Owner.shipment_entry_count shipment) receipt.Vm.r_gas_used);
           let reply = Wire.Accepted { generation = 1 } in
           journal_request t ~tag:tag_build req;
           cache_reply t (reply_key ~client ~request_id) reply;
@@ -455,7 +454,7 @@ let handle_locked t req =
           b.b_generation <- b.b_generation + 1;
           Log.info (fun m ->
               m "insert shipment applied: %d entries, generation %d, gas %d"
-                (List.length (Owner.shipment_entries shipment)) b.b_generation receipt.Vm.r_gas_used);
+                (Owner.shipment_entry_count shipment) b.b_generation receipt.Vm.r_gas_used);
           let reply = Wire.Accepted { generation = b.b_generation } in
           journal_request t ~tag:tag_insert req;
           cache_reply t (reply_key ~client ~request_id) reply;
@@ -516,8 +515,7 @@ let encode_snapshot t =
         Station.cloud_addr st;
         Bytesutil.concat (Ledger.validator_names ledger);
         Persist.trapdoor_state_to_bytes b.b_trapdoor;
-        Bytesutil.concat
-          (List.concat_map (fun (l, d) -> [ l; d ]) (Cloud.entries cloud));
+        Persist.entries_to_bytes (Cloud.sorted_records cloud);
         Bytesutil.concat (List.map Bigint.to_bytes_be (Cloud.primes cloud));
         Bigint.to_bytes_be (Cloud.current_ac cloud);
         Bytesutil.concat
@@ -572,8 +570,7 @@ let decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard bytes =
     let* validators = Bytesutil.split validators in
     let* () = if validators = [] then None else Some () in
     let* trapdoor = Persist.trapdoor_state_of_bytes trapdoor in
-    let* entry_flat = Bytesutil.split entries in
-    let* entries = pairs_of entry_flat in
+    let* records = Persist.entries_of_bytes entries in
     let* prime_flat = Bytesutil.split primes in
     let* account_flat = Bytesutil.split accounts in
     let* accounts = account_triples account_flat in
@@ -599,7 +596,7 @@ let decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard bytes =
       Rsa_tdp.public_of_parts ~n:(Bigint.of_bytes_be pn) ~e:(Bigint.of_bytes_be e)
     in
     let cloud = Cloud.create ~acc_params ~tdp_public () in
-    Cloud.install cloud ~entries
+    Cloud.install cloud ~records:[ records ]
       ~primes:(List.map Bigint.of_bytes_be prime_flat)
       ~ac:(Bigint.of_bytes_be ac);
     (* Graft the snapshotted warm witnesses onto the rebuilt index. *)

@@ -263,9 +263,16 @@ let status_of_pieces = function
 (* --- requests --------------------------------------------------------- *)
 
 (* [trace] appends the optional trailing context piece. *)
-let with_trace_piece base = function
-  | None -> Bytesutil.concat base
-  | Some w -> Bytesutil.concat (base @ [ trace_to_bytes w ])
+let trace_pieces = function None -> [] | Some w -> [ trace_to_bytes w ]
+let with_trace_piece base trace = Bytesutil.concat (base @ trace_pieces trace)
+
+(* Build and Insert write their shipment in place, so the request is
+   one buffer of the exact size with no intermediate shipment copy. *)
+let with_shipment before shipment after trace =
+  let strings = List.map Bytesutil.sized_string in
+  Bytesutil.sized_to_string
+    (Bytesutil.sized_concat
+       (strings before @ (Persist.shipment_sized shipment :: strings (after @ trace_pieces trace))))
 
 let encode_request = function
   | Hello { client; proto } -> Bytesutil.concat [ "hello"; client; string_of_int proto ]
@@ -275,18 +282,15 @@ let encode_request = function
       trace
   | Build { client; request_id; width; payment; acc; tdp_n; tdp_e; user_k; user_k_r;
             shipment; trapdoor; trace } ->
-    with_trace_piece
+    with_shipment
       [ "build"; client; request_id; string_of_int width; string_of_int payment;
         Bigint.to_bytes_be acc.Rsa_acc.modulus; Bigint.to_bytes_be acc.Rsa_acc.generator;
         Bigint.to_bytes_be tdp_n; Bigint.to_bytes_be tdp_e;
-        user_k; user_k_r;
-        Persist.shipment_to_bytes shipment; Persist.trapdoor_state_to_bytes trapdoor ]
-      trace
+        user_k; user_k_r ]
+      shipment [ Persist.trapdoor_state_to_bytes trapdoor ] trace
   | Insert { client; request_id; shipment; trapdoor; trace } ->
-    with_trace_piece
-      [ "insert"; client; request_id;
-        Persist.shipment_to_bytes shipment; Persist.trapdoor_state_to_bytes trapdoor ]
-      trace
+    with_shipment [ "insert"; client; request_id ] shipment
+      [ Persist.trapdoor_state_to_bytes trapdoor ] trace
   | Receipt { client; request_id } -> Bytesutil.concat [ "receipt"; client; request_id ]
   | Dispute { client; request_id; shard; claims_blob; batch_witness } ->
     Bytesutil.concat
@@ -302,10 +306,10 @@ let decode_search ~trace client request_id batched tokens_blob =
   Some (Search { client; request_id; batched; tokens; trace })
 
 let decode_build ~trace client request_id width payment modulus generator tdp_n tdp_e
-    user_k user_k_r shipment_blob trapdoor_blob =
+    user_k user_k_r shipment trapdoor_blob =
   let* width = nat_of_string width in
   let* payment = nat_of_string payment in
-  let* shipment = Persist.shipment_of_bytes shipment_blob in
+  let* shipment = shipment () in
   let* trapdoor = Persist.trapdoor_state_of_bytes trapdoor_blob in
   Some
     (Build
@@ -315,13 +319,25 @@ let decode_build ~trace client request_id width payment modulus generator tdp_n 
          tdp_n = Bigint.of_bytes_be tdp_n; tdp_e = Bigint.of_bytes_be tdp_e;
          user_k; user_k_r; shipment; trapdoor; trace })
 
-let decode_insert ~trace client request_id shipment_blob trapdoor_blob =
-  let* shipment = Persist.shipment_of_bytes shipment_blob in
+let decode_insert ~trace client request_id shipment trapdoor_blob =
+  let* shipment = shipment () in
   let* trapdoor = Persist.trapdoor_state_of_bytes trapdoor_blob in
   Some (Insert { client; request_id; shipment; trapdoor; trace })
 
+(* The shipment piece of a Build or Insert is not copied out of [s]: it
+   is left as an empty placeholder among the pieces and decoded in place
+   from its view ({!Persist.shipment_of_view}). *)
+let shipment_index = function "build" -> 11 | "insert" -> 3 | _ -> -1
+
 let decode_request s =
-  let* pieces = Bytesutil.split s in
+  let* views = Bytesutil.views s ~off:0 ~len:(String.length s) in
+  let piece (off, len) = String.sub s off len in
+  let at = match views with tag :: _ -> shipment_index (piece tag) | [] -> -1 in
+  let pieces = List.mapi (fun i v -> if i = at then "" else piece v) views in
+  let shipment () =
+    let off, len = List.nth views at in
+    Persist.shipment_of_view s ~off ~len
+  in
   match pieces with
   | [ "hello"; client; proto ] ->
     let* proto = nat_of_string proto in
@@ -332,19 +348,19 @@ let decode_request s =
     let* trace = trace_of_bytes trace_blob in
     decode_search ~trace:(Some trace) client request_id batched tokens_blob
   | [ "build"; client; request_id; width; payment; modulus; generator; tdp_n; tdp_e;
-      user_k; user_k_r; shipment_blob; trapdoor_blob ] ->
+      user_k; user_k_r; _; trapdoor_blob ] ->
     decode_build ~trace:None client request_id width payment modulus generator tdp_n tdp_e
-      user_k user_k_r shipment_blob trapdoor_blob
+      user_k user_k_r shipment trapdoor_blob
   | [ "build"; client; request_id; width; payment; modulus; generator; tdp_n; tdp_e;
-      user_k; user_k_r; shipment_blob; trapdoor_blob; trace_blob ] ->
+      user_k; user_k_r; _; trapdoor_blob; trace_blob ] ->
     let* trace = trace_of_bytes trace_blob in
     decode_build ~trace:(Some trace) client request_id width payment modulus generator
-      tdp_n tdp_e user_k user_k_r shipment_blob trapdoor_blob
-  | [ "insert"; client; request_id; shipment_blob; trapdoor_blob ] ->
-    decode_insert ~trace:None client request_id shipment_blob trapdoor_blob
-  | [ "insert"; client; request_id; shipment_blob; trapdoor_blob; trace_blob ] ->
+      tdp_n tdp_e user_k user_k_r shipment trapdoor_blob
+  | [ "insert"; client; request_id; _; trapdoor_blob ] ->
+    decode_insert ~trace:None client request_id shipment trapdoor_blob
+  | [ "insert"; client; request_id; _; trapdoor_blob; trace_blob ] ->
     let* trace = trace_of_bytes trace_blob in
-    decode_insert ~trace:(Some trace) client request_id shipment_blob trapdoor_blob
+    decode_insert ~trace:(Some trace) client request_id shipment trapdoor_blob
   | [ "receipt"; client; request_id ] -> Some (Receipt { client; request_id })
   | [ "dispute"; client; request_id; shard; claims_blob; witness_blob ] ->
     let* shard = int_of_string_opt shard in

@@ -99,6 +99,28 @@ let test_sha256_finalize_trunc () =
   Alcotest.check_raises "trunc 0" (Invalid_argument "Sha256.finalize_trunc: need 1 <= n <= 32")
     (fun () -> ignore (Sha256.finalize_trunc (Sha256.init ()) 0))
 
+(* The Obs counter sees every block compression: 1 KiB is 16 blocks
+   plus the padding block. *)
+let test_sha256_compression_counter () =
+  let compressions f =
+    let before = Obs.counter_value "slicer_sha256_compressions_total" in
+    f ();
+    Obs.counter_value "slicer_sha256_compressions_total" - before
+  in
+  Alcotest.(check int) "1 KiB" 17
+    (compressions (fun () -> ignore (Sha256.digest (String.make 1024 'x'))));
+  Alcotest.(check int) "1 KiB streamed in odd pieces" 17
+    (compressions (fun () ->
+         let ctx = Sha256.init () in
+         Sha256.update ctx (String.make 100 'x');
+         Sha256.update ctx (String.make 924 'x');
+         ignore (Sha256.finalize ctx)));
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check int) (Printf.sprintf "%d bytes" n) expected
+        (compressions (fun () -> ignore (Sha256.digest (String.make n 'x')))))
+    [ (0, 1); (55, 1); (56, 2); (64, 2); (119, 2); (120, 3) ]
+
 (* --- HMAC-SHA256 (RFC 4231) ----------------------------------------- *)
 
 let test_hmac_vectors () =
@@ -294,7 +316,8 @@ let () =
         [ Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "streaming" `Quick test_sha256_streaming;
           Alcotest.test_case "copy forks the stream" `Quick test_sha256_copy;
-          Alcotest.test_case "finalize_trunc" `Quick test_sha256_finalize_trunc ] );
+          Alcotest.test_case "finalize_trunc" `Quick test_sha256_finalize_trunc;
+          Alcotest.test_case "compression counter" `Quick test_sha256_compression_counter ] );
       ( "hmac",
         [ Alcotest.test_case "RFC 4231" `Quick test_hmac_vectors;
           Alcotest.test_case "RFC 4231 keyed contexts" `Quick test_hmac_keyed_vectors ] );

@@ -97,9 +97,8 @@ let test_shipment_feeds_cloud () =
   | Some shipped ->
     let keys = Owner.keys owner in
     let cloud = Cloud.create ~acc_params:(Owner.acc_params owner) ~tdp_public:keys.Keys.tdp_public () in
-    Cloud.install cloud ~entries:(Owner.shipment_entries shipped)
-      ~primes:(Owner.shipment_primes shipped) ~ac:shipped.Owner.sh_ac;
-    Alcotest.(check int) "entry count" (List.length (Owner.shipment_entries shipment))
+    Cloud.install_shipment cloud shipped;
+    Alcotest.(check int) "entry count" (Owner.shipment_entry_count shipment)
       (Cloud.index_entries cloud);
     Alcotest.(check int) "prime count" (List.length shipment.Owner.sh_groups)
       (Cloud.prime_count cloud);
@@ -175,8 +174,226 @@ let test_token_bytes_roundtrip () =
   Alcotest.(check bool) "negative generation" true
     (Slicer_types.token_of_bytes (Bytesutil.concat [ "t"; "-1"; "g1"; "g2" ]) = None)
 
+(* --- the shipment codec, pinned ---------------------------------------------- *)
+
+(* The revision-5 shipment form as a plain nest of [Bytesutil.concat]s
+   over [(l, d)] pairs: the reference the in-place encoder must match
+   byte for byte. *)
+let reference_shipment_bytes (sh : Owner.shipment) =
+  let pairs records =
+    List.init (String.length records / 32) (fun k ->
+        [ String.sub records (32 * k) 16; String.sub records ((32 * k) + 16) 16 ])
+    |> List.concat
+  in
+  Bytesutil.concat
+    [ Bigint.to_bytes_be sh.Owner.sh_ac;
+      Bytesutil.concat
+        (List.map
+           (fun (g : Owner.keyword_group) ->
+             Bytesutil.concat
+               [ g.Owner.kg_g1; Bigint.to_bytes_be g.Owner.kg_prime;
+                 Bytesutil.concat (pairs g.Owner.kg_entries) ])
+           sh.Owner.sh_groups) ]
+
+let same_shipment (a : Owner.shipment) (b : Owner.shipment) =
+  Bigint.equal a.Owner.sh_ac b.Owner.sh_ac
+  && List.equal
+       (fun (x : Owner.keyword_group) (y : Owner.keyword_group) ->
+         String.equal x.Owner.kg_g1 y.Owner.kg_g1
+         && String.equal x.Owner.kg_entries y.Owner.kg_entries
+         && Bigint.equal x.Owner.kg_prime y.Owner.kg_prime)
+       a.Owner.sh_groups b.Owner.sh_groups
+
+(* Random shipments: no groups, one group or many, and each group with
+   no entry, one entry or many. *)
+let gen_shipment =
+  let open QCheck2.Gen in
+  let bigint = map Bigint.of_bytes_be (string_size (int_range 1 34)) in
+  let group =
+    let* kg_g1 = string_size (return 16) in
+    let* entries = oneof [ return 0; return 1; int_range 2 40 ] in
+    let* kg_entries = string_size (return (32 * entries)) in
+    let* kg_prime = bigint in
+    return { Owner.kg_g1; kg_entries; kg_prime }
+  in
+  let* sh_groups =
+    oneof [ return []; list_size (return 1) group; list_size (int_range 2 12) group ]
+  in
+  let* sh_ac = bigint in
+  return { Owner.sh_groups; sh_ac }
+
+let shipment_codec_roundtrip sh =
+  let bytes = Persist.shipment_to_bytes sh in
+  let framed = "head" ^ bytes ^ "tail" in
+  String.equal bytes (reference_shipment_bytes sh)
+  && (match Persist.shipment_of_bytes bytes with
+      | Some back -> same_shipment sh back && String.equal bytes (Persist.shipment_to_bytes back)
+      | None -> false)
+  && (match Persist.shipment_of_view framed ~off:4 ~len:(String.length bytes) with
+      | Some back -> same_shipment sh back
+      | None -> false)
+
+(* Entry pieces other than 16 bytes, and length prefixes cut short at
+   every level, are malformed: [None], never an exception. *)
+let test_shipment_malformed_pieces () =
+  let l = String.make 16 'l' and d = String.make 16 'd' in
+  let group entries_blob = Bytesutil.concat [ String.make 16 'g'; "\x05"; entries_blob ] in
+  let shipment groups_blob = Bytesutil.concat [ "\x07"; groups_blob ] in
+  let decodes bytes = Persist.shipment_of_bytes bytes <> None in
+  Alcotest.(check bool) "well-formed control decodes" true
+    (decodes (shipment (Bytesutil.concat [ group (Bytesutil.concat [ l; d ]) ])));
+  List.iter
+    (fun (what, pieces) ->
+      Alcotest.(check bool) what false
+        (decodes (shipment (Bytesutil.concat [ group (Bytesutil.concat pieces) ])));
+      Alcotest.(check bool) (what ^ " (bare entries)") true
+        (Persist.entries_of_bytes (Bytesutil.concat pieces) = None))
+    [ ("15-byte position", [ String.make 15 'l'; d ]);
+      ("17-byte position", [ String.make 17 'l'; d ]);
+      ("15-byte payload", [ l; String.make 15 'd' ]);
+      ("17-byte payload", [ l; String.make 17 'd' ]);
+      ("15 + 17 bytes, a record's worth", [ String.make 15 'l'; String.make 17 'd' ]);
+      ("17 + 15 bytes, a record's worth", [ String.make 17 'l'; String.make 15 'd' ]);
+      ("a position without its payload", [ l; d; l ]) ];
+  let entries = Bytesutil.concat [ l; d ] in
+  Alcotest.(check bool) "entries: truncated length prefix" false
+    (decodes (shipment (Bytesutil.concat [ group (entries ^ "\x00\x00") ])));
+  Alcotest.(check bool) "groups: truncated length prefix" false
+    (decodes (shipment (Bytesutil.concat [ group entries ] ^ "\x00\x00\x00")));
+  Alcotest.(check bool) "group: truncated length prefix" false
+    (decodes
+       (shipment
+          (Bytesutil.concat [ Bytesutil.concat [ String.make 16 'g'; "\x05" ] ^ "\x00" ])));
+  let _, real = owner_shipment () in
+  let bytes = Persist.shipment_to_bytes real in
+  for cut = 0 to String.length bytes - 1 do
+    if decodes (String.sub bytes 0 cut) then Alcotest.failf "a %d-byte prefix decoded" cut
+  done
+
+(* Requests for a fixed seed, hashed on the commit before entries were
+   packed: the wire (and the WAL, which journals these bytes) must not
+   move by one bit. *)
+let test_request_golden () =
+  let rng = Drbg.create ~seed:"shipment-golden" in
+  let keys = Keys.generate ~tdp_bits:256 ~rng () in
+  let acc_params = Rsa_acc.setup ~rng ~bits:256 () in
+  let owner = Owner.create ~width:6 ~rng ~acc_params ~keys () in
+  let build = Owner.build owner (Gen.uniform_records ~rng ~width:6 40) in
+  let user = Keys.for_user keys in
+  let build_req =
+    Net.Wire.Build
+      { client = "owner"; request_id = "owner#1"; width = 6; payment = 1000; acc = acc_params;
+        tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn; tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+        user_k = user.Keys.u_k; user_k_r = user.Keys.u_k_r; shipment = build;
+        trapdoor = Owner.export_trapdoor_state owner; trace = None }
+  in
+  let insert =
+    Owner.insert owner
+      (List.init 8 (fun i -> Slicer_types.record_of_value (Printf.sprintf "late-%d" i) (7 * i)))
+  in
+  let insert_req =
+    Net.Wire.Insert
+      { client = "owner"; request_id = "owner#2"; shipment = insert;
+        trapdoor = Owner.export_trapdoor_state owner; trace = None }
+  in
+  List.iter
+    (fun (what, req, size, digest) ->
+      let bytes = Net.Wire.encode_request req in
+      Alcotest.(check int) (what ^ " size") size (String.length bytes);
+      Alcotest.(check string) (what ^ " sha-256") digest (Sha256.digest_hex bytes);
+      match Net.Wire.decode_request bytes with
+      | Some back ->
+        Alcotest.(check string) (what ^ " re-encodes") bytes (Net.Wire.encode_request back)
+      | None -> Alcotest.failf "%s did not decode" what)
+    [ ("build", build_req, 25357,
+       "7c153dbedec9849bf345a441e8aaa19b0010989abf4672371a13917283594141");
+      ("insert", insert_req, 13072,
+       "e97eb2cb64b2e37d194ad22d12e2af2744353c7064eb76ca8d2cf30929186fb8") ]
+
+(* The snapshot's entry section is written from the arena: the same
+   bytes as the sorted [(l, d)] pairs it was written from before. *)
+let test_snapshot_entry_section () =
+  let owner, shipment = owner_shipment () in
+  let keys = Owner.keys owner in
+  let cloud =
+    Cloud.create ~acc_params:(Owner.acc_params owner) ~tdp_public:keys.Keys.tdp_public ()
+  in
+  Cloud.install_shipment cloud shipment;
+  let section = Persist.entries_to_bytes (Cloud.sorted_records cloud) in
+  Alcotest.(check string) "sorted pairs, concatenated"
+    (Bytesutil.concat
+       (List.concat_map (fun (l, d) -> [ l; d ])
+          (List.sort compare (Owner.shipment_entries shipment))))
+    section;
+  match Persist.entries_of_bytes section with
+  | Some records -> Alcotest.(check string) "decodes to the records" (Cloud.sorted_records cloud) records
+  | None -> Alcotest.fail "entry section did not decode"
+
+(* Decoding a Build request and installing it must not copy the
+   shipment through boxed pairs and per-entry tables. The shipment has
+   the perfbench owner's shape (1,000 width-8 records, 9,000 entries).
+   This case read 521,343 major words while entries travelled as boxed
+   [(l, d)] pairs, and reads 149,106 with packed records. *)
+let build_major_words_bound = 260_000
+
+let test_build_decode_allocation () =
+  let rng = Drbg.create ~seed:"alloc-build" in
+  let keys = Keys.generate ~tdp_bits:512 ~rng () in
+  let acc_params = Rsa_acc.setup ~rng ~bits:512 () in
+  let owner = Owner.create ~width:8 ~rng ~acc_params ~keys () in
+  let shipment = Owner.build owner (Gen.uniform_records ~rng ~width:8 1000) in
+  let user = Keys.for_user keys in
+  let request =
+    Net.Wire.encode_request
+      (Net.Wire.Build
+         { client = "owner"; request_id = "owner#1"; width = 8; payment = 1000; acc = acc_params;
+           tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn; tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+           user_k = user.Keys.u_k; user_k_r = user.Keys.u_k_r; shipment;
+           trapdoor = Owner.export_trapdoor_state owner; trace = None })
+  in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  match Net.Wire.decode_request request with
+  | Some (Net.Wire.Build { shipment = shipped; _ }) ->
+    let cloud = Cloud.create ~acc_params ~tdp_public:keys.Keys.tdp_public () in
+    Cloud.install_shipment cloud shipped;
+    let words = int_of_float ((Gc.quick_stat ()).Gc.major_words -. before) in
+    Alcotest.(check int) "entries installed" 9000 (Cloud.index_entries cloud);
+    if words > build_major_words_bound then
+      Alcotest.failf "decode + install put %d words in the major heap (bound %d)" words
+        build_major_words_bound
+  | _ -> Alcotest.fail "the Build request did not decode"
+
+(* Each cloud adds its own sizes to the two gauges, so clouds in one
+   process sum, and the warm's growth shows up. *)
+let test_size_gauges () =
+  let gauge name = Obs.Gauge.value (Obs.gauge name) in
+  let index0 = gauge "slicer_cloud_index_bytes" and tree0 = gauge "slicer_witness_tree_bytes" in
+  let owner, shipment = owner_shipment () in
+  let keys = Owner.keys owner in
+  let cloud () =
+    let c =
+      Cloud.create ~acc_params:(Owner.acc_params owner) ~tdp_public:keys.Keys.tdp_public ()
+    in
+    Cloud.install_shipment c shipment;
+    c
+  in
+  let a = cloud () in
+  let index_a = gauge "slicer_cloud_index_bytes" - index0
+  and tree_a = gauge "slicer_witness_tree_bytes" - tree0 in
+  Alcotest.(check bool) "the arena covers the stored entries" true (index_a >= Cloud.index_bytes a);
+  Alcotest.(check bool) "the tree holds its products" true (tree_a > 0);
+  ignore (cloud ());
+  Alcotest.(check int) "two clouds' arenas sum" (2 * index_a) (gauge "slicer_cloud_index_bytes" - index0);
+  Alcotest.(check int) "two clouds' trees sum" (2 * tree_a) (gauge "slicer_witness_tree_bytes" - tree0);
+  Cloud.precompute_witnesses a;
+  Alcotest.(check bool) "the warm's witnesses count" true
+    (gauge "slicer_witness_tree_bytes" - tree0 > 2 * tree_a)
+
 let props =
-  [ prop "records roundtrip" gen_records (fun records ->
+  [ prop "shipment codec round trip, byte-identical" ~count:200 gen_shipment
+      shipment_codec_roundtrip;
+    prop "records roundtrip" gen_records (fun records ->
         Persist.records_of_bytes (Persist.records_to_bytes records) = Some records);
     prop "records reject truncation" ~count:50 gen_records (fun records ->
         let b = Persist.records_to_bytes records in
@@ -197,4 +414,11 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
           Alcotest.test_case "file save is atomic" `Quick test_file_save_is_atomic;
           Alcotest.test_case "load never raises" `Quick test_load_never_raises ] );
+      ( "packed shipments",
+        [ Alcotest.test_case "malformed entry pieces refused" `Quick
+            test_shipment_malformed_pieces;
+          Alcotest.test_case "build and insert request golden" `Quick test_request_golden;
+          Alcotest.test_case "snapshot entry section" `Quick test_snapshot_entry_section;
+          Alcotest.test_case "build decode allocation bound" `Quick test_build_decode_allocation;
+          Alcotest.test_case "size gauges sum over clouds" `Quick test_size_gauges ] );
       ("properties", props) ]
