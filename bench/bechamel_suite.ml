@@ -39,6 +39,31 @@ let pair_exponents () =
 let spine_primes () =
   Array.init 754 (fun i -> Prime_rep.to_prime (Printf.sprintf "bechamel-spine-%d" i))
 
+(* A Build request of perfbench's shape (1,000 width-8 records, 9,000
+   entries, ~485 KB) for the journaling row. *)
+let perfbench_build () =
+  let rng = Drbg.create ~seed:"bechamel-build" in
+  let keys = Keys.generate ~tdp_bits:512 ~rng () in
+  let acc = Rsa_acc.setup ~rng ~bits:512 () in
+  let owner = Owner.create ~width:8 ~rng ~acc_params:acc ~keys () in
+  let shipment = Owner.build owner (Gen.uniform_records ~rng ~width:8 1000) in
+  let user = Keys.for_user keys in
+  Net.Wire.Build
+    { client = "owner"; request_id = "owner#1"; width = 8; payment = 1000; acc;
+      tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn; tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+      user_k = user.Keys.u_k; user_k_r = user.Keys.u_k_r; shipment;
+      trapdoor = Owner.export_trapdoor_state owner; trace = None }
+
+(* A log on a temp file, fsync off, emptied whenever it passes 16 MiB
+   so the row's runs do not fill the disk. *)
+let bench_wal () =
+  let path = Filename.temp_file "slicer-bench-wal" ".log" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  let wal, _, _ = Wal.open_ ~path ~fsync:false in
+  fun tag payload ->
+    if Wal.size wal > 16 * 1024 * 1024 then Wal.reset wal ~next_seq:1;
+    ignore (Wal.append_sized wal ~tag payload)
+
 let make_tests () =
   let rng = Drbg.create ~seed:"bechamel" in
   let sore_key = Sore.keygen ~rng in
@@ -56,6 +81,9 @@ let make_tests () =
   let kctx = Bigint.Mont.create km in
   let pe1, pe2 = pair_exponents () in
   let spine = spine_primes () in
+  let build = perfbench_build () in
+  let append = bench_wal () in
+  let found = Drbg.generate rng 9000 in
   let ct = Sore.encrypt ~rng sore_key ~width:16 12345 in
   let tk = Sore.token ~rng sore_key ~width:16 30000 Bitvec.Gt in
   let counter = ref 0 in
@@ -110,6 +138,13 @@ let make_tests () =
     Test.make ~name:"table2/mset-hash-64"
       (Staged.stage
          (fun () -> ignore (Mset_hash.of_list (List.init 64 (fun i -> string_of_int i)))));
+    (* The write path: a Build streamed into the WAL through its
+       scratch, as a durable server journals it, and a Found-sized
+       reply framed. No guards. *)
+    Test.make ~name:"store/wal-append-build"
+      (Staged.stage (fun () -> append 2 (Net.Wire.request_sized build)));
+    Test.make ~name:"net/frame-encode-9k"
+      (Staged.stage (fun () -> ignore (Net.Frame.encode ~tag:Net.Wire.response_tag found)));
     (* Observability overhead (a span is ~2 clock reads + 1 histogram
        record); the budgets are guarded by [overhead_guard] below. *)
     Test.make ~name:"obs/counter-add"

@@ -43,20 +43,20 @@ let records_of_bytes s =
    here.
 
    Entries travel as the length-prefixed pieces [l1; d1; l2; d2; ...],
-   40 wire bytes per 32-byte [l ‖ d] record; the encoder writes them
-   from the packed records and the decoder packs them back, one blit
-   per piece. *)
+   40 wire bytes per 32-byte [l ‖ d] record; the encoder emits them
+   as views of the packed records and the decoder packs them back, one
+   blit per piece. *)
 let piece_len = 4 + Enc_index.label_len
+let piece_prefix = Bytesutil.be32 Enc_index.label_len
 
 let entries_sized records =
-  let n = String.length records / Enc_index.record_len in
-  { Bytesutil.size = 2 * n * piece_len;
-    write =
-      (fun b off ->
-        for i = 0 to (2 * n) - 1 do
-          let at = off + (i * piece_len) in
-          Bytes.set_int32_be b at (Int32.of_int Enc_index.label_len);
-          Bytes.blit_string records (i * Enc_index.label_len) b (at + 4) Enc_index.label_len
+  let pieces = 2 * (String.length records / Enc_index.record_len) in
+  { Bytesutil.size = pieces * piece_len;
+    emit =
+      (fun sink ->
+        for i = 0 to pieces - 1 do
+          sink piece_prefix 0 4;
+          sink records (i * Enc_index.label_len) Enc_index.label_len
         done) }
 
 (* Labels and payloads are both 16 bytes, so piece [i] of the wire form
@@ -127,13 +127,17 @@ let shipment_of_bytes s = shipment_of_view s ~off:0 ~len:(String.length s)
 
 (* --- trapdoor state -------------------------------------------------------- *)
 
-let trapdoor_state_to_bytes (st : Owner.trapdoor_state) =
+let trapdoor_state_sized (st : Owner.trapdoor_state) =
   let bindings =
     Hashtbl.fold (fun w (trapdoor, j) acc -> (w, trapdoor, j) :: acc) st []
     |> List.sort compare
   in
-  Bytesutil.concat
-    (List.concat_map (fun (w, trapdoor, j) -> [ w; trapdoor; string_of_int j ]) bindings)
+  Bytesutil.sized_concat
+    (List.concat_map
+       (fun (w, trapdoor, j) -> List.map Bytesutil.sized_string [ w; trapdoor; string_of_int j ])
+       bindings)
+
+let trapdoor_state_to_bytes st = Bytesutil.sized_to_string (trapdoor_state_sized st)
 
 let trapdoor_state_of_bytes s =
   let* pieces = Bytesutil.split s in

@@ -14,9 +14,9 @@ val shipment_to_bytes : Owner.shipment -> string
     exact size ({!shipment_sized}). *)
 
 val shipment_sized : Owner.shipment -> Bytesutil.sized
-(** The {!shipment_to_bytes} encoding, to be written in place inside a
-    larger message: a Build or Insert request, which the WAL journals
-    as it is. *)
+(** The {!shipment_to_bytes} encoding, streamed from the groups'
+    packed records inside a larger message: a Build or Insert request,
+    which the WAL journals as it is emitted. *)
 
 val shipment_of_bytes : string -> Owner.shipment option
 (** [None] for anything but the two-piece form, including the older
@@ -41,6 +41,11 @@ val entries_of_bytes : string -> string option
     exactly 16 bytes and the pieces pair up. *)
 
 val trapdoor_state_to_bytes : Owner.trapdoor_state -> string
+
+val trapdoor_state_sized : Owner.trapdoor_state -> Bytesutil.sized
+(** The {!trapdoor_state_to_bytes} encoding, streamed from the state's
+    own strings: the last pieces of a Build or Insert request. *)
+
 val trapdoor_state_of_bytes : string -> Owner.trapdoor_state option
 
 (** {1 User ↔ cloud and chain messages}

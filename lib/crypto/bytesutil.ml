@@ -72,24 +72,29 @@ let split s =
 let views s ~off ~len =
   Option.map List.rev (fold_pieces s ~off ~len (fun acc o n -> (o, n) :: acc) [])
 
-type sized = { size : int; write : Bytes.t -> int -> unit }
+type sink = string -> int -> int -> unit
 
-let sized_string p =
-  { size = String.length p; write = (fun b off -> Bytes.blit_string p 0 b off (String.length p)) }
+type sized = { size : int; emit : sink -> unit }
 
+let sized_string p = { size = String.length p; emit = (fun sink -> sink p 0 (String.length p)) }
+
+(* Each length prefix is made as it is emitted: a value that is only
+   emitted holds no per-piece strings between emissions. *)
 let sized_concat pieces =
   { size = List.fold_left (fun n p -> n + 4 + p.size) 0 pieces;
-    write =
-      (fun b off ->
-        ignore
-          (List.fold_left
-             (fun off p ->
-               Bytes.set_int32_be b off (Int32.of_int p.size);
-               p.write b (off + 4);
-               off + 4 + p.size)
-             off pieces)) }
+    emit =
+      (fun sink ->
+        List.iter
+          (fun p ->
+            sink (be32 p.size) 0 4;
+            p.emit sink)
+          pieces) }
 
 let sized_to_string p =
   let b = Bytes.create p.size in
-  p.write b 0;
+  let at = ref 0 in
+  p.emit (fun s off len ->
+      Bytes.blit_string s off b !at len;
+      at := !at + len);
+  if !at <> p.size then invalid_arg "Bytesutil.sized_to_string: emitted size mismatch";
   Bytes.unsafe_to_string b

@@ -38,14 +38,22 @@ val views : string -> off:int -> len:int -> (int * int) list option
     length. [None] when those bytes are not a valid encoding or the
     range lies outside the string. *)
 
-(** {2 Encodings written in place}
+(** {2 Streamed encodings}
 
     A nested {!concat} (pieces that are themselves concatenations)
     copies each inner level into the next. A [sized] encoding knows its
-    length up front and writes itself at an offset, so the whole nest
-    is written once, into one buffer of the exact size. *)
+    length up front and emits its bytes, in order, as
+    [(string, offset, length)] pieces into a sink: into one buffer of
+    the exact size ({!sized_to_string}), or straight to a destination
+    such as a log file, with no buffer of the whole encoding at all.
+    Emitting is repeatable: every call emits the same pieces, so a
+    writer may take one pass to checksum and a second to write. *)
 
-type sized = { size : int; write : Bytes.t -> int -> unit }
+type sink = string -> int -> int -> unit
+(** [sink s off len] receives the bytes [\[off, off + len)] of [s]. It
+    must consume them before it returns. *)
+
+type sized = { size : int; emit : sink -> unit }
 
 val sized_string : string -> sized
 
@@ -53,3 +61,5 @@ val sized_concat : sized list -> sized
 (** The {!concat} encoding of the pieces. *)
 
 val sized_to_string : sized -> string
+(** The emitted bytes in one buffer of the exact size.
+    @raise Invalid_argument when the pieces do not add up to [size]. *)

@@ -37,30 +37,46 @@ let default_max_payload = 16 * 1024 * 1024
 
 (* Checksum input: every header field after the magic, then the payload,
    so a bit flip anywhere in (version | tag | length | payload) — or in
-   the stored checksum itself — fails verification. *)
-let checksum ~ver ~tag ~len payload =
-  let hdr = Bytes.create 6 in
-  Bytes.set hdr 0 (Char.chr ver);
-  Bytes.set hdr 1 (Char.chr tag);
-  Bytes.blit_string (Bytesutil.be32 len) 0 hdr 2 4;
-  String.sub (Sha256.digest (Bytes.to_string hdr ^ payload)) 0 checksum_bytes
+   the stored checksum itself — fails verification. Both are hashed
+   where they lie: (version | tag | length) sit contiguously at offset 4
+   of the header in [hdr], the payload at [off] in [body] (the same
+   buffer, in a whole frame). *)
+let checksum hdr hdr_off body off len =
+  let ctx = Sha256.init () in
+  Sha256.update_sub ctx hdr (hdr_off + 4) 6;
+  Sha256.update_sub ctx body off len;
+  Sha256.finalize_trunc ctx checksum_bytes
 
-let encode ~tag payload =
+(* Constant-time compare of a stored checksum with a computed one —
+   mirrors [Bytesutil.const_equal] without extracting the stored bytes
+   first. *)
+let checksum_matches buf off digest =
+  let acc = ref 0 in
+  for i = 0 to checksum_bytes - 1 do
+    acc := !acc lor (Char.code (Bytes.get buf (off + i)) lxor Char.code digest.[i])
+  done;
+  !acc = 0
+
+(* Header, checksum and payload in one buffer of the exact size; the
+   checksum hashes the buffer's own header and payload bytes. *)
+let encode_bytes ~tag payload =
   if tag < 0 || tag > 255 then invalid_arg "Frame.encode: tag out of range";
   let len = String.length payload in
   if len > default_max_payload then invalid_arg "Frame.encode: payload too large";
-  let buf = Buffer.create (header_bytes + len) in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf (Char.chr tag);
-  Buffer.add_string buf (Bytesutil.be32 len);
-  Buffer.add_string buf (checksum ~ver:version ~tag ~len payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let b = Bytes.create (header_bytes + len) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_uint8 b 4 version;
+  Bytes.set_uint8 b 5 tag;
+  Bytes.set_int32_be b 6 (Int32.of_int len);
+  Bytes.blit_string payload 0 b header_bytes len;
+  Bytes.blit_string (checksum b 0 b header_bytes len) 0 b 10 checksum_bytes;
+  b
 
-let be32_at s off =
-  let b i = Char.code s.[off + i] in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+let encode ~tag payload = Bytes.unsafe_to_string (encode_bytes ~tag payload)
+
+let be32_bytes b off =
+  let g i = Char.code (Bytes.get b (off + i)) in
+  (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
 
 let decode ?(max_payload = default_max_payload) ?(off = 0) s =
   let avail = String.length s - off in
@@ -71,16 +87,14 @@ let decode ?(max_payload = default_max_payload) ?(off = 0) s =
     if ver <> version then Error (Bad_version ver)
     else begin
       let tag = Char.code s.[off + 5] in
-      let len = be32_at s (off + 6) in
+      (* Read only: the length and checksum are read from [s] in place. *)
+      let b = Bytes.unsafe_of_string s in
+      let len = be32_bytes b (off + 6) in
       if len > max_payload then Error (Oversized len)
       else if avail < header_bytes + len then Error Truncated
-      else begin
-        let stored = String.sub s (off + 10) checksum_bytes in
-        let payload = String.sub s (off + header_bytes) len in
-        if not (Bytesutil.const_equal stored (checksum ~ver ~tag ~len payload)) then
-          Error Bad_checksum
-        else Ok ({ tag; payload }, off + header_bytes + len)
-      end
+      else if not (checksum_matches b (off + 10) (checksum b off b (off + header_bytes) len))
+      then Error Bad_checksum
+      else Ok ({ tag; payload = String.sub s (off + header_bytes) len }, off + header_bytes + len)
     end
   end
 
@@ -91,11 +105,9 @@ let decode ?(max_payload = default_max_payload) ?(off = 0) s =
    read cursor and yields views into the same bytes. The only payload
    copy on the whole receive path is the final [payload_string]
    extraction that hands the bytes to the typed codec — counted, so a
-   test can assert the invariant. Checksums are verified by streaming
-   the arena slices through a SHA-256 context ([Sha256.update_sub]):
-   frame layout puts (version | tag | length) contiguously at offset 4,
-   which is exactly the checksum input's header prefix, so verification
-   allocates nothing but the context. *)
+   test can assert the invariant. Checksums are verified over the
+   arena slices in place ([checksum]), so verification allocates
+   nothing but the context. *)
 module Decoder = struct
   type t = {
     d_max_payload : int;
@@ -174,20 +186,6 @@ module Decoder = struct
     Bytes.blit_string s 0 t.buf t.w n;
     t.w <- t.w + n
 
-  let be32_bytes b off =
-    let g i = Char.code (Bytes.get b (off + i)) in
-    (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
-
-  (* Constant-time compare of the stored checksum (in the arena) with
-     the computed digest — mirrors [Bytesutil.const_equal] without
-     extracting the stored bytes first. *)
-  let checksum_matches buf off digest =
-    let acc = ref 0 in
-    for i = 0 to checksum_bytes - 1 do
-      acc := !acc lor (Char.code (Bytes.get buf (off + i)) lxor Char.code digest.[i])
-    done;
-    !acc = 0
-
   (* Parse one frame at the read cursor. [Ok None] = need more bytes. *)
   let next t =
     let avail = buffered t in
@@ -212,13 +210,8 @@ module Decoder = struct
           if len > t.d_max_payload then Error (Oversized len)
           else if avail < header_bytes + len then Ok None
           else begin
-            let ctx = Sha256.init () in
-            (* (version | tag | length) sit contiguously at offset 4 —
-               the exact checksum header prefix. *)
-            Sha256.update_sub ctx b (off + 4) 6;
-            Sha256.update_sub ctx b (off + header_bytes) len;
-            let digest = Sha256.finalize_trunc ctx checksum_bytes in
-            if not (checksum_matches b (off + 10) digest) then Error Bad_checksum
+            if not (checksum_matches b (off + 10) (checksum b off b (off + header_bytes) len))
+            then Error Bad_checksum
             else begin
               t.r <- off + header_bytes + len;
               t.frames <- t.frames + 1;
@@ -236,7 +229,7 @@ module Decoder = struct
 end
 
 let write fd ~tag payload =
-  let frame = Bytes.of_string (encode ~tag payload) in
+  let frame = encode_bytes ~tag payload in
   let total = Bytes.length frame in
   let rec go off =
     if off < total then begin
@@ -293,14 +286,13 @@ let read_inner ?(max_payload = default_max_payload) ?timeout fd =
   match read_exact fd header 0 header_bytes deadline with
   | Error e -> Error e
   | Ok () ->
-    let h = Bytes.to_string header in
-    if String.sub h 0 4 <> magic then Error Bad_magic
+    if Bytes.sub_string header 0 4 <> magic then Error Bad_magic
     else begin
-      let ver = Char.code h.[4] in
+      let ver = Bytes.get_uint8 header 4 in
       if ver <> version then Error (Bad_version ver)
       else begin
-        let tag = Char.code h.[5] in
-        let len = be32_at h 6 in
+        let tag = Bytes.get_uint8 header 5 in
+        let len = be32_bytes header 6 in
         if len > max_payload then Error (Oversized len)
         else begin
           let payload = Bytes.create len in
@@ -308,11 +300,11 @@ let read_inner ?(max_payload = default_max_payload) ?timeout fd =
           | Error Closed -> Error Truncated
           | Error e -> Error e
           | Ok () ->
-            let payload = Bytes.to_string payload in
-            let stored = String.sub h 10 checksum_bytes in
-            if not (Bytesutil.const_equal stored (checksum ~ver ~tag ~len payload)) then
+            if not (checksum_matches header 10 (checksum header 0 payload 0 len)) then
               Error Bad_checksum
-            else Ok { tag; payload }
+            else
+              (* [payload] is fresh and never written again. *)
+              Ok { tag; payload = Bytes.unsafe_to_string payload }
         end
       end
     end

@@ -185,11 +185,12 @@ let journal t ~tag payload =
   | None -> ()
   | Some store -> ignore (Store.append store ~tag payload)
 
-(* A request is encoded only when there is a store to write it to. *)
+(* A request is encoded only when there is a store to write it to, and
+   then streamed into the log: a Build's shipment is never copied. *)
 let journal_request t ~tag req =
   match t.store with
   | None -> ()
-  | Some store -> ignore (Store.append store ~tag (Wire.encode_request req))
+  | Some store -> ignore (Store.append_sized store ~tag (Wire.request_sized req))
 
 let user_address t b client =
   match Hashtbl.find_opt t.users client with

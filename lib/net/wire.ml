@@ -264,22 +264,25 @@ let status_of_pieces = function
 
 (* [trace] appends the optional trailing context piece. *)
 let trace_pieces = function None -> [] | Some w -> [ trace_to_bytes w ]
-let with_trace_piece base trace = Bytesutil.concat (base @ trace_pieces trace)
 
-(* Build and Insert write their shipment in place, so the request is
-   one buffer of the exact size with no intermediate shipment copy. *)
-let with_shipment before shipment after trace =
+(* Build and Insert stream their shipment and trapdoor state from the
+   owner's own strings: neither the encoder's buffer nor the journal's
+   record holds an intermediate copy of either. *)
+let request_sized req =
   let strings = List.map Bytesutil.sized_string in
-  Bytesutil.sized_to_string
-    (Bytesutil.sized_concat
-       (strings before @ (Persist.shipment_sized shipment :: strings (after @ trace_pieces trace))))
-
-let encode_request = function
-  | Hello { client; proto } -> Bytesutil.concat [ "hello"; client; string_of_int proto ]
+  let message pieces = Bytesutil.sized_concat (strings pieces) in
+  let with_shipment before shipment trapdoor trace =
+    Bytesutil.sized_concat
+      (strings before
+       @ [ Persist.shipment_sized shipment; Persist.trapdoor_state_sized trapdoor ]
+       @ strings (trace_pieces trace))
+  in
+  match req with
+  | Hello { client; proto } -> message [ "hello"; client; string_of_int proto ]
   | Search { client; request_id; batched; tokens; trace } ->
-    with_trace_piece
-      [ "search"; client; request_id; bool_tag batched; Persist.tokens_to_bytes tokens ]
-      trace
+    message
+      ([ "search"; client; request_id; bool_tag batched; Persist.tokens_to_bytes tokens ]
+       @ trace_pieces trace)
   | Build { client; request_id; width; payment; acc; tdp_n; tdp_e; user_k; user_k_r;
             shipment; trapdoor; trace } ->
     with_shipment
@@ -287,18 +290,19 @@ let encode_request = function
         Bigint.to_bytes_be acc.Rsa_acc.modulus; Bigint.to_bytes_be acc.Rsa_acc.generator;
         Bigint.to_bytes_be tdp_n; Bigint.to_bytes_be tdp_e;
         user_k; user_k_r ]
-      shipment [ Persist.trapdoor_state_to_bytes trapdoor ] trace
+      shipment trapdoor trace
   | Insert { client; request_id; shipment; trapdoor; trace } ->
-    with_shipment [ "insert"; client; request_id ] shipment
-      [ Persist.trapdoor_state_to_bytes trapdoor ] trace
-  | Receipt { client; request_id } -> Bytesutil.concat [ "receipt"; client; request_id ]
+    with_shipment [ "insert"; client; request_id ] shipment trapdoor trace
+  | Receipt { client; request_id } -> message [ "receipt"; client; request_id ]
   | Dispute { client; request_id; shard; claims_blob; batch_witness } ->
-    Bytesutil.concat
+    message
       [ "dispute"; client; request_id; string_of_int shard; claims_blob;
         opt_bigint_to_bytes batch_witness ]
-  | Ping -> Bytesutil.concat [ "ping" ]
-  | Stats -> Bytesutil.concat [ "stats" ]
-  | Traces -> Bytesutil.concat [ "traces" ]
+  | Ping -> message [ "ping" ]
+  | Stats -> message [ "stats" ]
+  | Traces -> message [ "traces" ]
+
+let encode_request req = Bytesutil.sized_to_string (request_sized req)
 
 let decode_search ~trace client request_id batched tokens_blob =
   let* batched = bool_of_tag batched in

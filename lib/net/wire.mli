@@ -166,6 +166,11 @@ type response =
           path; it never answers bad input with silence or a crash. *)
 
 val encode_request : request -> string
+
+val request_sized : request -> Bytesutil.sized
+(** The {!encode_request} bytes as a streamed encoding: what the
+    service journals, with no copy of the request in memory. *)
+
 val decode_request : string -> request option
 
 val encode_response : response -> string

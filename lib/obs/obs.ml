@@ -391,18 +391,23 @@ let span name f =
 
 external page_size : unit -> int = "slicer_page_size" [@@noalloc]
 
-(* Resident pages: the second field of /proc/self/statm. *)
+(* Resident pages: the second field of /proc/self/statm, read with one
+   read(2) into a small buffer. A channel would malloc 64 KiB on every
+   scrape, in the arena of the worker serving it. *)
 let resident_pages () =
-  match open_in "/proc/self/statm" with
-  | exception Sys_error _ -> None
-  | ic ->
+  match Unix.openfile "/proc/self/statm" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
     Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        match String.split_on_char ' ' (input_line ic) with
-        | _ :: resident :: _ -> int_of_string_opt resident
-        | _ -> None
-        | exception End_of_file -> None)
+        let buf = Bytes.create 160 in
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | exception Unix.Unix_error _ -> None
+        | n ->
+          (match String.split_on_char ' ' (Bytes.sub_string buf 0 n) with
+           | _ :: resident :: _ -> int_of_string_opt resident
+           | _ -> None))
 
 (* The gauges are registered by the first sample, so a process that
    never sampled exports none of them, and a host without procfs no

@@ -23,6 +23,8 @@ let write_fully fd s =
     off := !off + Unix.write_substring fd s !off (len - !off)
   done
 
+let header_bytes = 5 + 8 + 4 + 4 (* magic, seq, len, crc *)
+
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
   | dfd ->
@@ -56,26 +58,26 @@ let prune ~dir =
         try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
     (listing dir)
 
+(* The CRC runs over the header's seq field and then the payload where
+   it lies, and the two are written one after the other: the payload is
+   never copied. *)
 let write ~dir ~seq ~fsync payload =
   let final = path_of ~dir ~seq in
   let tmp = final ^ ".tmp" in
-  let body =
-    String.concat ""
-      [
-        magic;
-        Bytesutil.be64 seq;
-        Bytesutil.be32 (String.length payload);
-        Bytesutil.be32 (Crc32.string (Bytesutil.be64 seq ^ payload));
-        payload;
-      ]
-  in
+  let len = String.length payload and seq_be = Bytesutil.be64 seq in
+  let header = Bytes.create header_bytes in
+  Bytes.blit_string magic 0 header 0 5;
+  Bytes.blit_string seq_be 0 header 5 8;
+  Bytes.set_int32_be header 13 (Int32.of_int len);
+  Bytes.set_int32_be header 17 (Int32.of_int (Crc32.update (Crc32.string seq_be) payload 0 len));
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
   in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      write_fully fd body;
+      write_fully fd (Bytes.unsafe_to_string header);
+      write_fully fd payload;
       if fsync then Unix.fsync fd);
   Unix.rename tmp final;
   if fsync then fsync_dir dir;
@@ -90,7 +92,7 @@ let load_one path =
   with
   | exception (Sys_error _ | End_of_file) -> None
   | body ->
-    let hdr = 5 + 8 + 4 + 4 in
+    let hdr = header_bytes in
     if String.length body < hdr || String.sub body 0 5 <> magic then None
     else begin
       let seq =
@@ -100,10 +102,8 @@ let load_one path =
       let len = get_be32 body 13 in
       let crc = get_be32 body 17 in
       if String.length body <> hdr + len then None
-      else
-        let payload = String.sub body hdr len in
-        if Crc32.string (Bytesutil.be64 seq ^ payload) <> crc then None
-        else Some (seq, payload)
+      else if Crc32.update (Crc32.update 0 body 5 8) body hdr len <> crc then None
+      else Some (seq, String.sub body hdr len)
     end
 
 let load_newest ~dir =

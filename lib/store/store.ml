@@ -88,16 +88,18 @@ let open_ cfg =
   in
   (t, { rc_snapshot; rc_events; rc_dropped_tail = dropped })
 
-let append t ~tag payload =
+let append_sized t ~tag payload =
   let t0 = Obs.Clock.now_ns () in
-  let seq = Wal.append t.wal ~tag payload in
+  let seq = Wal.append_sized t.wal ~tag payload in
   Obs.Histogram.record append_h (Obs.Clock.now_ns () - t0);
   Obs.Counter.incr records_c;
-  Obs.Counter.add bytes_c (String.length payload);
+  Obs.Counter.add bytes_c payload.Bytesutil.size;
   Obs.Gauge.set wal_size_g (Wal.size t.wal);
   t.last <- max t.last seq;
   t.empty <- false;
   seq
+
+let append t ~tag payload = append_sized t ~tag (Bytesutil.sized_string payload)
 
 let sync t =
   let t0 = Obs.Clock.now_ns () in

@@ -51,6 +51,10 @@ val open_ : config -> t * recovery
     each other's WAL tail at recovery. @raise Locked when another
     process holds the lock. *)
 
+val append_sized : t -> tag:int -> Bytesutil.sized -> int
+(** {!Wal.append_sized}: journal a streamed encoding without a copy of
+    it in memory. *)
+
 val append : t -> tag:int -> string -> int
 val sync : t -> unit
 

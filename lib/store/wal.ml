@@ -4,6 +4,7 @@ type t = {
   fd : Unix.file_descr;
   fsync : bool;
   mutex : Mutex.t;
+  scratch : Bytes.t; (* a record's bytes pass through here, under [mutex] *)
   cond : Condition.t;
   mutable next_seq : int;
   mutable written : int; (* bytes handed to write(2) *)
@@ -26,14 +27,7 @@ let get_be64 s pos =
 
 let header_bytes = 8 (* len + crc *)
 let body_overhead = 9 (* seq + tag *)
-
-let encode ~seq ~tag payload =
-  if tag < 0 || tag > 0xFF then invalid_arg "Wal.append: tag out of range";
-  let body =
-    String.concat "" [ Bytesutil.be64 seq; String.make 1 (Char.chr tag); payload ]
-  in
-  String.concat ""
-    [ Bytesutil.be32 (String.length body); Bytesutil.be32 (Crc32.string body); body ]
+let scratch_bytes = 64 * 1024
 
 (* Scan a raw log image. Stops — and reports the stop offset — at the
    first record that is torn (length overruns the file), corrupt (CRC
@@ -85,7 +79,7 @@ let read_all fd =
        off := !off + n
      done
    with Exit -> ());
-  Bytes.sub_string buf 0 !off
+  if !off = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 !off
 
 let open_ ~path ~fsync =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
@@ -104,6 +98,7 @@ let open_ ~path ~fsync =
       fd;
       fsync;
       mutex = Mutex.create ();
+      scratch = Bytes.create scratch_bytes;
       cond = Condition.create ();
       next_seq;
       written = valid_len;
@@ -115,26 +110,59 @@ let open_ ~path ~fsync =
   in
   (t, events, dropped)
 
-let write_fully fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
+(* [write] is [Unix.write] or [Unix.write_substring]. *)
+let rec write_fully write fd buf off len =
+  if len > 0 then begin
+    let n = write fd buf off len in
+    write_fully write fd buf (off + n) (len - n)
+  end
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let append t ~tag payload =
+(* A record is never whole in memory. The first emission of the
+   payload computes the CRC over seq ‖ tag ‖ payload; the second
+   streams header, prefix and payload through the scratch, which is
+   written out whenever the next piece would overflow it. A piece as
+   large as the scratch is written from where it lies. *)
+let append_sized t ~tag (payload : Bytesutil.sized) =
+  if tag < 0 || tag > 0xFF then invalid_arg "Wal.append: tag out of range";
   locked t (fun () ->
       if t.closed then invalid_arg "Wal.append: closed";
       let seq = t.next_seq in
-      let record = encode ~seq ~tag payload in
-      write_fully t.fd record;
+      let prefix = Bytes.create body_overhead in
+      Bytes.set_int64_be prefix 0 (Int64.of_int seq);
+      Bytes.set_uint8 prefix 8 tag;
+      let prefix = Bytes.unsafe_to_string prefix in
+      let crc = ref (Crc32.string prefix) and emitted = ref 0 in
+      payload.emit (fun s off len ->
+          crc := Crc32.update !crc s off len;
+          emitted := !emitted + len);
+      if !emitted <> payload.size then invalid_arg "Wal.append: emitted size mismatch";
+      let body_len = body_overhead + payload.size in
+      let b = t.scratch in
+      Bytes.set_int32_be b 0 (Int32.of_int body_len);
+      Bytes.set_int32_be b 4 (Int32.of_int !crc);
+      Bytes.blit_string prefix 0 b header_bytes body_overhead;
+      let fill = ref (header_bytes + body_overhead) in
+      let flush () =
+        write_fully Unix.write t.fd b 0 !fill;
+        fill := 0
+      in
+      payload.emit (fun s off len ->
+          if !fill + len > scratch_bytes then flush ();
+          if len >= scratch_bytes then write_fully Unix.write_substring t.fd s off len
+          else begin
+            Bytes.blit_string s off b !fill len;
+            fill := !fill + len
+          end);
+      flush ();
       t.next_seq <- seq + 1;
-      t.written <- t.written + String.length record;
+      t.written <- t.written + header_bytes + body_len;
       seq)
+
+let append t ~tag payload = append_sized t ~tag (Bytesutil.sized_string payload)
 
 let sync t =
   if t.fsync then begin

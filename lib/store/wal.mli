@@ -34,9 +34,16 @@ val open_ : path:string -> fsync:bool -> t * event list * bool
     tail was discarded. With [fsync:false], {!sync} is a no-op —
     bench/test mode only. *)
 
-val append : t -> tag:int -> string -> int
+val append_sized : t -> tag:int -> Bytesutil.sized -> int
 (** Append one record ([tag] in [0, 255]) and return its sequence
-    number. Thread-safe; does {e not} sync. *)
+    number. Thread-safe; does {e not} sync. The payload is emitted
+    twice under the log's mutex, once for the CRC and once through a
+    64 KiB scratch the log owns, so no buffer of the whole record is
+    ever made. @raise Invalid_argument when the emitted pieces do not
+    add up to [size] (nothing is written then). *)
+
+val append : t -> tag:int -> string -> int
+(** {!append_sized} of a string. *)
 
 val sync : t -> unit
 (** Block until everything appended before this call is on disk. *)

@@ -111,6 +111,41 @@ let test_frame_length_lies () =
    | Ok _ -> Alcotest.fail "short-length frame parsed"
    | Error e -> Alcotest.failf "expected Bad_checksum, got %s" (Net.Frame.error_to_string e))
 
+(* The frame layout spelled out with plain concatenation: the encoder
+   writes it into one buffer and hashes it in place, and must produce
+   exactly these bytes. *)
+let reference_frame ~tag payload =
+  let fields =
+    String.concat ""
+      [ "\x01"; String.make 1 (Char.chr tag); Bytesutil.be32 (String.length payload) ]
+  in
+  String.concat "" [ "SLNP"; fields; String.sub (Sha256.digest (fields ^ payload)) 0 8; payload ]
+
+let frame_reference_props =
+  [ prop "encode matches the reference encoder" ~count:60
+      QCheck2.Gen.(triple (int_range 0 255) (int_range 0 70_000) int)
+      (fun (tag, len, seed) ->
+        let st = Random.State.make [| seed |] in
+        let payload = String.init len (fun _ -> Char.chr (Random.State.int st 256)) in
+        Net.Frame.encode ~tag payload = reference_frame ~tag payload) ]
+
+(* A Build-sized frame (487 KB) through a socketpair: the writer blocks
+   until the reader drains it, so each side runs on its own thread. *)
+let test_frame_read_large () =
+  let payload = String.init 487_000 (fun i -> Char.chr (((i * 7) + (i / 997)) land 0xff)) in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close a; Unix.close b)
+    (fun () ->
+      let writer = Thread.create (fun () -> Net.Frame.write a ~tag:9 payload) () in
+      let got = Net.Frame.read ~timeout:20. b in
+      Thread.join writer;
+      match got with
+      | Ok msg ->
+        Alcotest.(check int) "tag" 9 msg.Net.Frame.tag;
+        Alcotest.(check bool) "payload" true (msg.Net.Frame.payload = payload)
+      | Error e -> Alcotest.failf "read: %s" (Net.Frame.error_to_string e))
+
 let sample_payloads =
   [ ""; "a"; "some payload bytes"; String.make 300 '\x17'; "trailing \x00\x01\x02" ]
 
@@ -1585,6 +1620,76 @@ let test_old_snapshot_layouts_refused () =
        Bytesutil.concat (("slicer-service-built-v2" :: state) @ [ witness ]));
       ("slicer-service-built-v1", Bytesutil.concat ("slicer-service-built-v1" :: state)) ]
 
+(* The WAL's bytes after a seeded durable sequence — Build, Register,
+   a Search into an open settle batch, Insert, a forced flush — and the
+   snapshot that recovery then re-anchors on, both hashed on the commit
+   before records were streamed from the request's encoding: neither
+   may move one byte. *)
+let test_wal_and_snapshot_golden () =
+  let dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+  let settle =
+    { Settle_batch.sb_size = 64; sb_window_ms = 1e9; sb_deposit = 100_000;
+      sb_dispute_blocks = 3 }
+  in
+  let rng, keys, acc_params, owner, _records, shipment = durable_owner "wal-golden" in
+  let svc =
+    match Net.Service.recover ~settle cfg with
+    | Ok (svc, _) -> svc
+    | Error e -> Alcotest.failf "initial recover: %s" e
+  in
+  let accepted what = function
+    | Wire.Accepted _ -> ()
+    | _ -> Alcotest.failf "%s refused" what
+  in
+  accepted "build"
+    (Net.Service.handle svc
+       (Wire.Build
+          { client = "wal-owner"; request_id = "wal#1"; width; payment = 500; acc = acc_params;
+            tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn; tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+            user_k = (Keys.for_user keys).Keys.u_k; user_k_r = (Keys.for_user keys).Keys.u_k_r;
+            shipment; trapdoor = Owner.export_trapdoor_state owner; trace = None }));
+  let user =
+    match
+      Net.Service.handle svc (Wire.Hello { client = "wal-user"; proto = Wire.proto_version })
+    with
+    | Wire.Welcome p ->
+      User.create ~keys:p.Wire.pv_user_keys ~width:p.Wire.pv_width p.Wire.pv_trapdoor
+    | _ -> Alcotest.fail "hello refused"
+  in
+  (match
+     Net.Service.handle svc
+       (Wire.Search
+          { client = "wal-user"; request_id = "wal-user#1"; batched = false;
+            tokens = User.gen_tokens ~rng user (q 30 Slicer_types.Lt); trace = None })
+   with
+   | Wire.Found _ -> ()
+   | _ -> Alcotest.fail "search refused");
+  accepted "insert"
+    (Net.Service.handle svc
+       (Wire.Insert
+          { client = "wal-owner"; request_id = "wal#2";
+            shipment = Owner.insert owner [ Slicer_types.record_of_value "wal-new" 3 ];
+            trapdoor = Owner.export_trapdoor_state owner; trace = None }));
+  Net.Service.settle_flush svc;
+  Option.iter Store.close (Net.Service.store svc);
+  let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
+  let wal = read "wal.log" in
+  Alcotest.(check int) "wal.log size" 21437 (String.length wal);
+  Alcotest.(check string) "wal.log sha-256"
+    "ffec9562dc5798432e507d3d9d112d0b513dc2879c6328ab8079898aa73b8c3e" (Sha256.digest_hex wal);
+  match Net.Service.recover ~settle cfg with
+  | Error e -> Alcotest.failf "recover: %s" e
+  | Ok (svc, stats) ->
+    Option.iter Store.close (Net.Service.store svc);
+    Alcotest.(check int) "every record replayed" 5 stats.Net.Service.rs_replayed;
+    (* Recovery re-anchors on a snapshot at the last record's seq. *)
+    let snap = read "snap-5.bin" in
+    Alcotest.(check int) "snapshot size" 15879 (String.length snap);
+    Alcotest.(check string) "snapshot sha-256"
+      "79e580d92180285d11a896dd1c4ddadeafe078c0a4dd3963784d6d55f7c40854" (Sha256.digest_hex snap)
+
 (* The real thing: a separate slicer-server process, killed with
    SIGKILL mid-load, recovered from its state directory. *)
 
@@ -2062,8 +2167,10 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "stream decoding" `Quick test_frame_stream;
           Alcotest.test_case "limits" `Quick test_frame_limits;
-          Alcotest.test_case "length lies" `Quick test_frame_length_lies ]
-        @ frame_corruption_props );
+          Alcotest.test_case "length lies" `Quick test_frame_length_lies;
+          Alcotest.test_case "a Build-sized frame over a socketpair" `Quick
+            test_frame_read_large ]
+        @ frame_reference_props @ frame_corruption_props );
       ( "wire",
         [ Alcotest.test_case "request roundtrips" `Quick test_request_roundtrips;
           Alcotest.test_case "response roundtrips" `Quick test_response_roundtrips;
@@ -2117,6 +2224,8 @@ let () =
             test_witness_index_survives_restart;
           Alcotest.test_case "old snapshot layouts are refused" `Quick
             test_old_snapshot_layouts_refused;
+          Alcotest.test_case "WAL and snapshot bytes golden" `Quick
+            test_wal_and_snapshot_golden;
           Alcotest.test_case "SIGKILL mid-load, recover, serve again" `Quick
             test_sigkill_mid_load_recovers;
           Alcotest.test_case "second server on a live state dir is refused" `Quick

@@ -164,6 +164,15 @@ let test_histogram_memory_follows_use () =
   at_most "after a record from a second domain" 8192;
   Alcotest.(check int) "both records counted" 2 (Obs.Histogram.snapshot h).Obs.Histogram.sn_count
 
+(* A sample reads the resident set from procfs without a channel, and
+   still sets the gauge (where the host has /proc). *)
+let test_sample_memory_sets_resident () =
+  Obs.sample_memory ();
+  let gauge name = Obs.Gauge.value (Obs.gauge name) in
+  Alcotest.(check bool) "major heap gauge" true (gauge "slicer_ocaml_major_heap_bytes" > 0);
+  if Sys.file_exists "/proc/self/statm" then
+    Alcotest.(check bool) "resident set gauge" true (gauge "slicer_process_resident_bytes" > 0)
+
 (* --- spans ------------------------------------------------------------- *)
 
 (* Spans land in the process-global default registry; reach the same
@@ -247,7 +256,9 @@ let () =
         [ Alcotest.test_case "4 domains, exact totals" `Quick test_parallel_totals_exact ] );
       ( "memory",
         [ Alcotest.test_case "histogram storage follows recording domains" `Quick
-            test_histogram_memory_follows_use ] );
+            test_histogram_memory_follows_use;
+          Alcotest.test_case "a sample sets the resident set gauge" `Quick
+            test_sample_memory_sets_resident ] );
       ( "spans",
         [ Alcotest.test_case "records and returns" `Quick test_span_records;
           Alcotest.test_case "records on raise" `Quick test_span_records_on_raise;

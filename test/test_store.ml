@@ -84,6 +84,56 @@ let crc_props =
         let chunked = Crc32.update (Crc32.update 0 s 0 cut) s cut (n - cut) in
         chunked = Crc32.string s) ]
 
+(* A streamed encoding's pieces, emitted once or twice, concatenate to
+   its string form, and a CRC run piece by piece over them equals the
+   one-shot CRC: the WAL's first pass over a payload is its CRC. The
+   [Slice] leaves emit views at an offset into a larger string, as a
+   shipment's packed records do. *)
+type tree = Leaf of string | Slice of string * int | Node of tree list
+
+let gen_tree =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [ map (fun s -> Leaf s) (string_size (int_range 0 40));
+        map2 (fun s cut -> Slice (s, cut mod (String.length s + 1)))
+          (string_size (int_range 0 40)) nat ]
+  in
+  sized_size (int_range 0 64)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else oneof [ leaf; map (fun l -> Node l) (list_size (int_range 0 4) (self (n / 2))) ])
+
+let rec sized_of = function
+  | Leaf s -> Bytesutil.sized_string s
+  | Slice (s, off) ->
+    let len = String.length s - off in
+    { Bytesutil.size = len; emit = (fun sink -> sink s off len) }
+  | Node l -> Bytesutil.sized_concat (List.map sized_of l)
+
+let rec reference = function
+  | Leaf s -> s
+  | Slice (s, off) -> String.sub s off (String.length s - off)
+  | Node l -> Bytesutil.concat (List.map reference l)
+
+let streamed_props =
+  [ prop "streamed pieces concatenate and checksum piecewise" ~count:300 gen_tree (fun t ->
+        let sized = sized_of t in
+        let pieces () =
+          let acc = ref [] in
+          sized.Bytesutil.emit (fun s off len -> acc := String.sub s off len :: !acc);
+          List.rev !acc
+        in
+        let once = pieces () in
+        let whole = Bytesutil.sized_to_string sized in
+        let crc = ref 0 in
+        sized.Bytesutil.emit (fun s off len -> crc := Crc32.update !crc s off len);
+        pieces () = once
+        && String.concat "" once = whole
+        && whole = reference t
+        && sized.Bytesutil.size = String.length whole
+        && !crc = Crc32.string whole) ]
+
 (* --- wal --------------------------------------------------------------------- *)
 
 let wal_events =
@@ -114,6 +164,40 @@ let test_wal_roundtrip () =
       let seq = Wal.append wal2 ~tag:9 "more" in
       Alcotest.(check int) "sequence continues" (List.length wal_events + 1) seq;
       Wal.close wal2)
+
+(* Records stream through the log's 64 KiB scratch: pieces that fill
+   it exactly, overflow it, or are larger than it (written from where
+   they lie) must give the same bytes as the layout written out whole. *)
+let test_wal_scratch_boundaries () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let path = Filename.concat dir "wal.log" in
+      let wal, _, _ = Wal.open_ ~path ~fsync:false in
+      let scratch = 64 * 1024 in
+      let text n = String.init n (fun i -> Char.chr ((i * 31) land 0xff)) in
+      let payloads =
+        [ Bytesutil.sized_string "";
+          Bytesutil.sized_string (text (scratch - 17));
+          Bytesutil.sized_string (text scratch);
+          Bytesutil.sized_concat
+            [ Bytesutil.sized_string (text 10); Bytesutil.sized_string (text (3 * scratch)) ];
+          Bytesutil.sized_concat
+            (List.init 9000 (fun i -> Bytesutil.sized_string (text (i mod 40)))) ]
+      in
+      List.iteri (fun i p -> ignore (Wal.append_sized wal ~tag:(i + 1) p)) payloads;
+      Wal.close wal;
+      let record seq tag payload =
+        let body = String.concat "" [ Bytesutil.be64 seq; String.make 1 (Char.chr tag); payload ] in
+        String.concat ""
+          [ Bytesutil.be32 (String.length body); Bytesutil.be32 (Crc32.string body); body ]
+      in
+      let expected =
+        String.concat ""
+          (List.mapi (fun i p -> record (i + 1) (i + 1) (Bytesutil.sized_to_string p)) payloads)
+      in
+      let file = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check int) "log size" (String.length expected) (String.length file);
+      Alcotest.(check bool) "log bytes" true (file = expected))
 
 let test_wal_reset () =
   with_dir (fun dir ->
@@ -235,6 +319,24 @@ let test_snapfile_generations () =
         (Snapfile.load_newest ~dir);
       Snapfile.wipe ~dir;
       Alcotest.(check bool) "wiped" true (Snapfile.load_newest ~dir = None))
+
+(* A snapshot file's bytes for a fixed payload, hashed on the commit
+   before the header and payload were written apart: the layout and
+   its CRC must not move. *)
+let test_snapfile_golden () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let payload = String.init 100_000 (fun i -> Char.chr (((i * 131) + (i / 256)) land 0xff)) in
+      Snapfile.write ~dir ~seq:7 ~fsync:false payload;
+      let file =
+        In_channel.with_open_bin (Filename.concat dir "snap-7.bin") In_channel.input_all
+      in
+      Alcotest.(check int) "file size" 100_021 (String.length file);
+      Alcotest.(check string) "file sha-256"
+        "5e8d91557279b4a87b87943ea7815c736b59dda8b67e38c72d22f6d06e5fa226"
+        (Sha256.digest_hex file);
+      Alcotest.(check (option (pair int string)))
+        "loads back" (Some (7, payload)) (Snapfile.load_newest ~dir))
 
 (* --- store: recovery semantics ----------------------------------------------- *)
 
@@ -385,15 +487,76 @@ let store_crash_props =
             && rc1.Store.rc_snapshot = rc2.Store.rc_snapshot
             && not rc2.Store.rc_dropped_tail)) ]
 
+(* --- the journal path ---------------------------------------------------------- *)
+
+(* Journaling a Build streams the request's encoding into the log
+   through the log's 64 KiB scratch, so the append allocates no buffer
+   of the request's size. A buffer that large goes straight to the major
+   heap, so the bound is on words allocated there directly: major words
+   less those promoted from the minor heap, which count the short-lived
+   encoding tree only when a minor collection happens to fall inside
+   the append. The request has perfbench's shape: 1,000 width-8
+   records, 9,000 entries, 485,694 bytes (60,712 words). This case
+   reads at most 914 words (the append histogram's first shard).
+   Encoding the request and appending the string, as the journal did
+   before, read 191,588: the request, the WAL's body and its record,
+   and the trapdoor state's string. *)
+let journal_major_words_bound = 10_000
+
+let test_journal_allocation () =
+  let rng = Drbg.create ~seed:"journal-alloc" in
+  let keys = Keys.generate ~tdp_bits:512 ~rng () in
+  let acc_params = Rsa_acc.setup ~rng ~bits:512 () in
+  let owner = Owner.create ~width:8 ~rng ~acc_params ~keys () in
+  let shipment = Owner.build owner (Gen.uniform_records ~rng ~width:8 1000) in
+  let user = Keys.for_user keys in
+  let req =
+    Net.Wire.Build
+      { client = "owner"; request_id = "owner#1"; width = 8; payment = 1000; acc = acc_params;
+        tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn; tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+        user_k = user.Keys.u_k; user_k_r = user.Keys.u_k_r; shipment;
+        trapdoor = Owner.export_trapdoor_state owner; trace = None }
+  in
+  with_dir (fun dir ->
+      let store, _ = Store.open_ (store_cfg dir) in
+      let direct () =
+        let st = Gc.quick_stat () in
+        st.Gc.major_words -. st.Gc.promoted_words
+      in
+      Gc.full_major ();
+      let before = direct () in
+      ignore (Store.append_sized store ~tag:2 (Net.Wire.request_sized req));
+      let words = int_of_float (direct () -. before) in
+      Store.close store;
+      let store, rc = Store.open_ (store_cfg dir) in
+      Store.close store;
+      (match rc.Store.rc_events with
+       | [ e ] ->
+         Alcotest.(check bool) "the record is the request's encoding" true
+           (e.Store.ev_tag = 2 && e.Store.ev_payload = Net.Wire.encode_request req)
+       | evs -> Alcotest.failf "%d records recovered" (List.length evs));
+      if words > journal_major_words_bound then
+        Alcotest.failf "journaling the Build allocated %d words in the major heap (bound %d)" words
+          journal_major_words_bound)
+
 let () =
   Alcotest.run "store"
-    [ ("crc32", Alcotest.test_case "check value" `Quick test_crc_check_value :: crc_props);
+    [ ( "crc32",
+        (Alcotest.test_case "check value" `Quick test_crc_check_value :: crc_props)
+        @ streamed_props );
       ( "wal",
         [ Alcotest.test_case "append, sync, reopen" `Quick test_wal_roundtrip;
+          Alcotest.test_case "records across the scratch's edges" `Quick
+            test_wal_scratch_boundaries;
           Alcotest.test_case "reset renumbers" `Quick test_wal_reset;
           Alcotest.test_case "group commit under contention" `Quick test_wal_group_commit ]
         @ wal_corruption_props );
-      ("snapshots", [ Alcotest.test_case "generations and fallback" `Quick test_snapfile_generations ]);
+      ( "snapshots",
+        [ Alcotest.test_case "generations and fallback" `Quick test_snapfile_generations;
+          Alcotest.test_case "file bytes golden" `Quick test_snapfile_golden ] );
+      ( "journal",
+        [ Alcotest.test_case "a journaled Build is never copied whole" `Quick
+            test_journal_allocation ] );
       ( "recovery",
         [ Alcotest.test_case "snapshot + tail roundtrip" `Quick test_store_roundtrip;
           Alcotest.test_case "snapshot threshold" `Quick test_store_snapshot_threshold;
