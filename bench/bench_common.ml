@@ -48,34 +48,6 @@ let scale_of_label = function
   | "full" -> Some full_scale
   | _ -> None
 
-(* --conns N: fig_load's high-connection-count mode. 0 (the default)
-   skips the swarm phase entirely. *)
-let conns : int ref = ref 0
-
-(* --shards N: fig_load's cluster mode — boot N slicer-server shard
-   processes behind an in-process router and measure through it,
-   comparing against a 1-shard cluster baseline. 0 (the default) keeps
-   the classic single in-process server. *)
-let shards : int ref = ref 0
-
-(* --server-exe PATH: the slicer-server binary the cluster mode boots;
-   empty means "next to this benchmark's own executable tree". *)
-let server_exe : string ref = ref ""
-
-(* --trace-compare: fig_load's single-server mode re-runs the measured
-   fleet with every request traced (sample rate 1) and reports the
-   throughput ratio against the untraced baseline. *)
-let trace_compare : bool ref = ref false
-
-(* --trace-slow-ms N: fig_load's cluster mode arms the slow-query trace
-   threshold on the router and on every spawned shard process, then
-   scrapes and reassembles one probe search's cross-process tree. *)
-let trace_slow_ms : float option ref = ref None
-
-(* --trace-chrome FILE: where the cluster trace probe writes its Chrome
-   trace_event JSON; empty skips the file. *)
-let trace_chrome : string ref = ref ""
-
 (* --- machine-readable output (--json FILE) ------------------------------ *)
 
 (* Figure modules call [json_row] for every measured point; [write_json]
@@ -86,7 +58,7 @@ let json_rows : string list ref = ref []
 
 (* Figures measured by this run: [write_json] replaces their rows in an
    existing output file and keeps everything else, so one BENCH file
-   can accumulate load + micro + witness rows across separate runs. *)
+   can accumulate micro + witness rows across separate runs. *)
 let emitted_figures : (string, unit) Hashtbl.t = Hashtbl.create 8
 
 let json_escape s =

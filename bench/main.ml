@@ -5,7 +5,7 @@
    micro-suite. Individual targets:
 
      dune exec bench/main.exe -- fig3 | fig4 | fig5 | fig6 | fig7
-     dune exec bench/main.exe -- table1 | table2 | ablation | micro | load
+     dune exec bench/main.exe -- table1 | table2 | ablation | micro | tail
      dune exec bench/main.exe -- --scale smoke|default|full
      dune exec bench/main.exe -- --full            (alias: --scale full)
      dune exec bench/main.exe -- --domains 4       (ADS work on 4 domains)
@@ -17,9 +17,7 @@
 let usage () =
   print_endline
     "usage: main.exe [--scale smoke|default|full] [--full] [--domains N] [--json FILE]\n\
-    \       [--conns N] [--shards N] [--server-exe PATH]\n\
-    \       [--trace-compare] [--trace-slow-ms N] [--trace-chrome FILE]\n\
-    \       [fig3|fig4|fig5|fig6|fig7|table1|table2|ablation|micro|load|recover|witness|settle|all]";
+    \       [fig3|fig4|fig5|fig6|fig7|table1|table2|ablation|micro|tail|recover|witness|settle|all]";
   exit 1
 
 let () =
@@ -42,30 +40,6 @@ let () =
        | Some d when d >= 1 -> Parallel.set_domains d
        | _ -> Printf.printf "--domains expects a positive integer, got %S\n" n; usage ());
       parse rest
-    | "--conns" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some c when c >= 0 -> Bench_common.conns := c
-       | _ -> Printf.printf "--conns expects a non-negative integer, got %S\n" n; usage ());
-      parse rest
-    | "--shards" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some s when s >= 1 -> Bench_common.shards := s
-       | _ -> Printf.printf "--shards expects a positive integer, got %S\n" n; usage ());
-      parse rest
-    | "--server-exe" :: path :: rest ->
-      Bench_common.server_exe := path;
-      parse rest
-    | "--trace-compare" :: rest ->
-      Bench_common.trace_compare := true;
-      parse rest
-    | "--trace-slow-ms" :: n :: rest ->
-      (match float_of_string_opt n with
-       | Some ms when ms >= 0. -> Bench_common.trace_slow_ms := Some ms
-       | _ -> Printf.printf "--trace-slow-ms expects a non-negative number, got %S\n" n; usage ());
-      parse rest
-    | "--trace-chrome" :: path :: rest ->
-      Bench_common.trace_chrome := path;
-      parse rest
     | "--json" :: path :: rest ->
       (* Fail on an unwritable path now, not after an hour of measuring
          — without truncating it: earlier runs' rows merge at the end. *)
@@ -75,8 +49,7 @@ let () =
        | exception Sys_error msg -> Printf.printf "--json: %s\n" msg; usage ());
       json_path := Some path;
       parse rest
-    | ("--scale" | "--domains" | "--json" | "--conns" | "--shards" | "--server-exe"
-      | "--trace-slow-ms" | "--trace-chrome") :: [] ->
+    | ("--scale" | "--domains" | "--json") :: [] ->
       usage ()
     | t :: rest ->
       targets := t :: !targets;
@@ -95,7 +68,7 @@ let () =
     | "table2" -> Tables.table2 ()
     | "ablation" -> Ablation.run ()
     | "micro" -> Bechamel_suite.run ()
-    | "load" -> Fig_load.run scale
+    | "tail" -> Tail.run ()
     | "recover" -> Fig_recover.run scale
     | "witness" -> Fig_witness.run scale
     | "settle" -> Fig_settle.run scale
@@ -105,7 +78,7 @@ let () =
       Fig_build.run scale;
       Fig_search.run scale;
       Fig_insert.run scale;
-      Fig_load.run scale;
+      Tail.run ();
       Fig_recover.run scale;
       Fig_witness.run scale;
       Fig_settle.run scale;

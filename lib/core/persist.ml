@@ -130,7 +130,7 @@ let shipment_of_bytes s = shipment_of_view s ~off:0 ~len:(String.length s)
 let trapdoor_state_sized (st : Owner.trapdoor_state) =
   let bindings =
     Hashtbl.fold (fun w (trapdoor, j) acc -> (w, trapdoor, j) :: acc) st []
-    |> List.sort compare
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
   Bytesutil.sized_concat
     (List.concat_map

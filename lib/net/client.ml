@@ -489,7 +489,7 @@ let dispute ?shard t ~request_id =
 (* --- high-connection-count mode ------------------------------------------ *)
 
 (* A swarm holds hundreds or thousands of cheap unprovisioned
-   connections open against one server — the load driver's way of
+   connections open against one server — the tail guard's way of
    proving the event loop's p99 stays flat at 1k+ sockets. Everything
    is non-blocking and poll-driven (a swarm's fds live far past
    FD_SETSIZE), with one [Frame.Decoder] per socket for the replies. *)
@@ -504,10 +504,11 @@ module Swarm = struct
     mutable s_replies : int;
   }
 
-  type t = {
-    sw_interval : float;
-    mutable sw_conns : sconn list;
-  }
+  type t = { mutable sw_conns : sconn list }
+
+  (* Keep-alive pacing: well inside the server's default 30 s idle
+     sweep. *)
+  let ping_interval = 10.
 
   let ping_frame = lazy (Frame.encode ~tag:Wire.request_tag (Wire.encode_request Wire.Ping))
 
@@ -533,13 +534,13 @@ module Swarm = struct
   (* Drain whatever the socket has; any complete response frame settles
      the in-flight ping. Returns [false] when the peer is gone or the
      stream broke. *)
-  let pump_reads t c =
+  let pump_reads c =
     let rec parse () =
       match Frame.Decoder.next c.s_dec with
       | Ok (Some _) ->
         c.s_replies <- c.s_replies + 1;
         c.s_awaiting <- false;
-        c.s_next_ping <- Obs.Clock.now () +. t.sw_interval;
+        c.s_next_ping <- Obs.Clock.now () +. ping_interval;
         parse ()
       | Ok None -> true
       | Error _ -> false
@@ -590,7 +591,7 @@ module Swarm = struct
         Array.iteri
           (fun i c ->
             let r = Poll.revents pset i in
-            if (Poll.is_readable r || Poll.is_error r) && not (pump_reads t c) then
+            if (Poll.is_readable r || Poll.is_error r) && not (pump_reads c) then
               dead := c :: !dead)
           conns;
         drop t !dead
@@ -605,9 +606,9 @@ module Swarm = struct
     Obs.Gauge.add g_swarm (-List.length t.sw_conns);
     t.sw_conns <- []
 
-  let open_ ?(ping_interval = 10.) ?(timeout = 60.) ~n endpoint =
+  let open_ ?(timeout = 60.) ~n endpoint =
     let addr = sockaddr_of_endpoint endpoint in
-    let t = { sw_interval = ping_interval; sw_conns = [] } in
+    let t = { sw_conns = [] } in
     let deadline = Obs.Clock.now () +. timeout in
     let add fd =
       Obs.Gauge.add g_swarm 1;

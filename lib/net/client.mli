@@ -136,18 +136,18 @@ val close : t -> unit
 (** High-connection-count mode: hundreds or thousands of cheap
     unprovisioned keep-alive connections against one server, poll-driven
     and non-blocking throughout (their fds live far past FD_SETSIZE).
-    The load driver holds a swarm open while measuring active clients,
+    The bench [tail] target holds a swarm open while it times requests,
     proving the event loop's tail latency stays flat at 1k+ sockets. *)
 module Swarm : sig
   type t
 
-  val open_ : ?ping_interval:float -> ?timeout:float -> n:int -> Server.endpoint -> t
+  val open_ : ?timeout:float -> n:int -> Server.endpoint -> t
   (** Open [n] connections in non-blocking batches and ping each once;
       a connection only counts once the server has answered it.
       Connections that fail to establish or answer within [timeout]
-      (default 60 s) are dropped — check {!live}. [ping_interval]
-      (default 10 s) paces the keep-alive so an idle-sweeping server
-      does not kick swarm members. *)
+      (default 60 s) are dropped — check {!live}. Later keep-alive
+      pings go out every 10 s, so an idle-sweeping server does not kick
+      swarm members that {!tick} keeps serving. *)
 
   val live : t -> int
   (** Connections open and server-confirmed. *)

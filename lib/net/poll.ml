@@ -4,6 +4,8 @@
 external poll_stub : int array -> int array -> int array -> int -> int -> int
   = "slicer_poll_stub"
 
+external since_return_ns : unit -> int = "slicer_poll_since_return_ns" [@@noalloc]
+
 (* On every Unix OCaml targets, [Unix.file_descr] is the int fd. *)
 let fd_int (fd : Unix.file_descr) : int = Obj.magic fd
 let int_fd (n : int) : Unix.file_descr = Obj.magic n

@@ -24,6 +24,12 @@ val wait : t -> timeout_ms:int -> int
     = forever) expires. Returns the number of ready fds, [0] on
     timeout, or [-1] when interrupted by a signal (retry). *)
 
+val since_return_ns : unit -> int
+(** Nanoseconds since the calling thread's last {!wait} or {!wait_fd}
+    returned from poll(2), stamped in C before the call asked for the
+    runtime lock back: read first thing after a wait, it is the time
+    the thread spent waiting for that lock. *)
+
 val fd_at : t -> int -> Unix.file_descr
 (** The fd added at slot [i]. *)
 

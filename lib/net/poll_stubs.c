@@ -9,7 +9,12 @@
    Event/revent encoding shared with poll.ml: bit 0 = readable (POLLIN),
    bit 1 = writable (POLLOUT), bit 2 = error/hangup (POLLERR | POLLHUP |
    POLLNVAL). Returns the number of ready descriptors, or -1 when the
-   call was interrupted by a signal (the OCaml side retries). */
+   call was interrupted by a signal (the OCaml side retries).
+
+   Each thread keeps the CLOCK_MONOTONIC time at which its last poll(2)
+   returned, taken before it asks for the runtime lock back, so the
+   caller can time its wait for that lock (slicer_poll_since_return_ns).
+   Thread-local, because one process can run several event loops. */
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
@@ -19,6 +24,24 @@
 #include <poll.h>
 #include <stdlib.h>
 #include <errno.h>
+#include <stdint.h>
+#include <time.h>
+
+static __thread int64_t last_return_ns;
+
+static int64_t monotonic_ns(void)
+{
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* Nanoseconds since this thread's last poll(2) returned. */
+CAMLprim value slicer_poll_since_return_ns(value unit)
+{
+  (void)unit;
+  return Val_long(monotonic_ns() - last_return_ns);
+}
 
 CAMLprim value slicer_poll_stub(value v_fds, value v_evs, value v_revs,
                                 value v_n, value v_timeout_ms)
@@ -43,6 +66,7 @@ CAMLprim value slicer_poll_stub(value v_fds, value v_evs, value v_revs,
   caml_release_runtime_system();
   ret = poll(pfds, (nfds_t)n, timeout);
   err = errno;
+  last_return_ns = monotonic_ns();
   caml_acquire_runtime_system();
   if (ret < 0) {
     free(pfds);

@@ -14,6 +14,10 @@ let h_qdepth =
   Obs.histogram ~help:"dispatch-pool queue depth at admission" ~units:Obs.Histogram.Raw
     "slicer_net_worker_queue_depth"
 
+let h_lock_wait =
+  Obs.histogram ~help:"event loop's wait for the runtime lock after poll(2) returns ready"
+    "slicer_net_loop_lock_wait_seconds"
+
 let c_handshake_drops =
   Obs.counter ~help:"connections dropped before a first valid frame"
     "slicer_net_handshake_drops_total"
@@ -448,6 +452,7 @@ let event_loop t =
     (match Poll.wait pset ~timeout_ms:200 with
      | -1 | 0 -> ()
      | _ ->
+       Obs.Histogram.record h_lock_wait (Poll.since_return_ns ());
        if Poll.is_readable (Poll.revents pset 0) then drain_wake t;
        if t.running && Poll.is_readable (Poll.revents pset 1) then accept_batch t;
        Array.iteri

@@ -84,9 +84,9 @@ module Gauge = struct
 end
 
 module Summary = struct
-  (* Nearest-rank percentile on an already sorted array — the exact
-     formula the load driver has always reported, shared so bench and
-     exposition agree. [p] is in percent (50., 95., ...). *)
+  (* Nearest-rank percentile on an already sorted array, shared so the
+     bench targets and the exposition agree. [p] is in percent (50.,
+     95., ...). *)
   let percentile sorted p =
     let n = Array.length sorted in
     if n = 0 then Float.nan

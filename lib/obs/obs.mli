@@ -69,7 +69,7 @@ module Summary : sig
   val percentile : float array -> float -> float
   (** [percentile sorted p] — nearest-rank percentile ([p] in percent,
       e.g. [95.]) over an already-sorted array; [nan] when empty. The
-      exact formula the load driver reports. *)
+      formula the bench targets report. *)
 end
 
 module Histogram : sig

@@ -5,7 +5,9 @@
    sub-request-id derivation — and a live 2-shard cluster on loopback
    behind the router: results byte-identical to a single-server twin,
    exactly-once settlement across replays, and a clean busy refusal
-   naming a dead shard. *)
+   naming a dead shard — and two real slicer-server shard processes
+   that survive a SIGKILL, settle a replay once and trace across
+   process boundaries. *)
 
 module Wire = Net.Wire
 
@@ -606,6 +608,154 @@ let test_cluster_end_to_end () =
       Net.Client.close oc_s;
       Net.Client.close oc_r)
 
+(* --- real shard processes -------------------------------------------------- *)
+
+(* One counter summed over a router's merged scrape: the router's own
+   exposition and every shard's, labelled by instance or not. *)
+let cluster_counter c name =
+  match Net.Client.stats c with
+  | Error e -> Alcotest.failf "stats: %s" (Net.Client.error_to_string e)
+  | Ok (_, text) ->
+    String.split_on_char '\n' text
+    |> List.fold_left
+         (fun acc line ->
+           match String.split_on_char ' ' line with
+           | [ n; v ] when n = name || String.starts_with ~prefix:(name ^ "{") n ->
+             acc + Option.value ~default:0 (int_of_string_opt v)
+           | _ -> acc)
+         0
+
+(* Two slicer-server shard processes, durable with fsync on and tracing
+   every request, behind an in-process router. A pinned request settles
+   on both shards; shard 1 is SIGKILLed and restarted on its port and
+   state dir. Afterwards a fresh search verifies, replaying the pinned
+   id settles nowhere and repeats the original claims, and a search
+   whose tokens reach both shards drains, over the wire, as one trace
+   tree that holds each shard process's service phase. *)
+let test_shard_sigkill_drill () =
+  match Server_proc.server_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let spawn ?port i dir =
+      Server_proc.spawn_server ?port ~exe ~dir
+        ~extra:
+          [ "--shard-id"; string_of_int i; "--shard-count"; "2"; "--instance";
+            Printf.sprintf "shard-%d" i; "--trace-slow-ms"; "0" ]
+        ()
+    in
+    let stop (pid, out, _) =
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      try Unix.close out with Unix.Unix_error _ -> ()
+    in
+    let dirs = Array.init 2 (fun _ -> Server_proc.fresh_state_dir ()) in
+    let shards = Array.mapi spawn dirs in
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter stop shards;
+        Array.iter Server_proc.rm_rf dirs)
+    @@ fun () ->
+    let topo =
+      Cluster.Topology.create
+        (Array.to_list (Array.map (fun (_, _, port) -> Net.Server.Tcp ("127.0.0.1", port)) shards))
+    in
+    let router = Cluster.Router.create topo in
+    let srv = Net.Server.start (Cluster.Router.handle router) in
+    Trace.set_slow_ms (Some 0.);
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_slow_ms None;
+        Net.Server.stop srv;
+        Cluster.Router.close router)
+    @@ fun () ->
+    let connect ?(provision = true) name =
+      match Net.Client.connect ~name ~provision (Net.Server.endpoint srv) with
+      | Ok c -> c
+      | Error e -> Alcotest.failf "connect %s: %s" name (Net.Client.error_to_string e)
+    in
+    let rng = Drbg.create ~seed:"cluster-drill" in
+    let keys = Keys.generate ~tdp_bits:512 ~rng () in
+    let acc_params = Rsa_acc.setup ~rng ~bits:512 () in
+    let owner = Owner.create ~width ~rng ~acc_params ~keys () in
+    let shipment = Owner.build owner (Gen.uniform_records ~rng ~width 60) in
+    let trapdoor = Owner.export_trapdoor_state owner in
+    let oc = connect ~provision:false "drill-owner" in
+    (match
+       Net.Client.build oc ~width ~payment:500 ~acc:acc_params ~tdp_public:keys.Keys.tdp_public
+         ~user_keys:(Keys.for_user keys) ~shipment ~trapdoor
+     with
+     | Ok g -> Alcotest.(check int) "built through the router" 1 g
+     | Error e -> Alcotest.failf "build: %s" (Net.Client.error_to_string e));
+    Net.Client.close oc;
+    let uc = connect "drill-user" in
+    Fun.protect ~finally:(fun () -> Net.Client.close uc) @@ fun () ->
+    (* A value whose Gt tokens reach both shards. *)
+    let user = User.create ~keys:(Keys.for_user keys) ~width trapdoor in
+    let trng = Drbg.create ~seed:"drill-tokens" in
+    let tokens_of v = User.gen_tokens ~rng:trng user (q v Slicer_types.Gt) in
+    let both_shards ts =
+      List.sort_uniq compare (List.map (Cluster.Shard_key.of_token ~shards:2) ts) = [ 0; 1 ]
+    in
+    let v =
+      match List.find_opt (fun v -> both_shards (tokens_of v)) (List.init 32 succ) with
+      | Some v -> v
+      | None -> Alcotest.fail "no query reaches both shards"
+    in
+    let pinned =
+      Wire.Search
+        { client = Net.Client.name uc; request_id = "drill-pinned#1"; batched = false;
+          tokens = tokens_of v; trace = None }
+    in
+    let send label =
+      match Net.Client.rpc uc pinned with
+      | Ok (Wire.Found r) -> r
+      | Ok r -> Alcotest.failf "pinned %s: %s" label (resp_label r)
+      | Error e -> Alcotest.failf "pinned %s: %s" label (Net.Client.error_to_string e)
+    in
+    let r1 = send "send" in
+    let _, _, port1 = shards.(1) in
+    stop shards.(1);
+    shards.(1) <- spawn ~port:port1 1 dirs.(1);
+    (match Net.Client.search uc (q 1 Slicer_types.Gt) with
+     | Ok out -> Alcotest.(check bool) "search after recovery verified" true out.Protocol.so_verified
+     | Error e -> Alcotest.failf "search after recovery: %s" (Net.Client.error_to_string e));
+    let settled = "slicer_net_searches_settled_total" in
+    let s1 = cluster_counter uc settled in
+    Alcotest.(check bool) "the scrape counts the shards' settlements" true (s1 > 0);
+    let r2 = send "replay" in
+    Alcotest.(check int) "the replay settled nowhere" s1 (cluster_counter uc settled);
+    Alcotest.(check string) "the replay repeats the original claims"
+      (Slicer_contract.encode_claims r1.Wire.sr_claims)
+      (Slicer_contract.encode_claims r2.Wire.sr_claims);
+    (* The cross-process trace: clear every ring, search, drain again. *)
+    let drain () =
+      match Net.Client.traces uc with
+      | Ok spans -> spans
+      | Error e -> Alcotest.failf "traces: %s" (Net.Client.error_to_string e)
+    in
+    ignore (drain () : Trace.span list);
+    (match Net.Client.search uc (q v Slicer_types.Gt) with
+     | Ok out -> Alcotest.(check bool) "traced search verified" true out.Protocol.so_verified
+     | Error e -> Alcotest.failf "traced search: %s" (Net.Client.error_to_string e));
+    let rec flat acc n = List.fold_left flat (n.Trace.Tree.n_span :: acc) n.Trace.Tree.n_children in
+    let trees =
+      List.map (fun t -> List.fold_left flat [] t.Trace.Tree.t_roots) (Trace.Tree.assemble (drain ()))
+    in
+    let has name spans = List.exists (fun sp -> sp.Trace.sp_name = name) spans in
+    match List.filter (has "router.search") trees with
+    | [ spans ] ->
+      Alcotest.(check bool) "the tree holds the merge" true (has "router.merge" spans);
+      List.iter
+        (fun inst ->
+          Alcotest.(check bool)
+            (Printf.sprintf "the tree holds %s's service.search" inst)
+            true
+            (List.exists
+               (fun sp -> sp.Trace.sp_name = "service.search" && sp.Trace.sp_instance = inst)
+               spans))
+        [ "shard-0"; "shard-1" ]
+    | l -> Alcotest.failf "expected one routed trace, drained %d" (List.length l)
+
 let () =
   Alcotest.run "cluster"
     [ ("shard key",
@@ -625,4 +775,6 @@ let () =
          Alcotest.test_case "save and load" `Quick test_topology_save_load ]
        @ topology_props);
       ("router",
-       [ Alcotest.test_case "2-shard cluster end to end" `Quick test_cluster_end_to_end ]) ]
+       [ Alcotest.test_case "2-shard cluster end to end" `Quick test_cluster_end_to_end;
+         Alcotest.test_case "shard processes: SIGKILL drill and trace" `Quick
+           test_shard_sigkill_drill ]) ]

@@ -5,6 +5,7 @@
    server kill/restart mid-load and refusing a tampering cloud. *)
 
 module Wire = Net.Wire
+open Server_proc
 
 let prop name ?(count = 100) gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
@@ -1043,42 +1044,57 @@ let test_stats_memory_gauges () =
 
 let test_stats_over_the_wire () =
   (* The admin endpoint end to end: an unprovisioned client scrapes the
-     live server and gets back both encodings of the same registry. *)
-  ignore (Lazy.force server);
-  match Net.Client.connect ~name:"stats-scrape" ~provision:false (endpoint ()) with
-  | Error e -> Alcotest.failf "connect: %s" (Net.Client.error_to_string e)
-  | Ok c ->
-    let r = Net.Client.stats c in
-    Net.Client.close c;
-    (match r with
-     | Error e -> Alcotest.failf "stats: %s" (Net.Client.error_to_string e)
-     | Ok (st_json, st_text) ->
-       Alcotest.(check bool) "prometheus text names the settled counter" true
-         (contains st_text "slicer_net_searches_settled_total");
-       Alcotest.(check bool) "frame traffic is visible" true
-         (contains st_text "slicer_net_bytes_in_total");
-       Alcotest.(check bool) "json is a snapshot object" true
-         (String.length st_json > 0 && st_json.[0] = '{' && contains st_json "\"histograms\"");
-       (* The scrape itself rode the counted transport: a second scrape
-          must observe strictly more inbound bytes. *)
-       (match Net.Client.connect ~name:"stats-scrape-2" ~provision:false (endpoint ()) with
-        | Error e -> Alcotest.failf "reconnect: %s" (Net.Client.error_to_string e)
-        | Ok c2 ->
-          let r2 = Net.Client.stats c2 in
-          Net.Client.close c2;
-          (match r2 with
-           | Error e -> Alcotest.failf "second stats: %s" (Net.Client.error_to_string e)
-           | Ok (_, st_text2) ->
-             let v text =
-               String.split_on_char '\n' text
-               |> List.find_map (fun line ->
-                      match String.split_on_char ' ' line with
-                      | [ n; x ] when n = "slicer_net_bytes_in_total" -> int_of_string_opt x
-                      | _ -> None)
-               |> Option.value ~default:0
-             in
-             Alcotest.(check bool) "bytes_in advanced between scrapes" true
-               (v st_text2 > v st_text && v st_text > 0))))
+     live server and gets back both encodings of the same registry. One
+     search first, so the server has settled something to count. *)
+  let sc = client "stats-search" in
+  (match Net.Client.search sc (q 20 Slicer_types.Lt) with
+   | Ok out -> Alcotest.(check bool) "search verified" true out.Protocol.so_verified
+   | Error e -> Alcotest.failf "search: %s" (Net.Client.error_to_string e));
+  Net.Client.close sc;
+  let scrape name =
+    match Net.Client.connect ~name ~provision:false (endpoint ()) with
+    | Error e -> Alcotest.failf "connect: %s" (Net.Client.error_to_string e)
+    | Ok c ->
+      let r = Net.Client.stats c in
+      Net.Client.close c;
+      (match r with
+       | Error e -> Alcotest.failf "stats: %s" (Net.Client.error_to_string e)
+       | Ok snap -> snap)
+  in
+  let value text name =
+    String.split_on_char '\n' text
+    |> List.find_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ n; x ] when n = name -> float_of_string_opt x
+           | _ -> None)
+    |> Option.value ~default:0.
+  in
+  let st_json, st_text = scrape "stats-scrape" in
+  Alcotest.(check bool) "prometheus text names the settled counter" true
+    (contains st_text "slicer_net_searches_settled_total");
+  Alcotest.(check bool) "frame traffic is visible" true
+    (contains st_text "slicer_net_bytes_in_total");
+  Alcotest.(check bool) "json is a snapshot object" true
+    (String.length st_json > 0 && st_json.[0] = '{' && contains st_json "\"histograms\"");
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) (h ^ " is exposed") true (contains st_text (h ^ "_bucket"));
+      Alcotest.(check bool) (h ^ " has recorded") true (value st_text (h ^ "_count") > 0.))
+    [ "slicer_cloud_search_seconds"; "slicer_net_worker_queue_depth" ];
+  Alcotest.(check bool) "the settled counter covers this server's settlements" true
+    (value st_text "slicer_net_searches_settled_total"
+    >= float_of_int (Net.Service.searches_settled (Lazy.force service)));
+  (* The scrape itself rode the counted transport: a second scrape must
+     observe strictly more bytes each way, and the event loop that
+     served it must have timed its wait for the runtime lock. *)
+  let _, st_text2 = scrape "stats-scrape-2" in
+  let grew name =
+    Alcotest.(check bool) (name ^ " advanced between scrapes") true
+      (value st_text2 name > value st_text name && value st_text name > 0.)
+  in
+  List.iter grew
+    [ "slicer_net_bytes_in_total"; "slicer_net_bytes_out_total";
+      "slicer_net_loop_lock_wait_seconds_count"; "slicer_net_loop_lock_wait_seconds_sum" ]
 
 (* --- event loop: incremental decoding, pipelining, backpressure ------------ *)
 
@@ -1340,22 +1356,6 @@ let test_swarm_holds_connections () =
       wait ())
 
 (* --- durability: WAL + snapshots across restarts --------------------------- *)
-
-let fresh_state_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "slicer-net-dur-%d-%d" (Unix.getpid ()) !n)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
 (* A dedicated little owner whose shipments populate durable services. *)
 let durable_owner seed =
@@ -1690,45 +1690,8 @@ let test_wal_and_snapshot_golden () =
     Alcotest.(check string) "snapshot sha-256"
       "79e580d92180285d11a896dd1c4ddadeafe078c0a4dd3963784d6d55f7c40854" (Sha256.digest_hex snap)
 
-(* The real thing: a separate slicer-server process, killed with
-   SIGKILL mid-load, recovered from its state directory. *)
-
-let server_exe () =
-  List.find_opt Sys.file_exists
-    [ "../bin/slicer_server.exe";
-      "_build/default/bin/slicer_server.exe";
-      "bin/slicer_server.exe" ]
-
-let spawn_server ?(extra = []) ~exe ~dir () =
-  let out_r, out_w = Unix.pipe () in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let argv =
-    Array.of_list
-      ([ exe; "--records"; "0"; "--port"; "0"; "--state-dir"; dir;
-         "--log-level"; "quiet"; "--metrics-interval"; "0" ]
-       @ extra)
-  in
-  let pid = Unix.create_process exe argv null out_w Unix.stderr in
-  Unix.close out_w;
-  Unix.close null;
-  let ic = Unix.in_channel_of_descr out_r in
-  (* The server prints "listening on HOST:PORT" once bound. *)
-  let rec find_port () =
-    match input_line ic with
-    | line ->
-      (match String.rindex_opt line ':' with
-       | Some i
-         when String.length line > 13 && String.sub line 0 13 = "listening on " ->
-         (match int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1)) with
-          | Some port -> port
-          | None -> find_port ())
-       | _ -> find_port ())
-    | exception End_of_file ->
-      ignore (Unix.kill pid Sys.sigkill);
-      Alcotest.fail "server exited before listening"
-  in
-  let port = find_port () in
-  (pid, out_r, port)
+(* The real thing: a separate slicer-server process ([Server_proc]),
+   killed with SIGKILL mid-load, recovered from its state directory. *)
 
 let raw_connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -82,7 +82,35 @@ let crc_props =
         let n = String.length s in
         let cut = if n = 0 then 0 else cut mod (n + 1) in
         let chunked = Crc32.update (Crc32.update 0 s 0 cut) s cut (n - cut) in
-        chunked = Crc32.string s) ]
+        chunked = Crc32.string s);
+    (* The byte-at-a-time loop [Crc32] folds eight bytes at a time: any
+       slice, seeded with the CRC of the bytes before a split point,
+       must agree with it. *)
+    prop "eight bytes per step agree with the byte-at-a-time reference" ~count:300
+      QCheck2.Gen.(triple (string_size (int_range 0 200)) nat (pair nat nat))
+      (fun (s, pos, (len, cut)) ->
+        let table =
+          Array.init 256 (fun n ->
+              let c = ref n in
+              for _ = 0 to 7 do
+                c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+              done;
+              !c)
+        in
+        let reference crc pos len =
+          let c = ref (crc lxor 0xFFFFFFFF) in
+          for i = pos to pos + len - 1 do
+            c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+          done;
+          !c lxor 0xFFFFFFFF
+        in
+        let n = String.length s in
+        let pos = pos mod (n + 1) in
+        let len = len mod (n - pos + 1) in
+        let cut = cut mod (len + 1) in
+        let seed = reference 0 pos cut in
+        Crc32.update 0 s pos len = reference 0 pos len
+        && Crc32.update seed s (pos + cut) (len - cut) = reference seed (pos + cut) (len - cut)) ]
 
 (* A streamed encoding's pieces, emitted once or twice, concatenate to
    its string form, and a CRC run piece by piece over them equals the
