@@ -9,6 +9,8 @@ let calldata payload =
     (fun acc c -> acc + if c = '\000' then calldata_zero_byte else calldata_nonzero_byte)
     0 payload
 
+let word_bytes = 32
+let words len = Stdlib.max 1 ((len + word_bytes - 1) / word_bytes)
 let sstore_set = 20_000
 let sstore_reset = 5_000
 let sload = 2_100

@@ -25,14 +25,22 @@ val calldata_nonzero_byte : int
 val calldata : string -> int
 (** Cost of a calldata payload (per-byte zero/nonzero rule). *)
 
+val word_bytes : int
+(** 32 — an EVM storage slot holds one 32-byte word. *)
+
+val words : int -> int
+(** [words len] is the number of storage words a [len]-byte value
+    occupies: [max 1 (ceil (len / 32))], so even an empty or missing
+    value costs one slot access. Storage is priced per word. *)
+
 val sstore_set : int
-(** 20000 — storage write, zero to non-zero. *)
+(** 20000 — storage write of a word that was not set before. *)
 
 val sstore_reset : int
-(** 5000 — storage write, non-zero slot updated. *)
+(** 5000 — storage write of a word that was already set. *)
 
 val sload : int
-(** 2100 — cold storage read. *)
+(** 2100 — cold storage read of one word. *)
 
 val hash_base : int
 (** 30 — base cost of a hashing opcode. *)

@@ -11,6 +11,7 @@ let charge t ~label amount =
   if t.total > t.limit then raise (Out_of_gas { used = t.total; limit = t.limit })
 
 let used t = t.total
+let limit t = t.limit
 
 let breakdown t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.labels []

@@ -14,5 +14,7 @@ val charge : t -> label:string -> int -> unit
 
 val used : t -> int
 
+val limit : t -> int
+
 val breakdown : t -> (string * int) list
 (** Per-label totals, largest first. *)

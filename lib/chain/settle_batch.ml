@@ -44,7 +44,14 @@ type status =
   | Final of { batch : string }
   | Refunded of { batch : string }
 
-type batch_state = Open | Posted of int (* commit height *) | Finalized | Slashed
+type batch_state =
+  | Open
+  | Posted of { height : int; members : Slicer_contract.escrow list; ac : Bigint.t }
+      (* committed at [height]; finalize and dispute pass the members'
+         escrow preimages (in leaf order) and the Ac in force at commit
+         as calldata, since the contract keeps only their hashes *)
+  | Finalized
+  | Slashed
 
 type batch = {
   b_id : string;
@@ -58,8 +65,9 @@ type t = {
   contract : Vm.address;
   cloud : Vm.address;
   cfg : config;
+  current_ac : unit -> Bigint.t;      (* the Ac whose hash is on chain *)
   mutable seq : int;                  (* number of the open batch *)
-  mutable open_rev : (string * Slicer_contract.receipt_leaf) list; (* newest first *)
+  mutable open_rev : (string * Slicer_contract.escrow) list; (* leaf bytes, newest first *)
   mutable opened_ns : int;            (* clock at the open batch's first leaf *)
   batches : (string, batch) Hashtbl.t;
   mutable order : string list;        (* committed batch ids, newest first *)
@@ -68,8 +76,8 @@ type t = {
 
 let batch_name seq = Printf.sprintf "b%d" seq
 
-let create ~config ~ledger ~contract ~cloud =
-  { ledger; contract; cloud; cfg = config; seq = 0; open_rev = []; opened_ns = 0;
+let create ~config ~ledger ~contract ~cloud ~current_ac =
+  { ledger; contract; cloud; cfg = config; current_ac; seq = 0; open_rev = []; opened_ns = 0;
     batches = Hashtbl.create 16; order = []; by_request = Hashtbl.create 256 }
 
 let config t = t.cfg
@@ -85,10 +93,10 @@ let ensure_deposit t =
       (Slicer_contract.post_deposit t.ledger ~cloud:t.cloud ~contract:t.contract
          ~amount:t.cfg.sb_deposit)
 
-let add t leaf =
+let add t leaf ~escrow =
   let index = List.length t.open_rev in
   if index = 0 then t.opened_ns <- Obs.Clock.now_ns ();
-  t.open_rev <- (Slicer_contract.encode_leaf leaf, leaf) :: t.open_rev;
+  t.open_rev <- (Slicer_contract.encode_leaf leaf, escrow) :: t.open_rev;
   Obs.Gauge.add g_pending 1;
   Hashtbl.replace t.by_request leaf.Slicer_contract.rl_request (open_id t, index);
   (open_id t, index)
@@ -111,16 +119,17 @@ let flush t =
     let pairs = List.rev rev in
     let leaves = List.map fst pairs in
     let tree = Merkle.build leaves in
-    let requests = List.map (fun (_, l) -> l.Slicer_contract.rl_request) pairs in
+    let members = List.map snd pairs in
+    let ac = t.current_ac () in
     let receipt =
       Slicer_contract.commit_batch t.ledger ~cloud:t.cloud ~contract:t.contract ~batch_id:id
-        ~root:(Merkle.root tree) ~requests
+        ~root:(Merkle.root tree) ~members
     in
     (match receipt.Vm.r_output with
      | Ok _ ->
        let height = Ledger.height t.ledger in
        Hashtbl.replace t.batches id
-         { b_id = id; b_leaves = leaves; b_state = Posted height; b_tree = tree };
+         { b_id = id; b_leaves = leaves; b_state = Posted { height; members; ac }; b_tree = tree };
        t.order <- id :: t.order;
        t.seq <- t.seq + 1;
        t.open_rev <- [];
@@ -148,15 +157,17 @@ let finalize_due t =
     List.rev t.order
     |> List.filter_map (fun id ->
            match Hashtbl.find_opt t.batches id with
-           | Some ({ b_state = Posted h; _ } as b) when height >= h + w -> Some b
+           | Some ({ b_state = Posted { height = h; members; _ }; _ } as b) when height >= h + w ->
+             Some (b, members)
            | _ -> None)
   in
   List.map
-    (fun b ->
+    (fun (b, members) ->
       Obs.span "settle.finalize" @@ fun () ->
       let receipt =
         Slicer_contract.finalize_batch t.ledger ~cloud:t.cloud ~contract:t.contract
           ~batch_id:b.b_id
+          ~requests:(List.map (fun e -> e.Slicer_contract.es_request) members)
       in
       (match receipt.Vm.r_output with
        | Ok _ ->
@@ -182,14 +193,14 @@ let dispute t ~disputer ~request ~claims_blob ~batch_witness =
         | Open -> Error "receipt not committed yet"
         | Finalized -> Error "batch already finalized"
         | Slashed -> Error "batch already slashed"
-        | Posted _ ->
+        | Posted { members; ac; _ } ->
           Obs.span "settle.dispute" @@ fun () ->
           Obs.Counter.incr c_disputes;
           let leaf = List.nth b.b_leaves index in
           let proof = Merkle.prove b.b_tree index in
           let receipt =
             Slicer_contract.dispute_leaf t.ledger ~disputer ~contract:t.contract ~batch_id
-              ~index ~leaf ~proof ~claims_blob ~batch_witness
+              ~index ~leaf ~proof ~claims_blob ~batch_witness ~members ~ac
           in
           let slashed = receipt.Vm.r_output = Ok [ "slashed" ] in
           if slashed then begin
@@ -221,41 +232,60 @@ let status t ~request =
 (* The manager's state rides in the service snapshot (WAL events since
    the snapshot replay deterministically on top). Receipts and the
    wall clock are not persisted: a recovered open batch restarts its
-   window from the restore instant. *)
-let magic = "slicer-settle-batch-v1"
+   window from the restore instant. Each open leaf carries its escrow
+   preimage, and a posted batch its members' preimages and the Ac in
+   force at commit: the contract keeps only their commitments. *)
+let magic = "slicer-settle-batch-v2"
 
-let state_tag = function Open -> "o" | Posted h -> "p" ^ string_of_int h | Finalized -> "f" | Slashed -> "s"
+(* A batch's state as [tag; members], [members] empty unless posted. *)
+let encode_state = function
+  | Open -> [ "o"; "" ]
+  | Posted { height; members; ac } ->
+    [ "p" ^ string_of_int height;
+      Bytesutil.concat [ Bigint.to_bytes_be ac; Slicer_contract.encode_escrows members ] ]
+  | Finalized -> [ "f"; "" ]
+  | Slashed -> [ "s"; "" ]
 
-let state_of_tag = function
-  | "o" -> Some Open
-  | "f" -> Some Finalized
-  | "s" -> Some Slashed
-  | tag when String.length tag > 1 && tag.[0] = 'p' ->
-    Option.map (fun h -> Posted h) (int_of_string_opt (String.sub tag 1 (String.length tag - 1)))
+let decode_state tag members_blob =
+  match (tag, members_blob) with
+  | "o", "" -> Some Open
+  | "f", "" -> Some Finalized
+  | "s", "" -> Some Slashed
+  | tag, blob when String.length tag > 1 && tag.[0] = 'p' -> (
+    match
+      ( int_of_string_opt (String.sub tag 1 (String.length tag - 1)),
+        Bytesutil.split blob )
+    with
+    | Some height, Some [ ac; escrows ] ->
+      Option.map
+        (fun members -> Posted { height; members; ac = Bigint.of_bytes_be ac })
+        (Slicer_contract.decode_escrows escrows)
+    | _ -> None)
   | _ -> None
 
 let export t =
   let batch b =
-    Bytesutil.concat [ b.b_id; state_tag b.b_state; Bytesutil.concat b.b_leaves ]
+    Bytesutil.concat ((b.b_id :: encode_state b.b_state) @ [ Bytesutil.concat b.b_leaves ])
   in
   let batches = List.rev_map (fun id -> batch (Hashtbl.find t.batches id)) t.order in
+  let open_leaf (bytes, escrow) = Bytesutil.concat [ bytes; Slicer_contract.encode_escrows [ escrow ] ] in
   Bytesutil.concat
     (magic
      :: string_of_int t.seq
-     :: Bytesutil.concat (List.rev_map fst t.open_rev)
+     :: Bytesutil.concat (List.rev_map open_leaf t.open_rev)
      :: batches)
 
-let restore ~config ~ledger ~contract ~cloud bytes =
+let restore ~config ~ledger ~contract ~cloud ~current_ac bytes =
   match Bytesutil.split bytes with
   | Some (m :: seq_s :: open_blob :: batch_blobs) when m = magic -> (
     match (int_of_string_opt seq_s, Bytesutil.split open_blob) with
     | Some seq, Some open_leaves -> (
-      let t = create ~config ~ledger ~contract ~cloud in
+      let t = create ~config ~ledger ~contract ~cloud ~current_ac in
       t.seq <- seq;
       let decode_batch blob =
         match Bytesutil.split blob with
-        | Some [ id; tag; leaves_blob ] -> (
-          match (state_of_tag tag, Bytesutil.split leaves_blob) with
+        | Some [ id; tag; members_blob; leaves_blob ] -> (
+          match (decode_state tag members_blob, Bytesutil.split leaves_blob) with
           | Some state, Some leaves ->
             Some { b_id = id; b_state = state; b_leaves = leaves; b_tree = Merkle.build leaves }
           | _ -> None)
@@ -282,17 +312,22 @@ let restore ~config ~ledger ~contract ~cloud bytes =
       else begin
         let decoded_open =
           List.filter_map
-            (fun bytes ->
-              Option.map (fun l -> (bytes, l)) (Slicer_contract.decode_leaf bytes))
+            (fun blob ->
+              match Bytesutil.split blob with
+              | Some [ bytes; escrow ] -> (
+                match (Slicer_contract.decode_leaf bytes, Slicer_contract.decode_escrows escrow) with
+                | Some l, Some [ e ] -> Some (bytes, l, e)
+                | _ -> None)
+              | Some _ | None -> None)
             open_leaves
         in
         if List.length decoded_open <> List.length open_leaves then None
         else begin
           List.iteri
-            (fun i (_, l) ->
+            (fun i (_, l, _) ->
               Hashtbl.replace t.by_request l.Slicer_contract.rl_request (open_id t, i))
             decoded_open;
-          t.open_rev <- List.rev decoded_open;
+          t.open_rev <- List.rev_map (fun (bytes, _, e) -> (bytes, e)) decoded_open;
           if t.open_rev <> [] then t.opened_ns <- Obs.Clock.now_ns ();
           Obs.Gauge.add g_pending (List.length decoded_open);
           Some t

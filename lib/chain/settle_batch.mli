@@ -39,7 +39,11 @@ type status =
 type t
 
 val create :
-  config:config -> ledger:Ledger.t -> contract:Vm.address -> cloud:Vm.address -> t
+  config:config -> ledger:Ledger.t -> contract:Vm.address -> cloud:Vm.address ->
+  current_ac:(unit -> Bigint.t) -> t
+(** [current_ac] returns the accumulation value whose hash is on chain;
+    a commit records it, so a later dispute can pass the batch's [Ac]
+    as calldata. *)
 
 val config : t -> config
 
@@ -53,10 +57,12 @@ val open_id : t -> string
 
 val open_count : t -> int
 
-val add : t -> Slicer_contract.receipt_leaf -> string * int
-(** Append a receipt to the open batch; returns its [(batch, index)]
-    coordinates. Never flushes — the caller checks {!should_flush}
-    after journaling the event that caused the add. *)
+val add : t -> Slicer_contract.receipt_leaf -> escrow:Slicer_contract.escrow -> string * int
+(** Append a receipt to the open batch, with its request's escrow
+    preimage (kept until the batch is final or slashed: commit,
+    finalize and dispute pass it as calldata); returns its
+    [(batch, index)] coordinates. Never flushes — the caller checks
+    {!should_flush} after journaling the event that caused the add. *)
 
 val should_flush : t -> bool
 (** The open batch has reached [sb_size]. *)
@@ -88,9 +94,11 @@ val dispute :
 val status : t -> request:string -> status option
 
 val export : t -> string
-(** Snapshot blob (batch ids, states, leaf bytes, open tail). *)
+(** Snapshot blob ([slicer-settle-batch-v2]: batch ids, states, leaf
+    bytes, the escrow preimages and commit-time [Ac] of batches not yet
+    final or slashed, and the open tail with its escrows). *)
 
 val restore :
-  config:config -> ledger:Ledger.t -> contract:Vm.address -> cloud:Vm.address -> string ->
-  t option
+  config:config -> ledger:Ledger.t -> contract:Vm.address -> cloud:Vm.address ->
+  current_ac:(unit -> Bigint.t) -> string -> t option
 (** Rebuild from {!export} output over recovered chain state. *)

@@ -74,30 +74,84 @@ let pseudo_code =
   fill "slicer-contract-bytecode-v1";
   Buffer.sub buf 0 code_size
 
-(* Storage layout. *)
+(* Storage layout: every cell is at most one 32-byte word (DESIGN §5,
+   "Contract storage"). Blobs stay off chain; the contract keeps their
+   commitments and takes the preimages as calldata. The accumulator
+   modulus is no cell at all: it is part of the deployed code, as a
+   Solidity [immutable] is. *)
 let key_owner = "owner"
-let key_modulus = "modulus"
-let key_ac = "ac"
+let key_ac = "ac" (* H(Ac) *)
 let key_shard_id = "shard_id"
 let key_shard_count = "shard_count"
 let key_window = "dispute_window"
-let key_user id = "req:" ^ id ^ ":user"
-let key_amount id = "req:" ^ id ^ ":amount"
-let key_digest id = "req:" ^ id ^ ":digest"
-let key_status id = "req:" ^ id ^ ":status"
+let key_request id = "req:" ^ id (* 31-byte escrow commitment ‖ status byte *)
 let key_deposit who = "deposit:" ^ who
 
-(* Batched-settlement cells: one commitment record per batch. Requests
-   are stored as one concatenated blob (a single cell), not one cell
-   per member — the whole point of the batch is that per-receipt
-   on-chain cost collapses to a status flip. *)
+(* Batched-settlement cells: six words per batch, whatever its size.
+   The member list is kept as its hash; whoever needs the list (finalize,
+   dispute) passes it as calldata. *)
 let bkey_status id = "batch:" ^ id ^ ":status"
 let bkey_root id = "batch:" ^ id ^ ":root"
-let bkey_height id = "batch:" ^ id ^ ":height"
-let bkey_count id = "batch:" ^ id ^ ":count"
-let bkey_requests id = "batch:" ^ id ^ ":requests"
-let bkey_ac id = "batch:" ^ id ^ ":ac"
+let bkey_members id = "batch:" ^ id ^ ":members" (* H(member list) *)
+let bkey_ac id = "batch:" ^ id ^ ":ac" (* H(Ac) in force at commit *)
+let bkey_info id = "batch:" ^ id ^ ":info" (* count ‖ commit height ‖ escrow total *)
 let bkey_cloud id = "batch:" ^ id ^ ":cloud"
+
+(* --- escrow commitments ------------------------------------------------ *)
+
+type escrow = { es_request : string; es_user : Vm.address; es_amount : int; es_digest : string }
+
+let tokens_digest tokens = Sha256.digest (Bytesutil.concat tokens)
+
+(* user ‖ amount ‖ token digest: a request deadline would join as a
+   fourth field. *)
+let escrow_preimage ~user ~amount ~digest = Bytesutil.concat [ user; string_of_int amount; digest ]
+let commitment_of_digest d = String.sub d 0 31
+
+let encode_escrow e = Bytesutil.concat [ e.es_request; e.es_user; string_of_int e.es_amount; e.es_digest ]
+let encode_escrows es = Bytesutil.concat (List.map encode_escrow es)
+
+let decode_escrow s =
+  match Bytesutil.split s with
+  | Some [ es_request; es_user; amount; es_digest ] ->
+    Option.map (fun es_amount -> { es_request; es_user; es_amount; es_digest }) (int_of_string_opt amount)
+  | Some _ | None -> None
+
+let decode_escrows blob =
+  match Bytesutil.split blob with
+  | None -> None
+  | Some pieces ->
+    let es = List.filter_map decode_escrow pieces in
+    if List.length es = List.length pieces then Some es else None
+
+(* The escrow slot's last byte. *)
+let st_pending = 'p'
+let st_batched = 'b'
+let st_paid = '$'
+let st_refunded = 'r'
+
+let slot_status slot = if String.length slot = 32 then Some slot.[31] else None
+let with_status slot c = String.sub slot 0 31 ^ String.make 1 c
+
+let status_name c =
+  if c = st_pending then Some "pending"
+  else if c = st_batched then Some "batched"
+  else if c = st_paid then Some "paid"
+  else if c = st_refunded then Some "refunded"
+  else None
+
+let ac_digest ac = Sha256.digest (Bigint.to_bytes_be ac)
+
+(* The batch's packed word: member count, commit height and escrow
+   total, 8 bytes each. *)
+let pack_info ~count ~height ~total =
+  Bytesutil.be64 count ^ Bytesutil.be64 height ^ Bytesutil.be64 total
+
+let unpack_info s =
+  if String.length s <> 24 then None
+  else
+    let at i = Int64.to_int (String.get_int64_be s (8 * i)) in
+    Some (at 0, at 1, at 2)
 
 (* One settled-search receipt, as committed under a batch's Merkle
    root. [rl_claim_hash] binds the exact claims blob the cloud served;
@@ -119,12 +173,12 @@ let decode_leaf s =
     Some { rl_client; rl_request; rl_claim_hash; rl_witness_digest }
   | Some _ | None -> None
 
-let witness_digest ~claims ~batch_witness =
+let witness_digest_input ~claims ~batch_witness =
   match batch_witness with
-  | Some w -> Sha256.digest (Bytesutil.concat [ "batch-vo"; Bigint.to_bytes_be w ])
-  | None ->
-    Sha256.digest
-      (Bytesutil.concat ("per-claim-vo" :: List.map (fun c -> Bigint.to_bytes_be c.witness) claims))
+  | Some w -> Bytesutil.concat [ "batch-vo"; Bigint.to_bytes_be w ]
+  | None -> Bytesutil.concat ("per-claim-vo" :: List.map (fun c -> Bigint.to_bytes_be c.witness) claims)
+
+let witness_digest ~claims ~batch_witness = Sha256.digest (witness_digest_input ~claims ~batch_witness)
 
 let ( let* ) = Result.bind
 
@@ -192,14 +246,18 @@ let verify_claim ctx ~params ~ac c =
       Hashtbl.replace verify_memo key (ok, List.rev !charges);
     ok
 
-let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
+(* Every hash the contract computes is charged by its input's length. *)
+let sha ctx input =
+  Gasmeter.charge ctx.Vm.meter ~label:"hash" (Gas.hash (String.length input));
+  Sha256.digest input
+
+let contract ~modulus ~initial_ac ~shard ~dispute_window =
+  (* VerifyMem reads the modulus only; the generator is not part of the
+     deployed code. *)
+  let params = { Rsa_acc.modulus; generator = Bigint.one } in
   let constructor ctx _args =
-    (* generator is part of the public parameters; persisted for
-       completeness even though VerifyMem itself only needs n and Ac. *)
     Vm.sstore ctx key_owner ctx.Vm.sender;
-    Vm.sstore ctx key_modulus (Bigint.to_bytes_be modulus);
-    Vm.sstore ctx "generator" (Bigint.to_bytes_be generator);
-    Vm.sstore ctx key_ac (Bigint.to_bytes_be initial_ac);
+    Vm.sstore ctx key_ac (sha ctx (Bigint.to_bytes_be initial_ac));
     (* Cluster identity: which slice of the keyword space this
        contract's Ac covers. A lone server deploys as (0, 1). Stored so
        an auditor (or a recovering shard) can check it is verifying
@@ -214,20 +272,26 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
     match args with
     | [ new_ac ] ->
       let* () = Vm.require ctx (Vm.sload ctx key_owner = Some ctx.Vm.sender) "only owner" in
-      Vm.sstore ctx key_ac new_ac;
+      Vm.sstore ctx key_ac (sha ctx new_ac);
       Vm.emit ctx (Bytesutil.concat [ "AcUpdated"; new_ac ]);
       Ok []
     | _ -> Error "updateAc: expected [new_ac]"
   in
+  (* The given Ac must be the one whose hash is on chain. *)
+  let check_ac ctx ~key ~reason ac_bytes =
+    let* stored = Option.to_result ~none:"missing ac" (Vm.sload ctx key) in
+    Vm.require ctx (Bytesutil.const_equal (sha ctx ac_bytes) stored) reason
+  in
   let request_search ctx args =
     match args with
     | [ request_id; tokens_blob ] ->
-      let* () = Vm.require ctx (Vm.sload ctx (key_status request_id) = None) "duplicate request id" in
+      let* () = Vm.require ctx (Vm.sload ctx (key_request request_id) = None) "duplicate request id" in
       let* () = Vm.require ctx (ctx.Vm.value > 0) "payment required" in
-      Vm.sstore ctx (key_user request_id) ctx.Vm.sender;
-      Vm.sstore ctx (key_amount request_id) (string_of_int ctx.Vm.value);
-      Vm.sstore ctx (key_digest request_id) (Sha256.digest tokens_blob);
-      Vm.sstore ctx (key_status request_id) "pending";
+      let digest = sha ctx tokens_blob in
+      let c =
+        sha ctx (escrow_preimage ~user:ctx.Vm.sender ~amount:ctx.Vm.value ~digest)
+      in
+      Vm.sstore ctx (key_request request_id) (commitment_of_digest c ^ String.make 1 st_pending);
       (* Tokens travel to the cloud through the event log, not contract
          storage (storing large blobs on-chain is what the paper's
          related work gets criticised for). *)
@@ -235,63 +299,76 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
       Ok []
     | _ -> Error "requestSearch: expected [request_id; tokens]"
   in
-  (* Shared prelude of both settlement paths: load the escrowed request
-     and check the cloud answered exactly the requested token sequence. *)
-  let load_request ctx request_id claims_blob =
-    let* () = Vm.require ctx (Vm.sload ctx (key_status request_id) = Some "pending") "no pending request" in
-    let* user = Option.to_result ~none:"missing user" (Vm.sload ctx (key_user request_id)) in
-    let* amount_s = Option.to_result ~none:"missing amount" (Vm.sload ctx (key_amount request_id)) in
-    let amount = int_of_string amount_s in
-    let* digest = Option.to_result ~none:"missing digest" (Vm.sload ctx (key_digest request_id)) in
-    let* claims = Option.to_result ~none:"malformed claims" (decode_claims claims_blob) in
-    let tokens_blob = Bytesutil.concat (List.map (fun c -> c.token_bytes) claims) in
-    Gasmeter.charge ctx.Vm.meter ~label:"hash" (Gas.hash (String.length tokens_blob));
-    let* () = Vm.require ctx (Bytesutil.const_equal (Sha256.digest tokens_blob) digest) "token set mismatch" in
-    let* modulus_b = Option.to_result ~none:"missing modulus" (Vm.sload ctx key_modulus) in
-    let* ac_b = Option.to_result ~none:"missing ac" (Vm.sload ctx key_ac) in
-    Ok (user, amount, claims, Bigint.of_bytes_be modulus_b, Bigint.of_bytes_be ac_b)
+  (* [slot] holds the commitment to [e]'s preimage, with status [st]. *)
+  let escrow_matches ctx slot e ~st =
+    slot_status slot = Some st
+    && Bytesutil.const_equal
+         (commitment_of_digest
+            (sha ctx (escrow_preimage ~user:e.es_user ~amount:e.es_amount ~digest:e.es_digest)))
+         (String.sub slot 0 31)
   in
-  let settle ctx request_id ~user ~amount ~ok =
+  (* Shared prelude of both settlement paths: load the escrow slot,
+     check the calldata's user and amount against its commitment (the
+     token digest is recomputed from the claims, so the cloud must
+     answer exactly the requested token sequence) and the calldata's Ac
+     against H(Ac). *)
+  let load_request ctx request_id ~user ~amount_s ~ac_bytes claims_blob =
+    let* slot =
+      match Vm.sload ctx (key_request request_id) with
+      | Some s when slot_status s = Some st_pending -> Ok s
+      | Some _ | None -> Error "no pending request"
+    in
+    let* amount = Option.to_result ~none:"malformed amount" (int_of_string_opt amount_s) in
+    let* claims = Option.to_result ~none:"malformed claims" (decode_claims claims_blob) in
+    let digest = sha ctx (Bytesutil.concat (List.map (fun c -> c.token_bytes) claims)) in
+    let escrow = { es_request = request_id; es_user = user; es_amount = amount; es_digest = digest } in
+    let* () = Vm.require ctx (escrow_matches ctx slot escrow ~st:st_pending) "token set mismatch" in
+    let* () = check_ac ctx ~key:key_ac ~reason:"ac mismatch" ac_bytes in
+    Ok (slot, amount, claims, Bigint.of_bytes_be ac_bytes)
+  in
+  let settle ctx request_id slot ~user ~amount ~ok =
     if ok then begin
       let* () = Vm.send ctx ~to_:ctx.Vm.sender amount in
-      Vm.sstore ctx (key_status request_id) "paid";
+      Vm.sstore ctx (key_request request_id) (with_status slot st_paid);
       Vm.emit ctx (Bytesutil.concat [ "ResultAccepted"; request_id ]);
       Ok [ "paid" ]
     end
     else begin
       let* () = Vm.send ctx ~to_:user amount in
-      Vm.sstore ctx (key_status request_id) "refunded";
+      Vm.sstore ctx (key_request request_id) (with_status slot st_refunded);
       Vm.emit ctx (Bytesutil.concat [ "ResultRejected"; request_id ]);
       Ok [ "refunded" ]
     end
   in
   let submit_result ctx args =
     match args with
-    | [ request_id; claims_blob ] ->
-      let* user, amount, claims, modulus, ac = load_request ctx request_id claims_blob in
-      let params = { Rsa_acc.modulus; generator } in
+    | [ request_id; user; amount_s; ac_bytes; claims_blob ] ->
+      let* slot, amount, claims, ac = load_request ctx request_id ~user ~amount_s ~ac_bytes claims_blob in
       let ok = List.for_all (verify_claim ctx ~params ~ac) claims in
-      settle ctx request_id ~user ~amount ~ok
-    | _ -> Error "submitResult: expected [request_id; claims]"
+      settle ctx request_id slot ~user ~amount ~ok
+    | _ -> Error "submitResult: expected [request_id; user; amount; ac; claims]"
   in
   let submit_result_batched ctx args =
     match args with
-    | [ request_id; claims_blob; witness_bytes ] ->
-      let* user, amount, claims, modulus, ac = load_request ctx request_id claims_blob in
+    | [ request_id; user; amount_s; ac_bytes; claims_blob; witness_bytes ] ->
+      let* slot, amount, claims, ac = load_request ctx request_id ~user ~amount_s ~ac_bytes claims_blob in
       (* One witness covers every claim: lift it through each claim's
          prime representative and compare against Ac. *)
       let ok =
-        verify_metered ~charge:(Gasmeter.charge ctx.Vm.meter)
-          ~params:{ Rsa_acc.modulus; generator } ~ac claims
+        verify_metered ~charge:(Gasmeter.charge ctx.Vm.meter) ~params ~ac claims
           ~witness:(Bigint.of_bytes_be witness_bytes)
       in
-      settle ctx request_id ~user ~amount ~ok
-    | _ -> Error "submitResultBatched: expected [request_id; claims; witness]"
+      settle ctx request_id slot ~user ~amount ~ok
+    | _ -> Error "submitResultBatched: expected [request_id; user; amount; ac; claims; witness]"
   in
   (* --- optimistic batched settlement ----------------------------------- *)
   let int_at ctx key = Option.bind (Vm.sload ctx key) int_of_string_opt in
   let deposit_of ctx who = Option.value ~default:0 (int_at ctx (key_deposit who)) in
   let window_of ctx = Option.value ~default:1 (int_at ctx key_window) in
+  let member_list escrows = Bytesutil.concat (List.map (fun e -> e.es_request) escrows) in
+  let info_of ctx batch_id =
+    Option.to_result ~none:"missing batch info" (Option.bind (Vm.sload ctx (bkey_info batch_id)) unpack_info)
+  in
   let deposit ctx args =
     match args with
     | [] ->
@@ -303,71 +380,77 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
     | _ -> Error "deposit: expected no arguments"
   in
   (* commitBatch: the cloud posts one Merkle root over a batch of
-     settled-search receipt leaves. Escrows stay locked; each member
-     request merely flips "pending" -> "batched" (a reset-priced
-     sstore), which is what amortizes Table-II settlement gas by the
-     batch size. Verification is deferred to [dispute]. *)
+     settled-search receipt leaves, with each member's escrow preimage.
+     Escrows stay locked; each member's slot merely flips its status
+     byte to "batched" (a reset-priced word), which is what amortizes
+     Table-II settlement gas by the batch size. Verification is deferred
+     to [dispute]. *)
   let commit_batch ctx args =
     match args with
-    | [ batch_id; root; requests_blob ] ->
+    | [ batch_id; root; members_blob ] ->
       let* () = Vm.require ctx (batch_id <> "") "commitBatch: empty batch id" in
       let* () = Vm.require ctx (Vm.sload ctx (bkey_status batch_id) = None) "duplicate batch id" in
       let* () =
         Vm.require ctx (deposit_of ctx ctx.Vm.sender > 0) "commitBatch: deposit required"
       in
-      let* requests =
-        Option.to_result ~none:"commitBatch: malformed request list" (Bytesutil.split requests_blob)
+      let* members =
+        Option.to_result ~none:"commitBatch: malformed request list" (decode_escrows members_blob)
       in
-      let* () = Vm.require ctx (requests <> []) "commitBatch: empty batch" in
-      let rec mark = function
-        | [] -> Ok ()
-        | id :: rest ->
-          let* () =
-            Vm.require ctx
-              (Vm.sload ctx (key_status id) = Some "pending")
-              "commitBatch: request not pending"
+      let* () = Vm.require ctx (members <> []) "commitBatch: empty batch" in
+      let rec mark total = function
+        | [] -> Ok total
+        | e :: rest ->
+          let* slot =
+            match Vm.sload ctx (key_request e.es_request) with
+            | Some s when slot_status s = Some st_pending -> Ok s
+            | Some _ | None -> Error "commitBatch: request not pending"
           in
-          Vm.sstore ctx (key_status id) "batched";
-          mark rest
+          let* () =
+            Vm.require ctx (escrow_matches ctx slot e ~st:st_pending) "commitBatch: escrow mismatch"
+          in
+          Vm.sstore ctx (key_request e.es_request) (with_status slot st_batched);
+          mark (total + e.es_amount) rest
       in
-      let* () = mark requests in
+      let* total = mark 0 members in
+      (* Snapshot H(Ac) at commit time: later Inserts move [key_ac], and
+         a dispute must re-verify against the value the claims settled
+         under, not whatever is current when the dispute lands. *)
       let* ac = Option.to_result ~none:"missing ac" (Vm.sload ctx key_ac) in
       Vm.sstore ctx (bkey_root batch_id) root;
-      (* Snapshot Ac at commit time: later Inserts move [key_ac], and a
-         dispute must re-verify against the value the claims settled
-         under, not whatever is current when the dispute lands. *)
+      Vm.sstore ctx (bkey_members batch_id) (sha ctx (member_list members));
       Vm.sstore ctx (bkey_ac batch_id) ac;
-      Vm.sstore ctx (bkey_count batch_id) (string_of_int (List.length requests));
-      Vm.sstore ctx (bkey_height batch_id) (string_of_int ctx.Vm.height);
+      Vm.sstore ctx (bkey_info batch_id)
+        (pack_info ~count:(List.length members) ~height:ctx.Vm.height ~total);
       Vm.sstore ctx (bkey_cloud batch_id) ctx.Vm.sender;
-      Vm.sstore ctx (bkey_requests batch_id) requests_blob;
       Vm.sstore ctx (bkey_status batch_id) "committed";
       Vm.emit ctx (Bytesutil.concat [ "BatchCommitted"; batch_id; root ]);
       Ok [ "committed" ]
-    | _ -> Error "commitBatch: expected [batch_id; root; requests]"
+    | _ -> Error "commitBatch: expected [batch_id; root; members]"
   in
   (* dispute: anyone re-runs Algorithm 5 for ONE leaf, on-chain, against
      the batch's committed Ac. The disputer supplies the leaf bytes, a
-     Merkle inclusion proof, and the claims blob the cloud served (its
-     hash is committed in the leaf, so nothing can be substituted). A
-     leaf that fails verification slashes the cloud's whole deposit to
-     the disputer and refunds every escrow in the batch. *)
+     Merkle inclusion proof, the claims blob the cloud served (its hash
+     is committed in the leaf, so nothing can be substituted), the
+     members' escrow preimages (checked against the member-list hash and
+     each member's slot) and the batch's Ac (checked against its hash).
+     A leaf that fails verification slashes the cloud's whole deposit to
+     the disputer and refunds every escrow in the batch to its user. *)
   let dispute ctx args =
     match args with
-    | [ batch_id; index_s; leaf_bytes; proof_bytes; claims_blob; batch_witness ] ->
+    | [ batch_id; index_s; leaf_bytes; proof_bytes; claims_blob; batch_witness; members_blob;
+        ac_bytes ] ->
       let* () =
         Vm.require ctx
           (Vm.sload ctx (bkey_status batch_id) = Some "committed")
           "dispute: batch not committed"
       in
-      let* committed_h = Option.to_result ~none:"missing height" (int_at ctx (bkey_height batch_id)) in
+      let* count, committed_h, _total = info_of ctx batch_id in
       let* () =
         Vm.require ctx
           (ctx.Vm.height < committed_h + window_of ctx)
           "dispute: window closed"
       in
       let* root = Option.to_result ~none:"missing root" (Vm.sload ctx (bkey_root batch_id)) in
-      let* count = Option.to_result ~none:"missing count" (int_at ctx (bkey_count batch_id)) in
       let* index = Option.to_result ~none:"dispute: bad index" (int_of_string_opt index_s) in
       let* () = Vm.require ctx (index >= 0 && index < count) "dispute: index out of range" in
       let* proof =
@@ -381,40 +464,59 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
       in
       let* leaf = Option.to_result ~none:"dispute: malformed leaf" (decode_leaf leaf_bytes) in
       let* members =
-        Option.to_result ~none:"missing requests"
-          (Option.bind (Vm.sload ctx (bkey_requests batch_id)) Bytesutil.split)
+        Option.to_result ~none:"dispute: malformed members" (decode_escrows members_blob)
       in
-      let* () = Vm.require ctx (List.mem leaf.rl_request members) "dispute: leaf not in batch" in
-      Gasmeter.charge ctx.Vm.meter ~label:"hash" (Gas.hash (String.length claims_blob));
+      let* stored_members =
+        Option.to_result ~none:"missing members" (Vm.sload ctx (bkey_members batch_id))
+      in
       let* () =
         Vm.require ctx
-          (Bytesutil.const_equal (Sha256.digest claims_blob) leaf.rl_claim_hash)
+          (Bytesutil.const_equal (sha ctx (member_list members)) stored_members)
+          "dispute: member list mismatch"
+      in
+      let* mine =
+        Option.to_result ~none:"dispute: leaf not in batch"
+          (List.find_opt (fun e -> String.equal e.es_request leaf.rl_request) members)
+      in
+      let* () =
+        Vm.require ctx
+          (Bytesutil.const_equal (sha ctx claims_blob) leaf.rl_claim_hash)
           "dispute: claims do not match committed hash"
       in
       let* claims = Option.to_result ~none:"malformed claims" (decode_claims claims_blob) in
       let bw = if batch_witness = "" then None else Some (Bigint.of_bytes_be batch_witness) in
-      Gasmeter.charge ctx.Vm.meter ~label:"hash" (Gas.hash 64);
       let* () =
         Vm.require ctx
-          (Bytesutil.const_equal (witness_digest ~claims ~batch_witness:bw) leaf.rl_witness_digest)
+          (Bytesutil.const_equal
+             (sha ctx (witness_digest_input ~claims ~batch_witness:bw))
+             leaf.rl_witness_digest)
           "dispute: witnesses do not match committed digest"
       in
       (* The claims must answer the escrowed token set of the leaf's
          request — same binding as the eager settlement path. *)
-      let* digest =
-        Option.to_result ~none:"missing digest" (Vm.sload ctx (key_digest leaf.rl_request))
-      in
-      let tokens_blob = Bytesutil.concat (List.map (fun c -> c.token_bytes) claims) in
-      Gasmeter.charge ctx.Vm.meter ~label:"hash" (Gas.hash (String.length tokens_blob));
       let* () =
         Vm.require ctx
-          (Bytesutil.const_equal (Sha256.digest tokens_blob) digest)
+          (Bytesutil.const_equal
+             (sha ctx (Bytesutil.concat (List.map (fun c -> c.token_bytes) claims)))
+             mine.es_digest)
           "dispute: token set mismatch"
       in
-      let* modulus_b = Option.to_result ~none:"missing modulus" (Vm.sload ctx key_modulus) in
-      let* ac_b = Option.to_result ~none:"missing batch ac" (Vm.sload ctx (bkey_ac batch_id)) in
-      let params = { Rsa_acc.modulus = Bigint.of_bytes_be modulus_b; generator } in
-      let ac = Bigint.of_bytes_be ac_b in
+      (* Every member's preimage against its slot: the refunds below go
+         to these users, in these amounts. *)
+      let rec slots acc = function
+        | [] -> Ok (List.rev acc)
+        | e :: rest ->
+          let* slot =
+            Option.to_result ~none:"dispute: escrow mismatch" (Vm.sload ctx (key_request e.es_request))
+          in
+          let* () =
+            Vm.require ctx (escrow_matches ctx slot e ~st:st_batched) "dispute: escrow mismatch"
+          in
+          slots ((e, slot) :: acc) rest
+      in
+      let* member_slots = slots [] members in
+      let* () = check_ac ctx ~key:(bkey_ac batch_id) ~reason:"dispute: ac mismatch" ac_bytes in
+      let ac = Bigint.of_bytes_be ac_bytes in
       let ok =
         match bw with
         | None -> List.for_all (verify_claim ctx ~params ~ac) claims
@@ -431,58 +533,71 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
         let* () = if bounty > 0 then Vm.send ctx ~to_:ctx.Vm.sender bounty else Ok () in
         let rec refund = function
           | [] -> Ok ()
-          | id :: rest ->
-            let* user = Option.to_result ~none:"missing user" (Vm.sload ctx (key_user id)) in
-            let* amount = Option.to_result ~none:"missing amount" (int_at ctx (key_amount id)) in
-            let* () = Vm.send ctx ~to_:user amount in
-            Vm.sstore ctx (key_status id) "refunded";
+          | (e, slot) :: rest ->
+            let* () = Vm.send ctx ~to_:e.es_user e.es_amount in
+            Vm.sstore ctx (key_request e.es_request) (with_status slot st_refunded);
             refund rest
         in
-        let* () = refund members in
+        let* () = refund member_slots in
         Vm.sstore ctx (bkey_status batch_id) "slashed";
         Vm.emit ctx (Bytesutil.concat [ "BatchSlashed"; batch_id; leaf.rl_request ]);
         Ok [ "slashed" ]
       end
-    | _ -> Error "dispute: expected [batch_id; index; leaf; proof; claims; batch_witness]"
+    | _ ->
+      Error "dispute: expected [batch_id; index; leaf; proof; claims; batch_witness; members; ac]"
   in
   (* finalize: after the dispute cutoff an undisputed batch settles
-     wholesale — the member escrows, summed, pay out to the committing
-     cloud in one transfer. *)
+     wholesale — the escrow total recorded at commit pays out to the
+     committing cloud in one transfer. The member list (checked against
+     its hash) names the slots whose status flips to paid. *)
   let finalize ctx args =
     match args with
-    | [ batch_id ] ->
+    | [ batch_id; requests_blob ] ->
       let* () =
         Vm.require ctx
           (Vm.sload ctx (bkey_status batch_id) = Some "committed")
           "finalize: batch not committed"
       in
-      let* committed_h = Option.to_result ~none:"missing height" (int_at ctx (bkey_height batch_id)) in
+      let* _count, committed_h, total = info_of ctx batch_id in
       let* () =
         Vm.require ctx
           (ctx.Vm.height >= committed_h + window_of ctx)
           "finalize: dispute window still open"
       in
       let* cloud = Option.to_result ~none:"missing cloud" (Vm.sload ctx (bkey_cloud batch_id)) in
+      let* stored_members =
+        Option.to_result ~none:"missing members" (Vm.sload ctx (bkey_members batch_id))
+      in
+      let* () =
+        Vm.require ctx
+          (Bytesutil.const_equal (sha ctx requests_blob) stored_members)
+          "finalize: member list mismatch"
+      in
       let* members =
-        Option.to_result ~none:"missing requests"
-          (Option.bind (Vm.sload ctx (bkey_requests batch_id)) Bytesutil.split)
+        Option.to_result ~none:"finalize: malformed request list" (Bytesutil.split requests_blob)
       in
-      let rec tally total = function
-        | [] -> Ok total
+      let rec mark = function
+        | [] -> Ok ()
         | id :: rest ->
-          let* amount = Option.to_result ~none:"missing amount" (int_at ctx (key_amount id)) in
-          Vm.sstore ctx (key_status id) "paid";
-          tally (total + amount) rest
+          let* slot =
+            match Vm.sload ctx (key_request id) with
+            | Some s when slot_status s = Some st_batched -> Ok s
+            | Some _ | None -> Error "finalize: request not batched"
+          in
+          Vm.sstore ctx (key_request id) (with_status slot st_paid);
+          mark rest
       in
-      let* total = tally 0 members in
+      let* () = mark members in
       let* () = Vm.send ctx ~to_:cloud total in
       Vm.sstore ctx (bkey_status batch_id) "final";
       Vm.emit ctx (Bytesutil.concat [ "BatchFinalized"; batch_id; string_of_int total ]);
       Ok [ "finalized"; string_of_int total ]
-    | _ -> Error "finalize: expected [batch_id]"
+    | _ -> Error "finalize: expected [batch_id; requests]"
   in
   { Vm.cd_name = "slicer-verifier";
-    cd_code = pseudo_code;
+    (* The modulus is an immutable: it is deployed with the code (and
+       paid for per byte of it) rather than stored. *)
+    cd_code = pseudo_code ^ Bigint.to_bytes_be modulus;
     cd_methods =
       [ ("constructor", constructor);
         ("updateAc", update_ac);
@@ -496,17 +611,17 @@ let contract ~modulus ~generator ~initial_ac ~shard ~dispute_window =
 
 (* --- client-side helpers ---------------------------------------------- *)
 
-let restore ledger ~contract:addr ~modulus ~generator =
+let restore ledger ~contract:addr ~modulus =
   (* Recovery: put the contract definition back at its snapshotted
      address without executing anything. The constructor closure never
      runs — the restored storage already holds its effects — so the
-     [initial_ac] baked into it is irrelevant; the live [Ac] is the
-     [key_ac] storage cell. *)
-  let def = contract ~modulus ~generator ~initial_ac:Bigint.one ~shard:(0, 1) ~dispute_window:1 in
+     [initial_ac] baked into it is irrelevant; the live H(Ac) is the
+     [key_ac] storage cell. The code, modulus included, is rebuilt. *)
+  let def = contract ~modulus ~initial_ac:Bigint.one ~shard:(0, 1) ~dispute_window:1 in
   Vm.install_contract (Ledger.state ledger) addr def
 
-let deploy ?(shard = (0, 1)) ?(dispute_window = 4) ledger ~owner ~modulus ~generator ~initial_ac =
-  let def = contract ~modulus ~generator ~initial_ac ~shard ~dispute_window in
+let deploy ?(shard = (0, 1)) ?(dispute_window = 4) ledger ~owner ~modulus ~initial_ac =
+  let def = contract ~modulus ~initial_ac ~shard ~dispute_window in
   let txn = Vm.make_deploy (Ledger.state ledger) ~sender:owner def [] in
   let receipt = observe_txn ~label:"deploy" (Ledger.submit_and_seal ledger txn) in
   (txn.Vm.tx_to, receipt)
@@ -525,17 +640,18 @@ let request_search ledger ~user ~contract ~request_id ~tokens ~payment =
   in
   observe_txn ~label:"requestSearch" (Ledger.submit_and_seal ledger txn)
 
-let submit_result ledger ~cloud ~contract ~request_id claims =
+let submit_result ledger ~cloud ~contract ~request_id ~user ~amount ~ac claims =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "submitResult"
-      [ request_id; encode_claims claims ]
+      [ request_id; user; string_of_int amount; Bigint.to_bytes_be ac; encode_claims claims ]
   in
   observe_settlement (observe_txn ~label:"submitResult" (Ledger.submit_and_seal ledger txn))
 
-let submit_result_batched ledger ~cloud ~contract ~request_id claims ~witness =
+let submit_result_batched ledger ~cloud ~contract ~request_id ~user ~amount ~ac claims ~witness =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "submitResultBatched"
-      [ request_id; encode_claims claims; Bigint.to_bytes_be witness ]
+      [ request_id; user; string_of_int amount; Bigint.to_bytes_be ac; encode_claims claims;
+        Bigint.to_bytes_be witness ]
   in
   observe_settlement
     (observe_txn ~label:"submitResultBatched" (Ledger.submit_and_seal ledger txn))
@@ -552,10 +668,12 @@ let storage_get ledger ~contract key =
     in
     Vm.sload ctx key
 
-let request_status ledger ~contract ~request_id = storage_get ledger ~contract (key_status request_id)
+let request_status ledger ~contract ~request_id =
+  Option.bind
+    (Option.bind (storage_get ledger ~contract (key_request request_id)) slot_status)
+    status_name
 
-let stored_ac ledger ~contract =
-  Option.map Bigint.of_bytes_be (storage_get ledger ~contract key_ac)
+let stored_ac_digest ledger ~contract = storage_get ledger ~contract key_ac
 
 let stored_shard ledger ~contract =
   match
@@ -583,25 +701,27 @@ let post_deposit ledger ~cloud ~contract ~amount =
   in
   observe_txn ~label:"deposit" (Ledger.submit_and_seal ledger txn)
 
-let commit_batch ledger ~cloud ~contract ~batch_id ~root ~requests =
+let commit_batch ledger ~cloud ~contract ~batch_id ~root ~members =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "commitBatch"
-      [ batch_id; root; Bytesutil.concat requests ]
+      [ batch_id; root; encode_escrows members ]
   in
   observe_txn ~label:"commitBatch" (Ledger.submit_and_seal ledger txn)
 
 let dispute_leaf ledger ~disputer ~contract ~batch_id ~index ~leaf ~proof ~claims_blob
-    ~batch_witness =
+    ~batch_witness ~members ~ac =
   let bw = match batch_witness with None -> "" | Some w -> Bigint.to_bytes_be w in
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:disputer ~to_:contract "dispute"
-      [ batch_id; string_of_int index; leaf; Merkle.proof_to_bytes proof; claims_blob; bw ]
+      [ batch_id; string_of_int index; leaf; Merkle.proof_to_bytes proof; claims_blob; bw;
+        encode_escrows members; Bigint.to_bytes_be ac ]
   in
   observe_txn ~label:"dispute" (Ledger.submit_and_seal ledger txn)
 
-let finalize_batch ledger ~cloud ~contract ~batch_id =
+let finalize_batch ledger ~cloud ~contract ~batch_id ~requests =
   let txn =
-    Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "finalize" [ batch_id ]
+    Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "finalize"
+      [ batch_id; Bytesutil.concat requests ]
   in
   observe_txn ~label:"finalize" (Ledger.submit_and_seal ledger txn)
 

@@ -2,8 +2,8 @@
     escrow of Section IV-A).
 
     Life cycle:
-    + the data owner deploys the contract with the accumulator public
-      parameters and initial accumulation value [Ac];
+    + the data owner deploys the contract with the accumulator modulus
+      (part of the deployed code) and initial accumulation value [Ac];
     + [updateAc] — the owner refreshes [Ac] after every Insert (the
       cheap "Data insertion" row of Table II);
     + [requestSearch] — a data user posts search tokens and locks the
@@ -12,6 +12,13 @@
       contract recomputes each claim's multiset hash and prime
       representative, checks the RSA witnesses against [Ac], and either
       pays the cloud or refunds the user.
+
+    Every storage cell is at most one 32-byte word. The contract keeps
+    commitments, not blobs: an escrow is one word (a 31-byte hash of
+    user, amount and token digest, then a status byte), [Ac] is stored
+    as H(Ac), and a batch as six words. Whoever calls a method that
+    needs a preimage passes it as calldata, and the contract checks it
+    against the commitment (DESIGN §5, "Contract storage").
 
     Neither plaintext values nor decryption keys ever reach the chain:
     verification works entirely on PRF tokens, encrypted record IDs and
@@ -55,31 +62,59 @@ val witness_digest :
 (** The [rl_witness_digest] binding: the batch witness when one covers
     every claim, the concatenated per-claim VOs otherwise. *)
 
+(** {1 Escrow commitments} *)
+
+type escrow = {
+  es_request : string;   (** the on-chain (composite) request id *)
+  es_user : Vm.address;  (** who escrowed the fee, and gets any refund *)
+  es_amount : int;       (** the escrowed fee *)
+  es_digest : string;    (** {!tokens_digest} of the requested tokens *)
+}
+(** An escrow's preimage: what [requestSearch] commits to in the
+    request's one-word slot, and what every later method that reads
+    the request takes as calldata. *)
+
+val tokens_digest : string list -> string
+(** SHA-256 of the tokens blob, as [requestSearch] and the settlement
+    paths hash it. The request's slot holds the first 31 bytes of
+    SHA-256(user ‖ amount ‖ token digest), then a status byte; the
+    request id is the slot's key, not part of the preimage. *)
+
+val encode_escrows : escrow list -> string
+(** The escrows as [commitBatch] and [dispute] take them in calldata. *)
+
+val decode_escrows : string -> escrow list option
+
+val ac_digest : Bigint.t -> string
+(** H(Ac): the word the contract stores in place of [Ac]. *)
+
 val contract :
-  modulus:Bigint.t -> generator:Bigint.t -> initial_ac:Bigint.t -> shard:int * int ->
-  dispute_window:int ->
+  modulus:Bigint.t -> initial_ac:Bigint.t -> shard:int * int -> dispute_window:int ->
   Vm.contract_def
 (** Contract definition; deploy with {!Vm.make_deploy} (no init args —
     parameters are baked into the constructor closure, standing in for
-    constructor calldata which is charged separately). [shard = (i, n)]
-    records which slice of the keyword space this contract's [Ac]
-    covers; a lone server uses [(0, 1)]. [dispute_window] is the number
-    of blocks after a [commitBatch] during which any leaf may be
-    disputed; [finalize] only succeeds once it has passed. *)
+    constructor calldata which is charged separately). The modulus is
+    appended to the pseudo-bytecode, as a Solidity [immutable] is, so
+    deployment pays for it per code byte and no method reads it from
+    storage. [shard = (i, n)] records which slice of the keyword space
+    this contract's [Ac] covers; a lone server uses [(0, 1)].
+    [dispute_window] is the number of blocks after a [commitBatch]
+    during which any leaf may be disputed; [finalize] only succeeds
+    once it has passed. *)
 
 (** Client-side transaction builders. *)
 
-val restore :
-  Ledger.t -> contract:Vm.address -> modulus:Bigint.t -> generator:Bigint.t -> unit
-(** Recovery support: re-install the contract definition at its
-    snapshotted address via {!Vm.install_contract} — no transaction,
-    no constructor run. The caller must restore the contract's storage
-    (including the [ac] cell) separately; the live accumulation value
-    comes from storage, never from the closure. *)
+val restore : Ledger.t -> contract:Vm.address -> modulus:Bigint.t -> unit
+(** Recovery support: re-install the contract definition, code and
+    modulus included, at its snapshotted address via
+    {!Vm.install_contract} — no transaction, no constructor run. The
+    caller must restore the contract's storage (including the H(Ac)
+    cell) separately; the live accumulation value's commitment comes
+    from storage, never from the closure. *)
 
 val deploy :
   ?shard:int * int -> ?dispute_window:int ->
-  Ledger.t -> owner:Vm.address -> modulus:Bigint.t -> generator:Bigint.t -> initial_ac:Bigint.t ->
+  Ledger.t -> owner:Vm.address -> modulus:Bigint.t -> initial_ac:Bigint.t ->
   Vm.address * Vm.receipt
 (** Deploys and seals a block; returns the contract address.
     [shard] defaults to [(0, 1)] (a lone server); [dispute_window]
@@ -95,20 +130,24 @@ val request_search :
 
 val submit_result :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> request_id:string ->
-  claim list -> Vm.receipt
-(** Triggers on-chain verification and settlement. The receipt's output
-    is [["paid"]] or [["refunded"]]. *)
+  user:Vm.address -> amount:int -> ac:Bigint.t -> claim list -> Vm.receipt
+(** Triggers on-chain verification and settlement. [user] and [amount]
+    are the escrow's preimage (the token digest is recomputed from the
+    claims) and [ac] the accumulation value whose hash is on chain; the
+    call reverts with ["token set mismatch"] or ["ac mismatch"] when
+    they do not match. The receipt's output is [["paid"]] or
+    [["refunded"]]. *)
 
 val submit_result_batched :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> request_id:string ->
-  claim list -> witness:Bigint.t -> Vm.receipt
+  user:Vm.address -> amount:int -> ac:Bigint.t -> claim list -> witness:Bigint.t -> Vm.receipt
 (** Settlement with one batched membership witness covering every claim
     (the per-claim [witness] fields are ignored); saves [(k-1) * 64]
     bytes of verification objects for a [k]-token order search. *)
 
 val request_status : Ledger.t -> contract:Vm.address -> request_id:string -> string option
 (** ["pending"], ["batched"] (committed under an open batch), ["paid"]
-    or ["refunded"]. *)
+    or ["refunded"], decoded from the slot's status byte. *)
 
 (** {1 Batched optimistic settlement}
 
@@ -126,23 +165,28 @@ val post_deposit :
 
 val commit_batch :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> batch_id:string -> root:string ->
-  requests:string list -> Vm.receipt
+  members:escrow list -> Vm.receipt
 (** Commits a Merkle [root] over the batch's receipt leaves; every
-    member request must be an escrowed ["pending"] search. The output
-    is [["committed"]]. *)
+    member must be an escrowed ["pending"] search whose slot matches
+    its preimage. The contract records H(member ids), the H(Ac) in
+    force and the escrow total. The output is [["committed"]]. *)
 
 val dispute_leaf :
   Ledger.t -> disputer:Vm.address -> contract:Vm.address -> batch_id:string -> index:int ->
   leaf:string -> proof:Merkle.proof -> claims_blob:string -> batch_witness:Bigint.t option ->
-  Vm.receipt
-(** Opens a dispute on one committed leaf. A bad leaf yields
-    [["slashed"]]; a leaf that verifies reverts with
+  members:escrow list -> ac:Bigint.t -> Vm.receipt
+(** Opens a dispute on one committed leaf. [members] are the batch's
+    escrow preimages in commit order (so a slash can refund each to its
+    user) and [ac] the accumulation value in force at commit. A bad
+    leaf yields [["slashed"]]; a leaf that verifies reverts with
     ["dispute rejected…"] (the disputer pays the verification gas). *)
 
 val finalize_batch :
-  Ledger.t -> cloud:Vm.address -> contract:Vm.address -> batch_id:string -> Vm.receipt
-(** Wholesale settlement after the window; output
-    [["finalized"; total]]. *)
+  Ledger.t -> cloud:Vm.address -> contract:Vm.address -> batch_id:string ->
+  requests:string list -> Vm.receipt
+(** Wholesale settlement after the window: [requests] is the member
+    list in commit order, checked against its hash; the escrow total
+    recorded at commit pays out. Output [["finalized"; total]]. *)
 
 val batch_status : Ledger.t -> contract:Vm.address -> batch_id:string -> string option
 (** ["committed"], ["final"] or ["slashed"]. *)
@@ -151,8 +195,10 @@ val stored_deposit : Ledger.t -> contract:Vm.address -> who:Vm.address -> int
 
 val stored_dispute_window : Ledger.t -> contract:Vm.address -> int option
 
-val stored_ac : Ledger.t -> contract:Vm.address -> Bigint.t option
-(** The accumulation value currently on chain (freshness anchor). *)
+val stored_ac_digest : Ledger.t -> contract:Vm.address -> string option
+(** {!ac_digest} of the accumulation value currently on chain (the
+    freshness anchor). [Ac] itself travels in [updateAc]'s calldata and
+    its [AcUpdated] event. *)
 
 val stored_shard : Ledger.t -> contract:Vm.address -> (int * int) option
 (** The shard identity [(i, n)] stamped at deploy time; [None] when the

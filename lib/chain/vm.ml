@@ -13,6 +13,7 @@ type state = {
       (* [Some undos] while a transaction runs; mutations push undo
          thunks, replayed in order on revert. *)
   mutable events : string list; (* collected during the current txn *)
+  mutable last_meter : Gasmeter.t option; (* the latest transaction's meter *)
 }
 
 and ctx = {
@@ -34,7 +35,8 @@ let create_state () =
     storage = Hashtbl.create 4;
     deployed = Hashtbl.create 4;
     journal = None;
-    events = [] }
+    events = [];
+    last_meter = None }
 
 let record state undo =
   match state.journal with
@@ -114,15 +116,25 @@ let storage_of state addr =
     Hashtbl.replace state.storage addr tbl;
     tbl
 
+(* Storage is priced per 32-byte word, as an EVM slot holds one: a
+   value of [len] bytes is [Gas.words len] slots. A read pays one cold
+   SLOAD per word (one for a missing value). A write pays a fresh
+   SSTORE for each word beyond the old value's length and a reset for
+   each word the old value already occupied. *)
 let sload ctx key =
-  Gasmeter.charge ctx.meter ~label:"sload" Gas.sload;
-  Hashtbl.find_opt (storage_of ctx.state ctx.self) key
+  let v = Hashtbl.find_opt (storage_of ctx.state ctx.self) key in
+  let len = match v with Some v -> String.length v | None -> 0 in
+  Gasmeter.charge ctx.meter ~label:"sload" (Gas.sload * Gas.words len);
+  v
 
 let sstore ctx key value =
   let tbl = storage_of ctx.state ctx.self in
   let old = Hashtbl.find_opt tbl key in
-  let cost = match old with None -> Gas.sstore_set | Some _ -> Gas.sstore_reset in
-  Gasmeter.charge ctx.meter ~label:"sstore" cost;
+  let fresh = Gas.words (String.length value) in
+  let set_before = match old with None -> 0 | Some v -> Gas.words (String.length v) in
+  let reset = Stdlib.min fresh set_before in
+  Gasmeter.charge ctx.meter ~label:"sstore"
+    ((reset * Gas.sstore_reset) + ((fresh - reset) * Gas.sstore_set));
   record ctx.state (fun () ->
       match old with None -> Hashtbl.remove tbl key | Some v -> Hashtbl.replace tbl key v);
   Hashtbl.replace tbl key value
@@ -219,6 +231,7 @@ let execute ?(height = 0) state t =
   if state.journal <> None then invalid_arg "Vm.execute: reentrant execution";
   state.events <- [];
   let meter = Gasmeter.create () in
+  state.last_meter <- Some meter;
   let finish output =
     { r_txn_hash = txn_hash t;
       r_gas_used = Gasmeter.used meter;
@@ -226,23 +239,33 @@ let execute ?(height = 0) state t =
       r_output = output }
   in
   if t.tx_nonce <> nonce state t.tx_sender then finish (Error "bad nonce")
-  else begin
-    Hashtbl.replace state.nonces t.tx_sender (t.tx_nonce + 1);
-    Gasmeter.charge meter ~label:"intrinsic" (intrinsic_gas t);
-    state.journal <- Some [];
-    let output =
-      match move_value state ~from:t.tx_sender ~to_:t.tx_to t.tx_value with
-      | Error _ as e -> e |> Result.map (fun () -> [])
-      | Ok () -> (
-        try run_payload state meter ~height t with Gasmeter.Out_of_gas _ -> Error "out of gas" )
-    in
-    (match output with
-     | Ok _ -> ()
-     | Error _ ->
-       (* Revert: replay undo thunks, newest first. *)
-       (match state.journal with
-        | Some undos -> List.iter (fun undo -> undo ()) undos
-        | None -> ()));
-    state.journal <- None;
-    finish output
-  end
+  else
+    let intrinsic = intrinsic_gas t in
+    if intrinsic > Gasmeter.limit meter then
+      (* Refused before it touches anything, as a node refuses a
+         transaction whose intrinsic gas is over the block's limit: no
+         nonce bump, no gas, no state change. *)
+      finish (Error "intrinsic gas exceeds the gas limit")
+    else begin
+      Hashtbl.replace state.nonces t.tx_sender (t.tx_nonce + 1);
+      Gasmeter.charge meter ~label:"intrinsic" intrinsic;
+      state.journal <- Some [];
+      let output =
+        match move_value state ~from:t.tx_sender ~to_:t.tx_to t.tx_value with
+        | Error _ as e -> e |> Result.map (fun () -> [])
+        | Ok () -> (
+          try run_payload state meter ~height t with Gasmeter.Out_of_gas _ -> Error "out of gas" )
+      in
+      (match output with
+       | Ok _ -> ()
+       | Error _ ->
+         (* Revert: replay undo thunks, newest first. *)
+         (match state.journal with
+          | Some undos -> List.iter (fun undo -> undo ()) undos
+          | None -> ()));
+      state.journal <- None;
+      finish output
+    end
+
+let last_breakdown state =
+  match state.last_meter with Some m -> Gasmeter.breakdown m | None -> []

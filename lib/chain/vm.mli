@@ -71,7 +71,13 @@ val restore_storage : state -> address -> (string * string) list -> unit
 (** {1 Contract-side operations (metered, journaled)} *)
 
 val sload : ctx -> string -> string option
+(** Reads a cell: {!Gas.sload} per 32-byte word of the value found
+    (one word when the cell is unset). *)
+
 val sstore : ctx -> string -> string -> unit
+(** Writes a cell: {!Gas.sstore_reset} for each word the old value
+    occupied and {!Gas.sstore_set} for each word beyond it. *)
+
 val emit : ctx -> string -> unit
 (** Emits a log event (gas only; events are recorded in the receipt). *)
 
@@ -118,5 +124,13 @@ val execute : ?height:int -> state -> txn -> receipt
 (** Applies the transaction: checks nonce and balance, charges intrinsic
     and execution gas, runs the payload, and rolls back on revert. A
     failed transaction still consumes its gas and bumps the nonce.
+    Never raises on gas: a transaction whose nonce is wrong, or whose
+    intrinsic gas alone is over the gas limit, gets an [Error] receipt
+    with 0 gas and leaves the state (nonce included) untouched.
     [height] is exposed to contracts as [ctx.height] ([block.number]);
     the ledger passes the sealing block's number. *)
+
+val last_breakdown : state -> (string * int) list
+(** The {!Gasmeter.breakdown} of the most recently executed
+    transaction, largest label first; each {!execute} overwrites it.
+    [[]] before the first transaction. *)

@@ -39,7 +39,7 @@ let setup ?(width = 16) ?(tdp_bits = 512) ?(acc_bits = 512) ?(payment = 1000) ~s
   Vm.fund (Ledger.state ledger) user_addr 100_000_000;
   let contract, receipt =
     Slicer_contract.deploy ledger ~owner:owner_addr ~modulus:acc_params.Rsa_acc.modulus
-      ~generator:acc_params.Rsa_acc.generator ~initial_ac:shipment.Owner.sh_ac
+      ~initial_ac:shipment.Owner.sh_ac
   in
   (match receipt.Vm.r_output with
    | Ok _ -> ()
@@ -175,5 +175,5 @@ let user_address t = t.p_user_addr
 let cloud_address t = Station.cloud_addr t.p_station
 let user_balance t = Vm.balance (Ledger.state (ledger t)) t.p_user_addr
 let cloud_balance t = Vm.balance (Ledger.state (ledger t)) (cloud_address t)
-let onchain_ac t = Station.onchain_ac t.p_station
+let onchain_ac_digest t = Station.onchain_ac_digest t.p_station
 let rng t = t.p_rng

@@ -85,5 +85,5 @@ val user_address : t -> Vm.address
 val cloud_address : t -> Vm.address
 val user_balance : t -> int
 val cloud_balance : t -> int
-val onchain_ac : t -> Bigint.t option
+val onchain_ac_digest : t -> string option (* H(Ac), as the contract stores it *)
 val rng : t -> Drbg.t

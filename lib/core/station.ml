@@ -17,15 +17,16 @@ let cloud_addr t = t.s_cloud_addr
 let batcher t = t.s_batcher
 
 let enable_batching ?state t ~config =
+  let current_ac () = Cloud.current_ac t.s_cloud in
   let b =
     match state with
     | None ->
       Some
         (Settle_batch.create ~config ~ledger:t.s_ledger ~contract:t.s_contract
-           ~cloud:t.s_cloud_addr)
+           ~cloud:t.s_cloud_addr ~current_ac)
     | Some bytes ->
       Settle_batch.restore ~config ~ledger:t.s_ledger ~contract:t.s_contract
-        ~cloud:t.s_cloud_addr bytes
+        ~cloud:t.s_cloud_addr ~current_ac bytes
   in
   match b with
   | None -> Error "corrupt settle-batch snapshot"
@@ -83,15 +84,18 @@ let settle t ~client ~user ~request_id ~payment ~token_blobs ~batched =
     in
     (match t.s_batcher with
      | None ->
-       (* Eager settlement: verify and pay/refund in one transaction. *)
+       (* Eager settlement: verify and pay/refund in one transaction.
+          The escrow's user and amount and the live Ac travel as
+          calldata, checked against their on-chain commitments. *)
+       let ac = Cloud.current_ac t.s_cloud in
        let sr =
          match batch_witness with
          | Some witness ->
            Slicer_contract.submit_result_batched t.s_ledger ~cloud:t.s_cloud_addr
-             ~contract:t.s_contract ~request_id claims ~witness
+             ~contract:t.s_contract ~request_id ~user ~amount:payment ~ac claims ~witness
          | None ->
            Slicer_contract.submit_result t.s_ledger ~cloud:t.s_cloud_addr
-             ~contract:t.s_contract ~request_id claims
+             ~contract:t.s_contract ~request_id ~user ~amount:payment ~ac claims
        in
        Ok { se_claims = claims; se_batch_witness = batch_witness; se_receipt = sr;
             se_outcome = Settled sr }
@@ -106,13 +110,19 @@ let settle t ~client ~user ~request_id ~payment ~token_blobs ~batched =
            rl_claim_hash = Sha256.digest (Slicer_contract.encode_claims claims);
            rl_witness_digest = Slicer_contract.witness_digest ~claims ~batch_witness }
        in
-       let batch, index = Settle_batch.add b leaf in
+       let escrow =
+         { Slicer_contract.es_request = request_id;
+           es_user = user;
+           es_amount = payment;
+           es_digest = Slicer_contract.tokens_digest token_blobs }
+       in
+       let batch, index = Settle_batch.add b leaf ~escrow in
        Ok { se_claims = claims; se_batch_witness = batch_witness; se_receipt = rr;
             se_outcome =
               Deferred { sd_batch = batch; sd_index = index;
                          sd_leaf = Slicer_contract.encode_leaf leaf } })
 
-let onchain_ac t = Slicer_contract.stored_ac t.s_ledger ~contract:t.s_contract
+let onchain_ac_digest t = Slicer_contract.stored_ac_digest t.s_ledger ~contract:t.s_contract
 
 let install t ~owner (sh : Owner.shipment) =
   Obs.span "chain.install" @@ fun () ->

@@ -67,8 +67,10 @@ val settle :
     (bad escrow, duplicate id …); a failed {e verification} is not an
     error — it surfaces as the receipt's ["refunded"] output. *)
 
-val onchain_ac : t -> Bigint.t option
-(** The accumulation value currently on chain (freshness anchor). *)
+val onchain_ac_digest : t -> string option
+(** H(Ac) as the contract stores it: the freshness anchor. The value
+    itself is the cloud's {!Cloud.current_ac}, which {!install} keeps
+    equal to it. *)
 
 val install : t -> owner:Vm.address -> Owner.shipment -> (Vm.receipt, string) result
 (** Apply a Build/Insert shipment at the cloud and refresh the on-chain

@@ -205,11 +205,9 @@ let user_address t b client =
 
 let provision t b client =
   let addr = user_address t b client in
-  let ac =
-    match Station.onchain_ac b.b_station with
-    | Some ac -> ac
-    | None -> b.b_acc.Rsa_acc.generator
-  in
+  (* The chain holds H(Ac); the value is the cloud's, which every
+     install keeps equal to the one whose hash is on chain. *)
+  let ac = Cloud.current_ac (Station.cloud b.b_station) in
   Wire.Welcome
     { Wire.pv_width = b.b_width;
       pv_payment = b.b_payment;
@@ -291,11 +289,7 @@ let do_search t b ~req ~client ~request_id ~batched tokens =
                   | _ -> Some base)
                | None -> Some base)
           in
-          let ac =
-            match Station.onchain_ac b.b_station with
-            | Some ac -> ac
-            | None -> b.b_acc.Rsa_acc.generator
-          in
+          let ac = Cloud.current_ac (Station.cloud b.b_station) in
           let reply =
             Wire.Found
               { Wire.sr_request_id = request_id;
@@ -340,8 +334,7 @@ let do_build t req =
        in
        let contract, receipt =
          Slicer_contract.deploy ~shard:t.shard ~dispute_window ledger ~owner:owner_addr
-           ~modulus:acc.Rsa_acc.modulus ~generator:acc.Rsa_acc.generator
-           ~initial_ac:shipment.Owner.sh_ac
+           ~modulus:acc.Rsa_acc.modulus ~initial_ac:shipment.Owner.sh_ac
        in
        (match receipt.Vm.r_output with
         | Error e -> refused Wire.Internal ("contract deployment failed: " ^ e)
@@ -466,9 +459,10 @@ let handle_locked t req =
 let ( let* ) = Option.bind
 
 (* One layout is decoded: older built snapshots (v1 without the
-   witness and settle pieces, v2 without the settle piece) are refused
-   as a codec mismatch. *)
-let snap_magic_built = "slicer-service-built-v3"
+   witness and settle pieces, v2 without the settle piece, v3 with the
+   contract's multi-word cells and the v1 settle export) are refused as
+   a codec mismatch. *)
+let snap_magic_built = "slicer-service-built-v4"
 let snap_magic_empty = "slicer-service-empty-v1"
 
 (* The snapshot is the *materialized* behavioral state, not chain
@@ -607,8 +601,7 @@ let decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard bytes =
     List.iter
       (fun (a, balance, nonce) -> Vm.restore_account vmst a ~balance ~nonce)
       accounts;
-    Slicer_contract.restore ledger ~contract ~modulus:acc_params.Rsa_acc.modulus
-      ~generator:acc_params.Rsa_acc.generator;
+    Slicer_contract.restore ledger ~contract ~modulus:acc_params.Rsa_acc.modulus;
     Vm.restore_storage vmst contract storage;
     let t = create ?max_cached_replies ?faucet ?settle ?instance ?shard () in
     let b =
@@ -674,9 +667,10 @@ let apply_event t (ev : Store.event) =
       | _ -> Ok ())
 
 (* The acceptance invariant: the recovered prime multiset must
-   re-accumulate to both the cloud's Ac and the on-chain Ac. Anything
-   else means the index, the ADS and the chain no longer tell the same
-   story, and serving would break verifiability silently. *)
+   re-accumulate to the cloud's Ac, and its hash must be the on-chain
+   H(Ac). Anything else means the index, the ADS and the chain no
+   longer tell the same story, and serving would break verifiability
+   silently. *)
 let verify_recovered t =
   match t.state with
   | None -> Ok ()
@@ -684,10 +678,13 @@ let verify_recovered t =
     let cloud = Station.cloud b.b_station in
     let computed = Rsa_acc.accumulate b.b_acc (Cloud.primes cloud) in
     let cloud_ac = Cloud.current_ac cloud in
-    (match Station.onchain_ac b.b_station with
+    (match Station.onchain_ac_digest b.b_station with
      | None -> Error "recovered chain holds no Ac"
      | Some chain_ac ->
-       if Bigint.equal computed cloud_ac && Bigint.equal computed chain_ac then Ok ()
+       if
+         Bigint.equal computed cloud_ac
+         && String.equal (Slicer_contract.ac_digest computed) chain_ac
+       then Ok ()
        else
          Error
            "recovered accumulator mismatch: primes, cloud Ac and on-chain Ac disagree")

@@ -132,6 +132,32 @@ let test_unknown_method () =
   let r = Ledger.submit_and_seal ledger (Vm.make_call state ~sender:alice ~to_:deploy_txn.Vm.tx_to "nope" []) in
   Alcotest.(check bool) "unknown method fails" true (Result.is_error r.Vm.r_output)
 
+(* Storage is priced per 32-byte word: 0 and 32 bytes are one word, 33
+   bytes two. *)
+let test_storage_priced_per_word () =
+  Alcotest.(check (list int)) "words" [ 1; 1; 1; 2; 2; 3 ]
+    (List.map Gas.words [ 0; 1; 32; 33; 64; 65 ]);
+  let state = Vm.create_state () in
+  let self = Vm.address_of_name "word-priced" in
+  let charged op =
+    let meter = Gasmeter.create () in
+    op { Vm.state; meter; sender = alice; self; value = 0; height = 0 };
+    Gasmeter.used meter
+  in
+  let store key len c = charged (fun ctx -> Vm.sstore ctx key (String.make len c)) in
+  let load key = charged (fun ctx -> ignore (Vm.sload ctx key)) in
+  Alcotest.(check int) "fresh 0 bytes: one word" Gas.sstore_set (store "a" 0 'x');
+  Alcotest.(check int) "fresh 32 bytes: one word" Gas.sstore_set (store "b" 32 'x');
+  Alcotest.(check int) "fresh 33 bytes: two words" (2 * Gas.sstore_set) (store "c" 33 'x');
+  Alcotest.(check int) "33 over 32: one reset, one fresh" (Gas.sstore_reset + Gas.sstore_set)
+    (store "b" 33 'y');
+  Alcotest.(check int) "32 over 33: one reset" Gas.sstore_reset (store "c" 32 'y');
+  Alcotest.(check int) "0 over 0: one reset" Gas.sstore_reset (store "a" 0 'y');
+  Alcotest.(check int) "read 0 bytes" Gas.sload (load "a");
+  Alcotest.(check int) "read 32 bytes" Gas.sload (load "c");
+  Alcotest.(check int) "read 33 bytes" (2 * Gas.sload) (load "b");
+  Alcotest.(check int) "read unset" Gas.sload (load "missing")
+
 (* --- blocks and ledger ---------------------------------------------------- *)
 
 let test_chain_grows_and_validates () =
@@ -190,21 +216,37 @@ let scenario () =
   let witness = Rsa_acc.mem_witness acc_params xs x in
   (token, results, witness, ac)
 
+let scenario_token, scenario_ac =
+  let token, _, _, ac = scenario () in
+  (token, ac)
+
 let deployed () =
   let ledger = fresh_ledger () in
   let token, results, witness, ac = scenario () in
   let contract, dr =
     Slicer_contract.deploy ledger ~owner:alice ~modulus:acc_params.Rsa_acc.modulus
-      ~generator:acc_params.Rsa_acc.generator ~initial_ac:ac
+      ~initial_ac:ac
   in
   (ledger, contract, dr, token, results, witness)
+
+(* Settlement by bob, the cloud, of an escrow alice made: the escrow's
+   user and amount and the deployed Ac go along as calldata. *)
+let submit ?(ac = scenario_ac) ledger ~contract ~request_id ~amount claims =
+  Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id ~user:alice ~amount ~ac
+    claims
+
+(* The preimage of an escrow alice made for [token]. *)
+let escrow_of ~payment ~token id =
+  { Slicer_contract.es_request = id;
+    es_user = alice;
+    es_amount = payment;
+    es_digest = Slicer_contract.tokens_digest [ token ] }
 
 let test_deploy_and_read_ac () =
   let ledger, contract, dr, _, _, _ = deployed () in
   Alcotest.(check bool) "deploy ok" true (Result.is_ok dr.Vm.r_output);
-  (match Slicer_contract.stored_ac ledger ~contract with
-   | Some _ -> ()
-   | None -> Alcotest.fail "Ac must be on chain")
+  Alcotest.(check (option string)) "H(Ac) on chain" (Some (Slicer_contract.ac_digest scenario_ac))
+    (Slicer_contract.stored_ac_digest ledger ~contract)
 
 let test_honest_cloud_gets_paid () =
   let ledger, contract, _, token, results, witness = deployed () in
@@ -229,7 +271,7 @@ let test_honest_cloud_gets_paid () =
   Alcotest.(check (option (list string))) "tokens in request order" (Some several)
     (Slicer_contract.requested_tokens rr_several ~request_id:"req-1b");
   let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
-  let sr = Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"req-1" claims in
+  let sr = submit ledger ~contract ~request_id:"req-1" ~amount:5000 claims in
   (match sr.Vm.r_output with
    | Ok [ "paid" ] -> ()
    | Ok other -> Alcotest.failf "unexpected output [%s]" (String.concat ";" other)
@@ -256,7 +298,7 @@ let test_tampered_results_refunded () =
   let claims =
     [ { Slicer_contract.token_bytes = token; results = List.tl results; witness } ]
   in
-  let sr = Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"req-2" claims in
+  let sr = submit ledger ~contract ~request_id:"req-2" ~amount:7000 claims in
   (match sr.Vm.r_output with
    | Ok [ "refunded" ] -> ()
    | _ -> Alcotest.fail "tampered result must refund");
@@ -271,7 +313,7 @@ let test_forged_witness_refunded () =
        ~tokens:[ token ] ~payment:100);
   let forged = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus in
   let claims = [ { Slicer_contract.token_bytes = token; results; witness = forged } ] in
-  let sr = Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"req-3" claims in
+  let sr = submit ledger ~contract ~request_id:"req-3" ~amount:100 claims in
   (match sr.Vm.r_output with
    | Ok [ "refunded" ] -> ()
    | _ -> Alcotest.fail "forged witness must refund")
@@ -282,11 +324,59 @@ let test_wrong_token_set_rejected () =
     (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"req-4"
        ~tokens:[ token ] ~payment:100);
   let claims = [ { Slicer_contract.token_bytes = token ^ "x"; results; witness } ] in
-  let sr = Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"req-4" claims in
+  let sr = submit ledger ~contract ~request_id:"req-4" ~amount:100 claims in
   Alcotest.(check bool) "token mismatch is an error" true (Result.is_error sr.Vm.r_output);
   (* The escrow stays pending: the right cloud can still answer. *)
   Alcotest.(check (option string)) "still pending" (Some "pending")
     (Slicer_contract.request_status ledger ~contract ~request_id:"req-4")
+
+(* A transaction whose intrinsic gas alone is over the limit is refused
+   before it touches anything: no exception out of the ledger, no nonce
+   bump, no gas, no balance moved, and the escrow it would have settled
+   stays pending. *)
+let test_intrinsic_over_limit_refused () =
+  let ledger, contract, _, token, _, witness = deployed () in
+  let state = Ledger.state ledger in
+  ignore
+    (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"big"
+       ~tokens:[ token ] ~payment:900);
+  let balances () = List.map (fun (a, b, _) -> (a, b)) (Vm.accounts state) in
+  let before = balances () and nonce_before = Vm.nonce state bob in
+  (* ~2 MB of results: 16 gas a byte is over the 30M limit. *)
+  let claims =
+    [ { Slicer_contract.token_bytes = token; results = [ String.make 2_000_000 'r' ]; witness } ]
+  in
+  let sr = submit ledger ~contract ~request_id:"big" ~amount:900 claims in
+  Alcotest.(check bool) "refused" true (Result.is_error sr.Vm.r_output);
+  Alcotest.(check int) "no gas" 0 sr.Vm.r_gas_used;
+  Alcotest.(check int) "nonce unchanged" nonce_before (Vm.nonce state bob);
+  Alcotest.(check (list (pair string int))) "balances unchanged" before (balances ());
+  Alcotest.(check (option string)) "escrow still pending" (Some "pending")
+    (Slicer_contract.request_status ledger ~contract ~request_id:"big");
+  (match Ledger.validate ledger with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "chain invalid: %s" e)
+
+(* requestSearch hashes the tokens blob, and pays for it: two escrows
+   whose blobs differ by 90 bytes differ in gas by exactly those bytes'
+   calldata, their log bytes and the hash's extra words. *)
+let test_request_search_charges_its_hashes () =
+  let ledger, contract, _, _, _, _ = deployed () in
+  let escrow_gas id token =
+    let rr =
+      Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:id ~tokens:[ token ]
+        ~payment:500
+    in
+    Alcotest.(check bool) (id ^ " escrowed") true (Result.is_ok rr.Vm.r_output);
+    rr.Vm.r_gas_used
+  in
+  let short = String.make 10 'a' and long = String.make 100 'a' in
+  let blob t = String.length (Bytesutil.concat [ t ]) in
+  Alcotest.(check int) "calldata + log + hash words"
+    (Gas.calldata (String.make 90 'a')
+     + (Gas.log_per_byte * 90)
+     + (Gas.hash (blob long) - Gas.hash (blob short)))
+    (escrow_gas "hash-2" long - escrow_gas "hash-1" short)
 
 let test_update_ac_only_owner () =
   let ledger, contract, _, _, _, _ = deployed () in
@@ -294,9 +384,9 @@ let test_update_ac_only_owner () =
   Alcotest.(check bool) "non-owner rejected" true (Result.is_error r.Vm.r_output);
   let r2 = Slicer_contract.update_ac ledger ~owner:alice ~contract (Bigint.of_int 424242) in
   Alcotest.(check bool) "owner ok" true (Result.is_ok r2.Vm.r_output);
-  (match Slicer_contract.stored_ac ledger ~contract with
-   | Some ac -> Alcotest.(check string) "ac updated" "424242" (Bigint.to_string ac)
-   | None -> Alcotest.fail "ac missing")
+  Alcotest.(check (option string)) "H(Ac) updated"
+    (Some (Slicer_contract.ac_digest (Bigint.of_int 424242)))
+    (Slicer_contract.stored_ac_digest ledger ~contract)
 
 let test_claims_roundtrip () =
   let claims =
@@ -323,8 +413,8 @@ let test_batched_contract_path () =
        ~tokens:[ token ] ~payment:400);
   let claims = [ { Slicer_contract.token_bytes = token; results; witness = Bigint.one } ] in
   let sr =
-    Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"b-1" claims
-      ~witness
+    Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"b-1" ~user:alice
+      ~amount:400 ~ac:scenario_ac claims ~witness
   in
   (match sr.Vm.r_output with
    | Ok [ "paid" ] -> ()
@@ -336,8 +426,8 @@ let test_batched_contract_path () =
        ~tokens:[ token ] ~payment:400);
   let bad = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus in
   let sr2 =
-    Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"b-2" claims
-      ~witness:bad
+    Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"b-2" ~user:alice
+      ~amount:400 ~ac:scenario_ac claims ~witness:bad
   in
   (match sr2.Vm.r_output with
    | Ok [ "refunded" ] -> ()
@@ -471,15 +561,20 @@ let committed_batch ?(deposit = 50_000) ?(payment = 400) ?(requests = [ "ba-1"; 
   in
   let leaves = List.map leaf_of requests in
   let tree = Merkle.build leaves in
+  let members = List.map (escrow_of ~payment ~token) requests in
   let cr =
     Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id:"batch-0"
-      ~root:(Merkle.root tree) ~requests
+      ~root:(Merkle.root tree) ~members
   in
   (match cr.Vm.r_output with
    | Ok [ "committed" ] -> ()
    | Ok o -> Alcotest.failf "unexpected commit output [%s]" (String.concat ";" o)
    | Error e -> Alcotest.failf "commit failed: %s" e);
-  (ledger, contract, claims, leaves, tree)
+  (ledger, contract, claims, leaves, tree, members)
+
+let finalize ledger ~contract ?(batch_id = "batch-0") members =
+  Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id
+    ~requests:(List.map (fun e -> e.Slicer_contract.es_request) members)
 
 (* Seal empty-ish blocks (plain transfers) until [n] more exist. *)
 let advance_blocks ledger n =
@@ -490,15 +585,17 @@ let advance_blocks ledger n =
   done
 
 let test_batch_commit_and_finalize () =
-  let ledger, contract, _, _, _ = committed_batch () in
+  let ledger, contract, _, _, _, members = committed_batch () in
   Alcotest.(check (option string)) "committed" (Some "committed")
     (Slicer_contract.batch_status ledger ~contract ~batch_id:"batch-0");
+  Alcotest.(check (option string)) "member batched" (Some "batched")
+    (Slicer_contract.request_status ledger ~contract ~request_id:"ba-1");
   (* Too early: the dispute window (4 blocks) still runs. *)
-  let early = Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id:"batch-0" in
+  let early = finalize ledger ~contract members in
   Alcotest.(check bool) "early finalize reverts" true (Result.is_error early.Vm.r_output);
   advance_blocks ledger 4;
   let cloud_before = Vm.balance (Ledger.state ledger) bob in
-  let fr = Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id:"batch-0" in
+  let fr = finalize ledger ~contract members in
   (match fr.Vm.r_output with
    | Ok [ "finalized"; total ] -> Alcotest.(check string) "payout total" "800" total
    | Ok o -> Alcotest.failf "unexpected finalize output [%s]" (String.concat ";" o)
@@ -507,18 +604,22 @@ let test_batch_commit_and_finalize () =
     (Vm.balance (Ledger.state ledger) bob);
   Alcotest.(check (option string)) "final" (Some "final")
     (Slicer_contract.batch_status ledger ~contract ~batch_id:"batch-0");
+  Alcotest.(check (option string)) "member paid" (Some "paid")
+    (Slicer_contract.request_status ledger ~contract ~request_id:"ba-2");
   (* Wholesale settlement is once-only. *)
-  let again = Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id:"batch-0" in
+  let again = finalize ledger ~contract members in
   Alcotest.(check bool) "double finalize reverts" true (Result.is_error again.Vm.r_output)
 
 let test_batch_finalize_single_payout () =
-  (* A member adds one escrow read and one status write to finalize;
-     the payout is one transfer for the whole batch, whatever its size.
-     Equal-width totals keep the event bytes equal too. *)
+  (* A member adds its id to finalize's calldata, one read of its slot
+     and one reset-priced write of the slot's status byte; the payout is
+     one transfer of the total recorded at commit, whatever the batch's
+     size. Equal-width totals keep the event bytes equal, and the 8- and
+     24-byte member lists hash as one word each. *)
   let finalize_gas requests =
-    let ledger, contract, _, _, _ = committed_batch ~payment:1000 ~requests () in
+    let ledger, contract, _, _, _, members = committed_batch ~payment:1000 ~requests () in
     advance_blocks ledger 4;
-    let fr = Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id:"batch-0" in
+    let fr = finalize ledger ~contract members in
     (match fr.Vm.r_output with
      | Ok [ "finalized"; total ] ->
        Alcotest.(check string) "payout total" (string_of_int (1000 * List.length requests)) total
@@ -528,50 +629,53 @@ let test_batch_finalize_single_payout () =
   in
   let one = finalize_gas [ "ba-1" ] in
   let three = finalize_gas [ "ba-1"; "ba-2"; "ba-3" ] in
-  Alcotest.(check int) "two more members: two sloads and two status writes, no transfer"
-    (2 * (Gas.sload + Gas.sstore_reset))
+  Alcotest.(check int)
+    "two more members: their ids' calldata, two slot reads and two status writes, no transfer"
+    ((2 * (Gas.sload + Gas.sstore_reset)) + Gas.calldata (Bytesutil.concat [ "ba-2"; "ba-3" ]))
     (three - one)
 
 let test_batch_requires_deposit_and_escrow () =
   let ledger, contract, _, token, results, witness = deployed () in
   ignore (token, results, witness);
   (* No deposit: the commitment has nothing slashable behind it. *)
+  let nope = [ escrow_of ~payment:400 ~token "nope" ] in
   let cr =
     Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id:"nb" ~root:"r"
-      ~requests:[ "nope" ]
+      ~members:nope
   in
   Alcotest.(check bool) "commit without deposit reverts" true (Result.is_error cr.Vm.r_output);
   ignore (Slicer_contract.post_deposit ledger ~cloud:bob ~contract ~amount:1000);
   (* Member that was never escrowed. *)
   let cr2 =
     Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id:"nb" ~root:"r"
-      ~requests:[ "nope" ]
+      ~members:nope
   in
   Alcotest.(check bool) "unescrowed member reverts" true (Result.is_error cr2.Vm.r_output)
 
 let test_batch_double_commit_refused () =
-  let ledger, contract, claims, _, tree = committed_batch () in
+  let ledger, contract, claims, _, tree, members = committed_batch () in
   ignore claims;
   (* Same id again... *)
   let cr =
     Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id:"batch-0"
-      ~root:(Merkle.root tree) ~requests:[ "ba-1" ]
+      ~root:(Merkle.root tree) ~members:[ List.hd members ]
   in
   Alcotest.(check bool) "batch id reuse reverts" true (Result.is_error cr.Vm.r_output);
   (* ...and the members are no longer "pending", so a second batch over
      them is refused too. *)
   let cr2 =
     Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id:"batch-1"
-      ~root:(Merkle.root tree) ~requests:[ "ba-1"; "ba-2" ]
+      ~root:(Merkle.root tree) ~members
   in
   Alcotest.(check bool) "already-batched member reverts" true (Result.is_error cr2.Vm.r_output)
 
 let test_batch_dispute_good_leaf_rejected () =
-  let ledger, contract, claims, leaves, tree = committed_batch () in
+  let ledger, contract, claims, leaves, tree, members = committed_batch () in
   let dr =
     Slicer_contract.dispute_leaf ledger ~disputer:alice ~contract ~batch_id:"batch-0" ~index:0
       ~leaf:(List.nth leaves 0) ~proof:(Merkle.prove tree 0)
-      ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None
+      ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None ~members
+      ~ac:scenario_ac
   in
   (match dr.Vm.r_output with
    | Error e ->
@@ -609,9 +713,10 @@ let test_batch_dispute_bad_leaf_slashes () =
   in
   let leaves = [ leaf_of "bd-1" good; leaf_of "bd-2" bad ] in
   let tree = Merkle.build leaves in
+  let members = List.map (escrow_of ~payment:400 ~token) requests in
   let cr =
     Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id:"bd"
-      ~root:(Merkle.root tree) ~requests
+      ~root:(Merkle.root tree) ~members
   in
   (match cr.Vm.r_output with
    | Ok _ -> ()
@@ -621,7 +726,8 @@ let test_batch_dispute_bad_leaf_slashes () =
   let dr =
     Slicer_contract.dispute_leaf ledger ~disputer:alice ~contract ~batch_id:"bd" ~index:1
       ~leaf:(List.nth leaves 1) ~proof:(Merkle.prove tree 1)
-      ~claims_blob:(Slicer_contract.encode_claims bad) ~batch_witness:None
+      ~claims_blob:(Slicer_contract.encode_claims bad) ~batch_witness:None ~members
+      ~ac:scenario_ac
   in
   (match dr.Vm.r_output with
    | Ok [ "slashed" ] -> ()
@@ -635,32 +741,269 @@ let test_batch_dispute_bad_leaf_slashes () =
     (Vm.balance state alice);
   Alcotest.(check int) "deposit gone" 0
     (Slicer_contract.stored_deposit ledger ~contract ~who:bob);
+  Alcotest.(check (option string)) "member refunded" (Some "refunded")
+    (Slicer_contract.request_status ledger ~contract ~request_id:"bd-1");
   (* The slashed batch can be neither finalized nor re-disputed. *)
   advance_blocks ledger 4;
-  let fr = Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id:"bd" in
+  let fr = finalize ledger ~contract ~batch_id:"bd" members in
   Alcotest.(check bool) "slashed batch cannot finalize" true (Result.is_error fr.Vm.r_output)
 
 let test_batch_dispute_window_closes () =
-  let ledger, contract, claims, leaves, tree = committed_batch () in
+  let ledger, contract, claims, leaves, tree, members = committed_batch () in
   advance_blocks ledger 4;
   let dr =
     Slicer_contract.dispute_leaf ledger ~disputer:alice ~contract ~batch_id:"batch-0" ~index:0
       ~leaf:(List.nth leaves 0) ~proof:(Merkle.prove tree 0)
-      ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None
+      ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None ~members
+      ~ac:scenario_ac
   in
   Alcotest.(check bool) "late dispute reverts" true (Result.is_error dr.Vm.r_output)
 
 let test_batch_dispute_foreign_proof_rejected () =
-  let ledger, contract, claims, leaves, tree = committed_batch () in
+  let ledger, contract, claims, leaves, tree, members = committed_batch () in
   (* An inclusion proof for leaf 1 cannot vouch for leaf 0 — the index
      binding inside Merkle.verify refuses the splice. *)
   let wrong = { (Merkle.prove tree 1) with Merkle.index = 0 } in
   let dr =
     Slicer_contract.dispute_leaf ledger ~disputer:alice ~contract ~batch_id:"batch-0" ~index:0
       ~leaf:(List.nth leaves 0) ~proof:wrong
-      ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None
+      ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None ~members
+      ~ac:scenario_ac
   in
   Alcotest.(check bool) "spliced proof reverts" true (Result.is_error dr.Vm.r_output)
+
+(* Every cell the contract writes over a whole life cycle — deploy,
+   updateAc, an eager settlement, a deposit, two commits, a dispute and
+   a finalize — is at most one 32-byte word. *)
+let test_every_cell_one_word () =
+  let ledger, contract, _, token, results, witness = deployed () in
+  let ok what (r : Vm.receipt) =
+    match r.Vm.r_output with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  ok "updateAc" (Slicer_contract.update_ac ledger ~owner:alice ~contract scenario_ac);
+  let good = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let bad =
+    [ { Slicer_contract.token_bytes = token; results;
+        witness = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus } ]
+  in
+  List.iter
+    (fun id ->
+      ok id
+        (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:id
+           ~tokens:[ token ] ~payment:300))
+    [ "lc-eager"; "lc-a"; "lc-b" ];
+  ok "submitResult" (submit ledger ~contract ~request_id:"lc-eager" ~amount:300 good);
+  ok "deposit" (Slicer_contract.post_deposit ledger ~cloud:bob ~contract ~amount:5_000);
+  let commit batch_id id claims =
+    let leaf =
+      Slicer_contract.encode_leaf
+        { Slicer_contract.rl_client = "lc"; rl_request = id;
+          rl_claim_hash = Sha256.digest (Slicer_contract.encode_claims claims);
+          rl_witness_digest = Slicer_contract.witness_digest ~claims ~batch_witness:None }
+    in
+    let tree = Merkle.build [ leaf ] in
+    let members = [ escrow_of ~payment:300 ~token id ] in
+    ok batch_id
+      (Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id ~root:(Merkle.root tree)
+         ~members);
+    (leaf, tree, members)
+  in
+  let _, _, members_a = commit "lc-batch-a" "lc-a" good in
+  let leaf_b, tree_b, members_b = commit "lc-batch-b" "lc-b" bad in
+  ok "dispute"
+    (Slicer_contract.dispute_leaf ledger ~disputer:carol ~contract ~batch_id:"lc-batch-b" ~index:0
+       ~leaf:leaf_b ~proof:(Merkle.prove tree_b 0)
+       ~claims_blob:(Slicer_contract.encode_claims bad) ~batch_witness:None ~members:members_b
+       ~ac:scenario_ac);
+  advance_blocks ledger 4;
+  ok "finalize" (finalize ledger ~contract ~batch_id:"lc-batch-a" members_a);
+  List.iter
+    (fun (id, status) ->
+      Alcotest.(check (option string)) id (Some status)
+        (Slicer_contract.request_status ledger ~contract ~request_id:id))
+    [ ("lc-eager", "paid"); ("lc-a", "paid"); ("lc-b", "refunded") ];
+  let cells = Vm.storage_entries (Ledger.state ledger) contract in
+  Alcotest.(check bool) "cells written" true (List.length cells > 10);
+  List.iter
+    (fun (key, value) ->
+      if String.length value > Gas.word_bytes then
+        Alcotest.failf "cell %S holds %d bytes" key (String.length value))
+    cells
+
+(* --- forged preimages never pay ------------------------------------------ *)
+
+(* One forgery: a method, and the preimage field a caller swaps for
+   another value. *)
+type forgery =
+  | F_user of string
+  | F_amount of int
+  | F_tokens of string
+  | F_ac of int
+  | F_members of [ `Drop | `Extra | `Swap ]
+
+type forged_call = Submit | Submit_batched | Commit | Finalize | Dispute
+
+let forge_escrow f (e : Slicer_contract.escrow) =
+  match f with
+  | F_user u -> { e with Slicer_contract.es_user = u }
+  | F_amount a -> { e with Slicer_contract.es_amount = a }
+  | F_tokens t -> { e with Slicer_contract.es_digest = Slicer_contract.tokens_digest [ t ] }
+  | F_ac _ | F_members _ -> e
+
+let forge_members f members =
+  match (f, members) with
+  | F_members `Drop, _ :: rest -> rest
+  | F_members `Extra, m :: _ -> members @ [ { m with Slicer_contract.es_request = "fz-extra" } ]
+  | F_members `Swap, a :: b :: rest -> b :: a :: rest
+  | F_members _, _ -> members
+  | (F_user _ | F_amount _ | F_tokens _ | F_ac _), m :: rest -> forge_escrow f m :: rest
+  | _, [] -> []
+
+let forge_ac f = match f with F_ac k -> Bigint.add scenario_ac (Bigint.of_int k) | _ -> scenario_ac
+
+(* Runs [call] forged by [f] over a fresh contract in the state the call
+   needs, checks it reverts with the slots, batch cells and balances
+   untouched, then checks the honest call goes through. *)
+let forged_call_reverts (call, f) =
+  let ledger, contract, _, token, results, witness = deployed () in
+  let state = Ledger.state ledger in
+  (* The disputer holds an account before the forged call, so the
+     account list compares like for like. *)
+  Vm.fund state carol 1;
+  let payment = 700 in
+  let must what (r : Vm.receipt) =
+    match r.Vm.r_output with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let good = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let bad =
+    [ { Slicer_contract.token_bytes = token; results;
+        witness = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus } ]
+  in
+  let ids = [ "fz-1"; "fz-2" ] in
+  List.iter
+    (fun id ->
+      must id
+        (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:id
+           ~tokens:[ token ] ~payment))
+    ids;
+  let members = List.map (escrow_of ~payment ~token) ids in
+  (* The claims a forged token digest stands for: the same answer to
+     another token. *)
+  let claims_for f claims =
+    match f with
+    | F_tokens t -> List.map (fun c -> { c with Slicer_contract.token_bytes = t }) claims
+    | _ -> claims
+  in
+  let leaves =
+    List.map2
+      (fun id claims ->
+        Slicer_contract.encode_leaf
+          { Slicer_contract.rl_client = "fz"; rl_request = id;
+            rl_claim_hash = Sha256.digest (Slicer_contract.encode_claims claims);
+            rl_witness_digest = Slicer_contract.witness_digest ~claims ~batch_witness:None })
+      ids [ good; bad ]
+  in
+  let tree = Merkle.build leaves in
+  let commit members =
+    Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id:"fz"
+      ~root:(Merkle.root tree) ~members
+  in
+  if call <> Submit && call <> Submit_batched then
+    must "deposit" (Slicer_contract.post_deposit ledger ~cloud:bob ~contract ~amount:9_000);
+  if call = Finalize || call = Dispute then must "commit" (commit members);
+  if call = Finalize then advance_blocks ledger 4;
+  let run f =
+    let e = forge_escrow f (List.hd members) in
+    match call with
+    | Submit ->
+      Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"fz-1"
+        ~user:e.Slicer_contract.es_user ~amount:e.Slicer_contract.es_amount ~ac:(forge_ac f)
+        (claims_for f good)
+    | Submit_batched ->
+      Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"fz-1"
+        ~user:e.Slicer_contract.es_user ~amount:e.Slicer_contract.es_amount ~ac:(forge_ac f)
+        (claims_for f good) ~witness
+    | Commit -> commit (forge_members f members)
+    | Finalize ->
+      finalize ledger ~contract ~batch_id:"fz" (forge_members f members)
+    | Dispute ->
+      Slicer_contract.dispute_leaf ledger ~disputer:carol ~contract ~batch_id:"fz" ~index:1
+        ~leaf:(List.nth leaves 1) ~proof:(Merkle.prove tree 1)
+        ~claims_blob:(Slicer_contract.encode_claims bad) ~batch_witness:None
+        ~members:(forge_members f members) ~ac:(forge_ac f)
+  in
+  let balances () = List.map (fun (a, b, _) -> (a, b)) (Vm.accounts state) in
+  let cells () = Vm.storage_entries state contract in
+  let balances0 = balances () and cells0 = cells () in
+  let r = run f in
+  Result.is_error r.Vm.r_output
+  && balances () = balances0
+  && cells () = cells0
+  &&
+  (* The honest call goes through: the forgery is what was refused. *)
+  (must "honest call" (run (F_ac 0));
+   cells () <> cells0)
+
+let gen_forgery =
+  let open QCheck2.Gen in
+  let* call = oneofl [ Submit; Submit_batched; Commit; Finalize; Dispute ] in
+  let* f =
+    match call with
+    | Submit | Submit_batched ->
+      oneof
+        [ map (fun u -> F_user u) (string_size ~gen:char (return 20));
+          map (fun a -> F_amount a) (int_range 1 1_000_000);
+          map (fun t -> F_tokens t) (string_size ~gen:char (int_range 1 40));
+          map (fun k -> F_ac k) (int_range 1 1_000_000) ]
+    | Commit ->
+      oneof
+        [ map (fun u -> F_user u) (string_size ~gen:char (return 20));
+          map (fun a -> F_amount a) (int_range 1 1_000_000);
+          map (fun t -> F_tokens t) (string_size ~gen:char (int_range 1 40)) ]
+    | Finalize -> map (fun m -> F_members m) (oneofl [ `Drop; `Extra; `Swap ])
+    | Dispute ->
+      oneof
+        [ map (fun u -> F_user u) (string_size ~gen:char (return 20));
+          map (fun a -> F_amount a) (int_range 1 1_000_000);
+          map (fun t -> F_tokens t) (string_size ~gen:char (int_range 1 40));
+          map (fun k -> F_ac k) (int_range 1 1_000_000);
+          map (fun m -> F_members m) (oneofl [ `Drop; `Extra; `Swap ]) ]
+  in
+  return (call, f)
+
+let print_forgery (call, f) =
+  Printf.sprintf "%s with %s"
+    (match call with
+     | Submit -> "submitResult"
+     | Submit_batched -> "submitResultBatched"
+     | Commit -> "commitBatch"
+     | Finalize -> "finalize"
+     | Dispute -> "dispute")
+    (match f with
+     | F_user u -> "user " ^ Bytesutil.to_hex u
+     | F_amount a -> "amount " ^ string_of_int a
+     | F_tokens t -> "tokens " ^ Bytesutil.to_hex t
+     | F_ac k -> "Ac + " ^ string_of_int k
+     | F_members `Drop -> "a member dropped"
+     | F_members `Extra -> "an extra member"
+     | F_members `Swap -> "two members swapped")
+
+let forgery_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"forged preimages never pay" ~count:120 ~print:print_forgery
+         gen_forgery (fun (call, f) ->
+           (* A "forgery" equal to the truth is no forgery. *)
+           QCheck2.assume
+             (match f with
+              | F_user u -> u <> alice
+              | F_amount a -> a <> 700
+              | F_tokens t -> t <> scenario_token
+              | F_ac _ | F_members _ -> true);
+           forged_call_reverts (call, f))) ]
 
 let test_leaf_codec_roundtrip () =
   let leaf =
@@ -688,7 +1031,8 @@ let test_gas_regime () =
     (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"g" ~tokens:[ token ]
        ~payment:10);
   let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
-  let sr = Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"g" claims in
+  (* Settled against the Ac in force (5): verification runs in full. *)
+  let sr = submit ledger ~contract ~request_id:"g" ~amount:10 ~ac:(Bigint.of_int 5) claims in
   Alcotest.(check bool)
     (Printf.sprintf "verify ~ 60-160k gas (got %d)" sr.Vm.r_gas_used)
     true
@@ -707,7 +1051,10 @@ let () =
           Alcotest.test_case "call and revert" `Quick test_contract_call_and_revert;
           Alcotest.test_case "revert restores value" `Quick test_revert_restores_value;
           Alcotest.test_case "bad nonce" `Quick test_bad_nonce_rejected;
-          Alcotest.test_case "unknown method" `Quick test_unknown_method ] );
+          Alcotest.test_case "unknown method" `Quick test_unknown_method;
+          Alcotest.test_case "storage priced per word" `Quick test_storage_priced_per_word;
+          Alcotest.test_case "intrinsic gas over the limit refused" `Quick
+            test_intrinsic_over_limit_refused ] );
       ( "ledger",
         [ Alcotest.test_case "grows and validates" `Quick test_chain_grows_and_validates;
           Alcotest.test_case "tamper detected" `Quick test_tamper_detected;
@@ -720,6 +1067,8 @@ let () =
           Alcotest.test_case "forged witness refunded" `Quick test_forged_witness_refunded;
           Alcotest.test_case "wrong token set rejected" `Quick test_wrong_token_set_rejected;
           Alcotest.test_case "updateAc only owner" `Quick test_update_ac_only_owner;
+          Alcotest.test_case "requestSearch charges its hashes" `Quick
+            test_request_search_charges_its_hashes;
           Alcotest.test_case "claims roundtrip" `Quick test_claims_roundtrip;
           Alcotest.test_case "batched contract path" `Quick test_batched_contract_path;
           Alcotest.test_case "out of gas reverts" `Quick test_out_of_gas_reverts;
@@ -741,5 +1090,6 @@ let () =
           Alcotest.test_case "window closes" `Quick test_batch_dispute_window_closes;
           Alcotest.test_case "foreign proof rejected" `Quick
             test_batch_dispute_foreign_proof_rejected;
-          Alcotest.test_case "leaf codec" `Quick test_leaf_codec_roundtrip ] );
-      ("contract properties", claims_props) ]
+          Alcotest.test_case "leaf codec" `Quick test_leaf_codec_roundtrip;
+          Alcotest.test_case "every cell is one word" `Quick test_every_cell_one_word ] );
+      ("contract properties", claims_props @ forgery_props) ]

@@ -1553,10 +1553,10 @@ let test_witness_index_survives_restart () =
     Option.iter Store.close (Net.Service.store svc3)
 
 let test_old_snapshot_layouts_refused () =
-  (* One snapshot layout decodes. The two older ones, rebuilt from a
-     real v3 snapshot (v2 had no settle piece, v1 no witness piece
-     either), are refused as a codec mismatch, while the v3 original
-     written the same way recovers. *)
+  (* One snapshot layout decodes. The three older ones, rebuilt from a
+     real v4 snapshot (v3 had the same pieces under its own magic, v2 no
+     settle piece, v1 no witness piece either), are refused as a codec
+     mismatch, while the v4 original written the same way recovers. *)
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
@@ -1584,7 +1584,7 @@ let test_old_snapshot_layouts_refused () =
      Option.iter Store.close (Net.Service.store svc));
   (* Recovery re-anchors on a checkpoint of the built state. *)
   recover cfg;
-  let v3 =
+  let v4 =
     let store, rc = Store.open_ cfg in
     Store.close store;
     match rc.Store.rc_snapshot with
@@ -1592,11 +1592,12 @@ let test_old_snapshot_layouts_refused () =
     | None -> Alcotest.fail "no snapshot after recovery"
   in
   let pieces =
-    match Bytesutil.split v3 with Some p -> p | None -> Alcotest.fail "v3 snapshot does not split"
+    match Bytesutil.split v4 with Some p -> p | None -> Alcotest.fail "v4 snapshot does not split"
   in
   let n = List.length pieces in
   let state = List.filteri (fun i _ -> i > 0 && i < n - 2) pieces in
   let witness = List.nth pieces (n - 2) in
+  let settle = List.nth pieces (n - 1) in
   let in_fresh_dir payload f =
     let old_dir = fresh_state_dir () in
     Fun.protect ~finally:(fun () -> rm_rf old_dir) @@ fun () ->
@@ -1606,7 +1607,7 @@ let test_old_snapshot_layouts_refused () =
     Store.close store;
     f old_cfg
   in
-  in_fresh_dir v3 recover;
+  in_fresh_dir v4 recover;
   List.iter
     (fun (magic, payload) ->
       in_fresh_dir payload @@ fun old_cfg ->
@@ -1616,15 +1617,18 @@ let test_old_snapshot_layouts_refused () =
       | Ok (svc, _) ->
         Option.iter Store.close (Net.Service.store svc);
         Alcotest.failf "%s snapshot was decoded" magic)
-    [ ("slicer-service-built-v2",
+    [ ("slicer-service-built-v3",
+       Bytesutil.concat (("slicer-service-built-v3" :: state) @ [ witness; settle ]));
+      ("slicer-service-built-v2",
        Bytesutil.concat (("slicer-service-built-v2" :: state) @ [ witness ]));
       ("slicer-service-built-v1", Bytesutil.concat ("slicer-service-built-v1" :: state)) ]
 
 (* The WAL's bytes after a seeded durable sequence — Build, Register,
    a Search into an open settle batch, Insert, a forced flush — and the
-   snapshot that recovery then re-anchors on, both hashed on the commit
-   before records were streamed from the request's encoding: neither
-   may move one byte. *)
+   snapshot that recovery then re-anchors on. The WAL was hashed on the
+   commit before records were streamed from the request's encoding; the
+   snapshot was re-hashed when the contract's cells became one word each
+   (magic slicer-service-built-v4). Neither may move one byte. *)
 let test_wal_and_snapshot_golden () =
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1686,9 +1690,9 @@ let test_wal_and_snapshot_golden () =
     Alcotest.(check int) "every record replayed" 5 stats.Net.Service.rs_replayed;
     (* Recovery re-anchors on a snapshot at the last record's seq. *)
     let snap = read "snap-5.bin" in
-    Alcotest.(check int) "snapshot size" 15879 (String.length snap);
+    Alcotest.(check int) "snapshot size" 15660 (String.length snap);
     Alcotest.(check string) "snapshot sha-256"
-      "79e580d92180285d11a896dd1c4ddadeafe078c0a4dd3963784d6d55f7c40854" (Sha256.digest_hex snap)
+      "20b2e8949a8e4d1bcb75777f243f74bdba17f094a88196faaea84ed2e9cffdcd" (Sha256.digest_hex snap)
 
 (* The real thing: a separate slicer-server process ([Server_proc]),
    killed with SIGKILL mid-load, recovered from its state directory. *)

@@ -135,12 +135,12 @@ let test_stale_cloud_rejected () =
 let test_insert_then_search () =
   let s = fresh_system "dynamics" in
   let small_db = List.filteri (fun i _ -> i < 25) db in
-  let ac_before = Protocol.onchain_ac s in
+  let ac_before = Protocol.onchain_ac_digest s in
   Protocol.insert s
     [ Slicer_types.record_of_value "new-a" 11; Slicer_types.record_of_value "new-b" 11 ];
-  let ac_after = Protocol.onchain_ac s in
+  let ac_after = Protocol.onchain_ac_digest s in
   (match (ac_before, ac_after) with
-   | Some a, Some b -> Alcotest.(check bool) "on-chain Ac refreshed" false (Bigint.equal a b)
+   | Some a, Some b -> Alcotest.(check bool) "on-chain Ac refreshed" false (String.equal a b)
    | _ -> Alcotest.fail "Ac missing on chain");
   let out = Protocol.search s (q 11 Slicer_types.Eq) in
   Alcotest.(check bool) "verified" true out.Protocol.so_verified;
@@ -461,7 +461,9 @@ let test_no_double_settlement () =
   let claims = Cloud.search (Protocol.cloud s) tokens in
   let sr =
     Slicer_contract.submit_result (Protocol.ledger s) ~cloud:(Protocol.cloud_address s)
-      ~contract:(Protocol.contract_address s) ~request_id:"req-1" claims
+      ~contract:(Protocol.contract_address s) ~request_id:"req-1"
+      ~user:(Protocol.user_address s) ~amount:(Protocol.payment s)
+      ~ac:(Cloud.current_ac (Protocol.cloud s)) claims
   in
   (match sr.Vm.r_output with
    | Error "no pending request" -> ()
