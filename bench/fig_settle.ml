@@ -1,17 +1,20 @@
-(* Settlement gas vs batch size (the PR-10 fairness story): the legacy
-   eager path pays an Algorithm-5 re-verification (h_prime dominated,
-   ~35k gas per claim with the Baillie–PSW walk) inside every
-   submitResult, while the optimistic path posts one commitBatch Merkle
-   root per batch and settles the whole batch with one finalize (one
-   payout transfer) after the dispute window — so the recurring
-   settlement gas per query should fall roughly linearly with the
-   batch size.
+(* Settlement gas vs batch size (the fairness story of batched
+   settlement): the eager path pays an Algorithm-5 re-verification
+   inside every submitResult (each claim's hinted prime is one
+   Baillie–PSW check, ~11k gas, plus its calldata, multiset hash and
+   modexp), while the optimistic path posts one commitBatch Merkle root
+   per batch and settles the whole batch with one finalize (one payout
+   transfer, no member slot touched) after the dispute window — so the
+   recurring settlement gas per query should fall roughly linearly
+   with the batch size.
 
    Queries are width-8 range searches (multi-token, so the eager
    verification costs several h_prime evaluations per settlement — the
    realistic regime the paper's Table II prices). The escrow
    (requestSearch) gas is identical across modes and reported
-   separately; the one-time deposit is excluded.
+   separately; the one-time deposit is excluded. The eager and batch-64
+   points also print their gas per query by label, escrow included,
+   from the slicer_chain_gas_<label>_total counters.
 
    The guard at the end is the smoke alias's tripwire: batch-64
    settlement gas per query must be at most 1/8 of the eager path's,
@@ -43,6 +46,16 @@ let gas_above ledger ~height =
     (0, 0, 0, 0)
     (Ledger.blocks_above ledger ~height)
 
+(* Gas per query by label between two [Slicer_contract.gas_by_label]
+   readings, largest first. *)
+let per_query_by_label ~queries before after =
+  List.filter_map
+    (fun (label, total) ->
+      let gas = total - Option.value ~default:0 (List.assoc_opt label before) in
+      if gas > 0 then Some (label, gas / queries) else None)
+    after
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
+
 (* One measured point: a fresh system, [queries] searches driven
    through the wire-facing service, batches closed out, settlement gas
    read back off the chain. [batch = 1] is the legacy eager path (no
@@ -69,6 +82,7 @@ let point ~records batch =
     | _ -> failwith "fig_settle: hello refused"
   in
   let height0 = Ledger.height ledger in
+  let labels0 = Slicer_contract.gas_by_label () in
   let (), elapsed_s =
     time (fun () ->
         for i = 1 to queries do
@@ -100,6 +114,7 @@ let point ~records batch =
   Net.Service.settle_flush svc;
   let settle_gas, escrow_gas, commits, finalizes = gas_above ledger ~height:height0 in
   let per_query = float_of_int settle_gas /. float_of_int queries in
+  let by_label = per_query_by_label ~queries labels0 (Slicer_contract.gas_by_label ()) in
   row
     (if batch <= 1 then "eager" else string_of_int batch)
     [ string_of_int queries;
@@ -118,7 +133,7 @@ let point ~records batch =
       ("commits", J_int commits);
       ("finalizes", J_int finalizes);
       ("elapsed_s", J_float elapsed_s) ];
-  per_query
+  (per_query, by_label)
 
 let run scale =
   header "Settlement gas per query vs batch size (optimistic batching)";
@@ -129,8 +144,16 @@ let run scale =
   let records = if scale.label = smoke_scale.label then 32 else 64 in
   row_header [ "batch"; "queries"; "settle/query"; "settle total"; "escrow/query";
                "commits"; "finalizes"; "wall" ];
-  let eager = point ~records 1 in
-  let batched = List.map (fun b -> (b, point ~records b)) [ 8; 64; 256 ] in
+  let eager, eager_labels = point ~records 1 in
+  let points = List.map (fun b -> (b, point ~records b)) [ 8; 64; 256 ] in
+  let batched = List.map (fun (b, (per_query, _)) -> (b, per_query)) points in
+  Printf.printf "\ngas per query by label (escrow and settlement):\n";
+  let print_labels name labels =
+    Printf.printf "%12s  %s\n" name
+      (String.concat ", " (List.map (fun (l, g) -> Printf.sprintf "%s %d" l g) labels))
+  in
+  print_labels "eager" eager_labels;
+  Option.iter (fun (_, labels) -> print_labels "64" labels) (List.assoc_opt 64 points);
   (match List.assoc_opt 64 batched with
    | Some g64 when g64 > eager /. float_of_int amortization_guard ->
      failwith

@@ -12,6 +12,13 @@ let print_split split =
   Printf.printf "%14s%s\n" ""
     (String.concat ", " (List.map (fun (label, gas) -> Printf.sprintf "%s %d" label gas) split))
 
+(* The verification row with its h-prime charges repriced at the walk,
+   [Gas.h_prime] per claim: what a dispute pays to re-derive the same
+   primes. The walk and the hinted check hash the same input, so the
+   difference per claim does not depend on its length. *)
+let walk_priced ~claims gas =
+  gas + (claims * (Gas.h_prime ~input_len:0 - Gas.h_prime_hinted ~input_len:0))
+
 let table2 () =
   Bench_common.header "Table II - gas cost of the smart contract";
   let db = List.init 30 (fun i -> Slicer_types.record_of_value (Printf.sprintf "g%d" i) (i * 7 mod 256)) in
@@ -59,9 +66,13 @@ let table2 () =
   print_split insert_split;
   Bench_common.row "verification" [ string_of_int verify_gas; "94,531" ];
   print_split verify_split;
+  Bench_common.row "  walk-priced"
+    [ string_of_int (walk_priced ~claims:out.Protocol.so_token_count verify_gas); "94,531" ];
   Bench_common.row "escrow (requestSearch)" [ string_of_int escrow.Vm.r_gas_used; "-" ];
   print_split escrow_split;
   Printf.printf
     "\n(measured against the yellow-paper/EIP-2565 schedule of lib/chain/gas.ml,\n\
     \ storage priced per 32-byte word; verification is one equality-search\n\
-    \ settlement, as in the paper; each row's second line is its gas by label)\n"
+    \ settlement, as in the paper, its primes checked from the cloud's hints;\n\
+    \ walk-priced is the same row with each claim's h-prime at the whole walk,\n\
+    \ what a dispute pays; each row's second line is its gas by label)\n"

@@ -39,6 +39,15 @@ let cache_stats () =
    1/94). *)
 let window = 512
 
+(* The start of [s]'s candidate interval: the digest with the top bit
+   forced, so every representative has exactly 256 + counter_bits
+   significant bits, shifted over the counter field. *)
+let base_of s =
+  let digest = Sha256.digest (Bytesutil.concat [ "h-prime"; s ]) in
+  let high = Bigint.of_bytes_be digest in
+  let high = Bigint.add (Bigint.shift_left Bigint.one 255) (Bigint.erem high (Bigint.shift_left Bigint.one 255)) in
+  Bigint.shift_left high counter_bits
+
 (* The candidate walk sieves by windows: the residues of [base] modulo
    the small primes come from one kernel call; from them each odd prime
    p strikes off the odd offsets j of a window with p | base + j (the
@@ -46,12 +55,7 @@ let window = 512
    survivors get the deterministic Baillie–PSW test in order: two kernel
    calls on one Montgomery context per survivor. *)
 let prime_walk s =
-  let digest = Sha256.digest (Bytesutil.concat [ "h-prime"; s ]) in
-  (* high = digest with the top bit forced so every representative has
-     exactly 256 + counter_bits significant bits. *)
-  let high = Bigint.of_bytes_be digest in
-  let high = Bigint.add (Bigint.shift_left Bigint.one 255) (Bigint.erem high (Bigint.shift_left Bigint.one 255)) in
-  let base = Bigint.shift_left high counter_bits in
+  let base = base_of s in
   let primes = Sieve.small_primes in
   (* next.(i): the next odd offset that primes.(i) divides. Index 0
      (p = 2) is never used: odd offsets on an even base are never
@@ -154,3 +158,21 @@ let to_primes ss =
 let warm ss = ignore (to_primes ss : Bigint.t list)
 
 let is_representative_of x s = Bigint.equal x (to_prime s)
+
+let offset x = snd (Bigint.divmod_int x (1 lsl counter_bits))
+
+(* The bound is the soundness argument: inside [s]'s interval every
+   prime past the first was never accumulated, so no witness verifies
+   for it; past the interval, base + j lies in another digest's
+   interval and may be another claim's accumulated prime. A memo hit
+   answers only when it holds [s]'s prime at this very offset; any
+   other j gets its own test, and what passes is never memoized, since
+   it need not be [s]'s first prime. *)
+let of_offset s j =
+  if j land 1 = 0 || j <= 0 || j >= 1 lsl counter_bits then None
+  else
+    match lookup s with
+    | Some x when offset x = j -> Some x
+    | Some _ | None ->
+      let candidate = Bigint.add_int (base_of s) j in
+      if Primality.baillie_psw candidate then Some candidate else None

@@ -51,3 +51,17 @@ val cache_stats : unit -> cache_stats
 
 val is_representative_of : Bigint.t -> string -> bool
 (** Checks that a claimed prime is exactly [to_prime s]. *)
+
+val offset : Bigint.t -> int
+(** The low {!counter_bits} of a prime: for [to_prime s], its offset
+    on [s]'s candidate walk. The cloud sends it as the claim's hint. *)
+
+val of_offset : string -> int -> Bigint.t option
+(** [of_offset s j] is [Some p] when [j] is odd, [0 < j < 2^16] and
+    [p = base(s) + j] passes Baillie–PSW; [None] otherwise. One test
+    instead of a walk, and no minimality check: a prime of [s]'s
+    interval other than [to_prime s] was never accumulated, so no
+    witness verifies for it. The bound on [j] is what keeps [p] inside
+    [s]'s interval, where no other input's prime can lie. When the
+    memo holds [to_prime s] at offset [j], that prime is the answer and
+    no test runs. A prime found by the test is not memoized. *)

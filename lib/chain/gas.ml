@@ -59,9 +59,16 @@ let modexp ~base_len ~exp ~mod_len =
    chain is charged for, so the price stays. *)
 let lucas_modexps = 4
 
+(* One base-2 round on a 272-bit candidate: 2,258 gas. *)
+let mr_round = modexp ~base_len:34 ~exp:(Bigint.shift_left Bigint.one 271) ~mod_len:34
+
 let h_prime ~input_len =
   let candidates = 94 in
   let trial_division = candidates * 5 * mulmod in
   let survivors = 1 + (candidates / 10) in
-  let mr_round = modexp ~base_len:34 ~exp:(Bigint.shift_left Bigint.one 271) ~mod_len:34 in
   hash input_len + trial_division + ((survivors + lucas_modexps) * mr_round)
+
+(* A hinted prime is one candidate, base + j, rebuilt from the input's
+   digest and given the whole Baillie–PSW test: one base-2 round and
+   the Lucas half. No trial division, no walk. *)
+let h_prime_hinted ~input_len = hash input_len + ((1 + lucas_modexps) * mr_round)

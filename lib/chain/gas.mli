@@ -72,4 +72,14 @@ val h_prime : input_len:int -> int
     hash of the input plus the expected candidate walk (trial divisions
     as mulmod batches, surviving candidates as 272-bit base-2 modexp
     rounds, and the found prime's strong Lucas test priced at 4
-    modexp-equivalents). Documented in DESIGN.md §5. *)
+    modexp-equivalents): 35,372 gas plus the hash. What [dispute] pays
+    per claim, since a disputer's hint cannot be trusted. Documented in
+    DESIGN.md §5. *)
+
+val h_prime_hinted : input_len:int -> int
+(** Cost of checking one hinted prime representative: one hash of the
+    input, then one Baillie–PSW test of the candidate the hint names,
+    priced as a 272-bit base-2 modexp round plus the Lucas half's 4
+    modexp-equivalents: 11,290 gas plus the hash, 24,082 less than
+    {!h_prime}. What [submitResult] and [submitResultBatched] pay per
+    claim (DESIGN.md §5, "Hinted primes"). *)

@@ -14,6 +14,7 @@ type t = {
 }
 
 let genesis_parent = Sha256.digest "slicer-genesis"
+let gas_limit = 30_000_000
 
 let make_validator name =
   let secret = Sha256.digest ("validator-secret:" ^ name) in
@@ -28,8 +29,8 @@ let create ~validators =
   if validators = [] then invalid_arg "Ledger.create: need at least one validator";
   let validators = Array.of_list (List.map make_validator validators) in
   let genesis =
-    Block.make ~parent:genesis_parent ~number:0 ~timestamp:0 ~sealer:validators.(0).v_addr
-      ~seal:(seal_with validators.(0)) [] []
+    Block.make ~parent:genesis_parent ~number:0 ~timestamp:0 ~gas_limit
+      ~sealer:validators.(0).v_addr ~seal:(seal_with validators.(0)) [] []
   in
   { vm_state = Vm.create_state ();
     validators;
@@ -59,16 +60,26 @@ let blocks_above t ~height =
 
 let sealer_for t number = t.validators.(number mod Array.length t.validators)
 
+(* Each transaction may use only what the block has left, so the
+   receipts never sum past the block's gas limit. *)
 let seal_block t =
   let txns = List.rev t.mempool in
   t.mempool <- [];
-  let receipts = List.map (Vm.execute ~height:(height t + 1) t.vm_state) txns in
-  List.iter (fun (r : Vm.receipt) -> Hashtbl.replace t.receipts r.Vm.r_txn_hash r) receipts;
   let number = height t + 1 in
+  let used = ref 0 in
+  let receipts =
+    List.map
+      (fun txn ->
+        let r = Vm.execute ~height:number ~gas_limit:(gas_limit - !used) t.vm_state txn in
+        used := !used + r.Vm.r_gas_used;
+        r)
+      txns
+  in
+  List.iter (fun (r : Vm.receipt) -> Hashtbl.replace t.receipts r.Vm.r_txn_hash r) receipts;
   let v = sealer_for t number in
   let block =
-    Block.make ~parent:(Block.hash (head t)) ~number ~timestamp:number ~sealer:v.v_addr
-      ~seal:(seal_with v) txns receipts
+    Block.make ~parent:(Block.hash (head t)) ~number ~timestamp:number ~gas_limit
+      ~sealer:v.v_addr ~seal:(seal_with v) txns receipts
   in
   t.chain <- block :: t.chain;
   block
@@ -82,7 +93,7 @@ let submit_and_seal t txn =
 
 let receipt_of t hash = Hashtbl.find_opt t.receipts hash
 
-let validate t =
+let validate_chain t chain =
   let rec go = function
     | [] -> Error "empty chain"
     | [ genesis ] ->
@@ -92,8 +103,11 @@ let validate t =
     | block :: (parent :: _ as rest) ->
       let h = block.Block.header in
       if h.Block.number <> parent.Block.header.Block.number + 1 then Error "non-consecutive number"
+      else if h.Block.timestamp <= parent.Block.header.Block.timestamp then Error "timestamp not increasing"
       else if not (String.equal h.Block.parent (Block.hash parent)) then Error "broken parent link"
       else if not (String.equal h.Block.tx_root (Block.tx_root block.Block.txns)) then Error "tx root mismatch"
+      else if h.Block.gas_used <> Block.receipts_gas block.Block.receipts then Error "gas used mismatch"
+      else if h.Block.gas_used > h.Block.gas_limit then Error "gas used over the limit"
       else begin
         let v = sealer_for t h.Block.number in
         if not (String.equal h.Block.sealer v.v_addr) then Error "wrong sealer"
@@ -103,26 +117,30 @@ let validate t =
         end
       end
   in
-  go t.chain
+  go chain
+
+let validate t = validate_chain t t.chain
+
+let validate_forged t ~block_index forge =
+  match List.nth_opt (blocks t) block_index with
+  | None -> Error "no such block"
+  | Some block ->
+    validate_chain t (List.map (fun b -> if b == block then forge b else b) t.chain)
 
 let tamper_check_demo t ~block_index =
   match List.nth_opt (blocks t) block_index with
   | None | Some { Block.txns = []; _ } -> false
-  | Some block ->
-    (* Forge a copy of the block with one transaction's value bumped. *)
-    let forged_txns =
+  | Some _ ->
+    (* Forge a copy of the block with one transaction's value bumped:
+       the original header's tx_root no longer matches the body. *)
+    let bump block =
       match block.Block.txns with
       | first :: rest ->
         let bumped =
           Vm.make_transfer t.vm_state ~sender:first.Vm.tx_sender ~to_:first.Vm.tx_to
             ~value:(first.Vm.tx_value + 1)
         in
-        bumped :: rest
-      | [] -> []
+        { block with Block.txns = bumped :: rest }
+      | [] -> block
     in
-    (* The original header's tx_root no longer matches the forged body. *)
-    let forged = { block with Block.txns = forged_txns } in
-    let chain' =
-      List.map (fun b -> if b == block then forged else b) t.chain
-    in
-    (match validate { t with chain = chain' } with Error _ -> true | Ok () -> false)
+    Result.is_error (validate_forged t ~block_index bump)

@@ -12,6 +12,10 @@ val create : validators:string list -> t
 (** Fresh chain with a genesis block and named validators.
     @raise Invalid_argument when no validators are given. *)
 
+val gas_limit : int
+(** 30 million: every block's gas limit. {!seal_block} meters each
+    transaction against what its block has left. *)
+
 val state : t -> Vm.state
 (** The world state (read side; mutate only through transactions). *)
 
@@ -26,7 +30,11 @@ val submit : t -> Vm.txn -> unit
 val seal_block : t -> Block.t
 (** Executes all pending transactions in order, seals a block with the
     next round-robin validator, and appends it. Returns the new block
-    (possibly containing zero transactions). *)
+    (possibly containing zero transactions). Each transaction may use
+    only the gas its block has left: one that runs out of it consumes
+    the rest, and one whose intrinsic gas is over it is refused with 0
+    gas ({!Vm.execute}). So [gas_used], the receipts' sum, never passes
+    [gas_limit]. *)
 
 val submit_and_seal : t -> Vm.txn -> Vm.receipt
 (** Convenience: submit one transaction, seal, return its receipt. *)
@@ -44,8 +52,15 @@ val receipt_of : t -> string -> Vm.receipt option
 (** Look up a receipt by transaction hash. *)
 
 val validate : t -> (unit, string) result
-(** Full-chain validation: parent links, block numbers, Merkle roots,
-    sealer rotation and seal tags. *)
+(** Full-chain validation: parent links, block numbers, strictly
+    increasing timestamps, Merkle roots, each header's [gas_used]
+    against its receipts' sum and its [gas_limit], sealer rotation and
+    seal tags. *)
+
+val validate_forged : t -> block_index:int -> (Block.t -> Block.t) -> (unit, string) result
+(** {!validate} over a copy of the chain whose [block_index]-th block
+    (oldest first) is replaced by [forge] of it: how tests show that a
+    forged body or header is caught. The ledger itself is untouched. *)
 
 val tamper_check_demo : t -> block_index:int -> bool
 (** Returns [true] iff corrupting a transaction in the given block is

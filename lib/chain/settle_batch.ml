@@ -47,9 +47,10 @@ type status =
 type batch_state =
   | Open
   | Posted of { height : int; members : Slicer_contract.escrow list; ac : Bigint.t }
-      (* committed at [height]; finalize and dispute pass the members'
-         escrow preimages (in leaf order) and the Ac in force at commit
-         as calldata, since the contract keeps only their hashes *)
+      (* committed at [height]; a dispute passes the members' escrow
+         preimages (in leaf order) and the Ac in force at commit as
+         calldata, since the contract keeps only their hashes. finalize
+         needs neither. *)
   | Finalized
   | Slashed
 
@@ -157,17 +158,15 @@ let finalize_due t =
     List.rev t.order
     |> List.filter_map (fun id ->
            match Hashtbl.find_opt t.batches id with
-           | Some ({ b_state = Posted { height = h; members; _ }; _ } as b) when height >= h + w ->
-             Some (b, members)
+           | Some ({ b_state = Posted { height = h; _ }; _ } as b) when height >= h + w -> Some b
            | _ -> None)
   in
   List.map
-    (fun (b, members) ->
+    (fun b ->
       Obs.span "settle.finalize" @@ fun () ->
       let receipt =
         Slicer_contract.finalize_batch t.ledger ~cloud:t.cloud ~contract:t.contract
           ~batch_id:b.b_id
-          ~requests:(List.map (fun e -> e.Slicer_contract.es_request) members)
       in
       (match receipt.Vm.r_output with
        | Ok _ ->

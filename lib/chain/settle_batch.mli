@@ -59,9 +59,9 @@ val open_count : t -> int
 
 val add : t -> Slicer_contract.receipt_leaf -> escrow:Slicer_contract.escrow -> string * int
 (** Append a receipt to the open batch, with its request's escrow
-    preimage (kept until the batch is final or slashed: commit,
-    finalize and dispute pass it as calldata); returns its
-    [(batch, index)] coordinates. Never flushes — the caller checks
+    preimage (kept until the batch is final or slashed: commit and
+    dispute pass it as calldata); returns its [(batch, index)]
+    coordinates. Never flushes — the caller checks
     {!should_flush} after journaling the event that caused the add. *)
 
 val should_flush : t -> bool
@@ -81,7 +81,8 @@ val dispute_window : t -> int
 
 val finalize_due : t -> (string * Vm.receipt) list
 (** Finalize every committed batch whose dispute window has passed,
-    oldest first. *)
+    oldest first. [finalize] takes the batch id alone: the members'
+    slots stay ["batched"] on chain, and their escrows are paid. *)
 
 val dispute :
   t -> disputer:Vm.address -> request:string -> claims_blob:string ->

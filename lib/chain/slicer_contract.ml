@@ -16,8 +16,32 @@ let c_paid = Obs.counter ~help:"settlements paid to the cloud" "slicer_chain_set
 let c_refunded =
   Obs.counter ~help:"settlements refunded to the user" "slicer_chain_settle_refunded_total"
 
-let observe_txn ~label (receipt : Vm.receipt) =
+(* One counter per gas label ("h-prime" is slicer_chain_gas_h_prime_total);
+   together they sum to c_gas. The labels are the VM's and this
+   contract's; get-or-create covers any other. *)
+let label_counter label =
+  Obs.counter
+    ~help:(Printf.sprintf "gas charged as %s across all submitted transactions" label)
+    (Printf.sprintf "slicer_chain_gas_%s_total" (String.map (fun ch -> if ch = '-' then '_' else ch) label))
+
+let label_counters =
+  List.map
+    (fun label -> (label, label_counter label))
+    [ "intrinsic"; "sstore"; "sload"; "log"; "call"; "hash"; "h-prime"; "mset-hash"; "modexp";
+      "merkle" ]
+
+let gas_by_label () =
+  List.sort compare (List.map (fun (label, c) -> (label, Obs.Counter.value c)) label_counters)
+
+(* The receipt is the last transaction [ledger] executed, so the VM's
+   last breakdown is its split. *)
+let observe_txn ledger ~label (receipt : Vm.receipt) =
   Obs.Counter.add c_gas receipt.Vm.r_gas_used;
+  List.iter
+    (fun (l, gas) ->
+      let c = match List.assoc_opt l label_counters with Some c -> c | None -> label_counter l in
+      Obs.Counter.add c gas)
+    (Vm.last_breakdown (Ledger.state ledger));
   Log.debug (fun m ->
       m "%s: gas %d, %s" label receipt.Vm.r_gas_used
         (match receipt.Vm.r_output with Ok _ -> "ok" | Error e -> "reverted: " ^ e));
@@ -88,8 +112,8 @@ let key_request id = "req:" ^ id (* 31-byte escrow commitment ‖ status byte *)
 let key_deposit who = "deposit:" ^ who
 
 (* Batched-settlement cells: six words per batch, whatever its size.
-   The member list is kept as its hash; whoever needs the list (finalize,
-   dispute) passes it as calldata. *)
+   The member list is kept as its hash; a dispute, which needs the
+   list, passes it as calldata. *)
 let bkey_status id = "batch:" ^ id ^ ":status"
 let bkey_root id = "batch:" ^ id ^ ":root"
 let bkey_members id = "batch:" ^ id ^ ":members" (* H(member list) *)
@@ -185,32 +209,70 @@ let ( let* ) = Result.bind
 let claim_input ~token_bytes results =
   Bytesutil.concat [ token_bytes; Mset_hash.to_bytes (Mset_hash.of_list results) ]
 
+(* --- prime hints ------------------------------------------------------- *)
+
+let encode_hints hints =
+  let b = Bytes.create (2 * List.length hints) in
+  List.iteri
+    (fun i j ->
+      if j < 0 || j > 0xffff then invalid_arg "Slicer_contract.encode_hints: offset out of range";
+      Bytes.set_uint16_be b (2 * i) j)
+    hints;
+  Bytes.unsafe_to_string b
+
+let decode_hints blob ~count =
+  if String.length blob <> 2 * count then None
+  else Some (List.init count (fun i -> String.get_uint16_be blob (2 * i)))
+
+(* Where the contract gets a claim's prime: the submitter's hint, one
+   Baillie–PSW test, or the whole walk. Only the cloud hints, and a
+   wrong hint only fails its own claim; a disputer's hint could name a
+   later prime and fail an honest leaf, so [dispute] walks. *)
+type prime_source = Walk | Hint of int
+
+let source_tag = function Walk -> "walk" | Hint j -> "hint:" ^ string_of_int j
+
+let claim_prime ~charge source preimage =
+  let input_len = String.length preimage in
+  match source with
+  | Walk ->
+    charge ~label:"h-prime" (Gas.h_prime ~input_len);
+    Some (Prime_rep.to_prime preimage)
+  | Hint j ->
+    charge ~label:"h-prime" (Gas.h_prime_hinted ~input_len);
+    Prime_rep.of_offset preimage j
+
 (* Algorithm 5 over claims that one witness covers: per claim
-   h <- H(er) and x <- H_prime(token ‖ h), then VerifyMem by one modexp
-   per prime. Every step is charged as the corresponding EVM precompile
-   / opcode cost, in that order. *)
+   h <- H(er) and x <- H_prime(token ‖ h) from the claim's prime source,
+   then VerifyMem by one modexp per prime. Every step is charged as the
+   corresponding EVM precompile / opcode cost, in that order. A hint
+   that names no prime fails the claims before any modexp. *)
 let verify_metered ~charge ~params ~ac claims ~witness =
   let xs =
     List.map
-      (fun c ->
+      (fun (c, source) ->
         List.iter
           (fun er -> charge ~label:"mset-hash" (Gas.hash (String.length er) + Gas.mulmod))
           c.results;
-        let preimage = claim_input ~token_bytes:c.token_bytes c.results in
-        charge ~label:"h-prime" (Gas.h_prime ~input_len:(String.length preimage));
-        Prime_rep.to_prime preimage)
+        claim_prime ~charge source (claim_input ~token_bytes:c.token_bytes c.results))
       claims
   in
-  let mod_len = (Bigint.num_bits params.Rsa_acc.modulus + 7) / 8 in
-  List.iter (fun x -> charge ~label:"modexp" (Gas.modexp ~base_len:mod_len ~exp:x ~mod_len)) xs;
-  Rsa_acc.verify_mem_batch params ~ac ~xs ~witness
+  if List.exists Option.is_none xs then false
+  else begin
+    let xs = List.filter_map Fun.id xs in
+    let mod_len = (Bigint.num_bits params.Rsa_acc.modulus + 7) / 8 in
+    List.iter (fun x -> charge ~label:"modexp" (Gas.modexp ~base_len:mod_len ~exp:x ~mod_len)) xs;
+    Rsa_acc.verify_mem_batch params ~ac ~xs ~witness
+  end
 
-(* Per-claim verdicts are memoized per (params, Ac, claim): a node
-   re-executing the same settlement serves the result from its cache,
-   exactly like a production client re-validating a seen transaction.
-   Gas is what a fresh node would burn — the memo stores the original
-   charge sequence and replays it, so receipts are byte-identical
-   either way. *)
+(* Per-claim verdicts are memoized per (params, Ac, prime source,
+   claim): a node re-executing the same settlement serves the result
+   from its cache, exactly like a production client re-validating a
+   seen transaction. Gas is what a fresh node would burn — the memo
+   stores the original charge sequence and replays it, so receipts are
+   byte-identical either way. The source is in the key because it
+   decides both: a walk and a hint charge different h-prime gas, and a
+   wrong hint fails a claim its walk would pass. *)
 let verify_memo_limit = 65_536
 let verify_memo : (string, bool * (string * int) list) Hashtbl.t = Hashtbl.create 256
 
@@ -221,13 +283,14 @@ let c_verify_misses =
   Obs.counter ~help:"contract claim-verification memo misses"
     "slicer_acc_verify_cache_misses_total"
 
-let verify_claim ctx ~params ~ac c =
+let verify_claim ctx ~params ~ac (c, source) =
   let meter = ctx.Vm.meter in
   let key =
     Sha256.digest
       (Bytesutil.concat
          [ "verify"; Bigint.to_bytes_be params.Rsa_acc.modulus; Bigint.to_bytes_be ac;
-           c.token_bytes; Bigint.to_bytes_be c.witness; Bytesutil.concat c.results ])
+           source_tag source; c.token_bytes; Bigint.to_bytes_be c.witness;
+           Bytesutil.concat c.results ])
   in
   match Hashtbl.find_opt verify_memo key with
   | Some (ok, charges) ->
@@ -241,7 +304,7 @@ let verify_claim ctx ~params ~ac c =
       charges := (label, amount) :: !charges;
       Gasmeter.charge meter ~label amount
     in
-    let ok = verify_metered ~charge ~params ~ac [ c ] ~witness:c.witness in
+    let ok = verify_metered ~charge ~params ~ac [ (c, source) ] ~witness:c.witness in
     if Hashtbl.length verify_memo < verify_memo_limit then
       Hashtbl.replace verify_memo key (ok, List.rev !charges);
     ok
@@ -340,18 +403,27 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
       Ok [ "refunded" ]
     end
   in
+  (* The submitter's hints, one per claim in claim order: each claim
+     is verified against the prime its hint names. *)
+  let hinted claims hints_blob =
+    match decode_hints hints_blob ~count:(List.length claims) with
+    | Some hints -> Ok (List.map2 (fun c j -> (c, Hint j)) claims hints)
+    | None -> Error "malformed hints"
+  in
   let submit_result ctx args =
     match args with
-    | [ request_id; user; amount_s; ac_bytes; claims_blob ] ->
+    | [ request_id; user; amount_s; ac_bytes; claims_blob; hints_blob ] ->
       let* slot, amount, claims, ac = load_request ctx request_id ~user ~amount_s ~ac_bytes claims_blob in
+      let* claims = hinted claims hints_blob in
       let ok = List.for_all (verify_claim ctx ~params ~ac) claims in
       settle ctx request_id slot ~user ~amount ~ok
-    | _ -> Error "submitResult: expected [request_id; user; amount; ac; claims]"
+    | _ -> Error "submitResult: expected [request_id; user; amount; ac; claims; hints]"
   in
   let submit_result_batched ctx args =
     match args with
-    | [ request_id; user; amount_s; ac_bytes; claims_blob; witness_bytes ] ->
+    | [ request_id; user; amount_s; ac_bytes; claims_blob; witness_bytes; hints_blob ] ->
       let* slot, amount, claims, ac = load_request ctx request_id ~user ~amount_s ~ac_bytes claims_blob in
+      let* claims = hinted claims hints_blob in
       (* One witness covers every claim: lift it through each claim's
          prime representative and compare against Ac. *)
       let ok =
@@ -359,7 +431,8 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
           ~witness:(Bigint.of_bytes_be witness_bytes)
       in
       settle ctx request_id slot ~user ~amount ~ok
-    | _ -> Error "submitResultBatched: expected [request_id; user; amount; ac; claims; witness]"
+    | _ ->
+      Error "submitResultBatched: expected [request_id; user; amount; ac; claims; witness; hints]"
   in
   (* --- optimistic batched settlement ----------------------------------- *)
   let int_at ctx key = Option.bind (Vm.sload ctx key) int_of_string_opt in
@@ -517,6 +590,9 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
       let* member_slots = slots [] members in
       let* () = check_ac ctx ~key:(bkey_ac batch_id) ~reason:"dispute: ac mismatch" ac_bytes in
       let ac = Bigint.of_bytes_be ac_bytes in
+      (* The walk, not a hint: a disputer who picked a later prime of
+         the interval would fail an honest leaf. *)
+      let claims = List.map (fun c -> (c, Walk)) claims in
       let ok =
         match bw with
         | None -> List.for_all (verify_claim ctx ~params ~ac) claims
@@ -548,11 +624,13 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
   in
   (* finalize: after the dispute cutoff an undisputed batch settles
      wholesale — the escrow total recorded at commit pays out to the
-     committing cloud in one transfer. The member list (checked against
-     its hash) names the slots whose status flips to paid. *)
+     committing cloud in one transfer. No member slot is read or
+     written: a slot leaves [batched] only through a dispute of its
+     batch, which slashes the batch, and a final batch cannot be
+     disputed, so [batched] under a [final] batch means paid. *)
   let finalize ctx args =
     match args with
-    | [ batch_id; requests_blob ] ->
+    | [ batch_id ] ->
       let* () =
         Vm.require ctx
           (Vm.sload ctx (bkey_status batch_id) = Some "committed")
@@ -565,34 +643,11 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
           "finalize: dispute window still open"
       in
       let* cloud = Option.to_result ~none:"missing cloud" (Vm.sload ctx (bkey_cloud batch_id)) in
-      let* stored_members =
-        Option.to_result ~none:"missing members" (Vm.sload ctx (bkey_members batch_id))
-      in
-      let* () =
-        Vm.require ctx
-          (Bytesutil.const_equal (sha ctx requests_blob) stored_members)
-          "finalize: member list mismatch"
-      in
-      let* members =
-        Option.to_result ~none:"finalize: malformed request list" (Bytesutil.split requests_blob)
-      in
-      let rec mark = function
-        | [] -> Ok ()
-        | id :: rest ->
-          let* slot =
-            match Vm.sload ctx (key_request id) with
-            | Some s when slot_status s = Some st_batched -> Ok s
-            | Some _ | None -> Error "finalize: request not batched"
-          in
-          Vm.sstore ctx (key_request id) (with_status slot st_paid);
-          mark rest
-      in
-      let* () = mark members in
       let* () = Vm.send ctx ~to_:cloud total in
       Vm.sstore ctx (bkey_status batch_id) "final";
       Vm.emit ctx (Bytesutil.concat [ "BatchFinalized"; batch_id; string_of_int total ]);
       Ok [ "finalized"; string_of_int total ]
-    | _ -> Error "finalize: expected [batch_id; requests]"
+    | _ -> Error "finalize: expected [batch_id]"
   in
   { Vm.cd_name = "slicer-verifier";
     (* The modulus is an immutable: it is deployed with the code (and
@@ -623,7 +678,7 @@ let restore ledger ~contract:addr ~modulus =
 let deploy ?(shard = (0, 1)) ?(dispute_window = 4) ledger ~owner ~modulus ~initial_ac =
   let def = contract ~modulus ~initial_ac ~shard ~dispute_window in
   let txn = Vm.make_deploy (Ledger.state ledger) ~sender:owner def [] in
-  let receipt = observe_txn ~label:"deploy" (Ledger.submit_and_seal ledger txn) in
+  let receipt = observe_txn ledger ~label:"deploy" (Ledger.submit_and_seal ledger txn) in
   (txn.Vm.tx_to, receipt)
 
 let update_ac ledger ~owner ~contract ac =
@@ -631,30 +686,32 @@ let update_ac ledger ~owner ~contract ac =
     Vm.make_call (Ledger.state ledger) ~sender:owner ~to_:contract "updateAc"
       [ Bigint.to_bytes_be ac ]
   in
-  observe_txn ~label:"updateAc" (Ledger.submit_and_seal ledger txn)
+  observe_txn ledger ~label:"updateAc" (Ledger.submit_and_seal ledger txn)
 
 let request_search ledger ~user ~contract ~request_id ~tokens ~payment =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:user ~to_:contract ~value:payment "requestSearch"
       [ request_id; Bytesutil.concat tokens ]
   in
-  observe_txn ~label:"requestSearch" (Ledger.submit_and_seal ledger txn)
+  observe_txn ledger ~label:"requestSearch" (Ledger.submit_and_seal ledger txn)
 
-let submit_result ledger ~cloud ~contract ~request_id ~user ~amount ~ac claims =
+let submit_result ledger ~cloud ~contract ~request_id ~user ~amount ~ac ~hints claims =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "submitResult"
-      [ request_id; user; string_of_int amount; Bigint.to_bytes_be ac; encode_claims claims ]
+      [ request_id; user; string_of_int amount; Bigint.to_bytes_be ac; encode_claims claims;
+        encode_hints hints ]
   in
-  observe_settlement (observe_txn ~label:"submitResult" (Ledger.submit_and_seal ledger txn))
+  observe_settlement (observe_txn ledger ~label:"submitResult" (Ledger.submit_and_seal ledger txn))
 
-let submit_result_batched ledger ~cloud ~contract ~request_id ~user ~amount ~ac claims ~witness =
+let submit_result_batched ledger ~cloud ~contract ~request_id ~user ~amount ~ac ~hints claims
+    ~witness =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "submitResultBatched"
       [ request_id; user; string_of_int amount; Bigint.to_bytes_be ac; encode_claims claims;
-        Bigint.to_bytes_be witness ]
+        Bigint.to_bytes_be witness; encode_hints hints ]
   in
   observe_settlement
-    (observe_txn ~label:"submitResultBatched" (Ledger.submit_and_seal ledger txn))
+    (observe_txn ledger ~label:"submitResultBatched" (Ledger.submit_and_seal ledger txn))
 
 let storage_get ledger ~contract key =
   (* Read-only view (no gas): inspecting state through a local node. *)
@@ -699,14 +756,14 @@ let post_deposit ledger ~cloud ~contract ~amount =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract ~value:amount "deposit" []
   in
-  observe_txn ~label:"deposit" (Ledger.submit_and_seal ledger txn)
+  observe_txn ledger ~label:"deposit" (Ledger.submit_and_seal ledger txn)
 
 let commit_batch ledger ~cloud ~contract ~batch_id ~root ~members =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "commitBatch"
       [ batch_id; root; encode_escrows members ]
   in
-  observe_txn ~label:"commitBatch" (Ledger.submit_and_seal ledger txn)
+  observe_txn ledger ~label:"commitBatch" (Ledger.submit_and_seal ledger txn)
 
 let dispute_leaf ledger ~disputer ~contract ~batch_id ~index ~leaf ~proof ~claims_blob
     ~batch_witness ~members ~ac =
@@ -716,14 +773,11 @@ let dispute_leaf ledger ~disputer ~contract ~batch_id ~index ~leaf ~proof ~claim
       [ batch_id; string_of_int index; leaf; Merkle.proof_to_bytes proof; claims_blob; bw;
         encode_escrows members; Bigint.to_bytes_be ac ]
   in
-  observe_txn ~label:"dispute" (Ledger.submit_and_seal ledger txn)
+  observe_txn ledger ~label:"dispute" (Ledger.submit_and_seal ledger txn)
 
-let finalize_batch ledger ~cloud ~contract ~batch_id ~requests =
-  let txn =
-    Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "finalize"
-      [ batch_id; Bytesutil.concat requests ]
-  in
-  observe_txn ~label:"finalize" (Ledger.submit_and_seal ledger txn)
+let finalize_batch ledger ~cloud ~contract ~batch_id =
+  let txn = Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "finalize" [ batch_id ] in
+  observe_txn ledger ~label:"finalize" (Ledger.submit_and_seal ledger txn)
 
 let batch_status ledger ~contract ~batch_id = storage_get ledger ~contract (bkey_status batch_id)
 

@@ -8,10 +8,11 @@
       cheap "Data insertion" row of Table II);
     + [requestSearch] — a data user posts search tokens and locks the
       search fee in escrow;
-    + [submitResult] — the cloud posts results and witnesses; the
-      contract recomputes each claim's multiset hash and prime
-      representative, checks the RSA witnesses against [Ac], and either
-      pays the cloud or refunds the user.
+    + [submitResult] — the cloud posts results, witnesses and each
+      claim's prime hint; the contract recomputes each claim's multiset
+      hash, checks the one prime candidate its hint names, checks the
+      RSA witnesses against [Ac], and either pays the cloud or refunds
+      the user.
 
     Every storage cell is at most one 32-byte word. The contract keeps
     commitments, not blobs: an escrow is one word (a 31-byte hash of
@@ -28,6 +29,15 @@
 val log_src : Logs.Src.t
 (** [slicer.chain.contract] — per-transaction gas and settlement
     outcomes at debug level. *)
+
+val gas_by_label : unit -> (string * int) list
+(** Gas charged under each label (["h-prime"], ["intrinsic"],
+    ["sstore"], …) by every transaction submitted through this
+    module's helpers, summed across the process: the counters
+    [slicer_chain_gas_<label>_total] (a dash becomes an underscore),
+    which together sum to [slicer_chain_gas_total]. Sorted by label;
+    every label the VM and this contract charge is listed, at 0 until
+    charged. *)
 
 type claim = {
   token_bytes : string;   (** [t_j ‖ j ‖ G1 ‖ G2] — the search token *)
@@ -130,24 +140,34 @@ val request_search :
 
 val submit_result :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> request_id:string ->
-  user:Vm.address -> amount:int -> ac:Bigint.t -> claim list -> Vm.receipt
+  user:Vm.address -> amount:int -> ac:Bigint.t -> hints:int list -> claim list -> Vm.receipt
 (** Triggers on-chain verification and settlement. [user] and [amount]
     are the escrow's preimage (the token digest is recomputed from the
     claims) and [ac] the accumulation value whose hash is on chain; the
     call reverts with ["token set mismatch"] or ["ac mismatch"] when
-    they do not match. The receipt's output is [["paid"]] or
-    [["refunded"]]. *)
+    they do not match. [hints] are the claims' prime offsets
+    ({!Prime_rep.offset} of the primes the cloud made the witnesses
+    for), one per claim, sent as 2 big-endian bytes each in claim
+    order: a hints blob of another length reverts with
+    ["malformed hints"], and a hint that names a composite or another
+    prime fails its claim. Each claim's prime costs
+    {!Gas.h_prime_hinted}. The receipt's output is [["paid"]] or
+    [["refunded"]].
+    @raise Invalid_argument for a hint outside [0, 2^16). *)
 
 val submit_result_batched :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> request_id:string ->
-  user:Vm.address -> amount:int -> ac:Bigint.t -> claim list -> witness:Bigint.t -> Vm.receipt
+  user:Vm.address -> amount:int -> ac:Bigint.t -> hints:int list -> claim list ->
+  witness:Bigint.t -> Vm.receipt
 (** Settlement with one batched membership witness covering every claim
     (the per-claim [witness] fields are ignored); saves [(k-1) * 64]
     bytes of verification objects for a [k]-token order search. *)
 
 val request_status : Ledger.t -> contract:Vm.address -> request_id:string -> string option
-(** ["pending"], ["batched"] (committed under an open batch), ["paid"]
-    or ["refunded"], decoded from the slot's status byte. *)
+(** ["pending"], ["batched"], ["paid"] or ["refunded"], decoded from
+    the slot's status byte. A member of a batch stays ["batched"] for
+    good unless a dispute refunds it: once its batch is ["final"]
+    ({!batch_status}) the escrow is paid. *)
 
 (** {1 Batched optimistic settlement}
 
@@ -179,14 +199,16 @@ val dispute_leaf :
     escrow preimages in commit order (so a slash can refund each to its
     user) and [ac] the accumulation value in force at commit. A bad
     leaf yields [["slashed"]]; a leaf that verifies reverts with
-    ["dispute rejected…"] (the disputer pays the verification gas). *)
+    ["dispute rejected…"] (the disputer pays the verification gas).
+    The dispute takes no hints: each claim's prime is found by the
+    whole walk, {!Gas.h_prime} per claim. *)
 
 val finalize_batch :
-  Ledger.t -> cloud:Vm.address -> contract:Vm.address -> batch_id:string ->
-  requests:string list -> Vm.receipt
-(** Wholesale settlement after the window: [requests] is the member
-    list in commit order, checked against its hash; the escrow total
-    recorded at commit pays out. Output [["finalized"; total]]. *)
+  Ledger.t -> cloud:Vm.address -> contract:Vm.address -> batch_id:string -> Vm.receipt
+(** Wholesale settlement after the window: the escrow total recorded
+    at commit pays out to the committing cloud. No member slot is read
+    or written; the members stay ["batched"] under a ["final"] batch.
+    Output [["finalized"; total]]. *)
 
 val batch_status : Ledger.t -> contract:Vm.address -> batch_id:string -> string option
 (** ["committed"], ["final"] or ["slashed"]. *)

@@ -227,10 +227,10 @@ let run_payload state meter ~height t =
           impl { state; meter; sender = t.tx_sender; self = t.tx_to; value = t.tx_value; height }
             args))
 
-let execute ?(height = 0) state t =
+let execute ?(height = 0) ?gas_limit state t =
   if state.journal <> None then invalid_arg "Vm.execute: reentrant execution";
   state.events <- [];
-  let meter = Gasmeter.create () in
+  let meter = Gasmeter.create ?limit:gas_limit () in
   state.last_meter <- Some meter;
   let finish output =
     { r_txn_hash = txn_hash t;

@@ -120,15 +120,18 @@ type receipt = {
   r_output : (string list, string) result;
 }
 
-val execute : ?height:int -> state -> txn -> receipt
+val execute : ?height:int -> ?gas_limit:int -> state -> txn -> receipt
 (** Applies the transaction: checks nonce and balance, charges intrinsic
     and execution gas, runs the payload, and rolls back on revert. A
-    failed transaction still consumes its gas and bumps the nonce.
+    failed transaction still consumes its gas and bumps the nonce; one
+    that runs out of gas consumes exactly [gas_limit].
     Never raises on gas: a transaction whose nonce is wrong, or whose
     intrinsic gas alone is over the gas limit, gets an [Error] receipt
     with 0 gas and leaves the state (nonce included) untouched.
     [height] is exposed to contracts as [ctx.height] ([block.number]);
-    the ledger passes the sealing block's number. *)
+    the ledger passes the sealing block's number. [gas_limit] (default
+    30 million) is the gas the transaction may use; the ledger passes
+    what its block has left. *)
 
 val last_breakdown : state -> (string * int) list
 (** The {!Gasmeter.breakdown} of the most recently executed

@@ -21,9 +21,11 @@ type t = {
      O(log n) product spine, and a warm witness is a table lookup. *)
   windex : Witness_tree.t;
   (* Served-claim cache: an honest repeated token costs one lookup
-     instead of an index walk + multiset hash + witness. Reset whenever
-     the index state or the behaviour mode changes. *)
-  claim_cache : (string, Slicer_contract.claim) Hashtbl.t;
+     instead of an index walk + multiset hash + witness. Each claim
+     keeps its prime's hint, so a hit settles without rebuilding the
+     claim input. Reset whenever the index state or the behaviour mode
+     changes. *)
+  claim_cache : (string, Slicer_contract.claim * int) Hashtbl.t;
   (* What this cloud has added to the two size gauges so far. *)
   index_bytes_shown : int Atomic.t;
   windex_bytes_shown : int Atomic.t;
@@ -165,30 +167,33 @@ let claim t st =
 
 let forged t w = if t.mode = Forge_witness then Bigint.succ w else w
 
+(* A claim and its prime's hint: the offset of the prime the witness
+   was made for, which the contract checks instead of walking. *)
 let search_one t st =
   let token_bytes, results, x = claim t st in
-  { Slicer_contract.token_bytes; results; witness = forged t (witness_for t x) }
+  ({ Slicer_contract.token_bytes; results; witness = forged t (witness_for t x) }, Prime_rep.offset x)
 
 let search t sts =
   Obs.Counter.add c_tokens (List.length sts);
   Obs.span "cloud.search" @@ fun () ->
-  List.map
-    (fun st ->
-      if t.mode <> Honest then search_one t st
-      else begin
-        let token_bytes = Slicer_types.token_bytes st in
-        match Hashtbl.find_opt t.claim_cache token_bytes with
-        | Some c ->
-          Obs.Counter.incr c_claim_hits;
-          c
-        | None ->
-          Obs.Counter.incr c_claim_misses;
-          let c = search_one t st in
-          if Hashtbl.length t.claim_cache < claim_cache_limit then
-            Hashtbl.replace t.claim_cache token_bytes c;
-          c
-      end)
-    sts
+  List.split
+  @@ List.map
+       (fun st ->
+         if t.mode <> Honest then search_one t st
+         else begin
+           let token_bytes = Slicer_types.token_bytes st in
+           match Hashtbl.find_opt t.claim_cache token_bytes with
+           | Some c ->
+             Obs.Counter.incr c_claim_hits;
+             c
+           | None ->
+             Obs.Counter.incr c_claim_misses;
+             let c = search_one t st in
+             if Hashtbl.length t.claim_cache < claim_cache_limit then
+               Hashtbl.replace t.claim_cache token_bytes c;
+             c
+         end)
+       sts
 
 let search_batched t sts =
   Obs.Counter.add c_tokens (List.length sts);
@@ -206,6 +211,7 @@ let search_batched t sts =
         (* Per-claim witnesses are replaced by the one batch object. *)
         { Slicer_contract.token_bytes; results; witness = Bigint.one })
       claims,
+    List.map Prime_rep.offset xs,
     forged t witness )
 
 (* Speculative warm-up driven from the query stream: derive (and cache)

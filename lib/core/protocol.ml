@@ -155,7 +155,7 @@ let search_conj t queries =
 
 let search_offchain t query =
   let tokens = User.gen_tokens ~rng:t.p_rng t.p_user query in
-  let claims = Cloud.search (Station.cloud t.p_station) tokens in
+  let claims, _ = Cloud.search (Station.cloud t.p_station) tokens in
   let ok =
     Verifier.verify_claims (Owner.acc_params t.p_owner) ~ac:(Owner.current_ac t.p_owner) claims
   in

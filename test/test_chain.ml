@@ -188,6 +188,77 @@ let test_tx_inclusion_proof () =
   let other = Vm.make_transfer state ~sender:alice ~to_:bob ~value:8 in
   Alcotest.(check bool) "other tx rejected" false (Block.verify_inclusion block other proof)
 
+(* A header records its receipts' gas: forging a receipt's gas, the
+   header's [gas_used], its limit or its timestamp fails validation, and
+   each rule names itself (it runs before the seal check). The forged
+   block is the head, so no child's parent link sees its header. *)
+let test_block_records_gas () =
+  let ledger = fresh_ledger () in
+  let state = Ledger.state ledger in
+  Ledger.submit ledger (Vm.make_transfer state ~sender:alice ~to_:bob ~value:1);
+  Ledger.submit ledger (Vm.make_transfer state ~sender:bob ~to_:carol ~value:2);
+  let block = Ledger.seal_block ledger in
+  let h = block.Block.header in
+  Alcotest.(check int) "gas used is the receipts' sum" (2 * Gas.tx_base) h.Block.gas_used;
+  Alcotest.(check int) "gas limit" Ledger.gas_limit h.Block.gas_limit;
+  (match Ledger.validate ledger with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "chain invalid: %s" e);
+  let forged what expected forge =
+    Alcotest.(check (result unit string)) what (Error expected)
+      (Ledger.validate_forged ledger ~block_index:1 forge)
+  in
+  let with_header f b = { b with Block.header = f b.Block.header } in
+  forged "a receipt's gas altered" "gas used mismatch" (fun b ->
+      match b.Block.receipts with
+      | r :: rest -> { b with Block.receipts = { r with Vm.r_gas_used = r.Vm.r_gas_used - 1 } :: rest }
+      | [] -> b);
+  forged "header gas_used altered" "gas used mismatch"
+    (with_header (fun h -> { h with Block.gas_used = h.Block.gas_used + 1 }));
+  forged "gas_used over gas_limit" "gas used over the limit"
+    (with_header (fun h -> { h with Block.gas_limit = h.Block.gas_used - 1 }));
+  forged "timestamp not after the parent's" "timestamp not increasing"
+    (with_header (fun h -> { h with Block.timestamp = 0 }));
+  (* The forgeries were copies: the ledger still validates. *)
+  Alcotest.(check (result unit string)) "ledger untouched" (Ok ()) (Ledger.validate ledger)
+
+(* Each transaction is metered against what its block has left: two
+   20M-gas calls cannot both fit in a 30M block. The second runs out at
+   the block's limit, a third is refused before it starts, and the
+   block's gas is exactly its limit. *)
+let test_block_gas_limit () =
+  let ledger = fresh_ledger () in
+  let state = Ledger.state ledger in
+  let hog =
+    { Vm.cd_name = "gas-hog-20m";
+      cd_code = "hog";
+      cd_methods =
+        [ ( "burn",
+            fun ctx _args ->
+              Gasmeter.charge ctx.Vm.meter ~label:"burn" 20_000_000;
+              Ok [] ) ] }
+  in
+  let deploy = Vm.make_deploy state ~sender:alice hog [] in
+  ignore (Ledger.submit_and_seal ledger deploy);
+  let hog_addr = deploy.Vm.tx_to in
+  Ledger.submit ledger (Vm.make_call state ~sender:alice ~to_:hog_addr "burn" []);
+  Ledger.submit ledger (Vm.make_call state ~sender:bob ~to_:hog_addr "burn" []);
+  Ledger.submit ledger (Vm.make_transfer state ~sender:carol ~to_:alice ~value:0);
+  let block = Ledger.seal_block ledger in
+  (match block.Block.receipts with
+   | [ first; second; third ] ->
+     Alcotest.(check bool) "first burns" true (Result.is_ok first.Vm.r_output);
+     Alcotest.(check (result (list string) string)) "second runs out" (Error "out of gas")
+       second.Vm.r_output;
+     Alcotest.(check int) "second burns what was left" (Ledger.gas_limit - first.Vm.r_gas_used)
+       second.Vm.r_gas_used;
+     Alcotest.(check int) "third is refused" 0 third.Vm.r_gas_used;
+     Alcotest.(check int) "its nonce is untouched" 0 (Vm.nonce state carol)
+   | rs -> Alcotest.failf "%d receipts" (List.length rs));
+  Alcotest.(check int) "the block is exactly full" Ledger.gas_limit
+    block.Block.header.Block.gas_used;
+  Alcotest.(check (result unit string)) "and valid" (Ok ()) (Ledger.validate ledger)
+
 let test_receipt_lookup () =
   let ledger = fresh_ledger () in
   let state = Ledger.state ledger in
@@ -229,11 +300,21 @@ let deployed () =
   in
   (ledger, contract, dr, token, results, witness)
 
+(* Each claim's prime hint, as an honest cloud sends it: the offset of
+   its prime representative. *)
+let hints_of claims =
+  List.map
+    (fun (c : Slicer_contract.claim) ->
+      Prime_rep.offset
+        (prime_of (Slicer_contract.claim_input ~token_bytes:c.Slicer_contract.token_bytes c.results)))
+    claims
+
 (* Settlement by bob, the cloud, of an escrow alice made: the escrow's
-   user and amount and the deployed Ac go along as calldata. *)
+   user and amount, the deployed Ac and the claims' prime hints go
+   along as calldata. *)
 let submit ?(ac = scenario_ac) ledger ~contract ~request_id ~amount claims =
   Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id ~user:alice ~amount ~ac
-    claims
+    ~hints:(hints_of claims) claims
 
 (* The preimage of an escrow alice made for [token]. *)
 let escrow_of ~payment ~token id =
@@ -414,7 +495,7 @@ let test_batched_contract_path () =
   let claims = [ { Slicer_contract.token_bytes = token; results; witness = Bigint.one } ] in
   let sr =
     Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"b-1" ~user:alice
-      ~amount:400 ~ac:scenario_ac claims ~witness
+      ~amount:400 ~ac:scenario_ac ~hints:(hints_of claims) claims ~witness
   in
   (match sr.Vm.r_output with
    | Ok [ "paid" ] -> ()
@@ -427,7 +508,7 @@ let test_batched_contract_path () =
   let bad = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus in
   let sr2 =
     Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"b-2" ~user:alice
-      ~amount:400 ~ac:scenario_ac claims ~witness:bad
+      ~amount:400 ~ac:scenario_ac ~hints:(hints_of claims) claims ~witness:bad
   in
   (match sr2.Vm.r_output with
    | Ok [ "refunded" ] -> ()
@@ -572,9 +653,38 @@ let committed_batch ?(deposit = 50_000) ?(payment = 400) ?(requests = [ "ba-1"; 
    | Error e -> Alcotest.failf "commit failed: %s" e);
   (ledger, contract, claims, leaves, tree, members)
 
-let finalize ledger ~contract ?(batch_id = "batch-0") members =
+let finalize ledger ~contract ?(batch_id = "batch-0") () =
   Slicer_contract.finalize_batch ledger ~cloud:bob ~contract ~batch_id
-    ~requests:(List.map (fun e -> e.Slicer_contract.es_request) members)
+
+(* A member of a final batch is paid: its slot stays [batched], its
+   batch reads [final], and no settlement path can touch it again. *)
+let check_member_paid ledger ~contract ~batch_id (e : Slicer_contract.escrow) ~token ~results
+    ~witness =
+  let id = e.Slicer_contract.es_request in
+  Alcotest.(check (option string)) (id ^ " slot stays batched") (Some "batched")
+    (Slicer_contract.request_status ledger ~contract ~request_id:id);
+  Alcotest.(check (option string)) (id ^ "'s batch is final") (Some "final")
+    (Slicer_contract.batch_status ledger ~contract ~batch_id);
+  let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let reverts what (r : Vm.receipt) =
+    Alcotest.(check bool) (Printf.sprintf "%s on %s reverts" what id) true
+      (Result.is_error r.Vm.r_output)
+  in
+  reverts "submitResult" (submit ledger ~contract ~request_id:id ~amount:e.Slicer_contract.es_amount claims);
+  reverts "commitBatch"
+    (Slicer_contract.commit_batch ledger ~cloud:bob ~contract ~batch_id:(batch_id ^ "-again")
+       ~root:"r" ~members:[ e ]);
+  let leaf =
+    Slicer_contract.encode_leaf
+      { Slicer_contract.rl_client = "tester"; rl_request = id;
+        rl_claim_hash = Sha256.digest (Slicer_contract.encode_claims claims);
+        rl_witness_digest = Slicer_contract.witness_digest ~claims ~batch_witness:None }
+  in
+  reverts "dispute"
+    (Slicer_contract.dispute_leaf ledger ~disputer:carol ~contract ~batch_id ~index:0 ~leaf
+       ~proof:(Merkle.prove (Merkle.build [ leaf ]) 0)
+       ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None ~members:[ e ]
+       ~ac:scenario_ac)
 
 (* Seal empty-ish blocks (plain transfers) until [n] more exist. *)
 let advance_blocks ledger n =
@@ -585,17 +695,17 @@ let advance_blocks ledger n =
   done
 
 let test_batch_commit_and_finalize () =
-  let ledger, contract, _, _, _, members = committed_batch () in
+  let ledger, contract, claims, _, _, members = committed_batch () in
   Alcotest.(check (option string)) "committed" (Some "committed")
     (Slicer_contract.batch_status ledger ~contract ~batch_id:"batch-0");
   Alcotest.(check (option string)) "member batched" (Some "batched")
     (Slicer_contract.request_status ledger ~contract ~request_id:"ba-1");
   (* Too early: the dispute window (4 blocks) still runs. *)
-  let early = finalize ledger ~contract members in
+  let early = finalize ledger ~contract () in
   Alcotest.(check bool) "early finalize reverts" true (Result.is_error early.Vm.r_output);
   advance_blocks ledger 4;
   let cloud_before = Vm.balance (Ledger.state ledger) bob in
-  let fr = finalize ledger ~contract members in
+  let fr = finalize ledger ~contract () in
   (match fr.Vm.r_output with
    | Ok [ "finalized"; total ] -> Alcotest.(check string) "payout total" "800" total
    | Ok o -> Alcotest.failf "unexpected finalize output [%s]" (String.concat ";" o)
@@ -604,22 +714,24 @@ let test_batch_commit_and_finalize () =
     (Vm.balance (Ledger.state ledger) bob);
   Alcotest.(check (option string)) "final" (Some "final")
     (Slicer_contract.batch_status ledger ~contract ~batch_id:"batch-0");
-  Alcotest.(check (option string)) "member paid" (Some "paid")
-    (Slicer_contract.request_status ledger ~contract ~request_id:"ba-2");
+  (match claims with
+   | [ { Slicer_contract.token_bytes = token; results; witness } ] ->
+     check_member_paid ledger ~contract ~batch_id:"batch-0" (List.nth members 1) ~token ~results
+       ~witness
+   | _ -> Alcotest.fail "one claim expected");
   (* Wholesale settlement is once-only. *)
-  let again = finalize ledger ~contract members in
+  let again = finalize ledger ~contract () in
   Alcotest.(check bool) "double finalize reverts" true (Result.is_error again.Vm.r_output)
 
 let test_batch_finalize_single_payout () =
-  (* A member adds its id to finalize's calldata, one read of its slot
-     and one reset-priced write of the slot's status byte; the payout is
-     one transfer of the total recorded at commit, whatever the batch's
-     size. Equal-width totals keep the event bytes equal, and the 8- and
-     24-byte member lists hash as one word each. *)
+  (* finalize reads and writes no member slot and takes no member list:
+     the payout is one transfer of the total recorded at commit,
+     whatever the batch's size. Equal-width totals keep the event bytes
+     equal. *)
   let finalize_gas requests =
-    let ledger, contract, _, _, _, members = committed_batch ~payment:1000 ~requests () in
+    let ledger, contract, _, _, _, _ = committed_batch ~payment:1000 ~requests () in
     advance_blocks ledger 4;
-    let fr = finalize ledger ~contract members in
+    let fr = finalize ledger ~contract () in
     (match fr.Vm.r_output with
      | Ok [ "finalized"; total ] ->
        Alcotest.(check string) "payout total" (string_of_int (1000 * List.length requests)) total
@@ -629,10 +741,7 @@ let test_batch_finalize_single_payout () =
   in
   let one = finalize_gas [ "ba-1" ] in
   let three = finalize_gas [ "ba-1"; "ba-2"; "ba-3" ] in
-  Alcotest.(check int)
-    "two more members: their ids' calldata, two slot reads and two status writes, no transfer"
-    ((2 * (Gas.sload + Gas.sstore_reset)) + Gas.calldata (Bytesutil.concat [ "ba-2"; "ba-3" ]))
-    (three - one)
+  Alcotest.(check int) "two more members cost nothing" 0 (three - one)
 
 let test_batch_requires_deposit_and_escrow () =
   let ledger, contract, _, token, results, witness = deployed () in
@@ -745,7 +854,7 @@ let test_batch_dispute_bad_leaf_slashes () =
     (Slicer_contract.request_status ledger ~contract ~request_id:"bd-1");
   (* The slashed batch can be neither finalized nor re-disputed. *)
   advance_blocks ledger 4;
-  let fr = finalize ledger ~contract ~batch_id:"bd" members in
+  let fr = finalize ledger ~contract ~batch_id:"bd" () in
   Alcotest.(check bool) "slashed batch cannot finalize" true (Result.is_error fr.Vm.r_output)
 
 let test_batch_dispute_window_closes () =
@@ -818,12 +927,14 @@ let test_every_cell_one_word () =
        ~claims_blob:(Slicer_contract.encode_claims bad) ~batch_witness:None ~members:members_b
        ~ac:scenario_ac);
   advance_blocks ledger 4;
-  ok "finalize" (finalize ledger ~contract ~batch_id:"lc-batch-a" members_a);
+  ok "finalize" (finalize ledger ~contract ~batch_id:"lc-batch-a" ());
   List.iter
     (fun (id, status) ->
       Alcotest.(check (option string)) id (Some status)
         (Slicer_contract.request_status ledger ~contract ~request_id:id))
-    [ ("lc-eager", "paid"); ("lc-a", "paid"); ("lc-b", "refunded") ];
+    [ ("lc-eager", "paid"); ("lc-b", "refunded") ];
+  check_member_paid ledger ~contract ~batch_id:"lc-batch-a" (List.hd members_a) ~token ~results
+    ~witness;
   let cells = Vm.storage_entries (Ledger.state ledger) contract in
   Alcotest.(check bool) "cells written" true (List.length cells > 10);
   List.iter
@@ -842,6 +953,7 @@ type forgery =
   | F_tokens of string
   | F_ac of int
   | F_members of [ `Drop | `Extra | `Swap ]
+  | F_batch of string
 
 type forged_call = Submit | Submit_batched | Commit | Finalize | Dispute
 
@@ -850,14 +962,14 @@ let forge_escrow f (e : Slicer_contract.escrow) =
   | F_user u -> { e with Slicer_contract.es_user = u }
   | F_amount a -> { e with Slicer_contract.es_amount = a }
   | F_tokens t -> { e with Slicer_contract.es_digest = Slicer_contract.tokens_digest [ t ] }
-  | F_ac _ | F_members _ -> e
+  | F_ac _ | F_members _ | F_batch _ -> e
 
 let forge_members f members =
   match (f, members) with
   | F_members `Drop, _ :: rest -> rest
   | F_members `Extra, m :: _ -> members @ [ { m with Slicer_contract.es_request = "fz-extra" } ]
   | F_members `Swap, a :: b :: rest -> b :: a :: rest
-  | F_members _, _ -> members
+  | (F_members _ | F_batch _), _ -> members
   | (F_user _ | F_amount _ | F_tokens _ | F_ac _), m :: rest -> forge_escrow f m :: rest
   | _, [] -> []
 
@@ -922,14 +1034,16 @@ let forged_call_reverts (call, f) =
     | Submit ->
       Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"fz-1"
         ~user:e.Slicer_contract.es_user ~amount:e.Slicer_contract.es_amount ~ac:(forge_ac f)
-        (claims_for f good)
+        ~hints:(hints_of good) (claims_for f good)
     | Submit_batched ->
       Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"fz-1"
         ~user:e.Slicer_contract.es_user ~amount:e.Slicer_contract.es_amount ~ac:(forge_ac f)
-        (claims_for f good) ~witness
+        ~hints:(hints_of good) (claims_for f good) ~witness
     | Commit -> commit (forge_members f members)
     | Finalize ->
-      finalize ledger ~contract ~batch_id:"fz" (forge_members f members)
+      (* finalize takes the batch id alone: a forger can only name
+         another batch. *)
+      finalize ledger ~contract ~batch_id:(match f with F_batch b -> b | _ -> "fz") ()
     | Dispute ->
       Slicer_contract.dispute_leaf ledger ~disputer:carol ~contract ~batch_id:"fz" ~index:1
         ~leaf:(List.nth leaves 1) ~proof:(Merkle.prove tree 1)
@@ -964,7 +1078,7 @@ let gen_forgery =
         [ map (fun u -> F_user u) (string_size ~gen:char (return 20));
           map (fun a -> F_amount a) (int_range 1 1_000_000);
           map (fun t -> F_tokens t) (string_size ~gen:char (int_range 1 40)) ]
-    | Finalize -> map (fun m -> F_members m) (oneofl [ `Drop; `Extra; `Swap ])
+    | Finalize -> map (fun b -> F_batch b) (string_size ~gen:char (int_range 0 8))
     | Dispute ->
       oneof
         [ map (fun u -> F_user u) (string_size ~gen:char (return 20));
@@ -990,7 +1104,8 @@ let print_forgery (call, f) =
      | F_ac k -> "Ac + " ^ string_of_int k
      | F_members `Drop -> "a member dropped"
      | F_members `Extra -> "an extra member"
-     | F_members `Swap -> "two members swapped")
+     | F_members `Swap -> "two members swapped"
+     | F_batch b -> "batch id " ^ Bytesutil.to_hex b)
 
 let forgery_props =
   [ QCheck_alcotest.to_alcotest
@@ -1002,8 +1117,235 @@ let forgery_props =
               | F_user u -> u <> alice
               | F_amount a -> a <> 700
               | F_tokens t -> t <> scenario_token
+              | F_batch b -> b <> "fz"
               | F_ac _ | F_members _ -> true);
            forged_call_reverts (call, f))) ]
+
+(* --- prime hints ------------------------------------------------------------ *)
+
+(* A Protocol-built system: the owner's index and Ac, the cloud's
+   claims, witnesses and hints, and the deployed contract. The cloud's
+   address is funded so it can post a deposit. *)
+let hint_system seed =
+  let rng = Drbg.create ~seed:(seed ^ "-db") in
+  let s = Protocol.setup ~width:8 ~seed (Gen.uniform_records ~rng ~width:8 40) in
+  Vm.fund (Ledger.state (Protocol.ledger s)) (Protocol.cloud_address s) 1_000_000;
+  s
+
+let hint_requests = ref 0
+
+(* Escrows [tokens] under a fresh request id, as the system's user. *)
+let escrow_tokens s tokens =
+  incr hint_requests;
+  let id = Printf.sprintf "hint-%d" !hint_requests in
+  let rr =
+    Slicer_contract.request_search (Protocol.ledger s) ~user:(Protocol.user_address s)
+      ~contract:(Protocol.contract_address s) ~request_id:id
+      ~tokens:(List.map Slicer_types.token_bytes tokens) ~payment:(Protocol.payment s)
+  in
+  (match rr.Vm.r_output with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "escrow %s: %s" id e);
+  id
+
+let settle_hinted s ~id ~hints claims =
+  Slicer_contract.submit_result (Protocol.ledger s) ~cloud:(Protocol.cloud_address s)
+    ~contract:(Protocol.contract_address s) ~request_id:id ~user:(Protocol.user_address s)
+    ~amount:(Protocol.payment s) ~ac:(Cloud.current_ac (Protocol.cloud s)) ~hints claims
+
+(* The offset of the first prime after [x] on its walk, if the walk's
+   interval holds one. *)
+let next_prime_offset x =
+  let rec go k =
+    let j = Prime_rep.offset x + k in
+    if j >= 1 lsl Prime_rep.counter_bits then None
+    else if Primality.baillie_psw (Bigint.add_int x k) then Some j
+    else go (k + 2)
+  in
+  go 2
+
+(* The offset, from [x]'s interval base, of the first prime past the
+   interval: at least 2^16, so inside the next digest's interval. *)
+let prime_past_interval x =
+  let base = Bigint.add_int x (-Prime_rep.offset x) in
+  let rec go j = if Primality.baillie_psw (Bigint.add_int base j) then j else go (j + 2) in
+  go ((1 lsl Prime_rep.counter_bits) + 1)
+
+let hints_system = lazy (hint_system "prime-hints")
+
+(* One query's claims, settled by [submitResult] with the cloud's hints
+   and with one claim's hint replaced: the canonical offset pays; a
+   composite (canonical - 2), the next prime's offset, an even offset
+   and 0 each refund the user and leave the cloud unpaid; a hints blob
+   of the wrong length reverts with every slot and balance unchanged.
+   And [Prime_rep.of_offset] passes the later prime (the witness is
+   what refuses it) but refuses a prime past the interval. *)
+let hint_case (value, cond, pick) =
+  let s = Lazy.force hints_system in
+  let state = Ledger.state (Protocol.ledger s) in
+  let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) (Slicer_types.query value cond) in
+  QCheck2.assume (tokens <> []);
+  let claims, hints = Cloud.search (Protocol.cloud s) tokens in
+  let i = pick mod List.length claims in
+  let c = List.nth claims i and j = List.nth hints i in
+  let input = Slicer_contract.claim_input ~token_bytes:c.Slicer_contract.token_bytes c.results in
+  let x = Prime_rep.to_prime input in
+  let user = Protocol.user_address s and cloud = Protocol.cloud_address s in
+  let payment = Protocol.payment s in
+  let settle hints =
+    let id = escrow_tokens s tokens in
+    let before = (Vm.balance state user, Vm.balance state cloud) in
+    let r = settle_hinted s ~id ~hints claims in
+    (r.Vm.r_output, before, (Vm.balance state user, Vm.balance state cloud))
+  in
+  let pays hints =
+    match settle hints with
+    | Ok [ "paid" ], (u, c), (u', c') -> u' = u && c' = c + payment
+    | _ -> false
+  in
+  let refunds hints =
+    match settle hints with
+    | Ok [ "refunded" ], (u, c), (u', c') -> u' = u + payment && c' = c
+    | _ -> false
+  in
+  let with_hint j' = List.mapi (fun k h -> if k = i then j' else h) hints in
+  let wrong =
+    (if j >= 3 then [ j - 2 ] else [])
+    @ Option.to_list (next_prime_offset x)
+    @ [ j - 1; 0 ]
+  in
+  let malformed hints =
+    let id = escrow_tokens s tokens in
+    let cells () = Vm.storage_entries state (Protocol.contract_address s) in
+    let balances () = List.map (fun (a, b, _) -> (a, b)) (Vm.accounts state) in
+    let cells0 = cells () and balances0 = balances () in
+    let r = settle_hinted s ~id ~hints claims in
+    r.Vm.r_output = Error "malformed hints" && cells () = cells0 && balances () = balances0
+  in
+  Prime_rep.offset x = j
+  && pays hints
+  && List.for_all (fun j' -> refunds (with_hint j')) wrong
+  && malformed (hints @ [ j ])
+  && malformed (List.tl hints)
+  && (match next_prime_offset x with
+      | Some j' -> Prime_rep.of_offset input j' = Some (Bigint.add_int x (j' - j))
+      | None -> true)
+  && Prime_rep.of_offset input (prime_past_interval x) = None
+
+let hint_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"hints are sound" ~count:40
+         ~print:(fun (v, c, k) ->
+           Printf.sprintf "value %d %s, claim %d" v
+             (Format.asprintf "%a" Slicer_types.pp_condition c) k)
+         QCheck2.Gen.(
+           triple (int_range 0 255) (oneofl Slicer_types.[ Lt; Eq; Gt ]) (int_range 0 1000))
+         hint_case) ]
+
+(* One claim set settled both ways in one process, each first with the
+   verify memo cold and then warm: [submitResult] charges each claim
+   [Gas.h_prime_hinted] and [dispute] each claim [Gas.h_prime], and a
+   warm memo replays exactly what the cold run charged. *)
+let test_hprime_gas_by_path () =
+  let s = hint_system "hint-gas" in
+  let ledger = Protocol.ledger s and contract = Protocol.contract_address s in
+  let state = Ledger.state ledger in
+  let tokens =
+    User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) (Slicer_types.query 128 Slicer_types.Lt)
+  in
+  let claims, hints = Cloud.search (Protocol.cloud s) tokens in
+  let n = List.length claims in
+  Alcotest.(check bool) "several claims" true (n > 1);
+  let priced gas =
+    List.fold_left
+      (fun acc (c : Slicer_contract.claim) ->
+        acc
+        + gas ~input_len:(String.length (Slicer_contract.claim_input ~token_bytes:c.token_bytes c.results)))
+      0 claims
+  in
+  let h_prime_gas () = List.assoc_opt "h-prime" (Vm.last_breakdown state) in
+  let hits () = Obs.counter_value "slicer_acc_verify_cache_hits_total" in
+  List.iter
+    (fun (memo, memo_hits) ->
+      let id = escrow_tokens s tokens in
+      let h0 = hits () in
+      let r = settle_hinted s ~id ~hints claims in
+      Alcotest.(check (result (list string) string)) ("submitResult pays, memo " ^ memo) (Ok [ "paid" ])
+        r.Vm.r_output;
+      Alcotest.(check (option int)) ("submitResult: n hinted primes, memo " ^ memo)
+        (Some (priced Gas.h_prime_hinted)) (h_prime_gas ());
+      Alcotest.(check int) ("submitResult memo hits, " ^ memo) memo_hits (hits () - h0))
+    [ ("cold", 0); ("warm", n) ];
+  ignore (Slicer_contract.post_deposit ledger ~cloud:(Protocol.cloud_address s) ~contract ~amount:9_000);
+  let ac = Cloud.current_ac (Protocol.cloud s) in
+  List.iter
+    (fun (memo, memo_hits) ->
+      let id = escrow_tokens s tokens in
+      let leaf =
+        Slicer_contract.encode_leaf
+          { Slicer_contract.rl_client = "hints"; rl_request = id;
+            rl_claim_hash = Sha256.digest (Slicer_contract.encode_claims claims);
+            rl_witness_digest = Slicer_contract.witness_digest ~claims ~batch_witness:None }
+      in
+      let tree = Merkle.build [ leaf ] in
+      let members =
+        [ { Slicer_contract.es_request = id; es_user = Protocol.user_address s;
+            es_amount = Protocol.payment s;
+            es_digest = Slicer_contract.tokens_digest (List.map Slicer_types.token_bytes tokens) } ]
+      in
+      let batch_id = "hints-" ^ memo in
+      (match
+         (Slicer_contract.commit_batch ledger ~cloud:(Protocol.cloud_address s) ~contract ~batch_id
+            ~root:(Merkle.root tree) ~members)
+           .Vm.r_output
+       with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "commit: %s" e);
+      let h0 = hits () in
+      let r =
+        Slicer_contract.dispute_leaf ledger ~disputer:(Protocol.user_address s) ~contract ~batch_id
+          ~index:0 ~leaf ~proof:(Merkle.prove tree 0)
+          ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None ~members ~ac
+      in
+      Alcotest.(check bool) ("an honest leaf's dispute is rejected, memo " ^ memo) true
+        (match r.Vm.r_output with
+         | Error e -> String.length e >= 16 && String.sub e 0 16 = "dispute rejected"
+         | Ok _ -> false);
+      Alcotest.(check (option int)) ("dispute: n walks, memo " ^ memo) (Some (priced Gas.h_prime))
+        (h_prime_gas ());
+      Alcotest.(check int) ("dispute memo hits, " ^ memo) memo_hits (hits () - h0))
+    [ ("cold", 0); ("warm", n) ]
+
+(* The memo answers [of_offset] only with the input's own prime at that
+   offset, and [of_offset] never writes the memo. *)
+let test_of_offset_memo () =
+  let input = "of-offset-memo-input" in
+  let x = Prime_rep.to_prime input in
+  let j = Prime_rep.offset x in
+  (match Prime_rep.of_offset input j with
+   | Some p -> Alcotest.(check bool) "the memo's own prime" true (p == x)
+   | None -> Alcotest.fail "the canonical offset must pass");
+  let fresh = "of-offset-never-walked" in
+  let canonical = Prime_rep.to_prime_uncached fresh in
+  let entries () = (Prime_rep.cache_stats ()).Prime_rep.cs_entries in
+  let e0 = entries () in
+  Alcotest.(check bool) "tested, not walked" true
+    (match Prime_rep.of_offset fresh (Prime_rep.offset canonical) with
+     | Some p -> Bigint.equal p canonical
+     | None -> false);
+  (match next_prime_offset canonical with
+   | Some j' ->
+     Alcotest.(check bool) "a later prime passes the test" true
+       (Prime_rep.of_offset fresh j' <> None)
+   | None -> ());
+  Alcotest.(check int) "nothing memoized" e0 (entries ());
+  Alcotest.(check bool) "the walk still finds the first prime" true
+    (Bigint.equal (Prime_rep.to_prime fresh) canonical);
+  List.iter
+    (fun j' ->
+      Alcotest.(check bool) (Printf.sprintf "offset %d refused" j') true
+        (Prime_rep.of_offset input j' = None))
+    [ 0; -1; j - 1; j + 1; 1 lsl Prime_rep.counter_bits; prime_past_interval x ]
 
 let test_leaf_codec_roundtrip () =
   let leaf =
@@ -1019,7 +1361,8 @@ let test_leaf_codec_roundtrip () =
 
 let test_gas_regime () =
   (* Table II sanity: deployment in the hundreds of thousands, insertion
-     and verification in the tens of thousands. *)
+     in the tens of thousands. Verification is pinned exactly: one
+     hinted claim, its prime checked by one Baillie–PSW test. *)
   let ledger, contract, dr, token, results, witness = deployed () in
   Alcotest.(check bool) "deploy ~ 0.6-0.9M gas" true (dr.Vm.r_gas_used > 600_000 && dr.Vm.r_gas_used < 900_000);
   let ur = Slicer_contract.update_ac ledger ~owner:alice ~contract (Bigint.of_int 5) in
@@ -1033,10 +1376,14 @@ let test_gas_regime () =
   let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
   (* Settled against the Ac in force (5): verification runs in full. *)
   let sr = submit ledger ~contract ~request_id:"g" ~amount:10 ~ac:(Bigint.of_int 5) claims in
-  Alcotest.(check bool)
-    (Printf.sprintf "verify ~ 60-160k gas (got %d)" sr.Vm.r_gas_used)
-    true
-    (sr.Vm.r_gas_used > 60_000 && sr.Vm.r_gas_used < 160_000)
+  Alcotest.(check int) "verification settlement" 59_872 sr.Vm.r_gas_used;
+  let input = Slicer_contract.claim_input ~token_bytes:token results in
+  Alcotest.(check (option int)) "its h-prime: one hinted prime"
+    (Some (Gas.h_prime_hinted ~input_len:(String.length input)))
+    (List.assoc_opt "h-prime" (Vm.last_breakdown (Ledger.state ledger)));
+  Alcotest.(check int) "the hinted prime's gas, where the walk charges 35,420" 11_338
+    (Gas.h_prime_hinted ~input_len:(String.length input));
+  Alcotest.(check int) "the walk's gas" 35_420 (Gas.h_prime ~input_len:(String.length input))
 
 let () =
   Alcotest.run "chain"
@@ -1059,7 +1406,9 @@ let () =
         [ Alcotest.test_case "grows and validates" `Quick test_chain_grows_and_validates;
           Alcotest.test_case "tamper detected" `Quick test_tamper_detected;
           Alcotest.test_case "tx inclusion proof" `Quick test_tx_inclusion_proof;
-          Alcotest.test_case "receipt lookup" `Quick test_receipt_lookup ] );
+          Alcotest.test_case "receipt lookup" `Quick test_receipt_lookup;
+          Alcotest.test_case "blocks record their gas" `Quick test_block_records_gas;
+          Alcotest.test_case "a block never passes its gas limit" `Quick test_block_gas_limit ] );
       ( "slicer_contract",
         [ Alcotest.test_case "deploy and read Ac" `Quick test_deploy_and_read_ac;
           Alcotest.test_case "honest cloud paid" `Quick test_honest_cloud_gets_paid;
@@ -1092,4 +1441,9 @@ let () =
             test_batch_dispute_foreign_proof_rejected;
           Alcotest.test_case "leaf codec" `Quick test_leaf_codec_roundtrip;
           Alcotest.test_case "every cell is one word" `Quick test_every_cell_one_word ] );
-      ("contract properties", claims_props @ forgery_props) ]
+      ("contract properties", claims_props @ forgery_props);
+      ( "prime hints",
+        hint_props
+        @ [ Alcotest.test_case "h-prime gas by path, memo cold and warm" `Quick
+              test_hprime_gas_by_path;
+            Alcotest.test_case "of_offset and the prime memo" `Quick test_of_offset_memo ] ) ]

@@ -137,7 +137,7 @@ let test_stale_cloud_after_growth () =
   let ids () =
     List.concat_map
       (fun query ->
-        let claims = Cloud.search cloud (User.gen_tokens ~rng:(Protocol.rng s) user query) in
+        let claims, _ = Cloud.search cloud (User.gen_tokens ~rng:(Protocol.rng s) user query) in
         User.decrypt_results user
           (List.concat_map (fun (c : Slicer_contract.claim) -> c.Slicer_contract.results) claims))
       Slicer_types.[ query 32 Lt; query 32 Eq; query 32 Gt ]

@@ -375,7 +375,7 @@ let test_persist_message_codecs () =
      Alcotest.(check (list string)) "tokens" (token_blobs tokens) (token_blobs tokens')
    | None -> Alcotest.fail "tokens did not round-trip");
   let m = Lazy.force mirror_system in
-  let claims = Cloud.search (Protocol.cloud m) tokens in
+  let claims, _ = Cloud.search (Protocol.cloud m) tokens in
   (match Persist.claims_of_bytes (Persist.claims_to_bytes claims) with
    | Some claims' ->
      Alcotest.(check string) "claims" (Slicer_contract.encode_claims claims)
@@ -1084,6 +1084,25 @@ let test_stats_over_the_wire () =
   Alcotest.(check bool) "the settled counter covers this server's settlements" true
     (value st_text "slicer_net_searches_settled_total"
     >= float_of_int (Net.Service.searches_settled (Lazy.force service)));
+  (* Gas by label: one counter per label, summing to the total. *)
+  let label_gas =
+    String.split_on_char '\n' st_text
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ n; x ]
+             when String.starts_with ~prefix:"slicer_chain_gas_" n
+                  && String.ends_with ~suffix:"_total" n
+                  && n <> "slicer_chain_gas_total" ->
+             Option.map (fun x -> (n, x)) (float_of_string_opt x)
+           | _ -> None)
+  in
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " is exposed") true (List.mem_assoc n label_gas))
+    [ "slicer_chain_gas_intrinsic_total"; "slicer_chain_gas_h_prime_total";
+      "slicer_chain_gas_sstore_total"; "slicer_chain_gas_sload_total" ];
+  Alcotest.(check (float 0.)) "the label counters sum to slicer_chain_gas_total"
+    (value st_text "slicer_chain_gas_total")
+    (List.fold_left (fun acc (_, x) -> acc +. x) 0. label_gas);
   (* The scrape itself rode the counted transport: a second scrape must
      observe strictly more bytes each way, and the event loop that
      served it must have timed its wait for the runtime lock. *)

@@ -164,12 +164,12 @@ let test_forward_security_old_tokens_blind () =
      invisible — the cloud learns nothing linking them to past queries. *)
   let query = q 2 Slicer_types.Eq in
   let old_tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-  let before = Cloud.search (Protocol.cloud s) old_tokens in
+  let before, _ = Cloud.search (Protocol.cloud s) old_tokens in
   let count_results claims =
     List.fold_left (fun n (c : Slicer_contract.claim) -> n + List.length c.Slicer_contract.results) 0 claims
   in
   Protocol.insert s [ Slicer_types.record_of_value "hidden" 2 ];
-  let after = Cloud.search (Protocol.cloud s) old_tokens in
+  let after, _ = Cloud.search (Protocol.cloud s) old_tokens in
   Alcotest.(check int) "old tokens see nothing new" (count_results before) (count_results after);
   (* A fresh token (post-insert T) does see the record. *)
   let out = Protocol.search s query in
@@ -319,7 +319,7 @@ let test_witnesses_match_reference () =
     let h = Mset_hash.of_list c.Slicer_contract.results in
     Prime_rep.to_prime (Bytesutil.concat [ c.Slicer_contract.token_bytes; Mset_hash.to_bytes h ])
   in
-  let claims = Cloud.search cloud tokens in
+  let claims, _ = Cloud.search cloud tokens in
   Alcotest.(check bool) "some claims" true (claims <> []);
   List.iter
     (fun (c : Slicer_contract.claim) ->
@@ -327,7 +327,7 @@ let test_witnesses_match_reference () =
         (Bigint.equal c.Slicer_contract.witness
            (Rsa_acc.mem_witness params (Cloud.primes cloud) (prime_of c))))
     claims;
-  let batched, witness = Cloud.search_batched cloud tokens in
+  let batched, _, witness = Cloud.search_batched cloud tokens in
   Alcotest.(check bool) "batch witness = batch_witness" true
     (Bigint.equal witness
        (Rsa_acc.batch_witness params (Cloud.primes cloud) (List.map prime_of batched)));
@@ -383,7 +383,7 @@ let test_leakage_search_counts () =
   let s = Lazy.force system in
   let query = q 20 Slicer_types.Lt in
   let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-  let claims = Cloud.search (Protocol.cloud s) tokens in
+  let claims, _ = Cloud.search (Protocol.cloud s) tokens in
   let leak = Leakage.of_search tokens claims in
   Alcotest.(check int) "token count matches" (List.length tokens) leak.Leakage.sl_token_count;
   Alcotest.(check int) "per-token counts" (List.length claims) (List.length leak.Leakage.sl_result_counts);
@@ -429,7 +429,7 @@ let test_stale_user_sees_past () =
   Protocol.insert s [ Slicer_types.record_of_value "late" 3 ];
   let query = q 3 Slicer_types.Eq in
   let stale_tokens = User.gen_tokens ~rng:(Protocol.rng s) stale_user query in
-  let claims = Cloud.search (Protocol.cloud s) stale_tokens in
+  let claims, _ = Cloud.search (Protocol.cloud s) stale_tokens in
   (* Old-generation claims still verify against the new Ac... *)
   Alcotest.(check bool) "historical claim verifies" true
     (Verifier.verify_claims (Owner.acc_params (Protocol.owner s))
@@ -443,7 +443,7 @@ let test_stale_user_sees_past () =
   (* After the owner re-exports T, the same user sees it. *)
   User.update_state stale_user (Owner.export_trapdoor_state (Protocol.owner s));
   let fresh_tokens = User.gen_tokens ~rng:(Protocol.rng s) stale_user query in
-  let claims2 = Cloud.search (Protocol.cloud s) fresh_tokens in
+  let claims2, _ = Cloud.search (Protocol.cloud s) fresh_tokens in
   let ids2 =
     User.decrypt_results stale_user
       (List.concat_map (fun (c : Slicer_contract.claim) -> c.Slicer_contract.results) claims2)
@@ -458,12 +458,12 @@ let test_no_double_settlement () =
   (* Replaying the settlement against the same request must fail: the
      escrow is gone and the status is no longer pending. *)
   let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-  let claims = Cloud.search (Protocol.cloud s) tokens in
+  let claims, hints = Cloud.search (Protocol.cloud s) tokens in
   let sr =
     Slicer_contract.submit_result (Protocol.ledger s) ~cloud:(Protocol.cloud_address s)
       ~contract:(Protocol.contract_address s) ~request_id:"req-1"
       ~user:(Protocol.user_address s) ~amount:(Protocol.payment s)
-      ~ac:(Cloud.current_ac (Protocol.cloud s)) claims
+      ~ac:(Cloud.current_ac (Protocol.cloud s)) ~hints claims
   in
   (match sr.Vm.r_output with
    | Error "no pending request" -> ()
@@ -484,7 +484,7 @@ let test_simulator_shapes () =
   (* Search phase. *)
   let query = q 32 Slicer_types.Lt in
   let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-  let claims = Cloud.search (Protocol.cloud s) tokens in
+  let claims, _ = Cloud.search (Protocol.cloud s) tokens in
   let sleak = Leakage.of_search tokens claims in
   let fake_tokens, fake_claims = Simulator.simulate_search ~rng sleak in
   let fake_leak = Leakage.of_search fake_tokens fake_claims in
@@ -507,7 +507,7 @@ let soundness_claims =
     (let s = Lazy.force system in
      let query = q 32 Slicer_types.Lt in
      let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-     let claims = Cloud.search (Protocol.cloud s) tokens in
+     let claims, _ = Cloud.search (Protocol.cloud s) tokens in
      let params = Owner.acc_params (Protocol.owner s) in
      let ac = Owner.current_ac (Protocol.owner s) in
      (claims, params, ac))
