@@ -152,11 +152,6 @@ let to_primes ss =
       | None -> ( match Hashtbl.find fresh s with Some x -> x | None -> assert false ))
     cached
 
-(* Speculative batch warm-up: derive-and-cache without needing the
-   representatives back. Misses fan over the pool, so warming k fresh
-   inputs costs ~one walk of wall clock on a parallel pool. *)
-let warm ss = ignore (to_primes ss : Bigint.t list)
-
 let is_representative_of x s = Bigint.equal x (to_prime s)
 
 let offset x = snd (Bigint.divmod_int x (1 lsl counter_bits))

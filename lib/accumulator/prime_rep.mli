@@ -34,14 +34,7 @@ val to_primes : string list -> Bigint.t list
     domain pool ({!Parallel.pool}) — the walk is a pure function of its
     input, so every returned representative is identical to the
     sequential [List.map to_prime]. This is the owner's per-keyword ADS
-    hot path during Build/Insert. *)
-
-val warm : string list -> unit
-(** Speculative batch warm-up: {!to_primes} for the side effect of
-    populating the memo. Driven from the query stream so the
-    latency-critical search path finds its claim primes already
-    derived; warming [k] fresh inputs costs about one prime walk of
-    wall clock on a parallel pool. *)
+    hot path during Build/Insert, and the cloud's claim step. *)
 
 type cache_stats = { cs_entries : int; cs_hits : int; cs_misses : int; cs_limit : int }
 

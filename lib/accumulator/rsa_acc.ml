@@ -13,12 +13,6 @@ let setup ?(safe = false) ~rng ~bits () =
   in
   { modulus = m.Primegen.n; generator = gen () }
 
-let default_params =
-  let memo =
-    lazy (setup ~rng:(Drbg.create ~seed:"slicer-rsa-accumulator-public-params-v1") ~bits:1024 ())
-  in
-  fun () -> Lazy.force memo
-
 (* --- the batched/parallel substrate ------------------------------------ *)
 
 (* Π xs by a balanced product tree (Pool.reduce): with the Karatsuba

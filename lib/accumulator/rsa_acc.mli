@@ -46,11 +46,6 @@ val setup : ?safe:bool -> rng:Drbg.t -> bits:int -> unit -> params
     dropped, making the accumulator trustless for the cloud. [~safe]
     requests safe primes as in the paper (slower). *)
 
-val default_params : unit -> params
-(** Fixed 1024-bit parameters generated once per process by {!setup}
-    with a public seed ("nothing up my sleeve"), for benches and the
-    contract demo where per-run setup time is noise. *)
-
 val accumulate : params -> Bigint.t list -> Bigint.t
 (** [Ac] for the given prime list (order-independent). The empty list
     accumulates to [g]. *)

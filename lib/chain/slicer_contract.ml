@@ -204,6 +204,12 @@ let witness_digest_input ~claims ~batch_witness =
 
 let witness_digest ~claims ~batch_witness = Sha256.digest (witness_digest_input ~claims ~batch_witness)
 
+let receipt_leaf ~client ~request ~claims ~batch_witness =
+  { rl_client = client;
+    rl_request = request;
+    rl_claim_hash = Sha256.digest (encode_claims claims);
+    rl_witness_digest = witness_digest ~claims ~batch_witness }
+
 let ( let* ) = Result.bind
 
 let claim_input ~token_bytes results =
@@ -224,10 +230,11 @@ let decode_hints blob ~count =
   if String.length blob <> 2 * count then None
   else Some (List.init count (fun i -> String.get_uint16_be blob (2 * i)))
 
-(* Where the contract gets a claim's prime: the submitter's hint, one
+(* Where a claim's prime comes from: the submitter's hint, one
    Baillie–PSW test, or the whole walk. Only the cloud hints, and a
    wrong hint only fails its own claim; a disputer's hint could name a
-   later prime and fail an honest leaf, so [dispute] walks. *)
+   later prime and fail an honest leaf, so [dispute] and the user
+   walk. *)
 type prime_source = Walk | Hint of int
 
 let source_tag = function Walk -> "walk" | Hint j -> "hint:" ^ string_of_int j
@@ -242,12 +249,12 @@ let claim_prime ~charge source preimage =
     charge ~label:"h-prime" (Gas.h_prime_hinted ~input_len);
     Prime_rep.of_offset preimage j
 
-(* Algorithm 5 over claims that one witness covers: per claim
-   h <- H(er) and x <- H_prime(token ‖ h) from the claim's prime source,
-   then VerifyMem by one modexp per prime. Every step is charged as the
-   corresponding EVM precompile / opcode cost, in that order. A hint
-   that names no prime fails the claims before any modexp. *)
-let verify_metered ~charge ~params ~ac claims ~witness =
+(* Algorithm 5 over one unit, the claims that one witness covers: per
+   claim h <- H(er) and x <- H_prime(token ‖ h) from the claim's prime
+   source, then VerifyMem by one modexp per prime. Every step is charged
+   as the corresponding EVM precompile / opcode cost, in that order. A
+   hint that names no prime fails the claims before any modexp. *)
+let check_unit ~charge ~params ~ac claims ~witness =
   let xs =
     List.map
       (fun (c, source) ->
@@ -265,49 +272,78 @@ let verify_metered ~charge ~params ~ac claims ~witness =
     Rsa_acc.verify_mem_batch params ~ac ~xs ~witness
   end
 
-(* Per-claim verdicts are memoized per (params, Ac, prime source,
-   claim): a node re-executing the same settlement serves the result
-   from its cache, exactly like a production client re-validating a
-   seen transaction. Gas is what a fresh node would burn — the memo
-   stores the original charge sequence and replays it, so receipts are
-   byte-identical either way. The source is in the key because it
-   decides both: a walk and a hint charge different h-prime gas, and a
-   wrong hint fails a claim its walk would pass. *)
-let verify_memo_limit = 65_536
-let verify_memo : (string, bool * (string * int) list) Hashtbl.t = Hashtbl.create 256
+(* One memo in front of Algorithm 5, for the contract and the user
+   alike: a unit's verdict is a pure function of the modulus, Ac, the
+   unit's witness, and each claim's prime source, token, results and
+   witness, so a repeated unit is answered from the table. An entry
+   keeps the charge sequence with consecutive charges of one label
+   merged, and a hit replays it: the meter's total, its split by label
+   and the point where it runs out of gas are what a fresh node would
+   see, so receipts are identical either way. (One sum per label would
+   not be: a shared-witness unit alternates mset-hash and h-prime claim
+   by claim.) Every lookup records its charges, the user's no-op ones
+   included, so a dispute that hits an entry the user stored still
+   burns the right gas. The source is in the key because it decides
+   both: a walk and a hint charge different h-prime gas, and a wrong
+   hint fails a claim its walk would pass. *)
+let memo_limit = 65_536
+let memo : (string, bool * (string * int) list) Hashtbl.t = Hashtbl.create 256
+let memo_lock = Mutex.create ()
 
 let c_verify_hits =
-  Obs.counter ~help:"contract claim-verification memo hits" "slicer_acc_verify_cache_hits_total"
+  Obs.counter ~help:"claim-verification memo hits" "slicer_acc_verify_cache_hits_total"
 
 let c_verify_misses =
-  Obs.counter ~help:"contract claim-verification memo misses"
-    "slicer_acc_verify_cache_misses_total"
+  Obs.counter ~help:"claim-verification memo misses" "slicer_acc_verify_cache_misses_total"
 
-let verify_claim ctx ~params ~ac (c, source) =
-  let meter = ctx.Vm.meter in
-  let key =
-    Sha256.digest
-      (Bytesutil.concat
-         [ "verify"; Bigint.to_bytes_be params.Rsa_acc.modulus; Bigint.to_bytes_be ac;
-           source_tag source; c.token_bytes; Bigint.to_bytes_be c.witness;
-           Bytesutil.concat c.results ])
-  in
-  match Hashtbl.find_opt verify_memo key with
+(* A per-claim unit's witness is its claim's, so only a shared witness
+   is a piece of its own (empty otherwise). *)
+let unit_key ~params ~ac ~batch_witness claims =
+  Sha256.digest
+    (Bytesutil.concat
+       ("alg5" :: Bigint.to_bytes_be params.Rsa_acc.modulus :: Bigint.to_bytes_be ac
+        :: Option.fold ~none:"" ~some:Bigint.to_bytes_be batch_witness
+        :: List.map
+             (fun (c, source) ->
+               Bytesutil.concat
+                 [ source_tag source; c.token_bytes; Bigint.to_bytes_be c.witness;
+                   Bytesutil.concat c.results ])
+             claims))
+
+let verify_unit ~charge ~params ~ac ~batch_witness claims ~witness =
+  let key = unit_key ~params ~ac ~batch_witness claims in
+  Mutex.lock memo_lock;
+  let found = Hashtbl.find_opt memo key in
+  Mutex.unlock memo_lock;
+  match found with
   | Some (ok, charges) ->
     Obs.Counter.incr c_verify_hits;
-    List.iter (fun (label, amount) -> Gasmeter.charge meter ~label amount) charges;
+    List.iter (fun (label, amount) -> charge ~label amount) charges;
     ok
   | None ->
     Obs.Counter.incr c_verify_misses;
     let charges = ref [] in
-    let charge ~label amount =
-      charges := (label, amount) :: !charges;
-      Gasmeter.charge meter ~label amount
+    let record ~label amount =
+      (charges :=
+         match !charges with
+         | (l, sum) :: rest when String.equal l label -> (l, sum + amount) :: rest
+         | cs -> (label, amount) :: cs);
+      charge ~label amount
     in
-    let ok = verify_metered ~charge ~params ~ac [ (c, source) ] ~witness:c.witness in
-    if Hashtbl.length verify_memo < verify_memo_limit then
-      Hashtbl.replace verify_memo key (ok, List.rev !charges);
+    let ok = check_unit ~charge:record ~params ~ac claims ~witness in
+    Mutex.lock memo_lock;
+    if Hashtbl.length memo < memo_limit then Hashtbl.replace memo key (ok, List.rev !charges);
+    Mutex.unlock memo_lock;
     ok
+
+let verify ~charge params ~ac ~batch_witness claims =
+  match batch_witness with
+  | Some witness -> verify_unit ~charge ~params ~ac ~batch_witness claims ~witness
+  | None ->
+    List.for_all
+      (fun ((c, _) as claim) ->
+        verify_unit ~charge ~params ~ac ~batch_witness [ claim ] ~witness:c.witness)
+      claims
 
 (* Every hash the contract computes is charged by its input's length. *)
 let sha ctx input =
@@ -415,7 +451,9 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
     | [ request_id; user; amount_s; ac_bytes; claims_blob; hints_blob ] ->
       let* slot, amount, claims, ac = load_request ctx request_id ~user ~amount_s ~ac_bytes claims_blob in
       let* claims = hinted claims hints_blob in
-      let ok = List.for_all (verify_claim ctx ~params ~ac) claims in
+      let ok =
+        verify ~charge:(Gasmeter.charge ctx.Vm.meter) params ~ac ~batch_witness:None claims
+      in
       settle ctx request_id slot ~user ~amount ~ok
     | _ -> Error "submitResult: expected [request_id; user; amount; ac; claims; hints]"
   in
@@ -427,8 +465,8 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
       (* One witness covers every claim: lift it through each claim's
          prime representative and compare against Ac. *)
       let ok =
-        verify_metered ~charge:(Gasmeter.charge ctx.Vm.meter) ~params ~ac claims
-          ~witness:(Bigint.of_bytes_be witness_bytes)
+        verify ~charge:(Gasmeter.charge ctx.Vm.meter) params ~ac
+          ~batch_witness:(Some (Bigint.of_bytes_be witness_bytes)) claims
       in
       settle ctx request_id slot ~user ~amount ~ok
     | _ ->
@@ -592,12 +630,9 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
       let ac = Bigint.of_bytes_be ac_bytes in
       (* The walk, not a hint: a disputer who picked a later prime of
          the interval would fail an honest leaf. *)
-      let claims = List.map (fun c -> (c, Walk)) claims in
       let ok =
-        match bw with
-        | None -> List.for_all (verify_claim ctx ~params ~ac) claims
-        | Some witness ->
-          verify_metered ~charge:(Gasmeter.charge ctx.Vm.meter) ~params ~ac claims ~witness
+        verify ~charge:(Gasmeter.charge ctx.Vm.meter) params ~ac ~batch_witness:bw
+          (List.map (fun c -> (c, Walk)) claims)
       in
       if ok then Error "dispute rejected: leaf verifies against Ac"
       else begin

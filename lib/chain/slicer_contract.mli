@@ -72,6 +72,33 @@ val witness_digest :
 (** The [rl_witness_digest] binding: the batch witness when one covers
     every claim, the concatenated per-claim VOs otherwise. *)
 
+val receipt_leaf :
+  client:string -> request:string -> claims:claim list -> batch_witness:Bigint.t option ->
+  receipt_leaf
+(** The leaf a deferred settlement commits, and the one its client
+    recomputes: SHA-256 of {!encode_claims} and the {!witness_digest}
+    of exactly the claims and VO served. *)
+
+(** {1 Algorithm 5} *)
+
+type prime_source =
+  | Walk        (** the whole [H_prime] walk, {!Gas.h_prime} *)
+  | Hint of int (** the submitter's offset on the walk, one test, {!Gas.h_prime_hinted} *)
+
+val verify :
+  charge:(label:string -> int -> unit) -> Rsa_acc.params -> ac:Bigint.t ->
+  batch_witness:Bigint.t option -> (claim * prime_source) list -> bool
+(** Algorithm 5, the one implementation: per claim [h <- H(er)] and
+    [x <- H_prime(token ‖ h)] from its prime source, then VerifyMem, each
+    step passed to [charge] as the EVM prices it. The contract passes
+    its gas meter, the user a no-op. With [batch_witness = None] each
+    claim is a unit checked against its own [witness], in order,
+    stopping at the first that fails; with [Some w] one unit covers
+    every claim (their own witnesses are ignored). Units are memoized in
+    one process-wide table (DESIGN §5, "One Algorithm 5"); a hit replays
+    the unit's charges, so receipts match a cold run. Lookups count in
+    [slicer_acc_verify_cache_{hits,misses}_total]. *)
+
 (** {1 Escrow commitments} *)
 
 type escrow = {
@@ -223,9 +250,9 @@ val stored_ac_digest : Ledger.t -> contract:Vm.address -> string option
     its [AcUpdated] event. *)
 
 val stored_shard : Ledger.t -> contract:Vm.address -> (int * int) option
-(** The shard identity [(i, n)] stamped at deploy time; [None] when the
-    storage cells are missing (contracts restored from pre-cluster
-    snapshots). *)
+(** The shard identity [(i, n)] stamped at deploy time, which a
+    recovering shard checks against its own; [None] when the storage
+    cells are missing. *)
 
 val requested_tokens : Vm.receipt -> request_id:string -> string list option
 (** The tokens that [receipt]'s [SearchRequested] event escrowed for

@@ -51,12 +51,7 @@ let create ?(config = default_config) ?(instance = "router") topo =
 
 let topology t = t.topo
 
-(* Deterministic shard-level id: the appended "/s<i>" starts with a
-   character no decimal digit contains, so distinct (id, shard) pairs
-   can never alias — and a retry (client- or router-initiated) re-sends
-   the identical sub-id, which is what lets the shard's idempotency
-   cache absorb it. *)
-let sub_id request_id shard = Printf.sprintf "%s/s%d" request_id shard
+let sub_id = Net.Client.sub_id
 
 (* --- connection pooling ------------------------------------------------- *)
 

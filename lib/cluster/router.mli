@@ -48,5 +48,5 @@ val close : t -> unit
 (** Drop every pooled connection. *)
 
 val sub_id : string -> int -> string
-(** The deterministic shard-level request id derivation (exposed for
-    tests asserting no-double-settlement). *)
+(** {!Net.Client.sub_id}, the shard-level request id a router derives
+    (exposed for tests asserting no-double-settlement). *)

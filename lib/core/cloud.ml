@@ -88,7 +88,6 @@ let install_shipment t (sh : Owner.shipment) =
 let set_behavior t m =
   if m <> t.mode then Hashtbl.reset t.claim_cache;
   t.mode <- m
-let behavior t = t.mode
 
 (* Snapshot export: the merged view of every shipment installed so
    far. [install]ing these on a fresh cloud reproduces the same
@@ -117,7 +116,8 @@ let c_tokens = Obs.counter ~help:"search tokens served" "slicer_cloud_tokens_tot
 
 (* Algorithm 4 traversal: walk generations j..0, scanning counters under
    each trapdoor until the first miss. *)
-let collect_results_untimed t (st : Slicer_types.search_token) =
+let collect_results t (st : Slicer_types.search_token) =
+  Obs.span "cloud.collect" @@ fun () ->
   let find =
     if t.mode = Stale_results then Enc_index.find_before_latest t.index
     else Enc_index.find t.index
@@ -143,8 +143,6 @@ let collect_results_untimed t (st : Slicer_types.search_token) =
   done;
   List.rev !results
 
-let collect_results t st = Obs.span "cloud.collect" (fun () -> collect_results_untimed t st)
-
 let flip_bit s =
   if String.length s = 0 then s
   else String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) s
@@ -158,47 +156,64 @@ let delivered_results t st =
   | Inject_result -> honest_results @ [ Sha256.digest "bogus" |> fun d -> String.sub d 0 16 ]
   | Tamper_result -> ( match honest_results with [] -> [] | r :: rest -> flip_bit r :: rest )
 
-(* The claim step both searches share: the token's delivered results
-   and the prime representative of its claim input. *)
-let claim t st =
-  let token_bytes = Slicer_types.token_bytes st in
-  let results = delivered_results t st in
-  (token_bytes, results, Prime_rep.to_prime (Slicer_contract.claim_input ~token_bytes results))
+(* The claim step both searches share: Algorithm 4 and the claim input
+   once per token, then one [Prime_rep.to_primes] over every input, which
+   fans the fresh prime walks out across the pool. Each token yields its
+   token bytes, delivered results and claim prime. *)
+let claim_primes t sts =
+  let claims =
+    List.map
+      (fun st ->
+        let token_bytes = Slicer_types.token_bytes st in
+        let results = delivered_results t st in
+        (token_bytes, results, Slicer_contract.claim_input ~token_bytes results))
+      sts
+  in
+  List.map2
+    (fun (token_bytes, results, _) x -> (token_bytes, results, x))
+    claims
+    (Prime_rep.to_primes (List.map (fun (_, _, input) -> input) claims))
 
 let forged t w = if t.mode = Forge_witness then Bigint.succ w else w
 
 (* A claim and its prime's hint: the offset of the prime the witness
    was made for, which the contract checks instead of walking. *)
-let search_one t st =
-  let token_bytes, results, x = claim t st in
+let answer t (token_bytes, results, x) =
   ({ Slicer_contract.token_bytes; results; witness = forged t (witness_for t x) }, Prime_rep.offset x)
 
+(* The tokens the claim cache does not answer go through the claim step
+   together; a misbehaving cloud answers every token afresh. *)
 let search t sts =
   Obs.Counter.add c_tokens (List.length sts);
   Obs.span "cloud.search" @@ fun () ->
-  List.split
-  @@ List.map
-       (fun st ->
-         if t.mode <> Honest then search_one t st
-         else begin
-           let token_bytes = Slicer_types.token_bytes st in
-           match Hashtbl.find_opt t.claim_cache token_bytes with
-           | Some c ->
-             Obs.Counter.incr c_claim_hits;
-             c
-           | None ->
-             Obs.Counter.incr c_claim_misses;
-             let c = search_one t st in
-             if Hashtbl.length t.claim_cache < claim_cache_limit then
-               Hashtbl.replace t.claim_cache token_bytes c;
-             c
-         end)
-       sts
+  let cached st =
+    if t.mode = Honest then Hashtbl.find_opt t.claim_cache (Slicer_types.token_bytes st) else None
+  in
+  let looked = List.map (fun st -> (st, cached st)) sts in
+  let fresh =
+    List.filter_map (fun (st, hit) -> if Option.is_none hit then Some st else None) looked
+  in
+  let rec merge looked built =
+    match (looked, built) with
+    | [], _ -> []
+    | (_, Some hit) :: rest, _ ->
+      Obs.Counter.incr c_claim_hits;
+      hit :: merge rest built
+    | (_, None) :: rest, ((c, _) as answered) :: more ->
+      if t.mode = Honest then begin
+        Obs.Counter.incr c_claim_misses;
+        if Hashtbl.length t.claim_cache < claim_cache_limit then
+          Hashtbl.replace t.claim_cache c.Slicer_contract.token_bytes answered
+      end;
+      answered :: merge rest more
+    | (_, None) :: _, [] -> assert false
+  in
+  List.split (merge looked (List.map (answer t) (claim_primes t fresh)))
 
 let search_batched t sts =
   Obs.Counter.add c_tokens (List.length sts);
   Obs.span "cloud.search" @@ fun () ->
-  let claims = List.map (claim t) sts in
+  let claims = claim_primes t sts in
   let xs = List.map (fun (_, _, x) -> x) claims in
   let witness =
     try
@@ -213,29 +228,6 @@ let search_batched t sts =
       claims,
     List.map Prime_rep.offset xs,
     forged t witness )
-
-(* Speculative warm-up driven from the query stream: derive (and cache)
-   the claim primes a token batch will need, and touch their leaves so
-   the witness index re-bases them off the hot path. Misbehaving modes
-   perturb the delivered results, so only the honest cloud warms. *)
-let warm_tokens t sts =
-  (* Tokens whose claims are already cached have nothing left to warm:
-     speculation only pays for genuinely fresh queries. *)
-  let fresh =
-    List.filter
-      (fun st -> not (Hashtbl.mem t.claim_cache (Slicer_types.token_bytes st)))
-      sts
-  in
-  if t.mode = Honest && fresh <> [] then
-    Obs.span "cloud.warm" @@ fun () ->
-    let inputs =
-      List.map
-        (fun st ->
-          let results = collect_results_untimed t st in
-          Slicer_contract.claim_input ~token_bytes:(Slicer_types.token_bytes st) results)
-        fresh
-    in
-    List.iter (fun x -> ignore (Witness_tree.witness t.windex x)) (Prime_rep.to_primes inputs)
 
 let witness_index_stats t = Witness_tree.stats t.windex
 let export_witness_index t = Witness_tree.export t.windex

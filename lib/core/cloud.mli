@@ -37,7 +37,6 @@ val install_shipment : t -> Owner.shipment -> unit
 (** {!install} of a Build/Insert shipment's groups, primes and [sh_ac]. *)
 
 val set_behavior : t -> misbehavior -> unit
-val behavior : t -> misbehavior
 
 (** {2 Snapshot export}
 
@@ -59,20 +58,24 @@ val search : t -> Slicer_types.search_token list -> Slicer_contract.claim list *
 (** Algorithm 4, one claim per token, with any configured misbehaviour
     applied, and each claim's prime hint in claim order: the
     {!Prime_rep.offset} of the prime its witness was made for, as
-    [Slicer_contract.submit_result] takes them. Each claim's results
-    are timed as the [cloud.collect] span inside the whole search's
-    [cloud.search] span, so the paper's Fig. 5 split reads off the two
-    histograms: result generation is [cloud.collect], VO generation the
-    rest. An honest cloud answers a repeated token, hint included, from
-    its claim cache. *)
+    [Slicer_contract.submit_result] takes them. An honest cloud answers
+    a repeated token, hint included, from its claim cache; the other
+    tokens go through the claim step together: Algorithm 4 and the claim
+    input, then one {!Prime_rep.to_primes} over all the inputs (the
+    fresh walks spread across the pool), then the witnesses. Each
+    claim's results are timed as the [cloud.collect] span inside the
+    whole search's [cloud.search] span, so the paper's Fig. 5 split
+    reads off the two histograms: result generation is [cloud.collect],
+    VO generation the rest. *)
 
 val search_batched :
   t -> Slicer_types.search_token list -> Slicer_contract.claim list * int list * Bigint.t
 (** Like {!search}, but all claims share one batched membership witness
     ([Rsa_acc.batch_witness]): a single 64-byte object for a whole
-    order search, instead of one per slice. The per-claim [witness]
-    fields are placeholders; the third component is the batch object
-    for [Slicer_contract.submit_result_batched]. *)
+    order search, instead of one per slice. Every token goes through
+    the claim step; the claim cache is not consulted. The per-claim
+    [witness] fields are placeholders; the third component is the batch
+    object for [Slicer_contract.submit_result_batched]. *)
 
 val precompute_witnesses : t -> unit
 (** Warm every witness at once ([Witness_tree.warm_all]). The warmth
@@ -84,13 +87,6 @@ val precompute_witnesses : t -> unit
     [slicer_witness_tree_bytes] ({!Witness_tree.size_bytes}) up to date
     by this cloud's change since its last report, so the clouds of one
     process sum. *)
-
-val warm_tokens : t -> Slicer_types.search_token list -> unit
-(** Speculative warmer driven from the query stream: batch-derive (and
-    cache) the claim primes these tokens will need and touch their
-    witness-index leaves, so the subsequent {!search} serves VOs from
-    warm state. No-op for a misbehaving cloud (perturbed results make
-    speculation useless). *)
 
 (** {2 Witness-index introspection and snapshotting} *)
 

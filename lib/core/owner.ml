@@ -65,7 +65,6 @@ let width t = t.o_width
 let keys t = t.o_keys
 let acc_params t = t.o_params
 let current_ac t = t.ac
-let all_primes t = List.rev t.primes
 let keyword_count t = Hashtbl.length t.trapdoors
 
 (* Keywords of one record: per field, the equality keyword plus the b

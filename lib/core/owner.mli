@@ -54,8 +54,6 @@ val width : t -> int
 val keys : t -> Keys.master
 val acc_params : t -> Rsa_acc.params
 val current_ac : t -> Bigint.t
-val all_primes : t -> Bigint.t list
-(** The full prime list [X] (what the cloud holds after all shipments). *)
 
 val build : t -> Slicer_types.record list -> shipment
 (** Algorithm 1. May only be called once, on a fresh state.

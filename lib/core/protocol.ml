@@ -70,32 +70,33 @@ let insert t records =
           receipt.Vm.r_gas_used)
   | Error e -> failwith ("Protocol.insert: on-chain Ac update failed: " ^ e)
 
-let claim_sizes claims =
-  List.fold_left
-    (fun (rb, vb) (c : Slicer_contract.claim) ->
-      ( rb + List.fold_left (fun n r -> n + String.length r) 0 c.Slicer_contract.results,
-        vb + String.length (Bigint.to_bytes_be c.Slicer_contract.witness) ))
-    (0, 0) claims
-
 let fresh_request_id t =
   t.p_request_counter <- t.p_request_counter + 1;
   Printf.sprintf "req-%d" t.p_request_counter
 
-let outcome_of_claims t claims ~vo_bytes ~receipt:(sr : Vm.receipt) ~token_count =
-  let verified = match sr.Vm.r_output with Ok [ "paid" ] -> true | Ok _ | Error _ -> false in
-  let ids =
-    List.filter_map
-      (fun er ->
-        match User.decrypt_results t.p_user [ er ] with
-        | [ id ] -> Some id
-        | _ | (exception Invalid_argument _) -> None)
-      (List.concat_map (fun (c : Slicer_contract.claim) -> c.Slicer_contract.results) claims)
+let vo_bytes ~batch_witness claims =
+  match batch_witness with
+  | Some w -> String.length (Bigint.to_bytes_be w)
+  | None ->
+    List.fold_left
+      (fun n (c : Slicer_contract.claim) ->
+        n + String.length (Bigint.to_bytes_be c.Slicer_contract.witness))
+      0 claims
+
+let outcome user claims ~verified ~vo_bytes ~token_count ~receipt:(sr : Vm.receipt) =
+  let results =
+    List.concat_map (fun (c : Slicer_contract.claim) -> c.Slicer_contract.results) claims
   in
-  let result_bytes, _ = claim_sizes claims in
-  { so_ids = ids;
+  { so_ids =
+      List.filter_map
+        (fun er ->
+          match User.decrypt_results user [ er ] with
+          | [ id ] -> Some id
+          | _ | (exception Invalid_argument _) -> None)
+        results;
     so_verified = verified;
     so_token_count = token_count;
-    so_result_bytes = result_bytes;
+    so_result_bytes = List.fold_left (fun n r -> n + String.length r) 0 results;
     so_vo_bytes = vo_bytes;
     so_gas_used = sr.Vm.r_gas_used }
 
@@ -115,12 +116,10 @@ let search_with t query ~batched =
   with
   | Error e -> failwith ("Protocol.search: request failed: " ^ e)
   | Ok { Station.se_claims = claims; se_batch_witness; se_receipt; se_outcome = _ } ->
-    let vo_bytes =
-      match se_batch_witness with
-      | Some w -> String.length (Bigint.to_bytes_be w)
-      | None -> snd (claim_sizes claims)
-    in
-    outcome_of_claims t claims ~vo_bytes ~receipt:se_receipt ~token_count:(List.length tokens)
+    outcome t.p_user claims
+      ~verified:(match se_receipt.Vm.r_output with Ok [ "paid" ] -> true | Ok _ | Error _ -> false)
+      ~vo_bytes:(vo_bytes ~batch_witness:se_batch_witness claims)
+      ~token_count:(List.length tokens) ~receipt:se_receipt
 
 let search t query = search_with t query ~batched:false
 let search_batched t query = search_with t query ~batched:true

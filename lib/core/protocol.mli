@@ -38,6 +38,18 @@ val insert : t -> Slicer_types.record list -> unit
 val search : t -> Slicer_types.query -> search_outcome
 (** The full verifiable search round trip. *)
 
+val outcome :
+  User.t -> Slicer_contract.claim list -> verified:bool -> vo_bytes:int -> token_count:int ->
+  receipt:Vm.receipt -> search_outcome
+(** A search's outcome from its claims: the record IDs [user] decrypts
+    from the results (an undecryptable result is dropped), the result
+    bytes, and the receipt's gas. {!search} and [Net.Client.search]
+    both fold their replies through it. *)
+
+val vo_bytes : batch_witness:Bigint.t option -> Slicer_contract.claim list -> int
+(** The verification-object bytes of one settlement: the shared
+    witness when there is one, the claims' own witnesses otherwise. *)
+
 val search_batched : t -> Slicer_types.query -> search_outcome
 (** {!search} settled through the batched-witness contract path: one
     64-byte verification object for the whole query instead of one per

@@ -107,12 +107,7 @@ let settle t ~client ~user ~request_id ~payment ~token_blobs ~batched =
           the receipt leaf to the open batch. The escrow stays locked
           until the batch finalizes (or a dispute refunds it); the
           reply carries the escrow receipt. *)
-       let leaf =
-         { Slicer_contract.rl_client = client;
-           rl_request = request_id;
-           rl_claim_hash = Sha256.digest (Slicer_contract.encode_claims claims);
-           rl_witness_digest = Slicer_contract.witness_digest ~claims ~batch_witness }
-       in
+       let leaf = Slicer_contract.receipt_leaf ~client ~request:request_id ~claims ~batch_witness in
        let escrow =
          { Slicer_contract.es_request = request_id;
            es_user = user;

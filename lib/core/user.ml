@@ -37,4 +37,3 @@ let gen_tokens ~rng t q =
 let decrypt_results t ers =
   List.map (Keys.decrypt_record_id ~k_r:t.u_keys.Keys.u_k_r) ers
 
-let known_keywords t = Hashtbl.length t.trapdoors

@@ -20,6 +20,3 @@ val gen_tokens : rng:Drbg.t -> t -> Slicer_types.query -> Slicer_types.search_to
 
 val decrypt_results : t -> string list -> string list
 (** Decrypts encrypted record IDs with [K_R]. *)
-
-val known_keywords : t -> int
-(** Size of the user's current [T] copy. *)

@@ -1,10 +1,11 @@
-(** Local (off-chain) result verification — the pure Algorithm 5 logic.
+(** The user's side of Algorithm 5.
 
-    The production settlement path runs on chain through
-    {!Slicer_contract}; this module exposes the same checks as a pure
-    function, used by benches that measure verification cost without
-    chain overhead, and by tests that assert the two implementations
-    agree claim-for-claim. *)
+    Each function is {!Slicer_contract.verify} with a no-op meter and
+    every claim prime found by the walk ({!Slicer_contract.Walk}): the
+    user runs exactly the check the contract runs, through the same
+    memo. An entry the user stores keeps its charges, so an on-chain
+    [dispute] of the same claims that hits it burns what a cold
+    dispute burns. *)
 
 val verify_claim : Rsa_acc.params -> ac:Bigint.t -> Slicer_contract.claim -> bool
 (** [h ← H(er); x ← H_prime(token ‖ h); VerifyMem(x, vo)]. *)
@@ -14,6 +15,5 @@ val verify_claims : Rsa_acc.params -> ac:Bigint.t -> Slicer_contract.claim list 
 
 val verify_claims_batched :
   Rsa_acc.params -> ac:Bigint.t -> Slicer_contract.claim list -> witness:Bigint.t -> bool
-(** The one-shared-witness variant ([Rsa_acc.verify_mem_batch]): the
-    claims' own [witness] fields are ignored, exactly as the batched
-    contract path ignores them. *)
+(** The one-shared-witness variant: the claims' own [witness] fields are
+    ignored, exactly as the batched contract path ignores them. *)

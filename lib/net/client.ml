@@ -293,18 +293,17 @@ let remember t key entry =
 let settle_ok ~client ~onchain_id ~claims ~witness (si : Wire.settle_info) =
   let leaf =
     Slicer_contract.encode_leaf
-      { Slicer_contract.rl_client = client;
-        rl_request = onchain_id;
-        rl_claim_hash = Sha256.digest (Slicer_contract.encode_claims claims);
-        rl_witness_digest = Slicer_contract.witness_digest ~claims ~batch_witness:witness }
+      (Slicer_contract.receipt_leaf ~client ~request:onchain_id ~claims ~batch_witness:witness)
   in
   String.equal leaf si.Wire.si_leaf
   && (match (si.Wire.si_root, si.Wire.si_proof) with
       | Some root, Some proof -> Merkle.verify ~root ~leaf proof
       | _ -> true)
 
-(* The sub-request id a router derives for shard [i] — must mirror
-   [Cluster.Router.sub_id] so the client can recompute a part's leaf. *)
+(* The appended "/s<i>" starts with a character no decimal digit
+   contains, so distinct (id, shard) pairs can never alias; and a retry
+   (client- or router-initiated) re-sends the identical sub-id, which is
+   what lets the shard's idempotency cache absorb it. *)
 let sub_id request_id shard = Printf.sprintf "%s/s%d" request_id shard
 
 let outcome_of_reply t prov ~request_id ~token_count (r : Wire.search_reply) =
@@ -368,48 +367,22 @@ let outcome_of_reply t prov ~request_id ~token_count (r : Wire.search_reply) =
             settle_parts )
       end
   in
-  let ids =
-    List.filter_map
-      (fun er ->
-        match User.decrypt_results prov.p_user [ er ] with
-        | [ id ] -> Some id
-        | _ | (exception Invalid_argument _) -> None)
-      (List.concat_map (fun (c : Slicer_contract.claim) -> c.Slicer_contract.results) claims)
-  in
-  let result_bytes =
-    List.fold_left
-      (fun n (c : Slicer_contract.claim) ->
-        List.fold_left (fun n r -> n + String.length r) n c.Slicer_contract.results)
-      0 claims
-  in
-  let vo_size ~witness claims =
-    match witness with
-    | Some w -> String.length (Bigint.to_bytes_be w)
-    | None ->
-      List.fold_left
-        (fun n (c : Slicer_contract.claim) ->
-          n + String.length (Bigint.to_bytes_be c.Slicer_contract.witness))
-        0 claims
-  in
   let vo_bytes =
     match r.Wire.sr_parts with
-    | [] -> vo_size ~witness:r.Wire.sr_batch_witness claims
+    | [] -> Protocol.vo_bytes ~batch_witness:r.Wire.sr_batch_witness claims
     | parts ->
       List.fold_left
         (fun n (p : Wire.shard_part) ->
-          n + vo_size ~witness:p.Wire.shp_batch_witness p.Wire.shp_claims)
+          n + Protocol.vo_bytes ~batch_witness:p.Wire.shp_batch_witness p.Wire.shp_claims)
         0 parts
   in
   t.gen <- r.Wire.sr_generation;
-  { Protocol.so_ids = ids;
-    (* Eager: the chain's word ([paid]) plus our own Algorithm 5.
-       Deferred: no chain verdict yet — our Algorithm 5 plus the leaf /
-       Merkle membership check stand in until finality. *)
-    so_verified = (if deferred then membership_ok else paid) && locally_ok;
-    so_token_count = token_count;
-    so_result_bytes = result_bytes;
-    so_vo_bytes = vo_bytes;
-    so_gas_used = r.Wire.sr_receipt.Vm.r_gas_used }
+  (* Eager: the chain's word ([paid]) plus our own Algorithm 5.
+     Deferred: no chain verdict yet — our Algorithm 5 plus the leaf /
+     Merkle membership check stand in until finality. *)
+  Protocol.outcome prov.p_user claims
+    ~verified:((if deferred then membership_ok else paid) && locally_ok)
+    ~vo_bytes ~token_count ~receipt:r.Wire.sr_receipt
 
 let search ?(batched = false) t query =
   let prov = provisioned_exn t in

@@ -88,6 +88,11 @@ val search :
     chain's ["paid"] settlement and a successful client-side
     verification of every claim against the on-chain [Ac]. *)
 
+val sub_id : string -> int -> string
+(** [sub_id request_id i] is the request id a router derives for shard
+    [i]'s part of a routed search ([Cluster.Router.sub_id] is this
+    function); the client recomputes a deferred part's leaf with it. *)
+
 val build :
   t -> width:int -> payment:int -> acc:Rsa_acc.params -> tdp_public:Rsa_tdp.public ->
   user_keys:Keys.user_keys -> shipment:Owner.shipment -> trapdoor:Owner.trapdoor_state ->

@@ -236,12 +236,6 @@ let do_search t b ~req ~client ~request_id ~batched tokens =
        Trace.tag "cached" "true";
        cached
      | None ->
-       (* Speculative warm-up off the settlement path's caches: derive
-          the claim primes this batch will need (pool fan-out) and
-          touch their witness-index leaves, so the settle below serves
-          its VO from warm state. Pure cache effect — the settled
-          bytes are identical with or without it. *)
-       Cloud.warm_tokens (Station.cloud b.b_station) tokens;
        (match
           (* The on-chain request id is the same composite key: the
              contract refuses duplicate ids globally, so namespacing by
@@ -666,23 +660,33 @@ let apply_event t (ev : Store.event) =
              ev.Store.ev_tag (Wire.err_code_to_string code) detail)
       | _ -> Ok ())
 
-(* The acceptance invariant: the recovered prime multiset must
-   re-accumulate to the cloud's Ac, and its hash must be the on-chain
-   H(Ac). Anything else means the index, the ADS and the chain no
-   longer tell the same story, and serving would break verifiability
-   silently. *)
+(* The acceptance invariant: the recovered contract must record the
+   shard identity this server was started as, and the recovered prime
+   multiset must re-accumulate to the cloud's Ac, whose hash must be the
+   on-chain H(Ac). Anything else means the state dir holds another
+   slice's index, or the index, the ADS and the chain no longer tell the
+   same story; serving would break verifiability silently. *)
 let verify_recovered t =
+  let shard_name (i, n) = Printf.sprintf "shard %d of %d" i n in
   match t.state with
   | None -> Ok ()
   | Some b ->
     let cloud = Station.cloud b.b_station in
-    let computed = Rsa_acc.accumulate b.b_acc (Cloud.primes cloud) in
-    let cloud_ac = Cloud.current_ac cloud in
-    (match Station.onchain_ac_digest b.b_station with
-     | None -> Error "recovered chain holds no Ac"
-     | Some chain_ac ->
+    (match
+       ( Slicer_contract.stored_shard (Station.ledger b.b_station)
+           ~contract:(Station.contract b.b_station),
+         Station.onchain_ac_digest b.b_station )
+     with
+     | None, _ -> Error "recovered chain holds no shard identity"
+     | Some stored, _ when stored <> t.shard ->
+       Error
+         (Printf.sprintf "recovered shard mismatch: the state dir holds %s, this server is %s"
+            (shard_name stored) (shard_name t.shard))
+     | Some _, None -> Error "recovered chain holds no Ac"
+     | Some _, Some chain_ac ->
+       let computed = Rsa_acc.accumulate b.b_acc (Cloud.primes cloud) in
        if
-         Bigint.equal computed cloud_ac
+         Bigint.equal computed (Cloud.current_ac cloud)
          && String.equal (Slicer_contract.ac_digest computed) chain_ac
        then Ok ()
        else

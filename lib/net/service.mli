@@ -104,8 +104,12 @@ val recover :
   (t * recovery_stats, string) result
 (** Open (or create) the durable state at [cfg.dir], rebuild the
     service from the newest valid snapshot plus the contiguous WAL
-    tail, verify the recovered prime multiset re-accumulates to both
-    the cloud's and the on-chain [Ac], re-anchor on a fresh checkpoint
-    and attach the store. [Error] — and no serving — when the snapshot
-    does not decode (a layout other than [slicer-service-built-v3] is
-    a codec mismatch), or replay or the accumulator check fails. *)
+    tail, check that the recovered contract records [shard] as its
+    shard identity, verify the recovered prime multiset re-accumulates
+    to both the cloud's and the on-chain [Ac], re-anchor on a fresh
+    checkpoint and attach the store. [Error] — and no serving — when
+    the snapshot does not decode (a layout other than
+    [slicer-service-built-v4] is a codec mismatch), when replay fails,
+    when the state dir holds another shard's contract (the error names
+    both identities), or when the accumulator check fails. An empty
+    state dir holds no contract and passes. *)

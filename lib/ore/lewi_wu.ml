@@ -9,20 +9,18 @@
    only for small widths (the constructors enforce width <= 12). *)
 
 type key = {
-  prf_key : string;
-  perm_key : string;
   prf_kd : Hmac.keyed;  (* keyed contexts: every slot evaluation shares them *)
   perm_kd : Hmac.keyed;
+  perms : (int, int array) Hashtbl.t;  (* the permutation per width *)
 }
 
 let max_width = 12
 
 let keygen ~rng =
   let prf_key = Drbg.generate rng 16 and perm_key = Drbg.generate rng 16 in
-  { prf_key;
-    perm_key;
-    prf_kd = Hmac.create ~key:prf_key;
-    perm_kd = Hmac.create ~key:perm_key }
+  { prf_kd = Hmac.create ~key:prf_key;
+    perm_kd = Hmac.create ~key:perm_key;
+    perms = Hashtbl.create 2 }
 
 type left = { lx : string; lpos : int; lwidth : int }
 type right = { nonce : string; slots : int array; rwidth : int }
@@ -31,11 +29,9 @@ let check_width width =
   if width < 1 || width > max_width then invalid_arg "Lewi_wu: width must be in [1, 12]"
 
 (* Pseudorandom permutation of the domain: sort domain elements by a
-   keyed hash. Memoized per (key, width) — the sort is O(d log d). *)
-let perm_cache : (string * int, int array) Hashtbl.t = Hashtbl.create 8
-
+   keyed hash. Kept in the key per width — the sort is O(d log d). *)
 let permutation key ~width =
-  match Hashtbl.find_opt perm_cache (key.perm_key, width) with
+  match Hashtbl.find_opt key.perms width with
   | Some p -> p
   | None ->
     let domain = 1 lsl width in
@@ -47,7 +43,7 @@ let permutation key ~width =
     (* p.(v) = permuted position of domain element v. *)
     let p = Array.make domain 0 in
     Array.iteri (fun pos (_, v) -> p.(v) <- pos) ranked;
-    Hashtbl.replace perm_cache (key.perm_key, width) p;
+    Hashtbl.replace key.perms width p;
     p
 
 let hash_cmp fk nonce = Char.code (Hmac.prf128 ~key:fk nonce).[0] mod 3

@@ -1385,6 +1385,228 @@ let test_gas_regime () =
     (Gas.h_prime_hinted ~input_len:(String.length input));
   Alcotest.(check int) "the walk's gas" 35_420 (Gas.h_prime ~input_len:(String.length input))
 
+(* --- one algorithm 5 ------------------------------------------------------ *)
+
+let verify_hits () = Obs.counter_value "slicer_acc_verify_cache_hits_total"
+let verify_misses () = Obs.counter_value "slicer_acc_verify_cache_misses_total"
+
+(* Algorithm 5's gas for [claims] by label, priced from the schedule:
+   what a cold run charges, whichever witness form covers them. *)
+let alg5_gas s ~h_prime claims =
+  let modulus = (Owner.acc_params (Protocol.owner s)).Rsa_acc.modulus in
+  let mod_len = (Bigint.num_bits modulus + 7) / 8 in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 claims in
+  let input (c : Slicer_contract.claim) =
+    Slicer_contract.claim_input ~token_bytes:c.token_bytes c.results
+  in
+  [ ( "mset-hash",
+      sum (fun (c : Slicer_contract.claim) ->
+          List.fold_left (fun a er -> a + Gas.hash (String.length er) + Gas.mulmod) 0 c.results) );
+    ("h-prime", sum (fun c -> h_prime ~input_len:(String.length (input c))));
+    ( "modexp",
+      sum (fun c -> Gas.modexp ~base_len:mod_len ~exp:(Prime_rep.to_prime (input c)) ~mod_len) ) ]
+
+let total gas = List.fold_left (fun acc (_, g) -> acc + g) 0 gas
+
+let a5_requests = ref 0
+
+(* Escrows [tokens] under a fresh id of fixed width, so every settlement
+   built on it has the same calldata length and intrinsic gas. *)
+let a5_escrow s tokens =
+  incr a5_requests;
+  let id = Printf.sprintf "a5-%05d" !a5_requests in
+  let rr =
+    Slicer_contract.request_search (Protocol.ledger s) ~user:(Protocol.user_address s)
+      ~contract:(Protocol.contract_address s) ~request_id:id
+      ~tokens:(List.map Slicer_types.token_bytes tokens) ~payment:(Protocol.payment s)
+  in
+  (match rr.Vm.r_output with Ok _ -> () | Error e -> Alcotest.failf "escrow %s: %s" id e);
+  id
+
+(* The same bytes with the last one flipped: an Ac of the same length
+   that is not the one on chain. *)
+let wrong_ac ac =
+  let b = Bytes.of_string (Bigint.to_bytes_be ac) in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Bigint.of_bytes_be (Bytes.to_string b)
+
+(* [txn ~ac] builds one call whose Algorithm-5 units are the same every
+   time. With a wrong Ac it reverts at the last check before Algorithm
+   5, so its gas is what the call charges first ([pre]). The limits run
+   out inside [unit_gas], Algorithm 5's first unit, which then never
+   reaches the memo: each limited run and then one full run go cold,
+   then all of them again warm, and every warm receipt must equal its
+   cold twin in gas, output and split by label. *)
+let check_replay ~name s ~unit_gas txn =
+  let state = Ledger.state (Protocol.ledger s) in
+  let ac = Cloud.current_ac (Protocol.cloud s) in
+  let height = Ledger.height (Protocol.ledger s) in
+  let pre = (Vm.execute ~height state (txn ~ac:(wrong_ac ac))).Vm.r_gas_used in
+  let limits = [ pre + 1; pre + (unit_gas / 3); pre + (unit_gas / 2); pre + unit_gas - 1 ] in
+  let run gas_limit =
+    let r = Vm.execute ~height ~gas_limit state (txn ~ac) in
+    (r.Vm.r_gas_used, r.Vm.r_output, Vm.last_breakdown state)
+  in
+  let gas_view =
+    Alcotest.(triple int (result (list string) string) (list (pair string int)))
+  in
+  let m0 = verify_misses () and h0 = verify_hits () in
+  let cold_limited = List.map run limits in
+  Alcotest.(check int) (name ^ ": limited cold runs store nothing") h0 (verify_hits ());
+  List.iter2
+    (fun limit (gas, out, split) ->
+      Alcotest.(check (result (list string) string)) (name ^ ": out of gas") (Error "out of gas") out;
+      Alcotest.(check int) (name ^ ": burns its limit") limit gas;
+      Alcotest.(check bool) (name ^ ": ran out inside Algorithm 5") true
+        (List.exists (fun (l, _) -> List.mem l [ "mset-hash"; "h-prime" ]) split))
+    limits cold_limited;
+  let cold_full = run Ledger.gas_limit in
+  Alcotest.(check bool) (name ^ ": cold runs miss") true (verify_misses () > m0);
+  let m1 = verify_misses () in
+  let warm_limited = List.map run limits in
+  let warm_full = run Ledger.gas_limit in
+  Alcotest.(check int) (name ^ ": warm runs never miss") m1 (verify_misses ());
+  Alcotest.(check bool) (name ^ ": warm runs hit") true (verify_hits () > h0);
+  List.iter2
+    (fun cold warm -> Alcotest.check gas_view (name ^ ": limited replay is exact") cold warm)
+    cold_limited warm_limited;
+  Alcotest.check gas_view (name ^ ": full replay is exact") cold_full warm_full;
+  cold_full
+
+let a5_system seed =
+  let s = hint_system seed in
+  let tokens =
+    User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) (Slicer_types.query 128 Slicer_types.Lt)
+  in
+  (* Several claims, so a shared-witness unit alternates labels. *)
+  Alcotest.(check bool) "several tokens" true (List.length tokens > 1);
+  (s, tokens)
+
+(* Each hint as 2 big-endian bytes, as [Slicer_contract.submit_result]
+   sends them. *)
+let hints_blob hints =
+  let b = Bytes.create (2 * List.length hints) in
+  List.iteri (fun i j -> Bytes.set_uint16_be b (2 * i) j) hints;
+  Bytes.to_string b
+
+let submit_txn s ~method_ args =
+  let state = Ledger.state (Protocol.ledger s) in
+  Vm.make_call state ~sender:(Protocol.cloud_address s) ~to_:(Protocol.contract_address s) method_
+    args
+
+let test_replay_submit_result () =
+  let s, tokens = a5_system "a5-submit" in
+  let claims, hints = Cloud.search (Protocol.cloud s) tokens in
+  let first = [ List.hd claims ] in
+  let _, out, _ =
+    check_replay ~name:"submitResult" s
+      ~unit_gas:(total (alg5_gas s ~h_prime:Gas.h_prime_hinted first))
+      (fun ~ac ->
+        submit_txn s ~method_:"submitResult"
+          [ a5_escrow s tokens; Protocol.user_address s; string_of_int (Protocol.payment s);
+            Bigint.to_bytes_be ac; Slicer_contract.encode_claims claims;
+            hints_blob hints ])
+  in
+  Alcotest.(check (result (list string) string)) "an honest settlement pays" (Ok [ "paid" ]) out
+
+let test_replay_submit_result_batched () =
+  let s, tokens = a5_system "a5-batched" in
+  let claims, hints, witness = Cloud.search_batched (Protocol.cloud s) tokens in
+  let _, out, _ =
+    check_replay ~name:"submitResultBatched" s
+      ~unit_gas:(total (alg5_gas s ~h_prime:Gas.h_prime_hinted claims))
+      (fun ~ac ->
+        submit_txn s ~method_:"submitResultBatched"
+          [ a5_escrow s tokens; Protocol.user_address s; string_of_int (Protocol.payment s);
+            Bigint.to_bytes_be ac; Slicer_contract.encode_claims claims;
+            Bigint.to_bytes_be witness;
+            hints_blob hints ])
+  in
+  Alcotest.(check (result (list string) string)) "an honest settlement pays" (Ok [ "paid" ]) out
+
+(* Commits one leaf over [claims] in a batch of its own and returns the
+   dispute call on it, as [Slicer_contract.dispute_leaf] encodes it. *)
+let committed_leaf s tokens claims ~batch_witness =
+  let ledger = Protocol.ledger s and contract = Protocol.contract_address s in
+  let id = a5_escrow s tokens in
+  ignore (Slicer_contract.post_deposit ledger ~cloud:(Protocol.cloud_address s) ~contract ~amount:9_000);
+  let leaf =
+    Slicer_contract.encode_leaf
+      (Slicer_contract.receipt_leaf ~client:"a5" ~request:id ~claims ~batch_witness)
+  in
+  let tree = Merkle.build [ leaf ] in
+  let members =
+    [ { Slicer_contract.es_request = id; es_user = Protocol.user_address s;
+        es_amount = Protocol.payment s;
+        es_digest = Slicer_contract.tokens_digest (List.map Slicer_types.token_bytes tokens) } ]
+  in
+  let batch_id = "a5-batch-" ^ id in
+  (match
+     (Slicer_contract.commit_batch ledger ~cloud:(Protocol.cloud_address s) ~contract ~batch_id
+        ~root:(Merkle.root tree) ~members)
+       .Vm.r_output
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "commit: %s" e);
+  fun ~ac ->
+    Vm.make_call (Ledger.state ledger) ~sender:(Protocol.user_address s) ~to_:contract "dispute"
+      [ batch_id; "0"; leaf; Merkle.proof_to_bytes (Merkle.prove tree 0);
+        Slicer_contract.encode_claims claims;
+        (match batch_witness with None -> "" | Some w -> Bigint.to_bytes_be w);
+        Slicer_contract.encode_escrows members; Bigint.to_bytes_be ac ]
+
+let dispute_rejected (_, out, _) =
+  match out with
+  | Error e -> String.length e >= 16 && String.sub e 0 16 = "dispute rejected"
+  | Ok _ -> false
+
+let test_replay_dispute_per_claim () =
+  let s, tokens = a5_system "a5-dispute" in
+  let claims, _ = Cloud.search (Protocol.cloud s) tokens in
+  let full =
+    check_replay ~name:"dispute" s
+      ~unit_gas:(total (alg5_gas s ~h_prime:Gas.h_prime [ List.hd claims ]))
+      (committed_leaf s tokens claims ~batch_witness:None)
+  in
+  Alcotest.(check bool) "an honest leaf's dispute is rejected" true (dispute_rejected full)
+
+let test_replay_dispute_shared () =
+  let s, tokens = a5_system "a5-dispute-shared" in
+  let claims, _, witness = Cloud.search_batched (Protocol.cloud s) tokens in
+  let full =
+    check_replay ~name:"shared-witness dispute" s
+      ~unit_gas:(total (alg5_gas s ~h_prime:Gas.h_prime claims))
+      (committed_leaf s tokens claims ~batch_witness:(Some witness))
+  in
+  Alcotest.(check bool) "an honest leaf's dispute is rejected" true (dispute_rejected full)
+
+(* The user's check stores entries, charges included, that the chain's
+   dispute of the same claims then hits: n hits, and exactly the gas of
+   a cold dispute, label by label. *)
+let test_user_entries_serve_disputes () =
+  let s, tokens = a5_system "a5-user-then-dispute" in
+  let claims, _ = Cloud.search (Protocol.cloud s) tokens in
+  let n = List.length claims in
+  let ac = Cloud.current_ac (Protocol.cloud s) in
+  let m0 = verify_misses () in
+  Alcotest.(check bool) "the user verifies" true
+    (Verifier.verify_claims (Owner.acc_params (Protocol.owner s)) ~ac claims);
+  Alcotest.(check int) "the user's lookups miss" (m0 + n) (verify_misses ());
+  let dispute = committed_leaf s tokens claims ~batch_witness:None in
+  let state = Ledger.state (Protocol.ledger s) in
+  let h0 = verify_hits () and m1 = verify_misses () in
+  let r = Vm.execute ~height:(Ledger.height (Protocol.ledger s)) state (dispute ~ac) in
+  Alcotest.(check bool) "an honest leaf's dispute is rejected" true
+    (dispute_rejected (r.Vm.r_gas_used, r.Vm.r_output, []));
+  Alcotest.(check int) "the dispute hits the user's entries" (h0 + n) (verify_hits ());
+  Alcotest.(check int) "and misses none" m1 (verify_misses ());
+  let split = Vm.last_breakdown state in
+  List.iter
+    (fun (label, gas) ->
+      Alcotest.(check (option int)) ("a cold dispute's " ^ label) (Some gas) (List.assoc_opt label split))
+    (alg5_gas s ~h_prime:Gas.h_prime claims)
+
 let () =
   Alcotest.run "chain"
     [ ( "gas",
@@ -1446,4 +1668,14 @@ let () =
         hint_props
         @ [ Alcotest.test_case "h-prime gas by path, memo cold and warm" `Quick
               test_hprime_gas_by_path;
-            Alcotest.test_case "of_offset and the prime memo" `Quick test_of_offset_memo ] ) ]
+            Alcotest.test_case "of_offset and the prime memo" `Quick test_of_offset_memo ] );
+      ( "one algorithm 5",
+        [ Alcotest.test_case "submitResult replays exactly" `Quick test_replay_submit_result;
+          Alcotest.test_case "submitResultBatched replays exactly" `Quick
+            test_replay_submit_result_batched;
+          Alcotest.test_case "per-claim dispute replays exactly" `Quick
+            test_replay_dispute_per_claim;
+          Alcotest.test_case "shared-witness dispute replays exactly" `Quick
+            test_replay_dispute_shared;
+          Alcotest.test_case "a dispute hits the user's entries" `Quick
+            test_user_entries_serve_disputes ] ) ]

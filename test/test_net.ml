@@ -1481,6 +1481,79 @@ let test_service_survives_restart () =
       (Net.Service.searches_settled svc2);
     Option.iter Store.close (Net.Service.store svc2)
 
+(* A restarted shard checks the shard identity its state dir's contract
+   records: a durable shard (0, 2) recovered as (1, 2) or as (0, 1) is
+   refused with both identities named, and recovered as (0, 2) it
+   serves searches that still verify. An empty state dir holds no
+   contract, so any identity opens it. The identity lives in the
+   snapshot's contract storage, so the Build is checkpointed (a 1-byte
+   snapshot cadence); a Build still only in the WAL is replayed under
+   the identity the restarting server claims. *)
+let test_shard_identity_checked_on_recovery () =
+  let dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = 1 } in
+  let rng, keys, acc_params, owner, records, shipment = durable_owner "shard-id-owner" in
+  let svc =
+    match Net.Service.recover ~shard:(0, 2) cfg with
+    | Ok (svc, _) -> svc
+    | Error e -> Alcotest.failf "an empty state dir must open: %s" e
+  in
+  (match
+     Net.Service.handle svc
+       (Wire.Build
+          { client = "shard-id-owner"; request_id = "si#b"; width; payment = 500;
+            acc = acc_params; tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn;
+            tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+            user_k = (Keys.for_user keys).Keys.u_k;
+            user_k_r = (Keys.for_user keys).Keys.u_k_r; shipment;
+            trapdoor = Owner.export_trapdoor_state owner; trace = None })
+   with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "build refused");
+  Option.iter Store.close (Net.Service.store svc);
+  List.iter
+    (fun ((i, n) as shard) ->
+      match Net.Service.recover ~shard cfg with
+      | Ok (svc, _) ->
+        Option.iter Store.close (Net.Service.store svc);
+        Alcotest.failf "shard (0, 2)'s state dir recovered as (%d, %d)" i n
+      | Error e ->
+        Alcotest.(check string) "the refusal names both identities"
+          (Printf.sprintf
+             "recovered shard mismatch: the state dir holds shard 0 of 2, this server is shard %d of %d"
+             i n)
+          e)
+    [ (1, 2); (0, 1) ];
+  match Net.Service.recover ~shard:(0, 2) cfg with
+  | Error e -> Alcotest.failf "recovering as the same shard: %s" e
+  | Ok (svc, _) ->
+    Fun.protect ~finally:(fun () -> Option.iter Store.close (Net.Service.store svc)) @@ fun () ->
+    let user =
+      match Net.Service.handle svc (Wire.Hello { client = "shard-id-user"; proto = Wire.proto_version }) with
+      | Wire.Welcome p ->
+        User.create ~keys:p.Wire.pv_user_keys ~width:p.Wire.pv_width p.Wire.pv_trapdoor
+      | _ -> Alcotest.fail "hello refused"
+    in
+    let query = q 30 Slicer_types.Lt in
+    match
+      Net.Service.handle svc
+        (Wire.Search
+           { client = "shard-id-user"; request_id = "si#1"; batched = false;
+             tokens = User.gen_tokens ~rng user query; trace = None })
+    with
+    | Wire.Found r ->
+      Alcotest.(check (result (list string) string)) "paid" (Ok [ "paid" ])
+        r.Wire.sr_receipt.Vm.r_output;
+      Alcotest.(check bool) "the user's check passes" true
+        (Verifier.verify_claims acc_params ~ac:r.Wire.sr_ac r.Wire.sr_claims);
+      Alcotest.(check (list string)) "the oracle's ids"
+        (List.sort compare (Slicer_types.reference_search records query))
+        (List.sort compare
+           (User.decrypt_results user
+              (List.concat_map (fun (c : Slicer_contract.claim) -> c.results) r.Wire.sr_claims)))
+    | _ -> Alcotest.fail "search after recovery refused"
+
 let test_witness_index_survives_restart () =
   (* The snapshot carries the warm witness state: a restored service
      serves byte-identical VOs with its index already warm — zero cold
@@ -2215,7 +2288,9 @@ let () =
           Alcotest.test_case "SIGKILL mid-load, recover, serve again" `Quick
             test_sigkill_mid_load_recovers;
           Alcotest.test_case "second server on a live state dir is refused" `Quick
-            test_second_server_refused_on_live_state_dir ] );
+            test_second_server_refused_on_live_state_dir;
+          Alcotest.test_case "a shard refuses another shard's state dir" `Quick
+            test_shard_identity_checked_on_recovery ] );
       ( "settlement",
         [ Alcotest.test_case "batched settlement over the wire" `Quick
             test_batched_settlement_over_the_wire;

@@ -594,6 +594,100 @@ let test_record_validation () =
   Alcotest.check_raises "no fields" (Invalid_argument "Slicer_types: record has no fields")
     (fun () -> Slicer_types.check_record ~width:8 { Slicer_types.id = "a"; fields = [] })
 
+(* --- the cloud's claim step --------------------------------------------- *)
+
+let collect_count () =
+  match Obs.find_span_histogram "cloud.collect" with
+  | Some h -> (Obs.Histogram.snapshot h).Obs.Histogram.sn_count
+  | None -> 0
+
+let prime_lookups () =
+  let st = Prime_rep.cache_stats () in
+  st.Prime_rep.cs_hits + st.Prime_rep.cs_misses
+
+let prime_misses () = (Prime_rep.cache_stats ()).Prime_rep.cs_misses
+
+let with_domains d f =
+  Parallel.set_domains d;
+  Fun.protect ~finally:(fun () -> Parallel.set_domains 1) f
+
+(* A system and one order query's tokens, several of them. *)
+let claim_system seed =
+  let s = Protocol.setup ~width ~seed db in
+  let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) (q 40 Slicer_types.Lt) in
+  Alcotest.(check bool) "several tokens" true (List.length tokens > 1);
+  (s, tokens)
+
+(* The claim step runs once per fresh token: a search over k fresh
+   tokens runs Algorithm 4 k times and looks each of its k distinct
+   claim inputs up in the prime memo once, and a repeat, answered by the
+   claim cache, adds nothing to either. The owner's Build walked the
+   honest primes already; a misbehaving cloud's claim inputs are new, so
+   its first search misses the prime memo once per claim input and its
+   second, which answers every token afresh, misses none. *)
+let test_claim_step_once () =
+  let s, tokens = claim_system "claim-step" in
+  let cloud = Protocol.cloud s in
+  let k = List.length tokens in
+  let step () = (collect_count (), prime_lookups (), prime_misses ()) in
+  let delta (c0, l0, m0) =
+    let c1, l1, m1 = step () in
+    (c1 - c0, l1 - l0, m1 - m0)
+  in
+  let counts = Alcotest.(triple int int int) in
+  let before = step () in
+  let first = Cloud.search cloud tokens in
+  Alcotest.check counts "fresh tokens: k collects, k lookups, no walk" (k, k, 0) (delta before);
+  let before = step () in
+  let again = Cloud.search cloud tokens in
+  Alcotest.check counts "repeated tokens: nothing" (0, 0, 0) (delta before);
+  Alcotest.(check string) "the claim cache answers the same claims"
+    (Slicer_contract.encode_claims (fst first)) (Slicer_contract.encode_claims (fst again));
+  Alcotest.(check (list int)) "and the same hints" (snd first) (snd again);
+  Protocol.set_cloud_behavior s Cloud.Inject_result;
+  let before = step () in
+  ignore (Cloud.search cloud tokens);
+  Alcotest.check counts "new claim inputs: one walk each" (k, k, k) (delta before);
+  let before = step () in
+  ignore (Cloud.search cloud tokens);
+  Alcotest.check counts "misbehaving: afresh, from the prime memo" (k, k, 0) (delta before)
+
+(* Claims and hints do not depend on the pool size, whether the prime
+   walks fan out across two domains or run in one: each hint is the
+   offset of the prime a sequential walk finds. *)
+let test_claim_step_pool_sizes () =
+  let s, tokens = claim_system "claim-step-pools" in
+  let cloud = Protocol.cloud s in
+  let search d = with_domains d (fun () -> Cloud.search cloud tokens) in
+  let same what (c1, h1) (c2, h2) =
+    Alcotest.(check string) (what ^ ": claims") (Slicer_contract.encode_claims c1)
+      (Slicer_contract.encode_claims c2);
+    Alcotest.(check (list int)) (what ^ ": hints") h1 h2
+  in
+  (* Each behaviour change resets the claim cache, so every search
+     below runs the claim step. *)
+  List.iter
+    (fun mode ->
+      Protocol.set_cloud_behavior s mode;
+      let m0 = prime_misses () in
+      let two = search 2 in
+      Protocol.set_cloud_behavior s Cloud.Forge_witness;
+      Protocol.set_cloud_behavior s mode;
+      let one = search 1 in
+      same "pool sizes 1 and 2" one two;
+      Alcotest.(check (list int)) "hints are the sequential walk's offsets"
+        (List.map
+           (fun (c : Slicer_contract.claim) ->
+             Prime_rep.offset
+               (Prime_rep.to_prime_uncached
+                  (Slicer_contract.claim_input ~token_bytes:c.token_bytes c.results)))
+           (fst two))
+        (snd two);
+      if mode = Cloud.Tamper_result then
+        Alcotest.(check int) "fresh walks ran on the two-domain pool" (List.length tokens)
+          (prime_misses () - m0))
+    [ Cloud.Honest; Cloud.Tamper_result ]
+
 let () =
   Alcotest.run "protocol"
     [ ( "search oracle",
@@ -630,6 +724,9 @@ let () =
           Alcotest.test_case "no double settlement" `Quick test_no_double_settlement;
           Alcotest.test_case "theorem-2 simulator shapes" `Quick test_simulator_shapes ] );
       ("soundness", soundness_props);
+      ( "claim step",
+        [ Alcotest.test_case "once per fresh token" `Quick test_claim_step_once;
+          Alcotest.test_case "pool sizes 1 and 2 agree" `Quick test_claim_step_pool_sizes ] );
       ( "misc",
         [ Alcotest.test_case "features table" `Quick test_features_table;
           Alcotest.test_case "reference search" `Quick test_reference_search;
