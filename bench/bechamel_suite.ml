@@ -69,6 +69,7 @@ let make_tests () =
   let sore_key = Sore.keygen ~rng in
   let hmac_key = Drbg.generate rng 16 in
   let aes_key = Aes128.expand (Drbg.generate rng 16) in
+  let aes_ct = Aes128.encrypt_block aes_key "0123456789abcdef" in
   let params = Rsa_acc.setup ~rng ~bits:512 () in
   let primes = List.init 64 (fun i -> Prime_rep.to_prime (Printf.sprintf "bb-%d" i)) in
   let ac = Rsa_acc.accumulate params primes in
@@ -96,6 +97,9 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (Hmac.prf128 ~key:hmac_key (string_of_int (fresh ())))));
     Test.make ~name:"fig3a/aes-block"
       (Staged.stage (fun () -> ignore (Aes128.encrypt_block aes_key "0123456789abcdef")));
+    (* The user's side of the same block: one per search result. *)
+    Test.make ~name:"fig3a/aes-block-decrypt"
+      (Staged.stage (fun () -> ignore (Aes128.decrypt_block aes_key aes_ct)));
     (* Fig. 3b / 7b: ADS building blocks. *)
     Test.make ~name:"fig3b/h-prime-uncached"
       (Staged.stage (fun () -> ignore (Prime_rep.to_prime (Printf.sprintf "fresh-%d" (fresh ())))));
@@ -295,6 +299,24 @@ let verify_over_add () =
   in
   verify /. add
 
+(* One AES block decryption priced in one-block SHA-256 digests of the
+   same 16 bytes: the user decrypts every result of every search with
+   no memo in front, so a decrypt must stay a walk over the round
+   tables. The T-table rounds read 0.10-0.11; the rounds they replaced,
+   MixColumns by a recursive gf_mul, read 9.2. *)
+let aes_budget = 1.0
+
+let aes_over_sha () =
+  let key = Aes128.expand "bechamel-aes-key" in
+  let block = Aes128.encrypt_string key "record-42" in
+  let calls = 2000 in
+  let aes, sha =
+    best_alternating
+      (repeat calls (Aes128.decrypt_block key) block)
+      (repeat calls Sha256.digest block)
+  in
+  aes /. sha
+
 (* The instrumentation budgets: an Obs span must stay under 1 us or the
    hot-path record claim in DESIGN.md is void, an unsampled trace root
    (tracing off) under 150 ns, and a sampled root with one child span,
@@ -379,6 +401,15 @@ let run () =
          "a membership check costs %.2f of an accumulator add, under the %.1f floor: it skipped \
           its modexp"
          verify verify_floor);
+  let aes = aes_over_sha () in
+  Printf.printf
+    "aes-block-decrypt / sha256-block = %.2f (best of 20 alternating batches; budget %.1f)\n" aes
+    aes_budget;
+  if aes > aes_budget then
+    failwith
+      (Printf.sprintf
+         "one AES block decrypt costs %.2f one-block SHA-256 digests, over the %.1f budget" aes
+         aes_budget);
   overhead_guard "obs/span" (fun () -> Obs.span "bench.noop" (fun () -> ())) span_budget_ns;
   overhead_guard "obs/trace-unsampled"
     (fun () -> Trace.root "bench.trace-noop" (fun () -> ()))

@@ -8,8 +8,6 @@ let counter_bits = 16
 let cache_limit = 1_000_000
 let cache : (string, Bigint.t) Hashtbl.t = Hashtbl.create 4096
 let cache_lock = Mutex.create ()
-let hits = ref 0
-let misses = ref 0
 
 let c_hits = Obs.counter ~help:"prime-representative memo hits" "slicer_acc_prime_cache_hits_total"
 
@@ -28,11 +26,10 @@ type cache_stats = { cs_entries : int; cs_hits : int; cs_misses : int; cs_limit 
 
 let cache_stats () =
   Mutex.lock cache_lock;
-  let s =
-    { cs_entries = Hashtbl.length cache; cs_hits = !hits; cs_misses = !misses; cs_limit = cache_limit }
-  in
+  let cs_entries = Hashtbl.length cache in
   Mutex.unlock cache_lock;
-  s
+  { cs_entries; cs_hits = Obs.Counter.value c_hits; cs_misses = Obs.Counter.value c_misses;
+    cs_limit = cache_limit }
 
 (* Offsets per sieve window: 256 odd candidates, where a walk takes 94
    on average (odd 272-bit integers are prime with density about
@@ -101,7 +98,6 @@ let to_prime_uncached s = Obs.span "acc.prime_derive" (fun () -> prime_walk s)
 let lookup s =
   Mutex.lock cache_lock;
   let r = Hashtbl.find_opt cache s in
-  (match r with Some _ -> incr hits | None -> incr misses);
   Mutex.unlock cache_lock;
   (match r with Some _ -> Obs.Counter.incr c_hits | None -> Obs.Counter.incr c_misses);
   r

@@ -1,4 +1,9 @@
-type params = { modulus : Bigint.t; generator : Bigint.t }
+type params = { modulus : Bigint.t; generator : Bigint.t; mont : Bigint.Mont.ctx }
+
+let params_of_parts ~modulus ~generator =
+  if Bigint.is_even modulus || Bigint.compare modulus (Bigint.of_int 3) < 0 then
+    invalid_arg "Rsa_acc.params_of_parts: the modulus must be odd and at least 3";
+  { modulus; generator; mont = Bigint.Mont.create modulus }
 
 let setup ?(safe = false) ~rng ~bits () =
   let m = Primegen.random_rsa_modulus ~safe ~rng ~bits () in
@@ -11,7 +16,7 @@ let setup ?(safe = false) ~rng ~bits () =
       if Bigint.equal g Bigint.one then gen () else g
     end
   in
-  { modulus = m.Primegen.n; generator = gen () }
+  params_of_parts ~modulus:m.Primegen.n ~generator:(gen ())
 
 (* --- the batched/parallel substrate ------------------------------------ *)
 
@@ -20,39 +25,11 @@ let setup ?(safe = false) ~rng ~bits () =
    bits, versus O(B²/n) for the naive left fold. *)
 let product xs = Parallel.Pool.reduce (Parallel.pool ()) Bigint.mul Bigint.one (Array.of_list xs)
 
-(* Per-modulus Montgomery contexts (word inverse, R mod m, R² mod m),
-   shared process-wide: every exponentiation — of g, incremental adds,
-   witness-tree refreshes, contract-side verification — reuses one
-   immutable context instead of re-deriving the state per call.
-   Contexts are safe to share across domains. *)
-let mont_lock = Mutex.create ()
-let mont_cache : (string, Bigint.Mont.ctx) Hashtbl.t = Hashtbl.create 4
-
-let mont_of params =
-  let key = Bigint.to_hex params.modulus in
-  Mutex.lock mont_lock;
-  let mc =
-    match Hashtbl.find_opt mont_cache key with
-    | Some mc -> mc
-    | None ->
-      let mc = Bigint.Mont.create params.modulus in
-      Hashtbl.replace mont_cache key mc;
-      mc
-  in
-  Mutex.unlock mont_lock;
-  mc
-
-(* [b^e mod modulus] through the shared context; the even-modulus
-   fallback keeps degenerate test parameters working. *)
-let pow_mod params b e =
-  if Bigint.is_even params.modulus then Bigint.mod_pow b e params.modulus
-  else Bigint.Mont.pow (mont_of params) b e
+(* [b^e mod modulus] on the parameters' Montgomery context. *)
+let pow_mod params b e = Bigint.Mont.pow params.mont b e
 
 (* [(b^e1, b^e2)] from one squaring chain shared by both exponents. *)
-let pow_mod2 params b e1 e2 =
-  if Bigint.is_even params.modulus then
-    (Bigint.mod_pow b e1 params.modulus, Bigint.mod_pow b e2 params.modulus)
-  else Bigint.Mont.pow2 (mont_of params) b e1 e2
+let pow_mod2 params b e1 e2 = Bigint.Mont.pow2 params.mont b e1 e2
 
 (* g takes the same sliding-window ladder as every other base. *)
 let g_pow params e = pow_mod params params.generator e

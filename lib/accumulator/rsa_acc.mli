@@ -13,7 +13,7 @@
     operations are batched: prime exponents are combined by a balanced
     {e product tree} (the C Karatsuba product kernel underneath) and the
     single resulting exponent is applied in one sliding-window
-    Montgomery ladder on the modulus's shared {!Bigint.Mont} context —
+    Montgomery ladder on the parameters' {!Bigint.Mont} context —
     the generator [g] is raised the same way as every other base.
 
     - {!accumulate}: one product tree + one [B]-bit exponentiation of
@@ -36,10 +36,19 @@
     regroups exponent arithmetic ([g^x^y = g^(xy)]), and the pool's
     combinators fix their bracketing from the input size alone. *)
 
-type params = {
+type params = private {
   modulus : Bigint.t;   (** RSA modulus [n = p*q]; factors are discarded. *)
   generator : Bigint.t; (** A quadratic residue [g ∈ QR_n \ {1}]. *)
+  mont : Bigint.Mont.ctx;
+      (** The modulus's Montgomery context, a pure function of [modulus]
+          built once by {!params_of_parts}: immutable, so a [params]
+          value is safe to share across domains. *)
 }
+
+val params_of_parts : modulus:Bigint.t -> generator:Bigint.t -> params
+(** The only way to build [params] (the record is private), from
+    values generated here or received over the wire.
+    @raise Invalid_argument when the modulus is even or below 3. *)
 
 val setup : ?safe:bool -> rng:Drbg.t -> bits:int -> unit -> params
 (** Generates fresh parameters; the factorisation (the trapdoor) is
@@ -99,16 +108,15 @@ val verify_mem_batch : params -> ac:Bigint.t -> xs:Bigint.t list -> witness:Bigi
 (** {1 Exponentiation over the parameters} *)
 
 val pow_mod : params -> Bigint.t -> Bigint.t -> Bigint.t
-(** [pow_mod params b e = Bigint.mod_pow b e params.modulus], routed
-    through a process-wide per-modulus {!Bigint.Mont} context so
-    repeated exponentiations stop re-deriving Montgomery state. Safe
-    across domains; values are identical to [mod_pow]. *)
+(** [pow_mod params b e = Bigint.mod_pow b e params.modulus], on the
+    parameters' own {!Bigint.Mont} context, so repeated exponentiations
+    never re-derive Montgomery state. *)
 
 val pow_mod2 : params -> Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t * Bigint.t
 (** [pow_mod2 params b e1 e2 = (pow_mod params b e1, pow_mod params b e2)],
     computed by {!Bigint.Mont.pow2} from one squaring chain shared by
-    both exponents (two [mod_pow] calls over an even modulus). The
-    witness index derives a node's two child bases with one call. *)
+    both exponents. The witness index derives a node's two child bases
+    with one call. *)
 
 (** {1 Non-membership (universal accumulator)}
 

@@ -310,8 +310,6 @@ let compare a b =
   else nat_compare b.mag a.mag
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let neg x = if is_zero x then zero else { x with sign = -x.sign }
 let abs x = if x.sign < 0 then neg x else x
@@ -354,7 +352,6 @@ let divmod a b =
   end
 
 let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
 
 let divmod_int a d =
   if d <= 0 || d >= base then invalid_arg "Bigint.divmod_int: divisor out of range";
@@ -552,8 +549,6 @@ let to_bytes_be ?len x =
   done;
   Bytes.to_string b
 
-let pp fmt x = Format.pp_print_string fmt (to_string x)
-
 let mul_schoolbook a b =
   if is_zero a || is_zero b then zero else make (a.sign * b.sign) (nat_mul_school a.mag b.mag)
 
@@ -570,8 +565,6 @@ let erem a m =
   if is_zero m then raise Division_by_zero;
   snd (divmod a (abs m))
 
-let mod_add a b m = erem (add a b) m
-let mod_sub a b m = erem (sub a b) m
 let mod_mul a b m = erem (mul a b) m
 
 let gcd a b =

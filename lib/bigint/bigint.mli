@@ -51,8 +51,6 @@ val to_bytes_be : ?len:int -> t -> string
     result is left-padded with zero bytes to exactly [len] bytes.
     @raise Invalid_argument if the value needs more than [len] bytes. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Product kernel}
 
     {!mul} multiplies operands of fewer than 32 limbs in an OCaml
@@ -78,8 +76,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val sign : t -> int
 val is_zero : t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Arithmetic} *)
 
@@ -99,7 +95,6 @@ val divmod : t -> t -> t * t
     (Euclidean division). @raise Division_by_zero when [b] is zero. *)
 
 val div : t -> t -> t
-val rem : t -> t -> t
 
 val divmod_int : t -> int -> t * int
 (** Euclidean division by a positive native int [< 2^31].
@@ -128,8 +123,6 @@ val is_odd : t -> bool
 val erem : t -> t -> t
 (** [erem a m] is the least non-negative residue of [a] modulo [|m|]. *)
 
-val mod_add : t -> t -> t -> t
-val mod_sub : t -> t -> t -> t
 val mod_mul : t -> t -> t -> t
 
 val mod_pow : t -> t -> t -> t

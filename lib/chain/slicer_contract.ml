@@ -353,7 +353,7 @@ let sha ctx input =
 let contract ~modulus ~initial_ac ~shard ~dispute_window =
   (* VerifyMem reads the modulus only; the generator is not part of the
      deployed code. *)
-  let params = { Rsa_acc.modulus; generator = Bigint.one } in
+  let params = Rsa_acc.params_of_parts ~modulus ~generator:Bigint.one in
   let constructor ctx _args =
     Vm.sstore ctx key_owner ctx.Vm.sender;
     Vm.sstore ctx key_ac (sha ctx (Bigint.to_bytes_be initial_ac));

@@ -32,32 +32,3 @@ let g1 ~k w = g1_keyed (Hmac.create ~key:k) w
 let g2 ~k w = g2_keyed (Hmac.create ~key:k) w
 
 let f ~key ~trapdoor ~counter = f_keyed (Hmac.create ~key) ~trapdoor ~counter
-
-(* AES key schedules are cached: record encryption happens once per
-   index entry and the expansion would otherwise dominate. *)
-let schedule_cache : (string, Aes128.key) Hashtbl.t = Hashtbl.create 4
-
-let schedule k_r =
-  match Hashtbl.find_opt schedule_cache k_r with
-  | Some s -> s
-  | None ->
-    let s = Aes128.expand k_r in
-    Hashtbl.replace schedule_cache k_r s;
-    s
-
-let encrypt_record_id ~k_r id = Aes128.encrypt_string (schedule k_r) id
-
-(* Decryptions are memoized: a user replays the same encrypted ids on
-   every repeated query, and softcore AES dominates the otherwise-warm
-   read path. Bounded like every other long-lived memo. *)
-let decrypt_memo_limit = 65_536
-let decrypt_memo : (string, string) Hashtbl.t = Hashtbl.create 256
-
-let decrypt_record_id ~k_r ct =
-  let key = Bytesutil.concat [ k_r; ct ] in
-  match Hashtbl.find_opt decrypt_memo key with
-  | Some id -> id
-  | None ->
-    let id = Aes128.decrypt_string (schedule k_r) ct in
-    if Hashtbl.length decrypt_memo < decrypt_memo_limit then Hashtbl.replace decrypt_memo key id;
-    id

@@ -59,9 +59,3 @@ val g2 : k:string -> string -> string
 val f : key:string -> trapdoor:string -> counter:int -> string
 (** The PRF [F] applied to [t ‖ c]: derives index positions (under
     [G1]) and payload masks (under [G2]). 16-byte output. *)
-
-val encrypt_record_id : k_r:string -> string -> string
-(** Deterministic one-block [Enc(K_R, R)]. *)
-
-val decrypt_record_id : k_r:string -> string -> string
-(** Inverse of {!encrypt_record_id}. *)

@@ -6,6 +6,7 @@ type t = {
   o_params : Rsa_acc.params;
   o_keys : Keys.master;
   o_kprf : Keys.prf; (* keyed context for K, shared by every G1/G2 derivation *)
+  o_kr : Aes128.key; (* K_R expanded once: Enc(K_R, R) for every record id *)
   trapdoors : trapdoor_state;                   (* T *)
   set_hashes : (string, Mset_hash.t) Hashtbl.t; (* S, keyed by token bytes *)
   seen_ids : (string, unit) Hashtbl.t;
@@ -52,6 +53,7 @@ let create ?(width = 16) ~rng ~acc_params ~keys () =
     o_params = acc_params;
     o_keys = keys;
     o_kprf = Keys.prf_of_key keys.Keys.k;
+    o_kr = Aes128.expand keys.Keys.k_r;
     trapdoors = Hashtbl.create 256;
     set_hashes = Hashtbl.create 256;
     seen_ids = Hashtbl.create 256;
@@ -147,10 +149,8 @@ let add_records t records =
   let keyword_slices =
     Obs.span "core.slice" (fun () -> Parallel.Pool.map pool (keywords_of t) record_arr)
   in
-  (* Each record id is encrypted exactly once, not once per keyword.
-     Sequential: it warms the AES schedule cache, which must not be
-     mutated concurrently. *)
-  let enc_ids = Array.map (fun r -> Keys.encrypt_record_id ~k_r:t.o_keys.Keys.k_r r.Slicer_types.id) record_arr in
+  (* Each record id is encrypted exactly once, not once per keyword. *)
+  let enc_ids = Array.map (fun r -> Aes128.encrypt_string t.o_kr r.Slicer_types.id) record_arr in
   (* Phase 2: group encrypted ids by keyword, preserving record order. *)
   let by_keyword : (string, string list ref) Hashtbl.t = Hashtbl.create 1024 in
   let keyword_order = ref [] in

@@ -1,12 +1,15 @@
 type t = {
-  u_keys : Keys.user_keys;
   u_kprf : Keys.prf; (* keyed context for K: one key block per user, not per token *)
+  u_kr : Aes128.key; (* K_R expanded once *)
   u_width : int;
   mutable trapdoors : Owner.trapdoor_state;
 }
 
 let create ~keys ~width state =
-  { u_keys = keys; u_kprf = Keys.prf_of_key keys.Keys.u_k; u_width = width; trapdoors = state }
+  { u_kprf = Keys.prf_of_key keys.Keys.u_k;
+    u_kr = Aes128.expand keys.Keys.u_k_r;
+    u_width = width;
+    trapdoors = state }
 
 let update_state t state = t.trapdoors <- state
 
@@ -34,6 +37,5 @@ let gen_tokens ~rng t q =
             st_g2 = Keys.g2_keyed t.u_kprf w })
     keywords
 
-let decrypt_results t ers =
-  List.map (Keys.decrypt_record_id ~k_r:t.u_keys.Keys.u_k_r) ers
+let decrypt_results t ers = List.map (Aes128.decrypt_string t.u_kr) ers
 

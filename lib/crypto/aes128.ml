@@ -1,7 +1,7 @@
-(* FIPS 197 AES-128. The S-box and GF(2^8) tables are derived at module
-   initialisation from the field generator, which avoids transcription
-   errors in 256-entry literals; the FIPS-197 known-answer tests pin the
-   result. *)
+(* FIPS 197 AES-128. The S-box and the round tables are derived at
+   module initialisation from the field generator, which avoids
+   transcription errors in 256-entry literals; the FIPS-197 known-answer
+   tests pin the result. *)
 
 (* --- GF(2^8) arithmetic, modulus x^8+x^4+x^3+x+1 -------------------- *)
 
@@ -44,136 +44,171 @@ let () =
     inv_sbox.(s) <- i
   done
 
+(* --- round tables ---------------------------------------------------- *)
+
+(* A state column is one big-endian 32-bit word (row 0 in the top byte).
+   [te0.(x)] is SubBytes then MixColumns of a column holding only byte
+   [x] in row 0, and [te1]..[te3] are the same column rotated for rows
+   1..3, so one encryption round is 16 lookups and XORs; [td0]..[td3]
+   do the same for InvSubBytes and InvMixColumns. *)
+let[@inline] column a b c d = (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
+let ror8 w = (w lsr 8) lor ((w land 0xff) lsl 24)
+
+(* Word [i] of a 16-byte string, masked to 32 bits because
+   [String.get_int32_be] sign-extends; and its store. *)
+let[@inline] word s i = Int32.to_int (String.get_int32_be s (4 * i)) land 0xffffffff
+let[@inline] put b i w = Bytes.set_int32_be b (4 * i) (Int32.of_int w)
+
+let te0 = Array.init 256 (fun x -> let s = sbox.(x) in column (gf_mul s 2) s s (gf_mul s 3))
+let te1 = Array.map ror8 te0
+let te2 = Array.map ror8 te1
+let te3 = Array.map ror8 te2
+
+let td0 =
+  Array.init 256 (fun x ->
+      let s = inv_sbox.(x) in
+      column (gf_mul s 14) (gf_mul s 9) (gf_mul s 13) (gf_mul s 11))
+
+let td1 = Array.map ror8 td0
+let td2 = Array.map ror8 td1
+let td3 = Array.map ror8 td2
+
 (* --- key schedule ---------------------------------------------------- *)
 
-type key = { rk : int array (* 44 words, 11 round keys *) }
+(* [ek]: the 44 round-key words of the cipher. [dk]: those of FIPS-197
+   §5.3.5's equivalent inverse cipher, the rounds in reverse order with
+   InvMixColumns applied to rounds 1..9. *)
+type key = { ek : int array; dk : int array }
 
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
 
+(* InvMixColumns of one column: [td*] hold InvMixColumns after
+   InvSubBytes, and SubBytes first cancels the inverse. *)
+let inv_mix w =
+  td0.(sbox.(w lsr 24))
+  lxor td1.(sbox.((w lsr 16) land 0xff))
+  lxor td2.(sbox.((w lsr 8) land 0xff))
+  lxor td3.(sbox.(w land 0xff))
+
 let expand key_bytes =
   if String.length key_bytes <> 16 then invalid_arg "Aes128.expand: key must be 16 bytes";
-  let rk = Array.make 44 0 in
+  let ek = Array.make 44 0 in
   for i = 0 to 3 do
-    rk.(i) <-
-      (Char.code key_bytes.[4 * i] lsl 24)
-      lor (Char.code key_bytes.[(4 * i) + 1] lsl 16)
-      lor (Char.code key_bytes.[(4 * i) + 2] lsl 8)
-      lor Char.code key_bytes.[(4 * i) + 3]
+    ek.(i) <- word key_bytes i
   done;
   for i = 4 to 43 do
-    let temp = rk.(i - 1) in
+    let temp = ek.(i - 1) in
     let temp =
       if i mod 4 = 0 then begin
         let rot = ((temp lsl 8) lor (temp lsr 24)) land 0xffffffff in
         let sub =
-          (sbox.((rot lsr 24) land 0xff) lsl 24)
-          lor (sbox.((rot lsr 16) land 0xff) lsl 16)
-          lor (sbox.((rot lsr 8) land 0xff) lsl 8)
-          lor sbox.(rot land 0xff)
+          column sbox.(rot lsr 24) sbox.((rot lsr 16) land 0xff) sbox.((rot lsr 8) land 0xff)
+            sbox.(rot land 0xff)
         in
         sub lxor (rcon.((i / 4) - 1) lsl 24)
       end
       else temp
     in
-    rk.(i) <- rk.(i - 4) lxor temp
+    ek.(i) <- ek.(i - 4) lxor temp
   done;
-  { rk }
+  let dk =
+    Array.init 44 (fun i ->
+        let round = i / 4 and c = i mod 4 in
+        let w = ek.((4 * (10 - round)) + c) in
+        if round = 0 || round = 10 then w else inv_mix w)
+  in
+  { ek; dk }
 
-(* --- round functions on a 16-byte state (column-major, FIPS order) --- *)
+(* --- one block ------------------------------------------------------- *)
 
-let add_round_key st rk round =
-  for c = 0 to 3 do
-    let w = rk.((round * 4) + c) in
-    st.((4 * c) + 0) <- st.((4 * c) + 0) lxor ((w lsr 24) land 0xff);
-    st.((4 * c) + 1) <- st.((4 * c) + 1) lxor ((w lsr 16) land 0xff);
-    st.((4 * c) + 2) <- st.((4 * c) + 2) lxor ((w lsr 8) land 0xff);
-    st.((4 * c) + 3) <- st.((4 * c) + 3) lxor (w land 0xff)
-  done
+(* Bounds: every table and round-key read below is unchecked. Loaded
+   words are masked to 32 bits ([word]), round keys and table entries
+   are 32-bit words, and XOR keeps words below 2^32, so every table
+   index ([w lsr 24] or [(w lsr k) land 255]) is in 0..255; round-key
+   indices stay below 44 by the round count. This is a reproduction's
+   AES: the lookups are indexed by secret bytes, as in any table-driven
+   AES, so it is not constant-time. *)
+external get : int array -> int -> int = "%array_unsafe_get"
 
-let sub_bytes st box = for i = 0 to 15 do st.(i) <- box.(st.(i)) done
+(* One column of a full round: [w] gives row 0, [x] row 1 and so on,
+   each row's byte looked up in its own table. *)
+let[@inline] mix t0 t1 t2 t3 rk i w x y z =
+  get t0 (w lsr 24)
+  lxor get t1 ((x lsr 16) land 255)
+  lxor get t2 ((y lsr 8) land 255)
+  lxor get t3 (z land 255)
+  lxor get rk i
 
-(* State layout: st.(4*c + r) is row r, column c. *)
-let shift_rows st =
-  for r = 1 to 3 do
-    let row = Array.init 4 (fun c -> st.((4 * c) + r)) in
-    for c = 0 to 3 do
-      st.((4 * c) + r) <- row.((c + r) mod 4)
-    done
-  done
+(* One column of the last round, which has no MixColumns. *)
+let[@inline] sub box rk i w x y z =
+  column (get box (w lsr 24)) (get box ((x lsr 16) land 255)) (get box ((y lsr 8) land 255))
+    (get box (z land 255))
+  lxor get rk i
 
-let inv_shift_rows st =
-  for r = 1 to 3 do
-    let row = Array.init 4 (fun c -> st.((4 * c) + r)) in
-    for c = 0 to 3 do
-      st.((4 * c) + r) <- row.(((c - r) + 4) mod 4)
-    done
-  done
+(* ShiftRows takes row r of column c from column c + r. *)
+let rec enc_rounds rk out r a b c d =
+  let k = 4 * r in
+  if r < 10 then
+    enc_rounds rk out (r + 1)
+      (mix te0 te1 te2 te3 rk k a b c d)
+      (mix te0 te1 te2 te3 rk (k + 1) b c d a)
+      (mix te0 te1 te2 te3 rk (k + 2) c d a b)
+      (mix te0 te1 te2 te3 rk (k + 3) d a b c)
+  else begin
+    put out 0 (sub sbox rk k a b c d);
+    put out 1 (sub sbox rk (k + 1) b c d a);
+    put out 2 (sub sbox rk (k + 2) c d a b);
+    put out 3 (sub sbox rk (k + 3) d a b c)
+  end
 
-let mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c) and a1 = st.((4 * c) + 1) and a2 = st.((4 * c) + 2) and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- gf_mul a0 2 lxor gf_mul a1 3 lxor a2 lxor a3;
-    st.((4 * c) + 1) <- a0 lxor gf_mul a1 2 lxor gf_mul a2 3 lxor a3;
-    st.((4 * c) + 2) <- a0 lxor a1 lxor gf_mul a2 2 lxor gf_mul a3 3;
-    st.((4 * c) + 3) <- gf_mul a0 3 lxor a1 lxor a2 lxor gf_mul a3 2
-  done
+(* The equivalent inverse cipher has the same shape, with the inverse
+   tables, [dk], and InvShiftRows taking row r from column c - r. *)
+let rec dec_rounds rk out r a b c d =
+  let k = 4 * r in
+  if r < 10 then
+    dec_rounds rk out (r + 1)
+      (mix td0 td1 td2 td3 rk k a d c b)
+      (mix td0 td1 td2 td3 rk (k + 1) b a d c)
+      (mix td0 td1 td2 td3 rk (k + 2) c b a d)
+      (mix td0 td1 td2 td3 rk (k + 3) d c b a)
+  else begin
+    put out 0 (sub inv_sbox rk k a d c b);
+    put out 1 (sub inv_sbox rk (k + 1) b a d c);
+    put out 2 (sub inv_sbox rk (k + 2) c b a d);
+    put out 3 (sub inv_sbox rk (k + 3) d c b a)
+  end
 
-let inv_mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c) and a1 = st.((4 * c) + 1) and a2 = st.((4 * c) + 2) and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- gf_mul a0 14 lxor gf_mul a1 11 lxor gf_mul a2 13 lxor gf_mul a3 9;
-    st.((4 * c) + 1) <- gf_mul a0 9 lxor gf_mul a1 14 lxor gf_mul a2 11 lxor gf_mul a3 13;
-    st.((4 * c) + 2) <- gf_mul a0 13 lxor gf_mul a1 9 lxor gf_mul a2 14 lxor gf_mul a3 11;
-    st.((4 * c) + 3) <- gf_mul a0 11 lxor gf_mul a1 13 lxor gf_mul a2 9 lxor gf_mul a3 14
-  done
+let one_block name rounds rk block =
+  if String.length block <> 16 then invalid_arg (name ^ ": block must be 16 bytes");
+  let out = Bytes.create 16 in
+  rounds rk out 1 (word block 0 lxor get rk 0) (word block 1 lxor get rk 1)
+    (word block 2 lxor get rk 2) (word block 3 lxor get rk 3);
+  out
 
-let state_of_string s = Array.init 16 (fun i -> Char.code s.[i])
-let string_of_state st = String.init 16 (fun i -> Char.chr st.(i))
+let encrypt_block key block =
+  Bytes.unsafe_to_string (one_block "Aes128.encrypt_block" enc_rounds key.ek block)
 
-let encrypt_block { rk } block =
-  if String.length block <> 16 then invalid_arg "Aes128.encrypt_block: block must be 16 bytes";
-  let st = state_of_string block in
-  add_round_key st rk 0;
-  for round = 1 to 9 do
-    sub_bytes st sbox;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st rk round
-  done;
-  sub_bytes st sbox;
-  shift_rows st;
-  add_round_key st rk 10;
-  string_of_state st
-
-let decrypt_block { rk } block =
-  if String.length block <> 16 then invalid_arg "Aes128.decrypt_block: block must be 16 bytes";
-  let st = state_of_string block in
-  add_round_key st rk 10;
-  for round = 9 downto 1 do
-    inv_shift_rows st;
-    sub_bytes st inv_sbox;
-    add_round_key st rk round;
-    inv_mix_columns st
-  done;
-  inv_shift_rows st;
-  sub_bytes st inv_sbox;
-  add_round_key st rk 0;
-  string_of_state st
+let decrypt_block key block =
+  Bytes.unsafe_to_string (one_block "Aes128.decrypt_block" dec_rounds key.dk block)
 
 let encrypt_string key s =
   if String.length s > 15 then invalid_arg "Aes128.encrypt_string: at most 15 bytes";
   let padded = s ^ "\x80" ^ String.make (15 - String.length s) '\000' in
   encrypt_block key padded
 
+(* The padding is found in the decrypted bytes, so the id is the one
+   copy made. *)
 let decrypt_string key block =
-  let padded = decrypt_block key block in
+  let padded = one_block "Aes128.decrypt_string" dec_rounds key.dk block in
   let rec find i =
     if i < 0 then invalid_arg "Aes128.decrypt_string: bad padding"
-    else if padded.[i] = '\x80' then i
-    else if padded.[i] = '\000' then find (i - 1)
-    else invalid_arg "Aes128.decrypt_string: bad padding"
+    else
+      match Bytes.get padded i with
+      | '\x80' -> i
+      | '\000' -> find (i - 1)
+      | _ -> invalid_arg "Aes128.decrypt_string: bad padding"
   in
-  String.sub padded 0 (find 15)
+  Bytes.sub_string padded 0 (find 15)
 
 let ctr_encrypt key ~nonce msg =
   if String.length nonce <> 16 then invalid_arg "Aes128.ctr_encrypt: nonce must be 16 bytes";

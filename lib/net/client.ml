@@ -90,7 +90,6 @@ let width t = (provisioned_exn t).p_width
 let payment t = (provisioned_exn t).p_payment
 let user_address t = (provisioned_exn t).p_addr
 let generation t = t.gen
-let requests_sent t = t.counter
 
 let close_sock t =
   match t.sock with

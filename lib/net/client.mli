@@ -104,9 +104,6 @@ val insert :
   t -> shipment:Owner.shipment -> trapdoor:Owner.trapdoor_state -> (int, error) result
 (** Owner-side: apply a forward-secure Insert shipment. *)
 
-val requests_sent : t -> int
-(** Distinct request ids issued (retries excluded). *)
-
 (** {1 Batched settlement}
 
     With the server in optimistic-settlement mode, a search's Found

@@ -47,16 +47,6 @@ let checksum hdr hdr_off body off len =
   Sha256.update_sub ctx body off len;
   Sha256.finalize_trunc ctx checksum_bytes
 
-(* Constant-time compare of a stored checksum with a computed one —
-   mirrors [Bytesutil.const_equal] without extracting the stored bytes
-   first. *)
-let checksum_matches buf off digest =
-  let acc = ref 0 in
-  for i = 0 to checksum_bytes - 1 do
-    acc := !acc lor (Char.code (Bytes.get buf (off + i)) lxor Char.code digest.[i])
-  done;
-  !acc = 0
-
 (* Header, checksum and payload in one buffer of the exact size; the
    checksum hashes the buffer's own header and payload bytes. *)
 let encode_bytes ~tag payload =
@@ -74,29 +64,49 @@ let encode_bytes ~tag payload =
 
 let encode ~tag payload = Bytes.unsafe_to_string (encode_bytes ~tag payload)
 
-let be32_bytes b off =
-  let g i = Char.code (Bytes.get b (off + i)) in
-  (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
+let magic_word = String.get_int32_be magic 0
 
-let decode ?(max_payload = default_max_payload) ?(off = 0) s =
-  let avail = String.length s - off in
-  if avail < header_bytes then Error Truncated
-  else if String.sub s off 4 <> magic then Error Bad_magic
+(* The one frame check, shared by [decode], [Decoder.next] and [read]:
+   each gets the header's bytes its own way and calls [header], then
+   gets the payload's and calls [verified]. [header] checks the header
+   at [off] in [hdr] (magic, version, the length bound) and returns its
+   tag and payload length. *)
+let header ~max_payload hdr off =
+  if not (Int32.equal (Bytes.get_int32_be hdr off) magic_word) then Error Bad_magic
   else begin
-    let ver = Char.code s.[off + 4] in
+    let ver = Bytes.get_uint8 hdr (off + 4) in
     if ver <> version then Error (Bad_version ver)
     else begin
-      let tag = Char.code s.[off + 5] in
-      (* Read only: the length and checksum are read from [s] in place. *)
-      let b = Bytes.unsafe_of_string s in
-      let len = be32_bytes b (off + 6) in
+      let len = Int32.to_int (Bytes.get_int32_be hdr (off + 6)) land 0xffffffff in
       if len > max_payload then Error (Oversized len)
-      else if avail < header_bytes + len then Error Truncated
-      else if not (checksum_matches b (off + 10) (checksum b off b (off + header_bytes) len))
-      then Error Bad_checksum
-      else Ok ({ tag; payload = String.sub s (off + header_bytes) len }, off + header_bytes + len)
+      else Ok (Bytes.get_uint8 hdr (off + 5), len)
     end
   end
+
+(* The checksum stored in the header at [off] in [hdr] against the
+   one computed over the [len]-byte payload at [body_off] in [body],
+   compared in constant time like [Bytesutil.const_equal] without
+   extracting the stored bytes first. *)
+let verified hdr off body body_off len =
+  let digest = checksum hdr off body body_off len in
+  let acc = ref 0 in
+  for i = 0 to checksum_bytes - 1 do
+    acc := !acc lor (Char.code (Bytes.get hdr (off + 10 + i)) lxor Char.code digest.[i])
+  done;
+  !acc = 0
+
+let decode ?(max_payload = default_max_payload) ?(off = 0) s =
+  (* Read only: the header and checksum are read from [s] in place. *)
+  let b = Bytes.unsafe_of_string s in
+  let avail = String.length s - off in
+  if avail < header_bytes then Error Truncated
+  else
+    match header ~max_payload b off with
+    | Error _ as e -> e
+    | Ok (tag, len) ->
+      if avail < header_bytes + len then Error Truncated
+      else if not (verified b off b (off + header_bytes) len) then Error Bad_checksum
+      else Ok ({ tag; payload = String.sub s (off + header_bytes) len }, off + header_bytes + len)
 
 (* --- incremental decoder ------------------------------------------------- *)
 
@@ -195,32 +205,17 @@ module Decoder = struct
     end
     else begin
       let b = t.buf and off = t.r in
-      if not
-           (Bytes.get b off = magic.[0]
-           && Bytes.get b (off + 1) = magic.[1]
-           && Bytes.get b (off + 2) = magic.[2]
-           && Bytes.get b (off + 3) = magic.[3])
-      then Error Bad_magic
-      else begin
-        let ver = Char.code (Bytes.get b (off + 4)) in
-        if ver <> version then Error (Bad_version ver)
+      match header ~max_payload:t.d_max_payload b off with
+      | Error _ as e -> e
+      | Ok (_, len) when avail < header_bytes + len -> Ok None
+      | Ok (tag, len) ->
+        if not (verified b off b (off + header_bytes) len) then Error Bad_checksum
         else begin
-          let tag = Char.code (Bytes.get b (off + 5)) in
-          let len = be32_bytes b (off + 6) in
-          if len > t.d_max_payload then Error (Oversized len)
-          else if avail < header_bytes + len then Ok None
-          else begin
-            if not (checksum_matches b (off + 10) (checksum b off b (off + header_bytes) len))
-            then Error Bad_checksum
-            else begin
-              t.r <- off + header_bytes + len;
-              t.frames <- t.frames + 1;
-              if t.r = t.w then reset_empty t;
-              Ok (Some { v_tag = tag; v_buf = b; v_off = off + header_bytes; v_len = len })
-            end
-          end
+          t.r <- off + header_bytes + len;
+          t.frames <- t.frames + 1;
+          if t.r = t.w then reset_empty t;
+          Ok (Some { v_tag = tag; v_buf = b; v_off = off + header_bytes; v_len = len })
         end
-      end
     end
 
   let payload_string t v =
@@ -282,32 +277,22 @@ let read_inner ?(max_payload = default_max_payload) ?timeout fd =
   (* Deadlines are monotonic-clock absolute: an NTP step must not fire
      (or indefinitely defer) an in-flight read timeout. *)
   let deadline = Option.map (fun t -> Obs.Clock.now () +. t) timeout in
-  let header = Bytes.create header_bytes in
-  match read_exact fd header 0 header_bytes deadline with
+  let hdr = Bytes.create header_bytes in
+  match read_exact fd hdr 0 header_bytes deadline with
   | Error e -> Error e
   | Ok () ->
-    if Bytes.sub_string header 0 4 <> magic then Error Bad_magic
-    else begin
-      let ver = Bytes.get_uint8 header 4 in
-      if ver <> version then Error (Bad_version ver)
-      else begin
-        let tag = Bytes.get_uint8 header 5 in
-        let len = be32_bytes header 6 in
-        if len > max_payload then Error (Oversized len)
-        else begin
-          let payload = Bytes.create len in
-          match read_exact fd payload 0 len deadline with
-          | Error Closed -> Error Truncated
-          | Error e -> Error e
-          | Ok () ->
-            if not (checksum_matches header 10 (checksum header 0 payload 0 len)) then
-              Error Bad_checksum
-            else
-              (* [payload] is fresh and never written again. *)
-              Ok { tag; payload = Bytes.unsafe_to_string payload }
-        end
-      end
-    end
+    (match header ~max_payload hdr 0 with
+     | Error e -> Error e
+     | Ok (tag, len) ->
+       let payload = Bytes.create len in
+       (match read_exact fd payload 0 len deadline with
+        | Error Closed -> Error Truncated
+        | Error e -> Error e
+        | Ok () ->
+          if not (verified hdr 0 payload 0 len) then Error Bad_checksum
+          else
+            (* [payload] is fresh and never written again. *)
+            Ok { tag; payload = Bytes.unsafe_to_string payload }))
 
 let read ?max_payload ?timeout fd =
   match read_inner ?max_payload ?timeout fd with

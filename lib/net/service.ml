@@ -578,8 +578,8 @@ let decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard bytes =
       |> Option.map List.rev
     in
     let acc_params =
-      { Rsa_acc.modulus = Bigint.of_bytes_be modulus;
-        generator = Bigint.of_bytes_be gen }
+      Rsa_acc.params_of_parts ~modulus:(Bigint.of_bytes_be modulus)
+        ~generator:(Bigint.of_bytes_be gen)
     in
     let tdp_public =
       Rsa_tdp.public_of_parts ~n:(Bigint.of_bytes_be pn) ~e:(Bigint.of_bytes_be e)
@@ -885,49 +885,23 @@ let handle t req =
 (* --- settlement timer ---------------------------------------------------
 
    The server's main loop calls [settle_tick] between poll rounds; the
-   bench calls [settle_flush] at measurement boundaries. Both journal
-   their effects — these are the wall-clock decisions a WAL replay
-   cannot re-derive (§8), unlike the size-triggered flush inside
-   [do_search]. *)
+   bench calls [settle_flush] at measurement boundaries, which is a tick
+   with the window treated as expired. Both journal their effects —
+   these are the wall-clock decisions a WAL replay cannot re-derive
+   (§8), unlike the size-triggered flush inside [do_search]. *)
 
-let settle_tick_locked t =
-  match Option.bind t.state (fun b -> Station.batcher b.b_station) with
-  | None -> (false, 0)
-  | Some sb ->
-    let flushed =
-      if Settle_batch.window_expired sb then (
-        match Settle_batch.flush sb with
-        | None -> false
-        | Some _ ->
-          journal t ~tag:tag_flush "";
-          true)
-      else false
-    in
-    let finalized = Settle_batch.finalize_due sb in
-    if finalized <> [] then journal t ~tag:tag_finalize "";
-    (flushed, List.length finalized)
-
-let settle_sync t ~dirty =
-  if dirty then match t.store with None -> () | Some store -> Store.sync store
-
-let settle_tick t =
+let settle_step t ~expired =
   Mutex.lock t.lock;
   let flushed, finalized =
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> settle_tick_locked t)
-  in
-  settle_sync t ~dirty:(flushed || finalized > 0);
-  (flushed, finalized)
-
-let settle_flush t =
-  Mutex.lock t.lock;
-  let dirty =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)
       (fun () ->
         match Option.bind t.state (fun b -> Station.batcher b.b_station) with
-        | None -> false
+        | None -> (false, 0)
         | Some sb ->
           let flushed =
+            expired sb
+            &&
             match Settle_batch.flush sb with
             | None -> false
             | Some _ ->
@@ -936,6 +910,10 @@ let settle_flush t =
           in
           let finalized = Settle_batch.finalize_due sb in
           if finalized <> [] then journal t ~tag:tag_finalize "";
-          flushed || finalized <> [])
+          (flushed, List.length finalized))
   in
-  settle_sync t ~dirty
+  if flushed || finalized > 0 then Option.iter Store.sync t.store;
+  (flushed, finalized)
+
+let settle_tick t = settle_step t ~expired:Settle_batch.window_expired
+let settle_flush t = ignore (settle_step t ~expired:(fun _ -> true))

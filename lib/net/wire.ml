@@ -304,6 +304,15 @@ let request_sized req =
 
 let encode_request req = Bytesutil.sized_to_string (request_sized req)
 
+(* A modulus no accumulator can use (even, or below 3) does not decode. *)
+let acc_params_of_bytes modulus generator =
+  match
+    Rsa_acc.params_of_parts ~modulus:(Bigint.of_bytes_be modulus)
+      ~generator:(Bigint.of_bytes_be generator)
+  with
+  | params -> Some params
+  | exception Invalid_argument _ -> None
+
 let decode_search ~trace client request_id batched tokens_blob =
   let* batched = bool_of_tag batched in
   let* tokens = Persist.tokens_of_bytes tokens_blob in
@@ -313,13 +322,12 @@ let decode_build ~trace client request_id width payment modulus generator tdp_n 
     user_k user_k_r shipment trapdoor_blob =
   let* width = nat_of_string width in
   let* payment = nat_of_string payment in
+  let* acc = acc_params_of_bytes modulus generator in
   let* shipment = shipment () in
   let* trapdoor = Persist.trapdoor_state_of_bytes trapdoor_blob in
   Some
     (Build
-       { client; request_id; width; payment;
-         acc = { Rsa_acc.modulus = Bigint.of_bytes_be modulus;
-                 generator = Bigint.of_bytes_be generator };
+       { client; request_id; width; payment; acc;
          tdp_n = Bigint.of_bytes_be tdp_n; tdp_e = Bigint.of_bytes_be tdp_e;
          user_k; user_k_r; shipment; trapdoor; trace })
 
@@ -480,11 +488,10 @@ let decode_welcome pieces =
       | pk -> Some pk
       | exception Invalid_argument _ -> None
     in
+    let* pv_acc = acc_params_of_bytes modulus generator in
     Some
       (Welcome
-         { pv_width; pv_payment; pv_generation;
-           pv_acc = { Rsa_acc.modulus = Bigint.of_bytes_be modulus;
-                      generator = Bigint.of_bytes_be generator };
+         { pv_width; pv_payment; pv_generation; pv_acc;
            pv_user_keys = { Keys.u_k; u_k_r; u_tdp_public };
            pv_trapdoor; pv_user_addr; pv_ac = Bigint.of_bytes_be ac;
            pv_shards; pv_instance })

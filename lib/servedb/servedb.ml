@@ -149,11 +149,6 @@ let verify_and_decrypt key ~root:committed ~width ~lo ~hi response =
   in
   decrypt [] encrypted
 
-let index_bytes server =
-  Array.fold_left
-    (fun n (t, ids) -> n + String.length t + List.fold_left (fun m r -> m + String.length r) 0 ids)
-    0 server.leaves
-
 let proof_bytes response =
   let leaf_bytes ev =
     String.length ev.ev_tag

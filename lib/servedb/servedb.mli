@@ -57,5 +57,4 @@ val verify_and_decrypt :
     adjacent-pair absence proof), then decrypts and returns the IDs.
     [None] on any inconsistency. *)
 
-val index_bytes : server -> int
 val proof_bytes : response -> int

@@ -175,12 +175,20 @@ let test_hmac_keyed_vectors () =
 
 (* --- AES-128 (FIPS 197 appendix + NIST SP 800-38A) ------------------ *)
 
+(* Appendix C.1's AES-128 example, and Appendix B's cipher example
+   traced round by round, in both directions. *)
 let test_aes_fips197 () =
-  let key = Aes128.expand (hex "000102030405060708090a0b0c0d0e0f") in
-  let ct = Aes128.encrypt_block key (hex "00112233445566778899aabbccddeeff") in
-  check_hex "fips197 C.1" "69c4e0d86a7b0430d8cdb78070b4c55a" ct;
-  check_hex "decrypt" "00112233445566778899aabbccddeeff" (Aes128.decrypt_block key ct)
+  List.iter
+    (fun (name, key, pt, ct) ->
+      let key = Aes128.expand (hex key) in
+      check_hex (name ^ " encrypt") ct (Aes128.encrypt_block key (hex pt));
+      check_hex (name ^ " decrypt") pt (Aes128.decrypt_block key (hex ct)))
+    [ ("C.1", "000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff",
+       "69c4e0d86a7b0430d8cdb78070b4c55a");
+      ("B", "2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734",
+       "3925841d02dc09fbdc118597196a0b32") ]
 
+(* F.1.1 encrypts the four blocks; F.1.2 decrypts them back. *)
 let test_aes_sp80038a_ecb () =
   let key = Aes128.expand (hex "2b7e151628aed2a6abf7158809cf4f3c") in
   let blocks =
@@ -190,7 +198,9 @@ let test_aes_sp80038a_ecb () =
       ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4") ]
   in
   List.iter
-    (fun (pt, expected) -> check_hex pt expected (Aes128.encrypt_block key (hex pt)))
+    (fun (pt, ct) ->
+      check_hex ("F.1.1 " ^ pt) ct (Aes128.encrypt_block key (hex pt));
+      check_hex ("F.1.2 " ^ ct) pt (Aes128.decrypt_block key (hex ct)))
     blocks
 
 let test_aes_sp80038a_ctr () =

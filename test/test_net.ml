@@ -268,6 +268,44 @@ let check_request_roundtrip (req : Wire.request) =
 
 let test_request_roundtrips () = List.iter check_request_roundtrip (Lazy.force sample_requests)
 
+(* A Build or a Welcome carrying a modulus no accumulator can use
+   (even, 1 or 0) does not decode, and the decoder raises nothing. *)
+let test_degenerate_modulus_refused () =
+  let with_piece i v s =
+    match Bytesutil.split s with
+    | Some pieces -> Bytesutil.concat (List.mapi (fun j p -> if j = i then v else p) pieces)
+    | None -> Alcotest.fail "the encoding did not split into pieces"
+  in
+  let build =
+    List.find (function Wire.Build _ -> true | _ -> false) (Lazy.force sample_requests)
+  in
+  let welcome =
+    Net.Service.handle (Lazy.force service)
+      (Wire.Hello { client = "modulus-probe"; proto = Wire.proto_version })
+  in
+  let build_modulus, welcome_modulus =
+    match (build, welcome) with
+    | Wire.Build b, Wire.Welcome w -> (b.acc.Rsa_acc.modulus, w.Wire.pv_acc.Rsa_acc.modulus)
+    | _ -> Alcotest.fail "expected a Build and a Welcome"
+  in
+  let build_bytes = Wire.encode_request build and welcome_bytes = Wire.encode_response welcome in
+  (* Piece 5 of a Build and piece 4 of a Welcome hold the modulus: put
+     back unchanged, both still decode. *)
+  let build_with m = Wire.decode_request (with_piece 5 (Bigint.to_bytes_be m) build_bytes) in
+  let welcome_with m = Wire.decode_response (with_piece 4 (Bigint.to_bytes_be m) welcome_bytes) in
+  Alcotest.(check bool) "the Build's own modulus decodes" true
+    (Option.is_some (build_with build_modulus));
+  Alcotest.(check bool) "the Welcome's own modulus decodes" true
+    (Option.is_some (welcome_with welcome_modulus));
+  List.iter
+    (fun (name, m) ->
+      Alcotest.(check bool) (name ^ ": Build refused") true (Option.is_none (build_with m));
+      Alcotest.(check bool) (name ^ ": Welcome refused") true (Option.is_none (welcome_with m));
+      Alcotest.check_raises (name ^ ": no params")
+        (Invalid_argument "Rsa_acc.params_of_parts: the modulus must be odd and at least 3")
+        (fun () -> ignore (Rsa_acc.params_of_parts ~modulus:m ~generator:Bigint.two)))
+    [ ("even", Bigint.succ build_modulus); ("one", Bigint.one); ("zero", Bigint.zero) ]
+
 (* A genuine search reply, produced by the service itself. *)
 let sample_found =
   lazy
@@ -314,10 +352,40 @@ let test_response_roundtrips () =
       Wire.Refused { code = Wire.Unknown_user; detail = "who" };
       Wire.Refused { code = Wire.Internal; detail = "boom" } ]
 
+(* Feeds [s] to a fresh [Frame.Decoder] one byte at a time, as a slow
+   socket would: [Ok n] when it parsed [n] frames and waits for more
+   bytes, or its first error. *)
+let trickle s =
+  let d = Net.Frame.Decoder.create () in
+  let rec drain n =
+    match Net.Frame.Decoder.next d with
+    | Ok (Some _) -> drain (n + 1)
+    | Ok None -> Ok n
+    | Error e -> Error e
+  in
+  let rec go i n =
+    if i = String.length s then Ok n
+    else begin
+      Net.Frame.Decoder.feed d (String.make 1 s.[i]);
+      match drain n with Ok n -> go (i + 1) n | Error e -> Error e
+    end
+  in
+  go 0 0
+
+(* [Frame.decode] and a trickled [Frame.Decoder] agree on a damaged
+   frame: neither parses it, and both report the same error, except that
+   where [decode] sees a truncated frame the decoder is still waiting. *)
+let rejected_alike s =
+  match (Net.Frame.decode s, trickle s) with
+  | Error Net.Frame.Truncated, Ok 0 -> true
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
 let codec_corruption_props =
   (* Every codec's encoding rides inside a frame; flipping any bit of
      that frame — or truncating it, or lying about its length — must
-     yield a decode error, never an exception and never a parse. *)
+     yield a decode error, never an exception and never a parse, from
+     [Frame.decode] and the event loop's incremental decoder alike. *)
   let framed =
     lazy
       (Wire.encode_response (Lazy.force sample_found)
@@ -328,19 +396,19 @@ let codec_corruption_props =
       QCheck2.Gen.(pair (int_range 0 6) nat)
       (fun (which, bit) ->
         let frame = List.nth (Lazy.force framed) which in
-        Result.is_error (Net.Frame.decode (flip_bit frame bit)));
+        rejected_alike (flip_bit frame bit));
     prop "framed messages: truncation rejected" ~count:150
       QCheck2.Gen.(pair (int_range 0 6) nat)
       (fun (which, cut) ->
         let frame = List.nth (Lazy.force framed) which in
-        Result.is_error (Net.Frame.decode (String.sub frame 0 (cut mod String.length frame))));
+        rejected_alike (String.sub frame 0 (cut mod String.length frame)));
     prop "framed messages: length lies rejected" ~count:150
       QCheck2.Gen.(pair (int_range 0 6) (int_range 6 9))
       (fun (which, len_byte) ->
         let frame = Bytes.of_string (List.nth (Lazy.force framed) which) in
         Bytes.set frame len_byte
           (Char.chr (Char.code (Bytes.get frame len_byte) lxor 0xff));
-        Result.is_error (Net.Frame.decode (Bytes.to_string frame)));
+        rejected_alike (Bytes.to_string frame));
     (* Below the frame (no checksum): decoders must never raise, on any
        input, and mutations of valid encodings must decode all-or-nothing. *)
     prop "bare codecs never raise" ~count:400
@@ -2233,6 +2301,8 @@ let () =
       ( "wire",
         [ Alcotest.test_case "request roundtrips" `Quick test_request_roundtrips;
           Alcotest.test_case "response roundtrips" `Quick test_response_roundtrips;
+          Alcotest.test_case "a degenerate modulus does not decode" `Quick
+            test_degenerate_modulus_refused;
           Alcotest.test_case "persist message codecs" `Quick test_persist_message_codecs ]
         @ codec_corruption_props );
       ( "backoff",
