@@ -218,7 +218,7 @@ let timed_search cloud tokens =
   let hits () = Obs.counter_value "slicer_cloud_claim_cache_hits_total" in
   let hits0 = hits () in
   let collect0 = span_seconds "cloud.collect" and search0 = span_seconds "cloud.search" in
-  let claims, _ = Cloud.search cloud tokens in
+  let claims = Cloud.search cloud tokens in
   let result_s = span_seconds "cloud.collect" -. collect0 in
   let vo_s = span_seconds "cloud.search" -. search0 -. result_s in
   if hits () > hits0 then None else Some (claims, result_s, vo_s)

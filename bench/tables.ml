@@ -13,9 +13,10 @@ let print_split split =
     (String.concat ", " (List.map (fun (label, gas) -> Printf.sprintf "%s %d" label gas) split))
 
 (* The verification row with its h-prime charges repriced at the walk,
-   [Gas.h_prime] per claim: what a dispute pays to re-derive the same
-   primes. The walk and the hinted check hash the same input, so the
-   difference per claim does not depend on its length. *)
+   [Gas.h_prime] per claim: what the paper's contract, which recomputes
+   each prime, pays to re-derive the same primes. The walk and the
+   hinted check hash the same input, so the difference per claim does
+   not depend on its length. *)
 let walk_priced ~claims gas =
   gas + (claims * (Gas.h_prime ~input_len:0 - Gas.h_prime_hinted ~input_len:0))
 
@@ -75,4 +76,5 @@ let table2 () =
     \ storage priced per 32-byte word; verification is one equality-search\n\
     \ settlement, as in the paper, its primes checked from the cloud's hints;\n\
     \ walk-priced is the same row with each claim's h-prime at the whole walk,\n\
-    \ what a dispute pays; each row's second line is its gas by label)\n"
+    \ as the paper's recomputing contract pays it; each row's second line is\n\
+    \ its gas by label)\n"

@@ -1,4 +1,5 @@
 let counter_bits = 16
+let bits = 256 + counter_bits
 
 (* H_prime is a pure function each party (owner, cloud, contract)
    evaluates on the same inputs; a process-wide memo table removes the
@@ -37,8 +38,8 @@ let cache_stats () =
 let window = 512
 
 (* The start of [s]'s candidate interval: the digest with the top bit
-   forced, so every representative has exactly 256 + counter_bits
-   significant bits, shifted over the counter field. *)
+   forced, so every representative has exactly [bits] significant bits,
+   shifted over the counter field. *)
 let base_of s =
   let digest = Sha256.digest (Bytesutil.concat [ "h-prime"; s ]) in
   let high = Bigint.of_bytes_be digest in
@@ -76,7 +77,7 @@ let prime_walk s =
     done
   in
   let rec walk j tests =
-    if j >= 1 lsl counter_bits then failwith "Prime_rep.to_prime: no prime in interval"
+    if j >= 1 lsl counter_bits then failwith "Prime_rep: no prime in the candidate interval"
     else begin
       if j mod window = 1 then sieve (j - 1);
       if Bytes.get struck (j mod window / 2) <> '\000' then walk (j + 2) tests

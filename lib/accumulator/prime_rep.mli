@@ -15,6 +15,12 @@
 val counter_bits : int
 (** Width of the low counter field (16). *)
 
+val bits : int
+(** Width of every representative, 256 + {!counter_bits} = 272: the
+    interval's base has its top bit forced and an offset stays below
+    [2^counter_bits], for {!to_prime} and {!of_offset} alike. The
+    contract prices VerifyMem's modexp from it. *)
+
 val to_prime : string -> Bigint.t
 (** [to_prime s] is the deterministic 272-bit prime representative of
     [s]. All honest parties (owner, cloud, contract) compute the same
@@ -47,7 +53,8 @@ val is_representative_of : Bigint.t -> string -> bool
 
 val offset : Bigint.t -> int
 (** The low {!counter_bits} of a prime: for [to_prime s], its offset
-    on [s]'s candidate walk. The cloud sends it as the claim's hint. *)
+    on [s]'s candidate walk. The cloud commits it as the claim's
+    [hint]. *)
 
 val of_offset : string -> int -> Bigint.t option
 (** [of_offset s j] is [Some p] when [j] is odd, [0 < j < 2^16] and

@@ -55,30 +55,42 @@ let observe_settlement (receipt : Vm.receipt) =
    | Ok _ | Error _ -> ());
   receipt
 
-type claim = { token_bytes : string; results : string list; witness : Bigint.t }
+type claim = { token_bytes : string; results : string list; witness : Bigint.t; hint : int }
 
 let encode_claim c =
   Bytesutil.concat [ c.token_bytes; Bytesutil.concat c.results; Bigint.to_bytes_be c.witness ]
 
-let encode_claims cs = Bytesutil.concat (List.map encode_claim cs)
+(* One piece per claim, then the claims' hints as one last piece: 2
+   big-endian bytes per claim, in claim order. *)
+let encode_claims cs =
+  let hints = Bytes.create (2 * List.length cs) in
+  List.iteri
+    (fun i c ->
+      if c.hint < 0 || c.hint > 0xffff then invalid_arg "Slicer_contract.encode_claims: hint out of range";
+      Bytes.set_uint16_be hints (2 * i) c.hint)
+    cs;
+  Bytesutil.concat (List.map encode_claim cs @ [ Bytes.unsafe_to_string hints ])
 
-let decode_claim s =
+let decode_claim s ~hint =
   match Bytesutil.split s with
   | Some [ token_bytes; results_blob; witness_bytes ] ->
     (match Bytesutil.split results_blob with
-     | Some results -> Some { token_bytes; results; witness = Bigint.of_bytes_be witness_bytes }
+     | Some results -> Some { token_bytes; results; witness = Bigint.of_bytes_be witness_bytes; hint }
      | None -> None)
   | Some _ | None -> None
 
 let decode_claims s =
-  match Bytesutil.split s with
-  | None -> None
-  | Some pieces ->
-    let rec go acc = function
+  match Option.map List.rev (Bytesutil.split s) with
+  | Some (hints :: rev_pieces) when String.length hints = 2 * List.length rev_pieces ->
+    let rec go i acc = function
       | [] -> Some (List.rev acc)
-      | p :: rest -> ( match decode_claim p with Some c -> go (c :: acc) rest | None -> None )
+      | p :: rest -> (
+        match decode_claim p ~hint:(String.get_uint16_be hints (2 * i)) with
+        | Some c -> go (i + 1) (c :: acc) rest
+        | None -> None)
     in
-    go [] pieces
+    go 0 [] (List.rev rev_pieces)
+  | Some _ | None -> None
 
 (* Pseudo-bytecode: hash-expanded filler standing in for the compiled
    Solidity artifact. 2800 bytes is a typical size for a verification
@@ -215,79 +227,60 @@ let ( let* ) = Result.bind
 let claim_input ~token_bytes results =
   Bytesutil.concat [ token_bytes; Mset_hash.to_bytes (Mset_hash.of_list results) ]
 
-(* --- prime hints ------------------------------------------------------- *)
+(* [claim_input]'s length, read off the claim's shape: the token and
+   the 32-byte multiset hash, each behind its 4-byte length. *)
+let claim_input_len c = 4 + String.length c.token_bytes + 4 + 32
 
-let encode_hints hints =
-  let b = Bytes.create (2 * List.length hints) in
-  List.iteri
-    (fun i j ->
-      if j < 0 || j > 0xffff then invalid_arg "Slicer_contract.encode_hints: offset out of range";
-      Bytes.set_uint16_be b (2 * i) j)
-    hints;
-  Bytes.unsafe_to_string b
-
-let decode_hints blob ~count =
-  if String.length blob <> 2 * count then None
-  else Some (List.init count (fun i -> String.get_uint16_be blob (2 * i)))
-
-(* Where a claim's prime comes from: the submitter's hint, one
-   Baillie–PSW test, or the whole walk. Only the cloud hints, and a
-   wrong hint only fails its own claim; a disputer's hint could name a
-   later prime and fail an honest leaf, so [dispute] and the user
-   walk. *)
-type prime_source = Walk | Hint of int
-
-let source_tag = function Walk -> "walk" | Hint j -> "hint:" ^ string_of_int j
-
-let claim_prime ~charge source preimage =
-  let input_len = String.length preimage in
-  match source with
-  | Walk ->
-    charge ~label:"h-prime" (Gas.h_prime ~input_len);
-    Some (Prime_rep.to_prime preimage)
-  | Hint j ->
-    charge ~label:"h-prime" (Gas.h_prime_hinted ~input_len);
-    Prime_rep.of_offset preimage j
+(* What Algorithm 5 found for one unit: a hint named no prime, or
+   VerifyMem rejected or accepted the primes. *)
+type outcome = No_prime | Rejected | Accepted
 
 (* Algorithm 5 over one unit, the claims that one witness covers: per
-   claim h <- H(er) and x <- H_prime(token ‖ h) from the claim's prime
-   source, then VerifyMem by one modexp per prime. Every step is charged
-   as the corresponding EVM precompile / opcode cost, in that order. A
-   hint that names no prime fails the claims before any modexp. *)
-let check_unit ~charge ~params ~ac claims ~witness =
+   claim h <- H(er) and x <- H_prime(token ‖ h) at the claim's hint,
+   then VerifyMem. A hint that names no prime fails the unit before
+   VerifyMem. *)
+let check_unit ~params ~ac claims ~witness =
   let xs =
-    List.map
-      (fun (c, source) ->
-        List.iter
-          (fun er -> charge ~label:"mset-hash" (Gas.hash (String.length er) + Gas.mulmod))
-          c.results;
-        claim_prime ~charge source (claim_input ~token_bytes:c.token_bytes c.results))
-      claims
+    List.map (fun c -> Prime_rep.of_offset (claim_input ~token_bytes:c.token_bytes c.results) c.hint) claims
   in
-  if List.exists Option.is_none xs then false
-  else begin
-    let xs = List.filter_map Fun.id xs in
+  if List.exists Option.is_none xs then No_prime
+  else if Rsa_acc.verify_mem_batch params ~ac ~xs:(List.filter_map Fun.id xs) ~witness then Accepted
+  else Rejected
+
+(* Every representative has [Prime_rep.bits] bits, and EIP-2565 reads
+   only the exponent's length: one price covers each VerifyMem modexp. *)
+let representative = Bigint.shift_left Bigint.one (Prime_rep.bits - 1)
+
+(* Algorithm 5's gas for one unit, from its claims' shapes and its
+   outcome, as the EVM prices each step and in the order it runs them:
+   per claim the multiset hash of its results, then its hinted prime's
+   test; then, if every hint named a prime, one modexp per prime. A
+   claim's results are one mset-hash charge (none when it has none):
+   under the meter's cap, a run of one label's charges burns, splits
+   and runs out of gas exactly as their sum does. *)
+let price ~charge ~params claims outcome =
+  List.iter
+    (fun c ->
+      let mset = List.fold_left (fun acc er -> acc + Gas.hash (String.length er) + Gas.mulmod) 0 c.results in
+      if mset > 0 then charge ~label:"mset-hash" mset;
+      charge ~label:"h-prime" (Gas.h_prime_hinted ~input_len:(claim_input_len c)))
+    claims;
+  if outcome <> No_prime then begin
     let mod_len = (Bigint.num_bits params.Rsa_acc.modulus + 7) / 8 in
-    List.iter (fun x -> charge ~label:"modexp" (Gas.modexp ~base_len:mod_len ~exp:x ~mod_len)) xs;
-    Rsa_acc.verify_mem_batch params ~ac ~xs ~witness
+    let modexp = Gas.modexp ~base_len:mod_len ~exp:representative ~mod_len in
+    List.iter (fun _ -> charge ~label:"modexp" modexp) claims
   end
 
 (* One memo in front of Algorithm 5, for the contract and the user
-   alike: a unit's verdict is a pure function of the modulus, Ac, the
-   unit's witness, and each claim's prime source, token, results and
-   witness, so a repeated unit is answered from the table. An entry
-   keeps the charge sequence with consecutive charges of one label
-   merged, and a hit replays it: the meter's total, its split by label
-   and the point where it runs out of gas are what a fresh node would
-   see, so receipts are identical either way. (One sum per label would
-   not be: a shared-witness unit alternates mset-hash and h-prime claim
-   by claim.) Every lookup records its charges, the user's no-op ones
-   included, so a dispute that hits an entry the user stored still
-   burns the right gas. The source is in the key because it decides
-   both: a walk and a hint charge different h-prime gas, and a wrong
-   hint fails a claim its walk would pass. *)
+   alike: a unit's outcome is a pure function of the modulus, Ac, the
+   unit's witness and its encoded claims (hints included), so a
+   repeated unit is answered from the table, and its gas, which
+   follows from the claims' shapes and the outcome, is charged by the
+   same [price] either way. An entry is stored once its unit is
+   charged, so a transaction that runs out of gas inside the unit
+   leaves the memo as it found it. *)
 let memo_limit = 65_536
-let memo : (string, bool * (string * int) list) Hashtbl.t = Hashtbl.create 256
+let memo : (string, outcome) Hashtbl.t = Hashtbl.create 256
 let memo_lock = Mutex.create ()
 
 let c_verify_hits =
@@ -301,48 +294,37 @@ let c_verify_misses =
 let unit_key ~params ~ac ~batch_witness claims =
   Sha256.digest
     (Bytesutil.concat
-       ("alg5" :: Bigint.to_bytes_be params.Rsa_acc.modulus :: Bigint.to_bytes_be ac
-        :: Option.fold ~none:"" ~some:Bigint.to_bytes_be batch_witness
-        :: List.map
-             (fun (c, source) ->
-               Bytesutil.concat
-                 [ source_tag source; c.token_bytes; Bigint.to_bytes_be c.witness;
-                   Bytesutil.concat c.results ])
-             claims))
+       [ "alg5"; Bigint.to_bytes_be params.Rsa_acc.modulus; Bigint.to_bytes_be ac;
+         Option.fold ~none:"" ~some:Bigint.to_bytes_be batch_witness; encode_claims claims ])
 
 let verify_unit ~charge ~params ~ac ~batch_witness claims ~witness =
   let key = unit_key ~params ~ac ~batch_witness claims in
   Mutex.lock memo_lock;
   let found = Hashtbl.find_opt memo key in
   Mutex.unlock memo_lock;
-  match found with
-  | Some (ok, charges) ->
-    Obs.Counter.incr c_verify_hits;
-    List.iter (fun (label, amount) -> charge ~label amount) charges;
-    ok
-  | None ->
-    Obs.Counter.incr c_verify_misses;
-    let charges = ref [] in
-    let record ~label amount =
-      (charges :=
-         match !charges with
-         | (l, sum) :: rest when String.equal l label -> (l, sum + amount) :: rest
-         | cs -> (label, amount) :: cs);
-      charge ~label amount
-    in
-    let ok = check_unit ~charge:record ~params ~ac claims ~witness in
+  let outcome =
+    match found with
+    | Some outcome ->
+      Obs.Counter.incr c_verify_hits;
+      outcome
+    | None ->
+      Obs.Counter.incr c_verify_misses;
+      check_unit ~params ~ac claims ~witness
+  in
+  price ~charge ~params claims outcome;
+  if Option.is_none found then begin
     Mutex.lock memo_lock;
-    if Hashtbl.length memo < memo_limit then Hashtbl.replace memo key (ok, List.rev !charges);
-    Mutex.unlock memo_lock;
-    ok
+    if Hashtbl.length memo < memo_limit then Hashtbl.replace memo key outcome;
+    Mutex.unlock memo_lock
+  end;
+  outcome = Accepted
 
 let verify ~charge params ~ac ~batch_witness claims =
   match batch_witness with
   | Some witness -> verify_unit ~charge ~params ~ac ~batch_witness claims ~witness
   | None ->
     List.for_all
-      (fun ((c, _) as claim) ->
-        verify_unit ~charge ~params ~ac ~batch_witness [ claim ] ~witness:c.witness)
+      (fun c -> verify_unit ~charge ~params ~ac ~batch_witness [ c ] ~witness:c.witness)
       claims
 
 (* Every hash the contract computes is charged by its input's length. *)
@@ -439,29 +421,20 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
       Ok [ "refunded" ]
     end
   in
-  (* The submitter's hints, one per claim in claim order: each claim
-     is verified against the prime its hint names. *)
-  let hinted claims hints_blob =
-    match decode_hints hints_blob ~count:(List.length claims) with
-    | Some hints -> Ok (List.map2 (fun c j -> (c, Hint j)) claims hints)
-    | None -> Error "malformed hints"
-  in
   let submit_result ctx args =
     match args with
-    | [ request_id; user; amount_s; ac_bytes; claims_blob; hints_blob ] ->
+    | [ request_id; user; amount_s; ac_bytes; claims_blob ] ->
       let* slot, amount, claims, ac = load_request ctx request_id ~user ~amount_s ~ac_bytes claims_blob in
-      let* claims = hinted claims hints_blob in
       let ok =
         verify ~charge:(Gasmeter.charge ctx.Vm.meter) params ~ac ~batch_witness:None claims
       in
       settle ctx request_id slot ~user ~amount ~ok
-    | _ -> Error "submitResult: expected [request_id; user; amount; ac; claims; hints]"
+    | _ -> Error "submitResult: expected [request_id; user; amount; ac; claims]"
   in
   let submit_result_batched ctx args =
     match args with
-    | [ request_id; user; amount_s; ac_bytes; claims_blob; witness_bytes; hints_blob ] ->
+    | [ request_id; user; amount_s; ac_bytes; claims_blob; witness_bytes ] ->
       let* slot, amount, claims, ac = load_request ctx request_id ~user ~amount_s ~ac_bytes claims_blob in
-      let* claims = hinted claims hints_blob in
       (* One witness covers every claim: lift it through each claim's
          prime representative and compare against Ac. *)
       let ok =
@@ -469,8 +442,7 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
           ~batch_witness:(Some (Bigint.of_bytes_be witness_bytes)) claims
       in
       settle ctx request_id slot ~user ~amount ~ok
-    | _ ->
-      Error "submitResultBatched: expected [request_id; user; amount; ac; claims; witness; hints]"
+    | _ -> Error "submitResultBatched: expected [request_id; user; amount; ac; claims; witness]"
   in
   (* --- optimistic batched settlement ----------------------------------- *)
   let int_at ctx key = Option.bind (Vm.sload ctx key) int_of_string_opt in
@@ -628,12 +600,10 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
       let* member_slots = slots [] members in
       let* () = check_ac ctx ~key:(bkey_ac batch_id) ~reason:"dispute: ac mismatch" ac_bytes in
       let ac = Bigint.of_bytes_be ac_bytes in
-      (* The walk, not a hint: a disputer who picked a later prime of
-         the interval would fail an honest leaf. *)
-      let ok =
-        verify ~charge:(Gasmeter.charge ctx.Vm.meter) params ~ac ~batch_witness:bw
-          (List.map (fun c -> (c, Walk)) claims)
-      in
+      (* Each claim's prime at the hint the leaf committed: the claims
+         hash to [rl_claim_hash], so a disputer replays the cloud's own
+         hints and cannot name a later prime to fail an honest leaf. *)
+      let ok = verify ~charge:(Gasmeter.charge ctx.Vm.meter) params ~ac ~batch_witness:bw claims in
       if ok then Error "dispute rejected: leaf verifies against Ac"
       else begin
         (* Proven-bad leaf: bounty the disputer with the cloud's whole
@@ -730,20 +700,18 @@ let request_search ledger ~user ~contract ~request_id ~tokens ~payment =
   in
   observe_txn ledger ~label:"requestSearch" (Ledger.submit_and_seal ledger txn)
 
-let submit_result ledger ~cloud ~contract ~request_id ~user ~amount ~ac ~hints claims =
+let submit_result ledger ~cloud ~contract ~request_id ~user ~amount ~ac claims =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "submitResult"
-      [ request_id; user; string_of_int amount; Bigint.to_bytes_be ac; encode_claims claims;
-        encode_hints hints ]
+      [ request_id; user; string_of_int amount; Bigint.to_bytes_be ac; encode_claims claims ]
   in
   observe_settlement (observe_txn ledger ~label:"submitResult" (Ledger.submit_and_seal ledger txn))
 
-let submit_result_batched ledger ~cloud ~contract ~request_id ~user ~amount ~ac ~hints claims
-    ~witness =
+let submit_result_batched ledger ~cloud ~contract ~request_id ~user ~amount ~ac claims ~witness =
   let txn =
     Vm.make_call (Ledger.state ledger) ~sender:cloud ~to_:contract "submitResultBatched"
       [ request_id; user; string_of_int amount; Bigint.to_bytes_be ac; encode_claims claims;
-        Bigint.to_bytes_be witness; encode_hints hints ]
+        Bigint.to_bytes_be witness ]
   in
   observe_settlement
     (observe_txn ledger ~label:"submitResultBatched" (Ledger.submit_and_seal ledger txn))

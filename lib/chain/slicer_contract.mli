@@ -8,11 +8,11 @@
       cheap "Data insertion" row of Table II);
     + [requestSearch] — a data user posts search tokens and locks the
       search fee in escrow;
-    + [submitResult] — the cloud posts results, witnesses and each
-      claim's prime hint; the contract recomputes each claim's multiset
-      hash, checks the one prime candidate its hint names, checks the
-      RSA witnesses against [Ac], and either pays the cloud or refunds
-      the user.
+    + [submitResult] — the cloud posts its claims: results, witnesses
+      and each claim's prime hint; the contract recomputes each claim's
+      multiset hash, checks the one prime candidate its hint names,
+      checks the RSA witnesses against [Ac], and either pays the cloud
+      or refunds the user.
 
     Every storage cell is at most one 32-byte word. The contract keeps
     commitments, not blobs: an escrow is one word (a 31-byte hash of
@@ -43,17 +43,27 @@ type claim = {
   token_bytes : string;   (** [t_j ‖ j ‖ G1 ‖ G2] — the search token *)
   results : string list;  (** encrypted matched records [er] *)
   witness : Bigint.t;     (** the verification object [vo] *)
+  hint : int;
+      (** the prime's offset on its walk ({!Prime_rep.offset} of the
+          prime the cloud made the witness for), in [0, 2^16) *)
 }
 
 val encode_claims : claim list -> string
+(** One piece per claim, then the claims' hints as one last piece, 2
+    big-endian bytes each in claim order. This blob is what the
+    settlement methods take, the reply carries and a receipt leaf
+    hashes, so the leaf commits every hint.
+    @raise Invalid_argument for a hint outside [0, 2^16). *)
+
 val decode_claims : string -> claim list option
+(** [None] also when the hints piece is not 2 bytes per claim. *)
 
 val claim_input : token_bytes:string -> string list -> string
 (** [claim_input ~token_bytes results] is [token ‖ H(results)], the
     token followed by the multiset hash of its results: the input whose
-    [H_prime] is the claim's prime representative. The cloud, the
-    user-side verifier and the contract all derive claim primes from
-    it. *)
+    [H_prime] is the claim's prime representative. The cloud walks
+    from it to the prime it hints; {!verify} checks the hinted
+    candidate of it. *)
 
 type receipt_leaf = {
   rl_client : string;         (** the registered client name *)
@@ -81,23 +91,23 @@ val receipt_leaf :
 
 (** {1 Algorithm 5} *)
 
-type prime_source =
-  | Walk        (** the whole [H_prime] walk, {!Gas.h_prime} *)
-  | Hint of int (** the submitter's offset on the walk, one test, {!Gas.h_prime_hinted} *)
-
 val verify :
   charge:(label:string -> int -> unit) -> Rsa_acc.params -> ac:Bigint.t ->
-  batch_witness:Bigint.t option -> (claim * prime_source) list -> bool
-(** Algorithm 5, the one implementation: per claim [h <- H(er)] and
-    [x <- H_prime(token ‖ h)] from its prime source, then VerifyMem, each
-    step passed to [charge] as the EVM prices it. The contract passes
-    its gas meter, the user a no-op. With [batch_witness = None] each
-    claim is a unit checked against its own [witness], in order,
-    stopping at the first that fails; with [Some w] one unit covers
-    every claim (their own witnesses are ignored). Units are memoized in
-    one process-wide table (DESIGN §5, "One Algorithm 5"); a hit replays
-    the unit's charges, so receipts match a cold run. Lookups count in
-    [slicer_acc_verify_cache_{hits,misses}_total]. *)
+  batch_witness:Bigint.t option -> claim list -> bool
+(** Algorithm 5, the one implementation, run by the contract (on
+    settlement and in [dispute], metered by [charge]) and by the user (a
+    no-op [charge]): per claim [h <- H(er)] and [x <- H_prime(token ‖ h)],
+    the one candidate its [hint] names ({!Prime_rep.of_offset}), then
+    VerifyMem. With [batch_witness = None] each claim is a unit checked
+    against its own [witness], in order, stopping at the first that
+    fails; with [Some w] one unit covers every claim (their own
+    witnesses are ignored). A unit's gas follows from its claims' shapes
+    and whether every hint named a prime (DESIGN §5, "One Algorithm 5"),
+    so a unit answered from the process-wide memo charges what a cold
+    run does. Lookups count in
+    [slicer_acc_verify_cache_{hits,misses}_total].
+    @raise Invalid_argument for a hint outside [0, 2^16), as
+    {!encode_claims} does; a decoded claim's hint is always inside. *)
 
 (** {1 Escrow commitments} *)
 
@@ -167,25 +177,21 @@ val request_search :
 
 val submit_result :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> request_id:string ->
-  user:Vm.address -> amount:int -> ac:Bigint.t -> hints:int list -> claim list -> Vm.receipt
+  user:Vm.address -> amount:int -> ac:Bigint.t -> claim list -> Vm.receipt
 (** Triggers on-chain verification and settlement. [user] and [amount]
     are the escrow's preimage (the token digest is recomputed from the
     claims) and [ac] the accumulation value whose hash is on chain; the
     call reverts with ["token set mismatch"] or ["ac mismatch"] when
-    they do not match. [hints] are the claims' prime offsets
-    ({!Prime_rep.offset} of the primes the cloud made the witnesses
-    for), one per claim, sent as 2 big-endian bytes each in claim
-    order: a hints blob of another length reverts with
-    ["malformed hints"], and a hint that names a composite or another
-    prime fails its claim. Each claim's prime costs
-    {!Gas.h_prime_hinted}. The receipt's output is [["paid"]] or
-    [["refunded"]].
+    they do not match, and with ["malformed claims"] when the claims
+    blob does not decode (a hints piece of the wrong length included).
+    A hint that names a composite or another prime fails its claim.
+    Each claim's prime costs {!Gas.h_prime_hinted}. The receipt's
+    output is [["paid"]] or [["refunded"]].
     @raise Invalid_argument for a hint outside [0, 2^16). *)
 
 val submit_result_batched :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> request_id:string ->
-  user:Vm.address -> amount:int -> ac:Bigint.t -> hints:int list -> claim list ->
-  witness:Bigint.t -> Vm.receipt
+  user:Vm.address -> amount:int -> ac:Bigint.t -> claim list -> witness:Bigint.t -> Vm.receipt
 (** Settlement with one batched membership witness covering every claim
     (the per-claim [witness] fields are ignored); saves [(k-1) * 64]
     bytes of verification objects for a [k]-token order search. *)
@@ -227,8 +233,9 @@ val dispute_leaf :
     user) and [ac] the accumulation value in force at commit. A bad
     leaf yields [["slashed"]]; a leaf that verifies reverts with
     ["dispute rejected…"] (the disputer pays the verification gas).
-    The dispute takes no hints: each claim's prime is found by the
-    whole walk, {!Gas.h_prime} per claim. *)
+    Each claim's prime is checked at the hint committed in
+    [claims_blob], which must hash to the leaf's [rl_claim_hash]:
+    {!Gas.h_prime_hinted} per claim, as on settlement. *)
 
 val finalize_batch :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> batch_id:string -> Vm.receipt

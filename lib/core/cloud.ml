@@ -22,10 +22,10 @@ type t = {
   windex : Witness_tree.t;
   (* Served-claim cache: an honest repeated token costs one lookup
      instead of an index walk + multiset hash + witness. Each claim
-     keeps its prime's hint, so a hit settles without rebuilding the
+     carries its prime's hint, so a hit settles without rebuilding the
      claim input. Reset whenever the index state or the behaviour mode
      changes. *)
-  claim_cache : (string, Slicer_contract.claim * int) Hashtbl.t;
+  claim_cache : (string, Slicer_contract.claim) Hashtbl.t;
   (* What this cloud has added to the two size gauges so far. *)
   index_bytes_shown : int Atomic.t;
   windex_bytes_shown : int Atomic.t;
@@ -176,10 +176,11 @@ let claim_primes t sts =
 
 let forged t w = if t.mode = Forge_witness then Bigint.succ w else w
 
-(* A claim and its prime's hint: the offset of the prime the witness
-   was made for, which the contract checks instead of walking. *)
+(* A claim, its hint the offset of the prime the witness was made for:
+   every verifier checks that one candidate instead of walking. *)
 let answer t (token_bytes, results, x) =
-  ({ Slicer_contract.token_bytes; results; witness = forged t (witness_for t x) }, Prime_rep.offset x)
+  { Slicer_contract.token_bytes; results; witness = forged t (witness_for t x);
+    hint = Prime_rep.offset x }
 
 (* The tokens the claim cache does not answer go through the claim step
    together; a misbehaving cloud answers every token afresh. *)
@@ -199,16 +200,16 @@ let search t sts =
     | (_, Some hit) :: rest, _ ->
       Obs.Counter.incr c_claim_hits;
       hit :: merge rest built
-    | (_, None) :: rest, ((c, _) as answered) :: more ->
+    | (_, None) :: rest, c :: more ->
       if t.mode = Honest then begin
         Obs.Counter.incr c_claim_misses;
         if Hashtbl.length t.claim_cache < claim_cache_limit then
-          Hashtbl.replace t.claim_cache c.Slicer_contract.token_bytes answered
+          Hashtbl.replace t.claim_cache c.Slicer_contract.token_bytes c
       end;
-      answered :: merge rest more
+      c :: merge rest more
     | (_, None) :: _, [] -> assert false
   in
-  List.split (merge looked (List.map (answer t) (claim_primes t fresh)))
+  merge looked (List.map (answer t) (claim_primes t fresh))
 
 let search_batched t sts =
   Obs.Counter.add c_tokens (List.length sts);
@@ -222,11 +223,10 @@ let search_batched t sts =
     with Invalid_argument _ -> Bigint.one
   in
   ( List.map
-      (fun (token_bytes, results, _) ->
+      (fun (token_bytes, results, x) ->
         (* Per-claim witnesses are replaced by the one batch object. *)
-        { Slicer_contract.token_bytes; results; witness = Bigint.one })
+        { Slicer_contract.token_bytes; results; witness = Bigint.one; hint = Prime_rep.offset x })
       claims,
-    List.map Prime_rep.offset xs,
     forged t witness )
 
 let witness_index_stats t = Witness_tree.stats t.windex

@@ -54,27 +54,26 @@ val primes : t -> Bigint.t list
 val current_ac : t -> Bigint.t
 (** The accumulation value the cloud currently answers under. *)
 
-val search : t -> Slicer_types.search_token list -> Slicer_contract.claim list * int list
+val search : t -> Slicer_types.search_token list -> Slicer_contract.claim list
 (** Algorithm 4, one claim per token, with any configured misbehaviour
-    applied, and each claim's prime hint in claim order: the
-    {!Prime_rep.offset} of the prime its witness was made for, as
-    [Slicer_contract.submit_result] takes them. An honest cloud answers
-    a repeated token, hint included, from its claim cache; the other
-    tokens go through the claim step together: Algorithm 4 and the claim
-    input, then one {!Prime_rep.to_primes} over all the inputs (the
-    fresh walks spread across the pool), then the witnesses. Each
-    claim's results are timed as the [cloud.collect] span inside the
-    whole search's [cloud.search] span, so the paper's Fig. 5 split
-    reads off the two histograms: result generation is [cloud.collect],
-    VO generation the rest. *)
+    applied. Each claim's [hint] is the {!Prime_rep.offset} of the
+    prime its witness was made for. An honest cloud answers a repeated
+    token from its claim cache; the other tokens go through the claim
+    step together: Algorithm 4 and the claim input, then one
+    {!Prime_rep.to_primes} over all the inputs (the fresh walks spread
+    across the pool), then the witnesses. Each claim's results are
+    timed as the [cloud.collect] span inside the whole search's
+    [cloud.search] span, so the paper's Fig. 5 split reads off the two
+    histograms: result generation is [cloud.collect], VO generation
+    the rest. *)
 
 val search_batched :
-  t -> Slicer_types.search_token list -> Slicer_contract.claim list * int list * Bigint.t
+  t -> Slicer_types.search_token list -> Slicer_contract.claim list * Bigint.t
 (** Like {!search}, but all claims share one batched membership witness
     ([Rsa_acc.batch_witness]): a single 64-byte object for a whole
     order search, instead of one per slice. Every token goes through
     the claim step; the claim cache is not consulted. The per-claim
-    [witness] fields are placeholders; the third component is the batch
+    [witness] fields are placeholders; the second component is the batch
     object for [Slicer_contract.submit_result_batched]. *)
 
 val precompute_witnesses : t -> unit

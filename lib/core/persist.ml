@@ -189,13 +189,6 @@ let tokens_of_bytes s =
   in
   go [] pieces
 
-(* --- claims (encrypted results + VO) ---------------------------------------- *)
-
-(* The chain-side codec is the canonical one: the cloud → user payload
-   is byte-identical to what [submitResult] carries. *)
-let claims_to_bytes = Slicer_contract.encode_claims
-let claims_of_bytes = Slicer_contract.decode_claims
-
 (* --- settlement receipts ----------------------------------------------------- *)
 
 let receipt_to_bytes (r : Vm.receipt) =

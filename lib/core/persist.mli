@@ -52,20 +52,17 @@ val trapdoor_state_of_bytes : string -> Owner.trapdoor_state option
 
     The artifacts the networked deployment ({!Station} behind
     [Net]) moves between mutually-distrustful endpoints: queries and
-    search-token sets (user → cloud), result claims — encrypted records
-    plus verification objects (cloud → user) — and settlement receipts
-    (chain → everyone). *)
+    search-token sets (user → cloud) and settlement receipts (chain →
+    everyone). Result claims — encrypted records, verification objects
+    and prime hints (cloud → user) — travel in the chain's own codec,
+    {!Slicer_contract.encode_claims}, byte-identical to what
+    [submitResult] carries. *)
 
 val query_to_bytes : Slicer_types.query -> string
 val query_of_bytes : string -> Slicer_types.query option
 
 val tokens_to_bytes : Slicer_types.search_token list -> string
 val tokens_of_bytes : string -> Slicer_types.search_token list option
-
-val claims_to_bytes : Slicer_contract.claim list -> string
-val claims_of_bytes : string -> Slicer_contract.claim list option
-(** Byte-identical to the chain-side [submitResult] payload
-    ({!Slicer_contract.encode_claims}). *)
 
 val receipt_to_bytes : Vm.receipt -> string
 val receipt_of_bytes : string -> Vm.receipt option

@@ -124,19 +124,6 @@ let search_with t query ~batched =
 let search t query = search_with t query ~batched:false
 let search_batched t query = search_with t query ~batched:true
 
-let search_between t ?(attr = "") ~lo ~hi () =
-  let above = search t (Slicer_types.query ~attr lo Slicer_types.Lt) in
-  let below = search t (Slicer_types.query ~attr hi Slicer_types.Gt) in
-  let in_below = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace in_below id ()) below.so_ids;
-  { so_ids = List.filter (Hashtbl.mem in_below) above.so_ids;
-    so_verified = above.so_verified && below.so_verified;
-    so_token_count = above.so_token_count + below.so_token_count;
-    so_result_bytes = above.so_result_bytes + below.so_result_bytes;
-    so_vo_bytes = above.so_vo_bytes + below.so_vo_bytes;
-    so_gas_used = above.so_gas_used + below.so_gas_used }
-
-
 let search_conj t queries =
   if queries = [] then invalid_arg "Protocol.search_conj: empty conjunction";
   let outcomes = List.map (search t) queries in
@@ -152,9 +139,12 @@ let search_conj t queries =
   in
   (match outcomes with o :: rest -> List.fold_left combine o rest | [] -> assert false)
 
+let search_between t ?(attr = "") ~lo ~hi () =
+  search_conj t Slicer_types.[ query ~attr lo Lt; query ~attr hi Gt ]
+
 let search_offchain t query =
   let tokens = User.gen_tokens ~rng:t.p_rng t.p_user query in
-  let claims, _ = Cloud.search (Station.cloud t.p_station) tokens in
+  let claims = Cloud.search (Station.cloud t.p_station) tokens in
   let ok =
     Verifier.verify_claims (Owner.acc_params t.p_owner) ~ac:(Owner.current_ac t.p_owner) claims
   in

@@ -56,7 +56,7 @@ val search_batched : t -> Slicer_types.query -> search_outcome
     token. *)
 
 val search_between : t -> ?attr:string -> lo:int -> hi:int -> unit -> search_outcome
-(** Interval query [lo < a < hi]: the composition of the two order
+(** Interval query [lo < a < hi]: {!search_conj} of the two order
     searches the paper's range semantics induce, with results
     intersected client-side. Verification must pass for both halves. *)
 

@@ -37,13 +37,18 @@ let simulate_search ~rng (leak : Leakage.search_leakage) =
   (* Pad or trim the per-token counts to the token list (honest runs
      have equal lengths; the simulator just follows the leakage). *)
   let counts = leak.Leakage.sl_result_counts in
+  (* A hint is public: the offset of the prime the claim's own token
+     and results walk to, as the cloud derives it. *)
   let claims =
     List.mapi
       (fun i st ->
         let count = match List.nth_opt counts i with Some c -> c | None -> 0 in
-        { Slicer_contract.token_bytes = Slicer_types.token_bytes st;
-          results = List.init count (fun _ -> Drbg.generate rng result_bytes);
-          witness = Bigint.succ (Drbg.bits rng 511) })
+        let token_bytes = Slicer_types.token_bytes st in
+        let results = List.init count (fun _ -> Drbg.generate rng result_bytes) in
+        { Slicer_contract.token_bytes; results; witness = Bigint.succ (Drbg.bits rng 511);
+          hint =
+            Prime_rep.offset
+              (Prime_rep.to_prime_uncached (Slicer_contract.claim_input ~token_bytes results)) })
       tokens
   in
   (tokens, claims)

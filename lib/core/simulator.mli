@@ -20,4 +20,5 @@ val simulate_build : rng:Drbg.t -> Leakage.build_leakage -> Owner.shipment
 val simulate_search :
   rng:Drbg.t -> Leakage.search_leakage -> Slicer_types.search_token list * Slicer_contract.claim list
 (** Fake tokens and claims realising the leaked token count,
-    generations and per-token result counts. *)
+    generations and per-token result counts. Each claim's hint is
+    derived from its own token and results, as the cloud derives it. *)

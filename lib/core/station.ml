@@ -76,29 +76,27 @@ let settle t ~client ~user ~request_id ~payment ~token_blobs ~batched =
       | Some blobs -> List.filter_map Slicer_types.token_of_bytes blobs
       | None -> []
     in
-    let claims, hints, batch_witness =
+    let claims, batch_witness =
       if batched then
-        let claims, hints, witness = Cloud.search_batched t.s_cloud tokens in
-        (claims, hints, Some witness)
-      else
-        let claims, hints = Cloud.search t.s_cloud tokens in
-        (claims, hints, None)
+        let claims, witness = Cloud.search_batched t.s_cloud tokens in
+        (claims, Some witness)
+      else (Cloud.search t.s_cloud tokens, None)
     in
     (match t.s_batcher with
      | None ->
        (* Eager settlement: verify and pay/refund in one transaction.
           The escrow's user and amount and the live Ac travel as
           calldata, checked against their on-chain commitments, and
-          the cloud's prime hints spare the contract the walks. *)
+          the claims' prime hints spare the contract the walks. *)
        let ac = Cloud.current_ac t.s_cloud in
        let sr =
          match batch_witness with
          | Some witness ->
            Slicer_contract.submit_result_batched t.s_ledger ~cloud:t.s_cloud_addr
-             ~contract:t.s_contract ~request_id ~user ~amount:payment ~ac ~hints claims ~witness
+             ~contract:t.s_contract ~request_id ~user ~amount:payment ~ac claims ~witness
          | None ->
            Slicer_contract.submit_result t.s_ledger ~cloud:t.s_cloud_addr
-             ~contract:t.s_contract ~request_id ~user ~amount:payment ~ac ~hints claims
+             ~contract:t.s_contract ~request_id ~user ~amount:payment ~ac claims
        in
        Ok { se_claims = claims; se_batch_witness = batch_witness; se_receipt = sr;
             se_outcome = Settled sr }

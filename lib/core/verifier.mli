@@ -1,14 +1,13 @@
 (** The user's side of Algorithm 5.
 
-    Each function is {!Slicer_contract.verify} with a no-op meter and
-    every claim prime found by the walk ({!Slicer_contract.Walk}): the
-    user runs exactly the check the contract runs, through the same
-    memo. An entry the user stores keeps its charges, so an on-chain
-    [dispute] of the same claims that hits it burns what a cold
-    dispute burns. *)
+    Each function is {!Slicer_contract.verify} with a no-op meter: the
+    user checks the prime each claim's hint names, exactly as the
+    contract does on settlement and in a [dispute], through the same
+    memo. *)
 
 val verify_claim : Rsa_acc.params -> ac:Bigint.t -> Slicer_contract.claim -> bool
-(** [h ← H(er); x ← H_prime(token ‖ h); VerifyMem(x, vo)]. *)
+(** [h ← H(er); x ← H_prime(token ‖ h)] at the claim's hint;
+    [VerifyMem(x, vo)]. *)
 
 val verify_claims : Rsa_acc.params -> ac:Bigint.t -> Slicer_contract.claim list -> bool
 (** Conjunction over all claims (empty list verifies). *)

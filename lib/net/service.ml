@@ -38,8 +38,6 @@ type t = {
      hostile client cannot grow it without limit. *)
   replies : (string, Wire.response) Hashtbl.t;
   reply_order : string Queue.t;
-  max_cached_replies : int;
-  faucet : int;
   mutable settled : int;
   (* Durable state ([attach_store]/[recover]): while attached, every
      effectful event is journaled under [lock] — so WAL order is
@@ -66,15 +64,18 @@ type t = {
   mutable warm_again : bool;
 }
 
-let create ?(max_cached_replies = 8192) ?(faucet = 100_000_000) ?settle ?(instance = "")
-    ?(shard = (0, 1)) () =
+(* The idempotency cache's bound, in replies, and the balance each
+   newly registered user (and the owner, and a short cloud) is
+   granted. *)
+let max_cached_replies = 8192
+let faucet = 100_000_000
+
+let create ?settle ?(instance = "") ?(shard = (0, 1)) () =
   { lock = Mutex.create ();
     state = None;
     users = Hashtbl.create 64;
     replies = Hashtbl.create 256;
     reply_order = Queue.create ();
-    max_cached_replies;
-    faucet;
     settled = 0;
     store = None;
     settle;
@@ -98,7 +99,7 @@ let maybe_enable_batching ?state t (b : built) =
       let vmst = Ledger.state (Station.ledger b.b_station) in
       let cloud_addr = Station.cloud_addr b.b_station in
       if Vm.balance vmst cloud_addr < cfg.Settle_batch.sb_deposit then
-        Vm.fund vmst cloud_addr (cfg.Settle_batch.sb_deposit + t.faucet);
+        Vm.fund vmst cloud_addr (cfg.Settle_batch.sb_deposit + faucet);
       match Station.enable_batching ?state b.b_station ~config:cfg with
       | Ok () ->
         Log.info (fun m ->
@@ -108,8 +109,8 @@ let maybe_enable_batching ?state t (b : built) =
       | Error e -> Log.err (fun m -> m "enabling batched settlement failed: %s" e)
     end
 
-let of_protocol ?max_cached_replies ?faucet ?settle ?instance ?shard p =
-  let t = create ?max_cached_replies ?faucet ?settle ?instance ?shard () in
+let of_protocol ?settle ?instance ?shard p =
+  let t = create ?settle ?instance ?shard () in
   let owner = Protocol.owner p in
   let b =
     { b_station = Protocol.station p;
@@ -143,7 +144,7 @@ let reply_key ~client ~request_id = Bytesutil.concat [ client; request_id ]
 
 let cache_reply t key reply =
   if not (Hashtbl.mem t.replies key) then begin
-    if Queue.length t.reply_order >= t.max_cached_replies then begin
+    if Queue.length t.reply_order >= max_cached_replies then begin
       let oldest = Queue.pop t.reply_order in
       Hashtbl.remove t.replies oldest
     end;
@@ -197,7 +198,7 @@ let user_address t b client =
   | Some addr -> addr
   | None ->
     let addr = Vm.address_of_name ("slicer-net:user:" ^ client) in
-    Vm.fund (Ledger.state (Station.ledger b.b_station)) addr t.faucet;
+    Vm.fund (Ledger.state (Station.ledger b.b_station)) addr faucet;
     Hashtbl.replace t.users client addr;
     journal t ~tag:tag_register client;
     Log.info (fun m -> m "registered user %S (%a)" client Vm.pp_address addr);
@@ -320,7 +321,7 @@ let do_build t req =
        let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
        let owner_addr = Vm.address_of_name "slicer-net:owner" in
        let cloud_addr = Vm.address_of_name "slicer-net:cloud" in
-       Vm.fund (Ledger.state ledger) owner_addr t.faucet;
+       Vm.fund (Ledger.state ledger) owner_addr faucet;
        let dispute_window =
          match t.settle with
          | Some cfg -> cfg.Settle_batch.sb_dispute_blocks
@@ -454,9 +455,10 @@ let ( let* ) = Option.bind
 
 (* One layout is decoded: older built snapshots (v1 without the
    witness and settle pieces, v2 without the settle piece, v3 with the
-   contract's multi-word cells and the v1 settle export) are refused as
-   a codec mismatch. *)
-let snap_magic_built = "slicer-service-built-v4"
+   contract's multi-word cells and the v1 settle export, v4 with cached
+   Found replies whose claims carry no hints) are refused as a codec
+   mismatch. *)
+let snap_magic_built = "slicer-service-built-v5"
 let snap_magic_empty = "slicer-service-empty-v1"
 
 (* The snapshot is the *materialized* behavioral state, not chain
@@ -543,11 +545,11 @@ let rec account_triples = function
     Some ((a, bal, n) :: tail)
   | _ -> None
 
-let decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard bytes =
+let decode_snapshot ?settle ?instance ?shard bytes =
   let* pieces = Bytesutil.split bytes in
   match pieces with
   | [ m ] when String.equal m snap_magic_empty ->
-    Some (create ?max_cached_replies ?faucet ?settle ?instance ?shard ())
+    Some (create ?settle ?instance ?shard ())
   | [ m; width; payment; generation; settled; modulus; gen; pn; e; u_k; u_k_r; owner_addr;
       contract; cloud_addr; validators; trapdoor; entries; primes; ac; accounts; storage;
       users; replies; windex_blob; settle_blob ]
@@ -597,7 +599,7 @@ let decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard bytes =
       accounts;
     Slicer_contract.restore ledger ~contract ~modulus:acc_params.Rsa_acc.modulus;
     Vm.restore_storage vmst contract storage;
-    let t = create ?max_cached_replies ?faucet ?settle ?instance ?shard () in
+    let t = create ?settle ?instance ?shard () in
     let b =
       { b_station = Station.create ~cloud ~ledger ~contract ~cloud_addr;
         b_acc = acc_params;
@@ -709,7 +711,7 @@ type recovery_stats = {
   rs_dropped_tail : bool;
 }
 
-let recover ?max_cached_replies ?faucet ?settle ?instance ?shard cfg =
+let recover ?settle ?instance ?shard cfg =
   Obs.span "store.recover" (fun () ->
       match Store.open_ cfg with
       | exception Store.Locked dir ->
@@ -723,9 +725,9 @@ let recover ?max_cached_replies ?faucet ?settle ?instance ?shard cfg =
         in
         let base =
           match rc.Store.rc_snapshot with
-          | None -> Some (create ?max_cached_replies ?faucet ?settle ?instance ?shard ())
+          | None -> Some (create ?settle ?instance ?shard ())
           | Some (_seq, payload) ->
-            decode_snapshot ?max_cached_replies ?faucet ?settle ?instance ?shard payload
+            decode_snapshot ?settle ?instance ?shard payload
         in
         match base with
         | None -> fail "snapshot failed to decode (codec mismatch)"

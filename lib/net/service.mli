@@ -17,20 +17,19 @@ val log_src : Logs.src
 type t
 
 val create :
-  ?max_cached_replies:int -> ?faucet:int -> ?settle:Settle_batch.config ->
-  ?instance:string -> ?shard:int * int -> unit -> t
+  ?settle:Settle_batch.config -> ?instance:string -> ?shard:int * int -> unit -> t
 (** An empty service awaiting a [Wire.Build] shipment from the data
-    owner. [faucet] is the balance granted to each newly registered
-    user (default 100,000,000 wei). [settle] switches settlement to
-    the optimistic batched mode as soon as a database exists (see
-    {!section-settlement}). [instance] (default [""]) names
-    this process in Welcome frames; [shard = (i, n)] (default [(0, 1)])
+    owner. Each newly registered user is granted 100,000,000 wei, and
+    the idempotency cache keeps the last 8,192 replies. [settle]
+    switches settlement to the optimistic batched mode as soon as a
+    database exists (see {!section-settlement}). [instance] (default
+    [""]) names this process in Welcome frames; [shard = (i, n)]
+    (default [(0, 1)])
     is the cluster slice this service owns — stamped into the contract
     at Build and echoed as [pv_shards] so clients know the topology. *)
 
 val of_protocol :
-  ?max_cached_replies:int -> ?faucet:int -> ?settle:Settle_batch.config ->
-  ?instance:string -> ?shard:int * int -> Protocol.t -> t
+  ?settle:Settle_batch.config -> ?instance:string -> ?shard:int * int -> Protocol.t -> t
 (** Serve an in-process system (e.g. one the server built from
     [--records N] at startup): the service drives the {e same} station,
     so wire searches and [Protocol.search] settle identically. *)
@@ -99,8 +98,7 @@ type recovery_stats = {
 }
 
 val recover :
-  ?max_cached_replies:int -> ?faucet:int -> ?settle:Settle_batch.config ->
-  ?instance:string -> ?shard:int * int -> Store.config ->
+  ?settle:Settle_batch.config -> ?instance:string -> ?shard:int * int -> Store.config ->
   (t * recovery_stats, string) result
 (** Open (or create) the durable state at [cfg.dir], rebuild the
     service from the newest valid snapshot plus the contiguous WAL
@@ -109,7 +107,7 @@ val recover :
     to both the cloud's and the on-chain [Ac], re-anchor on a fresh
     checkpoint and attach the store. [Error] — and no serving — when
     the snapshot does not decode (a layout other than
-    [slicer-service-built-v4] is a codec mismatch), when replay fails,
+    [slicer-service-built-v5] is a codec mismatch), when replay fails,
     when the state dir holds another shard's contract (the error names
     both identities), or when the accumulator check fails. An empty
     state dir holds no contract and passes. *)

@@ -5,10 +5,10 @@ let response_tag = 0x02
 
 (* The one protocol revision this build speaks, checked in Hello. Peers
    of any other revision are refused there with [Version_mismatch];
-   nothing is negotiated down. Revision 5 ships a Build/Insert
-   shipment as keyword groups only, so a revision-4 peer's payloads
-   would not decode. *)
-let proto_version = 5
+   nothing is negotiated down. Revision 6 carries each claim's prime
+   hint inside the claims blob, so a revision-5 peer's Found replies
+   and Dispute requests would not decode. *)
+let proto_version = 6
 
 type request =
   | Hello of { client : string; proto : int }
@@ -391,7 +391,7 @@ let decode_request s =
 let part_to_bytes p =
   let base =
     [ string_of_int p.shp_shard;
-      Persist.claims_to_bytes p.shp_claims;
+      Slicer_contract.encode_claims p.shp_claims;
       opt_bigint_to_bytes p.shp_batch_witness;
       Bigint.to_bytes_be p.shp_ac;
       Persist.receipt_to_bytes p.shp_receipt ]
@@ -404,7 +404,7 @@ let part_of_bytes s =
   let* pieces = Bytesutil.split s in
   let decode shard claims_blob witness_blob ac receipt_blob shp_settle =
     let* shp_shard = nat_of_string shard in
-    let* shp_claims = Persist.claims_of_bytes claims_blob in
+    let* shp_claims = Slicer_contract.decode_claims claims_blob in
     let* shp_batch_witness = opt_bigint_of_bytes witness_blob in
     let* shp_receipt = Persist.receipt_of_bytes receipt_blob in
     Some
@@ -447,7 +447,7 @@ let encode_response = function
   | Found r ->
     let base =
       [ "found"; r.sr_request_id; string_of_int r.sr_generation;
-        Persist.claims_to_bytes r.sr_claims;
+        Slicer_contract.encode_claims r.sr_claims;
         opt_bigint_to_bytes r.sr_batch_witness;
         Persist.receipt_to_bytes r.sr_receipt;
         Bigint.to_bytes_be r.sr_ac ]
@@ -501,7 +501,7 @@ let decode_found ?settle ~parts pieces =
   match pieces with
   | [ sr_request_id; generation; claims_blob; witness_blob; receipt_blob; ac ] ->
     let* sr_generation = nat_of_string generation in
-    let* sr_claims = Persist.claims_of_bytes claims_blob in
+    let* sr_claims = Slicer_contract.decode_claims claims_blob in
     let* sr_batch_witness = opt_bigint_of_bytes witness_blob in
     let* sr_receipt = Persist.receipt_of_bytes receipt_blob in
     Some

@@ -8,12 +8,12 @@ val request_tag : int
 val response_tag : int
 
 val proto_version : int
-(** The one protocol revision this build speaks (5). A Hello naming any
+(** The one protocol revision this build speaks (6). A Hello naming any
     other revision is refused with [Refused Version_mismatch], so a
-    peer built before revision 5 fails loudly at the handshake; its
-    Build/Insert payloads (a shipment with a flat entry list) would not
-    decode. Revision 5 ships a Build/Insert shipment as keyword groups
-    only ({!Persist.shipment_to_bytes}). *)
+    peer built before revision 6 fails loudly at the handshake; its
+    claims blobs (hints sent beside the claims) would not decode.
+    Revision 6 carries each claim's prime hint inside the claims blob
+    ({!Slicer_contract.encode_claims}). *)
 
 type request =
   | Hello of { client : string; proto : int }

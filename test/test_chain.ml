@@ -300,21 +300,17 @@ let deployed () =
   in
   (ledger, contract, dr, token, results, witness)
 
-(* Each claim's prime hint, as an honest cloud sends it: the offset of
-   its prime representative. *)
-let hints_of claims =
-  List.map
-    (fun (c : Slicer_contract.claim) ->
-      Prime_rep.offset
-        (prime_of (Slicer_contract.claim_input ~token_bytes:c.Slicer_contract.token_bytes c.results)))
-    claims
+(* A claim as an honest cloud builds it: its hint is the offset of its
+   own prime representative. *)
+let claim ~token results witness =
+  { Slicer_contract.token_bytes = token; results; witness;
+    hint = Prime_rep.offset (prime_of (Slicer_contract.claim_input ~token_bytes:token results)) }
 
 (* Settlement by bob, the cloud, of an escrow alice made: the escrow's
-   user and amount, the deployed Ac and the claims' prime hints go
-   along as calldata. *)
+   user and amount and the deployed Ac go along as calldata. *)
 let submit ?(ac = scenario_ac) ledger ~contract ~request_id ~amount claims =
   Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id ~user:alice ~amount ~ac
-    ~hints:(hints_of claims) claims
+    claims
 
 (* The preimage of an escrow alice made for [token]. *)
 let escrow_of ~payment ~token id =
@@ -351,7 +347,7 @@ let test_honest_cloud_gets_paid () =
   in
   Alcotest.(check (option (list string))) "tokens in request order" (Some several)
     (Slicer_contract.requested_tokens rr_several ~request_id:"req-1b");
-  let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let claims = [ claim ~token results witness ] in
   let sr = submit ledger ~contract ~request_id:"req-1" ~amount:5000 claims in
   (match sr.Vm.r_output with
    | Ok [ "paid" ] -> ()
@@ -377,7 +373,7 @@ let test_tampered_results_refunded () =
        ~tokens:[ token ] ~payment:7000);
   (* Cloud drops a record from the result set. *)
   let claims =
-    [ { Slicer_contract.token_bytes = token; results = List.tl results; witness } ]
+    [ claim ~token (List.tl results) witness ]
   in
   let sr = submit ledger ~contract ~request_id:"req-2" ~amount:7000 claims in
   (match sr.Vm.r_output with
@@ -393,7 +389,7 @@ let test_forged_witness_refunded () =
     (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"req-3"
        ~tokens:[ token ] ~payment:100);
   let forged = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus in
-  let claims = [ { Slicer_contract.token_bytes = token; results; witness = forged } ] in
+  let claims = [ claim ~token results forged ] in
   let sr = submit ledger ~contract ~request_id:"req-3" ~amount:100 claims in
   (match sr.Vm.r_output with
    | Ok [ "refunded" ] -> ()
@@ -404,7 +400,7 @@ let test_wrong_token_set_rejected () =
   ignore
     (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"req-4"
        ~tokens:[ token ] ~payment:100);
-  let claims = [ { Slicer_contract.token_bytes = token ^ "x"; results; witness } ] in
+  let claims = [ claim ~token:(token ^ "x") results witness ] in
   let sr = submit ledger ~contract ~request_id:"req-4" ~amount:100 claims in
   Alcotest.(check bool) "token mismatch is an error" true (Result.is_error sr.Vm.r_output);
   (* The escrow stays pending: the right cloud can still answer. *)
@@ -425,7 +421,7 @@ let test_intrinsic_over_limit_refused () =
   let before = balances () and nonce_before = Vm.nonce state bob in
   (* ~2 MB of results: 16 gas a byte is over the 30M limit. *)
   let claims =
-    [ { Slicer_contract.token_bytes = token; results = [ String.make 2_000_000 'r' ]; witness } ]
+    [ claim ~token [ String.make 2_000_000 'r' ] witness ]
   in
   let sr = submit ledger ~contract ~request_id:"big" ~amount:900 claims in
   Alcotest.(check bool) "refused" true (Result.is_error sr.Vm.r_output);
@@ -471,8 +467,10 @@ let test_update_ac_only_owner () =
 
 let test_claims_roundtrip () =
   let claims =
-    [ { Slicer_contract.token_bytes = "tok-a"; results = [ "r1"; "r2" ]; witness = Bigint.of_int 99 };
-      { Slicer_contract.token_bytes = "tok-b"; results = []; witness = Bigint.of_string "123456789012345678901234567890" } ]
+    [ { Slicer_contract.token_bytes = "tok-a"; results = [ "r1"; "r2" ]; witness = Bigint.of_int 99;
+        hint = 3 };
+      { Slicer_contract.token_bytes = "tok-b"; results = [];
+        witness = Bigint.of_string "123456789012345678901234567890"; hint = 0xffff } ]
   in
   match Slicer_contract.decode_claims (Slicer_contract.encode_claims claims) with
   | None -> Alcotest.fail "decode failed"
@@ -482,7 +480,8 @@ let test_claims_roundtrip () =
       (fun a b ->
         Alcotest.(check string) "token" a.Slicer_contract.token_bytes b.Slicer_contract.token_bytes;
         Alcotest.(check (list string)) "results" a.Slicer_contract.results b.Slicer_contract.results;
-        Alcotest.(check bool) "witness" true (Bigint.equal a.Slicer_contract.witness b.Slicer_contract.witness))
+        Alcotest.(check bool) "witness" true (Bigint.equal a.Slicer_contract.witness b.Slicer_contract.witness);
+        Alcotest.(check int) "hint" a.Slicer_contract.hint b.Slicer_contract.hint)
       claims decoded
 
 let test_batched_contract_path () =
@@ -492,10 +491,10 @@ let test_batched_contract_path () =
   ignore
     (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"b-1"
        ~tokens:[ token ] ~payment:400);
-  let claims = [ { Slicer_contract.token_bytes = token; results; witness = Bigint.one } ] in
+  let claims = [ claim ~token results Bigint.one ] in
   let sr =
     Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"b-1" ~user:alice
-      ~amount:400 ~ac:scenario_ac ~hints:(hints_of claims) claims ~witness
+      ~amount:400 ~ac:scenario_ac claims ~witness
   in
   (match sr.Vm.r_output with
    | Ok [ "paid" ] -> ()
@@ -508,7 +507,7 @@ let test_batched_contract_path () =
   let bad = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus in
   let sr2 =
     Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"b-2" ~user:alice
-      ~amount:400 ~ac:scenario_ac ~hints:(hints_of claims) claims ~witness:bad
+      ~amount:400 ~ac:scenario_ac claims ~witness:bad
   in
   (match sr2.Vm.r_output with
    | Ok [ "refunded" ] -> ()
@@ -577,7 +576,8 @@ let gen_claims =
     let* token_bytes = string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 1 40) in
     let* results = list_size (int_range 0 5) (string_size ~gen:(map Char.chr (int_range 0 255)) (return 16)) in
     let* w = int_range 1 1_000_000 in
-    return { Slicer_contract.token_bytes; results; witness = Bigint.of_int w }
+    let* hint = int_range 0 0xffff in
+    return { Slicer_contract.token_bytes; results; witness = Bigint.of_int w; hint }
   in
   QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 6) gen_claim
 
@@ -592,7 +592,8 @@ let claims_props =
                   (fun a b ->
                     String.equal a.Slicer_contract.token_bytes b.Slicer_contract.token_bytes
                     && a.Slicer_contract.results = b.Slicer_contract.results
-                    && Bigint.equal a.Slicer_contract.witness b.Slicer_contract.witness)
+                    && Bigint.equal a.Slicer_contract.witness b.Slicer_contract.witness
+                    && a.Slicer_contract.hint = b.Slicer_contract.hint)
                   claims back));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"gas model monotonic" ~count:100
@@ -608,7 +609,10 @@ let test_decode_claims_malformed () =
   Alcotest.(check bool) "garbage" true (Slicer_contract.decode_claims "\x00\x00\x00\x09abc" = None);
   Alcotest.(check bool) "truncated inner" true
     (Slicer_contract.decode_claims (Bytesutil.concat [ "not-a-claim" ]) = None);
-  Alcotest.(check bool) "empty is zero claims" true (Slicer_contract.decode_claims "" = Some [])
+  Alcotest.(check bool) "zero claims are one empty hints piece" true
+    (Slicer_contract.encode_claims [] = Bytesutil.concat [ "" ]
+     && Slicer_contract.decode_claims (Slicer_contract.encode_claims []) = Some []);
+  Alcotest.(check bool) "no hints piece" true (Slicer_contract.decode_claims "" = None)
 
 (* --- batched optimistic settlement -------------------------------------- *)
 
@@ -632,7 +636,7 @@ let committed_batch ?(deposit = 50_000) ?(payment = 400) ?(requests = [ "ba-1"; 
       | Ok _ -> ()
       | Error e -> Alcotest.failf "escrow %s failed: %s" id e)
     requests;
-  let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let claims = [ claim ~token results witness ] in
   let leaf_of id =
     Slicer_contract.encode_leaf
       { Slicer_contract.rl_client = "tester";
@@ -665,7 +669,7 @@ let check_member_paid ledger ~contract ~batch_id (e : Slicer_contract.escrow) ~t
     (Slicer_contract.request_status ledger ~contract ~request_id:id);
   Alcotest.(check (option string)) (id ^ "'s batch is final") (Some "final")
     (Slicer_contract.batch_status ledger ~contract ~batch_id);
-  let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let claims = [ claim ~token results witness ] in
   let reverts what (r : Vm.receipt) =
     Alcotest.(check bool) (Printf.sprintf "%s on %s reverts" what id) true
       (Result.is_error r.Vm.r_output)
@@ -715,7 +719,7 @@ let test_batch_commit_and_finalize () =
   Alcotest.(check (option string)) "final" (Some "final")
     (Slicer_contract.batch_status ledger ~contract ~batch_id:"batch-0");
   (match claims with
-   | [ { Slicer_contract.token_bytes = token; results; witness } ] ->
+   | [ { Slicer_contract.token_bytes = token; results; witness; hint = _ } ] ->
      check_member_paid ledger ~contract ~batch_id:"batch-0" (List.nth members 1) ~token ~results
        ~witness
    | _ -> Alcotest.fail "one claim expected");
@@ -808,10 +812,9 @@ let test_batch_dispute_bad_leaf_slashes () =
   (* An honest leaf for bd-1, a tampered one for bd-2: right token set
      (so the escrow binding holds) but a forged witness — exactly what a
      cloud that skipped the work would commit. *)
-  let good = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let good = [ claim ~token results witness ] in
   let bad =
-    [ { Slicer_contract.token_bytes = token; results;
-        witness = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus } ]
+    [ claim ~token results (Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus) ]
   in
   let leaf_of id claims =
     Slicer_contract.encode_leaf
@@ -892,10 +895,9 @@ let test_every_cell_one_word () =
     | Error e -> Alcotest.failf "%s: %s" what e
   in
   ok "updateAc" (Slicer_contract.update_ac ledger ~owner:alice ~contract scenario_ac);
-  let good = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let good = [ claim ~token results witness ] in
   let bad =
-    [ { Slicer_contract.token_bytes = token; results;
-        witness = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus } ]
+    [ claim ~token results (Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus) ]
   in
   List.iter
     (fun id ->
@@ -990,10 +992,9 @@ let forged_call_reverts (call, f) =
     | Ok _ -> ()
     | Error e -> Alcotest.failf "%s: %s" what e
   in
-  let good = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let good = [ claim ~token results witness ] in
   let bad =
-    [ { Slicer_contract.token_bytes = token; results;
-        witness = Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus } ]
+    [ claim ~token results (Bigint.mod_mul witness Bigint.two acc_params.Rsa_acc.modulus) ]
   in
   let ids = [ "fz-1"; "fz-2" ] in
   List.iter
@@ -1034,11 +1035,11 @@ let forged_call_reverts (call, f) =
     | Submit ->
       Slicer_contract.submit_result ledger ~cloud:bob ~contract ~request_id:"fz-1"
         ~user:e.Slicer_contract.es_user ~amount:e.Slicer_contract.es_amount ~ac:(forge_ac f)
-        ~hints:(hints_of good) (claims_for f good)
+        (claims_for f good)
     | Submit_batched ->
       Slicer_contract.submit_result_batched ledger ~cloud:bob ~contract ~request_id:"fz-1"
         ~user:e.Slicer_contract.es_user ~amount:e.Slicer_contract.es_amount ~ac:(forge_ac f)
-        ~hints:(hints_of good) (claims_for f good) ~witness
+        (claims_for f good) ~witness
     | Commit -> commit (forge_members f members)
     | Finalize ->
       (* finalize takes the batch id alone: a forger can only name
@@ -1124,8 +1125,8 @@ let forgery_props =
 (* --- prime hints ------------------------------------------------------------ *)
 
 (* A Protocol-built system: the owner's index and Ac, the cloud's
-   claims, witnesses and hints, and the deployed contract. The cloud's
-   address is funded so it can post a deposit. *)
+   claims with their hints and witnesses, and the deployed contract.
+   The cloud's address is funded so it can post deposits. *)
 let hint_system seed =
   let rng = Drbg.create ~seed:(seed ^ "-db") in
   let s = Protocol.setup ~width:8 ~seed (Gen.uniform_records ~rng ~width:8 40) in
@@ -1148,10 +1149,69 @@ let escrow_tokens s tokens =
    | Error e -> Alcotest.failf "escrow %s: %s" id e);
   id
 
-let settle_hinted s ~id ~hints claims =
-  Slicer_contract.submit_result (Protocol.ledger s) ~cloud:(Protocol.cloud_address s)
-    ~contract:(Protocol.contract_address s) ~request_id:id ~user:(Protocol.user_address s)
-    ~amount:(Protocol.payment s) ~ac:(Cloud.current_ac (Protocol.cloud s)) ~hints claims
+(* [submitResult] by the system's cloud, with [blob] as the claims. *)
+let settle_blob s ~id blob =
+  let ledger = Protocol.ledger s in
+  Ledger.submit_and_seal ledger
+    (Vm.make_call (Ledger.state ledger) ~sender:(Protocol.cloud_address s)
+       ~to_:(Protocol.contract_address s) "submitResult"
+       [ id; Protocol.user_address s; string_of_int (Protocol.payment s);
+         Bigint.to_bytes_be (Cloud.current_ac (Protocol.cloud s)); blob ])
+
+let settle_claims s ~id claims = settle_blob s ~id (Slicer_contract.encode_claims claims)
+
+(* [claims]' blob with its last piece, the hints, replaced by [f] of it. *)
+let with_hints_piece claims f =
+  match Option.map List.rev (Bytesutil.split (Slicer_contract.encode_claims claims)) with
+  | Some (hints :: rev_claims) -> Bytesutil.concat (List.rev_append rev_claims [ f hints ])
+  | Some [] | None -> assert false
+
+(* Posts a deposit and commits one leaf over [claims], escrowed for
+   [tokens] under [id], in a batch of its own; returns the dispute call
+   on that leaf, as [Slicer_contract.dispute_leaf] encodes it, for the
+   evidence [claims_blob] and the batch's [ac]. *)
+let committed_leaf s ~id tokens claims ~batch_witness =
+  let ledger = Protocol.ledger s and contract = Protocol.contract_address s in
+  let cloud = Protocol.cloud_address s in
+  ignore (Slicer_contract.post_deposit ledger ~cloud ~contract ~amount:1_000);
+  let leaf =
+    Slicer_contract.encode_leaf
+      (Slicer_contract.receipt_leaf ~client:"hints" ~request:id ~claims ~batch_witness)
+  in
+  let tree = Merkle.build [ leaf ] in
+  let members =
+    [ { Slicer_contract.es_request = id; es_user = Protocol.user_address s;
+        es_amount = Protocol.payment s;
+        es_digest = Slicer_contract.tokens_digest (List.map Slicer_types.token_bytes tokens) } ]
+  in
+  let batch_id = "batch-" ^ id in
+  (match
+     (Slicer_contract.commit_batch ledger ~cloud ~contract ~batch_id ~root:(Merkle.root tree)
+        ~members)
+       .Vm.r_output
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "commit: %s" e);
+  fun ~claims_blob ~ac ->
+    Vm.make_call (Ledger.state ledger) ~sender:(Protocol.user_address s) ~to_:contract "dispute"
+      [ batch_id; "0"; leaf; Merkle.proof_to_bytes (Merkle.prove tree 0); claims_blob;
+        (match batch_witness with None -> "" | Some w -> Bigint.to_bytes_be w);
+        Slicer_contract.encode_escrows members; Bigint.to_bytes_be ac ]
+
+(* [dispute] in a sealed block, with [claims_blob] as the evidence and
+   the cloud's Ac. *)
+let dispute_sealed s dispute ~claims_blob =
+  Ledger.submit_and_seal (Protocol.ledger s)
+    (dispute ~claims_blob ~ac:(Cloud.current_ac (Protocol.cloud s)))
+
+(* Each claim's hinted prime at [Gas.h_prime_hinted] of its input. *)
+let alg5_hprime claims =
+  List.fold_left
+    (fun acc (c : Slicer_contract.claim) ->
+      acc
+      + Gas.h_prime_hinted
+          ~input_len:(String.length (Slicer_contract.claim_input ~token_bytes:c.token_bytes c.results)))
+    0 claims
 
 (* The offset of the first prime after [x] on its walk, if the walk's
    interval holds one. *)
@@ -1173,64 +1233,123 @@ let prime_past_interval x =
 
 let hints_system = lazy (hint_system "prime-hints")
 
-(* One query's claims, settled by [submitResult] with the cloud's hints
-   and with one claim's hint replaced: the canonical offset pays; a
-   composite (canonical - 2), the next prime's offset, an even offset
-   and 0 each refund the user and leave the cloud unpaid; a hints blob
-   of the wrong length reverts with every slot and balance unchanged.
-   And [Prime_rep.of_offset] passes the later prime (the witness is
-   what refuses it) but refuses a prime past the interval. *)
+(* One query's claims, settled by [submitResult] as the cloud hinted
+   them and with one claim's hint replaced: the canonical offset pays;
+   a composite (canonical - 2), the next prime's offset, an even offset
+   and 0 each refund the user and leave the cloud unpaid; a claims blob
+   whose hints piece is short or long reverts with every slot and
+   balance unchanged. The user's [Verifier] accepts the canonical hint
+   and refuses canonical - 2, an even offset and 0. The hints are
+   committed: a dispute whose claims blob edits one reverts without
+   touching a slot, balance or the deposit, and a batched leaf committed
+   with canonical - 2 is slashed, at one hinted test per claim and no
+   modexp. And [Prime_rep.of_offset] passes the later prime (the
+   witness is what refuses it) but refuses a prime past the interval. *)
 let hint_case (value, cond, pick) =
   let s = Lazy.force hints_system in
   let state = Ledger.state (Protocol.ledger s) in
   let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) (Slicer_types.query value cond) in
   QCheck2.assume (tokens <> []);
-  let claims, hints = Cloud.search (Protocol.cloud s) tokens in
+  let claims = Cloud.search (Protocol.cloud s) tokens in
   let i = pick mod List.length claims in
-  let c = List.nth claims i and j = List.nth hints i in
+  let c = List.nth claims i in
+  let j = c.Slicer_contract.hint in
   let input = Slicer_contract.claim_input ~token_bytes:c.Slicer_contract.token_bytes c.results in
   let x = Prime_rep.to_prime input in
   let user = Protocol.user_address s and cloud = Protocol.cloud_address s in
   let payment = Protocol.payment s in
-  let settle hints =
+  let with_hint j' claims =
+    List.mapi (fun k (c : Slicer_contract.claim) -> if k = i then { c with hint = j' } else c) claims
+  in
+  let settle claims =
     let id = escrow_tokens s tokens in
     let before = (Vm.balance state user, Vm.balance state cloud) in
-    let r = settle_hinted s ~id ~hints claims in
+    let r = settle_claims s ~id claims in
     (r.Vm.r_output, before, (Vm.balance state user, Vm.balance state cloud))
   in
-  let pays hints =
-    match settle hints with
+  let pays claims =
+    match settle claims with
     | Ok [ "paid" ], (u, c), (u', c') -> u' = u && c' = c + payment
     | _ -> false
   in
-  let refunds hints =
-    match settle hints with
+  let refunds claims =
+    match settle claims with
     | Ok [ "refunded" ], (u, c), (u', c') -> u' = u + payment && c' = c
     | _ -> false
   in
-  let with_hint j' = List.mapi (fun k h -> if k = i then j' else h) hints in
-  let wrong =
-    (if j >= 3 then [ j - 2 ] else [])
-    @ Option.to_list (next_prime_offset x)
-    @ [ j - 1; 0 ]
-  in
-  let malformed hints =
-    let id = escrow_tokens s tokens in
+  let composite = if j >= 3 then [ j - 2 ] else [] in
+  let wrong = composite @ Option.to_list (next_prime_offset x) @ [ j - 1; 0 ] in
+  (* [txn ()] reverts with [reason], every slot and balance untouched. *)
+  let reverts reason txn =
     let cells () = Vm.storage_entries state (Protocol.contract_address s) in
     let balances () = List.map (fun (a, b, _) -> (a, b)) (Vm.accounts state) in
     let cells0 = cells () and balances0 = balances () in
-    let r = settle_hinted s ~id ~hints claims in
-    r.Vm.r_output = Error "malformed hints" && cells () = cells0 && balances () = balances0
+    let r = txn () in
+    r.Vm.r_output = Error reason && cells () = cells0 && balances () = balances0
   in
-  Prime_rep.offset x = j
-  && pays hints
-  && List.for_all (fun j' -> refunds (with_hint j')) wrong
-  && malformed (hints @ [ j ])
-  && malformed (List.tl hints)
+  let malformed f =
+    let id = escrow_tokens s tokens in
+    reverts "malformed claims" (fun () -> settle_blob s ~id (with_hints_piece claims f))
+  in
+  let verifies claims =
+    Verifier.verify_claims (Owner.acc_params (Protocol.owner s))
+      ~ac:(Cloud.current_ac (Protocol.cloud s)) claims
+  in
+  let deposit () =
+    Slicer_contract.stored_deposit (Protocol.ledger s) ~contract:(Protocol.contract_address s)
+      ~who:cloud
+  in
+  let edited_hint_refused () =
+    let dispute = committed_leaf s ~id:(escrow_tokens s tokens) tokens claims ~batch_witness:None in
+    let d0 = deposit () in
+    reverts "dispute: claims do not match committed hash" (fun () ->
+        dispute_sealed s dispute
+          ~claims_blob:(Slicer_contract.encode_claims (with_hint (j lxor 2) claims)))
+    && deposit () = d0
+  in
+  let committed_composite_slashed () =
+    let batched, witness = Cloud.search_batched (Protocol.cloud s) tokens in
+    let bad = with_hint (j - 2) batched in
+    let dispute =
+      committed_leaf s ~id:(escrow_tokens s tokens) tokens bad ~batch_witness:(Some witness)
+    in
+    let r = dispute_sealed s dispute ~claims_blob:(Slicer_contract.encode_claims bad) in
+    let split = Vm.last_breakdown state in
+    r.Vm.r_output = Ok [ "slashed" ]
+    && List.assoc_opt "h-prime" split = Some (alg5_hprime bad)
+    && List.assoc_opt "modexp" split = None
+  in
+  j = Prime_rep.offset x
+  && pays claims
+  && List.for_all (fun j' -> refunds (with_hint j' claims)) wrong
+  && malformed (fun h -> h ^ String.sub h 0 2)
+  && malformed (fun h -> String.sub h 2 (String.length h - 2))
+  && verifies claims
+  && List.for_all (fun j' -> not (verifies (with_hint j' claims))) (composite @ [ j - 1; 0 ])
+  && edited_hint_refused ()
+  && (composite = [] || committed_composite_slashed ())
   && (match next_prime_offset x with
       | Some j' -> Prime_rep.of_offset input j' = Some (Bigint.add_int x (j' - j))
       | None -> true)
   && Prime_rep.of_offset input (prime_past_interval x) = None
+
+(* Every representative has [Prime_rep.bits] = 272 bits: the walk's,
+   and each prime [of_offset] names near it and at the top of the
+   interval. *)
+let bits_case input =
+  let x = Prime_rep.to_prime input in
+  let top = (1 lsl Prime_rep.counter_bits) - 1 in
+  let offsets =
+    List.init 32 (fun k -> Prime_rep.offset x + (2 * k)) @ List.init 32 (fun k -> top - (2 * k))
+  in
+  Prime_rep.bits = 272
+  && Bigint.num_bits x = Prime_rep.bits
+  && List.for_all
+       (fun j ->
+         match Prime_rep.of_offset input j with
+         | Some p -> Bigint.num_bits p = Prime_rep.bits
+         | None -> true)
+       offsets
 
 let hint_props =
   [ QCheck_alcotest.to_alcotest
@@ -1240,81 +1359,57 @@ let hint_props =
              (Format.asprintf "%a" Slicer_types.pp_condition c) k)
          QCheck2.Gen.(
            triple (int_range 0 255) (oneofl Slicer_types.[ Lt; Eq; Gt ]) (int_range 0 1000))
-         hint_case) ]
+         hint_case);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"every representative has 272 bits" ~count:25
+         ~print:Bytesutil.to_hex
+         QCheck2.Gen.(string_size ~gen:char (int_range 0 64))
+         bits_case) ]
 
-(* One claim set settled both ways in one process, each first with the
-   verify memo cold and then warm: [submitResult] charges each claim
-   [Gas.h_prime_hinted] and [dispute] each claim [Gas.h_prime], and a
-   warm memo replays exactly what the cold run charged. *)
+(* One claim set settled by [submitResult] and another's leaf disputed,
+   each first with the verify memo cold and then warm: both paths charge
+   each claim [Gas.h_prime_hinted], and a warm memo charges exactly what
+   the cold run charged. The dispute's claims answer another query, so
+   its cold run finds none of the settlement's entries. *)
 let test_hprime_gas_by_path () =
   let s = hint_system "hint-gas" in
-  let ledger = Protocol.ledger s and contract = Protocol.contract_address s in
-  let state = Ledger.state ledger in
-  let tokens =
-    User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) (Slicer_types.query 128 Slicer_types.Lt)
-  in
-  let claims, hints = Cloud.search (Protocol.cloud s) tokens in
-  let n = List.length claims in
-  Alcotest.(check bool) "several claims" true (n > 1);
-  let priced gas =
-    List.fold_left
-      (fun acc (c : Slicer_contract.claim) ->
-        acc
-        + gas ~input_len:(String.length (Slicer_contract.claim_input ~token_bytes:c.token_bytes c.results)))
-      0 claims
+  let state = Ledger.state (Protocol.ledger s) in
+  let query value cond =
+    let tokens =
+      User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) (Slicer_types.query value cond)
+    in
+    let claims = Cloud.search (Protocol.cloud s) tokens in
+    Alcotest.(check bool) "several claims" true (List.length claims > 1);
+    (tokens, claims)
   in
   let h_prime_gas () = List.assoc_opt "h-prime" (Vm.last_breakdown state) in
   let hits () = Obs.counter_value "slicer_acc_verify_cache_hits_total" in
+  let tokens, claims = query 128 Slicer_types.Lt in
   List.iter
     (fun (memo, memo_hits) ->
       let id = escrow_tokens s tokens in
       let h0 = hits () in
-      let r = settle_hinted s ~id ~hints claims in
+      let r = settle_claims s ~id claims in
       Alcotest.(check (result (list string) string)) ("submitResult pays, memo " ^ memo) (Ok [ "paid" ])
         r.Vm.r_output;
       Alcotest.(check (option int)) ("submitResult: n hinted primes, memo " ^ memo)
-        (Some (priced Gas.h_prime_hinted)) (h_prime_gas ());
+        (Some (alg5_hprime claims)) (h_prime_gas ());
       Alcotest.(check int) ("submitResult memo hits, " ^ memo) memo_hits (hits () - h0))
-    [ ("cold", 0); ("warm", n) ];
-  ignore (Slicer_contract.post_deposit ledger ~cloud:(Protocol.cloud_address s) ~contract ~amount:9_000);
-  let ac = Cloud.current_ac (Protocol.cloud s) in
+    [ ("cold", 0); ("warm", List.length claims) ];
+  let tokens, claims = query 100 Slicer_types.Gt in
   List.iter
     (fun (memo, memo_hits) ->
-      let id = escrow_tokens s tokens in
-      let leaf =
-        Slicer_contract.encode_leaf
-          { Slicer_contract.rl_client = "hints"; rl_request = id;
-            rl_claim_hash = Sha256.digest (Slicer_contract.encode_claims claims);
-            rl_witness_digest = Slicer_contract.witness_digest ~claims ~batch_witness:None }
-      in
-      let tree = Merkle.build [ leaf ] in
-      let members =
-        [ { Slicer_contract.es_request = id; es_user = Protocol.user_address s;
-            es_amount = Protocol.payment s;
-            es_digest = Slicer_contract.tokens_digest (List.map Slicer_types.token_bytes tokens) } ]
-      in
-      let batch_id = "hints-" ^ memo in
-      (match
-         (Slicer_contract.commit_batch ledger ~cloud:(Protocol.cloud_address s) ~contract ~batch_id
-            ~root:(Merkle.root tree) ~members)
-           .Vm.r_output
-       with
-       | Ok _ -> ()
-       | Error e -> Alcotest.failf "commit: %s" e);
+      let dispute = committed_leaf s ~id:(escrow_tokens s tokens) tokens claims ~batch_witness:None in
       let h0 = hits () in
-      let r =
-        Slicer_contract.dispute_leaf ledger ~disputer:(Protocol.user_address s) ~contract ~batch_id
-          ~index:0 ~leaf ~proof:(Merkle.prove tree 0)
-          ~claims_blob:(Slicer_contract.encode_claims claims) ~batch_witness:None ~members ~ac
-      in
+      let r = dispute_sealed s dispute ~claims_blob:(Slicer_contract.encode_claims claims) in
       Alcotest.(check bool) ("an honest leaf's dispute is rejected, memo " ^ memo) true
         (match r.Vm.r_output with
          | Error e -> String.length e >= 16 && String.sub e 0 16 = "dispute rejected"
          | Ok _ -> false);
-      Alcotest.(check (option int)) ("dispute: n walks, memo " ^ memo) (Some (priced Gas.h_prime))
-        (h_prime_gas ());
+      Alcotest.(check (option int)) ("dispute: n hinted primes, memo " ^ memo)
+        (Some (alg5_hprime claims)) (h_prime_gas ());
       Alcotest.(check int) ("dispute memo hits, " ^ memo) memo_hits (hits () - h0))
-    [ ("cold", 0); ("warm", n) ]
+    [ ("cold", 0); ("warm", List.length claims) ]
 
 (* The memo answers [of_offset] only with the input's own prime at that
    offset, and [of_offset] never writes the memo. *)
@@ -1373,7 +1468,7 @@ let test_gas_regime () =
   ignore
     (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"g" ~tokens:[ token ]
        ~payment:10);
-  let claims = [ { Slicer_contract.token_bytes = token; results; witness } ] in
+  let claims = [ claim ~token results witness ] in
   (* Settled against the Ac in force (5): verification runs in full. *)
   let sr = submit ledger ~contract ~request_id:"g" ~amount:10 ~ac:(Bigint.of_int 5) claims in
   Alcotest.(check int) "verification settlement" 59_872 sr.Vm.r_gas_used;
@@ -1391,8 +1486,9 @@ let verify_hits () = Obs.counter_value "slicer_acc_verify_cache_hits_total"
 let verify_misses () = Obs.counter_value "slicer_acc_verify_cache_misses_total"
 
 (* Algorithm 5's gas for [claims] by label, priced from the schedule:
-   what a cold run charges, whichever witness form covers them. *)
-let alg5_gas s ~h_prime claims =
+   what a cold run charges, whichever witness form covers them and
+   whichever path runs it. *)
+let alg5_gas s claims =
   let modulus = (Owner.acc_params (Protocol.owner s)).Rsa_acc.modulus in
   let mod_len = (Bigint.num_bits modulus + 7) / 8 in
   let sum f = List.fold_left (fun acc c -> acc + f c) 0 claims in
@@ -1402,7 +1498,7 @@ let alg5_gas s ~h_prime claims =
   [ ( "mset-hash",
       sum (fun (c : Slicer_contract.claim) ->
           List.fold_left (fun a er -> a + Gas.hash (String.length er) + Gas.mulmod) 0 c.results) );
-    ("h-prime", sum (fun c -> h_prime ~input_len:(String.length (input c))));
+    ("h-prime", alg5_hprime claims);
     ( "modexp",
       sum (fun c -> Gas.modexp ~base_len:mod_len ~exp:(Prime_rep.to_prime (input c)) ~mod_len) ) ]
 
@@ -1483,13 +1579,6 @@ let a5_system seed =
   Alcotest.(check bool) "several tokens" true (List.length tokens > 1);
   (s, tokens)
 
-(* Each hint as 2 big-endian bytes, as [Slicer_contract.submit_result]
-   sends them. *)
-let hints_blob hints =
-  let b = Bytes.create (2 * List.length hints) in
-  List.iteri (fun i j -> Bytes.set_uint16_be b (2 * i) j) hints;
-  Bytes.to_string b
-
 let submit_txn s ~method_ args =
   let state = Ledger.state (Protocol.ledger s) in
   Vm.make_call state ~sender:(Protocol.cloud_address s) ~to_:(Protocol.contract_address s) method_
@@ -1497,64 +1586,33 @@ let submit_txn s ~method_ args =
 
 let test_replay_submit_result () =
   let s, tokens = a5_system "a5-submit" in
-  let claims, hints = Cloud.search (Protocol.cloud s) tokens in
+  let claims = Cloud.search (Protocol.cloud s) tokens in
   let first = [ List.hd claims ] in
   let _, out, _ =
-    check_replay ~name:"submitResult" s
-      ~unit_gas:(total (alg5_gas s ~h_prime:Gas.h_prime_hinted first))
-      (fun ~ac ->
+    check_replay ~name:"submitResult" s ~unit_gas:(total (alg5_gas s first)) (fun ~ac ->
         submit_txn s ~method_:"submitResult"
           [ a5_escrow s tokens; Protocol.user_address s; string_of_int (Protocol.payment s);
-            Bigint.to_bytes_be ac; Slicer_contract.encode_claims claims;
-            hints_blob hints ])
+            Bigint.to_bytes_be ac; Slicer_contract.encode_claims claims ])
   in
   Alcotest.(check (result (list string) string)) "an honest settlement pays" (Ok [ "paid" ]) out
 
 let test_replay_submit_result_batched () =
   let s, tokens = a5_system "a5-batched" in
-  let claims, hints, witness = Cloud.search_batched (Protocol.cloud s) tokens in
+  let claims, witness = Cloud.search_batched (Protocol.cloud s) tokens in
   let _, out, _ =
-    check_replay ~name:"submitResultBatched" s
-      ~unit_gas:(total (alg5_gas s ~h_prime:Gas.h_prime_hinted claims))
-      (fun ~ac ->
+    check_replay ~name:"submitResultBatched" s ~unit_gas:(total (alg5_gas s claims)) (fun ~ac ->
         submit_txn s ~method_:"submitResultBatched"
           [ a5_escrow s tokens; Protocol.user_address s; string_of_int (Protocol.payment s);
             Bigint.to_bytes_be ac; Slicer_contract.encode_claims claims;
-            Bigint.to_bytes_be witness;
-            hints_blob hints ])
+            Bigint.to_bytes_be witness ])
   in
   Alcotest.(check (result (list string) string)) "an honest settlement pays" (Ok [ "paid" ]) out
 
-(* Commits one leaf over [claims] in a batch of its own and returns the
-   dispute call on it, as [Slicer_contract.dispute_leaf] encodes it. *)
-let committed_leaf s tokens claims ~batch_witness =
-  let ledger = Protocol.ledger s and contract = Protocol.contract_address s in
-  let id = a5_escrow s tokens in
-  ignore (Slicer_contract.post_deposit ledger ~cloud:(Protocol.cloud_address s) ~contract ~amount:9_000);
-  let leaf =
-    Slicer_contract.encode_leaf
-      (Slicer_contract.receipt_leaf ~client:"a5" ~request:id ~claims ~batch_witness)
-  in
-  let tree = Merkle.build [ leaf ] in
-  let members =
-    [ { Slicer_contract.es_request = id; es_user = Protocol.user_address s;
-        es_amount = Protocol.payment s;
-        es_digest = Slicer_contract.tokens_digest (List.map Slicer_types.token_bytes tokens) } ]
-  in
-  let batch_id = "a5-batch-" ^ id in
-  (match
-     (Slicer_contract.commit_batch ledger ~cloud:(Protocol.cloud_address s) ~contract ~batch_id
-        ~root:(Merkle.root tree) ~members)
-       .Vm.r_output
-   with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "commit: %s" e);
-  fun ~ac ->
-    Vm.make_call (Ledger.state ledger) ~sender:(Protocol.user_address s) ~to_:contract "dispute"
-      [ batch_id; "0"; leaf; Merkle.proof_to_bytes (Merkle.prove tree 0);
-        Slicer_contract.encode_claims claims;
-        (match batch_witness with None -> "" | Some w -> Bigint.to_bytes_be w);
-        Slicer_contract.encode_escrows members; Bigint.to_bytes_be ac ]
+(* The dispute of one leaf over [claims], committed under a fixed-width
+   request id, with those claims as the evidence. *)
+let a5_dispute s tokens claims ~batch_witness =
+  committed_leaf s ~id:(a5_escrow s tokens) tokens claims ~batch_witness
+    ~claims_blob:(Slicer_contract.encode_claims claims)
 
 let dispute_rejected (_, out, _) =
   match out with
@@ -1563,37 +1621,36 @@ let dispute_rejected (_, out, _) =
 
 let test_replay_dispute_per_claim () =
   let s, tokens = a5_system "a5-dispute" in
-  let claims, _ = Cloud.search (Protocol.cloud s) tokens in
+  let claims = Cloud.search (Protocol.cloud s) tokens in
   let full =
     check_replay ~name:"dispute" s
-      ~unit_gas:(total (alg5_gas s ~h_prime:Gas.h_prime [ List.hd claims ]))
-      (committed_leaf s tokens claims ~batch_witness:None)
+      ~unit_gas:(total (alg5_gas s [ List.hd claims ]))
+      (a5_dispute s tokens claims ~batch_witness:None)
   in
   Alcotest.(check bool) "an honest leaf's dispute is rejected" true (dispute_rejected full)
 
 let test_replay_dispute_shared () =
   let s, tokens = a5_system "a5-dispute-shared" in
-  let claims, _, witness = Cloud.search_batched (Protocol.cloud s) tokens in
+  let claims, witness = Cloud.search_batched (Protocol.cloud s) tokens in
   let full =
-    check_replay ~name:"shared-witness dispute" s
-      ~unit_gas:(total (alg5_gas s ~h_prime:Gas.h_prime claims))
-      (committed_leaf s tokens claims ~batch_witness:(Some witness))
+    check_replay ~name:"shared-witness dispute" s ~unit_gas:(total (alg5_gas s claims))
+      (a5_dispute s tokens claims ~batch_witness:(Some witness))
   in
   Alcotest.(check bool) "an honest leaf's dispute is rejected" true (dispute_rejected full)
 
-(* The user's check stores entries, charges included, that the chain's
-   dispute of the same claims then hits: n hits, and exactly the gas of
-   a cold dispute, label by label. *)
+(* The user's check stores outcomes that the chain's dispute of the
+   same claims then hits: n hits, and exactly the gas of a cold
+   dispute, label by label. *)
 let test_user_entries_serve_disputes () =
   let s, tokens = a5_system "a5-user-then-dispute" in
-  let claims, _ = Cloud.search (Protocol.cloud s) tokens in
+  let claims = Cloud.search (Protocol.cloud s) tokens in
   let n = List.length claims in
   let ac = Cloud.current_ac (Protocol.cloud s) in
   let m0 = verify_misses () in
   Alcotest.(check bool) "the user verifies" true
     (Verifier.verify_claims (Owner.acc_params (Protocol.owner s)) ~ac claims);
   Alcotest.(check int) "the user's lookups miss" (m0 + n) (verify_misses ());
-  let dispute = committed_leaf s tokens claims ~batch_witness:None in
+  let dispute = a5_dispute s tokens claims ~batch_witness:None in
   let state = Ledger.state (Protocol.ledger s) in
   let h0 = verify_hits () and m1 = verify_misses () in
   let r = Vm.execute ~height:(Ledger.height (Protocol.ledger s)) state (dispute ~ac) in
@@ -1605,7 +1662,7 @@ let test_user_entries_serve_disputes () =
   List.iter
     (fun (label, gas) ->
       Alcotest.(check (option int)) ("a cold dispute's " ^ label) (Some gas) (List.assoc_opt label split))
-    (alg5_gas s ~h_prime:Gas.h_prime claims)
+    (alg5_gas s claims)
 
 let () =
   Alcotest.run "chain"

@@ -424,7 +424,7 @@ let codec_corruption_props =
         ignore (Wire.decode_request subject);
         ignore (Wire.decode_response subject);
         ignore (Persist.tokens_of_bytes subject);
-        ignore (Persist.claims_of_bytes subject);
+        ignore (Slicer_contract.decode_claims subject);
         ignore (Persist.receipt_of_bytes subject);
         ignore (Persist.query_of_bytes subject);
         true) ]
@@ -443,8 +443,8 @@ let test_persist_message_codecs () =
      Alcotest.(check (list string)) "tokens" (token_blobs tokens) (token_blobs tokens')
    | None -> Alcotest.fail "tokens did not round-trip");
   let m = Lazy.force mirror_system in
-  let claims, _ = Cloud.search (Protocol.cloud m) tokens in
-  (match Persist.claims_of_bytes (Persist.claims_to_bytes claims) with
+  let claims = Cloud.search (Protocol.cloud m) tokens in
+  (match Slicer_contract.decode_claims (Slicer_contract.encode_claims claims) with
    | Some claims' ->
      Alcotest.(check string) "claims" (Slicer_contract.encode_claims claims)
        (Slicer_contract.encode_claims claims')
@@ -862,7 +862,7 @@ let test_older_revisions_refused () =
            (Printf.sprintf "client speaks protocol revision %d, this server speaks %d"
               (Wire.proto_version - 1) Wire.proto_version)
            detail
-       | _ -> Alcotest.fail "revision-4 hello over the wire not refused");
+       | _ -> Alcotest.fail "the previous revision's hello over the wire not refused");
       List.iter
         (fun req ->
           let bytes = old_form req in
@@ -1713,10 +1713,11 @@ let test_witness_index_survives_restart () =
     Option.iter Store.close (Net.Service.store svc3)
 
 let test_old_snapshot_layouts_refused () =
-  (* One snapshot layout decodes. The three older ones, rebuilt from a
-     real v4 snapshot (v3 had the same pieces under its own magic, v2 no
-     settle piece, v1 no witness piece either), are refused as a codec
-     mismatch, while the v4 original written the same way recovers. *)
+  (* One snapshot layout decodes. The four older ones, rebuilt from a
+     real v5 snapshot (v4 and v3 had the same pieces under their own
+     magic, v2 no settle piece, v1 no witness piece either), are refused
+     as a codec mismatch, while the v5 original written the same way
+     recovers. *)
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
@@ -1744,7 +1745,7 @@ let test_old_snapshot_layouts_refused () =
      Option.iter Store.close (Net.Service.store svc));
   (* Recovery re-anchors on a checkpoint of the built state. *)
   recover cfg;
-  let v4 =
+  let v5 =
     let store, rc = Store.open_ cfg in
     Store.close store;
     match rc.Store.rc_snapshot with
@@ -1752,7 +1753,7 @@ let test_old_snapshot_layouts_refused () =
     | None -> Alcotest.fail "no snapshot after recovery"
   in
   let pieces =
-    match Bytesutil.split v4 with Some p -> p | None -> Alcotest.fail "v4 snapshot does not split"
+    match Bytesutil.split v5 with Some p -> p | None -> Alcotest.fail "v5 snapshot does not split"
   in
   let n = List.length pieces in
   let state = List.filteri (fun i _ -> i > 0 && i < n - 2) pieces in
@@ -1767,7 +1768,7 @@ let test_old_snapshot_layouts_refused () =
     Store.close store;
     f old_cfg
   in
-  in_fresh_dir v4 recover;
+  in_fresh_dir v5 recover;
   List.iter
     (fun (magic, payload) ->
       in_fresh_dir payload @@ fun old_cfg ->
@@ -1777,7 +1778,9 @@ let test_old_snapshot_layouts_refused () =
       | Ok (svc, _) ->
         Option.iter Store.close (Net.Service.store svc);
         Alcotest.failf "%s snapshot was decoded" magic)
-    [ ("slicer-service-built-v3",
+    [ ("slicer-service-built-v4",
+       Bytesutil.concat (("slicer-service-built-v4" :: state) @ [ witness; settle ]));
+      ("slicer-service-built-v3",
        Bytesutil.concat (("slicer-service-built-v3" :: state) @ [ witness; settle ]));
       ("slicer-service-built-v2",
        Bytesutil.concat (("slicer-service-built-v2" :: state) @ [ witness ]));
@@ -1787,8 +1790,10 @@ let test_old_snapshot_layouts_refused () =
    a Search into an open settle batch, Insert, a forced flush — and the
    snapshot that recovery then re-anchors on. The WAL was hashed on the
    commit before records were streamed from the request's encoding; the
-   snapshot was re-hashed when the contract's cells became one word each
-   (magic slicer-service-built-v4). Neither may move one byte. *)
+   snapshot was re-hashed when each claim's hint moved into the claims
+   blob (magic slicer-service-built-v5): the cached Found reply grew by
+   the hints piece, and the committed leaf, which hashes that blob, moved
+   the batch's root. Neither may move one byte. *)
 let test_wal_and_snapshot_golden () =
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1850,9 +1855,9 @@ let test_wal_and_snapshot_golden () =
     Alcotest.(check int) "every record replayed" 5 stats.Net.Service.rs_replayed;
     (* Recovery re-anchors on a snapshot at the last record's seq. *)
     let snap = read "snap-5.bin" in
-    Alcotest.(check int) "snapshot size" 15660 (String.length snap);
+    Alcotest.(check int) "snapshot size" 15666 (String.length snap);
     Alcotest.(check string) "snapshot sha-256"
-      "20b2e8949a8e4d1bcb75777f243f74bdba17f094a88196faaea84ed2e9cffdcd" (Sha256.digest_hex snap)
+      "99ca16c73f914cc810a3d43778c7498493cb9337219e4ab170590b69fc213e1d" (Sha256.digest_hex snap)
 
 (* The real thing: a separate slicer-server process ([Server_proc]),
    killed with SIGKILL mid-load, recovered from its state directory. *)

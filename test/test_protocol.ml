@@ -164,12 +164,12 @@ let test_forward_security_old_tokens_blind () =
      invisible — the cloud learns nothing linking them to past queries. *)
   let query = q 2 Slicer_types.Eq in
   let old_tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-  let before, _ = Cloud.search (Protocol.cloud s) old_tokens in
+  let before = Cloud.search (Protocol.cloud s) old_tokens in
   let count_results claims =
     List.fold_left (fun n (c : Slicer_contract.claim) -> n + List.length c.Slicer_contract.results) 0 claims
   in
   Protocol.insert s [ Slicer_types.record_of_value "hidden" 2 ];
-  let after, _ = Cloud.search (Protocol.cloud s) old_tokens in
+  let after = Cloud.search (Protocol.cloud s) old_tokens in
   Alcotest.(check int) "old tokens see nothing new" (count_results before) (count_results after);
   (* A fresh token (post-insert T) does see the record. *)
   let out = Protocol.search s query in
@@ -319,7 +319,7 @@ let test_witnesses_match_reference () =
     let h = Mset_hash.of_list c.Slicer_contract.results in
     Prime_rep.to_prime (Bytesutil.concat [ c.Slicer_contract.token_bytes; Mset_hash.to_bytes h ])
   in
-  let claims, _ = Cloud.search cloud tokens in
+  let claims = Cloud.search cloud tokens in
   Alcotest.(check bool) "some claims" true (claims <> []);
   List.iter
     (fun (c : Slicer_contract.claim) ->
@@ -327,7 +327,7 @@ let test_witnesses_match_reference () =
         (Bigint.equal c.Slicer_contract.witness
            (Rsa_acc.mem_witness params (Cloud.primes cloud) (prime_of c))))
     claims;
-  let batched, _, witness = Cloud.search_batched cloud tokens in
+  let batched, witness = Cloud.search_batched cloud tokens in
   Alcotest.(check bool) "batch witness = batch_witness" true
     (Bigint.equal witness
        (Rsa_acc.batch_witness params (Cloud.primes cloud) (List.map prime_of batched)));
@@ -383,7 +383,7 @@ let test_leakage_search_counts () =
   let s = Lazy.force system in
   let query = q 20 Slicer_types.Lt in
   let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-  let claims, _ = Cloud.search (Protocol.cloud s) tokens in
+  let claims = Cloud.search (Protocol.cloud s) tokens in
   let leak = Leakage.of_search tokens claims in
   Alcotest.(check int) "token count matches" (List.length tokens) leak.Leakage.sl_token_count;
   Alcotest.(check int) "per-token counts" (List.length claims) (List.length leak.Leakage.sl_result_counts);
@@ -429,7 +429,7 @@ let test_stale_user_sees_past () =
   Protocol.insert s [ Slicer_types.record_of_value "late" 3 ];
   let query = q 3 Slicer_types.Eq in
   let stale_tokens = User.gen_tokens ~rng:(Protocol.rng s) stale_user query in
-  let claims, _ = Cloud.search (Protocol.cloud s) stale_tokens in
+  let claims = Cloud.search (Protocol.cloud s) stale_tokens in
   (* Old-generation claims still verify against the new Ac... *)
   Alcotest.(check bool) "historical claim verifies" true
     (Verifier.verify_claims (Owner.acc_params (Protocol.owner s))
@@ -443,7 +443,7 @@ let test_stale_user_sees_past () =
   (* After the owner re-exports T, the same user sees it. *)
   User.update_state stale_user (Owner.export_trapdoor_state (Protocol.owner s));
   let fresh_tokens = User.gen_tokens ~rng:(Protocol.rng s) stale_user query in
-  let claims2, _ = Cloud.search (Protocol.cloud s) fresh_tokens in
+  let claims2 = Cloud.search (Protocol.cloud s) fresh_tokens in
   let ids2 =
     User.decrypt_results stale_user
       (List.concat_map (fun (c : Slicer_contract.claim) -> c.Slicer_contract.results) claims2)
@@ -458,12 +458,12 @@ let test_no_double_settlement () =
   (* Replaying the settlement against the same request must fail: the
      escrow is gone and the status is no longer pending. *)
   let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-  let claims, hints = Cloud.search (Protocol.cloud s) tokens in
+  let claims = Cloud.search (Protocol.cloud s) tokens in
   let sr =
     Slicer_contract.submit_result (Protocol.ledger s) ~cloud:(Protocol.cloud_address s)
       ~contract:(Protocol.contract_address s) ~request_id:"req-1"
       ~user:(Protocol.user_address s) ~amount:(Protocol.payment s)
-      ~ac:(Cloud.current_ac (Protocol.cloud s)) ~hints claims
+      ~ac:(Cloud.current_ac (Protocol.cloud s)) claims
   in
   (match sr.Vm.r_output with
    | Error "no pending request" -> ()
@@ -484,11 +484,20 @@ let test_simulator_shapes () =
   (* Search phase. *)
   let query = q 32 Slicer_types.Lt in
   let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-  let claims, _ = Cloud.search (Protocol.cloud s) tokens in
+  let claims = Cloud.search (Protocol.cloud s) tokens in
   let sleak = Leakage.of_search tokens claims in
   let fake_tokens, fake_claims = Simulator.simulate_search ~rng sleak in
   let fake_leak = Leakage.of_search fake_tokens fake_claims in
   Alcotest.(check bool) "search shapes agree" true (sleak = fake_leak);
+  (* A hint is public: each fake claim's is the offset of its own walk's
+     prime, as the cloud derives it. *)
+  Alcotest.(check bool) "fake hints are their claims' walk offsets" true
+    (List.for_all
+       (fun (c : Slicer_contract.claim) ->
+         c.hint
+         = Prime_rep.offset
+             (Prime_rep.to_prime (Slicer_contract.claim_input ~token_bytes:c.token_bytes c.results)))
+       fake_claims);
   (* And the fabricated transcript is not accidentally the real one. *)
   Alcotest.(check bool) "contents differ" false
     (List.equal
@@ -500,14 +509,15 @@ let test_simulator_shapes () =
 (* --- soundness fuzzing ------------------------------------------------------ *)
 
 (* Honest claims for a fixed populated query, mutated randomly: no
-   mutation that changes the result multiset or the witness may verify,
-   while permutations of the result list (a multiset no-op) must. *)
+   mutation that changes the result multiset, the hint or the witness
+   may verify, while permutations of the result list (a multiset no-op)
+   must. *)
 let soundness_claims =
   lazy
     (let s = Lazy.force system in
      let query = q 32 Slicer_types.Lt in
      let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in
-     let claims, _ = Cloud.search (Protocol.cloud s) tokens in
+     let claims = Cloud.search (Protocol.cloud s) tokens in
      let params = Owner.acc_params (Protocol.owner s) in
      let ac = Owner.current_ac (Protocol.owner s) in
      (claims, params, ac))
@@ -530,12 +540,13 @@ let mutate_claim ~kind ~index (c : Slicer_contract.claim) =
         List.mapi
           (fun i r -> if i = index mod List.length c.Slicer_contract.results then flip r 0 else r)
           c.Slicer_contract.results }
+  | 4 -> { c with Slicer_contract.hint = c.Slicer_contract.hint lxor (2 * (1 + (index mod 8))) }
   | _ -> { c with Slicer_contract.witness = Bigint.add_int c.Slicer_contract.witness (1 + (index mod 5)) }
 
 let soundness_props =
   [ QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"no mutated claim verifies" ~count:100
-         QCheck2.Gen.(pair (int_range 0 4) (int_range 0 1000))
+         QCheck2.Gen.(pair (int_range 0 5) (int_range 0 1000))
          (fun (kind, index) ->
            let claims, params, ac = Lazy.force soundness_claims in
            match claims with
@@ -641,9 +652,8 @@ let test_claim_step_once () =
   let before = step () in
   let again = Cloud.search cloud tokens in
   Alcotest.check counts "repeated tokens: nothing" (0, 0, 0) (delta before);
-  Alcotest.(check string) "the claim cache answers the same claims"
-    (Slicer_contract.encode_claims (fst first)) (Slicer_contract.encode_claims (fst again));
-  Alcotest.(check (list int)) "and the same hints" (snd first) (snd again);
+  Alcotest.(check string) "the claim cache answers the same claims, hints included"
+    (Slicer_contract.encode_claims first) (Slicer_contract.encode_claims again);
   Protocol.set_cloud_behavior s Cloud.Inject_result;
   let before = step () in
   ignore (Cloud.search cloud tokens);
@@ -659,10 +669,9 @@ let test_claim_step_pool_sizes () =
   let s, tokens = claim_system "claim-step-pools" in
   let cloud = Protocol.cloud s in
   let search d = with_domains d (fun () -> Cloud.search cloud tokens) in
-  let same what (c1, h1) (c2, h2) =
-    Alcotest.(check string) (what ^ ": claims") (Slicer_contract.encode_claims c1)
-      (Slicer_contract.encode_claims c2);
-    Alcotest.(check (list int)) (what ^ ": hints") h1 h2
+  let same what c1 c2 =
+    Alcotest.(check string) (what ^ ": claims, hints included") (Slicer_contract.encode_claims c1)
+      (Slicer_contract.encode_claims c2)
   in
   (* Each behaviour change resets the claim cache, so every search
      below runs the claim step. *)
@@ -681,8 +690,8 @@ let test_claim_step_pool_sizes () =
              Prime_rep.offset
                (Prime_rep.to_prime_uncached
                   (Slicer_contract.claim_input ~token_bytes:c.token_bytes c.results)))
-           (fst two))
-        (snd two);
+           two)
+        (List.map (fun (c : Slicer_contract.claim) -> c.hint) two);
       if mode = Cloud.Tamper_result then
         Alcotest.(check int) "fresh walks ran on the two-domain pool" (List.length tokens)
           (prime_misses () - m0))
