@@ -56,29 +56,36 @@ let per_query_by_label ~queries before after =
     after
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-(* One measured point: a fresh system, [queries] searches driven
-   through the wire-facing service, batches closed out, settlement gas
-   read back off the chain. [batch = 1] is the legacy eager path (no
-   settle config at all), not a size-1 batch. *)
+(* The window each batched point's contract is deployed with. *)
+let dispute_blocks = 1
+
+(* One measured point: a fresh service seeded through a Build, [queries]
+   searches driven through it, batches closed out, settlement gas read
+   back off the chain. [batch = 1] is the legacy eager path (no settle
+   config at all), not a size-1 batch. *)
 let point ~records batch =
   let queries = if batch <= 1 then 16 else batch in
   let seed = Printf.sprintf "settle-bench-%d" batch in
   let rng = Drbg.create ~seed:(seed ^ "-driver") in
   let db = Gen.uniform_records ~rng ~width:8 records in
-  let system = Protocol.setup ~width:8 ~seed db in
   let settle =
     if batch <= 1 then None
     else
       Some
         { Settle_batch.sb_size = batch; sb_window_ms = 1e12; sb_deposit = 100_000;
-          sb_dispute_blocks = 1 }
+          sb_dispute_blocks = dispute_blocks }
   in
-  let svc = Net.Service.of_protocol ?settle system in
-  let ledger = Protocol.ledger system in
-  let user =
+  let svc = Net.Service.create ?settle () in
+  (match Net.Service.handle svc (Net.Client.seeded_build ~width:8 ~payment:1000 ~seed db) with
+   | Net.Wire.Accepted _ -> ()
+   | _ -> failwith "fig_settle: the seeding Build was refused");
+  let station = Option.get (Net.Service.station svc) in
+  let ledger = Station.ledger station in
+  let user, user_addr =
     match Net.Service.handle svc (Net.Wire.Hello { client = seed; proto = Net.Wire.proto_version }) with
     | Net.Wire.Welcome p ->
-      User.create ~keys:p.Net.Wire.pv_user_keys ~width:p.Net.Wire.pv_width p.Net.Wire.pv_trapdoor
+      ( User.create ~keys:p.Net.Wire.pv_user_keys ~width:p.Net.Wire.pv_width p.Net.Wire.pv_trapdoor,
+        p.Net.Wire.pv_user_addr )
     | _ -> failwith "fig_settle: hello refused"
   in
   let height0 = Ledger.height ledger in
@@ -99,17 +106,15 @@ let point ~records batch =
         done)
   in
   (* Close out: commit any open tail, seal filler blocks through the
-     dispute window (the contract Protocol.setup deployed keeps its
-     default 4-block window — sb_dispute_blocks only stamps fresh
-     service-side deploys), finalize everything due. The filler
-     transfers are excluded from both gas columns by classification. *)
-  for _ = 1 to 6 do
+     contract's dispute window ([dispute_blocks], deployed from the
+     settle config), finalize everything due. The filler transfers are
+     excluded from both gas columns by classification. *)
+  for _ = 1 to dispute_blocks + 1 do
     Net.Service.settle_flush svc;
     ignore
       (Ledger.submit_and_seal ledger
-         (Vm.make_transfer (Ledger.state ledger)
-            ~sender:(Protocol.user_address system)
-            ~to_:(Protocol.owner_address system) ~value:1))
+         (Vm.make_transfer (Ledger.state ledger) ~sender:user_addr
+            ~to_:(Station.cloud_addr station) ~value:1))
   done;
   Net.Service.settle_flush svc;
   let settle_gas, escrow_gas, commits, finalizes = gas_above ledger ~height:height0 in

@@ -1,7 +1,7 @@
 (* The flat-tail guard: the event loop polls every socket it owns on
    every tick, so a cost per open connection shows as tail latency once
    many connections sit idle. One process runs a server over a small
-   [Protocol.setup] and one client that times a series of Pings, then
+   seeded Build and one client that times a series of Pings, then
    the same series again while a {!Net.Client.Swarm} holds 1000 more
    keep-alive connections open. No fork, no child process.
 
@@ -68,8 +68,22 @@ let run () =
   Bench_common.header "Flat tail under idle sockets (target: tail)";
   let width = 6 in
   let db = Gen.uniform_records ~rng:(Drbg.create ~seed:"tail-data") ~width 40 in
-  let system = Protocol.setup ~width ~payment:1000 ~seed:"tail" db in
-  let server = Net.Server.start (Net.Service.handle (Net.Service.of_protocol system)) in
+  let service = Net.Service.create () in
+  let warms () = Obs.counter_value "slicer_net_background_warms_total" in
+  let warms0 = warms () in
+  (match
+     Net.Service.handle service (Net.Client.seeded_build ~width ~payment:1000 ~seed:"tail" db)
+   with
+   | Net.Wire.Accepted _ -> ()
+   | _ -> fail "the seeding Build was refused");
+  (* The Build's witness warm runs on a background thread: no Ping is
+     timed until it has finished. *)
+  let deadline = Unix.gettimeofday () +. 120. in
+  while warms () <= warms0 do
+    if Unix.gettimeofday () > deadline then fail "the background warm did not finish";
+    Unix.sleepf 0.01
+  done;
+  let server = Net.Server.start (Net.Service.handle service) in
   Fun.protect ~finally:(fun () -> Net.Server.stop server) @@ fun () ->
   let endpoint = Net.Server.endpoint server in
   let c =

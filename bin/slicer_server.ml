@@ -1,6 +1,6 @@
 (* The Slicer cloud server.
 
-     slicer-server --records 200            self-seed and serve
+     slicer-server --records 200            self-seed (apply its own Build) and serve
      slicer-server --records 0              empty: await an owner Build
      slicer-server --socket /tmp/slicer.sock
 
@@ -27,8 +27,9 @@ let seed_arg =
   Arg.(value & opt string "slicer-server" & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let records_arg =
-  let doc = "Self-seed with N random records (0 = start empty and await \
-             an owner's Build shipment over the wire)." in
+  let doc = "Self-seed with N random records, applied as the Build of the \
+             server's own owner (0 = start empty and await an owner's Build \
+             shipment over the wire). A database in --state-dir wins." in
   Arg.(value & opt int 200 & info [ "records"; "n" ] ~docv:"N" ~doc)
 
 let width_arg =
@@ -165,7 +166,8 @@ let settle_window_ms_arg =
 
 let settle_dispute_window_arg =
   let doc = "Dispute window, in blocks: a committed batch finalizes once \
-             this many blocks sealed after its commitment." in
+             this many blocks sealed after its commitment. Stamped into \
+             the contract at Build, a self-seeded server's included." in
   Arg.(value & opt int 4 & info [ "settle-dispute-window" ] ~docv:"BLOCKS" ~doc)
 
 let dump_metrics path =
@@ -187,13 +189,15 @@ let log_snapshot () =
         (Obs.counter_value "slicer_net_bytes_out_total")
         (Obs.counter_value "slicer_chain_gas_total"))
 
-let self_seed ~seed ~records ~width ~payment ?settle ~instance ~shard () =
+(* A self-seeded server is its own data owner: it applies that owner's
+   Build through [Service.handle], as it would a remote owner's. *)
+let self_seed service ~seed ~records ~width ~payment =
   Printf.printf "self-seeding %d records (width %d, seed %S)...\n%!" records width seed;
-  let rng = Drbg.create ~seed:(seed ^ ":data") in
-  let db = Gen.uniform_records ~rng ~width records in
-  let system = Protocol.setup ~width ~payment ~seed db in
-  Cloud.precompute_witnesses (Protocol.cloud system);
-  Net.Service.of_protocol ?settle ~instance ~shard system
+  let db = Gen.uniform_records ~rng:(Drbg.create ~seed:(seed ^ ":data")) ~width records in
+  match Net.Service.handle service (Net.Client.seeded_build ~width ~payment ~seed db) with
+  | Net.Wire.Accepted _ -> Ok service
+  | Net.Wire.Refused { detail; _ } -> Error ("self-seeding failed: " ^ detail)
+  | _ -> Error "self-seeding failed: the Build was not accepted"
 
 let run host port socket seed records width payment domains read_timeout max_inflight
     max_conns workers verbose
@@ -235,43 +239,30 @@ let run host port socket seed records width payment domains read_timeout max_inf
     in
     let service_or_error =
       match state_dir with
-      | None ->
-        if records = 0 then begin
-          Printf.printf "starting empty: awaiting an owner Build shipment\n%!";
-          Ok (Net.Service.create ?settle ~instance ~shard ())
-        end
-        else
-          Ok
-            (self_seed ~seed ~records ~width ~payment ?settle ~instance ~shard ())
+      | None -> Ok (Net.Service.create ?settle ~instance ~shard ())
       | Some dir ->
         let cfg = { Store.dir; fsync = not no_fsync; snapshot_bytes } in
         (match Net.Service.recover ?settle ~instance ~shard cfg with
          | Error e -> Error (Printf.sprintf "recovery from %s failed: %s" dir e)
          | Ok (svc, stats) ->
-           if Net.Service.built svc then begin
+           if Net.Service.built svc then
              Printf.printf
                "recovered from %s: snapshot=%b, %d events replayed%s, generation %d\n%!" dir
                stats.Net.Service.rs_snapshot stats.Net.Service.rs_replayed
                (if stats.Net.Service.rs_dropped_tail then " (torn tail discarded)" else "")
                (Net.Service.generation svc);
-             Ok svc
-           end
-           else if records = 0 then begin
-             Printf.printf "starting empty (durable in %s): awaiting an owner Build shipment\n%!" dir;
-             Ok svc
-           end
-           else begin
-             (* Fresh state dir + --records: seed once, then hand the
-                store to the seeded service, whose attach checkpoint
-                makes the seed durable. *)
-             let seeded = self_seed ~seed ~records ~width ~payment ?settle ~instance ~shard () in
-             (match Net.Service.store svc with
-              | Some store -> Net.Service.attach_store seeded store
-              | None -> ());
-             Ok seeded
-           end)
+           Ok svc)
     in
-    match service_or_error with
+    match
+      Result.bind service_or_error (fun svc ->
+          if Net.Service.built svc then Ok svc
+          else if records > 0 then self_seed svc ~seed ~records ~width ~payment
+          else begin
+            Printf.printf "starting empty%s: awaiting an owner Build shipment\n%!"
+              (match state_dir with Some dir -> " (durable in " ^ dir ^ ")" | None -> "");
+            Ok svc
+          end)
+    with
     | Error msg -> `Error (false, msg)
     | Ok service ->
     let endpoint =

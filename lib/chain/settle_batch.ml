@@ -82,6 +82,8 @@ let create ~config ~ledger ~contract ~cloud ~current_ac =
     batches = Hashtbl.create 16; order = []; by_request = Hashtbl.create 256 }
 
 let config t = t.cfg
+(* The open batch's id ([b0], [b1], …) is deterministic, so a restart
+   replaying the WAL re-derives the same ids. *)
 let open_id t = batch_name t.seq
 let open_count t = List.length t.open_rev
 

@@ -51,12 +51,6 @@ val ensure_deposit : t -> Vm.receipt option
 (** Post the slashable deposit unless one is already on the contract
     (recovery re-enables batching over restored chain state). *)
 
-val open_id : t -> string
-(** The open batch's id ([b0], [b1], …) — deterministic, so a restart
-    replaying the WAL re-derives the same ids. *)
-
-val open_count : t -> int
-
 val add : t -> Slicer_contract.receipt_leaf -> escrow:Slicer_contract.escrow -> string * int
 (** Append a receipt to the open batch, with its request's escrow
     preimage (kept until the batch is final or slashed: commit and
@@ -75,9 +69,6 @@ val window_expired : t -> bool
 val flush : t -> (string * Vm.receipt) option
 (** Commit the open batch on-chain; [None] when it is empty. A
     reverted commit leaves the batch open for a retry. *)
-
-val dispute_window : t -> int
-(** The contract's window, in blocks. *)
 
 val finalize_due : t -> (string * Vm.receipt) list
 (** Finalize every committed batch whose dispute window has passed,

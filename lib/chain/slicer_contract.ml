@@ -680,7 +680,7 @@ let restore ledger ~contract:addr ~modulus =
   let def = contract ~modulus ~initial_ac:Bigint.one ~shard:(0, 1) ~dispute_window:1 in
   Vm.install_contract (Ledger.state ledger) addr def
 
-let deploy ?(shard = (0, 1)) ?(dispute_window = 4) ledger ~owner ~modulus ~initial_ac =
+let deploy ~shard ~dispute_window ledger ~owner ~modulus ~initial_ac =
   let def = contract ~modulus ~initial_ac ~shard ~dispute_window in
   let txn = Vm.make_deploy (Ledger.state ledger) ~sender:owner def [] in
   let receipt = observe_txn ledger ~label:"deploy" (Ledger.submit_and_seal ledger txn) in

@@ -160,12 +160,12 @@ val restore : Ledger.t -> contract:Vm.address -> modulus:Bigint.t -> unit
     from storage, never from the closure. *)
 
 val deploy :
-  ?shard:int * int -> ?dispute_window:int ->
+  shard:int * int -> dispute_window:int ->
   Ledger.t -> owner:Vm.address -> modulus:Bigint.t -> initial_ac:Bigint.t ->
   Vm.address * Vm.receipt
-(** Deploys and seals a block; returns the contract address.
-    [shard] defaults to [(0, 1)] (a lone server); [dispute_window]
-    defaults to 4 blocks. *)
+(** Deploys and seals a block; returns the contract address. A lone
+    server is shard [(0, 1)]. The program's one caller is
+    [Station.deploy], which every database is stood up through. *)
 
 val update_ac : Ledger.t -> owner:Vm.address -> contract:Vm.address -> Bigint.t -> Vm.receipt
 

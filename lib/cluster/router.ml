@@ -49,7 +49,6 @@ let create ?(config = default_config) ?(instance = "router") topo =
           { p_lock = Mutex.create (); p_conns = Stack.create () });
     owner_lock = Mutex.create () }
 
-let topology t = t.topo
 
 let sub_id = Net.Client.sub_id
 

@@ -38,8 +38,6 @@ val create : ?config:config -> ?instance:string -> Topology.t -> t
     merged Welcome frames. No connection is opened until the first
     request needs it. *)
 
-val topology : t -> Topology.t
-
 val handle : t -> Net.Wire.request -> Net.Wire.response
 (** The dispatcher to plug into {!Net.Server.start}. Thread-safe;
     never raises. *)

@@ -63,7 +63,6 @@ let create ?(width = 16) ~rng ~acc_params ~keys () =
     t_index = 0.;
     t_ads = 0. }
 
-let width t = t.o_width
 let keys t = t.o_keys
 let acc_params t = t.o_params
 let current_ac t = t.ac

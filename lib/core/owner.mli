@@ -50,7 +50,6 @@ val create :
 (** Fresh owner state. [width] is the value bit-count [b]
     (default 16; the paper evaluates 8, 16 and 24). *)
 
-val width : t -> int
 val keys : t -> Keys.master
 val acc_params : t -> Rsa_acc.params
 val current_ac : t -> Bigint.t

@@ -22,35 +22,37 @@ type search_outcome = {
   so_gas_used : int;
 }
 
-let setup ?(width = 16) ?(tdp_bits = 512) ?(acc_bits = 512) ?(payment = 1000) ~seed records =
+let seeded_owner ~width ~tdp_bits ~acc_bits ~seed records =
   let rng = Drbg.create ~seed in
   let keys = Keys.generate ~tdp_bits ~rng () in
   let acc_params = Rsa_acc.setup ~rng ~bits:acc_bits () in
   let owner = Owner.create ~width ~rng ~acc_params ~keys () in
-  let shipment = Owner.build owner records in
-  let cloud = Cloud.create ~acc_params ~tdp_public:keys.Keys.tdp_public () in
-  Cloud.install_shipment cloud shipment;
-  let user = User.create ~keys:(Keys.for_user keys) ~width (Owner.export_trapdoor_state owner) in
-  let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
+  (owner, Owner.build owner records, rng)
+
+let setup ?(width = 16) ?(tdp_bits = 512) ?(acc_bits = 512) ?(payment = 1000) ~seed records =
+  let owner, shipment, rng = seeded_owner ~width ~tdp_bits ~acc_bits ~seed records in
+  let keys = Owner.keys owner in
   let owner_addr = Vm.address_of_name (seed ^ ":owner") in
   let user_addr = Vm.address_of_name (seed ^ ":user") in
-  let cloud_addr = Vm.address_of_name (seed ^ ":cloud") in
-  Vm.fund (Ledger.state ledger) owner_addr 100_000_000;
-  Vm.fund (Ledger.state ledger) user_addr 100_000_000;
-  let contract, receipt =
-    Slicer_contract.deploy ledger ~owner:owner_addr ~modulus:acc_params.Rsa_acc.modulus
-      ~initial_ac:shipment.Owner.sh_ac
+  let station, receipt =
+    match
+      Station.deploy ~acc_params:(Owner.acc_params owner) ~tdp_public:keys.Keys.tdp_public
+        ~owner:owner_addr ~cloud_addr:(Vm.address_of_name (seed ^ ":cloud")) ~shard:(0, 1)
+        ~dispute_window:Settle_batch.default_config.Settle_batch.sb_dispute_blocks shipment
+    with
+    | Ok deployed -> deployed
+    | Error e -> failwith ("Protocol.setup: contract deployment failed: " ^ e)
   in
-  (match receipt.Vm.r_output with
-   | Ok _ -> ()
-   | Error e -> failwith ("Protocol.setup: contract deployment failed: " ^ e));
+  Vm.fund (Ledger.state (Station.ledger station)) user_addr 100_000_000;
+  let user = User.create ~keys:(Keys.for_user keys) ~width (Owner.export_trapdoor_state owner) in
   Log.info (fun m ->
       m "setup: %d records, width %d, %d index entries, %d keywords, deploy gas %d"
         (List.length records) width
-        (Cloud.index_entries cloud) (Owner.keyword_count owner) receipt.Vm.r_gas_used);
+        (Cloud.index_entries (Station.cloud station)) (Owner.keyword_count owner)
+        receipt.Vm.r_gas_used);
   { p_owner = owner;
     p_user = user;
-    p_station = Station.create ~cloud ~ledger ~contract ~cloud_addr;
+    p_station = station;
     p_owner_addr = owner_addr;
     p_user_addr = user_addr;
     p_rng = rng;
@@ -156,10 +158,8 @@ let owner t = t.p_owner
 let cloud t = Station.cloud t.p_station
 let user t = t.p_user
 let ledger t = Station.ledger t.p_station
-let station t = t.p_station
 let payment t = t.p_payment
 let contract_address t = Station.contract t.p_station
-let owner_address t = t.p_owner_addr
 let user_address t = t.p_user_addr
 let cloud_address t = Station.cloud_addr t.p_station
 let user_balance t = Vm.balance (Ledger.state (ledger t)) t.p_user_addr

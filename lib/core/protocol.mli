@@ -31,6 +31,13 @@ val setup :
     run reproducible. [payment] is the per-search fee (default 1000
     wei). Defaults: [width] 16, [tdp_bits] 512, [acc_bits] 512. *)
 
+val seeded_owner :
+  width:int -> tdp_bits:int -> acc_bits:int -> seed:string -> Slicer_types.record list ->
+  Owner.t * Owner.shipment * Drbg.t
+(** The data owner {!setup} starts from, its Build shipment of
+    [records], and the generator [seed] seeded (which {!setup} goes on
+    drawing tokens from). One seed gives twins. *)
+
 val insert : t -> Slicer_types.record list -> unit
 (** Forward-secure insertion: updates cloud index, prime list, on-chain
     [Ac], and the user's trapdoor state. *)
@@ -76,12 +83,6 @@ val search_offchain : t -> Slicer_types.query -> Slicer_contract.claim list * bo
 val set_cloud_behavior : t -> Cloud.misbehavior -> unit
 (** Configure the threat-model misbehaviours for the next searches. *)
 
-val station : t -> Station.t
-(** The cloud+chain settlement endpoint this system drives. The
-    networked deployment ([Net.Service]) serves exactly this station
-    over framed RPC, so in-process and over-the-wire searches settle
-    through the same code path. *)
-
 val payment : t -> int
 (** The per-search fee locked in escrow. *)
 
@@ -91,7 +92,6 @@ val owner : t -> Owner.t
 val cloud : t -> Cloud.t
 val user : t -> User.t
 val ledger : t -> Ledger.t
-val owner_address : t -> Vm.address
 val contract_address : t -> Vm.address
 val user_address : t -> Vm.address
 val cloud_address : t -> Vm.address

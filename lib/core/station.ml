@@ -10,6 +10,19 @@ let create ~cloud ~ledger ~contract ~cloud_addr =
   { s_cloud = cloud; s_ledger = ledger; s_contract = contract; s_cloud_addr = cloud_addr;
     s_batcher = None }
 
+let deploy ~acc_params ~tdp_public ~owner ~cloud_addr ~shard ~dispute_window shipment =
+  let cloud = Cloud.create ~acc_params ~tdp_public () in
+  Cloud.install_shipment cloud shipment;
+  let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
+  Vm.fund (Ledger.state ledger) owner 100_000_000;
+  let contract, receipt =
+    Slicer_contract.deploy ~shard ~dispute_window ledger ~owner
+      ~modulus:acc_params.Rsa_acc.modulus ~initial_ac:shipment.Owner.sh_ac
+  in
+  match receipt.Vm.r_output with
+  | Ok _ -> Ok (create ~cloud ~ledger ~contract ~cloud_addr, receipt)
+  | Error e -> Error e
+
 let cloud t = t.s_cloud
 let ledger t = t.s_ledger
 let contract t = t.s_contract

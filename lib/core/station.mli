@@ -14,6 +14,16 @@ type t
 val create :
   cloud:Cloud.t -> ledger:Ledger.t -> contract:Vm.address -> cloud_addr:Vm.address -> t
 
+val deploy :
+  acc_params:Rsa_acc.params -> tdp_public:Rsa_tdp.public -> owner:Vm.address ->
+  cloud_addr:Vm.address -> shard:int * int -> dispute_window:int -> Owner.shipment ->
+  (t * Vm.receipt, string) result
+(** The one deploy site (Fig. 1's set-up): the cloud installs the
+    owner's Build shipment, a fresh chain grants [owner] 100,000,000
+    wei, and [owner] deploys the contract with the shipment's [Ac], the
+    cluster slice [shard] and the [dispute_window] in blocks. [Error]
+    is the deploy's revert reason. *)
+
 val cloud : t -> Cloud.t
 val ledger : t -> Ledger.t
 val contract : t -> Vm.address

@@ -39,6 +39,4 @@ let prf128_keyed kd msg = Sha256.finalize_trunc (outer_ctx kd msg) 16
    padding copies, no ipad^msg / opad^digest string builds). *)
 let sha256 ~key msg = sha256_keyed (create ~key) msg
 
-let sha256_hex ~key msg = Bytesutil.to_hex (sha256 ~key msg)
-
 let prf128 ~key msg = prf128_keyed (create ~key) msg

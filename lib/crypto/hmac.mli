@@ -23,8 +23,6 @@ val sha256 : key:string -> string -> string
 (** One-shot 32-byte HMAC-SHA256 tag (thin wrapper over a throwaway
     {!keyed} context). *)
 
-val sha256_hex : key:string -> string -> string
-
 val prf128 : key:string -> string -> string
 (** HMAC-SHA256 truncated to 16 bytes — the PRF
     [F : {0,1}^λ × {0,1}^* → {0,1}^128] of the paper. *)

@@ -399,22 +399,36 @@ let search ?(batched = false) t query =
   | Ok _ -> Error (Bad_reply "expected a search result")
   | Error e -> Error e
 
+let build_request ~client ~request_id ~width ~payment ~acc ~tdp_public ~user_keys ~shipment
+    ~trapdoor =
+  Wire.Build
+    { client; request_id; width; payment; acc;
+      tdp_n = tdp_public.Rsa_tdp.pn; tdp_e = tdp_public.Rsa_tdp.e;
+      user_k = user_keys.Keys.u_k; user_k_r = user_keys.Keys.u_k_r;
+      shipment; trapdoor; trace = None }
+
 let build t ~width ~payment ~acc ~tdp_public ~user_keys ~shipment ~trapdoor =
   let request_id = fresh_request_id t in
   match
     rpc t
       (stamp
-         (Wire.Build
-            { client = t.cname; request_id; width; payment; acc;
-              tdp_n = tdp_public.Rsa_tdp.pn; tdp_e = tdp_public.Rsa_tdp.e;
-              user_k = user_keys.Keys.u_k; user_k_r = user_keys.Keys.u_k_r;
-              shipment; trapdoor; trace = None }))
+         (build_request ~client:t.cname ~request_id ~width ~payment ~acc ~tdp_public ~user_keys
+            ~shipment ~trapdoor))
   with
   | Ok (Wire.Accepted { generation }) ->
     t.gen <- generation;
     Ok generation
   | Ok _ -> Error (Bad_reply "expected an accept")
   | Error e -> Error e
+
+let seeded_build ~width ~payment ~seed records =
+  let owner, shipment, _ =
+    Protocol.seeded_owner ~width ~tdp_bits:512 ~acc_bits:512 ~seed records
+  in
+  let keys = Owner.keys owner in
+  build_request ~client:"owner" ~request_id:"build" ~width ~payment
+    ~acc:(Owner.acc_params owner) ~tdp_public:keys.Keys.tdp_public
+    ~user_keys:(Keys.for_user keys) ~shipment ~trapdoor:(Owner.export_trapdoor_state owner)
 
 let insert t ~shipment ~trapdoor =
   let request_id = fresh_request_id t in

@@ -100,6 +100,13 @@ val build :
 (** Owner-side: bootstrap an empty server with the Build shipment.
     Returns the new generation. *)
 
+val seeded_build :
+  width:int -> payment:int -> seed:string -> Slicer_types.record list -> Wire.request
+(** Owner-side, without a connection: the Build request of the owner
+    [Protocol.setup ~width ~payment ~seed records] starts from, so the
+    database it builds is that system's twin. A self-seeded server
+    applies it through [Service.handle]. *)
+
 val insert :
   t -> shipment:Owner.shipment -> trapdoor:Owner.trapdoor_state -> (int, error) result
 (** Owner-side: apply a forward-secure Insert shipment. *)

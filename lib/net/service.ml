@@ -39,10 +39,10 @@ type t = {
   replies : (string, Wire.response) Hashtbl.t;
   reply_order : string Queue.t;
   mutable settled : int;
-  (* Durable state ([attach_store]/[recover]): while attached, every
-     effectful event is journaled under [lock] — so WAL order is
-     mutation order — and group-commit synced before the reply leaves
-     [handle]. [None] (the default) = the pre-PR-5 in-memory service. *)
+  (* Durable state, attached by [recover]: every effectful event is
+     journaled under [lock] — so WAL order is mutation order — and
+     group-commit synced before the reply leaves [handle]. [None] (a
+     [create]d service) keeps everything in memory. *)
   mutable store : Store.t option;
   (* Batched optimistic settlement: [Some cfg] switches settlement to
      deferred receipts batched under one Merkle commitment per
@@ -65,8 +65,7 @@ type t = {
 }
 
 (* The idempotency cache's bound, in replies, and the balance each
-   newly registered user (and the owner, and a short cloud) is
-   granted. *)
+   newly registered user (and a short cloud) is granted. *)
 let max_cached_replies = 8192
 let faucet = 100_000_000
 
@@ -109,23 +108,6 @@ let maybe_enable_batching ?state t (b : built) =
       | Error e -> Log.err (fun m -> m "enabling batched settlement failed: %s" e)
     end
 
-let of_protocol ?settle ?instance ?shard p =
-  let t = create ?settle ?instance ?shard () in
-  let owner = Protocol.owner p in
-  let b =
-    { b_station = Protocol.station p;
-      b_acc = Owner.acc_params owner;
-      b_user_keys = Keys.for_user (Owner.keys owner);
-      b_width = Owner.width owner;
-      b_payment = Protocol.payment p;
-      b_owner_addr = Protocol.owner_address p;
-      b_trapdoor = Owner.export_trapdoor_state owner;
-      b_generation = 1 }
-  in
-  t.state <- Some b;
-  maybe_enable_batching t b;
-  t
-
 let built t = t.state <> None
 
 let generation t = match t.state with None -> 0 | Some b -> b.b_generation
@@ -156,9 +138,11 @@ let cached_reply t ~client ~request_id =
   Hashtbl.find_opt t.replies (reply_key ~client ~request_id)
 
 (* WAL event taxonomy. Payloads are the raw [Wire] request bytes
-   (except Register, which carries just the client name): the service
-   is deterministic, so replaying the requests that took effect — in
-   lock order — reproduces the state, idempotency cache included. *)
+   (except Register, which carries just the client name, and Build,
+   whose request bytes follow the shard identity it was applied as):
+   the service is deterministic, so replaying the requests that took
+   effect — in lock order — reproduces the state, idempotency cache
+   included. *)
 let tag_register = 1
 let tag_build = 2
 let tag_insert = 3
@@ -181,17 +165,34 @@ let tag_dispute = 8
    twice — and always under [t.lock], so WAL order is effect order.
    During [recover]'s replay the store is not yet attached, hence no
    re-journaling. *)
-let journal t ~tag payload =
+let journal_sized t ~tag sized =
   match t.store with
   | None -> ()
-  | Some store -> ignore (Store.append store ~tag payload)
+  | Some store -> ignore (Store.append_sized store ~tag sized)
+
+let journal t ~tag payload = journal_sized t ~tag (Bytesutil.sized_string payload)
 
 (* A request is encoded only when there is a store to write it to, and
    then streamed into the log: a Build's shipment is never copied. *)
-let journal_request t ~tag req =
-  match t.store with
-  | None -> ()
-  | Some store -> ignore (Store.append_sized store ~tag (Wire.request_sized req))
+let journal_request t ~tag req = journal_sized t ~tag (Wire.request_sized req)
+
+(* A Build's record: the shard identity it was applied as, in two
+   pieces, then the request bytes. Its replay deploys the contract under
+   that identity, so [verify_recovered] refuses a restart as another
+   shard whether the Build sits in the WAL or in a snapshot. *)
+let journal_build t ~shard:(i, n) req =
+  journal_sized t ~tag:tag_build
+    (Bytesutil.sized_concat
+       [ Bytesutil.sized_string (string_of_int i); Bytesutil.sized_string (string_of_int n);
+         Wire.request_sized req ])
+
+let build_of_record payload =
+  match Bytesutil.split payload with
+  | Some [ i; n; bytes ] ->
+    (match (int_of_string_opt i, int_of_string_opt n, Wire.decode_request bytes) with
+     | Some i, Some n, Some (Wire.Build _ as req) -> Some ((i, n), req)
+     | _ -> None)
+  | _ -> None
 
 let user_address t b client =
   match Hashtbl.find_opt t.users client with
@@ -300,7 +301,9 @@ let do_search t b ~req ~client ~request_id ~batched tokens =
           cache_reply t (reply_key ~client ~request_id) reply;
           reply))
 
-let do_build t req =
+(* [shard] is the identity the contract is deployed under: the
+   service's own, or on replay the one the Build's record carries. *)
+let do_build t ~shard req =
   match req with
   | Wire.Build { client; request_id; width; payment; acc; tdp_n; tdp_e; user_k; user_k_r;
                  shipment; trapdoor; trace = _ } ->
@@ -316,43 +319,35 @@ let do_build t req =
      | Some _ -> refused Wire.Already_built "the service already holds a database"
      | None ->
        let tdp_public = Rsa_tdp.public_of_parts ~n:tdp_n ~e:tdp_e in
-       let cloud = Cloud.create ~acc_params:acc ~tdp_public () in
-       Cloud.install_shipment cloud shipment;
-       let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
        let owner_addr = Vm.address_of_name "slicer-net:owner" in
-       let cloud_addr = Vm.address_of_name "slicer-net:cloud" in
-       Vm.fund (Ledger.state ledger) owner_addr faucet;
        let dispute_window =
          match t.settle with
          | Some cfg -> cfg.Settle_batch.sb_dispute_blocks
-         | None -> 4
+         | None -> Settle_batch.default_config.Settle_batch.sb_dispute_blocks
        in
-       let contract, receipt =
-         Slicer_contract.deploy ~shard:t.shard ~dispute_window ledger ~owner:owner_addr
-           ~modulus:acc.Rsa_acc.modulus ~initial_ac:shipment.Owner.sh_ac
-       in
-       (match receipt.Vm.r_output with
+       (match
+          Station.deploy ~acc_params:acc ~tdp_public ~owner:owner_addr
+            ~cloud_addr:(Vm.address_of_name "slicer-net:cloud") ~shard ~dispute_window shipment
+        with
         | Error e -> refused Wire.Internal ("contract deployment failed: " ^ e)
-        | Ok _ ->
-          t.state <-
-            Some
-              { b_station = Station.create ~cloud ~ledger ~contract ~cloud_addr;
-                b_acc = acc;
-                b_user_keys =
-                  { Keys.u_k = user_k; u_k_r = user_k_r; u_tdp_public = tdp_public };
-                b_width = width;
-                b_payment = payment;
-                b_owner_addr = owner_addr;
-                b_trapdoor = trapdoor;
-                b_generation = 1 };
-          (match t.state with
-           | Some b -> maybe_enable_batching t b
-           | None -> ());
+        | Ok (station, receipt) ->
+          let b =
+            { b_station = station;
+              b_acc = acc;
+              b_user_keys = { Keys.u_k = user_k; u_k_r = user_k_r; u_tdp_public = tdp_public };
+              b_width = width;
+              b_payment = payment;
+              b_owner_addr = owner_addr;
+              b_trapdoor = trapdoor;
+              b_generation = 1 }
+          in
+          t.state <- Some b;
+          maybe_enable_batching t b;
           Log.info (fun m ->
               m "built from wire shipment: %d index entries, deploy gas %d"
                 (Owner.shipment_entry_count shipment) receipt.Vm.r_gas_used);
           let reply = Wire.Accepted { generation = 1 } in
-          journal_request t ~tag:tag_build req;
+          journal_build t ~shard req;
           cache_reply t (reply_key ~client ~request_id) reply;
           reply))
   | _ -> assert false
@@ -410,7 +405,7 @@ let handle_locked t req =
     refused Wire.Version_mismatch
       (Printf.sprintf "client speaks protocol revision %d, this server speaks %d" proto
          Wire.proto_version)
-  | (Wire.Build _, _) -> do_build t req
+  | (Wire.Build _, _) -> do_build t ~shard:t.shard req
   | (_, None) -> refused Wire.Not_ready "no database: awaiting the owner's Build shipment"
   | (Wire.Hello { client; _ }, Some b) -> provision t b client
   | ((Wire.Search { client; request_id; batched; tokens; _ } as req), Some b) ->
@@ -648,19 +643,22 @@ let apply_event t (ev : Store.event) =
       else ignore (Settle_batch.finalize_due sb);
       Ok ()
   else
-    match Wire.decode_request ev.Store.ev_payload with
+    let replayed =
+      if ev.Store.ev_tag = tag_build then
+        Option.map (fun (shard, req) -> do_build t ~shard req) (build_of_record ev.Store.ev_payload)
+      else Option.map (handle_locked t) (Wire.decode_request ev.Store.ev_payload)
+    in
+    match replayed with
     | None ->
       Error (Printf.sprintf "event %d (tag %d): undecodable request" ev.Store.ev_seq ev.Store.ev_tag)
-    | Some req -> (
-      match handle_locked t req with
-      | Wire.Refused { code; detail } ->
-        (* A journaled event took effect once; a deterministic replay
-           cannot refuse it. If it does, the state diverged — refuse
-           to serve rather than serve wrong answers. *)
-        Error
-          (Printf.sprintf "event %d (tag %d) refused on replay (%s): %s" ev.Store.ev_seq
-             ev.Store.ev_tag (Wire.err_code_to_string code) detail)
-      | _ -> Ok ())
+    | Some (Wire.Refused { code; detail }) ->
+      (* A journaled event took effect once; a deterministic replay
+         cannot refuse it. If it does, the state diverged — refuse to
+         serve rather than serve wrong answers. *)
+      Error
+        (Printf.sprintf "event %d (tag %d) refused on replay (%s): %s" ev.Store.ev_seq
+           ev.Store.ev_tag (Wire.err_code_to_string code) detail)
+    | Some _ -> Ok ()
 
 (* The acceptance invariant: the recovered contract must record the
    shard identity this server was started as, and the recovered prime
@@ -694,16 +692,6 @@ let verify_recovered t =
        else
          Error
            "recovered accumulator mismatch: primes, cloud Ac and on-chain Ac disagree")
-
-let attach_store t store =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      t.store <- Some store;
-      (* Anchor immediately: the current in-memory state becomes the
-         durable base, and the WAL only ever extends it. *)
-      Store.checkpoint store (encode_snapshot t))
 
 type recovery_stats = {
   rs_snapshot : bool;
@@ -743,7 +731,10 @@ let recover ?settle ?instance ?shard cfg =
              (match verify_recovered t with
               | Error e -> fail e
               | Ok () ->
-                attach_store t store;
+                (* Re-anchor: the recovered state becomes the durable
+                   base, and the WAL only ever extends it. *)
+                t.store <- Some store;
+                Store.checkpoint store (encode_snapshot t);
                 Log.info (fun m ->
                     m "recovered: snapshot=%b, %d events replayed, dropped_tail=%b, generation %d"
                       (rc.Store.rc_snapshot <> None)

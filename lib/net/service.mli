@@ -19,20 +19,15 @@ type t
 val create :
   ?settle:Settle_batch.config -> ?instance:string -> ?shard:int * int -> unit -> t
 (** An empty service awaiting a [Wire.Build] shipment from the data
-    owner. Each newly registered user is granted 100,000,000 wei, and
-    the idempotency cache keeps the last 8,192 replies. [settle]
-    switches settlement to the optimistic batched mode as soon as a
-    database exists (see {!section-settlement}). [instance] (default
-    [""]) names this process in Welcome frames; [shard = (i, n)]
-    (default [(0, 1)])
-    is the cluster slice this service owns — stamped into the contract
-    at Build and echoed as [pv_shards] so clients know the topology. *)
-
-val of_protocol :
-  ?settle:Settle_batch.config -> ?instance:string -> ?shard:int * int -> Protocol.t -> t
-(** Serve an in-process system (e.g. one the server built from
-    [--records N] at startup): the service drives the {e same} station,
-    so wire searches and [Protocol.search] settle identically. *)
+    owner, the only way it gets a database (a self-seeded server
+    applies its own owner's through {!handle}). Each newly registered
+    user is granted 100,000,000 wei, and the idempotency cache keeps
+    the last 8,192 replies. [settle] switches settlement to the
+    optimistic batched mode as soon as a database exists (see
+    {!section-settlement}). [instance] (default [""]) names this
+    process in Welcome frames; [shard = (i, n)] (default [(0, 1)]) is
+    the cluster slice this service owns. The Build stamps [shard] and
+    [settle]'s dispute window (4 blocks without) into the contract. *)
 
 val handle : t -> Wire.request -> Wire.response
 (** Thread-safe dispatch of one request. *)
@@ -71,25 +66,19 @@ val settle_flush : t -> unit
 
 (** {1 Durability}
 
-    With a {!Store} attached, every effectful event — client
-    registration, Build, Insert, settled Search — is journaled under
-    the service lock {e before} its reply leaves {!handle}, and
-    group-commit fsynced after it; past [snapshot_bytes] of WAL the
-    full state is snapshotted atomically and the log truncated. The
-    service's dispatch is deterministic, so replaying the journaled
-    request bytes over the newest snapshot reproduces the state —
-    including the idempotency cache, which is how a retried
-    [(client, request_id)] still replays its cached reply across a
-    [kill -9]. *)
-
-val attach_store : t -> Store.t -> unit
-(** Start journaling into [store]. Immediately checkpoints the current
-    in-memory state as the durable base (so a service built from
-    [--records N] or an applied Build survives from this moment on). *)
+    A service from {!recover} journals every effectful event — client
+    registration, Build, Insert, settled Search — under the service
+    lock {e before} its reply leaves {!handle}, and group-commit fsyncs
+    after it; past [snapshot_bytes] of WAL the full state is
+    snapshotted atomically and the log truncated. The service's
+    dispatch is deterministic, so replaying the journaled request bytes
+    over the newest snapshot reproduces the state — including the
+    idempotency cache, which is how a retried [(client, request_id)]
+    still replays its cached reply across a [kill -9]. A Build's record
+    also carries the shard identity it was applied as. *)
 
 val store : t -> Store.t option
-(** The attached store, if any — e.g. to hand a freshly-recovered empty
-    store to a self-seeded replacement service. *)
+(** The store {!recover} attached, if any (to close at shutdown). *)
 
 type recovery_stats = {
   rs_snapshot : bool;      (** a valid snapshot was loaded *)
@@ -103,10 +92,11 @@ val recover :
 (** Open (or create) the durable state at [cfg.dir], rebuild the
     service from the newest valid snapshot plus the contiguous WAL
     tail, check that the recovered contract records [shard] as its
-    shard identity, verify the recovered prime multiset re-accumulates
-    to both the cloud's and the on-chain [Ac], re-anchor on a fresh
-    checkpoint and attach the store. [Error] — and no serving — when
-    the snapshot does not decode (a layout other than
+    shard identity (a Build replayed from the WAL deploys under the
+    identity its record carries), verify the recovered prime multiset
+    re-accumulates to both the cloud's and the on-chain [Ac], re-anchor
+    on a fresh checkpoint and attach the store. [Error] — and no
+    serving — when the snapshot does not decode (a layout other than
     [slicer-service-built-v5] is a codec mismatch), when replay fails,
     when the state dir holds another shard's contract (the error names
     both identities), or when the accumulator check fails. An empty

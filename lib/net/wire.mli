@@ -176,10 +176,6 @@ val decode_request : string -> request option
 val encode_response : response -> string
 val decode_response : string -> response option
 
-val settle_to_bytes : settle_info -> string
-val settle_of_bytes : string -> settle_info option
-(** Standalone codec for {!settle_info} (also used by the service WAL). *)
-
 val retryable : response -> bool
 (** [true] only for [Refused {code = Busy; _}] — the one server error a
     client should retry (with backoff) rather than surface. *)

@@ -2,15 +2,12 @@
     the deterministic Baillie–PSW test on which every party computing
     prime representatives must agree. *)
 
-val mr_rounds : int
-(** Default number of witness rounds (16): error probability below
-    4^-16 per composite, ample for key generation. *)
-
 val is_probable_prime : ?rounds:int -> rng:Drbg.t -> Bigint.t -> bool
 (** Trial division by the small-prime table (one
     {!Bigint.first_divisor} call) followed by [rounds] Miller-Rabin
-    rounds with bases drawn from [rng]. Exact for inputs below the
-    small-prime table bound. *)
+    rounds with bases drawn from [rng] (default 16: error probability
+    below 4^-16 per composite, ample for key generation). Exact for
+    inputs below the small-prime table bound. *)
 
 val miller_rabin_base : Bigint.t -> base:Bigint.t -> bool
 (** One Miller-Rabin (strong probable-prime) round with an explicit

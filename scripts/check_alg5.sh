@@ -9,15 +9,20 @@
 # memoized walk, Prime_rep.to_prime or Prime_rep.to_primes: every
 # verifier checks the prime a claim's committed hint names, so only the
 # parties that make primes walk (Prime_rep.to_prime_uncached, the walk
-# without the memo, does not count). Run by `dune runtest`, or directly
-# from the repo root.
+# without the memo, does not count). And the contract has one deploy
+# site: it fails if a .ml file under lib/ or bin/ other than
+# lib/core/station.ml names Slicer_contract.deploy, so every database is
+# stood up through Station.deploy with its service's shard and dispute
+# window (DESIGN.md §6). Run by `dune runtest`, or directly from the
+# repo root.
 set -u
 
 cd "$(dirname "$0")/.." || exit 1
 
 home=lib/chain/slicer_contract.ml
 walkers="lib/core/owner.ml lib/core/cloud.ml"
-for f in $home $walkers; do
+deployer=lib/core/station.ml
+for f in $home $walkers $deployer; do
   [ -f "$f" ] || { echo "check_alg5: $f not found" >&2; exit 1; }
 done
 
@@ -42,5 +47,13 @@ if [ -n "$walks" ]; then
   status=1
 fi
 
-[ "$status" -eq 0 ] && echo "check_alg5: Algorithm 5 runs only in $home; only $walkers walk"
+deploys=$(grep -rnE 'Slicer_contract\.deploy\b' lib bin --include='*.ml' \
+          | grep -v "^$deployer:") || true
+if [ -n "$deploys" ]; then
+  echo "$deploys" >&2
+  echo "check_alg5: only $deployer may call Slicer_contract.deploy; stand a database up through Station.deploy" >&2
+  status=1
+fi
+
+[ "$status" -eq 0 ] && echo "check_alg5: Algorithm 5 runs only in $home; only $walkers walk; only $deployer deploys"
 exit "$status"

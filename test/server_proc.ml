@@ -1,7 +1,8 @@
 (* Real slicer-server processes for the suites that drive one over
    loopback (test_net's durability and settlement cases, test_cluster's
-   shard drill): where the binary is, a scratch state directory, and a
-   spawn that waits for the listening banner. *)
+   shard drill): where the binary is, a scratch state directory, a
+   spawn that waits for the listening banner, and a start that must be
+   refused. *)
 
 let server_exe () =
   List.find_opt Sys.file_exists
@@ -25,17 +26,17 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* An empty durable server on [port] (0 = any), fsync on. Returns its
-   pid, the read end of its stdout and the port it bound. *)
-let spawn_server ?(extra = []) ?(port = 0) ~exe ~dir () =
+let server_args ~records ~port ~dir =
+  [ "--records"; string_of_int records; "--port"; string_of_int port; "--state-dir"; dir;
+    "--log-level"; "quiet"; "--metrics-interval"; "0" ]
+
+(* A durable server on [port] (0 = any), fsync on, that self-seeds
+   [records] records into a fresh state dir (0 = starts empty). Returns
+   its pid, the read end of its stdout and the port it bound. *)
+let spawn_server ?(extra = []) ?(port = 0) ~records ~exe ~dir () =
   let out_r, out_w = Unix.pipe () in
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let argv =
-    Array.of_list
-      ([ exe; "--records"; "0"; "--port"; string_of_int port; "--state-dir"; dir;
-         "--log-level"; "quiet"; "--metrics-interval"; "0" ]
-       @ extra)
-  in
+  let argv = Array.of_list ((exe :: server_args ~records ~port ~dir) @ extra) in
   let pid = Unix.create_process exe argv null out_w Unix.stderr in
   Unix.close out_w;
   Unix.close null;
@@ -57,3 +58,30 @@ let spawn_server ?(extra = []) ?(port = 0) ~exe ~dir () =
   in
   let port = find_port () in
   (pid, out_r, port)
+
+(* A server that must refuse to start: run it on [dir] (port 0) until it
+   exits, at most 30 s, and return its exit status and stderr. *)
+let refused_start ?(extra = []) ~records ~exe ~dir () =
+  let err_r, err_w = Unix.pipe () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let argv = Array.of_list ((exe :: server_args ~records ~port:0 ~dir) @ extra) in
+  let pid = Unix.create_process exe argv null null err_w in
+  Unix.close err_w;
+  Unix.close null;
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec reap () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Thread.delay 0.05;
+      reap ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.fail "a server that must refuse to start kept running"
+    | _, status -> status
+  in
+  let status = reap () in
+  let ic = Unix.in_channel_of_descr err_r in
+  let err = In_channel.input_all ic in
+  close_in ic;
+  (status, err)

@@ -295,8 +295,8 @@ let deployed () =
   let ledger = fresh_ledger () in
   let token, results, witness, ac = scenario () in
   let contract, dr =
-    Slicer_contract.deploy ledger ~owner:alice ~modulus:acc_params.Rsa_acc.modulus
-      ~initial_ac:ac
+    Slicer_contract.deploy ~shard:(0, 1) ~dispute_window:4 ledger ~owner:alice
+      ~modulus:acc_params.Rsa_acc.modulus ~initial_ac:ac
   in
   (ledger, contract, dr, token, results, witness)
 

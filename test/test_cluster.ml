@@ -637,7 +637,7 @@ let test_shard_sigkill_drill () =
   | None -> Alcotest.skip ()
   | Some exe ->
     let spawn ?port i dir =
-      Server_proc.spawn_server ?port ~exe ~dir
+      Server_proc.spawn_server ?port ~records:0 ~exe ~dir
         ~extra:
           [ "--shard-id"; string_of_int i; "--shard-count"; "2"; "--instance";
             Printf.sprintf "shard-%d" i; "--trace-slow-ms"; "0" ]

@@ -22,23 +22,35 @@ let db =
   let rng = Drbg.create ~seed:"net-db" in
   Gen.uniform_records ~rng ~width 40
 
-(* The served system and its in-process mirror: [Protocol.setup] is
-   deterministic per seed, so these are twins — same keys, same index,
-   same chain genesis. The mirror answers every query the way the
-   server must. *)
-let service_system =
-  lazy
-    (let s = Protocol.setup ~width ~seed:"net-twin" db in
-     Cloud.precompute_witnesses (Protocol.cloud s);
-     s)
+(* A service seeded the way a self-seeded server is: it applies the
+   Build of the owner [Protocol.setup ~width ~seed records] starts from,
+   then its background witness warm is awaited, so no test races it. *)
+let seeded_service ?settle ?shard ~seed records =
+  let svc = Net.Service.create ?settle ?shard () in
+  let warms () = Obs.counter_value "slicer_net_background_warms_total" in
+  let warms0 = warms () in
+  (match Net.Service.handle svc (Net.Client.seeded_build ~width ~payment:1000 ~seed records) with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "the seeding Build was refused");
+  let deadline = Unix.gettimeofday () +. 60. in
+  while warms () <= warms0 do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the Build's witness warm did not finish";
+    Thread.delay 0.01
+  done;
+  svc
 
+(* The served system and its in-process mirror: the service's database
+   comes from the owner [Protocol.setup] builds from the same seed, so
+   these are twins — same keys, same index and ADS, same claims (their
+   chains differ in addresses only). The mirror answers every query the
+   way the server must. *)
 let mirror_system =
   lazy
     (let s = Protocol.setup ~width ~seed:"net-twin" db in
      Cloud.precompute_witnesses (Protocol.cloud s);
      s)
 
-let service = lazy (Net.Service.of_protocol (Lazy.force service_system))
+let service = lazy (seeded_service ~seed:"net-twin" db)
 
 let server =
   lazy
@@ -901,9 +913,7 @@ let test_kill_restart_mid_load () =
      comes back on the same port with the same service state. Every
      search must eventually succeed, verified, with oracle-correct ids. *)
   let small_db = List.filteri (fun i _ -> i < 25) db in
-  let system = Protocol.setup ~width ~seed:"net-restart" small_db in
-  Cloud.precompute_witnesses (Protocol.cloud system);
-  let svc = Net.Service.of_protocol system in
+  let svc = seeded_service ~seed:"net-restart" small_db in
   let listener = Net.Server.bind_endpoint (Net.Server.Tcp ("127.0.0.1", 0)) in
   let port = Net.Server.bound_port listener in
   let config =
@@ -1553,14 +1563,14 @@ let test_service_survives_restart () =
    records: a durable shard (0, 2) recovered as (1, 2) or as (0, 1) is
    refused with both identities named, and recovered as (0, 2) it
    serves searches that still verify. An empty state dir holds no
-   contract, so any identity opens it. The identity lives in the
-   snapshot's contract storage, so the Build is checkpointed (a 1-byte
-   snapshot cadence); a Build still only in the WAL is replayed under
-   the identity the restarting server claims. *)
-let test_shard_identity_checked_on_recovery () =
-  let dir = fresh_state_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cfg = { Store.dir; fsync = false; snapshot_bytes = 1 } in
+   contract, so any identity opens it. Both places a Build can sit are
+   covered: checkpointed into a snapshot (a 1-byte cadence), whose
+   contract storage holds the identity, and only in the WAL
+   ([max_int]), whose Build record carries the identity it was applied
+   as and replays under it. *)
+let shard_identity_checked ~snapshot_bytes dir =
+  let cfg = { Store.dir; fsync = false; snapshot_bytes } in
+  let where = if snapshot_bytes = 1 then "Build in a snapshot" else "Build in the WAL only" in
   let rng, keys, acc_params, owner, records, shipment = durable_owner "shard-id-owner" in
   let svc =
     match Net.Service.recover ~shard:(0, 2) cfg with
@@ -1585,16 +1595,16 @@ let test_shard_identity_checked_on_recovery () =
       match Net.Service.recover ~shard cfg with
       | Ok (svc, _) ->
         Option.iter Store.close (Net.Service.store svc);
-        Alcotest.failf "shard (0, 2)'s state dir recovered as (%d, %d)" i n
+        Alcotest.failf "shard (0, 2)'s state dir (%s) recovered as (%d, %d)" where i n
       | Error e ->
-        Alcotest.(check string) "the refusal names both identities"
+        Alcotest.(check string) (where ^ ": the refusal names both identities")
           (Printf.sprintf
              "recovered shard mismatch: the state dir holds shard 0 of 2, this server is shard %d of %d"
              i n)
           e)
     [ (1, 2); (0, 1) ];
   match Net.Service.recover ~shard:(0, 2) cfg with
-  | Error e -> Alcotest.failf "recovering as the same shard: %s" e
+  | Error e -> Alcotest.failf "%s: recovering as the same shard: %s" where e
   | Ok (svc, _) ->
     Fun.protect ~finally:(fun () -> Option.iter Store.close (Net.Service.store svc)) @@ fun () ->
     let user =
@@ -1621,6 +1631,39 @@ let test_shard_identity_checked_on_recovery () =
            (User.decrypt_results user
               (List.concat_map (fun (c : Slicer_contract.claim) -> c.results) r.Wire.sr_claims)))
     | _ -> Alcotest.fail "search after recovery refused"
+
+let test_shard_identity_checked_on_recovery () =
+  List.iter
+    (fun snapshot_bytes ->
+      let dir = fresh_state_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      shard_identity_checked ~snapshot_bytes dir)
+    [ 1; max_int ]
+
+(* A Build record carries the shard identity before a Build request.
+   One without the identity (the layout written before identities were
+   journaled), or whose request is no Build, fails replay as
+   undecodable: recovery refuses rather than guess an identity. *)
+let test_build_record_without_identity_refused () =
+  let piece = Bytesutil.sized_string in
+  let build = Net.Client.seeded_build ~width ~payment:1000 ~seed:"bare-build" db in
+  List.iter
+    (fun (what, payload) ->
+      let dir = fresh_state_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+      let store, _ = Store.open_ cfg in
+      ignore (Store.append_sized store ~tag:2 payload);
+      Store.close store;
+      match Net.Service.recover cfg with
+      | Ok (svc, _) ->
+        Option.iter Store.close (Net.Service.store svc);
+        Alcotest.failf "%s: recovered" what
+      | Error e ->
+        Alcotest.(check string) what "WAL replay failed: event 1 (tag 2): undecodable request" e)
+    [ ("a Build record without its identity", Wire.request_sized build);
+      ( "a Build record holding a Ping",
+        Bytesutil.sized_concat [ piece "0"; piece "1"; Wire.request_sized Wire.Ping ] ) ]
 
 let test_witness_index_survives_restart () =
   (* The snapshot carries the warm witness state: a restored service
@@ -1793,7 +1836,10 @@ let test_old_snapshot_layouts_refused () =
    snapshot was re-hashed when each claim's hint moved into the claims
    blob (magic slicer-service-built-v5): the cached Found reply grew by
    the hints piece, and the committed leaf, which hashes that blob, moved
-   the batch's root. Neither may move one byte. *)
+   the batch's root. The WAL was re-hashed when the Build's record began
+   with the shard identity it was applied as: 14 bytes, the pieces "0"
+   and "1" and the request's own length prefix. Neither may move one
+   byte. *)
 let test_wal_and_snapshot_golden () =
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1845,9 +1891,9 @@ let test_wal_and_snapshot_golden () =
   Option.iter Store.close (Net.Service.store svc);
   let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
   let wal = read "wal.log" in
-  Alcotest.(check int) "wal.log size" 21437 (String.length wal);
+  Alcotest.(check int) "wal.log size" 21451 (String.length wal);
   Alcotest.(check string) "wal.log sha-256"
-    "ffec9562dc5798432e507d3d9d112d0b513dc2879c6328ab8079898aa73b8c3e" (Sha256.digest_hex wal);
+    "4a61272a03a862ce1a391817d63390f49c7a1ba8c517011e641768bafe287153" (Sha256.digest_hex wal);
   match Net.Service.recover ~settle cfg with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (svc, stats) ->
@@ -1886,38 +1932,14 @@ let test_second_server_refused_on_live_state_dir () =
   | Some exe ->
     let dir = fresh_state_dir () in
     Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-    let pid, out_fd, port = spawn_server ~exe ~dir () in
+    let pid, out_fd, port = spawn_server ~records:0 ~exe ~dir () in
     Fun.protect
       ~finally:(fun () ->
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
         (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
         try Unix.close out_fd with Unix.Unix_error _ -> ())
     @@ fun () ->
-    let err_r, err_w = Unix.pipe () in
-    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-    let argv =
-      [| exe; "--records"; "0"; "--port"; "0"; "--state-dir"; dir; "--log-level"; "quiet";
-         "--metrics-interval"; "0" |]
-    in
-    let pid2 = Unix.create_process exe argv null null err_w in
-    Unix.close err_w;
-    Unix.close null;
-    let deadline = Unix.gettimeofday () +. 30. in
-    let rec reap () =
-      match Unix.waitpid [ Unix.WNOHANG ] pid2 with
-      | 0, _ when Unix.gettimeofday () < deadline ->
-        Thread.delay 0.05;
-        reap ()
-      | 0, _ ->
-        Unix.kill pid2 Sys.sigkill;
-        ignore (Unix.waitpid [] pid2);
-        Alcotest.fail "a second server on a live state dir kept running"
-      | _, status -> status
-    in
-    let status = reap () in
-    let ic = Unix.in_channel_of_descr err_r in
-    let err = In_channel.input_all ic in
-    close_in ic;
+    let status, err = refused_start ~records:0 ~exe ~dir () in
     Alcotest.(check bool) "second server exits non-zero" true (status <> Unix.WEXITED 0);
     let expected = Printf.sprintf "state dir %s is in use by another live process" dir in
     if not (contains err expected) then Alcotest.failf "stderr %S lacks %S" err expected;
@@ -1933,7 +1955,7 @@ let test_sigkill_mid_load_recovers () =
   | Some exe ->
     let dir = fresh_state_dir () in
     Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-    let pid, out_fd, port = spawn_server ~exe ~dir () in
+    let pid, out_fd, port = spawn_server ~records:0 ~exe ~dir () in
     Fun.protect
       ~finally:(fun () ->
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -2036,12 +2058,102 @@ let test_sigkill_mid_load_recovers () =
           | Error e -> Alcotest.failf "post-recovery search: %s" (Net.Client.error_to_string e));
          Net.Client.close c)
 
+(* A self-seeded server ([--records N]) gets its database from its own
+   owner's Build, journaled like a remote owner's: SIGKILLed and
+   restarted with the same flags it recovers that Build instead of
+   seeding again, so a pinned request replays byte-for-byte and a fresh
+   search returns the same ids. Started as shard 1 of 2, its contract
+   holds that identity: restarting as itself recovers, and restarting
+   as a lone server is refused. *)
+let test_self_seeded_server_recovers () =
+  match server_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let seed_flags = [ "--seed"; "self-seeded"; "--width"; string_of_int width ] in
+    let records = Gen.uniform_records ~rng:(Drbg.create ~seed:"self-seeded:data") ~width 30 in
+    let query = q 30 Slicer_types.Lt in
+    let stop (pid, out_fd, _) =
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      try Unix.close out_fd with Unix.Unix_error _ -> ()
+    in
+    let with_server ?(extra = []) dir f =
+      let server = spawn_server ~extra:(seed_flags @ extra) ~records:30 ~exe ~dir () in
+      Fun.protect ~finally:(fun () -> stop server) (fun () ->
+          let _, _, port = server in
+          f port)
+    in
+    (* The verified ids of a fresh client's search, at generation 1. *)
+    let search_ids port name =
+      match Net.Client.connect ~name (Net.Server.Tcp ("127.0.0.1", port)) with
+      | Error e -> Alcotest.failf "%s connect: %s" name (Net.Client.error_to_string e)
+      | Ok c ->
+        Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+        Alcotest.(check int) (name ^ ": generation") 1 (Net.Client.generation c);
+        (match Net.Client.search c query with
+         | Ok out ->
+           Alcotest.(check bool) (name ^ ": verified") true out.Protocol.so_verified;
+           sorted out.Protocol.so_ids
+         | Error e -> Alcotest.failf "%s search: %s" name (Net.Client.error_to_string e))
+    in
+    (* A pinned (client, request id) search over a raw socket. *)
+    let probe port =
+      let fd = raw_connect port in
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+      match raw_request fd (Wire.Hello { client = "self-seed-probe"; proto = Wire.proto_version }) with
+      | Wire.Welcome p ->
+        let user = User.create ~keys:p.Wire.pv_user_keys ~width:p.Wire.pv_width p.Wire.pv_trapdoor in
+        let tokens = User.gen_tokens ~rng:(Drbg.create ~seed:"self-seed-probe") user query in
+        raw_request fd
+          (Wire.Search
+             { client = "self-seed-probe"; request_id = "probe#1"; batched = false; tokens;
+               trace = None })
+      | _ -> Alcotest.fail "probe hello refused"
+    in
+    let dir = fresh_state_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let ids, pinned =
+      with_server dir (fun port ->
+          let ids = search_ids port "self-seed-user" in
+          check_ids "the seeded records' ids" (Slicer_types.reference_search records query) ids;
+          (ids, probe port))
+    in
+    with_server dir (fun port ->
+        Alcotest.(check string) "the pinned search replays: the Build was recovered, not re-seeded"
+          (Wire.encode_response pinned) (Wire.encode_response (probe port));
+        Alcotest.(check (list string)) "same ids after the restart" ids
+          (search_ids port "self-seed-user-2"));
+    let dir = fresh_state_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let shard_1_of_2 = [ "--shard-id"; "1"; "--shard-count"; "2" ] in
+    with_server ~extra:shard_1_of_2 dir (fun port -> ignore (search_ids port "shard-user"));
+    with_server ~extra:shard_1_of_2 dir (fun port ->
+        Alcotest.(check (list string)) "the restarted shard's ids" ids
+          (search_ids port "shard-user-2"));
+    let status, err = refused_start ~extra:seed_flags ~records:30 ~exe ~dir () in
+    Alcotest.(check bool) "a lone server on shard 1's state dir exits non-zero" true
+      (status <> Unix.WEXITED 0);
+    let expected =
+      "recovered shard mismatch: the state dir holds shard 1 of 2, this server is shard 0 of 1"
+    in
+    if not (contains err expected) then Alcotest.failf "stderr %S lacks %S" err expected
+
 (* --- batched optimistic settlement over the wire ------------------------ *)
 
-let settle_system seed ~settle =
+(* A served batched system. Its contract must hold the service's own
+   dispute window and shard identity, which its Build deployed it with. *)
+let settle_system seed ~settle ~shard =
   let small_db = List.filteri (fun i _ -> i < 25) db in
-  let system = Protocol.setup ~width ~seed small_db in
-  let svc = Net.Service.of_protocol ~settle system in
+  let svc = seeded_service ~settle ~shard ~seed small_db in
+  (match Net.Service.station svc with
+   | None -> Alcotest.fail "no station"
+   | Some st ->
+     let ledger = Station.ledger st and contract = Station.contract st in
+     Alcotest.(check (option int)) "the contract holds the configured dispute window"
+       (Some settle.Settle_batch.sb_dispute_blocks)
+       (Slicer_contract.stored_dispute_window ledger ~contract);
+     Alcotest.(check (option (pair int int))) "the contract holds the service's shard"
+       (Some shard) (Slicer_contract.stored_shard ledger ~contract));
   let srv = Net.Server.start (Net.Service.handle svc) in
   (small_db, svc, srv)
 
@@ -2063,7 +2175,7 @@ let test_batched_settlement_over_the_wire () =
     { Settle_batch.sb_size = 2; sb_window_ms = 1e9; sb_deposit = 100_000;
       sb_dispute_blocks = 3 }
   in
-  let small_db, svc, srv = settle_system "net-settle" ~settle in
+  let small_db, svc, srv = settle_system "net-settle" ~settle ~shard:(0, 1) in
   Fun.protect ~finally:(fun () -> Net.Server.stop srv) @@ fun () ->
   let st = match Net.Service.station svc with
     | Some st -> st | None -> Alcotest.fail "no station"
@@ -2131,7 +2243,7 @@ let test_batched_dispute_slashes_over_the_wire () =
     { Settle_batch.sb_size = 2; sb_window_ms = 1e9; sb_deposit = deposit;
       sb_dispute_blocks = 50 }
   in
-  let _, svc, srv = settle_system "net-settle-bad" ~settle in
+  let _, svc, srv = settle_system "net-settle-bad" ~settle ~shard:(1, 2) in
   Fun.protect ~finally:(fun () -> Net.Server.stop srv) @@ fun () ->
   let st = match Net.Service.station svc with
     | Some st -> st | None -> Alcotest.fail "no station"
@@ -2203,7 +2315,7 @@ let test_batched_sigkill_between_commit_and_finalize () =
   | Some exe ->
     let dir = fresh_state_dir () in
     Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-    let pid, out_fd, port = spawn_server ~extra:settle_flags ~exe ~dir () in
+    let pid, out_fd, port = spawn_server ~extra:settle_flags ~records:0 ~exe ~dir () in
     let killed = ref false in
     Fun.protect
       ~finally:(fun () ->
@@ -2252,7 +2364,7 @@ let test_batched_sigkill_between_commit_and_finalize () =
     killed := true;
     (try Unix.close out_fd with Unix.Unix_error _ -> ());
     (* Restart over the same state directory, same settlement flags. *)
-    let pid2, out_fd2, port2 = spawn_server ~extra:settle_flags ~exe ~dir () in
+    let pid2, out_fd2, port2 = spawn_server ~extra:settle_flags ~records:0 ~exe ~dir () in
     Fun.protect
       ~finally:(fun () ->
         (try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ());
@@ -2365,7 +2477,11 @@ let () =
           Alcotest.test_case "second server on a live state dir is refused" `Quick
             test_second_server_refused_on_live_state_dir;
           Alcotest.test_case "a shard refuses another shard's state dir" `Quick
-            test_shard_identity_checked_on_recovery ] );
+            test_shard_identity_checked_on_recovery;
+          Alcotest.test_case "a self-seeded server recovers its own Build" `Quick
+            test_self_seeded_server_recovers;
+          Alcotest.test_case "a Build record without its identity is refused" `Quick
+            test_build_record_without_identity_refused ] );
       ( "settlement",
         [ Alcotest.test_case "batched settlement over the wire" `Quick
             test_batched_settlement_over_the_wire;
