@@ -32,17 +32,18 @@ type t = {
   mutable state : built option;
   users : (string, Vm.address) Hashtbl.t;
   (* Idempotency cache: (client, request id) -> the reply already
-     settled/applied for it, covering Search, Build and Insert — every
-     request whose effect must happen at most once. Keyed by the pair so
-     one client cannot replay another's settlement; bounded FIFO so a
-     hostile client cannot grow it without limit. *)
+     settled/applied for it, covering Search, Build, Insert and Dispute
+     — every request whose effect must happen at most once. Keyed by
+     the pair so one client cannot replay another's settlement; bounded
+     FIFO so a hostile client cannot grow it without limit. *)
   replies : (string, Wire.response) Hashtbl.t;
   reply_order : string Queue.t;
   mutable settled : int;
-  (* Durable state, attached by [recover]: every effectful event is
-     journaled under [lock] — so WAL order is mutation order — and
-     group-commit synced before the reply leaves [handle]. [None] (a
-     [create]d service) keeps everything in memory. *)
+  (* Durable state, attached by [recover]: [apply] journals every
+     record that took effect under [lock] — so WAL order is mutation
+     order — and it is group-commit synced before the reply leaves
+     [handle]. [None] (a [create]d service) keeps everything in
+     memory. *)
   mutable store : Store.t option;
   (* Batched optimistic settlement: [Some cfg] switches settlement to
      deferred receipts batched under one Merkle commitment per
@@ -134,79 +135,105 @@ let cache_reply t key reply =
     Hashtbl.replace t.replies key reply
   end
 
-let cached_reply t ~client ~request_id =
-  Hashtbl.find_opt t.replies (reply_key ~client ~request_id)
+(* --- the effects: one record each, one function applies them ------------
 
-(* WAL event taxonomy. Payloads are the raw [Wire] request bytes
-   (except Register, which carries just the client name, and Build,
-   whose request bytes follow the shard identity it was applied as):
-   the service is deterministic, so replaying the requests that took
-   effect — in lock order — reproduces the state, idempotency cache
+   Every change to the service's state is one of these records. The
+   live handlers and the settlement timer build a record and [apply]
+   it; recovery decodes the WAL's records and applies them the same
+   way. The service is deterministic, so replaying the records that
+   took effect, in lock order, reproduces the state, reply cache
    included. *)
-let tag_register = 1
-let tag_build = 2
-let tag_insert = 3
-let tag_search = 4
-(* Tag 5 is retired: it was reserved for a Delete that has no Wire message. *)
-(* Wall-clock settlement events. Size-triggered flushes and the
-   finalizes that follow deterministic points are *not* journaled —
-   they replay as a consequence of the search events themselves. Only
-   the timer's decisions need a record: [tag_flush] = the window
-   expired and the open batch was committed; [tag_finalize] = the tick
-   finalized every due batch. Their payloads are empty — the effect is
-   fully determined by the state at that point in the WAL. Disputes
-   are journaled as their request bytes under [tag_dispute]. *)
-let tag_flush = 6
-let tag_finalize = 7
-let tag_dispute = 8
+type record =
+  | Register of string  (* a client's first Hello: fund and register it *)
+  | Build of (int * int) * Wire.request
+      (* the owner's Build, and the shard identity it was applied as *)
+  | Insert of Wire.request
+  | Search of Wire.request
+  | Dispute of Wire.request
+  | Flush     (* the batch window expired: commit the open batch *)
+  | Finalize  (* the timer finalized every due batch *)
 
-(* Journal one effectful event. Only called on the fresh-effect paths
-   — never on a cache replay, or recovery would apply the effect
-   twice — and always under [t.lock], so WAL order is effect order.
-   During [recover]'s replay the store is not yet attached, hence no
-   re-journaling. *)
-let journal_sized t ~tag sized =
-  match t.store with
-  | None -> ()
-  | Some store -> ignore (Store.append_sized store ~tag sized)
+(* The WAL codec. Payloads are the raw [Wire] request bytes, except a
+   Register's (the client name), a Build's (the shard index and count
+   it was applied as, then the request bytes) and the timers' (empty:
+   their effect is a function of the state at that point in the WAL).
+   Tag 5 is retired: it was reserved for a Delete that has no Wire
+   message. *)
+let tag_of = function
+  | Register _ -> 1
+  | Build _ -> 2
+  | Insert _ -> 3
+  | Search _ -> 4
+  | Flush -> 6
+  | Finalize -> 7
+  | Dispute _ -> 8
 
-let journal t ~tag payload = journal_sized t ~tag (Bytesutil.sized_string payload)
+let record_sized = function
+  | Register client -> Bytesutil.sized_string client
+  | Build ((i, n), req) ->
+    Bytesutil.sized_concat
+      [ Bytesutil.sized_string (string_of_int i); Bytesutil.sized_string (string_of_int n);
+        Wire.request_sized req ]
+  | Insert req | Search req | Dispute req -> Wire.request_sized req
+  | Flush | Finalize -> Bytesutil.sized_string ""
 
-(* A request is encoded only when there is a store to write it to, and
-   then streamed into the log: a Build's shipment is never copied. *)
-let journal_request t ~tag req = journal_sized t ~tag (Wire.request_sized req)
-
-(* A Build's record: the shard identity it was applied as, in two
-   pieces, then the request bytes. Its replay deploys the contract under
-   that identity, so [verify_recovered] refuses a restart as another
-   shard whether the Build sits in the WAL or in a snapshot. *)
-let journal_build t ~shard:(i, n) req =
-  journal_sized t ~tag:tag_build
-    (Bytesutil.sized_concat
-       [ Bytesutil.sized_string (string_of_int i); Bytesutil.sized_string (string_of_int n);
-         Wire.request_sized req ])
-
-let build_of_record payload =
-  match Bytesutil.split payload with
-  | Some [ i; n; bytes ] ->
-    (match (int_of_string_opt i, int_of_string_opt n, Wire.decode_request bytes) with
-     | Some i, Some n, Some (Wire.Build _ as req) -> Some ((i, n), req)
+let record_of_event (ev : Store.event) =
+  let payload = ev.Store.ev_payload in
+  match ev.Store.ev_tag with
+  | 1 -> Some (Register payload)
+  | 2 ->
+    (match Bytesutil.split payload with
+     | Some [ i; n; bytes ] ->
+       (match (int_of_string_opt i, int_of_string_opt n, Wire.decode_request bytes) with
+        | Some i, Some n, Some (Wire.Build _ as req) -> Some (Build ((i, n), req))
+        | _ -> None)
      | _ -> None)
+  | 6 -> Some Flush
+  | 7 -> Some Finalize
+  | tag ->
+    (match (tag, Wire.decode_request payload) with
+     | 3, Some (Wire.Insert _ as req) -> Some (Insert req)
+     | 4, Some (Wire.Search _ as req) -> Some (Search req)
+     | 8, Some (Wire.Dispute _ as req) -> Some (Dispute req)
+     | _ -> None)
+
+(* A request effect's key in the reply cache: its (client, request id).
+   A Dispute names the search it challenges, so its key gains a third
+   piece: no Search reply can answer it, nor it a Search. *)
+let key_of = function
+  | Build (_, Wire.Build { client; request_id; _ })
+  | Insert (Wire.Insert { client; request_id; _ })
+  | Search (Wire.Search { client; request_id; _ }) ->
+    Some (reply_key ~client ~request_id)
+  | Dispute (Wire.Dispute { client; request_id; _ }) ->
+    Some (Bytesutil.concat [ client; request_id; "dispute" ])
+  | Register _ | Build _ | Insert _ | Search _ | Dispute _ | Flush | Finalize -> None
+
+(* The client a request effect acts for, which must have sent Hello. *)
+let requester = function
+  | Search (Wire.Search { client; _ }) | Dispute (Wire.Dispute { client; _ }) -> Some client
   | _ -> None
 
-let user_address t b client =
-  match Hashtbl.find_opt t.users client with
-  | Some addr -> addr
-  | None ->
-    let addr = Vm.address_of_name ("slicer-net:user:" ^ client) in
-    Vm.fund (Ledger.state (Station.ledger b.b_station)) addr faucet;
-    Hashtbl.replace t.users client addr;
-    journal t ~tag:tag_register client;
-    Log.info (fun m -> m "registered user %S (%a)" client Vm.pp_address addr);
-    addr
+(* What applying a record did. A request effect is [Answered] when it
+   took place and [Declined] when it was refused; a Register or a timer
+   [Moved] that many users or batches. A refusal and a move of 0
+   changed nothing, so they are neither journaled nor cached. *)
+type outcome =
+  | Answered of Wire.response
+  | Declined of Wire.err_code * string
+  | Moved of int
+
+let answer = function
+  | Answered reply -> reply
+  | Declined (code, detail) -> refused code detail
+  | Moved _ -> invalid_arg "Service.answer: a Register or timer record has no reply"
+
+let journal t record =
+  match t.store with
+  | None -> ()
+  | Some store -> ignore (Store.append_sized store ~tag:(tag_of record) (record_sized record))
 
 let provision t b client =
-  let addr = user_address t b client in
   (* The chain holds H(Ac); the value is the cloud's, which every
      install keeps equal to the one whose hash is on chain. *)
   let ac = Cloud.current_ac (Station.cloud b.b_station) in
@@ -217,140 +244,10 @@ let provision t b client =
       pv_acc = b.b_acc;
       pv_user_keys = b.b_user_keys;
       pv_trapdoor = b.b_trapdoor;
-      pv_user_addr = addr;
+      pv_user_addr = Hashtbl.find t.users client;
       pv_ac = ac;
       pv_shards = snd t.shard;
       pv_instance = t.instance }
-
-let do_search t b ~req ~client ~request_id ~batched tokens =
-  (* Registration first: the cache must be unreachable to un-helloed
-     peers, or a stranger could replay someone else's settled reply. *)
-  match Hashtbl.find_opt t.users client with
-  | None -> refused Wire.Unknown_user (Printf.sprintf "client %S must hello first" client)
-  | Some user ->
-    (match cached_reply t ~client ~request_id with
-     | Some cached ->
-       (* Idempotent re-send: the retry observes the original settlement;
-          escrow is not touched a second time. Only the client that
-          settled can hit this — the key includes its name. *)
-       Log.debug (fun m -> m "replaying cached settlement for %S/%S" client request_id);
-       Obs.Counter.incr c_replays;
-       Trace.tag "cached" "true";
-       cached
-     | None ->
-       (match
-          (* The on-chain request id is the same composite key: the
-             contract refuses duplicate ids globally, so namespacing by
-             client keeps one client's ids from colliding with (or
-             squatting on) another's. *)
-          Station.settle b.b_station ~client ~user
-            ~request_id:(reply_key ~client ~request_id) ~payment:b.b_payment
-            ~token_blobs:(List.map Slicer_types.token_bytes tokens) ~batched
-        with
-        | Error e -> refused Wire.Bad_request ("request rejected on chain: " ^ e)
-        | Ok { Station.se_claims; se_batch_witness; se_receipt; se_outcome } ->
-          t.settled <- t.settled + 1;
-          Obs.Counter.incr c_settled;
-          Trace.tag "tokens" (string_of_int (List.length tokens));
-          Trace.tag "gas" (string_of_int se_receipt.Vm.r_gas_used);
-          (* Deterministic settlement housekeeping, *before* the reply
-             is built: a size-triggered commit (and any finalize its
-             blocks make due) is a pure function of the search sequence,
-             so it is not journaled — replaying the searches replays
-             the flush. Doing it here also lets the reply carry the
-             inclusion proof when this very search filled the batch. *)
-          (match Station.batcher b.b_station with
-           | Some sb ->
-             if Settle_batch.should_flush sb then ignore (Settle_batch.flush sb);
-             ignore (Settle_batch.finalize_due sb)
-           | None -> ());
-          let settle_info =
-            match se_outcome with
-            | Station.Settled _ -> None
-            | Station.Deferred d ->
-              let base =
-                { Wire.si_batch = d.Station.sd_batch;
-                  si_index = d.Station.sd_index;
-                  si_leaf = d.Station.sd_leaf;
-                  si_root = None;
-                  si_proof = None }
-              in
-              (match Station.batcher b.b_station with
-               | Some sb ->
-                 (match
-                    Settle_batch.status sb ~request:(reply_key ~client ~request_id)
-                  with
-                  | Some (Settle_batch.Committed { root; proof; _ }) ->
-                    Some { base with Wire.si_root = Some root; si_proof = Some proof }
-                  | _ -> Some base)
-               | None -> Some base)
-          in
-          let ac = Cloud.current_ac (Station.cloud b.b_station) in
-          let reply =
-            Wire.Found
-              { Wire.sr_request_id = request_id;
-                sr_generation = b.b_generation;
-                sr_claims = se_claims;
-                sr_batch_witness = se_batch_witness;
-                sr_receipt = se_receipt;
-                sr_ac = ac;
-                sr_parts = [];
-                sr_settle = settle_info }
-          in
-          journal_request t ~tag:tag_search req;
-          cache_reply t (reply_key ~client ~request_id) reply;
-          reply))
-
-(* [shard] is the identity the contract is deployed under: the
-   service's own, or on replay the one the Build's record carries. *)
-let do_build t ~shard req =
-  match req with
-  | Wire.Build { client; request_id; width; payment; acc; tdp_n; tdp_e; user_k; user_k_r;
-                 shipment; trapdoor; trace = _ } ->
-    (match cached_reply t ~client ~request_id with
-     | Some cached ->
-       (* The build was applied but the response frame was lost: the
-          retry must see the original accept, not Already_built. *)
-       Log.debug (fun m -> m "replaying cached build accept for %S/%S" client request_id);
-       Obs.Counter.incr c_replays;
-       cached
-     | None ->
-     match t.state with
-     | Some _ -> refused Wire.Already_built "the service already holds a database"
-     | None ->
-       let tdp_public = Rsa_tdp.public_of_parts ~n:tdp_n ~e:tdp_e in
-       let owner_addr = Vm.address_of_name "slicer-net:owner" in
-       let dispute_window =
-         match t.settle with
-         | Some cfg -> cfg.Settle_batch.sb_dispute_blocks
-         | None -> Settle_batch.default_config.Settle_batch.sb_dispute_blocks
-       in
-       (match
-          Station.deploy ~acc_params:acc ~tdp_public ~owner:owner_addr
-            ~cloud_addr:(Vm.address_of_name "slicer-net:cloud") ~shard ~dispute_window shipment
-        with
-        | Error e -> refused Wire.Internal ("contract deployment failed: " ^ e)
-        | Ok (station, receipt) ->
-          let b =
-            { b_station = station;
-              b_acc = acc;
-              b_user_keys = { Keys.u_k = user_k; u_k_r = user_k_r; u_tdp_public = tdp_public };
-              b_width = width;
-              b_payment = payment;
-              b_owner_addr = owner_addr;
-              b_trapdoor = trapdoor;
-              b_generation = 1 }
-          in
-          t.state <- Some b;
-          maybe_enable_batching t b;
-          Log.info (fun m ->
-              m "built from wire shipment: %d index entries, deploy gas %d"
-                (Owner.shipment_entry_count shipment) receipt.Vm.r_gas_used);
-          let reply = Wire.Accepted { generation = 1 } in
-          journal_build t ~shard req;
-          cache_reply t (reply_key ~client ~request_id) reply;
-          reply))
-  | _ -> assert false
 
 let receipt_status_of sb ~request =
   match Settle_batch.status sb ~request with
@@ -366,24 +263,178 @@ let receipt_status_of sb ~request =
   | Some (Settle_batch.Final { batch }) -> Wire.Rcp_final { batch }
   | Some (Settle_batch.Refunded { batch }) -> Wire.Rcp_refunded { batch }
 
-let do_dispute t b ~req ~client ~request_id ~claims_blob ~batch_witness =
-  match Station.batcher b.b_station with
-  | None -> refused Wire.Bad_request "batched settlement is not enabled"
-  | Some sb ->
-    (* The disputer is the client's own funded address: a won dispute
-       pays the slashed deposit there as the challenge bounty. *)
-    let disputer = user_address t b client in
-    (match
-       Settle_batch.dispute sb ~disputer ~request:(reply_key ~client ~request_id)
-         ~claims_blob ~batch_witness
-     with
-     | Error e -> refused Wire.Bad_request e
-     | Ok (dp_slashed, dp_receipt) ->
-       (* Journaled like a search: the chain transaction happened, so
-          recovery must replay it. A refused dispute above is never
-          journaled — replay cannot hit the determinism check. *)
-       journal_request t ~tag:tag_dispute req;
-       Wire.Disputed { dp_slashed; dp_receipt })
+(* [shard] is the identity the contract is deployed under: the
+   service's own, or on replay the one the Build's record carries. *)
+let run_build t ~shard ~width ~payment ~acc ~tdp_n ~tdp_e ~user_k ~user_k_r ~trapdoor shipment =
+  let tdp_public = Rsa_tdp.public_of_parts ~n:tdp_n ~e:tdp_e in
+  let owner_addr = Vm.address_of_name "slicer-net:owner" in
+  let dispute_window =
+    match t.settle with
+    | Some cfg -> cfg.Settle_batch.sb_dispute_blocks
+    | None -> Settle_batch.default_config.Settle_batch.sb_dispute_blocks
+  in
+  match
+    Station.deploy ~acc_params:acc ~tdp_public ~owner:owner_addr
+      ~cloud_addr:(Vm.address_of_name "slicer-net:cloud") ~shard ~dispute_window shipment
+  with
+  | Error e -> Declined (Wire.Internal, "contract deployment failed: " ^ e)
+  | Ok (station, receipt) ->
+    let b =
+      { b_station = station;
+        b_acc = acc;
+        b_user_keys = { Keys.u_k = user_k; u_k_r = user_k_r; u_tdp_public = tdp_public };
+        b_width = width;
+        b_payment = payment;
+        b_owner_addr = owner_addr;
+        b_trapdoor = trapdoor;
+        b_generation = 1 }
+    in
+    t.state <- Some b;
+    maybe_enable_batching t b;
+    Log.info (fun m ->
+        m "built from wire shipment: %d index entries, deploy gas %d"
+          (Owner.shipment_entry_count shipment) receipt.Vm.r_gas_used);
+    Answered (Wire.Accepted { generation = 1 })
+
+(* [request] is the search's reply key, which is also its on-chain
+   request id: the contract refuses duplicate ids globally, so
+   namespacing by client keeps one client's ids from colliding with (or
+   squatting on) another's. *)
+let run_search t b ~request ~client ~request_id ~batched tokens =
+  match
+    Station.settle b.b_station ~client ~user:(Hashtbl.find t.users client) ~request_id:request
+      ~payment:b.b_payment ~token_blobs:(List.map Slicer_types.token_bytes tokens) ~batched
+  with
+  | Error e -> Declined (Wire.Bad_request, "request rejected on chain: " ^ e)
+  | Ok { Station.se_claims; se_batch_witness; se_receipt; se_outcome } ->
+    t.settled <- t.settled + 1;
+    Obs.Counter.incr c_settled;
+    Trace.tag "tokens" (string_of_int (List.length tokens));
+    Trace.tag "gas" (string_of_int se_receipt.Vm.r_gas_used);
+    (* Deterministic settlement housekeeping, *before* the reply is
+       built: a size-triggered commit (and any finalize its blocks make
+       due) is a pure function of the search sequence, so it is not
+       journaled — replaying the searches replays the flush. Doing it
+       here also lets the reply carry the inclusion proof when this very
+       search filled the batch. *)
+    let batcher = Station.batcher b.b_station in
+    Option.iter
+      (fun sb ->
+        if Settle_batch.should_flush sb then ignore (Settle_batch.flush sb);
+        ignore (Settle_batch.finalize_due sb))
+      batcher;
+    let settle_info =
+      match se_outcome with
+      | Station.Settled _ -> None
+      | Station.Deferred d ->
+        let base =
+          { Wire.si_batch = d.Station.sd_batch;
+            si_index = d.Station.sd_index;
+            si_leaf = d.Station.sd_leaf;
+            si_root = None;
+            si_proof = None }
+        in
+        (match Option.bind batcher (fun sb -> Settle_batch.status sb ~request) with
+         | Some (Settle_batch.Committed { root; proof; _ }) ->
+           Some { base with Wire.si_root = Some root; si_proof = Some proof }
+         | _ -> Some base)
+    in
+    Answered
+      (Wire.Found
+         { Wire.sr_request_id = request_id;
+           sr_generation = b.b_generation;
+           sr_claims = se_claims;
+           sr_batch_witness = se_batch_witness;
+           sr_receipt = se_receipt;
+           sr_ac = Cloud.current_ac (Station.cloud b.b_station);
+           sr_parts = [];
+           sr_settle = settle_info })
+
+(* Runs one record's effect against the state, journaling and caching
+   nothing: that is [apply]'s part. *)
+let run t ~key record =
+  let batcher b = Station.batcher b.b_station in
+  match (record, t.state) with
+  | ( Build (shard, Wire.Build { width; payment; acc; tdp_n; tdp_e; user_k; user_k_r; shipment;
+                                 trapdoor; _ }),
+      None ) ->
+    run_build t ~shard ~width ~payment ~acc ~tdp_n ~tdp_e ~user_k ~user_k_r ~trapdoor shipment
+  | Build _, Some _ -> Declined (Wire.Already_built, "the service already holds a database")
+  | _, None -> Declined (Wire.Not_ready, "no database: awaiting the owner's Build shipment")
+  | Register client, Some b ->
+    if Hashtbl.mem t.users client then Moved 0
+    else begin
+      let addr = Vm.address_of_name ("slicer-net:user:" ^ client) in
+      Vm.fund (Ledger.state (Station.ledger b.b_station)) addr faucet;
+      Hashtbl.replace t.users client addr;
+      Log.info (fun m -> m "registered user %S (%a)" client Vm.pp_address addr);
+      Moved 1
+    end
+  | Insert (Wire.Insert { shipment; trapdoor; _ }), Some b ->
+    (match Station.install b.b_station ~owner:b.b_owner_addr shipment with
+     | Error e -> Declined (Wire.Internal, "on-chain Ac update failed: " ^ e)
+     | Ok receipt ->
+       b.b_trapdoor <- trapdoor;
+       b.b_generation <- b.b_generation + 1;
+       Log.info (fun m ->
+           m "insert shipment applied: %d entries, generation %d, gas %d"
+             (Owner.shipment_entry_count shipment) b.b_generation receipt.Vm.r_gas_used);
+       Answered (Wire.Accepted { generation = b.b_generation }))
+  | Search (Wire.Search { client; request_id; batched; tokens; _ }), Some b ->
+    run_search t b ~request:(Option.get key) ~client ~request_id ~batched tokens
+  | Dispute (Wire.Dispute { client; request_id; claims_blob; batch_witness; _ }), Some b ->
+    (match batcher b with
+     | None -> Declined (Wire.Bad_request, "batched settlement is not enabled")
+     | Some sb ->
+       (* The disputer is the client's own funded address: a won dispute
+          pays the slashed deposit there as the challenge bounty. *)
+       (match
+          Settle_batch.dispute sb ~disputer:(Hashtbl.find t.users client)
+            ~request:(reply_key ~client ~request_id) ~claims_blob ~batch_witness
+        with
+        | Error e -> Declined (Wire.Bad_request, e)
+        | Ok (dp_slashed, dp_receipt) -> Answered (Wire.Disputed { dp_slashed; dp_receipt })))
+  | (Flush | Finalize), Some b ->
+    (* The timer's decisions: on replay the wall clock that fired is
+       gone, but the effect is a pure function of the state at this
+       point in the WAL — the same open batch commits, the same due
+       batches finalize. *)
+    (match (batcher b, record) with
+     | None, _ -> Declined (Wire.Bad_request, "batched settlement is not enabled")
+     | Some sb, Flush -> Moved (if Settle_batch.flush sb = None then 0 else 1)
+     | Some sb, _ -> Moved (List.length (Settle_batch.finalize_due sb)))
+  | (Insert _ | Search _ | Dispute _), Some _ ->
+    invalid_arg "Service.run: a record holds another request"
+
+(* The one mutator. A request effect whose reply is cached answers it
+   again: the effect happened once, and the re-send observes it. Else
+   the effect runs; if it changed the state, its record is journaled —
+   under [t.lock], so WAL order is effect order; never during
+   [recover]'s replay, which runs before the store is attached — and
+   its reply is cached. The requester's registration is checked before
+   the cache, so a peer that has not sent Hello cannot read another
+   client's reply. *)
+let apply t record =
+  match requester record with
+  | Some client when not (Hashtbl.mem t.users client) ->
+    Declined (Wire.Unknown_user, Printf.sprintf "client %S must hello first" client)
+  | _ ->
+    let key = key_of record in
+    match Option.bind key (Hashtbl.find_opt t.replies) with
+    | Some cached ->
+      Log.debug (fun m -> m "replaying a cached reply");
+      Obs.Counter.incr c_replays;
+      Trace.tag "cached" "true";
+      Answered cached
+    | None ->
+      let outcome = run t ~key record in
+      (match outcome with
+       | Answered reply ->
+         journal t record;
+         Option.iter (fun key -> cache_reply t key reply) key
+       | Moved n when n > 0 -> journal t record
+       | Declined _ | Moved _ -> ());
+      outcome
 
 let handle_locked t req =
   match (req, t.state) with
@@ -405,11 +456,11 @@ let handle_locked t req =
     refused Wire.Version_mismatch
       (Printf.sprintf "client speaks protocol revision %d, this server speaks %d" proto
          Wire.proto_version)
-  | (Wire.Build _, _) -> do_build t ~shard:t.shard req
+  | (Wire.Build _, _) -> answer (apply t (Build (t.shard, req)))
   | (_, None) -> refused Wire.Not_ready "no database: awaiting the owner's Build shipment"
-  | (Wire.Hello { client; _ }, Some b) -> provision t b client
-  | ((Wire.Search { client; request_id; batched; tokens; _ } as req), Some b) ->
-    do_search t b ~req ~client ~request_id ~batched tokens
+  | (Wire.Hello { client; _ }, Some b) ->
+    ignore (apply t (Register client));
+    provision t b client
   | (Wire.Receipt { client; request_id }, Some b) ->
     (* Read-only finality poll — served from the batch manager's view,
        no transaction, nothing journaled. *)
@@ -417,32 +468,9 @@ let handle_locked t req =
      | None -> Wire.Receipt_reply Wire.Rcp_unknown
      | Some sb ->
        Wire.Receipt_reply (receipt_status_of sb ~request:(reply_key ~client ~request_id)))
-  | ((Wire.Dispute { client; request_id; shard = _; claims_blob; batch_witness } as req),
-     Some b) ->
-    do_dispute t b ~req ~client ~request_id ~claims_blob ~batch_witness
-  | ((Wire.Insert { client; request_id; shipment; trapdoor; _ } as req), Some b) ->
-    (match cached_reply t ~client ~request_id with
-     | Some cached ->
-       (* Applied already, response frame lost: replaying the accept is
-          mandatory — re-running [install] would append the shipment's
-          primes a second time and double-bump the generation, silently
-          desynchronizing the cloud from the on-chain [Ac]. *)
-       Log.debug (fun m -> m "replaying cached insert accept for %S/%S" client request_id);
-       Obs.Counter.incr c_replays;
-       cached
-     | None ->
-       (match Station.install b.b_station ~owner:b.b_owner_addr shipment with
-        | Error e -> refused Wire.Internal ("on-chain Ac update failed: " ^ e)
-        | Ok receipt ->
-          b.b_trapdoor <- trapdoor;
-          b.b_generation <- b.b_generation + 1;
-          Log.info (fun m ->
-              m "insert shipment applied: %d entries, generation %d, gas %d"
-                (Owner.shipment_entry_count shipment) b.b_generation receipt.Vm.r_gas_used);
-          let reply = Wire.Accepted { generation = b.b_generation } in
-          journal_request t ~tag:tag_insert req;
-          cache_reply t (reply_key ~client ~request_id) reply;
-          reply))
+  | (Wire.Search _, Some _) -> answer (apply t (Search req))
+  | (Wire.Insert _, Some _) -> answer (apply t (Insert req))
+  | (Wire.Dispute _, Some _) -> answer (apply t (Dispute req))
 
 (* --- durable state: snapshot codec, recovery, barriers ----------------- *)
 
@@ -622,43 +650,19 @@ let decode_snapshot ?settle ?instance ?shard bytes =
   | _ -> None
 
 let apply_event t (ev : Store.event) =
-  if ev.Store.ev_tag = tag_register then
-    match t.state with
-    | Some b ->
-      ignore (user_address t b ev.Store.ev_payload);
-      Ok ()
-    | None -> Error (Printf.sprintf "event %d: register before build" ev.Store.ev_seq)
-  else if ev.Store.ev_tag = tag_flush || ev.Store.ev_tag = tag_finalize then
-    (* Timer decisions, re-applied: the wall clock that fired is gone,
-       but the effect is a pure function of the state at this point in
-       the WAL — the same open batch commits, the same due batches
-       finalize. *)
-    match Option.bind t.state (fun b -> Station.batcher b.b_station) with
-    | None ->
-      Error
-        (Printf.sprintf "event %d (tag %d): settlement event without batching"
-           ev.Store.ev_seq ev.Store.ev_tag)
-    | Some sb ->
-      if ev.Store.ev_tag = tag_flush then ignore (Settle_batch.flush sb)
-      else ignore (Settle_batch.finalize_due sb);
-      Ok ()
-  else
-    let replayed =
-      if ev.Store.ev_tag = tag_build then
-        Option.map (fun (shard, req) -> do_build t ~shard req) (build_of_record ev.Store.ev_payload)
-      else Option.map (handle_locked t) (Wire.decode_request ev.Store.ev_payload)
-    in
-    match replayed with
-    | None ->
-      Error (Printf.sprintf "event %d (tag %d): undecodable request" ev.Store.ev_seq ev.Store.ev_tag)
-    | Some (Wire.Refused { code; detail }) ->
-      (* A journaled event took effect once; a deterministic replay
-         cannot refuse it. If it does, the state diverged — refuse to
-         serve rather than serve wrong answers. *)
-      Error
-        (Printf.sprintf "event %d (tag %d) refused on replay (%s): %s" ev.Store.ev_seq
-           ev.Store.ev_tag (Wire.err_code_to_string code) detail)
-    | Some _ -> Ok ()
+  match record_of_event ev with
+  | None ->
+    Error (Printf.sprintf "event %d (tag %d): undecodable request" ev.Store.ev_seq ev.Store.ev_tag)
+  | Some record ->
+    (match apply t record with
+     | Declined (code, detail) ->
+       (* A journaled record took effect once; a deterministic replay
+          cannot refuse it. If it does, the state diverged — refuse to
+          serve rather than serve wrong answers. *)
+       Error
+         (Printf.sprintf "event %d (tag %d) refused on replay (%s): %s" ev.Store.ev_seq
+            ev.Store.ev_tag (Wire.err_code_to_string code) detail)
+     | Answered _ | Moved _ -> Ok ())
 
 (* The acceptance invariant: the recovered contract must record the
    shard identity this server was started as, and the recovered prime
@@ -879,9 +883,9 @@ let handle t req =
 
    The server's main loop calls [settle_tick] between poll rounds; the
    bench calls [settle_flush] at measurement boundaries, which is a tick
-   with the window treated as expired. Both journal their effects —
-   these are the wall-clock decisions a WAL replay cannot re-derive
-   (§8), unlike the size-triggered flush inside [do_search]. *)
+   with the window treated as expired. Their Flush and Finalize records
+   are the wall-clock decisions a WAL replay cannot re-derive (§8),
+   unlike the size-triggered flush inside a Search. *)
 
 let settle_step t ~expired =
   Mutex.lock t.lock;
@@ -892,18 +896,11 @@ let settle_step t ~expired =
         match Option.bind t.state (fun b -> Station.batcher b.b_station) with
         | None -> (false, 0)
         | Some sb ->
-          let flushed =
-            expired sb
-            &&
-            match Settle_batch.flush sb with
-            | None -> false
-            | Some _ ->
-              journal t ~tag:tag_flush "";
-              true
+          let moved record =
+            match apply t record with Moved n -> n | Answered _ | Declined _ -> 0
           in
-          let finalized = Settle_batch.finalize_due sb in
-          if finalized <> [] then journal t ~tag:tag_finalize "";
-          (flushed, List.length finalized))
+          let flushed = expired sb && moved Flush > 0 in
+          (flushed, moved Finalize))
   in
   if flushed || finalized > 0 then Option.iter Store.sync t.store;
   (flushed, finalized)

@@ -2,10 +2,13 @@
     chain) plus the provisioning state a multi-client deployment needs
     — user registry and faucet, the owner → user key channel, and the
     idempotency cache that makes every retried effectful request —
-    Search, Build, Insert — apply exactly once. The cache is keyed by
-    [(client, request_id)] and, for searches, consulted only after the
-    client's registration is checked, so a reply can only ever be
-    replayed to the client that originally settled it.
+    Search, Build, Insert, Dispute — apply exactly once. The cache is
+    keyed by [(client, request_id)] (a Dispute's key adds a third piece)
+    and, for searches and disputes, consulted only after the client's
+    registration is checked, so a reply can only ever be replayed to
+    the client that originally settled it. Every effect, live or
+    replayed from the WAL, goes through one function that applies,
+    journals and caches it.
 
     {!handle} is a pure request → response dispatcher guarded by one
     lock, so any transport (the socket server, a loopback test, a
@@ -66,10 +69,10 @@ val settle_flush : t -> unit
 
 (** {1 Durability}
 
-    A service from {!recover} journals every effectful event — client
-    registration, Build, Insert, settled Search — under the service
-    lock {e before} its reply leaves {!handle}, and group-commit fsyncs
-    after it; past [snapshot_bytes] of WAL the full state is
+    A service from {!recover} journals every effect that took place —
+    client registration, Build, Insert, settled Search, Dispute, and the
+    timer's Flush and Finalize — under the service lock {e before} its
+    reply leaves {!handle}, and group-commit fsyncs after it; past [snapshot_bytes] of WAL the full state is
     snapshotted atomically and the log truncated. The service's
     dispatch is deterministic, so replaying the journaled request bytes
     over the newest snapshot reproduces the state — including the
