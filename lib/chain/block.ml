@@ -20,7 +20,24 @@ let header_preimage h =
     [ h.parent; string_of_int h.number; string_of_int h.timestamp; h.tx_root;
       string_of_int h.gas_used; string_of_int h.gas_limit; h.sealer ]
 
-let hash b = Sha256.digest (Bytesutil.concat [ header_preimage b.header; b.header.seal ])
+let header_bytes h = Bytesutil.concat [ header_preimage h; h.seal ]
+
+let header_of_bytes bytes =
+  match Option.bind (Bytesutil.split bytes) (function
+      | [ preimage; seal ] -> Option.map (fun p -> (p, seal)) (Bytesutil.split preimage)
+      | _ -> None)
+  with
+  | Some ([ parent; number; timestamp; tx_root; gas_used; gas_limit; sealer ], seal) ->
+    (match
+       ( int_of_string_opt number, int_of_string_opt timestamp, int_of_string_opt gas_used,
+         int_of_string_opt gas_limit )
+     with
+     | Some number, Some timestamp, Some gas_used, Some gas_limit ->
+       Some { parent; number; timestamp; tx_root; gas_used; gas_limit; sealer; seal }
+     | _ -> None)
+  | _ -> None
+
+let hash b = Sha256.digest (header_bytes b.header)
 
 let make ~parent ~number ~timestamp ~gas_limit ~sealer ~seal txns receipts =
   let unsealed =

@@ -22,8 +22,14 @@ val receipts_gas : Vm.receipt list -> int
 val header_preimage : header -> string
 (** Header serialization {e without} the seal (what gets sealed). *)
 
+val header_bytes : header -> string
+(** The sealed header: {!header_preimage} and the seal. *)
+
+val header_of_bytes : string -> header option
+(** Inverse of {!header_bytes}; [None] on anything it did not write. *)
+
 val hash : t -> string
-(** Hash of the full (sealed) header. *)
+(** Hash of the full (sealed) header: SHA-256 of {!header_bytes}. *)
 
 val make :
   parent:string ->

@@ -25,23 +25,24 @@ let make_validator name =
 
 let seal_with v preimage = Hmac.sha256_keyed v.v_prf preimage
 
-let create ~validators =
-  if validators = [] then invalid_arg "Ledger.create: need at least one validator";
+let with_root ~validators root =
+  if validators = [] then invalid_arg "Ledger: need at least one validator";
   let validators = Array.of_list (List.map make_validator validators) in
-  let genesis =
-    Block.make ~parent:genesis_parent ~number:0 ~timestamp:0 ~gas_limit
-      ~sealer:validators.(0).v_addr ~seal:(seal_with validators.(0)) [] []
-  in
   { vm_state = Vm.create_state ();
     validators;
-    chain = [ genesis ];
+    chain = [ root validators ];
     mempool = [];
     receipts = Hashtbl.create 64 }
 
-let state t = t.vm_state
+let create ~validators =
+  with_root ~validators (fun validators ->
+      Block.make ~parent:genesis_parent ~number:0 ~timestamp:0 ~gas_limit
+        ~sealer:validators.(0).v_addr ~seal:(seal_with validators.(0)) [] [])
 
-let validator_names t =
-  Array.to_list (Array.map (fun v -> v.v_name) t.validators)
+let resume ~validators head =
+  with_root ~validators (fun _ -> { Block.header = head; txns = []; receipts = [] })
+
+let state t = t.vm_state
 
 let submit t txn = t.mempool <- txn :: t.mempool
 
@@ -93,13 +94,23 @@ let submit_and_seal t txn =
 
 let receipt_of t hash = Hashtbl.find_opt t.receipts hash
 
+let check_seal t (h : Block.header) =
+  let v = sealer_for t h.Block.number in
+  if not (String.equal h.Block.sealer v.v_addr) then Error "wrong sealer"
+  else begin
+    let expected = seal_with v (Block.header_preimage { h with Block.seal = "" }) in
+    if not (Bytesutil.const_equal expected h.Block.seal) then Error "bad seal" else Ok ()
+  end
+
 let validate_chain t chain =
   let rec go = function
     | [] -> Error "empty chain"
-    | [ genesis ] ->
-      if genesis.Block.header.Block.number <> 0 then Error "genesis number"
-      else if not (String.equal genesis.Block.header.Block.parent genesis_parent) then Error "genesis parent"
-      else Ok ()
+    | [ root ] ->
+      (* Genesis, or the sealed head a resumed chain continues from. *)
+      let h = root.Block.header in
+      if h.Block.number = 0 && not (String.equal h.Block.parent genesis_parent) then
+        Error "genesis parent"
+      else check_seal t h
     | block :: (parent :: _ as rest) ->
       let h = block.Block.header in
       if h.Block.number <> parent.Block.header.Block.number + 1 then Error "non-consecutive number"
@@ -108,14 +119,7 @@ let validate_chain t chain =
       else if not (String.equal h.Block.tx_root (Block.tx_root block.Block.txns)) then Error "tx root mismatch"
       else if h.Block.gas_used <> Block.receipts_gas block.Block.receipts then Error "gas used mismatch"
       else if h.Block.gas_used > h.Block.gas_limit then Error "gas used over the limit"
-      else begin
-        let v = sealer_for t h.Block.number in
-        if not (String.equal h.Block.sealer v.v_addr) then Error "wrong sealer"
-        else begin
-          let expected = seal_with v (Block.header_preimage { h with Block.seal = "" }) in
-          if not (Bytesutil.const_equal expected h.Block.seal) then Error "bad seal" else go rest
-        end
-      end
+      else Result.bind (check_seal t h) (fun () -> go rest)
   in
   go chain
 

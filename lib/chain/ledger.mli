@@ -12,17 +12,20 @@ val create : validators:string list -> t
 (** Fresh chain with a genesis block and named validators.
     @raise Invalid_argument when no validators are given. *)
 
+val resume : validators:string list -> Block.header -> t
+(** A chain that continues from [head], a sealed header, with the same
+    validators: its next block is number [head.number + 1], links to
+    [head]'s hash and is stamped after it. It keeps no older block, so
+    {!validate} checks back to [head], whose sealer and seal must be its
+    validator's. A state snapshot keeps its chain's head this way.
+    @raise Invalid_argument when no validators are given. *)
+
 val gas_limit : int
 (** 30 million: every block's gas limit. {!seal_block} meters each
     transaction against what its block has left. *)
 
 val state : t -> Vm.state
 (** The world state (read side; mutate only through transactions). *)
-
-val validator_names : t -> string list
-(** The validator names passed to {!create}, in sealing order — what a
-    state snapshot records so recovery rebuilds an identical sealer
-    rotation. *)
 
 val submit : t -> Vm.txn -> unit
 (** Queues a transaction in the mempool. *)
@@ -42,7 +45,8 @@ val submit_and_seal : t -> Vm.txn -> Vm.receipt
 val head : t -> Block.t
 val height : t -> int
 val blocks : t -> Block.t list
-(** Oldest first, including genesis. *)
+(** Oldest first, from genesis or the head a {!resume}d chain started
+    from (a header without its transactions). *)
 
 val blocks_above : t -> height:int -> Block.t list
 (** Blocks with number strictly greater than [height], oldest first.
@@ -55,7 +59,8 @@ val validate : t -> (unit, string) result
 (** Full-chain validation: parent links, block numbers, strictly
     increasing timestamps, Merkle roots, each header's [gas_used]
     against its receipts' sum and its [gas_limit], sealer rotation and
-    seal tags. *)
+    seal tags, back to genesis or to the head a {!resume}d chain started
+    from, whose sealer and seal are checked too. *)
 
 val validate_forged : t -> block_index:int -> (Block.t -> Block.t) -> (unit, string) result
 (** {!validate} over a copy of the chain whose [block_index]-th block

@@ -10,10 +10,15 @@ let create ~cloud ~ledger ~contract ~cloud_addr =
   { s_cloud = cloud; s_ledger = ledger; s_contract = contract; s_cloud_addr = cloud_addr;
     s_batcher = None }
 
+let validators = [ "validator-1"; "validator-2"; "validator-3" ]
+
+let resume ~cloud ~head ~contract ~cloud_addr =
+  create ~cloud ~ledger:(Ledger.resume ~validators head) ~contract ~cloud_addr
+
 let deploy ~acc_params ~tdp_public ~owner ~cloud_addr ~shard ~dispute_window shipment =
   let cloud = Cloud.create ~acc_params ~tdp_public () in
   Cloud.install_shipment cloud shipment;
-  let ledger = Ledger.create ~validators:[ "validator-1"; "validator-2"; "validator-3" ] in
+  let ledger = Ledger.create ~validators in
   Vm.fund (Ledger.state ledger) owner 100_000_000;
   let contract, receipt =
     Slicer_contract.deploy ~shard ~dispute_window ledger ~owner

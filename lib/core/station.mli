@@ -11,9 +11,6 @@
 
 type t
 
-val create :
-  cloud:Cloud.t -> ledger:Ledger.t -> contract:Vm.address -> cloud_addr:Vm.address -> t
-
 val deploy :
   acc_params:Rsa_acc.params -> tdp_public:Rsa_tdp.public -> owner:Vm.address ->
   cloud_addr:Vm.address -> shard:int * int -> dispute_window:int -> Owner.shipment ->
@@ -23,6 +20,13 @@ val deploy :
     wei, and [owner] deploys the contract with the shipment's [Ac], the
     cluster slice [shard] and the [dispute_window] in blocks. [Error]
     is the deploy's revert reason. *)
+
+val resume :
+  cloud:Cloud.t -> head:Block.header -> contract:Vm.address -> cloud_addr:Vm.address -> t
+(** A station whose chain continues from [head] ({!Ledger.resume}),
+    sealed by the validators {!deploy} names: how a state snapshot,
+    which keeps the head and no history, comes back. The caller restores
+    the accounts and the contract. *)
 
 val cloud : t -> Cloud.t
 val ledger : t -> Ledger.t

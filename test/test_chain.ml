@@ -259,6 +259,45 @@ let test_block_gas_limit () =
     block.Block.header.Block.gas_used;
   Alcotest.(check (result unit string)) "and valid" (Ok ()) (Ledger.validate ledger)
 
+(* A chain resumed from a sealed head continues it: the same validators
+   seal the next number, linked to the head's hash and stamped after it.
+   Validation runs back to the head and checks its sealer and seal; the
+   head's header travels as bytes, and a forged header is caught. *)
+let test_resume_from_head () =
+  let ledger = fresh_ledger () in
+  let state = Ledger.state ledger in
+  for v = 1 to 4 do
+    ignore (Ledger.submit_and_seal ledger (Vm.make_transfer state ~sender:alice ~to_:bob ~value:v))
+  done;
+  let head = (Ledger.head ledger).Block.header in
+  let bytes = Block.header_bytes head in
+  Alcotest.(check bool) "the header roundtrips" true (Block.header_of_bytes bytes = Some head);
+  Alcotest.(check bool) "garbage is not a header" true (Block.header_of_bytes "head" = None);
+  let resumed = Ledger.resume ~validators:[ "v1"; "v2"; "v3" ] head in
+  Alcotest.(check int) "the same height" (Ledger.height ledger) (Ledger.height resumed);
+  Alcotest.(check string) "the same head hash" (Block.hash (Ledger.head ledger))
+    (Block.hash (Ledger.head resumed));
+  Alcotest.(check (result unit string)) "the head alone validates" (Ok ())
+    (Ledger.validate resumed);
+  Vm.fund (Ledger.state resumed) alice 10_000_000;
+  Ledger.submit resumed (Vm.make_transfer (Ledger.state resumed) ~sender:alice ~to_:bob ~value:9);
+  let h = (Ledger.seal_block resumed).Block.header in
+  Alcotest.(check int) "the next number" (head.Block.number + 1) h.Block.number;
+  Alcotest.(check string) "linked to the head" (Block.hash (Ledger.head ledger)) h.Block.parent;
+  Alcotest.(check bool) "stamped after it" true (h.Block.timestamp > head.Block.timestamp);
+  Alcotest.(check (result unit string)) "the resumed chain validates" (Ok ())
+    (Ledger.validate resumed);
+  Alcotest.(check (result unit string)) "a forged head breaks the link to it"
+    (Error "broken parent link")
+    (Ledger.validate_forged resumed ~block_index:0 (fun b ->
+         { b with Block.header = { b.Block.header with Block.gas_used = 1 } }));
+  let resume_forged h = Ledger.validate (Ledger.resume ~validators:[ "v1"; "v2"; "v3" ] h) in
+  Alcotest.(check (result unit string)) "a forged head's seal is caught" (Error "bad seal")
+    (resume_forged { head with Block.gas_used = head.Block.gas_used + 1 });
+  Alcotest.(check (result unit string)) "so is a head another validator sealed"
+    (Error "wrong sealer")
+    (resume_forged { head with Block.number = head.Block.number + 1 })
+
 let test_receipt_lookup () =
   let ledger = fresh_ledger () in
   let state = Ledger.state ledger in
@@ -1687,7 +1726,8 @@ let () =
           Alcotest.test_case "tx inclusion proof" `Quick test_tx_inclusion_proof;
           Alcotest.test_case "receipt lookup" `Quick test_receipt_lookup;
           Alcotest.test_case "blocks record their gas" `Quick test_block_records_gas;
-          Alcotest.test_case "a block never passes its gas limit" `Quick test_block_gas_limit ] );
+          Alcotest.test_case "a block never passes its gas limit" `Quick test_block_gas_limit;
+          Alcotest.test_case "a resumed chain continues its head" `Quick test_resume_from_head ] );
       ( "slicer_contract",
         [ Alcotest.test_case "deploy and read Ac" `Quick test_deploy_and_read_ac;
           Alcotest.test_case "honest cloud paid" `Quick test_honest_cloud_gets_paid;

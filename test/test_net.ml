@@ -1599,7 +1599,8 @@ let shard_identity_checked ~snapshot_bytes dir =
       | Error e ->
         Alcotest.(check string) (where ^ ": the refusal names both identities")
           (Printf.sprintf
-             "recovered shard mismatch: the state dir holds shard 0 of 2, this server is shard %d of %d"
+             "recovered identity mismatch: the state dir holds shard 0 of 2 settling eagerly; \
+              this server is shard %d of %d settling eagerly"
              i n)
           e)
     [ (1, 2); (0, 1) ];
@@ -1640,10 +1641,12 @@ let test_shard_identity_checked_on_recovery () =
       shard_identity_checked ~snapshot_bytes dir)
     [ 1; max_int ]
 
-(* A Build record carries the shard identity before a Build request.
-   One without the identity (the layout written before identities were
-   journaled), or whose request is no Build, fails replay as
-   undecodable: recovery refuses rather than guess an identity. *)
+(* A Build record carries the identity it was applied as — the shard
+   index and count and the settlement — before a Build request. One
+   without the identity (the layout written before identities were
+   journaled), with the shard identity alone (the layout written before
+   the settlement joined it), or whose request is no Build, fails replay
+   as undecodable: recovery refuses rather than guess an identity. *)
 let test_build_record_without_identity_refused () =
   let piece = Bytesutil.sized_string in
   let build = Net.Client.seeded_build ~width ~payment:1000 ~seed:"bare-build" db in
@@ -1662,8 +1665,10 @@ let test_build_record_without_identity_refused () =
       | Error e ->
         Alcotest.(check string) what "WAL replay failed: event 1 (tag 2): undecodable request" e)
     [ ("a Build record without its identity", Wire.request_sized build);
+      ( "a Build record with the shard identity alone",
+        Bytesutil.sized_concat [ piece "0"; piece "1"; Wire.request_sized build ] );
       ( "a Build record holding a Ping",
-        Bytesutil.sized_concat [ piece "0"; piece "1"; Wire.request_sized Wire.Ping ] ) ]
+        Bytesutil.sized_concat [ piece "0"; piece "1"; piece ""; Wire.request_sized Wire.Ping ] ) ]
 
 let test_witness_index_survives_restart () =
   (* The snapshot carries the warm witness state: a restored service
@@ -1756,11 +1761,11 @@ let test_witness_index_survives_restart () =
     Option.iter Store.close (Net.Service.store svc3)
 
 let test_old_snapshot_layouts_refused () =
-  (* One snapshot layout decodes. The four older ones, rebuilt from a
-     real v5 snapshot (v4 and v3 had the same pieces under their own
-     magic, v2 no settle piece, v1 no witness piece either), are refused
-     as a codec mismatch, while the v5 original written the same way
-     recovers. *)
+  (* One snapshot layout decodes. The five older ones, rebuilt from a
+     real v6 snapshot (v5, v4 and v3 under their own magic over the same
+     pieces, v2 without the settle piece, v1 without the witness piece
+     either), are refused as a codec mismatch, while the v6 original
+     written the same way recovers. *)
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
@@ -1788,7 +1793,7 @@ let test_old_snapshot_layouts_refused () =
      Option.iter Store.close (Net.Service.store svc));
   (* Recovery re-anchors on a checkpoint of the built state. *)
   recover cfg;
-  let v5 =
+  let v6 =
     let store, rc = Store.open_ cfg in
     Store.close store;
     match rc.Store.rc_snapshot with
@@ -1796,7 +1801,7 @@ let test_old_snapshot_layouts_refused () =
     | None -> Alcotest.fail "no snapshot after recovery"
   in
   let pieces =
-    match Bytesutil.split v5 with Some p -> p | None -> Alcotest.fail "v5 snapshot does not split"
+    match Bytesutil.split v6 with Some p -> p | None -> Alcotest.fail "v6 snapshot does not split"
   in
   let n = List.length pieces in
   let state = List.filteri (fun i _ -> i > 0 && i < n - 2) pieces in
@@ -1811,7 +1816,7 @@ let test_old_snapshot_layouts_refused () =
     Store.close store;
     f old_cfg
   in
-  in_fresh_dir v5 recover;
+  in_fresh_dir v6 recover;
   List.iter
     (fun (magic, payload) ->
       in_fresh_dir payload @@ fun old_cfg ->
@@ -1821,7 +1826,9 @@ let test_old_snapshot_layouts_refused () =
       | Ok (svc, _) ->
         Option.iter Store.close (Net.Service.store svc);
         Alcotest.failf "%s snapshot was decoded" magic)
-    [ ("slicer-service-built-v4",
+    [ ("slicer-service-built-v5",
+       Bytesutil.concat (("slicer-service-built-v5" :: state) @ [ witness; settle ]));
+      ("slicer-service-built-v4",
        Bytesutil.concat (("slicer-service-built-v4" :: state) @ [ witness; settle ]));
       ("slicer-service-built-v3",
        Bytesutil.concat (("slicer-service-built-v3" :: state) @ [ witness; settle ]));
@@ -1838,8 +1845,13 @@ let test_old_snapshot_layouts_refused () =
    the hints piece, and the committed leaf, which hashes that blob, moved
    the batch's root. The WAL was re-hashed when the Build's record began
    with the shard identity it was applied as: 14 bytes, the pieces "0"
-   and "1" and the request's own length prefix. Neither may move one
-   byte. *)
+   and "1" and the request's own length prefix; and again when the
+   settlement identity joined the shard's: 25 bytes, one piece holding
+   the batch size 64, the deposit 100000 and the window 3. The snapshot
+   was re-hashed for layout v6: the identity and the chain's sealed
+   head joined it, and the owner and cloud addresses and the validator
+   names, which every wire-built database shares, left it; every other
+   piece is byte-identical. Neither may move one byte. *)
 let test_wal_and_snapshot_golden () =
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1891,9 +1903,9 @@ let test_wal_and_snapshot_golden () =
   Option.iter Store.close (Net.Service.store svc);
   let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
   let wal = read "wal.log" in
-  Alcotest.(check int) "wal.log size" 21451 (String.length wal);
+  Alcotest.(check int) "wal.log size" 21476 (String.length wal);
   Alcotest.(check string) "wal.log sha-256"
-    "4a61272a03a862ce1a391817d63390f49c7a1ba8c517011e641768bafe287153" (Sha256.digest_hex wal);
+    "7aacbf78c87eaa43edfa95bf5f3b0d01ae5faaf2f94823b4364969787533db74" (Sha256.digest_hex wal);
   match Net.Service.recover ~settle cfg with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (svc, stats) ->
@@ -1901,9 +1913,9 @@ let test_wal_and_snapshot_golden () =
     Alcotest.(check int) "every record replayed" 5 stats.Net.Service.rs_replayed;
     (* Recovery re-anchors on a snapshot at the last record's seq. *)
     let snap = read "snap-5.bin" in
-    Alcotest.(check int) "snapshot size" 15666 (String.length snap);
+    Alcotest.(check int) "snapshot size" 15780 (String.length snap);
     Alcotest.(check string) "snapshot sha-256"
-      "99ca16c73f914cc810a3d43778c7498493cb9337219e4ab170590b69fc213e1d" (Sha256.digest_hex snap)
+      "8980087495c887e815184d03f41fe11917125888c0f374be4c4cc6b1266fe759" (Sha256.digest_hex snap)
 
 (* The real thing: a separate slicer-server process ([Server_proc]),
    killed with SIGKILL mid-load, recovered from its state directory. *)
@@ -2134,9 +2146,305 @@ let test_self_seeded_server_recovers () =
     Alcotest.(check bool) "a lone server on shard 1's state dir exits non-zero" true
       (status <> Unix.WEXITED 0);
     let expected =
-      "recovered shard mismatch: the state dir holds shard 1 of 2, this server is shard 0 of 1"
+      "recovered identity mismatch: the state dir holds shard 1 of 2 settling eagerly; this \
+       server is shard 0 of 1 settling eagerly"
     in
     if not (contains err expected) then Alcotest.failf "stderr %S lacks %S" err expected
+
+(* --- recovery as one invariant ------------------------------------------ *)
+
+let recover_exn ?settle cfg =
+  match Net.Service.recover ?settle cfg with
+  | Ok (svc, stats) -> (svc, stats)
+  | Error e -> Alcotest.failf "recover %s: %s" cfg.Store.dir e
+
+let close_service svc = Option.iter Store.close (Net.Service.store svc)
+
+let station_of svc =
+  match Net.Service.station svc with Some st -> st | None -> Alcotest.fail "no station"
+
+let hello_user svc client =
+  match Net.Service.handle svc (Wire.Hello { client; proto = Wire.proto_version }) with
+  | Wire.Welcome p -> User.create ~keys:p.Wire.pv_user_keys ~width:p.Wire.pv_width p.Wire.pv_trapdoor
+  | _ -> Alcotest.failf "hello %s refused" client
+
+let found svc req =
+  match Net.Service.handle svc req with
+  | Wire.Found r -> r
+  | Wire.Refused { detail; _ } -> Alcotest.failf "search refused: %s" detail
+  | _ -> Alcotest.fail "expected a search result"
+
+let receipt_of svc ~client request_id =
+  match Net.Service.handle svc (Wire.Receipt { client; request_id }) with
+  | Wire.Receipt_reply st -> st
+  | _ -> Alcotest.fail "expected a receipt"
+
+let chain_head svc =
+  let ledger = Station.ledger (station_of svc) in
+  (Ledger.height ledger, Bytesutil.to_hex (Block.hash (Ledger.head ledger)))
+
+(* Every file of a state dir but its lock, with its bytes. *)
+let dir_files dir =
+  Sys.readdir dir |> Array.to_list |> List.filter (fun f -> f <> "LOCK") |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let copy_dir ~from dir =
+  Unix.mkdir dir 0o755;
+  List.iter
+    (fun (f, bytes) ->
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc bytes))
+    (dir_files from)
+
+(* A snapshot keeps its chain's sealed head. A durable service settling
+   in batches of 2 with a 3-block window builds and serves 12 searches;
+   restarted once by WAL replay and again from the snapshot that
+   recovery wrote, it resumes at the same height and head hash, its
+   chain validates, and the batch committed by the 12th search
+   finalizes within 2 more searches, as it would without the restarts.
+   A chain rebuilt at genesis would need the 25 blocks it lost. *)
+let test_snapshot_restart_resumes_the_chain () =
+  let dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+  let settle =
+    { Settle_batch.sb_size = 2; sb_window_ms = 1e9; sb_deposit = 100_000;
+      sb_dispute_blocks = 3 }
+  in
+  let client = "head-user" in
+  let rng = Drbg.create ~seed:"head-user" in
+  let svc, _ = recover_exn ~settle cfg in
+  (match Net.Service.handle svc (Net.Client.seeded_build ~width ~payment:1000 ~seed:"head" db) with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "build refused");
+  let user = hello_user svc client in
+  let search svc i =
+    ignore
+      (found svc
+         (Wire.Search
+            { client; request_id = Printf.sprintf "head#%d" i; batched = false;
+              tokens = User.gen_tokens ~rng user (q 30 Slicer_types.Lt); trace = None }))
+  in
+  for i = 1 to 12 do search svc i done;
+  let served = chain_head svc in
+  close_service svc;
+  let replayed, stats = recover_exn ~settle cfg in
+  Alcotest.(check bool) "the first restart replays the WAL" true (stats.Net.Service.rs_replayed > 0);
+  Alcotest.(check (pair int string)) "WAL replay: height and head hash" served (chain_head replayed);
+  close_service replayed;
+  let restored, stats = recover_exn ~settle cfg in
+  Fun.protect ~finally:(fun () -> close_service restored) @@ fun () ->
+  Alcotest.(check bool) "the second restart reads the snapshot" true
+    (stats.Net.Service.rs_snapshot && stats.Net.Service.rs_replayed = 0);
+  Alcotest.(check (pair int string)) "snapshot: height and head hash" served (chain_head restored);
+  Alcotest.(check (result unit string)) "the resumed chain validates" (Ok ())
+    (Ledger.validate (Station.ledger (station_of restored)));
+  (match receipt_of restored ~client "head#12" with
+   | Wire.Rcp_committed _ -> ()
+   | _ -> Alcotest.fail "the 12th search's batch should be committed");
+  let rec drive i =
+    if i > 14 then Alcotest.fail "the last committed batch did not finalize within 2 searches";
+    search restored i;
+    match receipt_of restored ~client "head#12" with
+    | Wire.Rcp_final _ -> ()
+    | _ -> drive (i + 1)
+  in
+  drive 13
+
+(* A state dir keeps the settlement it was built under. A session
+   settling in batches of 8 leaves three searches pending; restarted
+   eagerly, or with another batch size, deposit or dispute window, it is
+   refused with both identities named and its files untouched, from a
+   WAL-only state dir and from one with a snapshot alike. Restarted with
+   its own flags it recovers, and the three receipts are still
+   pending. *)
+let test_restart_under_another_settlement_refused () =
+  let settle =
+    { Settle_batch.sb_size = 8; sb_window_ms = 1e9; sb_deposit = 100_000;
+      sb_dispute_blocks = 3 }
+  in
+  let client = "ident-user" in
+  let rids = [ "ident#1"; "ident#2"; "ident#3" ] in
+  let holds =
+    "the state dir holds shard 0 of 1 settling in batches of 8 (3-block window, 100000-wei \
+     deposit)"
+  in
+  List.iter
+    (fun with_snapshot ->
+      let where = if with_snapshot then "snapshot state dir" else "WAL-only state dir" in
+      let dir = fresh_state_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+      let svc, _ = recover_exn ~settle cfg in
+      (match
+         Net.Service.handle svc (Net.Client.seeded_build ~width ~payment:1000 ~seed:"ident" db)
+       with
+       | Wire.Accepted _ -> ()
+       | _ -> Alcotest.fail "build refused");
+      let rng = Drbg.create ~seed:client in
+      let user = hello_user svc client in
+      List.iter
+        (fun request_id ->
+          ignore
+            (found svc
+               (Wire.Search
+                  { client; request_id; batched = false;
+                    tokens = User.gen_tokens ~rng user (q 30 Slicer_types.Lt); trace = None })))
+        rids;
+      close_service svc;
+      (* Any recovery writes a snapshot. *)
+      if with_snapshot then close_service (fst (recover_exn ~settle cfg));
+      let files = dir_files dir in
+      Alcotest.(check bool) (where ^ ": the Build sits in a snapshot") with_snapshot
+        (List.exists
+           (fun (f, bytes) ->
+             String.starts_with ~prefix:"snap-" f && contains bytes "slicer-service-built")
+           files);
+      List.iter
+        (fun (what, other, this) ->
+          (match Net.Service.recover ?settle:other cfg with
+           | Ok (svc, _) ->
+             close_service svc;
+             Alcotest.failf "%s: a restart %s recovered" where what
+           | Error e ->
+             Alcotest.(check string)
+               (Printf.sprintf "%s: a restart %s is refused" where what)
+               (Printf.sprintf "recovered identity mismatch: %s; this server is shard 0 of 1 %s"
+                  holds this)
+               e);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: the refused restart %s left the files alone" where what)
+            true
+            (dir_files dir = files))
+        [ ("eager", None, "settling eagerly");
+          ( "with batches of 4",
+            Some { settle with Settle_batch.sb_size = 4 },
+            "settling in batches of 4 (3-block window, 100000-wei deposit)" );
+          ( "with another deposit",
+            Some { settle with Settle_batch.sb_deposit = 200_000 },
+            "settling in batches of 8 (3-block window, 200000-wei deposit)" );
+          ( "with another dispute window",
+            Some { settle with Settle_batch.sb_dispute_blocks = 5 },
+            "settling in batches of 8 (5-block window, 100000-wei deposit)" ) ];
+      let svc, _ = recover_exn ~settle cfg in
+      Fun.protect ~finally:(fun () -> close_service svc) @@ fun () ->
+      List.iter
+        (fun rid ->
+          match receipt_of svc ~client rid with
+          | Wire.Rcp_pending _ -> ()
+          | _ -> Alcotest.failf "%s: %s is no longer pending" where rid)
+        rids)
+    [ false; true ]
+
+(* Recovery is one invariant: a durable session — Build, Hello, batched
+   searches, an Insert, a forced flush and a dispute — recovered by WAL
+   replay and, in another dir, from the snapshot that recovery wrote,
+   yields two services that agree on the chain's height and head hash,
+   every account, the contract's storage, the generation, each batch's
+   status and their snapshots' bytes (users and reply cache included);
+   on both, a pinned search and the dispute replay byte for byte and
+   settle nothing again. *)
+let test_wal_replay_and_snapshot_agree () =
+  let dir = fresh_state_dir () in
+  let snap_dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir; rm_rf snap_dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+  let settle =
+    { Settle_batch.sb_size = 2; sb_window_ms = 1e9; sb_deposit = 100_000;
+      sb_dispute_blocks = 50 }
+  in
+  let rng, keys, acc_params, owner, _records, shipment = durable_owner "inv-owner" in
+  let svc, _ = recover_exn ~settle cfg in
+  (match
+     Net.Service.handle svc
+       (Wire.Build
+          { client = "inv-owner"; request_id = "inv#b"; width; payment = 500; acc = acc_params;
+            tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn; tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+            user_k = (Keys.for_user keys).Keys.u_k; user_k_r = (Keys.for_user keys).Keys.u_k_r;
+            shipment; trapdoor = Owner.export_trapdoor_state owner; trace = None })
+   with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "build refused");
+  let client = "inv-user" in
+  let user = hello_user svc client in
+  let search_req request_id query =
+    Wire.Search
+      { client; request_id; batched = false; tokens = User.gen_tokens ~rng user query;
+        trace = None }
+  in
+  let pinned = search_req "inv#1" (q 30 Slicer_types.Lt) in
+  let pinned_reply = Wire.encode_response (Wire.Found (found svc pinned)) in
+  let disputed = found svc (search_req "inv#2" (q 8 Slicer_types.Gt)) in
+  ignore (found svc (search_req "inv#3" (q 3 Slicer_types.Eq)));
+  (match
+     Net.Service.handle svc
+       (Wire.Insert
+          { client = "inv-owner"; request_id = "inv#i";
+            shipment = Owner.insert owner [ Slicer_types.record_of_value "inv-new" 3 ];
+            trapdoor = Owner.export_trapdoor_state owner; trace = None })
+   with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "insert refused");
+  ignore (found svc (search_req "inv#4" (q 20 Slicer_types.Gt)));
+  ignore (found svc (search_req "inv#5" (q 3 Slicer_types.Eq)));
+  Net.Service.settle_flush svc;
+  (* An honest leaf: the dispute is rejected on chain, and that verdict
+     is an effect too. *)
+  let dispute =
+    Wire.Dispute
+      { client; request_id = "inv#2"; shard = 0;
+        claims_blob = Slicer_contract.encode_claims disputed.Wire.sr_claims;
+        batch_witness = disputed.Wire.sr_batch_witness }
+  in
+  let verdict =
+    match Net.Service.handle svc dispute with
+    | Wire.Disputed { dp_slashed = false; _ } as r -> Wire.encode_response r
+    | Wire.Refused { detail; _ } -> Alcotest.failf "dispute refused: %s" detail
+    | _ -> Alcotest.fail "an honest leaf should survive its dispute"
+  in
+  close_service svc;
+  let replayed, stats = recover_exn ~settle cfg in
+  Fun.protect ~finally:(fun () -> close_service replayed) @@ fun () ->
+  Alcotest.(check bool) "one recovery replays the WAL" true (stats.Net.Service.rs_replayed > 0);
+  copy_dir ~from:dir snap_dir;
+  let restored, stats = recover_exn ~settle { cfg with Store.dir = snap_dir } in
+  Fun.protect ~finally:(fun () -> close_service restored) @@ fun () ->
+  Alcotest.(check bool) "the other restores the snapshot" true
+    (stats.Net.Service.rs_snapshot && stats.Net.Service.rs_replayed = 0);
+  let state svc =
+    let st = station_of svc in
+    (Ledger.state (Station.ledger st), Station.contract st)
+  in
+  Alcotest.(check (pair int string)) "height and head hash" (chain_head replayed)
+    (chain_head restored);
+  Alcotest.(check bool) "every account" true
+    (Vm.accounts (fst (state replayed)) = Vm.accounts (fst (state restored)));
+  Alcotest.(check bool) "the contract's storage" true
+    (Vm.storage_entries (fst (state replayed)) (snd (state replayed))
+     = Vm.storage_entries (fst (state restored)) (snd (state restored)));
+  Alcotest.(check int) "generation" (Net.Service.generation replayed)
+    (Net.Service.generation restored);
+  List.iter
+    (fun rid ->
+      Alcotest.(check string) ("the status of " ^ rid)
+        (Wire.encode_response (Wire.Receipt_reply (receipt_of replayed ~client rid)))
+        (Wire.encode_response (Wire.Receipt_reply (receipt_of restored ~client rid))))
+    [ "inv#1"; "inv#2"; "inv#3"; "inv#4"; "inv#5" ];
+  let snapshot_of dir =
+    List.filter (fun (f, _) -> String.starts_with ~prefix:"snap-" f) (dir_files dir)
+  in
+  Alcotest.(check bool) "users and reply cache: both recoveries write the same snapshot" true
+    (snapshot_of dir = snapshot_of snap_dir && snapshot_of dir <> []);
+  List.iter
+    (fun (name, svc) ->
+      let settled = Net.Service.searches_settled svc in
+      Alcotest.(check string) (name ^ ": the pinned search replays") pinned_reply
+        (Wire.encode_response (Net.Service.handle svc pinned));
+      Alcotest.(check string) (name ^ ": the dispute replays its verdict") verdict
+        (Wire.encode_response (Net.Service.handle svc dispute));
+      Alcotest.(check int) (name ^ ": nothing settled again") settled
+        (Net.Service.searches_settled svc))
+    [ ("WAL replay", replayed); ("snapshot", restored) ]
 
 (* --- batched optimistic settlement over the wire ------------------------ *)
 
@@ -2300,6 +2608,48 @@ let test_batched_dispute_slashes_over_the_wire () =
    | Ok (Wire.Rcp_refunded _) -> ()
    | Ok _ -> Alcotest.fail "slashed batch should read refunded"
    | Error e -> Alcotest.failf "receipt: %s" (Net.Client.error_to_string e))
+
+(* A Dispute re-sent after its reply was lost returns the verdict the
+   first one got, and moves no balance: the slash and the refund
+   happened once. *)
+let test_resent_dispute_returns_its_verdict () =
+  let settle =
+    { Settle_batch.sb_size = 2; sb_window_ms = 1e9; sb_deposit = 60_000;
+      sb_dispute_blocks = 50 }
+  in
+  let svc = seeded_service ~settle ~seed:"net-resend" (List.filteri (fun i _ -> i < 25) db) in
+  let st = station_of svc in
+  let client = "resend-user" in
+  let rng = Drbg.create ~seed:client in
+  let user = hello_user svc client in
+  let search request_id =
+    found svc
+      (Wire.Search
+         { client; request_id; batched = false;
+           tokens = User.gen_tokens ~rng user (q 30 Slicer_types.Lt); trace = None })
+  in
+  ignore (search "resend#1");
+  Cloud.set_behavior (Station.cloud st) Cloud.Tamper_result;
+  let bad =
+    Fun.protect ~finally:(fun () -> Cloud.set_behavior (Station.cloud st) Cloud.Honest)
+      (fun () -> search "resend#2")
+  in
+  let dispute =
+    Wire.Dispute
+      { client; request_id = "resend#2"; shard = 0;
+        claims_blob = Slicer_contract.encode_claims bad.Wire.sr_claims;
+        batch_witness = bad.Wire.sr_batch_witness }
+  in
+  let first = Net.Service.handle svc dispute in
+  (match first with
+   | Wire.Disputed { dp_slashed = true; _ } -> ()
+   | _ -> Alcotest.fail "the first dispute should slash the cloud");
+  let accounts () = Vm.accounts (Ledger.state (Station.ledger st)) in
+  let before = accounts () in
+  let again = Net.Service.handle svc dispute in
+  Alcotest.(check string) "the re-sent dispute returns the same verdict"
+    (Wire.encode_response first) (Wire.encode_response again);
+  Alcotest.(check bool) "and moves no balance" true (accounts () = before)
 
 let settle_flags = [ "--settle-batch"; "2"; "--settle-window-ms"; "100000";
                      "--settle-dispute-window"; "1" ]
@@ -2481,11 +2831,19 @@ let () =
           Alcotest.test_case "a self-seeded server recovers its own Build" `Quick
             test_self_seeded_server_recovers;
           Alcotest.test_case "a Build record without its identity is refused" `Quick
-            test_build_record_without_identity_refused ] );
+            test_build_record_without_identity_refused;
+          Alcotest.test_case "a snapshot restart resumes the chain at its head" `Quick
+            test_snapshot_restart_resumes_the_chain;
+          Alcotest.test_case "a restart under another settlement is refused" `Quick
+            test_restart_under_another_settlement_refused;
+          Alcotest.test_case "WAL replay and snapshot restore agree" `Quick
+            test_wal_replay_and_snapshot_agree ] );
       ( "settlement",
         [ Alcotest.test_case "batched settlement over the wire" `Quick
             test_batched_settlement_over_the_wire;
           Alcotest.test_case "dispute slashes a tampering cloud" `Quick
             test_batched_dispute_slashes_over_the_wire;
+          Alcotest.test_case "a re-sent dispute returns its verdict" `Quick
+            test_resent_dispute_returns_its_verdict;
           Alcotest.test_case "SIGKILL between commit and finalize" `Quick
             test_batched_sigkill_between_commit_and_finalize ] ) ]
