@@ -69,27 +69,12 @@ let cond_arg =
 
 (* No [-v] short form: the demo/search commands spend it on --value. *)
 let verbose_arg =
-  let doc = "Enable protocol debug logging (same as --log-level debug)." in
-  Arg.(value & flag & info [ "verbose" ] ~doc)
-
-let log_level_conv =
-  let parse = function
-    | "debug" -> Ok (Some Logs.Debug)
-    | "info" -> Ok (Some Logs.Info)
-    | "warning" -> Ok (Some Logs.Warning)
-    | "error" -> Ok (Some Logs.Error)
-    | "quiet" -> Ok None
-    | s -> Error (`Msg (Printf.sprintf "unknown log level %S" s))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "quiet"
-    | Some l -> Format.pp_print_string ppf (Logs.level_to_string (Some l))
-  in
-  Arg.conv (parse, print)
+  Front.verbose_arg ~names:[ "verbose" ]
+    ~doc:"Enable protocol debug logging (same as --log-level debug)."
 
 let log_level_arg =
-  let doc = "Log verbosity: debug, info, warning, error or quiet." in
-  Arg.(value & opt log_level_conv (Some Logs.Info) & info [ "log-level" ] ~docv:"LEVEL" ~doc)
+  Front.log_level_arg ~default:(Some Logs.Info)
+    ~doc:"Log verbosity: debug, info, warning, error or quiet."
 
 let domains_arg =
   let doc =
@@ -105,13 +90,9 @@ let setup_domains d =
   end;
   Parallel.set_domains d
 
-let setup_logs level verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else level)
 
 let run_demo width seed records behavior value cond verbose log_level domains =
-  setup_logs log_level verbose;
+  Front.setup_logs log_level verbose;
   setup_domains domains;
   if width < 1 || width > Bitvec.max_width then `Error (false, "width out of range")
   else begin
@@ -194,17 +175,9 @@ let gas_cmd =
 
 (* --- stats ------------------------------------------------------------- *)
 
-let host_arg =
-  let doc = "Server address." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
-
-let port_arg =
-  let doc = "Server TCP port." in
-  Arg.(value & opt int 7070 & info [ "port"; "p" ] ~docv:"PORT" ~doc)
-
-let socket_arg =
-  let doc = "Connect to a Unix-domain socket at $(docv) instead of TCP." in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+let host_arg = Front.host_arg ~doc:"Server address."
+let port_arg = Front.port_arg ~doc:"Server TCP port."
+let socket_arg = Front.socket_arg ~doc:"Connect to a Unix-domain socket at $(docv) instead of TCP."
 
 let json_arg =
   let doc = "Print the JSON snapshot instead of Prometheus text." in
@@ -232,9 +205,7 @@ let scrape endpoint =
 let parse_endpoints host port socket addrs =
   match addrs with
   | [] ->
-    (match socket with
-     | Some path -> Ok [ ("", Net.Server.Unix_socket path) ]
-     | None -> Ok [ ("", Net.Server.Tcp (host, port)) ])
+    Ok [ ("", Front.endpoint host port socket) ]
   | addrs ->
     let rec parse acc = function
       | [] -> Ok (List.rev acc)
@@ -246,7 +217,7 @@ let parse_endpoints host port socket addrs =
     parse [] addrs
 
 let run_stats host port socket json addrs verbose log_level =
-  setup_logs log_level verbose;
+  Front.setup_logs log_level verbose;
   match parse_endpoints host port socket addrs with
   | Error e -> `Error (false, e)
   | Ok [ (_, endpoint) ] ->
@@ -315,7 +286,7 @@ let scrape_traces endpoint =
      | Error e -> Error (Net.Client.error_to_string e))
 
 let run_trace host port socket addrs follow min_ms json chrome verbose log_level =
-  setup_logs log_level verbose;
+  Front.setup_logs log_level verbose;
   match parse_endpoints host port socket addrs with
   | Error e -> `Error (false, e)
   | Ok endpoints ->

@@ -11,17 +11,9 @@
 
 open Cmdliner
 
-let host_arg =
-  let doc = "Server address." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
-
-let port_arg =
-  let doc = "Server TCP port." in
-  Arg.(value & opt int 7070 & info [ "port"; "p" ] ~docv:"PORT" ~doc)
-
-let socket_arg =
-  let doc = "Connect to a Unix-domain socket at $(docv) instead of TCP." in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+let host_arg = Front.host_arg ~doc:"Server address."
+let port_arg = Front.port_arg ~doc:"Server TCP port."
+let socket_arg = Front.socket_arg ~doc:"Connect to a Unix-domain socket at $(docv) instead of TCP."
 
 let name_arg =
   let doc = "Client identity (reusing a name reattaches to its funded address)." in
@@ -37,57 +29,32 @@ let attempts_arg =
 
 (* No [-v] short form: search spends it on --value. *)
 let verbose_arg =
-  let doc = "Enable debug logging (same as --log-level debug)." in
-  Arg.(value & flag & info [ "verbose" ] ~doc)
-
-let log_level_conv =
-  let parse = function
-    | "debug" -> Ok (Some Logs.Debug)
-    | "info" -> Ok (Some Logs.Info)
-    | "warning" -> Ok (Some Logs.Warning)
-    | "error" -> Ok (Some Logs.Error)
-    | "quiet" -> Ok None
-    | s -> Error (`Msg (Printf.sprintf "unknown log level %S" s))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "quiet"
-    | Some l -> Format.pp_print_string ppf (Logs.level_to_string (Some l))
-  in
-  Arg.conv (parse, print)
+  Front.verbose_arg ~names:[ "verbose" ] ~doc:"Enable debug logging (same as --log-level debug)."
 
 let log_level_arg =
-  let doc = "Log verbosity: debug, info, warning, error or quiet. Debug \
-             shows every retry, backoff sleep and reconnect." in
-  Arg.(value & opt log_level_conv (Some Logs.Warning) & info [ "log-level" ] ~docv:"LEVEL" ~doc)
+  Front.log_level_arg ~default:(Some Logs.Warning)
+    ~doc:"Log verbosity: debug, info, warning, error or quiet. Debug shows every retry, \
+          backoff sleep and reconnect."
 
-let setup_logs level verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else level)
-
-let endpoint_of host port socket =
-  match socket with
-  | Some path -> Net.Server.Unix_socket path
-  | None -> Net.Server.Tcp (host, port)
 
 let config_of timeout attempts =
   { Net.Client.default_config with request_timeout = timeout; max_attempts = attempts }
 
 let connect ?provision host port socket name timeout attempts =
   Net.Client.connect ~config:(config_of timeout attempts) ?name ?provision
-    (endpoint_of host port socket)
+    (Front.endpoint host port socket)
 
 (* --- ping -------------------------------------------------------------- *)
 
 let run_ping host port socket name timeout attempts log_level verbose =
-  setup_logs log_level verbose;
+  Front.setup_logs log_level verbose;
   match connect host port socket name timeout attempts with
   | Error e -> `Error (false, Net.Client.error_to_string e)
   | Ok c ->
     (match Net.Client.ping c with
      | Ok rtt ->
        Printf.printf "pong from %s in %.2f ms (width %d, payment %d, generation %d)\n"
-         (match endpoint_of host port socket with
+         (match Front.endpoint host port socket with
           | Net.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p
           | Net.Server.Unix_socket p -> p)
          (rtt *. 1000.) (Net.Client.width c) (Net.Client.payment c) (Net.Client.generation c);
@@ -185,7 +152,7 @@ let print_settlement c ~disputing verified =
 
 let run_search host port socket name timeout attempts log_level verbose value cond attr batched
     repeat settlement disputing trace =
-  setup_logs log_level verbose;
+  Front.setup_logs log_level verbose;
   if trace then Trace.set_sample_rate 1.;
   match connect host port socket name timeout attempts with
   | Error e -> `Error (false, Net.Client.error_to_string e)

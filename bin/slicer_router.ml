@@ -12,18 +12,6 @@
 
 open Cmdliner
 
-let host_arg =
-  let doc = "Address to listen on." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
-
-let port_arg =
-  let doc = "TCP port (0 picks an ephemeral port, printed at startup)." in
-  Arg.(value & opt int 7070 & info [ "port"; "p" ] ~docv:"PORT" ~doc)
-
-let socket_arg =
-  let doc = "Serve on a Unix-domain socket at $(docv) instead of TCP." in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-
 let shard_arg =
   let doc = "A shard endpoint (HOST:PORT or unix:PATH). Repeatable; the \
              order given defines shard ids, so keep it stable across \
@@ -49,67 +37,6 @@ let attempts_arg =
              is refused as busy." in
   Arg.(value & opt int 3 & info [ "attempts" ] ~docv:"N" ~doc)
 
-let read_timeout_arg =
-  let doc = "Per-connection read timeout in seconds." in
-  Arg.(value & opt float 30. & info [ "read-timeout" ] ~docv:"SECONDS" ~doc)
-
-let max_inflight_arg =
-  let doc = "Maximum concurrently processed requests; beyond this \
-             clients receive a busy refusal and back off." in
-  Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N" ~doc)
-
-let max_conns_arg =
-  let doc = "Maximum simultaneously open connections; accepts past the \
-             cap are closed immediately." in
-  Arg.(value & opt int 4096 & info [ "max-conns" ] ~docv:"N" ~doc)
-
-let workers_arg =
-  let doc = "Dispatch worker threads executing request handlers off the \
-             event loop. Each fanned-out request additionally spawns one \
-             short-lived thread per involved shard." in
-  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
-
-let trace_sample_arg =
-  let doc = "Probability that a routed request starts a published trace \
-             (0 disables sampling; requests arriving with an upstream \
-             trace context are always recorded). A trace minted here \
-             follows the request through every shard and back." in
-  Arg.(value & opt float 0. & info [ "trace-sample" ] ~docv:"P" ~doc)
-
-let trace_slow_ms_arg =
-  let doc = "Slow-query threshold: force-publish (and log, with a phase \
-             breakdown) every routed request that runs at least $(docv) \
-             milliseconds, sampled or not. 0 traces everything." in
-  Arg.(value & opt (some float) None & info [ "trace-slow-ms" ] ~docv:"N" ~doc)
-
-let verbose_arg =
-  let doc = "Enable debug logging (same as --log-level debug)." in
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc)
-
-let log_level_conv =
-  let parse = function
-    | "debug" -> Ok (Some Logs.Debug)
-    | "info" -> Ok (Some Logs.Info)
-    | "warning" -> Ok (Some Logs.Warning)
-    | "error" -> Ok (Some Logs.Error)
-    | "quiet" -> Ok None
-    | s -> Error (`Msg (Printf.sprintf "unknown log level %S" s))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "quiet"
-    | Some l -> Format.pp_print_string ppf (Logs.level_to_string (Some l))
-  in
-  Arg.conv (parse, print)
-
-let log_level_arg =
-  let doc = "Log verbosity: debug, info, warning, error or quiet." in
-  Arg.(value & opt log_level_conv (Some Logs.Info) & info [ "log-level" ] ~docv:"LEVEL" ~doc)
-
-let setup_logs level verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else level)
-
 let resolve_topology shards topology_file =
   match (shards, topology_file) with
   | [], None -> Error "no shards: pass --shard ADDR (repeatable) or --topology FILE"
@@ -128,59 +55,34 @@ let resolve_topology shards topology_file =
        Option.iter (fun path -> Cluster.Topology.save ~path topo) file;
        Ok topo)
 
-let run host port socket shards topology_file instance pool attempts read_timeout
-    max_inflight max_conns workers trace_sample trace_slow_ms verbose log_level =
-  setup_logs log_level verbose;
+let run serving shards topology_file instance pool attempts =
   Obs.set_instance instance;
-  Trace.set_sample_rate trace_sample;
-  Trace.set_slow_ms trace_slow_ms;
-  if pool < 1 then `Error (false, "--pool must be >= 1")
-  else if attempts < 1 then `Error (false, "--attempts must be >= 1")
-  else if max_conns < 1 then `Error (false, "--max-conns must be >= 1")
-  else if workers < 1 then `Error (false, "--workers must be >= 1")
-  else
-    match resolve_topology shards topology_file with
-    | Error e -> `Error (false, e)
-    | Ok topo ->
-      let router =
-        Cluster.Router.create
-          ~config:
-            { Cluster.Router.pool;
-              client = { Net.Client.default_config with Net.Client.max_attempts = attempts }
-            }
-          ~instance topo
-      in
-      let endpoint =
-        match socket with
-        | Some path -> Net.Server.Unix_socket path
-        | None -> Net.Server.Tcp (host, port)
-      in
-      let config =
-        { Net.Server.default_config with
-          endpoint; read_timeout; max_inflight; max_conns; workers }
-      in
-      let server = Net.Server.start ~config (Cluster.Router.handle router) in
-      Printf.printf "routing %d shards:\n" (Cluster.Topology.shards topo);
-      List.iteri
-        (fun i ep -> Printf.printf "  shard %d: %s\n" i (Cluster.Topology.endpoint_to_string ep))
-        (Cluster.Topology.endpoints topo);
-      (match endpoint with
-       | Net.Server.Tcp (h, _) ->
-         Printf.printf "listening on %s:%d\n%!" h (Net.Server.port server)
-       | Net.Server.Unix_socket p -> Printf.printf "listening on %s\n%!" p);
-      let stopping = ref false in
-      let stop_now _ = stopping := true in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop_now);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_now);
-      while not !stopping do
-        Unix.sleepf 0.2
-      done;
-      Printf.printf "\nshutting down: %d connections, %d requests routed\n%!"
-        (Net.Server.connections_served server)
-        (Net.Server.requests_served server);
-      Net.Server.stop server;
-      Cluster.Router.close router;
-      `Ok ()
+  match Front.prepare serving with
+  | Error e -> `Error (false, e)
+  | Ok () ->
+    if pool < 1 then `Error (false, "--pool must be >= 1")
+    else if attempts < 1 then `Error (false, "--attempts must be >= 1")
+    else
+      match resolve_topology shards topology_file with
+      | Error e -> `Error (false, e)
+      | Ok topo ->
+        let router =
+          Cluster.Router.create
+            ~config:
+              { Cluster.Router.pool;
+                client = { Net.Client.default_config with Net.Client.max_attempts = attempts }
+              }
+            ~instance topo
+        in
+        Front.serve serving (Cluster.Router.handle router) ~verb:"routed" ~tick:ignore
+          ~banner:(fun () ->
+            Printf.printf "routing %d shards:\n" (Cluster.Topology.shards topo);
+            List.iteri
+              (fun i ep ->
+                Printf.printf "  shard %d: %s\n" i (Cluster.Topology.endpoint_to_string ep))
+              (Cluster.Topology.endpoints topo));
+        Cluster.Router.close router;
+        `Ok ()
 
 let cmd =
   let info =
@@ -190,9 +92,11 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ host_arg $ port_arg $ socket_arg $ shard_arg $ topology_arg
-       $ instance_arg $ pool_arg $ attempts_arg $ read_timeout_arg $ max_inflight_arg
-       $ max_conns_arg $ workers_arg $ trace_sample_arg $ trace_slow_ms_arg
-       $ verbose_arg $ log_level_arg))
+        (const run
+        $ Front.serving_term ~what:"routed request"
+            ~workers_doc:"Dispatch worker threads executing request handlers off the \
+                          event loop. Each fanned-out request additionally spawns one \
+                          short-lived thread per involved shard."
+        $ shard_arg $ topology_arg $ instance_arg $ pool_arg $ attempts_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -10,18 +10,6 @@
 
 open Cmdliner
 
-let host_arg =
-  let doc = "Address to listen on." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
-
-let port_arg =
-  let doc = "TCP port (0 picks an ephemeral port, printed at startup)." in
-  Arg.(value & opt int 7070 & info [ "port"; "p" ] ~docv:"PORT" ~doc)
-
-let socket_arg =
-  let doc = "Serve on a Unix-domain socket at $(docv) instead of TCP." in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-
 let seed_arg =
   let doc = "Deterministic seed for keys and self-seeded data." in
   Arg.(value & opt string "slicer-server" & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -43,53 +31,6 @@ let payment_arg =
 let domains_arg =
   let doc = "Worker domains for the search/VO hot path." in
   Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc)
-
-let read_timeout_arg =
-  let doc = "Per-connection read timeout in seconds." in
-  Arg.(value & opt float 30. & info [ "read-timeout" ] ~docv:"SECONDS" ~doc)
-
-let max_inflight_arg =
-  let doc = "Maximum concurrently processed requests; beyond this \
-             clients receive a busy refusal and back off." in
-  Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N" ~doc)
-
-let max_conns_arg =
-  let doc = "Maximum simultaneously open connections; accepts past the \
-             cap are closed immediately." in
-  Arg.(value & opt int 4096 & info [ "max-conns" ] ~docv:"N" ~doc)
-
-let workers_arg =
-  let doc = "Dispatch worker threads executing request handlers off the \
-             event loop." in
-  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
-
-let verbose_arg =
-  let doc = "Enable debug logging (same as --log-level debug)." in
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc)
-
-let log_level_conv =
-  let parse = function
-    | "debug" -> Ok (Some Logs.Debug)
-    | "info" -> Ok (Some Logs.Info)
-    | "warning" -> Ok (Some Logs.Warning)
-    | "error" -> Ok (Some Logs.Error)
-    | "quiet" -> Ok None
-    | s -> Error (`Msg (Printf.sprintf "unknown log level %S" s))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "quiet"
-    | Some l -> Format.pp_print_string ppf (Logs.level_to_string (Some l))
-  in
-  Arg.conv (parse, print)
-
-let log_level_arg =
-  let doc = "Log verbosity: debug, info, warning, error or quiet." in
-  Arg.(value & opt log_level_conv (Some Logs.Info) & info [ "log-level" ] ~docv:"LEVEL" ~doc)
-
-let setup_logs level verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else level)
 
 let state_dir_arg =
   let doc = "Durable state directory (WAL + snapshots). On startup the \
@@ -140,18 +81,6 @@ let shard_count_arg =
              default) means a standalone server." in
   Arg.(value & opt int 1 & info [ "shard-count" ] ~docv:"N" ~doc)
 
-let trace_sample_arg =
-  let doc = "Probability that a request starts a published trace (0 \
-             disables sampling; requests arriving with an upstream trace \
-             context are always recorded)." in
-  Arg.(value & opt float 0. & info [ "trace-sample" ] ~docv:"P" ~doc)
-
-let trace_slow_ms_arg =
-  let doc = "Slow-query threshold: force-publish (and log, with a phase \
-             breakdown) every request that runs at least $(docv) \
-             milliseconds, sampled or not. 0 traces everything." in
-  Arg.(value & opt (some float) None & info [ "trace-slow-ms" ] ~docv:"N" ~doc)
-
 let settle_batch_arg =
   let doc = "Batched optimistic settlement: defer on-chain verification and \
              commit one Merkle root per $(docv) search receipts. 0 or 1 \
@@ -199,19 +128,15 @@ let self_seed service ~seed ~records ~width ~payment =
   | Net.Wire.Refused { detail; _ } -> Error ("self-seeding failed: " ^ detail)
   | _ -> Error "self-seeding failed: the Build was not accepted"
 
-let run host port socket seed records width payment domains read_timeout max_inflight
-    max_conns workers verbose
-    log_level state_dir snapshot_bytes no_fsync metrics_dump metrics_interval no_metrics
-    instance shard_id shard_count trace_sample trace_slow_ms
-    settle_batch settle_window_ms settle_dispute_window =
-  setup_logs log_level verbose;
+let run serving seed records width payment domains state_dir snapshot_bytes no_fsync
+    metrics_dump metrics_interval no_metrics instance shard_id shard_count settle_batch
+    settle_window_ms settle_dispute_window =
   Obs.set_enabled (not no_metrics);
-  Trace.set_sample_rate trace_sample;
-  Trace.set_slow_ms trace_slow_ms;
+  match Front.prepare serving with
+  | Error e -> `Error (false, e)
+  | Ok () ->
   if domains < 1 then `Error (false, "--domains must be >= 1")
   else if records < 0 then `Error (false, "--records must be >= 0")
-  else if max_conns < 1 then `Error (false, "--max-conns must be >= 1")
-  else if workers < 1 then `Error (false, "--workers must be >= 1")
   else if snapshot_bytes < 1 then `Error (false, "--snapshot-bytes must be >= 1")
   else if shard_count < 1 then `Error (false, "--shard-count must be >= 1")
   else if shard_id < 0 || shard_id >= shard_count then
@@ -265,44 +190,22 @@ let run host port socket seed records width payment domains read_timeout max_inf
     with
     | Error msg -> `Error (false, msg)
     | Ok service ->
-    let endpoint =
-      match socket with
-      | Some path -> Net.Server.Unix_socket path
-      | None -> Net.Server.Tcp (host, port)
-    in
-    let config =
-      { Net.Server.default_config with
-        endpoint; read_timeout; max_inflight; max_conns; workers }
-    in
-    let server = Net.Server.start ~config (Net.Service.handle service) in
-    (match endpoint with
-     | Net.Server.Tcp (h, _) -> Printf.printf "listening on %s:%d\n%!" h (Net.Server.port server)
-     | Net.Server.Unix_socket p -> Printf.printf "listening on %s\n%!" p);
-    let stopping = ref false in
-    let stop_now _ = stopping := true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop_now);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_now);
     (* Monotonic interval arithmetic: an NTP step must not burst or
        starve the snapshot cadence. *)
     let last_snapshot = ref (Obs.Clock.now ()) in
-    while not !stopping do
-      Unix.sleepf 0.2;
-      (* Settlement timer: commit window-expired batches, finalize past
-         the dispute cutoff. No-op without --settle-batch. *)
-      ignore (Net.Service.settle_tick service);
-      if metrics_interval > 0. && Obs.Clock.now () -. !last_snapshot >= metrics_interval
-      then begin
-        last_snapshot := Obs.Clock.now ();
-        log_snapshot ();
-        Option.iter dump_metrics metrics_dump
-      end
-    done;
+    Front.serve serving (Net.Service.handle service) ~verb:"served" ~banner:ignore
+      ~tick:(fun () ->
+        (* Settlement timer: commit window-expired batches, finalize
+           past the dispute cutoff. No-op without --settle-batch. *)
+        ignore (Net.Service.settle_tick service);
+        if metrics_interval > 0. && Obs.Clock.now () -. !last_snapshot >= metrics_interval
+        then begin
+          last_snapshot := Obs.Clock.now ();
+          log_snapshot ();
+          Option.iter dump_metrics metrics_dump
+        end);
     (* Final snapshot so a short-lived run still leaves a dump behind. *)
     Option.iter dump_metrics metrics_dump;
-    Printf.printf "\nshutting down: %d connections, %d requests served\n%!"
-      (Net.Server.connections_served server)
-      (Net.Server.requests_served server);
-    Net.Server.stop server;
     Option.iter Store.close (Net.Service.store service);
     `Ok ()
   end
@@ -315,13 +218,13 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ host_arg $ port_arg $ socket_arg $ seed_arg $ records_arg $ width_arg
-       $ payment_arg $ domains_arg $ read_timeout_arg $ max_inflight_arg
-       $ max_conns_arg $ workers_arg $ verbose_arg
-       $ log_level_arg $ state_dir_arg $ snapshot_bytes_arg $ no_fsync_arg
-       $ metrics_dump_arg $ metrics_interval_arg $ no_metrics_arg
-       $ instance_arg $ shard_id_arg $ shard_count_arg $ trace_sample_arg
-       $ trace_slow_ms_arg $ settle_batch_arg $ settle_window_ms_arg
-       $ settle_dispute_window_arg))
+        (const run
+        $ Front.serving_term ~what:"request"
+            ~workers_doc:"Dispatch worker threads executing request handlers off the \
+                          event loop."
+        $ seed_arg $ records_arg $ width_arg $ payment_arg $ domains_arg $ state_dir_arg
+        $ snapshot_bytes_arg $ no_fsync_arg $ metrics_dump_arg $ metrics_interval_arg
+        $ no_metrics_arg $ instance_arg $ shard_id_arg $ shard_count_arg $ settle_batch_arg
+        $ settle_window_ms_arg $ settle_dispute_window_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -27,8 +27,3 @@ let f_keyed kp ~trapdoor ~counter =
 let f_pair kp1 kp2 ~trapdoor ~counter =
   let msg = Bytesutil.concat [ trapdoor; string_of_int counter ] in
   (Hmac.prf128_keyed kp1 msg, Hmac.prf128_keyed kp2 msg)
-
-let g1 ~k w = g1_keyed (Hmac.create ~key:k) w
-let g2 ~k w = g2_keyed (Hmac.create ~key:k) w
-
-let f ~key ~trapdoor ~counter = f_keyed (Hmac.create ~key) ~trapdoor ~counter

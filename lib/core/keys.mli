@@ -49,13 +49,3 @@ val f_pair : prf -> prf -> trapdoor:string -> counter:int -> string * string
 (** [f_pair g1 g2 ~trapdoor ~counter] evaluates [F] under both
     per-keyword contexts on a single shared [t ‖ c] encoding — the
     position/mask pair of one index entry. *)
-
-val g1 : k:string -> string -> string
-(** [G(K, w ‖ 1)] — the per-keyword index PRF key. *)
-
-val g2 : k:string -> string -> string
-(** [G(K, w ‖ 2)] — the per-keyword payload PRF key. *)
-
-val f : key:string -> trapdoor:string -> counter:int -> string
-(** The PRF [F] applied to [t ‖ c]: derives index positions (under
-    [G1]) and payload masks (under [G2]). 16-byte output. *)

@@ -1,39 +1,5 @@
 let ( let* ) = Option.bind
 
-(* --- records ----------------------------------------------------------- *)
-
-let record_to_bytes (r : Slicer_types.record) =
-  Bytesutil.concat
-    (r.Slicer_types.id
-     :: List.concat_map (fun (a, v) -> [ a; string_of_int v ]) r.Slicer_types.fields)
-
-let record_of_bytes s =
-  let* pieces = Bytesutil.split s in
-  match pieces with
-  | id :: rest ->
-    let rec fields acc = function
-      | [] -> Some (List.rev acc)
-      | a :: v :: more ->
-        let* v = int_of_string_opt v in
-        fields ((a, v) :: acc) more
-      | [ _ ] -> None
-    in
-    let* fields = fields [] rest in
-    if fields = [] then None else Some { Slicer_types.id; fields }
-  | [] -> None
-
-let records_to_bytes rs = Bytesutil.concat (List.map record_to_bytes rs)
-
-let records_of_bytes s =
-  let* pieces = Bytesutil.split s in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | p :: rest ->
-      let* r = record_of_bytes p in
-      go (r :: acc) rest
-  in
-  go [] pieces
-
 (* --- shipments ----------------------------------------------------------- *)
 
 (* A shipment is two pieces, [ac; groups], and each group carries its
@@ -155,27 +121,7 @@ let trapdoor_state_of_bytes s =
   in
   go pieces
 
-(* --- queries and search tokens --------------------------------------------- *)
-
-let condition_tag = function Slicer_types.Eq -> "=" | Slicer_types.Gt -> ">" | Slicer_types.Lt -> "<"
-
-let condition_of_tag = function
-  | "=" -> Some Slicer_types.Eq
-  | ">" -> Some Slicer_types.Gt
-  | "<" -> Some Slicer_types.Lt
-  | _ -> None
-
-let query_to_bytes (q : Slicer_types.query) =
-  Bytesutil.concat [ q.Slicer_types.q_attr; string_of_int q.Slicer_types.q_value; condition_tag q.Slicer_types.q_cond ]
-
-let query_of_bytes s =
-  let* pieces = Bytesutil.split s in
-  match pieces with
-  | [ q_attr; v; c ] ->
-    let* q_value = int_of_string_opt v in
-    let* q_cond = condition_of_tag c in
-    Some { Slicer_types.q_attr; q_value; q_cond }
-  | _ -> None
+(* --- search tokens ----------------------------------------------------------- *)
 
 let tokens_to_bytes ts = Bytesutil.concat (List.map Slicer_types.token_bytes ts)
 

@@ -1,12 +1,8 @@
 (** Wire codecs and file persistence for the artifacts that cross party
-    boundaries: plaintext record batches (owner-side staging), Build and
-    Insert shipments (owner → cloud), and the trapdoor state (owner →
-    user). Everything round-trips through the same length-prefixed
+    boundaries: Build and Insert shipments (owner → cloud), and the
+    trapdoor state (owner → user). Everything round-trips through the same length-prefixed
     framing the protocol already uses, so malformed input is rejected
     rather than misparsed. *)
-
-val records_to_bytes : Slicer_types.record list -> string
-val records_of_bytes : string -> Slicer_types.record list option
 
 val shipment_to_bytes : Owner.shipment -> string
 (** Two pieces: [Ac], then the keyword groups ({!group_to_bytes}), so
@@ -51,15 +47,11 @@ val trapdoor_state_of_bytes : string -> Owner.trapdoor_state option
 (** {1 User ↔ cloud and chain messages}
 
     The artifacts the networked deployment ({!Station} behind
-    [Net]) moves between mutually-distrustful endpoints: queries and
-    search-token sets (user → cloud) and settlement receipts (chain →
-    everyone). Result claims — encrypted records, verification objects
+    [Net]) moves between mutually-distrustful endpoints: search-token
+    sets (user → cloud) and settlement receipts (chain → everyone). Result claims — encrypted records, verification objects
     and prime hints (cloud → user) — travel in the chain's own codec,
     {!Slicer_contract.encode_claims}, byte-identical to what
     [submitResult] carries. *)
-
-val query_to_bytes : Slicer_types.query -> string
-val query_of_bytes : string -> Slicer_types.query option
 
 val tokens_to_bytes : Slicer_types.search_token list -> string
 val tokens_of_bytes : string -> Slicer_types.search_token list option

@@ -22,19 +22,6 @@ let create ~seed =
   update t seed;
   t
 
-let create_system () =
-  let entropy =
-    try
-      let ic = open_in_bin "/dev/urandom" in
-      let buf = really_input_string ic 48 in
-      close_in ic;
-      buf
-    with Sys_error _ | End_of_file ->
-      (* Sealed-container fallback: clock + pid derived. *)
-      Printf.sprintf "%f-%d-%f" (Unix.gettimeofday ()) (Unix.getpid ()) (Sys.time ())
-  in
-  create ~seed:entropy
-
 let generate t n =
   let buf = Buffer.create n in
   while Buffer.length buf < n do

@@ -1,16 +1,12 @@
 (** Deterministic random bit generator in the style of NIST SP 800-90A
     HMAC-DRBG. Every random choice in the library (trapdoors, keys, RSA
     prime search, workload generation) draws from a [Drbg.t] so that runs
-    are reproducible when seeded and properly random otherwise. *)
+    are reproducible. *)
 
 type t
 
 val create : seed:string -> t
 (** Deterministic instance from an arbitrary seed string. *)
-
-val create_system : unit -> t
-(** Instance seeded from [/dev/urandom] (falls back to time-derived
-    entropy when unavailable). *)
 
 val generate : t -> int -> string
 (** [generate t n] produces [n] fresh pseudo-random bytes. *)

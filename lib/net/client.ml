@@ -305,75 +305,74 @@ let settle_ok ~client ~onchain_id ~claims ~witness (si : Wire.settle_info) =
    what lets the shard's idempotency cache absorb it. *)
 let sub_id request_id shard = Printf.sprintf "%s/s%d" request_id shard
 
+(* A direct reply is one part: shard 0, whose on-chain request id is
+   [client ‖ request_id]. A routed reply carries one part per involved
+   shard, each settled under that shard's sub-id. *)
+let parts_of_reply t ~request_id (r : Wire.search_reply) =
+  match r.Wire.sr_parts with
+  | [] ->
+    [ ( Bytesutil.concat [ t.cname; request_id ],
+        { Wire.shp_shard = 0;
+          shp_claims = r.Wire.sr_claims;
+          shp_batch_witness = r.Wire.sr_batch_witness;
+          shp_ac = r.Wire.sr_ac;
+          shp_receipt = r.Wire.sr_receipt;
+          shp_settle = r.Wire.sr_settle } ) ]
+  | parts ->
+    List.map
+      (fun (p : Wire.shard_part) ->
+        (Bytesutil.concat [ t.cname; sub_id request_id p.Wire.shp_shard ], p))
+      parts
+
 let outcome_of_reply t prov ~request_id ~token_count (r : Wire.search_reply) =
   let claims = r.Wire.sr_claims in
   let paid =
     match r.Wire.sr_receipt.Vm.r_output with Ok [ "paid" ] -> true | Ok _ | Error _ -> false
   in
+  let parts = parts_of_reply t ~request_id r in
   (* Client-side Algorithm 5 against the on-chain Ac: the user need not
-     trust the server's word for the settlement. A routed reply carries
-     one part per involved shard; each part verifies against that
-     shard's own Ac_i — per-shard and constant-size, exactly as a
-     direct client of that shard would check it. *)
-  let verify ~ac ~witness claims =
-    match witness with
-    | Some witness -> Verifier.verify_claims_batched prov.p_acc ~ac claims ~witness
-    | None -> Verifier.verify_claims prov.p_acc ~ac claims
-  in
+     trust the server's word for the settlement. Each part verifies
+     against its own shard's Ac_i — per-shard and constant-size, exactly
+     as a direct client of that shard would check it. *)
   let locally_ok =
-    match r.Wire.sr_parts with
-    | [] -> verify ~ac:r.Wire.sr_ac ~witness:r.Wire.sr_batch_witness claims
-    | parts ->
-      List.for_all
-        (fun (p : Wire.shard_part) ->
-          verify ~ac:p.Wire.shp_ac ~witness:p.Wire.shp_batch_witness p.Wire.shp_claims)
-        parts
+    List.for_all
+      (fun (_, (p : Wire.shard_part)) ->
+        match p.Wire.shp_batch_witness with
+        | Some witness ->
+          Verifier.verify_claims_batched prov.p_acc ~ac:p.Wire.shp_ac p.Wire.shp_claims ~witness
+        | None -> Verifier.verify_claims prov.p_acc ~ac:p.Wire.shp_ac p.Wire.shp_claims)
+      parts
   in
   (* Deferred settlements: check leaf/membership and squirrel away the
      dispute evidence. [deferred] is false on the eager path, where the
      chain already verified. *)
-  let deferred, membership_ok =
-    match (r.Wire.sr_settle, r.Wire.sr_parts) with
-    | Some si, _ ->
-      remember t request_id [ (0, Slicer_contract.encode_claims claims, r.Wire.sr_batch_witness) ];
-      ( true,
-        settle_ok ~client:t.cname
-          ~onchain_id:(Bytesutil.concat [ t.cname; request_id ])
-          ~claims ~witness:r.Wire.sr_batch_witness si )
-    | None, parts ->
-      let settle_parts =
-        List.filter_map
-          (fun (p : Wire.shard_part) ->
-            Option.map (fun si -> (p, si)) p.Wire.shp_settle)
-          parts
-      in
-      if settle_parts = [] then (false, true)
-      else begin
-        remember t request_id
-          (List.map
-             (fun ((p : Wire.shard_part), _) ->
-               ( p.Wire.shp_shard,
-                 Slicer_contract.encode_claims p.Wire.shp_claims,
-                 p.Wire.shp_batch_witness ))
-             settle_parts);
-        ( true,
-          List.for_all
-            (fun ((p : Wire.shard_part), si) ->
-              settle_ok ~client:t.cname
-                ~onchain_id:
-                  (Bytesutil.concat [ t.cname; sub_id request_id p.Wire.shp_shard ])
-                ~claims:p.Wire.shp_claims ~witness:p.Wire.shp_batch_witness si)
-            settle_parts )
-      end
+  let settle_parts =
+    List.filter_map
+      (fun (onchain_id, (p : Wire.shard_part)) ->
+        Option.map (fun si -> (onchain_id, p, si)) p.Wire.shp_settle)
+      parts
+  in
+  let deferred = settle_parts <> [] in
+  if deferred then
+    remember t request_id
+      (List.map
+         (fun (_, (p : Wire.shard_part), _) ->
+           ( p.Wire.shp_shard,
+             Slicer_contract.encode_claims p.Wire.shp_claims,
+             p.Wire.shp_batch_witness ))
+         settle_parts);
+  let membership_ok =
+    List.for_all
+      (fun (onchain_id, (p : Wire.shard_part), si) ->
+        settle_ok ~client:t.cname ~onchain_id ~claims:p.Wire.shp_claims
+          ~witness:p.Wire.shp_batch_witness si)
+      settle_parts
   in
   let vo_bytes =
-    match r.Wire.sr_parts with
-    | [] -> Protocol.vo_bytes ~batch_witness:r.Wire.sr_batch_witness claims
-    | parts ->
-      List.fold_left
-        (fun n (p : Wire.shard_part) ->
-          n + Protocol.vo_bytes ~batch_witness:p.Wire.shp_batch_witness p.Wire.shp_claims)
-        0 parts
+    List.fold_left
+      (fun n (_, (p : Wire.shard_part)) ->
+        n + Protocol.vo_bytes ~batch_witness:p.Wire.shp_batch_witness p.Wire.shp_claims)
+      0 parts
   in
   t.gen <- r.Wire.sr_generation;
   (* Eager: the chain's word ([paid]) plus our own Algorithm 5.

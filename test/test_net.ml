@@ -438,17 +438,10 @@ let codec_corruption_props =
         ignore (Persist.tokens_of_bytes subject);
         ignore (Slicer_contract.decode_claims subject);
         ignore (Persist.receipt_of_bytes subject);
-        ignore (Persist.query_of_bytes subject);
         true) ]
 
 let test_persist_message_codecs () =
-  (* The satellite codecs on their own: query, tokens, claims, receipt. *)
-  List.iter
-    (fun query ->
-      match Persist.query_of_bytes (Persist.query_to_bytes query) with
-      | Some query' -> Alcotest.(check bool) "query" true (query = query')
-      | None -> Alcotest.fail "query did not round-trip")
-    [ q 0 Slicer_types.Eq; q 63 Slicer_types.Gt; q ~attr:"dose" 17 Slicer_types.Lt ];
+  (* The satellite codecs on their own: tokens, claims, receipt. *)
   let tokens = Lazy.force sample_tokens in
   (match Persist.tokens_of_bytes (Persist.tokens_to_bytes tokens) with
    | Some tokens' ->

@@ -5,35 +5,6 @@
 let prop name ?(count = 100) gen p =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen p)
 
-let gen_record =
-  let open QCheck2.Gen in
-  let* id = string_size ~gen:(char_range 'a' 'z') (int_range 1 15) in
-  let* nfields = int_range 1 3 in
-  let* fields =
-    list_size (return nfields)
-      (pair (string_size ~gen:(char_range 'a' 'z') (int_range 0 6)) (int_range 0 65535))
-  in
-  return { Slicer_types.id; fields }
-
-let gen_records = QCheck2.Gen.(list_size (int_range 0 20) gen_record)
-
-let test_record_roundtrip () =
-  let records =
-    [ Slicer_types.record_of_value "simple" 42;
-      { Slicer_types.id = "multi"; fields = [ ("age", 7); ("", 0); ("x", 1 lsl 29) ] } ]
-  in
-  match Persist.records_of_bytes (Persist.records_to_bytes records) with
-  | Some back -> Alcotest.(check bool) "equal" true (records = back)
-  | None -> Alcotest.fail "roundtrip failed"
-
-let test_records_malformed () =
-  Alcotest.(check bool) "garbage" true (Persist.records_of_bytes "\xff\xff" = None);
-  Alcotest.(check bool) "odd fields" true
-    (Persist.records_of_bytes (Bytesutil.concat [ Bytesutil.concat [ "id"; "attr" ] ]) = None);
-  Alcotest.(check bool) "bad int" true
-    (Persist.records_of_bytes (Bytesutil.concat [ Bytesutil.concat [ "id"; "a"; "NaN" ] ]) = None);
-  Alcotest.(check bool) "empty list ok" true (Persist.records_of_bytes "" = Some [])
-
 let owner_shipment () =
   let rng = Drbg.create ~seed:"persist" in
   let keys = Keys.generate ~tdp_bits:256 ~rng () in
@@ -393,19 +364,12 @@ let test_size_gauges () =
 let props =
   [ prop "shipment codec round trip, byte-identical" ~count:200 gen_shipment
       shipment_codec_roundtrip;
-    prop "records roundtrip" gen_records (fun records ->
-        Persist.records_of_bytes (Persist.records_to_bytes records) = Some records);
-    prop "records reject truncation" ~count:50 gen_records (fun records ->
-        let b = Persist.records_to_bytes records in
-        String.length b < 2 || Persist.records_of_bytes (String.sub b 0 (String.length b - 1)) = None)
   ]
 
 let () =
   Alcotest.run "persist"
     [ ( "codecs",
-        [ Alcotest.test_case "records roundtrip" `Quick test_record_roundtrip;
-          Alcotest.test_case "records malformed" `Quick test_records_malformed;
-          Alcotest.test_case "shipment roundtrip" `Quick test_shipment_roundtrip;
+        [ Alcotest.test_case "shipment roundtrip" `Quick test_shipment_roundtrip;
           Alcotest.test_case "shipment encodes each entry once" `Quick
             test_shipment_encodes_each_entry_once;
           Alcotest.test_case "shipment feeds a cloud" `Quick test_shipment_feeds_cloud;
