@@ -2,7 +2,8 @@
    recovery time scales with the log it has to replay, and a
    kill+recover smoke run through the full service — Build, settled
    searches, a torn WAL tail, then [Net.Service.recover] with its
-   on-chain accumulator check.
+   on-chain accumulator check, and a second recovery from the snapshot
+   the first one wrote, which must resume the chain at the same head.
 
    The append-latency guard at the end is the regression tripwire the
    smoke alias runs: with fsync off the WAL is just buffered writes
@@ -170,23 +171,49 @@ let service_kill_recover () =
     Unix.ftruncate fd (size - 3);
     Unix.close fd
   end;
-  let t0 = Unix.gettimeofday () in
-  match Net.Service.recover cfg with
-  | Error e -> failwith ("recover bench: post-kill recovery failed: " ^ e)
-  | Ok (svc2, stats) ->
-    let recover_s = Unix.gettimeofday () -. t0 in
-    if not (Net.Service.built svc2) then failwith "recover bench: recovered unbuilt";
-    if Net.Service.searches_settled svc2 < searches - 1 then
-      failwith "recover bench: settled searches lost beyond the torn record";
-    Printf.printf
-      "  recovered in %.1f ms: %d events replayed, torn tail %b, %d settled searches\n"
-      (recover_s *. 1000.) stats.Net.Service.rs_replayed stats.Net.Service.rs_dropped_tail
-      (Net.Service.searches_settled svc2);
-    json_row ~figure:"recover" ~series:"service_kill_recover"
-      [ ("replayed", J_int stats.Net.Service.rs_replayed);
-        ("settled", J_int (Net.Service.searches_settled svc2));
-        ("recover_ms", J_float (recover_s *. 1000.)) ];
-    Option.iter Store.close (Net.Service.store svc2)
+  let recover what =
+    let t0 = Unix.gettimeofday () in
+    match Net.Service.recover cfg with
+    | Error e -> failwith (Printf.sprintf "recover bench: %s recovery failed: %s" what e)
+    | Ok (svc, stats) ->
+      let recover_s = Unix.gettimeofday () -. t0 in
+      let head =
+        match Net.Service.station svc with
+        | None -> failwith ("recover bench: recovered unbuilt from the " ^ what)
+        | Some st ->
+          let ledger = Station.ledger st in
+          (Ledger.height ledger, Block.hash (Ledger.head ledger))
+      in
+      Option.iter Store.close (Net.Service.store svc);
+      (svc, stats, recover_s, head)
+  in
+  let svc2, stats, recover_s, head = recover "post-kill" in
+  if Net.Service.searches_settled svc2 < searches - 1 then
+    failwith "recover bench: settled searches lost beyond the torn record";
+  (* Every recovery re-anchors on a snapshot, so every restart after the
+     first reads one: it must resume the chain at the head the WAL
+     replay reached. *)
+  let _, snap_stats, snap_s, snap_head = recover "snapshot" in
+  if not snap_stats.Net.Service.rs_snapshot || snap_stats.Net.Service.rs_replayed <> 0 then
+    failwith "recover bench: the second recovery did not read the first one's snapshot";
+  if snap_head <> head then
+    failwith
+      (Printf.sprintf
+         "recover bench: the snapshot restart resumed the chain at height %d, not at the WAL \
+          replay's head (height %d)"
+         (fst snap_head) (fst head));
+  Printf.printf
+    "  recovered in %.1f ms: %d events replayed, torn tail %b, %d settled searches\n"
+    (recover_s *. 1000.) stats.Net.Service.rs_replayed stats.Net.Service.rs_dropped_tail
+    (Net.Service.searches_settled svc2);
+  Printf.printf "  recovered from its snapshot in %.1f ms, at the same head (height %d)\n"
+    (snap_s *. 1000.) (fst head);
+  json_row ~figure:"recover" ~series:"service_kill_recover"
+    [ ("replayed", J_int stats.Net.Service.rs_replayed);
+      ("settled", J_int (Net.Service.searches_settled svc2));
+      ("recover_ms", J_float (recover_s *. 1000.));
+      ("snapshot_recover_ms", J_float (snap_s *. 1000.));
+      ("height", J_int (fst head)) ]
 
 let run scale =
   header "Durability (figure: recover)";

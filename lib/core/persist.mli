@@ -1,8 +1,8 @@
 (** Wire codecs and file persistence for the artifacts that cross party
     boundaries: Build and Insert shipments (owner → cloud), and the
-    trapdoor state (owner → user). Everything round-trips through the same length-prefixed
-    framing the protocol already uses, so malformed input is rejected
-    rather than misparsed. *)
+    trapdoor state (owner → user). Everything round-trips through the
+    same length-prefixed framing the protocol already uses, so malformed
+    input is rejected rather than misparsed. *)
 
 val shipment_to_bytes : Owner.shipment -> string
 (** Two pieces: [Ac], then the keyword groups ({!group_to_bytes}), so

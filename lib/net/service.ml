@@ -132,10 +132,11 @@ let identity_pieces { shard = (i, n); settlement } =
 let identity_of_pieces = function
   | [ i; n; settlement ] ->
     let settlement =
-      match Option.map (List.map int_of_string_opt) (Bytesutil.split settlement) with
-      | _ when settlement = "" -> Some Eager
-      | Some [ Some size; Some deposit; Some window ] -> Some (Batched { size; deposit; window })
-      | _ -> None
+      if settlement = "" then Some Eager
+      else
+        match Option.map (List.map int_of_string_opt) (Bytesutil.split settlement) with
+        | Some [ Some size; Some deposit; Some window ] -> Some (Batched { size; deposit; window })
+        | _ -> None
     in
     (match (int_of_string_opt i, int_of_string_opt n, settlement) with
      | Some i, Some n, Some settlement -> Some { shard = (i, n); settlement }

@@ -662,7 +662,15 @@ let test_service_refusals () =
             tokens = Lazy.force sample_tokens; trace = None })
    with
    | Wire.Refused { code = Wire.Unknown_user; _ } -> ()
-   | _ -> Alcotest.fail "search without Hello should be Unknown_user")
+   | _ -> Alcotest.fail "search without Hello should be Unknown_user");
+  match
+    Net.Service.handle svc
+      (Wire.Dispute
+         { client = "never-registered"; request_id = "n#1"; shard = 0; claims_blob = "";
+           batch_witness = None })
+  with
+  | Wire.Refused { code = Wire.Unknown_user; _ } -> ()
+  | _ -> Alcotest.fail "dispute without Hello should be Unknown_user"
 
 (* --- loopback end-to-end ----------------------------------------------------- *)
 
@@ -2194,8 +2202,7 @@ let copy_dir ~from dir =
    restarted once by WAL replay and again from the snapshot that
    recovery wrote, it resumes at the same height and head hash, its
    chain validates, and the batch committed by the 12th search
-   finalizes within 2 more searches, as it would without the restarts.
-   A chain rebuilt at genesis would need the 25 blocks it lost. *)
+   finalizes within 2 more searches, as it would without the restarts. *)
 let test_snapshot_restart_resumes_the_chain () =
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
