@@ -119,9 +119,8 @@ let prepare s =
 (* Listens with [handle], prints where, runs [tick] every 0.2 s until
    SIGINT or SIGTERM, then reports what it served ("%d requests
    [verb]") and stops. *)
-let serve s handle ~banner ~tick ~verb =
+let serve s handle ~tick ~verb =
   let server = Net.Server.start ~config:s.config handle in
-  banner ();
   (match s.config.Net.Server.endpoint with
    | Net.Server.Tcp (h, _) -> Printf.printf "listening on %s:%d\n%!" h (Net.Server.port server)
    | Net.Server.Unix_socket p -> Printf.printf "listening on %s\n%!" p);

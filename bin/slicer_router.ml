@@ -74,13 +74,11 @@ let run serving shards topology_file instance pool attempts =
               }
             ~instance topo
         in
-        Front.serve serving (Cluster.Router.handle router) ~verb:"routed" ~tick:ignore
-          ~banner:(fun () ->
-            Printf.printf "routing %d shards:\n" (Cluster.Topology.shards topo);
-            List.iteri
-              (fun i ep ->
-                Printf.printf "  shard %d: %s\n" i (Cluster.Topology.endpoint_to_string ep))
-              (Cluster.Topology.endpoints topo));
+        Printf.printf "routing %d shards:\n" (Cluster.Topology.shards topo);
+        List.iteri
+          (fun i ep -> Printf.printf "  shard %d: %s\n" i (Cluster.Topology.endpoint_to_string ep))
+          (Cluster.Topology.endpoints topo);
+        Front.serve serving (Cluster.Router.handle router) ~verb:"routed" ~tick:ignore;
         Cluster.Router.close router;
         `Ok ()
 

@@ -193,7 +193,7 @@ let run serving seed records width payment domains state_dir snapshot_bytes no_f
     (* Monotonic interval arithmetic: an NTP step must not burst or
        starve the snapshot cadence. *)
     let last_snapshot = ref (Obs.Clock.now ()) in
-    Front.serve serving (Net.Service.handle service) ~verb:"served" ~banner:ignore
+    Front.serve serving (Net.Service.handle service) ~verb:"served"
       ~tick:(fun () ->
         (* Settlement timer: commit window-expired batches, finalize
            past the dispute cutoff. No-op without --settle-batch. *)

@@ -30,7 +30,8 @@ val create :
     {!section-settlement}). [instance] (default [""]) names this
     process in Welcome frames; [shard = (i, n)] (default [(0, 1)]) is
     the cluster slice this service owns. The Build stamps [shard] and
-    [settle]'s dispute window (4 blocks without) into the contract. *)
+    [settle]'s dispute window (4 blocks without) into the contract, and
+    records both as the identity a restart must name. *)
 
 val handle : t -> Wire.request -> Wire.response
 (** Thread-safe dispatch of one request. *)
@@ -78,7 +79,10 @@ val settle_flush : t -> unit
     over the newest snapshot reproduces the state — including the
     idempotency cache, which is how a retried [(client, request_id)]
     still replays its cached reply across a [kill -9]. A Build's record
-    also carries the shard identity it was applied as. *)
+    and the snapshot also carry the identity the database was built
+    as: its shard, and eager settlement or batches of a size, deposit
+    and dispute window. A snapshot keeps the chain's sealed head, and
+    the restored chain continues from it. *)
 
 val store : t -> Store.t option
 (** The store {!recover} attached, if any (to close at shutdown). *)
@@ -94,13 +98,13 @@ val recover :
   (t * recovery_stats, string) result
 (** Open (or create) the durable state at [cfg.dir], rebuild the
     service from the newest valid snapshot plus the contiguous WAL
-    tail, check that the recovered contract records [shard] as its
-    shard identity (a Build replayed from the WAL deploys under the
-    identity its record carries), verify the recovered prime multiset
-    re-accumulates to both the cloud's and the on-chain [Ac], re-anchor
-    on a fresh checkpoint and attach the store. [Error] — and no
-    serving — when the snapshot does not decode (a layout other than
-    [slicer-service-built-v5] is a codec mismatch), when replay fails,
-    when the state dir holds another shard's contract (the error names
-    both identities), or when the accumulator check fails. An empty
-    state dir holds no contract and passes. *)
+    tail, check that the database was built as this service is — as
+    [shard], settling as [settle] says (a Build replayed from the WAL
+    runs under the identity its record carries) — verify the recovered
+    prime multiset re-accumulates to both the cloud's and the on-chain
+    [Ac], re-anchor on a fresh checkpoint and attach the store. [Error]
+    — and no serving — when the snapshot does not decode (a layout
+    other than [slicer-service-built-v6] is a codec mismatch), when
+    replay fails, when the state dir holds another identity (the error
+    names both, and the dir is left as it was), or when the accumulator
+    check fails. An empty state dir holds no database and passes. *)
