@@ -52,13 +52,12 @@ type serving = {
   trace_slow_ms : float option;
 }
 
-let serving_term ~what ~workers_doc =
-  let serving host port socket read_timeout max_inflight max_conns workers trace_sample
-      trace_slow_ms log_level verbose =
+let serving_term ~what =
+  let serving host port socket read_timeout max_inflight max_conns trace_sample trace_slow_ms
+      log_level verbose =
     setup_logs log_level verbose;
     { config =
-        { Net.Server.default_config with
-          endpoint = endpoint host port socket; read_timeout; max_inflight; max_conns; workers };
+        { Net.Server.endpoint = endpoint host port socket; read_timeout; max_inflight; max_conns };
       trace_sample;
       trace_slow_ms }
   in
@@ -76,7 +75,6 @@ let serving_term ~what ~workers_doc =
                cap are closed immediately." in
     Arg.(value & opt int 4096 & info [ "max-conns" ] ~docv:"N" ~doc)
   in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc:workers_doc) in
   let trace_sample =
     let doc =
       Printf.sprintf
@@ -100,7 +98,7 @@ let serving_term ~what ~workers_doc =
     $ host_arg ~doc:"Address to listen on."
     $ port_arg ~doc:"TCP port (0 picks an ephemeral port, printed at startup)."
     $ socket_arg ~doc:"Serve on a Unix-domain socket at $(docv) instead of TCP."
-    $ read_timeout $ max_inflight $ max_conns $ workers $ trace_sample $ trace_slow_ms
+    $ read_timeout $ max_inflight $ max_conns $ trace_sample $ trace_slow_ms
     $ log_level_arg ~default:(Some Logs.Info)
         ~doc:"Log verbosity: debug, info, warning, error or quiet."
     $ verbose_arg ~names:[ "verbose"; "v" ]
@@ -109,7 +107,6 @@ let serving_term ~what ~workers_doc =
 (* Checks the serving limits and applies the tracing flags. *)
 let prepare s =
   if s.config.Net.Server.max_conns < 1 then Error "--max-conns must be >= 1"
-  else if s.config.Net.Server.workers < 1 then Error "--workers must be >= 1"
   else begin
     Trace.set_sample_rate s.trace_sample;
     Trace.set_slow_ms s.trace_slow_ms;

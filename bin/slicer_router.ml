@@ -92,9 +92,6 @@ let cmd =
       ret
         (const run
         $ Front.serving_term ~what:"routed request"
-            ~workers_doc:"Dispatch worker threads executing request handlers off the \
-                          event loop. Each fanned-out request additionally spawns one \
-                          short-lived thread per involved shard."
         $ shard_arg $ topology_arg $ instance_arg $ pool_arg $ attempts_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -220,8 +220,6 @@ let cmd =
       ret
         (const run
         $ Front.serving_term ~what:"request"
-            ~workers_doc:"Dispatch worker threads executing request handlers off the \
-                          event loop."
         $ seed_arg $ records_arg $ width_arg $ payment_arg $ domains_arg $ state_dir_arg
         $ snapshot_bytes_arg $ no_fsync_arg $ metrics_dump_arg $ metrics_interval_arg
         $ no_metrics_arg $ instance_arg $ shard_id_arg $ shard_count_arg $ settle_batch_arg

@@ -120,7 +120,6 @@ let decode ?(max_payload = default_max_payload) ?(off = 0) s =
    nothing but the context. *)
 module Decoder = struct
   type t = {
-    d_max_payload : int;
     mutable buf : Bytes.t;
     mutable r : int; (* start of unparsed bytes *)
     mutable w : int; (* end of buffered bytes *)
@@ -134,9 +133,8 @@ module Decoder = struct
   let initial_capacity = 4096
   let idle_capacity = 64 * 1024
 
-  let create ?(max_payload = default_max_payload) () =
-    { d_max_payload = max_payload;
-      buf = Bytes.create initial_capacity;
+  let create () =
+    { buf = Bytes.create initial_capacity;
       r = 0;
       w = 0;
       compactions = 0;
@@ -172,7 +170,7 @@ module Decoder = struct
       end;
       if Bytes.length t.buf - t.w < n then begin
         let cap = max (2 * Bytes.length t.buf) (t.w + n) in
-        let cap = Stdlib.min (Stdlib.max cap (t.w + n)) (header_bytes + t.d_max_payload) in
+        let cap = Stdlib.min (Stdlib.max cap (t.w + n)) (header_bytes + default_max_payload) in
         let cap = Stdlib.max cap (t.w + n) in
         let nb = Bytes.create cap in
         Bytes.blit t.buf 0 nb 0 t.w;
@@ -205,7 +203,7 @@ module Decoder = struct
     end
     else begin
       let b = t.buf and off = t.r in
-      match header ~max_payload:t.d_max_payload b off with
+      match header ~max_payload:default_max_payload b off with
       | Error _ as e -> e
       | Ok (_, len) when avail < header_bytes + len -> Ok None
       | Ok (tag, len) ->

@@ -66,13 +66,14 @@ module Decoder : sig
   }
   (** Valid until the next call that feeds or parses this decoder. *)
 
-  val create : ?max_payload:int -> unit -> t
+  val create : unit -> t
+  (** An empty arena for frames of up to {!default_max_payload} bytes. *)
 
   val space : t -> int -> Bytes.t * int
   (** [space t n] returns the arena and write offset with at least [n]
       contiguous free bytes — read the socket straight into it, then
       {!commit} what arrived. May slide unparsed bytes down or grow the
-      arena (bounded by the 18-byte header + [max_payload]). *)
+      arena (bounded by the 18-byte header + {!default_max_payload}). *)
 
   val room : t -> int
   (** Free bytes after the write offset of the last {!space} call. *)

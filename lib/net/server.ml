@@ -8,7 +8,7 @@ let g_inflight = Obs.gauge ~help:"requests queued or executing on the pool" "sli
 let g_open = Obs.gauge ~help:"sockets currently owned by the event loop" "slicer_net_open_connections"
 
 let g_qwrite =
-  Obs.gauge ~help:"reply bytes queued across all connections" "slicer_net_queued_write_bytes"
+  Obs.gauge ~help:"unsent reply bytes across all connections" "slicer_net_queued_write_bytes"
 
 let h_qdepth =
   Obs.histogram ~help:"dispatch-pool queue depth at admission" ~units:Obs.Histogram.Raw
@@ -23,7 +23,7 @@ let c_handshake_drops =
     "slicer_net_handshake_drops_total"
 
 let c_throttles =
-  Obs.counter ~help:"connections read-throttled on outbound backpressure"
+  Obs.counter ~help:"replies the peer's socket could not take whole"
     "slicer_net_backpressure_throttles_total"
 
 let c_idle_kicks = Obs.counter ~help:"connections swept for idleness" "slicer_net_idle_kicks_total"
@@ -44,49 +44,43 @@ type endpoint = Tcp of string * int | Unix_socket of string
 type config = {
   endpoint : endpoint;
   read_timeout : float;
-  max_payload : int;
   max_inflight : int;
-  backlog : int;
   max_conns : int;
-  workers : int;
-  max_queued_write : int;
 }
 
 let default_config =
-  { endpoint = Tcp ("127.0.0.1", 0);
-    read_timeout = 30.;
-    max_payload = Frame.default_max_payload;
-    max_inflight = 64;
-    backlog = 512;
-    max_conns = 4096;
-    workers = 4;
-    max_queued_write = 4 * 1024 * 1024 }
+  { endpoint = Tcp ("127.0.0.1", 0); read_timeout = 30.; max_inflight = 64; max_conns = 4096 }
 
-(* Per-connection pipelining depth: requests admitted but not yet
-   flushed. Past this the connection stops being read, like the write
-   cap — bounded state per peer no matter how fast it pipelines. *)
-let max_pipeline = 256
+(* Connections the kernel has completed but the loop not yet accepted. *)
+let backlog = 512
 
-(* All [conn] state belongs to the loop thread exclusively. *)
+(* Dispatch threads. A connection has at most one request in the pool,
+   so handlers overlap only across connections; that still pays,
+   because a router's handler blocks on its shard sockets and a durable
+   Search waits for its fsync outside the service lock. *)
+let workers = 4
+
+(* All [conn] state belongs to the loop thread. A connection is busy
+   from parsing a request until its reply is fully written: first while
+   the pool has the request, then while the socket takes the reply.
+   Only an idle connection is read or parsed. *)
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
   c_dec : Frame.Decoder.t;
   mutable c_established : bool; (* one valid frame seen *)
-  mutable c_closing : bool;     (* flush queued replies, then close *)
+  mutable c_closing : bool;     (* answer the request in hand, then close *)
   mutable c_closed : bool;
-  mutable c_throttled : bool;
-  mutable c_last : float;       (* monotonic: last complete frame / flush progress *)
-  mutable c_next_seq : int;     (* next request slot *)
-  mutable c_next_send : int;    (* next slot to flush, in order *)
-  c_done : (int, string) Hashtbl.t; (* completed slot -> framed reply *)
-  mutable c_inflight : int;     (* slots assigned, not yet moved to the write queue *)
-  c_wq : string Queue.t;
-  mutable c_woff : int;         (* write offset into the head of c_wq *)
-  mutable c_wbytes : int;
+  mutable c_last : float;       (* monotonic: last complete frame / write progress *)
+  mutable c_in_pool : bool;     (* its request is queued or executing *)
+  mutable c_reply : string;     (* the framed reply being written *)
+  mutable c_woff : int;         (* bytes of [c_reply] already written *)
 }
 
-type job = { j_conn : int; j_seq : int; j_payload : string }
+let unsent conn = String.length conn.c_reply - conn.c_woff
+let idle conn = (not conn.c_in_pool) && unsent conn = 0
+
+type job = { j_conn : int; j_payload : string }
 
 type t = {
   config : config;
@@ -103,7 +97,7 @@ type t = {
   job_cond : Condition.t;
   jobs : job Queue.t;
   mutable jobs_active : int; (* queued + executing *)
-  mutable completions : (int * int * string) list; (* conn, seq, framed reply *)
+  mutable completions : (int * string) list; (* conn, framed reply *)
   mutable running : bool;
   mutable served_conns : int;
   mutable served_reqs : int;
@@ -111,7 +105,7 @@ type t = {
   conns : (int, conn) Hashtbl.t;
   mutable next_conn : int;
   mutable loop_thread : Thread.t option;
-  mutable workers : Thread.t list;
+  mutable pool : Thread.t list;
   mutable stopped : bool;
 }
 
@@ -144,7 +138,7 @@ let bind_endpoint ep =
    | Unix_socket path -> (try Unix.unlink path with Unix.Unix_error _ -> ()));
   (try
      Unix.bind fd addr;
-     Unix.listen fd default_config.backlog
+     Unix.listen fd backlog
    with e -> Unix.close fd; raise e);
   fd
 
@@ -160,168 +154,133 @@ let now () = Obs.Clock.now ()
 let close_conn t conn =
   if not conn.c_closed then begin
     conn.c_closed <- true;
-    conn.c_closing <- true;
     Hashtbl.remove t.conns conn.c_id;
     Obs.Gauge.add g_open (-1);
-    if conn.c_wbytes > 0 then Obs.Gauge.add g_qwrite (-conn.c_wbytes);
+    if unsent conn > 0 then Obs.Gauge.add g_qwrite (-unsent conn);
     close_quietly conn.c_fd
   end
 
-(* Write until the kernel buffer fills or the queue drains. Never
-   parses — the read side re-engages from the loop once capacity
-   frees. *)
+(* Write what the kernel takes of the pending reply, and let go of it
+   once it has all left. *)
 let flush_writes t conn =
-  if not conn.c_closed then begin
-    let progress = ref false in
-    let rec go () =
-      if not (Queue.is_empty conn.c_wq) then begin
-        let head = Queue.peek conn.c_wq in
-        let len = String.length head - conn.c_woff in
-        match Unix.write_substring conn.c_fd head conn.c_woff len with
-        | n ->
-          progress := true;
-          conn.c_wbytes <- conn.c_wbytes - n;
-          Obs.Gauge.add g_qwrite (-n);
-          Obs.Counter.add c_bytes_out n;
-          if n = len then begin
-            ignore (Queue.pop conn.c_wq);
-            conn.c_woff <- 0;
-            go ()
-          end
-          else conn.c_woff <- conn.c_woff + n
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error _ -> close_conn t conn
-      end
-    in
-    go ();
-    if !progress then conn.c_last <- now ();
-    if conn.c_closing && conn.c_inflight = 0 && Queue.is_empty conn.c_wq then close_conn t conn
-  end
-
-(* Move every completed reply that is next in request order onto the
-   write queue — pipelined responses leave in the order the requests
-   arrived, however the pool finished them. *)
-let flush_ready t conn =
-  if not conn.c_closed then begin
-    let moved = ref false in
-    let rec go () =
-      match Hashtbl.find_opt conn.c_done conn.c_next_send with
-      | Some framed ->
-        Hashtbl.remove conn.c_done conn.c_next_send;
-        conn.c_next_send <- conn.c_next_send + 1;
-        conn.c_inflight <- conn.c_inflight - 1;
-        Queue.push framed conn.c_wq;
-        conn.c_wbytes <- conn.c_wbytes + String.length framed;
-        Obs.Gauge.add g_qwrite (String.length framed);
-        Obs.Counter.incr c_frames_out;
-        moved := true;
-        go ()
-      | None -> ()
-    in
-    go ();
-    if !moved then flush_writes t conn
-  end
-
-let complete_local t conn seq resp =
-  let framed = Frame.encode ~tag:Wire.response_tag (Wire.encode_response resp) in
-  Hashtbl.replace conn.c_done seq framed;
-  flush_ready t conn
-
-let refusal code detail = Wire.Refused { code; detail }
-
-(* One parsed frame: allocate its reply slot and either hand it to the
-   pool or refuse it inline (admission, bad tag). *)
-let dispatch t conn (view : Frame.Decoder.view) =
-  let seq = conn.c_next_seq in
-  conn.c_next_seq <- seq + 1;
-  conn.c_inflight <- conn.c_inflight + 1;
-  if view.Frame.Decoder.v_tag <> Wire.request_tag then begin
-    complete_local t conn seq (refusal Wire.Bad_request "unexpected frame tag");
-    conn.c_closing <- true
-  end
-  else begin
-    let payload = Frame.Decoder.payload_string conn.c_dec view in
-    let admitted =
-      Mutex.lock t.lock;
-      let ok = t.jobs_active < t.config.max_inflight in
-      if ok then begin
-        t.jobs_active <- t.jobs_active + 1;
-        Obs.Gauge.set g_inflight t.jobs_active;
-        Obs.Histogram.record h_qdepth (Queue.length t.jobs);
-        Queue.push { j_conn = conn.c_id; j_seq = seq; j_payload = payload } t.jobs;
-        Condition.signal t.job_cond
-      end;
-      Mutex.unlock t.lock;
-      ok
-    in
-    if not admitted then begin
-      Obs.Counter.incr c_busy;
-      complete_local t conn seq
-        (refusal Wire.Busy
-           (Printf.sprintf "over %d requests in flight" t.config.max_inflight))
-    end
-  end
-
-let below_caps t conn =
-  conn.c_wbytes < t.config.max_queued_write && conn.c_inflight < max_pipeline
-
-(* Parse every complete frame buffered in the arena, stopping at the
-   backpressure caps (the unparsed bytes just wait). This is the
-   pre-handshake state machine: before the first valid frame, any
-   framing violation drops the socket silently; after it, the stream
-   gets a structured refusal and then a close. *)
-let process_buffered t conn =
   let rec go () =
-    if (not conn.c_closed) && (not conn.c_closing) && below_caps t conn then begin
-      match Frame.Decoder.next conn.c_dec with
-      | Ok None -> ()
-      | Ok (Some view) ->
-        conn.c_established <- true;
-        conn.c_last <- now ();
-        Obs.Counter.incr c_frames_in;
-        dispatch t conn view;
-        go ()
-      | Error e ->
-        if conn.c_established then begin
-          Obs.Counter.incr c_rejects;
-          Log.debug (fun m -> m "conn %d: %s" conn.c_id (Frame.error_to_string e));
-          let seq = conn.c_next_seq in
-          conn.c_next_seq <- seq + 1;
-          conn.c_inflight <- conn.c_inflight + 1;
-          conn.c_closing <- true;
-          complete_local t conn seq (refusal Wire.Bad_request (Frame.error_to_string e))
-        end
-        else begin
-          (* Protocol violator that never spoke a valid frame: no
-             oracle, no reply — just drop it. *)
-          Obs.Counter.incr c_handshake_drops;
-          close_conn t conn
-        end
+    let len = unsent conn in
+    if len = 0 then begin
+      conn.c_reply <- "";
+      conn.c_woff <- 0
     end
+    else if not conn.c_closed then
+      match Unix.write_substring conn.c_fd conn.c_reply conn.c_woff len with
+      | n ->
+        conn.c_woff <- conn.c_woff + n;
+        conn.c_last <- now ();
+        Obs.Gauge.add g_qwrite (-n);
+        Obs.Counter.add c_bytes_out n;
+        go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception Unix.Unix_error _ -> close_conn t conn
   in
   go ()
 
-(* Per readable event: read straight into the decoder arena until the
-   socket drains (or a fairness budget runs out), parsing as we go. *)
+(* [framed] becomes the connection's one pending reply. What the socket
+   cannot take now waits for POLLOUT, and the connection is not read
+   until it has left. *)
+let send t conn framed =
+  conn.c_reply <- framed;
+  conn.c_woff <- 0;
+  Obs.Gauge.add g_qwrite (String.length framed);
+  Obs.Counter.incr c_frames_out;
+  flush_writes t conn;
+  if (not conn.c_closed) && unsent conn > 0 then Obs.Counter.incr c_throttles
+
+let refusal code detail = Wire.Refused { code; detail }
+
+let respond t conn resp =
+  send t conn (Frame.encode ~tag:Wire.response_tag (Wire.encode_response resp))
+
+(* One parsed frame: hand it to the pool or refuse it inline
+   (admission, bad tag). *)
+let dispatch t conn (view : Frame.Decoder.view) =
+  if view.Frame.Decoder.v_tag <> Wire.request_tag then begin
+    conn.c_closing <- true;
+    respond t conn (refusal Wire.Bad_request "unexpected frame tag")
+  end
+  else begin
+    let payload = Frame.Decoder.payload_string conn.c_dec view in
+    Mutex.lock t.lock;
+    let admitted = t.jobs_active < t.config.max_inflight in
+    if admitted then begin
+      t.jobs_active <- t.jobs_active + 1;
+      Obs.Gauge.set g_inflight t.jobs_active;
+      Obs.Histogram.record h_qdepth (Queue.length t.jobs);
+      Queue.push { j_conn = conn.c_id; j_payload = payload } t.jobs;
+      Condition.signal t.job_cond
+    end;
+    Mutex.unlock t.lock;
+    if admitted then conn.c_in_pool <- true
+    else begin
+      Obs.Counter.incr c_busy;
+      respond t conn
+        (refusal Wire.Busy (Printf.sprintf "over %d requests in flight" t.config.max_inflight))
+    end
+  end
+
+(* Runs whenever the connection may have turned idle: a closing one
+   closes, any other answers the next complete frame already buffered.
+   It stops at a request handed to the pool or a reply the socket could
+   not take whole; with no complete frame left, the loop polls for more
+   bytes. This is the pre-handshake state machine too: before the first
+   valid frame, any framing violation drops the socket silently; after
+   it, the stream gets a structured refusal and then a close. *)
+let next_request t conn =
+  let rec go () =
+    if (not conn.c_closed) && idle conn then
+      if conn.c_closing then close_conn t conn
+      else
+        match Frame.Decoder.next conn.c_dec with
+        | Ok None -> ()
+        | Ok (Some view) ->
+          conn.c_established <- true;
+          conn.c_last <- now ();
+          Obs.Counter.incr c_frames_in;
+          dispatch t conn view;
+          go ()
+        | Error e ->
+          if conn.c_established then begin
+            Obs.Counter.incr c_rejects;
+            Log.debug (fun m -> m "conn %d: %s" conn.c_id (Frame.error_to_string e));
+            conn.c_closing <- true;
+            respond t conn (refusal Wire.Bad_request (Frame.error_to_string e));
+            go ()
+          end
+          else begin
+            (* Protocol violator that never spoke a valid frame: no
+               oracle, no reply — just drop it. *)
+            Obs.Counter.incr c_handshake_drops;
+            close_conn t conn
+          end
+  in
+  go ()
+
+(* Per readable event: read straight into the decoder arena until a
+   request is parsed, the socket drains or a fairness budget runs out. *)
 let read_input t conn =
   let budget = ref (256 * 1024) in
   let rec go () =
-    if (not conn.c_closed) && !budget > 0 && (not conn.c_closing) && below_caps t conn
-    then begin
+    if (not conn.c_closed) && idle conn && !budget > 0 then begin
       let buf, off = Frame.Decoder.space conn.c_dec 4096 in
       let room = Frame.Decoder.room conn.c_dec in
       match Unix.read conn.c_fd buf off room with
       | 0 ->
-        (* Peer sent FIN. Anything already pipelined still gets its
-           replies; then the socket closes. *)
-        conn.c_closing <- true;
-        if conn.c_inflight = 0 && Queue.is_empty conn.c_wq then close_conn t conn
+        (* Peer sent FIN. An idle connection has answered every complete
+           frame it buffered, so nothing is owed. *)
+        close_conn t conn
       | n ->
         Frame.Decoder.commit conn.c_dec n;
         Obs.Counter.add c_bytes_in n;
         budget := !budget - n;
-        process_buffered t conn;
+        next_request t conn;
         if n = room then go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
@@ -353,19 +312,14 @@ let accept_batch t =
           let conn =
             { c_id = id;
               c_fd = fd;
-              c_dec = Frame.Decoder.create ~max_payload:t.config.max_payload ();
+              c_dec = Frame.Decoder.create ();
               c_established = false;
               c_closing = false;
               c_closed = false;
-              c_throttled = false;
               c_last = now ();
-              c_next_seq = 0;
-              c_next_send = 0;
-              c_done = Hashtbl.create 8;
-              c_inflight = 0;
-              c_wq = Queue.create ();
-              c_woff = 0;
-              c_wbytes = 0 }
+              c_in_pool = false;
+              c_reply = "";
+              c_woff = 0 }
           in
           Hashtbl.replace t.conns id conn
         end;
@@ -376,34 +330,32 @@ let accept_batch t =
   in
   go 128
 
-(* Pool completions: order replies per connection, then re-parse any
-   bytes that were waiting on the pipeline cap. *)
+(* Pool completions: send each reply, then move its connection on. *)
 let handle_completions t =
   Mutex.lock t.lock;
   let done_ = t.completions in
   t.completions <- [];
   Mutex.unlock t.lock;
   List.iter
-    (fun (conn_id, seq, framed) ->
+    (fun (conn_id, framed) ->
       match Hashtbl.find_opt t.conns conn_id with
       | None -> () (* connection died while the request executed *)
       | Some conn ->
-        Hashtbl.replace conn.c_done seq framed;
-        flush_ready t conn;
-        if (not conn.c_closing) && below_caps t conn then process_buffered t conn)
+        conn.c_in_pool <- false;
+        send t conn framed;
+        next_request t conn)
     (List.rev done_)
 
 (* The idle sweep doubles as the slowloris kill: [c_last] only advances
    on complete frames and on write progress, so a byte-trickler times
-   out exactly like a silent peer. Connections with replies pending are
-   never swept — the peer is waiting on us. *)
+   out exactly like a silent peer. A busy connection is never swept —
+   the peer is waiting on us. *)
 let sweep t t_now =
   let victims = ref [] in
   Hashtbl.iter
     (fun _ conn ->
-      if conn.c_inflight = 0 && Queue.is_empty conn.c_wq
-         && t_now -. conn.c_last > t.config.read_timeout
-      then victims := conn :: !victims)
+      if idle conn && t_now -. conn.c_last > t.config.read_timeout then
+        victims := conn :: !victims)
     t.conns;
   List.iter
     (fun conn ->
@@ -439,13 +391,7 @@ let event_loop t =
     order := [];
     Hashtbl.iter
       (fun _ conn ->
-        let want_read = (not conn.c_closing) && below_caps t conn in
-        if (not want_read) && (not conn.c_throttled) && not conn.c_closing then begin
-          conn.c_throttled <- true;
-          Obs.Counter.incr c_throttles
-        end
-        else if want_read then conn.c_throttled <- false;
-        Poll.add pset conn.c_fd ~read:want_read ~write:(conn.c_wbytes > 0);
+        Poll.add pset conn.c_fd ~read:(idle conn) ~write:(unsent conn > 0);
         order := conn :: !order)
       t.conns;
     let conns_in_order = Array.of_list (List.rev !order) in
@@ -459,7 +405,10 @@ let event_loop t =
          (fun i conn ->
            let r = Poll.revents pset (i + 2) in
            if not conn.c_closed then begin
-             if Poll.is_writable r then flush_writes t conn;
+             if Poll.is_writable r then begin
+               flush_writes t conn;
+               next_request t conn
+             end;
              if (not conn.c_closed) && Poll.is_readable r then read_input t conn;
              if (not conn.c_closed) && Poll.is_error r && not (Poll.is_readable r) then
                (* Hard error with nothing to read: the peer is gone. *)
@@ -514,7 +463,7 @@ let worker_loop t =
       t.jobs_active <- t.jobs_active - 1;
       t.served_reqs <- t.served_reqs + 1;
       Obs.Gauge.set g_inflight t.jobs_active;
-      t.completions <- (job.j_conn, job.j_seq, framed) :: t.completions;
+      t.completions <- (job.j_conn, framed) :: t.completions;
       Mutex.unlock t.lock;
       wake t;
       go ()
@@ -548,17 +497,17 @@ let start ?(config = default_config) ?listener handler =
       conns = Hashtbl.create 1024;
       next_conn = 0;
       loop_thread = None;
-      workers = [];
+      pool = [];
       stopped = false }
   in
-  t.workers <- List.init (max 1 config.workers) (fun _ -> Thread.create (fun () -> worker_loop t) ());
+  t.pool <- List.init workers (fun _ -> Thread.create (fun () -> worker_loop t) ());
   t.loop_thread <- Some (Thread.create (fun () -> event_loop t) ());
   Log.info (fun m ->
       m "listening (%s), %d workers"
         (match config.endpoint with
          | Tcp (h, _) -> Printf.sprintf "%s:%d" h (bound_port listener)
          | Unix_socket p -> p)
-        (max 1 config.workers));
+        workers);
   t
 
 let port t = bound_port t.listener
@@ -592,7 +541,7 @@ let stop t =
     Mutex.lock t.lock;
     Condition.broadcast t.job_cond;
     Mutex.unlock t.lock;
-    List.iter Thread.join t.workers;
+    List.iter Thread.join t.pool;
     (* Only now is nobody left to write the wake pipe — closing earlier
        would race a worker's wake against fd-number reuse. *)
     close_quietly t.wake_r;

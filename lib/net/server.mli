@@ -1,23 +1,26 @@
 (** The concurrent cloud server: a single-threaded poll(2) event loop
-    owns every socket in non-blocking mode, and a bounded worker pool
-    executes request dispatch so the loop never blocks on crypto.
+    owns every socket in non-blocking mode, and a pool of four worker
+    threads runs the request handler so the loop never blocks on crypto.
 
-    Receive path: each connection reads straight into a
-    {!Frame.Decoder} arena and frames are parsed in place — multiple
-    frames per readable event (request pipelining), replies flushed in
-    request order even when the pool completes them out of order.
+    One rule orders each connection: at most one of its requests is
+    between being parsed and having its reply flushed. The loop reads an
+    idle connection straight into a {!Frame.Decoder} arena and parses
+    frames in place; a parsed request goes to the pool, and the
+    connection is neither read nor parsed again until its reply has been
+    written. Then the next complete frame already buffered is parsed
+    before poll(2) is asked for more bytes. So pipelined requests are
+    answered one at a time, in request order, also after the peer's FIN;
+    a peer that stops reading holds at most one reply in server memory;
+    and requests on separate connections run concurrently.
 
     Defensive posture:
     - strict pre-handshake state machine: a peer whose {e first} bytes
       are not a valid frame is dropped silently (no oracle for port
       scanners); after one valid frame, malformed framing gets a
       structured refusal and then a close;
-    - every connection is swept on [read_timeout]: idle peers and
+    - every idle connection is swept on [read_timeout]: idle peers and
       slowloris byte-tricklers (the clock only resets on {e complete}
       frames) are disconnected;
-    - write backpressure: a connection whose outbound queue exceeds
-      [max_queued_write] stops being read until it drains — a
-      non-reading client throttles itself, never the server;
     - admission control: past [max_inflight] queued-or-executing
       requests, clients get a structured [Busy] refusal and back off;
     - [max_conns] caps accepted sockets; excess accepts close at once.
@@ -33,17 +36,13 @@ type endpoint = Tcp of string * int | Unix_socket of string
 type config = {
   endpoint : endpoint;      (** [Tcp (host, 0)] picks an ephemeral port *)
   read_timeout : float;     (** idle sweep: seconds since the last complete frame *)
-  max_payload : int;
   max_inflight : int;       (** dispatch-pool admission cap (queued + executing) *)
-  backlog : int;
   max_conns : int;          (** open-connection cap; excess accepts are closed *)
-  workers : int;            (** dispatch pool size *)
-  max_queued_write : int;   (** per-connection outbound bytes before read throttling *)
 }
 
 val default_config : config
 (** Loopback TCP on an ephemeral port, 30 s read timeout, 64 inflight,
-    4096 connections, 4 workers, 4 MiB write queue cap. *)
+    4096 connections. *)
 
 type t
 

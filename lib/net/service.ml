@@ -785,6 +785,9 @@ let recover ?settle ?instance ?shard cfg =
         match base with
         | None -> fail "snapshot failed to decode (codec mismatch)"
         | Some t ->
+          (* Only a snapshot that held a database counts: the first
+             recovery of an empty dir checkpoints an empty one. *)
+          let from_snapshot = built t in
           let rec replay = function
             | [] -> Ok ()
             | ev :: rest -> (
@@ -802,11 +805,11 @@ let recover ?settle ?instance ?shard cfg =
                 Store.checkpoint store (encode_snapshot t);
                 Log.info (fun m ->
                     m "recovered: snapshot=%b, %d events replayed, dropped_tail=%b, generation %d"
-                      (rc.Store.rc_snapshot <> None)
-                      (List.length rc.Store.rc_events) rc.Store.rc_dropped_tail (generation t));
+                      from_snapshot (List.length rc.Store.rc_events) rc.Store.rc_dropped_tail
+                      (generation t));
                 Ok
                   ( t,
-                    { rs_snapshot = rc.Store.rc_snapshot <> None;
+                    { rs_snapshot = from_snapshot;
                       rs_replayed = List.length rc.Store.rc_events;
                       rs_dropped_tail = rc.Store.rc_dropped_tail } ))))
 

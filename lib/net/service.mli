@@ -88,7 +88,7 @@ val store : t -> Store.t option
 (** The store {!recover} attached, if any (to close at shutdown). *)
 
 type recovery_stats = {
-  rs_snapshot : bool;      (** a valid snapshot was loaded *)
+  rs_snapshot : bool;      (** the loaded snapshot held a built database *)
   rs_replayed : int;       (** WAL events replayed on top of it *)
   rs_dropped_tail : bool;  (** torn/stale bytes were discarded *)
 }

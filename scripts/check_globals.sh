@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # State belongs to an instance, not to a process-global table (ROADMAP,
-# north star and item 9). This lint fails if a .ml file under lib/
+# north star and item 10). This lint fails if a .ml file under lib/
 # binds a top-level value to Hashtbl.create, except the two tables that
 # stay process-global, each for a measured reason:
 #   lib/accumulator/prime_rep.ml:cache - the H_prime memo. perfbench

@@ -811,6 +811,28 @@ let test_malformed_frames_get_structured_errors () =
       match Net.Frame.read ~timeout:5. fd with
       | Error (Net.Frame.Closed | Net.Frame.Truncated) -> ()
       | Ok _ -> Alcotest.fail "server kept an unsyncable stream open"
+      | Error e -> Alcotest.failf "expected close, got %s" (Net.Frame.error_to_string e));
+  (* A well-formed frame with a tag no request carries: refused, then
+     closed as soon as the refusal is written. *)
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd ep;
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let reply () =
+        match Net.Frame.read ~timeout:5. fd with
+        | Ok { Net.Frame.payload; _ } -> Wire.decode_response payload
+        | Error e -> Alcotest.failf "no reply: %s" (Net.Frame.error_to_string e)
+      in
+      Net.Frame.write fd ~tag:Wire.request_tag (Wire.encode_request Wire.Ping);
+      (match reply () with Some Wire.Pong -> () | _ -> Alcotest.fail "expected Pong");
+      Net.Frame.write fd ~tag:9 "not a request tag";
+      (match reply () with
+       | Some (Wire.Refused { code = Wire.Bad_request; _ }) -> ()
+       | _ -> Alcotest.fail "expected a refusal of the frame tag");
+      match Net.Frame.read ~timeout:5. fd with
+      | Error (Net.Frame.Closed | Net.Frame.Truncated) -> ()
+      | Ok _ -> Alcotest.fail "a reply past the refusal"
       | Error e -> Alcotest.failf "expected close, got %s" (Net.Frame.error_to_string e))
 
 (* The revision-4 shipment form: a flat entry list and prime list, then
@@ -1271,9 +1293,9 @@ let write_raw fd s =
   go 0
 
 let test_pipelined_requests_in_order () =
-  (* Many requests in one burst, answered strictly in order even though
-     the worker pool may complete them out of order — with a malformed
-     payload mid-stream answered (with a refusal) in its slot. *)
+  (* Many requests in one burst, answered strictly in order — with a
+     malformed payload mid-stream answered (with a refusal) in its
+     slot. *)
   ignore (Lazy.force server);
   let fd = connect_raw (Lazy.force server) in
   Fun.protect
@@ -1350,18 +1372,13 @@ let test_backpressure_throttles_non_reader () =
      every reply, in order, once it finally drains. *)
   (* Tiny, pinned kernel buffers on both ends (explicit setsockopt
      disables autotuning; accepted sockets inherit the listener's), so
-     the kernel can absorb almost nothing and the reply bytes must
-     queue in the server's userspace — which is exactly what the
-     backpressure cap bounds. *)
+     the kernel can absorb almost nothing and the reply bytes must wait
+     in the server's userspace — where one connection holds at most its
+     one pending reply. *)
   let listener = Net.Server.bind_endpoint (Net.Server.Tcp ("127.0.0.1", 0)) in
   Unix.setsockopt_int listener Unix.SO_SNDBUF 4096;
   let port = Net.Server.bound_port listener in
-  let config =
-    { Net.Server.default_config with
-      endpoint = Net.Server.Tcp ("127.0.0.1", port);
-      max_queued_write = 2048 }
-  in
-  let srv = Net.Server.start ~config ~listener (Net.Service.handle (Lazy.force service)) in
+  let srv = Net.Server.start ~listener (Net.Service.handle (Lazy.force service)) in
   Fun.protect
     ~finally:(fun () -> Net.Server.stop srv)
     (fun () ->
@@ -1372,6 +1389,8 @@ let test_backpressure_throttles_non_reader () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           let throttles_before = Obs.counter_value "slicer_net_backpressure_throttles_total" in
+          let queued = Obs.gauge "slicer_net_queued_write_bytes" in
+          let queued_before = Obs.Gauge.value queued in
           let n = 40 in
           let burst =
             String.concat ""
@@ -1379,23 +1398,33 @@ let test_backpressure_throttles_non_reader () =
                    Net.Frame.encode ~tag:Wire.request_tag (Wire.encode_request Wire.Stats)))
           in
           write_raw fd burst;
-          (* Give the server time to queue far more reply bytes than
-             [max_queued_write] while we refuse to read. *)
-          Unix.sleepf 0.8;
+          (* Give the server time to answer far more than one reply
+             while we refuse to read, watching what it holds. *)
+          let peak_queued = ref 0 in
+          let until = Unix.gettimeofday () +. 0.8 in
+          while Unix.gettimeofday () < until do
+            peak_queued := max !peak_queued (Obs.Gauge.value queued - queued_before);
+            Unix.sleepf 0.005
+          done;
           let throttles_after = Obs.counter_value "slicer_net_backpressure_throttles_total" in
           Alcotest.(check bool) "write backpressure engaged" true
             (throttles_after > throttles_before);
           (* Now drain: every reply arrives, in order, on the same
              connection. *)
+          let largest = ref 0 in
           List.iter
             (fun i ->
               match Net.Frame.read ~timeout:20. fd with
               | Error e -> Alcotest.failf "reply %d: %s" i (Net.Frame.error_to_string e)
               | Ok { Net.Frame.payload; _ } ->
+                largest := max !largest (Net.Frame.header_bytes + String.length payload);
                 (match Wire.decode_response payload with
                  | Some (Wire.Stats_reply _) -> ()
                  | _ -> Alcotest.failf "reply %d is not a stats reply" i))
             (List.init n (fun i -> i));
+          if !peak_queued > !largest then
+            Alcotest.failf "the server held %d unsent bytes, more than one %d-byte reply"
+              !peak_queued !largest;
           (* The throttled connection recovered fully. *)
           Net.Frame.write fd ~tag:Wire.request_tag (Wire.encode_request Wire.Ping);
           match Net.Frame.read ~timeout:5. fd with
@@ -1404,6 +1433,89 @@ let test_backpressure_throttles_non_reader () =
              | Some Wire.Pong -> ()
              | _ -> Alcotest.fail "expected Pong after draining")
           | Error e -> Alcotest.failf "no pong after draining: %s" (Net.Frame.error_to_string e)))
+
+(* A handler that sleeps 20 ms per request and keeps the peak number of
+   its calls that ran at once. *)
+let overlap_probe () =
+  let live = Atomic.make 0 and peak = Atomic.make 0 in
+  let handler _ =
+    let n = 1 + Atomic.fetch_and_add live 1 in
+    let rec raise_peak () =
+      let p = Atomic.get peak in
+      if n > p && not (Atomic.compare_and_set peak p n) then raise_peak ()
+    in
+    raise_peak ();
+    Unix.sleepf 0.02;
+    Atomic.decr live;
+    Wire.Pong
+  in
+  (handler, peak)
+
+let ping_frame = Net.Frame.encode ~tag:Wire.request_tag (Wire.encode_request Wire.Ping)
+
+let expect_pongs fd k =
+  for i = 1 to k do
+    match Net.Frame.read ~timeout:10. fd with
+    | Error e -> Alcotest.failf "reply %d: %s" i (Net.Frame.error_to_string e)
+    | Ok { Net.Frame.payload; _ } ->
+      (match Wire.decode_response payload with
+       | Some Wire.Pong -> ()
+       | _ -> Alcotest.failf "reply %d is not a Pong" i)
+  done
+
+let test_one_request_per_connection () =
+  (* Pipelined requests on one connection run one at a time; requests
+     on separate connections still run side by side. *)
+  let handler, peak = overlap_probe () in
+  let srv = Net.Server.start handler in
+  Fun.protect
+    ~finally:(fun () -> Net.Server.stop srv)
+    (fun () ->
+      let fd = connect_raw srv in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          write_raw fd (String.concat "" (List.init 8 (fun _ -> ping_frame)));
+          expect_pongs fd 8);
+      Alcotest.(check int) "8 pipelined Pings: peak concurrent handlers" 1 (Atomic.get peak);
+      Atomic.set peak 0;
+      let a = connect_raw srv and b = connect_raw srv in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+        (fun () ->
+          write_raw a ping_frame;
+          write_raw b ping_frame;
+          expect_pongs a 1;
+          expect_pongs b 1);
+      Alcotest.(check int) "two connections: peak concurrent handlers" 2 (Atomic.get peak))
+
+let test_half_closed_burst_answered () =
+  (* After the peer's FIN, every complete frame it sent is still
+     answered, in order, before the socket closes. *)
+  let fd = connect_raw (Lazy.force server) in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let n = 12 in
+      let request i = if i mod 2 = 0 then Wire.Ping else Wire.Stats in
+      write_raw fd
+        (String.concat ""
+           (List.init n (fun i ->
+                Net.Frame.encode ~tag:Wire.request_tag (Wire.encode_request (request i)))));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      for i = 0 to n - 1 do
+        match Net.Frame.read ~timeout:10. fd with
+        | Error e -> Alcotest.failf "reply %d: %s" i (Net.Frame.error_to_string e)
+        | Ok { Net.Frame.payload; _ } ->
+          (match Wire.decode_response payload, request i with
+           | Some Wire.Pong, Wire.Ping | Some (Wire.Stats_reply _), Wire.Stats -> ()
+           | _ -> Alcotest.failf "reply %d out of order or wrong" i)
+      done;
+      match Net.Frame.read ~timeout:10. fd with
+      | Error Net.Frame.Closed -> ()
+      | Ok _ -> Alcotest.fail "a reply past the last request"
+      | Error e -> Alcotest.failf "expected EOF, got %s" (Net.Frame.error_to_string e))
 
 let test_pre_handshake_garbage_dropped () =
   (* A peer whose very first bytes are not a valid frame gets dropped
@@ -2229,7 +2341,8 @@ let test_snapshot_restart_resumes_the_chain () =
   let served = chain_head svc in
   close_service svc;
   let replayed, stats = recover_exn ~settle cfg in
-  Alcotest.(check bool) "the first restart replays the WAL" true (stats.Net.Service.rs_replayed > 0);
+  Alcotest.(check bool) "the first restart replays the WAL" true
+    ((not stats.Net.Service.rs_snapshot) && stats.Net.Service.rs_replayed > 0);
   Alcotest.(check (pair int string)) "WAL replay: height and head hash" served (chain_head replayed);
   close_service replayed;
   let restored, stats = recover_exn ~settle cfg in
@@ -2405,7 +2518,8 @@ let test_wal_replay_and_snapshot_agree () =
   close_service svc;
   let replayed, stats = recover_exn ~settle cfg in
   Fun.protect ~finally:(fun () -> close_service replayed) @@ fun () ->
-  Alcotest.(check bool) "one recovery replays the WAL" true (stats.Net.Service.rs_replayed > 0);
+  Alcotest.(check bool) "one recovery replays the WAL" true
+    ((not stats.Net.Service.rs_snapshot) && stats.Net.Service.rs_replayed > 0);
   copy_dir ~from:dir snap_dir;
   let restored, stats = recover_exn ~settle { cfg with Store.dir = snap_dir } in
   Fun.protect ~finally:(fun () -> close_service restored) @@ fun () ->
@@ -2445,6 +2559,32 @@ let test_wal_replay_and_snapshot_agree () =
       Alcotest.(check int) (name ^ ": nothing settled again") settled
         (Net.Service.searches_settled svc))
     [ ("WAL replay", replayed); ("snapshot", restored) ]
+
+(* [rs_snapshot] says whether the database came from a snapshot. The
+   first recovery of an empty dir checkpoints an empty one, which does
+   not count: a Build still only in the WAL restarts without a
+   snapshot, and only after a recovery has checkpointed it does the
+   next restart read it from one. *)
+let test_recovery_reports_a_built_snapshot () =
+  let dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+  let restart () =
+    let svc, stats = recover_exn cfg in
+    close_service svc;
+    (stats.Net.Service.rs_snapshot, stats.Net.Service.rs_replayed)
+  in
+  let svc, stats = recover_exn cfg in
+  Alcotest.(check bool) "an empty dir: no snapshot" false stats.Net.Service.rs_snapshot;
+  (match
+     Net.Service.handle svc (Net.Client.seeded_build ~width ~payment:1000 ~seed:"rs-snap" db)
+   with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "build refused");
+  close_service svc;
+  Alcotest.(check (pair bool int)) "a WAL-only restart replays the Build" (false, 1) (restart ());
+  Alcotest.(check (pair bool int)) "the next restart reads the checkpointed Build" (true, 0)
+    (restart ())
 
 (* --- batched optimistic settlement over the wire ------------------------ *)
 
@@ -2808,6 +2948,10 @@ let () =
             test_pipelined_requests_in_order;
           Alcotest.test_case "slowloris swept without stalling others" `Quick
             test_slowloris_swept_without_stalling;
+          Alcotest.test_case "one request per connection in flight" `Quick
+            test_one_request_per_connection;
+          Alcotest.test_case "a half-closed burst is answered, then EOF" `Quick
+            test_half_closed_burst_answered;
           Alcotest.test_case "backpressure throttles a non-reader" `Quick
             test_backpressure_throttles_non_reader;
           Alcotest.test_case "pre-handshake garbage dropped silently" `Quick
@@ -2837,7 +2981,9 @@ let () =
           Alcotest.test_case "a restart under another settlement is refused" `Quick
             test_restart_under_another_settlement_refused;
           Alcotest.test_case "WAL replay and snapshot restore agree" `Quick
-            test_wal_replay_and_snapshot_agree ] );
+            test_wal_replay_and_snapshot_agree;
+          Alcotest.test_case "a restart reports whether a snapshot held the database" `Quick
+            test_recovery_reports_a_built_snapshot ] );
       ( "settlement",
         [ Alcotest.test_case "batched settlement over the wire" `Quick
             test_batched_settlement_over_the_wire;
