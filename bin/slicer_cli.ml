@@ -108,9 +108,12 @@ let run_demo width seed records behavior value cond verbose log_level domains =
     Printf.printf "  tokens: %d   encrypted results: %dB   VOs: %dB\n"
       out.Protocol.so_token_count out.Protocol.so_result_bytes out.Protocol.so_vo_bytes;
     Printf.printf "  matches: [%s]\n" (String.concat "; " (List.sort compare out.Protocol.so_ids));
-    Printf.printf "  on-chain verification: %s (settlement gas %d)\n"
-      (if out.Protocol.so_verified then "PASS - cloud paid" else "FAIL - user refunded")
-      out.Protocol.so_gas_used;
+    if out.Protocol.so_token_count = 0 then
+      Printf.printf "  on-chain verification: none - no token, nothing escrowed\n"
+    else
+      Printf.printf "  on-chain verification: %s (settlement gas %d)\n"
+        (if out.Protocol.so_verified then "PASS - cloud paid" else "FAIL - user refunded")
+        out.Protocol.so_gas_used;
     let expected = List.sort compare (Slicer_types.reference_search db query) in
     Printf.printf "  plaintext oracle agrees: %b\n"
       (expected = List.sort compare out.Protocol.so_ids || behavior <> Cloud.Honest);

@@ -172,12 +172,14 @@ let run_search host port socket name timeout attempts log_level verbose value co
             i repeat out.Protocol.so_token_count
             (List.length out.Protocol.so_ids)
             out.Protocol.so_result_bytes out.Protocol.so_vo_bytes
-            (if out.Protocol.so_verified then "VERIFIED - cloud paid" else "REJECTED - refunded")
+            (if out.Protocol.so_token_count = 0 then "no token - answered locally, nothing escrowed"
+             else if out.Protocol.so_verified then "VERIFIED - cloud paid"
+             else "REJECTED - refunded")
             out.Protocol.so_gas_used;
           if i = 1 then
             Printf.printf "  matches: [%s]\n"
               (String.concat "; " (List.sort compare out.Protocol.so_ids));
-          if settlement || disputing then
+          if (settlement || disputing) && out.Protocol.so_token_count > 0 then
             print_settlement c ~disputing out.Protocol.so_verified;
           go (i + 1)
       end

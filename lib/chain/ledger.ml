@@ -10,7 +10,7 @@ type t = {
   validators : validator array;
   mutable chain : Block.t list; (* newest first; last element is genesis *)
   mutable mempool : Vm.txn list; (* newest first *)
-  receipts : (string, Vm.receipt) Hashtbl.t;
+  sealed : (string, Vm.txn * Vm.receipt) Hashtbl.t; (* by transaction hash *)
 }
 
 let genesis_parent = Sha256.digest "slicer-genesis"
@@ -32,7 +32,7 @@ let with_root ~validators root =
     validators;
     chain = [ root validators ];
     mempool = [];
-    receipts = Hashtbl.create 64 }
+    sealed = Hashtbl.create 64 }
 
 let create ~validators =
   with_root ~validators (fun validators ->
@@ -76,7 +76,9 @@ let seal_block t =
         r)
       txns
   in
-  List.iter (fun (r : Vm.receipt) -> Hashtbl.replace t.receipts r.Vm.r_txn_hash r) receipts;
+  List.iter2
+    (fun txn (r : Vm.receipt) -> Hashtbl.replace t.sealed r.Vm.r_txn_hash (txn, r))
+    txns receipts;
   let v = sealer_for t number in
   let block =
     Block.make ~parent:(Block.hash (head t)) ~number ~timestamp:number ~gas_limit
@@ -92,7 +94,8 @@ let submit_and_seal t txn =
   | [ r ] -> r
   | rs -> List.nth rs (List.length rs - 1)
 
-let receipt_of t hash = Hashtbl.find_opt t.receipts hash
+let receipt_of t hash = Option.map snd (Hashtbl.find_opt t.sealed hash)
+let transaction_of t hash = Option.map fst (Hashtbl.find_opt t.sealed hash)
 
 let check_seal t (h : Block.header) =
   let v = sealer_for t h.Block.number in

@@ -55,6 +55,11 @@ val blocks_above : t -> height:int -> Block.t list
 val receipt_of : t -> string -> Vm.receipt option
 (** Look up a receipt by transaction hash. *)
 
+val transaction_of : t -> string -> Vm.txn option
+(** The transaction behind {!receipt_of}: any transaction this ledger
+    sealed, in the head block or an older one, by its hash. A
+    {!resume}d chain knows only what it sealed itself. *)
+
 val validate : t -> (unit, string) result
 (** Full-chain validation: parent links, block numbers, strictly
     increasing timestamps, Merkle roots, each header's [gas_used]

@@ -57,8 +57,17 @@ let observe_settlement (receipt : Vm.receipt) =
 
 type claim = { token_bytes : string; results : string list; witness : Bigint.t; hint : int }
 
+let result_len = 16
+
+(* A claim's results piece is its cells back to back: each is one AES
+   block, so no cell needs a length of its own. *)
 let encode_claim c =
-  Bytesutil.concat [ c.token_bytes; Bytesutil.concat c.results; Bigint.to_bytes_be c.witness ]
+  List.iter
+    (fun er ->
+      if String.length er <> result_len then
+        invalid_arg "Slicer_contract.encode_claims: a result is not one 16-byte cell")
+    c.results;
+  Bytesutil.concat [ c.token_bytes; String.concat "" c.results; Bigint.to_bytes_be c.witness ]
 
 (* One piece per claim, then the claims' hints as one last piece: 2
    big-endian bytes per claim, in claim order. *)
@@ -73,10 +82,10 @@ let encode_claims cs =
 
 let decode_claim s ~hint =
   match Bytesutil.split s with
-  | Some [ token_bytes; results_blob; witness_bytes ] ->
-    (match Bytesutil.split results_blob with
-     | Some results -> Some { token_bytes; results; witness = Bigint.of_bytes_be witness_bytes; hint }
-     | None -> None)
+  | Some [ token_bytes; cells; witness_bytes ] when String.length cells mod result_len = 0 ->
+    let cell i = String.sub cells (i * result_len) result_len in
+    let results = List.init (String.length cells / result_len) cell in
+    Some { token_bytes; results; witness = Bigint.of_bytes_be witness_bytes; hint }
   | Some _ | None -> None
 
 let decode_claims s =
@@ -368,15 +377,19 @@ let contract ~modulus ~initial_ac ~shard ~dispute_window =
     | [ request_id; tokens_blob ] ->
       let* () = Vm.require ctx (Vm.sload ctx (key_request request_id) = None) "duplicate request id" in
       let* () = Vm.require ctx (ctx.Vm.value > 0) "payment required" in
+      (* A query with no token has an empty answer the user already
+         knows: nothing to escrow for. *)
+      let* () = Vm.require ctx (tokens_blob <> "") "no tokens" in
       let digest = sha ctx tokens_blob in
       let c =
         sha ctx (escrow_preimage ~user:ctx.Vm.sender ~amount:ctx.Vm.value ~digest)
       in
       Vm.sstore ctx (key_request request_id) (commitment_of_digest c ^ String.make 1 st_pending);
-      (* Tokens travel to the cloud through the event log, not contract
-         storage (storing large blobs on-chain is what the paper's
-         related work gets criticised for). *)
-      Vm.emit ctx (Bytesutil.concat [ "SearchRequested"; request_id; tokens_blob ]);
+      (* The tokens reach the cloud as this transaction's calldata, not
+         through contract storage (storing large blobs on-chain is what
+         the paper's related work gets criticised for) and not again
+         through the log: the event names the request only. *)
+      Vm.emit ctx (Bytesutil.concat [ "SearchRequested"; request_id ]);
       Ok []
     | _ -> Error "requestSearch: expected [request_id; tokens]"
   in
@@ -743,15 +756,19 @@ let stored_shard ledger ~contract =
   | Some i, Some n -> Some (i, n)
   | _ -> None
 
-(* Tokens travel to the cloud through the event log: the escrow
-   transaction's receipt carries them in its SearchRequested event. *)
-let requested_tokens (receipt : Vm.receipt) ~request_id =
-  List.find_map
-    (fun ev ->
-      match Bytesutil.split ev with
-      | Some [ "SearchRequested"; id; blob ] when String.equal id request_id -> Bytesutil.split blob
-      | Some _ | None -> None)
-    receipt.Vm.r_events
+(* Tokens travel to the cloud as the escrow transaction's calldata:
+   its receipt's SearchRequested event shows the contract accepted the
+   request, and the sealed transaction behind the receipt carries the
+   tokens. *)
+let requested_tokens ledger (receipt : Vm.receipt) ~request_id =
+  let event = Bytesutil.concat [ "SearchRequested"; request_id ] in
+  if not (List.mem event receipt.Vm.r_events) then None
+  else
+    match Ledger.transaction_of ledger receipt.Vm.r_txn_hash with
+    | Some { Vm.tx_payload = Vm.Call { method_ = "requestSearch"; args = [ id; blob ] }; _ }
+      when String.equal id request_id ->
+      Bytesutil.split blob
+    | Some _ | None -> None
 
 (* --- batched-settlement client helpers --------------------------------- *)
 

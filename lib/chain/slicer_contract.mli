@@ -41,22 +41,30 @@ val gas_by_label : unit -> (string * int) list
 
 type claim = {
   token_bytes : string;   (** [t_j ‖ j ‖ G1 ‖ G2] — the search token *)
-  results : string list;  (** encrypted matched records [er] *)
+  results : string list;  (** encrypted matched records [er], {!result_len} bytes each *)
   witness : Bigint.t;     (** the verification object [vo] *)
   hint : int;
       (** the prime's offset on its walk ({!Prime_rep.offset} of the
           prime the cloud made the witness for), in [0, 2^16) *)
 }
 
+val result_len : int
+(** 16: every result is one AES block, the record ID's encryption
+    under [K_R]. *)
+
 val encode_claims : claim list -> string
-(** One piece per claim, then the claims' hints as one last piece, 2
-    big-endian bytes each in claim order. This blob is what the
-    settlement methods take, the reply carries and a receipt leaf
-    hashes, so the leaf commits every hint.
-    @raise Invalid_argument for a hint outside [0, 2^16). *)
+(** One piece per claim — its token, its results as one piece of
+    {!result_len}-byte cells back to back, its witness — then the
+    claims' hints as one last piece, 2 big-endian bytes each in claim
+    order. This blob is what the settlement methods take, the reply
+    carries, a receipt leaf hashes (so the leaf commits every hint)
+    and Algorithm 5's memo keys on.
+    @raise Invalid_argument for a hint outside [0, 2^16) or a result
+    that is not {!result_len} bytes. *)
 
 val decode_claims : string -> claim list option
-(** [None] also when the hints piece is not 2 bytes per claim. *)
+(** [None] also when the hints piece is not 2 bytes per claim, or a
+    results piece is not whole cells. *)
 
 val claim_input : token_bytes:string -> string list -> string
 (** [claim_input ~token_bytes results] is [token ‖ H(results)], the
@@ -173,7 +181,9 @@ val request_search :
   Ledger.t -> user:Vm.address -> contract:Vm.address -> request_id:string ->
   tokens:string list -> payment:int -> Vm.receipt
 (** Posts the search tokens (as opaque byte strings) with the fee in
-    escrow. *)
+    escrow. The tokens are calldata only: the [SearchRequested] event
+    names the request, not its tokens ({!requested_tokens}). Reverts
+    with ["no tokens"] when [tokens] is empty. *)
 
 val submit_result :
   Ledger.t -> cloud:Vm.address -> contract:Vm.address -> request_id:string ->
@@ -183,7 +193,8 @@ val submit_result :
     claims) and [ac] the accumulation value whose hash is on chain; the
     call reverts with ["token set mismatch"] or ["ac mismatch"] when
     they do not match, and with ["malformed claims"] when the claims
-    blob does not decode (a hints piece of the wrong length included).
+    blob does not decode (a hints piece of the wrong length or a
+    results piece that is not whole cells included).
     A hint that names a composite or another prime fails its claim.
     Each claim's prime costs {!Gas.h_prime_hinted}. The receipt's
     output is [["paid"]] or [["refunded"]].
@@ -261,8 +272,11 @@ val stored_shard : Ledger.t -> contract:Vm.address -> (int * int) option
     recovering shard checks against its own; [None] when the storage
     cells are missing. *)
 
-val requested_tokens : Vm.receipt -> request_id:string -> string list option
-(** The tokens that [receipt]'s [SearchRequested] event escrowed for
-    [request_id], in request order — how the cloud retrieves a
-    request's tokens from the [requestSearch] receipt. [None] when the
-    receipt carries no such event for that id. *)
+val requested_tokens : Ledger.t -> Vm.receipt -> request_id:string -> string list option
+(** The tokens that [receipt]'s transaction escrowed for [request_id],
+    in request order — how the cloud retrieves a request's tokens: read
+    from the [requestSearch] calldata of the transaction behind
+    [receipt] ({!Ledger.transaction_of}), once the receipt's
+    [SearchRequested] event shows the contract accepted it. [None] when
+    the receipt carries no such event for that id, or the ledger did
+    not seal its transaction. *)

@@ -249,16 +249,11 @@ let do_search t ~client ~request_id ~batched ~tokens =
       let s = Shard_key.of_token ~shards:n tok in
       buckets.(s) <- (pos, tok) :: buckets.(s))
     tokens;
-  let involved =
-    let some =
-      List.filter (fun i -> buckets.(i) <> []) (List.init n (fun i -> i))
-    in
-    if some = [] then [ 0 ] else some
-  in
+  let involved = List.filter (fun i -> buckets.(i) <> []) (List.init n Fun.id) in
   let targets =
     List.map
       (fun i ->
-        let toks = List.rev_map snd buckets.(i) |> List.rev in
+        let toks = List.rev_map snd buckets.(i) in
         ( i,
           Net.Wire.Search
             { client; request_id = sub_id request_id i; batched; tokens = toks;
@@ -511,6 +506,9 @@ let dispatch t req =
       (Printf.sprintf "client speaks protocol revision %d, this router speaks %d" proto
          Net.Wire.proto_version)
   | Net.Wire.Hello { client; _ } -> do_hello t ~client
+  | Net.Wire.Search { tokens = []; _ } ->
+    (* As a shard refuses it: no shard owns a token of it. *)
+    refused Net.Wire.Bad_request "a search needs at least one token"
   | Net.Wire.Search { client; request_id; batched; tokens; _ } ->
     do_search t ~client ~request_id ~batched ~tokens
   | Net.Wire.Receipt { client; request_id } -> do_receipt t ~client ~request_id

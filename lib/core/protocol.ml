@@ -102,26 +102,36 @@ let outcome user claims ~verified ~vo_bytes ~token_count ~receipt:(sr : Vm.recei
     so_vo_bytes = vo_bytes;
     so_gas_used = sr.Vm.r_gas_used }
 
+let no_tokens =
+  { so_ids = [];
+    so_verified = true;
+    so_token_count = 0;
+    so_result_bytes = 0;
+    so_vo_bytes = 0;
+    so_gas_used = 0 }
+
 (* Factor of [search] and [search_batched]: generate tokens, run the
    station's request/settle round trip, fold the settlement into an
    outcome. *)
 let search_with t query ~batched =
-  let tokens = User.gen_tokens ~rng:t.p_rng t.p_user query in
-  let request_id = fresh_request_id t in
-  Log.debug (fun m ->
-      m "search %s: value %d cond %s, %d tokens posted" request_id query.Slicer_types.q_value
-        (Format.asprintf "%a" Slicer_types.pp_condition query.Slicer_types.q_cond)
-        (List.length tokens));
-  match
-    Station.settle t.p_station ~client:"protocol" ~user:t.p_user_addr ~request_id
-      ~payment:t.p_payment ~token_blobs:(List.map Slicer_types.token_bytes tokens) ~batched
-  with
-  | Error e -> failwith ("Protocol.search: request failed: " ^ e)
-  | Ok { Station.se_claims = claims; se_batch_witness; se_receipt; se_outcome = _ } ->
-    outcome t.p_user claims
-      ~verified:(match se_receipt.Vm.r_output with Ok [ "paid" ] -> true | Ok _ | Error _ -> false)
-      ~vo_bytes:(vo_bytes ~batch_witness:se_batch_witness claims)
-      ~token_count:(List.length tokens) ~receipt:se_receipt
+  match User.gen_tokens ~rng:t.p_rng t.p_user query with
+  | [] -> no_tokens
+  | tokens ->
+    let request_id = fresh_request_id t in
+    Log.debug (fun m ->
+        m "search %s: value %d cond %s, %d tokens posted" request_id query.Slicer_types.q_value
+          (Format.asprintf "%a" Slicer_types.pp_condition query.Slicer_types.q_cond)
+          (List.length tokens));
+    (match
+       Station.settle t.p_station ~client:"protocol" ~user:t.p_user_addr ~request_id
+         ~payment:t.p_payment ~token_blobs:(List.map Slicer_types.token_bytes tokens) ~batched
+     with
+     | Error e -> failwith ("Protocol.search: request failed: " ^ e)
+     | Ok { Station.se_claims = claims; se_batch_witness; se_receipt; se_outcome = _ } ->
+       outcome t.p_user claims
+         ~verified:(match se_receipt.Vm.r_output with Ok [ "paid" ] -> true | Ok _ | Error _ -> false)
+         ~vo_bytes:(vo_bytes ~batch_witness:se_batch_witness claims)
+         ~token_count:(List.length tokens) ~receipt:se_receipt)
 
 let search t query = search_with t query ~batched:false
 let search_batched t query = search_with t query ~batched:true

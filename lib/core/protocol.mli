@@ -43,7 +43,14 @@ val insert : t -> Slicer_types.record list -> unit
     [Ac], and the user's trapdoor state. *)
 
 val search : t -> Slicer_types.query -> search_outcome
-(** The full verifiable search round trip. *)
+(** The full verifiable search round trip. A query that generates no
+    token is answered locally with {!no_tokens}: no transaction. *)
+
+val no_tokens : search_outcome
+(** The outcome of a query that generates no token: no ID, verified,
+    no byte and no gas. The user's own keyword state shows that no
+    indexed keyword answers it, so there is nothing to escrow for, and
+    the contract's [requestSearch] reverts ["no tokens"]. *)
 
 val outcome :
   User.t -> Slicer_contract.claim list -> verified:bool -> vo_bytes:int -> token_count:int ->

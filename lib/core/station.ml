@@ -87,10 +87,10 @@ let settle t ~client ~user ~request_id ~payment ~token_blobs ~batched =
   | Error e -> Error e
   | Ok _ ->
     (* The cloud reads the tokens from the escrow transaction's
-       SearchRequested event (it never talks to the user directly) and
-       reconstructs their structure. *)
+       calldata (it never talks to the user directly) and reconstructs
+       their structure. *)
     let tokens =
-      match Slicer_contract.requested_tokens rr ~request_id with
+      match Slicer_contract.requested_tokens t.s_ledger rr ~request_id with
       | Some blobs -> List.filter_map Slicer_types.token_of_bytes blobs
       | None -> []
     in

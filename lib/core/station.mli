@@ -73,13 +73,15 @@ val settle :
   (settlement, string) result
 (** The full cloud+chain half of one search: post the request with the
     fee escrowed from [user], let the cloud retrieve the tokens from
-    the chain's event log and search, then either submit results +
-    witnesses for eager on-chain verification, or (with batching
-    enabled) append the receipt to the open settlement batch. [client]
-    is the registered client name committed into the receipt leaf.
-    [Error] is returned when the request transaction itself reverts
-    (bad escrow, duplicate id …); a failed {e verification} is not an
-    error — it surfaces as the receipt's ["refunded"] output. *)
+    the escrow transaction's calldata
+    ({!Slicer_contract.requested_tokens}) and search, then either
+    submit results + witnesses for eager on-chain verification, or
+    (with batching enabled) append the receipt to the open settlement
+    batch. [client] is the registered client name committed into the
+    receipt leaf. [Error] is returned when the request transaction
+    itself reverts (bad escrow, duplicate id, no tokens …); a failed
+    {e verification} is not an error — it surfaces as the receipt's
+    ["refunded"] output. *)
 
 val onchain_ac_digest : t -> string option
 (** H(Ac) as the contract stores it: the freshness anchor. The value

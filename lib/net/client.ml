@@ -324,7 +324,27 @@ let parts_of_reply t ~request_id (r : Wire.search_reply) =
         (Bytesutil.concat [ t.cname; sub_id request_id p.Wire.shp_shard ], p))
       parts
 
-let outcome_of_reply t prov ~request_id ~token_count (r : Wire.search_reply) =
+(* The claims the user decrypts must be the ones it verifies, and must
+   answer exactly the tokens it sent: one claim per token, in the
+   request's order. A direct reply is its own one part; a routed
+   reply's parts must hold its merged claims, each once. *)
+let answers_request ~tokens (r : Wire.search_reply) =
+  List.equal String.equal
+    (List.map (fun (c : Slicer_contract.claim) -> c.Slicer_contract.token_bytes) r.Wire.sr_claims)
+    (List.map Slicer_types.token_bytes tokens)
+  &&
+  match r.Wire.sr_parts with
+  | [] -> true
+  | parts ->
+    (* Compared as multisets of their canonical encodings. *)
+    let bag claims =
+      List.sort String.compare
+        (List.map (fun c -> Slicer_contract.encode_claims [ c ]) claims)
+    in
+    bag r.Wire.sr_claims
+    = bag (List.concat_map (fun (p : Wire.shard_part) -> p.Wire.shp_claims) parts)
+
+let outcome_of_reply t prov ~request_id ~tokens (r : Wire.search_reply) =
   let claims = r.Wire.sr_claims in
   let paid =
     match r.Wire.sr_receipt.Vm.r_output with Ok [ "paid" ] -> true | Ok _ | Error _ -> false
@@ -377,26 +397,31 @@ let outcome_of_reply t prov ~request_id ~token_count (r : Wire.search_reply) =
   t.gen <- r.Wire.sr_generation;
   (* Eager: the chain's word ([paid]) plus our own Algorithm 5.
      Deferred: no chain verdict yet — our Algorithm 5 plus the leaf /
-     Merkle membership check stand in until finality. *)
+     Merkle membership check stand in until finality. Either way only
+     over claims that answer this request. *)
   Protocol.outcome prov.p_user claims
-    ~verified:((if deferred then membership_ok else paid) && locally_ok)
-    ~vo_bytes ~token_count ~receipt:r.Wire.sr_receipt
+    ~verified:
+      (answers_request ~tokens r && (if deferred then membership_ok else paid) && locally_ok)
+    ~vo_bytes ~token_count:(List.length tokens) ~receipt:r.Wire.sr_receipt
 
 let search ?(batched = false) t query =
   let prov = provisioned_exn t in
-  let tokens = User.gen_tokens ~rng:t.rng prov.p_user query in
-  let request_id = fresh_request_id t in
-  t.last_request <- Some request_id;
-  match
-    rpc t
-      (stamp (Wire.Search { client = t.cname; request_id; batched; tokens; trace = None }))
-  with
-  | Ok (Wire.Found r) when r.Wire.sr_request_id = request_id ->
-    Ok (outcome_of_reply t prov ~request_id ~token_count:(List.length tokens) r)
-  | Ok (Wire.Found r) ->
-    Error (Bad_reply (Printf.sprintf "reply for %S, expected %S" r.Wire.sr_request_id request_id))
-  | Ok _ -> Error (Bad_reply "expected a search result")
-  | Error e -> Error e
+  match User.gen_tokens ~rng:t.rng prov.p_user query with
+  | [] -> Ok Protocol.no_tokens
+  | tokens ->
+    let request_id = fresh_request_id t in
+    t.last_request <- Some request_id;
+    (match
+       rpc t
+         (stamp (Wire.Search { client = t.cname; request_id; batched; tokens; trace = None }))
+     with
+     | Ok (Wire.Found r) when r.Wire.sr_request_id = request_id ->
+       Ok (outcome_of_reply t prov ~request_id ~tokens r)
+     | Ok (Wire.Found r) ->
+       Error
+         (Bad_reply (Printf.sprintf "reply for %S, expected %S" r.Wire.sr_request_id request_id))
+     | Ok _ -> Error (Bad_reply "expected a search result")
+     | Error e -> Error e)
 
 let build_request ~client ~request_id ~width ~payment ~acc ~tdp_public ~user_keys ~shipment
     ~trapdoor =

@@ -84,9 +84,14 @@ val traces : t -> (Trace.span list, error) result
 
 val search :
   ?batched:bool -> t -> Slicer_types.query -> (Protocol.search_outcome, error) result
-(** One verified search round trip. [so_verified] requires {e both} the
-    chain's ["paid"] settlement and a successful client-side
-    verification of every claim against the on-chain [Ac]. *)
+(** One verified search round trip. [so_verified] requires the chain's
+    ["paid"] settlement (or, deferred, the leaf and its inclusion
+    proof), a successful client-side verification of every claim
+    against the on-chain [Ac], and that the claims answer exactly the
+    tokens sent: one claim per token, in the request's order, and for a
+    routed reply exactly the claims its shard parts verify. A query
+    that generates no token sends nothing: it is answered locally with
+    {!Protocol.no_tokens}. *)
 
 val sub_id : string -> int -> string
 (** [sub_id request_id i] is the request id a router derives for shard

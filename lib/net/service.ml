@@ -443,6 +443,10 @@ let run t ~key record =
            m "insert shipment applied: %d entries, generation %d, gas %d"
              (Owner.shipment_entry_count shipment) b.b_generation receipt.Vm.r_gas_used);
        Answered (Wire.Accepted { generation = b.b_generation }))
+  | Search (Wire.Search { tokens = []; _ }), Some _ ->
+    (* Refused before any escrow: the user's own keyword state already
+       answers a query with no token, and the contract would revert. *)
+    Declined (Wire.Bad_request, "a search needs at least one token")
   | Search (Wire.Search { client; request_id; batched; tokens; _ }), Some b ->
     run_search t b ~request:(Option.get key) ~client ~request_id ~batched tokens
   | Dispute (Wire.Dispute { client; request_id; claims_blob; batch_witness; _ }), Some b ->
@@ -544,9 +548,13 @@ let ( let* ) = Option.bind
    contract's multi-word cells and the v1 settle export, v4 with cached
    Found replies whose claims carry no hints, v5 with the owner and
    cloud addresses and the validator names but no identity and no chain
-   head) are refused as a codec mismatch. *)
-let snap_magic_built = "slicer-service-built-v6"
-let snap_magic_empty = "slicer-service-empty-v1"
+   head, v6 with cached Found replies whose results carry a length
+   each) are refused as a codec mismatch. The empty layout moved with
+   v7: the WAL after an empty-v1 snapshot may hold Dispute records
+   whose claims carry those lengths, which would replay into another
+   state. *)
+let snap_magic_built = "slicer-service-built-v7"
+let snap_magic_empty = "slicer-service-empty-v2"
 
 (* The snapshot is the *materialized* behavioral state, not chain
    history: [Vm.contract_def] holds closures and blocks hold txn

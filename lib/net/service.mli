@@ -104,7 +104,9 @@ val recover :
     prime multiset re-accumulates to both the cloud's and the on-chain
     [Ac], re-anchor on a fresh checkpoint and attach the store. [Error]
     — and no serving — when the snapshot does not decode (a layout
-    other than [slicer-service-built-v6] is a codec mismatch), when
+    other than [slicer-service-built-v7] or [slicer-service-empty-v2]
+    is a codec mismatch, so a state dir an older build wrote is never
+    replayed), when
     replay fails, when the state dir holds another identity (the error
     names both, and the dir is left as it was), or when the accumulator
     check fails. An empty state dir holds no database and passes. *)

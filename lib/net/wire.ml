@@ -5,10 +5,11 @@ let response_tag = 0x02
 
 (* The one protocol revision this build speaks, checked in Hello. Peers
    of any other revision are refused there with [Version_mismatch];
-   nothing is negotiated down. Revision 6 carries each claim's prime
-   hint inside the claims blob, so a revision-5 peer's Found replies
-   and Dispute requests would not decode. *)
-let proto_version = 6
+   nothing is negotiated down. Revision 7 carries each claim's results
+   as bare 16-byte cells, so a revision-6 peer's Found replies and
+   Dispute requests, whose results carry a length each, would not
+   decode, or would decode into other cells. *)
+let proto_version = 7
 
 type request =
   | Hello of { client : string; proto : int }

@@ -8,11 +8,12 @@ val request_tag : int
 val response_tag : int
 
 val proto_version : int
-(** The one protocol revision this build speaks (6). A Hello naming any
+(** The one protocol revision this build speaks (7). A Hello naming any
     other revision is refused with [Refused Version_mismatch], so a
-    peer built before revision 6 fails loudly at the handshake; its
-    claims blobs (hints sent beside the claims) would not decode.
-    Revision 6 carries each claim's prime hint inside the claims blob
+    peer built before revision 7 fails loudly at the handshake; its
+    claims blobs would not decode, or would decode into other cells.
+    Revision 6 carries each claim's prime hint inside the claims blob,
+    and revision 7 its results as bare 16-byte cells
     ({!Slicer_contract.encode_claims}). *)
 
 type request =

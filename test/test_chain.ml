@@ -313,11 +313,15 @@ let acc_params = Rsa_acc.setup ~rng:(Drbg.create ~seed:"chain-acc") ~bits:512 ()
 
 let prime_of s = Prime_rep.to_prime s
 
+(* A result stand-in: [s] padded to one 16-byte cell, the width of an
+   encrypted record ID. *)
+let cell s = s ^ String.make (Slicer_contract.result_len - String.length s) '.'
+
 (* Build a tiny honest scenario: one keyword with a result multiset, its
    prime in the accumulator. *)
 let scenario () =
   let token = Bytesutil.concat [ "trapdoor"; "0"; "g1"; "g2" ] in
-  let results = [ "enc-record-1"; "enc-record-2" ] in
+  let results = [ cell "enc-record-1"; cell "enc-record-2" ] in
   let h = Mset_hash.of_list results in
   let x = prime_of (Bytesutil.concat [ token; Mset_hash.to_bytes h ]) in
   let other = prime_of "some-other-keyword" in
@@ -373,19 +377,26 @@ let test_honest_cloud_gets_paid () =
       ~tokens:[ token ] ~payment:5000
   in
   Alcotest.(check bool) "request ok" true (Result.is_ok rr.Vm.r_output);
-  (* Cloud retrieves tokens from the escrow receipt's event. *)
-  (match Slicer_contract.requested_tokens rr ~request_id:"req-1" with
-   | Some [ t ] -> Alcotest.(check string) "token readable" token t
-   | _ -> Alcotest.fail "tokens must be retrievable from events");
-  Alcotest.(check (option (list string))) "another request id" None
-    (Slicer_contract.requested_tokens rr ~request_id:"req-0");
   let several = [ "token-b"; token; "token-a" ] in
   let rr_several =
     Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"req-1b"
       ~tokens:several ~payment:1000
   in
+  (* The cloud reads each request's tokens from its escrow transaction's
+     calldata, past the head block too. *)
+  (match Slicer_contract.requested_tokens ledger rr ~request_id:"req-1" with
+   | Some [ t ] -> Alcotest.(check string) "token readable after a later block" token t
+   | _ -> Alcotest.fail "tokens must be retrievable from the escrow transaction");
+  Alcotest.(check (option (list string))) "another request id" None
+    (Slicer_contract.requested_tokens ledger rr ~request_id:"req-0");
   Alcotest.(check (option (list string))) "tokens in request order" (Some several)
-    (Slicer_contract.requested_tokens rr_several ~request_id:"req-1b");
+    (Slicer_contract.requested_tokens ledger rr_several ~request_id:"req-1b");
+  let dup =
+    Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"req-1"
+      ~tokens:several ~payment:1000
+  in
+  Alcotest.(check (option (list string))) "a reverted escrow relays no tokens" None
+    (Slicer_contract.requested_tokens ledger dup ~request_id:"req-1");
   let claims = [ claim ~token results witness ] in
   let sr = submit ledger ~contract ~request_id:"req-1" ~amount:5000 claims in
   (match sr.Vm.r_output with
@@ -398,10 +409,10 @@ let test_honest_cloud_gets_paid () =
   (* Receipts without a SearchRequested event carry no tokens, even when
      another event names the request. *)
   Alcotest.(check (option (list string))) "submitResult receipt" None
-    (Slicer_contract.requested_tokens sr ~request_id:"req-1");
+    (Slicer_contract.requested_tokens ledger sr ~request_id:"req-1");
   let ur = Slicer_contract.update_ac ledger ~owner:alice ~contract (Bigint.of_int 5) in
   Alcotest.(check (option (list string))) "updateAc receipt" None
-    (Slicer_contract.requested_tokens ur ~request_id:"req-1")
+    (Slicer_contract.requested_tokens ledger ur ~request_id:"req-1")
 
 let test_tampered_results_refunded () =
   let ledger, contract, _, token, results, witness = deployed () in
@@ -460,7 +471,7 @@ let test_intrinsic_over_limit_refused () =
   let before = balances () and nonce_before = Vm.nonce state bob in
   (* ~2 MB of results: 16 gas a byte is over the 30M limit. *)
   let claims =
-    [ claim ~token [ String.make 2_000_000 'r' ] witness ]
+    [ claim ~token (List.init 125_000 (fun _ -> String.make 16 'r')) witness ]
   in
   let sr = submit ledger ~contract ~request_id:"big" ~amount:900 claims in
   Alcotest.(check bool) "refused" true (Result.is_error sr.Vm.r_output);
@@ -475,7 +486,8 @@ let test_intrinsic_over_limit_refused () =
 
 (* requestSearch hashes the tokens blob, and pays for it: two escrows
    whose blobs differ by 90 bytes differ in gas by exactly those bytes'
-   calldata, their log bytes and the hash's extra words. *)
+   calldata and the hash's extra words. Its log names the request
+   only, so the tokens cost no log bytes. *)
 let test_request_search_charges_its_hashes () =
   let ledger, contract, _, _, _, _ = deployed () in
   let escrow_gas id token =
@@ -488,10 +500,8 @@ let test_request_search_charges_its_hashes () =
   in
   let short = String.make 10 'a' and long = String.make 100 'a' in
   let blob t = String.length (Bytesutil.concat [ t ]) in
-  Alcotest.(check int) "calldata + log + hash words"
-    (Gas.calldata (String.make 90 'a')
-     + (Gas.log_per_byte * 90)
-     + (Gas.hash (blob long) - Gas.hash (blob short)))
+  Alcotest.(check int) "calldata + hash words"
+    (Gas.calldata (String.make 90 'a') + (Gas.hash (blob long) - Gas.hash (blob short)))
     (escrow_gas "hash-2" long - escrow_gas "hash-1" short)
 
 let test_update_ac_only_owner () =
@@ -506,7 +516,8 @@ let test_update_ac_only_owner () =
 
 let test_claims_roundtrip () =
   let claims =
-    [ { Slicer_contract.token_bytes = "tok-a"; results = [ "r1"; "r2" ]; witness = Bigint.of_int 99;
+    [ { Slicer_contract.token_bytes = "tok-a"; results = [ cell "r1"; cell "r2" ];
+        witness = Bigint.of_int 99;
         hint = 3 };
       { Slicer_contract.token_bytes = "tok-b"; results = [];
         witness = Bigint.of_string "123456789012345678901234567890"; hint = 0xffff } ]
@@ -592,7 +603,7 @@ let test_events_in_receipts () =
   (match rr.Vm.r_events with
    | ev :: _ ->
      (match Bytesutil.split ev with
-      | Some ("SearchRequested" :: id :: _) -> Alcotest.(check string) "id" "ev-1" id
+      | Some [ "SearchRequested"; id ] -> Alcotest.(check string) "id" "ev-1" id
       | _ -> Alcotest.fail "malformed event")
    | [] -> ())
 
@@ -651,7 +662,111 @@ let test_decode_claims_malformed () =
   Alcotest.(check bool) "zero claims are one empty hints piece" true
     (Slicer_contract.encode_claims [] = Bytesutil.concat [ "" ]
      && Slicer_contract.decode_claims (Slicer_contract.encode_claims []) = Some []);
-  Alcotest.(check bool) "no hints piece" true (Slicer_contract.decode_claims "" = None)
+  Alcotest.(check bool) "no hints piece" true (Slicer_contract.decode_claims "" = None);
+  (* A results piece is whole 16-byte cells, nothing else. *)
+  let one_claim cells =
+    Bytesutil.concat [ Bytesutil.concat [ "tok"; cells; "\x63" ]; "\x00\x01" ]
+  in
+  Alcotest.(check bool) "two whole cells" true
+    (Option.map (List.map (fun c -> c.Slicer_contract.results))
+       (Slicer_contract.decode_claims (one_claim (String.make 32 'c')))
+     = Some [ [ String.make 16 'c'; String.make 16 'c' ] ]);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "a %d-byte results piece" n) true
+        (Slicer_contract.decode_claims (one_claim (String.make n 'c')) = None))
+    [ 1; 15; 17; 33 ];
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "a %d-byte result is not encoded" n)
+        (Invalid_argument "Slicer_contract.encode_claims: a result is not one 16-byte cell")
+        (fun () ->
+          ignore
+            (Slicer_contract.encode_claims
+               [ { Slicer_contract.token_bytes = "tok"; results = [ cell "r"; String.make n 'r' ];
+                   witness = Bigint.one; hint = 1 } ])))
+    [ 0; 15; 17 ]
+
+(* --- the calldata floor ---------------------------------------------------- *)
+
+(* Every settled byte is a result's own: one more 16-byte result costs
+   its calldata and its multiset-hash step, and nothing for framing.
+   The claim's hint moves with its results (it is their prime's
+   offset), so its two bytes are priced as they read. *)
+let test_result_costs_its_cell () =
+  let ledger, contract, _, token, _, witness = deployed () in
+  let cells k = List.init k (fun i -> cell (Printf.sprintf "floor-result-%d" i)) in
+  let settle k =
+    let id = Printf.sprintf "floor-%d" k in
+    ignore
+      (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:id
+         ~tokens:[ token ] ~payment:300);
+    let c = claim ~token (cells k) witness in
+    let sr = submit ledger ~contract ~request_id:id ~amount:300 [ c ] in
+    Alcotest.(check bool) (id ^ " settled") true (Result.is_ok sr.Vm.r_output);
+    let hint = Bytes.create 2 in
+    Bytes.set_uint16_be hint 0 c.Slicer_contract.hint;
+    (sr.Vm.r_gas_used, Gas.calldata (Bytes.to_string hint))
+  in
+  let settled = Array.init 5 (fun i -> settle (i + 1)) in
+  for k = 1 to 4 do
+    let gas, hint_gas = settled.(k - 1) and gas', hint_gas' = settled.(k) in
+    Alcotest.(check int)
+      (Printf.sprintf "result %d: its calldata, one hash and one mulmod" (k + 1))
+      (Gas.calldata (List.nth (cells (k + 1)) k) + Gas.hash 16 + Gas.mulmod + (hint_gas' - hint_gas))
+      (gas' - gas)
+  done
+
+(* The escrow's log names the request, not its tokens: one token and
+   five cost the same log gas. *)
+let test_escrow_log_flat () =
+  let ledger, contract, _, token, _, _ = deployed () in
+  let log_gas id tokens =
+    let rr =
+      Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:id ~tokens
+        ~payment:300
+    in
+    Alcotest.(check bool) (id ^ " escrowed") true (Result.is_ok rr.Vm.r_output);
+    List.assoc_opt "log" (Vm.last_breakdown (Ledger.state ledger))
+  in
+  Alcotest.(check (option int)) "one token and five"
+    (log_gas "log-1" [ token ])
+    (log_gas "log-5" (List.init 5 (fun i -> Printf.sprintf "%s-%d" token i)))
+
+(* [txn ()] reverts with [reason], every slot and balance untouched. *)
+let reverts_untouched ledger ~contract reason txn =
+  let state = Ledger.state ledger in
+  let cells () = Vm.storage_entries state contract in
+  let balances () = List.map (fun (a, b, _) -> (a, b)) (Vm.accounts state) in
+  let cells0 = cells () and balances0 = balances () in
+  let r = txn () in
+  Alcotest.(check (result (list string) string)) reason (Error reason) r.Vm.r_output;
+  Alcotest.(check bool) (reason ^ ": slots unchanged") true (cells () = cells0);
+  Alcotest.(check (list (pair string int))) (reason ^ ": balances unchanged") balances0 (balances ())
+
+let test_odd_results_piece_reverts () =
+  let ledger, contract, _, token, _, witness = deployed () in
+  ignore
+    (Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"odd" ~tokens:[ token ]
+       ~payment:300);
+  let blob =
+    Bytesutil.concat
+      [ Bytesutil.concat [ token; String.make 17 'r'; Bigint.to_bytes_be witness ]; "\x00\x01" ]
+  in
+  reverts_untouched ledger ~contract "malformed claims" (fun () ->
+      Ledger.submit_and_seal ledger
+        (Vm.make_call (Ledger.state ledger) ~sender:bob ~to_:contract "submitResult"
+           [ "odd"; alice; "300"; Bigint.to_bytes_be scenario_ac; blob ]));
+  Alcotest.(check (option string)) "the escrow stays pending" (Some "pending")
+    (Slicer_contract.request_status ledger ~contract ~request_id:"odd")
+
+let test_tokenless_escrow_reverts () =
+  let ledger, contract, _, _, _, _ = deployed () in
+  reverts_untouched ledger ~contract "no tokens" (fun () ->
+      Slicer_contract.request_search ledger ~user:alice ~contract ~request_id:"none" ~tokens:[]
+        ~payment:300);
+  Alcotest.(check (option string)) "no escrow" None
+    (Slicer_contract.request_status ledger ~contract ~request_id:"none")
 
 (* --- batched optimistic settlement -------------------------------------- *)
 
@@ -1510,7 +1625,7 @@ let test_gas_regime () =
   let claims = [ claim ~token results witness ] in
   (* Settled against the Ac in force (5): verification runs in full. *)
   let sr = submit ledger ~contract ~request_id:"g" ~amount:10 ~ac:(Bigint.of_int 5) claims in
-  Alcotest.(check int) "verification settlement" 59_872 sr.Vm.r_gas_used;
+  Alcotest.(check int) "verification settlement" 59_944 sr.Vm.r_gas_used;
   let input = Slicer_contract.claim_input ~token_bytes:token results in
   Alcotest.(check (option int)) "its h-prime: one hinted prime"
     (Some (Gas.h_prime_hinted ~input_len:(String.length input)))
@@ -1744,6 +1859,12 @@ let () =
           Alcotest.test_case "forged seal detected" `Quick test_forged_seal_detected;
           Alcotest.test_case "malformed claims rejected" `Quick test_decode_claims_malformed;
           Alcotest.test_case "gas regime (Table II shape)" `Quick test_gas_regime ] );
+      ( "calldata floor",
+        [ Alcotest.test_case "a result costs its cell" `Quick test_result_costs_its_cell;
+          Alcotest.test_case "the escrow log is flat in its tokens" `Quick test_escrow_log_flat;
+          Alcotest.test_case "a 17-byte results piece reverts" `Quick
+            test_odd_results_piece_reverts;
+          Alcotest.test_case "a tokenless escrow reverts" `Quick test_tokenless_escrow_reverts ] );
       ( "settle_batch",
         [ Alcotest.test_case "commit and finalize" `Quick test_batch_commit_and_finalize;
           Alcotest.test_case "finalize pays once per batch" `Quick

@@ -412,6 +412,15 @@ let test_cluster_end_to_end () =
           | Wire.Refused { code = Wire.Version_mismatch; _ } -> ()
           | _ -> Alcotest.failf "protocol %d hello not refused as a version mismatch" proto)
         [ 1; Wire.proto_version - 1 ];
+      (* A Search with no token reaches no shard: no escrow anywhere. *)
+      (match
+         Cluster.Router.handle router
+           (Wire.Search
+              { client = "e2e-user"; request_id = "tokenless"; batched = false; tokens = [];
+                trace = None })
+       with
+       | Wire.Refused { code = Wire.Bad_request; _ } -> ()
+       | _ -> Alcotest.fail "a tokenless search through the router must be refused");
       (* Merged stats name the router and its shard sections. *)
       (match Cluster.Router.handle router Wire.Stats with
        | Wire.Stats_reply { st_json; _ } ->

@@ -771,6 +771,154 @@ let test_tampering_server_refused_payment () =
       | Error e -> Alcotest.failf "tampered search: %s" (Net.Client.error_to_string e));
   Net.Client.close c
 
+(* --- the client decrypts only what it verified ----------------------------- *)
+
+(* The shared service's twin, settling in batches of 64: its receipts
+   stay in the open batch, so a reply's leaf is all a client checks. *)
+let batched_service =
+  lazy
+    (seeded_service
+       ~settle:
+         { Settle_batch.sb_size = 64; sb_window_ms = 1e9; sb_deposit = 100_000;
+           sb_dispute_blocks = 3 }
+       ~seed:"net-twin" db)
+
+(* [f] runs twice, on the eager service and on the batched one, each
+   behind a server that answers a Search with [forge svc request] while
+   [f] holds [forging] set and plainly otherwise. *)
+let with_forging_servers name forge f =
+  List.iter
+    (fun (path, svc) ->
+      let forging = Atomic.make false in
+      let handler = function
+        | Wire.Search _ as req when Atomic.get forging -> forge svc req
+        | req -> Net.Service.handle svc req
+      in
+      let srv = Net.Server.start handler in
+      Fun.protect ~finally:(fun () -> Net.Server.stop srv) @@ fun () ->
+      let c =
+        match Net.Client.connect ~name:(name ^ "-" ^ path) (Net.Server.endpoint srv) with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" (Net.Client.error_to_string e)
+      in
+      Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () -> f ~path ~forging c)
+    [ ("eager", Lazy.force service); ("deferred", Lazy.force batched_service) ]
+
+(* The honest reply verifies; the forged one, served by the same server
+   for the same query, must not. *)
+let forged_reply_refused name ~query forge =
+  with_forging_servers name forge @@ fun ~path ~forging c ->
+  let search () =
+    match Net.Client.search c query with
+    | Ok out -> out
+    | Error e -> Alcotest.failf "%s search: %s" path (Net.Client.error_to_string e)
+  in
+  let honest = search () in
+  Alcotest.(check bool) (path ^ ": the honest reply verifies") true honest.Protocol.so_verified;
+  Alcotest.(check bool) (path ^ ": the query has two tokens or more") true
+    (honest.Protocol.so_token_count >= 2);
+  Atomic.set forging true;
+  Alcotest.(check bool) (path ^ ": the forged reply does not") false
+    (search ()).Protocol.so_verified
+
+(* A deferred reply's leaf, recomputed over the forged claims, as a
+   lying server would commit it; the same coordinates otherwise. *)
+let releaf ~request claims (r : Wire.search_reply) (si : Wire.settle_info) =
+  { si with
+    Wire.si_leaf =
+      Slicer_contract.encode_leaf
+        (Slicer_contract.receipt_leaf ~client:(fst request) ~request:(snd request) ~claims
+           ~batch_witness:r.Wire.sr_batch_witness) }
+
+(* The honest reply to a Search, with its on-chain request id. *)
+let honest_reply svc req ~shard_id =
+  match (req, Net.Service.handle svc req) with
+  | Wire.Search { client; request_id; _ }, Wire.Found r ->
+    let request = if shard_id then Net.Client.sub_id request_id 0 else request_id in
+    (r, (client, Bytesutil.concat [ client; request ]))
+  | _ -> Alcotest.fail "the service refused a search"
+
+let test_reply_for_another_query () =
+  (* Settled for tokens of another query: valid claims under Ac, and
+     a true leaf, but not an answer to the tokens sent. *)
+  let decoy =
+    lazy
+      (match
+         Net.Service.handle (Lazy.force service)
+           (Wire.Hello { client = "decoy"; proto = Wire.proto_version })
+       with
+       | Wire.Welcome p ->
+         User.gen_tokens ~rng:(Drbg.create ~seed:"decoy")
+           (User.create ~keys:p.Wire.pv_user_keys ~width:p.Wire.pv_width p.Wire.pv_trapdoor)
+           (q 20 Slicer_types.Lt)
+       | _ -> Alcotest.fail "decoy hello refused")
+  in
+  forged_reply_refused "another-query" ~query:(q 60 Slicer_types.Gt) (fun svc req ->
+      match req with
+      | Wire.Search s -> Net.Service.handle svc (Wire.Search { s with tokens = Lazy.force decoy })
+      | _ -> Net.Service.handle svc req)
+
+let test_reply_missing_a_claim () =
+  forged_reply_refused "missing-claim" ~query:(q 60 Slicer_types.Gt) (fun svc req ->
+      let r, request = honest_reply svc req ~shard_id:false in
+      let claims = List.filteri (fun i _ -> i > 0) r.Wire.sr_claims in
+      Wire.Found
+        { r with
+          Wire.sr_claims = claims;
+          sr_settle = Option.map (releaf ~request claims r) r.Wire.sr_settle })
+
+let test_routed_reply_with_an_uncovered_claim () =
+  (* A one-part routed reply whose part verifies every claim but the
+     first, which carries an injected result instead. *)
+  forged_reply_refused "uncovered-claim" ~query:(q 60 Slicer_types.Gt) (fun svc req ->
+      let r, request = honest_reply svc req ~shard_id:true in
+      match r.Wire.sr_claims with
+      | [] -> Alcotest.fail "no claim to forge"
+      | first :: covered ->
+        let injected =
+          { first with
+            Slicer_contract.results = first.Slicer_contract.results @ [ String.make 16 'i' ] }
+        in
+        Wire.Found
+          { r with
+            Wire.sr_claims = injected :: covered;
+            sr_parts =
+              [ { Wire.shp_shard = 0;
+                  shp_claims = covered;
+                  shp_batch_witness = r.Wire.sr_batch_witness;
+                  shp_ac = r.Wire.sr_ac;
+                  shp_receipt = r.Wire.sr_receipt;
+                  shp_settle = Option.map (releaf ~request covered r) r.Wire.sr_settle } ];
+            sr_settle = None })
+
+(* A query with no token is answered by the user's own keyword state:
+   nothing is sent, escrowed or settled. A Search that carries no
+   token anyway is refused before any escrow. *)
+let test_tokenless_query_sends_nothing () =
+  ignore (Lazy.force server);
+  let st = station_exn () in
+  let ledger = Station.ledger st in
+  let c = client "tokenless" in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  let accounts () = Vm.accounts (Ledger.state ledger) in
+  let height = Ledger.height ledger and accounts0 = accounts () in
+  (* No record is above 63, the width's largest value. *)
+  (match Net.Client.search c (q 63 Slicer_types.Lt) with
+   | Ok out ->
+     Alcotest.(check bool) "the empty outcome" true (out = Protocol.no_tokens)
+   | Error e -> Alcotest.failf "tokenless search: %s" (Net.Client.error_to_string e));
+  (match
+     Net.Service.handle (Lazy.force service)
+       (Wire.Search
+          { client = "tokenless"; request_id = "tokenless#0"; batched = false; tokens = [];
+            trace = None })
+   with
+   | Wire.Refused { code = Wire.Bad_request; detail } ->
+     Alcotest.(check string) "the refusal" "a search needs at least one token" detail
+   | _ -> Alcotest.fail "a tokenless Search must be refused");
+  Alcotest.(check int) "no block sealed" height (Ledger.height ledger);
+  Alcotest.(check bool) "no balance moved" true (accounts () = accounts0)
+
 let test_malformed_frames_get_structured_errors () =
   ignore (Lazy.force server);
   let ep = match endpoint () with
@@ -845,11 +993,13 @@ let revision4_shipment_bytes (sh : Owner.shipment) =
       Bigint.to_bytes_be sh.Owner.sh_ac;
       Bytesutil.concat (List.map Persist.group_to_bytes sh.Owner.sh_groups) ]
 
-(* A peer from before revision 5 fails at the handshake with a
-   structured refusal, and its Build/Insert bytes are refused as
-   malformed rather than decoded. *)
+(* A peer of another revision fails at the handshake with a structured
+   refusal (revision 6, whose results carry a length each, included),
+   and a peer from before revision 5 has its Build/Insert bytes refused
+   as malformed rather than decoded. *)
 let test_older_revisions_refused () =
   ignore (Lazy.force server);
+  Alcotest.(check int) "revision 7: results settle as bare cells" 7 Wire.proto_version;
   List.iter
     (fun proto ->
       match Net.Service.handle (Lazy.force service) (Wire.Hello { client = "old-peer"; proto }) with
@@ -1874,11 +2024,12 @@ let test_witness_index_survives_restart () =
     Option.iter Store.close (Net.Service.store svc3)
 
 let test_old_snapshot_layouts_refused () =
-  (* One snapshot layout decodes. The five older ones, rebuilt from a
-     real v6 snapshot (v5, v4 and v3 under their own magic over the same
-     pieces, v2 without the settle piece, v1 without the witness piece
-     either), are refused as a codec mismatch, while the v6 original
-     written the same way recovers. *)
+  (* One snapshot layout decodes. The six older ones, rebuilt from a
+     real v7 snapshot (v6, v5, v4 and v3 under their own magic over the
+     same pieces, v2 without the settle piece, v1 without the witness
+     piece either), are refused as a codec mismatch, and so is the
+     empty-v1 snapshot an older build checkpoints before its first
+     Build, while the v7 original written the same way recovers. *)
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
@@ -1906,7 +2057,7 @@ let test_old_snapshot_layouts_refused () =
      Option.iter Store.close (Net.Service.store svc));
   (* Recovery re-anchors on a checkpoint of the built state. *)
   recover cfg;
-  let v6 =
+  let v7 =
     let store, rc = Store.open_ cfg in
     Store.close store;
     match rc.Store.rc_snapshot with
@@ -1914,7 +2065,7 @@ let test_old_snapshot_layouts_refused () =
     | None -> Alcotest.fail "no snapshot after recovery"
   in
   let pieces =
-    match Bytesutil.split v6 with Some p -> p | None -> Alcotest.fail "v6 snapshot does not split"
+    match Bytesutil.split v7 with Some p -> p | None -> Alcotest.fail "v7 snapshot does not split"
   in
   let n = List.length pieces in
   let state = List.filteri (fun i _ -> i > 0 && i < n - 2) pieces in
@@ -1929,7 +2080,7 @@ let test_old_snapshot_layouts_refused () =
     Store.close store;
     f old_cfg
   in
-  in_fresh_dir v6 recover;
+  in_fresh_dir v7 recover;
   List.iter
     (fun (magic, payload) ->
       in_fresh_dir payload @@ fun old_cfg ->
@@ -1939,7 +2090,9 @@ let test_old_snapshot_layouts_refused () =
       | Ok (svc, _) ->
         Option.iter Store.close (Net.Service.store svc);
         Alcotest.failf "%s snapshot was decoded" magic)
-    [ ("slicer-service-built-v5",
+    [ ("slicer-service-built-v6",
+       Bytesutil.concat (("slicer-service-built-v6" :: state) @ [ witness; settle ]));
+      ("slicer-service-built-v5",
        Bytesutil.concat (("slicer-service-built-v5" :: state) @ [ witness; settle ]));
       ("slicer-service-built-v4",
        Bytesutil.concat (("slicer-service-built-v4" :: state) @ [ witness; settle ]));
@@ -1947,7 +2100,8 @@ let test_old_snapshot_layouts_refused () =
        Bytesutil.concat (("slicer-service-built-v3" :: state) @ [ witness; settle ]));
       ("slicer-service-built-v2",
        Bytesutil.concat (("slicer-service-built-v2" :: state) @ [ witness ]));
-      ("slicer-service-built-v1", Bytesutil.concat ("slicer-service-built-v1" :: state)) ]
+      ("slicer-service-built-v1", Bytesutil.concat ("slicer-service-built-v1" :: state));
+      ("slicer-service-empty-v1", Bytesutil.concat [ "slicer-service-empty-v1" ]) ]
 
 (* The WAL's bytes after a seeded durable sequence — Build, Register,
    a Search into an open settle batch, Insert, a forced flush — and the
@@ -1964,7 +2118,11 @@ let test_old_snapshot_layouts_refused () =
    was re-hashed for layout v6: the identity and the chain's sealed
    head joined it, and the owner and cloud addresses and the validator
    names, which every wire-built database shares, left it; every other
-   piece is byte-identical. Neither may move one byte. *)
+   piece is byte-identical. It was re-hashed again for layout v7, 165
+   bytes shorter: the cached Found reply's 11 results lost their 4-byte
+   lengths (44 bytes), and its escrow receipt's SearchRequested event
+   no longer repeats the one token (4 + 117 bytes). Neither may move
+   one byte. *)
 let test_wal_and_snapshot_golden () =
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -2026,9 +2184,9 @@ let test_wal_and_snapshot_golden () =
     Alcotest.(check int) "every record replayed" 5 stats.Net.Service.rs_replayed;
     (* Recovery re-anchors on a snapshot at the last record's seq. *)
     let snap = read "snap-5.bin" in
-    Alcotest.(check int) "snapshot size" 15780 (String.length snap);
+    Alcotest.(check int) "snapshot size" 15615 (String.length snap);
     Alcotest.(check string) "snapshot sha-256"
-      "8980087495c887e815184d03f41fe11917125888c0f374be4c4cc6b1266fe759" (Sha256.digest_hex snap)
+      "99ea3d557c4e9363f6a1cbd08a9c3d032dbadf3aa211c0b30aadc0d5866ef83d" (Sha256.digest_hex snap)
 
 (* The real thing: a separate slicer-server process ([Server_proc]),
    killed with SIGKILL mid-load, recovered from its state directory. *)
@@ -2450,7 +2608,8 @@ let test_restart_under_another_settlement_refused () =
     [ false; true ]
 
 (* Recovery is one invariant: a durable session — Build, Hello, batched
-   searches, an Insert, a forced flush and a dispute — recovered by WAL
+   searches (one batch spans an Insert), a refused tokenless search, a
+   forced flush and a dispute — recovered by WAL
    replay and, in another dir, from the snapshot that recovery wrote,
    yields two services that agree on the chain's height and head hash,
    every account, the contract's storage, the generation, each batch's
@@ -2488,7 +2647,14 @@ let test_wal_replay_and_snapshot_agree () =
   let pinned = search_req "inv#1" (q 30 Slicer_types.Lt) in
   let pinned_reply = Wire.encode_response (Wire.Found (found svc pinned)) in
   let disputed = found svc (search_req "inv#2" (q 8 Slicer_types.Gt)) in
-  ignore (found svc (search_req "inv#3" (q 3 Slicer_types.Eq)));
+  (* inv#3 opens the second batch of 2; inv#4 closes it after the
+     Insert, so its members settle under two values of Ac. *)
+  ignore (found svc (search_req "inv#3" (q 40 Slicer_types.Lt)));
+  (* No record holds 3 yet, so the query has no token: it is refused
+     before any escrow and leaves nothing to replay. *)
+  (match Net.Service.handle svc (search_req "inv-none" (q 3 Slicer_types.Eq)) with
+   | Wire.Refused { code = Wire.Bad_request; _ } -> ()
+   | _ -> Alcotest.fail "a tokenless search must be refused");
   (match
      Net.Service.handle svc
        (Wire.Insert
@@ -2498,7 +2664,10 @@ let test_wal_replay_and_snapshot_agree () =
    with
    | Wire.Accepted _ -> ()
    | _ -> Alcotest.fail "insert refused");
+  (* The owner's new trapdoor state reaches the user, so 3 has a token. *)
+  User.update_state user (Owner.export_trapdoor_state owner);
   ignore (found svc (search_req "inv#4" (q 20 Slicer_types.Gt)));
+  (* inv#5 is still open in the third batch when the flush commits it. *)
   ignore (found svc (search_req "inv#5" (q 3 Slicer_types.Eq)));
   Net.Service.settle_flush svc;
   (* An honest leaf: the dispute is rejected on chain, and that verdict
@@ -2516,6 +2685,13 @@ let test_wal_replay_and_snapshot_agree () =
     | _ -> Alcotest.fail "an honest leaf should survive its dispute"
   in
   close_service svc;
+  (* The WAL's record tags: Build (2), Register (1), three Searches (4),
+     the Insert (3), two Searches, the forced Flush (6) and the Dispute
+     (8). The refusal is not journaled. *)
+  let store, rc = Store.open_ cfg in
+  Store.close store;
+  Alcotest.(check (list int)) "the WAL journals the forced flush" [ 2; 1; 4; 4; 4; 3; 4; 4; 6; 8 ]
+    (List.map (fun e -> e.Store.ev_tag) rc.Store.rc_events);
   let replayed, stats = recover_exn ~settle cfg in
   Fun.protect ~finally:(fun () -> close_service replayed) @@ fun () ->
   Alcotest.(check bool) "one recovery replays the WAL" true
@@ -2543,7 +2719,7 @@ let test_wal_replay_and_snapshot_agree () =
       Alcotest.(check string) ("the status of " ^ rid)
         (Wire.encode_response (Wire.Receipt_reply (receipt_of replayed ~client rid)))
         (Wire.encode_response (Wire.Receipt_reply (receipt_of restored ~client rid))))
-    [ "inv#1"; "inv#2"; "inv#3"; "inv#4"; "inv#5" ];
+    [ "inv#1"; "inv#2"; "inv#3"; "inv#4"; "inv#5"; "inv-none" ];
   let snapshot_of dir =
     List.filter (fun (f, _) -> String.starts_with ~prefix:"snap-" f) (dir_files dir)
   in
@@ -2926,6 +3102,14 @@ let () =
       ( "loopback",
         [ Alcotest.test_case "concurrent clients match Protocol.search" `Quick
             test_concurrent_clients_match_protocol;
+          Alcotest.test_case "a reply for another query is not verified" `Quick
+            test_reply_for_another_query;
+          Alcotest.test_case "a reply missing a claim is not verified" `Quick
+            test_reply_missing_a_claim;
+          Alcotest.test_case "a routed reply with an uncovered claim is not verified" `Quick
+            test_routed_reply_with_an_uncovered_claim;
+          Alcotest.test_case "a tokenless query sends nothing" `Quick
+            test_tokenless_query_sends_nothing;
           Alcotest.test_case "tampering server refused payment" `Quick
             test_tampering_server_refused_payment;
           Alcotest.test_case "malformed frames get structured errors" `Quick

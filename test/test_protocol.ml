@@ -574,6 +574,25 @@ let test_empty_query () =
   Alcotest.(check int) "no tokens" 0 out.Protocol.so_token_count;
   Alcotest.(check bool) "verified" true out.Protocol.so_verified
 
+(* Nothing below 5 among values 100-109: the user's keyword state holds
+   no token for the query, so it is answered with no escrow, no block
+   and no fee for an empty claim set. *)
+let test_tokenless_query_escrows_nothing () =
+  let s =
+    Protocol.setup ~width:8 ~seed:"tokenless"
+      (List.init 10 (fun i -> Slicer_types.record_of_value (Printf.sprintf "t%d" i) (100 + i)))
+  in
+  let ledger = Protocol.ledger s in
+  let before () = (Ledger.height ledger, Protocol.user_balance s, Protocol.cloud_balance s) in
+  let height, user, cloud = before () in
+  List.iter
+    (fun (name, search) ->
+      let out = search s (q 5 Slicer_types.Gt) in
+      Alcotest.(check bool) (name ^ ": the empty outcome") true (out = Protocol.no_tokens);
+      Alcotest.(check (triple int int int)) (name ^ ": height and balances unchanged")
+        (height, user, cloud) (before ()))
+    [ ("search", Protocol.search); ("search_batched", Protocol.search_batched) ]
+
 let test_features_table () =
   Alcotest.(check bool) "slicer row all yes" true
     Features.(
@@ -705,7 +724,9 @@ let () =
           Alcotest.test_case "token counts" `Quick test_token_counts;
           Alcotest.test_case "offchain agrees with onchain" `Quick test_offchain_agrees;
           Alcotest.test_case "result sizes" `Quick test_result_sizes;
-          Alcotest.test_case "empty query" `Quick test_empty_query ] );
+          Alcotest.test_case "empty query" `Quick test_empty_query;
+          Alcotest.test_case "a tokenless query escrows nothing" `Quick
+            test_tokenless_query_escrows_nothing ] );
       ( "fairness",
         [ Alcotest.test_case "misbehaviours refunded" `Quick test_misbehaviors_refunded;
           Alcotest.test_case "stale cloud rejected" `Quick test_stale_cloud_rejected ] );
