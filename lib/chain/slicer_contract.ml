@@ -61,24 +61,31 @@ let result_len = 16
 
 (* A claim's results piece is its cells back to back: each is one AES
    block, so no cell needs a length of its own. *)
-let encode_claim c =
+let claim_sized c =
   List.iter
     (fun er ->
       if String.length er <> result_len then
         invalid_arg "Slicer_contract.encode_claims: a result is not one 16-byte cell")
     c.results;
-  Bytesutil.concat [ c.token_bytes; String.concat "" c.results; Bigint.to_bytes_be c.witness ]
+  Bytesutil.sized_concat
+    [ Bytesutil.sized_string c.token_bytes;
+      Bytesutil.sized_cat c.results;
+      Bytesutil.sized_string (Bigint.to_bytes_be c.witness) ]
 
 (* One piece per claim, then the claims' hints as one last piece: 2
-   big-endian bytes per claim, in claim order. *)
-let encode_claims cs =
+   big-endian bytes per claim, in claim order. The cells are emitted
+   from the result strings themselves. *)
+let claims_sized cs =
   let hints = Bytes.create (2 * List.length cs) in
   List.iteri
     (fun i c ->
       if c.hint < 0 || c.hint > 0xffff then invalid_arg "Slicer_contract.encode_claims: hint out of range";
       Bytes.set_uint16_be hints (2 * i) c.hint)
     cs;
-  Bytesutil.concat (List.map encode_claim cs @ [ Bytes.unsafe_to_string hints ])
+  Bytesutil.sized_concat
+    (List.map claim_sized cs @ [ Bytesutil.sized_string (Bytes.unsafe_to_string hints) ])
+
+let encode_claims cs = Bytesutil.sized_to_string (claims_sized cs)
 
 let decode_claim s ~hint =
   match Bytesutil.split s with

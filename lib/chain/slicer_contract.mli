@@ -62,6 +62,11 @@ val encode_claims : claim list -> string
     @raise Invalid_argument for a hint outside [0, 2^16) or a result
     that is not {!result_len} bytes. *)
 
+val claims_sized : claim list -> Bytesutil.sized
+(** The {!encode_claims} bytes as a streamed encoding, each cell emitted
+    from its result string: what a Found reply is framed from. Raises as
+    {!encode_claims} does, when it is made. *)
+
 val decode_claims : string -> claim list option
 (** [None] also when the hints piece is not 2 bytes per claim, or a
     results piece is not whole cells. *)

@@ -78,6 +78,10 @@ type sized = { size : int; emit : sink -> unit }
 
 let sized_string p = { size = String.length p; emit = (fun sink -> sink p 0 (String.length p)) }
 
+let sized_cat ps =
+  { size = List.fold_left (fun n p -> n + String.length p) 0 ps;
+    emit = (fun sink -> List.iter (fun p -> sink p 0 (String.length p)) ps) }
+
 (* Each length prefix is made as it is emitted: a value that is only
    emitted holds no per-piece strings between emissions. *)
 let sized_concat pieces =

@@ -57,6 +57,10 @@ type sized = { size : int; emit : sink -> unit }
 
 val sized_string : string -> sized
 
+val sized_cat : string list -> sized
+(** The pieces back to back, with no length prefixes
+    ([String.concat ""]). *)
+
 val sized_concat : sized list -> sized
 (** The {!concat} encoding of the pieces. *)
 

@@ -144,14 +144,14 @@ let ensure_sock t =
        Ok fd
      | Error e -> Error e)
 
-(* One attempt: send the request, await the response. Any transport or
-   framing failure invalidates the socket (the next attempt
-   reconnects). *)
-let exchange t payload =
+(* One attempt: send the framed request, await the response. Any
+   transport or framing failure invalidates the socket (the next
+   attempt reconnects). *)
+let exchange t frame =
   match ensure_sock t with
   | Error e -> Error (`Retry ("connect: " ^ e))
   | Ok fd ->
-    (match Frame.write fd ~tag:Wire.request_tag payload with
+    (match Frame.write_frame fd frame with
      | () ->
        (match Frame.read ~max_payload:t.cfg.max_payload ~timeout:t.cfg.request_timeout fd with
         | Ok { Frame.tag; payload } when tag = Wire.response_tag ->
@@ -170,12 +170,13 @@ let exchange t payload =
        close_sock t;
        Error (`Retry ("send: " ^ Unix.error_message e)))
 
-(* Bounded retry with jittered exponential backoff. The request bytes
-   are identical across attempts — in particular the request id, which
-   every effectful request (Search, Build, Insert) carries — so
-   re-sends are idempotent server-side. *)
+(* Bounded retry with jittered exponential backoff. The request is
+   framed once, in one pass from its pieces, and every attempt sends
+   the same bytes — in particular the request id, which every
+   effectful request (Search, Build, Insert) carries — so re-sends are
+   idempotent server-side. *)
 let rpc t req =
-  let payload = Wire.encode_request req in
+  let frame = Frame.encode_sized ~tag:Wire.request_tag (Wire.request_sized req) in
   let rec attempt n last =
     if n > t.cfg.max_attempts then
       Error (Exhausted { attempts = t.cfg.max_attempts; last })
@@ -188,7 +189,7 @@ let rpc t req =
          Obs.Histogram.record_s h_backoff delay;
          Unix.sleepf delay
        end);
-      match exchange t payload with
+      match exchange t frame with
       | Ok resp when Wire.retryable resp ->
         let detail = match resp with Wire.Refused { detail; _ } -> detail | _ -> "busy" in
         attempt (n + 1) ("server busy: " ^ detail)

@@ -47,22 +47,27 @@ let checksum hdr hdr_off body off len =
   Sha256.update_sub ctx body off len;
   Sha256.finalize_trunc ctx checksum_bytes
 
-(* Header, checksum and payload in one buffer of the exact size; the
-   checksum hashes the buffer's own header and payload bytes. *)
-let encode_bytes ~tag payload =
+(* The one encoder. Header, payload pieces and checksum go into one
+   buffer of the exact size, in one pass over the pieces; the checksum
+   hashes the buffer's own header and payload bytes. *)
+let encode_sized ~tag (payload : Bytesutil.sized) =
   if tag < 0 || tag > 255 then invalid_arg "Frame.encode: tag out of range";
-  let len = String.length payload in
+  let len = payload.Bytesutil.size in
   if len > default_max_payload then invalid_arg "Frame.encode: payload too large";
   let b = Bytes.create (header_bytes + len) in
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set_uint8 b 4 version;
   Bytes.set_uint8 b 5 tag;
   Bytes.set_int32_be b 6 (Int32.of_int len);
-  Bytes.blit_string payload 0 b header_bytes len;
+  let at = ref header_bytes in
+  payload.Bytesutil.emit (fun s off n ->
+      Bytes.blit_string s off b !at n;
+      at := !at + n);
+  if !at <> header_bytes + len then invalid_arg "Frame.encode: emitted size mismatch";
   Bytes.blit_string (checksum b 0 b header_bytes len) 0 b 10 checksum_bytes;
-  b
+  Bytes.unsafe_to_string b
 
-let encode ~tag payload = Bytes.unsafe_to_string (encode_bytes ~tag payload)
+let encode ~tag payload = encode_sized ~tag (Bytesutil.sized_string payload)
 
 let magic_word = String.get_int32_be magic 0
 
@@ -221,18 +226,19 @@ module Decoder = struct
     Bytes.sub_string v.v_buf v.v_off v.v_len
 end
 
-let write fd ~tag payload =
-  let frame = encode_bytes ~tag payload in
-  let total = Bytes.length frame in
+let write_frame fd frame =
+  let total = String.length frame in
   let rec go off =
     if off < total then begin
-      let n = Unix.write fd frame off (total - off) in
+      let n = Unix.write_substring fd frame off (total - off) in
       go (off + n)
     end
   in
   go 0;
   Obs.Counter.incr c_frames_out;
   Obs.Counter.add c_bytes_out total
+
+let write fd ~tag payload = write_frame fd (encode ~tag payload)
 
 (* Reads exactly [n] more bytes into [buf] at [off], respecting the
    absolute monotonic [deadline] (None = block indefinitely). *)

@@ -41,6 +41,14 @@ val encode : tag:int -> string -> string
 (** A complete frame. @raise Invalid_argument when the tag is outside
     [0, 255] or the payload exceeds {!default_max_payload}. *)
 
+val encode_sized : tag:int -> Bytesutil.sized -> string
+(** The frame of a streamed payload, written in one pass: the header,
+    the emitted pieces and the checksum go into one buffer of the exact
+    size, so no copy of the payload is made on the way.
+    [encode_sized ~tag p] equals
+    [encode ~tag (Bytesutil.sized_to_string p)]. @raise Invalid_argument
+    as {!encode} does, or when the pieces do not add up to the size. *)
+
 val decode : ?max_payload:int -> ?off:int -> string -> (msg * int, error) result
 (** Pure decoder: parses one frame starting at [off] (default 0) and
     returns it with the offset just past it. Never raises on malformed
@@ -113,6 +121,10 @@ end
 val write : Unix.file_descr -> tag:int -> string -> unit
 (** Writes a whole frame (handles short writes).
     @raise Unix.Unix_error on transport failure. *)
+
+val write_frame : Unix.file_descr -> string -> unit
+(** Writes a frame already built by {!encode} or {!encode_sized}, as
+    {!write} does. *)
 
 val read :
   ?max_payload:int -> ?timeout:float -> Unix.file_descr -> (msg, error) result

@@ -196,8 +196,11 @@ let send t conn framed =
 
 let refusal code detail = Wire.Refused { code; detail }
 
-let respond t conn resp =
-  send t conn (Frame.encode ~tag:Wire.response_tag (Wire.encode_response resp))
+(* A reply is framed in one pass from its pieces: no payload string
+   is built only to be copied into the frame. *)
+let frame resp = Frame.encode_sized ~tag:Wire.response_tag (Wire.response_sized resp)
+
+let respond t conn resp = send t conn (frame resp)
 
 (* One parsed frame: hand it to the pool or refuse it inline
    (admission, bad tag). *)
@@ -458,7 +461,7 @@ let worker_loop t =
              Trace.root ?remote:(Wire.request_trace req) "net.worker" dispatch
            | _ -> dispatch ())
       in
-      let framed = Frame.encode ~tag:Wire.response_tag (Wire.encode_response resp) in
+      let framed = frame resp in
       Mutex.lock t.lock;
       t.jobs_active <- t.jobs_active - 1;
       t.served_reqs <- t.served_reqs + 1;

@@ -503,19 +503,31 @@ let apply t record =
        | Declined _ | Moved _ -> ());
       outcome
 
+(* Ping, Stats and Traces read only process-wide state ({!Obs},
+   {!Trace}), never the service's, so they are answered before
+   [t.lock] is taken: a Ping or a scrape does not wait behind a
+   search's handler. Served even pre-Build. *)
+let admin = function
+  | Wire.Ping -> Some Wire.Pong
+  | Wire.Stats ->
+    (* The registry snapshot covers the whole process, not just this
+       service's database. *)
+    Obs.sample_memory ();
+    Some
+      (Wire.Stats_reply
+         { st_json = Obs.Export.to_json (); st_text = Obs.Export.to_prometheus () })
+  | Wire.Traces ->
+    (* Whole completed span trees only, so a scraper never sees a
+       half-built trace. *)
+    Some (Wire.Traces_reply { tr_spans = Trace.drain () })
+  | Wire.Hello _ | Wire.Search _ | Wire.Build _ | Wire.Insert _ | Wire.Receipt _
+  | Wire.Dispute _ ->
+    None
+
 let handle_locked t req =
   match (req, t.state) with
-  | (Wire.Ping, _) -> Wire.Pong
-  | (Wire.Stats, _) ->
-    (* Read-only, served even pre-Build: the registry snapshot covers
-       the whole process, not just this service's database. *)
-    Obs.sample_memory ();
-    Wire.Stats_reply
-      { st_json = Obs.Export.to_json (); st_text = Obs.Export.to_prometheus () }
-  | (Wire.Traces, _) ->
-    (* Admin drain, like Stats: whole completed span trees only, so a
-       scraper never sees a half-built trace. *)
-    Wire.Traces_reply { tr_spans = Trace.drain () }
+  | ((Wire.Ping | Wire.Stats | Wire.Traces), _) ->
+    invalid_arg "Service.handle_locked: an admin request takes no lock"
   | (Wire.Hello { proto; _ }, _) when proto <> Wire.proto_version ->
     (* Loud handshake failure for a peer of another revision: it would
        mis-frame replies, and its Build/Insert shipments would not
@@ -911,33 +923,37 @@ let traced_as = function
   | Wire.Dispute _ -> Some "service.dispute"
   | Wire.Hello _ | Wire.Ping | Wire.Stats | Wire.Traces | Wire.Receipt _ -> None
 
+let internal exn =
+  Log.err (fun m -> m "handler raised: %s" (Printexc.to_string exn));
+  refused Wire.Internal (Printexc.to_string exn)
+
 let handle_inner t req =
   Obs.Counter.incr c_requests;
-  (* The wait for the service lock is its own span, so a traced
-     request shows how long it queued behind another's handler. *)
-  Obs.span "service.lock_wait" (fun () -> Mutex.lock t.lock);
-  let resp =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
-        try handle_locked t req
-        with exn ->
-          Log.err (fun m -> m "handler raised: %s" (Printexc.to_string exn));
-          refused Wire.Internal (Printexc.to_string exn))
-  in
-  (* The reply must not leave before its journal record is durable. A
-     failed barrier refuses instead of replying: the effect is applied
-     in memory but not on disk, and the client's retry replays the
-     cached reply through a (hopefully healed) barrier. *)
-  match maybe_persist t req with
-  | () ->
-    (match req, resp with
-     | (Wire.Build _ | Wire.Insert _), Wire.Accepted _ -> schedule_warm t
-     | _ -> ());
-    resp
-  | exception exn ->
-    Log.err (fun m -> m "durability barrier failed: %s" (Printexc.to_string exn));
-    refused Wire.Internal ("durability barrier failed: " ^ Printexc.to_string exn)
+  match admin req with
+  | Some resp -> resp
+  | exception exn -> internal exn
+  | None ->
+    (* The wait for the service lock is its own span, so a traced
+       request shows how long it queued behind another's handler. *)
+    Obs.span "service.lock_wait" (fun () -> Mutex.lock t.lock);
+    let resp =
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.lock)
+        (fun () -> try handle_locked t req with exn -> internal exn)
+    in
+    (* The reply must not leave before its journal record is durable. A
+       failed barrier refuses instead of replying: the effect is applied
+       in memory but not on disk, and the client's retry replays the
+       cached reply through a (hopefully healed) barrier. *)
+    (match maybe_persist t req with
+     | () ->
+       (match req, resp with
+        | (Wire.Build _ | Wire.Insert _), Wire.Accepted _ -> schedule_warm t
+        | _ -> ());
+       resp
+     | exception exn ->
+       Log.err (fun m -> m "durability barrier failed: %s" (Printexc.to_string exn));
+       refused Wire.Internal ("durability barrier failed: " ^ Printexc.to_string exn))
 
 let handle t req =
   match traced_as req with

@@ -12,8 +12,9 @@
 
     {!handle} is a pure request → response dispatcher guarded by one
     lock, so any transport (the socket server, a loopback test, a
-    pipe) can drive it concurrently. It never raises: failures come
-    back as [Wire.Refused] frames. *)
+    pipe) can drive it concurrently. Ping, Stats and Traces read only
+    process-wide state and are answered without that lock. It never
+    raises: failures come back as [Wire.Refused] frames. *)
 
 val log_src : Logs.src
 

@@ -114,7 +114,12 @@ type response =
   | Traces_reply of { tr_spans : Trace.span list }
   | Refused of { code : err_code; detail : string }
 
-(* Small helpers: non-negative ints and option-of-bigint pieces. *)
+(* Small helpers: streamed pieces, non-negative ints and
+   option-of-bigint pieces. *)
+
+let strings = List.map Bytesutil.sized_string
+
+let message pieces = Bytesutil.sized_concat (strings pieces)
 
 let nat_of_string s =
   let* n = int_of_string_opt s in
@@ -181,8 +186,8 @@ let tags_of_bytes blob =
   in
   pair [] pieces
 
-let span_to_bytes (sp : Trace.span) =
-  Bytesutil.concat
+let span_sized (sp : Trace.span) =
+  message
     [ Trace.id_to_string sp.Trace.sp_trace;
       string_of_int sp.Trace.sp_id;
       string_of_int sp.Trace.sp_parent;
@@ -270,8 +275,6 @@ let trace_pieces = function None -> [] | Some w -> [ trace_to_bytes w ]
    owner's own strings: neither the encoder's buffer nor the journal's
    record holds an intermediate copy of either. *)
 let request_sized req =
-  let strings = List.map Bytesutil.sized_string in
-  let message pieces = Bytesutil.sized_concat (strings pieces) in
   let with_shipment before shipment trapdoor trace =
     Bytesutil.sized_concat
       (strings before
@@ -389,17 +392,18 @@ let decode_request s =
 (* One shard's section of a routed search reply: its claims verify
    against its own [shp_ac] (the shard's on-chain accumulation value),
    and its receipt is the settlement on that shard's chain. *)
-let part_to_bytes p =
+let part_sized p =
   let base =
-    [ string_of_int p.shp_shard;
-      Slicer_contract.encode_claims p.shp_claims;
-      opt_bigint_to_bytes p.shp_batch_witness;
-      Bigint.to_bytes_be p.shp_ac;
-      Persist.receipt_to_bytes p.shp_receipt ]
+    Bytesutil.sized_string (string_of_int p.shp_shard)
+    :: Slicer_contract.claims_sized p.shp_claims
+    :: strings
+         [ opt_bigint_to_bytes p.shp_batch_witness;
+           Bigint.to_bytes_be p.shp_ac;
+           Persist.receipt_to_bytes p.shp_receipt ]
   in
   match p.shp_settle with
-  | None -> Bytesutil.concat base
-  | Some si -> Bytesutil.concat (base @ [ settle_to_bytes si ])
+  | None -> Bytesutil.sized_concat base
+  | Some si -> Bytesutil.sized_concat (base @ [ Bytesutil.sized_string (settle_to_bytes si) ])
 
 let part_of_bytes s =
   let* pieces = Bytesutil.split s in
@@ -430,48 +434,54 @@ let parts_of_bytes blob =
   in
   go [] pieces
 
-let encode_response = function
+(* Like a request, a response is a streamed encoding: a server frames
+   it in one pass ({!Frame.encode_sized}), so neither the payload nor a
+   nested piece (a Welcome's trapdoor state, a routed Found's parts) is
+   copied into an intermediate string first. *)
+let response_sized = function
   | Welcome p ->
-    Bytesutil.concat
-      [ "welcome"; string_of_int p.pv_width; string_of_int p.pv_payment;
-        string_of_int p.pv_generation;
-        Bigint.to_bytes_be p.pv_acc.Rsa_acc.modulus;
-        Bigint.to_bytes_be p.pv_acc.Rsa_acc.generator;
-        Bigint.to_bytes_be p.pv_user_keys.Keys.u_tdp_public.Rsa_tdp.pn;
-        Bigint.to_bytes_be p.pv_user_keys.Keys.u_tdp_public.Rsa_tdp.e;
-        p.pv_user_keys.Keys.u_k; p.pv_user_keys.Keys.u_k_r;
-        Persist.trapdoor_state_to_bytes p.pv_trapdoor;
-        p.pv_user_addr;
-        Bigint.to_bytes_be p.pv_ac;
-        string_of_int p.pv_shards;
-        p.pv_instance ]
+    Bytesutil.sized_concat
+      (strings
+         [ "welcome"; string_of_int p.pv_width; string_of_int p.pv_payment;
+           string_of_int p.pv_generation;
+           Bigint.to_bytes_be p.pv_acc.Rsa_acc.modulus;
+           Bigint.to_bytes_be p.pv_acc.Rsa_acc.generator;
+           Bigint.to_bytes_be p.pv_user_keys.Keys.u_tdp_public.Rsa_tdp.pn;
+           Bigint.to_bytes_be p.pv_user_keys.Keys.u_tdp_public.Rsa_tdp.e;
+           p.pv_user_keys.Keys.u_k; p.pv_user_keys.Keys.u_k_r ]
+       @ [ Persist.trapdoor_state_sized p.pv_trapdoor ]
+       @ strings
+           [ p.pv_user_addr; Bigint.to_bytes_be p.pv_ac; string_of_int p.pv_shards;
+             p.pv_instance ])
   | Found r ->
     let base =
-      [ "found"; r.sr_request_id; string_of_int r.sr_generation;
-        Slicer_contract.encode_claims r.sr_claims;
-        opt_bigint_to_bytes r.sr_batch_witness;
-        Persist.receipt_to_bytes r.sr_receipt;
-        Bigint.to_bytes_be r.sr_ac ]
+      strings [ "found"; r.sr_request_id; string_of_int r.sr_generation ]
+      @ Slicer_contract.claims_sized r.sr_claims
+        :: strings
+             [ opt_bigint_to_bytes r.sr_batch_witness;
+               Persist.receipt_to_bytes r.sr_receipt;
+               Bigint.to_bytes_be r.sr_ac ]
     in
+    let parts = Bytesutil.sized_concat (List.map part_sized r.sr_parts) in
     (match (r.sr_parts, r.sr_settle) with
-     | [], None -> Bytesutil.concat base
-     | parts, None -> Bytesutil.concat (base @ [ Bytesutil.concat (List.map part_to_bytes parts) ])
-     | parts, Some si ->
+     | [], None -> Bytesutil.sized_concat base
+     | _, None -> Bytesutil.sized_concat (base @ [ parts ])
+     | _, Some si ->
        (* Piece 8 forces piece 7 to exist, so an empty parts blob is
           unambiguous here (a 7-piece Found still requires parts). *)
-       Bytesutil.concat
-         (base
-          @ [ Bytesutil.concat (List.map part_to_bytes parts); settle_to_bytes si ]))
-  | Accepted { generation } -> Bytesutil.concat [ "accepted"; string_of_int generation ]
-  | Receipt_reply status -> Bytesutil.concat ("receipt" :: status_pieces status)
+       Bytesutil.sized_concat (base @ [ parts; Bytesutil.sized_string (settle_to_bytes si) ]))
+  | Accepted { generation } -> message [ "accepted"; string_of_int generation ]
+  | Receipt_reply status -> message ("receipt" :: status_pieces status)
   | Disputed { dp_slashed; dp_receipt } ->
-    Bytesutil.concat [ "disputed"; bool_tag dp_slashed; Persist.receipt_to_bytes dp_receipt ]
-  | Pong -> Bytesutil.concat [ "pong" ]
-  | Stats_reply { st_json; st_text } -> Bytesutil.concat [ "stats"; st_json; st_text ]
+    message [ "disputed"; bool_tag dp_slashed; Persist.receipt_to_bytes dp_receipt ]
+  | Pong -> message [ "pong" ]
+  | Stats_reply { st_json; st_text } -> message [ "stats"; st_json; st_text ]
   | Traces_reply { tr_spans } ->
-    Bytesutil.concat [ "traces"; Bytesutil.concat (List.map span_to_bytes tr_spans) ]
-  | Refused { code; detail } ->
-    Bytesutil.concat [ "refused"; err_code_to_string code; detail ]
+    Bytesutil.sized_concat
+      [ Bytesutil.sized_string "traces"; Bytesutil.sized_concat (List.map span_sized tr_spans) ]
+  | Refused { code; detail } -> message [ "refused"; err_code_to_string code; detail ]
+
+let encode_response resp = Bytesutil.sized_to_string (response_sized resp)
 
 let decode_welcome pieces =
   match pieces with

@@ -174,7 +174,14 @@ val request_sized : request -> Bytesutil.sized
 
 val decode_request : string -> request option
 
+val response_sized : response -> Bytesutil.sized
+(** The {!encode_response} bytes as a streamed encoding: what a server
+    frames in one pass ({!Frame.encode_sized}), with no copy of the
+    payload or of a nested piece on the way. *)
+
 val encode_response : response -> string
+(** The payload in one string: what the service's reply cache keeps. *)
+
 val decode_response : string -> response option
 
 val retryable : response -> bool

@@ -222,6 +222,20 @@ module Histogram = struct
       sn_sum = cell sum_cell;
       sn_buckets = Array.of_list !buckets }
 
+  (* Every shard's cells summed into [into] (one count per bucket, then
+     the sum), each cell read once: the exposition renders a scrape
+     from one such reading, into an array its registry reuses. *)
+  let sum_into t into =
+    Array.fill into 0 (n_buckets + 1) 0;
+    Array.iter
+      (fun slot ->
+        let cells = Atomic.get slot in
+        if cells != no_cells then
+          for i = 0 to n_buckets do
+            into.(i) <- into.(i) + Atomic.get cells.(i)
+          done)
+      t.shards
+
   (* Nearest-rank quantile over the bucketed counts; returns the
      inclusive upper bound of the bucket holding that rank, in raw
      units. [q] in [0, 1]. *)
@@ -274,16 +288,36 @@ type metric =
 module Registry = struct
   type entry = { e_name : string; e_help : string; e_metric : metric }
 
-  type t = { lock : Mutex.t; mutable entries : entry list }
+  type t = {
+    lock : Mutex.t;
+    mutable entries : entry list; (* sorted by name *)
+    (* Exposition state, owned by the registry and reused by every
+       scrape under [render_lock]: the buffer both encoders write into,
+       which keeps its capacity between scrapes, and one histogram's
+       summed cells ({!Histogram.sum_into}). *)
+    render_lock : Mutex.t;
+    render : Buffer.t;
+    counts : int array;
+  }
 
-  let create () = { lock = Mutex.create (); entries = [] }
+  let create () =
+    { lock = Mutex.create ();
+      entries = [];
+      render_lock = Mutex.create ();
+      render = Buffer.create 4096;
+      counts = Array.make (Histogram.n_buckets + 1) 0 }
 
   let default = create ()
+
+  let rec insert e = function
+    | x :: rest when String.compare x.e_name e.e_name < 0 -> x :: insert e rest
+    | l -> e :: l
 
   (* Registration is idempotent: the first registration under a name
      wins and later ones get the same instrument back, so a module can
      name a shared counter without owning it. A kind clash is a
-     programming error. *)
+     programming error. Entries are kept in name order, the order every
+     scrape exports them in. *)
   let register t name help make =
     Mutex.lock t.lock;
     Fun.protect
@@ -293,14 +327,26 @@ module Registry = struct
         | Some e -> e.e_metric
         | None ->
           let m = make () in
-          t.entries <- { e_name = name; e_help = help; e_metric = m } :: t.entries;
+          t.entries <- insert { e_name = name; e_help = help; e_metric = m } t.entries;
           m)
 
   let entries t =
     Mutex.lock t.lock;
     let es = t.entries in
     Mutex.unlock t.lock;
-    List.sort (fun a b -> compare a.e_name b.e_name) es
+    es
+
+  (* One scrape at a time renders [f] into the registry's buffer; the
+     exposition leaves it as one copy of exactly its length. *)
+  let render t f =
+    let es = entries t in
+    Mutex.lock t.render_lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.render_lock)
+      (fun () ->
+        Buffer.clear t.render;
+        f t.render t.counts es;
+        Buffer.contents t.render)
 end
 
 let counter ?(registry = Registry.default) ?(help = "") name =
@@ -426,144 +472,258 @@ let sample_memory () =
 (* --- exposition -------------------------------------------------------- *)
 
 module Export = struct
+  (* The primitive [Printf]'s [%g] conversions end in, without the
+     format interpreter around it. *)
+  external format_float : string -> float -> string = "caml_format_float"
+
+  (* Everything below writes into the registry's buffer: a scrape builds
+     no line, piece or list of its own. *)
+  let add = Buffer.add_string
+
+  (* The digits of [-n], for [n <= 0] (so [min_int] needs no special
+     case). *)
+  let rec add_digits buf n =
+    if n <= -10 then add_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+  let add_int buf n =
+    if n < 0 then begin
+      Buffer.add_char buf '-';
+      add_digits buf n
+    end
+    else add_digits buf (-n)
+
   (* %.9g: enough digits to round-trip every bucket bound and count we
-     emit, few enough to stay deterministic across platforms. *)
-  let fmt_float x =
-    if Float.is_nan x then "NaN" else Printf.sprintf "%.9g" x
+     emit, few enough to stay deterministic across platforms. A whole
+     number below 1e9, which %.9g prints as its digits, is written as
+     an int (every Raw bound and sum, and zero). *)
+  let add_float buf x =
+    if Float.is_integer x && x < 1e9 && not (Float.sign_bit x) then
+      add_int buf (int_of_float x)
+    else add buf (format_float "%.9g" x)
 
-  (* JSON has no NaN: an empty histogram's quantiles are null. *)
-  let json_float x = if Float.is_nan x then "null" else fmt_float x
+  let hex = "0123456789abcdef"
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
+  (* %016Lx *)
+  let add_hex64 buf v =
+    for i = 15 downto 0 do
+      Buffer.add_char buf
+        hex.[Int64.to_int (Int64.logand (Int64.shift_right_logical v (4 * i)) 0xfL)]
+    done
+
+  let add_json_string buf s =
+    Buffer.add_char buf '"';
     String.iter
       (fun c ->
         match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | '"' -> add buf "\\\""
+        | '\\' -> add buf "\\\\"
+        | '\n' -> add buf "\\n"
+        | '\t' -> add buf "\\t"
+        | c when Char.code c < 0x20 ->
+          add buf "\\u00";
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 0xf]
         | c -> Buffer.add_char buf c)
       s;
-    Buffer.contents buf
+    Buffer.add_char buf '"'
+
+  (* A bucket's exported bound. *)
+  let add_bound buf b scale = add_float buf (float_of_int (Histogram.bucket_bound b) *. scale)
+
+  (* Total count of summed cells ({!Histogram.sum_into}). *)
+  let total counts =
+    let n = ref 0 in
+    for b = 0 to Histogram.n_buckets - 1 do
+      n := !n + counts.(b)
+    done;
+    !n
+
+  (* The bucket holding nearest rank [q] of [count] observations, as
+     {!Histogram.quantile} finds it; -1 when there are none. *)
+  let rank_bucket counts count q =
+    if count = 0 then -1
+    else begin
+      let rank = max 1 (int_of_float (ceil (q *. float_of_int count))) in
+      let rec walk b seen =
+        if b >= Histogram.n_buckets then -1
+        else if counts.(b) <> 0 && seen + counts.(b) >= rank then b
+        else walk (b + 1) (seen + counts.(b))
+      in
+      walk 0 0
+    end
 
   let to_prometheus ?(registry = Registry.default) () =
-    let buf = Buffer.create 4096 in
-    (* The instance label, when set, rides on every series so a merged
-       cluster scrape (router text ^ shard texts) stays well-formed:
-       same metric name, distinct label sets. Empty instance emits the
-       exact pre-cluster format. *)
-    let inst = !instance_ref in
-    let plain = if inst = "" then "" else Printf.sprintf "{instance=\"%s\"}" inst in
-    let with_le le =
-      if inst = "" then Printf.sprintf "{le=\"%s\"}" le
-      else Printf.sprintf "{le=\"%s\",instance=\"%s\"}" le inst
-    in
-    let header name help kind =
-      if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
-    in
-    List.iter
-      (fun { Registry.e_name = name; e_help = help; e_metric } ->
-        match e_metric with
-        | Counter c ->
-          header name help "counter";
-          Buffer.add_string buf (Printf.sprintf "%s%s %d\n" name plain (Counter.value c))
-        | Gauge g ->
-          header name help "gauge";
-          Buffer.add_string buf (Printf.sprintf "%s%s %d\n" name plain (Gauge.value g))
-        | Histogram h ->
-          let sn = Histogram.snapshot h in
-          let scale = Histogram.scale sn.Histogram.sn_units in
-          header name help "histogram";
-          let cum = ref 0 in
-          Array.iter
-            (fun (bound, n) ->
-              cum := !cum + n;
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %d\n" name
-                   (with_le (fmt_float (float_of_int bound *. scale)))
-                   !cum))
-            sn.Histogram.sn_buckets;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket%s %d\n" name (with_le "+Inf") sn.Histogram.sn_count);
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %s\n" name plain
-               (fmt_float (float_of_int sn.Histogram.sn_sum *. scale)));
-          Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" name plain sn.Histogram.sn_count))
-      (Registry.entries registry);
-    Buffer.contents buf
+    Registry.render registry (fun buf counts entries ->
+        (* The instance label, when set, rides on every series so a
+           merged cluster scrape (router text ^ shard texts) stays
+           well-formed: same metric name, distinct label sets. Empty
+           instance emits the exact pre-cluster format. *)
+        let inst = !instance_ref in
+        let plain () = if inst <> "" then (add buf "{instance=\""; add buf inst; add buf "\"}") in
+        let close_le () =
+          if inst = "" then add buf "\"} "
+          else begin
+            add buf "\",instance=\"";
+            add buf inst;
+            add buf "\"} "
+          end
+        in
+        let header name help kind =
+          if help <> "" then begin
+            add buf "# HELP ";
+            add buf name;
+            Buffer.add_char buf ' ';
+            add buf help;
+            Buffer.add_char buf '\n'
+          end;
+          add buf "# TYPE ";
+          add buf name;
+          Buffer.add_char buf ' ';
+          add buf kind;
+          Buffer.add_char buf '\n'
+        in
+        let series name suffix =
+          add buf name;
+          add buf suffix;
+          plain ();
+          Buffer.add_char buf ' '
+        in
+        let scalar name suffix v =
+          series name suffix;
+          add_int buf v;
+          Buffer.add_char buf '\n'
+        in
+        List.iter
+          (fun { Registry.e_name = name; e_help = help; e_metric } ->
+            match e_metric with
+            | Counter c ->
+              header name help "counter";
+              scalar name "" (Counter.value c)
+            | Gauge g ->
+              header name help "gauge";
+              scalar name "" (Gauge.value g)
+            | Histogram h ->
+              Histogram.sum_into h counts;
+              let scale = Histogram.scale (Histogram.units h) in
+              header name help "histogram";
+              let cum = ref 0 in
+              for b = 0 to Histogram.n_buckets - 1 do
+                if counts.(b) <> 0 then begin
+                  cum := !cum + counts.(b);
+                  add buf name;
+                  add buf "_bucket{le=\"";
+                  add_bound buf b scale;
+                  close_le ();
+                  add_int buf !cum;
+                  Buffer.add_char buf '\n'
+                end
+              done;
+              add buf name;
+              add buf "_bucket{le=\"+Inf";
+              close_le ();
+              add_int buf !cum;
+              Buffer.add_char buf '\n';
+              series name "_sum";
+              add_float buf (float_of_int counts.(Histogram.n_buckets) *. scale);
+              Buffer.add_char buf '\n';
+              scalar name "_count" !cum)
+          entries)
 
   let to_json ?(registry = Registry.default) () =
-    let buf = Buffer.create 4096 in
-    let entries = Registry.entries registry in
-    let pick f = List.filter_map f entries in
-    let counters =
-      pick (fun e -> match e.Registry.e_metric with
-        | Counter c -> Some (e.Registry.e_name, Counter.value c)
-        | _ -> None)
-    in
-    let gauges =
-      pick (fun e -> match e.Registry.e_metric with
-        | Gauge g -> Some (e.Registry.e_name, Gauge.value g)
-        | _ -> None)
-    in
-    let hists =
-      pick (fun e -> match e.Registry.e_metric with
-        | Histogram h -> Some (e.Registry.e_name, h, Histogram.snapshot h)
-        | _ -> None)
-    in
-    let scalar_obj kvs =
-      String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v) kvs)
-    in
-    Buffer.add_string buf "{\n";
-    if !instance_ref <> "" then
-      Buffer.add_string buf
-        (Printf.sprintf "  \"instance\": \"%s\",\n" (json_escape !instance_ref));
-    Buffer.add_string buf (Printf.sprintf "  \"counters\": {%s},\n" (scalar_obj counters));
-    Buffer.add_string buf (Printf.sprintf "  \"gauges\": {%s},\n" (scalar_obj gauges));
-    Buffer.add_string buf "  \"histograms\": {";
-    List.iteri
-      (fun i (name, h, sn) ->
-        let scale = Histogram.scale sn.Histogram.sn_units in
-        if i > 0 then Buffer.add_string buf ",";
-        let q p = json_float (Histogram.quantile sn p *. scale) in
-        let buckets =
-          String.concat ", "
-            (Array.to_list
-               (Array.map
-                  (fun (bound, n) ->
-                    Printf.sprintf "[%s, %d]" (fmt_float (float_of_int bound *. scale)) n)
-                  sn.Histogram.sn_buckets))
+    Registry.render registry (fun buf counts entries ->
+        let scalars pick =
+          let first = ref true in
+          List.iter
+            (fun e ->
+              match pick e.Registry.e_metric with
+              | None -> ()
+              | Some v ->
+                if not !first then add buf ", ";
+                first := false;
+                add_json_string buf e.Registry.e_name;
+                add buf ": ";
+                add_int buf v)
+            entries
         in
-        (* Exemplars only appear once a trace has been published into
-           this histogram, so untraced processes keep the exact
-           pre-tracing snapshot format. *)
-        let exemplars =
-          match Histogram.exemplars h with
-          | [] -> ""
-          | exs ->
-            Printf.sprintf ", \"exemplars\": [%s]"
-              (String.concat ", "
-                 (List.map
-                    (fun (bound, trace) ->
-                      Printf.sprintf "[%s, \"%016Lx\"]"
-                        (fmt_float (float_of_int bound *. scale)) trace)
-                    exs))
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "\n    \"%s\": {\"count\": %d, \"sum\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s, \"buckets\": [%s]%s}"
-             (json_escape name) sn.Histogram.sn_count
-             (fmt_float (float_of_int sn.Histogram.sn_sum *. scale))
-             (q 0.5) (q 0.95) (q 0.99) buckets exemplars))
-      hists;
-    if hists <> [] then Buffer.add_string buf "\n  ";
-    Buffer.add_string buf "}\n}\n";
-    Buffer.contents buf
+        add buf "{\n";
+        if !instance_ref <> "" then begin
+          add buf "  \"instance\": ";
+          add_json_string buf !instance_ref;
+          add buf ",\n"
+        end;
+        add buf "  \"counters\": {";
+        scalars (function Counter c -> Some (Counter.value c) | _ -> None);
+        add buf "},\n  \"gauges\": {";
+        scalars (function Gauge g -> Some (Gauge.value g) | _ -> None);
+        add buf "},\n  \"histograms\": {";
+        let first = ref true in
+        List.iter
+          (fun e ->
+            match e.Registry.e_metric with
+            | Counter _ | Gauge _ -> ()
+            | Histogram h ->
+              Histogram.sum_into h counts;
+              let scale = Histogram.scale (Histogram.units h) in
+              let count = total counts in
+              (* JSON has no NaN: an empty histogram's quantiles are null. *)
+              let quantile q =
+                match rank_bucket counts count q with
+                | -1 -> add buf "null"
+                | b -> add_bound buf b scale
+              in
+              if not !first then Buffer.add_char buf ',';
+              first := false;
+              add buf "\n    ";
+              add_json_string buf e.Registry.e_name;
+              add buf ": {\"count\": ";
+              add_int buf count;
+              add buf ", \"sum\": ";
+              add_float buf (float_of_int counts.(Histogram.n_buckets) *. scale);
+              add buf ", \"p50\": ";
+              quantile 0.5;
+              add buf ", \"p95\": ";
+              quantile 0.95;
+              add buf ", \"p99\": ";
+              quantile 0.99;
+              add buf ", \"buckets\": [";
+              let sep = ref "" in
+              for b = 0 to Histogram.n_buckets - 1 do
+                if counts.(b) <> 0 then begin
+                  add buf !sep;
+                  sep := ", ";
+                  Buffer.add_char buf '[';
+                  add_bound buf b scale;
+                  add buf ", ";
+                  add_int buf counts.(b);
+                  Buffer.add_char buf ']'
+                end
+              done;
+              Buffer.add_char buf ']';
+              (* Exemplars only appear once a trace has been published
+                 into this histogram, so untraced processes keep the
+                 exact pre-tracing snapshot format. *)
+              (match Atomic.get h.Histogram.exemplar_cells with
+               | None -> ()
+               | Some cells ->
+                 let any = ref false in
+                 Array.iteri
+                   (fun b trace ->
+                     if not (Int64.equal trace 0L) then begin
+                       add buf (if !any then ", " else ", \"exemplars\": [");
+                       any := true;
+                       Buffer.add_char buf '[';
+                       add_bound buf b scale;
+                       add buf ", \"";
+                       add_hex64 buf trace;
+                       add buf "\"]"
+                     end)
+                   cells;
+                 if !any then Buffer.add_char buf ']');
+              Buffer.add_char buf '}')
+          entries;
+        if not !first then add buf "\n  ";
+        add buf "}\n}\n")
 
   let rec ensure_dir dir =
     if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin

@@ -131,7 +131,10 @@ module Registry : sig
   type t
 
   val create : unit -> t
-  (** A fresh, empty registry (for tests). *)
+  (** A fresh, empty registry (for tests). Each registry owns the buffer
+      its scrapes render into ({!Export}), reused from scrape to scrape
+      under the registry's render lock, so one scrape renders at a time
+      and a scrape allocates little beyond its result. *)
 
   val default : t
   (** The process-global registry every instrument lands in unless told
@@ -195,6 +198,9 @@ val sample_memory : unit -> unit
     that moment. *)
 
 module Export : sig
+  (** Both encoders render straight into the registry's own buffer, with
+      no intermediate line or piece, and return one copy of it. *)
+
   val to_prometheus : ?registry:Registry.t -> unit -> string
   (** Prometheus text exposition: entries sorted by name; histograms as
       cumulative [_bucket{le="..."}] lines (non-empty buckets plus

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# State belongs to an instance, not to a process-global table (ROADMAP,
-# north star and item 10). This lint fails if a .ml file under lib/
-# binds a top-level value to Hashtbl.create, except the two tables that
-# stay process-global, each for a measured reason:
+# State belongs to an instance, not to a process-global table or buffer
+# (ROADMAP, north star and item 10). This lint fails if a .ml file under
+# lib/ binds a module-level value to Hashtbl.create, Buffer.create or
+# Bytes.create, at the top level or inside a nested struct (Obs.Export
+# is one), except the two tables that stay process-global, each for a
+# measured reason:
 #   lib/accumulator/prime_rep.ml:cache - the H_prime memo. perfbench
 #     reads Prime_rep.cache_stats (), and the contract's hinted check
 #     answers from the cloud's primes there; a miss costs a 272-bit
@@ -11,6 +13,9 @@
 #     calls Verifier.verify_claims without an instance, and a search
 #     checked from the memo costs 0.11-0.19 ms against 1.07-1.18 ms for
 #     the check itself (EXPERIMENTS, "Three process-global tables go").
+# No buffer is allowed: one shared by every caller is written by
+# concurrent scrapes and renders, so a render buffer belongs to the
+# instance that locks it (Obs.Registry owns the exposition's).
 # An allowed table that no longer exists fails too, so the list cannot
 # go stale. Run by `dune runtest`, or directly from the repo root.
 set -u
@@ -19,25 +24,59 @@ cd "$(dirname "$0")/.." || exit 1
 
 allowed="lib/accumulator/prime_rep.ml:cache lib/chain/slicer_contract.ml:memo"
 
-# Each top-level binding, from its column-0 `let` (or `and`) to the
-# next column-0 line, is joined into one line. A binding with no
-# parameters whose body starts with Hashtbl.create is a table that
-# lives as long as the process.
-tables=$(find lib -name '*.ml' | sort | while read -r f; do
+# Each module-level binding, from its `let` (or `and`) at its
+# structure's item column to the next line at or left of that column,
+# is joined into one line. A `struct` that ends a line opens a nested
+# structure whose items sit at the column of its first line, and the
+# `end` back at the column of its opening line closes it, so a
+# `let ... in` inside a function body, always deeper, is never an item.
+# A binding with no parameters whose body starts with one of the
+# constructors is state that lives as long as the process; it prints as
+# file:name, or file:Module.name inside a nested struct.
+bindings=$(find lib -name '*.ml' | sort | while read -r f; do
   awk -v file="$f" '
-    function flush(  name) {
-      if (text ~ /^(let|and) +(rec +)?[a-z_][A-Za-z0-9_]* *(:[^=]*)?= *Hashtbl\.create/) {
+    function flush(  name, kind) {
+      if (text ~ /^(let|and) +(rec +)?[a-z_][A-Za-z0-9_'"'"']* *(:[^=]*)?= *(Hashtbl|Buffer|Bytes)\.create/) {
         name = text
         sub(/^(let|and) +(rec +)?/, "", name)
-        sub(/[^A-Za-z0-9_].*/, "", name)
-        print file ":" name
+        sub(/[^A-Za-z0-9_'"'"'].*/, "", name)
+        kind = text
+        sub(/^[^=]*= */, "", kind)
+        sub(/\..*/, "", kind)
+        print kind " " file ":" path name
       }
       text = ""
     }
-    /^[^ \t]/ { flush(); if ($0 ~ /^(let|and) /) text = $0; next }
-    text != "" { text = text " " $0 }
+    BEGIN { depth = 0; item[0] = 0; path = ""; pending = 0 }
+    /^[ \t]*$/ { next }
+    {
+      match($0, /^ */)
+      ind = RLENGTH
+      line = substr($0, ind + 1)
+      if (pending) { depth++; item[depth] = ind; opened[depth] = open_ind; names[depth] = open_name; pending = 0 }
+      if (ind <= item[depth]) flush()
+      if (depth > 0 && ind <= opened[depth] && line ~ /^end([^A-Za-z0-9_]|$)/) {
+        sub(/[A-Za-z0-9_]*\.$/, "", path)
+        depth--
+        next
+      }
+      if (ind == item[depth] && line ~ /^(let|and) /) text = line
+      else if (text != "") text = text " " line
+      if (line ~ /(^|[^A-Za-z0-9_])struct *$/) {
+        flush()
+        pending = 1
+        open_ind = ind
+        open_name = line
+        if (sub(/^module +(rec +)?/, "", open_name)) sub(/[^A-Za-z0-9_].*/, "", open_name)
+        else open_name = "_"
+        path = path open_name "."
+      }
+    }
     END { flush() }' "$f"
 done)
+
+tables=$(echo "$bindings" | awk '$1 == "Hashtbl" { print $2 }')
+buffers=$(echo "$bindings" | awk '$1 == "Buffer" || $1 == "Bytes" { print $2 }')
 
 status=0
 for t in $tables; do
@@ -49,6 +88,10 @@ for t in $tables; do
       ;;
   esac
 done
+for b in $buffers; do
+  echo "check_globals: $b is a process-global buffer; give it to the instance that owns it" >&2
+  status=1
+done
 for a in $allowed; do
   case " $(echo $tables) " in
     *" $a "*) ;;
@@ -58,5 +101,5 @@ for a in $allowed; do
       ;;
   esac
 done
-[ "$status" -eq 0 ] && echo "check_globals: process-global tables: $allowed"
+[ "$status" -eq 0 ] && echo "check_globals: process-global tables: $allowed; buffers: none"
 exit "$status"

@@ -364,6 +364,87 @@ let test_response_roundtrips () =
       Wire.Refused { code = Wire.Unknown_user; detail = "who" };
       Wire.Refused { code = Wire.Internal; detail = "boom" } ]
 
+(* Every message is framed in one pass from its pieces: the frame a
+   server or client writes equals, byte for byte, the reference frame of
+   the whole payload, for every response constructor (routed Founds
+   with parts and settle info included) and every request; and the
+   payload decodes back to a message that re-encodes to it. *)
+let test_frames_from_pieces () =
+  let svc = Lazy.force service in
+  let r =
+    match Lazy.force sample_found with
+    | Wire.Found r -> r
+    | _ -> Alcotest.fail "expected a Found"
+  in
+  let tree = Merkle.build [ "leaf-0"; "leaf-1"; "leaf-2" ] in
+  let pending =
+    { Wire.si_batch = "batch-7"; si_index = 1; si_leaf = "leaf-1"; si_root = None;
+      si_proof = None }
+  in
+  let committed =
+    { pending with Wire.si_root = Some (Merkle.root tree); si_proof = Some (Merkle.prove tree 1) }
+  in
+  let part shard shp_settle shp_batch_witness =
+    { Wire.shp_shard = shard; shp_claims = r.Wire.sr_claims; shp_batch_witness;
+      shp_ac = r.Wire.sr_ac; shp_receipt = r.Wire.sr_receipt; shp_settle }
+  in
+  let parts = [ part 0 (Some committed) None; part 1 None (Some (Bigint.of_int 77)) ] in
+  let span id parent tags =
+    { Trace.sp_trace = 0x5eedL; sp_id = id; sp_parent = parent; sp_name = "service.search";
+      sp_instance = "shard-1"; sp_start_ns = 1_000 * id; sp_end_ns = 1_000 * (id + 3);
+      sp_tags = tags }
+  in
+  let responses =
+    [ ("Welcome",
+       Net.Service.handle svc (Wire.Hello { client = "frame-probe"; proto = Wire.proto_version }));
+      ("Found", Wire.Found r);
+      ("routed Found", Wire.Found { r with Wire.sr_parts = parts });
+      ("routed Found with settle info",
+       Wire.Found { r with Wire.sr_parts = parts; sr_settle = Some pending });
+      ("Accepted", Wire.Accepted { generation = 2 });
+      ("Receipt unknown", Wire.Receipt_reply Wire.Rcp_unknown);
+      ("Receipt pending", Wire.Receipt_reply (Wire.Rcp_pending pending));
+      ("Receipt committed", Wire.Receipt_reply (Wire.Rcp_committed committed));
+      ("Receipt final", Wire.Receipt_reply (Wire.Rcp_final { batch = "batch-7" }));
+      ("Receipt refunded", Wire.Receipt_reply (Wire.Rcp_refunded { batch = "batch-7" }));
+      ("Disputed", Wire.Disputed { dp_slashed = true; dp_receipt = r.Wire.sr_receipt });
+      ("Pong", Wire.Pong);
+      ("Stats", Net.Service.handle svc Wire.Stats);
+      ("Traces",
+       Wire.Traces_reply
+         { tr_spans = [ span 1 0 [ ("shard", "1"); ("cached", "true") ]; span 2 1 [] ] });
+      ("empty Traces", Wire.Traces_reply { tr_spans = [] });
+      ("Refused", Wire.Refused { code = Wire.Busy; detail = "over 64 requests in flight" }) ]
+  in
+  List.iter
+    (fun (what, resp) ->
+      let payload = Wire.encode_response resp in
+      Alcotest.(check string) (what ^ ": one-pass frame") (reference_frame ~tag:Wire.response_tag payload)
+        (Net.Frame.encode_sized ~tag:Wire.response_tag (Wire.response_sized resp));
+      match Wire.decode_response payload with
+      | Some back -> Alcotest.(check string) (what ^ ": re-encodes") payload (Wire.encode_response back)
+      | None -> Alcotest.failf "%s: the payload does not decode" what)
+    responses;
+  let requests =
+    Lazy.force sample_requests
+    @ [ Wire.Search
+          { client = "alice"; request_id = "alice#8"; batched = false;
+            tokens = Lazy.force sample_tokens;
+            trace = Some { Trace.w_trace = 0x5eedL; w_parent = 4 } };
+        Wire.Receipt { client = "alice"; request_id = "alice#7" };
+        Wire.Dispute
+          { client = "alice"; request_id = "alice#7"; shard = 1;
+            claims_blob = Slicer_contract.encode_claims r.Wire.sr_claims;
+            batch_witness = Some (Bigint.of_int 77) };
+        Wire.Traces ]
+  in
+  List.iter
+    (fun req ->
+      let payload = Wire.encode_request req in
+      Alcotest.(check string) "request: one-pass frame" (reference_frame ~tag:Wire.request_tag payload)
+        (Net.Frame.encode_sized ~tag:Wire.request_tag (Wire.request_sized req)))
+    requests
+
 (* Feeds [s] to a fresh [Frame.Decoder] one byte at a time, as a slow
    socket would: [Ok n] when it parsed [n] frames and waits for more
    bytes, or its first error. *)
@@ -617,6 +698,71 @@ let test_idempotent_build_and_insert () =
         | _ -> Alcotest.fail "post-retry search was not paid: primes corrupted?")
      | _ -> Alcotest.fail "post-retry search refused")
   | _ -> Alcotest.fail "hello refused"
+
+(* Ping, Stats and Traces read only process-wide state, so the service
+   answers them without its lock: a burst of them leaves the lock-wait
+   histogram's count where it was, while a Search still adds one. *)
+let test_admin_requests_take_no_lock () =
+  let svc = Lazy.force service in
+  let m = Lazy.force mirror_system in
+  let lock_waits () =
+    (Obs.Histogram.snapshot (Obs.histogram (Obs.metric_of_span "service.lock_wait")))
+      .Obs.Histogram.sn_count
+  in
+  (match Net.Service.handle svc (Wire.Hello { client = "admin-probe"; proto = Wire.proto_version }) with
+   | Wire.Welcome _ -> ()
+   | _ -> Alcotest.fail "hello refused");
+  let waits0 = lock_waits () in
+  for _ = 1 to 10 do
+    List.iter
+      (fun req -> ignore (Net.Service.handle svc req : Wire.response))
+      [ Wire.Ping; Wire.Stats; Wire.Traces ]
+  done;
+  Alcotest.(check int) "no admin request waited for the lock" waits0 (lock_waits ());
+  let tokens = User.gen_tokens ~rng:(Protocol.rng m) (Protocol.user m) (q 20 Slicer_types.Lt) in
+  (match
+     Net.Service.handle svc
+       (Wire.Search
+          { client = "admin-probe"; request_id = "admin-probe#1"; batched = false; tokens;
+            trace = None })
+   with
+   | Wire.Found _ -> ()
+   | _ -> Alcotest.fail "search refused");
+  Alcotest.(check int) "a search waits for it once" (waits0 + 1) (lock_waits ())
+
+(* A Stats scrape renders into its registry's own buffer and is framed
+   in one pass, so handling and framing one allocates about twice its
+   frame: the JSON and text strings, then the frame. Rendering with a
+   [sprintf] per line into fresh buffers, then concatenating and
+   framing the payload, allocated 13-15 times the frame, and forced a
+   minor collection on every scrape. The domain's allocation counter
+   is exact only over a window that no minor collection interrupts, so
+   the bound applies to the median of nine such windows. *)
+let test_stats_scrape_allocation () =
+  let svc = Lazy.force service in
+  let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+  let scrape () =
+    let c0 = collections () in
+    let before = Gc.allocated_bytes () in
+    let frame =
+      Net.Frame.encode_sized ~tag:Wire.response_tag
+        (Wire.response_sized (Net.Service.handle svc Wire.Stats))
+    in
+    let allocated = Gc.allocated_bytes () -. before in
+    if collections () = c0 then Some (allocated, String.length frame) else None
+  in
+  let rec windows acc tries =
+    if List.length acc = 9 then acc
+    else if tries = 0 then
+      Alcotest.failf "%d of 100 scrapes ran without a minor collection" (List.length acc)
+    else windows (Option.fold ~none:acc ~some:(fun w -> w :: acc) (scrape ())) (tries - 1)
+  in
+  ignore (scrape ());
+  let allocated, frame = List.nth (List.sort compare (windows [] 100)) 4 in
+  let ratio = allocated /. float_of_int frame in
+  if ratio > 4. then
+    Alcotest.failf "one Stats scrape allocated %.0f bytes for a %d-byte frame (%.1fx, over 4x)"
+      allocated frame ratio
 
 let test_stats_counters_advance () =
   (* A retried Search through the service moves the Obs counters the
@@ -3084,6 +3230,8 @@ let () =
       ( "wire",
         [ Alcotest.test_case "request roundtrips" `Quick test_request_roundtrips;
           Alcotest.test_case "response roundtrips" `Quick test_response_roundtrips;
+          Alcotest.test_case "one-pass frames equal the framed payload" `Quick
+            test_frames_from_pieces;
           Alcotest.test_case "a degenerate modulus does not decode" `Quick
             test_degenerate_modulus_refused;
           Alcotest.test_case "persist message codecs" `Quick test_persist_message_codecs ]
@@ -3098,6 +3246,10 @@ let () =
             test_idempotent_build_and_insert;
           Alcotest.test_case "stats counters advance across a retry" `Quick
             test_stats_counters_advance;
+          Alcotest.test_case "Ping, Stats and Traces take no service lock" `Quick
+            test_admin_requests_take_no_lock;
+          Alcotest.test_case "a Stats scrape allocates at most 4x its frame" `Quick
+            test_stats_scrape_allocation;
           Alcotest.test_case "structured refusals" `Quick test_service_refusals ] );
       ( "loopback",
         [ Alcotest.test_case "concurrent clients match Protocol.search" `Quick

@@ -115,11 +115,146 @@ let expected_json =
   \  }\n\
    }\n"
 
+let check_exposition r ~prometheus ~json =
+  Alcotest.(check string) "prometheus text" prometheus (Obs.Export.to_prometheus ~registry:r ());
+  Alcotest.(check string) "json" json (Obs.Export.to_json ~registry:r ())
+
 let test_export_golden () =
-  let r = golden_registry () in
-  Alcotest.(check string) "prometheus text" expected_prometheus
-    (Obs.Export.to_prometheus ~registry:r ());
-  Alcotest.(check string) "json" expected_json (Obs.Export.to_json ~registry:r ())
+  check_exposition (golden_registry ()) ~prometheus:expected_prometheus ~json:expected_json
+
+(* The same registry named as a cluster member: every series carries the
+   instance label, and the JSON snapshot leads with the field. *)
+let expected_prometheus_instance =
+  "# HELP slicer_test_gas gas\n\
+   # TYPE slicer_test_gas histogram\n\
+   slicer_test_gas_bucket{le=\"1\",instance=\"shard-1\"} 2\n\
+   slicer_test_gas_bucket{le=\"5\",instance=\"shard-1\"} 3\n\
+   slicer_test_gas_bucket{le=\"207\",instance=\"shard-1\"} 4\n\
+   slicer_test_gas_bucket{le=\"+Inf\",instance=\"shard-1\"} 4\n\
+   slicer_test_gas_sum{instance=\"shard-1\"} 207\n\
+   slicer_test_gas_count{instance=\"shard-1\"} 4\n\
+   # HELP slicer_test_idle_seconds idle\n\
+   # TYPE slicer_test_idle_seconds histogram\n\
+   slicer_test_idle_seconds_bucket{le=\"+Inf\",instance=\"shard-1\"} 0\n\
+   slicer_test_idle_seconds_sum{instance=\"shard-1\"} 0\n\
+   slicer_test_idle_seconds_count{instance=\"shard-1\"} 0\n\
+   # TYPE slicer_test_inflight gauge\n\
+   slicer_test_inflight{instance=\"shard-1\"} 7\n\
+   # HELP slicer_test_requests_total requests served\n\
+   # TYPE slicer_test_requests_total counter\n\
+   slicer_test_requests_total{instance=\"shard-1\"} 3\n"
+
+let expected_json_instance =
+  "{\n\
+   \  \"instance\": \"shard-1\",\n\
+   \  \"counters\": {\"slicer_test_requests_total\": 3},\n\
+   \  \"gauges\": {\"slicer_test_inflight\": 7},\n\
+   \  \"histograms\": {\n\
+   \    \"slicer_test_gas\": {\"count\": 4, \"sum\": 207, \"p50\": 1, \"p95\": 207, \
+   \"p99\": 207, \"buckets\": [[1, 2], [5, 1], [207, 1]]},\n\
+   \    \"slicer_test_idle_seconds\": {\"count\": 0, \"sum\": 0, \"p50\": null, \
+   \"p95\": null, \"p99\": null, \"buckets\": []}\n\
+   \  }\n\
+   }\n"
+
+let test_export_golden_instance () =
+  Obs.set_instance "shard-1";
+  Fun.protect
+    ~finally:(fun () -> Obs.set_instance "")
+    (fun () ->
+      check_exposition (golden_registry ()) ~prometheus:expected_prometheus_instance
+        ~json:expected_json_instance)
+
+(* Seconds-unit bounds and sums (scaled from ns, printed with an
+   exponent below 1e-4), a Raw histogram past 1e9 (an exponent on a
+   whole number) and a negative gauge. *)
+let seconds_registry () =
+  let r = Obs.Registry.create () in
+  let h = Obs.histogram ~registry:r ~help:"time in span test.wait" "slicer_test_wait_seconds" in
+  List.iter (Obs.Histogram.record h) [ 0; 1; 1_500; 2_000_000; 2_000_000; 3_000_000_000 ];
+  let g = Obs.histogram ~registry:r ~help:"gas" ~units:Obs.Histogram.Raw "slicer_test_big_gas" in
+  List.iter (Obs.Histogram.record g) [ 999_999_999; 5_000_000_000 ];
+  let d = Obs.gauge ~registry:r ~help:"a drift below zero" "slicer_test_drift" in
+  Obs.Gauge.set d (-42);
+  r
+
+let expected_prometheus_seconds =
+  "# HELP slicer_test_big_gas gas\n\
+   # TYPE slicer_test_big_gas histogram\n\
+   slicer_test_big_gas_bucket{le=\"1.00663296e+09\"} 1\n\
+   slicer_test_big_gas_bucket{le=\"5.10027366e+09\"} 2\n\
+   slicer_test_big_gas_bucket{le=\"+Inf\"} 2\n\
+   slicer_test_big_gas_sum 6e+09\n\
+   slicer_test_big_gas_count 2\n\
+   # HELP slicer_test_drift a drift below zero\n\
+   # TYPE slicer_test_drift gauge\n\
+   slicer_test_drift -42\n\
+   # HELP slicer_test_wait_seconds time in span test.wait\n\
+   # TYPE slicer_test_wait_seconds histogram\n\
+   slicer_test_wait_seconds_bucket{le=\"0\"} 1\n\
+   slicer_test_wait_seconds_bucket{le=\"1e-09\"} 2\n\
+   slicer_test_wait_seconds_bucket{le=\"1.535e-06\"} 3\n\
+   slicer_test_wait_seconds_bucket{le=\"0.002031615\"} 5\n\
+   slicer_test_wait_seconds_bucket{le=\"3.08700774\"} 6\n\
+   slicer_test_wait_seconds_bucket{le=\"+Inf\"} 6\n\
+   slicer_test_wait_seconds_sum 3.0040015\n\
+   slicer_test_wait_seconds_count 6\n"
+
+let expected_json_seconds =
+  "{\n\
+   \  \"counters\": {},\n\
+   \  \"gauges\": {\"slicer_test_drift\": -42},\n\
+   \  \"histograms\": {\n\
+   \    \"slicer_test_big_gas\": {\"count\": 2, \"sum\": 6e+09, \"p50\": 1.00663296e+09, \
+   \"p95\": 5.10027366e+09, \"p99\": 5.10027366e+09, \"buckets\": [[1.00663296e+09, 1], \
+   [5.10027366e+09, 1]]},\n\
+   \    \"slicer_test_wait_seconds\": {\"count\": 6, \"sum\": 3.0040015, \"p50\": 1.535e-06, \
+   \"p95\": 3.08700774, \"p99\": 3.08700774, \"buckets\": [[0, 1], [1e-09, 1], [1.535e-06, \
+   1], [0.002031615, 2], [3.08700774, 1]]}\n\
+   \  }\n\
+   }\n"
+
+let test_export_golden_seconds () =
+  check_exposition (seconds_registry ()) ~prometheus:expected_prometheus_seconds
+    ~json:expected_json_seconds
+
+(* Exemplars appear in the JSON snapshot only, as each bucket's last
+   trace id in 16 hex digits. *)
+let exemplar_registry () =
+  let r = Obs.Registry.create () in
+  let h =
+    Obs.histogram ~registry:r ~help:"time in span test.traced" "slicer_test_traced_seconds"
+  in
+  List.iter (Obs.Histogram.record h) [ 40_000; 41_000; 7_000_000 ];
+  Obs.Histogram.set_exemplar h ~value:41_000 ~trace:0x1f2e3d4c5b6a7988L;
+  Obs.Histogram.set_exemplar h ~value:7_000_000 ~trace:0xa0b0c0d0e0f00102L;
+  r
+
+let expected_prometheus_exemplar =
+  "# HELP slicer_test_traced_seconds time in span test.traced\n\
+   # TYPE slicer_test_traced_seconds histogram\n\
+   slicer_test_traced_seconds_bucket{le=\"4.0959e-05\"} 1\n\
+   slicer_test_traced_seconds_bucket{le=\"4.3007e-05\"} 2\n\
+   slicer_test_traced_seconds_bucket{le=\"0.007077887\"} 3\n\
+   slicer_test_traced_seconds_bucket{le=\"+Inf\"} 3\n\
+   slicer_test_traced_seconds_sum 0.007081\n\
+   slicer_test_traced_seconds_count 3\n"
+
+let expected_json_exemplar =
+  "{\n\
+   \  \"counters\": {},\n\
+   \  \"gauges\": {},\n\
+   \  \"histograms\": {\n\
+   \    \"slicer_test_traced_seconds\": {\"count\": 3, \"sum\": 0.007081, \
+   \"p50\": 4.3007e-05, \"p95\": 0.007077887, \"p99\": 0.007077887, \
+   \"buckets\": [[4.0959e-05, 1], [4.3007e-05, 1], [0.007077887, 1]], \
+   \"exemplars\": [[4.3007e-05, \"1f2e3d4c5b6a7988\"], [0.007077887, \"a0b0c0d0e0f00102\"]]}\n\
+   \  }\n\
+   }\n"
+
+let test_export_golden_exemplar () =
+  check_exposition (exemplar_registry ()) ~prometheus:expected_prometheus_exemplar
+    ~json:expected_json_exemplar
 
 (* --- exact totals under domain parallelism ----------------------------- *)
 
@@ -251,7 +386,13 @@ let () =
     [ ("buckets", bucket_props);
       ( "merge",
         Alcotest.test_case "units mismatch" `Quick test_merge_units_mismatch :: merge_props );
-      ("export", [ Alcotest.test_case "golden exposition" `Quick test_export_golden ]);
+      ( "export",
+        [ Alcotest.test_case "golden exposition" `Quick test_export_golden;
+          Alcotest.test_case "golden exposition: instance label" `Quick
+            test_export_golden_instance;
+          Alcotest.test_case "golden exposition: seconds histogram" `Quick
+            test_export_golden_seconds;
+          Alcotest.test_case "golden exposition: exemplar" `Quick test_export_golden_exemplar ] );
       ( "concurrency",
         [ Alcotest.test_case "4 domains, exact totals" `Quick test_parallel_totals_exact ] );
       ( "memory",
