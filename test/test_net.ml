@@ -365,10 +365,11 @@ let test_response_roundtrips () =
       Wire.Refused { code = Wire.Internal; detail = "boom" } ]
 
 (* Every message is framed in one pass from its pieces: the frame a
-   server or client writes equals, byte for byte, the reference frame of
-   the whole payload, for every response constructor (routed Founds
-   with parts and settle info included) and every request; and the
-   payload decodes back to a message that re-encodes to it. *)
+   server or client writes equals, byte for byte, [Frame.encode] of the
+   whole payload and the plain-concat reference frame, for every
+   response constructor (routed Founds with parts and settle info
+   included) and every request; and the payload decodes back to a
+   message that re-encodes to it. *)
 let test_frames_from_pieces () =
   let svc = Lazy.force service in
   let r =
@@ -416,10 +417,14 @@ let test_frames_from_pieces () =
       ("empty Traces", Wire.Traces_reply { tr_spans = [] });
       ("Refused", Wire.Refused { code = Wire.Busy; detail = "over 64 requests in flight" }) ]
   in
+  let check_frame what ~tag payload one_pass =
+    Alcotest.(check string) (what ^ ": Frame.encode") (Net.Frame.encode ~tag payload) one_pass;
+    Alcotest.(check string) (what ^ ": reference frame") (reference_frame ~tag payload) one_pass
+  in
   List.iter
     (fun (what, resp) ->
       let payload = Wire.encode_response resp in
-      Alcotest.(check string) (what ^ ": one-pass frame") (reference_frame ~tag:Wire.response_tag payload)
+      check_frame what ~tag:Wire.response_tag payload
         (Net.Frame.encode_sized ~tag:Wire.response_tag (Wire.response_sized resp));
       match Wire.decode_response payload with
       | Some back -> Alcotest.(check string) (what ^ ": re-encodes") payload (Wire.encode_response back)
@@ -440,8 +445,7 @@ let test_frames_from_pieces () =
   in
   List.iter
     (fun req ->
-      let payload = Wire.encode_request req in
-      Alcotest.(check string) "request: one-pass frame" (reference_frame ~tag:Wire.request_tag payload)
+      check_frame "request" ~tag:Wire.request_tag (Wire.encode_request req)
         (Net.Frame.encode_sized ~tag:Wire.request_tag (Wire.request_sized req)))
     requests
 
