@@ -11,18 +11,18 @@ let bench_prime () = Prime_rep.to_prime "bechamel-272"
 
 let mr_base2 p = Primality.miller_rabin_base p ~base:Bigint.two
 
-(* Fixed 512-bit operands for the kernel rows and their guard: an odd
-   modulus of the accumulator's size, a base and two factors below it,
-   and a 1024-bit exponent. *)
-let kernel_operands () =
+(* Fixed operands for the kernel rows and their guard: an odd modulus
+   of [bits] bits (512 by default, the accumulator's size), a base and
+   two factors below it, and a [2 * bits]-bit exponent. *)
+let kernel_operands ?(bits = 512) () =
   let rng = Drbg.create ~seed:"bechamel-kernel" in
   let exact bits =
     let top = Bigint.shift_left Bigint.one (bits - 1) in
     Bigint.add top (Drbg.uniform_bigint rng top)
   in
-  let m = Bigint.add (Bigint.shift_left (exact 511) 1) Bigint.one in
+  let m = Bigint.add (Bigint.shift_left (exact (bits - 1)) 1) Bigint.one in
   let below () = Drbg.uniform_bigint rng m in
-  (m, below (), exact 1024, below (), below ())
+  (m, below (), exact (2 * bits), below (), below ())
 
 (* Two 40,000-bit exponents for the pair row and its guard: a
    witness-tree node near the root of perfbench's 754-prime Build raises
@@ -80,6 +80,15 @@ let make_tests () =
   let prime272 = bench_prime () in
   let km, kb, ke, kx, ky = kernel_operands () in
   let kctx = Bigint.Mont.create km in
+  (* A ladder at each of the kernel's other instances: 256-bit key
+     primes (4 words) and 272-bit prime representatives (5 words). *)
+  let ladder_row bits =
+    let m, b, e, _, _ = kernel_operands ~bits () in
+    let c = Bigint.Mont.create m in
+    Test.make
+      ~name:(Printf.sprintf "bigint/mont-ladder-%d" bits)
+      (Staged.stage (fun () -> ignore (Bigint.Mont.pow c b e)))
+  in
   let pe1, pe2 = pair_exponents () in
   let spine = spine_primes () in
   let build = perfbench_build () in
@@ -112,8 +121,14 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (Primality.baillie_psw prime272)));
     (* The Montgomery kernel under every exponentiation, against the
        division-based product it replaced on the ladders. *)
+    ladder_row 256;
+    ladder_row 272;
     Test.make ~name:"bigint/mont-ladder-512"
       (Staged.stage (fun () -> ignore (Bigint.Mont.pow kctx kb ke)));
+    (* The residue scan that starts every H_prime walk's sieve: one
+       272-bit integer modulo each of the 1028 primes below 8192. *)
+    Test.make ~name:"bigint/residues-272"
+      (Staged.stage (fun () -> ignore (Bigint.residues prime272 Sieve.small_primes)));
     Test.make ~name:"bigint/mod-mul-512"
       (Staged.stage (fun () -> ignore (Bigint.mod_mul kx ky km)));
     (* One shared-squaring pair, as the witness warm raises a node's
@@ -217,9 +232,12 @@ let bpsw_rounds () =
    prime, over 16 inputs whose walk ends at its first sieve survivor:
    the residues, the sieve and one Baillie-PSW test, where a longer walk
    adds base-2 rounds that the Baillie-PSW guard above already prices.
-   It reads 5.0-6.3 (5.2-5.5 with both cores busy); with the residues
-   back on 1028 allocating divisions it read 8.1-9.4, and with the
-   sieve skipped (every odd candidate tested) 12.6-17.1. *)
+   It reads 5.6-6.1 with the kernel's 5-word instance, whose base-2
+   rounds are about twice as fast as the generic loop's (5.0-6.3 on
+   that loop); with one prime per residue pass and the sieve start a
+   closure it read 6.2-7.1, with the residues back on 1028 allocating
+   divisions 8.1-9.4, and with the sieve skipped (every odd candidate
+   tested) 12.6-17.1. *)
 let walk_round_budget = 7.0
 
 (* The first 16 of h-prime-walk-0, -1, ... whose walk's first sieve
@@ -244,8 +262,9 @@ let walk_rounds () =
    512-bit Montgomery ladder (a 1024-bit exponent's [Mont.pow] over its
    bit count): the kernel must keep a ladder bit, a squaring plus a
    fifth of a multiply, well under one division-based product. The
-   ladder in C reads 7.7-9.7; with one OCaml-to-C call per product it
-   read 6-7, and on the OCaml kernel over 31-bit limbs 1.3-1.5. *)
+   ladder's 8-word instance reads 9.0-10.6 (6.8-10.2 on the generic
+   loop); with one OCaml-to-C call per product it read 6-7, and on the
+   OCaml kernel over 31-bit limbs 1.3-1.5. *)
 let ladder_bit_floor = 5.
 
 let mod_mul_ladder_bits () =

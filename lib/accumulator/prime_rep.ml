@@ -59,11 +59,11 @@ let prime_walk s =
      (p = 2) is never used: odd offsets on an even base are never
      even. *)
   let next = Bigint.residues base primes in
-  Array.iteri
-    (fun i r ->
-      let j = if r = 0 then 0 else primes.(i) - r in
-      next.(i) <- (if j land 1 = 0 then j + primes.(i) else j))
-    next;
+  for i = 0 to Array.length next - 1 do
+    let p = primes.(i) and r = next.(i) in
+    let j = if r = 0 then 0 else p - r in
+    next.(i) <- (if j land 1 = 0 then j + p else j)
+  done;
   let struck = Bytes.create (window / 2) in
   let sieve lo =
     Bytes.fill struck 0 (window / 2) '\000';

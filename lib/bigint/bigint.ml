@@ -811,27 +811,25 @@ end
 
 (* The residue kernels (mont_stubs.c): [residues_into x primes dst] sets
    dst.(i) to |x| mod primes.(i); [first_divisor_kernel x primes] is the
-   index of the first prime dividing |x|, or the count. *)
-external residues_into : int array -> int array -> int array -> unit = "slicer_residues"
+   index of the first prime dividing |x|, or the count. Each checks
+   every divisor first: false and -1 mean one is outside [1, base). *)
+external residues_into : int array -> int array -> int array -> bool = "slicer_residues"
 [@@noalloc]
 
 external first_divisor_kernel : int array -> int array -> int = "slicer_first_divisor"
 [@@noalloc]
 
-let check_divisors name primes =
-  Array.iter
-    (fun p -> if p <= 0 || p >= base then invalid_arg ("Bigint." ^ name ^ ": divisor out of range"))
-    primes
+let divisor_out_of_range name = invalid_arg ("Bigint." ^ name ^ ": divisor out of range")
 
 let residues x primes =
-  check_divisors "residues" primes;
   let dst = Array.make (Array.length primes) 0 in
-  residues_into x.mag primes dst;
+  if not (residues_into x.mag primes dst) then divisor_out_of_range "residues";
   dst
 
 let first_divisor x primes =
-  check_divisors "first_divisor" primes;
-  first_divisor_kernel x.mag primes
+  let i = first_divisor_kernel x.mag primes in
+  if i < 0 then divisor_out_of_range "first_divisor";
+  i
 
 let mod_pow b e m =
   if sign e < 0 then invalid_arg "Bigint.mod_pow: negative exponent";

@@ -47,25 +47,30 @@ let checksum hdr hdr_off body off len =
   Sha256.update_sub ctx body off len;
   Sha256.finalize_trunc ctx checksum_bytes
 
-(* The one encoder. Header, payload pieces and checksum go into one
-   buffer of the exact size, in one pass over the pieces; the checksum
-   hashes the buffer's own header and payload bytes. *)
-let encode_sized ~tag (payload : Bytesutil.sized) =
+(* The one encoder. Header, payload and checksum go into one buffer of
+   the exact size, the payload written in place by [write]; the
+   checksum hashes the buffer's own header and payload bytes. *)
+let encode_with ~tag len write =
   if tag < 0 || tag > 255 then invalid_arg "Frame.encode: tag out of range";
-  let len = payload.Bytesutil.size in
-  if len > default_max_payload then invalid_arg "Frame.encode: payload too large";
+  if len < 0 || len > default_max_payload then invalid_arg "Frame.encode: payload too large";
   let b = Bytes.create (header_bytes + len) in
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set_uint8 b 4 version;
   Bytes.set_uint8 b 5 tag;
   Bytes.set_int32_be b 6 (Int32.of_int len);
-  let at = ref header_bytes in
-  payload.Bytesutil.emit (fun s off n ->
-      Bytes.blit_string s off b !at n;
-      at := !at + n);
-  if !at <> header_bytes + len then invalid_arg "Frame.encode: emitted size mismatch";
+  write b header_bytes;
   Bytes.blit_string (checksum b 0 b header_bytes len) 0 b 10 checksum_bytes;
   Bytes.unsafe_to_string b
+
+(* A streamed payload's pieces, in one pass. *)
+let encode_sized ~tag (payload : Bytesutil.sized) =
+  let len = payload.Bytesutil.size in
+  encode_with ~tag len (fun b start ->
+      let at = ref start in
+      payload.Bytesutil.emit (fun s off n ->
+          Bytes.blit_string s off b !at n;
+          at := !at + n);
+      if !at <> start + len then invalid_arg "Frame.encode: emitted size mismatch")
 
 let encode ~tag payload = encode_sized ~tag (Bytesutil.sized_string payload)
 

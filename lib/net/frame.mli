@@ -41,6 +41,13 @@ val encode : tag:int -> string -> string
 (** A complete frame. @raise Invalid_argument when the tag is outside
     [0, 255] or the payload exceeds {!default_max_payload}. *)
 
+val encode_with : tag:int -> int -> (Bytes.t -> int -> unit) -> string
+(** [encode_with ~tag len write] is the frame of a [len]-byte payload
+    that [write b off] puts at [off] of the frame's own buffer [b], so
+    the payload is written once, in place, whatever holds it. [write]
+    must fill exactly [b.[off .. off + len - 1]]. @raise
+    Invalid_argument as {!encode} does. *)
+
 val encode_sized : tag:int -> Bytesutil.sized -> string
 (** The frame of a streamed payload, written in one pass: the header,
     the emitted pieces and the checksum go into one buffer of the exact

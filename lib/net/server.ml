@@ -197,8 +197,14 @@ let send t conn framed =
 let refusal code detail = Wire.Refused { code; detail }
 
 (* A reply is framed in one pass from its pieces: no payload string
-   is built only to be copied into the frame. *)
-let frame resp = Frame.encode_sized ~tag:Wire.response_tag (Wire.response_sized resp)
+   is built only to be copied into the frame. The process's own Stats
+   is framed from the registry's buffer while the render lock holds it. *)
+let frame = function
+  | Wire.Stats_live ->
+    Obs.Export.exposition (fun buf ~json_len ->
+        let len, write = Wire.stats_payload buf ~json_len in
+        Frame.encode_with ~tag:Wire.response_tag len write)
+  | resp -> Frame.encode_sized ~tag:Wire.response_tag (Wire.response_sized resp)
 
 let respond t conn resp = send t conn (frame resp)
 

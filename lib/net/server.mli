@@ -67,6 +67,11 @@ val start :
     front end. The handler is called from worker threads and must be
     thread-safe; exceptions it raises become [Refused Internal]. *)
 
+val frame : Wire.response -> string
+(** A reply's frame, as a server sends it: built in one pass from the
+    reply's pieces, and a {!Wire.response.Stats_live} straight from the
+    process registry's render buffer. *)
+
 val port : t -> int
 val endpoint : t -> endpoint
 

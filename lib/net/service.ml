@@ -511,11 +511,9 @@ let admin = function
   | Wire.Ping -> Some Wire.Pong
   | Wire.Stats ->
     (* The registry snapshot covers the whole process, not just this
-       service's database. *)
+       service's database; it is rendered when the reply is framed. *)
     Obs.sample_memory ();
-    Some
-      (Wire.Stats_reply
-         { st_json = Obs.Export.to_json (); st_text = Obs.Export.to_prometheus () })
+    Some Wire.Stats_live
   | Wire.Traces ->
     (* Whole completed span trees only, so a scraper never sees a
        half-built trace. *)

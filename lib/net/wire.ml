@@ -111,6 +111,7 @@ type response =
   | Disputed of { dp_slashed : bool; dp_receipt : Vm.receipt }
   | Pong
   | Stats_reply of { st_json : string; st_text : string }
+  | Stats_live
   | Traces_reply of { tr_spans : Trace.span list }
   | Refused of { code : err_code; detail : string }
 
@@ -476,12 +477,28 @@ let response_sized = function
     message [ "disputed"; bool_tag dp_slashed; Persist.receipt_to_bytes dp_receipt ]
   | Pong -> message [ "pong" ]
   | Stats_reply { st_json; st_text } -> message [ "stats"; st_json; st_text ]
+  | Stats_live -> message [ "stats"; Obs.Export.to_json (); Obs.Export.to_prometheus () ]
   | Traces_reply { tr_spans } ->
     Bytesutil.sized_concat
       [ Bytesutil.sized_string "traces"; Bytesutil.sized_concat (List.map span_sized tr_spans) ]
   | Refused { code; detail } -> message [ "refused"; err_code_to_string code; detail ]
 
 let encode_response resp = Bytesutil.sized_to_string (response_sized resp)
+
+(* [message ["stats"; json; text]] with the JSON and the text read from
+   [buf], where they lie back to back. *)
+let stats_payload buf ~json_len =
+  let text_len = Buffer.length buf - json_len in
+  let len = 4 + 5 + 4 + json_len + 4 + text_len in
+  let write b at =
+    Bytes.set_int32_be b at 5l;
+    Bytes.blit_string "stats" 0 b (at + 4) 5;
+    Bytes.set_int32_be b (at + 9) (Int32.of_int json_len);
+    Buffer.blit buf 0 b (at + 13) json_len;
+    Bytes.set_int32_be b (at + 13 + json_len) (Int32.of_int text_len);
+    Buffer.blit buf json_len b (at + 17 + json_len) text_len
+  in
+  (len, write)
 
 let decode_welcome pieces =
   match pieces with

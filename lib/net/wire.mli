@@ -159,6 +159,12 @@ type response =
   | Stats_reply of { st_json : string; st_text : string }
       (** The same registry snapshot rendered twice: [st_json] for
           programs, [st_text] in Prometheus text exposition format. *)
+  | Stats_live
+      (** The serving process's own registry, rendered when the reply is
+          framed ({!Server.frame}): straight from the registry's buffer
+          ({!Obs.Export.exposition}), so a scrape leaves one string, its
+          frame. Its bytes are a [Stats_reply]'s, and it decodes as one;
+          {!response_sized} renders it into two strings first. *)
   | Traces_reply of { tr_spans : Trace.span list }
       (** Flat list of completed spans (whole trees only); the scraper
           reassembles them with {!Trace.Tree.assemble}. *)
@@ -181,6 +187,11 @@ val response_sized : response -> Bytesutil.sized
 
 val encode_response : response -> string
 (** The payload in one string: what the service's reply cache keeps. *)
+
+val stats_payload : Buffer.t -> json_len:int -> int * (Bytes.t -> int -> unit)
+(** [stats_payload buf ~json_len] is the size of the [Stats_reply]
+    payload whose JSON is the first [json_len] bytes of [buf] and whose
+    text is the rest, and a writer of it for {!Frame.encode_with}. *)
 
 val decode_response : string -> response option
 

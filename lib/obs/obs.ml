@@ -336,17 +336,23 @@ module Registry = struct
     Mutex.unlock t.lock;
     es
 
-  (* One scrape at a time renders [f] into the registry's buffer; the
-     exposition leaves it as one copy of exactly its length. *)
-  let render t f =
+  (* One scrape at a time renders into the registry's buffer: [f] gets
+     the emptied buffer and keeps the lock until it returns, so what it
+     reads back from the buffer is its own rendering. *)
+  let rendering t f =
     let es = entries t in
     Mutex.lock t.render_lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.render_lock)
       (fun () ->
         Buffer.clear t.render;
-        f t.render t.counts es;
-        Buffer.contents t.render)
+        f t.render t.counts es)
+
+  (* A rendering as one copy of exactly its length. *)
+  let render t f =
+    rendering t (fun buf counts es ->
+        f buf counts es;
+        Buffer.contents buf)
 end
 
 let counter ?(registry = Registry.default) ?(help = "") name =
@@ -553,177 +559,188 @@ module Export = struct
       walk 0 0
     end
 
-  let to_prometheus ?(registry = Registry.default) () =
-    Registry.render registry (fun buf counts entries ->
-        (* The instance label, when set, rides on every series so a
-           merged cluster scrape (router text ^ shard texts) stays
-           well-formed: same metric name, distinct label sets. Empty
-           instance emits the exact pre-cluster format. *)
-        let inst = !instance_ref in
-        let plain () = if inst <> "" then (add buf "{instance=\""; add buf inst; add buf "\"}") in
-        let close_le () =
-          if inst = "" then add buf "\"} "
-          else begin
-            add buf "\",instance=\"";
-            add buf inst;
-            add buf "\"} "
-          end
-        in
-        let header name help kind =
-          if help <> "" then begin
-            add buf "# HELP ";
-            add buf name;
-            Buffer.add_char buf ' ';
-            add buf help;
-            Buffer.add_char buf '\n'
-          end;
-          add buf "# TYPE ";
-          add buf name;
-          Buffer.add_char buf ' ';
-          add buf kind;
-          Buffer.add_char buf '\n'
-        in
-        let series name suffix =
-          add buf name;
-          add buf suffix;
-          plain ();
-          Buffer.add_char buf ' '
-        in
-        let scalar name suffix v =
-          series name suffix;
-          add_int buf v;
-          Buffer.add_char buf '\n'
-        in
-        List.iter
-          (fun { Registry.e_name = name; e_help = help; e_metric } ->
-            match e_metric with
-            | Counter c ->
-              header name help "counter";
-              scalar name "" (Counter.value c)
-            | Gauge g ->
-              header name help "gauge";
-              scalar name "" (Gauge.value g)
-            | Histogram h ->
-              Histogram.sum_into h counts;
-              let scale = Histogram.scale (Histogram.units h) in
-              header name help "histogram";
-              let cum = ref 0 in
-              for b = 0 to Histogram.n_buckets - 1 do
-                if counts.(b) <> 0 then begin
-                  cum := !cum + counts.(b);
-                  add buf name;
-                  add buf "_bucket{le=\"";
-                  add_bound buf b scale;
-                  close_le ();
-                  add_int buf !cum;
-                  Buffer.add_char buf '\n'
-                end
-              done;
+  let text_into buf counts entries =
+    (* The instance label, when set, rides on every series so a
+       merged cluster scrape (router text ^ shard texts) stays
+       well-formed: same metric name, distinct label sets. Empty
+       instance emits the exact pre-cluster format. *)
+    let inst = !instance_ref in
+    let plain () = if inst <> "" then (add buf "{instance=\""; add buf inst; add buf "\"}") in
+    let close_le () =
+      if inst = "" then add buf "\"} "
+      else begin
+        add buf "\",instance=\"";
+        add buf inst;
+        add buf "\"} "
+      end
+    in
+    let header name help kind =
+      if help <> "" then begin
+        add buf "# HELP ";
+        add buf name;
+        Buffer.add_char buf ' ';
+        add buf help;
+        Buffer.add_char buf '\n'
+      end;
+      add buf "# TYPE ";
+      add buf name;
+      Buffer.add_char buf ' ';
+      add buf kind;
+      Buffer.add_char buf '\n'
+    in
+    let series name suffix =
+      add buf name;
+      add buf suffix;
+      plain ();
+      Buffer.add_char buf ' '
+    in
+    let scalar name suffix v =
+      series name suffix;
+      add_int buf v;
+      Buffer.add_char buf '\n'
+    in
+    List.iter
+      (fun { Registry.e_name = name; e_help = help; e_metric } ->
+        match e_metric with
+        | Counter c ->
+          header name help "counter";
+          scalar name "" (Counter.value c)
+        | Gauge g ->
+          header name help "gauge";
+          scalar name "" (Gauge.value g)
+        | Histogram h ->
+          Histogram.sum_into h counts;
+          let scale = Histogram.scale (Histogram.units h) in
+          header name help "histogram";
+          let cum = ref 0 in
+          for b = 0 to Histogram.n_buckets - 1 do
+            if counts.(b) <> 0 then begin
+              cum := !cum + counts.(b);
               add buf name;
-              add buf "_bucket{le=\"+Inf";
+              add buf "_bucket{le=\"";
+              add_bound buf b scale;
               close_le ();
               add_int buf !cum;
-              Buffer.add_char buf '\n';
-              series name "_sum";
-              add_float buf (float_of_int counts.(Histogram.n_buckets) *. scale);
-              Buffer.add_char buf '\n';
-              scalar name "_count" !cum)
-          entries)
+              Buffer.add_char buf '\n'
+            end
+          done;
+          add buf name;
+          add buf "_bucket{le=\"+Inf";
+          close_le ();
+          add_int buf !cum;
+          Buffer.add_char buf '\n';
+          series name "_sum";
+          add_float buf (float_of_int counts.(Histogram.n_buckets) *. scale);
+          Buffer.add_char buf '\n';
+          scalar name "_count" !cum)
+      entries
 
-  let to_json ?(registry = Registry.default) () =
-    Registry.render registry (fun buf counts entries ->
-        let scalars pick =
-          let first = ref true in
-          List.iter
-            (fun e ->
-              match pick e.Registry.e_metric with
-              | None -> ()
-              | Some v ->
-                if not !first then add buf ", ";
-                first := false;
-                add_json_string buf e.Registry.e_name;
-                add buf ": ";
-                add_int buf v)
-            entries
-        in
-        add buf "{\n";
-        if !instance_ref <> "" then begin
-          add buf "  \"instance\": ";
-          add_json_string buf !instance_ref;
-          add buf ",\n"
-        end;
-        add buf "  \"counters\": {";
-        scalars (function Counter c -> Some (Counter.value c) | _ -> None);
-        add buf "},\n  \"gauges\": {";
-        scalars (function Gauge g -> Some (Gauge.value g) | _ -> None);
-        add buf "},\n  \"histograms\": {";
-        let first = ref true in
-        List.iter
-          (fun e ->
-            match e.Registry.e_metric with
-            | Counter _ | Gauge _ -> ()
-            | Histogram h ->
-              Histogram.sum_into h counts;
-              let scale = Histogram.scale (Histogram.units h) in
-              let count = total counts in
-              (* JSON has no NaN: an empty histogram's quantiles are null. *)
-              let quantile q =
-                match rank_bucket counts count q with
-                | -1 -> add buf "null"
-                | b -> add_bound buf b scale
-              in
-              if not !first then Buffer.add_char buf ',';
-              first := false;
-              add buf "\n    ";
-              add_json_string buf e.Registry.e_name;
-              add buf ": {\"count\": ";
-              add_int buf count;
-              add buf ", \"sum\": ";
-              add_float buf (float_of_int counts.(Histogram.n_buckets) *. scale);
-              add buf ", \"p50\": ";
-              quantile 0.5;
-              add buf ", \"p95\": ";
-              quantile 0.95;
-              add buf ", \"p99\": ";
-              quantile 0.99;
-              add buf ", \"buckets\": [";
-              let sep = ref "" in
-              for b = 0 to Histogram.n_buckets - 1 do
-                if counts.(b) <> 0 then begin
-                  add buf !sep;
-                  sep := ", ";
-                  Buffer.add_char buf '[';
-                  add_bound buf b scale;
-                  add buf ", ";
-                  add_int buf counts.(b);
-                  Buffer.add_char buf ']'
-                end
-              done;
-              Buffer.add_char buf ']';
-              (* Exemplars only appear once a trace has been published
-                 into this histogram, so untraced processes keep the
-                 exact pre-tracing snapshot format. *)
-              (match Atomic.get h.Histogram.exemplar_cells with
-               | None -> ()
-               | Some cells ->
-                 let any = ref false in
-                 Array.iteri
-                   (fun b trace ->
-                     if not (Int64.equal trace 0L) then begin
-                       add buf (if !any then ", " else ", \"exemplars\": [");
-                       any := true;
-                       Buffer.add_char buf '[';
-                       add_bound buf b scale;
-                       add buf ", \"";
-                       add_hex64 buf trace;
-                       add buf "\"]"
-                     end)
-                   cells;
-                 if !any then Buffer.add_char buf ']');
-              Buffer.add_char buf '}')
-          entries;
-        if not !first then add buf "\n  ";
-        add buf "}\n}\n")
+  let to_prometheus ?(registry = Registry.default) () = Registry.render registry text_into
+
+  let json_into buf counts entries =
+    let scalars pick =
+      let first = ref true in
+      List.iter
+        (fun e ->
+          match pick e.Registry.e_metric with
+          | None -> ()
+          | Some v ->
+            if not !first then add buf ", ";
+            first := false;
+            add_json_string buf e.Registry.e_name;
+            add buf ": ";
+            add_int buf v)
+        entries
+    in
+    add buf "{\n";
+    if !instance_ref <> "" then begin
+      add buf "  \"instance\": ";
+      add_json_string buf !instance_ref;
+      add buf ",\n"
+    end;
+    add buf "  \"counters\": {";
+    scalars (function Counter c -> Some (Counter.value c) | _ -> None);
+    add buf "},\n  \"gauges\": {";
+    scalars (function Gauge g -> Some (Gauge.value g) | _ -> None);
+    add buf "},\n  \"histograms\": {";
+    let first = ref true in
+    List.iter
+      (fun e ->
+        match e.Registry.e_metric with
+        | Counter _ | Gauge _ -> ()
+        | Histogram h ->
+          Histogram.sum_into h counts;
+          let scale = Histogram.scale (Histogram.units h) in
+          let count = total counts in
+          (* JSON has no NaN: an empty histogram's quantiles are null. *)
+          let quantile q =
+            match rank_bucket counts count q with
+            | -1 -> add buf "null"
+            | b -> add_bound buf b scale
+          in
+          if not !first then Buffer.add_char buf ',';
+          first := false;
+          add buf "\n    ";
+          add_json_string buf e.Registry.e_name;
+          add buf ": {\"count\": ";
+          add_int buf count;
+          add buf ", \"sum\": ";
+          add_float buf (float_of_int counts.(Histogram.n_buckets) *. scale);
+          add buf ", \"p50\": ";
+          quantile 0.5;
+          add buf ", \"p95\": ";
+          quantile 0.95;
+          add buf ", \"p99\": ";
+          quantile 0.99;
+          add buf ", \"buckets\": [";
+          let sep = ref "" in
+          for b = 0 to Histogram.n_buckets - 1 do
+            if counts.(b) <> 0 then begin
+              add buf !sep;
+              sep := ", ";
+              Buffer.add_char buf '[';
+              add_bound buf b scale;
+              add buf ", ";
+              add_int buf counts.(b);
+              Buffer.add_char buf ']'
+            end
+          done;
+          Buffer.add_char buf ']';
+          (* Exemplars only appear once a trace has been published
+             into this histogram, so untraced processes keep the
+             exact pre-tracing snapshot format. *)
+          (match Atomic.get h.Histogram.exemplar_cells with
+           | None -> ()
+           | Some cells ->
+             let any = ref false in
+             Array.iteri
+               (fun b trace ->
+                 if not (Int64.equal trace 0L) then begin
+                   add buf (if !any then ", " else ", \"exemplars\": [");
+                   any := true;
+                   Buffer.add_char buf '[';
+                   add_bound buf b scale;
+                   add buf ", \"";
+                   add_hex64 buf trace;
+                   add buf "\"]"
+                 end)
+               cells;
+             if !any then Buffer.add_char buf ']');
+          Buffer.add_char buf '}')
+      entries;
+    if not !first then add buf "\n  ";
+    add buf "}\n}\n"
+
+  let to_json ?(registry = Registry.default) () = Registry.render registry json_into
+
+  (* The JSON and then the text, back to back in the registry's buffer,
+     both rendered from one snapshot of the entry list. *)
+  let exposition ?(registry = Registry.default) k =
+    Registry.rendering registry (fun buf counts entries ->
+        json_into buf counts entries;
+        let json_len = Buffer.length buf in
+        text_into buf counts entries;
+        k buf ~json_len)
 
   let rec ensure_dir dir =
     if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin

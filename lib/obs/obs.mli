@@ -199,7 +199,8 @@ val sample_memory : unit -> unit
 
 module Export : sig
   (** Both encoders render straight into the registry's own buffer, with
-      no intermediate line or piece, and return one copy of it. *)
+      no intermediate line or piece; {!to_json} and {!to_prometheus}
+      return one copy of it, and {!exposition} none. *)
 
   val to_prometheus : ?registry:Registry.t -> unit -> string
   (** Prometheus text exposition: entries sorted by name; histograms as
@@ -210,6 +211,13 @@ module Export : sig
   (** JSON snapshot: [{"counters": {...}, "gauges": {...},
       "histograms": {name: {count, sum, p50, p95, p99, buckets}}}]. An
       empty histogram's quantiles are [null], since JSON has no NaN. *)
+
+  val exposition : ?registry:Registry.t -> (Buffer.t -> json_len:int -> 'a) -> 'a
+  (** [exposition k] renders {!to_json}'s bytes and then
+      {!to_prometheus}'s back to back into the registry's own buffer and
+      applies [k] to the buffer and the JSON's length, under the
+      registry's render lock: [k] reads both renderings where they lie,
+      and they stay there only until it returns. *)
 
   val ensure_parent : string -> unit
   (** Create the parent directories of a path if missing. *)

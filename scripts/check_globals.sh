@@ -17,7 +17,15 @@
 # concurrent scrapes and renders, so a render buffer belongs to the
 # instance that locks it (Obs.Registry owns the exposition's).
 # An allowed table that no longer exists fails too, so the list cannot
-# go stale. Run by `dune runtest`, or directly from the repo root.
+# go stale.
+# The C stubs under lib/ run on several domains at once, so they keep
+# no mutable state between calls either: a file-scope object in a .c or
+# .h file under lib/ must be const (a pointer const itself, not only
+# what it points to) or thread-local. Static functions and const tables
+# pass; a table of residues or powers is immutable data, built at
+# compile time or handed to the kernel, never a C static filled on
+# first use. Objects that a macro defines are not seen.
+# Run by `dune runtest`, or directly from the repo root.
 set -u
 
 cd "$(dirname "$0")/.." || exit 1
@@ -101,5 +109,82 @@ for a in $allowed; do
       ;;
   esac
 done
-[ "$status" -eq 0 ] && echo "check_globals: process-global tables: $allowed; buffers: none"
+
+# Each file with its comments, string and character literals and
+# preprocessor lines blanked, cut into file-scope statements at braces
+# and semicolons: a brace after a `)` with no `=` is a function body,
+# skipped whole; any other brace (an initializer, a struct body) is
+# skipped inside its statement. A statement with no parenthesis but a
+# function pointer's `(*` declares a function; one that starts with
+# typedef, or is a bare struct, union or enum, declares a type; every
+# other one declares objects, and prints unless it is thread-local or
+# const after its last `*`. So does a static declared inside a function
+# body.
+cglobals=$(find lib \( -name '*.c' -o -name '*.h' \) | sort | while read -r f; do
+  awk -v file="$f" '
+    { src = src $0 "\n" }
+    function check(stmt,  head, tail) {
+      gsub(/[ \t\n]+/, " ", stmt)
+      sub(/^ /, "", stmt); sub(/ $/, "", stmt)
+      if (stmt == "" || stmt ~ /^typedef /) return
+      if (stmt ~ /^(static )?(struct|union|enum)( [A-Za-z_][A-Za-z0-9_]*)?( \{\})?$/) return
+      head = stmt
+      sub(/ ?=.*/, "", head)
+      if (head ~ /\(/ && head !~ /\( ?\*/) return
+      if (head ~ /(^| )(__thread|_Thread_local|thread_local)( |$)/) return
+      tail = head
+      if (tail ~ /\*/) sub(/.*\*/, "", tail)
+      if (tail ~ /(^| )const( |$)/) return
+      print file ": " head
+    }
+    END {
+      n = length(src); out = ""; i = 1; bol = 1
+      while (i <= n) {
+        c = substr(src, i, 1); d = substr(src, i, 2)
+        if (d == "/*") { j = index(substr(src, i + 2), "*/"); i = (j ? i + j + 3 : n + 1); out = out " "; continue }
+        if (d == "//") { while (i <= n && substr(src, i, 1) != "\n") i++; continue }
+        if (c == "\"" || c == "\047") {
+          q = c; i++
+          while (i <= n && substr(src, i, 1) != q) i += (substr(src, i, 1) == "\\" ? 2 : 1)
+          i++; out = out q q; bol = 0; continue
+        }
+        if (bol && c == "#") {
+          while (i <= n && !(substr(src, i, 1) == "\n" && substr(src, i - 1, 1) != "\\")) i++
+          continue
+        }
+        if (c == "\n") bol = 1
+        else if (c != " " && c != "\t") bol = 0
+        out = out c; i++
+      }
+      depth = 0; stmt = ""; body = 0; inner = ""
+      for (i = 1; i <= length(out); i++) {
+        c = substr(out, i, 1)
+        if (c == "{") {
+          if (depth == 0) body = (stmt ~ /\)[ \t\n]*$/ && stmt !~ /=/)
+          depth++; inner = ""
+        }
+        else if (c == "}") {
+          depth--; inner = ""
+          if (depth == 0) { if (body) stmt = ""; else stmt = stmt "{}" }
+        }
+        else if (depth == 0) {
+          if (c == ";") { check(stmt); stmt = "" }
+          else stmt = stmt c
+        }
+        else if (body) {
+          # A static inside a function body lives as long as the process.
+          if (c == ";") { if (inner ~ /^[ \t\n]*static[ \t\n]/) check(inner); inner = "" }
+          else inner = inner c
+        }
+      }
+    }' "$f"
+done)
+if [ -n "$cglobals" ]; then
+  echo "$cglobals" | while read -r g; do
+    echo "check_globals: $g is mutable C state that outlives a call; make it const or thread-local, or give it to the caller" >&2
+  done
+  status=1
+fi
+
+[ "$status" -eq 0 ] && echo "check_globals: process-global tables: $allowed; buffers: none; mutable C statics: none"
 exit "$status"

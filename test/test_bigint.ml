@@ -527,6 +527,77 @@ let gen_residue_case () =
   in
   return (x, ps)
 
+(* --- kernel instances ------------------------------------------------------ *)
+
+(* The Montgomery kernel has an instance of its own at 4, 5 and 8 words
+   (256-bit key primes, 272-bit prime representatives, 512-bit moduli)
+   and runs its generic loop at every other size: these word counts are
+   the three instances and their neighbours. Case i takes
+   [instance_words.(i mod 8)], so every 16 cases cover each size in
+   both modulus shapes. *)
+let instance_words = [| 4; 5; 8; 3; 6; 7; 9; 16 |]
+
+(* An odd modulus of n words at either extreme of its top word:
+   2^(64n) - c, whose top word is all ones, so a sum carries out of it
+   and the final subtraction borrows from the carry; or
+   2^(64(n-1)) + c, one bit into it. c is odd, and either small or
+   random below 2^(64(n-1)). *)
+let gen_instance_modulus () =
+  let case = ref 0 in
+  let open QCheck2.Gen in
+  let* small = int_range 0 (1 lsl 40) in
+  let* wide = string_size ~gen:char (return 128) in
+  let* pick_small = bool in
+  let i = !case in
+  incr case;
+  let n = instance_words.(i mod Array.length instance_words) in
+  let below = Bigint.shift_left Bigint.one (64 * (n - 1)) in
+  let c =
+    Bigint.add Bigint.one
+      (Bigint.mul_int
+         (if pick_small then bi small else Bigint.erem (Bigint.of_bytes_be wide) below)
+         2)
+  in
+  let c = Bigint.erem c below in
+  return
+    (if i / Array.length instance_words land 1 = 0 then
+       Bigint.sub (Bigint.shift_left Bigint.one (64 * n)) c
+     else Bigint.add below c)
+
+(* A base for modulus [m]: 0, 1, m - 1, m - 2 or random, often above m. *)
+let gen_instance_base m =
+  QCheck2.Gen.oneof
+    [ QCheck2.Gen.return Bigint.zero;
+      QCheck2.Gen.return Bigint.one;
+      QCheck2.Gen.return (Bigint.pred m);
+      QCheck2.Gen.return (Bigint.sub m Bigint.two);
+      gen_big_pos ~bits:(Bigint.num_bits m + 64) () ]
+
+let gen_instance_case () =
+  let open QCheck2.Gen in
+  let* m = gen_instance_modulus () in
+  let* b = gen_instance_base m in
+  let* e = map Bigint.abs (gen_big ~bits:400 ()) in
+  let* e1 = map Bigint.abs (gen_big ~bits:600 ()) in
+  let* e2 = map Bigint.abs (gen_big ~bits:200 ()) in
+  return (m, b, e, (e1, e2))
+
+(* An operand of 1 to 20 limbs, zero, or a multiple of one of the small
+   primes, for the residue scan over every prime below 8192. *)
+let gen_small_prime_operand () =
+  let case = ref 0 in
+  let open QCheck2.Gen in
+  let* bits = int_range 1 (20 * 31) in
+  let* x = gen_exponent bits in
+  let* k = int_range 0 (Array.length Sieve.small_primes - 1) in
+  let i = !case in
+  incr case;
+  return
+    (match i mod 4 with
+     | 0 -> Bigint.zero
+     | 1 -> Bigint.mul_int x Sieve.small_primes.(k)
+     | _ -> x)
+
 let props =
   [ prop "int add matches" (pair gen_small gen_small) (fun (a, b) ->
         Bigint.equal (Bigint.add (bi a) (bi b)) (bi (a + b)));
@@ -672,6 +743,45 @@ let props =
       (gen_residue_case ())
       (fun (x, ps) ->
         let expected = Array.map (fun p -> snd (Bigint.divmod_int x p)) ps in
+        let first =
+          let rec go i = if i < Array.length ps && expected.(i) <> 0 then go (i + 1) else i in
+          go 0
+        in
+        Bigint.residues x ps = expected && Bigint.first_divisor x ps = first);
+    prop "kernel instances match division-based arithmetic"
+      ~count:(8 * Array.length instance_words)
+      (gen_instance_case ())
+      (fun (m, b, e, (e1, e2)) ->
+        let c = Bigint.Mont.create m in
+        let r1, r2 = Bigint.Mont.pow2 c b e1 e2 in
+        List.for_all
+          (fun e -> Bigint.equal (division_pow (Bigint.erem b m) e m) (Bigint.Mont.pow c b e))
+          [ Bigint.two; bi 3; e ]
+        && Bigint.equal (division_pow (Bigint.erem b m) e1 m) r1
+        && Bigint.equal (division_pow (Bigint.erem b m) e2 m) r2
+        && Bigint.Mont.strong_test c ~base:Bigint.two = division_strong_test m Bigint.two
+        && Bigint.Mont.strong_test c ~base:b = division_strong_test m b);
+    prop "lucas ladder matches the recurrence at the kernel instances"
+      ~count:(4 * Array.length instance_words)
+      (triple (gen_instance_modulus ())
+         QCheck2.Gen.(oneof [ int_range (-50) 50; oneofl [ -1; 1 ] ])
+         (QCheck2.Gen.int_range 0 300))
+      (fun (m, q, e) ->
+        let step x0 x1 = Bigint.erem (Bigint.sub x1 (Bigint.mul_int x0 q)) m in
+        let rec walk j u0 u1 v0 v1 =
+          if j = e then (u0, v0, v1) else walk (j + 1) u1 (step u0 u1) v1 (step v0 v1)
+        in
+        let u, v, v_next = walk 0 Bigint.zero Bigint.one Bigint.two Bigint.one in
+        let v', v_next', qk, u_zero = Bigint.Mont.lucas (Bigint.Mont.create m) ~q (bi e) in
+        Bigint.equal (Bigint.erem v m) v'
+        && Bigint.equal (Bigint.erem v_next m) v_next'
+        && Bigint.equal (Bigint.mod_pow (bi q) (bi e) m) qk
+        && u_zero = Bigint.is_zero (Bigint.erem (Bigint.mul_int u (1 - (4 * q))) m));
+    prop "residue scan matches erem for every small prime" ~count:200
+      (gen_small_prime_operand ())
+      (fun x ->
+        let ps = Sieve.small_primes in
+        let expected = Array.map (fun p -> Bigint.to_int_exn (Bigint.erem x (bi p))) ps in
         let first =
           let rec go i = if i < Array.length ps && expected.(i) <> 0 then go (i + 1) else i in
           go 0

@@ -26,6 +26,7 @@ let resp_label = function
   | Wire.Accepted _ -> "Accepted"
   | Wire.Pong -> "Pong"
   | Wire.Stats_reply _ -> "Stats_reply"
+  | Wire.Stats_live -> "Stats_live"
   | Wire.Traces_reply _ -> "Traces_reply"
   | Wire.Receipt_reply _ -> "Receipt_reply"
   | Wire.Disputed _ -> "Disputed"
