@@ -176,11 +176,6 @@ let make_tests () =
           fun () -> Obs.Histogram.record h 4242));
     Test.make ~name:"obs/span"
       (Staged.stage (fun () -> Obs.span "bench.noop" (fun () -> ())));
-    Test.make ~name:"obs/span-disabled"
-      (Staged.stage (fun () ->
-           Obs.set_enabled false;
-           Obs.span "bench.noop-off" (fun () -> ());
-           Obs.set_enabled true));
     (* What one Stats request costs under the service mutex: both
        exposition formats over the default registry. No guard. *)
     Test.make ~name:"obs/scrape"

@@ -4,7 +4,8 @@
      slicer sore     - SORE encrypt/compare playground
      slicer features - Table I feature matrix
      slicer gas      - live gas costs on the simulated chain
-     slicer stats    - scrape a running slicer-server's metrics
+     slicer stats    - scrape a running server's (or router's) metrics
+     slicer trace    - drain and render its completed request traces
 
    Every run is deterministic given --seed. *)
 
@@ -176,94 +177,47 @@ let gas_cmd =
   let info = Cmd.info "gas" ~doc:"Measure smart-contract gas costs on the simulated chain" in
   Cmd.v info Term.(const run_gas $ seed_arg)
 
-(* --- stats ------------------------------------------------------------- *)
+(* --- stats and trace ------------------------------------------------------ *)
 
-let host_arg = Front.host_arg ~doc:"Server address."
-let port_arg = Front.port_arg ~doc:"Server TCP port."
+(* Both scrape one endpoint. A cluster is scraped through its router,
+   whose Stats reply holds its own exposition and every shard's, and
+   whose Traces reply drains every shard's ring with its own. *)
+let host_arg = Front.host_arg ~doc:"Server or router address."
+let port_arg = Front.port_arg ~doc:"Server or router TCP port."
 let socket_arg = Front.socket_arg ~doc:"Connect to a Unix-domain socket at $(docv) instead of TCP."
 
-let json_arg =
-  let doc = "Print the JSON snapshot instead of Prometheus text." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let addrs_arg =
-  let doc = "Scrape $(docv) (HOST:PORT or unix:PATH). Repeatable: given \
-             several — e.g. every shard of a cluster plus its router — \
-             prints one merged view, each member's series kept apart by \
-             its instance label." in
-  Arg.(value & opt_all string [] & info [ "addr"; "a" ] ~docv:"ADDR" ~doc)
-
-(* One scrape. [~provision:false] — the admin path needs no keys, and
-   works against an empty (pre-Build) server too. *)
-let scrape endpoint =
-  match Net.Client.connect ~name:"slicer-cli-stats" ~provision:false endpoint with
+(* One admin request on an unprovisioned connection: the admin path
+   needs no keys, and works against an empty (pre-Build) server too. *)
+let admin ~name host port socket request =
+  match Net.Client.connect ~name ~provision:false (Front.endpoint host port socket) with
   | Error e -> Error (Net.Client.error_to_string e)
   | Ok c ->
-    let r = Net.Client.stats c in
+    let r = request c in
     Net.Client.close c;
-    (match r with
-     | Ok snap -> Ok snap
-     | Error e -> Error (Net.Client.error_to_string e))
+    Result.map_error Net.Client.error_to_string r
 
-let parse_endpoints host port socket addrs =
-  match addrs with
-  | [] ->
-    Ok [ ("", Front.endpoint host port socket) ]
-  | addrs ->
-    let rec parse acc = function
-      | [] -> Ok (List.rev acc)
-      | a :: rest ->
-        (match Cluster.Topology.endpoint_of_string a with
-         | Ok ep -> parse ((a, ep) :: acc) rest
-         | Error e -> Error e)
-    in
-    parse [] addrs
-
-let run_stats host port socket json addrs verbose log_level =
+let run_stats host port socket json verbose log_level =
   Front.setup_logs log_level verbose;
-  match parse_endpoints host port socket addrs with
+  match admin ~name:"slicer-cli-stats" host port socket Net.Client.stats with
+  | Ok (st_json, st_text) ->
+    print_string (if json then st_json else st_text);
+    `Ok ()
   | Error e -> `Error (false, e)
-  | Ok [ (_, endpoint) ] ->
-    (match scrape endpoint with
-     | Ok (st_json, st_text) ->
-       print_string (if json then st_json else st_text);
-       `Ok ()
-     | Error e -> `Error (false, e))
-  | Ok endpoints ->
-    (* Merged cluster view: a failed member is reported inline so one
-       dead shard doesn't hide the rest of the fleet. *)
-    let results = List.map (fun (addr, ep) -> (addr, scrape ep)) endpoints in
-    if json then
-      (* One valid JSON array keyed by instance — addresses and error
-         strings escaped, unlike the ad-hoc concatenation this replaces. *)
-      print_string
-        (Cluster.Scrape.merged_stats_json
-           (List.map (fun (addr, r) -> (addr, Result.map fst r)) results)
-        ^ "\n")
-    else
-      List.iter
-        (fun (addr, r) ->
-          match r with
-          | Ok (_, st_text) ->
-            Printf.printf "# == %s ==\n" addr;
-            print_string st_text
-          | Error e -> Printf.printf "# == %s == scrape failed: %s\n" addr e)
-        results;
-    if List.for_all (fun (_, r) -> Result.is_ok r) results then `Ok ()
-    else `Error (false, "one or more members failed to answer")
 
 let stats_cmd =
   let info =
     Cmd.info "stats"
-      ~doc:"Scrape live metrics from one slicer-server — or, with repeated \
-            $(b,--addr), a whole cluster (Prometheus text or JSON)"
+      ~doc:"Scrape live metrics from one slicer-server, or from a whole cluster \
+            through its slicer-router (Prometheus text or JSON)"
+  in
+  let json =
+    let doc = "Print the JSON snapshot instead of Prometheus text." in
+    Arg.(value & flag & info [ "json" ] ~doc)
   in
   Cmd.v info
     Term.(
-      ret (const run_stats $ host_arg $ port_arg $ socket_arg $ json_arg $ addrs_arg
-         $ verbose_arg $ log_level_arg))
-
-(* --- trace -------------------------------------------------------------- *)
+      ret (const run_stats $ host_arg $ port_arg $ socket_arg $ json $ verbose_arg
+         $ log_level_arg))
 
 let follow_arg =
   let doc = "Keep scraping every second and print traces as they complete." in
@@ -273,90 +227,58 @@ let min_ms_arg =
   let doc = "Only show traces at least $(docv) milliseconds long." in
   Arg.(value & opt float 0. & info [ "min-ms" ] ~docv:"N" ~doc)
 
-let chrome_arg =
-  let doc = "Write Chrome trace_event JSON to $(docv) (load in about:tracing \
-             or Perfetto) instead of printing timelines." in
-  Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE" ~doc)
-
-let scrape_traces endpoint =
-  match Net.Client.connect ~name:"slicer-cli-trace" ~provision:false endpoint with
-  | Error e -> Error (Net.Client.error_to_string e)
-  | Ok c ->
-    let r = Net.Client.traces c in
-    Net.Client.close c;
-    (match r with
-     | Ok spans -> Ok spans
-     | Error e -> Error (Net.Client.error_to_string e))
-
-let run_trace host port socket addrs follow min_ms json chrome verbose log_level =
+let run_trace host port socket follow min_ms json verbose log_level =
   Front.setup_logs log_level verbose;
-  match parse_endpoints host port socket addrs with
-  | Error e -> `Error (false, e)
-  | Ok endpoints ->
-    if follow && chrome <> None then
-      `Error (false, "--follow and --chrome are mutually exclusive")
-    else begin
-      (* One pass: drain every member (a router additionally forwards
-         the drain to its shards) and reassemble cross-process trees by
-         trace id. Draining is destructive, so a span is only ever seen
-         by one pass. *)
-      let pass () =
-        let spans, ok =
-          List.fold_left
-            (fun (spans, ok) (addr, ep) ->
-              match scrape_traces ep with
-              | Ok s -> (s @ spans, ok)
-              | Error e ->
-                Logs.warn (fun m -> m "%s: trace scrape failed: %s" addr e);
-                (spans, false))
-            ([], true) endpoints
-        in
-        let trees =
-          List.filter
-            (fun t -> Trace.Tree.duration_ms t >= min_ms)
-            (Trace.Tree.assemble spans)
-        in
-        (trees, ok)
-      in
-      let print_trees trees =
-        if json then print_string (Trace.Tree.to_chrome trees)
-        else List.iter (fun t -> print_string (Trace.Tree.render t)) trees;
-        flush stdout
-      in
-      if follow then
-        let rec loop () =
-          let trees, _ = pass () in
-          if trees <> [] then print_trees trees;
-          Unix.sleepf 1.;
-          loop ()
-        in
-        loop ()
-      else begin
-        let trees, ok = pass () in
-        (match chrome with
-         | Some file ->
-           Obs.Export.write_file file (Trace.Tree.to_chrome trees);
-           Printf.printf "wrote %d trace(s) to %s\n" (List.length trees) file
-         | None ->
-           if trees = [] && not json then print_endline "(no completed traces)"
-           else print_trees trees);
-        if ok then `Ok () else `Error (false, "one or more members failed to answer")
-      end
-    end
+  (* Draining is destructive, so a span is seen by one pass only. *)
+  let pass () =
+    Result.map
+      (fun spans ->
+        List.filter (fun t -> Trace.Tree.duration_ms t >= min_ms) (Trace.Tree.assemble spans))
+      (admin ~name:"slicer-cli-trace" host port socket Net.Client.traces)
+  in
+  let print_trees trees =
+    if json then print_string (Trace.Tree.to_chrome trees)
+    else List.iter (fun t -> print_string (Trace.Tree.render t)) trees;
+    flush stdout
+  in
+  if follow then
+    let rec loop () =
+      (match pass () with
+       | Ok [] -> ()
+       | Ok trees -> print_trees trees
+       | Error e -> Logs.warn (fun m -> m "trace scrape failed: %s" e));
+      Unix.sleepf 1.;
+      loop ()
+    in
+    loop ()
+  else
+    match pass () with
+    | Error e -> `Error (false, e)
+    | Ok [] when not json ->
+      print_endline "(no completed traces)";
+      `Ok ()
+    | Ok trees ->
+      print_trees trees;
+      `Ok ()
 
 let trace_cmd =
   let info =
     Cmd.info "trace"
-      ~doc:"Drain completed request traces from one slicer-server or router — \
-            or, with repeated $(b,--addr), a whole cluster — and print each \
-            as an indented cross-process timeline ($(b,--json)/$(b,--chrome) \
-            for Chrome trace_event output). Servers publish traces when \
-            started with $(b,--trace-sample) or $(b,--trace-slow-ms)."
+      ~doc:"Drain completed request traces from one slicer-server, or from a whole \
+            cluster through its slicer-router, and print each as an indented \
+            cross-process timeline ($(b,--json) for Chrome trace_event output). \
+            Servers publish traces when started with $(b,--trace-sample) or \
+            $(b,--trace-slow-ms)."
+  in
+  let json =
+    let doc = "Print Chrome trace_event JSON (load in about:tracing or Perfetto) \
+               instead of timelines." in
+    Arg.(value & flag & info [ "json" ] ~doc)
   in
   Cmd.v info
     Term.(
-      ret (const run_trace $ host_arg $ port_arg $ socket_arg $ addrs_arg $ follow_arg
-         $ min_ms_arg $ json_arg $ chrome_arg $ verbose_arg $ log_level_arg))
+      ret (const run_trace $ host_arg $ port_arg $ socket_arg $ follow_arg $ min_ms_arg
+         $ json $ verbose_arg $ log_level_arg))
 
 let () =
   let info = Cmd.info "slicer" ~version:"1.0.0" ~doc:"Verifiable encrypted numerical search (ICDCS'22 reproduction)" in

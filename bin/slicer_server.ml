@@ -50,19 +50,9 @@ let no_fsync_arg =
              only: a crash can lose recent events)." in
   Arg.(value & flag & info [ "no-fsync" ] ~doc)
 
-let metrics_dump_arg =
-  let doc = "Every metrics interval (and at shutdown), write the metrics \
-             registry snapshot to $(docv) — Prometheus text if it ends in \
-             .prom, JSON otherwise. Parent directories are created." in
-  Arg.(value & opt (some string) None & info [ "metrics-dump" ] ~docv:"FILE" ~doc)
-
 let metrics_interval_arg =
-  let doc = "Seconds between metrics snapshots (dump + summary log line)." in
+  let doc = "Seconds between metrics summary log lines (0 = none)." in
   Arg.(value & opt float 10. & info [ "metrics-interval" ] ~docv:"SECONDS" ~doc)
-
-let no_metrics_arg =
-  let doc = "Disable metrics recording (spans and counters become no-ops)." in
-  Arg.(value & flag & info [ "no-metrics" ] ~doc)
 
 let instance_arg =
   let doc = "Instance name echoed in Welcome frames and metrics (e.g. \
@@ -99,14 +89,6 @@ let settle_dispute_window_arg =
              the contract at Build, a self-seeded server's included." in
   Arg.(value & opt int 4 & info [ "settle-dispute-window" ] ~docv:"BLOCKS" ~doc)
 
-let dump_metrics path =
-  let content =
-    if Filename.check_suffix path ".prom" then Obs.Export.to_prometheus ()
-    else Obs.Export.to_json ()
-  in
-  try Obs.Export.write_file path content
-  with Sys_error e -> Logs.err (fun m -> m "metrics dump failed: %s" e)
-
 let log_snapshot () =
   Logs.info (fun m ->
       m "stats: %d requests, %d settled, %d replays, %d busy, %dB in, %dB out, gas %d"
@@ -129,9 +111,8 @@ let self_seed service ~seed ~records ~width ~payment =
   | _ -> Error "self-seeding failed: the Build was not accepted"
 
 let run serving seed records width payment domains state_dir snapshot_bytes no_fsync
-    metrics_dump metrics_interval no_metrics instance shard_id shard_count settle_batch
-    settle_window_ms settle_dispute_window =
-  Obs.set_enabled (not no_metrics);
+    metrics_interval instance shard_id shard_count settle_batch settle_window_ms
+    settle_dispute_window =
   match Front.prepare serving with
   | Error e -> `Error (false, e)
   | Ok () ->
@@ -201,11 +182,8 @@ let run serving seed records width payment domains state_dir snapshot_bytes no_f
         if metrics_interval > 0. && Obs.Clock.now () -. !last_snapshot >= metrics_interval
         then begin
           last_snapshot := Obs.Clock.now ();
-          log_snapshot ();
-          Option.iter dump_metrics metrics_dump
+          log_snapshot ()
         end);
-    (* Final snapshot so a short-lived run still leaves a dump behind. *)
-    Option.iter dump_metrics metrics_dump;
     Option.iter Store.close (Net.Service.store service);
     `Ok ()
   end
@@ -221,8 +199,8 @@ let cmd =
         (const run
         $ Front.serving_term ~what:"request"
         $ seed_arg $ records_arg $ width_arg $ payment_arg $ domains_arg $ state_dir_arg
-        $ snapshot_bytes_arg $ no_fsync_arg $ metrics_dump_arg $ metrics_interval_arg
-        $ no_metrics_arg $ instance_arg $ shard_id_arg $ shard_count_arg $ settle_batch_arg
-        $ settle_window_ms_arg $ settle_dispute_window_arg))
+        $ snapshot_bytes_arg $ no_fsync_arg $ metrics_interval_arg $ instance_arg
+        $ shard_id_arg $ shard_count_arg $ settle_batch_arg $ settle_window_ms_arg
+        $ settle_dispute_window_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -36,17 +36,14 @@ let g_pow params e = pow_mod params params.generator e
 
 (* --- accumulation ------------------------------------------------------ *)
 
-let accumulate params xs =
-  match xs with
-  | [] -> params.generator
-  | _ -> Obs.span "acc.fold" (fun () -> g_pow params (product xs))
-
 let add params ac x = pow_mod params ac x
 
 let add_batch params ac xs =
   match xs with
   | [] -> ac
   | _ -> Obs.span "acc.fold" (fun () -> pow_mod params ac (product xs))
+
+let accumulate params xs = add_batch params params.generator xs
 
 (* --- membership witnesses ---------------------------------------------- *)
 
@@ -58,7 +55,7 @@ let mem_witness params xs x =
 
 (* Product segment tree: each node carries Π of its range so the witness
    descent raises a node's base by the sibling product in one
-   exponentiation (instead of one mod_pow per prime). *)
+   exponentiation (instead of one per prime). *)
 type ptree =
   | Pleaf of Bigint.t * int
   | Pnode of Bigint.t * ptree * ptree

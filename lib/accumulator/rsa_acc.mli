@@ -17,8 +17,8 @@
     the generator [g] is raised the same way as every other base.
 
     - {!accumulate}: one product tree + one [B]-bit exponentiation of
-      [g] — [B] modular squarings, instead of [n] separate [mod_pow]
-      calls.
+      [g] — [B] modular squarings, instead of [n] separate
+      exponentiations.
     - {!mem_witness}: one exact division of the product plus a
       [(B - b)]-bit exponentiation of [g] — {e not} [n-1]
       exponentiations.
@@ -56,8 +56,8 @@ val setup : ?safe:bool -> rng:Drbg.t -> bits:int -> unit -> params
     requests safe primes as in the paper (slower). *)
 
 val accumulate : params -> Bigint.t list -> Bigint.t
-(** [Ac] for the given prime list (order-independent). The empty list
-    accumulates to [g]. *)
+(** [Ac] for the given prime list (order-independent): {!add_batch}
+    from [g], so the empty list accumulates to [g]. *)
 
 val add : params -> Bigint.t -> Bigint.t -> Bigint.t
 (** [add params ac x] is the incremental update [ac^x mod n] — used by
@@ -108,9 +108,9 @@ val verify_mem_batch : params -> ac:Bigint.t -> xs:Bigint.t list -> witness:Bigi
 (** {1 Exponentiation over the parameters} *)
 
 val pow_mod : params -> Bigint.t -> Bigint.t -> Bigint.t
-(** [pow_mod params b e = Bigint.mod_pow b e params.modulus], on the
-    parameters' own {!Bigint.Mont} context, so repeated exponentiations
-    never re-derive Montgomery state. *)
+(** [pow_mod params b e] is [b^e mod n] on the parameters' own
+    {!Bigint.Mont} context, so repeated exponentiations never re-derive
+    Montgomery state. *)
 
 val pow_mod2 : params -> Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t * Bigint.t
 (** [pow_mod2 params b e1 e2 = (pow_mod params b e1, pow_mod params b e2)],

@@ -593,9 +593,8 @@ let mod_inv a m =
 
 (* --- Montgomery exponentiation (odd modulus) ----------------------- *)
 
-(* Precomputed per-modulus Montgomery state. Everything [mod_pow]
-   re-derives on every call — the kernel's word inverse, [R mod m] and
-   [R² mod m] — is stored here, written by the kernel without a
+(* Precomputed per-modulus Montgomery state: the kernel's word inverse,
+   [R mod m] and [R² mod m], written by the kernel without a
    division. A context is immutable after [create], so one context per
    modulus serves any number of domains concurrently. *)
 module Mont = struct
@@ -695,7 +694,7 @@ module Mont = struct
     sliced ~hi ~lo (fun hi lo -> ladder c.words st e w hi lo)
 
   let pow c b e =
-    if sign e < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
+    if sign e < 0 then invalid_arg "Bigint.Mont.pow: negative exponent";
     let bits = num_bits e in
     let w = ladder_window bits in
     with_state (ladder_size c w) (fun st ->
@@ -830,20 +829,3 @@ let first_divisor x primes =
   let i = first_divisor_kernel x.mag primes in
   if i < 0 then divisor_out_of_range "first_divisor";
   i
-
-let mod_pow b e m =
-  if sign e < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
-  if compare m two < 0 then invalid_arg "Bigint.mod_pow: modulus <= 1";
-  if is_zero e then erem one m
-  else if is_even m then begin
-    (* Rare path: plain square-and-multiply with division-based reduction. *)
-    let b = erem b m in
-    let bits = num_bits e in
-    let acc = ref (erem one m) in
-    for i = bits - 1 downto 0 do
-      acc := mod_mul !acc !acc m;
-      if testbit e i then acc := mod_mul !acc b m
-    done;
-    !acc
-  end
-  else Mont.pow (Mont.create m) b e

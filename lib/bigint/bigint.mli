@@ -125,15 +125,11 @@ val erem : t -> t -> t
 
 val mod_mul : t -> t -> t -> t
 
-val mod_pow : t -> t -> t -> t
-(** [mod_pow b e m] is [b^e mod m] for [e >= 0], [m > 1]. Uses Montgomery
-    multiplication when [m] is odd. @raise Invalid_argument on negative
-    exponent or modulus [<= 1]. *)
-
-(** Precomputed per-modulus Montgomery state for repeated
-    exponentiation modulo one odd modulus. [create] derives once what
-    {!mod_pow} re-derives per call — the word inverse, [R mod m] and
-    [R² mod m] — in one kernel call with no division. Every walk over an
+(** Precomputed per-modulus Montgomery state for exponentiation modulo
+    one odd modulus, the only modular exponentiation there is: a caller
+    that raises modulo one modulus repeatedly keeps its context.
+    [create] derives the word inverse, [R mod m] and [R² mod m] in one
+    kernel call with no division. Every walk over an
     exponent runs on one C kernel ([mont_stubs.c]): fused
     multiply-reduce and square-reduce steps and modular additions over
     [n = ⌈bits(m)/64⌉] 64-bit words, so [R = 2^(64n)]. Its working
@@ -151,7 +147,7 @@ module Mont : sig
   val modulus : ctx -> t
 
   val pow : ctx -> t -> t -> t
-  (** [pow c b e] is exactly [mod_pow b e (modulus c)] for [e >= 0], by
+  (** [pow c b e] is [b^e mod (modulus c)] for [e >= 0], by
       a sliding-window ladder (windows of up to 7 bits over a table of
       the base's odd powers).
       @raise Invalid_argument on a negative exponent. *)

@@ -10,7 +10,6 @@ type t = {
   trapdoors : trapdoor_state;                   (* T *)
   set_hashes : (string, Mset_hash.t) Hashtbl.t; (* S, keyed by token bytes *)
   seen_ids : (string, unit) Hashtbl.t;
-  mutable primes : Bigint.t list; (* X, newest first *)
   mutable ac : Bigint.t;
   mutable built : bool;
   mutable t_index : float;
@@ -57,7 +56,6 @@ let create ?(width = 16) ~rng ~acc_params ~keys () =
     trapdoors = Hashtbl.create 256;
     set_hashes = Hashtbl.create 256;
     seen_ids = Hashtbl.create 256;
-    primes = [];
     ac = acc_params.Rsa_acc.generator;
     built = false;
     t_index = 0.;
@@ -215,12 +213,7 @@ let add_records t records =
      folds the whole batch into Ac (equal to the per-prime fold, since
      g^x^y = g^(xy)). *)
   let new_primes = timed_ads (fun () -> Prime_rep.to_primes (List.rev !prime_inputs)) in
-  let fresh = t.primes = [] in
-  t.primes <- List.rev_append new_primes t.primes;
-  timed_ads (fun () ->
-      t.ac <-
-        (if fresh then Rsa_acc.accumulate t.o_params new_primes
-         else Rsa_acc.add_batch t.o_params t.ac new_primes));
+  timed_ads (fun () -> t.ac <- Rsa_acc.add_batch t.o_params t.ac new_primes);
   t.t_ads <- !ads_time;
   t.t_index <- Unix.gettimeofday () -. started -. !ads_time;
   (* Per-keyword groups, aligned with [results]/[gpairs]/[new_primes]:

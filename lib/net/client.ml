@@ -174,9 +174,18 @@ let exchange t frame =
    framed once, in one pass from its pieces, and every attempt sends
    the same bytes — in particular the request id, which every
    effectful request (Search, Build, Insert) carries — so re-sends are
-   idempotent server-side. *)
+   idempotent server-side. A request too large for one frame is refused
+   here, unsent, as the server would refuse its frame. *)
 let rpc t req =
-  let frame = Frame.encode_sized ~tag:Wire.request_tag (Wire.request_sized req) in
+  let payload = Wire.request_sized req in
+  if payload.Bytesutil.size > Frame.default_max_payload then
+    Error
+      (Refused
+         ( Wire.Bad_request,
+           Printf.sprintf "a %d-byte request exceeds the %d-byte frame limit"
+             payload.Bytesutil.size Frame.default_max_payload ))
+  else
+  let frame = Frame.encode_sized ~tag:Wire.request_tag payload in
   let rec attempt n last =
     if n > t.cfg.max_attempts then
       Error (Exhausted { attempts = t.cfg.max_attempts; last })

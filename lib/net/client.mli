@@ -141,7 +141,10 @@ val dispute :
 val rpc : t -> Wire.request -> (Wire.response, error) result
 (** One raw request round trip under the full retry/backoff machinery,
     with the response returned untyped. [Refused] frames other than
-    [Busy] surface as [Error (Refused _)]. This is the router's fan-out
+    [Busy] surface as [Error (Refused _)]. A request larger than
+    {!Frame.default_max_payload} is [Error (Refused (Bad_request, _))],
+    naming its size and the limit, and nothing is sent; so is every
+    typed helper's. This is the router's fan-out
     primitive: it builds its own sub-requests (derived request ids,
     split shipments) and must not re-enter the typed helpers above. *)
 

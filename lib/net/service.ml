@@ -329,7 +329,9 @@ let receipt_status_of sb ~request =
    window go into the contract. *)
 let run_build t ~identity ~width ~payment ~acc ~tdp_n ~tdp_e ~user_k ~user_k_r ~trapdoor
     shipment =
-  let tdp_public = Rsa_tdp.public_of_parts ~n:tdp_n ~e:tdp_e in
+  match Rsa_tdp.public_of_parts ~n:tdp_n ~e:tdp_e with
+  | exception Invalid_argument e -> Declined (Wire.Bad_request, e)
+  | tdp_public ->
   let dispute_window =
     match identity.settlement with
     | Batched { window; _ } -> window

@@ -21,14 +21,7 @@
 
    3. The registry is process-global by default (the service, the
       bench driver and the CLI all read the same truth), but tests can
-      build isolated registries.
-
-   Everything is guarded by one [enabled] flag; when cleared, [span]
-   runs its thunk directly and recording is a single load-and-branch. *)
-
-let enabled_flag = ref true
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
+      build isolated registries. *)
 
 (* Which process this registry describes — "" for a standalone server
    (exposition format unchanged), "shard-0" / "router" in a cluster so
@@ -65,8 +58,7 @@ module Counter = struct
 
   let create () = { cells = make_cells () }
 
-  let add t n =
-    if !enabled_flag then ignore (Atomic.fetch_and_add t.cells.(shard ()) n)
+  let add t n = ignore (Atomic.fetch_and_add t.cells.(shard ()) n)
 
   let incr t = add t 1
 
@@ -78,8 +70,8 @@ module Gauge = struct
 
   let create () = { cell = Atomic.make 0 }
 
-  let set t v = if !enabled_flag then Atomic.set t.cell v
-  let add t n = if !enabled_flag then ignore (Atomic.fetch_and_add t.cell n)
+  let set t v = Atomic.set t.cell v
+  let add t n = ignore (Atomic.fetch_and_add t.cell n)
   let value t = Atomic.get t.cell
 end
 
@@ -167,12 +159,10 @@ module Histogram = struct
     end
 
   let record t v =
-    if !enabled_flag then begin
-      let v = if v < 0 then 0 else v in
-      let cells = shard_cells t (shard ()) in
-      ignore (Atomic.fetch_and_add cells.(bucket_of v) 1);
-      ignore (Atomic.fetch_and_add cells.(sum_cell) v)
-    end
+    let v = if v < 0 then 0 else v in
+    let cells = shard_cells t (shard ()) in
+    ignore (Atomic.fetch_and_add cells.(bucket_of v) 1);
+    ignore (Atomic.fetch_and_add cells.(sum_cell) v)
 
   (* Latency entry point: seconds in, nanoseconds recorded. Durations
      (not absolute times) keep the float mantissa honest. *)
@@ -423,21 +413,18 @@ let trace_enter : (string -> int) ref = ref (fun _ -> 0)
 let trace_exit : (unit -> unit) ref = ref (fun () -> ())
 
 let span name f =
-  if not !enabled_flag then f ()
-  else begin
-    let h = span_histogram name in
-    let tok = if Atomic.get trace_live > 0 then !trace_enter name else 0 in
-    let t0 = Clock.now_ns () in
-    match f () with
-    | r ->
-      Histogram.record h (Clock.now_ns () - t0);
-      if tok <> 0 then !trace_exit ();
-      r
-    | exception exn ->
-      Histogram.record h (Clock.now_ns () - t0);
-      if tok <> 0 then !trace_exit ();
-      raise exn
-  end
+  let h = span_histogram name in
+  let tok = if Atomic.get trace_live > 0 then !trace_enter name else 0 in
+  let t0 = Clock.now_ns () in
+  match f () with
+  | r ->
+    Histogram.record h (Clock.now_ns () - t0);
+    if tok <> 0 then !trace_exit ();
+    r
+  | exception exn ->
+    Histogram.record h (Clock.now_ns () - t0);
+    if tok <> 0 then !trace_exit ();
+    raise exn
 
 (* --- process memory ------------------------------------------------------- *)
 
@@ -749,10 +736,4 @@ module Export = struct
     end
 
   let ensure_parent path = ensure_dir (Filename.dirname path)
-
-  let write_file path content =
-    ensure_parent path;
-    let oc = open_out path in
-    output_string oc content;
-    close_out oc
 end

@@ -9,16 +9,9 @@
     records its wall time into the histogram
     ["slicer_core_build_seconds"] (dots map to underscores, a
     [slicer_] prefix and [_seconds] suffix are added). Recording costs
-    O(100 ns); with {!set_enabled}[ false] the whole layer collapses to
-    a load-and-branch.
+    O(100 ns).
 
     Snapshots export as Prometheus text or JSON via {!Export}. *)
-
-val set_enabled : bool -> unit
-(** Globally enable/disable all recording (default: enabled). Disabled
-    instruments still expose their last totals. *)
-
-val enabled : unit -> bool
 
 val set_instance : string -> unit
 (** Name this process in exposition: when non-empty, every exported
@@ -160,8 +153,8 @@ val metric_of_span : string -> string
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] times [f ()] (exceptions included) into the histogram
-    {!metric_of_span}[ name] in the default registry. When disabled,
-    runs [f] directly. When the calling thread carries a live [Trace]
+    {!metric_of_span}[ name] in the default registry. When the calling
+    thread carries a live [Trace]
     context, the same interval is also recorded as a child span of the
     surrounding trace (see {!trace_enter}). *)
 
@@ -221,7 +214,4 @@ module Export : sig
 
   val ensure_parent : string -> unit
   (** Create the parent directories of a path if missing. *)
-
-  val write_file : string -> string -> unit
-  (** Write [content] to [path], creating parent directories first. *)
 end

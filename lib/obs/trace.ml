@@ -388,31 +388,29 @@ let complete ctx =
     end
 
 let root ?remote name f =
-  if not (Obs.enabled ()) then f ()
-  else
-    match current_ts () with
-    | Some ts ->
-      (* nested root (e.g. service behind an already-rooted server
-         worker): just a child span *)
-      ignore (enter ts name : int);
-      (match f () with
-       | r -> exit_frame ts []; r
-       | exception exn -> exit_frame ts []; raise exn)
-    | None ->
-      (match decide remote with
-       | None -> f ()
-       | Some (ctx, parent0) ->
-         let ts = { ts_ctx = ctx; ts_parent = parent0; ts_stack = []; ts_tags = [] } in
-         register ts;
-         ignore (enter ts name : int);
-         let finish () =
-           exit_frame ts [];
-           unregister ();
-           complete ctx
-         in
-         (match f () with
-          | r -> finish (); r
-          | exception exn -> finish (); raise exn))
+  match current_ts () with
+  | Some ts ->
+    (* nested root (e.g. service behind an already-rooted server
+       worker): just a child span *)
+    ignore (enter ts name : int);
+    (match f () with
+     | r -> exit_frame ts []; r
+     | exception exn -> exit_frame ts []; raise exn)
+  | None ->
+    (match decide remote with
+     | None -> f ()
+     | Some (ctx, parent0) ->
+       let ts = { ts_ctx = ctx; ts_parent = parent0; ts_stack = []; ts_tags = [] } in
+       register ts;
+       ignore (enter ts name : int);
+       let finish () =
+         exit_frame ts [];
+         unregister ();
+         complete ctx
+       in
+       (match f () with
+        | r -> finish (); r
+        | exception exn -> finish (); raise exn))
 
 (* --- assembly and rendering --------------------------------------------- *)
 

@@ -7,8 +7,11 @@
     [pk] cannot compute future trapdoors, so an insertion reveals nothing
     about whether the new entry matches past queries. *)
 
-type public = private { pn : Bigint.t; e : Bigint.t }
-type secret = private { sn : Bigint.t; d : Bigint.t }
+(** Each key carries its modulus's {!Bigint.Mont} context, built once
+    with the key, so {!forward} and {!inverse} derive no Montgomery
+    state per call. *)
+type public = private { pn : Bigint.t; e : Bigint.t; pmont : Bigint.Mont.ctx }
+type secret = private { sn : Bigint.t; d : Bigint.t; smont : Bigint.Mont.ctx }
 
 val keygen : ?bits:int -> rng:Drbg.t -> unit -> public * secret
 (** Fresh key pair; default 1024-bit modulus, [e = 65537]. *)
@@ -16,7 +19,8 @@ val keygen : ?bits:int -> rng:Drbg.t -> unit -> public * secret
 val public_of_parts : n:Bigint.t -> e:Bigint.t -> public
 (** Reassembles a public key received over the wire (the owner → user
     provisioning channel). @raise Invalid_argument on degenerate
-    parameters. *)
+    parameters: a modulus that is even or at most 3, an exponent at
+    most 1. *)
 
 val forward : public -> Bigint.t -> Bigint.t
 (** [π_pk(x) = x^e mod n]. *)

@@ -281,7 +281,9 @@ let check_request_roundtrip (req : Wire.request) =
 let test_request_roundtrips () = List.iter check_request_roundtrip (Lazy.force sample_requests)
 
 (* A Build or a Welcome carrying a modulus no accumulator can use
-   (even, 1 or 0) does not decode, and the decoder raises nothing. *)
+   (even, 1 or 0) does not decode, and the decoder raises nothing. A
+   Welcome with an even trapdoor modulus does not decode either, and a
+   Build with one is refused as a bad request. *)
 let test_degenerate_modulus_refused () =
   let with_piece i v s =
     match Bytesutil.split s with
@@ -316,7 +318,21 @@ let test_degenerate_modulus_refused () =
       Alcotest.check_raises (name ^ ": no params")
         (Invalid_argument "Rsa_acc.params_of_parts: the modulus must be odd and at least 3")
         (fun () -> ignore (Rsa_acc.params_of_parts ~modulus:m ~generator:Bigint.two)))
-    [ ("even", Bigint.succ build_modulus); ("one", Bigint.one); ("zero", Bigint.zero) ]
+    [ ("even", Bigint.succ build_modulus); ("one", Bigint.one); ("zero", Bigint.zero) ];
+  (* Piece 6 of a Welcome holds the trapdoor modulus. *)
+  match build with
+  | Wire.Build b ->
+    let even_tdp = Bigint.succ b.tdp_n in
+    Alcotest.(check bool) "an even trapdoor modulus: Welcome refused" true
+      (Option.is_none
+         (Wire.decode_response (with_piece 6 (Bigint.to_bytes_be even_tdp) welcome_bytes)));
+    (match Net.Service.handle (Net.Service.create ()) (Wire.Build { b with tdp_n = even_tdp }) with
+     | Wire.Refused { code = Wire.Bad_request; _ } -> ()
+     | Wire.Refused { code; detail } ->
+       Alcotest.failf "an even trapdoor modulus: Build refused (%s) %s"
+         (Wire.err_code_to_string code) detail
+     | _ -> Alcotest.fail "an even trapdoor modulus: Build accepted")
+  | _ -> Alcotest.fail "expected a Build"
 
 (* A genuine search reply, produced by the service itself. *)
 let sample_found =
@@ -1471,6 +1487,27 @@ let test_stats_memory_gauges () =
               Alcotest.(check bool) "json carries the heap gauge" true
                 (contains st_json "slicer_ocaml_major_heap_bytes")))
 
+(* A request too large for one frame is refused by the client itself,
+   unsent and without an exception, and the connection serves on. *)
+let test_oversize_request_refused () =
+  let c = client "oversize" in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  let dispute =
+    Wire.Dispute
+      { client = "oversize"; request_id = "oversize#0"; shard = 0;
+        claims_blob = String.make (Net.Frame.default_max_payload + 1) 'x';
+        batch_witness = None }
+  in
+  (match Net.Client.rpc c dispute with
+   | Error (Net.Client.Refused (Wire.Bad_request, detail)) ->
+     Alcotest.(check bool) "the refusal names the limit" true
+       (contains detail (Printf.sprintf "the %d-byte frame limit" Net.Frame.default_max_payload))
+   | Error e -> Alcotest.failf "oversize dispute: %s" (Net.Client.error_to_string e)
+   | Ok _ -> Alcotest.fail "an oversize dispute was answered");
+  match Net.Client.ping c with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "ping after the refusal: %s" (Net.Client.error_to_string e)
+
 let test_stats_over_the_wire () =
   (* The admin endpoint end to end: an unprovisioned client scrapes the
      live server and gets back both encodings of the same registry. One
@@ -2171,8 +2208,10 @@ let test_witness_index_survives_restart () =
             { client = "windex-user"; request_id = "wi#2"; batched = false; tokens; trace = None }))
   in
   Option.iter Store.close (Net.Service.store svc);
-  (* Restart 1: WAL replay reconstructs (and re-warms) the index; the
-     re-anchoring checkpoint then snapshots the warm state. *)
+  (* Restart 1: WAL replay reconstructs the index but runs no warm, so
+     the witness tree stays cold until searches touch it: only the
+     leaves the replayed searches touched are warm, and the
+     re-anchoring checkpoint snapshots those. *)
   (match Net.Service.recover cfg with
    | Error e -> Alcotest.failf "first recover: %s" e
    | Ok (svc2, _) -> Option.iter Store.close (Net.Service.store svc2));
@@ -3308,7 +3347,9 @@ let () =
             test_build_and_insert_over_the_wire;
           Alcotest.test_case "read timeout kicks idlers" `Quick test_read_timeout_kicks_idlers;
           Alcotest.test_case "stats over the wire" `Quick test_stats_over_the_wire;
-          Alcotest.test_case "memory gauges after a build" `Quick test_stats_memory_gauges ] );
+          Alcotest.test_case "memory gauges after a build" `Quick test_stats_memory_gauges;
+          Alcotest.test_case "an oversize request is refused unsent" `Quick
+            test_oversize_request_refused ] );
       ( "event loop",
         [ Alcotest.test_case "decoder: byte-at-a-time" `Quick test_decoder_byte_at_a_time;
           Alcotest.test_case "decoder: zero-copy parsing" `Quick test_decoder_zero_copy;

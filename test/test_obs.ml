@@ -327,19 +327,6 @@ let test_span_records_on_raise () =
   (try Obs.span "test.raiser" (fun () -> raise Exit) with Exit -> ());
   Alcotest.(check int) "exception still timed" (before + 1) (span_count "test.raiser")
 
-let test_disabled_is_noop () =
-  let before = span_count "test.off" in
-  let r = Obs.Registry.create () in
-  let c = Obs.counter ~registry:r "off_total" in
-  Obs.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_enabled true)
-    (fun () ->
-      Alcotest.(check int) "span still runs the thunk" 7 (Obs.span "test.off" (fun () -> 7));
-      Obs.Counter.add c 5);
-  Alcotest.(check int) "no span recorded" before (span_count "test.off");
-  Alcotest.(check int) "no count recorded" 0 (Obs.Counter.value c)
-
 let test_metric_of_span () =
   List.iter
     (fun (span, metric) -> Alcotest.(check string) span metric (Obs.metric_of_span span))
@@ -403,7 +390,6 @@ let () =
       ( "spans",
         [ Alcotest.test_case "records and returns" `Quick test_span_records;
           Alcotest.test_case "records on raise" `Quick test_span_records_on_raise;
-          Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
           Alcotest.test_case "metric naming" `Quick test_metric_of_span;
           Alcotest.test_case "overhead tripwire" `Quick test_span_overhead_sane ] );
       ( "registry",

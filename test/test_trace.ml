@@ -3,8 +3,7 @@
    drain accounting under domain parallelism, the wire codec's trace
    piece (an untraced request must carry none: the bytes without a
    trace context are pinned), tree
-   assembly with its render/Chrome exports, histogram exemplars, and
-   the merged stats JSON the CLI prints for repeated --addr. *)
+   assembly with its render/Chrome exports, and histogram exemplars. *)
 
 module Wire = Net.Wire
 
@@ -419,50 +418,6 @@ let test_exemplars () =
     "\"exemplars\": [[3, \"0000000000000def\"]]"
     (Obs.Export.to_json ~registry:r ())
 
-(* --- merged stats JSON ---------------------------------------------------- *)
-
-let test_json_escape () =
-  Alcotest.(check string) "escapes quotes, backslashes and control bytes"
-    "a\\\"b\\\\c\\nd\\te\\r\\u0001"
-    (Cluster.Scrape.json_escape "a\"b\\c\nd\te\r\001")
-
-let test_instance_extraction () =
-  Alcotest.(check (option string)) "leading instance field"
-    (Some "shard-0")
-    (Cluster.Scrape.instance_of_stats_json
-       "{\n  \"instance\": \"shard-0\",\n  \"counters\": {}\n}");
-  Alcotest.(check (option string)) "escapes in the name unescape"
-    (Some "a\"b")
-    (Cluster.Scrape.instance_of_stats_json "{\n  \"instance\": \"a\\\"b\",\n}");
-  Alcotest.(check (option string)) "no instance field"
-    None
-    (Cluster.Scrape.instance_of_stats_json "{\n  \"counters\": {\"slicer_x\": 1}\n}");
-  (* and against the real exporter, not a hand-written facsimile *)
-  Obs.set_instance "shard-9";
-  Fun.protect
-    ~finally:(fun () -> Obs.set_instance "")
-    (fun () ->
-      Alcotest.(check (option string)) "real Obs.Export.to_json output"
-        (Some "shard-9")
-        (Cluster.Scrape.instance_of_stats_json
-           (Obs.Export.to_json ~registry:(Obs.Registry.create ()) ())))
-
-let test_merged_stats_json () =
-  let shard0 = "{\n  \"instance\": \"shard-0\",\n  \"counters\": {}\n}" in
-  let anon = "{\n  \"counters\": {}\n}" in
-  let out =
-    Cluster.Scrape.merged_stats_json
-      [ ("127.0.0.1:7071", Ok shard0);
-        ("unix:/tmp/s1", Ok anon);
-        ("127.0.0.1:7072", Error "connect: \"refused\"") ]
-  in
-  Alcotest.(check string) "one valid JSON array keyed by instance"
-    ("[{\"addr\":\"127.0.0.1:7071\",\"instance\":\"shard-0\",\"stats\":" ^ shard0
-    ^ "},{\"addr\":\"unix:/tmp/s1\",\"instance\":\"unix:/tmp/s1\",\"stats\":" ^ anon
-    ^ "},{\"addr\":\"127.0.0.1:7072\",\"instance\":\"127.0.0.1:7072\",\
-       \"error\":\"connect: \\\"refused\\\"\"}]")
-    out
-
 (* Regression: two processes (or a fork pair) sharing a clock tick and
    a recycled pid used to derive the same id-generator seed, colliding
    their trace ids. The /dev/urandom word must separate seeds even when
@@ -513,8 +468,4 @@ let () =
         [ Alcotest.test_case "assemble" `Quick test_assemble;
           Alcotest.test_case "render timeline" `Quick test_render;
           Alcotest.test_case "chrome export" `Quick test_chrome_export ] );
-      ("exemplars", [ Alcotest.test_case "bucket exemplars" `Quick test_exemplars ]);
-      ( "scrape",
-        [ Alcotest.test_case "json escaping" `Quick test_json_escape;
-          Alcotest.test_case "instance extraction" `Quick test_instance_extraction;
-          Alcotest.test_case "merged stats golden" `Quick test_merged_stats_json ] ) ]
+      ("exemplars", [ Alcotest.test_case "bucket exemplars" `Quick test_exemplars ]) ]
