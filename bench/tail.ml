@@ -2,20 +2,24 @@
    every tick, so a cost per open connection shows as tail latency once
    many connections sit idle. One process runs a server over a small
    seeded Build and one client that times a series of Pings, then
-   the same series again while a {!Net.Client.Swarm} holds 1000 more
-   keep-alive connections open. No fork, no child process.
+   the same series again while 1000 more plain {!Net.Client}s hold
+   their connections open. No fork, no child process: both ends of
+   every socket live in it, so about half the idle clients' sockets are
+   numbered past FD_SETSIZE, and their Pings wait through poll(2)
+   there.
 
-   Guards: every swarm connection is confirmed; the server's
-   [slicer_net_open_connections] gauge counts them; the swarm is still
-   whole after the series; and p99 under the swarm stays within
-   max(2 x baseline p99, 25 ms). The floor absorbs scheduler noise on a
-   shared host, where a sub-millisecond baseline p99 can double between
-   runs; a per-socket cost of 20 us makes every tick 20 ms longer and
-   clears it. Each series also prints the p99 of the event loop's wait
-   for the runtime lock ([slicer_net_loop_lock_wait_seconds]), so a
-   failing guard says whether that wait was the cause. *)
+   Guards: every idle connection is confirmed by one Ping; the server's
+   [slicer_net_open_connections] gauge counts them and the timing
+   client, before the series and still after it; and p99 under the
+   idle connections stays within max(2 x baseline p99, 25 ms). The
+   floor absorbs scheduler noise on a shared host, where a
+   sub-millisecond baseline p99 can double between runs; a per-socket
+   cost of 20 us makes every tick 20 ms longer and clears it. Each
+   series also prints the p99 of the event loop's wait for the runtime
+   lock ([slicer_net_loop_lock_wait_seconds]), so a failing guard says
+   whether that wait was the cause. *)
 
-let swarm_size = 1000
+let idle_conns = 1000
 let pings = 1000
 let floor_s = 0.025
 
@@ -92,29 +96,42 @@ let run () =
     | Error e -> fail "connect: %s" (Net.Client.error_to_string e)
   in
   Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
-  Printf.printf "%d Pings per series, then again under %d idle keep-alive connections\n%!"
-    pings swarm_size;
+  Printf.printf "%d Pings per series, then again under %d idle connections\n%!" pings
+    idle_conns;
   let base = series c in
   report "baseline" base;
-  let sw = Net.Client.Swarm.open_ ~timeout:120. ~n:swarm_size endpoint in
-  Fun.protect ~finally:(fun () -> Net.Client.Swarm.close sw) @@ fun () ->
-  let live = Net.Client.Swarm.live sw in
-  Printf.printf "  swarm: %d/%d connections confirmed\n%!" live swarm_size;
-  if live < swarm_size then fail "only %d of %d swarm connections confirmed" live swarm_size;
-  let open_conns = scraped c "slicer_net_open_connections" in
-  if open_conns < swarm_size then
-    fail "the server reports %d open connections, expected >= %d" open_conns swarm_size;
+  let idle =
+    List.init idle_conns (fun i ->
+        match
+          Net.Client.connect ~name:(Printf.sprintf "tail-idle-%d" i) ~provision:false endpoint
+        with
+        | Ok c -> c
+        | Error e -> fail "connect: %s" (Net.Client.error_to_string e))
+  in
+  Fun.protect ~finally:(fun () -> List.iter Net.Client.close idle) @@ fun () ->
+  (* A plain client connects on its first request: one Ping each opens
+     and confirms the connection. *)
+  let confirmed = List.length (List.filter (fun c -> Result.is_ok (Net.Client.ping c)) idle) in
+  Printf.printf "  idle: %d/%d connections confirmed\n%!" confirmed idle_conns;
+  if confirmed < idle_conns then
+    fail "only %d of %d idle connections confirmed" confirmed idle_conns;
+  (* The server's own count, before the series and after it: every
+     idle connection plus the timing client. *)
+  let expected = idle_conns + 1 in
+  let open_before = scraped c "slicer_net_open_connections" in
   let under = series c in
-  report (Printf.sprintf "under %d sockets" swarm_size) under;
-  (* One collecting tick: a member the server closed reads EOF here and
-     leaves the swarm. *)
-  Net.Client.Swarm.tick ~timeout_ms:100 sw;
-  let live_after = Net.Client.Swarm.live sw in
-  Printf.printf "  swarm after the series: %d/%d still live\n%!" live_after swarm_size;
-  (* The bound first: a series slowed past the server's 30 s idle sweep
-     also loses the swarm, and the latency is the cause to name. *)
+  report (Printf.sprintf "under %d sockets" idle_conns) under;
+  let open_after = scraped c "slicer_net_open_connections" in
+  Printf.printf "  server: %d open connections before the series, %d after (>= %d)\n%!"
+    open_before open_after expected;
+  (* The bound first: a loop slowed by a per-socket cost also keeps the
+     connections idle past the server's 30 s sweep, and the latency is
+     the cause to name. *)
   let bound = Float.max (2. *. fst base) floor_s in
   if fst under > bound then
     fail "p99 %.2f ms under %d sockets exceeds max(2 x baseline p99 %.2f ms, %.0f ms)"
-      (fst under *. 1e3) swarm_size (fst base *. 1e3) (floor_s *. 1e3);
-  if live_after < swarm_size then fail "swarm decayed to %d/%d" live_after swarm_size
+      (fst under *. 1e3) idle_conns (fst base *. 1e3) (floor_s *. 1e3);
+  if open_before < expected then
+    fail "the server reports %d open connections, expected >= %d" open_before expected;
+  if open_after < expected then
+    fail "the server dropped to %d open connections, expected >= %d" open_after expected

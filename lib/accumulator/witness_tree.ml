@@ -100,7 +100,6 @@ let create params =
     n_cold = 0;
     n_misses = 0 }
 
-let params t = t.wt_params
 let leaf_count t = t.count
 
 let key x = Bigint.to_bytes_be x

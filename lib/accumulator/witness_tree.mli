@@ -25,8 +25,6 @@ type t
 
 val create : Rsa_acc.params -> t
 
-val params : t -> Rsa_acc.params
-
 val leaf_count : t -> int
 (** Number of accumulated primes (the tree's current generation). *)
 

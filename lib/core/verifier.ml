@@ -1,9 +1,6 @@
 (* The user's Algorithm 5 is the contract's, run with a no-op meter. *)
 let no_charge ~label:_ _ = ()
 
-let verify_claim params ~ac c =
-  Slicer_contract.verify ~charge:no_charge params ~ac ~batch_witness:None [ c ]
-
 let verify_claims params ~ac claims =
   Obs.span "core.verify" @@ fun () ->
   Slicer_contract.verify ~charge:no_charge params ~ac ~batch_witness:None claims

@@ -5,12 +5,10 @@
     contract does on settlement and in a [dispute], through the same
     memo. *)
 
-val verify_claim : Rsa_acc.params -> ac:Bigint.t -> Slicer_contract.claim -> bool
-(** [h ← H(er); x ← H_prime(token ‖ h)] at the claim's hint;
-    [VerifyMem(x, vo)]. *)
-
 val verify_claims : Rsa_acc.params -> ac:Bigint.t -> Slicer_contract.claim list -> bool
-(** Conjunction over all claims (empty list verifies). *)
+(** Conjunction over all claims (empty list verifies): per claim,
+    [h ← H(er); x ← H_prime(token ‖ h)] at the claim's hint, then
+    [VerifyMem(x, vo)]. *)
 
 val verify_claims_batched :
   Rsa_acc.params -> ac:Bigint.t -> Slicer_contract.claim list -> witness:Bigint.t -> bool

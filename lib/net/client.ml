@@ -505,179 +505,3 @@ let dispute ?shard t ~request_id =
         | Ok (Wire.Disputed { dp_slashed; dp_receipt }) -> Ok (dp_slashed, dp_receipt)
         | Ok _ -> Error (Bad_reply "expected a dispute verdict")
         | Error e -> Error e))
-
-(* --- high-connection-count mode ------------------------------------------ *)
-
-(* A swarm holds hundreds or thousands of cheap unprovisioned
-   connections open against one server — the tail guard's way of
-   proving the event loop's p99 stays flat at 1k+ sockets. Everything
-   is non-blocking and poll-driven (a swarm's fds live far past
-   FD_SETSIZE), with one [Frame.Decoder] per socket for the replies. *)
-module Swarm = struct
-  let g_swarm = Obs.gauge ~help:"swarm sockets currently open" "slicer_net_swarm_connections"
-
-  type sconn = {
-    s_fd : Unix.file_descr;
-    s_dec : Frame.Decoder.t;
-    mutable s_awaiting : bool;   (* a ping is in flight *)
-    mutable s_next_ping : float; (* monotonic due time *)
-    mutable s_replies : int;
-  }
-
-  type t = { mutable sw_conns : sconn list }
-
-  (* Keep-alive pacing: well inside the server's default 30 s idle
-     sweep. *)
-  let ping_interval = 10.
-
-  let ping_frame = lazy (Frame.encode ~tag:Wire.request_tag (Wire.encode_request Wire.Ping))
-
-  (* At most this many pings awaiting replies at once, so a big swarm's
-     keep-alive never trips the server's admission control. *)
-  let ping_burst = 32
-
-  let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-  let write_frame fd s =
-    let len = String.length s in
-    let rec go off =
-      if off < len then
-        match Unix.write_substring fd s off (len - off) with
-        | n -> go (off + n)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ignore (Poll.wait_fd fd ~read:false ~write:true ~timeout_ms:1000);
-          go off
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    in
-    go 0
-
-  (* Drain whatever the socket has; any complete response frame settles
-     the in-flight ping. Returns [false] when the peer is gone or the
-     stream broke. *)
-  let pump_reads c =
-    let rec parse () =
-      match Frame.Decoder.next c.s_dec with
-      | Ok (Some _) ->
-        c.s_replies <- c.s_replies + 1;
-        c.s_awaiting <- false;
-        c.s_next_ping <- Obs.Clock.now () +. ping_interval;
-        parse ()
-      | Ok None -> true
-      | Error _ -> false
-    in
-    let rec go () =
-      let buf, off = Frame.Decoder.space c.s_dec 512 in
-      let room = Frame.Decoder.room c.s_dec in
-      match Unix.read c.s_fd buf off room with
-      | 0 -> false
-      | n ->
-        Frame.Decoder.commit c.s_dec n;
-        if parse () then if n = room then go () else true else false
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
-      | exception Unix.Unix_error _ -> false
-    in
-    go ()
-
-  let drop t dead =
-    if dead <> [] then begin
-      List.iter (fun c -> close_fd c.s_fd) dead;
-      Obs.Gauge.add g_swarm (-List.length dead);
-      t.sw_conns <- List.filter (fun c -> not (List.memq c dead)) t.sw_conns
-    end
-
-  (* Fire due keep-alive pings (bounded burst) and collect replies. *)
-  let tick ?(timeout_ms = 0) t =
-    let nw = Obs.Clock.now () in
-    let awaiting = List.length (List.filter (fun c -> c.s_awaiting) t.sw_conns) in
-    let budget = ref (Stdlib.max 0 (ping_burst - awaiting)) in
-    let dead = ref [] in
-    List.iter
-      (fun c ->
-        if (not c.s_awaiting) && nw >= c.s_next_ping && !budget > 0 then begin
-          decr budget;
-          match write_frame c.s_fd (Lazy.force ping_frame) with
-          | () -> c.s_awaiting <- true
-          | exception Unix.Unix_error _ -> dead := c :: !dead
-        end)
-      t.sw_conns;
-    drop t !dead;
-    let conns = Array.of_list t.sw_conns in
-    if Array.length conns > 0 then begin
-      let pset = Poll.create () in
-      Array.iter (fun c -> Poll.add pset c.s_fd ~read:true ~write:false) conns;
-      match Poll.wait pset ~timeout_ms with
-      | n when n > 0 ->
-        let dead = ref [] in
-        Array.iteri
-          (fun i c ->
-            let r = Poll.revents pset i in
-            if (Poll.is_readable r || Poll.is_error r) && not (pump_reads c) then
-              dead := c :: !dead)
-          conns;
-        drop t !dead
-      | _ -> ()
-    end
-
-  let live t = List.length t.sw_conns
-  let confirmed t = List.length (List.filter (fun c -> c.s_replies > 0) t.sw_conns)
-
-  let close t =
-    List.iter (fun c -> close_fd c.s_fd) t.sw_conns;
-    Obs.Gauge.add g_swarm (-List.length t.sw_conns);
-    t.sw_conns <- []
-
-  let open_ ?(timeout = 60.) ~n endpoint =
-    let addr = sockaddr_of_endpoint endpoint in
-    let t = { sw_conns = [] } in
-    let deadline = Obs.Clock.now () +. timeout in
-    let add fd =
-      Obs.Gauge.add g_swarm 1;
-      t.sw_conns <-
-        { s_fd = fd;
-          s_dec = Frame.Decoder.create ();
-          s_awaiting = false;
-          s_next_ping = 0.; (* ping immediately: prove the socket end to end *)
-          s_replies = 0 }
-        :: t.sw_conns
-    in
-    (* Batched non-blocking connects: a whole batch is in flight at
-       once, so a thousand sockets establish in a few round trips. *)
-    while live t < n && Obs.Clock.now () < deadline do
-      let batch = Stdlib.min 64 (n - live t) in
-      let pending =
-        List.init batch (fun _ ->
-            let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-            Unix.set_nonblock fd;
-            match Unix.connect fd addr with
-            | () -> `Ready fd
-            | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
-              `Wait fd
-            | exception Unix.Unix_error _ ->
-              close_fd fd;
-              `Failed)
-      in
-      List.iter
-        (function
-          | `Ready fd -> add fd
-          | `Failed -> () (* retried by the outer loop until the deadline *)
-          | `Wait fd ->
-            (match Poll.wait_fd fd ~read:false ~write:true ~timeout_ms:5000 with
-             | r when r > 0 ->
-               (match Unix.getsockopt_error fd with
-                | None -> add fd
-                | Some _ -> close_fd fd)
-             | _ -> close_fd fd))
-        pending
-    done;
-    (* Settle the opening pings: every connection must prove the server
-       answers it before the swarm counts as up. *)
-    let rec settle () =
-      if confirmed t < live t && Obs.Clock.now () < deadline then begin
-        tick ~timeout_ms:50 t;
-        settle ()
-      end
-    in
-    settle ();
-    drop t (List.filter (fun c -> c.s_replies = 0) t.sw_conns);
-    t
-end

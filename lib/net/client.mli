@@ -149,30 +149,3 @@ val rpc : t -> Wire.request -> (Wire.response, error) result
     split shipments) and must not re-enter the typed helpers above. *)
 
 val close : t -> unit
-
-(** High-connection-count mode: hundreds or thousands of cheap
-    unprovisioned keep-alive connections against one server, poll-driven
-    and non-blocking throughout (their fds live far past FD_SETSIZE).
-    The bench [tail] target holds a swarm open while it times requests,
-    proving the event loop's tail latency stays flat at 1k+ sockets. *)
-module Swarm : sig
-  type t
-
-  val open_ : ?timeout:float -> n:int -> Server.endpoint -> t
-  (** Open [n] connections in non-blocking batches and ping each once;
-      a connection only counts once the server has answered it.
-      Connections that fail to establish or answer within [timeout]
-      (default 60 s) are dropped — check {!live}. Later keep-alive
-      pings go out every 10 s, so an idle-sweeping server does not kick
-      swarm members that {!tick} keeps serving. *)
-
-  val live : t -> int
-  (** Connections open and server-confirmed. *)
-
-  val tick : ?timeout_ms:int -> t -> unit
-  (** Fire due keep-alive pings (bounded bursts, below the server's
-      admission cap) and collect replies. Call at any cadence faster
-      than the server's idle sweep. *)
-
-  val close : t -> unit
-end

@@ -258,7 +258,7 @@ let read_exact fd buf off n deadline =
           let remaining = d -. Obs.Clock.now () in
           if remaining <= 0. then `Expired
           else
-            (* poll(2), not select: a client holding a thousand swarm
+            (* poll(2), not select: a process holding a thousand
                sockets still needs deadlines on fds >= FD_SETSIZE. *)
             (match Poll.wait_fd fd ~read:true ~write:false
                      ~timeout_ms:(Poll.ms_of_span remaining)

@@ -8,7 +8,6 @@ external since_return_ns : unit -> int = "slicer_poll_since_return_ns" [@@noallo
 
 (* On every Unix OCaml targets, [Unix.file_descr] is the int fd. *)
 let fd_int (fd : Unix.file_descr) : int = Obj.magic fd
-let int_fd (n : int) : Unix.file_descr = Obj.magic n
 
 type t = {
   mutable fds : int array;
@@ -21,7 +20,6 @@ let create () =
   { fds = Array.make 64 0; evs = Array.make 64 0; revs = Array.make 64 0; n = 0 }
 
 let clear t = t.n <- 0
-let length t = t.n
 
 let grow t =
   let cap = 2 * Array.length t.fds in
@@ -38,7 +36,6 @@ let add t fd ~read ~write =
   t.n <- t.n + 1
 
 let wait t ~timeout_ms = poll_stub t.fds t.evs t.revs t.n timeout_ms
-let fd_at t i = int_fd t.fds.(i)
 let revents t i = t.revs.(i)
 let is_readable r = r land 1 <> 0
 let is_writable r = r land 2 <> 0

@@ -1,5 +1,5 @@
 (** Thin poll(2) binding: the readiness primitive under the event-loop
-    server, the client swarm and every frame-read deadline.
+    server, the client's connect and every frame-read deadline.
 
     [Unix.select] cannot watch descriptors numbered at or above
     FD_SETSIZE (1024), so a process holding a thousand sockets cannot
@@ -17,7 +17,6 @@ val create : unit -> t
 
 val clear : t -> unit
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-val length : t -> int
 
 val wait : t -> timeout_ms:int -> int
 (** Blocks until an fd is ready or the timeout (milliseconds; negative
@@ -29,9 +28,6 @@ val since_return_ns : unit -> int
     returned from poll(2), stamped in C before the call asked for the
     runtime lock back: read first thing after a wait, it is the time
     the thread spent waiting for that lock. *)
-
-val fd_at : t -> int -> Unix.file_descr
-(** The fd added at slot [i]. *)
 
 val revents : t -> int -> int
 (** The readiness mask of slot [i] after {!wait}: test with

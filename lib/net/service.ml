@@ -450,7 +450,17 @@ let run t ~key record =
        answers a query with no token, and the contract would revert. *)
     Declined (Wire.Bad_request, "a search needs at least one token")
   | Search (Wire.Search { client; request_id; batched; tokens; _ }), Some b ->
-    run_search t b ~request:(Option.get key) ~client ~request_id ~batched tokens
+    (* Also refused before any escrow: Algorithm 4 walks a token's
+       [st_updates] generations under the service lock, and an honest
+       token claims at most generation - 1, since the owner advances a
+       keyword's chain at most once per shipment. *)
+    (match List.find_opt (fun st -> st.Slicer_types.st_updates >= b.b_generation) tokens with
+     | Some st ->
+       Declined
+         ( Wire.Bad_request,
+           Printf.sprintf "a token claims %d updates at generation %d"
+             st.Slicer_types.st_updates b.b_generation )
+     | None -> run_search t b ~request:(Option.get key) ~client ~request_id ~batched tokens)
   | Dispute (Wire.Dispute { client; request_id; claims_blob; batch_witness; _ }), Some b ->
     (match batcher b with
      | None -> Declined (Wire.Bad_request, "batched settlement is not enabled")

@@ -168,24 +168,6 @@ module Histogram = struct
      (not absolute times) keep the float mantissa honest. *)
   let record_s t seconds = record t (int_of_float ((seconds *. 1e9) +. 0.5))
 
-  (* Fold [src]'s cells into [dst]. Snapshot-equivalent to having
-     recorded every [src] observation into [dst] directly. A [dst]
-     shard gets cells only where the [src] shard has them. *)
-  let merge_into ~src ~dst =
-    if src.units <> dst.units then invalid_arg "Obs.Histogram.merge_into: unit mismatch";
-    Array.iteri
-      (fun s slot ->
-        let from = Atomic.get slot in
-        if from != no_cells then begin
-          let into = shard_cells dst s in
-          Array.iteri
-            (fun i c ->
-              let n = Atomic.get c in
-              if n <> 0 then ignore (Atomic.fetch_and_add into.(i) n))
-            from
-        end)
-      src.shards
-
   type snapshot = {
     sn_units : units;
     sn_count : int;

@@ -84,11 +84,6 @@ module Histogram : sig
   val record_s : t -> float -> unit
   (** Record a duration given in seconds (stored as ns). *)
 
-  val merge_into : src:t -> dst:t -> unit
-  (** Fold [src]'s observations into [dst] — snapshot-equivalent to
-      having recorded everything into [dst] directly. Raises
-      [Invalid_argument] on a units mismatch. *)
-
   type snapshot = {
     sn_units : units;
     sn_count : int;

@@ -54,8 +54,6 @@ let sample_rate_ref = ref 0.
 
 let set_sample_rate p = sample_rate_ref := Float.max 0. (Float.min 1. p)
 
-let sample_rate () = !sample_rate_ref
-
 (* Slow threshold in ns; -1 = off. An atomic int so the per-request
    read is one load. *)
 let slow_ns = Atomic.make (-1)
@@ -63,12 +61,6 @@ let slow_ns = Atomic.make (-1)
 let set_slow_ms = function
   | None -> Atomic.set slow_ns (-1)
   | Some ms -> Atomic.set slow_ns (int_of_float (Float.max 0. ms *. 1e6))
-
-let slow_ms () =
-  match Atomic.get slow_ns with
-  | n when n < 0 -> None
-  | n -> Some (float_of_int n /. 1e6)
-
 (* --- id minting and sampling (splitmix64 behind a CAS) ------------------ *)
 
 (* Seed material beyond clock xor pid: a router and a shard forked in
@@ -318,100 +310,6 @@ let resume car f =
        register ts;
        Fun.protect ~finally:unregister f)
 
-(* --- roots: sampling, publication, the slow-query log ------------------- *)
-
-let make_ctx ~trace ~sampled =
-  { c_trace = trace;
-    c_sampled = sampled;
-    c_lock = Mutex.create ();
-    c_spans = [];
-    c_count = 0;
-    c_lost = 0 }
-
-(* No upstream context: trace when the sampler fires, and also record
-   (without committing to publish) whenever a slow threshold is armed,
-   so any request can be force-published after the fact. *)
-let decide remote =
-  match remote with
-  | Some w when w.w_trace <> 0L -> Some (make_ctx ~trace:w.w_trace ~sampled:true, w.w_parent)
-  | _ ->
-    let p = !sample_rate_ref in
-    let sampled = p > 0. && uniform () < p in
-    if sampled || Atomic.get slow_ns >= 0 then
-      Some (make_ctx ~trace:(fresh_trace ()) ~sampled, 0)
-    else None
-
-let publish ctx =
-  List.iter
-    (fun sp ->
-      (match Obs.find_span_histogram sp.sp_name with
-       | Some h -> Obs.Histogram.set_exemplar h ~value:(sp.sp_end_ns - sp.sp_start_ns) ~trace:sp.sp_trace
-       | None -> ());
-      push_span sp)
-    ctx.c_spans;
-  if ctx.c_lost > 0 then Obs.Counter.add (Lazy.force c_dropped) ctx.c_lost;
-  Obs.Counter.incr (Lazy.force c_published)
-
-let rec render_breakdown buf ~t0 ~depth spans parent =
-  List.iter
-    (fun sp ->
-      if sp.sp_parent = parent then begin
-        Buffer.add_string buf
-          (Printf.sprintf "\n%s%s %.3f ms (+%.3f)" (String.make (2 * depth) ' ')
-             sp.sp_name
-             (float_of_int (sp.sp_end_ns - sp.sp_start_ns) /. 1e6)
-             (float_of_int (sp.sp_start_ns - t0) /. 1e6));
-        render_breakdown buf ~t0 ~depth:(depth + 1) spans sp.sp_id
-      end)
-    spans
-
-let log_slow ctx root_sp dur_ns =
-  let spans = List.sort (fun a b -> compare a.sp_start_ns b.sp_start_ns) ctx.c_spans in
-  let buf = Buffer.create 256 in
-  render_breakdown buf ~t0:root_sp.sp_start_ns ~depth:1 spans root_sp.sp_id;
-  Log.warn (fun m ->
-      m "slow request: trace %s %s took %.3f ms%s"
-        (id_to_string ctx.c_trace) root_sp.sp_name
-        (float_of_int dur_ns /. 1e6) (Buffer.contents buf))
-
-let complete ctx =
-  match ctx.c_spans with
-  | [] -> ()
-  | root_sp :: _ ->
-    (* the root is recorded last, hence first on the list *)
-    let dur = root_sp.sp_end_ns - root_sp.sp_start_ns in
-    let slow = Atomic.get slow_ns in
-    let slow_hit = slow >= 0 && dur >= slow in
-    if ctx.c_sampled || slow_hit then begin
-      publish ctx;
-      if slow_hit then log_slow ctx root_sp dur
-    end
-
-let root ?remote name f =
-  match current_ts () with
-  | Some ts ->
-    (* nested root (e.g. service behind an already-rooted server
-       worker): just a child span *)
-    ignore (enter ts name : int);
-    (match f () with
-     | r -> exit_frame ts []; r
-     | exception exn -> exit_frame ts []; raise exn)
-  | None ->
-    (match decide remote with
-     | None -> f ()
-     | Some (ctx, parent0) ->
-       let ts = { ts_ctx = ctx; ts_parent = parent0; ts_stack = []; ts_tags = [] } in
-       register ts;
-       ignore (enter ts name : int);
-       let finish () =
-         exit_frame ts [];
-         unregister ();
-         complete ctx
-       in
-       (match f () with
-        | r -> finish (); r
-        | exception exn -> finish (); raise exn))
-
 (* --- assembly and rendering --------------------------------------------- *)
 
 module Tree = struct
@@ -614,3 +512,82 @@ module Tree = struct
     Buffer.add_string buf "\n]}\n";
     Buffer.contents buf
 end
+
+(* --- roots: sampling, publication, the slow-query log ------------------- *)
+
+let make_ctx ~trace ~sampled =
+  { c_trace = trace;
+    c_sampled = sampled;
+    c_lock = Mutex.create ();
+    c_spans = [];
+    c_count = 0;
+    c_lost = 0 }
+
+(* No upstream context: trace when the sampler fires, and also record
+   (without committing to publish) whenever a slow threshold is armed,
+   so any request can be force-published after the fact. *)
+let decide remote =
+  match remote with
+  | Some w when w.w_trace <> 0L -> Some (make_ctx ~trace:w.w_trace ~sampled:true, w.w_parent)
+  | _ ->
+    let p = !sample_rate_ref in
+    let sampled = p > 0. && uniform () < p in
+    if sampled || Atomic.get slow_ns >= 0 then
+      Some (make_ctx ~trace:(fresh_trace ()) ~sampled, 0)
+    else None
+
+let publish ctx =
+  List.iter
+    (fun sp ->
+      (match Obs.find_span_histogram sp.sp_name with
+       | Some h -> Obs.Histogram.set_exemplar h ~value:(sp.sp_end_ns - sp.sp_start_ns) ~trace:sp.sp_trace
+       | None -> ());
+      push_span sp)
+    ctx.c_spans;
+  if ctx.c_lost > 0 then Obs.Counter.add (Lazy.force c_dropped) ctx.c_lost;
+  Obs.Counter.incr (Lazy.force c_published)
+
+(* The warning carries the tree as [slicer trace] renders it: every
+   span's offset, duration, instance and tags. *)
+let log_slow ctx =
+  Log.warn (fun m ->
+      let trees = List.map Tree.render (Tree.assemble ctx.c_spans) in
+      m "slow request: %s" (String.trim (String.concat "" trees)))
+
+let complete ctx =
+  match ctx.c_spans with
+  | [] -> ()
+  | root_sp :: _ ->
+    (* the root is recorded last, hence first on the list *)
+    let dur = root_sp.sp_end_ns - root_sp.sp_start_ns in
+    let slow = Atomic.get slow_ns in
+    let slow_hit = slow >= 0 && dur >= slow in
+    if ctx.c_sampled || slow_hit then begin
+      publish ctx;
+      if slow_hit then log_slow ctx
+    end
+
+let root ?remote name f =
+  match current_ts () with
+  | Some ts ->
+    (* nested root (e.g. service behind an already-rooted server
+       worker): just a child span *)
+    ignore (enter ts name : int);
+    (match f () with
+     | r -> exit_frame ts []; r
+     | exception exn -> exit_frame ts []; raise exn)
+  | None ->
+    (match decide remote with
+     | None -> f ()
+     | Some (ctx, parent0) ->
+       let ts = { ts_ctx = ctx; ts_parent = parent0; ts_stack = []; ts_tags = [] } in
+       register ts;
+       ignore (enter ts name : int);
+       let finish () =
+         exit_frame ts [];
+         unregister ();
+         complete ctx
+       in
+       (match f () with
+        | r -> finish (); r
+        | exception exn -> finish (); raise exn))

@@ -32,16 +32,12 @@ val set_sample_rate : float -> unit
 (** Probability in [[0, 1]] that {!root} (with no upstream context)
     starts a published trace. Clamped; default [0.]. *)
 
-val sample_rate : unit -> float
-
 val set_slow_ms : float option -> unit
 (** Slow-query threshold: when set, {e every} request is recorded
     locally and force-published (plus logged at [warning] level on the
-    [slicer.trace] source, with its phase breakdown) if the root span
-    runs at least this many milliseconds. [Some 0.] publishes
-    everything. Default [None]. *)
-
-val slow_ms : unit -> float option
+    [slicer.trace] source, with its span tree as {!Tree.render} prints
+    it) if the root span runs at least this many milliseconds.
+    [Some 0.] publishes everything. Default [None]. *)
 
 val log_src : Logs.src
 (** The [slicer.trace] log source carrying slow-query breakdowns. *)

@@ -160,8 +160,6 @@ module Pool = struct
       Array.map (function Some v -> v | None -> assert false) out
     end
 
-  let map_list pool f l = Array.to_list (map pool f (Array.of_list l))
-
   let reduce pool f id arr =
     let n = Array.length arr in
     if n = 0 then id

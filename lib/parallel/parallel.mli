@@ -37,9 +37,6 @@ module Pool : sig
   val map : t -> ('a -> 'b) -> 'a array -> 'b array
   (** Parallel [Array.map] by divide-and-conquer over index ranges. *)
 
-  val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-  (** {!map} over a list, preserving order. *)
-
   val reduce : t -> ('a -> 'a -> 'a) -> 'a -> 'a array -> 'a
   (** [reduce p f id arr] combines [arr] with the associative operation
       [f] by a balanced binary tree ([id] must be an identity for [f]).

@@ -685,6 +685,44 @@ let test_replay_confined_to_client () =
   Alcotest.(check int) "fresh settlement, not a replay" (settled_before + 1)
     (Net.Service.searches_settled svc)
 
+let test_token_past_generation_refused () =
+  (* Algorithm 4 walks as many generations as a token claims, under the
+     service lock. An honest token claims at most generation - 1, so one
+     that claims the generation is refused before anything is escrowed,
+     and an honest search after it still settles. *)
+  let svc = Lazy.force service in
+  let m = Lazy.force mirror_system in
+  let generation =
+    match Net.Service.handle svc (Wire.Hello { client = "bumper"; proto = Wire.proto_version }) with
+    | Wire.Welcome p -> p.Wire.pv_generation
+    | _ -> Alcotest.fail "hello refused"
+  in
+  let tokens = User.gen_tokens ~rng:(Protocol.rng m) (Protocol.user m) (q 25 Slicer_types.Lt) in
+  let bumped =
+    match tokens with
+    | st :: rest -> { st with Slicer_types.st_updates = generation } :: rest
+    | [] -> Alcotest.fail "the query generated no token"
+  in
+  let search request_id tokens =
+    Net.Service.handle svc
+      (Wire.Search { client = "bumper"; request_id; batched = false; tokens; trace = None })
+  in
+  let settled_before = Net.Service.searches_settled svc in
+  (match search "bumper#1" bumped with
+   | Wire.Refused { code = Wire.Bad_request; detail } ->
+     Alcotest.(check string) "the refusal names both numbers"
+       (Printf.sprintf "a token claims %d updates at generation %d" generation generation)
+       detail
+   | Wire.Found _ -> Alcotest.fail "a token past the generation was searched"
+   | _ -> Alcotest.fail "unexpected reply to a token past the generation");
+  Alcotest.(check int) "nothing settled" settled_before (Net.Service.searches_settled svc);
+  match search "bumper#2" tokens with
+  | Wire.Found r ->
+    (match r.Wire.sr_receipt.Vm.r_output with
+     | Ok [ "paid" ] -> ()
+     | _ -> Alcotest.fail "the honest search was not paid")
+  | _ -> Alcotest.fail "the honest search was refused"
+
 let test_idempotent_build_and_insert () =
   (* A private service bootstrapped over the wire messages alone, so the
      retries here cannot perturb the shared loopback fixtures. *)
@@ -1898,30 +1936,38 @@ let test_pre_handshake_garbage_dropped () =
       | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ())
 
 let test_swarm_holds_connections () =
-  (* A few hundred keep-alive connections from one process: all confirm,
-     the server's open-connection gauge sees them, and closing the swarm
-     releases them. *)
+  (* A few hundred plain clients from one process, each confirmed by
+     one Ping: the server's open-connection count sees them, and
+     closing them releases them. *)
   let srv = Net.Server.start (Net.Service.handle (Lazy.force service)) in
   Fun.protect
     ~finally:(fun () -> Net.Server.stop srv)
     (fun () ->
       let n = 300 in
-      let sw = Net.Client.Swarm.open_ ~timeout:60. ~n (Net.Server.endpoint srv) in
+      let clients =
+        List.init n (fun i ->
+            match
+              Net.Client.connect ~name:(Printf.sprintf "idle-%d" i) ~provision:false
+                (Net.Server.endpoint srv)
+            with
+            | Ok c -> c
+            | Error e -> Alcotest.failf "connect: %s" (Net.Client.error_to_string e))
+      in
       Fun.protect
-        ~finally:(fun () -> Net.Client.Swarm.close sw)
+        ~finally:(fun () -> List.iter Net.Client.close clients)
         (fun () ->
-          Alcotest.(check int) "every connection confirmed" n (Net.Client.Swarm.live sw);
-          Alcotest.(check bool) "server sees the swarm" true
-            (Net.Server.open_connections srv >= n);
-          (* Keep-alives keep flowing on demand. *)
-          Net.Client.Swarm.tick ~timeout_ms:200 sw;
-          Alcotest.(check int) "still live after a tick" n (Net.Client.Swarm.live sw));
+          let confirmed =
+            List.length (List.filter (fun c -> Result.is_ok (Net.Client.ping c)) clients)
+          in
+          Alcotest.(check int) "every connection confirmed" n confirmed;
+          Alcotest.(check bool) "server sees every connection" true
+            (Net.Server.open_connections srv >= n));
       (* After close, the loop reaps every socket promptly. *)
       let deadline = Unix.gettimeofday () +. 5. in
       let rec wait () =
         if Net.Server.open_connections srv = 0 then ()
         else if Unix.gettimeofday () > deadline then
-          Alcotest.failf "server still holds %d sockets after swarm close"
+          Alcotest.failf "server still holds %d sockets after the clients closed"
             (Net.Server.open_connections srv)
         else begin
           Unix.sleepf 0.05;
@@ -1929,6 +1975,46 @@ let test_swarm_holds_connections () =
         end
       in
       wait ())
+
+(* Every wait in lib/net goes through poll(2), which, unlike select,
+   takes descriptors numbered at or past FD_SETSIZE (1024). With ~1,100
+   descriptors held, a server started now listens and accepts past it,
+   and a client's socket lands past it too: a Ping and a verified search
+   must still go through. *)
+let test_client_past_fd_setsize () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let held = ref [ null ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !held)
+    (fun () ->
+      (try
+         for _ = 1 to 1100 do
+           held := Unix.dup null :: !held
+         done
+       with Unix.Unix_error (Unix.EMFILE, _, _) ->
+         Printf.printf "skipped: dup hit EMFILE after %d descriptors\n%!" (List.length !held);
+         Alcotest.skip ());
+      (* The lowest free descriptor, which the next socket takes. *)
+      let next_fd =
+        let fd = Unix.dup null in
+        Unix.close fd;
+        (Obj.magic fd : int)
+      in
+      if next_fd < 1024 then Alcotest.failf "the next descriptor is %d, under 1024" next_fd;
+      let srv = Net.Server.start (Net.Service.handle (Lazy.force service)) in
+      Fun.protect ~finally:(fun () -> Net.Server.stop srv) @@ fun () ->
+      let c =
+        match Net.Client.connect ~name:"past-fd-setsize" (Net.Server.endpoint srv) with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" (Net.Client.error_to_string e)
+      in
+      Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+      (match Net.Client.ping c with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "ping: %s" (Net.Client.error_to_string e));
+      match Net.Client.search c (q 30 Slicer_types.Lt) with
+      | Ok out -> Alcotest.(check bool) "verified" true out.Protocol.so_verified
+      | Error e -> Alcotest.failf "search: %s" (Net.Client.error_to_string e))
 
 (* --- durability: WAL + snapshots across restarts --------------------------- *)
 
@@ -3323,7 +3409,9 @@ let () =
             test_admin_requests_take_no_lock;
           Alcotest.test_case "a Stats scrape allocates at most 1.5x its frame" `Quick
             test_stats_scrape_allocation;
-          Alcotest.test_case "structured refusals" `Quick test_service_refusals ] );
+          Alcotest.test_case "structured refusals" `Quick test_service_refusals;
+          Alcotest.test_case "a token past the generation is refused unescrowed" `Quick
+            test_token_past_generation_refused ] );
       ( "loopback",
         [ Alcotest.test_case "concurrent clients match Protocol.search" `Quick
             test_concurrent_clients_match_protocol;
@@ -3368,7 +3456,9 @@ let () =
           Alcotest.test_case "pre-handshake garbage dropped silently" `Quick
             test_pre_handshake_garbage_dropped;
           Alcotest.test_case "swarm holds hundreds of sockets" `Quick
-            test_swarm_holds_connections ] );
+            test_swarm_holds_connections;
+          Alcotest.test_case "a client past FD_SETSIZE pings and searches" `Quick
+            test_client_past_fd_setsize ] );
       ( "durability",
         [ Alcotest.test_case "state survives a restart" `Quick test_service_survives_restart;
           Alcotest.test_case "witness index survives a restart" `Quick

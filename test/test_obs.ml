@@ -1,8 +1,6 @@
-(* The observability layer: histogram bucketing invariants, the merge
-   property (sharded/partitioned recording is snapshot-equivalent to
-   recording everything into one instrument), golden exposition
-   output, exact totals under domain parallelism, span semantics, and
-   the percentile formula the load driver reports. *)
+(* The observability layer: histogram bucketing invariants, golden
+   exposition output, exact totals under domain parallelism, span
+   semantics, and the percentile formula the load driver reports. *)
 
 let prop name ?(count = 200) gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
@@ -31,40 +29,6 @@ let bucket_props =
       (fun (a, b) ->
         let a, b = (min a b, max a b) in
         Obs.Histogram.bucket_of a <= Obs.Histogram.bucket_of b) ]
-
-(* --- merge ------------------------------------------------------------ *)
-
-let snapshot_eq (a : Obs.Histogram.snapshot) (b : Obs.Histogram.snapshot) =
-  a.Obs.Histogram.sn_units = b.Obs.Histogram.sn_units
-  && a.Obs.Histogram.sn_count = b.Obs.Histogram.sn_count
-  && a.Obs.Histogram.sn_sum = b.Obs.Histogram.sn_sum
-  && a.Obs.Histogram.sn_buckets = b.Obs.Histogram.sn_buckets
-
-let merge_props =
-  [ prop "partitioned recording merges to the direct snapshot" ~count:100
-      QCheck2.Gen.(pair (int_range 1 5) (list_size (int_range 0 200) (int_range 0 100_000)))
-      (fun (parts, values) ->
-        let r = Obs.Registry.create () in
-        let direct = Obs.histogram ~registry:r ~units:Obs.Histogram.Raw "direct" in
-        let shards =
-          Array.init parts (fun i ->
-              Obs.histogram ~registry:r ~units:Obs.Histogram.Raw (Printf.sprintf "part-%d" i))
-        in
-        List.iteri
-          (fun i v ->
-            Obs.Histogram.record direct v;
-            Obs.Histogram.record shards.(i mod parts) v)
-          values;
-        let merged = Obs.histogram ~registry:r ~units:Obs.Histogram.Raw "merged" in
-        Array.iter (fun src -> Obs.Histogram.merge_into ~src ~dst:merged) shards;
-        snapshot_eq (Obs.Histogram.snapshot direct) (Obs.Histogram.snapshot merged)) ]
-
-let test_merge_units_mismatch () =
-  let r = Obs.Registry.create () in
-  let s = Obs.histogram ~registry:r ~units:Obs.Histogram.Seconds "s" in
-  let g = Obs.histogram ~registry:r ~units:Obs.Histogram.Raw "g" in
-  Alcotest.(check bool) "units mismatch raises" true
-    (try Obs.Histogram.merge_into ~src:s ~dst:g; false with Invalid_argument _ -> true)
 
 (* --- golden exposition ------------------------------------------------ *)
 
@@ -371,8 +335,6 @@ let test_counter_get_or_create () =
 let () =
   Alcotest.run "obs"
     [ ("buckets", bucket_props);
-      ( "merge",
-        Alcotest.test_case "units mismatch" `Quick test_merge_units_mismatch :: merge_props );
       ( "export",
         [ Alcotest.test_case "golden exposition" `Quick test_export_golden;
           Alcotest.test_case "golden exposition: instance label" `Quick

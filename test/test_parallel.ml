@@ -22,9 +22,7 @@ let test_map () =
         (Printf.sprintf "map squares, %d domains" d)
         (Array.map (fun x -> x * x) arr)
         (Parallel.Pool.map pool (fun x -> x * x) arr);
-      Alcotest.(check (array int)) "map empty" [||] (Parallel.Pool.map pool (fun x -> x) [||]);
-      Alcotest.(check (list int)) "map_list" [ 2; 4; 6 ]
-        (Parallel.Pool.map_list pool (fun x -> 2 * x) [ 1; 2; 3 ]))
+      Alcotest.(check (array int)) "map empty" [||] (Parallel.Pool.map pool (fun x -> x) [||]))
     domain_counts
 
 let test_reduce () =

@@ -551,7 +551,7 @@ let soundness_props =
            let claims, params, ac = Lazy.force soundness_claims in
            match claims with
            | [] -> true
-           | first :: _ -> not (Verifier.verify_claim params ~ac (mutate_claim ~kind ~index first))));
+           | first :: _ -> not (Verifier.verify_claims params ~ac [ mutate_claim ~kind ~index first ])));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"result permutation still verifies (multiset)" ~count:20
          QCheck2.Gen.(int_range 0 1000)
@@ -559,8 +559,8 @@ let soundness_props =
            let claims, params, ac = Lazy.force soundness_claims in
            List.for_all
              (fun (c : Slicer_contract.claim) ->
-               Verifier.verify_claim params ~ac
-                 { c with Slicer_contract.results = List.rev c.Slicer_contract.results })
+               Verifier.verify_claims params ~ac
+                 [ { c with Slicer_contract.results = List.rev c.Slicer_contract.results } ])
              claims)) ]
 
 (* --- misc ------------------------------------------------------------------ *)

@@ -89,6 +89,34 @@ let test_publishes_on_raise () =
   Alcotest.(check string) "and it is the root" "test.raiser"
     (List.hd spans).Trace.sp_name
 
+(* The slow-request warning and [slicer trace] share one renderer: the
+   warning holds every line [Tree.render] gives for the published
+   spans, tags included. *)
+let test_slow_warning_renders_tree () =
+  clear ();
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let reporter = Logs.reporter () and level = Logs.Src.level Trace.log_src in
+  Logs.set_reporter (Logs.format_reporter ~app:ppf ~dst:ppf ());
+  Logs.Src.set_level Trace.log_src (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.Src.set_level Trace.log_src level)
+    (fun () ->
+      with_slow (Some 0.) (fun () ->
+          Trace.root "test.slow" (fun () ->
+              Trace.child ~tags:[ ("shard", "1") ] "test.slow.child" (fun () -> ()))));
+  Format.pp_print_flush ppf ();
+  let warning = Buffer.contents buf in
+  check_contains "a slow-request warning" "slow request: " warning;
+  match Trace.Tree.assemble (Trace.drain ()) with
+  | [ tree ] ->
+    String.split_on_char '\n' (Trace.Tree.render tree)
+    |> List.filter (fun line -> line <> "")
+    |> List.iter (fun line -> check_contains "the warning" line warning)
+  | trees -> Alcotest.failf "expected 1 tree, drained %d" (List.length trees)
+
 let test_remote_adoption () =
   clear ();
   (* rate 0, no slow threshold: only the upstream context forces this *)
@@ -445,6 +473,8 @@ let () =
         [ Alcotest.test_case "off is a passthrough" `Quick test_off_is_passthrough;
           Alcotest.test_case "nesting, tags, publish" `Quick test_nesting_tags_publish;
           Alcotest.test_case "slow threshold gates" `Quick test_slow_threshold_gates;
+          Alcotest.test_case "the slow warning renders the tree" `Quick
+            test_slow_warning_renders_tree;
           Alcotest.test_case "publishes on raise" `Quick test_publishes_on_raise;
           Alcotest.test_case "remote context adopted" `Quick test_remote_adoption;
           Alcotest.test_case "nested root is a child" `Quick test_nested_root_is_child;
