@@ -1,9 +1,20 @@
-type params = { modulus : Bigint.t; generator : Bigint.t; mont : Bigint.Mont.ctx }
+type secret = { sp : Bigint.t; sq : Bigint.t }
 
-let params_of_parts ~modulus ~generator =
+type params = {
+  modulus : Bigint.t;
+  generator : Bigint.t;
+  mont : Bigint.Mont.ctx;
+  secret : secret option;
+}
+
+let of_parts ~modulus ~generator secret =
   if Bigint.is_even modulus || Bigint.compare modulus (Bigint.of_int 3) < 0 then
     invalid_arg "Rsa_acc.params_of_parts: the modulus must be odd and at least 3";
-  { modulus; generator; mont = Bigint.Mont.create modulus }
+  { modulus; generator; mont = Bigint.Mont.create modulus; secret }
+
+let params_of_parts ~modulus ~generator = of_parts ~modulus ~generator None
+
+let factors params = Option.map (fun s -> (s.sp, s.sq)) params.secret
 
 let setup ?(safe = false) ~rng ~bits () =
   let m = Primegen.random_rsa_modulus ~safe ~rng ~bits () in
@@ -16,7 +27,8 @@ let setup ?(safe = false) ~rng ~bits () =
       if Bigint.equal g Bigint.one then gen () else g
     end
   in
-  params_of_parts ~modulus:m.Primegen.n ~generator:(gen ())
+  of_parts ~modulus:m.Primegen.n ~generator:(gen ())
+    (Some { sp = m.Primegen.p; sq = m.Primegen.q })
 
 (* --- the batched/parallel substrate ------------------------------------ *)
 

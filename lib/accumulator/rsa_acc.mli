@@ -36,24 +36,40 @@
     regroups exponent arithmetic ([g^x^y = g^(xy)]), and the pool's
     combinators fix their bracketing from the input size alone. *)
 
+type secret
+(** The modulus's factorisation, opened only by {!factors}. *)
+
 type params = private {
-  modulus : Bigint.t;   (** RSA modulus [n = p*q]; factors are discarded. *)
+  modulus : Bigint.t;   (** RSA modulus [n = p*q]. *)
   generator : Bigint.t; (** A quadratic residue [g ∈ QR_n \ {1}]. *)
   mont : Bigint.Mont.ctx;
       (** The modulus's Montgomery context, a pure function of [modulus]
-          built once by {!params_of_parts}: immutable, so a [params]
-          value is safe to share across domains. *)
+          built once when the record is: immutable, so a [params] value
+          is safe to share across domains. *)
+  secret : secret option;
+      (** [Some] only on the parameters {!setup} returned, which the
+          owner keeps. *)
 }
 
 val params_of_parts : modulus:Bigint.t -> generator:Bigint.t -> params
-(** The only way to build [params] (the record is private), from
-    values generated here or received over the wire.
+(** Parameters from values received over the wire or from disk: every
+    decoder builds them here, so they hold no factorisation. With
+    {!setup} the only way to build [params] (the record is private).
     @raise Invalid_argument when the modulus is even or below 3. *)
 
 val setup : ?safe:bool -> rng:Drbg.t -> bits:int -> unit -> params
-(** Generates fresh parameters; the factorisation (the trapdoor) is
-    dropped, making the accumulator trustless for the cloud. [~safe]
+(** Generates fresh parameters for the owner, who keeps the
+    factorisation (the trapdoor) inside them and computes [Ac] and
+    witnesses with it. No codec writes it: the wire, the WAL and the
+    snapshot carry [(modulus, generator)] only, so the accumulator stays
+    trustless for the cloud, the contract and every user. [~safe]
     requests safe primes as in the paper (slower). *)
+
+val factors : params -> (Bigint.t * Bigint.t) option
+(** [(p, q)] with [p * q = modulus], on the parameters {!setup}
+    returned; [None] on any {!params_of_parts}. Only the owner calls
+    it ([scripts/check_alg5.sh] fails any other caller under [lib/] or
+    [bin/]). *)
 
 val accumulate : params -> Bigint.t list -> Bigint.t
 (** [Ac] for the given prime list (order-independent): {!add_batch}

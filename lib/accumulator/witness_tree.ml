@@ -173,7 +173,19 @@ let grow t need =
     recompute_spine t 0 t.count
   end
 
-let append_locked t xs =
+(* The one way a base enters the tree from outside: [w] becomes leaf
+   [p]'s base, current as of generation [gen]. Nothing checks the value
+   (the contract checks every witness served). An entry whose position
+   or stamp does not fit the tree is skipped; returns whether it fit. *)
+let graft_locked t (p, gen, w) =
+  if p >= 0 && p < t.count && gen > p && gen <= t.count then begin
+    t.base.(t.cap + p) <- Some w;
+    t.bgen.(t.cap + p) <- gen;
+    true
+  end
+  else false
+
+let append_locked t xs witnesses =
   match xs with
   | [] -> ()
   | _ ->
@@ -187,11 +199,18 @@ let append_locked t xs =
         if not (Hashtbl.mem t.index k) then Hashtbl.add t.index k p)
       xs;
     recompute_spine t t.count (t.count + n);
+    let first = t.count in
     t.count <- t.count + n;
     t.cached_ac <- None;
+    List.iteri (fun j w -> ignore (graft_locked t (first + j, t.count, w))) witnesses;
     Obs.Gauge.set g_leaves t.count
 
-let append t xs = with_lock t (fun () -> Obs.span "acc.windex_append" (fun () -> append_locked t xs))
+let append ?(witnesses = []) t xs =
+  if witnesses <> [] && List.compare_lengths witnesses xs <> 0 then
+    invalid_arg
+      (Printf.sprintf "Witness_tree.append: %d witnesses for %d primes" (List.length witnesses)
+         (List.length xs));
+  with_lock t (fun () -> Obs.span "acc.windex_append" (fun () -> append_locked t xs witnesses))
 
 (* Fresh base for node [i]: [g] to the product of every current leaf
    outside [i]'s range. Refresh = one exponentiation by the product of
@@ -353,18 +372,28 @@ let batch_witness t subset = with_lock t (fun () -> batch_witness_locked t subse
 
 (* --- bulk warm-up ------------------------------------------------------- *)
 
-(* Compute every base in one pool-parallel root-splitting descent from
-   the root's base [g] over the maintained products — the
-   persistent-index version of [Rsa_acc.all_witnesses]. A node whose two
-   children are both in use derives their bases with one pair
-   exponentiation, [(b^prod(right), b^prod(left))], which shares one
-   squaring chain between the two exponents; a node with only its left
-   child in use passes its base through. Subtrees are disjoint writes;
-   the shape is fixed by the leaf count, so results are identical at
-   every pool size. *)
+(* Bring every leaf's base current in one pool-parallel root-splitting
+   descent from the root's base [g] over the maintained products — the
+   persistent-index version of [Rsa_acc.all_witnesses]. The descent
+   enters only subtrees holding a leaf that is not fresh, so a tree
+   whose leaves are all fresh (a Build's grafted witnesses) returns at
+   once. A node whose two children both need it derives their bases
+   with one pair exponentiation, [(b^prod(right), b^prod(left))], which
+   shares one squaring chain between the two exponents; a node with
+   only its left child in use passes its base through. Subtrees are
+   disjoint writes; the shape is fixed by the leaf count and the stamps,
+   so results are identical at every pool size. *)
 let warm_all t =
   with_lock t (fun () ->
-      if t.count > 0 then begin
+      (* [stale.(i)]: some leaf in use under node [i] is not fresh. *)
+      let stale = Array.make (2 * t.cap) false in
+      for p = 0 to t.count - 1 do
+        stale.(t.cap + p) <- t.base.(t.cap + p) = None || t.bgen.(t.cap + p) < t.count
+      done;
+      for i = t.cap - 1 downto 1 do
+        stale.(i) <- stale.(2 * i) || stale.((2 * i) + 1)
+      done;
+      if t.count > 0 && stale.(1) then begin
         let pool = Parallel.pool () in
         let spawn_depth =
           let rec log2up n = if n <= 1 then 0 else 1 + log2up ((n + 1) / 2) in
@@ -389,9 +418,15 @@ let warm_all t =
                right child's product is one, so the left child then
                takes [b] as it is. *)
             let use_r = fst (node_range t r) < t.count in
-            let bl, br = if use_r then Rsa_acc.pow_mod2 params b t.prod.(r) t.prod.(l) else (b, b) in
-            let go_l () = descend l bl (depth - 1) in
-            let go_r () = if use_r then descend r br (depth - 1) in
+            let need_l = stale.(l) and need_r = use_r && stale.(r) in
+            let bl, br =
+              if need_l && need_r then Rsa_acc.pow_mod2 params b t.prod.(r) t.prod.(l)
+              else if need_r then (b, Rsa_acc.pow_mod params b t.prod.(l))
+              else if use_r then (Rsa_acc.pow_mod params b t.prod.(r), b)
+              else (b, b)
+            in
+            let go_l () = if need_l then descend l bl (depth - 1) in
+            let go_r () = if need_r then descend r br (depth - 1) in
             if depth > 0 then ignore (Parallel.Pool.both pool go_l go_r)
             else begin
               go_l ();
@@ -468,19 +503,18 @@ let absorb t blob =
     (match int_of_string_opt exported_count with
      | None -> None
      | Some _ ->
+       let entry e =
+         match Bytesutil.split e with
+         | Some [ p; gen; w ] ->
+           (match (int_of_string_opt p, int_of_string_opt gen) with
+            | Some p, Some gen -> Some (p, gen, Bigint.of_bytes_be w)
+            | _ -> None)
+         | _ -> None
+       in
        with_lock t (fun () ->
-           let absorbed = ref 0 in
-           List.iter
-             (fun entry ->
-               match Bytesutil.split entry with
-               | Some [ p; gen; w ] ->
-                 (match (int_of_string_opt p, int_of_string_opt gen) with
-                  | Some p, Some gen when p >= 0 && p < t.count && gen > p && gen <= t.count ->
-                    t.base.(t.cap + p) <- Some (Bigint.of_bytes_be w);
-                    t.bgen.(t.cap + p) <- gen;
-                    incr absorbed
-                  | _ -> ())
-               | _ -> ())
-             entries;
-           Some !absorbed))
+           Some
+             (List.fold_left
+                (fun n e ->
+                  match entry e with Some g when graft_locked t g -> n + 1 | _ -> n)
+                0 entries)))
   | _ -> None

@@ -28,9 +28,15 @@ val create : Rsa_acc.params -> t
 val leaf_count : t -> int
 (** Number of accumulated primes (the tree's current generation). *)
 
-val append : t -> Bigint.t list -> unit
+val append : ?witnesses:Bigint.t list -> t -> Bigint.t list -> unit
 (** Append a shipment's primes: O(log n) spine products recomputed (one
-    multiply per level, wide levels pool-parallel), no witness work. *)
+    multiply per level, wide levels pool-parallel), no witness work.
+    [witnesses] (default none), one per prime and each against the
+    accumulator after the append, are grafted as the new leaves' bases
+    stamped at the new generation, unchecked: a Build's witnesses from
+    the owner serve at once.
+    @raise Invalid_argument when [witnesses] is neither empty nor one
+    per prime; the tree is then unchanged. *)
 
 val witness : t -> Bigint.t -> Bigint.t option
 (** Membership witness for a prime, or [None] when it was never
@@ -53,9 +59,11 @@ val batch_witness : t -> Bigint.t list -> Bigint.t
     contract as {!Rsa_acc.batch_witness}). *)
 
 val warm_all : t -> unit
-(** Compute every base in one pool-parallel root-splitting descent over
-    the maintained products — the persistent-index analogue of
-    {!Rsa_acc.all_witnesses}. *)
+(** Bring every leaf's witness current in one pool-parallel
+    root-splitting descent over the maintained products — the
+    persistent-index analogue of {!Rsa_acc.all_witnesses}. The descent
+    computes only the bases on the way to a leaf that is not fresh, so
+    it returns at once when every leaf is. *)
 
 type stats = {
   ws_leaves : int;
@@ -81,7 +89,7 @@ val export : t -> string
 
 val absorb : t -> string -> int option
 (** Graft an {!export} blob onto a tree rebuilt over the same leaf
-    sequence: restored leaves serve witnesses again without any
-    recomputation. Entries that do not fit the current tree are
-    skipped; returns the number absorbed, or [None] when the blob is
-    not a witness-tree export. *)
+    sequence, by the same graft as {!append}'s witnesses: restored
+    leaves serve witnesses again without any recomputation. Entries
+    that do not fit the current tree are skipped; returns the number
+    absorbed, or [None] when the blob is not a witness-tree export. *)

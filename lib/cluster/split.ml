@@ -14,9 +14,11 @@ let shipment ~params ~base_acs (sh : Owner.shipment) =
       let groups = List.rev bucket in
       (* Ac_i' = Ac_i ^ (prod primes_i): shard i's accumulator is lifted
          only by its own keywords' primes. An empty slice leaves Ac_i
-         unchanged (empty product). *)
+         unchanged (empty product). The owner's witnesses are against
+         the whole [sh_ac], not [Ac_i'], so none travel: each shard
+         warms its own. *)
       let ac =
         Rsa_acc.add_batch params base_acs.(i) (List.map (fun g -> g.Owner.kg_prime) groups)
       in
-      { Owner.sh_groups = groups; sh_ac = ac })
+      { Owner.sh_groups = groups; sh_ac = ac; sh_witnesses = [] })
     buckets

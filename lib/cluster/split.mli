@@ -17,4 +17,6 @@ val shipment :
     shard [i]'s current accumulation value — the params' generator for
     a Build, the shard's live on-chain [Ac_i] for an Insert. Every
     shard gets a shipment (possibly with no groups: its [Ac_i] is then
-    unchanged), so Build/Insert fan-outs keep all generations aligned. *)
+    unchanged), so Build/Insert fan-outs keep all generations aligned.
+    No per-shard shipment carries a witness: a Build's are against the
+    whole [sh_ac], so a routed shard warms its own. *)

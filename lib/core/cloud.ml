@@ -69,21 +69,22 @@ let create ~acc_params ~tdp_public () =
     index_bytes_shown = Atomic.make 0;
     windex_bytes_shown = Atomic.make 0 }
 
-let install t ~records ~primes ~ac =
+let install ?witnesses t ~records ~primes ~ac =
+  (* First, as it refuses a misfit before any change. Only the O(log n)
+     spine is recomputed: warm witnesses survive and are lazily re-based
+     on the next lookup, and shipped ones serve at once. *)
+  Witness_tree.append ?witnesses t.windex primes;
   Hashtbl.reset t.claim_cache;
   t.prev_primes <- t.primes;
   Enc_index.install t.index records;
   t.primes <- t.primes @ primes;
   t.ac <- ac;
-  (* Only the O(log n) spine is recomputed: warm witnesses survive and
-     are lazily re-based on the next lookup. *)
-  Witness_tree.append t.windex primes;
   report_sizes t
 
 let install_shipment t (sh : Owner.shipment) =
   install t
     ~records:(List.map (fun g -> g.Owner.kg_entries) sh.Owner.sh_groups)
-    ~primes:(Owner.shipment_primes sh) ~ac:sh.Owner.sh_ac
+    ~primes:(Owner.shipment_primes sh) ~witnesses:sh.Owner.sh_witnesses ~ac:sh.Owner.sh_ac
 
 let set_behavior t m =
   if m <> t.mode then Hashtbl.reset t.claim_cache;

@@ -25,16 +25,30 @@ val create : acc_params:Rsa_acc.params -> tdp_public:Rsa_tdp.public -> unit -> t
     the O(log n) product spine, and a warm witness query is a table
     lookup instead of a full-size exponentiation. *)
 
-val install : t -> records:string list -> primes:Bigint.t list -> ac:Bigint.t -> unit
+val install :
+  ?witnesses:Bigint.t list ->
+  t ->
+  records:string list ->
+  primes:Bigint.t list ->
+  ac:Bigint.t ->
+  unit
 (** Add index entries and primes and adopt the new [Ac]. [records] are
     packed 32-byte [l ‖ d] records ({!Enc_index.install}): a shipment's
     groups' [kg_entries] ({!install_shipment}), or one string for a
     snapshot's merged view ({!sorted_records}, with {!primes} and
-    {!current_ac}). [Stale_results] mode answers from the state before
-    the most recent install. *)
+    {!current_ac}). [witnesses], one per prime against [ac], become the
+    new primes' served witnesses ({!Witness_tree.append}), unchecked.
+    [Stale_results] mode answers from the state before the most recent
+    install.
+    @raise Invalid_argument, before anything is installed, when
+    [witnesses] is neither empty nor one per prime. *)
 
 val install_shipment : t -> Owner.shipment -> unit
-(** {!install} of a Build/Insert shipment's groups, primes and [sh_ac]. *)
+(** {!install} of a Build/Insert shipment's groups, primes, witnesses
+    and [sh_ac]. A Build's witnesses come from the owner, who keeps the
+    accumulator's factors, so the cloud's witness warm finds every leaf
+    fresh and computes nothing.
+    @raise Invalid_argument as {!install}. *)
 
 val set_behavior : t -> misbehavior -> unit
 
@@ -77,9 +91,9 @@ val search_batched :
     object for [Slicer_contract.submit_result_batched]. *)
 
 val precompute_witnesses : t -> unit
-(** Warm every witness at once ([Witness_tree.warm_all]). The warmth
-    survives later {!install}s: only the stale leaves are lazily
-    re-based.
+(** Bring every witness current at once ([Witness_tree.warm_all]),
+    computing only what is not fresh. The warmth survives later
+    {!install}s: only the stale leaves are lazily re-based.
 
     {!install}, this warm and {!restore_witness_index} each bring the
     gauges [slicer_cloud_index_bytes] ({!Enc_index.capacity_bytes}) and

@@ -4,6 +4,7 @@ type build_leakage = {
   bl_payload_bits : int;
   bl_prime_count : int;
   bl_prime_bits : int;
+  bl_witness_count : int;
 }
 
 let of_shipment (sh : Owner.shipment) =
@@ -17,7 +18,8 @@ let of_shipment (sh : Owner.shipment) =
     bl_position_bits = position_bits;
     bl_payload_bits = payload_bits;
     bl_prime_count = List.length primes;
-    bl_prime_bits = prime_bits }
+    bl_prime_bits = prime_bits;
+    bl_witness_count = List.length sh.Owner.sh_witnesses }
 
 let equal_build a b = a = b
 

@@ -13,9 +13,15 @@ type build_leakage = {
   bl_payload_bits : int;         (** [|d|] *)
   bl_prime_count : int;          (** [q]: size of the prime list *)
   bl_prime_bits : int;           (** [|x|] *)
+  bl_witness_count : int;
+      (** witnesses shipped: [q] for a Build, 0 for an Insert *)
 }
 (** [L_build(DB) = (<|l|,|d|>_p, |x|_q)] — what the cloud sees in a
-    Build shipment. The same shape describes [L_insert(DB+)]. *)
+    Build shipment. The same shape describes [L_insert(DB+)]. A Build's
+    witnesses add no leakage: each is [g^(Π X \ {x})] mod [N], a
+    function of [g], [N] and the primes, which the server already
+    holds (its own warm computes the same values); only their count,
+    fixed by [q], is shipped. *)
 
 val of_shipment : Owner.shipment -> build_leakage
 

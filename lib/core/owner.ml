@@ -1,15 +1,65 @@
 type trapdoor_state = (string, string * int) Hashtbl.t
 
+(* The accumulator's exponent arithmetic under its factorisation. [g]
+   is a unit modulo [n = p q], so [g^e mod p] depends on [e] only modulo
+   [p - 1] (and likewise for [q]): an exponent is kept as its two
+   residues, and [g] raised to it is two half-size exponentiations
+   recombined by CRT. Every value is the one [Rsa_acc] computes over
+   the full exponent. *)
+type crt = {
+  cp : Bigint.t;
+  cq : Bigint.t;
+  p1 : Bigint.t;            (* p - 1 *)
+  q1 : Bigint.t;            (* q - 1 *)
+  mont_p : Bigint.Mont.ctx;
+  mont_q : Bigint.Mont.ctx;
+  g_p : Bigint.t;           (* g mod p *)
+  g_q : Bigint.t;           (* g mod q *)
+  q_inv : Bigint.t;         (* q^-1 mod p *)
+}
+
+let crt_of params =
+  match Rsa_acc.factors params with
+  | None ->
+    invalid_arg
+      "Owner.create: the accumulator parameters hold no factors (make them with Rsa_acc.setup)"
+  | Some (cp, cq) ->
+    let g = params.Rsa_acc.generator in
+    { cp; cq;
+      p1 = Bigint.pred cp;
+      q1 = Bigint.pred cq;
+      mont_p = Bigint.Mont.create cp;
+      mont_q = Bigint.Mont.create cq;
+      g_p = Bigint.erem g cp;
+      g_q = Bigint.erem g cq;
+      q_inv = Option.get (Bigint.mod_inv cq cp) }
+
+(* [x mod (p - 1), x mod (q - 1)]. *)
+let residues c x = (Bigint.erem x c.p1, Bigint.erem x c.q1)
+
+let mul_residues c (ap, aq) (bp, bq) = (Bigint.mod_mul ap bp c.p1, Bigint.mod_mul aq bq c.q1)
+
+(* [g^e mod n] for the exponent with residues [(ep, eq)], by Garner's
+   recombination [a_q + q ((a_p - a_q) q^-1 mod p)]. *)
+let g_pow c (ep, eq) =
+  let a_p = Bigint.Mont.pow c.mont_p c.g_p ep and a_q = Bigint.Mont.pow c.mont_q c.g_q eq in
+  let h = Bigint.mod_mul (Bigint.erem (Bigint.sub a_p a_q) c.cp) c.q_inv c.cp in
+  Bigint.add a_q (Bigint.mul c.cq h)
+
 type t = {
   o_width : int;
   o_rng : Drbg.t;
   o_params : Rsa_acc.params;
+  o_crt : crt;
   o_keys : Keys.master;
   o_kprf : Keys.prf; (* keyed context for K, shared by every G1/G2 derivation *)
   o_kr : Aes128.key; (* K_R expanded once: Enc(K_R, R) for every record id *)
   trapdoors : trapdoor_state;                   (* T *)
   set_hashes : (string, Mset_hash.t) Hashtbl.t; (* S, keyed by token bytes *)
   seen_ids : (string, unit) Hashtbl.t;
+  (* The product of every accumulated prime, as its residues modulo
+     [p - 1] and [q - 1]; [ac] is [g] to it. *)
+  mutable exponent : Bigint.t * Bigint.t;
   mutable ac : Bigint.t;
   mutable built : bool;
   mutable t_index : float;
@@ -27,6 +77,7 @@ type keyword_group = {
 type shipment = {
   sh_groups : keyword_group list;
   sh_ac : Bigint.t;
+  sh_witnesses : Bigint.t list;
 }
 
 let record_len = Enc_index.record_len
@@ -50,12 +101,14 @@ let create ?(width = 16) ~rng ~acc_params ~keys () =
   { o_width = width;
     o_rng = rng;
     o_params = acc_params;
+    o_crt = crt_of acc_params;
     o_keys = keys;
     o_kprf = Keys.prf_of_key keys.Keys.k;
     o_kr = Aes128.expand keys.Keys.k_r;
     trapdoors = Hashtbl.create 256;
     set_hashes = Hashtbl.create 256;
     seen_ids = Hashtbl.create 256;
+    exponent = (Bigint.one, Bigint.one);
     ac = acc_params.Rsa_acc.generator;
     built = false;
     t_index = 0.;
@@ -73,6 +126,35 @@ let keywords_of t record =
     (fun (attr, v) ->
       Bitvec.equality_keyword ~attr ~width:t.o_width v :: Bitvec.cipher_tuples ~attr ~width:t.o_width v)
     record.Slicer_types.fields
+
+(* Folds a shipment's primes into the exponent and [Ac]. With
+   [witnessed], also returns each prime's witness against the new [Ac]:
+   [g] to the exponent before the shipment times every other new prime,
+   read off the prefix and suffix products of the new primes' residues,
+   one CRT exponentiation per prime across the pool. Else returns []. *)
+let fold_primes t ~witnessed primes =
+  let c = t.o_crt in
+  let rs = Array.of_list (List.map (residues c) primes) in
+  let n = Array.length rs in
+  (* [prefix.(i)]: the old exponent times the first [i] new primes;
+     [suffix.(i)]: the new primes from [i] on. *)
+  let prefix = Array.make (n + 1) t.exponent in
+  for i = 0 to n - 1 do
+    prefix.(i + 1) <- mul_residues c prefix.(i) rs.(i)
+  done;
+  t.exponent <- prefix.(n);
+  t.ac <- g_pow c t.exponent;
+  if not witnessed then []
+  else begin
+    let suffix = Array.make (n + 1) (Bigint.one, Bigint.one) in
+    for i = n - 1 downto 0 do
+      suffix.(i) <- mul_residues c rs.(i) suffix.(i + 1)
+    done;
+    Array.to_list
+      (Parallel.Pool.map (Parallel.pool ())
+         (fun i -> g_pow c (mul_residues c prefix.(i) suffix.(i + 1)))
+         (Array.init n Fun.id))
+  end
 
 let token_key ~trapdoor ~j ~g1 ~g2 =
   Slicer_types.token_bytes
@@ -121,10 +203,11 @@ let run_job job =
    advance trapdoor chains in first-seen keyword order (the only RNG
    consumer, so the draw order is pool-size independent); (3) fan the
    per-keyword entry/set-hash derivation across the pool; (4) batch the
-   prime walks and the Ac fold (pool-parallel inside the accumulator).
-   Every phase either preserves input order or is keyed by it, so the
-   shipment is byte-identical at every pool size. *)
-let add_records t records =
+   prime walks, fold the primes into the exponent's residues and raise
+   [g] to it by CRT, and for a Build derive every prime's witness the
+   same way. Every phase either preserves input order or is keyed by
+   it, so the shipment is byte-identical at every pool size. *)
+let add_records t ~witnessed records =
   let started = Unix.gettimeofday () in
   let ads_time = ref 0. in
   let timed_ads f =
@@ -209,11 +292,11 @@ let add_records t records =
       prime_inputs := prime_input :: !prime_inputs)
     results;
   (* The prime walks dominate ADS build; one batched call fans them out
-     across the domain pool. A single product-tree exponentiation then
-     folds the whole batch into Ac (equal to the per-prime fold, since
-     g^x^y = g^(xy)). *)
+     across the domain pool. *)
   let new_primes = timed_ads (fun () -> Prime_rep.to_primes (List.rev !prime_inputs)) in
-  timed_ads (fun () -> t.ac <- Rsa_acc.add_batch t.o_params t.ac new_primes);
+  let witnesses =
+    timed_ads (fun () -> Obs.span "acc.fold" (fun () -> fold_primes t ~witnessed new_primes))
+  in
   t.t_ads <- !ads_time;
   t.t_index <- Unix.gettimeofday () -. started -. !ads_time;
   (* Per-keyword groups, aligned with [results]/[gpairs]/[new_primes]:
@@ -228,16 +311,16 @@ let add_records t records =
            { kg_g1 = fst gpairs.(i); kg_entries = records; kg_prime = prime_arr.(i) })
          results)
   in
-  { sh_groups = groups; sh_ac = t.ac }
+  { sh_groups = groups; sh_ac = t.ac; sh_witnesses = witnesses }
 
 let build t records =
   if t.built then invalid_arg "Owner.build: already built (use insert)";
   t.built <- true;
-  Obs.span "core.build" (fun () -> add_records t records)
+  Obs.span "core.build" (fun () -> add_records t ~witnessed:true records)
 
 let insert t records =
   if not t.built then invalid_arg "Owner.insert: call build first";
-  Obs.span "core.insert" (fun () -> add_records t records)
+  Obs.span "core.insert" (fun () -> add_records t ~witnessed:false records)
 
 let export_trapdoor_state t = Hashtbl.copy t.trapdoors
 

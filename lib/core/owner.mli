@@ -29,11 +29,16 @@ type keyword_group = {
 type shipment = {
   sh_groups : keyword_group list;      (** the new entries and primes, one group per keyword *)
   sh_ac : Bigint.t;                    (** accumulation value after the update *)
+  sh_witnesses : Bigint.t list;
+      (** A Build's: one membership witness per group, in group order,
+          against [sh_ac]. An Insert's: none. *)
 }
 (** A Build/Insert shipment. Each index entry and each new prime
     representative appears exactly once, inside its keyword's group;
     the flat views below are derived from the groups, never stored, and
-    neither the wire nor the WAL carries them. *)
+    neither the wire nor the WAL carries them. The cloud installs the
+    witnesses unchecked, as it takes [sh_ac]: the contract checks every
+    claim before it pays. *)
 
 val shipment_entry_count : shipment -> int
 (** The number of new index entries, over all groups. *)
@@ -48,20 +53,25 @@ val shipment_primes : shipment -> Bigint.t list
 val create :
   ?width:int -> rng:Drbg.t -> acc_params:Rsa_acc.params -> keys:Keys.master -> unit -> t
 (** Fresh owner state. [width] is the value bit-count [b]
-    (default 16; the paper evaluates 8, 16 and 24). *)
+    (default 16; the paper evaluates 8, 16 and 24). [acc_params] must
+    be the ones {!Rsa_acc.setup} returned: the owner keeps the product
+    of its accumulated primes modulo [p - 1] and [q - 1] and computes
+    every [Ac] and witness by CRT from them.
+    @raise Invalid_argument on parameters that hold no factors. *)
 
 val keys : t -> Keys.master
 val acc_params : t -> Rsa_acc.params
 val current_ac : t -> Bigint.t
 
 val build : t -> Slicer_types.record list -> shipment
-(** Algorithm 1. May only be called once, on a fresh state.
+(** Algorithm 1, shipping every prime's witness. May only be called
+    once, on a fresh state.
     @raise Invalid_argument on duplicate record IDs or reuse. *)
 
 val insert : t -> Slicer_types.record list -> shipment
 (** Algorithm 2: touched keywords advance their trapdoor chain with
-    [π_sk⁻¹]; new keywords start one. @raise Invalid_argument on
-    duplicate record IDs. *)
+    [π_sk⁻¹]; new keywords start one. The shipment carries no witness.
+    @raise Invalid_argument on duplicate record IDs. *)
 
 val export_trapdoor_state : t -> trapdoor_state
 (** Snapshot of [T] for the data user (the owner→user channel of the

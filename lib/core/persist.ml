@@ -2,11 +2,12 @@ let ( let* ) = Option.bind
 
 (* --- shipments ----------------------------------------------------------- *)
 
-(* A shipment is two pieces, [ac; groups], and each group carries its
-   G1 key, its prime and its entries: every entry is encoded once. The
-   older three- and four-piece forms (a flat entry list and prime list,
-   then optionally the same entries again as groups) are malformed
-   here.
+(* A shipment is three pieces, [ac; groups; witnesses], and each group
+   carries its G1 key, its prime and its entries: every entry is encoded
+   once. The witnesses piece holds a Build's one witness per group, or
+   nothing. The older forms (two pieces without witnesses; a flat entry
+   list and prime list, then optionally the same entries again as
+   groups) are malformed here.
 
    Entries travel as the length-prefixed pieces [l1; d1; l2; d2; ...],
    40 wire bytes per 32-byte [l ‖ d] record; the encoder emits them
@@ -71,14 +72,18 @@ let group_of_view s ~off ~len =
 let shipment_sized (sh : Owner.shipment) =
   Bytesutil.sized_concat
     [ Bytesutil.sized_string (Bigint.to_bytes_be sh.Owner.sh_ac);
-      Bytesutil.sized_concat (List.map group_sized sh.Owner.sh_groups) ]
+      Bytesutil.sized_concat (List.map group_sized sh.Owner.sh_groups);
+      Bytesutil.sized_concat
+        (List.map (fun w -> Bytesutil.sized_string (Bigint.to_bytes_be w)) sh.Owner.sh_witnesses) ]
 
 let shipment_to_bytes sh = Bytesutil.sized_to_string (shipment_sized sh)
 
 let shipment_of_view s ~off ~len =
+  let bigint (off, len) = Bigint.of_bytes_be (String.sub s off len) in
   match Bytesutil.views s ~off ~len with
-  | Some [ (ac_off, ac_len); (groups_off, groups_len) ] ->
+  | Some [ ac; (groups_off, groups_len); (witnesses_off, witnesses_len) ] ->
     let* group_views = Bytesutil.views s ~off:groups_off ~len:groups_len in
+    let* witness_views = Bytesutil.views s ~off:witnesses_off ~len:witnesses_len in
     let rec go acc = function
       | [] -> Some (List.rev acc)
       | (off, len) :: rest ->
@@ -86,7 +91,8 @@ let shipment_of_view s ~off ~len =
         go (g :: acc) rest
     in
     let* sh_groups = go [] group_views in
-    Some { Owner.sh_groups; sh_ac = Bigint.of_bytes_be (String.sub s ac_off ac_len) }
+    Some
+      { Owner.sh_groups; sh_ac = bigint ac; sh_witnesses = List.map bigint witness_views }
   | _ -> None
 
 let shipment_of_bytes s = shipment_of_view s ~off:0 ~len:(String.length s)

@@ -5,9 +5,10 @@
     input is rejected rather than misparsed. *)
 
 val shipment_to_bytes : Owner.shipment -> string
-(** Two pieces: [Ac], then the keyword groups ({!group_to_bytes}), so
-    each index entry is encoded once. Written into one buffer of the
-    exact size ({!shipment_sized}). *)
+(** Three pieces: [Ac], the keyword groups ({!group_to_bytes}), so
+    each index entry is encoded once, and the witnesses (a Build's one
+    per group, an Insert's none). Written into one buffer of the exact
+    size ({!shipment_sized}). *)
 
 val shipment_sized : Owner.shipment -> Bytesutil.sized
 (** The {!shipment_to_bytes} encoding, streamed from the groups'
@@ -15,9 +16,11 @@ val shipment_sized : Owner.shipment -> Bytesutil.sized
     which the WAL journals as it is emitted. *)
 
 val shipment_of_bytes : string -> Owner.shipment option
-(** [None] for anything but the two-piece form, including the older
-    shipment forms that carried a flat entry list, and for any entry
-    piece that is not exactly 16 bytes. *)
+(** [None] for anything but the three-piece form, including the older
+    two-piece form without witnesses and the forms that carried a flat
+    entry list, and for any entry piece that is not exactly 16 bytes.
+    It does not count the witnesses against the groups: the cloud
+    refuses a misfit ({!Cloud.install_shipment}). *)
 
 val shipment_of_view : string -> off:int -> len:int -> Owner.shipment option
 (** {!shipment_of_bytes} of the bytes [\[off, off + len)] of a string,

@@ -20,8 +20,12 @@ let simulate_build ~rng (leak : Leakage.build_leakage) =
         in
         { Owner.kg_g1; kg_entries; kg_prime = random_prime_of_bits ~rng leak.Leakage.bl_prime_bits })
   in
-  let ac = Bigint.succ (Drbg.bits rng 511) in
-  { Owner.sh_groups = groups; sh_ac = ac }
+  (* Group elements of the modulus's width: [Ac] and, for a Build, one
+     witness per prime. *)
+  let element () = Bigint.succ (Drbg.bits rng 511) in
+  let ac = element () in
+  { Owner.sh_groups = groups; sh_ac = ac;
+    sh_witnesses = List.init leak.Leakage.bl_witness_count (fun _ -> element ()) }
 
 let simulate_search ~rng (leak : Leakage.search_leakage) =
   let result_bytes = (leak.Leakage.sl_result_bits + 7) / 8 in

@@ -133,7 +133,6 @@ module Decoder = struct
     mutable buf : Bytes.t;
     mutable r : int; (* start of unparsed bytes *)
     mutable w : int; (* end of buffered bytes *)
-    mutable compactions : int;
     mutable extractions : int;
     mutable frames : int;
   }
@@ -147,12 +146,10 @@ module Decoder = struct
     { buf = Bytes.create initial_capacity;
       r = 0;
       w = 0;
-      compactions = 0;
       extractions = 0;
       frames = 0 }
 
   let buffered t = t.w - t.r
-  let compactions t = t.compactions
   let extractions t = t.extractions
   let frames t = t.frames
   let buffer t = t.buf
@@ -174,7 +171,6 @@ module Decoder = struct
       let used = buffered t in
       if t.r > 0 then begin
         Bytes.blit t.buf t.r t.buf 0 used;
-        if used > 0 then t.compactions <- t.compactions + 1;
         t.r <- 0;
         t.w <- used
       end;

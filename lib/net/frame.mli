@@ -115,9 +115,6 @@ module Decoder : sig
   val buffer : t -> Bytes.t
   (** The live arena (for aliasing assertions in tests). *)
 
-  val compactions : t -> int
-  (** Times unparsed bytes were slid to the arena base. *)
-
   val extractions : t -> int
   (** {!payload_string} calls — the only payload copies ever made. *)
 

@@ -341,6 +341,7 @@ let run_build t ~identity ~width ~payment ~acc ~tdp_n ~tdp_e ~user_k ~user_k_r ~
     Station.deploy ~acc_params:acc ~tdp_public ~owner:owner_addr ~cloud_addr
       ~shard:identity.shard ~dispute_window shipment
   with
+  | exception Invalid_argument e -> Declined (Wire.Bad_request, e)
   | Error e -> Declined (Wire.Internal, "contract deployment failed: " ^ e)
   | Ok (station, receipt) ->
     let b =
@@ -436,7 +437,11 @@ let run t ~key record =
       Moved 1
     end
   | Insert (Wire.Insert { shipment; trapdoor; _ }), Some b ->
+    (* The cloud installs a shipment's witnesses unchecked, as it takes
+       its [sh_ac], and refuses only a misfit count, before any change
+       ([Cloud.install]); the contract checks every claim it pays. *)
     (match Station.install b.b_station ~owner:owner_addr shipment with
+     | exception Invalid_argument e -> Declined (Wire.Bad_request, e)
      | Error e -> Declined (Wire.Internal, "on-chain Ac update failed: " ^ e)
      | Ok receipt ->
        b.b_trapdoor <- trapdoor;
@@ -571,12 +576,13 @@ let ( let* ) = Option.bind
    Found replies whose claims carry no hints, v5 with the owner and
    cloud addresses and the validator names but no identity and no chain
    head, v6 with cached Found replies whose results carry a length
-   each) are refused as a codec mismatch. The empty layout moved with
-   v7: the WAL after an empty-v1 snapshot may hold Dispute records
-   whose claims carry those lengths, which would replay into another
-   state. *)
-let snap_magic_built = "slicer-service-built-v7"
-let snap_magic_empty = "slicer-service-empty-v2"
+   each, v7 beside a WAL whose shipments carry no witness piece) are
+   refused as a codec mismatch. The empty layout moves with the built
+   one (v2 with v7, v3 with v8): the WAL after an older empty snapshot
+   holds requests of an older wire revision, so every state dir an
+   older build wrote fails before any replay. *)
+let snap_magic_built = "slicer-service-built-v8"
+let snap_magic_empty = "slicer-service-empty-v3"
 
 (* The snapshot is the *materialized* behavioral state, not chain
    history: [Vm.contract_def] holds closures and blocks hold txn

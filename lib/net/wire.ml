@@ -5,11 +5,10 @@ let response_tag = 0x02
 
 (* The one protocol revision this build speaks, checked in Hello. Peers
    of any other revision are refused there with [Version_mismatch];
-   nothing is negotiated down. Revision 7 carries each claim's results
-   as bare 16-byte cells, so a revision-6 peer's Found replies and
-   Dispute requests, whose results carry a length each, would not
-   decode, or would decode into other cells. *)
-let proto_version = 7
+   nothing is negotiated down. Revision 8 adds a third shipment piece,
+   a Build's witnesses, so a revision-7 owner's Build and Insert would
+   not decode. *)
+let proto_version = 8
 
 type request =
   | Hello of { client : string; proto : int }

@@ -8,13 +8,14 @@ val request_tag : int
 val response_tag : int
 
 val proto_version : int
-(** The one protocol revision this build speaks (7). A Hello naming any
+(** The one protocol revision this build speaks (8). A Hello naming any
     other revision is refused with [Refused Version_mismatch], so a
-    peer built before revision 7 fails loudly at the handshake; its
-    claims blobs would not decode, or would decode into other cells.
-    Revision 6 carries each claim's prime hint inside the claims blob,
-    and revision 7 its results as bare 16-byte cells
-    ({!Slicer_contract.encode_claims}). *)
+    peer built before revision 8 fails loudly at the handshake; its
+    shipments or claims blobs would not decode. Revision 6 carries each
+    claim's prime hint inside the claims blob, revision 7 its results
+    as bare 16-byte cells ({!Slicer_contract.encode_claims}), and
+    revision 8 a Build's witnesses as a third shipment piece
+    ({!Persist.shipment_to_bytes}). *)
 
 type request =
   | Hello of { client : string; proto : int }
@@ -37,8 +38,10 @@ type request =
                user_k : string; user_k_r : string;
                shipment : Owner.shipment; trapdoor : Owner.trapdoor_state;
                trace : Trace.wire_ctx option }
-      (** The owner → cloud bootstrap shipment: public parameters, user
-          key material to provision with, and the Build artifacts.
+      (** The owner → cloud bootstrap shipment: public parameters
+          ([acc]'s modulus and generator; never its factors, which the
+          owner keeps), user key material to provision with, and the
+          Build artifacts, every prime's witness included.
           [(client, request_id)] is the idempotency key — a retry after a
           lost reply replays the original accept instead of refusing
           [Already_built]. *)

@@ -13,8 +13,12 @@
 # site: it fails if a .ml file under lib/ or bin/ other than
 # lib/core/station.ml names Slicer_contract.deploy, so every database is
 # stood up through Station.deploy with its service's shard and dispute
-# window (DESIGN.md §6). Run by `dune runtest`, or directly from the
-# repo root.
+# window (DESIGN.md §6). And the accumulator's factors stay with the
+# owner: it fails if a .ml file under lib/ or bin/ other than
+# lib/core/owner.ml and lib/accumulator/rsa_acc.ml names their accessor,
+# Rsa_acc.factors, so no other party computes with them and no codec
+# can write them (DESIGN.md §6). Run by `dune runtest`, or directly from
+# the repo root.
 set -u
 
 cd "$(dirname "$0")/.." || exit 1
@@ -22,7 +26,8 @@ cd "$(dirname "$0")/.." || exit 1
 home=lib/chain/slicer_contract.ml
 walkers="lib/core/owner.ml lib/core/cloud.ml"
 deployer=lib/core/station.ml
-for f in $home $walkers $deployer; do
+keepers="lib/core/owner.ml lib/accumulator/rsa_acc.ml"
+for f in $home $walkers $deployer $keepers; do
   [ -f "$f" ] || { echo "check_alg5: $f not found" >&2; exit 1; }
 done
 
@@ -55,5 +60,15 @@ if [ -n "$deploys" ]; then
   status=1
 fi
 
-[ "$status" -eq 0 ] && echo "check_alg5: Algorithm 5 runs only in $home; only $walkers walk; only $deployer deploys"
+opens=$(grep -rnE 'Rsa_acc\.factors\b' lib bin --include='*.ml') || true
+for f in $keepers; do
+  opens=$(printf '%s\n' "$opens" | grep -v "^$f:") || true
+done
+if [ -n "$opens" ]; then
+  echo "$opens" >&2
+  echo "check_alg5: only $keepers may name Rsa_acc.factors; every other party holds (modulus, generator) only" >&2
+  status=1
+fi
+
+[ "$status" -eq 0 ] && echo "check_alg5: Algorithm 5 runs only in $home; only $walkers walk; only $deployer deploys; only $keepers open the factors"
 exit "$status"

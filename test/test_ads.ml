@@ -341,6 +341,67 @@ let test_wt_export_absorb () =
     after.Witness_tree.ws_cold;
   Alcotest.(check bool) "garbage blob rejected" true (Witness_tree.absorb wt' "not-a-snapshot" = None)
 
+(* A shipment's witnesses graft as fresh leaf bases: they serve at once,
+   the warm computes no base, and a later append leaves them stale, so
+   the next warm brings them current as it always did. *)
+let test_wt_grafted_witnesses () =
+  let build = primes_of 7 "wt-graft" and insert = primes_of 2 "wt-graft-ins" in
+  let witnesses = List.map snd (Rsa_acc.all_witnesses small_params build) in
+  let wt = Witness_tree.create small_params in
+  Witness_tree.append ~witnesses wt build;
+  let grafted = Witness_tree.stats wt in
+  Alcotest.(check int) "every leaf fresh" (List.length build) grafted.Witness_tree.ws_fresh;
+  Witness_tree.warm_all wt;
+  Alcotest.(check int) "the warm computes no base" grafted.Witness_tree.ws_cold
+    (Witness_tree.stats wt).Witness_tree.ws_cold;
+  List.iter2
+    (fun x w ->
+      match Witness_tree.witness wt x with
+      | Some w' -> Alcotest.(check bool) "served as shipped" true (Bigint.equal w w')
+      | None -> Alcotest.fail "grafted leaf missing")
+    build witnesses;
+  Alcotest.(check int) "served without cold work" grafted.Witness_tree.ws_cold
+    (Witness_tree.stats wt).Witness_tree.ws_cold;
+  Witness_tree.append wt insert;
+  Alcotest.(check int) "an append leaves no leaf fresh" 0
+    (Witness_tree.stats wt).Witness_tree.ws_fresh;
+  Witness_tree.warm_all wt;
+  let all = build @ insert in
+  Alcotest.(check int) "the warm brings every leaf current" (List.length all)
+    (Witness_tree.stats wt).Witness_tree.ws_fresh;
+  List.iter2
+    (fun x (_, w) ->
+      match Witness_tree.witness wt x with
+      | Some w' -> Alcotest.(check bool) "equals the rebuild" true (Bigint.equal w w')
+      | None -> Alcotest.fail "leaf missing")
+    all (Rsa_acc.all_witnesses small_params all);
+  (* A misfit count is refused before the tree changes. *)
+  let before = Witness_tree.stats wt in
+  Alcotest.check_raises "one witness for two primes"
+    (Invalid_argument "Witness_tree.append: 1 witnesses for 2 primes") (fun () ->
+      Witness_tree.append ~witnesses:[ Bigint.two ] wt (primes_of 2 "wt-graft-bad"));
+  Alcotest.(check int) "the refused append changed nothing" before.Witness_tree.ws_leaves
+    (Witness_tree.stats wt).Witness_tree.ws_leaves
+
+(* Only the parameters [setup] made hold the factors; decoded ones do
+   not, and the owner refuses those. *)
+let test_acc_factors_stay_with_setup () =
+  (match Rsa_acc.factors small_params with
+   | Some (p, q) ->
+     Alcotest.(check bool) "p * q = n" true
+       (Bigint.equal (Bigint.mul p q) small_params.Rsa_acc.modulus)
+   | None -> Alcotest.fail "setup dropped the factors");
+  let decoded =
+    Rsa_acc.params_of_parts ~modulus:small_params.Rsa_acc.modulus
+      ~generator:small_params.Rsa_acc.generator
+  in
+  Alcotest.(check bool) "decoded parameters hold none" true (Rsa_acc.factors decoded = None);
+  let rng = Drbg.create ~seed:"factorless-owner" in
+  let keys = Keys.generate ~tdp_bits:256 ~rng () in
+  match Owner.create ~rng ~acc_params:decoded ~keys () with
+  | _ -> Alcotest.fail "an owner without factors was created"
+  | exception Invalid_argument _ -> ()
+
 (* --- Merkle tree -------------------------------------------------------- *)
 
 let test_merkle_roundtrip () =
@@ -417,8 +478,44 @@ let test_tdp_chain () =
 
 (* --- properties ----------------------------------------------------------- *)
 
+let owner_keys = lazy (Keys.generate ~tdp_bits:256 ~rng:(Drbg.create ~seed:"owner-crt-keys") ())
+
 let props =
-  [ prop "mset: concat = combine" gen_strings (fun xs ->
+  [ prop "the owner's CRT fold = the public accumulator" ~count:12
+      QCheck2.Gen.(
+        pair (int_range 0 1_000_000)
+          (pair (list_size (int_range 1 6) (int_range 0 15))
+             (list_size (int_range 0 3) (list_size (int_range 0 4) (int_range 0 15)))))
+      (fun (seed, (build, inserts)) ->
+        (* Random record sets walk to random prime sets: a Build, then
+           Inserts. Every [Ac] must be the one [accumulate] computes
+           over all primes so far, and each Build witness the one
+           [all_witnesses] computes. *)
+        let rng = Drbg.create ~seed:(Printf.sprintf "owner-crt-%d" seed) in
+        let owner =
+          Owner.create ~width:4 ~rng ~acc_params:small_params ~keys:(Lazy.force owner_keys) ()
+        in
+        let records batch =
+          List.mapi (fun i v -> Slicer_types.record_of_value (Printf.sprintf "%s-%d" batch i) v)
+        in
+        let sh = Owner.build owner (records "build" build) in
+        let primes = Owner.shipment_primes sh in
+        let build_ok =
+          Bigint.equal sh.Owner.sh_ac (Rsa_acc.accumulate small_params primes)
+          && List.equal Bigint.equal sh.Owner.sh_witnesses
+               (List.map snd (Rsa_acc.all_witnesses small_params primes))
+        in
+        let all = ref primes in
+        build_ok
+        && List.for_all
+             (fun (k, batch) ->
+               let sh = Owner.insert owner (records (Printf.sprintf "insert%d" k) batch) in
+               all := !all @ Owner.shipment_primes sh;
+               sh.Owner.sh_witnesses = []
+               && Bigint.equal sh.Owner.sh_ac (Rsa_acc.accumulate small_params !all)
+               && Bigint.equal (Owner.current_ac owner) sh.Owner.sh_ac)
+             (List.mapi (fun k b -> (k, b)) inserts));
+ prop "mset: concat = combine" gen_strings (fun xs ->
         let k = List.length xs / 2 in
         let l = List.filteri (fun i _ -> i < k) xs and r = List.filteri (fun i _ -> i >= k) xs in
         Mset_hash.equal (Mset_hash.of_list xs) (Mset_hash.combine (Mset_hash.of_list l) (Mset_hash.of_list r)));
@@ -533,14 +630,16 @@ let () =
           Alcotest.test_case "all_witnesses" `Quick test_acc_all_witnesses;
           Alcotest.test_case "batch witness" `Quick test_acc_batch_witness;
           Alcotest.test_case "non-membership" `Quick test_acc_non_membership;
-          Alcotest.test_case "tampered Ac" `Quick test_acc_tampered_ac_fails ] );
+          Alcotest.test_case "tampered Ac" `Quick test_acc_tampered_ac_fails;
+          Alcotest.test_case "factors stay with setup" `Quick test_acc_factors_stay_with_setup ] );
       ( "witness_tree",
         [ Alcotest.test_case "matches rebuild" `Quick test_wt_matches_rebuild;
           Alcotest.test_case "warm_all" `Quick test_wt_warm_all;
           Alcotest.test_case "warm_all at wide windows" `Quick test_wt_warm_all_wide;
           Alcotest.test_case "cold lookups from the root" `Quick test_wt_cold_from_root;
           Alcotest.test_case "batch witness" `Quick test_wt_batch_witness;
-          Alcotest.test_case "export/absorb" `Quick test_wt_export_absorb ] );
+          Alcotest.test_case "export/absorb" `Quick test_wt_export_absorb;
+          Alcotest.test_case "grafted witnesses" `Quick test_wt_grafted_witnesses ] );
       ( "merkle",
         [ Alcotest.test_case "roundtrip" `Quick test_merkle_roundtrip;
           Alcotest.test_case "rejects" `Quick test_merkle_rejects;

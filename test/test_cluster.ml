@@ -213,7 +213,11 @@ let test_split_degenerate_and_archive () =
        (List.map (fun g -> g.Owner.kg_g1) shipment.Owner.sh_groups)
        (List.map (fun g -> g.Owner.kg_g1) only.Owner.sh_groups);
      Alcotest.(check bool) "identity on the accumulator" true
-       (Bigint.equal shipment.Owner.sh_ac only.Owner.sh_ac)
+       (Bigint.equal shipment.Owner.sh_ac only.Owner.sh_ac);
+     (* The owner's witnesses stay behind: a routed shard warms its own. *)
+     Alcotest.(check int) "the Build ships one witness per group"
+       (List.length shipment.Owner.sh_groups) (List.length shipment.Owner.sh_witnesses);
+     Alcotest.(check int) "no witness travels to a shard" 0 (List.length only.Owner.sh_witnesses)
    | parts -> Alcotest.failf "1-shard split produced %d parts" (Array.length parts));
   (* Pre-cluster archive shipments ([entries; primes; ac], no groups)
      and the later flat-plus-groups form cannot be split faithfully:
@@ -237,7 +241,7 @@ let test_split_degenerate_and_archive () =
      = None);
   (* ... while a genuinely empty shipment splits into empty slices with
      every shard's accumulator untouched. *)
-  let empty = { Owner.sh_groups = []; sh_ac = shipment.Owner.sh_ac } in
+  let empty = { Owner.sh_groups = []; sh_ac = shipment.Owner.sh_ac; sh_witnesses = [] } in
   let bases = [| shipment.Owner.sh_ac; params.Rsa_acc.generator |] in
   Array.iteri
     (fun i (p : Owner.shipment) ->

@@ -1225,29 +1225,34 @@ let revision4_shipment_bytes (sh : Owner.shipment) =
       Bigint.to_bytes_be sh.Owner.sh_ac;
       Bytesutil.concat (List.map Persist.group_to_bytes sh.Owner.sh_groups) ]
 
+(* The revision-5 to -7 shipment form: [Ac] and the groups, no
+   witnesses. *)
+let revision7_shipment_bytes (sh : Owner.shipment) =
+  Bytesutil.concat
+    [ Bigint.to_bytes_be sh.Owner.sh_ac;
+      Bytesutil.concat (List.map Persist.group_to_bytes sh.Owner.sh_groups) ]
+
 (* A peer of another revision fails at the handshake with a structured
-   refusal (revision 6, whose results carry a length each, included),
-   and a peer from before revision 5 has its Build/Insert bytes refused
-   as malformed rather than decoded. *)
+   refusal (revision 7, whose shipments carry no witnesses, included),
+   and the Build/Insert bytes of a peer from before revision 8 are
+   refused as malformed rather than decoded. *)
 let test_older_revisions_refused () =
   ignore (Lazy.force server);
-  Alcotest.(check int) "revision 7: results settle as bare cells" 7 Wire.proto_version;
+  Alcotest.(check int) "revision 8: a Build ships its witnesses" 8 Wire.proto_version;
   List.iter
     (fun proto ->
       match Net.Service.handle (Lazy.force service) (Wire.Hello { client = "old-peer"; proto }) with
       | Wire.Refused { code = Wire.Version_mismatch; _ } -> ()
       | _ -> Alcotest.failf "revision %d hello not refused as a version mismatch" proto)
     [ 1; Wire.proto_version - 1; Wire.proto_version + 1 ];
-  let old_form req =
+  let old_form form req =
     match req with
     | Wire.Build { shipment; _ } | Wire.Insert { shipment; _ } ->
       let current = Persist.shipment_to_bytes shipment in
       (match Bytesutil.split (Wire.encode_request req) with
        | Some pieces ->
          Bytesutil.concat
-           (List.map
-              (fun p -> if String.equal p current then revision4_shipment_bytes shipment else p)
-              pieces)
+           (List.map (fun p -> if String.equal p current then form shipment else p) pieces)
        | None -> Alcotest.fail "request bytes did not split")
     | _ -> Alcotest.fail "not a shipment request"
   in
@@ -1281,14 +1286,17 @@ let test_older_revisions_refused () =
            detail
        | _ -> Alcotest.fail "the previous revision's hello over the wire not refused");
       List.iter
-        (fun req ->
-          let bytes = old_form req in
-          Alcotest.(check bool) "old-form payload does not decode" true
-            (Wire.decode_request bytes = None);
-          match exchange bytes with
-          | Some (Wire.Refused { code = Wire.Bad_request; _ }) -> ()
-          | _ -> Alcotest.fail "old-form shipment not refused as malformed")
-        shipment_requests)
+        (fun form ->
+          List.iter
+            (fun req ->
+              let bytes = old_form form req in
+              Alcotest.(check bool) "old-form payload does not decode" true
+                (Wire.decode_request bytes = None);
+              match exchange bytes with
+              | Some (Wire.Refused { code = Wire.Bad_request; _ }) -> ()
+              | _ -> Alcotest.fail "old-form shipment not refused as malformed")
+            shipment_requests)
+        [ revision4_shipment_bytes; revision7_shipment_bytes ])
 
 let test_busy_refusal_exhausts () =
   (* A zero-capacity server refuses every request with Busy; the client
@@ -2028,6 +2036,335 @@ let durable_owner seed =
   let shipment = Owner.build owner records in
   (rng, keys, acc_params, owner, records, shipment)
 
+(* --- the owner's witnesses ------------------------------------------------- *)
+
+let build_req ?(client = "wit-owner") ?(request_id = "wit#b") ~keys ~acc_params owner shipment =
+  Wire.Build
+    { client; request_id; width; payment = 500; acc = acc_params;
+      tdp_n = keys.Keys.tdp_public.Rsa_tdp.pn; tdp_e = keys.Keys.tdp_public.Rsa_tdp.e;
+      user_k = (Keys.for_user keys).Keys.u_k; user_k_r = (Keys.for_user keys).Keys.u_k_r;
+      shipment; trapdoor = Owner.export_trapdoor_state owner; trace = None }
+
+let hello_user svc client =
+  match Net.Service.handle svc (Wire.Hello { client; proto = Wire.proto_version }) with
+  | Wire.Welcome p ->
+    User.create ~keys:p.Wire.pv_user_keys ~width:p.Wire.pv_width p.Wire.pv_trapdoor
+  | _ -> Alcotest.failf "hello from %s refused" client
+
+let station_of svc =
+  match Net.Service.station svc with Some st -> st | None -> Alcotest.fail "no database"
+
+let warms () = Obs.counter_value "slicer_net_background_warms_total"
+
+let await_warms target =
+  let deadline = Unix.gettimeofday () +. 60. in
+  while warms () < target do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the background warm did not finish";
+    Thread.delay 0.01
+  done
+
+(* The prime a claim's witness was made for. *)
+let claim_prime (c : Slicer_contract.claim) =
+  Prime_rep.to_prime (Slicer_contract.claim_input ~token_bytes:c.token_bytes c.results)
+
+(* Every distinct value's equality query and a spread of order queries:
+   between them they touch most keywords. *)
+let spread_queries records =
+  List.sort_uniq compare (List.concat_map (fun r -> List.map snd r.Slicer_types.fields) records)
+  |> List.concat_map (fun v -> [ q v Slicer_types.Eq; q v Slicer_types.Lt; q v Slicer_types.Gt ])
+
+(* A single server installs the owner's witnesses: its Build warm still
+   runs and advances the warm counter, but computes no base, and every
+   witness served equals [Rsa_acc.all_witnesses] over the Build's
+   primes. *)
+let test_build_witnesses_serve_at_once () =
+  let rng, keys, acc_params, owner, records, shipment = durable_owner "wit-serve" in
+  let primes = Owner.shipment_primes shipment in
+  let expected = Rsa_acc.all_witnesses acc_params primes in
+  Alcotest.(check bool) "the shipment's witnesses are all_witnesses" true
+    (List.equal Bigint.equal shipment.Owner.sh_witnesses (List.map snd expected));
+  let svc = Net.Service.create () in
+  let warms0 = warms () in
+  (match Net.Service.handle svc (build_req ~keys ~acc_params owner shipment) with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "build refused");
+  (* The Build still schedules its warm pass, which advances the
+     counter that perfbench's owner and [seeded_service] wait on. *)
+  await_warms (warms0 + 1);
+  let cloud = Station.cloud (station_of svc) in
+  let ws = Cloud.witness_index_stats cloud in
+  Alcotest.(check int) "every leaf fresh" (List.length primes) ws.Witness_tree.ws_fresh;
+  Alcotest.(check int) "the warm computed no base" 0 ws.Witness_tree.ws_cold;
+  let user = hello_user svc "wit-serve-user" in
+  let served = ref 0 in
+  List.iteri
+    (fun i query ->
+      let tokens = User.gen_tokens ~rng user query in
+      if tokens <> [] then
+      match
+        Net.Service.handle svc
+          (Wire.Search
+             { client = "wit-serve-user"; request_id = Printf.sprintf "ws#%d" i; batched = false;
+               tokens; trace = None })
+      with
+      | Wire.Found r ->
+        List.iter
+          (fun (c : Slicer_contract.claim) ->
+            incr served;
+            match List.find_opt (fun (x, _) -> Bigint.equal x (claim_prime c)) expected with
+            | Some (_, w) ->
+              Alcotest.(check bool) "served = all_witnesses" true (Bigint.equal w c.witness)
+            | None -> Alcotest.fail "a claim's prime is not in the Build")
+          r.Wire.sr_claims
+      | Wire.Refused { detail; _ } -> Alcotest.failf "search refused: %s" detail
+      | _ -> Alcotest.fail "unexpected reply")
+    (spread_queries records);
+  Alcotest.(check bool) "witnesses were served" true (!served > 20);
+  Alcotest.(check int) "served without computing a base" 0
+    (Cloud.witness_index_stats cloud).Witness_tree.ws_cold
+
+(* The server checks no shipped witness, as it checks no [sh_ac]: a
+   Build whose one witness is corrupted is installed, and the contract
+   refuses every claim made with it. The searches that touch that
+   keyword are refunded, the others are paid, and the escrow ends where
+   it began. *)
+let test_corrupted_witness_refused_on_chain () =
+  let rng, keys, acc_params, owner, records, shipment = durable_owner "wit-corrupt" in
+  let bad = 0 in
+  let bad_g1 = (List.nth shipment.Owner.sh_groups bad).Owner.kg_g1 in
+  let corrupted =
+    { shipment with
+      Owner.sh_witnesses =
+        List.mapi (fun i w -> if i = bad then Bigint.succ w else w) shipment.Owner.sh_witnesses }
+  in
+  let svc = Net.Service.create () in
+  (match Net.Service.handle svc (build_req ~keys ~acc_params owner corrupted) with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "the corrupted Build was refused");
+  let user = hello_user svc "wit-corrupt-user" in
+  let st = station_of svc in
+  let vmst = Ledger.state (Station.ledger st) in
+  let user_addr = Vm.address_of_name "slicer-net:user:wit-corrupt-user" in
+  let balances () =
+    ( Vm.balance vmst user_addr,
+      Vm.balance vmst (Station.cloud_addr st),
+      Vm.balance vmst (Station.contract st) )
+  in
+  let u0, c0, k0 = balances () in
+  let paid = ref 0 and refunded = ref 0 in
+  List.iteri
+    (fun i query ->
+      let tokens = User.gen_tokens ~rng user query in
+      let touches = List.exists (fun t -> String.equal t.Slicer_types.st_g1 bad_g1) tokens in
+      if tokens <> [] then
+        match
+          Net.Service.handle svc
+            (Wire.Search
+               { client = "wit-corrupt-user"; request_id = Printf.sprintf "wc#%d" i;
+                 batched = false; tokens; trace = None })
+        with
+        | Wire.Found r ->
+          (match (touches, r.Wire.sr_receipt.Vm.r_output) with
+           | true, Ok [ "refunded" ] -> incr refunded
+           | false, Ok [ "paid" ] -> incr paid
+           | _ -> Alcotest.failf "query %d (touches the bad keyword: %b) settled wrong" i touches)
+        | _ -> Alcotest.failf "query %d refused" i)
+    (spread_queries records);
+  Alcotest.(check bool) "some searches touched the corrupted keyword" true (!refunded > 0);
+  Alcotest.(check bool) "some did not" true (!paid > 0);
+  let u1, c1, k1 = balances () in
+  Alcotest.(check int) "the user paid the paid searches only" (u0 - (500 * !paid)) u1;
+  Alcotest.(check int) "the cloud earned them" (c0 + (500 * !paid)) c1;
+  Alcotest.(check int) "no escrow left in the contract" k0 k1
+
+(* A shipment carries no witness or one per group; any other count is
+   refused [Bad_request] before anything is installed, on a Build and
+   on an Insert. *)
+let test_misfit_witnesses_refused () =
+  let _rng, keys, acc_params, owner, _records, shipment = durable_owner "wit-misfit" in
+  let svc = Net.Service.create () in
+  let refused what req =
+    match Net.Service.handle svc req with
+    | Wire.Refused { code = Wire.Bad_request; _ } -> ()
+    | Wire.Refused { detail; _ } ->
+      Alcotest.failf "%s refused, but not as bad_request: %s" what detail
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  List.iter
+    (fun (what, sh_witnesses) ->
+      refused what (build_req ~keys ~acc_params owner { shipment with Owner.sh_witnesses });
+      Alcotest.(check bool) (what ^ ": nothing built") false (Net.Service.built svc))
+    [ ("a Build one witness short", List.tl shipment.Owner.sh_witnesses);
+      ("a Build with one witness too many", Bigint.two :: shipment.Owner.sh_witnesses) ];
+  (match Net.Service.handle svc (build_req ~keys ~acc_params owner shipment) with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "the well-formed Build was refused");
+  let insert =
+    Owner.insert owner
+      [ Slicer_types.record_of_value "misfit-a" 1; Slicer_types.record_of_value "misfit-b" 50 ]
+  in
+  Alcotest.(check bool) "the Insert has two groups or more" true
+    (List.length insert.Owner.sh_groups >= 2);
+  let primes = Cloud.prime_count (Station.cloud (station_of svc)) in
+  refused "an Insert with one witness"
+    (Wire.Insert
+       { client = "wit-owner"; request_id = "wit#i";
+         shipment = { insert with Owner.sh_witnesses = [ Bigint.two ] };
+         trapdoor = Owner.export_trapdoor_state owner; trace = None });
+  Alcotest.(check int) "the refused Insert left the generation" 1 (Net.Service.generation svc);
+  Alcotest.(check int) "and the primes" primes (Cloud.prime_count (Station.cloud (station_of svc)))
+
+(* The accumulator's factors stay with the owner. A durable server is
+   driven over the wire through a Build, searches, an Insert, a search
+   at the new generation and a checkpoint; the big-endian bytes of p, q
+   and (p - 1)(q - 1) must occur in no request the owner sends, no
+   reply, the WAL or the snapshot. *)
+let test_factors_never_leave_the_owner () =
+  let rng, keys, acc_params, owner, _records, shipment = durable_owner "wit-factors" in
+  let p, q' =
+    match Rsa_acc.factors acc_params with
+    | Some f -> f
+    | None -> Alcotest.fail "setup kept no factors"
+  in
+  let secrets =
+    [ ("p", Bigint.to_bytes_be p); ("q", Bigint.to_bytes_be q');
+      ("(p-1)(q-1)", Bigint.to_bytes_be (Bigint.mul (Bigint.pred p) (Bigint.pred q'))) ]
+  in
+  let check_clean where bytes =
+    List.iter
+      (fun (name, secret) ->
+        if contains bytes secret then Alcotest.failf "%s carries the factor %s" where name)
+      secrets
+  in
+  let dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+  let svc =
+    match Net.Service.recover cfg with
+    | Ok (svc, _) -> svc
+    | Error e -> Alcotest.failf "recover: %s" e
+  in
+  let srv = Net.Server.start (Net.Service.handle svc) in
+  let fd =
+    match Net.Server.endpoint srv with
+    | Net.Server.Tcp (h, port) ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Net.Server.resolve_host h, port));
+      fd
+    | Net.Server.Unix_socket path ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      fd
+  in
+  let exchange what req =
+    let bytes = Wire.encode_request req in
+    check_clean (what ^ " request") bytes;
+    Net.Frame.write fd ~tag:Wire.request_tag bytes;
+    match Net.Frame.read ~timeout:20. fd with
+    | Ok { Net.Frame.payload; _ } ->
+      check_clean (what ^ " reply") payload;
+      (match Wire.decode_response payload with
+       | Some resp -> resp
+       | None -> Alcotest.failf "%s: undecodable reply" what)
+    | Error e -> Alcotest.failf "%s: no reply: %s" what (Net.Frame.error_to_string e)
+  in
+  let user () =
+    match
+      exchange "hello" (Wire.Hello { client = "wit-factors-user"; proto = Wire.proto_version })
+    with
+    | Wire.Welcome p ->
+      User.create ~keys:p.Wire.pv_user_keys ~width:p.Wire.pv_width p.Wire.pv_trapdoor
+    | _ -> Alcotest.fail "hello refused"
+  in
+  let search u i query =
+    match
+      exchange "search"
+        (Wire.Search
+           { client = "wit-factors-user"; request_id = Printf.sprintf "wf#%d" i; batched = false;
+             tokens = User.gen_tokens ~rng u query; trace = None })
+    with
+    | Wire.Found r ->
+      Alcotest.(check (result (list string) string)) "paid" (Ok [ "paid" ])
+        r.Wire.sr_receipt.Vm.r_output
+    | _ -> Alcotest.fail "search refused"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Net.Server.stop srv;
+      Option.iter Store.close (Net.Service.store svc))
+    (fun () ->
+      (match exchange "build" (build_req ~keys ~acc_params owner shipment) with
+       | Wire.Accepted _ -> ()
+       | _ -> Alcotest.fail "build refused");
+      let u = user () in
+      search u 1 (q 30 Slicer_types.Lt);
+      search u 2 (q 12 Slicer_types.Gt);
+      let insert = Owner.insert owner [ Slicer_types.record_of_value "wf-new" 7 ] in
+      (match
+         exchange "insert"
+           (Wire.Insert
+              { client = "wit-owner"; request_id = "wit#i"; shipment = insert;
+                trapdoor = Owner.export_trapdoor_state owner; trace = None })
+       with
+       | Wire.Accepted _ -> ()
+       | _ -> Alcotest.fail "insert refused");
+      search (user ()) 3 (q 7 Slicer_types.Eq));
+  (* Recovery checkpoints the state it rebuilt from the WAL. *)
+  (match Net.Service.recover cfg with
+   | Ok (svc, stats) ->
+     Alcotest.(check bool) "the WAL was replayed" true (stats.Net.Service.rs_replayed > 0);
+     Option.iter Store.close (Net.Service.store svc)
+   | Error e -> Alcotest.failf "recover: %s" e);
+  let files = Sys.readdir dir |> Array.to_list |> List.sort compare in
+  Alcotest.(check bool) "a WAL and a snapshot" true
+    (List.mem "wal.log" files && List.exists (fun f -> String.starts_with ~prefix:"snap-" f) files);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      if not (Sys.is_directory path) then
+        check_clean f (In_channel.with_open_bin path In_channel.input_all))
+    files
+
+(* A WAL that holds only a Build: replaying it grafts the Build's
+   witnesses, so a search for a keyword no replayed search touched
+   computes no base. *)
+let test_wal_only_build_recovers_warm () =
+  let rng, keys, acc_params, owner, _records, shipment = durable_owner "wit-wal" in
+  let dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+  (match Net.Service.recover cfg with
+   | Error e -> Alcotest.failf "initial recover: %s" e
+   | Ok (svc, _) ->
+     (match Net.Service.handle svc (build_req ~keys ~acc_params owner shipment) with
+      | Wire.Accepted _ -> ()
+      | _ -> Alcotest.fail "build refused");
+     Option.iter Store.close (Net.Service.store svc));
+  match Net.Service.recover cfg with
+  | Error e -> Alcotest.failf "recover: %s" e
+  | Ok (svc, stats) ->
+    Fun.protect ~finally:(fun () -> Option.iter Store.close (Net.Service.store svc)) @@ fun () ->
+    Alcotest.(check bool) "from the WAL alone" false stats.Net.Service.rs_snapshot;
+    Alcotest.(check int) "one record, the Build" 1 stats.Net.Service.rs_replayed;
+    let cloud = Station.cloud (station_of svc) in
+    let before = Cloud.witness_index_stats cloud in
+    Alcotest.(check int) "the Build's leaves came back fresh" before.Witness_tree.ws_leaves
+      before.Witness_tree.ws_fresh;
+    let user = hello_user svc "wit-wal-user" in
+    (match
+       Net.Service.handle svc
+         (Wire.Search
+            { client = "wit-wal-user"; request_id = "ww#1"; batched = false;
+              tokens = User.gen_tokens ~rng user (q 30 Slicer_types.Lt); trace = None })
+     with
+     | Wire.Found r ->
+       Alcotest.(check (result (list string) string)) "paid" (Ok [ "paid" ])
+         r.Wire.sr_receipt.Vm.r_output
+     | _ -> Alcotest.fail "search refused");
+    Alcotest.(check int) "no base computed cold" before.Witness_tree.ws_cold
+      (Cloud.witness_index_stats cloud).Witness_tree.ws_cold
+
 let test_service_survives_restart () =
   (* The full acceptance loop in-process: an empty durable service is
      populated over wire messages (Build, Hello, Search, Insert), the
@@ -2327,12 +2664,13 @@ let test_witness_index_survives_restart () =
     Option.iter Store.close (Net.Service.store svc3)
 
 let test_old_snapshot_layouts_refused () =
-  (* One snapshot layout decodes. The six older ones, rebuilt from a
-     real v7 snapshot (v6, v5, v4 and v3 under their own magic over the
-     same pieces, v2 without the settle piece, v1 without the witness
-     piece either), are refused as a codec mismatch, and so is the
-     empty-v1 snapshot an older build checkpoints before its first
-     Build, while the v7 original written the same way recovers. *)
+  (* One snapshot layout decodes. The seven older ones, rebuilt from a
+     real v8 snapshot (v7, v6, v5, v4 and v3 under their own magic over
+     the same pieces, v2 without the settle piece, v1 without the
+     witness piece either), are refused as a codec mismatch, and so are
+     the empty-v1 and empty-v2 snapshots an older build checkpoints
+     before its first Build, while the v8 original written the same way
+     recovers. *)
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
@@ -2360,7 +2698,7 @@ let test_old_snapshot_layouts_refused () =
      Option.iter Store.close (Net.Service.store svc));
   (* Recovery re-anchors on a checkpoint of the built state. *)
   recover cfg;
-  let v7 =
+  let v8 =
     let store, rc = Store.open_ cfg in
     Store.close store;
     match rc.Store.rc_snapshot with
@@ -2368,7 +2706,7 @@ let test_old_snapshot_layouts_refused () =
     | None -> Alcotest.fail "no snapshot after recovery"
   in
   let pieces =
-    match Bytesutil.split v7 with Some p -> p | None -> Alcotest.fail "v7 snapshot does not split"
+    match Bytesutil.split v8 with Some p -> p | None -> Alcotest.fail "v8 snapshot does not split"
   in
   let n = List.length pieces in
   let state = List.filteri (fun i _ -> i > 0 && i < n - 2) pieces in
@@ -2383,7 +2721,7 @@ let test_old_snapshot_layouts_refused () =
     Store.close store;
     f old_cfg
   in
-  in_fresh_dir v7 recover;
+  in_fresh_dir v8 recover;
   List.iter
     (fun (magic, payload) ->
       in_fresh_dir payload @@ fun old_cfg ->
@@ -2393,7 +2731,9 @@ let test_old_snapshot_layouts_refused () =
       | Ok (svc, _) ->
         Option.iter Store.close (Net.Service.store svc);
         Alcotest.failf "%s snapshot was decoded" magic)
-    [ ("slicer-service-built-v6",
+    [ ("slicer-service-built-v7",
+       Bytesutil.concat (("slicer-service-built-v7" :: state) @ [ witness; settle ]));
+      ("slicer-service-built-v6",
        Bytesutil.concat (("slicer-service-built-v6" :: state) @ [ witness; settle ]));
       ("slicer-service-built-v5",
        Bytesutil.concat (("slicer-service-built-v5" :: state) @ [ witness; settle ]));
@@ -2404,6 +2744,7 @@ let test_old_snapshot_layouts_refused () =
       ("slicer-service-built-v2",
        Bytesutil.concat (("slicer-service-built-v2" :: state) @ [ witness ]));
       ("slicer-service-built-v1", Bytesutil.concat ("slicer-service-built-v1" :: state));
+      ("slicer-service-empty-v2", Bytesutil.concat [ "slicer-service-empty-v2" ]);
       ("slicer-service-empty-v1", Bytesutil.concat [ "slicer-service-empty-v1" ]) ]
 
 (* The WAL's bytes after a seeded durable sequence — Build, Register,
@@ -2424,8 +2765,12 @@ let test_old_snapshot_layouts_refused () =
    piece is byte-identical. It was re-hashed again for layout v7, 165
    bytes shorter: the cached Found reply's 11 results lost their 4-byte
    lengths (44 bytes), and its escrow receipt's SearchRequested event
-   no longer repeats the one token (4 + 117 bytes). Neither may move
-   one byte. *)
+   no longer repeats the one token (4 + 117 bytes). Both were re-hashed
+   for revision 8, whose shipments carry a third piece: the WAL grew by
+   4,088 bytes, the Build's 60 witnesses (4 + 60 x 68) and the Insert's
+   empty piece (4), and the snapshot (layout v8) by 4,947, the exported
+   witnesses of the 60 Build leaves, which the replayed Build grafts.
+   Neither may move one byte. *)
 let test_wal_and_snapshot_golden () =
   let dir = fresh_state_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -2477,9 +2822,9 @@ let test_wal_and_snapshot_golden () =
   Option.iter Store.close (Net.Service.store svc);
   let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
   let wal = read "wal.log" in
-  Alcotest.(check int) "wal.log size" 21476 (String.length wal);
+  Alcotest.(check int) "wal.log size" 25564 (String.length wal);
   Alcotest.(check string) "wal.log sha-256"
-    "7aacbf78c87eaa43edfa95bf5f3b0d01ae5faaf2f94823b4364969787533db74" (Sha256.digest_hex wal);
+    "f3fbebd31f4758853c26329a7c7d4144a5f0a9633719c33767a363e4aac175ee" (Sha256.digest_hex wal);
   match Net.Service.recover ~settle cfg with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (svc, stats) ->
@@ -2487,9 +2832,9 @@ let test_wal_and_snapshot_golden () =
     Alcotest.(check int) "every record replayed" 5 stats.Net.Service.rs_replayed;
     (* Recovery re-anchors on a snapshot at the last record's seq. *)
     let snap = read "snap-5.bin" in
-    Alcotest.(check int) "snapshot size" 15615 (String.length snap);
+    Alcotest.(check int) "snapshot size" 20562 (String.length snap);
     Alcotest.(check string) "snapshot sha-256"
-      "99ea3d557c4e9363f6a1cbd08a9c3d032dbadf3aa211c0b30aadc0d5866ef83d" (Sha256.digest_hex snap)
+      "92b0dda3d5fcf5e8a4f0f4461bbf994f45250c2f86454a58ebdfac368bb0e7f0" (Sha256.digest_hex snap)
 
 (* The real thing: a separate slicer-server process ([Server_proc]),
    killed with SIGKILL mid-load, recovered from its state directory. *)
@@ -3459,6 +3804,17 @@ let () =
             test_swarm_holds_connections;
           Alcotest.test_case "a client past FD_SETSIZE pings and searches" `Quick
             test_client_past_fd_setsize ] );
+      ( "owner witnesses",
+        [ Alcotest.test_case "a Build's witnesses serve at once" `Quick
+            test_build_witnesses_serve_at_once;
+          Alcotest.test_case "a corrupted witness is refused on chain" `Quick
+            test_corrupted_witness_refused_on_chain;
+          Alcotest.test_case "a misfit witness list is refused" `Quick
+            test_misfit_witnesses_refused;
+          Alcotest.test_case "the factors never leave the owner" `Quick
+            test_factors_never_leave_the_owner;
+          Alcotest.test_case "a WAL-only Build recovers warm" `Quick
+            test_wal_only_build_recovers_warm ] );
       ( "durability",
         [ Alcotest.test_case "state survives a restart" `Quick test_service_survives_restart;
           Alcotest.test_case "witness index survives a restart" `Quick

@@ -28,6 +28,10 @@ let test_shipment_roundtrip () =
         Alcotest.(check bool) "group prime" true (Bigint.equal a.Owner.kg_prime b.Owner.kg_prime))
       shipment.Owner.sh_groups back.Owner.sh_groups;
     Alcotest.(check bool) "ac" true (Bigint.equal shipment.Owner.sh_ac back.Owner.sh_ac);
+    Alcotest.(check int) "one witness per group" (List.length shipment.Owner.sh_groups)
+      (List.length back.Owner.sh_witnesses);
+    Alcotest.(check bool) "witnesses" true
+      (List.equal Bigint.equal shipment.Owner.sh_witnesses back.Owner.sh_witnesses);
     Alcotest.(check string) "re-encodes to the same bytes" bytes (Persist.shipment_to_bytes back)
 
 (* Occurrences of [needle] in [hay]. *)
@@ -40,16 +44,19 @@ let occurrences ~needle hay =
   !count
 
 (* The Build shipment carries each index entry once, inside its group:
-   the encoding is exactly Ac plus the group encodings (4-byte length
-   prefixes aside), and every entry's position and payload occur once. *)
+   the encoding is exactly Ac plus the group encodings plus the
+   witnesses (4-byte length prefixes aside), and every entry's position
+   and payload occur once. *)
 let test_shipment_encodes_each_entry_once () =
   let _, shipment = owner_shipment () in
   let bytes = Persist.shipment_to_bytes shipment in
   let framed s = 4 + String.length s in
+  let all_framed = List.fold_left (fun n s -> n + framed s) 0 in
   let groups = List.map Persist.group_to_bytes shipment.Owner.sh_groups in
-  Alcotest.(check int) "size is Ac plus the group encodings"
+  Alcotest.(check int) "size is Ac plus the group encodings plus the witnesses"
     (framed (Bigint.to_bytes_be shipment.Owner.sh_ac)
-     + 4 + List.fold_left (fun n g -> n + framed g) 0 groups)
+     + 4 + all_framed groups
+     + 4 + all_framed (List.map Bigint.to_bytes_be shipment.Owner.sh_witnesses))
     (String.length bytes);
   let entries = Owner.shipment_entries shipment in
   Alcotest.(check bool) "the shipment has entries" true (List.length entries > 50);
@@ -147,7 +154,7 @@ let test_token_bytes_roundtrip () =
 
 (* --- the shipment codec, pinned ---------------------------------------------- *)
 
-(* The revision-5 shipment form as a plain nest of [Bytesutil.concat]s
+(* The revision-8 shipment form as a plain nest of [Bytesutil.concat]s
    over [(l, d)] pairs: the reference the in-place encoder must match
    byte for byte. *)
 let reference_shipment_bytes (sh : Owner.shipment) =
@@ -164,7 +171,8 @@ let reference_shipment_bytes (sh : Owner.shipment) =
              Bytesutil.concat
                [ g.Owner.kg_g1; Bigint.to_bytes_be g.Owner.kg_prime;
                  Bytesutil.concat (pairs g.Owner.kg_entries) ])
-           sh.Owner.sh_groups) ]
+           sh.Owner.sh_groups);
+      Bytesutil.concat (List.map Bigint.to_bytes_be sh.Owner.sh_witnesses) ]
 
 let same_shipment (a : Owner.shipment) (b : Owner.shipment) =
   Bigint.equal a.Owner.sh_ac b.Owner.sh_ac
@@ -174,9 +182,11 @@ let same_shipment (a : Owner.shipment) (b : Owner.shipment) =
          && String.equal x.Owner.kg_entries y.Owner.kg_entries
          && Bigint.equal x.Owner.kg_prime y.Owner.kg_prime)
        a.Owner.sh_groups b.Owner.sh_groups
+  && List.equal Bigint.equal a.Owner.sh_witnesses b.Owner.sh_witnesses
 
-(* Random shipments: no groups, one group or many, and each group with
-   no entry, one entry or many. *)
+(* Random shipments: no groups, one group or many, each group with no
+   entry, one entry or many, and no witness (an Insert's) or one per
+   group (a Build's). *)
 let gen_shipment =
   let open QCheck2.Gen in
   let bigint = map Bigint.of_bytes_be (string_size (int_range 1 34)) in
@@ -191,7 +201,8 @@ let gen_shipment =
     oneof [ return []; list_size (return 1) group; list_size (int_range 2 12) group ]
   in
   let* sh_ac = bigint in
-  return { Owner.sh_groups; sh_ac }
+  let* sh_witnesses = oneof [ return []; list_size (return (List.length sh_groups)) bigint ] in
+  return { Owner.sh_groups; sh_ac; sh_witnesses }
 
 let shipment_codec_roundtrip sh =
   let bytes = Persist.shipment_to_bytes sh in
@@ -209,7 +220,7 @@ let shipment_codec_roundtrip sh =
 let test_shipment_malformed_pieces () =
   let l = String.make 16 'l' and d = String.make 16 'd' in
   let group entries_blob = Bytesutil.concat [ String.make 16 'g'; "\x05"; entries_blob ] in
-  let shipment groups_blob = Bytesutil.concat [ "\x07"; groups_blob ] in
+  let shipment groups_blob = Bytesutil.concat [ "\x07"; groups_blob; Bytesutil.concat [] ] in
   let decodes bytes = Persist.shipment_of_bytes bytes <> None in
   Alcotest.(check bool) "well-formed control decodes" true
     (decodes (shipment (Bytesutil.concat [ group (Bytesutil.concat [ l; d ]) ])));
@@ -276,10 +287,10 @@ let test_request_golden () =
       | Some back ->
         Alcotest.(check string) (what ^ " re-encodes") bytes (Net.Wire.encode_request back)
       | None -> Alcotest.failf "%s did not decode" what)
-    [ ("build", build_req, 25357,
-       "7c153dbedec9849bf345a441e8aaa19b0010989abf4672371a13917283594141");
-      ("insert", insert_req, 13072,
-       "e97eb2cb64b2e37d194ad22d12e2af2744353c7064eb76ca8d2cf30929186fb8") ]
+    [ ("build", build_req, 29141,
+       "652d72709d0a6601352abf5c81e4909356142d1acd241461c1a7ceb2c7c2b08d");
+      ("insert", insert_req, 13076,
+       "53baab6ca055303263a579e7a04a36ba0713f45c9421ab5fffb6b58d60df0577") ]
 
 (* The snapshot's entry section is written from the arena: the same
    bytes as the sorted [(l, d)] pairs it was written from before. *)
@@ -304,7 +315,12 @@ let test_snapshot_entry_section () =
    shipment through boxed pairs and per-entry tables. The shipment has
    the perfbench owner's shape (1,000 width-8 records, 9,000 entries).
    This case read 521,343 major words while entries travelled as boxed
-   [(l, d)] pairs, and reads 149,106 with packed records. *)
+   [(l, d)] pairs, and 149,106 with packed records. It read 215,985 on
+   the tree before a Build shipped its witnesses, and reads 254,707 with
+   them: the 754 witnesses the tree keeps and their decoding (about
+   28,000), and the tree's append running before the arena's install,
+   so that a misfit witness list is refused before anything changes
+   (about 11,000 promoted words more than in the other order). *)
 let build_major_words_bound = 260_000
 
 let test_build_decode_allocation () =
@@ -336,13 +352,17 @@ let test_build_decode_allocation () =
   | _ -> Alcotest.fail "the Build request did not decode"
 
 (* Each cloud adds its own sizes to the two gauges, so clouds in one
-   process sum, and the warm's growth shows up. *)
+   process sum, and the warm's growth shows up, as do a Build's shipped
+   witnesses. The clouds install the Build without its witnesses, as a
+   routed shard gets it, so their trees hold products only until the
+   warm. *)
 let test_size_gauges () =
   let gauge name = Obs.Gauge.value (Obs.gauge name) in
   let index0 = gauge "slicer_cloud_index_bytes" and tree0 = gauge "slicer_witness_tree_bytes" in
-  let owner, shipment = owner_shipment () in
+  let owner, witnessed = owner_shipment () in
+  let shipment = { witnessed with Owner.sh_witnesses = [] } in
   let keys = Owner.keys owner in
-  let cloud () =
+  let cloud ?(shipment = shipment) () =
     let c =
       Cloud.create ~acc_params:(Owner.acc_params owner) ~tdp_public:keys.Keys.tdp_public ()
     in
@@ -358,8 +378,11 @@ let test_size_gauges () =
   Alcotest.(check int) "two clouds' arenas sum" (2 * index_a) (gauge "slicer_cloud_index_bytes" - index0);
   Alcotest.(check int) "two clouds' trees sum" (2 * tree_a) (gauge "slicer_witness_tree_bytes" - tree0);
   Cloud.precompute_witnesses a;
-  Alcotest.(check bool) "the warm's witnesses count" true
-    (gauge "slicer_witness_tree_bytes" - tree0 > 2 * tree_a)
+  let warmed = gauge "slicer_witness_tree_bytes" - tree0 in
+  Alcotest.(check bool) "the warm's witnesses count" true (warmed > 2 * tree_a);
+  ignore (cloud ~shipment:witnessed ());
+  Alcotest.(check bool) "a Build's shipped witnesses count" true
+    (gauge "slicer_witness_tree_bytes" - tree0 > warmed + tree_a)
 
 let props =
   [ prop "shipment codec round trip, byte-identical" ~count:200 gen_shipment

@@ -475,12 +475,21 @@ let test_simulator_shapes () =
      leakage alone are shape-identical to real ones. *)
   let s = fresh_system "simulator" in
   let rng = Drbg.create ~seed:"sim" in
-  (* Build phase. *)
-  let real_shipment = Owner.insert (Protocol.owner s) [ Slicer_types.record_of_value "sim-1" 9 ] in
-  let leak = Leakage.of_shipment real_shipment in
-  let fake_shipment = Simulator.simulate_build ~rng leak in
-  Alcotest.(check bool) "build shapes agree" true
-    (Leakage.equal_build leak (Leakage.of_shipment fake_shipment));
+  (* Build phase: a Build shipment, which carries one witness per
+     prime, and an Insert's, which carries none. *)
+  let _, build, _ =
+    Protocol.seeded_owner ~width ~tdp_bits:256 ~acc_bits:256 ~seed:"sim-build"
+      (List.filteri (fun i _ -> i < 12) db)
+  in
+  let insert = Owner.insert (Protocol.owner s) [ Slicer_types.record_of_value "sim-1" 9 ] in
+  List.iter
+    (fun (what, real_shipment, witnesses) ->
+      let leak = Leakage.of_shipment real_shipment in
+      Alcotest.(check int) (what ^ ": witnesses counted") witnesses leak.Leakage.bl_witness_count;
+      let fake_shipment = Simulator.simulate_build ~rng leak in
+      Alcotest.(check bool) (what ^ ": shapes agree") true
+        (Leakage.equal_build leak (Leakage.of_shipment fake_shipment)))
+    [ ("build", build, List.length build.Owner.sh_groups); ("insert", insert, 0) ];
   (* Search phase. *)
   let query = q 32 Slicer_types.Lt in
   let tokens = User.gen_tokens ~rng:(Protocol.rng s) (Protocol.user s) query in

@@ -524,7 +524,8 @@ let store_crash_props =
    less those promoted from the minor heap, which count the short-lived
    encoding tree only when a minor collection happens to fall inside
    the append. The request has perfbench's shape: 1,000 width-8
-   records, 9,000 entries, 485,694 bytes (60,712 words). This case
+   records, 9,000 entries, 754 witnesses, 536,964 bytes (67,121 words;
+   485,694 before the Build shipped its witnesses). This case
    reads at most 914 words (the append histogram's first shard).
    Encoding the request and appending the string, as the journal did
    before, read 191,588: the request, the WAL's body and its record,
