@@ -538,18 +538,26 @@ let props =
       QCheck2.Gen.(list_size (int_range 1 5) (int_range 1 4))
       (fun batch_sizes ->
         (* Any interleaving of appends (with queries in between, so bases
-           get stamped at many generations) serves exactly what a
-           from-scratch all_witnesses rebuild computes. *)
+           get stamped at many generations, and every other batch a warm
+           over a tree whose leaves are partly fresh) serves exactly what
+           a from-scratch all_witnesses rebuild computes. *)
         let wt = Witness_tree.create small_params in
         let all = ref [] in
+        let warmed = ref true in
         List.iteri
           (fun i n ->
             let batch = primes_of n (Printf.sprintf "wt-prop-%d-%d" i n) in
             Witness_tree.append wt batch;
             all := !all @ batch;
-            ignore (Witness_tree.witness wt (List.hd batch)))
+            ignore (Witness_tree.witness wt (List.hd batch));
+            if i mod 2 = 1 then begin
+              Witness_tree.warm_all wt;
+              let st = Witness_tree.stats wt in
+              warmed := !warmed && st.Witness_tree.ws_fresh = st.Witness_tree.ws_leaves
+            end)
           batch_sizes;
-        Bigint.equal (Witness_tree.ac wt) (Rsa_acc.accumulate small_params !all)
+        !warmed
+        && Bigint.equal (Witness_tree.ac wt) (Rsa_acc.accumulate small_params !all)
         && List.for_all2
              (fun x (_, w) ->
                match Witness_tree.witness wt x with
