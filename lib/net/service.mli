@@ -105,7 +105,7 @@ val recover :
     prime multiset re-accumulates to both the cloud's and the on-chain
     [Ac], re-anchor on a fresh checkpoint and attach the store. [Error]
     — and no serving — when the snapshot does not decode (a layout
-    other than [slicer-service-built-v7] or [slicer-service-empty-v2]
+    other than [slicer-service-built-v8] or [slicer-service-empty-v3]
     is a codec mismatch, so a state dir an older build wrote is never
     replayed), when
     replay fails, when the state dir holds another identity (the error
