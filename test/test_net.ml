@@ -22,21 +22,26 @@ let db =
   let rng = Drbg.create ~seed:"net-db" in
   Gen.uniform_records ~rng ~width 40
 
+let warms () = Obs.counter_value "slicer_net_background_warms_total"
+
+(* Waits until the process has completed [target] background warms. *)
+let await_warms target =
+  let deadline = Unix.gettimeofday () +. 60. in
+  while warms () < target do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the background warm did not finish";
+    Thread.delay 0.01
+  done
+
 (* A service seeded the way a self-seeded server is: it applies the
    Build of the owner [Protocol.setup ~width ~seed records] starts from,
    then its background witness warm is awaited, so no test races it. *)
 let seeded_service ?settle ?shard ~seed records =
   let svc = Net.Service.create ?settle ?shard () in
-  let warms () = Obs.counter_value "slicer_net_background_warms_total" in
   let warms0 = warms () in
   (match Net.Service.handle svc (Net.Client.seeded_build ~width ~payment:1000 ~seed records) with
    | Wire.Accepted _ -> ()
    | _ -> Alcotest.fail "the seeding Build was refused");
-  let deadline = Unix.gettimeofday () +. 60. in
-  while warms () <= warms0 do
-    if Unix.gettimeofday () > deadline then Alcotest.fail "the Build's witness warm did not finish";
-    Thread.delay 0.01
-  done;
+  await_warms (warms0 + 1);
   svc
 
 (* The served system and its in-process mirror: the service's database
@@ -2053,15 +2058,6 @@ let hello_user svc client =
 
 let station_of svc =
   match Net.Service.station svc with Some st -> st | None -> Alcotest.fail "no database"
-
-let warms () = Obs.counter_value "slicer_net_background_warms_total"
-
-let await_warms target =
-  let deadline = Unix.gettimeofday () +. 60. in
-  while warms () < target do
-    if Unix.gettimeofday () > deadline then Alcotest.fail "the background warm did not finish";
-    Thread.delay 0.01
-  done
 
 (* The prime a claim's witness was made for. *)
 let claim_prime (c : Slicer_contract.claim) =
