@@ -3800,7 +3800,7 @@ let () =
             test_swarm_holds_connections;
           Alcotest.test_case "a client past FD_SETSIZE pings and searches" `Quick
             test_client_past_fd_setsize ] );
-      ( "owner witnesses",
+      ( "witnesses",
         [ Alcotest.test_case "a Build's witnesses serve at once" `Quick
             test_build_witnesses_serve_at_once;
           Alcotest.test_case "a corrupted witness is refused on chain" `Quick
