@@ -186,7 +186,9 @@ let build_system_uncached ~width ~size =
   let records = Gen.uniform_records ~rng ~width size in
   let shipment = Owner.build owner records in
   let cloud = Cloud.create ~acc_params ~tdp_public:keys.Keys.tdp_public () in
-  Cloud.install_shipment cloud shipment;
+  (* Without the owner's witnesses: Fig. 5's "VO gen" times the cloud
+     computing each witness, as the paper's cloud does. *)
+  Cloud.install_shipment cloud { shipment with Owner.sh_witnesses = [] };
   let user = User.create ~keys:(Keys.for_user keys) ~width (Owner.export_trapdoor_state owner) in
   { bs_owner = owner; bs_cloud = cloud; bs_user = user; bs_rng = rng; bs_records = records; bs_width = width }
 

@@ -372,28 +372,22 @@ let batch_witness t subset = with_lock t (fun () -> batch_witness_locked t subse
 
 (* --- bulk warm-up ------------------------------------------------------- *)
 
-(* Bring every leaf's base current in one pool-parallel root-splitting
-   descent from the root's base [g] over the maintained products — the
-   persistent-index version of [Rsa_acc.all_witnesses]. The descent
-   enters only subtrees holding a leaf that is not fresh, so a tree
-   whose leaves are all fresh (a Build's grafted witnesses) returns at
-   once. A node whose two children both need it derives their bases
-   with one pair exponentiation, [(b^prod(right), b^prod(left))], which
-   shares one squaring chain between the two exponents; a node with
-   only its left child in use passes its base through. Subtrees are
-   disjoint writes; the shape is fixed by the leaf count and the stamps,
-   so results are identical at every pool size. *)
+(* Compute every base in one pool-parallel root-splitting descent from
+   the root's base [g] over the maintained products — the
+   persistent-index version of [Rsa_acc.all_witnesses]. A tree whose
+   leaves are all fresh (a Build's grafted witnesses) has nothing to
+   compute and returns at once. A node whose two children are both in
+   use derives their bases with one pair exponentiation,
+   [(b^prod(right), b^prod(left))], which shares one squaring chain
+   between the two exponents; a node with only its left child in use
+   passes its base through. Subtrees are disjoint writes; the shape is
+   fixed by the leaf count, so results are identical at every pool
+   size. *)
 let warm_all t =
   with_lock t (fun () ->
-      (* [stale.(i)]: some leaf in use under node [i] is not fresh. *)
-      let stale = Array.make (2 * t.cap) false in
-      for p = 0 to t.count - 1 do
-        stale.(t.cap + p) <- t.base.(t.cap + p) = None || t.bgen.(t.cap + p) < t.count
-      done;
-      for i = t.cap - 1 downto 1 do
-        stale.(i) <- stale.(2 * i) || stale.((2 * i) + 1)
-      done;
-      if t.count > 0 && stale.(1) then begin
+      let fresh p = t.base.(t.cap + p) <> None && t.bgen.(t.cap + p) >= t.count in
+      let rec all_fresh p = p >= t.count || (fresh p && all_fresh (p + 1)) in
+      if not (all_fresh 0) then begin
         let pool = Parallel.pool () in
         let spawn_depth =
           let rec log2up n = if n <= 1 then 0 else 1 + log2up ((n + 1) / 2) in
@@ -418,15 +412,9 @@ let warm_all t =
                right child's product is one, so the left child then
                takes [b] as it is. *)
             let use_r = fst (node_range t r) < t.count in
-            let need_l = stale.(l) and need_r = use_r && stale.(r) in
-            let bl, br =
-              if need_l && need_r then Rsa_acc.pow_mod2 params b t.prod.(r) t.prod.(l)
-              else if need_r then (b, Rsa_acc.pow_mod params b t.prod.(l))
-              else if use_r then (Rsa_acc.pow_mod params b t.prod.(r), b)
-              else (b, b)
-            in
-            let go_l () = if need_l then descend l bl (depth - 1) in
-            let go_r () = if need_r then descend r br (depth - 1) in
+            let bl, br = if use_r then Rsa_acc.pow_mod2 params b t.prod.(r) t.prod.(l) else (b, b) in
+            let go_l () = descend l bl (depth - 1) in
+            let go_r () = if use_r then descend r br (depth - 1) in
             if depth > 0 then ignore (Parallel.Pool.both pool go_l go_r)
             else begin
               go_l ();

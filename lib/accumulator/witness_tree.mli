@@ -59,11 +59,10 @@ val batch_witness : t -> Bigint.t list -> Bigint.t
     contract as {!Rsa_acc.batch_witness}). *)
 
 val warm_all : t -> unit
-(** Bring every leaf's witness current in one pool-parallel
-    root-splitting descent over the maintained products — the
-    persistent-index analogue of {!Rsa_acc.all_witnesses}. The descent
-    computes only the bases on the way to a leaf that is not fresh, so
-    it returns at once when every leaf is. *)
+(** Compute every base in one pool-parallel root-splitting descent over
+    the maintained products — the persistent-index analogue of
+    {!Rsa_acc.all_witnesses}. Returns at once when every leaf is
+    already fresh. *)
 
 type stats = {
   ws_leaves : int;

@@ -69,16 +69,20 @@ let create ~acc_params ~tdp_public () =
     index_bytes_shown = Atomic.make 0;
     windex_bytes_shown = Atomic.make 0 }
 
-let install ?witnesses t ~records ~primes ~ac =
-  (* First, as it refuses a misfit before any change. Only the O(log n)
-     spine is recomputed: warm witnesses survive and are lazily re-based
-     on the next lookup, and shipped ones serve at once. *)
-  Witness_tree.append ?witnesses t.windex primes;
+let install ?(witnesses = []) t ~records ~primes ~ac =
+  if witnesses <> [] && List.compare_lengths witnesses primes <> 0 then
+    invalid_arg
+      (Printf.sprintf "Cloud.install: %d witnesses for %d primes" (List.length witnesses)
+         (List.length primes));
   Hashtbl.reset t.claim_cache;
   t.prev_primes <- t.primes;
   Enc_index.install t.index records;
   t.primes <- t.primes @ primes;
   t.ac <- ac;
+  (* Only the O(log n) spine is recomputed: warm witnesses survive and
+     are lazily re-based on the next lookup, and shipped ones serve at
+     once. *)
+  Witness_tree.append ~witnesses t.windex primes;
   report_sizes t
 
 let install_shipment t (sh : Owner.shipment) =

@@ -91,8 +91,8 @@ val search_batched :
     object for [Slicer_contract.submit_result_batched]. *)
 
 val precompute_witnesses : t -> unit
-(** Bring every witness current at once ([Witness_tree.warm_all]),
-    computing only what is not fresh. The warmth survives later
+(** Warm every witness at once ([Witness_tree.warm_all]), which
+    returns at once when every leaf is fresh. The warmth survives later
     {!install}s: only the stale leaves are lazily re-based.
 
     {!install}, this warm and {!restore_witness_index} each bring the

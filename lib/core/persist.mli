@@ -19,8 +19,8 @@ val shipment_of_bytes : string -> Owner.shipment option
 (** [None] for anything but the three-piece form, including the older
     two-piece form without witnesses and the forms that carried a flat
     entry list, and for any entry piece that is not exactly 16 bytes.
-    It does not count the witnesses against the groups: the cloud
-    refuses a misfit ({!Cloud.install_shipment}). *)
+    It does not count the witnesses against the groups: the service
+    and the cloud refuse a misfit ({!Cloud.install_shipment}). *)
 
 val shipment_of_view : string -> off:int -> len:int -> Owner.shipment option
 (** {!shipment_of_bytes} of the bytes [\[off, off + len)] of a string,

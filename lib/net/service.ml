@@ -341,7 +341,6 @@ let run_build t ~identity ~width ~payment ~acc ~tdp_n ~tdp_e ~user_k ~user_k_r ~
     Station.deploy ~acc_params:acc ~tdp_public ~owner:owner_addr ~cloud_addr
       ~shard:identity.shard ~dispute_window shipment
   with
-  | exception Invalid_argument e -> Declined (Wire.Bad_request, e)
   | Error e -> Declined (Wire.Internal, "contract deployment failed: " ^ e)
   | Ok (station, receipt) ->
     let b =
@@ -415,11 +414,22 @@ let run_search t b ~request ~client ~request_id ~batched tokens =
            sr_parts = [];
            sr_settle = settle_info })
 
+(* A shipment carries no witness or one per group. The cloud grafts
+   them unchecked, as it takes [sh_ac]; the contract checks every claim
+   it pays. *)
+let witnesses_fit (sh : Owner.shipment) =
+  sh.Owner.sh_witnesses = []
+  || List.compare_lengths sh.Owner.sh_witnesses sh.Owner.sh_groups = 0
+
+let witness_misfit = "a shipment carries no witness or one per group"
+
 (* Runs one record's effect against the state, journaling and caching
    nothing: that is [apply]'s part. *)
 let run t ~key record =
   let batcher b = Station.batcher b.b_station in
   match (record, t.state) with
+  | Build (_, Wire.Build { shipment; _ }), None when not (witnesses_fit shipment) ->
+    Declined (Wire.Bad_request, witness_misfit)
   | ( Build (identity, Wire.Build { width; payment; acc; tdp_n; tdp_e; user_k; user_k_r;
                                     shipment; trapdoor; _ }),
       None ) ->
@@ -436,12 +446,10 @@ let run t ~key record =
       Log.info (fun m -> m "registered user %S (%a)" client Vm.pp_address addr);
       Moved 1
     end
+  | Insert (Wire.Insert { shipment; _ }), Some _ when not (witnesses_fit shipment) ->
+    Declined (Wire.Bad_request, witness_misfit)
   | Insert (Wire.Insert { shipment; trapdoor; _ }), Some b ->
-    (* The cloud installs a shipment's witnesses unchecked, as it takes
-       its [sh_ac], and refuses only a misfit count, before any change
-       ([Cloud.install]); the contract checks every claim it pays. *)
     (match Station.install b.b_station ~owner:owner_addr shipment with
-     | exception Invalid_argument e -> Declined (Wire.Bad_request, e)
      | Error e -> Declined (Wire.Internal, "on-chain Ac update failed: " ^ e)
      | Ok receipt ->
        b.b_trapdoor <- trapdoor;

@@ -2210,6 +2210,50 @@ let test_misfit_witnesses_refused () =
   Alcotest.(check int) "the refused Insert left the generation" 1 (Net.Service.generation svc);
   Alcotest.(check int) "and the primes" primes (Cloud.prime_count (Station.cloud (station_of svc)))
 
+(* An Insert that the index refuses part-way (one group holds the same
+   32-byte entry twice, so its second copy finds its position taken)
+   is refused with the witness tree untouched: the tree takes a
+   shipment's primes only once the index has installed its entries, so
+   the leaves stay the primes behind [Ac] and a later search is paid. *)
+let test_clashing_insert_leaves_the_tree () =
+  let rng, keys, acc_params, owner, _records, shipment = durable_owner "wit-clash" in
+  let svc = Net.Service.create () in
+  (match Net.Service.handle svc (build_req ~keys ~acc_params owner shipment) with
+   | Wire.Accepted _ -> ()
+   | _ -> Alcotest.fail "build refused");
+  let cloud = Station.cloud (station_of svc) in
+  let leaves () = (Cloud.witness_index_stats cloud).Witness_tree.ws_leaves in
+  let leaves0 = leaves () in
+  let insert = Owner.insert owner [ Slicer_types.record_of_value "clash" 9 ] in
+  let clashing =
+    match insert.Owner.sh_groups with
+    | g :: rest ->
+      let twice = g.Owner.kg_entries ^ String.sub g.Owner.kg_entries 0 Enc_index.record_len in
+      { insert with Owner.sh_groups = { g with Owner.kg_entries = twice } :: rest }
+    | [] -> Alcotest.fail "the Insert has no group"
+  in
+  (match
+     Net.Service.handle svc
+       (Wire.Insert
+          { client = "wit-owner"; request_id = "wit#clash"; shipment = clashing;
+            trapdoor = Owner.export_trapdoor_state owner; trace = None })
+   with
+   | Wire.Refused _ -> ()
+   | _ -> Alcotest.fail "the clashing Insert was accepted");
+  Alcotest.(check int) "the generation is unchanged" 1 (Net.Service.generation svc);
+  Alcotest.(check int) "the tree took no leaf" leaves0 (leaves ());
+  let user = hello_user svc "wit-clash-user" in
+  match
+    Net.Service.handle svc
+      (Wire.Search
+         { client = "wit-clash-user"; request_id = "wcl#1"; batched = false;
+           tokens = User.gen_tokens ~rng user (q 30 Slicer_types.Lt); trace = None })
+  with
+  | Wire.Found r ->
+    Alcotest.(check (result (list string) string)) "a later search is paid" (Ok [ "paid" ])
+      r.Wire.sr_receipt.Vm.r_output
+  | _ -> Alcotest.fail "search refused"
+
 (* The accumulator's factors stay with the owner. A durable server is
    driven over the wire through a Build, searches, an Insert, a search
    at the new generation and a checkpoint; the big-endian bytes of p, q
@@ -3807,6 +3851,8 @@ let () =
             test_corrupted_witness_refused_on_chain;
           Alcotest.test_case "a misfit witness list is refused" `Quick
             test_misfit_witnesses_refused;
+          Alcotest.test_case "a clashing Insert leaves the tree" `Quick
+            test_clashing_insert_leaves_the_tree;
           Alcotest.test_case "the factors never leave the owner" `Quick
             test_factors_never_leave_the_owner;
           Alcotest.test_case "a WAL-only Build recovers warm" `Quick
