@@ -316,11 +316,8 @@ let test_snapshot_entry_section () =
    the perfbench owner's shape (1,000 width-8 records, 9,000 entries).
    This case read 521,343 major words while entries travelled as boxed
    [(l, d)] pairs, and 149,106 with packed records. It read 215,985 on
-   the tree before a Build shipped its witnesses, and reads 254,707 with
-   them: the 754 witnesses the tree keeps and their decoding (about
-   28,000), and the tree's append running before the arena's install,
-   so that a misfit witness list is refused before anything changes
-   (about 11,000 promoted words more than in the other order). *)
+   the tree before a Build shipped its witnesses, and reads 243,797
+   with them: the 754 witnesses the tree keeps and their decoding. *)
 let build_major_words_bound = 260_000
 
 let test_build_decode_allocation () =
