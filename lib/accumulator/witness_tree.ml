@@ -374,15 +374,14 @@ let batch_witness t subset = with_lock t (fun () -> batch_witness_locked t subse
 
 (* Compute every base in one pool-parallel root-splitting descent from
    the root's base [g] over the maintained products — the
-   persistent-index version of [Rsa_acc.all_witnesses]. A tree whose
-   leaves are all fresh (a Build's grafted witnesses) has nothing to
-   compute and returns at once. A node whose two children are both in
-   use derives their bases with one pair exponentiation,
-   [(b^prod(right), b^prod(left))], which shares one squaring chain
-   between the two exponents; a node with only its left child in use
-   passes its base through. Subtrees are disjoint writes; the shape is
-   fixed by the leaf count, so results are identical at every pool
-   size. *)
+   persistent-index version of [Rsa_acc.all_witnesses]. A node whose two
+   children are both in use derives their bases with one pair
+   exponentiation, [(b^prod(right), b^prod(left))], which shares one
+   squaring chain between the two exponents; a node with only its left
+   child in use passes its base through. Subtrees are disjoint writes;
+   the shape is fixed by the leaf count, so results are identical at
+   every pool size. A tree whose leaves are all fresh (a Build's grafted
+   witnesses) has nothing to compute and returns at once. *)
 let warm_all t =
   with_lock t (fun () ->
       let fresh p = t.base.(t.cap + p) <> None && t.bgen.(t.cap + p) >= t.count in
