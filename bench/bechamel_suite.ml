@@ -35,7 +35,8 @@ let pair_exponents () =
   (e1, exact ())
 
 (* perfbench's Build holds 754 keywords (1000 records, width 8), so the
-   witness tree's spine multiplies 754 272-bit primes. *)
+   witness tree's root product, which its warm and [ac] multiply from
+   the leaves, is of 754 272-bit primes. *)
 let spine_primes () =
   Array.init 754 (fun i -> Prime_rep.to_prime (Printf.sprintf "bechamel-spine-%d" i))
 

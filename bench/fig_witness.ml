@@ -2,14 +2,20 @@
    from-scratch recompute path, the insert-time maintenance cost of
    keeping the index alive, and index memory against record count.
 
-   The warm-path p99 guard at the end is the smoke alias's regression
-   tripwire: a warm witness is a mutex-guarded table lookup, so a p99
-   above [warm_guard_s] means someone put exponentiation (or other
-   real work) back on the per-query hot path. *)
+   Two guards at the end are the smoke alias's regression tripwires: a
+   warm witness is a mutex-guarded table lookup, so a p99 above
+   [warm_guard_s] means someone put exponentiation (or other real work)
+   back on the per-query hot path; and a warmed tree stores its leaves,
+   about two 512-bit bases per leaf and five array slots per leaf of
+   capacity (~260 bytes per leaf, at most ~290 when the capacity nearly
+   doubles the count), so more than [leaf_guard_bytes] per leaf means
+   it stores products again (34 bytes per leaf per level kept: ~470
+   bytes per leaf at 50 leaves, ~500 at 100). *)
 
 open Bench_common
 
 let warm_guard_s = 0.001
+let leaf_guard_bytes = 400
 
 let percentile = Obs.Summary.percentile
 
@@ -76,7 +82,7 @@ let latency_point ~queries n =
       ("warm_p99_us", J_float (warm_p99 *. 1e6));
       ("warm_all_s", J_float warm_all_s);
       ("index_bytes", J_int bytes) ];
-  warm_p99
+  (warm_p99, bytes / n)
 
 (* --- insert-time maintenance cost --------------------------------------- *)
 
@@ -87,7 +93,7 @@ let insert_point ~preload batch =
   let wt = Witness_tree.create params in
   Witness_tree.append wt base;
   Witness_tree.warm_all wt;
-  (* The maintained path: O(log n) spine products, no exponentiation. *)
+  (* The maintained path: leaves written, no product, no exponentiation. *)
   let (), append_s = time (fun () -> Witness_tree.append wt fresh) in
   (* And the lazy re-basing the first post-insert query pays per leaf. *)
   let x = List.hd base in
@@ -110,14 +116,27 @@ let run scale =
     else 1000
   in
   row_header [ "records"; "recompute"; "cold"; "warm avg"; "warm p99"; "warm_all"; "index" ];
-  let worst_p99 =
-    List.fold_left (fun acc n -> Float.max acc (latency_point ~queries n)) 0. scale.sizes
+  let worst_p99, worst_leaf_bytes =
+    List.fold_left
+      (fun (p99, per_leaf) n ->
+        let p99', per_leaf' = latency_point ~queries n in
+        (Float.max p99 p99', Stdlib.max per_leaf per_leaf'))
+      (0., 0) scale.sizes
   in
   header "Witness index - insert-time maintenance";
-  Printf.printf "(preload %d records; append = spine recompute)\n" scale.insert_preload;
+  Printf.printf "(preload %d records; append = leaves written)\n" scale.insert_preload;
   row_header [ "batch"; "append"; "refresh" ];
   List.iter (insert_point ~preload:scale.insert_preload) scale.insert_batches;
-  (* The guard: warm witnesses must stay lookup-fast. *)
+  (* The guards: warm witnesses must stay lookup-fast, and the tree may
+     hold its leaves and bases only. *)
+  if worst_leaf_bytes > leaf_guard_bytes then
+    failwith
+      (Printf.sprintf
+         "witness memory guard: a warmed tree holds %d bytes per leaf, over %d — the tree \
+          keeps leaves, bases and stamps, not products"
+         worst_leaf_bytes leaf_guard_bytes);
+  Printf.printf "\nmemory guard ok: worst %d bytes per leaf (budget %d)\n" worst_leaf_bytes
+    leaf_guard_bytes;
   if worst_p99 > warm_guard_s then
     failwith
       (Printf.sprintf

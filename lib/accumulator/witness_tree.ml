@@ -1,17 +1,18 @@
 (* Persistent, incrementally maintained witness index over the
    accumulator's prime multiset.
 
-   The transient product/root-split tree [Rsa_acc.all_witnesses] builds
-   per call is kept alive here instead: a heap-layout product segment
-   tree over an append-only leaf array, where every node additionally
-   carries a lazily maintained *base* — [g] raised to the product of all
-   leaves OUTSIDE the node's range. A leaf's base is exactly its
-   membership witness.
+   An append-only leaf array of primes, plus a heap-layout segment tree
+   over it in which every node carries a lazily maintained *base* — [g]
+   raised to the product of all leaves OUTSIDE the node's range. A
+   leaf's base is exactly its membership witness. The tree keeps only
+   what costs exponentiations to make: the leaves (each an [H_prime]
+   walk), the bases and their stamps. It stores no product: a product
+   is bigint multiplies over a range of leaves, computed where it is
+   needed and dropped after.
 
    Maintenance contract:
-   - [append] writes the new leaves and recomputes the O(log n) spine of
-     products above them (one bigint multiply per level). No witness is
-     touched eagerly.
+   - [append] writes the new leaves. No product and no witness is
+     touched.
    - Every cached base carries a generation stamp: the leaf count at the
      time it was computed. Appends never remove leaves, so a base stamped
      at generation [gen] is refreshed to the current generation [count]
@@ -20,9 +21,13 @@
      eager all-witness recompute.
    - A node with no cached base is computed cold by one descent step from
      its (recursively refreshed) parent: [parent_base ^ sibling_product],
-     the same root-splitting identity [all_witnesses] uses — so a cold
-     single witness costs the same O(B) squarings a from-scratch
-     [mem_witness] would, and everything after it is warm.
+     the same root-splitting identity [all_witnesses] uses. The sibling's
+     product is multiplied from its leaves, so a cold descent multiplies
+     the sibling ranges on its path (n leaves in all, once) and costs the
+     same O(B) squarings a from-scratch [mem_witness] would; everything
+     after it is warm.
+   - [warm_all] builds one transient product tree over the leaves, runs
+     the root-splitting descent over it and drops it.
 
    Values are position-independent: a leaf's witness is
    [g^(Π multiset \ x)] no matter how the tree is shaped, so incremental
@@ -32,8 +37,9 @@
    step is exact arithmetic).
 
    All public operations take the tree's mutex; internal helpers assume
-   it is held. Pool fan-out inside [append]/[warm_all] writes disjoint
-   array slots and never touches the lock, so it cannot deadlock. *)
+   it is held. Pool fan-out inside [warm_all] and the products writes
+   disjoint array slots and never touches the lock, so it cannot
+   deadlock. *)
 
 let c_hits =
   Obs.counter ~help:"witness-index lookups served from a fresh cached base"
@@ -58,15 +64,17 @@ type t = {
   lock : Mutex.t;
   mutable cap : int;                       (* leaf capacity, power of two *)
   mutable count : int;                     (* leaves in use = current generation *)
-  (* Heap layout over [2*cap] slots, root at 1, leaf [p] at [cap + p].
-     [prod.(i)] is the product of the leaves in node [i]'s range (one
-     for empty slots); [base.(i)]/[bgen.(i)] the lazily maintained
-     outside-product exponentiation and its generation stamp. *)
-  mutable prod : Bigint.t array;
+  (* [leaves.(p)] is the prime appended at position [p] ([cap] slots).
+     The bases use the heap layout over [2*cap] slots, root at 1, leaf
+     [p] at [cap + p]: [base.(i)]/[bgen.(i)] are node [i]'s lazily
+     maintained outside-product exponentiation and its generation
+     stamp. *)
+  mutable leaves : Bigint.t array;
   mutable base : Bigint.t option array;
   mutable bgen : int array;
-  (* Prime (big-endian bytes) -> first leaf position holding it. *)
-  index : (string, int) Hashtbl.t;
+  (* [Hashtbl.hash] of a prime -> the first leaf position holding it.
+     The leaves are the primes' one copy: a lookup compares them. *)
+  index : (int, int) Hashtbl.t;
   mutable cached_ac : (Bigint.t * int) option;
   (* Per-tree counters (the Obs counters aggregate across trees). *)
   mutable n_hits : int;
@@ -90,7 +98,7 @@ let create params =
     lock = Mutex.create ();
     cap = 1;
     count = 0;
-    prod = Array.make 2 Bigint.one;
+    leaves = Array.make 1 Bigint.one;
     base = Array.make 2 None;
     bgen = Array.make 2 0;
     index = Hashtbl.create 64;
@@ -102,7 +110,9 @@ let create params =
 
 let leaf_count t = t.count
 
-let key x = Bigint.to_bytes_be x
+(* The first leaf position holding prime [x]. *)
+let position t x =
+  List.find_opt (fun p -> Bigint.equal t.leaves.(p) x) (Hashtbl.find_all t.index (Hashtbl.hash x))
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -116,61 +126,38 @@ let node_range t i =
   let lo = (i - (1 lsl lvl)) * span in
   (lo, lo + span)
 
+let leaves t n =
+  with_lock t (fun () ->
+      Array.to_list (Array.sub t.leaves 0 (Stdlib.max 0 (Stdlib.min n t.count))))
+
 (* Π leaves[a, b): balanced reduce over the leaf slots, bracketing fixed
    by the range length. *)
 let leaf_product t a b =
   if b <= a then Bigint.one
-  else
-    Parallel.Pool.reduce (Parallel.pool ()) Bigint.mul Bigint.one
-      (Array.init (b - a) (fun j -> t.prod.(t.cap + a + j)))
+  else Parallel.Pool.reduce (Parallel.pool ()) Bigint.mul Bigint.one (Array.sub t.leaves a (b - a))
 
-(* Recompute the product spine above the changed leaf range [lo, hi):
-   level by level, each parent is one multiply of its children. Parents
-   at one level are disjoint writes, so wide levels fan out on the pool;
-   the computed values are schedule-independent. *)
-let recompute_spine t lo hi =
-  if hi > lo then begin
-    let pool = Parallel.pool () in
-    let rec up l h =
-      if l > 1 then begin
-        let pl = l lsr 1 and ph = ((h - 1) lsr 1) + 1 in
-        let recompute p = t.prod.(p) <- Bigint.mul t.prod.(2 * p) t.prod.((2 * p) + 1) in
-        if ph - pl >= 4 && Parallel.Pool.size pool > 1 then
-          ignore
-            (Parallel.Pool.map pool
-               (fun p -> recompute p)
-               (Array.init (ph - pl) (fun j -> pl + j)))
-        else
-          for p = pl to ph - 1 do
-            recompute p
-          done;
-        up pl ph
-      end
-    in
-    up (t.cap + lo) (t.cap + hi)
-  end
+(* The product of the leaves in node [i]'s range that are in use. *)
+let node_product t i =
+  let lo, hi = node_range t i in
+  leaf_product t lo (Stdlib.min hi t.count)
 
-(* Double the capacity until [need] leaves fit. Leaf values and leaf
-   bases survive verbatim (a witness does not depend on tree shape);
-   interior products are rebuilt, interior bases are dropped and
-   recomputed lazily. *)
+(* Double the capacity until [need] leaves fit. Leaves and leaf bases
+   survive verbatim (a witness does not depend on tree shape); interior
+   bases are dropped and recomputed lazily. *)
 let grow t need =
   let rec cap_for c = if c >= need then c else cap_for (2 * c) in
   let ncap = cap_for (Stdlib.max 1 t.cap) in
   if ncap > t.cap then begin
-    let nprod = Array.make (2 * ncap) Bigint.one in
+    let nleaves = Array.make ncap Bigint.one in
     let nbase = Array.make (2 * ncap) None in
     let nbgen = Array.make (2 * ncap) 0 in
-    for p = 0 to t.count - 1 do
-      nprod.(ncap + p) <- t.prod.(t.cap + p);
-      nbase.(ncap + p) <- t.base.(t.cap + p);
-      nbgen.(ncap + p) <- t.bgen.(t.cap + p)
-    done;
+    Array.blit t.leaves 0 nleaves 0 t.count;
+    Array.blit t.base t.cap nbase ncap t.count;
+    Array.blit t.bgen t.cap nbgen ncap t.count;
     t.cap <- ncap;
-    t.prod <- nprod;
+    t.leaves <- nleaves;
     t.base <- nbase;
-    t.bgen <- nbgen;
-    recompute_spine t 0 t.count
+    t.bgen <- nbgen
   end
 
 (* The one way a base enters the tree from outside: [w] becomes leaf
@@ -194,11 +181,9 @@ let append_locked t xs witnesses =
     List.iteri
       (fun j x ->
         let p = t.count + j in
-        t.prod.(t.cap + p) <- x;
-        let k = key x in
-        if not (Hashtbl.mem t.index k) then Hashtbl.add t.index k p)
+        if position t x = None then Hashtbl.add t.index (Hashtbl.hash x) p;
+        t.leaves.(p) <- x)
       xs;
-    recompute_spine t t.count (t.count + n);
     let first = t.count in
     t.count <- t.count + n;
     t.cached_ac <- None;
@@ -251,7 +236,7 @@ let rec fresh_base t i =
     | None ->
       t.n_cold <- t.n_cold + 1;
       Obs.Counter.incr c_cold;
-      let sibling = t.prod.(i lxor 1) in
+      let sibling = node_product t (i lxor 1) in
       let pb = fresh_base t (i lsr 1) in
       let b = if Bigint.equal sibling Bigint.one then pb else Rsa_acc.pow_mod t.wt_params pb sibling in
       t.base.(i) <- Some b;
@@ -259,7 +244,7 @@ let rec fresh_base t i =
       b
 
 let witness_locked t x =
-  match Hashtbl.find_opt t.index (key x) with
+  match position t x with
   | None ->
     t.n_misses <- t.n_misses + 1;
     Obs.Counter.incr c_misses;
@@ -274,7 +259,9 @@ let ac_locked t =
     match t.cached_ac with
     | Some (v, gen) when gen = t.count -> v
     | _ ->
-      let v = Rsa_acc.pow_mod t.wt_params t.wt_params.Rsa_acc.generator t.prod.(1) in
+      let v =
+        Rsa_acc.pow_mod t.wt_params t.wt_params.Rsa_acc.generator (leaf_product t 0 t.count)
+      in
       t.cached_ac <- Some (v, t.count);
       v
 
@@ -314,7 +301,7 @@ let batch_witness_locked t subset =
     let resolved =
       List.map
         (fun x ->
-          match Hashtbl.find_opt t.index (key x) with
+          match position t x with
           | Some p -> (x, p)
           | None ->
             t.n_misses <- t.n_misses + 1;
@@ -322,9 +309,10 @@ let batch_witness_locked t subset =
             invalid_arg "Rsa_acc.batch_witness: element not in set")
         subset
     in
-    (* The exact-division path over the maintained root product: handles
-       duplicate subset elements (multiset semantics) and any combine
-       bail-out, at the cost of one full-size exponentiation. *)
+    (* The exact-division path over the root product, multiplied from the
+       leaves: handles duplicate subset elements (multiset semantics) and
+       any combine bail-out, at the cost of one full-size
+       exponentiation. *)
     let division_fallback () =
       let remaining =
         List.fold_left
@@ -333,7 +321,7 @@ let batch_witness_locked t subset =
             if not (Bigint.is_zero r) then
               invalid_arg "Rsa_acc.batch_witness: element not in set";
             q)
-          t.prod.(1) subset
+          (leaf_product t 0 t.count) subset
       in
       Rsa_acc.pow_mod t.wt_params t.wt_params.Rsa_acc.generator remaining
     in
@@ -372,16 +360,41 @@ let batch_witness t subset = with_lock t (fun () -> batch_witness_locked t subse
 
 (* --- bulk warm-up ------------------------------------------------------- *)
 
+(* The product tree over the leaves in use, in the bases' heap layout:
+   built level by level, each parent one multiply of its children, wide
+   levels fanned out on the pool (disjoint writes, schedule-independent
+   values). Slots past the leaves hold one. *)
+let product_tree t =
+  let prod = Array.make (2 * t.cap) Bigint.one in
+  Array.blit t.leaves 0 prod t.cap t.count;
+  let pool = Parallel.pool () in
+  let rec up l h =
+    if l > 1 then begin
+      let pl = l lsr 1 and ph = ((h - 1) lsr 1) + 1 in
+      let multiply p = prod.(p) <- Bigint.mul prod.(2 * p) prod.((2 * p) + 1) in
+      if ph - pl >= 4 && Parallel.Pool.size pool > 1 then
+        ignore (Parallel.Pool.map pool multiply (Array.init (ph - pl) (fun j -> pl + j)))
+      else
+        for p = pl to ph - 1 do
+          multiply p
+        done;
+      up pl ph
+    end
+  in
+  up t.cap (t.cap + t.count);
+  prod
+
 (* Compute every base in one pool-parallel root-splitting descent from
-   the root's base [g] over the maintained products — the
-   persistent-index version of [Rsa_acc.all_witnesses]. A node whose two
-   children are both in use derives their bases with one pair
-   exponentiation, [(b^prod(right), b^prod(left))], which shares one
-   squaring chain between the two exponents; a node with only its left
-   child in use passes its base through. Subtrees are disjoint writes;
-   the shape is fixed by the leaf count, so results are identical at
-   every pool size. A tree whose leaves are all fresh (a Build's grafted
-   witnesses) has nothing to compute and returns at once. *)
+   the root's base [g] over one transient product tree, dropped when the
+   warm returns — the persistent-index version of
+   [Rsa_acc.all_witnesses]. A node whose two children are both in use
+   derives their bases with one pair exponentiation,
+   [(b^prod(right), b^prod(left))], which shares one squaring chain
+   between the two exponents; a node with only its left child in use
+   passes its base through. Subtrees are disjoint writes; the shape is
+   fixed by the leaf count, so results are identical at every pool size.
+   A tree whose leaves are all fresh (a Build's grafted witnesses) has
+   nothing to compute, builds no product and returns at once. *)
 let warm_all t =
   with_lock t (fun () ->
       let fresh p = t.base.(t.cap + p) <> None && t.bgen.(t.cap + p) >= t.count in
@@ -394,6 +407,7 @@ let warm_all t =
         in
         let gen = t.count in
         let params = t.wt_params in
+        let prod = product_tree t in
         let set i b =
           if t.base.(i) = None then begin
             t.n_cold <- t.n_cold + 1;
@@ -411,7 +425,7 @@ let warm_all t =
                right child's product is one, so the left child then
                takes [b] as it is. *)
             let use_r = fst (node_range t r) < t.count in
-            let bl, br = if use_r then Rsa_acc.pow_mod2 params b t.prod.(r) t.prod.(l) else (b, b) in
+            let bl, br = if use_r then Rsa_acc.pow_mod2 params b prod.(r) prod.(l) else (b, b) in
             let go_l () = descend l bl (depth - 1) in
             let go_r () = if use_r then descend r br (depth - 1) in
             if depth > 0 then ignore (Parallel.Pool.both pool go_l go_r)
@@ -448,17 +462,18 @@ let size_bytes t =
   with_lock t (fun () ->
       let big b = ((Bigint.num_bits b + 7) / 8) + 16 in
       let total = ref 0 in
-      for i = 1 to (2 * t.cap) - 1 do
-        if not (Bigint.equal t.prod.(i) Bigint.one) then total := !total + big t.prod.(i);
-        match t.base.(i) with Some b -> total := !total + big b | None -> ()
+      for p = 0 to t.count - 1 do
+        total := !total + big t.leaves.(p)
       done;
-      !total + (16 * 2 * t.cap))
+      Array.iter (function Some b -> total := !total + big b | None -> ()) t.base;
+      (* One word per slot: [cap] leaves, [2 * cap] bases and stamps. *)
+      !total + (8 * 5 * t.cap))
 
 (* --- snapshot codec ----------------------------------------------------- *)
 
-(* Only leaf witnesses travel: products rebuild from the prime multiset
-   (already in the service snapshot) in O(n) multiplies, while each leaf
-   witness would cost an exponentiation to recompute. Interior bases are
+(* Only leaf witnesses travel: the leaves come back from the prime
+   multiset the service snapshot carries, while each leaf witness would
+   cost an exponentiation to recompute. Interior bases are
    cheap consequences of warm leaves and are left to lazy recompute.
    Trusted input, like the rest of the snapshot: the service's recovery
    invariant re-checks the accumulator value, and any witness this tree

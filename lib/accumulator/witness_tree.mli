@@ -1,19 +1,21 @@
 (** Persistent, incrementally maintained witness index.
 
-    Keeps {!Rsa_acc}'s product/root-split tree alive across operations:
-    a product segment tree over the accumulator's append-only prime
-    multiset in which every node also carries a lazily maintained
+    An append-only array of the accumulator's primes (its leaves) under
+    a segment tree in which every node carries a lazily maintained
     {e base} — the generator raised to the product of all leaves
     outside the node's range. A leaf's base is exactly its membership
     witness, so the per-query witness cost drops from one full-size
     exponentiation to a table lookup once a leaf is warm.
 
-    Maintenance is generation-stamped: {!append} only recomputes the
-    O(log n) product spine above the new leaves (bigint multiplies, no
-    exponentiations), and a stale cached base is brought current by ONE
-    exponentiation with the product of the leaves appended outside its
-    range since its stamp. Cold bases are computed by a single descent
-    step from their (recursively refreshed) parent.
+    The tree keeps what costs exponentiations to make, the leaves, the
+    bases and their generation stamps, and no product: a product is
+    bigint multiplies over a range of leaves, made where it is needed.
+    {!append} writes leaves only. A stale cached base is brought current
+    by ONE exponentiation with the product of the leaves appended
+    outside its range since its stamp. A cold base is computed by a
+    single descent step from its (recursively refreshed) parent, by the
+    product of its sibling's leaves. {!warm_all} builds one transient
+    product tree over the leaves per warm.
 
     Every value served is identical — byte for byte — to what the
     from-scratch paths ({!Rsa_acc.mem_witness},
@@ -28,9 +30,14 @@ val create : Rsa_acc.params -> t
 val leaf_count : t -> int
 (** Number of accumulated primes (the tree's current generation). *)
 
+val leaves : t -> int -> Bigint.t list
+(** [leaves t n] is the first [n] primes appended (all of them when [n]
+    exceeds {!leaf_count}), in append order: the cloud's one copy of its
+    prime sequence. *)
+
 val append : ?witnesses:Bigint.t list -> t -> Bigint.t list -> unit
-(** Append a shipment's primes: O(log n) spine products recomputed (one
-    multiply per level, wide levels pool-parallel), no witness work.
+(** Append a shipment's primes as leaves: no product and no witness
+    work.
     [witnesses] (default none), one per prime and each against the
     accumulator after the append, are grafted as the new leaves' bases
     stamped at the new generation, unchecked: a Build's witnesses from
@@ -41,28 +48,30 @@ val append : ?witnesses:Bigint.t list -> t -> Bigint.t list -> unit
 val witness : t -> Bigint.t -> Bigint.t option
 (** Membership witness for a prime, or [None] when it was never
     appended. Warm: a lookup. Stale: one delta exponentiation.
-    Cold: one root-split descent (the [mem_witness] cost), after which
-    the whole path stays warm. *)
+    Cold: one root-split descent (the [mem_witness] cost: the sibling
+    ranges on the path multiplied from their leaves, one exponentiation
+    per level), after which the whole path stays warm. *)
 
 val ac : t -> Bigint.t
-(** The accumulation value of the maintained multiset (cached per
-    generation). Empty tree: the generator. *)
+(** The accumulation value of the maintained multiset, its exponent
+    multiplied from the leaves (cached per generation). Empty tree: the
+    generator. *)
 
 val batch_witness : t -> Bigint.t list -> Bigint.t
 (** Batched witness [g^(P / Π subset)] for distinct member primes,
     combined from the per-leaf witnesses by balanced Shamir pairing —
     exponent work independent of the multiset size. Duplicate subset
-    elements fall back to the exact-division path over the maintained
-    root product (multiset semantics preserved). The empty subset
+    elements fall back to the exact-division path over the root product,
+    multiplied from the leaves (multiset semantics preserved). The empty subset
     yields {!ac}.
     @raise Invalid_argument when some element is not a member (same
     contract as {!Rsa_acc.batch_witness}). *)
 
 val warm_all : t -> unit
 (** Compute every base in one pool-parallel root-splitting descent over
-    the maintained products — the persistent-index analogue of
-    {!Rsa_acc.all_witnesses}. Returns at once when every leaf is
-    already fresh. *)
+    a product tree built for this warm and dropped after it — the
+    persistent-index analogue of {!Rsa_acc.all_witnesses}. Returns at
+    once, building nothing, when every leaf is already fresh. *)
 
 type stats = {
   ws_leaves : int;
@@ -79,12 +88,15 @@ val stats : t -> stats
     [slicer_witness_index_*] {!Obs} series. *)
 
 val size_bytes : t -> int
-(** Approximate heap footprint of the maintained products and bases. *)
+(** Approximate heap footprint: each leaf and each cached base at its
+    byte length plus 16, and one word per slot of the leaf, base and
+    stamp arrays ([5 * cap] slots for a capacity of [cap] leaves, the
+    leaf count rounded up to a power of two). *)
 
 val export : t -> string
 (** Compact serialized form: the leaf witnesses with their generation
-    stamps (products rebuild from the prime multiset already carried by
-    the service snapshot). *)
+    stamps (the leaves themselves come back from the prime multiset
+    the service snapshot carries). *)
 
 val absorb : t -> string -> int option
 (** Graft an {!export} blob onto a tree rebuilt over the same leaf

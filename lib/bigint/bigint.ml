@@ -525,29 +525,27 @@ let to_bytes_be ?len x =
   in
   let b = Bytes.make nbytes '\000' in
   (* Stream bits out of the 31-bit limbs directly (O(n)); dividing by
-     256 per byte would be quadratic in the operand size. *)
+     256 per byte would be quadratic in the operand size. No closure
+     captures the cursors, so they stay unboxed, and [b] is returned as
+     it is: the bytes are the call's only allocation. *)
   let acc = ref 0 and accbits = ref 0 and i = ref (nbytes - 1) in
-  let flush () =
+  for k = 0 to Array.length x.mag - 1 do
+    acc := !acc lor (x.mag.(k) lsl !accbits);
+    accbits := !accbits + limb_bits;
     while !accbits >= 8 && !i >= 0 do
       Bytes.set b !i (Char.unsafe_chr (!acc land 0xff));
       acc := !acc lsr 8;
       accbits := !accbits - 8;
       decr i
     done
-  in
-  Array.iter
-    (fun limb ->
-      acc := !acc lor (limb lsl !accbits);
-      accbits := !accbits + limb_bits;
-      flush ())
-    x.mag;
+  done;
   while !accbits > 0 && !i >= 0 do
     Bytes.set b !i (Char.chr (!acc land 0xff));
     acc := !acc lsr 8;
     accbits := !accbits - 8;
     decr i
   done;
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 let mul_schoolbook a b =
   if is_zero a || is_zero b then zero else make (a.sign * b.sign) (nat_mul_school a.mag b.mag)

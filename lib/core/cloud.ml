@@ -10,15 +10,15 @@ type t = {
   c_params : Rsa_acc.params;
   c_tdp : Rsa_tdp.public;
   index : Enc_index.t;
-  mutable primes : Bigint.t list;
   mutable ac : Bigint.t;
   mutable mode : misbehavior;
   (* Stale_results answers from the index before the most recent
      shipment (the arena marks that shipment's slots) and from the
-     prime list before it. *)
-  mutable prev_primes : Bigint.t list;
-  (* Persistent witness index over [primes]: Insert recomputes only its
-     O(log n) product spine, and a warm witness is a table lookup. *)
+     first [prev_count] primes, the multiset before it. *)
+  mutable prev_count : int;
+  (* Persistent witness index, and the one copy of the prime sequence
+     (its leaves): an Insert appends leaves, and a warm witness is a
+     table lookup. *)
   windex : Witness_tree.t;
   (* Served-claim cache: an honest repeated token costs one lookup
      instead of an index walk + multiset hash + witness. Each claim
@@ -44,7 +44,7 @@ let g_index_bytes =
     "slicer_cloud_index_bytes"
 
 let g_windex_bytes =
-  Obs.gauge ~help:"witness-tree bytes (products, bases, stamps), all clouds"
+  Obs.gauge ~help:"witness-tree bytes (primes, bases, stamps), all clouds"
     "slicer_witness_tree_bytes"
 
 (* Each cloud adds the change since its own last report, so the clouds
@@ -60,10 +60,9 @@ let create ~acc_params ~tdp_public () =
   { c_params = acc_params;
     c_tdp = tdp_public;
     index = Enc_index.create ();
-    primes = [];
     ac = acc_params.Rsa_acc.generator;
     mode = Honest;
-    prev_primes = [];
+    prev_count = 0;
     windex = Witness_tree.create acc_params;
     claim_cache = Hashtbl.create 256;
     index_bytes_shown = Atomic.make 0;
@@ -74,14 +73,14 @@ let install ?(witnesses = []) t ~records ~primes ~ac =
     invalid_arg
       (Printf.sprintf "Cloud.install: %d witnesses for %d primes" (List.length witnesses)
          (List.length primes));
-  Hashtbl.reset t.claim_cache;
-  t.prev_primes <- t.primes;
+  (* The index refuses a clashing shipment before it changes anything,
+     so a refused install leaves the cloud as it was. *)
   Enc_index.install t.index records;
-  t.primes <- t.primes @ primes;
+  Hashtbl.reset t.claim_cache;
+  t.prev_count <- Witness_tree.leaf_count t.windex;
   t.ac <- ac;
-  (* Only the O(log n) spine is recomputed: warm witnesses survive and
-     are lazily re-based on the next lookup, and shipped ones serve at
-     once. *)
+  (* The new primes become leaves: warm witnesses survive and are lazily
+     re-based on the next lookup, and shipped ones serve at once. *)
   Witness_tree.append ~witnesses t.windex primes;
   report_sizes t
 
@@ -101,12 +100,16 @@ let set_behavior t m =
    misbehaviour demo, never honest state). *)
 let sorted_records t = Enc_index.sorted_records t.index
 
-let primes t = t.primes
+let primes t = Witness_tree.leaves t.windex (Witness_tree.leaf_count t.windex)
 let current_ac t = t.ac
 
 let precompute_witnesses t =
   Witness_tree.warm_all t.windex;
   report_sizes t
+
+(* The multiset before the last install, which [Stale_results] answers
+   against. *)
+let prev_primes t = Witness_tree.leaves t.windex t.prev_count
 
 (* The membership witness for a claim prime. [Stale_results] answers
    against the prime list before the last install, recomputed from
@@ -114,7 +117,7 @@ let precompute_witnesses t =
    [Bigint.one], which the contract refuses. *)
 let witness_for t x =
   if t.mode = Stale_results then
-    try Rsa_acc.mem_witness t.c_params t.prev_primes x with Invalid_argument _ -> Bigint.one
+    try Rsa_acc.mem_witness t.c_params (prev_primes t) x with Invalid_argument _ -> Bigint.one
   else match Witness_tree.witness t.windex x with Some w -> w | None -> Bigint.one
 
 let c_tokens = Obs.counter ~help:"search tokens served" "slicer_cloud_tokens_total"
@@ -223,7 +226,7 @@ let search_batched t sts =
   let xs = List.map (fun (_, _, x) -> x) claims in
   let witness =
     try
-      if t.mode = Stale_results then Rsa_acc.batch_witness t.c_params t.prev_primes xs
+      if t.mode = Stale_results then Rsa_acc.batch_witness t.c_params (prev_primes t) xs
       else Witness_tree.batch_witness t.windex xs
     with Invalid_argument _ -> Bigint.one
   in
@@ -243,5 +246,5 @@ let restore_witness_index t blob =
 
 let index_entries t = Enc_index.entry_count t.index
 let index_bytes t = Enc_index.size_bytes t.index
-let prime_count t = List.length t.primes
-let ads_bytes t = 34 * List.length t.primes
+let prime_count t = Witness_tree.leaf_count t.windex
+let ads_bytes t = 34 * prime_count t

@@ -21,9 +21,10 @@ type misbehavior =
 
 val create : acc_params:Rsa_acc.params -> tdp_public:Rsa_tdp.public -> unit -> t
 (** An empty cloud. Every verification object comes from a persistent
-    {!Witness_tree} over the accumulated primes: Insert only recomputes
-    the O(log n) product spine, and a warm witness query is a table
-    lookup instead of a full-size exponentiation. *)
+    {!Witness_tree} over the accumulated primes, which also holds the
+    cloud's one copy of them: Insert only appends leaves, and a warm
+    witness query is a table lookup instead of a full-size
+    exponentiation. *)
 
 val install :
   ?witnesses:Bigint.t list ->
@@ -41,7 +42,9 @@ val install :
     [Stale_results] mode answers from the state before the most recent
     install.
     @raise Invalid_argument, before anything is installed, when
-    [witnesses] is neither empty nor one per prime. *)
+    [witnesses] is neither empty nor one per prime, or when the index
+    refuses [records] ({!Enc_index.install}: a record that is not
+    whole, or a position held or repeated). *)
 
 val install_shipment : t -> Owner.shipment -> unit
 (** {!install} of a Build/Insert shipment's groups, primes, witnesses
@@ -63,7 +66,8 @@ val sorted_records : t -> string
     ({!Enc_index.sorted_records}). *)
 
 val primes : t -> Bigint.t list
-(** The accumulated prime multiset, in installation order. *)
+(** The accumulated prime multiset, in installation order: the witness
+    tree's leaves ({!Witness_tree.leaves}). *)
 
 val current_ac : t -> Bigint.t
 (** The accumulation value the cloud currently answers under. *)

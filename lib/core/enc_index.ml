@@ -34,28 +34,25 @@ let create () =
 
 (* 56 bits of the (uniform) label at [s.[off]] — enough for any
    realistic capacity. *)
-let slot_hash s off =
-  let b i = Char.code (String.unsafe_get s (off + i)) in
-  (b 0 lsl 48) lor (b 1 lsl 40) lor (b 2 lsl 32) lor (b 3 lsl 24)
-  lor (b 4 lsl 16) lor (b 5 lsl 8) lor b 6
+let slot_hash s off = Int64.to_int (Int64.shift_right_logical (String.get_int64_be s off) 8)
 
-let label_matches t slot s off =
-  let base = slot * record_len in
-  let rec go i =
-    i = label_len
-    || (Char.equal (Bytes.unsafe_get t.slots (base + i)) (String.unsafe_get s (off + i))
-        && go (i + 1))
-  in
-  go 0
+(* Whether the labels at [a.[i]] and [b.[j]] are equal. The comparison
+   at [int64] compiles to a word compare, so nothing is boxed. *)
+let labels_equal a i b j =
+  (String.get_int64_ne a i : int64) = String.get_int64_ne b j
+  && (String.get_int64_ne a (i + 8) : int64) = String.get_int64_ne b (j + 8)
 
-(* First slot in the probe sequence of the label at [s.[off]] that is
-   free or already holds it. *)
-let probe t s off =
-  let rec go i =
-    if Bytes.unsafe_get t.used i = free || label_matches t i s off then i
-    else go ((i + 1) land t.mask)
-  in
-  go (slot_hash s off land t.mask)
+(* First slot from [i] on in the probe sequence of the label at
+   [s.[off]] that is free or already holds it. Top-level, like every
+   loop on the install path, so a probe allocates no closure. *)
+let rec probe_from t s off i =
+  if
+    Bytes.unsafe_get t.used i = free
+    || labels_equal (Bytes.unsafe_to_string t.slots) (i * record_len) s off
+  then i
+  else probe_from t s off ((i + 1) land t.mask)
+
+let probe t s off = probe_from t s off (slot_hash s off land t.mask)
 
 (* Rehash into [cap] slots; each record keeps its occupancy mark. *)
 let resize t cap =
@@ -83,7 +80,8 @@ let reserve t n =
   if !cap > t.mask + 1 then resize t !cap
 
 (* Occupy the free slot for the label at [s.[off]] with [mark] and
-   return its arena offset, or -1 when the label is already held. *)
+   return its arena offset, or -1 when the label is already held
+   ([install] has ruled that out before it claims). *)
 let claim t s off mark =
   let slot = probe t s off in
   if Bytes.unsafe_get t.used slot <> free then -1
@@ -102,21 +100,68 @@ let put t ~l ~d =
   Bytes.blit_string l 0 t.slots base label_len;
   Bytes.blit_string d 0 t.slots (base + label_len) payload_len
 
+(* Refuse, before anything changes, a shipment that holds a position the
+   index already holds or one position twice. Each record's probe into
+   the arena finds a free slot or the position's holder. A transient
+   table of the shipment's own records, open-addressed on the same
+   label hash, finds a repeat: 4 bytes per slot, each record named by
+   its number [g] across the shipment's strings ([first.(i)] numbers the
+   first record of string [i]), stored as [g + 1] with 0 for an empty
+   slot. *)
+let check_fresh t records =
+  let rs = Array.of_list records in
+  let n = Array.length rs in
+  let first = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    first.(i + 1) <- first.(i) + (String.length rs.(i) / record_len)
+  done;
+  let size = ref 16 in
+  while 3 * !size < 4 * first.(n) do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  let seen = Bytes.make (4 * !size) '\000' in
+  (* The string holding record [g]: the last [i] in [lo, hi) with
+     [first.(i) <= g]. *)
+  let rec holder g lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if first.(mid) <= g then holder g mid hi else holder g lo mid
+  in
+  let rec put r off g h =
+    match Int32.to_int (Bytes.get_int32_le seen (4 * h)) with
+    | 0 -> Bytes.set_int32_le seen (4 * h) (Int32.of_int (g + 1))
+    | e ->
+      let i = holder (e - 1) 0 n in
+      if labels_equal rs.(i) ((e - 1 - first.(i)) * record_len) r off then
+        invalid_arg "Enc_index.install: position repeated in the shipment"
+      else put r off g ((h + 1) land mask)
+  in
+  for i = 0 to n - 1 do
+    let r = rs.(i) in
+    for k = 0 to first.(i + 1) - first.(i) - 1 do
+      let off = k * record_len in
+      if Bytes.unsafe_get t.used (probe t r off) <> free then
+        invalid_arg "Enc_index.install: position already occupied";
+      put r off (first.(i) + k) (slot_hash r off land mask)
+    done
+  done
+
 let install t records =
   List.iter
     (fun r ->
       if String.length r mod record_len <> 0 then
         invalid_arg "Enc_index.install: records must be whole 32-byte l ‖ d records")
     records;
+  check_fresh t records;
   Bytes.iteri (fun i mark -> if mark = latest then Bytes.unsafe_set t.used i held) t.used;
   reserve t (List.fold_left (fun n r -> n + (String.length r / record_len)) 0 records);
   List.iter
     (fun r ->
       for k = 0 to (String.length r / record_len) - 1 do
         let off = k * record_len in
-        let base = claim t r off latest in
-        if base < 0 then invalid_arg "Enc_index.install: position already occupied";
-        Bytes.blit_string r off t.slots base record_len
+        Bytes.blit_string r off t.slots (claim t r off latest) record_len
       done)
     records
 

@@ -32,8 +32,11 @@ val install : t -> string list -> unit
     total count, and each record is copied into its slot with one
     blit. Its slots are marked as the latest shipment's, replacing the
     marks of the previous [install]; a resize keeps every mark.
-    @raise Invalid_argument on a string that is not whole records or
-    on an occupied position. *)
+    Atomic: every record's position is checked before the first write
+    or mark change, so a refused install leaves the index as it was.
+    @raise Invalid_argument on a string that is not whole records, on a
+    position the index already holds, or on a position the shipment
+    holds twice. *)
 
 val find : t -> string -> string option
 

@@ -47,6 +47,11 @@ val trapdoor_state_sized : Owner.trapdoor_state -> Bytesutil.sized
 
 val trapdoor_state_of_bytes : string -> Owner.trapdoor_state option
 
+val trapdoor_state_of_view : string -> off:int -> len:int -> Owner.trapdoor_state option
+(** {!trapdoor_state_of_bytes} of the bytes [\[off, off + len)] of a
+    string, read in place: a Build's or Insert's trapdoor state is
+    decoded from the server's receive arena. *)
+
 (** {1 User ↔ cloud and chain messages}
 
     The artifacts the networked deployment ({!Station} behind

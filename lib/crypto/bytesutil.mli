@@ -32,6 +32,13 @@ val get_be32 : string -> int -> int
 (** The unsigned 4-byte big-endian integer at an offset: a {!concat}
     length prefix. *)
 
+val fold_pieces : string -> off:int -> len:int -> ('a -> int -> int -> 'a) -> 'a -> 'a option
+(** [fold_pieces s ~off ~len f init] folds [f] over the pieces of the
+    {!concat} encoding in [s.[off, off + len)], in order, passing each
+    piece's offset in [s] and its length, and allocates nothing of its
+    own per piece. [None] when those bytes are not a valid encoding or
+    the range lies outside the string. *)
+
 val views : string -> off:int -> len:int -> (int * int) list option
 (** {!split} of the bytes [\[off, off + len)] of a string, without
     copying them: each piece as its offset in the string and its

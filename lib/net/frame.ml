@@ -122,18 +122,16 @@ let decode ?(max_payload = default_max_payload) ?(off = 0) s =
 
 (* The event loop's per-connection arena: the socket reads straight
    into [buf] at the write cursor, [next] parses frames in place at the
-   read cursor and yields views into the same bytes. The only payload
-   copy on the whole receive path is the final [payload_string]
-   extraction that hands the bytes to the typed codec — counted, so a
-   test can assert the invariant. Checksums are verified over the
-   arena slices in place ([checksum]), so verification allocates
+   read cursor and yields views into the same bytes, and the typed codec
+   decodes a request from its view ({!Wire.decode_request_at}), so no
+   payload is copied on the receive path. Checksums are verified over
+   the arena slices in place ([checksum]), so verification allocates
    nothing but the context. *)
 module Decoder = struct
   type t = {
     mutable buf : Bytes.t;
     mutable r : int; (* start of unparsed bytes *)
     mutable w : int; (* end of buffered bytes *)
-    mutable extractions : int;
     mutable frames : int;
   }
 
@@ -142,30 +140,38 @@ module Decoder = struct
   let initial_capacity = 4096
   let idle_capacity = 64 * 1024
 
-  let create () =
-    { buf = Bytes.create initial_capacity;
-      r = 0;
-      w = 0;
-      extractions = 0;
-      frames = 0 }
+  let create () = { buf = Bytes.create initial_capacity; r = 0; w = 0; frames = 0 }
 
   let buffered t = t.w - t.r
-  let extractions t = t.extractions
   let frames t = t.frames
   let buffer t = t.buf
 
   (* All parsed bytes consumed: rewind, and give an arena a large frame
      once ballooned back to the GC (a thousand idle connections must
-     not pin a thousand 16 MiB buffers). *)
+     not pin a thousand 16 MiB buffers). A view handed out before keeps
+     the old arena alive for as long as it is read. *)
   let reset_empty t =
     t.r <- 0;
     t.w <- 0;
     if Bytes.length t.buf > idle_capacity then t.buf <- Bytes.create initial_capacity
 
+  (* Where the frame at the read cursor ends in the arena, when its
+     header is buffered, valid, and declares more bytes than are
+     buffered: the arena never needs to grow past it. *)
+  let frame_end t =
+    if buffered t < header_bytes then None
+    else
+      match header ~max_payload:default_max_payload t.buf t.r with
+      | Ok (_, len) when header_bytes + len > buffered t -> Some (t.r + header_bytes + len)
+      | Ok _ | Error _ -> None
+
   (* Make at least [n] contiguous free bytes available at the write
      cursor: slide the unparsed tail down first (cheap bookkeeping, not
      a payload copy — the bytes have not been parsed yet), grow only
-     when the frame truly needs more room. *)
+     when the frame truly needs more room. Growth doubles the arena,
+     so its size follows the bytes received, but stops at the end of
+     the partial frame at the read cursor: a frame of 536,976 bytes
+     ends in an arena of that size, not in the next power of two. *)
   let ensure_space t n =
     if Bytes.length t.buf - t.w < n then begin
       let used = buffered t in
@@ -175,16 +181,21 @@ module Decoder = struct
         t.w <- used
       end;
       if Bytes.length t.buf - t.w < n then begin
-        let cap = max (2 * Bytes.length t.buf) (t.w + n) in
-        let cap = Stdlib.min (Stdlib.max cap (t.w + n)) (header_bytes + default_max_payload) in
-        let cap = Stdlib.max cap (t.w + n) in
-        let nb = Bytes.create cap in
+        let cap = Stdlib.max (2 * Bytes.length t.buf) (t.w + n) in
+        let cap =
+          match frame_end t with Some e -> Stdlib.min cap e | None -> cap
+        in
+        let cap = Stdlib.min cap (header_bytes + default_max_payload) in
+        let nb = Bytes.create (Stdlib.max cap (t.w + n)) in
         Bytes.blit t.buf 0 nb 0 t.w;
         t.buf <- nb
       end
     end
 
+  (* A socket read asks for [n] bytes but needs no more than the
+     partial frame lacks. *)
   let space t n =
+    let n = match frame_end t with Some e -> Stdlib.min n (e - t.w) | None -> n in
     ensure_space t n;
     (t.buf, t.w)
 
@@ -221,10 +232,6 @@ module Decoder = struct
           Ok (Some { v_tag = tag; v_buf = b; v_off = off + header_bytes; v_len = len })
         end
     end
-
-  let payload_string t v =
-    t.extractions <- t.extractions + 1;
-    Bytes.sub_string v.v_buf v.v_off v.v_len
 end
 
 let write_frame fd frame =

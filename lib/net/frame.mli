@@ -66,10 +66,16 @@ val decode : ?max_payload:int -> ?off:int -> string -> (msg * int, error) result
     decoder's arena ({!Decoder.space} / {!Decoder.commit}), and
     {!Decoder.next} parses frames in place, verifying the checksum by
     streaming arena slices through SHA-256 and yielding {!Decoder.view}s
-    that alias the arena. No intermediate payload copy exists anywhere
-    on the path; the single extraction that hands the payload to the
-    typed codec layer ({!Decoder.payload_string}) is counted by
-    {!Decoder.extractions} so tests can assert the invariant. *)
+    that alias the arena. The typed codec decodes a request straight from
+    its view ({!Wire.decode_request_at}), so no payload copy exists
+    anywhere on the path.
+
+    The arena grows by doubling, so its size follows the bytes received
+    (an idle connection keeps 4 KiB), but never past the end of the
+    partial frame whose header it holds: a 536,976-byte frame ends in
+    an arena of 536,976 bytes, never above twice the bytes fed. Once
+    every buffered byte is parsed, an arena past 64 KiB is dropped for a
+    fresh 4 KiB one. *)
 module Decoder : sig
   type t
 
@@ -79,16 +85,22 @@ module Decoder : sig
     v_off : int;
     v_len : int;
   }
-  (** Valid until the next call that feeds or parses this decoder. *)
+  (** Valid until the next call that feeds this decoder: {!space} may
+      slide unparsed bytes over a parsed frame. A server that neither
+      reads nor parses a connection while its request is in the pool
+      ([Net.Server]) can hand the view itself to the worker. *)
 
   val create : unit -> t
-  (** An empty arena for frames of up to {!default_max_payload} bytes. *)
+  (** An empty 4 KiB arena for frames of up to {!default_max_payload}
+      bytes. *)
 
   val space : t -> int -> Bytes.t * int
   (** [space t n] returns the arena and write offset with at least [n]
-      contiguous free bytes — read the socket straight into it, then
-      {!commit} what arrived. May slide unparsed bytes down or grow the
-      arena (bounded by the 18-byte header + {!default_max_payload}). *)
+      contiguous free bytes, or all the bytes the partial frame at the
+      read cursor still lacks when that is fewer — read the socket
+      straight into it, then {!commit} what arrived. May slide unparsed
+      bytes down or grow the arena (bounded by the 18-byte header +
+      {!default_max_payload}, and by the partial frame's end). *)
 
   val room : t -> int
   (** Free bytes after the write offset of the last {!space} call. *)
@@ -108,15 +120,8 @@ module Decoder : sig
   val buffered : t -> int
   (** Unparsed bytes currently buffered (> 0 mid-frame). *)
 
-  val payload_string : t -> view -> string
-  (** The one counted copy: extract a view's payload for the typed
-      codec layer. *)
-
   val buffer : t -> Bytes.t
-  (** The live arena (for aliasing assertions in tests). *)
-
-  val extractions : t -> int
-  (** {!payload_string} calls — the only payload copies ever made. *)
+  (** The live arena (for aliasing and size assertions in tests). *)
 
   val frames : t -> int
   (** Complete frames parsed. *)

@@ -80,7 +80,12 @@ type conn = {
 let unsent conn = String.length conn.c_reply - conn.c_woff
 let idle conn = (not conn.c_in_pool) && unsent conn = 0
 
-type job = { j_conn : int; j_payload : string }
+(* A request is decoded by its worker straight from the connection's
+   arena, through its frame's view. Nothing writes those bytes
+   meanwhile: a busy connection is neither read nor parsed until its
+   reply is written (a frame pipelined behind this one waits unparsed),
+   and parsing a frame never writes the arena. *)
+type job = { j_conn : int; j_view : Frame.Decoder.view }
 
 type t = {
   config : config;
@@ -216,14 +221,13 @@ let dispatch t conn (view : Frame.Decoder.view) =
     respond t conn (refusal Wire.Bad_request "unexpected frame tag")
   end
   else begin
-    let payload = Frame.Decoder.payload_string conn.c_dec view in
     Mutex.lock t.lock;
     let admitted = t.jobs_active < t.config.max_inflight in
     if admitted then begin
       t.jobs_active <- t.jobs_active + 1;
       Obs.Gauge.set g_inflight t.jobs_active;
       Obs.Histogram.record h_qdepth (Queue.length t.jobs);
-      Queue.push { j_conn = conn.c_id; j_payload = payload } t.jobs;
+      Queue.push { j_conn = conn.c_id; j_view = view } t.jobs;
       Condition.signal t.job_cond
     end;
     Mutex.unlock t.lock;
@@ -442,10 +446,12 @@ let worker_loop t =
     done;
     if Queue.is_empty t.jobs then Mutex.unlock t.lock (* stopping *)
     else begin
-      let job = Queue.pop t.jobs in
+      let { j_conn; j_view = { Frame.Decoder.v_buf; v_off; v_len; _ } } = Queue.pop t.jobs in
       Mutex.unlock t.lock;
+      (* Nothing holds the arena past the decode, so a Build's frame can
+         be collected while the handler runs. *)
       let resp =
-        match Wire.decode_request job.j_payload with
+        match Wire.decode_request_at (Bytes.unsafe_to_string v_buf) ~off:v_off ~len:v_len with
         | None ->
           (* Frame checksum passed: a peer speaking a different dialect,
              not line noise. Refuse, keep the connection. *)
@@ -472,7 +478,7 @@ let worker_loop t =
       t.jobs_active <- t.jobs_active - 1;
       t.served_reqs <- t.served_reqs + 1;
       Obs.Gauge.set g_inflight t.jobs_active;
-      t.completions <- (job.j_conn, framed) :: t.completions;
+      t.completions <- (j_conn, framed) :: t.completions;
       Mutex.unlock t.lock;
       wake t;
       go ()

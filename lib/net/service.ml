@@ -650,9 +650,9 @@ let encode_snapshot t =
         Bytesutil.concat users;
         Bytesutil.concat replies;
         (* Warm witness state: leaf witnesses + generation stamps. The
-           products rebuild from [primes] above; grafting this back
-           means a restarted server serves witnesses without a single
-           recomputation. *)
+           tree's leaves come back from [primes] above; grafting this
+           back means a restarted server serves witnesses without a
+           single recomputation. *)
         Cloud.export_witness_index cloud;
         (* Pending settlement batches (open tail + committed-not-final),
            so a SIGKILL between commit and finalize recovers the batch
@@ -802,86 +802,8 @@ let verify_recovered t =
          Error
            "recovered accumulator mismatch: primes, cloud Ac and on-chain Ac disagree")
 
-type recovery_stats = {
-  rs_snapshot : bool;
-  rs_replayed : int;
-  rs_dropped_tail : bool;
-}
-
-let recover ?settle ?instance ?shard cfg =
-  Obs.span "store.recover" (fun () ->
-      match Store.open_ cfg with
-      | exception Store.Locked dir ->
-        Error
-          (Printf.sprintf "state dir %s is in use by another live process (%s is locked)" dir
-             (Filename.concat dir "LOCK"))
-      | store, rc ->
-        let fail msg =
-          Store.close store;
-          Error msg
-        in
-        let base =
-          match rc.Store.rc_snapshot with
-          | None -> Some (create ?settle ?instance ?shard ())
-          | Some (_seq, payload) ->
-            decode_snapshot ?settle ?instance ?shard payload
-        in
-        match base with
-        | None -> fail "snapshot failed to decode (codec mismatch)"
-        | Some t ->
-          (* Only a snapshot that held a database counts: the first
-             recovery of an empty dir checkpoints an empty one. *)
-          let from_snapshot = built t in
-          let rec replay = function
-            | [] -> Ok ()
-            | ev :: rest -> (
-              match apply_event t ev with Ok () -> replay rest | Error _ as e -> e)
-          in
-          (match replay rc.Store.rc_events with
-           | Error e -> fail ("WAL replay failed: " ^ e)
-           | Ok () ->
-             (match verify_recovered t with
-              | Error e -> fail e
-              | Ok () ->
-                (* Re-anchor: the recovered state becomes the durable
-                   base, and the WAL only ever extends it. *)
-                t.store <- Some store;
-                Store.checkpoint store (encode_snapshot t);
-                Log.info (fun m ->
-                    m "recovered: snapshot=%b, %d events replayed, dropped_tail=%b, generation %d"
-                      from_snapshot (List.length rc.Store.rc_events) rc.Store.rc_dropped_tail
-                      (generation t));
-                Ok
-                  ( t,
-                    { rs_snapshot = from_snapshot;
-                      rs_replayed = List.length rc.Store.rc_events;
-                      rs_dropped_tail = rc.Store.rc_dropped_tail } ))))
-
-let effectful = function
-  | Wire.Search _ | Wire.Build _ | Wire.Insert _ | Wire.Hello _ | Wire.Dispute _ -> true
-  | Wire.Ping | Wire.Stats | Wire.Traces | Wire.Receipt _ -> false
-
-(* The durability barrier, outside [t.lock] so concurrent settlements
-   group-commit on one fsync. Also where the snapshot cadence lives:
-   past [snapshot_bytes] of WAL, re-serialize under the lock and
-   truncate. *)
-let maybe_persist t req =
-  match t.store with
-  | None -> ()
-  | Some store ->
-    if effectful req then begin
-      Store.sync store;
-      if Store.should_snapshot store then begin
-        Mutex.lock t.lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.lock)
-          (fun () ->
-            if Store.should_snapshot store then
-              Store.checkpoint store (encode_snapshot t))
-      end
-    end
-
-(* After a Build/Insert shipment is accepted, precompute every element's
+(* After a Build/Insert shipment is accepted, and after a recovery whose
+   replay leaves a stale or cold leaf, precompute every element's
    accumulator witness on a background thread so the next Search hits the
    warm index instead of paying cold exponentiations inline. One warmer
    runs at a time; shipments landing mid-warm set [warm_again] and the
@@ -937,6 +859,101 @@ let schedule_warm t =
         end)
   in
   if spawn then ignore (Thread.create warm_pass t)
+
+(* Whether every leaf of the database's witness tree is fresh. *)
+let leaves_fresh t =
+  match t.state with
+  | None -> true
+  | Some b ->
+    let ws = Cloud.witness_index_stats (Station.cloud b.b_station) in
+    ws.Witness_tree.ws_fresh = ws.Witness_tree.ws_leaves
+
+type recovery_stats = {
+  rs_snapshot : bool;
+  rs_replayed : int;
+  rs_dropped_tail : bool;
+}
+
+let recover ?settle ?instance ?shard cfg =
+  Obs.span "store.recover" (fun () ->
+      match Store.open_ cfg with
+      | exception Store.Locked dir ->
+        Error
+          (Printf.sprintf "state dir %s is in use by another live process (%s is locked)" dir
+             (Filename.concat dir "LOCK"))
+      | store, rc ->
+        let fail msg =
+          Store.close store;
+          Error msg
+        in
+        let base =
+          match rc.Store.rc_snapshot with
+          | None -> Some (create ?settle ?instance ?shard ())
+          | Some (_seq, payload) ->
+            decode_snapshot ?settle ?instance ?shard payload
+        in
+        match base with
+        | None -> fail "snapshot failed to decode (codec mismatch)"
+        | Some t ->
+          (* Only a snapshot that held a database counts: the first
+             recovery of an empty dir checkpoints an empty one. *)
+          let from_snapshot = built t in
+          let rec replay = function
+            | [] -> Ok ()
+            | ev :: rest -> (
+              match apply_event t ev with Ok () -> replay rest | Error _ as e -> e)
+          in
+          (match replay rc.Store.rc_events with
+           | Error e -> fail ("WAL replay failed: " ^ e)
+           | Ok () ->
+             (match verify_recovered t with
+              | Error e -> fail e
+              | Ok () ->
+                (* Re-anchor: the recovered state becomes the durable
+                   base, and the WAL only ever extends it. *)
+                t.store <- Some store;
+                Store.checkpoint store (encode_snapshot t);
+                (* A replayed Insert leaves every older leaf stale and its
+                   own leaves cold (so does a routed shard's Build, which
+                   ships no witness): warm them as a live shipment would,
+                   once the checkpoint has its bytes. A replayed Build
+                   grafts its witnesses and needs none; a snapshot
+                   restore that replays nothing serves the leaves the
+                   snapshot kept. *)
+                if rc.Store.rc_events <> [] && not (leaves_fresh t) then schedule_warm t;
+                Log.info (fun m ->
+                    m "recovered: snapshot=%b, %d events replayed, dropped_tail=%b, generation %d"
+                      from_snapshot (List.length rc.Store.rc_events) rc.Store.rc_dropped_tail
+                      (generation t));
+                Ok
+                  ( t,
+                    { rs_snapshot = from_snapshot;
+                      rs_replayed = List.length rc.Store.rc_events;
+                      rs_dropped_tail = rc.Store.rc_dropped_tail } ))))
+
+let effectful = function
+  | Wire.Search _ | Wire.Build _ | Wire.Insert _ | Wire.Hello _ | Wire.Dispute _ -> true
+  | Wire.Ping | Wire.Stats | Wire.Traces | Wire.Receipt _ -> false
+
+(* The durability barrier, outside [t.lock] so concurrent settlements
+   group-commit on one fsync. Also where the snapshot cadence lives:
+   past [snapshot_bytes] of WAL, re-serialize under the lock and
+   truncate. *)
+let maybe_persist t req =
+  match t.store with
+  | None -> ()
+  | Some store ->
+    if effectful req then begin
+      Store.sync store;
+      if Store.should_snapshot store then begin
+        Mutex.lock t.lock;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock t.lock)
+          (fun () ->
+            if Store.should_snapshot store then
+              Store.checkpoint store (encode_snapshot t))
+      end
+    end
 
 (* Span taxonomy name for the requests worth tracing; admin and
    handshake frames stay untraced. *)

@@ -110,4 +110,8 @@ val recover :
     replayed), when
     replay fails, when the state dir holds another identity (the error
     names both, and the dir is left as it was), or when the accumulator
-    check fails. An empty state dir holds no database and passes. *)
+    check fails. An empty state dir holds no database and passes. When
+    the WAL replay leaves a witness-tree leaf stale or cold (a replayed
+    Insert), the background witness warm is scheduled after the
+    checkpoint, as after a live Build or Insert, and
+    [slicer_net_background_warms_total] advances once it is done. *)

@@ -323,36 +323,44 @@ let decode_search ~trace client request_id batched tokens_blob =
   Some (Search { client; request_id; batched; tokens; trace })
 
 let decode_build ~trace client request_id width payment modulus generator tdp_n tdp_e
-    user_k user_k_r shipment trapdoor_blob =
+    user_k user_k_r shipment trapdoor =
   let* width = nat_of_string width in
   let* payment = nat_of_string payment in
   let* acc = acc_params_of_bytes modulus generator in
   let* shipment = shipment () in
-  let* trapdoor = Persist.trapdoor_state_of_bytes trapdoor_blob in
+  let* trapdoor = trapdoor () in
   Some
     (Build
        { client; request_id; width; payment; acc;
          tdp_n = Bigint.of_bytes_be tdp_n; tdp_e = Bigint.of_bytes_be tdp_e;
          user_k; user_k_r; shipment; trapdoor; trace })
 
-let decode_insert ~trace client request_id shipment trapdoor_blob =
+let decode_insert ~trace client request_id shipment trapdoor =
   let* shipment = shipment () in
-  let* trapdoor = Persist.trapdoor_state_of_bytes trapdoor_blob in
+  let* trapdoor = trapdoor () in
   Some (Insert { client; request_id; shipment; trapdoor; trace })
 
-(* The shipment piece of a Build or Insert is not copied out of [s]: it
-   is left as an empty placeholder among the pieces and decoded in place
-   from its view ({!Persist.shipment_of_view}). *)
+(* The shipment piece of a Build or Insert and the trapdoor state after
+   it are not copied out of [s]: they are left as empty placeholders among
+   the pieces and decoded in place from their views
+   ({!Persist.shipment_of_view}, {!Persist.trapdoor_state_of_view}).
+   What the request keeps is copied out as it is decoded, so the request
+   shares no byte with [s]. *)
 let shipment_index = function "build" -> 11 | "insert" -> 3 | _ -> -1
 
-let decode_request s =
-  let* views = Bytesutil.views s ~off:0 ~len:(String.length s) in
+let decode_request_at s ~off ~len =
+  let* views = Bytesutil.views s ~off ~len in
   let piece (off, len) = String.sub s off len in
   let at = match views with tag :: _ -> shipment_index (piece tag) | [] -> -1 in
-  let pieces = List.mapi (fun i v -> if i = at then "" else piece v) views in
+  let in_place i = at >= 0 && (i = at || i = at + 1) in
+  let pieces = List.mapi (fun i v -> if in_place i then "" else piece v) views in
   let shipment () =
     let off, len = List.nth views at in
     Persist.shipment_of_view s ~off ~len
+  in
+  let trapdoor () =
+    let off, len = List.nth views (at + 1) in
+    Persist.trapdoor_state_of_view s ~off ~len
   in
   match pieces with
   | [ "hello"; client; proto ] ->
@@ -364,19 +372,19 @@ let decode_request s =
     let* trace = trace_of_bytes trace_blob in
     decode_search ~trace:(Some trace) client request_id batched tokens_blob
   | [ "build"; client; request_id; width; payment; modulus; generator; tdp_n; tdp_e;
-      user_k; user_k_r; _; trapdoor_blob ] ->
+      user_k; user_k_r; _; _ ] ->
     decode_build ~trace:None client request_id width payment modulus generator tdp_n tdp_e
-      user_k user_k_r shipment trapdoor_blob
+      user_k user_k_r shipment trapdoor
   | [ "build"; client; request_id; width; payment; modulus; generator; tdp_n; tdp_e;
-      user_k; user_k_r; _; trapdoor_blob; trace_blob ] ->
+      user_k; user_k_r; _; _; trace_blob ] ->
     let* trace = trace_of_bytes trace_blob in
     decode_build ~trace:(Some trace) client request_id width payment modulus generator
-      tdp_n tdp_e user_k user_k_r shipment trapdoor_blob
-  | [ "insert"; client; request_id; _; trapdoor_blob ] ->
-    decode_insert ~trace:None client request_id shipment trapdoor_blob
-  | [ "insert"; client; request_id; _; trapdoor_blob; trace_blob ] ->
+      tdp_n tdp_e user_k user_k_r shipment trapdoor
+  | [ "insert"; client; request_id; _; _ ] ->
+    decode_insert ~trace:None client request_id shipment trapdoor
+  | [ "insert"; client; request_id; _; _; trace_blob ] ->
     let* trace = trace_of_bytes trace_blob in
-    decode_insert ~trace:(Some trace) client request_id shipment trapdoor_blob
+    decode_insert ~trace:(Some trace) client request_id shipment trapdoor
   | [ "receipt"; client; request_id ] -> Some (Receipt { client; request_id })
   | [ "dispute"; client; request_id; shard; claims_blob; witness_blob ] ->
     let* shard = int_of_string_opt shard in
@@ -386,6 +394,8 @@ let decode_request s =
   | [ "stats" ] -> Some Stats
   | [ "traces" ] -> Some Traces
   | _ -> None
+
+let decode_request s = decode_request_at s ~off:0 ~len:(String.length s)
 
 (* --- responses -------------------------------------------------------- *)
 

@@ -183,6 +183,12 @@ val request_sized : request -> Bytesutil.sized
 
 val decode_request : string -> request option
 
+val decode_request_at : string -> off:int -> len:int -> request option
+(** {!decode_request} of the bytes [\[off, off + len)] of a string, read
+    in place: the server decodes a request from its receive arena
+    ({!Frame.Decoder.view}). Every piece the request keeps is copied out
+    during the call, so the bytes may be overwritten once it returns. *)
+
 val response_sized : response -> Bytesutil.sized
 (** The {!encode_response} bytes as a streamed encoding: what a server
     frames in one pass ({!Frame.encode_sized}), with no copy of the

@@ -383,6 +383,37 @@ let test_wt_grafted_witnesses () =
   Alcotest.(check int) "the refused append changed nothing" before.Witness_tree.ws_leaves
     (Witness_tree.stats wt).Witness_tree.ws_leaves
 
+(* The tree stores its primes, their bases and one word per array slot,
+   and no product: [size_bytes] of a tree of 64 grafted leaves (a power
+   of two, so its capacity is exactly 64) lies within its primes and
+   witnesses plus the slots, and so does a warmed tree of 64 appended
+   leaves with all its 127 node bases, after the warm's transient
+   product tree is gone. *)
+let test_wt_size_bytes () =
+  let n = 64 in
+  let bytes v = ((Bigint.num_bits v + 7) / 8) + 16 in
+  let sum = List.fold_left (fun acc v -> acc + bytes v) 0 in
+  let slots = 8 * 5 * n in
+  let modulus_bytes = ((Bigint.num_bits small_params.Rsa_acc.modulus + 7) / 8) + 16 in
+  let xs = primes_of n "wt-size" in
+  let witnesses = List.map snd (Rsa_acc.all_witnesses small_params xs) in
+  let grafted = Witness_tree.create small_params in
+  Witness_tree.append ~witnesses grafted xs;
+  let size = Witness_tree.size_bytes grafted in
+  Alcotest.(check bool) "the grafted tree counts its primes and bases" true
+    (size >= sum xs + sum witnesses);
+  if size > sum xs + sum witnesses + slots then
+    Alcotest.failf "%d grafted leaves report %d bytes, past their primes and bases (%d) and %d slot bytes"
+      n size (sum xs + sum witnesses) slots;
+  let warmed = Witness_tree.create small_params in
+  Witness_tree.append warmed xs;
+  Witness_tree.warm_all warmed;
+  let size = Witness_tree.size_bytes warmed in
+  let bound = sum xs + (((2 * n) - 1) * modulus_bytes) + slots in
+  if size > bound then
+    Alcotest.failf "a warmed tree of %d leaves reports %d bytes, past its primes and bases (%d)" n
+      size bound
+
 (* Only the parameters [setup] made hold the factors; decoded ones do
    not, and the owner refuses those. *)
 let test_acc_factors_stay_with_setup () =
@@ -538,12 +569,13 @@ let props =
       QCheck2.Gen.(list_size (int_range 1 5) (int_range 1 4))
       (fun batch_sizes ->
         (* Any interleaving of appends (with queries in between, so bases
-           get stamped at many generations, and every other batch a warm
-           over a tree whose leaves are partly fresh) serves exactly what
-           a from-scratch all_witnesses rebuild computes. *)
+           get stamped at many generations, every other batch a warm
+           over a tree whose leaves are partly fresh, and the batches in
+           between cold descents) serves exactly what a from-scratch
+           all_witnesses rebuild computes. *)
         let wt = Witness_tree.create small_params in
         let all = ref [] in
-        let warmed = ref true in
+        let warmed = ref true and descents = ref true in
         List.iteri
           (fun i n ->
             let batch = primes_of n (Printf.sprintf "wt-prop-%d-%d" i n) in
@@ -554,9 +586,23 @@ let props =
               Witness_tree.warm_all wt;
               let st = Witness_tree.stats wt in
               warmed := !warmed && st.Witness_tree.ws_fresh = st.Witness_tree.ws_leaves
-            end)
+            end
+            else
+              (* No warm: the batch's other leaves and the first leaf
+                 descend cold (or refresh) from products multiplied
+                 from the leaves, and must equal a from-scratch witness
+                 over the multiset as it stands now. *)
+              descents :=
+                !descents
+                && List.for_all
+                     (fun x ->
+                       match Witness_tree.witness wt x with
+                       | Some w -> Bigint.equal w (Rsa_acc.mem_witness small_params !all x)
+                       | None -> false)
+                     (List.hd !all :: List.tl batch))
           batch_sizes;
         !warmed
+        && !descents
         && Bigint.equal (Witness_tree.ac wt) (Rsa_acc.accumulate small_params !all)
         && List.for_all2
              (fun x (_, w) ->
@@ -647,7 +693,8 @@ let () =
           Alcotest.test_case "cold lookups from the root" `Quick test_wt_cold_from_root;
           Alcotest.test_case "batch witness" `Quick test_wt_batch_witness;
           Alcotest.test_case "export/absorb" `Quick test_wt_export_absorb;
-          Alcotest.test_case "grafted witnesses" `Quick test_wt_grafted_witnesses ] );
+          Alcotest.test_case "grafted witnesses" `Quick test_wt_grafted_witnesses;
+          Alcotest.test_case "size within primes and bases" `Quick test_wt_size_bytes ] );
       ( "merkle",
         [ Alcotest.test_case "roundtrip" `Quick test_merkle_roundtrip;
           Alcotest.test_case "rejects" `Quick test_merkle_rejects;

@@ -117,6 +117,41 @@ let test_latest_marks_survive_growth () =
     (Invalid_argument "Enc_index.install: position already occupied")
     (fun () -> Enc_index.install t [ records 5 6 ])
 
+(* An install refused on a position the index holds, or on one the
+   shipment holds twice, is refused before anything changes: the count,
+   every entry and the latest marks stay as the last install left them,
+   the arena is not resized, and a well-formed retry installs. *)
+let test_refused_install_changes_nothing () =
+  let t = Enc_index.create () in
+  Enc_index.install t [ records 0 600 ];
+  Enc_index.install t [ records 600 700 ];
+  let arena = Enc_index.capacity_bytes t in
+  let unchanged what =
+    Alcotest.(check int) (what ^ ": count") 700 (Enc_index.entry_count t);
+    Alcotest.(check int) (what ^ ": arena") arena (Enc_index.capacity_bytes t);
+    for i = 0 to 899 do
+      Alcotest.(check (option string)) (what ^ ": found")
+        (if i < 700 then Some (payload i) else None) (Enc_index.find t (label i));
+      Alcotest.(check (option string)) (what ^ ": before the latest install")
+        (if i < 600 then Some (payload i) else None) (Enc_index.find_before_latest t (label i))
+    done
+  in
+  (* 200 fresh records would grow the arena; the last one is held. *)
+  Alcotest.check_raises "a held position"
+    (Invalid_argument "Enc_index.install: position already occupied")
+    (fun () -> Enc_index.install t [ records 700 899; records 650 651 ]);
+  unchanged "after a held position";
+  Alcotest.check_raises "a repeated position"
+    (Invalid_argument "Enc_index.install: position repeated in the shipment")
+    (fun () -> Enc_index.install t [ records 700 800; records 750 751; records 800 899 ]);
+  unchanged "after a repeated position";
+  Enc_index.install t [ records 700 800 ];
+  Alcotest.(check int) "the retry installed" 800 (Enc_index.entry_count t);
+  for i = 0 to 799 do
+    Alcotest.(check (option string)) "the retry's marks are the latest"
+      (if i < 700 then Some (payload i) else None) (Enc_index.find_before_latest t (label i))
+  done
+
 (* A Stale_results cloud answers from the index before the last
    shipment, even when that shipment doubled the arena: every query
    returns exactly the Build's records. *)
@@ -158,4 +193,6 @@ let () =
           Alcotest.test_case "size_bytes" `Quick test_size_bytes;
           Alcotest.test_case "iter" `Quick test_iter;
           Alcotest.test_case "latest marks survive growth" `Quick test_latest_marks_survive_growth;
+          Alcotest.test_case "a refused install changes nothing" `Quick
+            test_refused_install_changes_nothing;
           Alcotest.test_case "stale cloud after growth" `Quick test_stale_cloud_after_growth ] ) ]

@@ -1634,6 +1634,10 @@ let test_stats_over_the_wire () =
 
 (* --- event loop: incremental decoding, pipelining, backpressure ------------ *)
 
+(* A view's payload, read where it lies in the arena. *)
+let view_payload (v : Net.Frame.Decoder.view) =
+  Bytes.sub_string v.Net.Frame.Decoder.v_buf v.Net.Frame.Decoder.v_off v.Net.Frame.Decoder.v_len
+
 let test_decoder_byte_at_a_time () =
   (* Feeding a frame stream one byte at a time yields exactly the frames
      the pure decoder sees, and the views alias the live arena. *)
@@ -1649,7 +1653,7 @@ let test_decoder_byte_at_a_time () =
       | Ok (Some v) ->
         Alcotest.(check bool) "view aliases the arena" true
           (v.Net.Frame.Decoder.v_buf == Net.Frame.Decoder.buffer d);
-        got := (v.Net.Frame.Decoder.v_tag, Net.Frame.Decoder.payload_string d v) :: !got
+        got := (v.Net.Frame.Decoder.v_tag, view_payload v) :: !got
       | Error e -> Alcotest.failf "decoder: %s" (Net.Frame.error_to_string e))
     stream;
   Alcotest.(check (list (pair int string))) "all frames, in order" frames (List.rev !got);
@@ -1657,27 +1661,60 @@ let test_decoder_byte_at_a_time () =
   Alcotest.(check int) "nothing left buffered" 0 (Net.Frame.Decoder.buffered d)
 
 let test_decoder_zero_copy () =
-  (* One big chunk in, several frames out: the only payload copies are
-     the counted [payload_string] extractions — parsing itself copies
-     nothing. *)
-  let payloads = List.init 5 (fun i -> String.make (100 * (i + 1)) (Char.chr (65 + i))) in
+  (* One big chunk in, several frames out: every view aliases the arena
+     the chunk was fed into, and parsing them all allocates less than
+     the smallest payload, so no payload is copied. *)
+  let payloads = List.init 5 (fun i -> String.make (8192 * (i + 1)) (Char.chr (65 + i))) in
   let stream = String.concat "" (List.map (Net.Frame.encode ~tag:7) payloads) in
   let d = Net.Frame.Decoder.create () in
   Net.Frame.Decoder.feed d stream;
+  let arena = Net.Frame.Decoder.buffer d in
   let rec drain acc =
     match Net.Frame.Decoder.next d with
     | Ok None -> List.rev acc
     | Ok (Some v) -> drain (v :: acc)
     | Error e -> Alcotest.failf "decoder: %s" (Net.Frame.error_to_string e)
   in
+  let before = Gc.allocated_bytes () in
   let views = drain [] in
+  let parsing = Gc.allocated_bytes () -. before in
   Alcotest.(check int) "parsed all frames" (List.length payloads) (List.length views);
-  Alcotest.(check int) "parsing made zero payload copies" 0 (Net.Frame.Decoder.extractions d);
-  (* Extract only the middle one: exactly one copy happens. *)
-  let v = List.nth views 2 in
-  Alcotest.(check string) "extracted payload" (List.nth payloads 2)
-    (Net.Frame.Decoder.payload_string d v);
-  Alcotest.(check int) "one counted extraction" 1 (Net.Frame.Decoder.extractions d)
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "view aliases the fed arena" true (v.Net.Frame.Decoder.v_buf == arena))
+    views;
+  if parsing >= 8192. then
+    Alcotest.failf "parsing five frames allocated %.0f bytes, a payload's worth" parsing;
+  Alcotest.(check (list string)) "each view holds its payload" payloads (List.map view_payload views)
+
+(* A frame fed in 4 KiB reads, as the event loop reads a socket: the
+   arena doubles as the bytes arrive, never holds more than twice what
+   was fed, and stops at the frame's own length, where doubling alone
+   would reach 1 MiB for a Build of this size. *)
+let test_decoder_arena_capped_at_frame () =
+  let frame_len = 536_976 in
+  let payload = String.init (frame_len - Net.Frame.header_bytes) (fun i -> Char.chr (i land 0xff)) in
+  let frame = Net.Frame.encode ~tag:1 payload in
+  let d = Net.Frame.Decoder.create () in
+  let rec feed fed =
+    let buf, off = Net.Frame.Decoder.space d 4096 in
+    let n = min 4096 (min (Net.Frame.Decoder.room d) (frame_len - fed)) in
+    Bytes.blit_string frame fed buf off n;
+    Net.Frame.Decoder.commit d n;
+    let fed = fed + n in
+    let arena = Bytes.length (Net.Frame.Decoder.buffer d) in
+    if arena > 2 * fed then Alcotest.failf "an arena of %d bytes after %d fed" arena fed;
+    match Net.Frame.Decoder.next d with
+    | Ok None when fed < frame_len -> feed fed
+    | Ok None -> Alcotest.fail "the whole frame is buffered but does not parse"
+    | Ok (Some v) -> (fed, v)
+    | Error e -> Alcotest.failf "decoder: %s" (Net.Frame.error_to_string e)
+  in
+  let fed, v = feed 0 in
+  Alcotest.(check int) "parsed once the last byte arrived" frame_len fed;
+  Alcotest.(check int) "the arena ends at the frame's length" frame_len
+    (Bytes.length v.Net.Frame.Decoder.v_buf);
+  Alcotest.(check bool) "the view holds the payload" true (String.equal payload (view_payload v))
 
 let test_decoder_rejects_corruption () =
   (* The streaming checksum catches a flipped payload bit exactly like
@@ -1905,6 +1942,41 @@ let test_one_request_per_connection () =
           expect_pongs a 1;
           expect_pongs b 1);
       Alcotest.(check int) "two connections: peak concurrent handlers" 2 (Atomic.get peak))
+
+(* Two request frames in one write, each longer than half the 4 KiB
+   arena: the worker decodes the first from the arena while the second
+   waits beside it, unparsed and unread past, and the replies, which
+   echo their requests' bytes, come back right and in order. A loop
+   that read on while the first was in the pool would slide the second
+   frame's bytes over the first's. *)
+let test_two_frames_one_write () =
+  let handler = function
+    | Wire.Receipt { client; request_id } ->
+      Thread.delay 0.02;
+      Wire.Refused { code = Wire.Bad_request; detail = request_id ^ ":" ^ client }
+    | _ -> Wire.Refused { code = Wire.Internal; detail = "unexpected request" }
+  in
+  let request i =
+    Wire.Receipt { client = String.make 3000 (Char.chr (97 + i)); request_id = string_of_int i }
+  in
+  let srv = Net.Server.start handler in
+  Fun.protect ~finally:(fun () -> Net.Server.stop srv) @@ fun () ->
+  let fd = connect_raw srv in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+  write_raw fd
+    (String.concat ""
+       (List.init 2 (fun i ->
+            Net.Frame.encode ~tag:Wire.request_tag (Wire.encode_request (request i)))));
+  for i = 0 to 1 do
+    match Net.Frame.read ~timeout:10. fd with
+    | Error e -> Alcotest.failf "reply %d: %s" i (Net.Frame.error_to_string e)
+    | Ok { Net.Frame.payload; _ } ->
+      (match (Wire.decode_response payload, request i) with
+       | Some (Wire.Refused { detail; _ }), Wire.Receipt { client; request_id } ->
+         Alcotest.(check string) (Printf.sprintf "reply %d echoes request %d" i i)
+           (request_id ^ ":" ^ client) detail
+       | _ -> Alcotest.failf "reply %d did not decode as the echo" i)
+  done
 
 let test_half_closed_burst_answered () =
   (* After the peer's FIN, every complete frame it sent is still
@@ -2215,15 +2287,14 @@ let test_misfit_witnesses_refused () =
    is refused with the witness tree untouched: the tree takes a
    shipment's primes only once the index has installed its entries, so
    the leaves stay the primes behind [Ac] and a later search is paid. *)
-let test_clashing_insert_leaves_the_tree () =
-  let rng, keys, acc_params, owner, _records, shipment = durable_owner "wit-clash" in
+(* A built service, and an Insert whose first group holds its first
+   entry twice; the Insert itself is returned too. *)
+let clashing_insert seed =
+  let rng, keys, acc_params, owner, _records, shipment = durable_owner seed in
   let svc = Net.Service.create () in
   (match Net.Service.handle svc (build_req ~keys ~acc_params owner shipment) with
    | Wire.Accepted _ -> ()
    | _ -> Alcotest.fail "build refused");
-  let cloud = Station.cloud (station_of svc) in
-  let leaves () = (Cloud.witness_index_stats cloud).Witness_tree.ws_leaves in
-  let leaves0 = leaves () in
   let insert = Owner.insert owner [ Slicer_types.record_of_value "clash" 9 ] in
   let clashing =
     match insert.Owner.sh_groups with
@@ -2232,12 +2303,20 @@ let test_clashing_insert_leaves_the_tree () =
       { insert with Owner.sh_groups = { g with Owner.kg_entries = twice } :: rest }
     | [] -> Alcotest.fail "the Insert has no group"
   in
-  (match
-     Net.Service.handle svc
-       (Wire.Insert
-          { client = "wit-owner"; request_id = "wit#clash"; shipment = clashing;
-            trapdoor = Owner.export_trapdoor_state owner; trace = None })
-   with
+  let send request_id shipment =
+    Net.Service.handle svc
+      (Wire.Insert
+         { client = "wit-owner"; request_id; shipment;
+           trapdoor = Owner.export_trapdoor_state owner; trace = None })
+  in
+  (rng, svc, shipment, insert, clashing, send)
+
+let test_clashing_insert_leaves_the_tree () =
+  let rng, svc, _shipment, _insert, clashing, send = clashing_insert "wit-clash" in
+  let cloud = Station.cloud (station_of svc) in
+  let leaves () = (Cloud.witness_index_stats cloud).Witness_tree.ws_leaves in
+  let leaves0 = leaves () in
+  (match send "wit#clash" clashing with
    | Wire.Refused _ -> ()
    | _ -> Alcotest.fail "the clashing Insert was accepted");
   Alcotest.(check int) "the generation is unchanged" 1 (Net.Service.generation svc);
@@ -2252,6 +2331,41 @@ let test_clashing_insert_leaves_the_tree () =
   | Wire.Found r ->
     Alcotest.(check (result (list string) string)) "a later search is paid" (Ok [ "paid" ])
       r.Wire.sr_receipt.Vm.r_output
+  | _ -> Alcotest.fail "search refused"
+
+(* The index refuses a clashing Insert before it writes an entry or
+   moves a mark, so the owner's well-formed retry of the same Insert is
+   accepted: the index then holds the Build's entries and the retry's,
+   the tree the Build's primes and the retry's, and a search at the
+   new generation is paid. *)
+let test_clashing_insert_retry_accepted () =
+  let rng, svc, shipment, insert, clashing, send = clashing_insert "wit-retry" in
+  let cloud = Station.cloud (station_of svc) in
+  let entries0 = Cloud.index_entries cloud in
+  Alcotest.(check int) "the Build's entries" (Owner.shipment_entry_count shipment) entries0;
+  (match send "wit#clash" clashing with
+   | Wire.Refused _ -> ()
+   | _ -> Alcotest.fail "the clashing Insert was accepted");
+  Alcotest.(check int) "the refused Insert wrote no entry" entries0 (Cloud.index_entries cloud);
+  (match send "wit#retry" insert with
+   | Wire.Accepted { generation } -> Alcotest.(check int) "the retry's generation" 2 generation
+   | Wire.Refused { detail; _ } -> Alcotest.failf "the well-formed retry was refused: %s" detail
+   | _ -> Alcotest.fail "unexpected reply to the retry");
+  Alcotest.(check int) "the Build's entries and the retry's"
+    (entries0 + Owner.shipment_entry_count insert) (Cloud.index_entries cloud);
+  Alcotest.(check int) "the Build's primes and the retry's"
+    (List.length (Owner.shipment_primes shipment) + List.length (Owner.shipment_primes insert))
+    (Cloud.prime_count cloud);
+  let user = hello_user svc "wit-retry-user" in
+  match
+    Net.Service.handle svc
+      (Wire.Search
+         { client = "wit-retry-user"; request_id = "wr#1"; batched = false;
+           tokens = User.gen_tokens ~rng user (q 9 Slicer_types.Eq); trace = None })
+  with
+  | Wire.Found r ->
+    Alcotest.(check (result (list string) string)) "a search at generation 2 is paid"
+      (Ok [ "paid" ]) r.Wire.sr_receipt.Vm.r_output
   | _ -> Alcotest.fail "search refused"
 
 (* The accumulator's factors stay with the owner. A durable server is
@@ -2404,6 +2518,69 @@ let test_wal_only_build_recovers_warm () =
      | _ -> Alcotest.fail "search refused");
     Alcotest.(check int) "no base computed cold" before.Witness_tree.ws_cold
       (Cloud.witness_index_stats cloud).Witness_tree.ws_cold
+
+(* A WAL that holds a Build and an Insert: the replayed Insert leaves
+   the Build's leaves stale and its own cold, so recovery schedules the
+   background warm. Once the warm counter moves every leaf is fresh,
+   and a spread of searches computes no base cold, nor re-bases one. *)
+let test_wal_insert_recovers_warm () =
+  let rng, keys, acc_params, owner, records, shipment = durable_owner "wit-wal-insert" in
+  let dir = fresh_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { Store.dir; fsync = false; snapshot_bytes = max_int } in
+  let inserted = [ Slicer_types.record_of_value "wwi-a" 4; Slicer_types.record_of_value "wwi-b" 21 ] in
+  (match Net.Service.recover cfg with
+   | Error e -> Alcotest.failf "initial recover: %s" e
+   | Ok (svc, _) ->
+     Fun.protect ~finally:(fun () -> Option.iter Store.close (Net.Service.store svc)) @@ fun () ->
+     let live = warms () in
+     (match Net.Service.handle svc (build_req ~keys ~acc_params owner shipment) with
+      | Wire.Accepted _ -> ()
+      | _ -> Alcotest.fail "build refused");
+     (match
+        Net.Service.handle svc
+          (Wire.Insert
+             { client = "wit-owner"; request_id = "wwi#i"; shipment = Owner.insert owner inserted;
+               trapdoor = Owner.export_trapdoor_state owner; trace = None })
+      with
+      | Wire.Accepted _ -> ()
+      | _ -> Alcotest.fail "insert refused");
+     (* The live service's two warms finish before the restart, so the
+        counter's next move is the recovered service's. *)
+     await_warms (live + 2));
+  let warms0 = warms () in
+  match Net.Service.recover cfg with
+  | Error e -> Alcotest.failf "recover: %s" e
+  | Ok (svc, stats) ->
+    Fun.protect ~finally:(fun () -> Option.iter Store.close (Net.Service.store svc)) @@ fun () ->
+    Alcotest.(check bool) "from the WAL alone" false stats.Net.Service.rs_snapshot;
+    Alcotest.(check int) "the Build and the Insert" 2 stats.Net.Service.rs_replayed;
+    await_warms (warms0 + 1);
+    let cloud = Station.cloud (station_of svc) in
+    let warmed = Cloud.witness_index_stats cloud in
+    Alcotest.(check int) "every leaf fresh after the warm" warmed.Witness_tree.ws_leaves
+      warmed.Witness_tree.ws_fresh;
+    let user = hello_user svc "wit-wal-insert-user" in
+    List.iteri
+      (fun i query ->
+        let tokens = User.gen_tokens ~rng user query in
+        if tokens <> [] then
+          match
+            Net.Service.handle svc
+              (Wire.Search
+                 { client = "wit-wal-insert-user"; request_id = Printf.sprintf "wwi#%d" i;
+                   batched = false; tokens; trace = None })
+          with
+          | Wire.Found r ->
+            Alcotest.(check (result (list string) string)) "paid" (Ok [ "paid" ])
+              r.Wire.sr_receipt.Vm.r_output
+          | _ -> Alcotest.failf "search %d refused" i)
+      (spread_queries (records @ inserted));
+    let after = Cloud.witness_index_stats cloud in
+    Alcotest.(check int) "no search computed a base cold" warmed.Witness_tree.ws_cold
+      after.Witness_tree.ws_cold;
+    Alcotest.(check int) "nor re-based one" warmed.Witness_tree.ws_refreshes
+      after.Witness_tree.ws_refreshes
 
 let test_service_survives_restart () =
   (* The full acceptance loop in-process: an empty durable service is
@@ -3826,6 +4003,8 @@ let () =
       ( "event loop",
         [ Alcotest.test_case "decoder: byte-at-a-time" `Quick test_decoder_byte_at_a_time;
           Alcotest.test_case "decoder: zero-copy parsing" `Quick test_decoder_zero_copy;
+          Alcotest.test_case "decoder: a frame's arena stops at its length" `Quick
+            test_decoder_arena_capped_at_frame;
           Alcotest.test_case "decoder: rejects corruption" `Quick
             test_decoder_rejects_corruption;
           Alcotest.test_case "pipelined requests answered in order" `Quick
@@ -3834,6 +4013,8 @@ let () =
             test_slowloris_swept_without_stalling;
           Alcotest.test_case "one request per connection in flight" `Quick
             test_one_request_per_connection;
+          Alcotest.test_case "two frames in one write answer in order" `Quick
+            test_two_frames_one_write;
           Alcotest.test_case "a half-closed burst is answered, then EOF" `Quick
             test_half_closed_burst_answered;
           Alcotest.test_case "backpressure throttles a non-reader" `Quick
@@ -3853,10 +4034,14 @@ let () =
             test_misfit_witnesses_refused;
           Alcotest.test_case "a clashing Insert leaves the tree" `Quick
             test_clashing_insert_leaves_the_tree;
+          Alcotest.test_case "a clashing Insert's retry is accepted" `Quick
+            test_clashing_insert_retry_accepted;
           Alcotest.test_case "the factors never leave the owner" `Quick
             test_factors_never_leave_the_owner;
           Alcotest.test_case "a WAL-only Build recovers warm" `Quick
-            test_wal_only_build_recovers_warm ] );
+            test_wal_only_build_recovers_warm;
+          Alcotest.test_case "a WAL-only Insert is warmed after recovery" `Quick
+            test_wal_insert_recovers_warm ] );
       ( "durability",
         [ Alcotest.test_case "state survives a restart" `Quick test_service_survives_restart;
           Alcotest.test_case "witness index survives a restart" `Quick

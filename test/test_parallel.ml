@@ -179,9 +179,9 @@ let acc_props =
           across_domains
             (fun () ->
               (* A fresh maintained index per pool size, fed in two
-                 appends with a query in between so the spine recompute,
-                 the lazy re-base and the pool-parallel warm_all all run
-                 at this domain count. *)
+                 appends with a query in between so the cold descent's
+                 leaf products, the lazy re-base and the pool-parallel
+                 warm_all all run at this domain count. *)
               let wt = Witness_tree.create params in
               let k = List.length xs / 2 in
               let l = List.filteri (fun i _ -> i < k) xs
